@@ -5,16 +5,32 @@ memoised
 
 * in process (``MEMO``), so a pytest/benchmark session reuses
   simulations across fixtures, and
-* optionally on disk as one JSON file per cell (``disk_dir`` argument
-  or the ``REPRO_CACHE_DIR`` environment variable), so re-running a
-  sweep with a warm cache performs no simulation at all.
+* optionally on disk (``disk_dir`` argument or the ``REPRO_CACHE_DIR``
+  environment variable), so re-running a sweep with a warm cache
+  performs no simulation at all.
 
 Both levels key on *every* field of the configuration dataclass
 (nested :class:`~repro.timing.config.SMConfig` included), so sweeps
 over scoreboard kind, CCT capacity, L1 geometry or DRAM parameters
-never collide.  Disk entries are written strictly — a stats field that
-json cannot encode raises :class:`CacheSerializationError` at store
-time instead of being stringified and corrupting a later reload.
+never collide.
+
+The disk level is the content-addressed result store: one JSON entry
+per cell, named by the full :func:`cell_hash` and sharded by its first
+two hex digits so a million-entry store never puts a million files in
+one directory::
+
+    <dir>/ab/abcdef...0123.json
+
+This module is the only implementation of that format — the entry
+schema (:func:`entry_text`), the strict atomic writer
+(:func:`disk_store`), the version-checking reader (:func:`read_entry`)
+and the directory walk (:func:`walk_entries`).  The sweep daemon's
+:class:`~repro.service.store.ResultStore` is built on the same four,
+so a cache directory *is* a store: ``repro serve --store`` serves it
+and ``repro store verify|gc`` maintain it.  Entries are written
+strictly — a stats field that json cannot encode raises
+:class:`CacheSerializationError` before the filesystem is touched,
+instead of being stringified and corrupting a later reload.
 """
 
 from __future__ import annotations
@@ -23,7 +39,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import re
 import tempfile
 from typing import Dict, Iterator, Optional, Tuple, Union
 
@@ -43,9 +58,7 @@ CACHE_VERSION = 1
 #: Default in-process memo: (workload, size, config_key) -> stats.
 MEMO: Dict[Tuple, AnyStats] = {}
 
-#: Disk entries are named <workload>-<size>-<20 hex digest chars>.json;
-#: cache maintenance only ever touches files matching this shape.
-_ENTRY_RE = re.compile(r"^.+-[0-9a-f]{20}\.json$")
+_HEX = frozenset("0123456789abcdef")
 
 
 class CacheSerializationError(ValueError):
@@ -78,9 +91,9 @@ def config_to_payload(config: AnyConfig) -> Dict:
     """The canonical JSON shape of a configuration.
 
     This is the wire/disk form shared by the hash derivation, disk
-    cache entries, the shared result store and the service protocol —
-    one shape, so a config always round-trips to the same content
-    address no matter which layer serialized it.
+    entries and the service protocol — one shape, so a config always
+    round-trips to the same content address no matter which layer
+    serialized it.
     """
     return {
         "type": type(config).__name__,
@@ -197,31 +210,23 @@ def resolve_dir(disk_dir: Optional[str]) -> Optional[str]:
     return disk_dir
 
 
-def entry_path(disk_dir: str, workload: str, size: str, config: AnyConfig) -> str:
-    name = "%s-%s-%s.json" % (workload, size, cell_hash(workload, size, config)[:20])
-    return os.path.join(disk_dir, name)
+def is_cell_digest(text: str) -> bool:
+    """True for a full-length lowercase sha256 hex digest."""
+    return len(text) == 64 and all(c in _HEX for c in text)
 
 
-def disk_load(
-    disk_dir: str, workload: str, size: str, config: AnyConfig
-) -> Optional[AnyStats]:
-    path = entry_path(disk_dir, workload, size, config)
-    try:
-        with open(path) as f:
-            entry = json.load(f)
-    except (OSError, ValueError):
-        return None
-    if entry.get("version") != CACHE_VERSION:
-        return None
-    try:
-        return stats_from_payload(entry["stats"])
-    except (KeyError, TypeError):
-        return None
+def digest_path(root: str, digest: str) -> str:
+    """Where the entry for ``digest`` (a :func:`cell_hash`) lives."""
+    return os.path.join(root, digest[:2], digest + ".json")
 
 
-def disk_store(
-    disk_dir: str, workload: str, size: str, config: AnyConfig, stats: AnyStats
-) -> None:
+def entry_text(workload: str, size: str, config: AnyConfig, stats: AnyStats) -> str:
+    """The exact bytes of one cell's entry, serialized strictly.
+
+    No ``default=`` fallback: it would stringify unknown field types,
+    which either fails or silently corrupts the entry on a later
+    ``from_dict`` reload.
+    """
     entry = {
         "version": CACHE_VERSION,
         "workload": workload,
@@ -229,11 +234,8 @@ def disk_store(
         "config": config_to_payload(config),
         "stats": stats_to_payload(stats),
     }
-    # Serialize strictly *before* touching the filesystem: a default=
-    # fallback would stringify unknown field types, which either fails
-    # or silently corrupts the entry on a later from_dict reload.
     try:
-        blob = json.dumps(entry, indent=1, sort_keys=True, allow_nan=True)
+        return json.dumps(entry, indent=1, sort_keys=True)
     except (TypeError, ValueError) as exc:
         raise CacheSerializationError(
             "cannot cache %s result for %s/%s: %s — every Stats field must "
@@ -241,8 +243,111 @@ def disk_store(
             "to_dict/from_dict rather than relying on repr)"
             % (type(stats).__name__, workload, size, exc)
         ) from exc
-    os.makedirs(disk_dir, exist_ok=True)
-    atomic_write_text(entry_path(disk_dir, workload, size, config), blob)
+
+
+def read_entry(path: str) -> Dict[str, object]:
+    """The entry at ``path``; ``ValueError`` says why there is none.
+
+    Missing, torn and alien files and entries from another
+    ``CACHE_VERSION`` all fail here, so lookups treat them as misses
+    and ``repro store verify`` reports the reason.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            entry = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ValueError("unreadable or torn JSON") from exc
+    if not isinstance(entry, dict):
+        raise ValueError("entry is not a JSON object")
+    if entry.get("version") != CACHE_VERSION:
+        raise ValueError(
+            "cache version %r (this build speaks %d)"
+            % (entry.get("version"), CACHE_VERSION)
+        )
+    return entry
+
+
+def entry_stats(entry: Dict[str, object]) -> Optional[AnyStats]:
+    """The decoded stats of an entry, or None if they do not decode."""
+    payload = entry.get("stats")
+    if not isinstance(payload, dict):
+        return None
+    try:
+        return stats_from_payload(payload)
+    except (KeyError, TypeError):
+        return None
+
+
+def disk_load(
+    disk_dir: str, workload: str, size: str, config: AnyConfig
+) -> Optional[AnyStats]:
+    try:
+        entry = read_entry(digest_path(disk_dir, cell_hash(workload, size, config)))
+    except ValueError:
+        return None
+    return entry_stats(entry)
+
+
+def disk_store(
+    disk_dir: str, workload: str, size: str, config: AnyConfig, stats: AnyStats
+) -> str:
+    """Persist one cell result; returns its content address.
+
+    The entry is serialized before the filesystem is touched, and
+    ``disk_dir`` and the shard are created here, on first write.
+    Concurrent writers of one digest are harmless: identical hashes
+    imply identical entries, so whichever ``os.replace`` lands last
+    installs the same bytes.
+    """
+    text = entry_text(workload, size, config, stats)
+    digest = cell_hash(workload, size, config)
+    path = digest_path(disk_dir, digest)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    atomic_write_text(path, text)
+    return digest
+
+
+def walk_entries(root: str) -> Iterator[Tuple[Optional[str], str]]:
+    """Every entry and tombstone under ``root``, sorted.
+
+    Yields ``(digest, path)`` for entries and ``(None, path)`` for the
+    ``.tomb`` files an interrupted delete leaves behind.  Anything else
+    — a journal, ``*.tmp`` orphans, files of the old flat layout — is
+    not ours and is skipped; a missing root has no entries.
+    """
+    try:
+        shards = sorted(os.listdir(root))
+    except OSError:
+        return
+    for shard in shards:
+        shard_dir = os.path.join(root, shard)
+        if len(shard) != 2 or not os.path.isdir(shard_dir):
+            continue
+        try:
+            names = sorted(os.listdir(shard_dir))
+        except OSError:
+            continue
+        for name in names:
+            digest, ext = os.path.splitext(name)
+            if ext == ".json" and is_cell_digest(digest):
+                yield digest, os.path.join(shard_dir, name)
+            elif ext == ".tomb":
+                yield None, os.path.join(shard_dir, name)
+
+
+def disk_usage(root: str) -> Tuple[int, int]:
+    """(entry count, total bytes) of the entries under ``root``."""
+    entries = 0
+    total = 0
+    for digest, path in walk_entries(root):
+        if digest is None:
+            continue
+        try:
+            total += os.path.getsize(path)
+        except OSError:
+            continue
+        entries += 1
+    return entries, total
 
 
 # ----------------------------------------------------------------------
@@ -271,29 +376,11 @@ class CacheInfo:
         return "\n".join(lines)
 
 
-def _disk_entries(disk_dir: str) -> Iterator[str]:
-    try:
-        names = sorted(os.listdir(disk_dir))
-    except OSError:
-        return
-    for name in names:
-        if _ENTRY_RE.match(name):
-            yield os.path.join(disk_dir, name)
-
-
 def info(disk_dir: Optional[str] = None, memo: Optional[Dict] = None) -> CacheInfo:
     """Entry counts and on-disk footprint of both cache levels."""
     memo = MEMO if memo is None else memo
     disk_dir = resolve_dir(disk_dir)
-    entries = 0
-    total = 0
-    if disk_dir is not None:
-        for path in _disk_entries(disk_dir):
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                continue
-            entries += 1
+    entries, total = (0, 0) if disk_dir is None else disk_usage(disk_dir)
     return CacheInfo(len(memo), disk_dir, entries, total)
 
 
@@ -302,15 +389,17 @@ def clear(disk_dir: Optional[str] = None, memo: Optional[Dict] = None) -> int:
 
     Unlike lookups, ``disk_dir`` is *not* defaulted from
     ``$REPRO_CACHE_DIR`` — deleting files stays opt-in and explicit.
-    Only files matching the cache naming scheme are removed (the
-    directory itself, and anything else in it, is left alone).
+    Only entries are removed (the directory itself, its shards, and
+    anything else in it, is left alone).
     Returns the number of disk entries removed.
     """
     memo = MEMO if memo is None else memo
     memo.clear()
     removed = 0
     if disk_dir is not None:
-        for path in _disk_entries(disk_dir):
+        for digest, path in walk_entries(disk_dir):
+            if digest is None:
+                continue
             try:
                 os.remove(path)
             except OSError:

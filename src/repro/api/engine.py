@@ -1,8 +1,9 @@
 """The experiment engine: runs a :class:`SweepSpec` through a backend.
 
 The :class:`Engine` owns the two-level result cache
-(:mod:`repro.api.cache`) and delegates uncached cells to a pluggable
-execution backend:
+(:mod:`repro.api.cache` — its disk level is a content-addressed store
+a ``repro serve`` daemon can serve directly) and delegates uncached
+cells to a pluggable execution backend:
 
 ``inline``
     simulate in this process, one cell at a time;
@@ -444,8 +445,9 @@ class Engine:
         """The lazily-built client for ``backend="remote"``.
 
         Lazy so constructing an inline/process Engine never imports the
-        service package, and shared across runs so concurrent sweeps on
-        one Engine coalesce client-side.
+        service package, and shared across runs so a circuit breaker
+        one sweep opened spares the next the retry schedule.  (Sweeps
+        sharing one Engine coalesce on the daemon, like everyone else.)
         """
         if self._remote_client is None:
             from repro.service.remote import RemoteClient

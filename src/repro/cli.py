@@ -11,8 +11,6 @@ Subcommands::
     repro analyze   --workload bfs --config sbi_swi [--sm-count 4]
                     [--observers timeline,heatmap,origins] [--json OUT.json]
     repro merge     A.json B.json ... [--save OUT.json] [--on-conflict keep]
-    repro bench     [--size smoke] [--repeat 3] [--json PATH] [--check BASE.json]
-                    [--profile [N]] [--profile-out PROF.pstats]
     repro cache     info|clear [--dir DIR]
     repro store     info|gc|verify [--dir DIR] [--max-age S]
                     [--max-entries N] [--max-bytes N] [--dry-run]
@@ -24,7 +22,8 @@ Tables go to stdout; a one-line cell accounting (``# N cells: M
 simulated, K cached``) goes to stderr so scripted runs can assert a
 warm cache performed no simulation.  ``--cache-dir`` (or the
 ``REPRO_CACHE_DIR`` environment variable) enables the on-disk result
-cache shared with the Python API.  ``--plugin MOD`` imports a module
+cache shared with the Python API — the same directory format as
+``repro serve --store``, so ``repro store verify|gc --dir`` work on it.  ``--plugin MOD`` imports a module
 first, so third-party policies registered at import time are available
 to ``policies``, ``--configs`` and ``--policy``.
 
@@ -444,69 +443,6 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro import bench
-
-    profiler = None
-    if args.profile is not None or args.profile_out:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    result = bench.run_bench(
-        size=args.size,
-        repeat=args.repeat,
-        modes=args.modes.split(",") if args.modes else None,
-        workloads=args.workloads.split(",") if args.workloads else None,
-        compiled=not args.reference,
-    )
-    if profiler is not None:
-        profiler.disable()
-        import pstats
-
-        if args.profile_out:
-            profiler.dump_stats(args.profile_out)
-            print("wrote profile to %s" % args.profile_out, file=sys.stderr)
-        top = args.profile if args.profile is not None else 0
-        if top:
-            stats = pstats.Stats(profiler, stream=sys.stderr)
-            stats.sort_stats("cumulative").print_stats(top)
-    print(bench.format_report(result), file=sys.stderr)
-    if args.json:
-        # Refreshing a committed baseline must not drop its historical
-        # reference block (README's speedup table points at it).
-        try:
-            previous = bench.load_artifact(args.json)
-        except (OSError, ValueError):
-            previous = None
-        if isinstance(previous, dict) and "pre_pr_reference" in previous:
-            result = dict(result, pre_pr_reference=previous["pre_pr_reference"])
-        bench.annotate_speedup(result)
-        bench.write_artifact(result, args.json)
-        print("wrote %s" % args.json, file=sys.stderr)
-    else:
-        bench.annotate_speedup(result)
-        print(json.dumps(result, indent=1, sort_keys=True))
-    if args.check:
-        baseline = bench.load_artifact(args.check)
-        problems = bench.check_regression(result, baseline)
-        for problem in problems:
-            print("FAIL: %s" % problem, file=sys.stderr)
-        if problems:
-            return 1
-        print(
-            "perf check passed vs %s (%.1f cells/sec >= %.1f - %d%%)"
-            % (
-                args.check,
-                result["cells_per_sec"],
-                baseline["cells_per_sec"],
-                round(bench.REGRESSION_TOLERANCE * 100),
-            ),
-            file=sys.stderr,
-        )
-    return 0
-
-
 def _cmd_cache(args) -> int:
     if args.action == "info":
         print(result_cache.info(disk_dir=args.dir).describe())
@@ -838,56 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="ipc", help="stats attribute to tabulate")
     p.add_argument("--output", default=None, help="write the table to a file")
     p.set_defaults(fn=_cmd_merge)
-
-    p = sub.add_parser(
-        "bench", help="measure raw simulation speed (cells/sec, cycles/sec)"
-    )
-    p.add_argument("--size", default="smoke", help="workload size (default smoke)")
-    p.add_argument(
-        "--repeat", type=int, default=1, help="best-of-N timing repeats"
-    )
-    p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the artifact to PATH (e.g. BENCH_speed.json) "
-        "instead of stdout",
-    )
-    p.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE.json",
-        help="exit 1 if cells/sec drops >30%% below this baseline artifact",
-    )
-    p.add_argument(
-        "--workloads", default=None, help="comma list restricting the matrix"
-    )
-    p.add_argument(
-        "--modes", default=None, help="comma list of modes (default figure-7 five)"
-    )
-    p.add_argument(
-        "--reference",
-        action="store_true",
-        help="time the reference interpreter instead of compiled plans",
-    )
-    p.add_argument(
-        "--profile",
-        type=int,
-        nargs="?",
-        const=25,
-        default=None,
-        metavar="N",
-        help="profile the run with cProfile and print the top N "
-        "functions by cumulative time (default 25)",
-    )
-    p.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="PATH",
-        help="dump the raw pstats profile to PATH (implies profiling; "
-        "inspect with `python -m pstats PATH`)",
-    )
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("cache", help="inspect or purge the result caches")
     p.add_argument("action", choices=("info", "clear"))

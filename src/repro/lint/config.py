@@ -18,7 +18,6 @@ PATH_SUPPRESSIONS: Dict[str, Tuple[str, ...]] = {
     "wall-clock": (
         "benchmarks/*.py",
         "examples/*.py",
-        "repro/bench.py",
         "repro/api/engine.py",
         "repro/cli.py",
     ),

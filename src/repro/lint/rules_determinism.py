@@ -146,7 +146,7 @@ class WallClockRule(Rule):
     )
     hint = (
         "thread the simulation cycle through instead; timing harnesses "
-        "belong in repro.bench / benchmarks/"
+        "belong in benchmarks/"
     )
     include = SIMULATION_FILES
 

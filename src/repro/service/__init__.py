@@ -8,14 +8,16 @@ fleet-scale serving stack:
     a closed vocabulary of message types and error codes, and the
     submit/status/result/cancel/publish message builders;
 :mod:`repro.service.store`
-    a content-addressed shared result store keyed by the existing
-    ``cell_hash`` (the config-derived content address the two-level
-    cache already uses), written atomically so any number of daemon
-    workers and external processes can share one directory, with
-    crash-safe GC (rename-to-tombstone) and a re-hashing verify pass;
+    the daemon's view of the content-addressed result store — the
+    same directory format, writer and reader as the disk level of
+    :mod:`repro.api.cache`, so a cache directory can be served and a
+    store can warm an ``Engine`` — plus what only the service needs:
+    crash-safe GC (rename-to-tombstone), a re-hashing verify pass and
+    the torn-write fault hook;
 :mod:`repro.service.daemon`
     the ``repro serve`` HTTP daemon (stdlib ``ThreadingHTTPServer``):
-    sweep submission with request coalescing, per-job progress
+    sweep submission with request coalescing (the only coalescer:
+    clients just submit), per-job progress
     streaming, cached-cell lookup, 429 back-pressure, a write-ahead
     job journal with ``--resume`` crash recovery, and graceful
     SIGTERM/SIGINT shutdown;

@@ -36,7 +36,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.api.cache import stats_to_payload
+from repro.api.cache import is_cell_digest, stats_to_payload
 from repro.api.engine import Engine
 from repro.service import protocol
 from repro.service.faults import (
@@ -54,7 +54,7 @@ from repro.service.faults import (
 )
 from repro.service.journal import JobJournal, JournalCell, resolve_journal_path
 from repro.service.protocol import ProtocolError, SubmittedCell
-from repro.service.store import ResultStore, is_cell_digest, resolve_store_dir
+from repro.service.store import ResultStore, resolve_store_dir
 
 #: Protocol error code -> HTTP status.
 _HTTP_STATUS: Dict[str, int] = {

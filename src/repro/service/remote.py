@@ -8,12 +8,13 @@
   backoff sequence is testable;
 * **back-pressure honoring**: a 429 response's ``Retry-After`` value
   replaces the backoff delay for the next attempt, so a busy daemon
-  paces its clients instead of being hammered;
-* **request coalescing**: a per-client in-flight registry keyed by
-  ``cell_hash`` lets N concurrent sweeps of the same cells collapse to
-  one submission — later threads *ride* the first thread's job and
-  read its results, and the daemon coalesces across clients the same
-  way, so a million identical figure-7 requests cost one simulation.
+  paces its clients instead of being hammered.
+
+Coalescing is the daemon's job, not the client's: every sweep submits
+its own cells, the daemon attaches identical in-flight cells — from
+this client's threads or anyone else's — to one simulation and tags
+the riders ``source="coalesced"``, so a million identical figure-7
+requests cost one simulation.
 
 :func:`run_remote` is the engine backend runner: it submits the
 pending cells, follows the job's progress stream (falling back to
@@ -76,16 +77,6 @@ class RemoteError(RuntimeError):
         self.code = code
 
 
-class _Inflight:
-    """One reserved submission slot in the client coalescing registry."""
-
-    __slots__ = ("job_id", "ready")
-
-    def __init__(self) -> None:
-        self.job_id: Optional[str] = None
-        self.ready = threading.Event()
-
-
 class RemoteClient:
     """HTTP client for one sweep daemon."""
 
@@ -108,7 +99,6 @@ class RemoteClient:
         self.retries = retries
         self.backoff = backoff
         self._sleep = sleep
-        self._inflight: Dict[str, _Inflight] = {}
         self._lock = threading.Lock()
         self._breaker_open = False
 
@@ -367,45 +357,6 @@ class RemoteClient:
                 return message
             self._sleep(poll_interval)
 
-    # ------------------------------------------------------------------
-    # Client-side coalescing
-    # ------------------------------------------------------------------
-
-    def reserve(
-        self, digests: Sequence[str]
-    ) -> Tuple[List[str], Dict[str, _Inflight]]:
-        """Split digests into (mine to submit, rides on other threads).
-
-        Reserved digests must be released with :meth:`publish` (job id
-        on success, None on failure) — always, or riders deadlock.
-        """
-        mine: List[str] = []
-        rides: Dict[str, _Inflight] = {}
-        with self._lock:
-            for digest in digests:
-                record = self._inflight.get(digest)
-                if record is not None:
-                    rides[digest] = record
-                else:
-                    self._inflight[digest] = _Inflight()
-                    mine.append(digest)
-        return mine, rides
-
-    def publish(self, digests: Sequence[str], job_id: Optional[str]) -> None:
-        """Attach a job id to reserved digests and wake riders."""
-        with self._lock:
-            for digest in digests:
-                record = self._inflight.get(digest)
-                if record is not None:
-                    record.job_id = job_id
-                    record.ready.set()
-
-    def release(self, digests: Sequence[str]) -> None:
-        """Drop reserved digests once their results are fetchable."""
-        with self._lock:
-            for digest in digests:
-                self._inflight.pop(digest, None)
-
 
 # ----------------------------------------------------------------------
 # The engine backend runner
@@ -456,13 +407,9 @@ def run_remote(
     digests = [
         cell_hash(cell.workload, cell.size, cell.config) for _, cell in order
     ]
-    by_digest = {
-        digest: (key, cell)
-        for digest, (key, cell) in zip(digests, order)
-    }
+    unique = {digest: cell for digest, (_, cell) in zip(digests, order)}
 
     degraded = False
-    ridden: "set[str]" = set()
     cell_results: Dict[str, Dict[str, object]] = {}
 
     # A breaker left open by an earlier run: one cheap probe decides —
@@ -472,66 +419,15 @@ def run_remote(
         degraded = True
 
     if not degraded:
-        # verify runs bypass every cache layer, so they never coalesce.
-        if verify:
-            mine = list(dict.fromkeys(digests))
-            rides: Dict[str, _Inflight] = {}
-        else:
-            mine, rides = client.reserve(list(dict.fromkeys(digests)))
-
-        # Digests this client merely rode: another thread's job
-        # (possibly another client's, via daemon coalescing) did the
-        # work.  The daemon tags such cells with the *reserving* job's
-        # provenance, so a ridden "simulated" cell is re-attributed
-        # below — this client caused no simulation and must not count
-        # one.
-        ridden = set(rides)
-
         try:
-            try:
-                if mine:
-                    tuples = [
-                        (
-                            by_digest[d][1].workload,
-                            by_digest[d][1].size,
-                            by_digest[d][1].config_name,
-                            by_digest[d][1].config,
-                        )
-                        for d in mine
-                    ]
-                    ack = client.submit(tuples, verify=verify)
-                    job_id = str(ack.get("job"))
-                    if not verify:
-                        client.publish(mine, job_id)
-                    _follow_job(client, job_id, cell_results)
-                for digest, record in rides.items():
-                    record.ready.wait()
-                    if record.job_id is None:
-                        # The reserving thread's submission failed; run
-                        # the cell ourselves on a fresh job.
-                        entry = by_digest[digest]
-                        ack = client.submit(
-                            [
-                                (
-                                    entry[1].workload,
-                                    entry[1].size,
-                                    entry[1].config_name,
-                                    entry[1].config,
-                                )
-                            ],
-                            verify=verify,
-                        )
-                        ridden.discard(digest)  # we did submit it after all
-                        _follow_job(client, str(ack.get("job")), cell_results)
-                    elif digest not in cell_results:
-                        _follow_job(client, record.job_id, cell_results)
-            except Exception:
-                if not verify:
-                    client.publish(mine, None)
-                raise
-            finally:
-                if not verify:
-                    client.release(mine)
+            ack = client.submit(
+                [
+                    (cell.workload, cell.size, cell.config_name, cell.config)
+                    for cell in unique.values()
+                ],
+                verify=verify,
+            )
+            _follow_job(client, str(ack.get("job")), cell_results)
         except RemoteError as exc:
             # Only transport-level exhaustion (code None) and a daemon
             # announcing shutdown justify degrading — typed errors like
@@ -610,8 +506,6 @@ def run_remote(
                 "daemon result for cell %s has no stats payload" % digest[:12]
             )
         stats: AnyStats = stats_from_payload(payload)
-        if digest in ridden and source == protocol.SOURCE_SIMULATED:
-            cached, source = True, protocol.SOURCE_COALESCED
         engine._store(cell.workload, cell.size, cell.config, stats, True, disk_dir)
         outcome[key] = stats
         emit(cell, cached=cached, source=source)

@@ -1,49 +1,45 @@
-"""Content-addressed shared result store backing the sweep daemon.
+"""The sweep daemon's view of the content-addressed result store.
 
-One entry per simulated cell, named by the full ``cell_hash`` — the
-byte-stable digest of (cache version, workload, size, complete config)
-that the two-level cache already derives — and sharded by the first
-two hex digits so a million-entry store never puts a million files in
-one directory::
+The store *is* the on-disk level of the two-level cache: the layout
+(``<root>/ab/abcdef...0123.json``), the entry schema, the strict atomic
+writer, the version-checking reader and the directory walk all live in
+:mod:`repro.api.cache`, and ``REPRO_CACHE_DIR`` and ``REPRO_STORE_DIR``
+may name the same directory.  Because identical hashes imply identical
+content, two stores merge by copying files — no conflict resolution
+needed (contrast ``repro merge``, which merges *ResultSet artifacts*
+and must compare stats).  Any number of daemon worker threads and
+external processes can share one root safely.
 
-    <root>/ab/abcdef...0123.json
-
-Entries carry exactly the disk-cache entry schema
-(:mod:`repro.api.cache`: version, workload, size, config payload,
-stats payload), so the store is a superset of the flat cache: tooling
-that understands one understands the other, and because identical
-hashes imply identical content, two stores merge by copying files —
-no conflict resolution needed (contrast ``repro merge``, which merges
-*ResultSet artifacts* and must compare stats).  Writes go through
-:func:`repro.api.cache.atomic_write_text`, so any number of daemon
-worker threads and external processes can share one root safely.
-
-Deletion (:meth:`ResultStore.gc`) is crash-safe against those same
-concurrent readers: an entry is first renamed to a ``.tomb`` file
-(atomic — readers hitting the tombstone see a miss, never a torn
-read) and only then unlinked, so a GC killed mid-delete leaves at
-worst a tombstone that the next GC sweeps.  :meth:`ResultStore.verify`
-re-hashes every entry's decoded content against its filename, catching
-bit-rot and schema skew before they serve wrong results.
+:class:`ResultStore` adds what only the service needs: lookups by
+digest, the ``torn-store-write`` fault hook, and maintenance.
+Deletion (:meth:`ResultStore.gc`) is crash-safe against concurrent
+readers: an entry is first renamed to a ``.tomb`` file (atomic —
+readers hitting the tombstone see a miss, never a torn read) and only
+then unlinked, so a GC killed mid-delete leaves at worst a tombstone
+that the next GC sweeps.  :meth:`ResultStore.verify` re-hashes every
+entry's decoded content against its filename, catching bit-rot and
+schema skew before they serve wrong results.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.api.cache import (
-    CACHE_VERSION,
     AnyConfig,
     AnyStats,
-    atomic_write_text,
     cell_hash,
     config_from_payload,
-    config_to_payload,
+    digest_path,
+    disk_store,
+    disk_usage,
+    entry_stats,
+    is_cell_digest,
+    read_entry,
     stats_from_payload,
-    stats_to_payload,
+    walk_entries,
 )
 from repro.service.faults import FAULT_TORN_STORE_WRITE, FaultPlan, SITE_STORE
 
@@ -53,19 +49,12 @@ STORE_DIR_ENV = "REPRO_STORE_DIR"
 #: Fallback store root when neither --store nor the env var is set.
 DEFAULT_STORE_DIR = ".repro_store"
 
-_HEX = set("0123456789abcdef")
-
 
 def resolve_store_dir(root: Optional[str]) -> str:
     """Explicit root, else ``$REPRO_STORE_DIR``, else the default."""
     if root:
         return root
     return os.environ.get(STORE_DIR_ENV) or DEFAULT_STORE_DIR
-
-
-def is_cell_digest(text: str) -> bool:
-    """True for a full-length lowercase sha256 hex digest."""
-    return len(text) == 64 and all(c in _HEX for c in text)
 
 
 @dataclass(frozen=True)
@@ -114,24 +103,23 @@ class VerifyResult:
 class ResultStore:
     """A directory of cell results addressed by content hash.
 
-    ``fault_plan`` threads the service's deterministic fault injector
-    into writes (the ``torn-store-write`` kind): production code never
-    passes one, tests and ``repro serve --fault-plan`` do.
+    Constructing one touches nothing: the root appears on first write,
+    and a missing root reads as an empty store.  ``fault_plan`` threads
+    the service's deterministic fault injector into writes (the
+    ``torn-store-write`` kind): production code never passes one, tests
+    and ``repro serve --fault-plan`` do.
     """
 
     def __init__(self, root: str, fault_plan: Optional[FaultPlan] = None) -> None:
         self.root = root
         self.fault_plan = fault_plan
-        os.makedirs(root, exist_ok=True)
-
-    # ------------------------------------------------------------------
-    # Paths
-    # ------------------------------------------------------------------
 
     def path_for(self, digest: str) -> str:
+        # Digests reach the store from the wire; never join an
+        # unchecked one into a path.
         if not is_cell_digest(digest):
             raise ValueError("not a cell digest: %r" % (digest,))
-        return os.path.join(self.root, digest[:2], digest + ".json")
+        return digest_path(self.root, digest)
 
     # ------------------------------------------------------------------
     # Reads
@@ -141,35 +129,18 @@ class ResultStore:
         """The full JSON entry for a digest, or None.
 
         Torn/alien files and entries from another ``CACHE_VERSION``
-        read as misses, exactly like the flat disk cache.
+        read as misses.
         """
+        path = self.path_for(digest)
         try:
-            with open(self.path_for(digest)) as f:
-                entry = json.load(f)
-        except (OSError, ValueError):
+            return read_entry(path)
+        except ValueError:
             return None
-        if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
-            return None
-        return entry
 
     def load_stats(self, digest: str) -> Optional[AnyStats]:
         """The decoded stats for a digest, or None."""
         entry = self.get_entry(digest)
-        if entry is None:
-            return None
-        payload = entry.get("stats")
-        if not isinstance(payload, dict):
-            return None
-        try:
-            return stats_from_payload(payload)
-        except (KeyError, TypeError):
-            return None
-
-    def load(
-        self, workload: str, size: str, config: AnyConfig
-    ) -> Optional[AnyStats]:
-        """Cache-style lookup by cell rather than by digest."""
-        return self.load_stats(cell_hash(workload, size, config))
+        return None if entry is None else entry_stats(entry)
 
     # ------------------------------------------------------------------
     # Writes
@@ -178,98 +149,40 @@ class ResultStore:
     def store(
         self, workload: str, size: str, config: AnyConfig, stats: AnyStats
     ) -> str:
-        """Persist one cell result; returns its content address.
-
-        Concurrent writers of the same digest are harmless: identical
-        hashes imply identical entries, so whichever ``os.replace``
-        lands last installs the same bytes.
-        """
-        digest = cell_hash(workload, size, config)
-        entry = {
-            "version": CACHE_VERSION,
-            "workload": workload,
-            "size": size,
-            "config": config_to_payload(config),
-            "stats": stats_to_payload(stats),
-        }
-        path = self.path_for(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        text = json.dumps(entry, indent=1, sort_keys=True)
+        """Persist one cell result; returns its content address."""
+        digest = disk_store(self.root, workload, size, config, stats)
         if (
             self.fault_plan is not None
             and self.fault_plan.fire(SITE_STORE, workload)
             == FAULT_TORN_STORE_WRITE
         ):
             # Simulate a writer that died mid-write without the atomic
-            # rename: half the bytes land at the final path.  Readers
+            # rename: half the bytes are left at the final path.  Readers
             # must treat it as a miss and resimulation must converge.
-            with open(path, "w", encoding="utf-8") as torn:
-                torn.write(text[: len(text) // 2])
-            return digest
-        atomic_write_text(path, text)
+            path = self.path_for(digest)
+            os.truncate(path, os.path.getsize(path) // 2)
         return digest
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
 
-    def _entry_paths(self) -> Iterator[Tuple[str, str]]:
-        try:
-            shards = sorted(os.listdir(self.root))
-        except OSError:
-            return
-        for shard in shards:
-            shard_dir = os.path.join(self.root, shard)
-            if len(shard) != 2 or not os.path.isdir(shard_dir):
-                continue
-            try:
-                names = sorted(os.listdir(shard_dir))
-            except OSError:
-                continue
-            for name in names:
-                digest, ext = os.path.splitext(name)
-                if ext == ".json" and is_cell_digest(digest):
-                    yield digest, os.path.join(shard_dir, name)
-
     def digests(self) -> Iterator[str]:
         """Every content address currently in the store (sorted)."""
-        for digest, _ in self._entry_paths():
-            yield digest
+        for digest, _ in walk_entries(self.root):
+            if digest is not None:
+                yield digest
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._entry_paths())
+        return sum(1 for _ in self.digests())
 
     def info(self) -> StoreInfo:
-        entries = 0
-        total = 0
-        for _, path in self._entry_paths():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                continue
-            entries += 1
+        entries, total = disk_usage(self.root)
         return StoreInfo(self.root, entries, total)
 
     # ------------------------------------------------------------------
     # Deletion / GC
     # ------------------------------------------------------------------
-
-    def _tombstone_paths(self) -> Iterator[str]:
-        try:
-            shards = sorted(os.listdir(self.root))
-        except OSError:
-            return
-        for shard in shards:
-            shard_dir = os.path.join(self.root, shard)
-            if len(shard) != 2 or not os.path.isdir(shard_dir):
-                continue
-            try:
-                names = sorted(os.listdir(shard_dir))
-            except OSError:
-                continue
-            for name in names:
-                if name.endswith(".tomb"):
-                    yield os.path.join(shard_dir, name)
 
     def delete(self, digest: str) -> bool:
         """Remove one entry crash-safely; True if it existed.
@@ -317,15 +230,16 @@ class ResultStore:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         swept = 0
-        for tomb in self._tombstone_paths():
-            swept += 1
-            if not dry_run:
-                try:
-                    os.unlink(tomb)
-                except OSError:
-                    pass
         entries: List[Tuple[float, int, str]] = []
-        for digest, path in self._entry_paths():
+        for digest, path in walk_entries(self.root):
+            if digest is None:  # a tombstone
+                swept += 1
+                if not dry_run:
+                    try:
+                        os.unlink(path)
+                    except OSError:
+                        pass
+                continue
             try:
                 stat = os.stat(path)
             except OSError:
@@ -391,24 +305,13 @@ class ResultStore:
         def problem(digest: str, path: str, reason: str) -> None:
             problems.append(VerifyProblem(digest, path, reason))
 
-        for digest, path in self._entry_paths():
+        for digest in self.digests():
             examined += 1
+            path = self.path_for(digest)
             try:
-                with open(path, encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except (OSError, ValueError):
-                problem(digest, path, "unreadable or torn JSON")
-                continue
-            if not isinstance(entry, dict):
-                problem(digest, path, "entry is not a JSON object")
-                continue
-            if entry.get("version") != CACHE_VERSION:
-                problem(
-                    digest,
-                    path,
-                    "cache version %r (this build speaks %d)"
-                    % (entry.get("version"), CACHE_VERSION),
-                )
+                entry = read_entry(path)
+            except ValueError as exc:
+                problem(digest, path, str(exc))
                 continue
             workload = entry.get("workload")
             size = entry.get("size")

@@ -112,7 +112,7 @@ class TestBackendParity:
     def test_process_folds_into_memo_and_disk(self, tmp_path):
         cache_dir = str(tmp_path)
         Engine(jobs=2, cache_dir=cache_dir).run(SMALL)
-        assert len(os.listdir(cache_dir)) == 4
+        assert result_cache.info(disk_dir=cache_dir).disk_entries == 4
         key = result_cache.cell_key("histogram", "tiny", presets.baseline())
         assert key in result_cache.MEMO
         # A fresh engine run is now pure cache hits.
@@ -223,8 +223,9 @@ class TestCacheMaintenance:
     def test_info_and_clear(self, tmp_path):
         cache_dir = str(tmp_path)
         Engine(cache_dir=cache_dir).run(SMALL)
-        # A foreign file must survive cache maintenance.
-        foreign = os.path.join(cache_dir, "notes.txt")
+        # A foreign file must survive cache maintenance — here an
+        # entry of the old flat layout, which is no longer ours.
+        foreign = os.path.join(cache_dir, "histogram-tiny-0123456789abcdef0123.json")
         with open(foreign, "w") as f:
             f.write("keep me")
         info = result_cache.info(disk_dir=cache_dir)
@@ -248,8 +249,8 @@ class TestCacheMaintenance:
         cache_dir = str(tmp_path)
         engine = Engine(cache_dir=cache_dir)
         engine.run_cell("histogram", "tiny", presets.baseline())
-        (entry,) = os.listdir(cache_dir)
-        with open(os.path.join(cache_dir, entry), "w") as f:
+        digest = result_cache.cell_hash("histogram", "tiny", presets.baseline())
+        with open(result_cache.digest_path(cache_dir, digest), "w") as f:
             f.write("{not json")
         result_cache.clear()
         stats = Engine(cache_dir=cache_dir).run_cell(

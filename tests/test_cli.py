@@ -354,138 +354,20 @@ class TestCache:
         out = run_cli("cache", "info").stdout
         assert "disabled" in out
 
+    @pytest.mark.parametrize("command", ["cache", "store"])
+    def test_info_on_a_missing_dir_creates_nothing(self, tmp_path, command):
+        typo = tmp_path / "typo"
+        out = run_cli(command, "info", "--dir", str(typo)).stdout
+        assert "0 entries" in out
+        assert os.listdir(str(tmp_path)) == []
 
-class TestBench:
-    """The perf-smoke entry point (`repro bench`) and its artifact."""
-
-    ARGS = ("bench", "--workloads", "histogram", "--modes", "baseline,warp64")
-
-    def test_artifact_schema(self, tmp_path):
-        from repro.bench import SCHEMA_VERSION
-
-        out = str(tmp_path / "BENCH_speed.json")
-        proc = run_cli(*self.ARGS, "--json", out)
-        assert "wrote %s" % out in proc.stderr
-        with open(out) as f:
-            artifact = json.load(f)
-        assert artifact["schema"] == SCHEMA_VERSION
-        assert artifact["cells"] == 2
-        assert set(artifact["per_mode"]) == {"baseline", "warp64"}
-        for key in ("cells_per_sec", "cycles_per_sec", "wall_seconds", "sim_cycles"):
-            assert artifact[key] > 0
-        # Without --json the artifact goes to stdout instead.
-        bare = run_cli(*self.ARGS)
-        assert json.loads(bare.stdout)["cells"] == 2
-
-    def test_check_passes_against_slower_baseline(self, tmp_path):
-        out = str(tmp_path / "fresh.json")
-        run_cli(*self.ARGS, "--json", out)
-        with open(out) as f:
-            baseline = json.load(f)
-        baseline["cells_per_sec"] /= 10  # trivially beatable
-        base = str(tmp_path / "base.json")
-        with open(base, "w") as f:
-            json.dump(baseline, f)
-        proc = run_cli(*self.ARGS, "--check", base)
-        assert "perf check passed" in proc.stderr
-
-    def test_check_fails_against_impossible_baseline(self, tmp_path):
-        out = str(tmp_path / "fresh.json")
-        run_cli(*self.ARGS, "--json", out)
-        with open(out) as f:
-            baseline = json.load(f)
-        baseline["cells_per_sec"] *= 1e6
-        base = str(tmp_path / "base.json")
-        with open(base, "w") as f:
-            json.dump(baseline, f)
-        proc = run_cli(*self.ARGS, "--check", base, check=False)
-        assert proc.returncode == 1
-        assert "cells/sec regressed" in proc.stderr
-
-    def test_check_rejects_mismatched_matrix(self, tmp_path):
-        from repro import bench
-
-        fresh = {"schema": 1, "matrix": "custom", "size": "tiny",
-                 "compiled": True, "cells_per_sec": 10.0}
-        base = {"schema": 1, "matrix": "figure7", "size": "tiny",
-                "compiled": True, "cells_per_sec": 10.0}
-        problems = bench.check_regression(fresh, base)
-        assert problems and "not comparable" in problems[0]
-
-    def test_check_rejects_malformed_baseline(self):
-        from repro import bench
-
-        fresh = {"schema": 1, "matrix": "figure7", "size": "tiny",
-                 "compiled": True, "cells_per_sec": 10.0}
-        for bad in ({}, {"schema": 99, "cells_per_sec": 5.0},
-                    {"schema": 1, "cells_per_sec": "fast"}):
-            problems = bench.check_regression(fresh, bad)
-            assert problems and "schema" in problems[0]
-
-    def test_json_refresh_preserves_reference_block(self, tmp_path):
-        out = str(tmp_path / "BENCH_speed.json")
-        run_cli(*self.ARGS, "--json", out)
-        with open(out) as f:
-            artifact = json.load(f)
-        artifact["pre_pr_reference"] = {"wall_seconds": 99.0}
-        with open(out, "w") as f:
-            json.dump(artifact, f)
-        run_cli(*self.ARGS, "--json", out)  # refresh in place
-        with open(out) as f:
-            refreshed = json.load(f)
-        assert refreshed["pre_pr_reference"] == {"wall_seconds": 99.0}
-        assert refreshed["cells_per_sec"] != artifact["cells_per_sec"]
-
-    def test_artifact_records_host_metadata(self, tmp_path):
-        out = str(tmp_path / "BENCH_speed.json")
-        run_cli(*self.ARGS, "--json", out)
-        with open(out) as f:
-            artifact = json.load(f)
-        host = artifact["host"]
-        import platform
-
-        assert host["python"] == platform.python_version()
-        assert host["machine"] == platform.machine()
-        assert isinstance(host["cpu_count"], int)
-
-    def test_json_refresh_annotates_speedup(self, tmp_path):
-        out = str(tmp_path / "BENCH_speed.json")
-        run_cli(*self.ARGS, "--json", out)
-        with open(out) as f:
-            artifact = json.load(f)
-        artifact["pre_pr_reference"] = {"cells_per_sec": artifact["cells_per_sec"] / 2}
-        with open(out, "w") as f:
-            json.dump(artifact, f)
-        run_cli(*self.ARGS, "--json", out)
-        with open(out) as f:
-            refreshed = json.load(f)
-        expected = refreshed["cells_per_sec"] / artifact["pre_pr_reference"]["cells_per_sec"]
-        assert refreshed["speedup_vs_reference"] == pytest.approx(expected)
-
-    def test_speedup_omitted_without_reference(self):
-        from repro import bench
-
-        result = {"cells_per_sec": 10.0}
-        bench.annotate_speedup(result)
-        assert "speedup_vs_reference" not in result
-        result["pre_pr_reference"] = {"cells_per_sec": 0.0}
-        bench.annotate_speedup(result)
-        assert "speedup_vs_reference" not in result
-
-    def test_profile_flag_writes_pstats(self, tmp_path):
-        import pstats
-
-        pout = str(tmp_path / "bench.pstats")
-        proc = run_cli(*self.ARGS, "--profile", "5", "--profile-out", pout)
-        assert "cumulative" in proc.stderr
-        stats = pstats.Stats(pout)
-        assert stats.total_calls > 0
-
-    def test_repeat_must_be_positive(self):
-        from repro import bench
-
-        with pytest.raises(ValueError, match="repeat"):
-            bench.run_bench(repeat=0, workloads=["histogram"], modes=["baseline"])
+    def test_store_verify_accepts_the_cache_dir(self, tmp_path):
+        run_cli(
+            "sweep", "--workloads", "histogram", "--configs", "baseline,warp64",
+            "--size", "tiny", "--cache-dir", str(tmp_path),
+        )
+        out = run_cli("store", "verify", "--dir", str(tmp_path)).stdout
+        assert "verified 2 entries: 0 bad" in out
 
 
 class TestAnalyze:

@@ -105,7 +105,7 @@ def test_path_suppression_table():
 
     # Benchmarks and examples may read the wall clock; the core cannot.
     assert path_suppressed("wall-clock", "benchmarks/run_sweep.py")
-    assert path_suppressed("wall-clock", "src/repro/bench.py")
+    assert path_suppressed("wall-clock", "src/repro/cli.py")
     assert not path_suppressed("wall-clock", "src/repro/core/sm.py")
     v = Violation(
         rule="wall-clock", path="examples/demo.py", line=1, col=1, message="m"

@@ -16,6 +16,7 @@ from repro.api.cache import (
     cell_hash,
     config_from_payload,
     config_to_payload,
+    is_cell_digest,
 )
 from repro.api.engine import BACKENDS
 from repro.core import presets
@@ -23,7 +24,7 @@ from repro.service import protocol
 from repro.service.daemon import COUNTERS, SweepService, make_server
 from repro.service.protocol import ProtocolError
 from repro.service.remote import RemoteClient, RemoteError, _follow_job
-from repro.service.store import ResultStore, is_cell_digest, resolve_store_dir
+from repro.service.store import ResultStore, resolve_store_dir
 from repro.timing.config import GPUConfig
 from repro.timing.stats import Stats
 
@@ -241,15 +242,14 @@ class TestResultStore:
         assert store.path_for(digest) == os.path.join(
             str(tmp_path), digest[:2], digest + ".json"
         )
-        assert store.load("histogram", "tiny", presets.baseline()).to_dict() == stats.to_dict()
+        assert store.load_stats(digest).to_dict() == stats.to_dict()
         assert list(store.digests()) == [digest]
         assert len(store) == 1
         info = store.info()
         assert info.entries == 1 and info.total_bytes > 0
 
     def test_store_entry_schema_matches_disk_cache(self, tmp_path):
-        # Same schema as the flat disk cache: version/workload/size/
-        # config payload/stats payload, so tooling reads both.
+        # One schema: version/workload/size/config payload/stats payload.
         store = ResultStore(str(tmp_path))
         stats = Stats(cycles=9, thread_instructions=4, instructions_issued=3)
         digest = store.store("histogram", "tiny", presets.baseline(), stats)
@@ -271,6 +271,26 @@ class TestResultStore:
         assert store.get_entry(digest) is None
         assert store.load_stats(digest) is None
 
+    def test_unencodable_stats_raise_before_the_filesystem_is_touched(
+        self, tmp_path
+    ):
+        root = tmp_path / "store"
+        bad = Stats(cycles=10, thread_instructions=10)
+        bad.per_op_class["weird"] = object()  # json cannot encode this
+        with pytest.raises(result_cache.CacheSerializationError, match="histogram"):
+            ResultStore(str(root)).store("histogram", "tiny", presets.baseline(), bad)
+        assert not root.exists()  # no root, no empty shard
+
+    def test_missing_root_reads_as_an_empty_store(self, tmp_path):
+        root = tmp_path / "typo"
+        store = ResultStore(str(root))
+        assert len(store) == 0 and list(store.digests()) == []
+        assert store.info().entries == 0
+        assert store.verify().examined == 0
+        assert store.gc(max_entries=0).examined == 0
+        assert store.get_entry("0" * 64) is None
+        assert not root.exists()
+
     def test_path_for_rejects_non_digests(self, tmp_path):
         store = ResultStore(str(tmp_path))
         for bad in ("", "abc", "../../etc/passwd", "G" * 64):
@@ -289,6 +309,59 @@ class TestResultStore:
         monkeypatch.setenv("REPRO_STORE_DIR", "/from/env")
         assert resolve_store_dir(None) == "/from/env"
         assert resolve_store_dir("explicit") == "explicit"
+
+
+class TestCacheDirIsAStore:
+    """``Engine(cache_dir=X)`` and ``ResultStore(X)`` are one format."""
+
+    CELLS = [CELL_A, CELL_B]
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_daemon_serves_an_engine_written_cache(self, tmp_path, jobs):
+        root = str(tmp_path / "cache")
+        Engine(jobs=jobs, cache_dir=root, memo={}).run(TINY)
+        store = ResultStore(root)
+        assert store.verify().ok
+        assert len(store) == len(self.CELLS)
+        service = SweepService(store, workers=0, engine=_StubEngine(fail=True))
+        ack = service.submit(protocol.submit_message(self.CELLS))
+        assert ack["triage"] == {
+            "store": len(self.CELLS), "coalesced": 0, "queued": 0,
+        }
+        assert service.counters["cells_simulated"] == 0
+
+    def test_engine_is_warm_from_a_daemon_filled_store(self, tmp_path):
+        root = str(tmp_path / "store")
+        service = SweepService(ResultStore(root), workers=0)
+        service.submit(protocol.submit_message(self.CELLS))
+        assert service.process_queued() == len(self.CELLS)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a warm cache must not simulate")
+
+        events = []
+        Engine(
+            cache_dir=root,
+            memo={},
+            progress=events.append,
+            workload_factory=must_not_run,
+            simulate_fn=must_not_run,
+            simulate_device_fn=must_not_run,
+        ).run(TINY)
+        assert len(events) == len(self.CELLS)
+        assert all(e.cached for e in events)
+
+    @pytest.mark.parametrize(
+        "config", [presets.baseline(), presets.device("baseline", sm_count=2)]
+    )
+    def test_both_writers_produce_identical_files(self, tmp_path, config):
+        stats = Engine(cache_dir=None, memo={}).run_cell("histogram", "tiny", config)
+        a, b = tmp_path / "a", tmp_path / "b"
+        digest = result_cache.disk_store(str(a), "histogram", "tiny", config, stats)
+        assert ResultStore(str(b)).store("histogram", "tiny", config, stats) == digest
+        relative = os.path.join(digest[:2], digest + ".json")
+        assert (a / relative).read_bytes() == (b / relative).read_bytes()
+        assert os.listdir(str(a)) == os.listdir(str(b)) == [digest[:2]]
 
 
 # ----------------------------------------------------------------------
@@ -487,22 +560,6 @@ class TestRemoteClient:
             client.health()
         assert delays == [0.25, 0.5]  # backoff * 2**attempt, no jitter
 
-    def test_reserve_publish_release_coalescing(self):
-        client = RemoteClient("http://127.0.0.1:9")
-        digest = "ab" * 32
-        mine, rides = client.reserve([digest])
-        assert mine == [digest] and rides == {}
-        # A second sweep of the same cell rides instead of submitting.
-        mine2, rides2 = client.reserve([digest])
-        assert mine2 == [] and list(rides2) == [digest]
-        assert not rides2[digest].ready.is_set()
-        client.publish(mine, "j000001")
-        assert rides2[digest].ready.is_set()
-        assert rides2[digest].job_id == "j000001"
-        client.release(mine)
-        mine3, rides3 = client.reserve([digest])
-        assert mine3 == [digest] and rides3 == {}
-
     def test_follow_job_falls_back_to_polling(self):
         result = protocol.envelope(
             protocol.MSG_RESULT,
@@ -646,11 +703,10 @@ class TestHTTPRoundTrip:
         assert server.service.counters["cells_simulated"] == 1
 
     def test_rider_attributes_ridden_cells_as_coalesced(self, queued_server):
-        # Two threads sweep the same cell through one Engine.  The
-        # second thread rides the first thread's in-flight job, so its
-        # cell must be accounted as cached/coalesced even though the
-        # daemon tags the cell with the reserving job's "simulated"
-        # provenance — a rider caused no simulation.
+        # Two threads sweep the same cell through one Engine.  Each
+        # submits its own job; the daemon attaches the second job's
+        # cell to the first's in-flight simulation and tags it
+        # coalesced — a rider caused no simulation.
         server, url = queued_server
         spec = SweepSpec.from_presets(
             ["baseline"], workloads=["histogram"], size="tiny"
@@ -669,7 +725,7 @@ class TestHTTPRoundTrip:
             time.sleep(0.01)
         rider = threading.Thread(target=sweep, args=(second,))
         rider.start()
-        time.sleep(0.15)  # rider is riding the leader's queued job
+        time.sleep(0.15)  # rider's job has coalesced onto the leader's queued cell
         assert server.service.process_queued() == 1
         leader.join(timeout=5.0)
         rider.join(timeout=5.0)
