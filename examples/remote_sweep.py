@@ -111,7 +111,7 @@ def main() -> None:
     print(rs.to_text())
 
     server.shutdown()
-    server.service.stop()
+    server.service.shutdown_gracefully()
     server.server_close()
 
 

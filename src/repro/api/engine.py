@@ -17,10 +17,13 @@ cells to a pluggable execution backend:
     — identical in-flight cells coalesce to one simulation on the
     daemon, and results land in its content-addressed shared store.
 
-Progress callbacks see every cell as it resolves (with a ``cached``
-flag), and the error policy picks fail-fast (``errors="raise"``) or
+A backend only resolves cells: its runner yields, per cell, the stats
+or the exception that failed it.  :meth:`Engine.run` is the one place
+that applies the error policy — fail-fast (``errors="raise"``) or
 collect-and-continue (``errors="collect"``, failed cells end up in
-``ResultSet.errors``)::
+``ResultSet.errors`` carrying ``str()`` of what fail-fast would have
+raised) — folds results into the caches, and fires the progress
+callback for every cell as it resolves (with a ``cached`` flag)::
 
     engine = Engine(jobs=4, cache_dir=".repro_cache")
     rs = engine.run(SweepSpec.figure7(size="smoke"))
@@ -30,8 +33,9 @@ collect-and-continue (``errors="collect"``, failed cells end up in
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.api import cache as result_cache
 from repro.api.cache import AnyConfig, AnyStats
@@ -77,11 +81,75 @@ class Progress:
 
 ProgressFn = Callable[[Progress], None]
 
+#: What a backend runner yields per pending cell: ``(key, cell, stats
+#: or the exception that failed it, cached, source)``.
+CellOutcome = Tuple[Tuple, Cell, Union[AnyStats, Exception], bool, Optional[str]]
 
-def _simulate_instance(inst, config: AnyConfig) -> AnyStats:
-    if isinstance(config, GPUConfig):
-        return simulate_device(inst.kernel, inst.memory, config)
-    return simulate(inst.kernel, inst.memory, config)
+
+def _lookup(
+    memo: Dict, key: Tuple, disk_dir: Optional[str], workload: str, size: str, config: AnyConfig
+) -> Optional[AnyStats]:
+    """The cached stats of the cell whose ``cell_key`` is ``key``:
+    ``memo`` first, then the disk level (promoting a hit into memo)."""
+    if key in memo:
+        return memo[key]
+    if disk_dir:
+        stats = result_cache.disk_load(disk_dir, workload, size, config)
+        if stats is not None:
+            memo[key] = stats
+            return stats
+    return None
+
+
+def _build_and_simulate(
+    workload: str,
+    size: str,
+    config: AnyConfig,
+    verify: bool,
+    build=get_workload,
+    sim=simulate,
+    sim_device=simulate_device,
+    observers=(),
+) -> AnyStats:
+    """Build one cell's workload, simulate it, and under ``verify``
+    check its outputs against the numpy reference."""
+    inst = build(workload, size)
+    # Only pass the keyword when observers are attached so injected
+    # simulate_fn doubles that ignore it keep working unchanged.
+    kwargs = {"observers": list(observers)} if observers else {}
+    run = sim_device if isinstance(config, GPUConfig) else sim
+    stats = run(inst.kernel, inst.memory, config, **kwargs)
+    if verify and inst.numpy_check is not None:
+        inst.numpy_check(inst.memory)
+    return stats
+
+
+def _compute_cell(
+    workload: str,
+    size: str,
+    config: AnyConfig,
+    verify: bool,
+    memo: Dict,
+    disk_dir: Optional[str],
+    **hooks,
+) -> AnyStats:
+    """One cell through ``memo`` and the disk level at ``disk_dir``.
+
+    ``verify=True`` always simulates (the functional outputs must
+    exist to be checked against the numpy reference) but still stores
+    the result.  :meth:`Engine.run_cell` and the process pool's
+    workers are both this function.
+    """
+    key = result_cache.cell_key(workload, size, config)
+    if not verify:
+        stats = _lookup(memo, key, disk_dir, workload, size, config)
+        if stats is not None:
+            return stats
+    stats = _build_and_simulate(workload, size, config, verify, **hooks)
+    memo[key] = stats
+    if disk_dir:
+        result_cache.disk_store(disk_dir, workload, size, config, stats)
+    return stats
 
 
 def _worker_init(plugins: Tuple[str, ...]) -> None:
@@ -105,21 +173,11 @@ def _worker_cell(
 
     Module-level so it pickles; workers re-check the disk cache (a
     sibling may have stored the cell meanwhile) and store their own
-    results, exactly like the in-process path.  ``verify`` bypasses
-    the cache read and checks the outputs against the numpy
-    reference, as in :meth:`Engine.run_cell`.
+    results, exactly like :meth:`Engine.run_cell` — with a memo
+    nobody reads again, since the parent folds the returned stats
+    into its own.
     """
-    if disk_dir and not verify:
-        stats = result_cache.disk_load(disk_dir, workload, size, config)
-        if stats is not None:
-            return stats
-    inst = get_workload(workload, size)
-    stats = _simulate_instance(inst, config)
-    if verify and inst.numpy_check is not None:
-        inst.numpy_check(inst.memory)
-    if disk_dir:
-        result_cache.disk_store(disk_dir, workload, size, config, stats)
-    return stats
+    return _compute_cell(workload, size, config, verify, {}, disk_dir)
 
 
 class Engine:
@@ -204,9 +262,11 @@ class Engine:
         self.memo = result_cache.MEMO if memo is None else memo
         self.progress = progress
         self.errors = errors
-        self._get_workload = workload_factory or get_workload
-        self._simulate = simulate_fn or simulate
-        self._simulate_device = simulate_device_fn or simulate_device
+        self._hooks = dict(
+            build=workload_factory or get_workload,
+            sim=simulate_fn or simulate,
+            sim_device=simulate_device_fn or simulate_device,
+        )
         self.observer_names: Tuple[str, ...] = tuple(observers or ())
         #: ``(workload, size, config_name) -> {observer name: instance}``
         #: for every cell the last sweep simulated with observers
@@ -215,46 +275,19 @@ class Engine:
         self.observations: Dict[Tuple[str, str, str], Dict[str, Observer]] = {}
 
     # ------------------------------------------------------------------
-    # Cache plumbing
+    # Single cells
     # ------------------------------------------------------------------
 
     def _disk_dir(self, cache: bool) -> Optional[str]:
         return result_cache.resolve_dir(self.cache_dir) if cache else None
 
-    def _lookup(self, workload, size, config, disk_dir) -> Optional[AnyStats]:
-        key = result_cache.cell_key(workload, size, config)
-        if key in self.memo:
-            return self.memo[key]
-        if disk_dir:
-            stats = result_cache.disk_load(disk_dir, workload, size, config)
-            if stats is not None:
-                self.memo[key] = stats
-                return stats
-        return None
-
-    def _store(self, workload, size, config, stats, cache, disk_dir) -> None:
-        if not cache:
-            return
-        self.memo[result_cache.cell_key(workload, size, config)] = stats
-        if disk_dir:
-            result_cache.disk_store(disk_dir, workload, size, config, stats)
-
-    # ------------------------------------------------------------------
-    # Single cells
-    # ------------------------------------------------------------------
-
-    def _compute_inline(self, workload, size, config, verify, observers=None) -> AnyStats:
-        inst = self._get_workload(workload, size)
-        # Only pass the keyword when observers are attached so injected
-        # simulate_fn doubles that ignore it keep working unchanged.
-        kwargs = {} if not observers else {"observers": observers}
-        if isinstance(config, GPUConfig):
-            stats = self._simulate_device(inst.kernel, inst.memory, config, **kwargs)
-        else:
-            stats = self._simulate(inst.kernel, inst.memory, config, **kwargs)
-        if verify and inst.numpy_check is not None:
-            inst.numpy_check(inst.memory)
-        return stats
+    def _simulate_cell(self, cell: Cell, verify: bool, observers=()) -> AnyStats:
+        """Simulate ``cell`` here, past the caches, through the
+        constructor's hooks."""
+        return _build_and_simulate(
+            cell.workload, cell.size, cell.config, verify,
+            observers=observers, **self._hooks,
+        )
 
     def _make_observers(self) -> Dict[str, Observer]:
         from repro.core.policy import OBSERVERS
@@ -275,15 +308,10 @@ class Engine:
         exist to be checked against the numpy reference) but still
         stores the result when ``cache`` is on.
         """
-        size = normalize_size(size)
-        disk_dir = self._disk_dir(cache)
-        if cache and not verify:
-            stats = self._lookup(workload, size, config, disk_dir)
-            if stats is not None:
-                return stats
-        stats = self._compute_inline(workload, size, config, verify)
-        self._store(workload, size, config, stats, cache, disk_dir)
-        return stats
+        return _compute_cell(
+            workload, normalize_size(size), config, verify,
+            self.memo if cache else {}, self._disk_dir(cache), **self._hooks,
+        )
 
     # ------------------------------------------------------------------
     # Sweeps
@@ -343,7 +371,7 @@ class Engine:
                 # Observed cells must simulate: a cached Stats object
                 # carries no event stream for the aggregators to see.
                 if verify or self.observer_names
-                else self._lookup(cell.workload, cell.size, cell.config, disk_dir)
+                else _lookup(self.memo, key, disk_dir, cell.workload, cell.size, cell.config)
             )
             if stats is not None:
                 outcome[key] = stats
@@ -353,7 +381,30 @@ class Engine:
 
         if pending:
             runner = getattr(self, "_run_%s" % self.backend)
-            runner(pending, disk_dir, verify, errors, outcome, emit)
+            # Pool workers persist their own cells (a fail-fast abort
+            # keeps whatever already finished); every other backend's
+            # results land on disk here.
+            store_dir = None if self.backend == "process" else disk_dir
+            # Closing the runner on the way out — normally or through a
+            # fail-fast raise — is what lets the pool drop queued cells.
+            with closing(runner(pending, verify)) as outcomes:
+                for key, cell, got, cached, source in outcomes:
+                    if isinstance(got, Exception):
+                        if errors == "raise":
+                            raise got
+                        text = str(got)
+                        outcome[key] = CellError(
+                            cell.workload, cell.size, cell.config_name, text
+                        )
+                        emit(cell, cached=False, error=text)
+                        continue
+                    self.memo[key] = got
+                    if store_dir:
+                        result_cache.disk_store(
+                            store_dir, cell.workload, cell.size, cell.config, got
+                        )
+                    outcome[key] = got
+                    emit(cell, cached, source=source)
 
         results: List[Result] = []
         cell_errors: List[CellError] = []
@@ -371,22 +422,19 @@ class Engine:
         return ResultSet(results, errors=cell_errors)
 
     # -- backends ------------------------------------------------------
+    #
+    # A runner resolves the cells the caches could not: it yields one
+    # ``(key, cell, stats or exception, cached, source)`` per pending
+    # cell and leaves the error policy, the caches and progress to
+    # :meth:`run`.
 
-    def _run_inline(self, pending, disk_dir, verify, errors, outcome, emit) -> None:
+    def _run_inline(self, pending, verify) -> Iterator[CellOutcome]:
         for key, cell in pending:
             observers = self._make_observers()
             try:
-                stats = self._compute_inline(
-                    cell.workload, cell.size, cell.config, verify,
-                    observers=list(observers.values()),
-                )
+                stats = self._simulate_cell(cell, verify, observers.values())
             except Exception as exc:
-                if errors == "raise":
-                    raise
-                outcome[key] = CellError(
-                    cell.workload, cell.size, cell.config_name, str(exc)
-                )
-                emit(cell, cached=False, error=str(exc))
+                yield key, cell, exc, False, None
                 continue
             if observers:
                 for obs in observers.values():
@@ -394,11 +442,10 @@ class Engine:
                 self.observations[
                     (cell.workload, cell.size, cell.config_name)
                 ] = observers
-            self._store(cell.workload, cell.size, cell.config, stats, True, disk_dir)
-            outcome[key] = stats
-            emit(cell, cached=False)
+            yield key, cell, stats, False, None
 
-    def _run_process(self, pending, disk_dir, verify, errors, outcome, emit) -> None:
+    def _run_process(self, pending, verify) -> Iterator[CellOutcome]:
+        disk_dir = self._disk_dir(cache=True)
         jobs = self.jobs if self.jobs is not None and self.jobs > 1 else None
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_worker_init, initargs=(self.plugins,)
@@ -420,23 +467,14 @@ class Engine:
                 for future in as_completed(futures):
                     key, cell = futures[future]
                     try:
-                        stats = future.result()
+                        got = future.result()
                     except Exception as exc:
-                        if errors == "raise":
-                            raise
-                        outcome[key] = CellError(
-                            cell.workload, cell.size, cell.config_name, str(exc)
-                        )
-                        emit(cell, cached=False, error=str(exc))
-                        continue
-                    # Workers wrote the disk level themselves; fold into
-                    # this process's memo so later lookups are free.
-                    self.memo[key] = stats
-                    outcome[key] = stats
-                    emit(cell, cached=False)
+                        got = exc
+                    yield key, cell, got, False, None
             except BaseException:
-                # Fail fast: drop every queued cell; only cells already
-                # running finish (and still land in the disk cache).
+                # Fail fast (the consumer closed us): drop every queued
+                # cell; only cells already running finish (and still
+                # land in the disk cache).
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
 
@@ -459,10 +497,10 @@ class Engine:
             )
         return self._remote_client
 
-    def _run_remote(self, pending, disk_dir, verify, errors, outcome, emit) -> None:
+    def _run_remote(self, pending, verify) -> Iterator[CellOutcome]:
         from repro.service.remote import run_remote
 
-        run_remote(self, pending, disk_dir, verify, errors, outcome, emit)
+        return run_remote(self, pending, verify)
 
 
 def run(spec: SweepSpec, **engine_kwargs) -> ResultSet:

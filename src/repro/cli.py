@@ -50,7 +50,7 @@ FORMATS = ("table", "markdown", "json", "csv")
 
 def _load_plugins(args) -> None:
     """Import ``--plugin`` modules (they register policies on import)."""
-    for name in getattr(args, "plugin", None) or ():
+    for name in args.plugin or ():
         importlib.import_module(name)
 
 
@@ -183,15 +183,15 @@ def _run_spec(spec: SweepSpec, args) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         progress=progress,
-        errors="collect" if getattr(args, "keep_going", False) else "raise",
-        plugins=getattr(args, "plugin", None),
-        observers=getattr(args, "observer", None),
-        server=getattr(args, "server", None),
-        timeout=getattr(args, "timeout", 30.0),
-        retries=getattr(args, "retries", 3),
-        fallback=getattr(args, "fallback", None),
+        errors="collect" if args.keep_going else "raise",
+        plugins=args.plugin,
+        observers=args.observer,
+        server=args.server,
+        timeout=args.timeout,
+        retries=args.retries,
+        fallback=args.fallback,
     )
-    rs = engine.run(spec, verify=getattr(args, "verify", False))
+    rs = engine.run(spec, verify=args.verify)
     if args.save:
         rs.to_json(args.save)
         print("saved ResultSet to %s" % args.save, file=sys.stderr)
@@ -221,7 +221,7 @@ def _run_spec(spec: SweepSpec, args) -> int:
         # error rather than a traceback.
         raise ValueError("metric %r: %s" % (args.metric, exc)) from exc
     _emit(text, args.output)
-    if getattr(args, "observer", None):
+    if args.observer:
         for (workload, size, config_name), obs in sorted(engine.observations.items()):
             for name, ob in obs.items():
                 render = getattr(ob, "render", None)

@@ -27,8 +27,7 @@ diff-time errors:
   :class:`~repro.service.faults.DaemonCrash`.
 
 Suppress a finding with an inline ``# repro-lint: disable=<rule-id>``
-comment on (or immediately above) the offending line, or a path glob in
-:data:`repro.lint.config.PATH_SUPPRESSIONS`.
+comment on (or immediately above) the offending line.
 """
 
 from __future__ import annotations

@@ -1,31 +1,13 @@
-"""Path-level suppression table and scope constants for the rules.
+"""Scope constants for the rules: which files each family covers.
 
 Globs are matched against ``/``-normalised paths *and their suffixes*
 (``repro/timing/masks.py`` matches whether the runner saw ``src/...``
-or a site-packages path).  Keep entries few and justified — inline
-``# repro-lint: disable=<rule>`` comments are preferred because they
-sit next to the code they excuse.
+or a site-packages path).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-#: rule id -> glob patterns whose findings are dropped.
-PATH_SUPPRESSIONS: Dict[str, Tuple[str, ...]] = {
-    # Benchmarks and examples time things and print progress; only the
-    # simulation core must be wall-clock-free.
-    "wall-clock": (
-        "benchmarks/*.py",
-        "examples/*.py",
-        "repro/api/engine.py",
-        "repro/cli.py",
-    ),
-    # Workload generators draw inputs from seeded, name-keyed
-    # generators (repro.workloads.common.rng) — the rule still flags
-    # module-level numpy RandomState use there.
-    "unseeded-random": (),
-}
+from typing import Tuple
 
 #: Files whose classes the hot-path slots rule covers (engine core).
 HOT_PATH_FILES: Tuple[str, ...] = (

@@ -7,11 +7,9 @@ and/or the whole project once (:meth:`Rule.check_project`) and yields
 machinery the simulator's policies use — so third-party checks plug in
 without touching the runner.
 
-Suppression is two-level and always per rule:
-
-* inline — ``# repro-lint: disable=<id>[,<id>...]`` (or ``disable=all``)
-  on the flagged line or the line directly above it;
-* path — glob patterns in :data:`repro.lint.config.PATH_SUPPRESSIONS`.
+Suppression is inline and always per rule: ``# repro-lint:
+disable=<id>[,<id>...]`` (or ``disable=all``) on the flagged line or
+the line directly above it, next to the code it excuses.
 
 Each rule carries a one-line fix-it ``hint`` shown with every finding.
 """
@@ -188,23 +186,11 @@ def suppressed_lines(source: str) -> Dict[int, frozenset]:
     return out
 
 
-def path_suppressed(rule_id: str, path: str) -> bool:
-    from repro.lint.config import PATH_SUPPRESSIONS
-
-    norm = path.replace("\\", "/")
-    for pattern in PATH_SUPPRESSIONS.get(rule_id, ()):
-        if _match(norm, pattern):
-            return True
-    return False
-
-
 def is_suppressed(
     violation: Violation, line_suppressions: Dict[int, frozenset]
 ) -> bool:
     ids = line_suppressions.get(violation.line)
-    if ids and ("all" in ids or violation.rule in ids):
-        return True
-    return path_suppressed(violation.rule, violation.path)
+    return bool(ids) and ("all" in ids or violation.rule in ids)
 
 
 # ----------------------------------------------------------------------

@@ -98,11 +98,8 @@ def run_lint(
         update_fingerprint=update_fingerprint,
     )
     for rule in rules:
-        for violation in rule.check_project(ctx):
-            if is_suppressed(violation, {}):
-                report.suppressed += 1
-            else:
-                report.violations.append(violation)
+        # Project findings have no source line to carry a suppression.
+        report.violations.extend(rule.check_project(ctx))
     report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return report
 

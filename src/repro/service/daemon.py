@@ -10,14 +10,20 @@ threads draining a bounded simulation queue:
     envelope).  Each cell is triaged under one lock: served from the
     store, *coalesced* onto an identical in-flight cell (N concurrent
     submissions of one cell hash cost one simulation), or queued.
-    When the queue is full the daemon answers **429** with a
-    ``Retry-After`` header instead of buffering unboundedly.
+    Triage plans first and commits second
+    (:meth:`SweepService._triage_locked`, then ``_commit_locked``):
+    when the plan's new work would overflow the queue the daemon
+    answers **429** with a ``Retry-After`` header, nothing enqueued,
+    instead of buffering unboundedly.  ``--resume`` sends the cells a
+    journal left unresolved through the same two steps.
 ``GET /v1/jobs/<id>``             job status snapshot.
 ``GET /v1/jobs/<id>/result``      per-cell results (202 while running).
 ``GET /v1/jobs/<id>/events``      line-delimited progress stream fed by
                                   per-cell completions, with heartbeat
                                   status lines during long gaps.
-``POST /v1/jobs/<id>/cancel``     abandon not-yet-simulated cells.
+``POST /v1/jobs/<id>/cancel``     abandon not-yet-simulated cells (they
+                                  resolve ``cancelled``, content address
+                                  kept).
 ``GET /v1/cells/<hash>``          cached-cell lookup by content address.
 ``GET /v1/health``                accounting counters + store info.
 
@@ -34,7 +40,7 @@ import queue
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.api.cache import is_cell_digest, stats_to_payload
 from repro.api.engine import Engine
@@ -52,7 +58,7 @@ from repro.service.faults import (
     FaultInjected,
     FaultPlan,
 )
-from repro.service.journal import JobJournal, JournalCell, resolve_journal_path
+from repro.service.journal import JobJournal, resolve_journal_path
 from repro.service.protocol import ProtocolError, SubmittedCell
 from repro.service.store import ResultStore, resolve_store_dir
 
@@ -66,6 +72,11 @@ _HTTP_STATUS: Dict[str, int] = {
     protocol.ERR_SHUTTING_DOWN: 503,
     protocol.ERR_INTERNAL: 500,
 }
+
+#: The largest request body the daemon will read: a peer's
+#: ``Content-Length`` is a claim, not a licence to allocate.  (A cell
+#: is ~1.3 kB on the wire, so this is a sweep of ~50k cells.)
+MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
 #: Counter names reported by ``/v1/health`` (a closed set, so a typo'd
 #: bump is a KeyError in tests rather than a silently new counter).
@@ -88,9 +99,7 @@ class _Work:
 
     __slots__ = ("digest", "workload", "size", "config", "verify", "waiters")
 
-    def __init__(
-        self, cell: Union[SubmittedCell, JournalCell], verify: bool
-    ) -> None:
+    def __init__(self, cell: SubmittedCell, verify: bool) -> None:
         self.digest = cell.hash
         self.workload = cell.workload
         self.size = cell.size
@@ -98,6 +107,11 @@ class _Work:
         self.verify = verify
         #: (job, cell id, source label) triples resolved on completion.
         self.waiters: List[Tuple["Job", int, str]] = []
+
+
+#: One step of a triage plan: (cell, where its result comes from — a
+#: ``SOURCE_*`` — and the stored stats payload for store hits).
+_Step = Tuple[SubmittedCell, str, Optional[object]]
 
 
 class Job:
@@ -113,9 +127,14 @@ class Job:
     terminal status), not by run length.
     """
 
-    def __init__(self, job_id: str, total: int) -> None:
+    def __init__(
+        self, job_id: str, submitted: List[SubmittedCell], verify: bool
+    ) -> None:
         self.id = job_id
-        self.total = total
+        #: The cells as submitted; ``cells`` below holds their outcomes.
+        self.submitted = submitted
+        self.verify = verify
+        self.total = len(submitted)
         self.cancelled = False
         self.stopped = False
         self.cells: Dict[int, Dict[str, object]] = {}
@@ -251,19 +270,13 @@ class SweepService:
                     "daemon is shutting down; resubmit after it restarts",
                     retry_after=self.retry_after,
                 )
-            # Dry pass first: how many *new* simulations would this
-            # submission enqueue?  (store hits and coalesced cells are
-            # free and never count against the queue; verify cells
-            # always simulate, so each one is new work.)
-            if verify:
-                new_work = len(cells)
-            else:
-                new_work = len({
-                    cell.hash
-                    for cell in cells
-                    if cell.hash not in self._inflight
-                    and self.store.get_entry(cell.hash) is None
-                })
+            plan = self._triage_locked(cells, verify)
+            # Store hits and coalesced cells are free; only cells this
+            # submission would newly simulate count against the queue.
+            new_work = sum(
+                1 for _, source, _ in plan
+                if source == protocol.SOURCE_SIMULATED
+            )
             if self._pending + new_work > self.queue_limit:
                 raise ProtocolError(
                     protocol.ERR_QUEUE_FULL,
@@ -273,7 +286,7 @@ class SweepService:
                     retry_after=self.retry_after,
                 )
             self._next_job += 1
-            job = Job("j%06d" % self._next_job, total=len(cells))
+            job = Job("j%06d" % self._next_job, cells, verify)
             self._jobs[job.id] = job
             self.counters["jobs_submitted"] += 1
             self.counters["cells_requested"] += len(cells)
@@ -281,56 +294,8 @@ class SweepService:
                 # Write-ahead: the submission is durable before any
                 # cell resolves and before the ack reaches the client,
                 # so a crash at any later point leaves a resumable job.
-                self.journal.record_job(
-                    job.id,
-                    verify,
-                    [
-                        JournalCell(
-                            cell.id,
-                            cell.workload,
-                            cell.size,
-                            cell.config_name,
-                            cell.config,
-                            cell.hash,
-                        )
-                        for cell in cells
-                    ],
-                )
-            triage = {"store": 0, "coalesced": 0, "queued": 0}
-            for cell in cells:
-                if not verify:
-                    stats_entry = self.store.get_entry(cell.hash)
-                    if stats_entry is not None:
-                        self.counters["cells_store"] += 1
-                        triage["store"] += 1
-                        self._resolve_locked(
-                            job,
-                            cell.id,
-                            cell.hash,
-                            protocol.STATUS_OK,
-                            protocol.SOURCE_STORE,
-                            stats=stats_entry.get("stats"),
-                        )
-                        continue
-                    work = self._inflight.get(cell.hash)
-                    if work is not None:
-                        # An identical cell is already queued/running —
-                        # for another submission, or a duplicate earlier
-                        # in this one: ride it instead of simulating
-                        # again.
-                        self.counters["cells_coalesced"] += 1
-                        triage["coalesced"] += 1
-                        work.waiters.append(
-                            (job, cell.id, protocol.SOURCE_COALESCED)
-                        )
-                        continue
-                work = _Work(cell, verify)
-                work.waiters.append((job, cell.id, protocol.SOURCE_SIMULATED))
-                if not verify:
-                    self._inflight[cell.hash] = work
-                self._pending += 1
-                triage["queued"] += 1
-                self._queue.put(work)
+                self.journal.record_job(job.id, verify, cells)
+            triage = self._commit_locked(job, plan)
             return protocol.envelope(
                 protocol.MSG_ACK,
                 job=job.id,
@@ -338,6 +303,55 @@ class SweepService:
                 total=job.total,
                 triage=triage,
             )
+
+    def _triage_locked(
+        self, cells: Sequence[SubmittedCell], verify: bool
+    ) -> List[_Step]:
+        """Plan where each cell's result will come from — the store,
+        an identical cell already in flight (for another job, or
+        earlier in ``cells``), or a new simulation — reading each
+        store entry once and changing nothing, so a caller may still
+        refuse the plan.  Verify cells always simulate."""
+        plan: List[_Step] = []
+        planned: Set[str] = set()
+        for cell in cells:
+            entry = None if verify else self.store.get_entry(cell.hash)
+            if entry is not None:
+                plan.append((cell, protocol.SOURCE_STORE, entry.get("stats")))
+            elif not verify and (
+                cell.hash in self._inflight or cell.hash in planned
+            ):
+                plan.append((cell, protocol.SOURCE_COALESCED, None))
+            else:
+                planned.add(cell.hash)
+                plan.append((cell, protocol.SOURCE_SIMULATED, None))
+        return plan
+
+    def _commit_locked(self, job: Job, plan: List[_Step]) -> Dict[str, int]:
+        """Carry out a :meth:`_triage_locked` plan for ``job``; returns
+        the ack's per-disposition counts."""
+        triage = {"store": 0, "coalesced": 0, "queued": 0}
+        for cell, source, stats in plan:
+            if source == protocol.SOURCE_STORE:
+                self.counters["cells_store"] += 1
+                triage["store"] += 1
+                self._resolve_locked(
+                    job, cell.id, cell.hash, protocol.STATUS_OK, source,
+                    stats=stats,
+                )
+            elif source == protocol.SOURCE_COALESCED:
+                self.counters["cells_coalesced"] += 1
+                triage["coalesced"] += 1
+                self._inflight[cell.hash].waiters.append((job, cell.id, source))
+            else:
+                work = _Work(cell, job.verify)
+                work.waiters.append((job, cell.id, source))
+                if not job.verify:
+                    self._inflight[cell.hash] = work
+                self._pending += 1
+                triage["queued"] += 1
+                self._queue.put(work)
+        return triage
 
     # ------------------------------------------------------------------
     # Queries
@@ -366,16 +380,15 @@ class SweepService:
                 job.cancelled = True
                 if self.journal is not None:
                     self.journal.record_cancel(job.id)
-                for cell_id in range(job.total):
-                    if cell_id not in job.cells:
-                        self._resolve_locked(
-                            job,
-                            cell_id,
-                            "",
-                            protocol.STATUS_CANCELLED,
-                            None,
-                        )
+                self._cancel_unresolved_locked(job)
         return job.status_message()
+
+    def _cancel_unresolved_locked(self, job: Job) -> None:
+        for cell in job.submitted:
+            if cell.id not in job.cells:
+                self._resolve_locked(
+                    job, cell.id, cell.hash, protocol.STATUS_CANCELLED, None
+                )
 
     def lookup_cell(self, digest: str) -> Dict[str, object]:
         """The store entry for one content address, as an envelope."""
@@ -466,17 +479,6 @@ class SweepService:
                 self._queue.task_done()
             processed += 1
 
-    def stop(self) -> None:
-        """Stop worker threads (queued work is abandoned)."""
-        with self._lock:
-            if self._stopping:
-                return
-            self._stopping = True
-        for _ in self._threads:
-            self._queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-
     def shutdown_gracefully(self, timeout: float = 30.0) -> None:
         """Drain, flush, and notify — the SIGTERM/SIGINT path.
 
@@ -534,83 +536,37 @@ class SweepService:
                 if suffix.isdigit():
                     self._next_job = max(self._next_job, int(suffix))
             for recorded in live:
-                job = Job(recorded.job_id, total=len(recorded.cells))
+                job = Job(recorded.job_id, recorded.cells, recorded.verify)
                 job.cancelled = recorded.cancelled
                 self._jobs[job.id] = job
                 resumed += 1
                 self.counters["jobs_resumed"] += 1
                 self.counters["cells_requested"] += len(recorded.cells)
+                unresolved: List[SubmittedCell] = []
                 for cell in recorded.cells:
-                    resolution = recorded.resolved.get(cell.id)
-                    if resolution is not None:
-                        status, error = resolution
-                        if status == protocol.STATUS_OK:
-                            entry = self.store.get_entry(cell.hash)
-                            if entry is not None:
-                                self.counters["cells_store"] += 1
-                                self._resolve_locked(
-                                    job,
-                                    cell.id,
-                                    cell.hash,
-                                    protocol.STATUS_OK,
-                                    protocol.SOURCE_STORE,
-                                    stats=entry.get("stats"),
-                                )
-                                continue
-                            # Journalled ok but the store entry is
-                            # gone (evicted or torn): fall through and
-                            # re-simulate — byte-identical by
-                            # construction.
-                        else:
-                            self._resolve_locked(
-                                job,
-                                cell.id,
-                                cell.hash,
-                                status,
-                                None,
-                                error=error,
-                            )
-                            continue
-                    if job.cancelled:
+                    status, error = recorded.resolved.get(cell.id, (None, None))
+                    if status is None or status == protocol.STATUS_OK:
+                        # An ok cell's stats live in the store, not the
+                        # journal: triage finds them there, or — evicted
+                        # or torn since — simulates again, byte-identical
+                        # by construction.
+                        unresolved.append(cell)
+                    else:
                         self._resolve_locked(
-                            job,
-                            cell.id,
-                            "",
-                            protocol.STATUS_CANCELLED,
-                            None,
+                            job, cell.id, cell.hash, status, None, error=error
                         )
-                        continue
-                    entry = self.store.get_entry(cell.hash)
-                    if not recorded.verify and entry is not None:
-                        self.counters["cells_store"] += 1
-                        self._resolve_locked(
-                            job,
-                            cell.id,
-                            cell.hash,
-                            protocol.STATUS_OK,
-                            protocol.SOURCE_STORE,
-                            stats=entry.get("stats"),
-                        )
-                        continue
-                    inflight = (
-                        None
-                        if recorded.verify
-                        else self._inflight.get(cell.hash)
-                    )
-                    if inflight is not None:
-                        self.counters["cells_coalesced"] += 1
-                        inflight.waiters.append(
-                            (job, cell.id, protocol.SOURCE_COALESCED)
-                        )
-                        continue
-                    work = _Work(cell, recorded.verify)
-                    work.waiters.append(
-                        (job, cell.id, protocol.SOURCE_SIMULATED)
-                    )
-                    if not recorded.verify:
-                        self._inflight[cell.hash] = work
-                    self._pending += 1
-                    self._queue.put(work)
+                plan = self._triage_locked(unresolved, job.verify)
+                if job.cancelled:
+                    # The cancel record landed before every resolution
+                    # did: finish the cancellation, keeping only what
+                    # the store already answers.
+                    plan = [
+                        step for step in plan
+                        if step[1] == protocol.SOURCE_STORE
+                    ]
+                self._commit_locked(job, plan)
+                if job.cancelled:
+                    self._cancel_unresolved_locked(job)
         return resumed
 
     def _process(self, work: _Work) -> None:
@@ -716,7 +672,9 @@ class SweepService:
                 cell=progress,
             )
         )
-        if (job.done >= job.total or job.cancelled) and not job.finished.is_set():
+        # A cancelled job finishes here too: cancel resolves every cell
+        # it had left, so the terminal status follows the last of them.
+        if job.done >= job.total and not job.finished.is_set():
             job.finished.set()
             job.publish(job.status_message())
 
@@ -798,6 +756,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if length <= 0:
             raise ProtocolError(
                 protocol.ERR_BAD_REQUEST, "request has no body"
+            )
+        if length > MAX_REQUEST_BYTES:
+            raise ProtocolError(
+                protocol.ERR_BAD_REQUEST,
+                "request body of %d bytes is over the %d-byte limit"
+                % (length, MAX_REQUEST_BYTES),
             )
         return protocol.decode(self.rfile.read(length))
 
@@ -934,11 +898,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
-        terminal = (
-            protocol.JOB_DONE,
-            protocol.JOB_CANCELLED,
-            protocol.JOB_STOPPED,
-        )
         subscription = job.subscribe()
         try:
             # The heartbeat loop is bounded by the job's terminal
@@ -957,7 +916,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self.wfile.flush()
                 if (
                     event.get("type") == protocol.MSG_STATUS
-                    and event.get("state") in terminal
+                    and event.get("state") in protocol.TERMINAL_JOB_STATES
                 ):
                     return
         finally:
@@ -985,8 +944,7 @@ def make_server(
     """Build a ready-to-serve daemon (``port=0`` picks a free port).
 
     The caller drives ``serve_forever()`` (or ``handle_request()``) and
-    is responsible for ``shutdown()`` + ``service.stop()`` (or
-    ``service.shutdown_gracefully()``).
+    is responsible for ``shutdown()`` + ``service.shutdown_gracefully()``.
 
     Journalling is always on for served daemons: the journal defaults
     to ``journal.ndjson`` inside the store root (the store's entry

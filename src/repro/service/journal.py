@@ -27,10 +27,14 @@ Crash-safety properties:
   finished jobs) by writing a temp file and ``os.replace``-ing it over
   the live one, the same atomic-rename discipline as the result store.
 
-The journal deliberately stores config *payloads* (the canonical wire
-shape from :func:`repro.api.cache.config_to_payload`), not pickled
+A job record's cells are the wire cells of a ``submit`` message
+(:func:`repro.service.protocol.cell_to_wire`, read back and
+hash-checked by ``cell_from_wire``) — config *payloads*, not pickled
 objects: a journal written by one daemon version is replayable by the
-next, and an unregistered policy fails replay loudly.
+next, and an unregistered policy fails replay loudly.  Each record
+type is built by one function, which both the appends and
+:meth:`JobJournal.rotate` call, so a compacted journal is
+byte-for-byte what the appends would have written.
 """
 
 from __future__ import annotations
@@ -41,13 +45,12 @@ import tempfile
 import threading
 from typing import Dict, IO, Iterator, List, Optional, Tuple
 
-from repro.api.cache import (
-    AnyConfig,
-    cell_hash,
-    config_from_payload,
-    config_to_payload,
+from repro.service.protocol import (
+    CELL_STATUSES,
+    SubmittedCell,
+    cell_from_wire,
+    cell_to_wire,
 )
-from repro.service.protocol import CELL_STATUSES
 
 #: Bump when the record schema changes.
 JOURNAL_VERSION = 1
@@ -64,28 +67,6 @@ class JournalError(ValueError):
     """A journal file contains a structurally invalid (non-torn) record."""
 
 
-class JournalCell:
-    """One cell of a replayed job submission."""
-
-    __slots__ = ("id", "workload", "size", "config_name", "config", "hash")
-
-    def __init__(
-        self,
-        cell_id: int,
-        workload: str,
-        size: str,
-        config_name: str,
-        config: AnyConfig,
-        digest: str,
-    ) -> None:
-        self.id = cell_id
-        self.workload = workload
-        self.size = size
-        self.config_name = config_name
-        self.config = config
-        self.hash = digest
-
-
 class JournalJob:
     """A replayed job: its cells plus every recorded resolution."""
 
@@ -94,7 +75,7 @@ class JournalJob:
     def __init__(self, job_id: str, verify: bool) -> None:
         self.job_id = job_id
         self.verify = verify
-        self.cells: List[JournalCell] = []
+        self.cells: List[SubmittedCell] = []
         #: cell id -> (status, error text or None)
         self.resolved: Dict[int, Tuple[str, Optional[str]]] = {}
         self.cancelled = False
@@ -106,6 +87,52 @@ class JournalJob:
 
 def _record_line(record: Dict[str, object]) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
+
+
+def _job_record(
+    job_id: str, verify: bool, cells: List[SubmittedCell]
+) -> Dict[str, object]:
+    return {
+        "j": JOURNAL_VERSION,
+        "type": REC_JOB,
+        "job": job_id,
+        "verify": bool(verify),
+        "cells": [cell_to_wire(cell) for cell in cells],
+    }
+
+
+def _cell_record(
+    job_id: str, cell_id: int, digest: str, status: str, error: Optional[str]
+) -> Dict[str, object]:
+    if status not in CELL_STATUSES:
+        raise JournalError("unknown cell status %r" % (status,))
+    record: Dict[str, object] = {
+        "j": JOURNAL_VERSION,
+        "type": REC_CELL,
+        "job": job_id,
+        "id": cell_id,
+        "hash": digest,
+        "status": status,
+    }
+    if error is not None:
+        record["error"] = error
+    return record
+
+
+def _cancel_record(job_id: str) -> Dict[str, object]:
+    return {"j": JOURNAL_VERSION, "type": REC_CANCEL, "job": job_id}
+
+
+def _job_records(job: JournalJob) -> Iterator[Dict[str, object]]:
+    """Everything the journal holds about one replayed job, in the
+    order a rotated file carries it."""
+    yield _job_record(job.job_id, job.verify, job.cells)
+    for cell in job.cells:
+        if cell.id in job.resolved:
+            status, error = job.resolved[cell.id]
+            yield _cell_record(job.job_id, cell.id, cell.hash, status, error)
+    if job.cancelled:
+        yield _cancel_record(job.job_id)
 
 
 class JobJournal:
@@ -137,28 +164,10 @@ class JobJournal:
         self,
         job_id: str,
         verify: bool,
-        cells: List[JournalCell],
+        cells: List[SubmittedCell],
     ) -> None:
         """Make a submission durable (call before acking the client)."""
-        self._append(
-            {
-                "j": JOURNAL_VERSION,
-                "type": REC_JOB,
-                "job": job_id,
-                "verify": bool(verify),
-                "cells": [
-                    {
-                        "id": cell.id,
-                        "workload": cell.workload,
-                        "size": cell.size,
-                        "config_name": cell.config_name,
-                        "config": config_to_payload(cell.config),
-                        "hash": cell.hash,
-                    }
-                    for cell in cells
-                ],
-            }
-        )
+        self._append(_job_record(job_id, verify, cells))
 
     def record_cell(
         self,
@@ -169,24 +178,10 @@ class JobJournal:
         error: Optional[str] = None,
     ) -> None:
         """Record one cell's terminal resolution."""
-        if status not in CELL_STATUSES:
-            raise JournalError("unknown cell status %r" % (status,))
-        record: Dict[str, object] = {
-            "j": JOURNAL_VERSION,
-            "type": REC_CELL,
-            "job": job_id,
-            "id": cell_id,
-            "hash": digest,
-            "status": status,
-        }
-        if error is not None:
-            record["error"] = error
-        self._append(record)
+        self._append(_cell_record(job_id, cell_id, digest, status, error))
 
     def record_cancel(self, job_id: str) -> None:
-        self._append(
-            {"j": JOURNAL_VERSION, "type": REC_CANCEL, "job": job_id}
-        )
+        self._append(_cancel_record(job_id))
 
     # -- replay --------------------------------------------------------
 
@@ -213,41 +208,13 @@ class JobJournal:
         raw_cells = record.get("cells")
         if not isinstance(raw_cells, list) or not raw_cells:
             raise JournalError("job %s record has no cells" % job_id)
-        for raw in raw_cells:
-            if not isinstance(raw, dict):
-                raise JournalError("job %s has a malformed cell" % job_id)
+        for index, raw in enumerate(raw_cells):
             try:
-                cell_id = int(raw["id"])
-                workload = str(raw["workload"])
-                size = str(raw["size"])
-                config_name = str(raw["config_name"])
-                payload = raw["config"]
-                claimed = str(raw["hash"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise JournalError(
-                    "job %s cell is malformed: %s" % (job_id, exc)
-                ) from exc
-            if not isinstance(payload, dict):
-                raise JournalError("job %s cell config must be an object" % job_id)
-            try:
-                config = config_from_payload(payload)
+                job.cells.append(cell_from_wire(raw))
             except ValueError as exc:
                 raise JournalError(
-                    "job %s cell %d config: %s (a policy used when the "
-                    "journal was written must be importable on resume, "
-                    "e.g. repro serve --plugin)" % (job_id, cell_id, exc)
+                    "job %s cell %d %s" % (job_id, index, exc)
                 ) from exc
-            digest = cell_hash(workload, size, config)
-            if digest != claimed:
-                raise JournalError(
-                    "job %s cell %d content address mismatch (journal "
-                    "%s..., recomputed %s...): the cache schema changed "
-                    "since the journal was written"
-                    % (job_id, cell_id, claimed[:12], digest[:12])
-                )
-            job.cells.append(
-                JournalCell(cell_id, workload, size, config_name, config, digest)
-            )
         return job
 
     @classmethod
@@ -335,55 +302,8 @@ class JobJournal:
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as tmp:
                     for job in live_jobs:
-                        tmp.write(
-                            _record_line(
-                                {
-                                    "j": JOURNAL_VERSION,
-                                    "type": REC_JOB,
-                                    "job": job.job_id,
-                                    "verify": job.verify,
-                                    "cells": [
-                                        {
-                                            "id": cell.id,
-                                            "workload": cell.workload,
-                                            "size": cell.size,
-                                            "config_name": cell.config_name,
-                                            "config": config_to_payload(
-                                                cell.config
-                                            ),
-                                            "hash": cell.hash,
-                                        }
-                                        for cell in job.cells
-                                    ],
-                                }
-                            )
-                        )
-                        for cell in job.cells:
-                            resolution = job.resolved.get(cell.id)
-                            if resolution is None:
-                                continue
-                            status, error = resolution
-                            record: Dict[str, object] = {
-                                "j": JOURNAL_VERSION,
-                                "type": REC_CELL,
-                                "job": job.job_id,
-                                "id": cell.id,
-                                "hash": cell.hash,
-                                "status": status,
-                            }
-                            if error is not None:
-                                record["error"] = error
+                        for record in _job_records(job):
                             tmp.write(_record_line(record))
-                        if job.cancelled:
-                            tmp.write(
-                                _record_line(
-                                    {
-                                        "j": JOURNAL_VERSION,
-                                        "type": REC_CANCEL,
-                                        "job": job.job_id,
-                                    }
-                                )
-                            )
                     tmp.flush()
                     os.fsync(tmp.fileno())
             except BaseException:

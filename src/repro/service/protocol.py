@@ -18,17 +18,35 @@ Typed failures travel as ``error`` envelopes with a ``code`` from
 and maps 1:1 onto HTTP statuses in the daemon.
 
 Configs cross the wire in the canonical payload shape of
-:func:`repro.api.cache.config_to_payload`, and every submitted cell
-carries its ``cell_hash`` — the daemon recomputes the hash from the
-decoded config and rejects mismatches, so client/server schema skew is
-a loud :data:`ERR_BAD_REQUEST` instead of a silently wrong content
-address.
+:func:`repro.api.cache.config_to_payload`, and every cell carries its
+``cell_hash`` — the reader recomputes the hash from the decoded config
+and rejects mismatches, so schema skew between writer and reader is a
+loud failure instead of a silently wrong content address.
+
+There is one cell: :class:`SubmittedCell`, written by
+:func:`cell_to_wire` and read back (and checked) by
+:func:`cell_from_wire`.  ``submit`` messages, the daemon's job table
+and the journal's job records (:mod:`repro.service.journal`) all hold
+that type in that JSON shape, so the three cannot drift.  The decoder
+raises a plain ``ValueError`` naming the reason; each caller adds where
+the cell came from (:data:`ERR_BAD_REQUEST` for a message, a
+``JournalError`` for a journal).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.api.cache import (
     AnyConfig,
@@ -141,6 +159,11 @@ JOB_STATES: Tuple[str, ...] = (
     JOB_STOPPED,
 )
 
+#: States a job never leaves: a stream or poll that sees one is over.
+#: ``stopped`` counts — the daemon shut down with the job unfinished,
+#: and its partial result is all it will ever serve.
+TERMINAL_JOB_STATES: Tuple[str, ...] = (JOB_DONE, JOB_CANCELLED, JOB_STOPPED)
+
 #: The full closed vocabulary, for validation and for the lint rule.
 VOCABULARY: FrozenSet[str] = frozenset(
     MESSAGE_TYPES + ERROR_CODES + CELL_SOURCES + CELL_STATUSES + JOB_STATES
@@ -228,33 +251,14 @@ def decode(line: "bytes | str") -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# Submissions
+# The cell codec
 # ----------------------------------------------------------------------
 
 
-def submit_message(
-    cells: Sequence[Tuple[str, str, str, AnyConfig]], verify: bool = False
-) -> Dict[str, object]:
-    """A ``submit`` envelope for (workload, size, config_name, config)
-    cells.  Cell ids are the sequence indices; every cell carries its
-    content address so the peer can cross-check schema agreement."""
-    encoded: List[Dict[str, object]] = []
-    for idx, (workload, size, config_name, config) in enumerate(cells):
-        encoded.append(
-            {
-                "id": idx,
-                "workload": workload,
-                "size": size,
-                "config_name": config_name,
-                "config": config_to_payload(config),
-                "hash": cell_hash(workload, size, config),
-            }
-        )
-    return envelope(MSG_SUBMIT, cells=encoded, verify=bool(verify))
-
-
 class SubmittedCell:
-    """One decoded cell of a ``submit`` message."""
+    """One sweep cell with its content address: the same object is what
+    a ``submit`` decodes to, what the daemon's job table holds and what
+    the journal writes and replays."""
 
     __slots__ = ("id", "workload", "size", "config_name", "config", "hash")
 
@@ -275,57 +279,135 @@ class SubmittedCell:
         self.hash = digest
 
 
-def decode_submit(
-    message: Dict[str, object],
-) -> Tuple[List[SubmittedCell], bool]:
-    """Validate a ``submit`` envelope into typed cells.
+def _address_to_wire(
+    workload: str, size: str, config: AnyConfig, digest: str
+) -> Dict[str, object]:
+    """The fields every cell on the wire shares: what it is and the
+    content address the reader cross-checks."""
+    return {
+        "workload": workload,
+        "size": size,
+        "config": config_to_payload(config),
+        "hash": digest,
+    }
 
-    Every decode failure — missing fields, an unknown config payload,
-    an unregistered policy name, or a content-address mismatch between
-    the client's ``hash`` and the one recomputed here — raises
-    :class:`ProtocolError` with :data:`ERR_BAD_REQUEST`.
+
+def _address_from_wire(
+    raw: object,
+) -> Tuple[Dict[str, Any], str, str, AnyConfig, str]:
+    """(the cell's fields, workload, size, config, digest) of one wire
+    cell, its content address recomputed and checked.  Raises
+    ``ValueError`` naming the reason; callers add which message or
+    journal job it came from."""
+    if not isinstance(raw, dict):
+        raise ValueError("must be an object")
+    try:
+        workload = str(raw["workload"])
+        size = str(raw["size"])
+        payload = raw["config"]
+        claimed = str(raw["hash"])
+    except KeyError as exc:
+        raise ValueError("is malformed: %r" % (exc,)) from exc
+    if not isinstance(payload, dict):
+        raise ValueError("config must be an object")
+    try:
+        config = config_from_payload(payload)
+    except ValueError as exc:
+        raise ValueError(
+            "config: %s (a policy a cell names must be registered where "
+            "the cell is decoded, e.g. repro serve --plugin)" % exc
+        ) from exc
+    digest = cell_hash(workload, size, config)
+    if digest != claimed:
+        raise ValueError(
+            "content address mismatch (claimed %s..., recomputed %s...): "
+            "writer and reader disagree on the config schema or cache "
+            "version — upgrade the older one" % (claimed[:12], digest[:12])
+        )
+    return raw, workload, size, config, digest
+
+
+def cell_to_wire(cell: SubmittedCell) -> Dict[str, object]:
+    """The JSON form of one cell, in ``submit`` messages and journal
+    job records alike."""
+    body = _address_to_wire(cell.workload, cell.size, cell.config, cell.hash)
+    body["id"] = cell.id
+    body["config_name"] = cell.config_name
+    return body
+
+
+def cell_from_wire(raw: object) -> SubmittedCell:
+    """Decode and check one :func:`cell_to_wire` dict.
+
+    Every failure — missing fields, an unknown config payload, an
+    unregistered policy name, or a content-address mismatch between
+    the writer's ``hash`` and the one recomputed here — raises a plain
+    ``ValueError``: :func:`decode_submit` turns it into
+    :data:`ERR_BAD_REQUEST`, the journal into a ``JournalError``.
     """
+    fields, workload, size, config, digest = _address_from_wire(raw)
+    try:
+        cell_id = int(fields["id"])
+        config_name = str(fields["config_name"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("is malformed: %r" % (exc,)) from exc
+    return SubmittedCell(cell_id, workload, size, config_name, config, digest)
+
+
+_Decoded = TypeVar("_Decoded")
+
+
+def _decode_cells(
+    message: Dict[str, object], decode_one: Callable[[object], _Decoded]
+) -> List[_Decoded]:
+    """Every cell of a ``submit``/``publish`` envelope through
+    ``decode_one``, failures typed :data:`ERR_BAD_REQUEST`."""
     raw_cells = message.get("cells")
     if not isinstance(raw_cells, list) or not raw_cells:
-        raise ProtocolError(ERR_BAD_REQUEST, "submit has no cells")
-    cells: List[SubmittedCell] = []
-    for raw in raw_cells:
-        if not isinstance(raw, dict):
-            raise ProtocolError(ERR_BAD_REQUEST, "cell must be an object")
+        raise ProtocolError(
+            ERR_BAD_REQUEST, "%s has no cells" % message.get("type")
+        )
+    cells = []
+    for index, raw in enumerate(raw_cells):
         try:
-            cell_id = int(raw["id"])
-            workload = str(raw["workload"])
-            size = str(raw["size"])
-            config_name = str(raw["config_name"])
-            config_payload = raw["config"]
-            claimed = str(raw["hash"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(
-                ERR_BAD_REQUEST, "malformed cell: %s" % exc
-            ) from exc
-        if not isinstance(config_payload, dict):
-            raise ProtocolError(ERR_BAD_REQUEST, "cell config must be an object")
-        try:
-            config = config_from_payload(config_payload)
+            cells.append(decode_one(raw))
         except ValueError as exc:
             raise ProtocolError(
                 ERR_BAD_REQUEST,
-                "cell %d config: %s (a policy registered only client-side "
-                "must be imported on the server, e.g. repro serve --plugin)"
-                % (cell_id, exc),
+                "%s cell %d %s" % (message.get("type"), index, exc),
             ) from exc
-        digest = cell_hash(workload, size, config)
-        if digest != claimed:
-            raise ProtocolError(
-                ERR_BAD_REQUEST,
-                "cell %d content address mismatch (client %s..., server "
-                "%s...): client and server disagree on the config schema "
-                "or cache version — upgrade the older peer"
-                % (cell_id, claimed[:12], digest[:12]),
+    return cells
+
+
+# ----------------------------------------------------------------------
+# Submissions
+# ----------------------------------------------------------------------
+
+
+def submit_message(
+    cells: Sequence[Tuple[str, str, str, AnyConfig]], verify: bool = False
+) -> Dict[str, object]:
+    """A ``submit`` envelope for (workload, size, config_name, config)
+    cells.  Cell ids are the sequence indices; every cell carries its
+    content address so the peer can cross-check schema agreement."""
+    encoded = [
+        cell_to_wire(
+            SubmittedCell(
+                idx, workload, size, config_name, config,
+                cell_hash(workload, size, config),
             )
-        cells.append(
-            SubmittedCell(cell_id, workload, size, config_name, config, digest)
         )
+        for idx, (workload, size, config_name, config) in enumerate(cells)
+    ]
+    return envelope(MSG_SUBMIT, cells=encoded, verify=bool(verify))
+
+
+def decode_submit(
+    message: Dict[str, object],
+) -> Tuple[List[SubmittedCell], bool]:
+    """Validate a ``submit`` envelope into typed cells (see
+    :func:`cell_from_wire` for what is checked)."""
+    cells = _decode_cells(message, cell_from_wire)
     return cells, bool(message.get("verify", False))
 
 
@@ -342,15 +424,11 @@ def publish_message(
     the daemon can reject schema skew before polluting the store."""
     encoded: List[Dict[str, object]] = []
     for workload, size, config, stats in cells:
-        encoded.append(
-            {
-                "workload": workload,
-                "size": size,
-                "config": config_to_payload(config),
-                "stats": stats_to_payload(stats),
-                "hash": cell_hash(workload, size, config),
-            }
+        body = _address_to_wire(
+            workload, size, config, cell_hash(workload, size, config)
         )
+        body["stats"] = stats_to_payload(stats)
+        encoded.append(body)
     return envelope(MSG_PUBLISH, cells=encoded)
 
 
@@ -374,6 +452,16 @@ class PublishedCell:
         self.hash = digest
 
 
+def _published_from_wire(raw: object) -> PublishedCell:
+    fields, workload, size, config, digest = _address_from_wire(raw)
+    payload = fields.get("stats")
+    if not isinstance(payload, dict):
+        raise ValueError("stats must be an object")
+    return PublishedCell(
+        workload, size, config, stats_from_payload(payload), digest
+    )
+
+
 def decode_publish(message: Dict[str, object]) -> List[PublishedCell]:
     """Validate a ``publish`` envelope into typed result cells.
 
@@ -383,40 +471,4 @@ def decode_publish(message: Dict[str, object]) -> List[PublishedCell]:
     a degraded client must never write a wrong address into the
     shared store.
     """
-    raw_cells = message.get("cells")
-    if not isinstance(raw_cells, list) or not raw_cells:
-        raise ProtocolError(ERR_BAD_REQUEST, "publish has no cells")
-    cells: List[PublishedCell] = []
-    for raw in raw_cells:
-        if not isinstance(raw, dict):
-            raise ProtocolError(ERR_BAD_REQUEST, "cell must be an object")
-        try:
-            workload = str(raw["workload"])
-            size = str(raw["size"])
-            config_payload = raw["config"]
-            stats_payload = raw["stats"]
-            claimed = str(raw["hash"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(
-                ERR_BAD_REQUEST, "malformed published cell: %s" % exc
-            ) from exc
-        if not isinstance(config_payload, dict):
-            raise ProtocolError(ERR_BAD_REQUEST, "cell config must be an object")
-        if not isinstance(stats_payload, dict):
-            raise ProtocolError(ERR_BAD_REQUEST, "cell stats must be an object")
-        try:
-            config = config_from_payload(config_payload)
-            stats = stats_from_payload(stats_payload)
-        except ValueError as exc:
-            raise ProtocolError(
-                ERR_BAD_REQUEST, "published cell: %s" % exc
-            ) from exc
-        digest = cell_hash(workload, size, config)
-        if digest != claimed:
-            raise ProtocolError(
-                ERR_BAD_REQUEST,
-                "published cell content address mismatch (client %s..., "
-                "server %s...)" % (claimed[:12], digest[:12]),
-            )
-        cells.append(PublishedCell(workload, size, config, stats, digest))
-    return cells
+    return _decode_cells(message, _published_from_wire)

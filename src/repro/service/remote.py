@@ -18,8 +18,9 @@ requests cost one simulation.
 
 :func:`run_remote` is the engine backend runner: it submits the
 pending cells, follows the job's progress stream (falling back to
-status polling if the stream breaks), folds results into the engine's
-memo/disk cache, and honors the engine's error policy.
+status polling if the stream breaks) and yields each cell's outcome to
+:meth:`Engine.run <repro.api.engine.Engine.run>`, which applies the
+error policy and folds results into the engine's memo/disk cache.
 
 **Graceful degradation** (``Engine(server=..., fallback="inline")``,
 off by default): when retries exhaust against a dead or shutting-down
@@ -53,12 +54,11 @@ from typing import (
 )
 
 from repro.api.cache import AnyConfig, AnyStats, cell_hash, stats_from_payload
-from repro.api.results import CellError
 from repro.service import protocol
 from repro.service.protocol import ProtocolError
 
 if TYPE_CHECKING:  # circular at runtime: engine dispatches into here
-    from repro.api.engine import Engine
+    from repro.api.engine import CellOutcome, Engine
     from repro.api.spec import Cell
 
 #: One submittable cell: (workload, size, config_name, config).
@@ -343,16 +343,11 @@ class RemoteClient:
         job unfinished, and its partial result is all it will ever
         serve — callers see the missing cells and degrade or fail.
         """
-        terminal = (
-            protocol.JOB_DONE,
-            protocol.JOB_CANCELLED,
-            protocol.JOB_STOPPED,
-        )
         while True:
             message = self.result(job_id)
             if (
                 message.get("type") == protocol.MSG_RESULT
-                and message.get("state") in terminal
+                and message.get("state") in protocol.TERMINAL_JOB_STATES
             ):
                 return message
             self._sleep(poll_interval)
@@ -363,67 +358,67 @@ class RemoteClient:
 # ----------------------------------------------------------------------
 
 
-def _emit_sources(
-    cell_message: Dict[str, object],
-) -> Tuple[bool, Optional[str], Optional[str]]:
-    """(cached flag, error text, source) of one per-cell message."""
-    status = cell_message.get("status")
+def _daemon_outcome(
+    digest: str, message: Optional[Dict[str, object]]
+) -> Tuple["AnyStats | RemoteError", bool, Optional[str]]:
+    """(stats or the error, cached flag, source) of one per-cell result
+    message — ``None`` when the daemon never resolved the cell."""
+    if message is None:
+        text = "daemon returned no result for cell %s" % digest[:12]
+        return RemoteError(text), False, None
+    status = message.get("status")
     if status == protocol.STATUS_FAILED:
-        return False, str(cell_message.get("error", "remote cell failed")), None
+        text = str(message.get("error", "remote cell failed"))
+        return RemoteError(text), False, None
     if status == protocol.STATUS_CANCELLED:
-        return False, "cell was cancelled on the daemon", None
-    raw = cell_message.get("source")
+        return RemoteError("cell was cancelled on the daemon"), False, None
+    payload = message.get("stats")
+    if not isinstance(payload, dict):
+        text = "daemon result for cell %s has no stats payload" % digest[:12]
+        return RemoteError(text), False, None
+    raw = message.get("source")
     source = raw if isinstance(raw, str) else None
-    cached = source != protocol.SOURCE_SIMULATED
-    return cached, None, source
+    return stats_from_payload(payload), source != protocol.SOURCE_SIMULATED, source
 
 
 def run_remote(
     engine: "Engine",
     pending: Sequence[Tuple[Tuple[object, ...], "Cell"]],
-    disk_dir: Optional[str],
     verify: bool,
-    errors: str,
-    outcome: Dict[Tuple[object, ...], object],
-    emit: Callable[..., None],
-) -> None:
+) -> Iterator["CellOutcome"]:
     """Resolve ``pending`` cells through the daemon.
 
-    Mirrors the inline/process runners' contract: fills ``outcome``
-    with stats or :class:`CellError`, fires ``emit`` once per cell, and
-    under ``errors="raise"`` raises on the first failed cell.  Results
-    are folded into the engine's memo and disk cache, so a later local
+    The inline/process runners' contract: one ``(key, cell, stats or
+    exception, cached, source)`` per cell, with the error policy, the
+    caches and progress left to :meth:`Engine.run` — which folds the
+    results into the engine's memo and disk cache, so a later local
     run is warm without another round-trip.
 
     With ``engine.fallback == "inline"`` the remote path degrades
     instead of failing: cells the daemon never resolved (retries
-    exhausted, daemon shut down mid-job, worker faults) are simulated
-    inline, attributed ``source="fallback"``, and published back to
-    the daemon's store if a health probe finds it reachable again.
+    exhausted, daemon shut down mid-job) or failed (worker faults) are
+    simulated inline, attributed ``source="fallback"``, and published
+    back to the daemon's store if a health probe finds it reachable
+    again.  A cell cancelled on the daemon stays cancelled.
     """
     client = engine.remote_client
     fallback = engine.fallback == "inline"
-    order = list(pending)
     digests = [
-        cell_hash(cell.workload, cell.size, cell.config) for _, cell in order
+        cell_hash(cell.workload, cell.size, cell.config) for _, cell in pending
     ]
-    unique = {digest: cell for digest, (_, cell) in zip(digests, order)}
 
-    degraded = False
     cell_results: Dict[str, Dict[str, object]] = {}
 
     # A breaker left open by an earlier run: one cheap probe decides —
     # daemon back (breaker closes, proceed normally) or straight to
     # inline fallback without re-paying the retry schedule.
-    if fallback and client.breaker_open and not client.probe():
-        degraded = True
-
-    if not degraded:
+    reachable = not (fallback and client.breaker_open) or client.probe()
+    if reachable:
         try:
             ack = client.submit(
                 [
                     (cell.workload, cell.size, cell.config_name, cell.config)
-                    for cell in unique.values()
+                    for _, cell in pending
                 ],
                 verify=verify,
             )
@@ -438,77 +433,29 @@ def run_remote(
                 protocol.ERR_SHUTTING_DOWN,
             ):
                 raise
-            degraded = True
 
     fallback_results: List[Tuple[str, str, AnyConfig, AnyStats]] = []
-
-    def simulate_fallback(key: Tuple[object, ...], cell: "Cell") -> None:
-        try:
-            fallback_stats = engine.run_cell(
-                cell.workload,
-                cell.size,
-                cell.config,
-                verify=verify,
-                cache=not verify,
-            )
-        except Exception as exc:  # noqa: BLE001 — error-policy boundary
-            text = "%s: %s" % (type(exc).__name__, exc)
-            if errors == "raise":
-                raise
-            outcome[key] = CellError(
-                cell.workload, cell.size, cell.config_name, text
-            )
-            emit(cell, cached=False, error=text)
-            return
-        outcome[key] = fallback_stats
-        fallback_results.append(
-            (cell.workload, cell.size, cell.config, fallback_stats)
-        )
-        emit(cell, cached=False, source=protocol.SOURCE_FALLBACK)
-
-    for digest, (key, cell) in zip(digests, order):
-        if key in outcome:
-            continue  # duplicate digest already resolved
+    for digest, (key, cell) in zip(digests, pending):
         message = cell_results.get(digest)
-        if message is None:
-            if fallback:
-                simulate_fallback(key, cell)
+        if fallback and (
+            message is None
+            or message.get("status") == protocol.STATUS_FAILED
+        ):
+            # Unresolved cells, and remotely-failed ones, re-run inline
+            # under fallback: an injected worker fault must not fail
+            # the sweep, and a genuinely broken cell fails identically
+            # here.
+            try:
+                stats = engine._simulate_cell(cell, verify)
+            except Exception as exc:  # noqa: BLE001 — error-policy boundary
+                yield key, cell, exc, False, None
                 continue
-            error_text = "daemon returned no result for cell %s" % digest[:12]
-            if errors == "raise":
-                raise RemoteError(error_text)
-            outcome[key] = CellError(
-                cell.workload, cell.size, cell.config_name, error_text
+            fallback_results.append(
+                (cell.workload, cell.size, cell.config, stats)
             )
-            emit(cell, cached=False, error=error_text)
-            continue
-        cached, error_text, source = _emit_sources(message)
-        if error_text is not None:
-            if fallback and message.get("status") == protocol.STATUS_FAILED:
-                # A remotely-failed cell re-runs inline under fallback:
-                # an injected worker fault must not fail the sweep, and
-                # a genuinely broken cell fails identically here.
-                simulate_fallback(key, cell)
-                continue
-            if errors == "raise":
-                raise RemoteError(
-                    "remote cell %s/%s @%s failed: %s"
-                    % (cell.workload, cell.config_name, cell.size, error_text)
-                )
-            outcome[key] = CellError(
-                cell.workload, cell.size, cell.config_name, error_text
-            )
-            emit(cell, cached=False, error=error_text)
-            continue
-        payload = message.get("stats")
-        if not isinstance(payload, dict):
-            raise RemoteError(
-                "daemon result for cell %s has no stats payload" % digest[:12]
-            )
-        stats: AnyStats = stats_from_payload(payload)
-        engine._store(cell.workload, cell.size, cell.config, stats, True, disk_dir)
-        outcome[key] = stats
-        emit(cell, cached=cached, source=source)
+            yield key, cell, stats, False, protocol.SOURCE_FALLBACK
+        else:
+            yield (key, cell) + _daemon_outcome(digest, message)
 
     if fallback_results and client.probe():
         # Best-effort publish-back: when the daemon is reachable again
@@ -532,16 +479,11 @@ def _follow_job(
     connection reset), fall back to polling the result endpoint — the
     final result message is the source of truth either way.
     """
-    terminal = (
-        protocol.JOB_DONE,
-        protocol.JOB_CANCELLED,
-        protocol.JOB_STOPPED,
-    )
     try:
         for event in client.events(job_id):
             if (
                 event.get("type") == protocol.MSG_STATUS
-                and event.get("state") in terminal
+                and event.get("state") in protocol.TERMINAL_JOB_STATES
             ):
                 break
     except RemoteError:

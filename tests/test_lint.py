@@ -100,35 +100,6 @@ def test_inline_suppression_same_line_line_above_and_all():
     assert report.suppressed == 1  # disable=all on the line above
 
 
-def test_path_suppression_table():
-    from repro.lint.framework import is_suppressed, path_suppressed
-
-    # Benchmarks and examples may read the wall clock; the core cannot.
-    assert path_suppressed("wall-clock", "benchmarks/run_sweep.py")
-    assert path_suppressed("wall-clock", "src/repro/cli.py")
-    assert not path_suppressed("wall-clock", "src/repro/core/sm.py")
-    v = Violation(
-        rule="wall-clock", path="examples/demo.py", line=1, col=1, message="m"
-    )
-    assert is_suppressed(v, {})
-
-
-def test_path_suppression_honoured_by_runner(monkeypatch):
-    from repro.lint.config import PATH_SUPPRESSIONS
-
-    bad = os.path.join(BAD, "repro", "core", "determinism.py")
-    report = run_lint([bad], rule_ids=frozenset({"wall-clock"}))
-    assert not report.ok
-    monkeypatch.setitem(
-        PATH_SUPPRESSIONS,
-        "wall-clock",
-        PATH_SUPPRESSIONS["wall-clock"] + ("repro/core/determinism.py",),
-    )
-    report = run_lint([bad], rule_ids=frozenset({"wall-clock"}))
-    assert report.ok
-    assert report.suppressed >= 1
-
-
 # ----------------------------------------------------------------------
 # Project rules: cache-key-fields and config-fingerprint
 # ----------------------------------------------------------------------

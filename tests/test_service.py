@@ -1,5 +1,6 @@
 """Sweep service: protocol, shared store, daemon, remote backend."""
 
+import http.client
 import json
 import os
 import queue
@@ -21,7 +22,12 @@ from repro.api.cache import (
 from repro.api.engine import BACKENDS
 from repro.core import presets
 from repro.service import protocol
-from repro.service.daemon import COUNTERS, SweepService, make_server
+from repro.service.daemon import (
+    COUNTERS,
+    MAX_REQUEST_BYTES,
+    SweepService,
+    make_server,
+)
 from repro.service.protocol import ProtocolError
 from repro.service.remote import RemoteClient, RemoteError, _follow_job
 from repro.service.store import ResultStore, resolve_store_dir
@@ -431,6 +437,31 @@ class TestSweepService:
         (cell,) = service.get_job(ack["job"]).result_message()["cells"]
         assert cell["status"] == protocol.STATUS_CANCELLED
 
+    def test_cancelled_cells_keep_their_content_address(self, tmp_path):
+        service = _service(tmp_path)
+        ack = service.submit(protocol.submit_message([CELL_A, CELL_B]))
+        events = service.get_job(ack["job"]).subscribe()
+        service.cancel(ack["job"])
+        job = service.get_job(ack["job"])
+        assert job.finished.is_set()
+        cells = job.result_message()["cells"]
+        assert [c["status"] for c in cells] == [protocol.STATUS_CANCELLED] * 2
+        assert [c["hash"] for c in cells] == [
+            cell_hash(CELL_A[0], CELL_A[1], CELL_A[3]),
+            cell_hash(CELL_B[0], CELL_B[1], CELL_B[3]),
+        ]
+        # The terminal status follows the last cell, so a stream that
+        # stops at it has seen every cancellation.
+        history = []
+        while not events.empty():
+            history.append(events.get_nowait())
+        assert [e["type"] for e in history] == [
+            protocol.MSG_PROGRESS,
+            protocol.MSG_PROGRESS,
+            protocol.MSG_STATUS,
+        ]
+        assert history[-1]["state"] == protocol.JOB_CANCELLED
+
     def test_shared_cell_still_runs_for_live_job(self, tmp_path):
         service = _service(tmp_path)
         ack1 = service.submit(protocol.submit_message([CELL_A]))
@@ -622,7 +653,7 @@ def live_server(tmp_path):
         yield server, "http://%s:%d" % (host, port)
     finally:
         server.shutdown()
-        server.service.stop()
+        server.service.shutdown_gracefully()
         server.server_close()
 
 
@@ -643,7 +674,7 @@ def queued_server(tmp_path):
         yield server, "http://%s:%d" % (host, port)
     finally:
         server.shutdown()
-        server.service.stop()
+        server.service.shutdown_gracefully()
         server.server_close()
 
 
@@ -814,6 +845,71 @@ class TestHTTPRoundTrip:
                 and e["cell"]["status"] == protocol.STATUS_OK
                 for e in streams[tag]
             )
+
+    def test_cancelled_job_reports_cancelled_and_is_not_resimulated(
+        self, queued_server
+    ):
+        server, url = queued_server
+        hook_calls = []
+
+        def hook(*args, **kwargs):
+            hook_calls.append(args)
+            raise AssertionError("a cancelled cell must not simulate")
+
+        engine = Engine(
+            server=url,
+            cache_dir=None,
+            memo={},
+            fallback="inline",
+            workload_factory=hook,
+            simulate_fn=hook,
+            simulate_device_fn=hook,
+        )
+        spec = SweepSpec.from_presets(
+            ["baseline"], workloads=["histogram"], size="tiny"
+        )
+        finished = []
+        sweep = threading.Thread(
+            target=lambda: finished.append(engine.run(spec, errors="collect"))
+        )
+        sweep.start()
+        deadline = time.monotonic() + 5.0
+        while server.service.counters["jobs_submitted"] < 1:
+            assert time.monotonic() < deadline, "sweep never submitted"
+            time.sleep(0.01)
+        server.service.cancel("j000001")
+        sweep.join(timeout=5.0)
+        assert not sweep.is_alive()
+        (rs,) = finished
+        assert len(rs) == 0
+        (error,) = rs.errors
+        assert "cancelled on the daemon" in error.error
+        assert hook_calls == []
+
+    @pytest.mark.parametrize(
+        "declared,needle",
+        [
+            (str(MAX_REQUEST_BYTES + 1), str(MAX_REQUEST_BYTES)),
+            ("-5", "no body"),
+        ],
+    )
+    def test_request_body_length_is_bounded(self, live_server, declared, needle):
+        server, _ = live_server
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=5.0)
+        try:
+            # Headers only: the daemon must answer from the declared
+            # length, without waiting for (or allocating) the body.
+            conn.putrequest("POST", "/v1/jobs")
+            conn.putheader("Content-Length", declared)
+            conn.endheaders()
+            response = conn.getresponse()
+            body = protocol.decode(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert body["code"] == protocol.ERR_BAD_REQUEST
+        assert needle in body["message"]
 
     def test_cell_lookup_over_http(self, live_server):
         _, url = live_server

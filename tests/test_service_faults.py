@@ -40,11 +40,10 @@ from repro.service.faults import (
 )
 from repro.service.journal import (
     JobJournal,
-    JournalCell,
     JournalError,
     resolve_journal_path,
 )
-from repro.service.protocol import ProtocolError
+from repro.service.protocol import ProtocolError, SubmittedCell
 from repro.service.remote import RemoteClient, RemoteError
 from repro.service.store import ResultStore
 from repro.timing.stats import Stats
@@ -55,6 +54,7 @@ TINY = SweepSpec.from_presets(
 
 CELL_A = ("histogram", "tiny", "baseline", presets.baseline())
 CELL_B = ("histogram", "tiny", "warp64", presets.warp64())
+CELL_C = ("histogram", "tiny", "sbi", presets.sbi())
 
 #: A server nobody listens on (port 9 is discard; connect refuses fast).
 DEAD_URL = "http://127.0.0.1:9"
@@ -212,8 +212,8 @@ class TestFaultPlan:
 
 def _journal_cells():
     return [
-        JournalCell(0, *CELL_A[:3], CELL_A[3], cell_hash(*CELL_A[:2], CELL_A[3])),
-        JournalCell(1, *CELL_B[:3], CELL_B[3], cell_hash(*CELL_B[:2], CELL_B[3])),
+        SubmittedCell(0, *CELL_A[:3], CELL_A[3], cell_hash(*CELL_A[:2], CELL_A[3])),
+        SubmittedCell(1, *CELL_B[:3], CELL_B[3], cell_hash(*CELL_B[:2], CELL_B[3])),
     ]
 
 
@@ -541,6 +541,48 @@ class TestDaemonCrashRecovery:
         job = resumed.get_job("j000003")
         assert job.state == protocol.JOB_DONE
         assert resumed.counters["cells_simulated"] == 2  # both re-ran
+
+    def test_resume_triages_like_submit(self, tmp_path):
+        # One job whose cells hit every rung — a store hit, a duplicate
+        # of another job's in-flight cell, and new work — must be
+        # counted and attributed the same whether it arrives through
+        # submit() or comes back from the journal through resume().
+        stored, inflight, fresh = CELL_A, CELL_B, CELL_C
+        stats = Stats(cycles=7, thread_instructions=3, instructions_issued=2)
+        first = protocol.submit_message([inflight])
+        second = protocol.submit_message([stored, inflight, fresh])
+
+        def outcome(service):
+            service.process_queued()
+            cells = service.get_job("j000002").result_message()["cells"]
+            return (
+                {k: v for k, v in service.counters.items() if k.startswith("cells_")},
+                [(c["id"], c["status"], c["source"]) for c in cells],
+            )
+
+        submitted = _journalled_service(tmp_path / "submit")
+        submitted.store.store(stored[0], stored[1], stored[3], stats)
+        submitted.submit(first)
+        ack = submitted.submit(second)
+        assert ack["job"] == "j000002"
+        assert ack["triage"] == {"store": 1, "coalesced": 1, "queued": 1}
+
+        root = tmp_path / "resume"
+        ResultStore(str(root / "store")).store(stored[0], stored[1], stored[3], stats)
+        with JobJournal(resolve_journal_path(None, str(root / "store"))) as journal:
+            journal.record_job("j000001", False, protocol.decode_submit(first)[0])
+            journal.record_job("j000002", False, protocol.decode_submit(second)[0])
+        resumed = _journalled_service(root)
+        assert resumed.resume() == 2
+
+        counters, cells = outcome(resumed)
+        assert (counters, cells) == outcome(submitted)
+        assert [source for _, _, source in cells] == [
+            protocol.SOURCE_STORE,
+            protocol.SOURCE_COALESCED,
+            protocol.SOURCE_SIMULATED,
+        ]
+        assert counters["cells_simulated"] == 2  # the in-flight cell + the new one
 
     def test_finished_and_cancelled_jobs_compact_away_on_resume(self, tmp_path):
         service = _journalled_service(tmp_path)
