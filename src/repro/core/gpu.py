@@ -22,7 +22,6 @@ of the single-SM :func:`~repro.core.simulator.simulate` path.
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional
 
 import numpy as np
@@ -121,130 +120,68 @@ class GPUDevice:
             header, [sm for sm in self.sms if not sm.finished], now
         )
 
-    def run(self, engine: str = "event") -> DeviceStats:
+    def run(self) -> DeviceStats:
         """Simulate to completion and return aggregated statistics.
 
-        ``engine="event"`` (default) schedules SM steps from a device-
-        level min-heap of per-SM wake events; ``engine="reference"``
-        keeps the lock-step ``wake[]`` scan.  Both drive every SM
-        through exactly the same stepped-cycle sequence (SM-index order
-        within a cycle), so stats are byte-identical.
+        One lock-step cycle loop: each device cycle steps every SM that
+        is awake, in SM-index order; when no SM made progress the clock
+        jumps to the earliest per-SM wake, skipping the idle span.
         """
         self._initial_launch()
+        sms = self.sms
+        observers = self.observers
+        l2 = self.l2
         now = 0
         max_cycles = self.config.sm.max_cycles
-        done = [False] * len(self.sms)
+        done = [False] * len(sms)
         # Per-SM wake times: an SM whose step made no progress cannot
         # do anything before its own next scheduled event (the same
         # assumption the single-SM loop's event skip rests on — no
         # cross-SM coupling creates work without a local event), so it
         # sleeps instead of burning a no-op step every device cycle.
         # None = no scheduled events at all.
-        wake: List[Optional[int]] = [0] * len(self.sms)
+        wake: List[Optional[int]] = [0] * len(sms)
         l2_misses_seen = 0
         # One errstate for the whole run: compiled plans deliberately
         # skip the per-issue ``np.errstate`` the interpreter pays.
         with np.errstate(all="ignore"):
-            if engine == "event":
-                return self._run_event_loop(max_cycles)
-            if engine == "reference":
-                return self._run_loop(now, max_cycles, done, wake, l2_misses_seen)
-        raise ValueError("unknown engine %r" % (engine,))
-
-    def _run_event_loop(self, max_cycles: int) -> DeviceStats:
-        """Event-driven device clock: a heap of ``(wake, sm_index)``.
-
-        Pops every SM due at the current cycle (sorted back into SM-
-        index order so stepping matches the reference scan), steps
-        them, and re-queues each at ``now + 1`` on progress or at its
-        own next event otherwise.  The clock jumps straight to the heap
-        minimum across globally-idle spans.
-        """
-        sms = self.sms
-        done = [False] * len(sms)
-        l2_misses_seen = 0
-        observers = self.observers
-        l2 = self.l2
-        heap: List[tuple] = [(0, i) for i in range(len(sms))]
-        now = 0
-        while now < max_cycles:
-            if not heap:
-                raise SimulationError(self._deadlock_report(now))
-            now = heap[0][0]
-            if now >= max_cycles:
-                break
-            due: List[int] = []
-            while heap and heap[0][0] <= now:
-                due.append(heapq.heappop(heap)[1])
-            # The reference loop steps SMs in index order each cycle.
-            due.sort()
-            for i in due:
-                sm = sms[i]
-                if done[i]:
-                    continue
-                if sm.step(now):
-                    heapq.heappush(heap, (now + 1, i))
+            while now < max_cycles:
+                progressed = False
+                for i, sm in enumerate(sms):
+                    if done[i] or wake[i] is None or wake[i] > now:
+                        continue
+                    if sm.step(now):
+                        progressed = True
+                        wake[i] = now + 1
+                    else:
+                        wake[i] = sm.next_event_cycle(now)
+                    if observers and l2 is not None:
+                        new_misses = l2.misses - l2_misses_seen
+                        if new_misses:
+                            l2_misses_seen = l2.misses
+                            event = MemEvent(now, sm.sm_id, LEVEL_L2, new_misses)
+                            for observer in observers:
+                                observer.on_l2_miss(event)
+                    if sm.finished:
+                        done[i] = True
+                        sm.stats.cycles = now + 1
+                if all(done):
+                    return self._collect(now + 1)
+                if progressed:
+                    now += 1
                 else:
-                    nxt = sm._heap_next_event(now)
-                    if nxt is not None:
-                        heapq.heappush(heap, (nxt, i))
-                if observers and l2 is not None:
-                    new_misses = l2.misses - l2_misses_seen
-                    if new_misses:
-                        l2_misses_seen = l2.misses
-                        event = MemEvent(now, sm.sm_id, LEVEL_L2, new_misses)
-                        for observer in observers:
-                            observer.on_l2_miss(event)
-                if sm.finished:
-                    done[i] = True
-                    sm.stats.cycles = now + 1
-            if all(done):
-                return self._collect(now + 1)
+                    candidates = [
+                        wake[i]
+                        for i in range(len(sms))
+                        if not done[i] and wake[i] is not None and wake[i] > now
+                    ]
+                    if not candidates:
+                        raise SimulationError(self._deadlock_report(now))
+                    now = min(candidates)
         totals = DeviceStats(cycles=now, sm_stats=[sm.stats for sm in sms])
         raise SimulationError(
             overrun_report(
                 self.kernel.name, max_cycles, now, totals, sm_count=len(sms)
-            )
-        )
-
-    def _run_loop(self, now, max_cycles, done, wake, l2_misses_seen) -> DeviceStats:
-        while now < max_cycles:
-            progressed = False
-            for i, sm in enumerate(self.sms):
-                if done[i] or wake[i] is None or wake[i] > now:
-                    continue
-                if sm.step(now):
-                    progressed = True
-                    wake[i] = now + 1
-                else:
-                    wake[i] = sm.next_event_cycle(now)
-                if self.observers and self.l2 is not None:
-                    new_misses = self.l2.misses - l2_misses_seen
-                    if new_misses:
-                        l2_misses_seen = self.l2.misses
-                        event = MemEvent(now, sm.sm_id, LEVEL_L2, new_misses)
-                        for observer in self.observers:
-                            observer.on_l2_miss(event)
-                if sm.finished:
-                    done[i] = True
-                    sm.stats.cycles = now + 1
-            if all(done):
-                return self._collect(now + 1)
-            if progressed:
-                now += 1
-            else:
-                candidates = [
-                    wake[i]
-                    for i in range(len(self.sms))
-                    if not done[i] and wake[i] is not None and wake[i] > now
-                ]
-                if not candidates:
-                    raise SimulationError(self._deadlock_report(now))
-                now = min(candidates)
-        totals = DeviceStats(cycles=now, sm_stats=[sm.stats for sm in self.sms])
-        raise SimulationError(
-            overrun_report(
-                self.kernel.name, max_cycles, now, totals, sm_count=len(self.sms)
             )
         )
 
@@ -264,12 +201,26 @@ class GPUDevice:
         return stats
 
 
+def check_engine(engine: str) -> None:
+    """Reject any ``engine`` but ``"reference"``, the one run loop.
+
+    The keyword survives on :func:`simulate`/:func:`simulate_device`
+    only because ``benchmarks/perf/probes.py`` (frozen outside
+    ``benchmark`` PRs) still calls ``simulate(..., engine="reference")``.
+    """
+    if engine != "reference":
+        raise ValueError(
+            "unknown engine %r: the only run loop is engine=\"reference\""
+            % (engine,)
+        )
+
+
 def simulate_device(
     kernel: Kernel,
     memory: MemoryImage,
     config: Optional[GPUConfig] = None,
     observers=None,
-    engine: str = "event",
+    engine: str = "reference",
 ) -> DeviceStats:
     """Run ``kernel`` on a whole device and return its :class:`DeviceStats`.
 
@@ -277,14 +228,13 @@ def simulate_device(
     default ``GPUConfig()`` (one SM, no L2) the run is cycle-identical
     to ``simulate(kernel, memory, config.sm)``.  ``observers`` attaches
     cycle-level listeners to every SM (and to the shared L2).
-    ``engine="reference"`` selects the lock-step cycle-scanning loop
-    instead of the event heap — same stats, slower; it exists for
-    differential testing.
+    ``engine`` accepts only ``"reference"`` (see :func:`check_engine`)
+    and is checked before the device is built.
     """
+    check_engine(engine)
     if config is None:
         config = GPUConfig()
-    device = GPUDevice(kernel, memory, config, observers=observers)
-    return device.run(engine=engine)
+    return GPUDevice(kernel, memory, config, observers=observers).run()
 
 
 __all__ = ["CTADispatcher", "GPUDevice", "simulate_device"]

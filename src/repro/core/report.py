@@ -5,8 +5,9 @@ Both :meth:`repro.core.sm.StreamingMultiprocessor.run` and
 :class:`~repro.core.sm.SimulationError` on a deadlock (no scheduled
 events while warps are live) or a cycle-limit overrun; the message
 bodies are built here so the two loops cannot drift apart.  Deadlock
-reports include each SM's pending event heap (per-warp wake cycles) —
-when a run wedges, the first question is always "what was the engine
+reports include each live warp's next split wake and each SM's next
+event (:meth:`~repro.core.sm.StreamingMultiprocessor.next_event_cycle`)
+— when a run wedges, the first question is always "what was the engine
 waiting for".
 """
 
@@ -43,21 +44,25 @@ def overrun_report(kernel_name: str, limit: int, now: int, stats_like, sm_count:
 
 
 def deadlock_report(header: str, sms, now: int) -> str:
-    """Per-SM warp states plus the pending event heap, one SM per block."""
+    """Per-SM warp states, each with its next wake, one SM per block."""
     lines: List[str] = [header]
     for sm in sms:
+        # Also refreshes every live warp's ``wake_cache``, read below.
+        next_event = sm.next_event_cycle(now)
         for warp in sm.live_warps():
             splits = ", ".join(repr(s) for s in warp.model.all_splits())
             lines.append(
-                "  warp %d (cta %d): %s; scoreboard=%d"
-                % (warp.wid, warp.cta_id, splits, len(warp.scoreboard))
+                "  warp %d (cta %d): %s; scoreboard=%d; next wake %s"
+                % (
+                    warp.wid,
+                    warp.cta_id,
+                    splits,
+                    len(warp.scoreboard),
+                    next((c for c in warp.wake_cache if c > now), "none"),
+                )
             )
-        heap = sm.event_heap_snapshot()
         lines.append(
-            "  pending event heap (SM %d): %s"
-            % (
-                sm.sm_id,
-                ", ".join("w%d@%d" % (wid, c) for c, wid in heap) or "empty",
-            )
+            "  next event (SM %d): %s"
+            % (sm.sm_id, "none" if next_event is None else next_event)
         )
     return "\n".join(lines)

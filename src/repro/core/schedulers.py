@@ -160,66 +160,20 @@ class SchedulerBase:
             return True
         return False
 
-    def _oldest(self, candidates: List[Candidate]) -> Optional[Candidate]:
-        return min(candidates, default=None, key=lambda c: c[0])
-
-
-@SCHEDULERS.register("two_pool")
-class BaselineScheduler(SchedulerBase):
-    """Two independent pools of 32-wide warps, oldest-first."""
-
-    def tick(self, now: int) -> int:
-        issued = 0
-        ready_entry = self._ready_entry
-        pick_group = self.sm.backend.pick_group
-        for pool in self.sm.live_warps_by_parity():
-            best: Optional[Candidate] = None
-            best_key = None
-            for warp in pool:
-                # Stall fast path first: a stalled warp skips even the
-                # hot-split probe (safe because stalls are capped at the
-                # model's settle wake — see _ready_entry).
-                if warp.done or now < warp.stall0:
-                    continue
-                model = warp.model
-                hot = model._hot_cache
-                if hot is None:
-                    hot = model.hot_splits(now)
-                if not hot:
-                    continue
-                split = hot[0]
-                entry = ready_entry(warp, 0, split, now)
-                if entry is None:
-                    continue
-                key = (entry.fetch_cycle, warp.wid)
-                if best_key is not None and key >= best_key:
-                    continue
-                if (
-                    pick_group(entry.instr.op_class, now, split.lane_mask, False)
-                    is None
-                ):
-                    continue
-                best_key = key
-                best = (key, warp, 0, split, entry)
-            if best is not None:
-                record = self.sm.issue(
-                    best[1], best[2], best[3], best[4], now, ORIGIN_PRIMARY, co_issue=False
-                )
-                if record is not None:
-                    issued += 1
-        return issued
-
-
-@SCHEDULERS.register("single_issue")
-class Warp64Scheduler(SchedulerBase):
-    """Single pool, one issue per cycle (thread-frontier reference)."""
-
-    def tick(self, now: int) -> int:
+    def _pick_oldest(self, pool: List[TimingWarp], now: int) -> Optional[Candidate]:
+        """Oldest ready CPC1 instruction over ``pool`` whose execution
+        group is free this cycle."""
         best: Optional[Candidate] = None
+        best_key = None
         ready_entry = self._ready_entry
         pick_group = self.sm.backend.pick_group
-        for warp in self.sm.live_warps():
-            if now < warp.stall0:
+        for warp in pool:
+            # Stall fast path first: a stalled warp skips even the
+            # hot-split probe (safe because stalls are capped at the
+            # model's settle wake — see _ready_entry).  ``done`` guards
+            # a pool list captured before an earlier issue this cycle
+            # retired one of its warps.
+            if warp.done or now < warp.stall0:
                 continue
             model = warp.model
             hot = model._hot_cache
@@ -232,14 +186,46 @@ class Warp64Scheduler(SchedulerBase):
             if entry is None:
                 continue
             key = (entry.fetch_cycle, warp.wid)
-            if best is not None and key >= best[0]:
+            if best_key is not None and key >= best_key:
                 continue
             if pick_group(entry.instr.op_class, now, split.lane_mask, False) is None:
                 continue
+            best_key = key
             best = (key, warp, 0, split, entry)
+        return best
+
+
+@SCHEDULERS.register("two_pool")
+class BaselineScheduler(SchedulerBase):
+    """Two independent pools of 32-wide warps, oldest-first."""
+
+    def tick(self, now: int) -> int:
+        issued = 0
+        for pool in self.sm.live_warps_by_parity():
+            best = self._pick_oldest(pool, now)
+            if best is None:
+                continue
+            _, warp, slot, split, entry = best
+            record = self.sm.issue(
+                warp, slot, split, entry, now, ORIGIN_PRIMARY, co_issue=False
+            )
+            if record is not None:
+                issued += 1
+        return issued
+
+
+@SCHEDULERS.register("single_issue")
+class Warp64Scheduler(SchedulerBase):
+    """Single pool, one issue per cycle (thread-frontier reference)."""
+
+    def tick(self, now: int) -> int:
+        best = self._pick_oldest(self.sm.live_warps(), now)
         if best is None:
             return 0
-        record = self.sm.issue(best[1], best[2], best[3], best[4], now, ORIGIN_PRIMARY, co_issue=False)
+        _, warp, slot, split, entry = best
+        record = self.sm.issue(
+            warp, slot, split, entry, now, ORIGIN_PRIMARY, co_issue=False
+        )
         return 1 if record is not None else 0
 
 

@@ -12,7 +12,7 @@ from typing import Optional
 
 from repro.functional.memory import MemoryImage
 from repro.isa.builder import Kernel
-from repro.core.gpu import simulate_device
+from repro.core.gpu import check_engine, simulate_device
 from repro.core.sm import SimulationError, StreamingMultiprocessor
 from repro.timing.config import SMConfig
 from repro.timing.stats import Stats
@@ -24,7 +24,7 @@ def simulate(
     config: Optional[SMConfig] = None,
     observers=None,
     compiled: bool = True,
-    engine: str = "event",
+    engine: str = "reference",
 ) -> Stats:
     """Run ``kernel`` on one SM and return its :class:`Stats`.
 
@@ -34,16 +34,17 @@ def simulate(
     ``observers`` attaches cycle-level listeners
     (:class:`repro.core.policy.Observer`), which never affect timing.
     ``compiled=False`` selects the reference interpreter instead of
-    the compiled instruction plans, and ``engine="reference"`` the
-    cycle-scanning run loop instead of the event heap — same stats,
-    slower; both exist for differential testing.
+    the compiled instruction plans — same stats, slower; it exists for
+    differential testing.  ``engine`` accepts only ``"reference"``
+    (see :func:`repro.core.gpu.check_engine`).
     """
+    check_engine(engine)
     if config is None:
         config = SMConfig()
     sm = StreamingMultiprocessor(
         kernel, memory, config, observers=observers, compiled=compiled
     )
-    return sm.run(engine=engine)
+    return sm.run()
 
 
 __all__ = ["simulate", "simulate_device", "SimulationError"]

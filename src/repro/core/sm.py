@@ -49,11 +49,6 @@ class SimulationError(Exception):
     """Deadlock or cycle-limit overrun."""
 
 
-# Back-compat alias: the overrun/deadlock text now lives in
-# repro.core.report, shared with the device loop.
-_overrun_report = overrun_report
-
-
 @dataclass(slots=True)
 class IssueRecord:
     """What the scheduler learns from a completed issue."""
@@ -97,12 +92,8 @@ class StreamingMultiprocessor:
         "warp_slots",
         "cta_warps",
         "pending_launches",
-        "trace",
         "_wb_heap",
         "_seq",
-        "_wake_heap",
-        "_wake_dirty",
-        "_wake_seq",
         "_live_cache",
         "_parity_cache",
     )
@@ -154,20 +145,8 @@ class StreamingMultiprocessor:
         self.pending_launches: List[Tuple[int, Tuple[int, ...]]] = []
         self._wb_heap: List[Tuple[int, int, TimingWarp, object]] = []
         self._seq = 0
-        # Event engine: lazy-deletion min-heap of per-warp wake events
-        # ``(wake_cycle, seq, warp)``.  An entry is valid while its
-        # cycle equals ``warp.heap_wake``; superseded entries are left
-        # in the heap and dropped when popped.  ``_wake_dirty`` queues
-        # warps whose divergence model changed (on_change hook) for a
-        # heap refresh at the next event query.
-        self._wake_heap: List[Tuple[int, int, TimingWarp]] = []
-        self._wake_dirty: List[TimingWarp] = []
-        self._wake_seq = 0
         self._live_cache: Optional[List[TimingWarp]] = None
         self._parity_cache: Optional[Tuple[List[TimingWarp], List[TimingWarp]]] = None
-        #: Optional issue trace: when a list is attached, every issue
-        #: appends an IssueEvent (used by repro.analysis.pipeline_trace).
-        self.trace: Optional[list] = None
 
         if kernel.cta_size > config.total_threads:
             raise SimulationError(
@@ -191,7 +170,6 @@ class StreamingMultiprocessor:
         shared = SharedMemory(max(self.kernel.shared_bytes, 4))
         warps = []
         width = self.config.warp_width
-        dirty = self._wake_dirty
         fetch = self.fetch
         fetch._sleep_until = 0
         for i, slot in enumerate(slots):
@@ -200,21 +178,16 @@ class StreamingMultiprocessor:
             warp.ibuf = self.fetch.ways_for(slot)
 
             def _changed(
-                w: TimingWarp = warp,
-                dirty: List[TimingWarp] = dirty,
-                fetch: FetchEngine = fetch,
+                w: TimingWarp = warp, fetch: FetchEngine = fetch
             ) -> None:
                 # Divergence-model change: the warp may have become
-                # schedulable/fetchable, and its split wake times may
-                # have moved — clear the stall memos and queue a wake-
-                # heap refresh.
+                # schedulable/fetchable — clear the stall memos.  (Its
+                # wake cache is keyed on ``model.version`` and needs no
+                # push.)
                 w.stall0 = 0
                 w.stall1 = 0
                 w.fetch_stall = 0
                 fetch._sleep_until = 0
-                if not w.wake_dirty:
-                    w.wake_dirty = True
-                    dirty.append(w)
 
             warp.model.on_change = _changed
             self.warp_slots[slot] = warp
@@ -351,10 +324,6 @@ class StreamingMultiprocessor:
             stats.issued_swi_secondary += 1
         else:
             raise ValueError("unknown issue origin %r" % origin)
-        if self.trace is not None:
-            self.trace.append(
-                (now, warp.wid, entry.pc, origin, split.mask, group.name)
-            )
         if self.observers:
             event = IssueEvent(
                 now, self.sm_id, warp.wid, entry.pc, origin,
@@ -531,134 +500,6 @@ class StreamingMultiprocessor:
                     best = c
         return best
 
-    def _first_wake_after(self, warp: TimingWarp, now: int) -> int:
-        """Earliest future split wake of one warp, or -1.
-
-        A single pass over the live splits — no sorted cache: the scan
-        engine's per-warp wake list (``wake_cache``) answers *every*
-        possible ``now`` and so must be rebuilt on any change, but the
-        heap only ever needs the minimum for the current cycle.
-        Equivalent to ``wake_cache[bisect_right(wake_cache, now)]``
-        when the cache is fresh.
-        """
-        best = -1
-        for s in warp.model.all_splits():
-            r = s.redirect_ready_at
-            if r > now and (best < 0 or r < best):
-                best = r
-            r = s.ready_at
-            if r > now and (best < 0 or r < best):
-                best = r
-        return best
-
-    def _flush_wake_dirty(self, now: int) -> None:
-        """Refresh heap entries of warps whose model changed.
-
-        Recomputes each queued warp's first future wake and pushes it
-        as a new heap entry; the previous entry, if any, is superseded
-        in place (``warp.heap_wake`` no longer matches) and dropped
-        lazily.
-        """
-        dirty = self._wake_dirty
-        if not dirty:
-            return
-        heap = self._wake_heap
-        for warp in dirty:
-            warp.wake_dirty = False
-            if warp.done:
-                warp.heap_wake = -1
-                continue
-            c = self._first_wake_after(warp, now)
-            if c >= 0:
-                if c != warp.heap_wake:
-                    warp.heap_wake = c
-                    self._wake_seq += 1
-                    heapq.heappush(heap, (c, self._wake_seq, warp))
-            else:
-                warp.heap_wake = -1
-        del dirty[:]
-
-    def _heap_wake_peek(self, now: int) -> Optional[int]:
-        """Earliest valid future warp wake in the heap (lazy deletion).
-
-        Pops superseded/retired entries; an entry whose cycle has
-        passed advances to the warp's next cached wake.  The surviving
-        minimum equals the scan's ``min`` over per-warp wake caches.
-        """
-        heap = self._wake_heap
-        while heap:
-            c, _, warp = heap[0]
-            if warp.done or c != warp.heap_wake:
-                heapq.heappop(heap)  # stale: superseded or retired
-                continue
-            if c <= now:
-                # Time passed this entry (the wake cycle was stepped
-                # for another reason): advance to the warp's next wake.
-                # The direct walk is exact here: any split change since
-                # the entry was pushed queued the warp dirty, and the
-                # flush preceding this peek already re-registered it.
-                heapq.heappop(heap)
-                nc = self._first_wake_after(warp, now)
-                if nc >= 0:
-                    warp.heap_wake = nc
-                    self._wake_seq += 1
-                    heapq.heappush(heap, (nc, self._wake_seq, warp))
-                else:
-                    warp.heap_wake = -1
-                continue
-            return c
-        return None
-
-    def _heap_next_event(self, now: int) -> Optional[int]:
-        """Heap-fed :meth:`next_event_cycle`: same result, no warp scan.
-
-        The fixed event sources (writebacks, execution groups, fetch
-        decode, CTA relaunches) are O(1) queries; split wake-ups come
-        from the wake heap instead of a scan over every live warp.
-        """
-        best: Optional[int] = None
-        if self._wb_heap:
-            c = self._wb_heap[0][0]
-            if c <= now:  # caller did not drain writebacks first (tests)
-                c = min((w for w, _, _, _ in self._wb_heap if w > now), default=None)
-            if c is not None:
-                best = c
-        nxt = self.backend.next_free_cycle(now)
-        if nxt is not None and (best is None or nxt < best):
-            best = nxt
-        nxt = self.fetch.next_ready_after(now)
-        if nxt is not None and (best is None or nxt < best):
-            best = nxt
-        if self.pending_launches:
-            c = self.pending_launches[0][0]
-            if c <= now:
-                c = min((p for p, _ in self.pending_launches if p > now), default=None)
-            if c is not None and (best is None or c < best):
-                best = c
-        self._flush_wake_dirty(now)
-        nxt = self._heap_wake_peek(now)
-        if nxt is not None and (best is None or nxt < best):
-            best = nxt
-        return best
-
-    def event_heap_snapshot(self) -> List[Tuple[int, int]]:
-        """Valid pending ``(wake_cycle, warp_id)`` events, soonest first
-        (diagnostics: dumped into deadlock reports)."""
-        self._flush_wake_dirty(-1)
-        out = [
-            (c, w.wid)
-            for c, _, w in self._wake_heap
-            if not w.done and c == w.heap_wake
-        ]
-        out.sort()
-        return out
-
-    def _next_event(self, now: int) -> int:
-        nxt = self.next_event_cycle(now)
-        if nxt is None:
-            raise SimulationError(self._deadlock_report(now))
-        return nxt
-
     def _deadlock_report(self, now: int) -> str:
         header = "deadlock at cycle %d in kernel %s (SM %d)" % (
             now,
@@ -682,6 +523,10 @@ class StreamingMultiprocessor:
     def step(self, now: int) -> bool:
         """Simulate one cycle; True when any issue or fetch happened.
 
+        After a ``False`` step nothing can happen here before
+        :meth:`next_event_cycle`, so the driver may jump its clock
+        there (both run loops do).
+
         Drivers stepping the SM directly should enter
         ``np.errstate(all="ignore")`` around their loop (as
         :meth:`run` and :class:`~repro.core.gpu.GPUDevice` do):
@@ -701,22 +546,13 @@ class StreamingMultiprocessor:
             return True
         return fetched > 0
 
-    def run(self, engine: str = "event") -> Stats:
+    def run(self) -> Stats:
         """Simulate to completion.
 
-        ``engine="event"`` (default) feeds idle-span jumps from the
-        SM's wake heap; ``engine="reference"`` re-derives every jump by
-        scanning all event sources (:meth:`next_event_cycle`).  Both
-        engines step exactly the same cycle sequence and produce
-        byte-identical stats — the reference loop exists for
-        differential testing (``tests/test_event_engine.py``).
+        One cycle loop: every cycle takes a :meth:`step`; a step that
+        neither issued nor fetched jumps the clock to
+        :meth:`next_event_cycle`, skipping the idle span.
         """
-        if engine == "event":
-            next_event = self._heap_next_event
-        elif engine == "reference":
-            next_event = self.next_event_cycle
-        else:
-            raise ValueError("unknown engine %r" % (engine,))
         self._initial_launch()
         now = 0
         max_cycles = self.config.max_cycles
@@ -731,7 +567,7 @@ class StreamingMultiprocessor:
                 if progressed:
                     now += 1
                 else:
-                    nxt = next_event(now)
+                    nxt = self.next_event_cycle(now)
                     if nxt is None:
                         raise SimulationError(self._deadlock_report(now))
                     now = nxt

@@ -41,8 +41,6 @@ class TimingWarp:
         "stall0",
         "stall1",
         "fetch_stall",
-        "heap_wake",
-        "wake_dirty",
         "matrix_sb",
     )
 
@@ -106,16 +104,6 @@ class TimingWarp:
         self.stall0 = 0
         self.stall1 = 0
         self.fetch_stall = 0
-        # Event-heap bookkeeping (StreamingMultiprocessor._wake_heap):
-        # the wake cycle of this warp's current valid heap entry (-1 =
-        # none), and whether the warp is queued for a heap refresh.
-        self.heap_wake = -1
-        self.wake_dirty = False
-
-    def retire_check(self) -> bool:
-        if not self.done and self.model.done:
-            self.done = True
-        return self.done
 
     def __repr__(self) -> str:
         return "TimingWarp(wid=%d, cta=%d%s)" % (

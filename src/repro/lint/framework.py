@@ -273,12 +273,6 @@ def call_name(node: ast.Call) -> Optional[str]:
     return dotted_name(node.func)
 
 
-def iter_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
-
-
 def string_value(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value

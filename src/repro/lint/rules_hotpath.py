@@ -1,6 +1,6 @@
 """Hot-path hygiene rules for the engine core.
 
-The event-heap engine issues millions of instructions per run; the
+The cycle-loop engine issues millions of instructions per run; the
 rules here keep its per-cycle objects slotted (no per-instance
 ``__dict__``), its compiled-plan closures allocation-light, and
 slotted classes honest about their attribute sets.

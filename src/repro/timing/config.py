@@ -30,9 +30,6 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # import cycle: policy modules configure from here
     from repro.core.policy.spec import PolicySpec
 
-#: The paper's five modes.  Kept for reference and back-compat; the
-#: authoritative list is ``repro.core.policy.POLICIES.names()``.
-VALID_MODES = ("baseline", "warp64", "sbi", "swi", "sbi_swi")
 VALID_SCOREBOARDS = ("warp", "mask", "matrix")
 VALID_SHUFFLES = ("identity", "mirror_odd", "mirror_half", "xor", "xor_rev")
 
@@ -156,10 +153,6 @@ class SMConfig(_PolicyCacheBase):
     def issue_to_writeback(self) -> int:
         """Base latency from issue to scoreboard release (1 wave)."""
         return self.delivery_latency + self.exec_latency
-
-    @property
-    def uses_two_pools(self) -> bool:
-        return self.policy.two_pools
 
     @property
     def uses_sbi(self) -> bool:

@@ -219,7 +219,3 @@ class DivergenceModel:
             raise AssertionError(
                 "live mask %#x != launch-exited %#x" % (seen, expected)
             )
-
-
-def make_split(pc: int, mask: int, perm: Sequence[int], rpc: Optional[int] = None) -> Split:
-    return Split(pc, mask, perm, rpc)

@@ -67,14 +67,7 @@ class StackModel(DivergenceModel):
                 break
 
     def check_invariants(self) -> None:
-        """Stack masks are nested: each entry within the one below."""
-        for i in range(len(self.stack) - 1):
-            below, above = self.stack[i], self.stack[i + 1]
-            if above.mask & ~below.mask:
-                # Only reconvergence placeholders nest strictly; paths
-                # pushed together are disjoint siblings of the
-                # placeholder below them.
-                pass
+        """The live mask is the launch mask minus exited threads."""
         live = self.live_mask()
         expected = self.launch_mask & ~self.exited_mask
         if live != expected:

@@ -1,5 +1,8 @@
 """The multi-SM device layer: dispatcher, equivalence, determinism."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,23 @@ class TestCTADispatcher:
     def test_empty_grid(self):
         d = CTADispatcher(0)
         assert not d.has_pending() and d.acquire() is None
+
+
+GOLDEN_DEVICE = os.path.join(os.path.dirname(__file__), "data", "golden_device.json")
+
+
+def _golden_device_text():
+    """The bytes of ``tests/data/golden_device.json``: full
+    ``DeviceStats.to_dict()`` of two kernels on a 4-SM SBI+SWI device,
+    behind the shared L2 and on private channels."""
+    cells = {}
+    for workload in ("bfs", "transpose"):
+        for tag, overrides in (("l2", {}), ("no_l2", {"l2_size": 0})):
+            inst = get_workload(workload, "tiny")
+            config = presets.device("sbi_swi", sm_count=4, **overrides)
+            stats = simulate_device(inst.kernel, inst.memory, config)
+            cells["%s/%s" % (workload, tag)] = stats.to_dict()
+    return json.dumps(cells, indent=1, sort_keys=True) + "\n"
 
 
 EQUIVALENCE_WORKLOADS = ("histogram", "bfs", "matrixmul", "transpose")
@@ -156,6 +176,33 @@ class TestMultiSM:
         ds = simulate_device(kernel, mem, self._device(4, l2_size=0))
         assert ds.l2_accesses == 0
         assert ds.dram_bytes > 0
+
+
+class TestGoldenDevice:
+    def test_multi_sm_stats_match_golden_bytes(self):
+        """The tier-1 pin on ``sm_count > 1`` numbers.  The file was
+        written by the last tree that still had the event-heap device
+        loop; a diff means device timing changed, not that the fixture
+        needs regenerating."""
+        with open(GOLDEN_DEVICE) as f:
+            assert _golden_device_text() == f.read()
+
+    def test_unknown_engine_rejected_before_the_device_is_built(self):
+        for engine in ("event", "cycles"):
+            # kernel=None would fail with AttributeError in GPUDevice().
+            with pytest.raises(
+                ValueError, match='unknown engine .*engine="reference"'
+            ):
+                simulate_device(None, None, engine=engine)
+
+    def test_reference_engine_keyword_still_runs(self):
+        """The benchmark probe's call shape."""
+        kernel, mem, _, _ = _saxpy_instance(grid_size=8)
+        ds = simulate_device(kernel, mem, presets.device("baseline", sm_count=4),
+                             engine="reference")
+        plain = simulate_device(*_saxpy_instance(grid_size=8)[:2],
+                                presets.device("baseline", sm_count=4))
+        assert ds.to_dict() == plain.to_dict()
 
 
 class TestDeviceStatsAggregation:

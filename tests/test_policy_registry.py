@@ -310,17 +310,23 @@ class TestObserverEvents:
         assert counter.counts.get("l2_miss", 0) == dstats.l2_misses
 
     def test_issue_trace_observer_matches_legacy_trace(self):
-        from repro.analysis.pipeline_trace import trace_kernel
-        from repro.core.sm import StreamingMultiprocessor
+        """The registered ``issue_trace`` observer is the one issue
+        trace: legacy ``(cycle, wid, pc, origin, mask, group)`` tuples,
+        one per issued instruction, in issue order."""
+        from repro.analysis.pipeline_trace import IssueTrace, trace_kernel
 
+        assert OBSERVERS.get("issue_trace") is IssueTrace
         inst = get_workload("histogram", "tiny")
-        stats, events = trace_kernel(inst.kernel, inst.memory, presets.baseline())
-        inst2 = get_workload("histogram", "tiny")
-        sm = StreamingMultiprocessor(inst2.kernel, inst2.memory, presets.baseline())
-        sm.trace = []
-        sm.run()
-        assert events == sm.trace
+        config = presets.baseline()
+        stats, events = trace_kernel(inst.kernel, inst.memory, config)
         assert len(events) == stats.instructions_issued
+        assert [e[0] for e in events] == sorted(e[0] for e in events)
+        for cycle, wid, pc, origin, mask, group in events:
+            assert 0 <= wid < config.warp_count
+            assert 0 <= pc < len(inst.kernel.program)
+            assert origin == "primary"  # baseline never co-issues
+            assert 0 < mask < 1 << config.warp_width
+            assert isinstance(group, str) and group
 
 
 class TestGoldenEquivalence:

@@ -64,25 +64,17 @@ class TestBaselinePools:
         mem = MemoryImage()
         out = mem.alloc(1024 * 4)
         kernel = _balanced_ifelse().build(cta_size=256, grid_size=4, params=(out,))
-        from repro.core.sm import StreamingMultiprocessor
-
-        sm = StreamingMultiprocessor(kernel, mem, presets.baseline())
-        sm.trace = []
-        sm.run()
-        wids = {e[1] for e in sm.trace}
+        _, events = trace_kernel(kernel, mem, presets.baseline())
+        wids = {e[1] for e in events}
         assert any(w % 2 == 0 for w in wids) and any(w % 2 == 1 for w in wids)
 
     def test_one_issue_per_pool_per_cycle(self):
         mem = MemoryImage()
         out = mem.alloc(1024 * 4)
         kernel = _balanced_ifelse().build(cta_size=256, grid_size=4, params=(out,))
-        from repro.core.sm import StreamingMultiprocessor
-
-        sm = StreamingMultiprocessor(kernel, mem, presets.baseline())
-        sm.trace = []
-        sm.run()
+        _, events = trace_kernel(kernel, mem, presets.baseline())
         per_cycle = {}
-        for cycle, wid, _, _, _, _ in sm.trace:
+        for cycle, wid, _, _, _, _ in events:
             per_cycle.setdefault(cycle, []).append(wid % 2)
         for cycle, pools in per_cycle.items():
             assert len(pools) <= 2
@@ -104,13 +96,9 @@ class TestSBI:
         mem = MemoryImage()
         out = mem.alloc(1024 * 4)
         kernel = _balanced_ifelse().build(cta_size=256, grid_size=4, params=(out,))
-        from repro.core.sm import StreamingMultiprocessor
-
-        sm = StreamingMultiprocessor(kernel, mem, presets.sbi())
-        sm.trace = []
-        sm.run()
+        _, events = trace_kernel(kernel, mem, presets.sbi())
         by_cycle = {}
-        for cycle, wid, pc, origin, mask, group in sm.trace:
+        for cycle, wid, pc, origin, mask, group in events:
             by_cycle.setdefault(cycle, []).append((wid, mask, origin))
         for cycle, issues in by_cycle.items():
             if len(issues) == 2:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import presets
+from repro.core.report import deadlock_report, overrun_report
 from repro.core.sm import SimulationError, StreamingMultiprocessor
 from repro.core.simulator import simulate
 from repro.functional.memory import MemoryImage
@@ -55,6 +56,20 @@ def _divergent_barrier_kernel():
 
 
 ALL_MODES = ("baseline", "warp64", "sbi", "swi", "sbi_swi")
+
+
+def _stranded_barrier_kernel(cta_size=32):
+    """A barrier on one side of an unreconverged divergence (UB)."""
+    kb = KernelBuilder("dead")
+    t, p = kb.regs("t", "p")
+    kb.mov(t, kb.tid)
+    kb.and_(p, t, 1)
+    kb.bra("wait", cond=p)
+    kb.exit_()
+    kb.label("wait")
+    kb.bar()
+    kb.exit_()
+    return kb.build(cta_size=cta_size, grid_size=1, layout="as_is")
 
 
 class TestBarriers:
@@ -145,18 +160,17 @@ class TestTimeoutAndEvents:
     def test_overrun_report_ipc_is_per_cycle(self):
         """The overrun message must divide by *cycles*, report both
         thread-level IPC and issue IPC, and never divide by zero."""
-        from repro.core.sm import _overrun_report
         from repro.timing.stats import Stats
 
         stats = Stats(instructions_issued=50, thread_instructions=1600)
-        msg = _overrun_report("k", 1000, 800, stats)
+        msg = overrun_report("k", 1000, 800, stats)
         assert "kernel k exceeded the 1000-cycle limit at cycle 800" in msg
         assert "50 instructions issued" in msg
         assert "1600 thread instructions" in msg
         assert "IPC %.2f" % (1600 / 800) in msg       # per-cycle, not per-limit
         assert "issue IPC %.3f" % (50 / 800) in msg
         # now=0 (overrun before any progress) must not crash.
-        assert "IPC 0.00" in _overrun_report("k", 0, 0, Stats())
+        assert "IPC 0.00" in overrun_report("k", 0, 0, Stats())
 
     def test_overrun_message_end_to_end(self):
         kb = KernelBuilder("spin2")
@@ -199,16 +213,7 @@ class TestTimeoutAndEvents:
         other path: the simulator must report a deadlock diagnostic
         promptly instead of spinning.  Thread-frontier models run the
         minimum PC (the exiting path) first and complete."""
-        kb = KernelBuilder("dead")
-        t, p = kb.regs("t", "p")
-        kb.mov(t, kb.tid)
-        kb.and_(p, t, 1)
-        kb.bra("wait", cond=p)
-        kb.exit_()
-        kb.label("wait")
-        kb.bar()
-        kb.exit_()
-        kernel = kb.build(cta_size=32, grid_size=1, layout="as_is")
+        kernel = _stranded_barrier_kernel()
         # Frontier reconvergence completes (exit has the lower PC).
         simulate(kernel, MemoryImage(), presets.warp64(max_cycles=100_000))
         # The stack either completes or reports a deadlock — never hangs.
@@ -216,6 +221,92 @@ class TestTimeoutAndEvents:
             simulate(kernel, MemoryImage(), presets.baseline(max_cycles=100_000))
         except SimulationError as err:
             assert "deadlock" in str(err)
+
+    def test_deadlock_report_lists_splits_and_next_wake(self):
+        """One line per live warp: its splits and its next split wake;
+        one line per SM: its next event."""
+        kernel = _stranded_barrier_kernel(cta_size=64)  # two 32-wide warps
+        with pytest.raises(SimulationError) as excinfo:
+            simulate(kernel, MemoryImage(), presets.baseline(max_cycles=100_000))
+        lines = str(excinfo.value).splitlines()
+        assert lines[0].startswith("deadlock at cycle")
+        assert lines[0].endswith("in kernel dead (SM 0)")
+        for wid in (0, 1):
+            (line,) = [l for l in lines if l.startswith("  warp %d (cta 0): " % wid)]
+            # The exiting path and the parked ("P") barrier path.
+            assert "Split(pc=3, mask=0x55555555)" in line
+            assert "Split(pc=4, mask=0xaaaaaaaaP)" in line
+            assert line.endswith("scoreboard=0; next wake none")
+        assert lines[-1] == "  next event (SM 0): none"
+
+        # Mid-run (not wedged) the same report names real cycles: right
+        # after the divergent branch issues, its redirect is pending.
+        sm = StreamingMultiprocessor(kernel, MemoryImage(), presets.baseline())
+        sm._initial_launch()
+        now = 0
+        while not sm.stats.divergent_branches:
+            now = now + 1 if sm.step(now) else sm.next_event_cycle(now)
+        report = deadlock_report("probe", [sm], now)
+        wakes = [
+            int(line.rsplit(" ", 1)[1])
+            for line in report.splitlines()
+            if line.startswith("  warp ") and not line.endswith("none")
+        ]
+        assert wakes and all(w > now for w in wakes)
+        assert report.splitlines()[-1] == "  next event (SM 0): %d" % min(
+            wakes + [sm.next_event_cycle(now)]
+        )
+
+    def test_unknown_engine_rejected(self):
+        """``engine`` survives only as the benchmark probe's call shape:
+        ``"reference"`` runs, anything else is refused by name."""
+        kernel = _stranded_barrier_kernel()
+        for engine in ("event", "cycles"):
+            with pytest.raises(
+                ValueError, match='unknown engine .*engine="reference"'
+            ):
+                simulate(kernel, MemoryImage(), presets.warp64(), engine=engine)
+        stats = simulate(kernel, MemoryImage(), presets.warp64(), engine="reference")
+        assert stats == simulate(kernel, MemoryImage(), presets.warp64())
+
+
+class TestNextEventCycle:
+    @pytest.mark.parametrize("workload,mode", [
+        ("matrixmul", "baseline"),
+        ("mandelbrot", "sbi_swi"),
+        ("bfs", "warp64"),
+    ])
+    def test_idle_jumps_move_forward_and_finish_the_run(self, workload, mode):
+        """Drive the run loop by hand: on every idle cycle
+        ``next_event_cycle`` names a strictly later cycle, and jumping
+        there (never stepping the span in between) completes the run
+        on the cycle ``simulate`` reports."""
+        from repro.workloads import get_workload
+
+        config = presets.by_name(mode)
+        inst = get_workload(workload, "tiny")
+        expected = simulate(inst.kernel, inst.memory, config)
+        inst = get_workload(workload, "tiny")
+        sm = StreamingMultiprocessor(inst.kernel, inst.memory, config)
+        sm._initial_launch()
+        now = jumps = 0
+        with np.errstate(all="ignore"):
+            while now < config.max_cycles:
+                progressed = sm.step(now)
+                if sm.finished:
+                    break
+                if progressed:
+                    now += 1
+                    continue
+                nxt = sm.next_event_cycle(now)
+                assert nxt is not None and nxt > now, (now, nxt)
+                now = nxt
+                jumps += 1
+        assert sm.finished, "run did not complete within max_cycles"
+        assert jumps > 0, "workload never went idle; the skip is untested"
+        assert now + 1 == expected.cycles
+        sm.stats.cycles = now + 1
+        assert sm.stats == expected
 
 
 class TestMemorySystemIntegration:
