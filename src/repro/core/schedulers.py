@@ -25,6 +25,11 @@ Built-ins, registered under the names the
 * ``cascaded_rr`` :class:`LooseRoundRobinScheduler` — the cascaded
   machine with a loose-round-robin primary warp arbiter.
 
+Every policy arbitrates over the SM's **ready set** (see
+:class:`SchedulerBase`): candidates are re-derived only for warps a
+wake site touched, and a pick walks them in age order against one
+unit-availability snapshot.
+
 Custom schedulers subclass any of these (the extension hooks are
 :meth:`CascadedScheduler._secondary_key` and
 :meth:`CascadedScheduler._pick_primary`) and register under a new
@@ -34,9 +39,10 @@ selectable by mode string everywhere.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import List, Optional, Tuple
 
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import Instruction, OpClass
 from repro.core.policy import SCHEDULERS
 from repro.core.policy.events import ORIGIN_PRIMARY, ORIGIN_SBI, ORIGIN_SWI
 from repro.core.sm import IssueRecord, StreamingMultiprocessor
@@ -44,21 +50,75 @@ from repro.core.warp import TimingWarp
 from repro.timing.divergence import Split
 from repro.timing.fetch import IBufEntry
 from repro.timing.masks import popcount
+from repro.timing.units import ExecGroup
 
-#: Candidate tuple: (age key, warp, slot, split, entry).
-Candidate = Tuple[Tuple[int, int], TimingWarp, int, Split, IBufEntry]
+#: Candidate tuple: (age key, warp, slot, split, entry, unit) — ``unit``
+#: indexes :meth:`~repro.timing.units.Backend.free_classes`.  Age keys
+#: ``(fetch_cycle, wid)`` are unique per slot, so sorting candidates
+#: never compares past ``slot``.
+Candidate = Tuple[Tuple[int, int], TimingWarp, int, Split, IBufEntry, int]
 
-#: Stall-memo retry sentinel: blocked until a generation counter moves.
+#: What a cascaded secondary pick hands the issue stage.
+SecondaryPick = Tuple[str, TimingWarp, int, Split, IBufEntry, ExecGroup]
+
+#: Retry sentinel: blocked until a wake site touches the warp.
 _NEVER = 1 << 62
+
+_SFU = OpClass.SFU
+_LSU = OpClass.LSU
+
+
+def _candidate(warp: TimingWarp, slot: int, split: Split, entry: IBufEntry) -> Candidate:
+    op_class = entry.instr.op_class
+    unit = 2 if op_class is _LSU else 1 if op_class is _SFU else 0
+    return ((entry.fetch_cycle, warp.wid), warp, slot, split, entry, unit)
 
 
 class SchedulerBase:
-    """Shared readiness checks and pseudo-random tie-breaking."""
+    """The ready set, its readiness predicate, and the pseudo-random
+    tie-break.
+
+    **What is probed when.**  The scheduler keeps, per warp, the
+    verdict of the readiness predicate (:meth:`_ready_entry`) for its
+    hot slot(s): a :data:`Candidate` in an age-ordered pool
+    (``_pools``; ``TimingWarp.cand0``/``cand1`` point at it) or
+    nothing.  A verdict is re-derived — :meth:`_probe`, from
+    :meth:`_refresh` before each pick — only for warps on ``woken``,
+    which :meth:`TimingWarp.wake`/``wake_issue`` feed from the wake
+    sites: a divergence-model change (its ``on_change`` hook), an issue
+    (buffer consume, scoreboard add), a scoreboard release, an
+    instruction-buffer fill, a CTA launch, a cascaded pick freezing a
+    split, and the timed wakes the predicate itself registers for
+    verdicts that expire with the clock alone (decode delay, branch
+    redirect).  Between wakes a verdict — *yes* as much as *no* —
+    cannot change, so a ready warp that loses arbitration costs
+    nothing next cycle.
+
+    **The settle-wake cap.**  The SBI heap changes state on its read
+    path: a cold context leaving the sideband sorter re-orders the hot
+    pair at ``model._settle_wake`` with no mutation in between.  Every
+    verdict, yes or no, therefore also registers a timed wake at that
+    cycle, so the read-path settle runs on the cycle it first can.
+
+    **Picking.**  A pick walks a pool oldest-first and takes the first
+    candidate whose op class has a free unit in the one
+    :meth:`~repro.timing.units.Backend.free_classes` snapshot taken
+    for that pick; ``pick_group`` then runs once, for the winner, and
+    the group goes to :meth:`StreamingMultiprocessor.issue`.
+    """
+
+    #: Age-ordered candidate pools; a warp belongs to ``wid % pools``.
+    pools = 1
 
     def __init__(self, sm: StreamingMultiprocessor) -> None:
         self.sm = sm
         self.config = sm.config
         self._rand_state = sm.config.seed & 0x7FFFFFFF or 1
+        #: Warps whose verdicts must be re-derived before the next pick.
+        self.woken: List[TimingWarp] = []
+        self._pools: Tuple[List[Candidate], ...] = tuple(
+            [] for _ in range(self.pools)
+        )
 
     def tick(self, now: int) -> int:
         raise NotImplementedError
@@ -72,22 +132,15 @@ class SchedulerBase:
     def _ready_entry(
         self, warp: TimingWarp, slot: int, split: Split, now: int
     ) -> Optional[IBufEntry]:
-        """Decoded, fresh, hazard-free instruction for this slot.
+        """The readiness predicate: the decoded, fresh, hazard-free
+        instruction this slot can issue at ``now``, if any.
 
-        Negative verdicts are memoized as an absolute stall cycle per
-        hot slot (``warp.stall0``/``stall1``): the slot has no ready
-        instruction before that cycle.  Every event that could wake the
-        slot clears the field at its source — divergence-model changes
-        via the model's ``on_change`` hook, scoreboard add/release and
-        buffer fill/consume at their SM/fetch call sites — and purely
-        time-gated stalls (decode delay, branch redirect) record their
-        retry cycle.  Stalls are additionally capped at the model's
-        ``_settle_wake`` so SBI's read-path settling (a sideband
-        promotion re-ordering the hot pair with no mutation in between)
-        is re-observed the cycle it can first happen.
+        The verdict holds until a wake site touches the warp, except
+        that a decode delay or a branch redirect ends with the clock
+        alone and the SBI model can re-order the hot pair at its
+        settle wake: the earliest of those is registered as a timed
+        wake (:meth:`TimingWarp.wake_at`).
         """
-        if now < (warp.stall0 if slot == 0 else warp.stall1):
-            return None
         retry = _NEVER
         entry = None
         if split.parked or split.pending:
@@ -107,40 +160,25 @@ class SchedulerBase:
                     else:
                         retry = e.ready_at
                     break
-        if entry is None:
-            wake = warp.model._settle_wake
-            if retry > wake:
-                retry = wake
-            if slot == 0:
-                warp.stall0 = retry
-            else:
-                warp.stall1 = retry
-            return None
-        # Scoreboard check with the register-mask prefilter inlined:
-        # no in-flight destination overlaps this instruction's
-        # read/write set in the common case.
-        scoreboard = warp.scoreboard
-        instr = entry.instr
-        if scoreboard._dst_mask & instr.hazard_mask:
-            if not scoreboard.can_issue(
-                instr, split.mask, slot if slot < 2 else 2
-            ):
+        if entry is not None:
+            # Scoreboard check with the register-mask prefilter inlined:
+            # no in-flight destination overlaps this instruction's
+            # read/write set in the common case.
+            scoreboard = warp.scoreboard
+            instr = entry.instr
+            if scoreboard._dst_mask & instr.hazard_mask:
+                if not scoreboard.can_issue(
+                    instr, split.mask, slot if slot < 2 else 2
+                ):
+                    entry = None
+            elif instr.dst is not None and len(scoreboard.entries) >= scoreboard.capacity:
                 entry = None
-        elif instr.dst is not None and len(scoreboard.entries) >= scoreboard.capacity:
-            entry = None
-        if entry is None:
-            retry = warp.model._settle_wake
-            if slot == 0:
-                warp.stall0 = retry
-            else:
-                warp.stall1 = retry
+        wake = warp.model._settle_wake
+        if wake < retry:
+            retry = wake
+        if retry < warp.timer:
+            warp.wake_at(retry)
         return entry
-
-    def _group_free(self, instr: Instruction, split: Split, now: int, co_issue: bool) -> bool:
-        return (
-            self.sm.backend.pick_group(instr.op_class, now, split.lane_mask, co_issue)
-            is not None
-        )
 
     def _sync_blocked(self, warp: TimingWarp, split: Split, instr: Instruction, now: int) -> bool:
         """SBI selective synchronization barrier (paper section 3.3).
@@ -148,69 +186,88 @@ class SchedulerBase:
         The *secondary* warp-split is suspended at a reconvergence
         marker while ``PCdiv < CPC1 < PCrec``; once ``CPC1`` leaves the
         divergent region (or reaches the marker and merges), it runs.
+        Callers count ``sync_suspensions``: one per ready secondary
+        found suspended, per look, per cycle.
         """
         if not self.config.sbi_constraints or instr.sync_pcdiv is None:
             return False
         hot = warp.model.hot_splits(now)
         if len(hot) < 2 or hot[1] is not split:
             return False
-        cpc1 = hot[0].pc
-        if instr.sync_pcdiv < cpc1 < split.pc:
-            self.sm.stats.sync_suspensions += 1
-            return True
-        return False
+        return instr.sync_pcdiv < hot[0].pc < split.pc
 
-    def _pick_oldest(self, pool: List[TimingWarp], now: int) -> Optional[Candidate]:
-        """Oldest ready CPC1 instruction over ``pool`` whose execution
-        group is free this cycle."""
-        best: Optional[Candidate] = None
-        best_key = None
-        ready_entry = self._ready_entry
-        pick_group = self.sm.backend.pick_group
-        for warp in pool:
-            # Stall fast path first: a stalled warp skips even the
-            # hot-split probe (safe because stalls are capped at the
-            # model's settle wake — see _ready_entry).  ``done`` guards
-            # a pool list captured before an earlier issue this cycle
-            # retired one of its warps.
-            if warp.done or now < warp.stall0:
-                continue
+    # -- the ready set -----------------------------------------------------
+
+    def _probe(self, warp: TimingWarp, now: int) -> None:
+        """Re-derive and record one woken warp's slot-0 verdict."""
+        cand = None
+        if not warp.done:
             model = warp.model
             hot = model._hot_cache
             if hot is None:
                 hot = model.hot_splits(now)
-            if not hot:
-                continue
-            split = hot[0]
-            entry = ready_entry(warp, 0, split, now)
-            if entry is None:
-                continue
-            key = (entry.fetch_cycle, warp.wid)
-            if best_key is not None and key >= best_key:
-                continue
-            if pick_group(entry.instr.op_class, now, split.lane_mask, False) is None:
-                continue
-            best_key = key
-            best = (key, warp, 0, split, entry)
-        return best
+            if hot:
+                split = hot[0]
+                entry = self._ready_entry(warp, 0, split, now)
+                if entry is not None:
+                    cand = warp.cand0
+                    if cand is None or cand[4] is not entry or cand[3] is not split:
+                        cand = _candidate(warp, 0, split, entry)
+            else:
+                # Nothing hot yet: a cold context may be promoted.
+                warp.wake_at(model._settle_wake)
+        old = warp.cand0
+        if cand is not old:
+            pool = self._pools[warp.wid % self.pools]
+            if old is not None:
+                pool.remove(old)
+            if cand is not None:
+                insort(pool, cand)
+            warp.cand0 = cand
+        warp.issue_woken = False
+
+    def _refresh(self, now: int) -> None:
+        """Bring the ready set up to date: one readiness pass over the
+        warps woken since the last one."""
+        woken = self.woken
+        probe = self._probe
+        for warp in woken:
+            probe(warp, now)
+        woken.clear()
+
+    def _pick_oldest(self, pool: List[Candidate], now: int) -> Optional[Candidate]:
+        """Oldest ready instruction in ``pool`` whose execution unit
+        is free this cycle."""
+        if self.woken:
+            self._refresh(now)
+        if pool:
+            free = self.sm.backend.free_classes(now)
+            for cand in pool:
+                if free[cand[5]]:
+                    return cand
+        return None
 
 
 @SCHEDULERS.register("two_pool")
 class BaselineScheduler(SchedulerBase):
-    """Two independent pools of 32-wide warps, oldest-first."""
+    """Two independent pools of 32-wide warps (even/odd ids),
+    oldest-first."""
+
+    pools = 2
 
     def tick(self, now: int) -> int:
         issued = 0
-        for pool in self.sm.live_warps_by_parity():
+        sm = self.sm
+        for pool in self._pools:
             best = self._pick_oldest(pool, now)
             if best is None:
                 continue
-            _, warp, slot, split, entry = best
-            record = self.sm.issue(
-                warp, slot, split, entry, now, ORIGIN_PRIMARY, co_issue=False
+            _, warp, slot, split, entry, _ = best
+            group = sm.backend.pick_group(
+                entry.instr.op_class, now, split.lane_mask, False
             )
-            if record is not None:
-                issued += 1
+            sm.issue(warp, slot, split, entry, now, ORIGIN_PRIMARY, group)
+            issued += 1
         return issued
 
 
@@ -219,73 +276,103 @@ class Warp64Scheduler(SchedulerBase):
     """Single pool, one issue per cycle (thread-frontier reference)."""
 
     def tick(self, now: int) -> int:
-        best = self._pick_oldest(self.sm.live_warps(), now)
+        best = self._pick_oldest(self._pools[0], now)
         if best is None:
             return 0
-        _, warp, slot, split, entry = best
-        record = self.sm.issue(
-            warp, slot, split, entry, now, ORIGIN_PRIMARY, co_issue=False
+        _, warp, slot, split, entry, _ = best
+        sm = self.sm
+        group = sm.backend.pick_group(
+            entry.instr.op_class, now, split.lane_mask, False
         )
-        return 1 if record is not None else 0
+        sm.issue(warp, slot, split, entry, now, ORIGIN_PRIMARY, group)
+        return 1
 
 
 @SCHEDULERS.register("sbi_dual")
 class SBIScheduler(SchedulerBase):
-    """Dual front-end on one warp: co-issue CPC1 and CPC2 splits."""
+    """Dual front-end on one warp: co-issue CPC1 and CPC2 splits.
+
+    The pool holds both hot slots' candidates; a ready CPC2 held by
+    the selective synchronization barrier stays out of it and is
+    counted in ``_suspended`` instead.
+    """
+
+    def __init__(self, sm: StreamingMultiprocessor) -> None:
+        super().__init__(sm)
+        self._suspended = 0
+
+    def _probe(self, warp: TimingWarp, now: int) -> None:
+        """Re-derive and record both hot slots' verdicts."""
+        pool = self._pools[0]
+        if warp.cand0 is not None:
+            pool.remove(warp.cand0)
+        if warp.suspended:
+            self._suspended -= 1
+        elif warp.cand1 is not None:
+            pool.remove(warp.cand1)
+        cand0 = cand1 = None
+        suspended = False
+        if not warp.done:
+            model = warp.model
+            hot = model.hot_splits(now)
+            if hot:
+                split = hot[0]
+                entry = self._ready_entry(warp, 0, split, now)
+                if entry is not None:
+                    cand0 = _candidate(warp, 0, split, entry)
+                    insort(pool, cand0)
+                if len(hot) > 1:
+                    split = hot[1]
+                    entry = self._ready_entry(warp, 1, split, now)
+                    if entry is not None:
+                        cand1 = _candidate(warp, 1, split, entry)
+                        suspended = self._sync_blocked(warp, split, entry.instr, now)
+                        if suspended:
+                            self._suspended += 1
+                        else:
+                            insort(pool, cand1)
+            else:
+                # Nothing hot yet: a cold context may be promoted.
+                warp.wake_at(model._settle_wake)
+        warp.cand0 = cand0
+        warp.cand1 = cand1
+        warp.suspended = suspended
+        warp.issue_woken = False
 
     def tick(self, now: int) -> int:
         # Select the warp owning the oldest ready instruction in either slot.
-        best: Optional[Candidate] = None
-        ready_entry = self._ready_entry
-        for warp in self.sm.live_warps():
-            if now < warp.stall0 and now < warp.stall1:
-                continue
-            hot = warp.model.hot_splits(now)
-            if len(hot) < 2 and now >= warp.stall1:
-                # No secondary context: stall slot 1 so single-split
-                # warps take the two-compare fast path above.  A second
-                # hot split can only appear through a model change (the
-                # on_change hook clears this) or a sideband promotion
-                # (capped by the settle wake).
-                warp.stall1 = warp.model._settle_wake
-            for slot, split in enumerate(hot[:2]):
-                entry = ready_entry(warp, slot, split, now)
-                if entry is None:
-                    continue
-                if slot == 1 and self._sync_blocked(warp, split, entry.instr, now):
-                    continue
-                if not self._group_free(entry.instr, split, now, co_issue=slot == 1):
-                    continue
-                key = (entry.fetch_cycle, warp.wid)
-                if best is None or key < best[0]:
-                    best = (key, warp, slot, split, entry)
+        sm = self.sm
+        best = self._pick_oldest(self._pools[0], now)
+        stats = sm.stats
+        stats.sync_suspensions += self._suspended
         if best is None:
             return 0
         warp = best[1]
+        pick_group = sm.backend.pick_group
         issued = 0
-        primary: Optional[IssueRecord] = None
-        hot = warp.model.hot_splits(now)
-        if hot:
-            split = hot[0]
-            entry = self._ready_entry(warp, 0, split, now)
-            if entry is not None:
-                primary = self.sm.issue(warp, 0, split, entry, now, ORIGIN_PRIMARY, co_issue=False)
-                if primary is not None:
-                    issued += 1
+        diverged = False
+        # Primary front-end: nothing moved since the readiness pass.
+        cand = warp.cand0
+        if cand is not None:
+            split, entry = cand[3], cand[4]
+            group = pick_group(entry.instr.op_class, now, split.lane_mask, False)
+            if group is not None:
+                diverged = sm.issue(warp, 0, split, entry, now, ORIGIN_PRIMARY, group)
+                issued = 1
         # Secondary front-end: re-read the heap (the primary may have
         # diverged or merged) and issue CPC2 when legal.
         hot = warp.model.hot_splits(now)
         if len(hot) > 1:
             split = hot[1]
             entry = self._ready_entry(warp, 1, split, now)
-            if entry is not None and not self._sync_blocked(warp, split, entry.instr, now):
-                one_divergence_ok = not (
-                    entry.instr.is_branch and primary is not None and primary.diverged
-                )
-                if one_divergence_ok:
-                    origin = ORIGIN_SBI
-                    record = self.sm.issue(warp, 1, split, entry, now, origin, co_issue=True)
-                    if record is not None:
+            if entry is not None:
+                instr = entry.instr
+                if self._sync_blocked(warp, split, instr, now):
+                    stats.sync_suspensions += 1
+                elif not (instr.is_branch and diverged):  # one divergence per cycle
+                    group = pick_group(instr.op_class, now, split.lane_mask, True)
+                    if group is not None:
+                        sm.issue(warp, 1, split, entry, now, ORIGIN_SBI, group)
                         issued += 1
         return issued
 
@@ -297,49 +384,26 @@ class CascadedScheduler(SchedulerBase):
     Subclass hooks: :meth:`_pick_primary` chooses the warp whose CPC1
     issues next cycle (oldest-first here), :meth:`_secondary_key`
     ranks same-cycle lane-filling candidates (best-fit with a
-    pseudo-random tie-break here, maximising is better).
+    pseudo-random tie-break here, maximising is better).  Both pickers
+    read the one readiness pass :meth:`tick` runs after its issue
+    stage (``self._pools[0]``, oldest first).
     """
 
     def __init__(self, sm: StreamingMultiprocessor) -> None:
         super().__init__(sm)
         self.pending: Optional[Tuple[TimingWarp, Split, IBufEntry]] = None
+        self._uses_sbi = sm.config.uses_sbi
 
     # -- picks -----------------------------------------------------------
 
-    def _primary_ready(self, warp: TimingWarp, now: int) -> Optional[Candidate]:
-        """This warp's CPC1 as a primary candidate, if eligible."""
-        if now < warp.stall0:
-            return None
-        model = warp.model
-        hot = model._hot_cache
-        if hot is None:
-            hot = model.hot_splits(now)
-        if not hot:
-            return None
-        split = hot[0]
-        entry = self._ready_entry(warp, 0, split, now)
-        if entry is None:
-            return None
-        # The group must plausibly be free at the issue stage.
-        group = self.sm.backend.pick_group(
-            entry.instr.op_class, now, split.lane_mask, co_issue=False
-        )
-        if group is None and not any(
-            g.free_at <= now + 1
-            for g in self.sm.backend.candidates(entry.instr.op_class)
-        ):
-            return None
-        return ((entry.fetch_cycle, warp.wid), warp, 0, split, entry)
-
     def _pick_primary(self, now: int) -> Optional[Candidate]:
-        """Oldest ready CPC1 instruction (issues next cycle)."""
-        best: Optional[Candidate] = None
-        primary_ready = self._primary_ready
-        for warp in self.sm.live_warps():
-            cand = primary_ready(warp, now)
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = cand
-        return best
+        """Oldest ready CPC1 instruction (issues next cycle) whose
+        unit is plausibly free at the issue stage."""
+        free = self.sm.backend.free_classes(now + 1)
+        for cand in self._pools[0]:
+            if free[cand[5]]:
+                return cand
+        return None
 
     def _secondary_key(
         self, warp: TimingWarp, split: Split, entry: IBufEntry
@@ -348,73 +412,82 @@ class CascadedScheduler(SchedulerBase):
         fit, pseudo-random among equals (paper section 4)."""
         return (popcount(split.mask), -self._rand())
 
-    def _candidate_warps(self, primary: Optional[IssueRecord]) -> List[TimingWarp]:
-        """Set-associative lookup window (paper section 4).
-
-        A ``ways``-entry window of warp ids following the primary's,
-        standing in for the banked instruction-buffer sets indexed by
-        the primary warp id's low-order bits.  ``None`` = fully
-        associative (search everything).
-        """
-        live = self.sm.live_warps()
-        if primary is None or self.config.swi_ways is None:
-            return live
-        ways = self.config.swi_ways
-        count = self.config.warp_count
-        window = {(primary.warp.wid + 1 + i) % count for i in range(ways)}
-        return [w for w in live if w.wid in window]
-
     def _pick_secondary(
         self, now: int, primary: Optional[IssueRecord]
-    ) -> Optional[Tuple[str, TimingWarp, int, Split, IBufEntry]]:
+    ) -> Optional[SecondaryPick]:
+        pick_group = self.sm.backend.pick_group
+        stats = self.sm.stats
         # SBI+SWI: prefer the same warp's CPC2 split.
-        if primary is not None and self.config.uses_sbi:
+        if primary is not None and self._uses_sbi:
             warp = primary.warp
             hot = warp.model.hot_splits(now)
             if len(hot) > 1:
                 split = hot[1]
                 entry = self._ready_entry(warp, 1, split, now)
-                if (
-                    entry is not None
-                    and not self._sync_blocked(warp, split, entry.instr, now)
-                    and not (entry.instr.is_branch and primary.diverged)
-                    and self._group_free(entry.instr, split, now, co_issue=True)
-                ):
-                    return (ORIGIN_SBI, warp, 1, split, entry)
+                if entry is not None:
+                    instr = entry.instr
+                    if self._sync_blocked(warp, split, instr, now):
+                        stats.sync_suspensions += 1
+                    elif not (instr.is_branch and primary.diverged):
+                        group = pick_group(instr.op_class, now, split.lane_mask, True)
+                        if group is not None:
+                            return (ORIGIN_SBI, warp, 1, split, entry, group)
         # SWI: best-fit search over the candidate window.
+        co_issue = primary is not None
+        skip = taken = window = None
         if primary is not None:
-            self.sm.stats.swi_lookups += 1
+            stats.swi_lookups += 1
+            skip = primary.warp
+            taken = primary.lane_mask
+            ways = self.config.swi_ways
+            if ways is not None:
+                # Set-associative lookup (paper section 4): a
+                # ``ways``-entry window of warp ids following the
+                # primary's, standing in for the banked
+                # instruction-buffer sets indexed by the primary warp
+                # id's low-order bits.  None = fully associative.
+                count = self.config.warp_count
+                window = {(skip.wid + 1 + i) % count for i in range(ways)}
+        free = self.sm.backend.free_classes(now)
+        eligible = []
+        for cand in self._pools[0]:
+            warp = cand[1]
+            if warp is skip or (window is not None and warp.wid not in window):
+                continue
+            if not free[cand[5]]:
+                # No unit to itself: it can only share the group the
+                # primary took this cycle, on disjoint lanes.
+                if taken is None:
+                    continue
+                lanes = cand[3].lane_mask
+                if lanes & taken or pick_group(
+                    cand[4].instr.op_class, now, lanes, True
+                ) is None:
+                    continue
+            eligible.append((warp.wid, cand))
+        # Ranked in warp-id order, the order the tie-break's
+        # pseudo-random draws are consumed in.
+        eligible.sort()
         best = None
         best_key = None
-        ready_entry = self._ready_entry
-        for warp in self._candidate_warps(primary):
-            if primary is not None and warp is primary.warp:
-                continue
-            if now < warp.stall0:
-                continue
-            model = warp.model
-            hot = model._hot_cache
-            if hot is None:
-                hot = model.hot_splits(now)
-            if not hot:
-                continue
-            split = hot[0]
-            entry = ready_entry(warp, 0, split, now)
-            if entry is None:
-                continue
-            if not self._group_free(entry.instr, split, now, co_issue=primary is not None):
-                continue
-            key = self._secondary_key(warp, split, entry)
+        for _, cand in eligible:
+            key = self._secondary_key(cand[1], cand[3], cand[4])
             if best_key is None or key > best_key:
                 best_key = key
-                best = (ORIGIN_SWI if primary is not None else ORIGIN_PRIMARY, warp, 0, split, entry)
-        return best
+                best = cand
+        if best is None:
+            return None
+        split, entry = best[3], best[4]
+        group = pick_group(entry.instr.op_class, now, split.lane_mask, co_issue)
+        origin = ORIGIN_SWI if co_issue else ORIGIN_PRIMARY
+        return (origin, best[1], 0, split, entry, group)
 
     # -- tick --------------------------------------------------------------
 
     def tick(self, now: int) -> int:
         issued = 0
-        primary_rec: Optional[IssueRecord] = None
+        primary: Optional[IssueRecord] = None
+        sm = self.sm
 
         # Issue stage: the primary picked last cycle issues now.
         if self.pending is not None:
@@ -431,42 +504,44 @@ class CascadedScheduler(SchedulerBase):
             ):
                 return 0  # hazard materialised; hold in the issue stage
             else:
-                record = self.sm.issue(warp, 0, split, entry, now, ORIGIN_PRIMARY, co_issue=False)
-                if record is None:
+                lanes = split.lane_mask
+                group = sm.backend.pick_group(entry.instr.op_class, now, lanes, False)
+                if group is None:
                     return 0  # structural stall: group still busy
+                diverged = sm.issue(warp, 0, split, entry, now, ORIGIN_PRIMARY, group)
                 self.pending = None
-                primary_rec = record
+                primary = IssueRecord(warp, lanes, diverged)
                 issued += 1
 
         # Primary pick for the next cycle and secondary pick for this one
         # happen in decoupled schedulers "in parallel" — both observe the
-        # same post-primary-issue state and may select the same
-        # instruction; the conflict is detected a posteriori and the
-        # primary's copy is discarded (paper section 4).
+        # same post-primary-issue state (one readiness pass) and may
+        # select the same instruction; the conflict is detected a
+        # posteriori and the primary's copy is discarded (paper section 4).
+        if self.woken:
+            self._refresh(now)
         nxt = self._pick_primary(now)
-        secondary = self._pick_secondary(now, primary_rec)
+        secondary = self._pick_secondary(now, primary)
         if secondary is not None and nxt is not None and secondary[4] is nxt[4]:
-            self.sm.stats.scheduler_conflicts += 1
+            sm.stats.scheduler_conflicts += 1
             nxt = None
         if nxt is not None:
             # Freeze the picked split before the secondary issues: a merge
             # triggered by that issue must not absorb or grow it while its
-            # instruction sits in the scheduler pipeline stage.
+            # instruction sits in the scheduler pipeline stage.  Frozen,
+            # it is no candidate either: its verdict must be re-derived.
             nxt[3].pending = True
+            nxt[1].wake_issue()
 
         if secondary is not None:
-            origin, warp, slot, split, entry = secondary
-            record = self.sm.issue(
-                warp, slot, split, entry, now, origin, co_issue=primary_rec is not None
-            )
-            if record is not None:
-                issued += 1
-                if origin == ORIGIN_SWI:
-                    self.sm.stats.swi_hits += 1
+            origin, warp, slot, split, entry, group = secondary
+            sm.issue(warp, slot, split, entry, now, origin, group)
+            issued += 1
+            if origin == ORIGIN_SWI:
+                sm.stats.swi_hits += 1
 
         if nxt is not None:
-            _, warp, _, split, entry = nxt
-            self.pending = (warp, split, entry)
+            self.pending = (nxt[1], nxt[3], nxt[4])
         return issued
 
 
@@ -500,16 +575,19 @@ class LooseRoundRobinScheduler(CascadedScheduler):
 
     def _pick_primary(self, now: int) -> Optional[Candidate]:
         count = self.config.warp_count
-        order = sorted(
-            self.sm.live_warps(),
-            key=lambda w: (w.wid - self._last_wid - 1) % count,
-        )
-        for warp in order:
-            cand = self._primary_ready(warp, now)
-            if cand is not None:
-                self._last_wid = warp.wid
-                return cand
-        return None
+        first = self._last_wid + 1
+        free = self.sm.backend.free_classes(now + 1)
+        best = None
+        best_turn = count
+        for cand in self._pools[0]:
+            if free[cand[5]]:
+                turn = (cand[1].wid - first) % count
+                if turn < best_turn:
+                    best_turn = turn
+                    best = cand
+        if best is not None:
+            self._last_wid = best[1].wid
+        return best
 
 
 SCHEDULERS.register("cascaded_greedy", GreedyCascadedScheduler)

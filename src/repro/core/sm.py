@@ -23,7 +23,7 @@ import numpy as np
 from repro.functional.executor import Executor
 from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import Kernel
-from repro.isa.instructions import Instruction, Op, OpClass
+from repro.isa.instructions import Op
 from repro.core.policy import IssueEvent, MemEvent, RetireEvent, SplitEvent
 from repro.core.policy.events import (
     LEVEL_L1,
@@ -51,15 +51,12 @@ class SimulationError(Exception):
 
 @dataclass(slots=True)
 class IssueRecord:
-    """What the scheduler learns from a completed issue."""
+    """What a multi-issue scheduler keeps of the instruction it issued
+    first this cycle, for the pick that shares the cycle with it."""
 
     warp: TimingWarp
-    split: Split
-    instr: Instruction
     lane_mask: int
-    group: ExecGroup
     diverged: bool
-    active: int
 
 
 class StreamingMultiprocessor:
@@ -94,8 +91,12 @@ class StreamingMultiprocessor:
         "pending_launches",
         "_wb_heap",
         "_seq",
+        "_timers",
         "_live_cache",
-        "_parity_cache",
+        "_class_names",
+        "_issue_to_wb",
+        "_delivery_latency",
+        "_branch_latency",
     )
 
     def __init__(
@@ -145,8 +146,16 @@ class StreamingMultiprocessor:
         self.pending_launches: List[Tuple[int, Tuple[int, ...]]] = []
         self._wb_heap: List[Tuple[int, int, TimingWarp, object]] = []
         self._seq = 0
+        #: Timed wakes registered by :meth:`TimingWarp.wake_at`.
+        self._timers: List[Tuple[int, int, int, TimingWarp]] = []
         self._live_cache: Optional[List[TimingWarp]] = None
-        self._parity_cache: Optional[Tuple[List[TimingWarp], List[TimingWarp]]] = None
+        # Resolved once per launch rather than once per issue: the
+        # per-op-class stats key of every PC, and the latencies that
+        # SMConfig derives through properties.
+        self._class_names = [instr.op_class.value for instr in kernel.program]
+        self._issue_to_wb = config.issue_to_writeback
+        self._delivery_latency = config.delivery_latency
+        self._branch_latency = config.branch_latency
 
         if kernel.cta_size > config.total_threads:
             raise SimulationError(
@@ -170,32 +179,20 @@ class StreamingMultiprocessor:
         shared = SharedMemory(max(self.kernel.shared_bytes, 4))
         warps = []
         width = self.config.warp_width
-        fetch = self.fetch
-        fetch._sleep_until = 0
         for i, slot in enumerate(slots):
             tids = np.arange(i * width, (i + 1) * width, dtype=np.int64)
             warp = TimingWarp(slot, cta, self.config, self.kernel, tids, shared)
-            warp.ibuf = self.fetch.ways_for(slot)
-
-            def _changed(
-                w: TimingWarp = warp, fetch: FetchEngine = fetch
-            ) -> None:
-                # Divergence-model change: the warp may have become
-                # schedulable/fetchable — clear the stall memos.  (Its
-                # wake cache is keyed on ``model.version`` and needs no
-                # push.)
-                w.stall0 = 0
-                w.stall1 = 0
-                w.fetch_stall = 0
-                fetch._sleep_until = 0
-
-            warp.model.on_change = _changed
+            warp.attach(
+                self.fetch.ways_for(slot),
+                self.scheduler.woken,
+                self.fetch.woken,
+                self._timers,
+            )
             self.warp_slots[slot] = warp
             warps.append(warp)
         self.cta_warps[cta] = warps
         self.stats.ctas_launched += 1
         self._live_cache = None
-        self._parity_cache = None
 
     def try_launch_cta(self, now: int) -> bool:
         """Accept one CTA from the dispatcher if a slot set is free."""
@@ -244,7 +241,6 @@ class StreamingMultiprocessor:
                     (now + self.config.cta_launch_latency, slots),
                 )
         self._live_cache = None
-        self._parity_cache = None
 
     def live_warps(self) -> List[TimingWarp]:
         if self._live_cache is None:
@@ -252,16 +248,6 @@ class StreamingMultiprocessor:
                 w for w in self.warp_slots if w is not None and not w.done
             ]
         return self._live_cache
-
-    def live_warps_by_parity(self) -> Tuple[List[TimingWarp], List[TimingWarp]]:
-        """Live warps split into (even, odd) warp-id pools (two_pool)."""
-        if self._parity_cache is None:
-            live = self.live_warps()
-            self._parity_cache = (
-                [w for w in live if w.wid % 2 == 0],
-                [w for w in live if w.wid % 2 == 1],
-            )
-        return self._parity_cache
 
     # ------------------------------------------------------------------
     # Issue
@@ -275,20 +261,16 @@ class StreamingMultiprocessor:
         entry: IBufEntry,
         now: int,
         origin: str,
-        co_issue: bool,
-    ) -> Optional[IssueRecord]:
-        """Execute + retire bookkeeping for one instruction.
+        group: ExecGroup,
+    ) -> bool:
+        """Execute + retire bookkeeping for one instruction on the
+        execution group the scheduler picked for it
+        (:meth:`~repro.timing.units.Backend.pick_group`, this cycle).
 
-        Returns None when no execution group can accept the instruction
-        this cycle (the caller treats it as a lost arbitration).
+        Returns whether the instruction was a branch that diverged.
         """
         instr = entry.instr
-        config = self.config
-        op_class = instr.op_class
         lane_mask = split.lane_mask
-        group = self.backend.pick_group(op_class, now, lane_mask, co_issue)
-        if group is None:
-            return None
         # Freeze the split while its instruction is in flight through the
         # issue path: structural queries below may pop CCT entries, and a
         # merge changing this mask mid-issue would corrupt both the lane
@@ -314,7 +296,7 @@ class StreamingMultiprocessor:
         stats.instructions_issued += 1
         stats.thread_instructions += active_bits
         per_op = stats.per_op_class
-        oc = op_class.value
+        oc = self._class_names[entry.pc]
         per_op[oc] = per_op.get(oc, 0) + active_bits
         if origin == ORIGIN_PRIMARY:
             stats.issued_primary += 1
@@ -324,30 +306,31 @@ class StreamingMultiprocessor:
             stats.issued_swi_secondary += 1
         else:
             raise ValueError("unknown issue origin %r" % origin)
-        if self.observers:
+        observers = self.observers
+        if observers:
             event = IssueEvent(
                 now, self.sm_id, warp.wid, entry.pc, origin,
                 split.mask, group.name, active_bits,
             )
-            for observer in self.observers:
+            for observer in observers:
                 observer.on_issue(event)
 
         # Timing: occupancy and writeback.
-        if op_class is OpClass.LSU:
+        if instr.is_memory:
             misses_before = stats.l1_misses
             occupancy, wb = self.lsu_logic.access(instr, outcome, now)
-            if self.observers and stats.l1_misses > misses_before:
+            if observers and stats.l1_misses > misses_before:
                 event = MemEvent(
                     now, self.sm_id, LEVEL_L1, stats.l1_misses - misses_before
                 )
-                for observer in self.observers:
+                for observer in observers:
                     observer.on_l1_miss(event)
             group.accept(now, lane_mask)
             group.hold(now + occupancy)
-            wb += config.delivery_latency
+            wb += self._delivery_latency
         else:
             waves = group.accept(now, lane_mask)
-            wb = now + config.issue_to_writeback + (waves - 1)
+            wb = now + self._issue_to_wb + (waves - 1)
         if instr.dst is not None:
             sb_entry = scoreboard.add(instr, split.mask, slot_ctx)
             heapq.heappush(self._wb_heap, (wb, self._seq, warp, sb_entry))
@@ -355,11 +338,8 @@ class StreamingMultiprocessor:
 
         self.fetch.consume(warp.wid, entry)
         # A freed buffer way may be refilled, and the scoreboard add
-        # above may block the other slot: wake the warp's memos.
-        warp.fetch_stall = 0
-        self.fetch._sleep_until = 0
-        warp.stall0 = 0
-        warp.stall1 = 0
+        # above may block the other slot.
+        warp.wake()
         warp.last_issue_cycle = now
         split.pending = False
 
@@ -369,15 +349,15 @@ class StreamingMultiprocessor:
         if op is Op.BRA:
             stats.branches += 1
             taken = bools_to_mask(np.asarray(outcome.taken) & outcome.active)
-            split.redirect_ready_at = now + config.branch_latency
+            split.redirect_ready_at = now + self._branch_latency
             diverged = model.branch(split, taken, instr.target, instr.reconv_pc, now)
             if diverged:
                 stats.divergent_branches += 1
                 n_splits = sum(1 for _ in model.all_splits())
                 stats.max_live_splits = max(stats.max_live_splits, n_splits)
-                if self.observers:
+                if observers:
                     event = SplitEvent(now, self.sm_id, warp.wid, entry.pc, n_splits)
-                    for observer in self.observers:
+                    for observer in observers:
                         observer.on_split(event)
         elif op is Op.EXIT:
             model.exit_threads(split, active_mask, now)
@@ -396,9 +376,7 @@ class StreamingMultiprocessor:
             new_masks = model.slot_masks(now)
             if new_masks != old_masks:
                 scoreboard.on_transition(build_transition(old_masks, new_masks))
-        return IssueRecord(
-            warp, split, instr, lane_mask, group, diverged, active_bits
-        )
+        return diverged
 
     # ------------------------------------------------------------------
     # Barriers
@@ -446,8 +424,7 @@ class StreamingMultiprocessor:
             _, _, warp, sb_entry = heapq.heappop(heap)
             warp.scoreboard.release(sb_entry)
             # A released destination can unblock either hot slot.
-            warp.stall0 = 0
-            warp.stall1 = 0
+            warp.wake_issue()
 
     def next_event_cycle(self, now: int) -> Optional[int]:
         """Earliest future cycle at which anything can happen here.
@@ -539,6 +516,9 @@ class StreamingMultiprocessor:
         heap = self._wb_heap
         if heap and heap[0][0] <= now:
             self._process_writebacks(now)
+        timers = self._timers
+        while timers and timers[0][0] <= now:
+            heapq.heappop(timers)[3].timer_due()
         issued = self.scheduler.tick(now)
         fetched = self.fetch.tick(now, self.live_warps())
         if issued:
@@ -561,7 +541,9 @@ class StreamingMultiprocessor:
         with np.errstate(all="ignore"):
             while now < max_cycles:
                 progressed = self.step(now)
-                if self.finished:
+                # ``finished`` needs an empty live list, and a retire
+                # drops the cached one: skip the property otherwise.
+                if not self._live_cache and self.finished:
                     self.stats.cycles = now + 1
                     return self.stats
                 if progressed:

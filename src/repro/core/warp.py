@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from heapq import heappush
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -10,7 +11,7 @@ from repro.functional.executor import FunctionalWarp
 from repro.functional.memory import SharedMemory
 from repro.core.policy import DIVERGENCE
 from repro.timing import lanes
-from repro.timing.divergence import DivergenceModel
+from repro.timing.divergence import _NEVER, DivergenceModel
 from repro.timing.masks import bools_to_mask
 from repro.timing.scoreboard import ScoreboardBase, make_scoreboard
 
@@ -38,9 +39,15 @@ class TimingWarp:
         "wake_cache",
         "wake_version",
         "ibuf",
-        "stall0",
-        "stall1",
-        "fetch_stall",
+        "issue_woken",
+        "fetch_woken",
+        "timer",
+        "cand0",
+        "cand1",
+        "suspended",
+        "_issue_wakes",
+        "_fetch_wakes",
+        "_timers",
         "matrix_sb",
     )
 
@@ -90,20 +97,87 @@ class TimingWarp:
         self.wake_cache: Sequence[int] = ()
         self.wake_version = -1
         # The warp's instruction-buffer ways, shared with (and owned
-        # by) the SM's FetchEngine; bound at CTA launch so schedulers
-        # probe the buffer without a dict lookup per readiness check.
+        # by) the SM's FetchEngine; bound by :meth:`attach`.
         self.ibuf: Sequence = ()
-        # Absolute stall cycles: hot slot N has no ready instruction
-        # (stall0/stall1), or fetch has nothing to do (fetch_stall),
-        # before the stored cycle.  Every event that could wake the
-        # warp clears them — divergence-model changes through the
-        # model's on_change hook (bound by the SM at launch), and
-        # scoreboard add/release plus instruction-buffer fill/consume
-        # at their call sites.  Time-gated stalls (decode, branch
-        # redirect, the SBI settle wake) store their retry cycle.
-        self.stall0 = 0
-        self.stall1 = 0
-        self.fetch_stall = 0
+        # Wake state.  The scheduler and the fetch engine each keep a
+        # verdict per warp (its ready-set candidates; whether fetch has
+        # anything to do) and re-derive it only for warps on their
+        # woken list.  Every event that could change a verdict goes
+        # through :meth:`wake` / :meth:`wake_issue`, and verdicts that
+        # expire with time alone (decode, branch redirect, the SBI
+        # settle wake) through :meth:`wake_at`; nothing else may write
+        # these fields (reprolint ``wake-site-discipline``).
+        self.issue_woken = False
+        self.fetch_woken = False
+        #: Earliest outstanding timed wake (``_NEVER`` = none).
+        self.timer = _NEVER
+        #: The warp's ready-set candidates, hot slot 0 / 1 (slot 1 is
+        #: only tracked by the SBI dual front-end); ``suspended`` marks
+        #: a ready slot-1 instruction held by SBI's selective
+        #: synchronization barrier.
+        self.cand0: Optional[Tuple] = None
+        self.cand1: Optional[Tuple] = None
+        self.suspended = False
+        self._issue_wakes: List["TimingWarp"] = []
+        self._fetch_wakes: List["TimingWarp"] = []
+        self._timers: List[Tuple[int, int, int, "TimingWarp"]] = []
+
+    # -- wake / sleep helpers ---------------------------------------------
+
+    def attach(
+        self,
+        ibuf: Sequence,
+        issue_wakes: List["TimingWarp"],
+        fetch_wakes: List["TimingWarp"],
+        timers: List[Tuple[int, int, int, "TimingWarp"]],
+    ) -> None:
+        """Bind the warp to its SM at CTA launch: the fetch engine's
+        buffer ways, the scheduler's and the fetch engine's woken
+        lists, the SM's timed-wake heap.  The launch itself is a wake."""
+        self.ibuf = ibuf
+        self._issue_wakes = issue_wakes
+        self._fetch_wakes = fetch_wakes
+        self._timers = timers
+        self.model.on_change = self.wake
+        self.wake()
+
+    def wake(self) -> None:
+        """What this warp can issue or fetch may have changed
+        (divergence-model change, issue, CTA launch, a due timer)."""
+        if not self.issue_woken:
+            self.issue_woken = True
+            self._issue_wakes.append(self)
+        if not self.fetch_woken:
+            self.fetch_woken = True
+            self._fetch_wakes.append(self)
+
+    def wake_issue(self) -> None:
+        """What this warp can issue may have changed, what it can
+        fetch has not (scoreboard release, instruction-buffer fill)."""
+        if not self.issue_woken:
+            self.issue_woken = True
+            self._issue_wakes.append(self)
+
+    def wake_at(self, cycle: int) -> None:
+        """Timed wake: the SM calls :meth:`timer_due` at ``cycle``
+        unless an earlier timer is already outstanding (its firing
+        re-derives the verdicts, which re-register what is left)."""
+        if cycle < self.timer:
+            self.timer = cycle
+            # (wid, cta) is unique per resident warp, so the heap never
+            # compares warps.
+            heappush(self._timers, (cycle, self.wid, self.cta_id, self))
+
+    def timer_due(self) -> None:
+        """The SM popped this warp's timed wake."""
+        self.timer = _NEVER
+        self.wake()
+
+    def fetch_sleep(self, retry: int) -> None:
+        """Fetch verdict: nothing to fetch before ``retry`` short of a
+        :meth:`wake`."""
+        self.fetch_woken = False
+        self.wake_at(retry)
 
     def __repr__(self) -> str:
         return "TimingWarp(wid=%d, cta=%d%s)" % (

@@ -10,6 +10,8 @@ register file representation.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 #: Bytes per memory word (all loads/stores are one word).
@@ -18,6 +20,10 @@ WORD_BYTES = 4
 
 class MemoryAccessError(Exception):
     """Out-of-range or misaligned access."""
+
+
+#: Atomic read-modify-write combiners, by op name.
+_ATOMIC_OPS = {"add": operator.add, "min": min, "max": max}
 
 
 class MemoryImage:
@@ -105,19 +111,17 @@ class MemoryImage:
         Duplicate addresses are applied in thread order, which is a
         legal serialisation of the atomic semantics.
         """
+        combine = _ATOMIC_OPS.get(op)
+        if combine is None:
+            # Before any lane is touched, and with zero lanes too.
+            raise ValueError("unknown atomic op %r" % op)
         idx = self._word_indices(addrs)
         old = np.empty(len(idx), dtype=np.float64)
         words = self.words
         for k, i in enumerate(idx):
-            old[k] = words[i]
-            if op == "add":
-                words[i] += values[k]
-            elif op == "min":
-                words[i] = min(words[i], values[k])
-            elif op == "max":
-                words[i] = max(words[i], values[k])
-            else:
-                raise ValueError("unknown atomic op %r" % op)
+            word = words[i]
+            old[k] = word
+            words[i] = combine(word, values[k])
         return old
 
 

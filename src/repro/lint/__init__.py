@@ -16,7 +16,8 @@ diff-time errors:
   ``CACHE_VERSION`` bump;
 * **hot-path** — ``__slots__`` on engine-core classes, no attribute
   creation outside ``__init__`` on slotted classes, no ``np.errstate``
-  or allocation-heavy numpy calls inside compiled-plan closures;
+  or allocation-heavy numpy calls inside compiled-plan closures, warp
+  wake state written only through ``TimingWarp``'s wake/sleep helpers;
 * **registry** — observer event names come from the closed vocabulary
   (:mod:`repro.core.policy.events`), service message types and fault
   kinds come from theirs, and registries are only written through the

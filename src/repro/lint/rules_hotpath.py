@@ -2,8 +2,9 @@
 
 The cycle-loop engine issues millions of instructions per run; the
 rules here keep its per-cycle objects slotted (no per-instance
-``__dict__``), its compiled-plan closures allocation-light, and
-slotted classes honest about their attribute sets.
+``__dict__``), its compiled-plan closures allocation-light, slotted
+classes honest about their attribute sets, and every warp wake going
+through one door.
 """
 
 from __future__ import annotations
@@ -279,7 +280,79 @@ class SlottedAttrCreationRule(Rule):
                         )
 
 
+#: A ``TimingWarp``'s wake state: the ready set's and the fetch
+#: engine's per-warp verdicts, plus the per-slot stall memos they
+#: replaced (a write to one of those is a hand-kept memo coming back).
+_WAKE_STATE = frozenset(
+    {
+        "issue_woken",
+        "fetch_woken",
+        "timer",
+        "cand0",
+        "cand1",
+        "suspended",
+        "stall0",
+        "stall1",
+        "fetch_stall",
+    }
+)
+
+
+class WakeSiteDisciplineRule(Rule):
+    """Warp wake state is written only by ``TimingWarp``'s own
+    wake/sleep helpers and the scheduler's verdict-recording site."""
+
+    id = "wake-site-discipline"
+    category = "hot-path"
+    description = (
+        "the ready set re-derives a warp's readiness only when a wake "
+        "site touched it, so every wake must go through one door: "
+        "TimingWarp's wake/sleep helpers; a wake-state field assigned "
+        "anywhere else is a wake site the helpers do not know about"
+    )
+    hint = (
+        "call warp.wake() / wake_issue() / wake_at(cycle) / "
+        "fetch_sleep(retry) instead of assigning the field; only "
+        "TimingWarp's methods and a scheduler's _probe may write it"
+    )
+    include = ("repro/core/*.py", "repro/timing/*.py")
+
+    def check_file(
+        self, path: str, tree: ast.AST, source: str
+    ) -> Iterator[Violation]:
+        def walk(node: ast.AST, allowed: bool) -> Iterator[Violation]:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    yield from walk(child, child.name == "TimingWarp")
+                    continue
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from walk(child, allowed or child.name == "_probe")
+                    continue
+                targets: Sequence[ast.AST] = ()
+                if isinstance(child, ast.Assign):
+                    targets = child.targets
+                elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                    targets = (child.target,)
+                if not allowed:
+                    for target in targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and target.attr in _WAKE_STATE
+                        ):
+                            yield self.violation(
+                                path,
+                                target,
+                                "wake state `.%s` assigned outside "
+                                "TimingWarp's wake/sleep helpers and the "
+                                "scheduler's _probe" % target.attr,
+                            )
+                yield from walk(child, allowed)
+
+        yield from walk(tree, False)
+
+
 register_rule(HotPathSlotsRule())
 register_rule(ErrstateInPlanRule())
 register_rule(AllocInPlanRule())
 register_rule(SlottedAttrCreationRule())
+register_rule(WakeSiteDisciplineRule())

@@ -35,6 +35,7 @@ assert on them.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import queue
 import threading
@@ -290,12 +291,17 @@ class SweepService:
             self._jobs[job.id] = job
             self.counters["jobs_submitted"] += 1
             self.counters["cells_requested"] += len(cells)
-            if self.journal is not None:
-                # Write-ahead: the submission is durable before any
-                # cell resolves and before the ack reaches the client,
-                # so a crash at any later point leaves a resumable job.
-                self.journal.record_job(job.id, verify, cells)
-            triage = self._commit_locked(job, plan)
+            with contextlib.ExitStack() as durable:
+                if self.journal is not None:
+                    # Write-ahead: the submission, and the cells the
+                    # store resolves on the spot, are durable (one
+                    # group commit) before the ack reaches the client
+                    # or a worker can resolve anything — resolving
+                    # needs this lock — so a crash at any later point
+                    # leaves a resumable job.
+                    durable.enter_context(self.journal.group())
+                    self.journal.record_job(job.id, verify, cells)
+                triage = self._commit_locked(job, plan)
             return protocol.envelope(
                 protocol.MSG_ACK,
                 job=job.id,

@@ -19,10 +19,13 @@ Records are line-delimited JSON, one of::
 
 Crash-safety properties:
 
-* appends are flushed per record, so at most the final line can be
-  torn; :meth:`JobJournal.replay` tolerates (and drops) a torn tail —
-  the worst case is re-simulating one already-finished cell, which is
-  byte-identical by construction;
+* appends are flushed and fsynced per record — or, inside
+  :meth:`JobJournal.group` (one submission: its job record and the
+  cells the store resolves on the spot), once when the group ends,
+  before the ack — and written in order, so at most the final line can
+  be torn; :meth:`JobJournal.replay` tolerates (and drops) a torn tail
+  — the worst case is re-simulating one already-finished cell, which
+  is byte-identical by construction;
 * :meth:`JobJournal.rotate` compacts the file (dropping records of
   finished jobs) by writing a temp file and ``os.replace``-ing it over
   the live one, the same atomic-rename discipline as the result store.
@@ -39,6 +42,7 @@ byte-for-byte what the appends would have written.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -144,7 +148,9 @@ class JobJournal:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._lock = threading.Lock()
+        # Re-entrant: :meth:`group` holds it around the appends it groups.
+        self._lock = threading.RLock()
+        self._grouped = False
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -157,8 +163,32 @@ class JobJournal:
             if self._handle is None:
                 raise JournalError("journal %s is closed" % self.path)
             self._handle.write(_record_line(record))
+            if not self._grouped:
+                self._sync()
+
+    def _sync(self) -> None:
+        if self._handle is not None:
             self._handle.flush()
             os.fsync(self._handle.fileno())
+
+    @contextlib.contextmanager
+    def group(self) -> Iterator[None]:
+        """Group commit: records appended inside the block become
+        durable together, with one flush and fsync when it exits (the
+        caller must not acknowledge any of them before that).  A
+        submission answered from the store appends a job record and a
+        cell record per cell; synced one by one, a 40-cell sweep waits
+        on the disk 41 times and the daemon's answer time is whatever
+        the host's fsync latency happens to be."""
+        with self._lock:
+            if self._grouped:
+                raise JournalError("journal groups do not nest")
+            self._grouped = True
+            try:
+                yield
+            finally:
+                self._grouped = False
+                self._sync()
 
     def record_job(
         self,
@@ -319,8 +349,7 @@ class JobJournal:
     def close(self) -> None:
         with self._lock:
             if self._handle is not None:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
+                self._sync()
                 self._handle.close()
                 self._handle = None
 

@@ -17,7 +17,9 @@ over warps.  A fetched instruction decodes in one cycle
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.isa.instructions import Instruction
@@ -25,6 +27,8 @@ from repro.timing.divergence import Split
 
 #: Retry sentinel: fetch idle until invalidated (consume / mutation).
 _NEVER = 1 << 62
+
+_wid = attrgetter("wid")
 
 
 @dataclass(slots=True)
@@ -50,9 +54,10 @@ class FetchEngine:
         "fetch_width",
         "hot_capacity",
         "buffers",
+        "woken",
+        "_sorted",
         "_rr",
         "_latest_ready",
-        "_sleep_until",
     )
 
     def __init__(self, program, fetch_width: int, hot_capacity: int) -> None:
@@ -64,11 +69,12 @@ class FetchEngine:
         # Decode-ready high-water mark: nothing in any buffer becomes
         # ready after this cycle, so idle scans can bail immediately.
         self._latest_ready = -1
-        # Engine-wide sleep: a full scan that fetched nothing proves no
-        # warp can fetch before the earliest of their stall cycles.
-        # Any stall-clearing site (consume, model change, CTA launch)
-        # must zero this along with the per-warp stall.
-        self._sleep_until = 0
+        #: Warps whose fetch verdict must be (re)derived: appended by
+        #: :meth:`TimingWarp.wake`, pruned by :meth:`tick`.
+        self.woken: List = []
+        # Length of ``woken`` when :meth:`tick` last left it in warp-id
+        # order (wakes only append, so a longer list needs a sort).
+        self._sorted = 0
 
     # ------------------------------------------------------------------
 
@@ -107,123 +113,109 @@ class FetchEngine:
     def tick(self, now: int, warps: List) -> int:
         """Refill unmatched buffers; returns the number of fetches.
 
+        ``warps`` is the SM's live-warp list (warp-id order); the
+        round-robin pointer advances one position in it per tick and
+        names where this cycle's service order starts.  Only warps on
+        the ``woken`` list are visited, in that order: a warp leaves
+        the list once a visit has looked at all its hot splits (each
+        now has a matching tag, or is parked, frozen, behind a
+        redirect gate or without a victim way) and comes back through
+        :meth:`TimingWarp.wake` — a divergence-model change, an issue
+        consuming an entry, a CTA launch — or through the timed wake
+        its visit registered (the redirect gate, capped at the SBI
+        model's settle wake).  A warp the bandwidth limit cut short or
+        never reached stays listed.
+
         One pass per warp: each eligible hot split lacking a matching
         tag fetches into an empty way, else into a way whose tag
-        matches no hot PC (exactly the repeated first-unmatched scan
-        of the original engine, without re-walking served splits).
+        matches no hot PC.
         """
         if not warps:
             return 0
-        if now < self._sleep_until:
-            # Proven idle: a prior full scan left every warp stalled
-            # past this cycle and nothing cleared a stall since.  A
-            # real scan would skip every warp and write nothing, so
-            # only the round-robin pointer needs to advance.
-            self._rr += 1
+        woken = self.woken
+        rr = self._rr
+        self._rr = rr + 1
+        if not woken:
             return 0
+        # Service order: warp ids ascending from the pointer's warp,
+        # wrapping.  The list is kept in warp-id order; wakes since
+        # the last tick were appended behind it.
+        count = len(woken)
+        if count == 1:
+            order = woken
+        else:
+            if count != self._sorted:
+                woken.sort(key=_wid)
+            at = bisect_left(woken, warps[rr % len(warps)].wid, key=_wid)
+            order = woken[at:] + woken[:at] if at else woken[:]
         fetched = 0
-        n = len(warps)
-        start = self._rr % n
         cap = self.hot_capacity
         width = self.fetch_width
         program = self.program
-        sleep = _NEVER
-        scanning = True
-        for lo, hi in ((start, n), (0, start)):
-            if not scanning:
-                break
-            for j in range(lo, hi):
+        for warp in order:
+            if fetched >= width:
+                break  # bandwidth exhausted: the rest wait their turn
+            if warp.done:
+                woken.remove(warp)
+                warp.fetch_sleep(_NEVER)
+                continue
+            model = warp.model
+            hot = model._hot_cache
+            if hot is None:
+                hot = model.hot_splits(now)
+            if len(hot) > cap:
+                hot = hot[:cap]
+            ways = warp.ibuf
+            hot_pcs = None
+            retry = _NEVER
+            for split in hot:
                 if fetched >= width:
-                    # Bandwidth exhausted before the scan finished:
-                    # unvisited warps leave no idle verdict.
-                    sleep = 0
-                    scanning = False
+                    # Out of bandwidth mid-warp: no verdict, stay listed.
+                    retry = None
                     break
-                warp = warps[j]
-                # Fetch-stall fast path: nothing to fetch for this warp
-                # until a model change (cleared via the on_change hook),
-                # an entry consume (cleared by the SM), or the recorded
-                # redirect-gate / settle-wake cycle.
-                stall = warp.fetch_stall
-                if now < stall:
-                    if stall < sleep:
-                        sleep = stall
+                if split.parked or split.pending:
                     continue
-                if warp.done:
+                gate = split.redirect_ready_at
+                if gate > now:
+                    if gate < retry:
+                        retry = gate
                     continue
-                model = warp.model
-                hot = model._hot_cache
-                if hot is None:
-                    hot = model.hot_splits(now)
-                if len(hot) > cap:
-                    hot = hot[:cap]
-                ways = warp.ibuf or self.ways_for(warp.wid)
-                hot_pcs = None
-                fetched_here = False
-                retry = _NEVER
-                for split in hot:
-                    if fetched >= width:
-                        # Out of bandwidth mid-warp: no idle verdict.
-                        retry = None
+                pc = split.pc
+                matched = False
+                for entry in ways:
+                    if entry is not None and entry.pc == pc:
+                        matched = True
                         break
-                    if split.parked or split.pending:
-                        continue
-                    gate = split.redirect_ready_at
-                    if gate > now:
-                        if retry is not None and gate < retry:
-                            retry = gate
-                        continue
-                    pc = split.pc
-                    matched = False
-                    for entry in ways:
-                        if entry is not None and entry.pc == pc:
-                            matched = True
-                            break
-                    if matched:
-                        continue
-                    # Victim: empty way, else a way matching no hot PC.
-                    victim = None
+                if matched:
+                    continue
+                # Victim: empty way, else a way matching no hot PC.
+                victim = None
+                for vi, entry in enumerate(ways):
+                    if entry is None:
+                        victim = vi
+                        break
+                if victim is None:
+                    if hot_pcs is None:
+                        hot_pcs = [s.pc for s in hot]
                     for vi, entry in enumerate(ways):
-                        if entry is None:
+                        if entry.pc not in hot_pcs:
                             victim = vi
                             break
-                    if victim is None:
-                        if hot_pcs is None:
-                            hot_pcs = [s.pc for s in hot]
-                        for vi, entry in enumerate(ways):
-                            if entry.pc not in hot_pcs:
-                                victim = vi
-                                break
-                    if victim is None:
-                        continue
-                    ways[victim] = IBufEntry(
-                        pc=pc,
-                        instr=program[pc],
-                        fetch_cycle=now,
-                        ready_at=now + 1,
-                        index=victim,
-                    )
-                    # A fill wakes the scheduler's stall memos.
-                    warp.stall0 = 0
-                    warp.stall1 = 0
-                    fetched += 1
-                    fetched_here = True
-                if fetched_here or retry is None:
-                    warp.fetch_stall = 0
-                    sleep = 0
-                else:
-                    wake = model._settle_wake
-                    stall = retry if retry < wake else wake
-                    warp.fetch_stall = stall
-                    if stall < sleep:
-                        sleep = stall
-        if fetched:
-            if now + 1 > self._latest_ready:
-                self._latest_ready = now + 1
-            self._sleep_until = 0
-        else:
-            self._sleep_until = sleep
-        self._rr += 1
+                if victim is None:
+                    continue
+                ways[victim] = IBufEntry(pc, program[pc], now, now + 1, victim)
+                # A fill can make the slot issuable.
+                warp.wake_issue()
+                fetched += 1
+            if retry is not None:
+                # Every hot split was looked at: whatever is still
+                # unmatched waits for a gate or for a wake.
+                woken.remove(warp)
+                wake = model._settle_wake
+                warp.fetch_sleep(retry if retry < wake else wake)
+        self._sorted = len(woken)
+        if fetched and now + 1 > self._latest_ready:
+            self._latest_ready = now + 1
         return fetched
 
     def next_ready_after(self, now: int) -> Optional[int]:

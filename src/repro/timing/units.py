@@ -18,7 +18,7 @@ add their transaction counts instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.isa.instructions import OpClass
 from repro.timing.masks import wave_count
@@ -162,6 +162,25 @@ class Backend:
                 if 0 < group.issue_count < 2 and not (group.lane_mask & lane_mask):
                     return group
         return None
+
+    def free_classes(self, by: int) -> Tuple[bool, bool, bool]:
+        """Per-cycle availability snapshot, one answer per op class.
+
+        ``(MAD/CTRL, SFU, LSU)``: does the class have a group whose
+        busy window ends by cycle ``by``?  With ``by = now`` that is
+        exactly "``pick_group(cls, now, *, co_issue=False)`` finds a
+        group" — an instruction accepted this cycle pushes ``free_at``
+        past ``now``, so no roll of the co-issue bookkeeping is needed
+        — which lets an arbiter decide unit availability once per pick
+        instead of once per ready warp; with ``by = now + 1`` it is the
+        cascaded primary's "plausibly free at the issue stage".
+        """
+        mad = False
+        for group in self._mad_route:
+            if group.free_at <= by:
+                mad = True
+                break
+        return mad, self.sfu.free_at <= by, self.lsu.free_at <= by
 
     def next_free_cycle(self, now: int) -> Optional[int]:
         """Earliest future cycle any busy group frees (event skipping)."""

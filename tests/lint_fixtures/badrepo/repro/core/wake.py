@@ -1,0 +1,17 @@
+"""Seeded violations for wake-site-discipline (never imported)."""
+
+
+class Pipeline:
+    __slots__ = ("warps",)
+
+    def writeback(self, warp):
+        warp.issue_woken = True  # wake-site-discipline (a hand-kept wake site)
+        warp.stall0 = 0  # wake-site-discipline (the retired stall memo)
+
+    def fill(self, warp, now):
+        warp.timer = now + 1  # wake-site-discipline (timer set around wake_at)
+        warp.fetch_woken |= True  # wake-site-discipline (augmented write)
+
+
+def record(warp, cand):
+    warp.cand0 = cand  # wake-site-discipline (a verdict recorded outside _probe)

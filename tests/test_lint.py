@@ -41,6 +41,7 @@ FILE_RULE_CASES = [
     ("float-dict-key", "repro/api/cache.py"),
     ("hot-path-slots", "repro/timing/hot.py"),
     ("slotted-attr-creation", "repro/timing/hot.py"),
+    ("wake-site-discipline", "repro/core/wake.py"),
     ("errstate-in-plan", "repro/functional/compiled.py"),
     ("alloc-in-plan", "repro/functional/compiled.py"),
     ("observer-vocabulary", "repro/core/schedulers.py"),
@@ -75,6 +76,11 @@ def test_alloc_in_plan_ignores_compile_time_allocation():
     report = lint_one(BAD, "repro/functional/compiled.py", "alloc-in-plan")
     assert len(report.violations) == 1
     assert report.violations[0].line == 11
+
+
+def test_wake_site_discipline_flags_each_seeded_write():
+    report = lint_one(BAD, "repro/core/wake.py", "wake-site-discipline")
+    assert [v.line for v in report.violations] == [8, 9, 12, 13, 17]
 
 
 def test_registry_discipline_allows_registry_module_itself(tmp_path):

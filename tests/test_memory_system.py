@@ -56,6 +56,18 @@ class TestMemoryImage:
         mem.atomic(np.array([a]), np.array([9.0]), "max")
         assert mem.read_array(a, 1)[0] == 9.0
 
+    def test_unknown_atomic_op_leaves_memory_untouched(self):
+        mem = MemoryImage(1 << 12)
+        a = mem.alloc_array(np.array([10.0, 20.0]))
+        with pytest.raises(ValueError, match="unknown atomic op 'xor'"):
+            mem.atomic(np.array([a, a + 4]), np.array([1.0, 2.0]), "xor")
+        assert list(mem.read_array(a, 2)) == [10.0, 20.0]
+
+    def test_unknown_atomic_op_raises_with_zero_lanes(self):
+        mem = MemoryImage(1 << 12)
+        with pytest.raises(ValueError, match="unknown atomic op 'xor'"):
+            mem.atomic(np.array([], dtype=np.int64), np.array([]), "xor")
+
     def test_shared_starts_at_zero(self):
         sh = SharedMemory(64)
         assert sh.alloc(4) == 0

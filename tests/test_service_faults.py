@@ -303,6 +303,54 @@ class TestJournal:
         assert job.finished
         journal.close()
 
+    def test_group_commits_once_with_the_bytes_of_single_appends(
+        self, tmp_path, monkeypatch
+    ):
+        syncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (syncs.append(fd), real_fsync(fd)))
+        cells = _journal_cells()
+
+        def append_all(journal):
+            journal.record_job("j1", False, cells)
+            for cell in cells:
+                journal.record_cell("j1", cell.id, cell.hash, protocol.STATUS_OK)
+
+        one_by_one = JobJournal(str(tmp_path / "single.ndjson"))
+        append_all(one_by_one)
+        assert len(syncs) == 3
+        del syncs[:]
+        grouped = JobJournal(str(tmp_path / "grouped.ndjson"))
+        with grouped.group():
+            append_all(grouped)
+            assert syncs == []
+        assert len(syncs) == 1
+        # Durable at the block's exit, without a close().
+        assert (tmp_path / "grouped.ndjson").read_bytes() == (
+            tmp_path / "single.ndjson"
+        ).read_bytes()
+        grouped.record_cancel("j1")  # outside a group: synced on its own again
+        assert len(syncs) == 2
+        one_by_one.close()
+        grouped.close()
+
+    def test_group_syncs_what_was_appended_when_the_block_raises(self, tmp_path):
+        path = str(tmp_path / "j.ndjson")
+        journal = JobJournal(path)
+        with pytest.raises(RuntimeError, match="mid-submit"):
+            with journal.group():
+                journal.record_job("j1", False, _journal_cells())
+                with pytest.raises(JournalError, match="nest"):
+                    with journal.group():
+                        pass
+                raise RuntimeError("mid-submit")
+        (job,) = JobJournal.replay_path(path)
+        assert job.job_id == "j1" and not job.finished
+        journal.record_cancel("j1")  # the group is over: appends sync again
+        (job,) = JobJournal.replay_path(path)
+        assert job.cancelled
+        journal.close()
+
     def test_closed_journal_refuses_appends(self, tmp_path):
         journal = JobJournal(str(tmp_path / "j.ndjson"))
         journal.close()
@@ -470,6 +518,22 @@ class TestDaemonCrashRecovery:
         (job,) = service.journal.replay()
         assert job.job_id == job_id
         assert len(job.cells) == 2 and not job.finished
+
+    def test_store_answered_submission_is_one_group_commit(
+        self, tmp_path, monkeypatch
+    ):
+        service = _journalled_service(tmp_path)
+        _submit(service)
+        service.process_queued()  # both cells are in the store now
+        syncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (syncs.append(fd), real_fsync(fd)))
+        job_id = _submit(service)
+        # Job record + two cell records, durable before the ack: one fsync.
+        assert len(syncs) == 1
+        assert service.counters["cells_store"] == 2
+        replayed = {job.job_id: job for job in service.journal.replay()}
+        assert replayed[job_id].finished
 
     def test_worker_exception_fails_cell_and_is_journalled(self, tmp_path):
         plan = FaultPlan.parse("worker-exception:1")
