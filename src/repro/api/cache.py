@@ -364,16 +364,17 @@ class CacheInfo:
     disk_entries: int
     disk_bytes: int
 
-    def describe(self) -> str:
-        lines = ["in-process : %d entries" % self.memo_entries]
+    def describe_disk(self) -> str:
+        """The disk level alone — all ``repro cache info`` prints: the
+        memo of a process that only asks is empty by construction."""
         if self.disk_dir is None:
-            lines.append("on-disk    : disabled (set %s or pass --dir)" % CACHE_DIR_ENV)
-        else:
-            lines.append(
-                "on-disk    : %s — %d entries, %.1f KiB"
-                % (self.disk_dir, self.disk_entries, self.disk_bytes / 1024.0)
-            )
-        return "\n".join(lines)
+            return "on-disk    : disabled (set %s or pass --dir)" % CACHE_DIR_ENV
+        return "on-disk    : %s — %d entries, %.1f KiB" % (
+            self.disk_dir, self.disk_entries, self.disk_bytes / 1024.0
+        )
+
+    def describe(self) -> str:
+        return "in-process : %d entries\n%s" % (self.memo_entries, self.describe_disk())
 
 
 def info(disk_dir: Optional[str] = None, memo: Optional[Dict] = None) -> CacheInfo:

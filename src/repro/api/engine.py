@@ -240,19 +240,18 @@ class Engine:
                     "observers require the inline backend (observed cells "
                     "must simulate in this process), got backend=%r" % backend
                 )
-            import repro.analytics  # noqa: F401  (registers built-in aggregators)
-            from repro.core.policy import OBSERVERS
+            # Importing the package registers the built-in aggregators.
+            from repro.analytics import make_aggregators
 
-            for name in observers:
-                OBSERVERS.get(name)  # unknown names fail with the known list
+            make_aggregators(observers)  # unknown names fail with the known list
         self.backend = backend
         self.jobs = jobs
         self.server = server
         self.timeout = timeout
         self.retries = retries
-        #: ``"inline"`` lets the remote backend degrade to local
-        #: simulation once the daemon is unreachable (circuit breaker
-        #: open / retries exhausted); None (default) fails loudly.
+        #: ``"inline"`` lets the remote backend hand the cells a dead,
+        #: shutting-down or faulting daemon left unresolved to
+        #: :meth:`_run_inline`; None (default) fails loudly.
         self.fallback = fallback
         self._remote_client = None
         #: Module names imported in every process-pool worker (policy
@@ -268,6 +267,9 @@ class Engine:
             sim_device=simulate_device_fn or simulate_device,
         )
         self.observer_names: Tuple[str, ...] = tuple(observers or ())
+        #: Bin capacity for the aggregators that take one (None: each
+        #: aggregator's own default); ``repro analyze --bins`` sets it.
+        self.observer_bins: Optional[int] = None
         #: ``(workload, size, config_name) -> {observer name: instance}``
         #: for every cell the last sweep simulated with observers
         #: attached.  Observed cells always simulate (cache reads are
@@ -280,19 +282,6 @@ class Engine:
 
     def _disk_dir(self, cache: bool) -> Optional[str]:
         return result_cache.resolve_dir(self.cache_dir) if cache else None
-
-    def _simulate_cell(self, cell: Cell, verify: bool, observers=()) -> AnyStats:
-        """Simulate ``cell`` here, past the caches, through the
-        constructor's hooks."""
-        return _build_and_simulate(
-            cell.workload, cell.size, cell.config, verify,
-            observers=observers, **self._hooks,
-        )
-
-    def _make_observers(self) -> Dict[str, Observer]:
-        from repro.core.policy import OBSERVERS
-
-        return {name: OBSERVERS.get(name)() for name in self.observer_names}
 
     def run_cell(
         self,
@@ -430,9 +419,18 @@ class Engine:
 
     def _run_inline(self, pending, verify) -> Iterator[CellOutcome]:
         for key, cell in pending:
-            observers = self._make_observers()
+            observers: Dict[str, Observer] = {}
+            if self.observer_names:
+                from repro.analytics import make_aggregators
+
+                observers = make_aggregators(
+                    self.observer_names, bins=self.observer_bins
+                )
             try:
-                stats = self._simulate_cell(cell, verify, observers.values())
+                stats = _build_and_simulate(
+                    cell.workload, cell.size, cell.config, verify,
+                    observers=observers.values(), **self._hooks,
+                )
             except Exception as exc:
                 yield key, cell, exc, False, None
                 continue
@@ -483,8 +481,7 @@ class Engine:
         """The lazily-built client for ``backend="remote"``.
 
         Lazy so constructing an inline/process Engine never imports the
-        service package, and shared across runs so a circuit breaker
-        one sweep opened spares the next the retry schedule.  (Sweeps
+        service package.  It holds no state between requests.  (Sweeps
         sharing one Engine coalesce on the daemon, like everyone else.)
         """
         if self._remote_client is None:

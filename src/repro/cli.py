@@ -145,6 +145,12 @@ def _validate_metric(spec: SweepSpec, metric: str) -> None:
             )
 
 
+def _observer_text(observer) -> str:
+    """An observer's rendered table, or its repr when it has none."""
+    render = getattr(observer, "render", None)
+    return render() if callable(render) else repr(observer)
+
+
 def _run_spec(spec: SweepSpec, args) -> int:
     _validate_metric(spec, args.metric)
     counts = {"simulated": 0, "cached": 0, "failed": 0}
@@ -224,11 +230,9 @@ def _run_spec(spec: SweepSpec, args) -> int:
     if args.observer:
         for (workload, size, config_name), obs in sorted(engine.observations.items()):
             for name, ob in obs.items():
-                render = getattr(ob, "render", None)
-                body = render() if callable(render) else repr(ob)
                 print(
                     "\n== %s/%s @%s : %s ==\n%s"
-                    % (workload, config_name, size, name, body)
+                    % (workload, config_name, size, name, _observer_text(ob))
                 )
     for err in rs.errors:
         print(
@@ -346,39 +350,37 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from repro.analytics import make_aggregators
     from repro.core import presets
-    from repro.core.gpu import simulate_device
-    from repro.core.simulator import simulate as simulate_sm
-    from repro.workloads import get_workload, normalize_size
 
     _load_plugins(args)
     names = [n.strip() for n in args.observers.split(",") if n.strip()]
     if not names:
         raise ValueError("--observers needs at least one observer name")
-    aggregators = make_aggregators(names, bins=args.bins)
-    size = normalize_size(args.size)
-    inst = get_workload(args.workload, size)
-    observers = list(aggregators.values())
     if args.sm_count > 1:
         config = presets.device(args.config, sm_count=args.sm_count)
-        stats = simulate_device(inst.kernel, inst.memory, config, observers=observers)
     else:
         config = presets.by_name(args.config)
-        stats = simulate_sm(inst.kernel, inst.memory, config, observers=observers)
-    for aggregator in observers:
-        aggregator.finalize(stats)
+    spec = SweepSpec(
+        workloads=[args.workload], configs={args.config: config}, sizes=[args.size]
+    )
+    if spec.total_cells != 1:
+        raise ValueError(
+            "--workload takes one workload, not the group %r" % args.workload
+        )
+    (size,) = spec.sizes
+    engine = Engine(observers=names)
+    engine.observer_bins = args.bins
+    (result,) = engine.run(spec)
+    stats = result.stats
+    (aggregators,) = engine.observations.values()
 
     print(
         "analyze: %s/%s @%s — %d cycles, %.2f ipc"
         % (args.workload, args.config, size, stats.cycles, stats.ipc),
         file=sys.stderr,
     )
-    for name in names:
-        aggregator = aggregators[name]
-        render = getattr(aggregator, "render", None)
-        body = render() if callable(render) else repr(aggregator)
-        print("\n== %s ==\n%s" % (name, body))
+    for name, aggregator in aggregators.items():
+        print("\n== %s ==\n%s" % (name, _observer_text(aggregator)))
 
     if args.json:
         artifact = {
@@ -403,7 +405,7 @@ def _cmd_analyze(args) -> int:
     # Observed peak issue rate must stay within the policy's modeled
     # front-end width (repro.hwcost.validate) — fail loudly otherwise.
     origins = next(
-        (a for a in observers if hasattr(a, "peak_per_cycle")), None
+        (a for a in aggregators.values() if hasattr(a, "peak_per_cycle")), None
     )
     if origins is not None:
         from repro.hwcost import front_end_width, validate_peak_issue
@@ -445,7 +447,7 @@ def _cmd_merge(args) -> int:
 
 def _cmd_cache(args) -> int:
     if args.action == "info":
-        print(result_cache.info(disk_dir=args.dir).describe())
+        print(result_cache.info(disk_dir=args.dir).describe_disk())
         return 0
     # Unlike the Python API (where disk purge never defaults from the
     # environment), the CLI's explicit `clear` acts on the configured
@@ -658,9 +660,10 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         "--fallback",
         choices=("inline",),
         default=None,
-        help="with --server: degrade to inline simulation when the "
-        "daemon is unreachable or shutting down (results are "
-        "published back once the daemon recovers)",
+        help="with --server: run the cells an unreachable, shutting-down "
+        "or faulting daemon left unresolved inline instead of failing "
+        "(nothing is uploaded; the daemon's store catches up when it "
+        "next simulates them)",
     )
 
 

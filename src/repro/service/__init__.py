@@ -6,7 +6,7 @@ fleet-scale serving stack:
 :mod:`repro.service.protocol`
     the line-delimited JSON job protocol — schema-versioned envelopes,
     a closed vocabulary of message types and error codes, and the
-    submit/status/result/cancel/publish message builders;
+    submit/status/result/cancel message builders;
 :mod:`repro.service.store`
     the daemon's view of the content-addressed result store — the
     same directory format, writer and reader as the disk level of
@@ -20,7 +20,8 @@ fleet-scale serving stack:
     clients just submit), per-job progress
     streaming, cached-cell lookup, 429 back-pressure, a write-ahead
     job journal with ``--resume`` crash recovery, and graceful
-    SIGTERM/SIGINT shutdown;
+    SIGTERM/SIGINT shutdown; its workers are the only writer the
+    store has over the network;
 :mod:`repro.service.journal`
     the ndjson write-ahead journal the daemon's crash recovery
     replays;
@@ -31,9 +32,9 @@ fleet-scale serving stack:
 :mod:`repro.service.remote`
     the ``Engine(backend="remote", server=...)`` client backend with
     bounded retry/backoff, per-request timeouts, honored
-    ``Retry-After``, a health-probe circuit breaker, and optional
-    graceful degradation to inline simulation
-    (``Engine(server=..., fallback="inline")``).
+    ``Retry-After``, and an optional degraded mode that runs the
+    cells the daemon left unresolved through the engine's inline
+    runner (``Engine(server=..., fallback="inline")``).
 """
 
 from __future__ import annotations

@@ -27,6 +27,15 @@ threads draining a bounded simulation queue:
 ``GET /v1/cells/<hash>``          cached-cell lookup by content address.
 ``GET /v1/health``                accounting counters + store info.
 
+Those seven are the whole API (:data:`ServiceHandler.ROUTES`); anything
+else is a typed 400.  None of them accepts a result: the workers below
+are the only writer the store has over the network, so every entry a
+client is served from it was simulated here (or put in the directory
+by whoever owns the filesystem, e.g. an ``Engine`` using it as its
+``cache_dir``).  A degraded client (``--fallback inline``) keeps what
+it simulated to itself; the store catches up when this daemon next
+simulates the cell.
+
 Accounting counters (``cells_simulated`` / ``cells_store`` /
 ``cells_coalesced`` / ...) are the daemon's ground truth for "N
 identical submissions cost one simulation" — CI and the service tests
@@ -36,7 +45,6 @@ assert on them.
 from __future__ import annotations
 
 import contextlib
-import json
 import queue
 import threading
 import time
@@ -91,20 +99,16 @@ COUNTERS: Tuple[str, ...] = (
     "cells_coalesced",
     "cells_failed",
     "cells_skipped",
-    "cells_published",
 )
 
 
 class _Work:
     """One unique in-flight simulation, shared by every waiting job."""
 
-    __slots__ = ("digest", "workload", "size", "config", "verify", "waiters")
+    __slots__ = ("cell", "verify", "waiters")
 
     def __init__(self, cell: SubmittedCell, verify: bool) -> None:
-        self.digest = cell.hash
-        self.workload = cell.workload
-        self.size = cell.size
-        self.config = cell.config
+        self.cell = cell
         self.verify = verify
         #: (job, cell id, source label) triples resolved on completion.
         self.waiters: List[Tuple["Job", int, str]] = []
@@ -413,20 +417,6 @@ class SweepService:
             stats=entry.get("stats"),
         )
 
-    def publish(self, message: Dict[str, object]) -> Dict[str, object]:
-        """Accept results a degraded client simulated inline.
-
-        Every cell's content address is recomputed server-side by
-        :func:`~repro.service.protocol.decode_publish` before it
-        lands, so a skewed client cannot poison the shared store.
-        """
-        cells = protocol.decode_publish(message)
-        for cell in cells:
-            self.store.store(cell.workload, cell.size, cell.config, cell.stats)
-        with self._lock:
-            self.counters["cells_published"] += len(cells)
-        return protocol.envelope(protocol.MSG_ACK, published=len(cells))
-
     def reserved_digests(self) -> "frozenset[str]":
         """Content addresses of in-flight cells (GC must not evict)."""
         with self._lock:
@@ -585,17 +575,18 @@ class SweepService:
                 self.counters["cells_skipped"] += 1
                 self._retire_locked(work)
                 return
+        cell = work.cell
         plan = self.fault_plan
-        kind = plan.fire(SITE_WORKER, work.workload) if plan is not None else None
+        kind = plan.fire(SITE_WORKER, cell.workload) if plan is not None else None
         error: Optional[str] = None
         stats_payload: Optional[Dict[str, object]] = None
         try:
             if kind == FAULT_WORKER_EXCEPTION:
                 raise FaultInjected(kind)
             stats = self._engine.run_cell(
-                work.workload,
-                work.size,
-                work.config,
+                cell.workload,
+                cell.size,
+                cell.config,
                 verify=work.verify,
                 cache=False,
             )
@@ -604,7 +595,7 @@ class SweepService:
         else:
             if plan is not None and kind == FAULT_CRASH_BEFORE_PUBLISH:
                 plan.crash(kind)  # nothing durable: resume re-simulates
-            self.store.store(work.workload, work.size, work.config, stats)
+            self.store.store(cell.workload, cell.size, cell.config, stats)
             if plan is not None and kind == FAULT_CRASH_AFTER_PUBLISH:
                 # The store entry is durable but no waiter hears about
                 # it: resume serves the cell from the store.
@@ -612,36 +603,25 @@ class SweepService:
             stats_payload = stats_to_payload(stats)
         with self._lock:
             if error is None:
+                status = protocol.STATUS_OK
                 self.counters["cells_simulated"] += 1
             else:
+                status = protocol.STATUS_FAILED
                 self.counters["cells_failed"] += 1
             for job, cell_id, source in work.waiters:
                 if cell_id in job.cells:
                     continue  # resolved by cancellation meanwhile
-                if error is None:
-                    self._resolve_locked(
-                        job,
-                        cell_id,
-                        work.digest,
-                        protocol.STATUS_OK,
-                        source,
-                        stats=stats_payload,
-                    )
-                else:
-                    self._resolve_locked(
-                        job,
-                        cell_id,
-                        work.digest,
-                        protocol.STATUS_FAILED,
-                        source,
-                        error=error,
-                    )
+                self._resolve_locked(
+                    job, cell_id, cell.hash, status, source,
+                    stats=stats_payload, error=error,
+                )
             self._retire_locked(work)
 
     def _retire_locked(self, work: _Work) -> None:
         self._pending -= 1
-        if not work.verify and self._inflight.get(work.digest) is work:
-            del self._inflight[work.digest]
+        digest = work.cell.hash
+        if not work.verify and self._inflight.get(digest) is work:
+            del self._inflight[digest]
 
     def _resolve_locked(
         self,
@@ -771,10 +751,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             )
         return protocol.decode(self.rfile.read(length))
 
-    def _route(self) -> Tuple[str, ...]:
-        path = self.path.split("?", 1)[0].strip("/")
-        return tuple(part for part in path.split("/") if part)
-
     # -- verbs ---------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
@@ -784,19 +760,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
     def _dispatch(self, verb: str) -> None:
-        route = self._route()
+        parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
+        # The API's one variable segment is the third — a job id or a
+        # content address — and goes to the handler as its argument.
+        args = parts[2:3]
+        if args:
+            parts[2] = "*"
+        handler, op = self.ROUTES.get((verb, "/" + "/".join(parts)), (None, ""))
         plan = self.server.service.fault_plan
         if plan is not None:
-            # The operation label is the most specific static route
-            # segment: "events"/"result"/"cancel" for job sub-resources
-            # (route[3]), else the collection head ("jobs", "cells",
-            # "health").
-            if len(route) >= 4:
-                op = route[3]
-            elif len(route) > 1:
-                op = route[1]
-            else:
-                op = route[0] if route else ""
             kind = plan.fire(SITE_HTTP, op)
             if kind == FAULT_DROP_CONNECTION:
                 # Close without writing a single response byte; the
@@ -808,13 +780,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
             if kind == FAULT_DELAYED_RESPONSE:
                 time.sleep(plan.delay)
         try:
-            handler = self._resolve_route(verb, route)
             if handler is None:
                 raise ProtocolError(
                     protocol.ERR_BAD_REQUEST,
                     "unknown endpoint %s %r" % (verb, self.path),
                 )
-            handler()
+            handler(self, *args)
         except ProtocolError as exc:
             self._send_error(exc)
         except (BrokenPipeError, ConnectionResetError):
@@ -830,68 +801,34 @@ class ServiceHandler(BaseHTTPRequestHandler):
             except OSError:
                 pass
 
-    # -- routing -------------------------------------------------------
+    # -- endpoints -----------------------------------------------------
 
-    def _resolve_route(
-        self, verb: str, route: Tuple[str, ...]
-    ) -> Optional[Callable[[], None]]:
-        """Map (verb, /v1/... path) onto a bound handler, or None.
+    def _health(self) -> None:
+        self._send_envelope(200, self.server.service.health())
 
-        Job sub-resources dispatch through :data:`_JOB_ACTIONS` — the
-        URL tokens there are route segments, not protocol vocabulary,
-        even where the spellings coincide.
-        """
-        service = self.server.service
-        if len(route) < 2 or route[0] != "v1":
-            return None
-        head, rest = route[1], route[2:]
-        if verb == "GET" and head == "health" and not rest:
-            return lambda: self._send_envelope(200, service.health())
-        if verb == "GET" and head == "cells" and len(rest) == 1:
-            return lambda: self._send_envelope(
-                200, service.lookup_cell(rest[0])
-            )
-        if verb == "POST" and head == "cells" and not rest:
-            return lambda: self._send_envelope(
-                200, service.publish(self._read_message())
-            )
-        if head == "jobs":
-            if verb == "POST" and not rest:
-                return lambda: self._send_envelope(
-                    200, service.submit(self._read_message())
-                )
-            if verb == "GET" and len(rest) == 1:
-                return lambda: self._send_envelope(
-                    200, service.get_job(rest[0]).status_message()
-                )
-            if len(rest) == 2:
-                action = self._JOB_ACTIONS.get((verb, rest[1]))
-                if action is not None:
-                    return lambda: action(self, service.get_job(rest[0]))
-        return None
+    def _cell(self, digest: str) -> None:
+        self._send_envelope(200, self.server.service.lookup_cell(digest))
 
-    def _job_result(self, job: Job) -> None:
+    def _submit(self) -> None:
+        self._send_envelope(
+            200, self.server.service.submit(self._read_message())
+        )
+
+    def _job_status(self, job_id: str) -> None:
+        job = self.server.service.get_job(job_id)
+        self._send_envelope(200, job.status_message())
+
+    def _job_result(self, job_id: str) -> None:
+        job = self.server.service.get_job(job_id)
         if job.finished.is_set():
             self._send_envelope(200, job.result_message())
         else:
             self._send_envelope(202, job.status_message())
 
-    def _job_events(self, job: Job) -> None:
-        self._stream_events(job)
+    def _job_cancel(self, job_id: str) -> None:
+        self._send_envelope(200, self.server.service.cancel(job_id))
 
-    def _job_cancel(self, job: Job) -> None:
-        self._send_envelope(200, self.server.service.cancel(job.id))
-
-    #: (verb, route segment) -> job sub-resource handler.
-    _JOB_ACTIONS: Dict[Tuple[str, str], Callable[["ServiceHandler", Job], None]] = {
-        ("GET", "result"): _job_result,
-        ("GET", "events"): _job_events,
-        ("POST", "cancel"): _job_cancel,
-    }
-
-    # -- streaming -----------------------------------------------------
-
-    def _stream_events(self, job: Job) -> None:
+    def _job_events(self, job_id: str) -> None:
         """Line-delimited progress until the job reaches a terminal
         state; heartbeat status lines cover long simulation gaps so
         client read timeouts don't sever an idle stream.
@@ -901,6 +838,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         disconnects while the job finishes (the old shared-queue race)
         cannot swallow the terminal status line for anyone else.
         """
+        job = self.server.service.get_job(job_id)
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
@@ -927,6 +865,21 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     return
         finally:
             job.unsubscribe(subscription)
+
+    #: The whole HTTP API: (verb, path with ``*`` for the variable
+    #: segment) -> (handler, the label a fault plan targets as ``@OP``).
+    #: The path tokens are route segments, not protocol vocabulary, even
+    #: where the spellings coincide.  A request matching no row is a
+    #: typed 400 and fires fault plans under no label.
+    ROUTES: Dict[Tuple[str, str], Tuple[Callable[..., None], str]] = {
+        ("GET", "/v1/health"): (_health, "health"),
+        ("GET", "/v1/cells/*"): (_cell, "cells"),
+        ("POST", "/v1/jobs"): (_submit, "jobs"),
+        ("GET", "/v1/jobs/*"): (_job_status, "jobs"),
+        ("GET", "/v1/jobs/*/result"): (_job_result, "result"),
+        ("GET", "/v1/jobs/*/events"): (_job_events, "events"),
+        ("POST", "/v1/jobs/*/cancel"): (_job_cancel, "cancel"),
+    }
 
 
 # ----------------------------------------------------------------------

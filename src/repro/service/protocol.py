@@ -23,6 +23,12 @@ Configs cross the wire in the canonical payload shape of
 and rejects mismatches, so schema skew between writer and reader is a
 loud failure instead of a silently wrong content address.
 
+Stats travel one way, daemon to client, in ``result`` envelopes: no
+message uploads a result, so nothing reaches a served store over the
+network except what the daemon's own workers simulated.  (The
+``publish`` upload older clients may still send is an unknown type
+now and is refused as :data:`ERR_BAD_REQUEST`.)
+
 There is one cell: :class:`SubmittedCell`, written by
 :func:`cell_to_wire` and read back (and checked) by
 :func:`cell_from_wire`.  ``submit`` messages, the daemon's job table
@@ -36,26 +42,13 @@ the cell came from (:data:`ERR_BAD_REQUEST` for a message, a
 from __future__ import annotations
 
 import json
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.api.cache import (
     AnyConfig,
-    AnyStats,
     cell_hash,
     config_from_payload,
     config_to_payload,
-    stats_from_payload,
-    stats_to_payload,
 )
 
 #: Bump when the envelope schema changes; mismatched peers get a typed
@@ -76,9 +69,6 @@ MSG_PROGRESS: str = "progress"
 MSG_RESULT: str = "result"
 #: Client -> daemon: abandon a job's not-yet-simulated cells.
 MSG_CANCEL: str = "cancel"
-#: Client -> daemon: upload already-simulated results into the store
-#: (a fallback client publishing back after the daemon returns).
-MSG_PUBLISH: str = "publish"
 #: Either direction: a typed failure (``code`` from ERROR_CODES).
 MSG_ERROR: str = "error"
 
@@ -90,7 +80,6 @@ MESSAGE_TYPES: Tuple[str, ...] = (
     MSG_PROGRESS,
     MSG_RESULT,
     MSG_CANCEL,
-    MSG_PUBLISH,
     MSG_ERROR,
 )
 
@@ -279,26 +268,29 @@ class SubmittedCell:
         self.hash = digest
 
 
-def _address_to_wire(
-    workload: str, size: str, config: AnyConfig, digest: str
-) -> Dict[str, object]:
-    """The fields every cell on the wire shares: what it is and the
-    content address the reader cross-checks."""
+def cell_to_wire(cell: SubmittedCell) -> Dict[str, object]:
+    """The JSON form of one cell, in ``submit`` messages and journal
+    job records alike: what it is, what it is called, and the content
+    address the reader cross-checks."""
     return {
-        "workload": workload,
-        "size": size,
-        "config": config_to_payload(config),
-        "hash": digest,
+        "workload": cell.workload,
+        "size": cell.size,
+        "config": config_to_payload(cell.config),
+        "hash": cell.hash,
+        "id": cell.id,
+        "config_name": cell.config_name,
     }
 
 
-def _address_from_wire(
-    raw: object,
-) -> Tuple[Dict[str, Any], str, str, AnyConfig, str]:
-    """(the cell's fields, workload, size, config, digest) of one wire
-    cell, its content address recomputed and checked.  Raises
-    ``ValueError`` naming the reason; callers add which message or
-    journal job it came from."""
+def cell_from_wire(raw: object) -> SubmittedCell:
+    """Decode and check one :func:`cell_to_wire` dict.
+
+    Every failure — missing fields, an unknown config payload, an
+    unregistered policy name, or a content-address mismatch between
+    the writer's ``hash`` and the one recomputed here — raises a plain
+    ``ValueError`` naming the reason: :func:`decode_submit` turns it
+    into :data:`ERR_BAD_REQUEST`, the journal into a ``JournalError``.
+    """
     if not isinstance(raw, dict):
         raise ValueError("must be an object")
     try:
@@ -306,7 +298,9 @@ def _address_from_wire(
         size = str(raw["size"])
         payload = raw["config"]
         claimed = str(raw["hash"])
-    except KeyError as exc:
+        cell_id = int(raw["id"])
+        config_name = str(raw["config_name"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("is malformed: %r" % (exc,)) from exc
     if not isinstance(payload, dict):
         raise ValueError("config must be an object")
@@ -324,59 +318,7 @@ def _address_from_wire(
             "writer and reader disagree on the config schema or cache "
             "version — upgrade the older one" % (claimed[:12], digest[:12])
         )
-    return raw, workload, size, config, digest
-
-
-def cell_to_wire(cell: SubmittedCell) -> Dict[str, object]:
-    """The JSON form of one cell, in ``submit`` messages and journal
-    job records alike."""
-    body = _address_to_wire(cell.workload, cell.size, cell.config, cell.hash)
-    body["id"] = cell.id
-    body["config_name"] = cell.config_name
-    return body
-
-
-def cell_from_wire(raw: object) -> SubmittedCell:
-    """Decode and check one :func:`cell_to_wire` dict.
-
-    Every failure — missing fields, an unknown config payload, an
-    unregistered policy name, or a content-address mismatch between
-    the writer's ``hash`` and the one recomputed here — raises a plain
-    ``ValueError``: :func:`decode_submit` turns it into
-    :data:`ERR_BAD_REQUEST`, the journal into a ``JournalError``.
-    """
-    fields, workload, size, config, digest = _address_from_wire(raw)
-    try:
-        cell_id = int(fields["id"])
-        config_name = str(fields["config_name"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("is malformed: %r" % (exc,)) from exc
     return SubmittedCell(cell_id, workload, size, config_name, config, digest)
-
-
-_Decoded = TypeVar("_Decoded")
-
-
-def _decode_cells(
-    message: Dict[str, object], decode_one: Callable[[object], _Decoded]
-) -> List[_Decoded]:
-    """Every cell of a ``submit``/``publish`` envelope through
-    ``decode_one``, failures typed :data:`ERR_BAD_REQUEST`."""
-    raw_cells = message.get("cells")
-    if not isinstance(raw_cells, list) or not raw_cells:
-        raise ProtocolError(
-            ERR_BAD_REQUEST, "%s has no cells" % message.get("type")
-        )
-    cells = []
-    for index, raw in enumerate(raw_cells):
-        try:
-            cells.append(decode_one(raw))
-        except ValueError as exc:
-            raise ProtocolError(
-                ERR_BAD_REQUEST,
-                "%s cell %d %s" % (message.get("type"), index, exc),
-            ) from exc
-    return cells
 
 
 # ----------------------------------------------------------------------
@@ -406,69 +348,17 @@ def decode_submit(
     message: Dict[str, object],
 ) -> Tuple[List[SubmittedCell], bool]:
     """Validate a ``submit`` envelope into typed cells (see
-    :func:`cell_from_wire` for what is checked)."""
-    cells = _decode_cells(message, cell_from_wire)
+    :func:`cell_from_wire` for what is checked), every failure typed
+    :data:`ERR_BAD_REQUEST`."""
+    raw_cells = message.get("cells")
+    if not isinstance(raw_cells, list) or not raw_cells:
+        raise ProtocolError(ERR_BAD_REQUEST, "submit has no cells")
+    cells = []
+    for index, raw in enumerate(raw_cells):
+        try:
+            cells.append(cell_from_wire(raw))
+        except ValueError as exc:
+            raise ProtocolError(
+                ERR_BAD_REQUEST, "submit cell %d %s" % (index, exc)
+            ) from exc
     return cells, bool(message.get("verify", False))
-
-
-# ----------------------------------------------------------------------
-# Publications (fallback clients uploading results back)
-# ----------------------------------------------------------------------
-
-
-def publish_message(
-    cells: Sequence[Tuple[str, str, AnyConfig, AnyStats]],
-) -> Dict[str, object]:
-    """A ``publish`` envelope of (workload, size, config, stats)
-    results.  Like submits, every cell carries its content address so
-    the daemon can reject schema skew before polluting the store."""
-    encoded: List[Dict[str, object]] = []
-    for workload, size, config, stats in cells:
-        body = _address_to_wire(
-            workload, size, config, cell_hash(workload, size, config)
-        )
-        body["stats"] = stats_to_payload(stats)
-        encoded.append(body)
-    return envelope(MSG_PUBLISH, cells=encoded)
-
-
-class PublishedCell:
-    """One decoded cell of a ``publish`` message."""
-
-    __slots__ = ("workload", "size", "config", "stats", "hash")
-
-    def __init__(
-        self,
-        workload: str,
-        size: str,
-        config: AnyConfig,
-        stats: AnyStats,
-        digest: str,
-    ) -> None:
-        self.workload = workload
-        self.size = size
-        self.config = config
-        self.stats = stats
-        self.hash = digest
-
-
-def _published_from_wire(raw: object) -> PublishedCell:
-    fields, workload, size, config, digest = _address_from_wire(raw)
-    payload = fields.get("stats")
-    if not isinstance(payload, dict):
-        raise ValueError("stats must be an object")
-    return PublishedCell(
-        workload, size, config, stats_from_payload(payload), digest
-    )
-
-
-def decode_publish(message: Dict[str, object]) -> List[PublishedCell]:
-    """Validate a ``publish`` envelope into typed result cells.
-
-    The same strictness as :func:`decode_submit`: undecodable configs
-    or stats, and content-address mismatches between the client's
-    ``hash`` and the recomputed one, raise :data:`ERR_BAD_REQUEST` —
-    a degraded client must never write a wrong address into the
-    shared store.
-    """
-    return _decode_cells(message, _published_from_wire)

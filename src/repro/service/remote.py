@@ -22,23 +22,21 @@ status polling if the stream breaks) and yields each cell's outcome to
 :meth:`Engine.run <repro.api.engine.Engine.run>`, which applies the
 error policy and folds results into the engine's memo/disk cache.
 
-**Graceful degradation** (``Engine(server=..., fallback="inline")``,
-off by default): when retries exhaust against a dead or shutting-down
-daemon, the client opens a *circuit breaker* — further requests fail
-fast instead of re-paying the full retry schedule — and
-:func:`run_remote` finishes the sweep by simulating the unresolved
-cells inline, attributed ``source="fallback"`` in progress events and
-the accounting line.  Results are byte-identical either way (same
-simulation, same config, same seeds).  When a later health probe finds
-the daemon back, the breaker closes and the degraded run's results are
-published back (``POST /v1/cells``) so the shared store still
-converges.
+**Degraded mode** (``Engine(server=..., fallback="inline")``, off by
+default): when a request's retries exhaust against a dead daemon, the
+daemon announces shutdown, or it fails or never resolves some cells,
+:func:`run_remote` hands those leftover cells to the engine's inline
+runner and tags them ``source="fallback"`` in progress events and the
+accounting line.  Results are byte-identical either way (same
+simulation, same config, same seeds).  The client keeps no state
+between requests and uploads nothing: the daemon's workers are the only
+writer its store has over the network, so the store converges when the
+daemon next simulates the cell (a later submit, or ``--resume``).
 """
 
 from __future__ import annotations
 
 import http.client
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -99,38 +97,6 @@ class RemoteClient:
         self.retries = retries
         self.backoff = backoff
         self._sleep = sleep
-        self._lock = threading.Lock()
-        self._breaker_open = False
-
-    @property
-    def breaker_open(self) -> bool:
-        """True after a request exhausted its retries.
-
-        While open, further requests fail fast with
-        :class:`RemoteError` instead of re-paying the whole retry
-        schedule; only a successful :meth:`probe` closes the breaker.
-        """
-        with self._lock:
-            return self._breaker_open
-
-    def probe(self) -> bool:
-        """One single-attempt health check; closes the breaker on success.
-
-        This is the only request allowed through an open breaker — a
-        cheap, bounded way to ask "is the daemon back?" before
-        resuming real traffic.
-        """
-        try:
-            response = self._open("GET", "/v1/health")
-        except (OSError, http.client.HTTPException):
-            return False
-        with response:
-            ok = response.status == 200
-            response.read()
-        if ok:
-            with self._lock:
-                self._breaker_open = False
-        return ok
 
     # ------------------------------------------------------------------
     # Transport
@@ -141,7 +107,6 @@ class RemoteClient:
         method: str,
         path: str,
         message: Optional[Dict[str, object]] = None,
-        timeout: Optional[float] = None,
     ) -> http.client.HTTPResponse:
         data = protocol.encode(message) if message is not None else None
         request = urllib.request.Request(
@@ -150,9 +115,7 @@ class RemoteClient:
             method=method,
             headers={"Content-Type": "application/json"},
         )
-        response = urllib.request.urlopen(
-            request, timeout=self.timeout if timeout is None else timeout
-        )
+        response = urllib.request.urlopen(request, timeout=self.timeout)
         assert isinstance(response, http.client.HTTPResponse)
         return response
 
@@ -169,15 +132,8 @@ class RemoteClient:
         request would fail identically again; transport failures,
         back-pressure (429) and graceful shutdown (503) retry up to
         ``retries`` times, sleeping the deterministic backoff (or the
-        server-provided ``Retry-After``) between attempts.  Exhausting
-        the attempts opens the circuit breaker.
+        server-provided ``Retry-After``) between attempts.
         """
-        with self._lock:
-            if self._breaker_open:
-                raise RemoteError(
-                    "circuit breaker open for %s: a health probe must "
-                    "succeed before real requests resume" % self.server
-                )
         attempts = self.retries + 1
         delay = 0.0
         last = "no attempt made"
@@ -239,8 +195,6 @@ class RemoteClient:
                     "%s %s: bad response: %s" % (method, path, exc),
                     code=exc.code,
                 ) from exc
-        with self._lock:
-            self._breaker_open = True
         raise RemoteError(
             "no response from %s%s after %d attempt%s — last error: %s"
             % (
@@ -288,14 +242,6 @@ class RemoteClient:
     def cell(self, digest: str) -> Dict[str, object]:
         """Cached-cell lookup by content address."""
         return self._request("GET", "/v1/cells/%s" % digest)
-
-    def publish_cells(
-        self, cells: Sequence[Tuple[str, str, AnyConfig, AnyStats]]
-    ) -> Dict[str, object]:
-        """Upload (workload, size, config, stats) results to the store."""
-        return self._request(
-            "POST", "/v1/cells", protocol.publish_message(cells)
-        )
 
     def events(self, job_id: str) -> Iterator[Dict[str, object]]:
         """The job's live progress stream (one envelope per line).
@@ -396,46 +342,37 @@ def run_remote(
 
     With ``engine.fallback == "inline"`` the remote path degrades
     instead of failing: cells the daemon never resolved (retries
-    exhausted, daemon shut down mid-job) or failed (worker faults) are
-    simulated inline, attributed ``source="fallback"``, and published
-    back to the daemon's store if a health probe finds it reachable
-    again.  A cell cancelled on the daemon stays cancelled.
+    exhausted, daemon shut down mid-job) or failed (worker faults) go
+    through the engine's inline runner after the daemon's own answers,
+    attributed ``source="fallback"``.  A cell cancelled on the daemon
+    stays cancelled.
     """
     client = engine.remote_client
     fallback = engine.fallback == "inline"
-    digests = [
-        cell_hash(cell.workload, cell.size, cell.config) for _, cell in pending
-    ]
-
     cell_results: Dict[str, Dict[str, object]] = {}
+    try:
+        ack = client.submit(
+            [
+                (cell.workload, cell.size, cell.config_name, cell.config)
+                for _, cell in pending
+            ],
+            verify=verify,
+        )
+        _follow_job(client, str(ack.get("job")), cell_results)
+    except RemoteError as exc:
+        # Only transport-level exhaustion (code None) and a daemon
+        # announcing shutdown justify degrading — typed errors like
+        # bad_request would fail inline identically, so they
+        # propagate.
+        if not fallback or exc.code not in (
+            None,
+            protocol.ERR_SHUTTING_DOWN,
+        ):
+            raise
 
-    # A breaker left open by an earlier run: one cheap probe decides —
-    # daemon back (breaker closes, proceed normally) or straight to
-    # inline fallback without re-paying the retry schedule.
-    reachable = not (fallback and client.breaker_open) or client.probe()
-    if reachable:
-        try:
-            ack = client.submit(
-                [
-                    (cell.workload, cell.size, cell.config_name, cell.config)
-                    for _, cell in pending
-                ],
-                verify=verify,
-            )
-            _follow_job(client, str(ack.get("job")), cell_results)
-        except RemoteError as exc:
-            # Only transport-level exhaustion (code None) and a daemon
-            # announcing shutdown justify degrading — typed errors like
-            # bad_request would fail inline identically, so they
-            # propagate.
-            if not fallback or exc.code not in (
-                None,
-                protocol.ERR_SHUTTING_DOWN,
-            ):
-                raise
-
-    fallback_results: List[Tuple[str, str, AnyConfig, AnyStats]] = []
-    for digest, (key, cell) in zip(digests, pending):
+    leftovers: List[Tuple[Tuple[object, ...], "Cell"]] = []
+    for key, cell in pending:
+        digest = cell_hash(cell.workload, cell.size, cell.config)
         message = cell_results.get(digest)
         if fallback and (
             message is None
@@ -445,27 +382,12 @@ def run_remote(
             # under fallback: an injected worker fault must not fail
             # the sweep, and a genuinely broken cell fails identically
             # here.
-            try:
-                stats = engine._simulate_cell(cell, verify)
-            except Exception as exc:  # noqa: BLE001 — error-policy boundary
-                yield key, cell, exc, False, None
-                continue
-            fallback_results.append(
-                (cell.workload, cell.size, cell.config, stats)
-            )
-            yield key, cell, stats, False, protocol.SOURCE_FALLBACK
+            leftovers.append((key, cell))
         else:
             yield (key, cell) + _daemon_outcome(digest, message)
-
-    if fallback_results and client.probe():
-        # Best-effort publish-back: when the daemon is reachable again
-        # (possibly freshly restarted), the shared store converges on
-        # the degraded run's results — which are byte-identical to what
-        # the daemon would have simulated.
-        try:
-            client.publish_cells(fallback_results)
-        except RemoteError:
-            pass  # the store converges on a later run instead
+    for key, cell, got, cached, _ in engine._run_inline(leftovers, verify):
+        source = None if isinstance(got, Exception) else protocol.SOURCE_FALLBACK
+        yield key, cell, got, cached, source
 
 
 def _follow_job(

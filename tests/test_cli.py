@@ -350,6 +350,18 @@ class TestCache:
         info = run_cli("cache", "info", env_extra=cache).stdout
         assert "0 entries" in info
 
+    def test_info_counts_only_what_is_on_disk(self, tmp_path):
+        # The asking process's own memo is always empty; printing it
+        # made "0 entries" true of any cache, cleared or not.
+        cache = {"REPRO_CACHE_DIR": str(tmp_path)}
+        run_cli(
+            "sweep", "--workloads", "histogram", "--configs", "baseline",
+            "--size", "smoke", env_extra=cache,
+        )
+        info = run_cli("cache", "info", env_extra=cache).stdout
+        assert "— 1 entries" in info
+        assert "0 entries" not in info
+
     def test_info_without_dir(self):
         out = run_cli("cache", "info").stdout
         assert "disabled" in out

@@ -911,6 +911,30 @@ class TestHTTPRoundTrip:
         assert body["code"] == protocol.ERR_BAD_REQUEST
         assert needle in body["message"]
 
+    @pytest.mark.parametrize(
+        "verb,path",
+        [
+            ("GET", "/v1/nope"),
+            ("POST", "/v1/health"),
+            ("GET", "/v1/jobs/j000001/cancel"),
+            ("GET", "/v1/jobs/j000001/result/extra"),
+            ("GET", "/v2/health"),
+        ],
+    )
+    def test_unrouted_requests_are_typed_400s(self, live_server, verb, path):
+        server, _ = live_server
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=5.0)
+        try:
+            conn.request(verb, path, body=b"{}" if verb == "POST" else None)
+            response = conn.getresponse()
+            body = protocol.decode(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert body["code"] == protocol.ERR_BAD_REQUEST
+        assert "unknown endpoint" in body["message"]
+
     def test_cell_lookup_over_http(self, live_server):
         _, url = live_server
         client = RemoteClient(url, retries=0)

@@ -11,6 +11,8 @@ import json
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -801,9 +803,7 @@ class TestHTTPFaultMatrix:
         finally:
             _stop(server)
 
-    def test_worker_fault_degrades_inline_and_publishes_back(
-        self, tmp_path, inline_json
-    ):
+    def test_worker_fault_degrades_inline(self, tmp_path, inline_json):
         plan = FaultPlan.parse("worker-exception:1")
         server, url = _serve(tmp_path, fault_plan=plan)
         try:
@@ -819,10 +819,10 @@ class TestHTTPFaultMatrix:
             assert result.to_json() == inline_json
             sources = sorted(e.source for e in events)
             assert protocol.SOURCE_FALLBACK in sources
-            # Publish-back: the daemon's store converged on the full
-            # matrix even though one of its own workers faulted.
-            assert server.service.counters["cells_published"] == 1
-            assert len(server.service.store) == 2
+            # The client uploads nothing: the store holds the one cell
+            # the daemon's own worker simulated.
+            assert server.service.counters["cells_simulated"] == 1
+            assert len(server.service.store) == 1
         finally:
             _stop(server)
 
@@ -841,43 +841,26 @@ class TestHTTPFaultMatrix:
         assert result.to_json() == inline_json
         assert [e.source for e in events] == [protocol.SOURCE_FALLBACK] * 2
         assert all(not e.cached for e in events)
-        # Retry exhaustion opened the breaker; the next cold run
-        # degrades after cheap failed probes instead of re-paying the
-        # whole retry schedule.
-        assert engine.remote_client.breaker_open
+        # The client keeps no state: a second cold run pays its own
+        # (retries=0) schedule — one submit attempt, no probe — and
+        # degrades the same way.
         opens = []
 
-        def probe_fails(*args, **kwargs):
+        def still_down(*args, **kwargs):
             opens.append(args)
             raise OSError("down")
 
-        engine.remote_client._open = probe_fails
+        engine.remote_client._open = still_down
         memo.clear()
         result_cache.clear()
-        warm = engine.run(TINY)
-        assert warm.to_json() == inline_json
-        # Exactly two probes: the pre-flight breaker check and the
-        # publish-back gate — no real requests, no retry sleeps.
-        assert len(opens) == 2
+        again = engine.run(TINY)
+        assert again.to_json() == inline_json
+        assert [args[:2] for args in opens] == [("POST", "/v1/jobs")]
 
     def test_dead_server_without_fallback_still_raises(self):
         engine = Engine(server=DEAD_URL, cache_dir=None, memo={}, retries=0)
         with pytest.raises(RemoteError):
             engine.run(TINY)
-
-    def test_probe_closes_breaker_and_requests_resume(self, tmp_path):
-        server, url = _serve(tmp_path)
-        try:
-            client = RemoteClient(url, retries=0)
-            with client._lock:
-                client._breaker_open = True
-            with pytest.raises(RemoteError, match="circuit breaker"):
-                client.health()
-            assert client.probe() is True
-            assert not client.breaker_open
-            assert client.health()["type"] == protocol.MSG_STATUS
-        finally:
-            _stop(server)
 
     def test_shutting_down_daemon_degrades_to_inline(
         self, tmp_path, inline_json
@@ -907,38 +890,59 @@ class TestHTTPFaultMatrix:
             Engine(backend="inline", fallback="inline")
 
 
-class TestPublishEndpoint:
-    def test_publish_recomputes_addresses_and_counts(self, tmp_path):
+class TestSingleWriter:
+    """Nothing reaches a served store over the network except what the
+    daemon's own workers simulated."""
+
+    def test_retired_publish_is_refused_and_changes_nothing(self, tmp_path):
+        # Line 2 of the golden codec file is the upload an older
+        # degraded client may still send after its fallback run.
+        golden = os.path.join(
+            os.path.dirname(__file__), "data", "golden_cell_codec.ndjson"
+        )
+        with open(golden, "rb") as handle:
+            publish = handle.readlines()[1]
+        assert b'"type": "publish"' in publish
         server, url = _serve(tmp_path)
         try:
-            client = RemoteClient(url)
-            stats = Engine(backend="inline", cache_dir=None, memo={}).run_cell(
-                *CELL_A[:2], CELL_A[3]
+            before = RemoteClient(url).health()
+            request = urllib.request.Request(
+                url + "/v1/cells", data=publish, method="POST"
             )
-            ack = client.publish_cells([(CELL_A[0], CELL_A[1], CELL_A[3], stats)])
-            assert ack["published"] == 1
-            assert server.service.counters["cells_published"] == 1
-            digest = cell_hash(*CELL_A[:2], CELL_A[3])
-            looked_up = client.cell(digest)
-            assert looked_up["hash"] == digest
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=5.0)
+            assert excinfo.value.code == 400
+            body = protocol.decode(excinfo.value.read())
+            assert body["code"] == protocol.ERR_BAD_REQUEST
+            after = RemoteClient(url).health()
+            assert after["counters"] == before["counters"]
+            assert after["store"]["entries"] == before["store"]["entries"] == 0
         finally:
             _stop(server)
 
-    def test_publish_rejects_poisoned_payload(self, tmp_path):
-        server, url = _serve(tmp_path)
-        try:
-            stats = Stats(cycles=7)
-            message = protocol.publish_message(
-                [(CELL_A[0], CELL_A[1], CELL_A[3], stats)]
-            )
-            message["cells"][0]["hash"] = "0" * 64
-            client = RemoteClient(url, retries=0)
-            with pytest.raises(RemoteError) as excinfo:
-                client._request("POST", "/v1/cells", message)
-            assert excinfo.value.code == protocol.ERR_BAD_REQUEST
-            assert len(server.service.store) == 0
-        finally:
-            _stop(server)
+    def test_every_store_entry_is_simulated_here_or_seeded(self, tmp_path):
+        # One entry put in the directory from outside, then a mixed
+        # submit / cancel / crash / resume sequence.
+        seeded = ResultStore(str(tmp_path / "store"))
+        seeded.store(*CELL_C[:2], CELL_C[3], Stats(cycles=7))
+        plan = FaultPlan.parse("crash-before-publish:2")
+        crashed = _journalled_service(tmp_path, fault_plan=plan)
+        _submit(crashed, cells=(CELL_A, CELL_B, CELL_C))
+        doomed = _submit(crashed, cells=(CELL_A,))  # coalesces, then cancelled
+        crashed.cancel(doomed)
+        with pytest.raises(DaemonCrash):
+            crashed.process_queued()  # A lands, the daemon dies on B
+        simulated = crashed.health()["counters"]["cells_simulated"]
+        crashed.journal.close()
+
+        resumed = _journalled_service(tmp_path)
+        assert resumed.resume() == 1
+        resumed.process_queued()
+        _submit(resumed, cells=(CELL_A, CELL_B))  # all store hits now
+        health = resumed.health()
+        simulated += health["counters"]["cells_simulated"]
+        assert simulated + 1 == health["store"]["entries"] == 3
+        assert resumed.store.verify().ok
 
 
 class TestHTTPGracefulShutdown:
@@ -1034,13 +1038,13 @@ class TestRetryAfterBounds:
             client.health()
         assert delays == expected
 
-    def test_exhaustion_opens_breaker(self):
-        client, _ = self._client_with_429(0.0)
-        with pytest.raises(RemoteError):
-            client.health()
-        assert client.breaker_open
-        with pytest.raises(RemoteError, match="circuit breaker"):
-            client.health()
+    def test_exhaustion_leaves_no_state_behind(self):
+        client, delays = self._client_with_429(0.5)
+        for _ in range(2):
+            # Each request pays its own schedule; nothing fails fast.
+            with pytest.raises(RemoteError, match="after 2 attempts"):
+                client.health()
+        assert delays == [0.5, 0.5]
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,23 @@
 """The bytes the sweep service writes are pinned, not just round-tripped.
 
 ``tests/data/golden_cell_codec.ndjson`` was written by the PR 12 tree
-(before the cell codec was unified) from exactly the calls in
-:func:`golden_lines`: line 1 is an encoded ``submit`` envelope, line 2
-an encoded ``publish`` envelope, the rest is a journal file.  A codec
-change that moves one byte on the wire or in the journal — or that
-stops replaying what an older daemon wrote — fails here.
+(before the cell codec was unified): line 1 is an encoded ``submit``
+envelope and everything from line 3 on a journal file, both from
+exactly the calls in :func:`golden_lines`.  A codec change that moves
+one byte on the wire or in the journal — or that stops replaying what
+an older daemon wrote — fails here.  Line 2 is the ``publish`` envelope
+(two results uploaded to the store) that tree's degraded client sent;
+the message type is retired, and what is pinned is that a peer still
+sending it is refused.
 """
 
 import os
 
+import pytest
+
 from repro.core import presets
 from repro.service import protocol
 from repro.service.journal import JobJournal
-from repro.timing.stats import DeviceStats, Stats
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_cell_codec.ndjson")
 
@@ -24,26 +28,10 @@ GPU_CELL = ("histogram", "tiny", "dev2", presets.device("baseline", sm_count=2))
 THIRD_CELL = ("histogram", "tiny", "warp64", presets.warp64())
 CELLS = [SM_CELL, GPU_CELL, THIRD_CELL]
 
-SM_STATS = Stats(cycles=7, thread_instructions=3, instructions_issued=2)
-GPU_STATS = DeviceStats(
-    cycles=11,
-    sm_stats=[Stats(cycles=11, thread_instructions=5), Stats(cycles=9)],
-    l2_accesses=4,
-    l2_hits=1,
-    l2_misses=3,
-    dram_bytes=96.0,
-)
-
 
 def golden_lines(journal_path):
-    """(submit line, publish line, journal bytes) from today's code."""
+    """(submit line, journal bytes) from today's code."""
     message = protocol.submit_message(CELLS, verify=True)
-    publish = protocol.publish_message(
-        [
-            (SM_CELL[0], SM_CELL[1], SM_CELL[3], SM_STATS),
-            (GPU_CELL[0], GPU_CELL[1], GPU_CELL[3], GPU_STATS),
-        ]
-    )
     cells, verify = protocol.decode_submit(message)
     with JobJournal(journal_path) as journal:
         journal.record_job("j000001", verify, cells)
@@ -54,10 +42,11 @@ def golden_lines(journal_path):
         )
         journal.record_cancel("j000001")
     with open(journal_path, "rb") as handle:
-        return protocol.encode(message), protocol.encode(publish), handle.read()
+        return protocol.encode(message), handle.read()
 
 
 def _golden():
+    """(submit line, retired publish line, journal bytes) as committed."""
     with open(GOLDEN, "rb") as handle:
         lines = handle.readlines()
     return lines[0], lines[1], b"".join(lines[2:])
@@ -65,18 +54,23 @@ def _golden():
 
 class TestGoldenFormats:
     def test_fresh_lines_match_the_parent_written_fixture(self, tmp_path):
-        assert golden_lines(str(tmp_path / "j.ndjson")) == _golden()
+        submit, _, journal = _golden()
+        assert golden_lines(str(tmp_path / "j.ndjson")) == (submit, journal)
 
     def test_parent_written_messages_decode(self):
-        submit, publish, _ = _golden()
+        submit = _golden()[0]
         cells, verify = protocol.decode_submit(protocol.decode(submit))
         assert verify is True
         assert [(c.id, c.workload, c.size, c.config_name, c.config) for c in cells] == [
             (i,) + cell for i, cell in enumerate(CELLS)
         ]
-        published = protocol.decode_publish(protocol.decode(publish))
-        assert [c.stats for c in published] == [SM_STATS, GPU_STATS]
-        assert [c.hash for c in published] == [c.hash for c in cells[:2]]
+
+    def test_parent_written_publish_is_refused(self):
+        publish = _golden()[1]
+        assert b'"type": "publish"' in publish and b'"stats"' in publish
+        with pytest.raises(protocol.ProtocolError, match="publish") as excinfo:
+            protocol.decode(publish)
+        assert excinfo.value.code == protocol.ERR_BAD_REQUEST
 
     def test_parent_written_journal_replays_and_survives_rotate(self, tmp_path):
         path = str(tmp_path / "journal.ndjson")
