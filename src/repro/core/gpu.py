@@ -162,7 +162,9 @@ class GPUDevice:
                             event = MemEvent(now, sm.sm_id, LEVEL_L2, new_misses)
                             for observer in observers:
                                 observer.on_l2_miss(event)
-                    if sm.finished:
+                    # ``finished`` needs an empty live list, and a
+                    # retire drops the cached one (as in SM.run).
+                    if not sm._live_cache and sm.finished:
                         done[i] = True
                         sm.stats.cycles = now + 1
                 if all(done):

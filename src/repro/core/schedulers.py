@@ -47,7 +47,7 @@ from repro.core.policy import SCHEDULERS
 from repro.core.policy.events import ORIGIN_PRIMARY, ORIGIN_SBI, ORIGIN_SWI
 from repro.core.sm import IssueRecord, StreamingMultiprocessor
 from repro.core.warp import TimingWarp
-from repro.timing.divergence import Split
+from repro.timing.divergence import _NEVER, Split
 from repro.timing.fetch import IBufEntry
 from repro.timing.masks import popcount
 from repro.timing.units import ExecGroup
@@ -61,17 +61,8 @@ Candidate = Tuple[Tuple[int, int], TimingWarp, int, Split, IBufEntry, int]
 #: What a cascaded secondary pick hands the issue stage.
 SecondaryPick = Tuple[str, TimingWarp, int, Split, IBufEntry, ExecGroup]
 
-#: Retry sentinel: blocked until a wake site touches the warp.
-_NEVER = 1 << 62
-
-_SFU = OpClass.SFU
-_LSU = OpClass.LSU
-
-
-def _candidate(warp: TimingWarp, slot: int, split: Split, entry: IBufEntry) -> Candidate:
-    op_class = entry.instr.op_class
-    unit = 2 if op_class is _LSU else 1 if op_class is _SFU else 0
-    return ((entry.fetch_cycle, warp.wid), warp, slot, split, entry, unit)
+#: ``free_classes`` index of an op class (CTRL rides the MAD groups).
+_UNIT_OF = {OpClass.MAD: 0, OpClass.CTRL: 0, OpClass.SFU: 1, OpClass.LSU: 2}
 
 
 class SchedulerBase:
@@ -83,10 +74,11 @@ class SchedulerBase:
     hot slot(s): a :data:`Candidate` in an age-ordered pool
     (``_pools``; ``TimingWarp.cand0``/``cand1`` point at it) or
     nothing.  A verdict is re-derived — :meth:`_probe`, from
-    :meth:`_refresh` before each pick — only for warps on ``woken``,
-    which :meth:`TimingWarp.wake`/``wake_issue`` feed from the wake
-    sites: a divergence-model change (its ``on_change`` hook), an issue
-    (buffer consume, scoreboard add), a scoreboard release, an
+    :meth:`_refresh` before each pick — only for warps on the pool's
+    ``woken`` list, which :meth:`TimingWarp.wake`/``wake_issue`` feed
+    from the wake sites: a divergence-model change (its ``on_change``
+    hook — every issue ends in one), a scoreboard release some verdict
+    was waiting for (``ScoreboardBase.awaited``), an
     instruction-buffer fill, a CTA launch, a cascaded pick freezing a
     split, and the timed wakes the predicate itself registers for
     verdicts that expire with the clock alone (decode delay, branch
@@ -114,11 +106,16 @@ class SchedulerBase:
         self.sm = sm
         self.config = sm.config
         self._rand_state = sm.config.seed & 0x7FFFFFFF or 1
-        #: Warps whose verdicts must be re-derived before the next pick.
-        self.woken: List[TimingWarp] = []
         self._pools: Tuple[List[Candidate], ...] = tuple(
             [] for _ in range(self.pools)
         )
+        #: Per pool, the warps whose verdicts must be re-derived before
+        #: its next pick.
+        self.woken: Tuple[List[TimingWarp], ...] = tuple(
+            [] for _ in range(self.pools)
+        )
+        #: Per PC, a candidate's ``unit`` (resolved at launch).
+        self._unit_of = [_UNIT_OF[i.op_class] for i in sm.kernel.program]
 
     def tick(self, now: int) -> int:
         raise NotImplementedError
@@ -148,10 +145,10 @@ class SchedulerBase:
         elif split.redirect_ready_at > now:
             retry = split.redirect_ready_at  # branch still resolving
         else:
-            # Inlined FetchEngine.entry_for over the warp-bound ways
-            # (PC tags are unique per buffer, so the first match is
-            # the only one; if it is still decoding, its ready time
-            # is the retry cycle).
+            # Tag match over the warp-bound buffer ways (PC tags are
+            # unique per buffer, so the first match is the only one;
+            # if it is still decoding, its ready time is the retry
+            # cycle).
             pc = split.pc
             for e in warp.ibuf:
                 if e is not None and e.pc == pc:
@@ -173,6 +170,8 @@ class SchedulerBase:
                     entry = None
             elif instr.dst is not None and len(scoreboard.entries) >= scoreboard.capacity:
                 entry = None
+            if entry is None:
+                scoreboard.awaited = True  # a release can turn this verdict
         wake = warp.model._settle_wake
         if wake < retry:
             retry = wake
@@ -191,7 +190,7 @@ class SchedulerBase:
         """
         if not self.config.sbi_constraints or instr.sync_pcdiv is None:
             return False
-        hot = warp.model.hot_splits(now)
+        hot = warp.model._hot_cache or warp.model.hot_splits(now)
         if len(hot) < 2 or hot[1] is not split:
             return False
         return instr.sync_pcdiv < hot[0].pc < split.pc
@@ -203,16 +202,15 @@ class SchedulerBase:
         cand = None
         if not warp.done:
             model = warp.model
-            hot = model._hot_cache
-            if hot is None:
-                hot = model.hot_splits(now)
+            hot = model._hot_cache or model.hot_splits(now)
             if hot:
                 split = hot[0]
                 entry = self._ready_entry(warp, 0, split, now)
                 if entry is not None:
                     cand = warp.cand0
                     if cand is None or cand[4] is not entry or cand[3] is not split:
-                        cand = _candidate(warp, 0, split, entry)
+                        age = (entry.fetch_cycle, warp.wid)
+                        cand = (age, warp, 0, split, entry, self._unit_of[entry.pc])
             else:
                 # Nothing hot yet: a cold context may be promoted.
                 warp.wake_at(model._settle_wake)
@@ -226,20 +224,23 @@ class SchedulerBase:
             warp.cand0 = cand
         warp.issue_woken = False
 
-    def _refresh(self, now: int) -> None:
-        """Bring the ready set up to date: one readiness pass over the
-        warps woken since the last one."""
-        woken = self.woken
+    def _refresh(self, now: int, index: int = 0) -> None:
+        """Bring pool ``index`` of the ready set up to date: one
+        readiness pass over its warps woken since the last one (a pick
+        reads one pool; another pool's woken warps wait for its pick,
+        by when the fetch after an issue has usually landed too)."""
+        woken = self.woken[index]
         probe = self._probe
         for warp in woken:
             probe(warp, now)
-        woken.clear()
+        del woken[:]
 
-    def _pick_oldest(self, pool: List[Candidate], now: int) -> Optional[Candidate]:
-        """Oldest ready instruction in ``pool`` whose execution unit
-        is free this cycle."""
-        if self.woken:
-            self._refresh(now)
+    def _pick_oldest(self, index: int, now: int) -> Optional[Candidate]:
+        """Oldest ready instruction in pool ``index`` whose execution
+        unit is free this cycle."""
+        if self.woken[index]:
+            self._refresh(now, index)
+        pool = self._pools[index]
         if pool:
             free = self.sm.backend.free_classes(now)
             for cand in pool:
@@ -258,8 +259,8 @@ class BaselineScheduler(SchedulerBase):
     def tick(self, now: int) -> int:
         issued = 0
         sm = self.sm
-        for pool in self._pools:
-            best = self._pick_oldest(pool, now)
+        for index in range(self.pools):
+            best = self._pick_oldest(index, now)
             if best is None:
                 continue
             _, warp, slot, split, entry, _ = best
@@ -276,7 +277,7 @@ class Warp64Scheduler(SchedulerBase):
     """Single pool, one issue per cycle (thread-frontier reference)."""
 
     def tick(self, now: int) -> int:
-        best = self._pick_oldest(self._pools[0], now)
+        best = self._pick_oldest(0, now)
         if best is None:
             return 0
         _, warp, slot, split, entry, _ = best
@@ -314,18 +315,20 @@ class SBIScheduler(SchedulerBase):
         suspended = False
         if not warp.done:
             model = warp.model
-            hot = model.hot_splits(now)
+            hot = model._hot_cache or model.hot_splits(now)
             if hot:
                 split = hot[0]
                 entry = self._ready_entry(warp, 0, split, now)
                 if entry is not None:
-                    cand0 = _candidate(warp, 0, split, entry)
+                    age = (entry.fetch_cycle, warp.wid)
+                    cand0 = (age, warp, 0, split, entry, self._unit_of[entry.pc])
                     insort(pool, cand0)
                 if len(hot) > 1:
                     split = hot[1]
                     entry = self._ready_entry(warp, 1, split, now)
                     if entry is not None:
-                        cand1 = _candidate(warp, 1, split, entry)
+                        age = (entry.fetch_cycle, warp.wid)
+                        cand1 = (age, warp, 1, split, entry, self._unit_of[entry.pc])
                         suspended = self._sync_blocked(warp, split, entry.instr, now)
                         if suspended:
                             self._suspended += 1
@@ -342,7 +345,7 @@ class SBIScheduler(SchedulerBase):
     def tick(self, now: int) -> int:
         # Select the warp owning the oldest ready instruction in either slot.
         sm = self.sm
-        best = self._pick_oldest(self._pools[0], now)
+        best = self._pick_oldest(0, now)
         stats = sm.stats
         stats.sync_suspensions += self._suspended
         if best is None:
@@ -361,7 +364,7 @@ class SBIScheduler(SchedulerBase):
                 issued = 1
         # Secondary front-end: re-read the heap (the primary may have
         # diverged or merged) and issue CPC2 when legal.
-        hot = warp.model.hot_splits(now)
+        hot = warp.model._hot_cache or warp.model.hot_splits(now)
         if len(hot) > 1:
             split = hot[1]
             entry = self._ready_entry(warp, 1, split, now)
@@ -399,10 +402,12 @@ class CascadedScheduler(SchedulerBase):
     def _pick_primary(self, now: int) -> Optional[Candidate]:
         """Oldest ready CPC1 instruction (issues next cycle) whose
         unit is plausibly free at the issue stage."""
-        free = self.sm.backend.free_classes(now + 1)
-        for cand in self._pools[0]:
-            if free[cand[5]]:
-                return cand
+        pool = self._pools[0]
+        if pool:
+            free = self.sm.backend.free_classes(now + 1)
+            for cand in pool:
+                if free[cand[5]]:
+                    return cand
         return None
 
     def _secondary_key(
@@ -420,7 +425,7 @@ class CascadedScheduler(SchedulerBase):
         # SBI+SWI: prefer the same warp's CPC2 split.
         if primary is not None and self._uses_sbi:
             warp = primary.warp
-            hot = warp.model.hot_splits(now)
+            hot = warp.model._hot_cache or warp.model.hot_splits(now)
             if len(hot) > 1:
                 split = hot[1]
                 entry = self._ready_entry(warp, 1, split, now)
@@ -448,9 +453,12 @@ class CascadedScheduler(SchedulerBase):
                 # id's low-order bits.  None = fully associative.
                 count = self.config.warp_count
                 window = {(skip.wid + 1 + i) % count for i in range(ways)}
+        pool = self._pools[0]
+        if not pool:
+            return None
         free = self.sm.backend.free_classes(now)
         eligible = []
-        for cand in self._pools[0]:
+        for cand in pool:
             warp = cand[1]
             if warp is skip or (window is not None and warp.wid not in window):
                 continue
@@ -499,16 +507,17 @@ class CascadedScheduler(SchedulerBase):
                 # split: invalidate the model's memoized views.
                 warp.model._touch()
                 self.pending = None
-            elif not warp.scoreboard.can_issue(
-                entry.instr, split.mask, warp.model.slot_of(split, now)
-            ):
-                return 0  # hazard materialised; hold in the issue stage
             else:
+                # The context slot the split stands in by now (it was
+                # CPC1 when picked): the scoreboard's view of it.
+                slot = warp.model.slot_of(split, now)
+                if not warp.scoreboard.can_issue(entry.instr, split.mask, slot):
+                    return 0  # hazard materialised; hold in the issue stage
                 lanes = split.lane_mask
                 group = sm.backend.pick_group(entry.instr.op_class, now, lanes, False)
                 if group is None:
                     return 0  # structural stall: group still busy
-                diverged = sm.issue(warp, 0, split, entry, now, ORIGIN_PRIMARY, group)
+                diverged = sm.issue(warp, slot, split, entry, now, ORIGIN_PRIMARY, group)
                 self.pending = None
                 primary = IssueRecord(warp, lanes, diverged)
                 issued += 1
@@ -518,7 +527,7 @@ class CascadedScheduler(SchedulerBase):
         # same post-primary-issue state (one readiness pass) and may
         # select the same instruction; the conflict is detected a
         # posteriori and the primary's copy is discarded (paper section 4).
-        if self.woken:
+        if self.woken[0]:
             self._refresh(now)
         nxt = self._pick_primary(now)
         secondary = self._pick_secondary(now, primary)

@@ -13,9 +13,9 @@ simulation speed.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,6 +47,12 @@ from repro.timing.divergence import Split
 
 class SimulationError(Exception):
     """Deadlock or cycle-limit overrun."""
+
+
+#: Control kind of an opcode, as :meth:`StreamingMultiprocessor.issue`
+#: dispatches on it: everything but these three just advances the PC.
+_PLAIN, _BRANCH, _EXIT, _BARRIER = range(4)
+_CONTROL = {Op.BRA: _BRANCH, Op.EXIT: _EXIT, Op.BAR: _BARRIER}
 
 
 @dataclass(slots=True)
@@ -93,7 +99,7 @@ class StreamingMultiprocessor:
         "_seq",
         "_timers",
         "_live_cache",
-        "_class_names",
+        "_statics",
         "_issue_to_wb",
         "_delivery_latency",
         "_branch_latency",
@@ -149,10 +155,14 @@ class StreamingMultiprocessor:
         #: Timed wakes registered by :meth:`TimingWarp.wake_at`.
         self._timers: List[Tuple[int, int, int, TimingWarp]] = []
         self._live_cache: Optional[List[TimingWarp]] = None
-        # Resolved once per launch rather than once per issue: the
-        # per-op-class stats key of every PC, and the latencies that
-        # SMConfig derives through properties.
-        self._class_names = [instr.op_class.value for instr in kernel.program]
+        # Resolved once per launch rather than once per issue: what
+        # :meth:`issue` reads of every PC's instruction — (is memory,
+        # destination register, control kind, per-op-class stats key)
+        # — and the latencies that SMConfig derives through properties.
+        self._statics = [
+            (i.is_memory, i.dst, _CONTROL.get(i.op, _PLAIN), i.op_class.value)
+            for i in kernel.program
+        ]
         self._issue_to_wb = config.issue_to_writeback
         self._delivery_latency = config.delivery_latency
         self._branch_latency = config.branch_latency
@@ -184,7 +194,7 @@ class StreamingMultiprocessor:
             warp = TimingWarp(slot, cta, self.config, self.kernel, tids, shared)
             warp.attach(
                 self.fetch.ways_for(slot),
-                self.scheduler.woken,
+                self.scheduler.woken[slot % self.scheduler.pools],
                 self.fetch.woken,
                 self._timers,
             )
@@ -213,7 +223,7 @@ class StreamingMultiprocessor:
 
     def _launch_pending(self, now: int) -> None:
         while self.pending_launches and self.pending_launches[0][0] <= now:
-            _, slots = heapq.heappop(self.pending_launches)
+            _, slots = heappop(self.pending_launches)
             # Another SM may have drained the grid since the retire
             # that scheduled this launch; the slots simply stay free.
             cta = self.dispatcher.acquire()
@@ -236,7 +246,7 @@ class StreamingMultiprocessor:
                 self.warp_slots[slot] = None
             del self.cta_warps[warp.cta_id]
             if self.dispatcher.has_pending():
-                heapq.heappush(
+                heappush(
                     self.pending_launches,
                     (now + self.config.cta_launch_latency, slots),
                 )
@@ -263,32 +273,40 @@ class StreamingMultiprocessor:
         origin: str,
         group: ExecGroup,
     ) -> bool:
-        """Execute + retire bookkeeping for one instruction on the
-        execution group the scheduler picked for it
-        (:meth:`~repro.timing.units.Backend.pick_group`, this cycle).
+        """Issue one instruction in this one frame: execute it, book
+        the execution group the scheduler picked
+        (:meth:`~repro.timing.units.Backend.pick_group`, this cycle),
+        the scoreboard entry and its writeback, free the buffer way,
+        apply the control effect to the divergence model.
+
+        ``slot`` is the context slot ``split`` stands in
+        (:meth:`DivergenceModel.slot_of`, this cycle); instruction
+        statics come from the per-PC ``_statics``.  The closing model
+        mutation wakes the warp (``on_change``), once, for the freed
+        way and the new entry too; the matrix scoreboard's slot masks
+        are recomputed only if it moved ``slot_version``.
 
         Returns whether the instruction was a branch that diverged.
         """
+        pc = entry.pc
         instr = entry.instr
-        lane_mask = split.lane_mask
+        is_memory, dst, control, oc = self._statics[pc]
+        mask = split.mask
         # Freeze the split while its instruction is in flight through the
         # issue path: structural queries below may pop CCT entries, and a
         # merge changing this mask mid-issue would corrupt both the lane
         # reservation and the set of threads executing the instruction.
         split.pending = True
         model = warp.model
-        scoreboard = warp.scoreboard
         matrix = warp.matrix_sb
         if matrix:
-            old_masks = model.slot_masks(now)
-            slot_ctx = model.slot_of(split, now)
-        else:
             # Only the matrix scoreboard reads context slots.
-            old_masks = None
-            slot_ctx = 0
+            old_masks = self._slot_masks(warp, now)
+            slots_seen = model.slot_version
 
-        outcome = self.executor.execute_masked(instr, warp.fwarp, split.mask)
-        active_mask = outcome.active_mask
+        outcome = self.executor.execute_masked(instr, warp.fwarp, mask)
+        # No outcome: unpredicated, nothing to report but "done".
+        active_mask = mask if outcome is None else outcome.active_mask
         active_bits = active_mask.bit_count()
         # Stats.record_issue, inlined: this runs once per issued
         # instruction and the call overhead is measurable.
@@ -296,7 +314,6 @@ class StreamingMultiprocessor:
         stats.instructions_issued += 1
         stats.thread_instructions += active_bits
         per_op = stats.per_op_class
-        oc = self._class_names[entry.pc]
         per_op[oc] = per_op.get(oc, 0) + active_bits
         if origin == ORIGIN_PRIMARY:
             stats.issued_primary += 1
@@ -309,44 +326,59 @@ class StreamingMultiprocessor:
         observers = self.observers
         if observers:
             event = IssueEvent(
-                now, self.sm_id, warp.wid, entry.pc, origin,
-                split.mask, group.name, active_bits,
+                now, self.sm_id, warp.wid, pc, origin,
+                mask, group.name, active_bits,
             )
             for observer in observers:
                 observer.on_issue(event)
 
-        # Timing: occupancy and writeback.
-        if instr.is_memory:
+        # Timing: occupancy and writeback.  A full-width group's first
+        # instruction of the cycle is one wave on a unit pick_group
+        # found free: booked here; a co-issued second one and narrow
+        # groups go through ExecGroup.accept and its checks.
+        lane_mask = split.lane_mask
+        if group.width >= group.warp_width and (
+            group.cycle != now or not group.issue_count
+        ):
+            group.cycle = now
+            group.lane_mask = lane_mask
+            group.issue_count = 1
+            if group.free_at <= now:
+                group.free_at = now + 1
+            waves = 1
+        else:
+            waves = group.accept(now, lane_mask)
+        if is_memory:
+            assert outcome is not None  # a memory plan always reports
             misses_before = stats.l1_misses
-            occupancy, wb = self.lsu_logic.access(instr, outcome, now)
+            occupancy, wb = self.lsu_logic.access(instr, outcome.lane_addresses, now)
             if observers and stats.l1_misses > misses_before:
                 event = MemEvent(
                     now, self.sm_id, LEVEL_L1, stats.l1_misses - misses_before
                 )
                 for observer in observers:
                     observer.on_l1_miss(event)
-            group.accept(now, lane_mask)
             group.hold(now + occupancy)
             wb += self._delivery_latency
         else:
-            waves = group.accept(now, lane_mask)
             wb = now + self._issue_to_wb + (waves - 1)
-        if instr.dst is not None:
-            sb_entry = scoreboard.add(instr, split.mask, slot_ctx)
-            heapq.heappush(self._wb_heap, (wb, self._seq, warp, sb_entry))
+        if dst is not None:
+            sb_entry = warp.scoreboard.add(instr, mask, slot if slot < 2 else 2)
+            heappush(self._wb_heap, (wb, self._seq, warp, sb_entry))
             self._seq += 1
 
-        self.fetch.consume(warp.wid, entry)
-        # A freed buffer way may be refilled, and the scoreboard add
-        # above may block the other slot.
-        warp.wake()
-        warp.last_issue_cycle = now
+        ways = warp.ibuf
+        if ways[entry.index] is entry:
+            ways[entry.index] = None
         split.pending = False
 
-        # Architectural control effects.
+        # Architectural control effects.  Each ends in a model
+        # mutation, whose change hook wakes the warp.
         diverged = False
-        op = instr.op
-        if op is Op.BRA:
+        if control == _PLAIN:
+            model.advance(split, now)
+        elif control == _BRANCH:
+            assert outcome is not None  # a branch plan always reports
             stats.branches += 1
             taken = bools_to_mask(np.asarray(outcome.taken) & outcome.active)
             split.redirect_ready_at = now + self._branch_latency
@@ -356,27 +388,39 @@ class StreamingMultiprocessor:
                 n_splits = sum(1 for _ in model.all_splits())
                 stats.max_live_splits = max(stats.max_live_splits, n_splits)
                 if observers:
-                    event = SplitEvent(now, self.sm_id, warp.wid, entry.pc, n_splits)
+                    event = SplitEvent(now, self.sm_id, warp.wid, pc, n_splits)
                     for observer in observers:
                         observer.on_split(event)
-        elif op is Op.EXIT:
+        elif control == _EXIT:
             model.exit_threads(split, active_mask, now)
             if split.mask:
                 model.advance(split, now)
             if model.done:
                 self._retire_warp(warp, now)
             self._check_barrier(warp.cta_id, now)
-        elif op is Op.BAR:
+        else:
             model.park(split, now)
             self._check_barrier(warp.cta_id, now)
-        else:
-            model.advance(split, now)
 
-        if matrix:
-            new_masks = model.slot_masks(now)
-            if new_masks != old_masks:
-                scoreboard.on_transition(build_transition(old_masks, new_masks))
+        if matrix and model.slot_version != slots_seen:
+            self._slots_moved(warp, old_masks, now)
         return diverged
+
+    def _slot_masks(self, warp: TimingWarp, now: int) -> Tuple[int, int, int]:
+        """The warp's context-slot masks, recomputed only when its
+        model's ``slot_version`` moved since they were last read."""
+        model = warp.model
+        if warp.slots_seen != model.slot_version:
+            warp.slot_masks = model.slot_masks(now)
+            # Read after the call: an SBI read can settle.
+            warp.slots_seen = model.slot_version
+        return warp.slot_masks
+
+    def _slots_moved(self, warp: TimingWarp, old_masks, now: int) -> None:
+        """Feed the matrix scoreboard the transition since ``old_masks``."""
+        new_masks = self._slot_masks(warp, now)
+        if new_masks != old_masks:
+            warp.scoreboard.on_transition(build_transition(old_masks, new_masks))
 
     # ------------------------------------------------------------------
     # Barriers
@@ -406,25 +450,16 @@ class StreamingMultiprocessor:
         for warp in warps:
             if warp.done:
                 continue
-            matrix = warp.matrix_sb
-            old = warp.model.slot_masks(now) if matrix else None
-            warp.model.unpark_all(now)
-            if matrix:
-                new = warp.model.slot_masks(now)
-                if new != old:
-                    warp.scoreboard.on_transition(build_transition(old, new))
+            if warp.matrix_sb:
+                old_masks = self._slot_masks(warp, now)
+                warp.model.unpark_all(now)
+                self._slots_moved(warp, old_masks, now)
+            else:
+                warp.model.unpark_all(now)
 
     # ------------------------------------------------------------------
     # Timed events
     # ------------------------------------------------------------------
-
-    def _process_writebacks(self, now: int) -> None:
-        heap = self._wb_heap
-        while heap and heap[0][0] <= now:
-            _, _, warp, sb_entry = heapq.heappop(heap)
-            warp.scoreboard.release(sb_entry)
-            # A released destination can unblock either hot slot.
-            warp.wake_issue()
 
     def next_event_cycle(self, now: int) -> Optional[int]:
         """Earliest future cycle at which anything can happen here.
@@ -470,9 +505,8 @@ class StreamingMultiprocessor:
                 warp.wake_cache = sorted(wakes)
                 warp.wake_version = model.version
             cache = warp.wake_cache
-            i = bisect_right(cache, now)
-            if i < len(cache):
-                c = cache[i]
+            if cache and cache[-1] > now:
+                c = cache[bisect_right(cache, now)]
                 if best is None or c < best:
                     best = c
         return best
@@ -514,13 +548,23 @@ class StreamingMultiprocessor:
         if self.pending_launches:
             self._launch_pending(now)
         heap = self._wb_heap
-        if heap and heap[0][0] <= now:
-            self._process_writebacks(now)
+        while heap and heap[0][0] <= now:
+            # Writeback: the release can unblock either hot slot of
+            # its warp, if a verdict was waiting on one.
+            _, _, warp, sb_entry = heappop(heap)
+            scoreboard = warp.scoreboard
+            scoreboard.release(sb_entry)
+            if scoreboard.awaited:
+                scoreboard.awaited = False
+                warp.wake_issue()
         timers = self._timers
         while timers and timers[0][0] <= now:
-            heapq.heappop(timers)[3].timer_due()
+            heappop(timers)[3].timer_due()
         issued = self.scheduler.tick(now)
-        fetched = self.fetch.tick(now, self.live_warps())
+        warps = self._live_cache
+        if warps is None:
+            warps = self.live_warps()
+        fetched = self.fetch.tick(now, warps)
         if issued:
             self.stats.busy_cycles += 1
             return True

@@ -34,10 +34,11 @@ class TimingWarp:
         "launch_mask",
         "model",
         "scoreboard",
-        "last_issue_cycle",
         "done",
         "wake_cache",
         "wake_version",
+        "slot_masks",
+        "slots_seen",
         "ibuf",
         "issue_woken",
         "fetch_woken",
@@ -89,7 +90,10 @@ class TimingWarp:
         # barrier release must feed them slot transitions (hoisted
         # from a per-issue string compare).
         self.matrix_sb = self.scoreboard.kind == "matrix"
-        self.last_issue_cycle = -1
+        # The model's slot masks as last read, valid while
+        # ``model.slot_version == slots_seen`` (see SM._slot_masks).
+        self.slot_masks: Tuple[int, int, int] = (0, 0, 0)
+        self.slots_seen = -1
         self.done = False
         # Sorted split wake-up cycles, valid while the divergence
         # model's mutation counter equals ``wake_version`` (see
@@ -177,7 +181,8 @@ class TimingWarp:
         """Fetch verdict: nothing to fetch before ``retry`` short of a
         :meth:`wake`."""
         self.fetch_woken = False
-        self.wake_at(retry)
+        if retry < self.timer:
+            self.wake_at(retry)
 
     def __repr__(self) -> str:
         return "TimingWarp(wid=%d, cta=%d%s)" % (

@@ -27,6 +27,7 @@ assign exactly the same elements.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -68,9 +69,9 @@ _CMP_FUNCS = {
 #: op -> f(*src_values), mirroring ``Executor._compute`` case by case.
 _COMPUTE_FUNCS = {
     Op.MOV: lambda a: a,
-    Op.ADD: lambda a, b: a + b,
-    Op.SUB: lambda a, b: a - b,
-    Op.MUL: lambda a, b: a * b,
+    Op.ADD: operator.add,
+    Op.SUB: operator.sub,
+    Op.MUL: operator.mul,
     Op.MAD: lambda a, b, c: a * b + c,
     Op.MIN: np.minimum,
     Op.MAX: np.maximum,
@@ -81,13 +82,13 @@ _COMPUTE_FUNCS = {
     Op.SHL: _int_binop(lambda a, b: a << b),
     Op.SHR: _int_binop(lambda a, b: a >> b),
     Op.ABS: np.abs,
-    Op.NEG: lambda a: -a,
+    Op.NEG: operator.neg,
     Op.FLOOR: np.floor,
     Op.I2F: lambda a: a,
     Op.F2I: np.trunc,
     Op.SEL: lambda c, a, b: np.where(np.asarray(c) != 0, a, b),
     Op.RCP: lambda a: 1.0 / a,
-    Op.DIV: lambda a, b: a / b,
+    Op.DIV: operator.truediv,
     Op.SQRT: np.sqrt,
     Op.RSQRT: lambda a: 1.0 / np.sqrt(a),
     Op.SIN: np.sin,
@@ -106,7 +107,7 @@ def _src_getter(operand: Operand, kernel: Kernel) -> Callable:
     kind = operand.kind
     if kind is OperandKind.REG:
         index = operand.value
-        return lambda fw: fw.regs[index]
+        return lambda fw: fw.rows[index]
     if kind is OperandKind.IMM:
         const = np.float64(operand.value)
         return lambda fw: const
@@ -140,11 +141,13 @@ def _src_getter(operand: Operand, kernel: Kernel) -> Callable:
 def compile_instruction(
     instr: Instruction, kernel: Kernel, memory: MemoryImage, width: int
 ) -> Callable:
-    """Specialise ``instr`` into ``plan(fwarp, active_bools) -> ExecOutcome``.
+    """Specialise ``instr`` into ``plan(fwarp, active_bools)``.
 
     ``active_bools`` is the already-predicated execution mask; the
     predicate guard (when present) is compiled into the returned plan
-    by :func:`compile_guarded`.
+    by :func:`compile_guarded`.  A plan returns an ``ExecOutcome``
+    when it has something to report (a branch its ``taken`` vector, a
+    memory access its addresses), else ``None``.
     """
     from repro.functional.executor import ExecOutcome, ExecutionError
 
@@ -179,7 +182,7 @@ def compile_instruction(
         return lambda fw, active: ExecOutcome(active=active, taken=ones)
 
     if op in (Op.BAR, Op.EXIT, Op.NOP):
-        return lambda fw, active: ExecOutcome(active=active)
+        return lambda fw, active: None
 
     if instr.is_memory:
         return _compile_memory(instr, kernel, memory, width, full_arr)
@@ -215,21 +218,18 @@ def compile_instruction(
     if dst is None:
         def plan(fw, active):
             values(fw)
-            return ExecOutcome(active=active)
 
         return plan
 
     copyto = np.copyto
 
     def plan(fw, active):
-        row = fw.regs[dst]
         if active is full_arr:
-            copyto(row, values(fw))
+            copyto(fw.rows[dst], values(fw))
         else:
             # Same elementwise writes as the interpreter's
             # broadcast-then-scatter, in one numpy call.
-            copyto(row, values(fw), where=active)
-        return ExecOutcome(active=active)
+            copyto(fw.rows[dst], values(fw), where=active)
 
     return plan
 
@@ -269,18 +269,21 @@ def _compile_memory(
             raise ExecutionError("load without destination")
 
         def plan(fw, active):
-            addrs = addresses(fw)
+            lanes = addrs = addresses(fw)
             mem = fw.shared if shared else memory
             if active is full_arr:
-                fw.regs[dst][:] = mem.load(addrs)
+                fw.rows[dst][:] = mem.load(addrs)
             else:
                 # Index-array gather/scatter touches the same elements
                 # as the interpreter's boolean indexing, in the same
                 # ascending-lane order.
                 idx = bools_to_indices(active)
+                lanes = addrs[idx]
                 if idx.size:
-                    fw.regs[dst][idx] = mem.load(addrs[idx])
-            return ExecOutcome(active=active, addresses=addrs, space=space)
+                    fw.rows[dst][idx] = mem.load(lanes)
+            return ExecOutcome(
+                active=active, addresses=addrs, space=space, lane_addresses=lanes
+            )
 
         return plan
 
@@ -295,34 +298,40 @@ def _compile_memory(
     if op is Op.ST:
 
         def plan(fw, active):
-            addrs = addresses(fw)
+            lanes = addrs = addresses(fw)
             mem = fw.shared if shared else memory
             if active is full_arr:
                 mem.store(addrs, store_values(fw))
             else:
                 idx = bools_to_indices(active)
+                lanes = addrs[idx]
                 if idx.size:
-                    mem.store(addrs[idx], store_values(fw)[idx])
-            return ExecOutcome(active=active, addresses=addrs, space=space)
+                    mem.store(lanes, store_values(fw)[idx])
+            return ExecOutcome(
+                active=active, addresses=addrs, space=space, lane_addresses=lanes
+            )
 
         return plan
 
     atom_op = _ATOM_OPS[op]
 
     def plan(fw, active):
-        addrs = addresses(fw)
+        lanes = addrs = addresses(fw)
         mem = fw.shared if shared else memory
         if active is full_arr:
             old = mem.atomic(addrs, store_values(fw), atom_op)
             if dst is not None:
-                fw.regs[dst][:] = old
+                fw.rows[dst][:] = old
         else:
             idx = bools_to_indices(active)
+            lanes = addrs[idx]
             if idx.size:
-                old = mem.atomic(addrs[idx], store_values(fw)[idx], atom_op)
+                old = mem.atomic(lanes, store_values(fw)[idx], atom_op)
                 if dst is not None:
-                    fw.regs[dst][idx] = old
-        return ExecOutcome(active=active, addresses=addrs, space=space)
+                    fw.rows[dst][idx] = old
+        return ExecOutcome(
+            active=active, addresses=addrs, space=space, lane_addresses=lanes
+        )
 
     return plan
 
@@ -331,7 +340,10 @@ def compile_guarded(
     instr: Instruction, kernel: Kernel, memory: MemoryImage, width: int
 ) -> Callable:
     """Full plan including the predicate guard:
-    ``plan(fwarp, mask_bools) -> ExecOutcome``."""
+    ``plan(fwarp, mask_bools)`` as above; behind a guard it always
+    reports, since the effective mask is news to the caller."""
+    from repro.functional.executor import ExecOutcome
+
     body = compile_instruction(instr, kernel, memory, width)
     pred = instr.pred
     if pred is None:
@@ -339,9 +351,11 @@ def compile_guarded(
     negate = instr.pred_neg
 
     def guarded(fw, mask):
-        taken = fw.regs[pred] != 0
+        taken = fw.rows[pred] != 0
         if negate:
             taken = ~taken
-        return body(fw, mask & taken)
+        active = mask & taken
+        outcome = body(fw, active)
+        return ExecOutcome(active=active) if outcome is None else outcome
 
     return guarded

@@ -50,8 +50,10 @@ class ExecOutcome:
     ``active`` is the effective mask (issue mask AND predicate); for
     branches ``taken`` holds the per-thread outcome over the full warp
     (only meaningful where ``active``); memory operations expose their
-    byte ``addresses`` (full-warp array, meaningful where ``active``)
-    and the address ``space`` so the timing model can coalesce.
+    byte ``addresses`` (full-warp array, meaningful where ``active``),
+    the address ``space``, and ``lane_addresses`` — the active lanes'
+    addresses in ascending lane order, the vector the access itself
+    gathered and the one the timing model coalesces.
     ``active_mask`` is the bit-mask form of ``active``, filled by
     :meth:`Executor.execute_masked` so the timing model never converts
     a bool array back to an integer on the hot path.
@@ -61,6 +63,7 @@ class ExecOutcome:
     taken: Optional[np.ndarray] = None
     addresses: Optional[np.ndarray] = None
     space: Optional[MemSpace] = None
+    lane_addresses: Optional[np.ndarray] = None
     active_mask: Optional[int] = None
 
     @property
@@ -75,6 +78,7 @@ class FunctionalWarp:
         "warp_id",
         "width",
         "regs",
+        "rows",
         "tids_in_cta",
         "cta_index",
         "shared",
@@ -97,6 +101,9 @@ class FunctionalWarp:
         self.warp_id = warp_id
         self.width = width
         self.regs = np.zeros((nregs, width), dtype=np.float64)
+        #: A persistent view per register row (``regs[i]`` builds one
+        #: per use), for the compiled plans.
+        self.rows = list(self.regs)
         self.tids_in_cta = np.asarray(tids_in_cta, dtype=np.int64)
         self.cta_index = cta_index
         self.shared = shared
@@ -131,7 +138,8 @@ class Executor:
         self.memory = memory
         self.compiled = compiled
         self._instrs = kernel.program.instructions
-        self._plans = [None] * len(self._instrs) if compiled else None
+        self._count = len(self._instrs)
+        self._plans = [None] * self._count if compiled else None
         self._plan_width: Optional[int] = None
         self._bools_memo: dict = {}
 
@@ -152,27 +160,34 @@ class Executor:
         plans = self._plans
         if plans is not None:
             pc = instr.pc
-            if 0 <= pc < len(plans) and self._instrs[pc] is instr:
+            if 0 <= pc < self._count and self._instrs[pc] is instr:
                 if warp.width != self._plan_width:
                     if self._plan_width is not None:
                         return self._execute_interp(instr, warp, mask)
                     self._plan_width = warp.width
-                plan = plans[pc]
-                if plan is None:
-                    from repro.functional.compiled import compile_guarded
-
-                    plan = compile_guarded(
-                        instr, self.kernel, self.memory, warp.width
-                    )
-                    plans[pc] = plan
                 with np.errstate(all="ignore"):
-                    return plan(warp, mask)
+                    outcome = self._plan(pc, warp.width)(warp, mask)
+                # A plan with nothing to report but "done" says None.
+                return ExecOutcome(active=mask) if outcome is None else outcome
         return self._execute_interp(instr, warp, mask)
+
+    def _plan(self, pc: int, width: int):
+        """Program instruction ``pc``'s plan, compiled on first use."""
+        plan = self._plans[pc]
+        if plan is None:
+            from repro.functional.compiled import compile_guarded
+
+            plan = self._plans[pc] = compile_guarded(
+                self._instrs[pc], self.kernel, self.memory, width
+            )
+        return plan
 
     def execute_masked(
         self, instr: Instruction, warp: FunctionalWarp, mask: int
-    ) -> ExecOutcome:
-        """:meth:`execute` for a bit-mask, with ``active_mask`` filled.
+    ) -> Optional[ExecOutcome]:
+        """:meth:`execute` for a bit-mask, with ``active_mask`` filled
+        — or ``None`` when there is nothing to report: an unpredicated
+        non-branch, non-memory instruction ran for exactly ``mask``.
 
         The timing model's hot path: the bool expansion is interned,
         for unpredicated instructions (the common case) the active
@@ -193,19 +208,13 @@ class Executor:
                     memo.clear()
                 bools = memo[mask] = mask_to_bools(mask, width)
             pc = instr.pc
-            if 0 <= pc < len(plans) and self._instrs[pc] is instr:
-                plan = plans[pc]
-                if plan is None:
-                    from repro.functional.compiled import compile_guarded
-
-                    plan = plans[pc] = compile_guarded(
-                        instr, self.kernel, self.memory, width
-                    )
+            if 0 <= pc < self._count and self._instrs[pc] is instr:
+                plan = plans[pc] or self._plan(pc, width)
                 outcome = plan(warp, bools)
+                if outcome is None:
+                    return None
             else:
-                outcome = self._execute_interp(
-                    instr, warp, mask_to_bools(mask, width)
-                )
+                outcome = self._execute_interp(instr, warp, bools)
         else:
             outcome = self.execute(instr, warp, mask_to_bools(mask, width))
         if instr.pred is None:
@@ -406,20 +415,21 @@ class Executor:
         self, instr: Instruction, warp: FunctionalWarp, active: np.ndarray
     ) -> ExecOutcome:
         addrs = self._addresses(instr, warp)
+        lane_addrs = addrs[active]
         mem = self._space_of(instr, warp)
         op = instr.op
         if op is Op.LD:
             if instr.dst is None:
                 raise ExecutionError("load without destination")
             if active.any():
-                warp.regs[instr.dst][active] = mem.load(addrs[active])
+                warp.regs[instr.dst][active] = mem.load(lane_addrs)
         elif op is Op.ST:
             values = np.broadcast_to(
                 np.asarray(self._value(instr.srcs[-1], warp), dtype=np.float64),
                 (warp.width,),
             )
             if active.any():
-                mem.store(addrs[active], values[active])
+                mem.store(lane_addrs, values[active])
         else:  # atomics
             values = np.broadcast_to(
                 np.asarray(self._value(instr.srcs[-1], warp), dtype=np.float64),
@@ -427,7 +437,10 @@ class Executor:
             )
             atom_op = {"atom.add": "add", "atom.min": "min", "atom.max": "max"}[op.value]
             if active.any():
-                old = mem.atomic(addrs[active], values[active], atom_op)
+                old = mem.atomic(lane_addrs, values[active], atom_op)
                 if instr.dst is not None:
                     warp.regs[instr.dst][active] = old
-        return ExecOutcome(active=active, addresses=addrs, space=instr.space)
+        return ExecOutcome(
+            active=active, addresses=addrs, space=instr.space,
+            lane_addresses=lane_addrs,
+        )

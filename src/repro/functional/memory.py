@@ -83,18 +83,28 @@ class MemoryImage:
         return addr // WORD_BYTES
 
     def _word_indices(self, addrs: np.ndarray) -> np.ndarray:
+        """Word index of every byte address, each checked to be
+        aligned and in range.  One OR-fold decides both in the common
+        case: a set low bit is a misaligned lane, and a fold in ``[0,
+        size_bytes)`` bounds every lane (a negative lane makes it
+        negative; it is never below the largest).  A fold outside
+        proves nothing (``0x1000 | 0x0FFC`` exceeds both), so only
+        then does the exact min/max test run, raising as it always did.
+        """
         if addrs.size == 0:
             return addrs.astype(np.int64)
-        if (addrs & (WORD_BYTES - 1)).any():
+        fold = int(np.bitwise_or.reduce(addrs))
+        if fold & (WORD_BYTES - 1):
             raise MemoryAccessError("misaligned vector access")
-        lo = int(addrs.min())
-        hi = int(addrs.max())
-        if lo < 0 or hi >= self.size_bytes:
-            raise MemoryAccessError(
-                "vector access out of range (min=%d max=%d size=%d)"
-                % (lo, hi, self.size_bytes)
-            )
-        return (addrs // WORD_BYTES).astype(np.int64)
+        if not 0 <= fold < self.size_bytes:
+            lo = int(addrs.min())
+            hi = int(addrs.max())
+            if lo < 0 or hi >= self.size_bytes:
+                raise MemoryAccessError(
+                    "vector access out of range (min=%d max=%d size=%d)"
+                    % (lo, hi, self.size_bytes)
+                )
+        return (addrs // WORD_BYTES).astype(np.int64, copy=False)
 
     def load(self, addrs: np.ndarray) -> np.ndarray:
         """Gather one word per byte address."""

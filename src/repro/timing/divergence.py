@@ -20,12 +20,17 @@ through :meth:`DivergenceModel.slot_masks`.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.timing.masks import permute_mask, popcount
 
-#: "No scheduled self-wake" sentinel (shared with hct/schedulers/fetch).
+#: "No scheduled wake" sentinel: the models' settle wake, and the
+#: retry cycle of a scheduler or fetch verdict only a wake site can end.
 _NEVER = 1 << 62
+
+#: Sort key of the PC-ordered models.
+by_pc = attrgetter("pc")
 
 
 class Split:
@@ -34,12 +39,12 @@ class Split:
     __slots__ = (
         "pc",
         "mask",
+        "lane_mask",
         "rpc",
         "parked",
         "pending",
         "redirect_ready_at",
         "ready_at",
-        "_lane_mask",
         "_perm",
     )
 
@@ -48,24 +53,19 @@ class Split:
     ) -> None:
         self.pc = pc
         self.mask = mask
+        #: ``mask`` in physical-lane space (after the warp's shuffle),
+        #: kept in step by :meth:`set_mask`.
+        self.lane_mask = permute_mask(mask, perm)
         self.rpc = rpc  # reconvergence PC (stack model only)
         self.parked = False
         self.pending = False  # picked by a cascaded scheduler, not yet issued
         self.redirect_ready_at = 0  # fetch gate after a branch resolves
         self.ready_at = 0  # CCT sideband-sorter availability
         self._perm = perm
-        self._lane_mask: Optional[int] = None
-
-    @property
-    def lane_mask(self) -> int:
-        """Mask in physical-lane space (after the warp's shuffle)."""
-        if self._lane_mask is None:
-            self._lane_mask = permute_mask(self.mask, self._perm)
-        return self._lane_mask
 
     def set_mask(self, mask: int) -> None:
         self.mask = mask
-        self._lane_mask = None
+        self.lane_mask = permute_mask(mask, self._perm)
 
     @property
     def active_threads(self) -> int:
@@ -87,6 +87,7 @@ class DivergenceModel:
         "merge_count",
         "exited_mask",
         "version",
+        "slot_version",
         "parked_threads",
         "_hot_cache",
         "on_change",
@@ -103,34 +104,47 @@ class DivergenceModel:
         self.merge_count = 0
         self.exited_mask = 0
         #: Mutation counter: bumped by every state change so readers
-        #: (hot-split caches, the SM's wake-cycle cache) can memoize
-        #: derived views between mutations.
+        #: (the SM's wake-cycle cache) can memoize derived views
+        #: between mutations.
         self.version = 0
+        #: Bumped with ``version`` by every change that can move a
+        #: thread between context slots (:meth:`_touch`), not by one
+        #: that only moves a PC (:meth:`_moved`): the SM recomputes
+        #: :meth:`slot_masks` only when it differs from what it saw.
+        self.slot_version = 0
         #: Threads currently suspended at a CTA barrier (fast path for
         #: StreamingMultiprocessor._check_barrier).
         self.parked_threads = 0
         #: Memoized :meth:`hot_splits` result, or None when it must be
-        #: recomputed.  Models that can serve reads straight from a
-        #: cache (stack, frontier) keep it fresh; models with read-path
-        #: state (SBI's settle) leave it None so every read goes
-        #: through the method.  Schedulers read this attribute directly
-        #: on their hottest per-warp-per-cycle scans.
+        #: recomputed.  Models serve reads straight from it whenever
+        #: the answer cannot depend on the cycle asked about (SBI
+        #: leaves it None while a context sits in the sideband sorter:
+        #: its settle then runs on the read path).  Schedulers and the
+        #: fetch engine read this attribute directly.
         self._hot_cache: Optional[List[Split]] = None
-        #: Change-notification hook, bound by the SM at warp launch.
-        #: Fired on every version bump so the engine can clear the
-        #: warp's stall memos and re-enqueue its wake event without
-        #: polling the counter.
+        #: Change-notification hook, bound at warp launch to
+        #: :meth:`TimingWarp.wake` and fired on every version bump:
+        #: the one wake an issued instruction gives its warp.
         self.on_change: Optional[Callable[[], None]] = None
         #: Earliest future cycle the model can change state *on its
         #: own* (SBI's sideband-sorter promotions on the read path);
-        #: ``_NEVER`` for purely mutation-driven models.  Stall memos
-        #: written while the model is quiescent are capped here.
+        #: ``_NEVER`` for purely mutation-driven models.  Schedulers
+        #: and the fetch engine cap every verdict's timed wake here.
         self._settle_wake = _NEVER
 
     def _touch(self) -> None:
-        """Invalidate memoized views after a state change."""
+        """Invalidate every memoized view after a state change."""
         self.version += 1
+        self.slot_version += 1
         self._hot_cache = None
+        cb = self.on_change
+        if cb is not None:
+            cb()
+
+    def _moved(self) -> None:
+        """A split's PC moved and nothing else: membership, masks and
+        priority order stand, so ``_hot_cache`` and slot view hold."""
+        self.version += 1
         cb = self.on_change
         if cb is not None:
             cb()
@@ -147,18 +161,22 @@ class DivergenceModel:
     def slot_of(self, split: Split, now: int) -> int:
         """Context slot of ``split``: 0 (primary), 1 (secondary), 2 (rest)."""
         hot = self.hot_splits(now)
-        for i, s in enumerate(hot[:2]):
-            if s is split:
-                return i
+        if hot:
+            if hot[0] is split:
+                return 0
+            if len(hot) > 1 and hot[1] is split:
+                return 1
         return 2
 
     def slot_masks(self, now: int) -> Tuple[int, int, int]:
         """Thread masks of the three context slots (matrix scoreboard)."""
+        m0 = m1 = 0
         hot = self.hot_splits(now)
-        m0 = hot[0].mask if len(hot) > 0 else 0
-        m1 = hot[1].mask if len(hot) > 1 else 0
-        rest = self.live_mask() & ~(m0 | m1)
-        return m0, m1, rest
+        if hot:
+            m0 = hot[0].mask
+            if len(hot) > 1:
+                m1 = hot[1].mask
+        return m0, m1, self.live_mask() & ~(m0 | m1)
 
     def live_mask(self) -> int:
         mask = 0

@@ -23,10 +23,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.isa.instructions import Instruction
-from repro.timing.divergence import Split
-
-#: Retry sentinel: fetch idle until invalidated (consume / mutation).
-_NEVER = 1 << 62
+from repro.timing.divergence import _NEVER
 
 _wid = attrgetter("wid")
 
@@ -45,8 +42,10 @@ class IBufEntry:
 class FetchEngine:
     """Shared fetch/decode bandwidth across all warps.
 
-    Buffers are per-warp lists indexed by way (``buffers[wid][way]``),
-    which keeps the hot ``entry_for`` lookup a couple of list probes.
+    Buffers are per-warp lists indexed by way (``buffers[wid][way]``);
+    each is bound onto its :class:`TimingWarp` as ``ibuf``, where the
+    scheduler's readiness predicate matches tags and the SM's issue
+    clears the way it consumed.
     """
 
     __slots__ = (
@@ -61,7 +60,7 @@ class FetchEngine:
     )
 
     def __init__(self, program, fetch_width: int, hot_capacity: int) -> None:
-        self.program = program
+        self.program = program.instructions
         self.fetch_width = fetch_width
         self.hot_capacity = hot_capacity
         self.buffers: Dict[int, List[Optional[IBufEntry]]] = {}
@@ -85,22 +84,6 @@ class FetchEngine:
         if ways is None:
             ways = self.buffers[wid] = [None] * self.hot_capacity
         return ways
-
-    def entry_for(self, wid: int, split: Split, now: int) -> Optional[IBufEntry]:
-        """A decoded entry whose tag matches the split's PC, if any."""
-        ways = self.buffers.get(wid)
-        if ways is None:
-            return None
-        pc = split.pc
-        for entry in ways:
-            if entry is not None and entry.pc == pc and entry.ready_at <= now:
-                return entry
-        return None
-
-    def consume(self, wid: int, entry: IBufEntry) -> None:
-        ways = self.buffers.get(wid)
-        if ways is not None and ways[entry.index] is entry:
-            ways[entry.index] = None
 
     def flush_warp(self, wid: int) -> None:
         ways = self.buffers.get(wid)
@@ -141,30 +124,32 @@ class FetchEngine:
         # wrapping.  The list is kept in warp-id order; wakes since
         # the last tick were appended behind it.
         count = len(woken)
-        if count == 1:
-            order = woken
-        else:
+        at = 0
+        if count > 1:
             if count != self._sorted:
                 woken.sort(key=_wid)
             at = bisect_left(woken, warps[rr % len(warps)].wid, key=_wid)
-            order = woken[at:] + woken[:at] if at else woken[:]
+        order = woken[at:] + woken[:at] if at else woken
         fetched = 0
         cap = self.hot_capacity
         width = self.fetch_width
-        program = self.program
+        instrs = self.program
+        # Warps left without a verdict (cut short, or never reached).
+        left = None
+        visited = 0
         for warp in order:
             if fetched >= width:
-                break  # bandwidth exhausted: the rest wait their turn
+                # Bandwidth exhausted: the rest wait their turn.
+                left = order[visited:] if left is None else left + order[visited:]
+                break
+            visited += 1
             if warp.done:
-                woken.remove(warp)
                 warp.fetch_sleep(_NEVER)
                 continue
             model = warp.model
-            hot = model._hot_cache
-            if hot is None:
-                hot = model.hot_splits(now)
-            if len(hot) > cap:
-                hot = hot[:cap]
+            hot = model._hot_cache or model.hot_splits(now)
+            if model.hot_capacity > cap:
+                hot = hot[:cap]  # more runnable splits than buffer ways
             ways = warp.ibuf
             hot_pcs = None
             retry = _NEVER
@@ -181,39 +166,39 @@ class FetchEngine:
                         retry = gate
                     continue
                 pc = split.pc
-                matched = False
-                for entry in ways:
-                    if entry is not None and entry.pc == pc:
-                        matched = True
-                        break
-                if matched:
-                    continue
                 # Victim: empty way, else a way matching no hot PC.
                 victim = None
                 for vi, entry in enumerate(ways):
                     if entry is None:
-                        victim = vi
-                        break
-                if victim is None:
-                    if hot_pcs is None:
-                        hot_pcs = [s.pc for s in hot]
-                    for vi, entry in enumerate(ways):
-                        if entry.pc not in hot_pcs:
+                        if victim is None:
                             victim = vi
-                            break
-                if victim is None:
-                    continue
-                ways[victim] = IBufEntry(pc, program[pc], now, now + 1, victim)
-                # A fill can make the slot issuable.
-                warp.wake_issue()
-                fetched += 1
-            if retry is not None:
+                    elif entry.pc == pc:
+                        break  # tag matched: nothing to fetch
+                else:
+                    if victim is None:
+                        if hot_pcs is None:
+                            hot_pcs = [s.pc for s in hot]
+                        for vi, entry in enumerate(ways):
+                            if entry.pc not in hot_pcs:
+                                victim = vi
+                                break
+                    if victim is not None:
+                        ways[victim] = IBufEntry(pc, instrs[pc], now, now + 1, victim)
+                        # A fill can make the slot issuable.
+                        if not warp.issue_woken:
+                            warp.wake_issue()
+                        fetched += 1
+            if retry is None:
+                left = [warp]
+            else:
                 # Every hot split was looked at: whatever is still
                 # unmatched waits for a gate or for a wake.
-                woken.remove(warp)
                 wake = model._settle_wake
                 warp.fetch_sleep(retry if retry < wake else wake)
-        self._sorted = len(woken)
+        # Survivors are in service order: a rotation of warp-id order
+        # (to be re-sorted) unless the pointer stood at the front.
+        woken[:] = left or ()
+        self._sorted = -1 if at else len(woken)
         if fetched and now + 1 > self._latest_ready:
             self._latest_ready = now + 1
         return fetched

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.timing.divergence import DivergenceModel, Split
-
-
-def _by_pc(split: Split) -> int:
-    return split.pc
+from repro.timing.divergence import DivergenceModel, Split, by_pc
 
 
 class FrontierModel(DivergenceModel):
@@ -37,7 +33,7 @@ class FrontierModel(DivergenceModel):
         hot = self._hot_cache
         if hot is None:
             if self.splits:
-                hot = [min(self.splits, key=_by_pc)]
+                hot = [min(self.splits, key=by_pc)]
             else:
                 hot = []
             self._hot_cache = hot
@@ -53,6 +49,16 @@ class FrontierModel(DivergenceModel):
         return self.launch_mask & ~self.exited_mask
 
     # -- helpers -----------------------------------------------------------
+
+    def _pc_moved(self, split: Split) -> None:
+        """After a PC-only change of ``split``: if it is the warp's one
+        runnable split, nothing can merge or overtake: the views hold."""
+        splits = self.splits
+        if splits[0] is split and splits[-1] is split:
+            self._moved()
+        else:
+            self._touch()
+            self._try_merge(split)
 
     def _try_merge(self, split: Split) -> None:
         """Fold ``split`` into a same-PC runnable sibling if possible."""
@@ -81,13 +87,13 @@ class FrontierModel(DivergenceModel):
         reconv_pc: Optional[int],
         now: int,
     ) -> bool:
-        self._touch()
         ft_mask = split.mask & ~taken_mask
         taken_mask &= split.mask
         if not ft_mask or not taken_mask:
             split.pc = target_pc if taken_mask else split.pc + 1
-            self._try_merge(split)
+            self._pc_moved(split)
             return False
+        self._touch()
         fall_through_pc = split.pc + 1
         split.set_mask(taken_mask)
         split.pc = target_pc
@@ -100,9 +106,8 @@ class FrontierModel(DivergenceModel):
         return True
 
     def advance(self, split: Split, now: int) -> None:
-        self._touch()
         split.pc += 1
-        self._try_merge(split)
+        self._pc_moved(split)
 
     def exit_threads(self, split: Split, mask: int, now: int) -> None:
         self._touch()

@@ -28,10 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.timing.divergence import DivergenceModel, Split
-
-#: Settle wake sentinel: no pending sideband insertion.
-_NEVER = 1 << 62
+from repro.timing.divergence import _NEVER, DivergenceModel, Split, by_pc
 
 
 class SBIModel(DivergenceModel):
@@ -75,11 +72,8 @@ class SBIModel(DivergenceModel):
         self._settle_wake = 0
 
     def _touch(self) -> None:
-        self.version += 1
         self._dirty = True
-        cb = self.on_change
-        if cb is not None:
-            cb()
+        super()._touch()
 
     # -- views -----------------------------------------------------------
 
@@ -108,8 +102,22 @@ class SBIModel(DivergenceModel):
         "sort + compact", "merge").  Entries still travelling through
         the sideband sorter (``ready_at > now``) cannot be promoted or
         merged yet; in-flight (pending) contexts are frozen.
+
+        With the CCT empty and the hot pair absent, single or strictly
+        PC-ordered the walk below would rebuild the state it found:
+        that case — every advance of a converged warp — returns at once.
         """
         old_hot = self.hot
+        if not self.cold and (
+            # At most two contexts are hot when a settle starts.
+            not old_hot
+            or old_hot[0] is old_hot[-1]
+            or old_hot[0].pc < old_hot[-1].pc
+        ):
+            self._dirty = False
+            self._settle_wake = _NEVER
+            self._hot_cache = old_hot
+            return
         pool = list(old_hot)
         settled_cold = []
         for s in self.cold:
@@ -117,7 +125,7 @@ class SBIModel(DivergenceModel):
                 pool.append(s)
             else:
                 settled_cold.append(s)
-        pool.sort(key=lambda s: s.pc)
+        pool.sort(key=by_pc)
         merged: List[Split] = []
         merges_before = self.merge_count
         for s in pool:
@@ -144,9 +152,10 @@ class SBIModel(DivergenceModel):
         if self.merge_count != merges_before or self.hot != old_hot:
             # State changes happen on the read path too: a merge, or a
             # cold context waking through the sideband sorter and
-            # (re)ordering the hot pair.  Stall memos and wake caches
-            # must see it, so the change hook fires here as well.
+            # (re)ordering the hot pair.  Verdicts, wake cache and slot
+            # view must see it: counters move, the change hook fires.
             self.version += 1
+            self.slot_version += 1
             cb = self.on_change
             if cb is not None:
                 cb()
@@ -157,6 +166,9 @@ class SBIModel(DivergenceModel):
             if r > now and (wake is None or r < wake):
                 wake = r
         self._settle_wake = wake if wake is not None else _NEVER
+        # With nothing in the sideband sorter the hot pair reads the
+        # same at any cycle until the next mutation.
+        self._hot_cache = self.hot if wake is None else None
 
     def _insert_cold(self, split: Split, now: int) -> None:
         """Sideband-sorter insertion: the entry is stored immediately
@@ -171,7 +183,7 @@ class SBIModel(DivergenceModel):
     def _place(self, split: Split, now: int) -> None:
         """HCT sorter: keep the two minimum contexts hot, spill the max."""
         self.hot.append(split)
-        self.hot.sort(key=lambda s: s.pc)
+        self.hot.sort(key=by_pc)
         if len(self.hot) > 2:
             spill = self.hot.pop()  # maximum PC
             self._insert_cold(spill, now)
@@ -187,13 +199,14 @@ class SBIModel(DivergenceModel):
         reconv_pc: Optional[int],
         now: int,
     ) -> bool:
-        self._touch()
         ft_mask = split.mask & ~taken_mask
         taken_mask &= split.mask
         if not ft_mask or not taken_mask:
+            self._moved()
             split.pc = target_pc if taken_mask else split.pc + 1
             self._settle(now)
             return False
+        self._touch()
         fall_through_pc = split.pc + 1
         split.set_mask(taken_mask)
         split.pc = target_pc
@@ -203,7 +216,7 @@ class SBIModel(DivergenceModel):
         return True
 
     def advance(self, split: Split, now: int) -> None:
-        self._touch()
+        self._moved()
         split.pc += 1
         self._settle(now)
 

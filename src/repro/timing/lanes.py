@@ -21,6 +21,7 @@ Functions (``n = warp_width - 1``, ``m = warp_count``):
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 POLICIES = ("identity", "mirror_odd", "mirror_half", "xor", "xor_rev")
@@ -52,8 +53,12 @@ def lane_of(policy: str, tid: int, wid: int, warp_width: int, warp_count: int) -
     raise ValueError("unknown lane shuffle policy %r" % policy)
 
 
+@lru_cache(maxsize=1024)
 def permutation(policy: str, wid: int, warp_width: int, warp_count: int) -> Tuple[int, ...]:
-    """Thread->lane permutation for one warp (validated bijection)."""
+    """Thread->lane permutation for one warp (validated bijection).
+
+    A pure function of four small values that every warp launch asks
+    for, so the answers are kept."""
     perm = tuple(
         lane_of(policy, tid, wid, warp_width, warp_count) for tid in range(warp_width)
     )

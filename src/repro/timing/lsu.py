@@ -23,15 +23,14 @@ formation.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.functional.executor import ExecOutcome
 from repro.isa.instructions import Instruction, MemSpace, Op
 from repro.timing.cache import L1Cache
 from repro.timing.dram import DRAMChannel
-from repro.timing.masks import bools_to_indices
 from repro.timing.stats import Stats
 
 
@@ -55,18 +54,21 @@ class LoadStoreUnit:
 
     # ------------------------------------------------------------------
 
-    def access(self, instr: Instruction, outcome: ExecOutcome, now: int) -> Tuple[int, int]:
+    def access(self, instr: Instruction, addrs: np.ndarray, now: int) -> Tuple[int, int]:
         """Process a memory instruction issued at ``now``.
+
+        ``addrs`` holds the byte addresses of the active lanes only, in
+        lane order — the vector the functional access gathered
+        (``ExecOutcome.lane_addresses``); the space is ``instr.space``.
 
         Returns ``(occupancy_cycles, writeback_cycle)``: the number of
         cycles the LSU port is held (1 + replays) and the cycle the
         result is architecturally complete (scoreboard release for
         loads/atomics; port drain for stores).
         """
-        addrs = outcome.addresses[bools_to_indices(outcome.active)]
         if addrs.size == 0:
             return 1, now + self.config.l1_latency
-        if outcome.space is MemSpace.SHARED:
+        if instr.space is MemSpace.SHARED:
             return self._shared(instr, addrs, now)
         return self._global(instr, addrs, now)
 
@@ -79,10 +81,17 @@ class LoadStoreUnit:
         # addresses per bank count; atomics serialise every access.
         # (Addresses are word-aligned here — the functional access
         # already succeeded — so distinct address == distinct word.)
+        words = addrs.tolist()
         if not serialize_all:
-            addrs = np.unique(addrs)
-        banks = (addrs // 4) % self.config.shared_banks
-        return max(1, int(np.bincount(banks).max()))
+            words = set(words)
+        n_banks = self.config.shared_banks
+        banks = [(a // 4) % n_banks for a in words]
+        if len(set(banks)) == len(banks):
+            return 1  # conflict-free: every access has a bank to itself
+        per_bank = [0] * n_banks
+        for bank in banks:
+            per_bank[bank] += 1
+        return max(per_bank)
 
     def _shared(self, instr: Instruction, addrs: np.ndarray, now: int) -> Tuple[int, int]:
         serialize_all = instr.op not in (Op.LD, Op.ST)
@@ -96,74 +105,69 @@ class LoadStoreUnit:
     # Global memory
     # ------------------------------------------------------------------
 
-    def _blocks_of(self, addrs: np.ndarray) -> List[int]:
-        # sorted(set(...)) beats np.unique at warp-sized inputs, and
-        # the block walk below wants plain ints anyway.
-        return sorted(set((addrs // self.config.l1_block).tolist()))
+    @staticmethod
+    def _units_of(addrs: np.ndarray, unit_bytes: int) -> List[int]:
+        """Ascending ids of the ``unit_bytes`` blocks or segments touched
+        (sorted(set()) beats np.unique at warp sizes; plain ints)."""
+        return sorted(set((addrs // unit_bytes).tolist()))
 
-    def _fetch_block(self, block: int, at: int) -> int:
-        """Read one block through L1/MSHR/DRAM; returns data-ready cycle."""
-        self.stats.l1_accesses += 1
-        ready = self.cache.lookup(block * self.config.l1_block)
-        if ready is not None:
-            self.stats.l1_hits += 1
-            return max(at + self.config.l1_latency, ready)
-        self.stats.l1_misses += 1
-        pending = self._pending_fills.get(block)
-        if pending is not None and pending > at:
-            return pending  # MSHR merge with an in-flight fill
-        block_addr = block * self.config.l1_block
-        fill = self.dram.request(self.config.l1_block, at, block_addr)
-        self.stats.dram_bytes += self.config.l1_block
-        self._pending_fills[block] = fill
-        self.cache.fill(block_addr, fill)
-        return fill
+    def _fetch_blocks(self, blocks: List[int], now: int) -> int:
+        """Read ``blocks`` through L1/MSHR/DRAM, one per cycle from
+        ``now``; returns the cycle the last one's data is ready."""
+        stats = self.stats
+        cache = self.cache
+        block_bytes = self.config.l1_block
+        hit_latency = self.config.l1_latency
+        pending_fills = self._pending_fills
+        ready_by = at = now
+        for block in blocks:
+            block_addr = block * block_bytes
+            ready = cache.lookup(block_addr)
+            if ready is not None:
+                stats.l1_hits += 1
+                ready = max(ready, at + hit_latency)
+            else:
+                stats.l1_misses += 1
+                ready = pending_fills.get(block)
+                if ready is None or ready <= at:
+                    # No in-flight fill to merge with (MSHR): go out.
+                    ready = self.dram.request(block_bytes, at, block_addr)
+                    stats.dram_bytes += block_bytes
+                    pending_fills[block] = ready
+                    cache.fill(block_addr, ready)
+            ready_by = max(ready_by, ready)
+            at += 1
+        stats.l1_accesses += at - now
+        return ready_by
 
-    def _store_traffic(self, addrs: np.ndarray, at: int) -> None:
+    def _post_segments(self, segments: List[int], at: int) -> None:
+        """Write-through traffic for the touched store segments."""
         seg_bytes = self.config.store_segment
-        segments = sorted(set((addrs // seg_bytes).tolist()))
         self.dram.post_write_segments(segments, seg_bytes, at)
         self.stats.dram_bytes += len(segments) * seg_bytes
 
     def _global(self, instr: Instruction, addrs: np.ndarray, now: int) -> Tuple[int, int]:
-        if instr.op is Op.LD:
-            blocks = self._blocks_of(addrs)
-            occupancy = len(blocks)
-            wb = now
-            for i, block in enumerate(blocks):
-                wb = max(wb, self._fetch_block(block, now + i))
-            self.stats.global_transactions += occupancy
-            self.stats.memory_replays += occupancy - 1
-            return occupancy, wb
+        seg_bytes, block_bytes = self.config.store_segment, self.config.l1_block
         if instr.op is Op.ST:
-            # One pass over the sorted unique segment ids replaces the
-            # per-block boolean rescan of ``addrs``: the store segment
-            # divides the L1 block, so consecutive runs of equal
-            # ``segment -> block`` ids are exactly the per-block chunks
-            # the scalar walk produced (same order, same segments).
-            seg_bytes = self.config.store_segment
-            segs = np.unique(addrs // seg_bytes)
-            seg_blocks = segs * seg_bytes // self.config.l1_block
-            starts = np.concatenate(
-                ([0], np.flatnonzero(seg_blocks[1:] != seg_blocks[:-1]) + 1)
-            )
-            ends = np.append(starts[1:], segs.size)
-            occupancy = int(starts.size)
-            for i in range(occupancy):
-                segments = segs[starts[i] : ends[i]].tolist()
-                self.dram.post_write_segments(segments, seg_bytes, now + i)
-                self.stats.dram_bytes += len(segments) * seg_bytes
-            self.stats.global_transactions += occupancy
-            self.stats.memory_replays += occupancy - 1
-            return occupancy, now + occupancy - 1 + 1
-        # Atomics: fetch each block once, then serialise one thread/cycle.
-        blocks = self._blocks_of(addrs)
-        occupancy = int(addrs.size)
-        data_ready = now
-        for i, block in enumerate(blocks):
-            data_ready = max(data_ready, self._fetch_block(block, now + i))
-        self._store_traffic(addrs, now)
+            # One transaction per L1 block touched, carrying that
+            # block's segments: runs of the sorted segment ids that
+            # share a block id.
+            segments = self._units_of(addrs, seg_bytes)
+            occupancy = 0
+            for _, run in groupby(segments, lambda seg: seg * seg_bytes // block_bytes):
+                self._post_segments(list(run), now + occupancy)
+                occupancy += 1
+            wb = now + occupancy
+        else:
+            blocks = self._units_of(addrs, block_bytes)
+            wb = self._fetch_blocks(blocks, now)
+            occupancy = len(blocks)
+            if instr.op is not Op.LD:
+                # Atomics: each block fetched once, then one thread
+                # per cycle, the write-through traffic up front.
+                occupancy = int(addrs.size)
+                self._post_segments(self._units_of(addrs, seg_bytes), now)
+                wb = max(wb, now + occupancy - 1) + 1
         self.stats.global_transactions += occupancy
         self.stats.memory_replays += occupancy - 1
-        wb = max(data_ready, now + occupancy - 1) + 1
         return occupancy, wb

@@ -93,17 +93,26 @@ def bools_to_indices(active: np.ndarray) -> np.ndarray:
     return idx
 
 
+#: Interned ``bool[width]`` bytes -> mask packings: branch outcomes
+#: and predicates repeat the same few patterns.
+_PACK_MEMO: Dict[bytes, int] = {}
+
+
 def bools_to_mask(values: Sequence[bool]) -> int:
-    arr = np.asarray(values, dtype=bool)
-    if arr.size == 0:
-        return 0
-    return int.from_bytes(
-        np.packbits(arr, bitorder="little").tobytes(), "little"
-    )
+    key = np.asarray(values, dtype=bool).tobytes()
+    mask = _PACK_MEMO.get(key)
+    if mask is None:
+        if len(_PACK_MEMO) >= _MEMO_LIMIT:
+            _PACK_MEMO.clear()
+        packed = np.packbits(np.frombuffer(key, dtype=bool), bitorder="little")
+        mask = _PACK_MEMO[key] = int.from_bytes(packed.tobytes(), "little")
+    return mask
 
 
 def permute_mask(mask: int, perm: Sequence[int]) -> int:
     """Map thread-space bits through ``perm`` (thread -> lane)."""
+    if mask == (1 << len(perm)) - 1:
+        return mask  # a full warp fills every lane under any shuffle
     out = 0
     for i in bits(mask):
         out |= 1 << perm[i]

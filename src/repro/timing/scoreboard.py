@@ -35,6 +35,12 @@ N_SLOTS = 3
 
 Transition = Tuple[Tuple[bool, bool, bool], ...]
 
+#: The row of an entry fresh from context slot 0, 1, 2 (only that slot
+#: holds its threads); shared, since ``on_transition`` rebinds rows.
+_UNIT_ROWS = tuple(
+    tuple(i == slot for i in range(N_SLOTS)) for slot in range(N_SLOTS)
+)
+
 
 class Entry:
     """One in-flight instruction's scoreboard record."""
@@ -44,42 +50,33 @@ class Entry:
     def __init__(self, dst: int, mask: int, slot: int) -> None:
         self.dst = dst
         self.mask = mask
-        row = [False] * N_SLOTS
-        row[slot] = True
-        self.row = row
+        self.row = _UNIT_ROWS[slot]
         self.released = False
 
 
 class ScoreboardBase:
     """Per-warp dependency tracking with bounded entries.
 
-    ``_dst_mask`` mirrors the in-flight destination registers as a
-    bit-mask (with per-register counts for releases), so the common
-    can-issue query resolves with a single AND against the
-    instruction's cached read/write mask instead of walking entries.
-
-    ``gen`` counts state changes (add/release/transition): schedulers
-    memoize negative readiness verdicts against it, so a data-stalled
-    warp is not re-probed every cycle until something here moves.
+    ``entries`` holds one :class:`Entry` per in-flight destination
+    register, at most ``capacity``.  ``_dst_mask`` mirrors their
+    registers as a bit-mask, so the common can-issue query resolves
+    with a single AND against the instruction's cached read/write mask
+    instead of walking entries; a release rebuilds it from what is
+    left.  ``awaited`` is raised by a readiness verdict that was *no*
+    on this scoreboard's account (hazard, or no room): only then can a
+    release change what the warp may issue, so only then does the SM
+    wake the warp for it (and lower the flag).
     """
 
-    __slots__ = ("capacity", "entries", "gen", "_dst_mask", "_dst_counts")
+    __slots__ = ("capacity", "entries", "awaited", "_dst_mask")
 
     kind = "base"
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.entries: List[Entry] = []
-        self.gen = 0
+        self.awaited = False
         self._dst_mask = 0
-        self._dst_counts: dict = {}
-
-    # -- capacity ------------------------------------------------------
-
-    def has_room(self, instr: Instruction) -> bool:
-        if instr.dst is None:
-            return True  # only destination registers occupy entries
-        return len(self.entries) < self.capacity
 
     # -- dependency query ---------------------------------------------
 
@@ -88,7 +85,8 @@ class ScoreboardBase:
 
     def can_issue(self, instr: Instruction, mask: int, slot: int) -> bool:
         """True when ``instr`` (for threads ``mask``, context ``slot``)
-        has no RAW/WAW hazard against in-flight instructions."""
+        has room for its destination and no RAW/WAW hazard against
+        in-flight instructions."""
         entries = self.entries
         if instr.dst is not None and len(entries) >= self.capacity:
             return False
@@ -105,29 +103,23 @@ class ScoreboardBase:
     # -- lifecycle ------------------------------------------------------
 
     def add(self, instr: Instruction, mask: int, slot: int) -> Optional[Entry]:
-        if instr.dst is None:
-            return None
         dst = instr.dst
+        if dst is None:
+            return None
         entry = Entry(dst, mask, slot)
         self.entries.append(entry)
-        self.gen += 1
-        counts = self._dst_counts
-        counts[dst] = counts.get(dst, 0) + 1
         self._dst_mask |= 1 << dst
         return entry
 
     def release(self, entry: Entry) -> None:
         if not entry.released:
             entry.released = True
-            self.entries.remove(entry)
-            self.gen += 1
-            counts = self._dst_counts
-            left = counts[entry.dst] - 1
-            if left:
-                counts[entry.dst] = left
-            else:
-                del counts[entry.dst]
-                self._dst_mask &= ~(1 << entry.dst)
+            entries = self.entries
+            entries.remove(entry)
+            dst_mask = 0
+            for left in entries:
+                dst_mask |= 1 << left.dst
+            self._dst_mask = dst_mask
 
     def on_transition(self, transition: Transition) -> None:
         """Advance context rows after a divergence/merge event."""
@@ -170,13 +162,12 @@ class MatrixScoreboard(ScoreboardBase):
         return entry.row[slot]
 
     def on_transition(self, transition: Transition) -> None:
-        self.gen += 1
         for entry in self.entries:
             row = entry.row
-            entry.row = [
+            entry.row = tuple(
                 any(row[i] and transition[i][j] for i in range(N_SLOTS))
                 for j in range(N_SLOTS)
-            ]
+            )
 
 
 def make_scoreboard(kind: str, capacity: int) -> ScoreboardBase:

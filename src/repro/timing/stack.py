@@ -56,6 +56,16 @@ class StackModel(DivergenceModel):
 
     # -- helpers ----------------------------------------------------------
 
+    def _pc_moved(self) -> None:
+        """After a PC-only change: the views hold unless the top of
+        stack now stands at its reconvergence point."""
+        top = self.stack[-1]
+        if top.pc == top.rpc:  # never true for rpc=None
+            self._touch()
+            self._pop_reconverged()
+        else:
+            self._moved()
+
     def _pop_reconverged(self) -> None:
         """Pop contexts that reached their reconvergence point."""
         while self.stack:
@@ -84,15 +94,15 @@ class StackModel(DivergenceModel):
         now: int,
     ) -> bool:
         """Branch the top of stack; pushes IPDOM placeholder on divergence."""
-        self._touch()
         if split is not self.stack[-1]:
             raise AssertionError("stack model can only branch the top of stack")
         ft_mask = split.mask & ~taken_mask
         taken_mask &= split.mask
         if not ft_mask or not taken_mask:
             split.pc = target_pc if taken_mask else split.pc + 1
-            self._pop_reconverged()
+            self._pc_moved()
             return False
+        self._touch()
         # Divergent: replace top by placeholder + two outcome contexts.
         outer_rpc = split.rpc
         self.stack.pop()
@@ -114,9 +124,8 @@ class StackModel(DivergenceModel):
         return True
 
     def advance(self, split: Split, now: int) -> None:
-        self._touch()
         split.pc += 1
-        self._pop_reconverged()
+        self._pc_moved()
 
     def exit_threads(self, split: Split, mask: int, now: int) -> None:
         self._touch()

@@ -26,7 +26,8 @@ from repro.timing.masks import wave_count
 
 @dataclass(slots=True)
 class ExecGroup:
-    """One SIMD unit group with an issue port."""
+    """One SIMD unit group with an issue port (:meth:`accept` books an
+    instruction; whether it *can* issue is :meth:`Backend.pick_group`)."""
 
     name: str
     kind: OpClass
@@ -37,29 +38,6 @@ class ExecGroup:
     cycle: int = -1
     lane_mask: int = 0
     issue_count: int = 0
-    busy_until_samples: int = 0
-
-    def _roll(self, now: int) -> None:
-        if self.cycle != now:
-            self.cycle = now
-            self.lane_mask = 0
-            self.issue_count = 0
-
-    # ------------------------------------------------------------------
-
-    def can_accept(self, now: int, lane_mask: int, co_issue: bool) -> bool:
-        """Can an instruction with ``lane_mask`` issue here this cycle?
-
-        ``co_issue=True`` permits sharing with one instruction already
-        accepted this cycle, provided masks are disjoint (dual
-        broadcast limit: two instructions per group per cycle).
-        """
-        self._roll(now)
-        if self.issue_count == 0:
-            return self.free_at <= now
-        if not co_issue or self.issue_count >= 2:
-            return False
-        return (self.lane_mask & lane_mask) == 0
 
     def accept(self, now: int, lane_mask: int) -> int:
         """Issue an instruction; returns its wave count.
@@ -68,7 +46,10 @@ class ExecGroup:
         pair costs ``waves(m1 | m2)`` (MAD/SFU) — the LSU overrides
         this with transaction counts via :meth:`hold`.
         """
-        self._roll(now)
+        if self.cycle != now:
+            self.cycle = now
+            self.lane_mask = 0
+            self.issue_count = 0
         if self.issue_count >= 2:
             raise RuntimeError("more than two instructions on group %s" % self.name)
         if self.issue_count and (self.lane_mask & lane_mask):
@@ -139,8 +120,10 @@ class Backend:
 
         Prefers a completely free group before co-issue sharing, which
         both maximises throughput and keeps baseline (no co-issue)
-        behaviour natural.  (``can_accept``'s checks are inlined: this
-        is the single hottest backend query.)
+        behaviour natural.  ``co_issue=True`` permits sharing a group
+        with the one instruction it accepted this cycle, provided the
+        lane masks are disjoint (dual broadcast limit: two
+        instructions per group per cycle).
         """
         if op_class is OpClass.SFU:
             options = self._sfu_route

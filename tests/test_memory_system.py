@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.functional.executor import ExecOutcome
-from repro.functional.memory import MemoryAccessError, MemoryImage, SharedMemory
+from repro.functional.memory import (
+    WORD_BYTES,
+    MemoryAccessError,
+    MemoryImage,
+    SharedMemory,
+)
 from repro.isa.instructions import Instruction, MemSpace, Op, imm, reg
 from repro.timing.cache import L1Cache
 from repro.timing.config import SMConfig
@@ -133,6 +139,77 @@ class TestDRAM:
             DRAMChannel(0.0, 10)
 
 
+#: Deliberately not a power of two: ``0x1000 | 0x0FFC`` folds to
+#: 0x1FFC, past the end, though both lanes are inside.
+ORACLE_SIZE = 0x1800
+
+
+def _word_indices_oracle(mem, addrs):
+    """``MemoryImage._word_indices`` as it was before the one-fold
+    bounds check: three reductions, every time."""
+    if addrs.size == 0:
+        return addrs.astype(np.int64)
+    if (addrs & (WORD_BYTES - 1)).any():
+        raise MemoryAccessError("misaligned vector access")
+    lo = int(addrs.min())
+    hi = int(addrs.max())
+    if lo < 0 or hi >= mem.size_bytes:
+        raise MemoryAccessError(
+            "vector access out of range (min=%d max=%d size=%d)"
+            % (lo, hi, mem.size_bytes)
+        )
+    return (addrs // WORD_BYTES).astype(np.int64)
+
+
+def _answer(fn, *args):
+    try:
+        return fn(*args)
+    except MemoryAccessError as exc:
+        return str(exc)
+
+
+_lane = st.one_of(
+    st.integers(0, ORACLE_SIZE // WORD_BYTES - 1).map(lambda w: w * WORD_BYTES),
+    st.integers(-16, ORACLE_SIZE + 16),
+    st.sampled_from([-4, 0, 0x0FFC, 0x1000, ORACLE_SIZE - 4, ORACLE_SIZE, 1 << 40, -(1 << 40)]),
+)
+
+
+class TestWordIndicesOracle:
+    """The one-fold check raises exactly when — and what — the exact
+    any/min/max test raises, and returns the same indices otherwise."""
+
+    @pytest.mark.parametrize("make", [MemoryImage, SharedMemory])
+    @given(lanes=st.lists(_lane, max_size=64))
+    @example(lanes=[])
+    @example(lanes=[0x1000, 0x0FFC])  # inconclusive fold, lanes in range
+    @example(lanes=[0, ORACLE_SIZE])  # a lane at size_bytes
+    @example(lanes=[128, 130, 132])  # one misaligned lane
+    @example(lanes=[-4, 8])  # a negative lane
+    @example(lanes=[-3, ORACLE_SIZE])  # misaligned and out of range: misaligned wins
+    @settings(max_examples=300, deadline=None)
+    def test_same_errors_same_indices(self, make, lanes):
+        mem = make(ORACLE_SIZE)
+        addrs = np.array(lanes, dtype=np.int64)
+        want = _answer(_word_indices_oracle, mem, addrs)
+        got = _answer(mem._word_indices, addrs)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_nothing_is_written_before_the_error(self):
+        mem = MemoryImage(ORACLE_SIZE)
+        before = mem.words.copy()
+        for bad in ([128, 130], [128, ORACLE_SIZE], [-4, 128]):
+            addrs = np.array(bad, dtype=np.int64)
+            with pytest.raises(MemoryAccessError):
+                mem.store(addrs, np.ones(2))
+            with pytest.raises(MemoryAccessError):
+                mem.atomic(addrs, np.ones(2), "add")
+        assert np.array_equal(mem.words, before)
+
+
 def _lsu(config=None):
     config = config or SMConfig()
     stats = Stats()
@@ -141,11 +218,10 @@ def _lsu(config=None):
     return LoadStoreUnit(config, cache, dram, stats), stats
 
 
-def _outcome(addrs, active=None, space=MemSpace.GLOBAL):
+def _lanes(addrs, active=None):
+    """What the LSU is handed: the active lanes' byte addresses."""
     addrs = np.asarray(addrs, dtype=np.int64)
-    if active is None:
-        active = np.ones(len(addrs), dtype=bool)
-    return ExecOutcome(active=active, addresses=addrs, space=space)
+    return addrs if active is None else addrs[active]
 
 
 LD = Instruction(Op.LD, dst=0, srcs=(imm(0),), space=MemSpace.GLOBAL)
@@ -157,58 +233,58 @@ ATOM = Instruction(Op.ATOM_ADD, srcs=(imm(0), imm(1)), space=MemSpace.GLOBAL)
 class TestCoalescing:
     def test_fully_coalesced_load(self):
         lsu, stats = _lsu()
-        occ, wb = lsu.access(LD, _outcome(np.arange(32) * 4), now=0)
+        occ, wb = lsu.access(LD, _lanes(np.arange(32) * 4), now=0)
         assert occ == 1
         assert stats.global_transactions == 1
 
     def test_scattered_load_replays(self):
         lsu, stats = _lsu()
-        occ, _ = lsu.access(LD, _outcome(np.arange(8) * 128), now=0)
+        occ, _ = lsu.access(LD, _lanes(np.arange(8) * 128), now=0)
         assert occ == 8
         assert stats.memory_replays == 7
 
     def test_same_word_broadcast(self):
         lsu, stats = _lsu()
-        occ, _ = lsu.access(LD, _outcome(np.zeros(32)), now=0)
+        occ, _ = lsu.access(LD, _lanes(np.zeros(32)), now=0)
         assert occ == 1
 
     def test_hit_faster_than_miss(self):
         lsu, _ = _lsu()
-        _, wb_miss = lsu.access(LD, _outcome(np.arange(32) * 4), now=0)
-        _, wb_hit = lsu.access(LD, _outcome(np.arange(32) * 4), now=wb_miss)
+        _, wb_miss = lsu.access(LD, _lanes(np.arange(32) * 4), now=0)
+        _, wb_hit = lsu.access(LD, _lanes(np.arange(32) * 4), now=wb_miss)
         assert wb_hit - wb_miss < wb_miss
 
     def test_mshr_merges_inflight_fills(self):
         lsu, stats = _lsu()
-        lsu.access(LD, _outcome(np.arange(32) * 4), now=0)
+        lsu.access(LD, _lanes(np.arange(32) * 4), now=0)
         dram_before = stats.dram_bytes
-        lsu.access(LD, _outcome(np.arange(32) * 4), now=1)
+        lsu.access(LD, _lanes(np.arange(32) * 4), now=1)
         assert stats.dram_bytes == dram_before  # merged, no second fill
 
     def test_inactive_lanes_free(self):
         lsu, stats = _lsu()
         active = np.zeros(4, dtype=bool)
-        occ, _ = lsu.access(LD, _outcome([0, 128, 256, 384], active), now=0)
+        occ, _ = lsu.access(LD, _lanes([0, 128, 256, 384], active), now=0)
         assert occ == 1 and stats.global_transactions == 0
 
     def test_store_charges_segments(self):
         lsu, stats = _lsu()
-        occ, _ = lsu.access(ST, _outcome(np.arange(8) * 4), now=0)
+        occ, _ = lsu.access(ST, _lanes(np.arange(8) * 4), now=0)
         assert occ == 1
         assert stats.dram_bytes == 32  # one 32B segment
 
     def test_shared_bank_conflicts(self):
         lsu, stats = _lsu()
         # 32 threads hitting bank 0 with distinct words: full conflict.
-        occ, _ = lsu.access(LDS, _outcome(np.arange(32) * 128, space=MemSpace.SHARED), 0)
+        occ, _ = lsu.access(LDS, _lanes(np.arange(32) * 128), 0)
         assert occ == 32
 
     def test_shared_broadcast_no_conflict(self):
         lsu, _ = _lsu()
-        occ, _ = lsu.access(LDS, _outcome(np.zeros(32), space=MemSpace.SHARED), 0)
+        occ, _ = lsu.access(LDS, _lanes(np.zeros(32)), 0)
         assert occ == 1
 
     def test_atomic_serialises_per_thread(self):
         lsu, _ = _lsu()
-        occ, _ = lsu.access(ATOM, _outcome(np.zeros(16)), now=0)
+        occ, _ = lsu.access(ATOM, _lanes(np.zeros(16)), now=0)
         assert occ == 16

@@ -11,16 +11,18 @@ a missed wake or sleep site fails on the warp and slot it concerns,
 not as a golden diff three layers up.
 """
 
+import collections
+import dataclasses
+import sys
 from unittest import mock
 
 import pytest
 
 from repro.core import presets
-from repro.core.schedulers import CascadedScheduler, SBIScheduler, SchedulerBase
+from repro.core.schedulers import CascadedScheduler, SBIScheduler
 from repro.core.simulator import simulate
 from repro.core.sm import StreamingMultiprocessor
 from repro.core.warp import TimingWarp
-from repro.timing.units import Backend
 from repro.workloads import get_workload
 
 
@@ -62,22 +64,21 @@ def _same(cand, oracle):
     return all(cand[i] is oracle[i] for i in (1, 3, 4)) and cand[2] == oracle[2]
 
 
-def check_ready_set(sm, now):
-    """The ready set, brought up to date, equals the full scan."""
+def check_ready_set(sm, now, index=0):
+    """Pool ``index`` of the ready set, brought up to date the way a
+    pick of it does, equals the full scan's share of that pool."""
     sched = sm.scheduler
-    sched._refresh(now)
+    sched._refresh(now, index)
     pickable, suspended = full_scan(sm, now)
-    by_pool = [[] for _ in sched._pools]
-    for cand in pickable:
-        by_pool[cand[1].wid % sched.pools].append(cand)
-    for pool, expected in zip(sched._pools, by_pool):
-        got = [_describe(c) for c in pool]
-        want = [_describe(c) for c in expected]
-        assert got == want, "cycle %d: ready set != full scan" % now
-        assert all(_same(c, o) for c, o in zip(pool, expected))
+    expected = [c for c in pickable if c[1].wid % sched.pools == index]
+    pool = sched._pools[index]
+    got = [_describe(c) for c in pool]
+    want = [_describe(c) for c in expected]
+    assert got == want, "cycle %d: ready set != full scan" % now
+    assert all(_same(c, o) for c, o in zip(pool, expected))
     if isinstance(sched, SBIScheduler):
         assert sched._suspended == len(suspended), "cycle %d" % now
-    return by_pool
+    return expected
 
 
 def _oldest_with_free_unit(sm, expected, now, by):
@@ -104,7 +105,7 @@ def instrument(sm, counts):
         inner = sched._pick_primary
 
         def pick_primary(now):
-            (expected,) = check_ready_set(sm, now)
+            expected = check_ready_set(sm, now)
             got = inner(now)
             want = _oldest_with_free_unit(sm, expected, now, now + 1)
             assert (got is None) == (want is None), "cycle %d" % now
@@ -117,10 +118,9 @@ def instrument(sm, counts):
     else:
         inner = sched._pick_oldest
 
-        def pick_oldest(pool, now):
-            by_pool = check_ready_set(sm, now)
-            expected = by_pool[sched._pools.index(pool)]
-            got = inner(pool, now)
+        def pick_oldest(index, now):
+            expected = check_ready_set(sm, now, index)
+            got = inner(index, now)
             want = _oldest_with_free_unit(sm, expected, now, now)
             assert (got is None) == (want is None), "cycle %d" % now
             assert got is None or _same(got, want), "cycle %d" % now
@@ -181,26 +181,70 @@ PARENT_WORK = {
 }
 
 
+#: Interpreter call events (``sys.setprofile`` ``call`` + ``c_call``)
+#: per issued instruction over transpose, mandelbrot and matrixmul
+#: @tiny: what one issue costs the host in frames and C calls, the
+#: gauge that steered the one-frame issue path.  ``CALL_PINS`` are the
+#: counts of the tree that introduced the gauge (the guard allows
+#: +5 %), ``PARENT_CALLS`` what :func:`calls_per_issue` read on the
+#: tree before it — each pin must stay below its parent.
+CALL_PINS = {
+    "baseline": 56.0,
+    "sbi": 73.1,
+    "swi": 76.3,
+    "sbi_swi": 81.2,
+}
+PARENT_CALLS = {
+    "baseline": 85.3,
+    "sbi": 124.8,
+    "swi": 114.4,
+    "sbi_swi": 137.5,
+}
+GAUGE_WORKLOADS = ("transpose", "mandelbrot", "matrixmul")
+
+
+def count_calls(kernel, memory, config):
+    """``(stats, call events, Python calls by function name)`` of one
+    simulation."""
+    by_name = collections.Counter()
+    c_calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            by_name[frame.f_code.co_name] += 1
+        elif event == "c_call":
+            c_calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        stats = simulate(kernel, memory, config)
+    finally:
+        sys.setprofile(None)
+    return stats, sum(by_name.values()) + c_calls[0], by_name
+
+
 def work_per_issue(mode):
     """(readiness probes, unit queries) per issued instruction."""
-    counts = {"ready": 0, "unit": 0}
-
-    def counting(cls, name, key):
-        inner = getattr(cls, name)
-
-        def wrapper(self, *args, **kwargs):
-            counts[key] += 1
-            return inner(self, *args, **kwargs)
-
-        return mock.patch.object(cls, name, wrapper)
-
     inst = get_workload("transpose", "tiny")
-    with counting(SchedulerBase, "_ready_entry", "ready"), counting(
-        Backend, "pick_group", "unit"
-    ), counting(Backend, "free_classes", "unit"):
-        stats = simulate(inst.kernel, inst.memory, presets.by_name(mode))
+    stats, _, by_name = count_calls(inst.kernel, inst.memory, presets.by_name(mode))
     issues = stats.instructions_issued
-    return counts["ready"] / issues, counts["unit"] / issues
+    unit = by_name["pick_group"] + by_name["free_classes"]
+    return by_name["_ready_entry"] / issues, unit / issues
+
+
+def calls_per_issue(mode):
+    """Call events per issued instruction, summed over the gauge
+    workloads; each is counted on the second of two identical runs
+    (the first warms the module-level mask memos)."""
+    config = presets.by_name(mode)
+    calls = issues = 0
+    for name in GAUGE_WORKLOADS:
+        for _ in range(2):
+            inst = get_workload(name, "tiny")
+            stats, events, _ = count_calls(inst.kernel, inst.memory, config)
+        calls += events
+        issues += stats.instructions_issued
+    return calls / issues
 
 
 class TestWorkCount:
@@ -215,7 +259,69 @@ class TestWorkCount:
         assert ready <= pin_ready * 1.10, (ready, pin_ready)
         assert unit <= pin_unit * 1.10, (unit, pin_unit)
 
+    @pytest.mark.parametrize("mode", sorted(CALL_PINS))
+    def test_calls_per_issue(self, mode):
+        """Deterministic too: an issue's cost in interpreter calls
+        cannot creep back up without a timing run to say so."""
+        pin, parent = CALL_PINS[mode], PARENT_CALLS[mode]
+        assert pin <= 0.85 * parent
+        calls = calls_per_issue(mode)
+        assert calls <= pin * 1.05, (calls, pin)
+
+    def test_work_per_issue_is_flat_in_live_warps(self):
+        """transpose@bench under sbi_swi with 4 to 24 warps on the SM:
+        "linear in live warps per cycle" was the defect the ready set
+        removed, and per-issue work that grows with occupancy is how
+        it would come back."""
+        ready, calls = {}, {}
+        for warps in (4, 8, 16, 24):
+            config = dataclasses.replace(presets.sbi_swi(), warp_count=warps)
+            inst = get_workload("transpose", "bench")
+            stats, events, by_name = count_calls(inst.kernel, inst.memory, config)
+            ready[warps] = by_name["_ready_entry"] / stats.instructions_issued
+            calls[warps] = events / stats.instructions_issued
+        assert ready[24] <= 1.3 * ready[4], ready
+        assert calls[24] <= 1.3 * calls[4], calls
+
+
+class TestSlotView:
+    """The two things ``SM.issue`` no longer asks the divergence model
+    per instruction: the context slot (the scheduler hands it over) and
+    the slot masks (cached on the warp against ``slot_version``)."""
+
+    @pytest.mark.parametrize("workload,mode", [
+        ("tmd2", "sbi_swi"),
+        ("mandelbrot", "sbi"),
+    ])
+    def test_issue_sees_what_the_model_would_say(self, workload, mode):
+        config = presets.by_name(mode)
+        inst = get_workload(workload, "tiny")
+        expected = simulate(inst.kernel, inst.memory, config)
+        inst = get_workload(workload, "tiny")
+        sm = StreamingMultiprocessor(inst.kernel, inst.memory, config)
+        inner = StreamingMultiprocessor.issue
+        checked = {"slots": set(), "cached": 0}
+
+        def issue(self, warp, slot, split, entry, now, origin, group):
+            model = warp.model
+            assert slot == model.slot_of(split, now), "cycle %d" % now
+            checked["slots"].add(slot)
+            if warp.slots_seen == model.slot_version:
+                assert warp.slot_masks == model.slot_masks(now), "cycle %d" % now
+                checked["cached"] += 1
+            return inner(self, warp, slot, split, entry, now, origin, group)
+
+        with mock.patch.object(StreamingMultiprocessor, "issue", issue):
+            stats = sm.run()
+        # The checks only looked: the run is the unchecked run.
+        assert stats == expected
+        assert checked["slots"] >= {0, 1} and checked["cached"] > 100
+
 
 if __name__ == "__main__":
+    print("| mode | probes/issue | unit queries/issue | calls/issue | parent calls/issue |")
+    print("| --- | ---: | ---: | ---: | ---: |")
     for mode in sorted(WORK_PINS):
-        print(mode, "%.2f %.2f" % work_per_issue(mode))
+        print("| %s | %.2f | %.2f | %.1f | %.1f |" % (
+            (mode,) + work_per_issue(mode) + (calls_per_issue(mode), PARENT_CALLS[mode])
+        ))

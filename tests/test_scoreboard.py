@@ -64,7 +64,7 @@ class TestWarpScoreboard:
         sb = WarpScoreboard(2)
         sb.add(movi(1), 1, 0)
         sb.add(movi(2), 1, 0)
-        assert not sb.has_room(movi(3))
+        assert not sb.can_issue(movi(3), 1, 0)  # full: no entry for r3
         assert sb.can_issue(Instruction(Op.BRA, target=0), 1, 0)  # no dst
 
     def test_release(self):
@@ -117,13 +117,13 @@ class TestMatrixScoreboard:
         e = sb.add(movi(1), 0b1111, 0)
         # Divergence: {0,1} stay primary, {2,3} to secondary.
         sb.on_transition(build_transition((0b1111, 0, 0), (0b0011, 0b1100, 0)))
-        assert e.row == [True, True, False]
+        assert e.row == (True, True, False)
         # Secondary spills to the heap (slot 2).
         sb.on_transition(build_transition((0b0011, 0b1100, 0), (0b0011, 0, 0b1100)))
-        assert e.row == [True, False, True]
+        assert e.row == (True, False, True)
         # Reconvergence: everything merges back into the primary.
         sb.on_transition(build_transition((0b0011, 0, 0b1100), (0b1111, 0, 0)))
-        assert e.row == [True, False, False]
+        assert e.row == (True, False, False)
 
     def test_conservative_after_merge_split(self):
         """After merge-then-split the matrix may flag threads that the

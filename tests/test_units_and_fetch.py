@@ -8,51 +8,61 @@ from repro.timing.masks import full_mask
 from repro.timing.units import Backend, ExecGroup
 
 
+SFU, MAD = OpClass.SFU, OpClass.MAD
+
+
 class TestExecGroup:
-    def make(self, width=64, warp=64):
-        return ExecGroup("G", OpClass.MAD, width, warp)
+    """Booking (``ExecGroup.accept``) against the availability query
+    (``Backend.pick_group``) on the 64-wide machine: one full-width
+    MAD group, one 8-wide SFU group."""
+
+    def make(self):
+        return Backend(presets.sbi())
 
     def test_accept_and_busy(self):
-        g = self.make(width=8)
-        waves = g.accept(0, full_mask(64))
+        b = self.make()
+        waves = b.sfu.accept(0, full_mask(64))
         assert waves == 8
-        assert not g.can_accept(1, full_mask(64), co_issue=False)
-        assert g.can_accept(8, full_mask(64), co_issue=False)
+        assert b.pick_group(SFU, 1, full_mask(64), co_issue=False) is None
+        assert b.pick_group(SFU, 8, full_mask(64), co_issue=False) is b.sfu
 
     def test_co_issue_disjoint(self):
-        g = self.make()
+        b = self.make()
+        g = b.pick_group(MAD, 0, 0x0F, co_issue=False)
         g.accept(0, 0x0F)
-        assert g.can_accept(0, 0xF0, co_issue=True)
-        assert not g.can_accept(0, 0x0C, co_issue=True)
-        assert not g.can_accept(0, 0xF0, co_issue=False)
+        assert b.pick_group(MAD, 0, 0xF0, co_issue=True) is g
+        assert b.pick_group(MAD, 0, 0x0C, co_issue=True) is None
+        assert b.pick_group(MAD, 0, 0xF0, co_issue=False) is None
 
     def test_at_most_two_per_cycle(self):
-        g = self.make()
+        b = self.make()
+        g = b.pick_group(MAD, 0, 0x0F, co_issue=False)
         g.accept(0, 0x0F)
         g.accept(0, 0xF0)
-        assert not g.can_accept(0, 0xF00, co_issue=True)
+        assert b.pick_group(MAD, 0, 0xF00, co_issue=True) is None
         with pytest.raises(RuntimeError):
             g.accept(0, 0xF00)
 
     def test_overlap_accept_raises(self):
-        g = self.make()
+        g = self.make().sfu
         g.accept(0, 0x0F)
         with pytest.raises(RuntimeError):
             g.accept(0, 0x0C)
 
     def test_union_occupancy(self):
-        g = self.make(width=32)
+        g = ExecGroup("G", MAD, 32, 64)
         g.accept(0, full_mask(32))          # low half: 1 wave
         g.accept(0, full_mask(32) << 32)    # high half too: union = 2 waves
         assert g.free_at == 2
 
     def test_new_cycle_resets_co_issue_state(self):
-        g = self.make()
+        b = self.make()
+        g = b.pick_group(MAD, 0, 0x0F, co_issue=False)
         g.accept(0, 0x0F)
-        assert g.can_accept(1, 0x0F, co_issue=False)
+        assert b.pick_group(MAD, 1, 0x0F, co_issue=False) is g
 
     def test_hold_extends(self):
-        g = self.make()
+        g = self.make().lsu
         g.accept(0, 1)
         g.hold(10)
         assert g.free_at == 10
@@ -120,22 +130,31 @@ class TestFetchEngine:
         fetched = sm.fetch.tick(0, sm.live_warps())
         assert fetched == sm.config.fetch_width
 
+    @staticmethod
+    def _entry_for(sm, warp, split, now):
+        """The decoded buffer entry the readiness predicate serves
+        ``split`` at ``now`` (tag match on its PC), if any."""
+        return sm.scheduler._ready_entry(warp, 0, split, now)
+
     def test_decode_delay(self):
         sm = self._setup()
         sm.fetch.tick(0, sm.live_warps())
         warp = sm.live_warps()[0]
         split = warp.model.hot_splits(0)[0]
-        assert sm.fetch.entry_for(warp.wid, split, 0) is None
-        assert sm.fetch.entry_for(warp.wid, split, 1) is not None
+        assert self._entry_for(sm, warp, split, 0) is None
+        assert self._entry_for(sm, warp, split, 1) is not None
 
     def test_consume_clears_entry(self):
+        """Issuing an instruction consumes its buffer entry."""
         sm = self._setup()
         sm.fetch.tick(0, sm.live_warps())
         warp = sm.live_warps()[0]
         split = warp.model.hot_splits(0)[0]
-        entry = sm.fetch.entry_for(warp.wid, split, 1)
-        sm.fetch.consume(warp.wid, entry)
-        assert sm.fetch.entry_for(warp.wid, split, 1) is None
+        entry = self._entry_for(sm, warp, split, 1)
+        group = sm.backend.pick_group(entry.instr.op_class, 1, split.lane_mask, False)
+        sm.issue(warp, 0, split, entry, 1, "primary", group)
+        assert warp.ibuf == [None]
+        assert split.pc == 1 and self._entry_for(sm, warp, split, 1) is None
 
     def test_stale_tag_not_served(self):
         sm = self._setup()
@@ -143,7 +162,7 @@ class TestFetchEngine:
         warp = sm.live_warps()[0]
         split = warp.model.hot_splits(0)[0]
         split.pc = 3  # redirect
-        assert sm.fetch.entry_for(warp.wid, split, 1) is None
+        assert self._entry_for(sm, warp, split, 1) is None
 
     def test_round_robin_covers_all_warps(self):
         sm = self._setup()
@@ -163,4 +182,4 @@ class TestFetchEngine:
         split = warp.model.hot_splits(0)[0]
         split.redirect_ready_at = 100
         sm.fetch.tick(0, [warp])
-        assert sm.fetch.entry_for(warp.wid, split, 1) is None
+        assert warp.ibuf == [None]
