@@ -12,7 +12,14 @@ memoised
 Both levels key on *every* field of the configuration dataclass
 (nested :class:`~repro.timing.config.SMConfig` included), so sweeps
 over scoreboard kind, CCT capacity, L1 geometry or DRAM parameters
-never collide.
+never collide.  Every key derives from one *canonical form*,
+:func:`config_fields`: the dict ``dataclasses.asdict`` builds (equal
+values, key order and JSON bytes — by test, ``tests/test_cache_keys.py``)
+without its deep copy.  A sweep is few configurations x many workloads,
+so :func:`per_config` lets one call (``Engine.run``, ``submit_message``)
+walk each configuration once and key every cell off that; a cell's
+content address is :func:`cell_address` over workload, size and config
+digest.
 
 The disk level is the content-addressed result store: one JSON entry
 per cell, named by the full :func:`cell_hash` and sharded by its first
@@ -35,12 +42,14 @@ instead of being stringified and corrupting a later reload.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
 
 from repro.timing.config import GPUConfig, SMConfig
 from repro.timing.stats import DeviceStats, Stats
@@ -70,6 +79,34 @@ class CacheSerializationError(ValueError):
 # ----------------------------------------------------------------------
 
 
+#: Field types the canonical walk takes as they are.  Exact types: a
+#: numpy scalar is deep-copied and fails :func:`config_hash` as ever.
+_SCALARS = frozenset((bool, int, float, str, type(None)))
+
+_T = TypeVar("_T")
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def config_fields(config: AnyConfig) -> Dict[str, object]:
+    """The canonical form of ``config``, which every key derives from:
+    ``dataclasses.asdict(config)`` in values and key order (every field,
+    nested configs walked in turn), but scalars are taken as they are.
+    Anything else is deep-copied, so the result never aliases ``config``.
+    """
+    out: Dict[str, object] = {}
+    for name in _field_names(type(config)):
+        value = getattr(config, name)
+        if type(value) not in _SCALARS:
+            walk = config_fields if dataclasses.is_dataclass(value) else copy.deepcopy
+            value = walk(value)
+        out[name] = value
+    return out
+
+
 def _freeze(value: object) -> object:
     if isinstance(value, dict):
         return tuple((k, _freeze(v)) for k, v in sorted(value.items()))
@@ -79,26 +116,16 @@ def _freeze(value: object) -> object:
 
 
 def config_key(config: AnyConfig) -> Tuple:
-    """Hashable key covering every field of ``config``.
-
-    Derived from ``dataclasses.asdict``, so new fields are picked up
-    automatically and nested configs (``GPUConfig.sm``) are included.
-    """
-    return (type(config).__name__,) + _freeze(dataclasses.asdict(config))
+    """Hashable key covering every field of ``config``."""
+    return (type(config).__name__,) + _freeze(config_fields(config))
 
 
 def config_to_payload(config: AnyConfig) -> Dict:
-    """The canonical JSON shape of a configuration.
-
-    This is the wire/disk form shared by the hash derivation, disk
-    entries and the service protocol — one shape, so a config always
-    round-trips to the same content address no matter which layer
-    serialized it.
-    """
-    return {
-        "type": type(config).__name__,
-        "fields": dataclasses.asdict(config),
-    }
+    """The canonical JSON shape of a configuration: the wire/disk form
+    shared by the hash derivation, disk entries and the service
+    protocol, so a config round-trips to the same content address no
+    matter which layer serialized it."""
+    return {"type": type(config).__name__, "fields": config_fields(config)}
 
 
 def config_from_payload(payload: Dict) -> AnyConfig:
@@ -144,15 +171,36 @@ def cell_key(workload: str, size: str, config: AnyConfig) -> Tuple:
     return (workload, size, config_key(config))
 
 
-def cell_hash(workload: str, size: str, config: AnyConfig) -> str:
+def cell_address(workload: str, size: str, config_digest: str) -> str:
+    """Content address of the cell whose :func:`config_hash` is given."""
     payload = {
         "version": CACHE_VERSION,
         "workload": workload,
         "size": size,
-        "config": config_hash(config),
+        "config": config_digest,
     }
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def cell_hash(workload: str, size: str, config: AnyConfig) -> str:
+    return cell_address(workload, size, config_hash(config))
+
+
+def per_config(derive: Callable[[AnyConfig], _T]) -> Callable[[str, AnyConfig], _T]:
+    """``derive``, once per configuration of one batch of cells: the
+    returned ``lookup(config_name, config)`` finds by name and checks by
+    identity.  Make one per call — configs are mutable, so nothing about
+    their keys may outlive the call that derived them."""
+    table: Dict[str, Tuple[AnyConfig, _T]] = {}
+
+    def lookup(config_name: str, config: AnyConfig) -> _T:
+        entry = table.get(config_name)
+        if entry is None or entry[0] is not config:
+            entry = table[config_name] = (config, derive(config))
+        return entry[1]
+
+    return lookup
 
 
 # ----------------------------------------------------------------------
@@ -279,19 +327,26 @@ def entry_stats(entry: Dict[str, object]) -> Optional[AnyStats]:
 
 
 def disk_load(
-    disk_dir: str, workload: str, size: str, config: AnyConfig
+    disk_dir: str, workload: str, size: str, config: AnyConfig, digest: Optional[str] = None
 ) -> Optional[AnyStats]:
+    """One cell's stored stats, or None.  ``digest`` is its content
+    address where the caller holds it already (a sweep derives one per
+    cell from one digest per configuration); else it is derived here."""
+    if digest is None:
+        digest = cell_hash(workload, size, config)
     try:
-        entry = read_entry(digest_path(disk_dir, cell_hash(workload, size, config)))
+        entry = read_entry(digest_path(disk_dir, digest))
     except ValueError:
         return None
     return entry_stats(entry)
 
 
 def disk_store(
-    disk_dir: str, workload: str, size: str, config: AnyConfig, stats: AnyStats
+    disk_dir: str, workload: str, size: str, config: AnyConfig, stats: AnyStats,
+    digest: Optional[str] = None,
 ) -> str:
-    """Persist one cell result; returns its content address.
+    """Persist one cell result; returns its content address (``digest``
+    where the caller holds it already, as in :func:`disk_load`).
 
     The entry is serialized before the filesystem is touched, and
     ``disk_dir`` and the shard are created here, on first write.
@@ -300,7 +355,8 @@ def disk_store(
     installs the same bytes.
     """
     text = entry_text(workload, size, config, stats)
-    digest = cell_hash(workload, size, config)
+    if digest is None:
+        digest = cell_hash(workload, size, config)
     path = digest_path(disk_dir, digest)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     atomic_write_text(path, text)

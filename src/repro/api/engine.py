@@ -81,24 +81,14 @@ class Progress:
 
 ProgressFn = Callable[[Progress], None]
 
+#: One cell a runner must resolve: ``(key, cell, content address)``, the
+#: address None in a run with neither a disk level nor a daemon (such a
+#: run must not need its configs JSON-native).
+Pending = Tuple[Tuple, Cell, Optional[str]]
+
 #: What a backend runner yields per pending cell: ``(key, cell, stats
 #: or the exception that failed it, cached, source)``.
 CellOutcome = Tuple[Tuple, Cell, Union[AnyStats, Exception], bool, Optional[str]]
-
-
-def _lookup(
-    memo: Dict, key: Tuple, disk_dir: Optional[str], workload: str, size: str, config: AnyConfig
-) -> Optional[AnyStats]:
-    """The cached stats of the cell whose ``cell_key`` is ``key``:
-    ``memo`` first, then the disk level (promoting a hit into memo)."""
-    if key in memo:
-        return memo[key]
-    if disk_dir:
-        stats = result_cache.disk_load(disk_dir, workload, size, config)
-        if stats is not None:
-            memo[key] = stats
-            return stats
-    return None
 
 
 def _build_and_simulate(
@@ -138,17 +128,24 @@ def _compute_cell(
     ``verify=True`` always simulates (the functional outputs must
     exist to be checked against the numpy reference) but still stores
     the result.  :meth:`Engine.run_cell` and the process pool's
-    workers are both this function.
+    workers are both this function (module-level, so it pickles):
+    workers re-check the disk level — a sibling may have stored the
+    cell meanwhile — and store their own results, with a memo nobody
+    reads again, since the parent folds the returned stats into its own.
     """
     key = result_cache.cell_key(workload, size, config)
-    if not verify:
-        stats = _lookup(memo, key, disk_dir, workload, size, config)
+    if not verify and key in memo:
+        return memo[key]
+    digest = result_cache.cell_hash(workload, size, config) if disk_dir else None
+    if disk_dir and not verify:
+        stats = result_cache.disk_load(disk_dir, workload, size, config, digest)
         if stats is not None:
+            memo[key] = stats
             return stats
     stats = _build_and_simulate(workload, size, config, verify, **hooks)
     memo[key] = stats
     if disk_dir:
-        result_cache.disk_store(disk_dir, workload, size, config, stats)
+        result_cache.disk_store(disk_dir, workload, size, config, stats, digest)
     return stats
 
 
@@ -160,24 +157,6 @@ def _worker_init(plugins: Tuple[str, ...]) -> None:
 
     for name in plugins:
         importlib.import_module(name)
-
-
-def _worker_cell(
-    workload: str,
-    size: str,
-    config: AnyConfig,
-    disk_dir: Optional[str],
-    verify: bool = False,
-) -> AnyStats:
-    """Process-pool entry point: one disk-cache-aware cell.
-
-    Module-level so it pickles; workers re-check the disk cache (a
-    sibling may have stored the cell meanwhile) and store their own
-    results, exactly like :meth:`Engine.run_cell` — with a memo
-    nobody reads again, since the parent folds the returned stats
-    into its own.
-    """
-    return _compute_cell(workload, size, config, verify, {}, disk_dir)
 
 
 class Engine:
@@ -326,10 +305,20 @@ class Engine:
             raise ValueError("errors must be one of %s" % (ERROR_POLICIES,))
 
         cells = spec.cells()
+        # A grid is few configs x many workloads: walk each config once
+        # for its memo key, once more for its digest where a disk level
+        # or a daemon is asked, and key every cell off those.
+        key_of = result_cache.per_config(result_cache.config_key)
+        digest_of = result_cache.per_config(result_cache.config_hash)
+        disk_dir = self._disk_dir(cache=True)
+        addressed = bool(disk_dir) or self.backend == "remote"
+
         # Unique work items: aliased configs share one simulation.
+        keys: List[Tuple] = []  # cell_key of cells[i]
         unique: Dict[Tuple, Cell] = {}
         for cell in cells:
-            key = result_cache.cell_key(cell.workload, cell.size, cell.config)
+            key = (cell.workload, cell.size, key_of(cell.config_name, cell.config))
+            keys.append(key)
             unique.setdefault(key, cell)
 
         outcome: Dict[Tuple, object] = {}  # key -> AnyStats | CellError
@@ -352,21 +341,28 @@ class Engine:
                     )
                 )
 
-        disk_dir = self._disk_dir(cache=True)
-        pending: List[Tuple[Tuple, Cell]] = []
+        # Observed cells must simulate: a cached Stats object carries
+        # no event stream for the aggregators to see.
+        reuse = not (verify or self.observer_names)
+        pending: List[Pending] = []
         for key, cell in unique.items():
-            stats = (
-                None
-                # Observed cells must simulate: a cached Stats object
-                # carries no event stream for the aggregators to see.
-                if verify or self.observer_names
-                else _lookup(self.memo, key, disk_dir, cell.workload, cell.size, cell.config)
-            )
+            stats = self.memo.get(key) if reuse else None
+            digest = None
+            if stats is None and addressed:
+                digest = result_cache.cell_address(
+                    cell.workload, cell.size, digest_of(cell.config_name, cell.config)
+                )
+                if reuse and disk_dir:
+                    stats = result_cache.disk_load(
+                        disk_dir, cell.workload, cell.size, cell.config, digest
+                    )
+                    if stats is not None:
+                        self.memo[key] = stats
             if stats is not None:
                 outcome[key] = stats
                 emit(cell, cached=True)
             else:
-                pending.append((key, cell))
+                pending.append((key, cell, digest))
 
         if pending:
             runner = getattr(self, "_run_%s" % self.backend)
@@ -374,6 +370,7 @@ class Engine:
             # keeps whatever already finished); every other backend's
             # results land on disk here.
             store_dir = None if self.backend == "process" else disk_dir
+            address = {key: digest for key, _, digest in pending}
             # Closing the runner on the way out — normally or through a
             # fail-fast raise — is what lets the pool drop queued cells.
             with closing(runner(pending, verify)) as outcomes:
@@ -390,15 +387,15 @@ class Engine:
                     self.memo[key] = got
                     if store_dir:
                         result_cache.disk_store(
-                            store_dir, cell.workload, cell.size, cell.config, got
+                            store_dir, cell.workload, cell.size, cell.config, got,
+                            address[key],
                         )
                     outcome[key] = got
                     emit(cell, cached, source=source)
 
         results: List[Result] = []
         cell_errors: List[CellError] = []
-        for cell in cells:
-            key = result_cache.cell_key(cell.workload, cell.size, cell.config)
+        for key, cell in zip(keys, cells):
             got = outcome.get(key)
             if got is None:
                 continue  # unresolved under fail-fast abort
@@ -412,13 +409,13 @@ class Engine:
 
     # -- backends ------------------------------------------------------
     #
-    # A runner resolves the cells the caches could not: it yields one
-    # ``(key, cell, stats or exception, cached, source)`` per pending
-    # cell and leaves the error policy, the caches and progress to
-    # :meth:`run`.
+    # A runner resolves the cells the caches could not: for each
+    # ``(key, cell, content address)`` pending it yields one ``(key,
+    # cell, stats or exception, cached, source)`` and leaves the error
+    # policy, the caches and progress to :meth:`run`.
 
     def _run_inline(self, pending, verify) -> Iterator[CellOutcome]:
-        for key, cell in pending:
+        for key, cell, _ in pending:
             observers: Dict[str, Observer] = {}
             if self.observer_names:
                 from repro.analytics import make_aggregators
@@ -450,14 +447,15 @@ class Engine:
         ) as pool:
             futures = {
                 pool.submit(
-                    _worker_cell,
+                    _compute_cell,
                     cell.workload,
                     cell.size,
                     cell.config,
-                    disk_dir,
                     verify,
+                    {},
+                    disk_dir,
                 ): (key, cell)
-                for key, cell in pending
+                for key, cell, _ in pending
             }
             # Consume in completion order so progress never stalls
             # behind a slow early cell.

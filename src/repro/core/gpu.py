@@ -236,7 +236,12 @@ def simulate_device(
     check_engine(engine)
     if config is None:
         config = GPUConfig()
-    return GPUDevice(kernel, memory, config, observers=observers).run()
+    device = GPUDevice(kernel, memory, config, observers=observers)
+    try:
+        return device.run()
+    finally:
+        for sm in device.sms:  # break the cycles, as ``simulate`` does
+            del sm.scheduler
 
 
 __all__ = ["CTADispatcher", "GPUDevice", "simulate_device"]

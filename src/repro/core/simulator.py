@@ -44,7 +44,12 @@ def simulate(
     sm = StreamingMultiprocessor(
         kernel, memory, config, observers=observers, compiled=compiled
     )
-    return sm.run()
+    try:
+        return sm.run()
+    finally:
+        # SM <-> scheduler is a reference cycle: unbroken, ``memory``
+        # waits for a GC pass instead of going with its last reference.
+        del sm.scheduler
 
 
 __all__ = ["simulate", "simulate_device", "SimulationError"]

@@ -75,12 +75,13 @@ class CacheKeyFieldsRule(Rule):
         "into the key lets distinct configs collide in the cache"
     )
     hint = (
-        "derive keys from dataclasses.asdict(config) so new fields are "
-        "picked up automatically"
+        "derive keys from repro.api.cache.config_fields(config), the "
+        "one canonical field walk, so new fields are picked up "
+        "automatically"
     )
 
     def check_project(self, ctx: RuleContext) -> Iterator[Violation]:
-        from repro.api.cache import config_hash, config_key
+        from repro.api.cache import config_fields, config_hash, config_key
         from repro.timing.config import GPUConfig, SMConfig
 
         for cls in (SMConfig, GPUConfig):
@@ -98,9 +99,7 @@ class CacheKeyFieldsRule(Rule):
                     # Validated/enumerated field: the probe value is
                     # rejected at construction.  Fall back to checking
                     # the field is structurally present in the key.
-                    blob = json.dumps(
-                        dataclasses.asdict(base), sort_keys=True
-                    )
+                    blob = json.dumps(config_fields(base), sort_keys=True)
                     if '"%s"' % f.name not in blob:
                         yield Violation(
                             rule=self.id,

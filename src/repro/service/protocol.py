@@ -21,7 +21,11 @@ Configs cross the wire in the canonical payload shape of
 :func:`repro.api.cache.config_to_payload`, and every cell carries its
 ``cell_hash`` — the reader recomputes the hash from the decoded config
 and rejects mismatches, so schema skew between writer and reader is a
-loud failure instead of a silently wrong content address.
+loud failure instead of a silently wrong content address.  The writer
+of a ``submit`` walks each *configuration* once, for the payload its
+cells share, and takes the cells' addresses from its caller or from one
+digest per configuration; the reader derives every decoded cell's
+address from scratch.
 
 Stats travel one way, daemon to client, in ``result`` envelopes: no
 message uploads a result, so nothing reaches a served store over the
@@ -46,9 +50,12 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.api.cache import (
     AnyConfig,
+    cell_address,
     cell_hash,
     config_from_payload,
+    config_hash,
     config_to_payload,
+    per_config,
 )
 
 #: Bump when the envelope schema changes; mismatched peers get a typed
@@ -268,14 +275,17 @@ class SubmittedCell:
         self.hash = digest
 
 
-def cell_to_wire(cell: SubmittedCell) -> Dict[str, object]:
+def cell_to_wire(
+    cell: SubmittedCell, payload: Optional[Dict[str, object]] = None
+) -> Dict[str, object]:
     """The JSON form of one cell, in ``submit`` messages and journal
     job records alike: what it is, what it is called, and the content
-    address the reader cross-checks."""
+    address the reader cross-checks.  ``payload`` is its config's
+    :func:`config_to_payload` where the caller shares one between cells."""
     return {
         "workload": cell.workload,
         "size": cell.size,
-        "config": config_to_payload(cell.config),
+        "config": config_to_payload(cell.config) if payload is None else payload,
         "hash": cell.hash,
         "id": cell.id,
         "config_name": cell.config_name,
@@ -327,19 +337,27 @@ def cell_from_wire(raw: object) -> SubmittedCell:
 
 
 def submit_message(
-    cells: Sequence[Tuple[str, str, str, AnyConfig]], verify: bool = False
+    cells: Sequence[Tuple[str, str, str, AnyConfig]],
+    verify: bool = False,
+    digests: Optional[Sequence[str]] = None,
 ) -> Dict[str, object]:
     """A ``submit`` envelope for (workload, size, config_name, config)
     cells.  Cell ids are the sequence indices; every cell carries its
-    content address so the peer can cross-check schema agreement."""
+    content address so the peer can cross-check schema agreement:
+    ``digests``, in order, where the caller holds them already, else
+    derived here from one digest per configuration."""
+    payload_of = per_config(config_to_payload)
+    if digests is None:
+        digest_of = per_config(config_hash)
+        digests = [cell_address(w, z, digest_of(name, config)) for w, z, name, config in cells]
     encoded = [
         cell_to_wire(
-            SubmittedCell(
-                idx, workload, size, config_name, config,
-                cell_hash(workload, size, config),
-            )
+            SubmittedCell(idx, workload, size, config_name, config, digest),
+            payload_of(config_name, config),
         )
-        for idx, (workload, size, config_name, config) in enumerate(cells)
+        for idx, ((workload, size, config_name, config), digest) in enumerate(
+            zip(cells, digests, strict=True)
+        )
     ]
     return envelope(MSG_SUBMIT, cells=encoded, verify=bool(verify))
 

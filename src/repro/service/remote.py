@@ -21,6 +21,10 @@ pending cells, follows the job's progress stream (falling back to
 status polling if the stream breaks) and yields each cell's outcome to
 :meth:`Engine.run <repro.api.engine.Engine.run>`, which applies the
 error policy and folds results into the engine's memo/disk cache.
+A cell's content address is derived once on this side — by
+``Engine.run``, which hands it down with the cell — and serves the
+submission and the match of the daemon's answers; the daemon derives
+it again per decoded cell, as the schema cross-check.
 
 **Degraded mode** (``Engine(server=..., fallback="inline")``, off by
 default): when a request's retries exhaust against a dead daemon, the
@@ -49,15 +53,15 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    cast,
 )
 
-from repro.api.cache import AnyConfig, AnyStats, cell_hash, stats_from_payload
+from repro.api.cache import AnyConfig, AnyStats, stats_from_payload
 from repro.service import protocol
 from repro.service.protocol import ProtocolError
 
 if TYPE_CHECKING:  # circular at runtime: engine dispatches into here
-    from repro.api.engine import CellOutcome, Engine
-    from repro.api.spec import Cell
+    from repro.api.engine import CellOutcome, Engine, Pending
 
 #: One submittable cell: (workload, size, config_name, config).
 CellTuple = Tuple[str, str, str, AnyConfig]
@@ -221,10 +225,13 @@ class RemoteClient:
         return self._request("GET", "/v1/health")
 
     def submit(
-        self, cells: Sequence[CellTuple], verify: bool = False
+        self,
+        cells: Sequence[CellTuple],
+        verify: bool = False,
+        digests: Optional[Sequence[str]] = None,
     ) -> Dict[str, object]:
         return self._request(
-            "POST", "/v1/jobs", protocol.submit_message(cells, verify=verify)
+            "POST", "/v1/jobs", protocol.submit_message(cells, verify, digests)
         )
 
     def status(self, job_id: str) -> Dict[str, object]:
@@ -328,9 +335,7 @@ def _daemon_outcome(
 
 
 def run_remote(
-    engine: "Engine",
-    pending: Sequence[Tuple[Tuple[object, ...], "Cell"]],
-    verify: bool,
+    engine: "Engine", pending: Sequence["Pending"], verify: bool
 ) -> Iterator["CellOutcome"]:
     """Resolve ``pending`` cells through the daemon.
 
@@ -350,13 +355,16 @@ def run_remote(
     client = engine.remote_client
     fallback = engine.fallback == "inline"
     cell_results: Dict[str, Dict[str, object]] = {}
+    # Engine.run addresses every cell of a remote run, once.
+    digests = [cast(str, digest) for _, _, digest in pending]
     try:
         ack = client.submit(
             [
                 (cell.workload, cell.size, cell.config_name, cell.config)
-                for _, cell in pending
+                for _, cell, _ in pending
             ],
             verify=verify,
+            digests=digests,
         )
         _follow_job(client, str(ack.get("job")), cell_results)
     except RemoteError as exc:
@@ -370,9 +378,8 @@ def run_remote(
         ):
             raise
 
-    leftovers: List[Tuple[Tuple[object, ...], "Cell"]] = []
-    for key, cell in pending:
-        digest = cell_hash(cell.workload, cell.size, cell.config)
+    leftovers: List["Pending"] = []
+    for (key, cell, _), digest in zip(pending, digests):
         message = cell_results.get(digest)
         if fallback and (
             message is None
@@ -382,7 +389,7 @@ def run_remote(
             # under fallback: an injected worker fault must not fail
             # the sweep, and a genuinely broken cell fails identically
             # here.
-            leftovers.append((key, cell))
+            leftovers.append((key, cell, digest))
         else:
             yield (key, cell) + _daemon_outcome(digest, message)
     for key, cell, got, cached, _ in engine._run_inline(leftovers, verify):

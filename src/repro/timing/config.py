@@ -25,6 +25,7 @@ the registry and new policies key cleanly by name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # import cycle: policy modules configure from here
@@ -32,6 +33,15 @@ if TYPE_CHECKING:  # import cycle: policy modules configure from here
 
 VALID_SCOREBOARDS = ("warp", "mask", "matrix")
 VALID_SHUFFLES = ("identity", "mirror_odd", "mirror_half", "xor", "xor_rev")
+
+
+def _as_float(name: str, value: object) -> float:
+    """``value`` as the ``float`` the field declares: ``10 == 10.0``, so
+    the memo key cannot tell the spellings apart, but their JSON — and
+    with it the content address — differs.  One machine, one address."""
+    if not isinstance(value, Real):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    return float(value)
 
 
 class _PolicyCacheBase:
@@ -112,6 +122,10 @@ class SMConfig(_PolicyCacheBase):
         spec = coerce_policy(self.mode)
         self.mode = spec.name
         self._policy = spec
+        if self.sbi_constraints not in (0, 1):  # and ``1 == True`` likewise
+            raise ValueError("sbi_constraints must be True or False")
+        self.sbi_constraints = bool(self.sbi_constraints)
+        self.dram_bandwidth = _as_float("dram_bandwidth", self.dram_bandwidth)
         if self.scoreboard_kind not in VALID_SCOREBOARDS:
             raise ValueError("scoreboard_kind must be one of %s" % (VALID_SCOREBOARDS,))
         if self.lane_shuffle not in VALID_SHUFFLES:
@@ -248,8 +262,10 @@ class GPUConfig:
             raise ValueError("sm_count must be >= 1")
         if self.dram_partitions < 1:
             raise ValueError("dram_partitions must be >= 1")
-        if self.dram_bandwidth is not None and self.dram_bandwidth <= 0:
-            raise ValueError("dram_bandwidth must be positive")
+        if self.dram_bandwidth is not None:
+            self.dram_bandwidth = _as_float("dram_bandwidth", self.dram_bandwidth)
+            if self.dram_bandwidth <= 0:
+                raise ValueError("dram_bandwidth must be positive")
         if self.l2_size < 0:
             raise ValueError("l2_size must be >= 0")
         if self.l2_size:

@@ -9,7 +9,7 @@ checks in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List
 
 from repro.core.policy.events import ORIGIN_PRIMARY, ORIGIN_SBI, ORIGIN_SWI
@@ -100,20 +100,23 @@ class Stats:
         throughput counter sums; ``busy_cycles`` becomes total
         SM-busy-cycles across the device.
         """
-        for f in fields(self):
-            if f.name == "per_op_class":
+        for name in _STATS_FIELDS:
+            if name == "per_op_class":
                 continue
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if f.name in ("cycles", "max_live_splits"):
-                setattr(self, f.name, max(mine, theirs))
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if name in ("cycles", "max_live_splits"):
+                setattr(self, name, max(mine, theirs))
             else:
-                setattr(self, f.name, mine + theirs)
+                setattr(self, name, mine + theirs)
         for op, count in other.per_op_class.items():
             self.per_op_class[op] = self.per_op_class.get(op, 0) + count
 
     def to_dict(self) -> Dict:
-        """JSON-serialisable form (see :meth:`from_dict`)."""
-        return asdict(self)
+        """JSON-serialisable form (see :meth:`from_dict`): equal to
+        ``dataclasses.asdict``'s, without deep-copying each counter."""
+        data = {name: getattr(self, name) for name in _STATS_FIELDS}
+        data["per_op_class"] = dict(self.per_op_class)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Stats":
@@ -137,6 +140,9 @@ class Stats:
             "CTAs launched       %10d" % self.ctas_launched,
         ]
         return "\n".join(lines)
+
+
+_STATS_FIELDS = tuple(f.name for f in fields(Stats))
 
 
 @dataclass(slots=True)
@@ -194,7 +200,7 @@ class DeviceStats:
         return self.l2_hits / self.l2_accesses if self.l2_accesses else 0.0
 
     def to_dict(self) -> Dict:
-        data = asdict(self)
+        data = {name: getattr(self, name) for name in _DEVICE_FIELDS}
         data["sm_stats"] = [s.to_dict() for s in self.sm_stats]
         return data
 
@@ -220,3 +226,6 @@ class DeviceStats:
             "DRAM traffic        %10.0f bytes" % self.dram_bytes,
         ]
         return "\n".join(lines)
+
+
+_DEVICE_FIELDS = tuple(f.name for f in fields(DeviceStats))

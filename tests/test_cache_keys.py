@@ -1,0 +1,360 @@
+"""The canonical form behind every cache key, pinned three ways.
+
+:func:`repro.api.cache.config_fields` replaced ``dataclasses.asdict``
+as the one walk all keys derive from (and ``Stats.to_dict`` /
+``DeviceStats.to_dict`` became walks of the same kind), on the promise
+that nothing stored or sent changes.  Held here:
+
+* equivalence — over hypothesis-drawn valid configs the walk *is*
+  ``asdict`` (values, key order, payload JSON bytes), and the stats of
+  real runs serialise as ``asdict`` did;
+* pinned addresses — digests as the tree before the walk (d3e449d)
+  computed them, written out, so a later rewrite cannot drift silently;
+  a cache directory is shared across Python versions, so CI runs these
+  on every leg;
+* a golden store — three entries that tree wrote
+  (``tests/data/golden_store``), which this one must answer from disk
+  and verify clean;
+* one machine, one address — the memo key and the content address
+  agree on which configs are the same machine.
+"""
+
+import dataclasses
+import json
+import os
+import shutil
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import Engine, SweepSpec
+from repro.api import cache as result_cache
+from repro.api.cache import (
+    cell_hash,
+    config_fields,
+    config_from_payload,
+    config_hash,
+    config_key,
+    config_to_payload,
+)
+from repro.core import presets
+from repro.core.gpu import simulate_device
+from repro.core.policy import POLICIES
+from repro.core.simulator import simulate
+from repro.service.store import ResultStore
+from repro.timing.config import (
+    VALID_SCOREBOARDS,
+    VALID_SHUFFLES,
+    GPUConfig,
+    SMConfig,
+)
+from repro.workloads import get_workload
+
+GOLDEN_STORE = os.path.join(os.path.dirname(__file__), "data", "golden_store")
+
+
+# ----------------------------------------------------------------------
+# Strategies: valid configs, with float / bool fields spelled both ways
+# ----------------------------------------------------------------------
+
+_bandwidths = st.one_of(
+    st.integers(1, 64),
+    st.integers(1, 64).map(float),
+    st.floats(0.5, 64.0, allow_nan=False),
+)
+
+
+@st.composite
+def sm_configs(draw):
+    width = draw(st.sampled_from((4, 8, 16, 32, 64)))
+    return SMConfig(
+        mode=draw(st.sampled_from([name for name, _ in POLICIES.items()])),
+        warp_count=draw(st.integers(1, 48)),
+        warp_width=width,
+        mad_lanes=width * draw(st.integers(1, 4)),
+        scoreboard_kind=draw(st.sampled_from(VALID_SCOREBOARDS)),
+        lane_shuffle=draw(st.sampled_from(VALID_SHUFFLES)),
+        sbi_constraints=draw(st.sampled_from((True, False, 1, 0))),
+        swi_ways=draw(st.one_of(st.none(), st.integers(1, 16))),
+        cct_capacity=draw(st.integers(1, 16)),
+        dram_bandwidth=draw(_bandwidths),
+        dram_latency=draw(st.integers(1, 600)),
+        seed=draw(st.integers(0, 3)),
+    )
+
+
+@st.composite
+def gpu_configs(draw):
+    return GPUConfig(
+        sm=draw(sm_configs()),
+        sm_count=draw(st.integers(1, 16)),
+        dram_partitions=draw(st.integers(1, 4)),
+        dram_bandwidth=draw(st.one_of(st.none(), _bandwidths)),
+        dram_latency=draw(st.one_of(st.none(), st.integers(1, 600))),
+    )
+
+
+any_configs = st.one_of(sm_configs(), gpu_configs())
+
+
+# ----------------------------------------------------------------------
+# (i) Equivalence with dataclasses.asdict
+# ----------------------------------------------------------------------
+
+
+class TestWalkIsAsdict:
+    @settings(max_examples=150, deadline=None)
+    @given(any_configs)
+    def test_config_fields_equal_asdict(self, config):
+        walked, reference = config_fields(config), dataclasses.asdict(config)
+        assert walked == reference
+        assert list(walked) == list(reference)
+        if isinstance(config, GPUConfig):
+            assert list(walked["sm"]) == list(reference["sm"])
+            assert walked["sm"] is not config.sm
+        payload = config_to_payload(config)
+        assert json.dumps(payload, sort_keys=True) == json.dumps(
+            {"type": type(config).__name__, "fields": reference}, sort_keys=True
+        )
+        assert config_key(config_from_payload(payload)) == config_key(config)
+
+    def test_every_field_of_both_schemas_is_walked(self):
+        for cls in (SMConfig, GPUConfig):
+            assert list(config_fields(cls())) == [
+                f.name for f in dataclasses.fields(cls)
+            ]
+
+    def test_non_json_native_fields_still_fail_the_hash(self):
+        config = SMConfig(warp_count=np.int64(16))
+        assert config_key(config) == config_key(SMConfig(warp_count=16))
+        with pytest.raises(TypeError, match="int64"):
+            config_hash(config)
+
+    def test_stats_to_dict_equals_asdict(self):
+        inst = get_workload("histogram", "tiny")
+        stats = simulate(inst.kernel, inst.memory, presets.sbi_swi())
+        data, reference = stats.to_dict(), dataclasses.asdict(stats)
+        assert data == reference and list(data) == list(reference)
+        assert data["per_op_class"] and data["per_op_class"] is not stats.per_op_class
+        data["per_op_class"]["alu"] = -1
+        assert stats.to_dict() == reference
+
+    def test_device_stats_to_dict_equals_asdict(self):
+        inst = get_workload("transpose", "tiny")
+        stats = simulate_device(
+            inst.kernel, inst.memory, presets.device("sbi_swi", sm_count=4)
+        )
+        data, reference = stats.to_dict(), dataclasses.asdict(stats)
+        assert data == reference and list(data) == list(reference)
+        assert len(data["sm_stats"]) == 4
+        assert list(data["sm_stats"][0]) == list(reference["sm_stats"][0])
+        data["sm_stats"][0]["per_op_class"]["alu"] = -1
+        data["sm_stats"].pop()
+        assert stats.to_dict() == reference
+
+
+# ----------------------------------------------------------------------
+# (ii) Addresses as d3e449d computed them
+# ----------------------------------------------------------------------
+
+PRESET_DIGESTS = {
+    "baseline": "1dd9f2ddf486f6ff4b5cdcb1ed9ea80202773a7ab84176d4b12fa1d5716cab1c",
+    "sbi": "f3a1f8ac9cf40bc60473873a4c69da1ba7c70b1c1f195edbd939364f811c31c4",
+    "swi": "dbc8db09d2e1bc5bbace9de547069fa0e8e09b258d64a6a52c3439b1fb075ecb",
+    "sbi_swi": "0a090380206e85ee5cbb9a1e285061f983928b8e72515a6e01e4346f720fde9e",
+    "warp64": "5eacf78485dde37fc20240597128b45a1233c40e84387c34fdb5f01358b44761",
+}
+DEVICE_CELL = "48aa1317aaaa42ffe9398f3e89aba706f03b0ad5234a28a87ad35cd3178d195e"
+
+
+class TestPinnedAddresses:
+    def test_figure7_presets(self):
+        assert tuple(PRESET_DIGESTS) == presets.FIGURE7_CONFIGS
+        for name, digest in PRESET_DIGESTS.items():
+            assert config_hash(presets.by_name(name)) == digest, name
+
+    def test_a_device_cell(self):
+        config = presets.device("sbi_swi", sm_count=16)
+        assert cell_hash("transpose", "full", config) == DEVICE_CELL
+        assert result_cache.cell_address(
+            "transpose", "full", config_hash(config)
+        ) == DEVICE_CELL
+
+
+# ----------------------------------------------------------------------
+# (iii) A store the parent tree wrote
+# ----------------------------------------------------------------------
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a stored cell was simulated")
+
+
+class TestGoldenStore:
+    #: What d3e449d simulated and stored: (spec, cycles of its one cell).
+    CELLS = (
+        (SweepSpec(["histogram"], {"sbi_swi": presets.sbi_swi()}, size="tiny"), 1216),
+        (
+            SweepSpec(["bfs"], {"swi": presets.swi()}, size="tiny").with_axes(
+                swi_ways=[2]
+            ),
+            9218,
+        ),
+        (
+            SweepSpec(
+                ["transpose"], {"dev": presets.device("sbi_swi", sm_count=2)}, size="tiny"
+            ),
+            972,
+        ),
+    )
+
+    @pytest.fixture()
+    def store_dir(self, tmp_path):
+        return shutil.copytree(GOLDEN_STORE, str(tmp_path / "store"))
+
+    def test_every_entry_is_answered_from_disk(self, store_dir):
+        engine = Engine(
+            cache_dir=store_dir, memo={}, workload_factory=_raise,
+            simulate_fn=_raise, simulate_device_fn=_raise,
+        )
+        for spec, cycles in self.CELLS:
+            (result,) = engine.run(spec)
+            (cell,) = spec.cells()
+            assert result.stats.cycles == cycles
+            stored = ResultStore(store_dir).load_stats(
+                cell_hash(cell.workload, cell.size, cell.config)
+            )
+            assert stored is not None and stored.to_dict() == result.stats.to_dict()
+
+    def test_the_store_verifies_clean(self, store_dir):
+        report = ResultStore(store_dir).verify()
+        assert report.examined == 3 and not report.problems
+
+    def test_rewriting_an_entry_reproduces_its_bytes(self, store_dir):
+        """The writer's half: same path, same bytes as the parent's."""
+        for spec, _ in self.CELLS:
+            (cell,) = spec.cells()
+            path = result_cache.digest_path(
+                store_dir, cell_hash(cell.workload, cell.size, cell.config)
+            )
+            with open(path) as f:
+                before = f.read()
+            stats = result_cache.disk_load(store_dir, cell.workload, cell.size, cell.config)
+            os.remove(path)
+            result_cache.disk_store(store_dir, cell.workload, cell.size, cell.config, stats)
+            with open(path) as f:
+                assert f.read() == before
+
+
+# ----------------------------------------------------------------------
+# One derivation per configuration, none that outlives the call
+# ----------------------------------------------------------------------
+
+
+class TestPerConfig:
+    def test_a_named_object_is_derived_once(self):
+        walked = []
+        lookup = result_cache.per_config(lambda c: walked.append(c) or config_key(c))
+        a, twin = presets.baseline(), presets.baseline()
+        assert lookup("base", a) == lookup("base", a) == config_key(a)
+        assert walked == [a]
+        # Same name, another object: derived again, never answered stale.
+        lookup("base", twin)
+        assert len(walked) == 2 and walked[1] is twin
+
+    def test_a_sweep_keys_its_cells_as_cell_key_and_cell_hash_do(self, tmp_path):
+        spec = SweepSpec(
+            ["histogram", "bfs"],
+            {"a": presets.baseline(), "alias": presets.baseline(), "d": GPUConfig()},
+            size="tiny",
+        )
+        memo = {}
+        engine = Engine(
+            cache_dir=str(tmp_path), memo=memo,
+            workload_factory=lambda w, z: get_workload("histogram", "tiny"),
+        )
+        results = engine.run(spec)
+        assert len(results) == 6
+        assert set(memo) == {
+            result_cache.cell_key(c.workload, c.size, c.config) for c in spec.cells()
+        }
+        assert sorted(ResultStore(str(tmp_path)).digests()) == sorted(
+            {cell_hash(c.workload, c.size, c.config) for c in spec.cells()}
+        )
+
+    def test_a_config_mutated_between_runs_is_keyed_afresh(self):
+        config = presets.baseline()
+        spec = SweepSpec(["histogram"], {"m": config}, size="tiny")
+        engine = Engine(cache_dir=None, memo={})
+        (before,) = engine.run(spec)
+        config.dram_latency = 900
+        (after,) = engine.run(spec)
+        assert len(engine.memo) == 2 and after.stats.cycles > before.stats.cycles
+
+
+# ----------------------------------------------------------------------
+# One machine, one address
+# ----------------------------------------------------------------------
+
+
+class TestOneMachineOneAddress:
+    @settings(max_examples=150, deadline=None)
+    @given(any_configs, any_configs)
+    def test_memo_key_and_content_address_agree(self, a, b):
+        assert (config_key(a) == config_key(b)) == (config_hash(a) == config_hash(b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_configs, st.data())
+    def test_respelling_a_float_or_bool_field_is_the_same_machine(self, config, data):
+        sm = config.sm if isinstance(config, GPUConfig) else config
+        if sm.dram_bandwidth.is_integer() and data.draw(st.booleans()):
+            again = sm.replace(dram_bandwidth=int(sm.dram_bandwidth))
+        else:
+            again = sm.replace(sbi_constraints=int(sm.sbi_constraints))
+        if isinstance(config, GPUConfig):
+            again = config.replace(sm=again)
+        assert config_key(again) == config_key(config)
+        assert config_hash(again) == config_hash(config)
+
+    def test_int_spelled_bandwidth_is_the_presets_machine(self):
+        assert SMConfig(dram_bandwidth=10).dram_bandwidth == 10.0
+        assert type(SMConfig(dram_bandwidth=10).dram_bandwidth) is float
+        assert config_hash(SMConfig(dram_bandwidth=10)) == config_hash(SMConfig())
+        assert config_hash(
+            GPUConfig(dram_bandwidth=40)
+        ) == config_hash(GPUConfig(dram_bandwidth=40.0))
+        assert GPUConfig().dram_bandwidth is None
+
+    def test_int_spelled_flag_is_the_presets_machine(self):
+        assert SMConfig(sbi_constraints=1).sbi_constraints is True
+        assert config_hash(SMConfig(sbi_constraints=1)) == config_hash(SMConfig())
+        assert config_hash(SMConfig(sbi_constraints=0)) == config_hash(
+            SMConfig(sbi_constraints=False)
+        )
+
+    def test_cli_axis_values_land_on_the_presets_address(self):
+        from repro.cli import _parse_axis_value
+
+        value = _parse_axis_value("10")
+        assert type(value) is int
+        spec = SweepSpec(["histogram"], {"b": presets.baseline()}, size="tiny")
+        (cell,) = spec.with_axes(dram_bandwidth=[value]).cells()
+        assert cell_hash("histogram", "tiny", cell.config) == cell_hash(
+            "histogram", "tiny", presets.baseline()
+        )
+
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (SMConfig, "dram_bandwidth", "fast"),
+            (SMConfig, "dram_bandwidth", None),
+            (GPUConfig, "dram_bandwidth", "fast"),
+            (SMConfig, "sbi_constraints", "yes"),
+            (SMConfig, "sbi_constraints", 2),
+        ],
+    )
+    def test_a_bad_value_is_a_value_error_naming_the_field(self, cls, field, value):
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: value})

@@ -1,14 +1,16 @@
 """The multi-SM device layer: dispatcher, equivalence, determinism."""
 
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core import presets
 from repro.core.gpu import CTADispatcher, GPUDevice, simulate_device
-from repro.core.simulator import simulate
+from repro.core.simulator import SimulationError, simulate
 from repro.isa.builder import KernelBuilder
 from repro.timing.config import GPUConfig, SMConfig
 from repro.workloads import ALL_WORKLOADS, get_workload
@@ -265,3 +267,49 @@ class TestGPUConfig:
     def test_describe_mentions_l2(self):
         assert "no L2" in GPUConfig().describe()
         assert "L2" in presets.device().describe()
+
+
+class TestFinishedRunsFreeTheirMemory:
+    """``SM <-> scheduler`` is a reference cycle; ``simulate`` and
+    ``simulate_device`` break it on the way out, so a finished cell's
+    ``MemoryImage`` goes by refcount instead of waiting for a GC pass
+    (which is what made ``peak_rss_mb`` move with GC timing)."""
+
+    @pytest.mark.parametrize("mode", presets.FIGURE7_CONFIGS)
+    def test_memory_image_dies_with_its_last_reference(self, mode):
+        def run(inst):
+            if mode == "sbi_swi":
+                return simulate_device(
+                    inst.kernel, inst.memory, presets.device(mode, sm_count=2)
+                )
+            return simulate(inst.kernel, inst.memory, presets.by_name(mode))
+
+        gc.collect()
+        gc.disable()
+        try:
+            inst = get_workload("histogram", "tiny")
+            alive = weakref.ref(inst.memory)
+            stats = run(inst)
+            del inst
+            assert alive() is None
+            assert stats.cycles > 0
+        finally:
+            gc.enable()
+
+    def test_a_failed_run_frees_it_too(self):
+        gc.collect()
+        gc.disable()
+        try:
+            inst = get_workload("histogram", "tiny")
+            alive = weakref.ref(inst.memory)
+            with pytest.raises(SimulationError):
+                simulate(inst.kernel, inst.memory, presets.baseline(max_cycles=5))
+            with pytest.raises(SimulationError):
+                simulate_device(
+                    inst.kernel, inst.memory,
+                    presets.device("baseline", sm_count=2, sm_overrides=dict(max_cycles=5)),
+                )
+            del inst
+            assert alive() is None
+        finally:
+            gc.enable()

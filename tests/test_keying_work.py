@@ -1,0 +1,228 @@
+"""A deterministic gauge of keying work: canonical walks per sweep.
+
+Every key of a cell — the memo key, the content address, the wire
+payload — derives from one walk over its configuration's fields,
+:func:`repro.api.cache.config_fields`.  The evaluation's grids are few
+configurations x many kernels, so what a warm sweep costs is how often
+that walk runs: once per *cell* per key (the tree before this gauge:
+five ``dataclasses.asdict`` calls per cell over a disk-then-memo pair
+of runs, 12 600 on the benchmark's ``warm_sweep`` shape) or once per
+*configuration*.  The counts here repeat exactly, so they are pinned
+without a timing run, in the mould of ``CALL_PINS`` in
+``tests/test_ready_set.py``: walks per ``Engine.run`` are bounded by
+the number of configurations and do not move with the number of
+kernels, and ``dataclasses.asdict`` — the deep-copying walk this
+replaced — is never called on a config or a ``Stats``.
+
+``python tests/test_keying_work.py`` prints the table.
+"""
+
+import contextlib
+import dataclasses
+import threading
+from unittest import mock
+
+import pytest
+
+from repro.api import Engine, SweepSpec
+from repro.api import cache as result_cache
+from repro.api import engine as engine_module
+from repro.core import presets
+from repro.service import protocol
+from repro.service.daemon import make_server
+from repro.timing.config import GPUConfig, SMConfig
+from repro.timing.stats import DeviceStats, Stats
+from repro.workloads import ALL_WORKLOADS
+
+#: Three machines, one of them a device (a nested walk is one walk).
+CONFIGS = {
+    "baseline": presets.baseline(),
+    "sbi_swi": presets.sbi_swi(),
+    "dev": presets.device("sbi_swi", sm_count=2),
+}
+STATS = Stats(cycles=100, thread_instructions=3200, per_op_class={"alu": 3200})
+
+
+def grid(kernels: int) -> SweepSpec:
+    return SweepSpec(
+        workloads=ALL_WORKLOADS[:kernels], configs=CONFIGS, size="tiny"
+    )
+
+
+def _must_not_simulate(*args, **kwargs):
+    raise AssertionError("a warm sweep simulated")
+
+
+NO_SIMULATION = dict(
+    workload_factory=_must_not_simulate,
+    simulate_fn=_must_not_simulate,
+    simulate_device_fn=_must_not_simulate,
+)
+
+
+class Walks:
+    """Counts this thread's top-level ``config_fields`` calls, and
+    fails on any ``dataclasses.asdict`` of a config or stats object."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.to_dict = 0
+        self._thread = threading.get_ident()
+        self._depth = 0
+
+    def take(self) -> int:
+        count, self.count = self.count, 0
+        return count
+
+    @contextlib.contextmanager
+    def counting(self):
+        walk, asdict, to_dict = (
+            result_cache.config_fields, dataclasses.asdict, Stats.to_dict
+        )
+
+        def counted_walk(config):
+            if threading.get_ident() != self._thread:
+                return walk(config)  # an in-process daemon's own work
+            self.count += self._depth == 0
+            self._depth += 1
+            try:
+                return walk(config)
+            finally:
+                self._depth -= 1
+
+        def refusing_asdict(obj, **kwargs):
+            assert not isinstance(obj, (SMConfig, GPUConfig, Stats, DeviceStats)), (
+                "dataclasses.asdict(%s) on the keying path" % type(obj).__name__
+            )
+            return asdict(obj, **kwargs)
+
+        def counted_to_dict(stats):
+            self.to_dict += 1
+            return to_dict(stats)
+
+        with mock.patch.object(result_cache, "config_fields", counted_walk), \
+                mock.patch.object(dataclasses, "asdict", refusing_asdict), \
+                mock.patch.object(Stats, "to_dict", counted_to_dict):
+            yield self
+
+
+def warm_pair(kernels: int, cache_dir: str):
+    """(walks of the disk-answered run, walks of the memo-answered run,
+    ``Stats.to_dict`` calls of serialising the result) for a
+    ``kernels`` x 3 grid against a pre-filled disk level."""
+    spec = grid(kernels)
+    for cell in spec.cells():
+        result_cache.disk_store(cache_dir, cell.workload, cell.size, cell.config, STATS)
+    engine = Engine(backend="inline", cache_dir=cache_dir, memo={}, **NO_SIMULATION)
+    with Walks().counting() as walks:
+        events = []
+        disk_results = engine.run(spec, progress=events.append)
+        disk = walks.take()
+        memo_results = engine.run(spec, progress=events.append)
+        memo = walks.take()
+        memo_results.to_json()
+        assert walks.take() == 0
+    assert len(events) == 2 * spec.total_cells and all(e.cached for e in events)
+    assert len(disk_results) == len(memo_results) == spec.total_cells
+    return disk, memo, walks.to_dict
+
+
+def remote_client_walks(kernels: int, store_dir: str) -> int:
+    """Client-side walks of one remote run of a ``kernels`` x 3 grid
+    against an in-process daemon whose store holds every cell."""
+    spec = grid(kernels)
+    for cell in spec.cells():
+        result_cache.disk_store(store_dir, cell.workload, cell.size, cell.config, STATS)
+    server = make_server(store_dir=store_dir, workers=1, heartbeat=0.05)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        url = "http://%s:%d" % server.server_address[:2]
+        engine = Engine(server=url, cache_dir=None, memo={}, **NO_SIMULATION)
+        with Walks().counting() as walks:
+            events = []
+            results = engine.run(spec, progress=events.append)
+        assert len(results) == spec.total_cells
+        assert {e.source for e in events} == {protocol.SOURCE_STORE}
+        assert server.service.health()["counters"]["cells_simulated"] == 0
+    finally:
+        server.shutdown()
+        server.service.shutdown_gracefully()
+        server.server_close()
+        thread.join(timeout=10)
+    return walks.count
+
+
+def compute_cell_miss_walks(cache_dir: str) -> int:
+    """Walks of one ``_compute_cell`` (``Engine.run_cell``, a pool
+    worker) that misses both levels, simulates and stores."""
+    with Walks().counting() as walks:
+        engine_module._compute_cell(
+            "histogram", "tiny", CONFIGS["dev"], False, {}, cache_dir,
+            build=lambda workload, size: mock.Mock(numpy_check=None),
+            sim_device=lambda kernel, memory, config: DeviceStats(cycles=7),
+        )
+    assert result_cache.disk_load(cache_dir, "histogram", "tiny", CONFIGS["dev"]).cycles == 7
+    return walks.count
+
+
+# Walks of the tree this gauge was introduced against (d3e449d), per
+# cell: every key was an ``asdict`` of the cell's config.
+PARENT_PAIR_PER_CELL = 5  # disk run: 2 cell_key + 1 cell_hash; memo run: 2 cell_key
+PARENT_REMOTE_PER_CELL = 5  # 2 cell_key, 2 cell_hash, 1 config_to_payload
+PARENT_MISS = 4  # cell_key, 2 cell_hash, config_to_payload
+
+
+class TestKeyingWork:
+    @pytest.mark.parametrize("kernels", [2, 8])
+    def test_warm_runs_walk_each_config_not_each_cell(self, kernels, tmp_path):
+        configs = len(CONFIGS)
+        disk, memo, to_dict = warm_pair(kernels, str(tmp_path))
+        assert disk <= 2 * configs  # one memo key, one digest
+        assert memo <= 2 * configs
+        assert to_dict == kernels * configs  # once per serialised cell
+
+    def test_walks_do_not_grow_with_kernels(self, tmp_path):
+        few = warm_pair(2, str(tmp_path / "few"))[:2]
+        many = warm_pair(8, str(tmp_path / "many"))[:2]
+        assert few == many
+        assert sum(many) < PARENT_PAIR_PER_CELL * 2 * len(CONFIGS)
+
+    def test_remote_client_walks_each_config_not_each_cell(self, tmp_path):
+        few = remote_client_walks(2, str(tmp_path / "few"))
+        many = remote_client_walks(8, str(tmp_path / "many"))
+        assert few == many <= 3 * len(CONFIGS)  # key, digest, wire payload
+
+    def test_compute_cell_derives_one_address_for_load_and_store(self, tmp_path):
+        assert compute_cell_miss_walks(str(tmp_path)) <= 3  # key, address, entry
+
+
+def main() -> None:
+    import tempfile
+
+    print("| path | kernels x configs | walks before (asdict) | walks |")
+    print("| --- | ---: | ---: | ---: |")
+    for kernels in (2, 8, 21):
+        with tempfile.TemporaryDirectory() as tmp:
+            disk, memo, to_dict = warm_pair(kernels, tmp)
+        cells = kernels * len(CONFIGS)
+        print("| Engine.run, disk level then memo | %d x %d | %d | %d + %d |" % (
+            kernels, len(CONFIGS), PARENT_PAIR_PER_CELL * cells, disk, memo
+        ))
+        print("| ResultSet.to_json (Stats walks) | %d x %d | %d | %d |" % (
+            kernels, len(CONFIGS), cells, to_dict
+        ))
+    for kernels in (2, 8):
+        with tempfile.TemporaryDirectory() as tmp:
+            walks = remote_client_walks(kernels, tmp)
+        print("| remote run, client half, full store | %d x %d | %d | %d |" % (
+            kernels, len(CONFIGS), PARENT_REMOTE_PER_CELL * kernels * len(CONFIGS), walks
+        ))
+    with tempfile.TemporaryDirectory() as tmp:
+        print("| _compute_cell, miss with a disk level | 1 x 1 | %d | %d |" % (
+            PARENT_MISS, compute_cell_miss_walks(tmp)
+        ))
+
+
+if __name__ == "__main__":
+    main()

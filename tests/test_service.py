@@ -128,6 +128,33 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="content address mismatch"):
             protocol.decode_submit(message)
 
+    def test_submit_shares_one_payload_per_config_and_takes_addresses(self):
+        cells = [CELL_A, ("bfs", "tiny") + CELL_A[2:], CELL_B]
+        derived = protocol.submit_message(cells)
+        a, a2, b = derived["cells"]
+        assert a["config"] is a2["config"] and a["config"] is not b["config"]
+        assert a["config"] == config_to_payload(CELL_A[3])
+        assert [c["hash"] for c in derived["cells"]] == [
+            cell_hash(w, z, config) for w, z, _, config in cells
+        ]
+        # Handed the addresses, it sends exactly those: same bytes.
+        handed = protocol.submit_message(
+            cells, digests=[c["hash"] for c in derived["cells"]]
+        )
+        assert protocol.encode(handed) == protocol.encode(derived)
+        with pytest.raises(ValueError):
+            protocol.submit_message(cells, digests=[a["hash"]])
+        # ...and the reader still recomputes every one of them.
+        wrong = protocol.submit_message(cells, digests=[a["hash"]] * 3)
+        with pytest.raises(ProtocolError, match="submit cell 1 content address"):
+            protocol.decode_submit(wrong)
+
+    def test_submit_rederives_when_a_name_means_another_object(self):
+        other = ("histogram", "tiny", "baseline", presets.sbi())
+        message = protocol.submit_message([CELL_A, other, CELL_A])
+        cells, _ = protocol.decode_submit(message)
+        assert [c.config.mode for c in cells] == ["baseline", "sbi", "baseline"]
+
     def test_submit_without_cells_rejected(self):
         with pytest.raises(ProtocolError, match="no cells"):
             protocol.decode_submit(protocol.envelope(protocol.MSG_SUBMIT))
