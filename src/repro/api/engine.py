@@ -8,9 +8,11 @@ cells to a pluggable execution backend:
 ``inline``
     simulate in this process, one cell at a time;
 ``process``
-    fan uncached cells out over a ``ProcessPoolExecutor`` (simulations
-    are single-threaded and independent, so grids parallelise
-    embarrassingly; every worker honours the same disk cache);
+    fan uncached cells out over worker processes (:func:`worker_pool`,
+    the constructor the ``repro serve`` daemon builds its workers with
+    too; simulations are single-threaded and independent, so grids
+    parallelise embarrassingly; every worker honours the same disk
+    cache);
 ``remote``
     submit uncached cells to a ``repro serve`` daemon
     (:mod:`repro.service`) and fold its results into the local caches
@@ -32,6 +34,11 @@ callback for every cell as it resolves (with a ``cached`` flag)::
 
 from __future__ import annotations
 
+import importlib
+import os
+import signal
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
 from dataclasses import dataclass
@@ -149,14 +156,58 @@ def _compute_cell(
     return stats
 
 
-def _worker_init(plugins: Tuple[str, ...]) -> None:
-    """Pool initializer: import plugin modules so policies they
-    register exist in the worker even under spawn/forkserver start
-    methods (under fork the parent's registry is inherited anyway)."""
-    import importlib
+#: Seconds between a pool worker's checks that its parent is alive.
+PARENT_POLL_S = 0.5
 
+
+def _exit_with_parent(parent: int) -> None:
+    """A worker's watch thread: leave once ``parent`` has gone.
+
+    Forked pool workers inherit each other's queue ends, so none of
+    them ever reads end-of-file when the parent dies without shutting
+    the pool down (``kill -9``, ``os._exit``); being re-parented is the
+    one sign every kind of death leaves.
+    """
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
+
+
+def _worker_init(plugins: Tuple[str, ...]) -> None:
+    """Import plugin modules so policies they register exist in the
+    worker even under spawn/forkserver start methods (under fork the
+    parent's registry is inherited anyway)."""
     for name in plugins:
         importlib.import_module(name)
+
+
+def _enter_worker(plugins: Tuple[str, ...]) -> None:
+    """Pool initializer: ignore SIGINT, so a terminal's Ctrl-C reaches
+    the parent alone and the parent decides what its workers finish;
+    start the parent-death watch; import the plugins."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True
+    ).start()
+    _worker_init(plugins)
+
+
+def worker_pool(
+    jobs: Optional[int], plugins: Tuple[str, ...] = ()
+) -> ProcessPoolExecutor:
+    """The processes that run :func:`_compute_cell` outside the calling
+    process — for the ``process`` backend and for the ``repro serve``
+    daemon alike.  ``jobs`` is taken as given: None is one worker per
+    core, ``n >= 1`` is n.  Workers follow their parent down within
+    about :data:`PARENT_POLL_S` however it dies."""
+    if jobs is not None and (type(jobs) is not int or jobs < 1):
+        raise ValueError(
+            "jobs must be None (one worker per core) or an integer >= 1, "
+            "got %r" % (jobs,)
+        )
+    return ProcessPoolExecutor(
+        max_workers=jobs, initializer=_enter_worker, initargs=(plugins,)
+    )
 
 
 class Engine:
@@ -441,10 +492,7 @@ class Engine:
 
     def _run_process(self, pending, verify) -> Iterator[CellOutcome]:
         disk_dir = self._disk_dir(cache=True)
-        jobs = self.jobs if self.jobs is not None and self.jobs > 1 else None
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(self.plugins,)
-        ) as pool:
+        with worker_pool(self.jobs, self.plugins) as pool:
             futures = {
                 pool.submit(
                     _compute_cell,

@@ -514,6 +514,12 @@ def _cmd_serve(args) -> int:
     from repro.service.faults import FaultPlan
     from repro.service.store import resolve_store_dir
 
+    # workers=0 is the Python API's drain-by-hand mode for tests; served,
+    # it would ack every job and never run one.
+    for flag, value in (("--workers", args.workers), ("--queue-limit", args.queue_limit)):
+        if value < 1:
+            print("repro serve: %s must be >= 1, got %d" % (flag, value), file=sys.stderr)
+            return 2
     _load_plugins(args)
     if args.fault_plan and args.fault_seed is not None:
         raise ValueError("--fault-plan and --fault-seed are mutually exclusive")
@@ -841,7 +847,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_STORE_DIR or .repro_store)",
     )
     p.add_argument(
-        "--workers", type=int, default=2, help="simulation worker threads"
+        "--workers",
+        type=int,
+        default=2,
+        help="simulations in flight: N worker processes (one core, one "
+        "interpreter and ~50 MiB each) behind N dispatcher threads; only "
+        "the daemon process writes the store and the journal",
     )
     p.add_argument(
         "--queue-limit",

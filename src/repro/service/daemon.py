@@ -2,8 +2,26 @@
 
 Pure stdlib (``http.server.ThreadingHTTPServer``) — no new
 dependencies.  The daemon owns a :class:`~repro.service.store.ResultStore`
-(the content-addressed shared result store) and a pool of worker
-threads draining a bounded simulation queue:
+(the content-addressed shared result store) and a bounded simulation
+queue, and runs on three tiers.  *HTTP threads* (one per request)
+decode, triage and answer.  *Dispatcher threads* (``--workers N`` of
+them) drain the queue and own everything that touches daemon state:
+the worker fault site, the store write, the journal append, waiter
+resolution and the counters.  Each hands the one pure step — simulating
+the cell, :func:`repro.api.engine._compute_cell` with no cache
+directory — to one of N *worker processes*
+(:func:`repro.api.engine.worker_pool`, the ``process`` backend's
+constructor) and blocks off the GIL for the answer, so N workers are N
+cores and requests never wait on a simulation for the interpreter.
+Only the daemon process writes the store and the journal; a worker
+opens neither.  The processes are forked in
+:meth:`SweepService.__init__`, before the daemon's first thread exists,
+and never again; they exit with the pool at shutdown and, should the
+daemon die without one (``kill -9``, an injected crash), on their own
+within about a second.  If a worker dies, the cells then on the pool
+fail with :class:`WorkerProcessDied`, later cells simulate in the
+dispatcher threads, and ``/v1/health`` reports
+``workers: {configured: N, alive: 0}``.
 
 ``POST /v1/jobs``
     submit cells (a :data:`~repro.service.protocol.MSG_SUBMIT`
@@ -28,8 +46,8 @@ threads draining a bounded simulation queue:
 ``GET /v1/health``                accounting counters + store info.
 
 Those seven are the whole API (:data:`ServiceHandler.ROUTES`); anything
-else is a typed 400.  None of them accepts a result: the workers below
-are the only writer the store has over the network, so every entry a
+else is a typed 400.  None of them accepts a result: the dispatchers
+below are the only writer the store has over the network, so every entry a
 client is served from it was simulated here (or put in the directory
 by whoever owns the filesystem, e.g. an ``Engine`` using it as its
 ``cache_dir``).  A degraded client (``--fallback inline``) keeps what
@@ -45,14 +63,19 @@ assert on them.
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
+import os
 import queue
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from multiprocessing.process import BaseProcess
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.api.cache import is_cell_digest, stats_to_payload
-from repro.api.engine import Engine
+from repro.api.cache import AnyStats, is_cell_digest, stats_to_payload
+from repro.api.engine import Engine, _compute_cell, worker_pool
 from repro.service import protocol
 from repro.service.faults import (
     FAULT_CRASH_AFTER_PUBLISH,
@@ -70,6 +93,7 @@ from repro.service.faults import (
 from repro.service.journal import JobJournal, resolve_journal_path
 from repro.service.protocol import ProtocolError, SubmittedCell
 from repro.service.store import ResultStore, resolve_store_dir
+from repro.workloads import normalize_size
 
 #: Protocol error code -> HTTP status.
 _HTTP_STATUS: Dict[str, int] = {
@@ -100,6 +124,11 @@ COUNTERS: Tuple[str, ...] = (
     "cells_failed",
     "cells_skipped",
 )
+
+
+class WorkerProcessDied(RuntimeError):
+    """A worker process died (killed, out of memory) while this cell
+    was on the pool; the cell was not simulated."""
 
 
 class _Work:
@@ -206,18 +235,25 @@ class Job:
 
 
 class SweepService:
-    """Job triage, the worker pool, and the accounting counters.
+    """Job triage, the workers, and the accounting counters.
 
-    ``workers=0`` leaves the queue unserviced so tests (and the
-    coalescing CI check) can stage concurrent submissions and then
-    drain deterministically with :meth:`process_queued`.
+    ``workers=N`` is N simulations in flight: N dispatcher threads,
+    each handing its cell to one of N worker processes forked here,
+    before any thread of the service exists (the module docstring says
+    what runs where).  An injected ``engine`` computes in the dispatcher
+    threads through ``engine.run_cell`` instead, with no processes —
+    the path a service whose worker died degrades to.  ``workers=0``
+    leaves the queue unserviced so tests (and the coalescing CI check)
+    can stage concurrent submissions and then drain deterministically,
+    in the calling thread, with :meth:`process_queued`.
 
     ``journal`` (a :class:`~repro.service.journal.JobJournal`) makes
     jobs durable: submissions are journalled *before* the ack leaves
     (write-ahead) and every cell resolution is appended, so
     :meth:`resume` can rebuild unfinished work after a crash.
     ``fault_plan`` threads the deterministic fault injector into the
-    worker pool (the HTTP handler and store carry their own hooks).
+    dispatchers — worker faults fire in this process, never in a worker
+    process (the HTTP handler and store carry their own hooks).
     """
 
     def __init__(
@@ -237,9 +273,23 @@ class SweepService:
         self.fault_plan = fault_plan
         self.queue_limit = queue_limit
         self.retry_after = retry_after
-        self._engine = engine if engine is not None else Engine(
-            backend="inline", cache_dir=None, memo={}
-        )
+        #: The worker processes; None when cells compute in this
+        #: process (injected engine, ``workers=0``, or a worker died).
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._workers: List[BaseProcess] = []
+        if engine is None:
+            engine = Engine(backend="inline", cache_dir=None, memo={})
+            if workers > 0:
+                others = set(multiprocessing.active_children())
+                self._pool = worker_pool(workers)
+                # The first task forks every worker; wait for it here,
+                # while this service has no thread to fork under.
+                self._pool.submit(os.getpid).result()
+                self._workers = [
+                    child for child in multiprocessing.active_children()
+                    if child not in others
+                ]
+        self._engine = engine
         self._lock = threading.Lock()
         self._queue: "queue.Queue[Optional[_Work]]" = queue.Queue()
         self._inflight: Dict[str, _Work] = {}
@@ -424,6 +474,9 @@ class SweepService:
 
     def health(self) -> Dict[str, object]:
         info = self.store.info()
+        alive = 0 if self._pool is None else sum(
+            child.is_alive() for child in self._workers
+        )
         with self._lock:
             return protocol.envelope(
                 protocol.MSG_STATUS,
@@ -432,6 +485,7 @@ class SweepService:
                 pending=self._pending,
                 queue_limit=self.queue_limit,
                 jobs=len(self._jobs),
+                workers={"configured": len(self._threads), "alive": alive},
                 store={
                     "root": info.root,
                     "entries": info.entries,
@@ -495,6 +549,12 @@ class SweepService:
                 self._queue.put(None)
         for thread in self._threads:
             thread.join(timeout=timeout)
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            # Idle workers exit at once; one a timed-out dispatcher
+            # still waits on is left to finish its cell unwatched.
+            drained = not any(thread.is_alive() for thread in self._threads)
+            pool.shutdown(wait=drained, cancel_futures=True)
         with self._lock:
             jobs = list(self._jobs.values())
         for job in jobs:
@@ -583,13 +643,7 @@ class SweepService:
         try:
             if kind == FAULT_WORKER_EXCEPTION:
                 raise FaultInjected(kind)
-            stats = self._engine.run_cell(
-                cell.workload,
-                cell.size,
-                cell.config,
-                verify=work.verify,
-                cache=False,
-            )
+            stats = self._simulate(work)
         except Exception as exc:  # noqa: BLE001 — travels to the client
             error = "%s: %s" % (type(exc).__name__, exc)
         else:
@@ -616,6 +670,33 @@ class SweepService:
                     stats=stats_payload, error=error,
                 )
             self._retire_locked(work)
+
+    def _simulate(self, work: _Work) -> AnyStats:
+        """The one step that touches no daemon state: on a worker
+        process, else (no pool, or its workers died) in this thread."""
+        cell = work.cell
+        pool = self._pool
+        if pool is not None:
+            try:
+                future = pool.submit(
+                    _compute_cell, cell.workload, normalize_size(cell.size),
+                    cell.config, work.verify, {}, None,
+                )
+            except BrokenProcessPool:
+                self._pool = pool = None  # a sibling's cell found out first
+        if pool is None:
+            return self._engine.run_cell(
+                cell.workload, cell.size, cell.config, verify=work.verify, cache=False
+            )
+        try:
+            return future.result()
+        except BrokenProcessPool as exc:
+            self._pool = None
+            raise WorkerProcessDied(
+                "a worker process died with cell %s@%s/%s (%s) on the pool; "
+                "it was not simulated — resubmit it"
+                % (cell.workload, cell.size, cell.config_name, cell.hash[:12])
+            ) from exc
 
     def _retire_locked(self, work: _Work) -> None:
         self._pending -= 1

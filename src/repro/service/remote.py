@@ -366,7 +366,7 @@ def run_remote(
             verify=verify,
             digests=digests,
         )
-        _follow_job(client, str(ack.get("job")), cell_results)
+        _follow_job(client, str(ack.get("job")), cell_results, ack.get("state"))
     except RemoteError as exc:
         # Only transport-level exhaustion (code None) and a daemon
         # announcing shutdown justify degrading — typed errors like
@@ -401,22 +401,27 @@ def _follow_job(
     client: RemoteClient,
     job_id: str,
     cell_results: Dict[str, Dict[str, object]],
+    acked_state: object = None,
 ) -> None:
     """Stream a job to completion, then collect its per-cell results.
 
-    The progress stream is best-effort: if it breaks (read timeout,
-    connection reset), fall back to polling the result endpoint — the
-    final result message is the source of truth either way.
+    The progress stream is only a wait, and best-effort: a job whose
+    ack already said it is terminal (``acked_state`` — every cell was
+    answered from the store) has nothing to wait for, and if the stream
+    breaks (read timeout, connection reset) polling the result endpoint
+    takes over — the final result message is the source of truth
+    either way.
     """
-    try:
-        for event in client.events(job_id):
-            if (
-                event.get("type") == protocol.MSG_STATUS
-                and event.get("state") in protocol.TERMINAL_JOB_STATES
-            ):
-                break
-    except RemoteError:
-        pass  # heartbeat gap or transport hiccup: poll below instead
+    if acked_state not in protocol.TERMINAL_JOB_STATES:
+        try:
+            for event in client.events(job_id):
+                if (
+                    event.get("type") == protocol.MSG_STATUS
+                    and event.get("state") in protocol.TERMINAL_JOB_STATES
+                ):
+                    break
+        except RemoteError:
+            pass  # heartbeat gap or transport hiccup: poll below instead
     message = client.wait_result(job_id)
     cells = message.get("cells")
     if not isinstance(cells, list):

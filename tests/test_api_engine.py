@@ -121,6 +121,37 @@ class TestBackendParity:
         assert all(e.cached for e in events)
 
 
+class TestPoolSize:
+    """``jobs`` reaches the pool as given: an explicit request for one
+    worker used to build ``os.cpu_count()`` of them."""
+
+    @pytest.fixture()
+    def asked(self, monkeypatch):
+        from repro.api import engine as engine_module
+
+        asked = []
+
+        class _Recorded(engine_module.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", _Recorded)
+        return asked
+
+    @pytest.mark.parametrize("jobs", [1, None])
+    def test_process_backend_builds_the_pool_it_was_asked_for(self, asked, jobs):
+        rs = Engine(backend="process", jobs=jobs, memo={}).run(SMALL)
+        assert asked == [jobs]
+        assert rs == Engine(backend="inline", memo={}).run(SMALL)
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
+    def test_anything_else_is_a_value_error_naming_jobs(self, asked, jobs):
+        with pytest.raises(ValueError, match="jobs must be"):
+            Engine(backend="process", jobs=jobs, memo={}).run(SMALL)
+        assert asked == []
+
+
 class TestWorkerPlugins:
     def test_worker_init_imports_plugins(self, tmp_path, monkeypatch):
         """Process-pool workers must import plugin modules themselves

@@ -1102,6 +1102,20 @@ class TestCLI:
         assert main(["serve", "--fault-plan", "no-such-kind"]) == 2
         assert "unknown fault kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--workers", "0"), ("--workers", "-2"), ("--queue-limit", "0")]
+    )
+    def test_serve_rejects_counts_below_one(self, tmp_path, capsys, flag, value):
+        # --workers 0 is the Python API's drain-by-hand mode: served,
+        # it would ack every job "queued" and never run one.
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        assert main(["serve", "--port", "0", "--store", str(store), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro serve: %s must be >= 1, got %s\n" % (flag, value)
+        assert not store.exists()  # refused before anything was built
+
     def test_fallback_accounting_line(self, tmp_path, capsys):
         from repro.cli import main
 
