@@ -45,9 +45,9 @@ from typing import List, Optional, Tuple
 from repro.isa.instructions import Instruction, OpClass
 from repro.core.policy import SCHEDULERS
 from repro.core.policy.events import ORIGIN_PRIMARY, ORIGIN_SBI, ORIGIN_SWI
-from repro.core.sm import IssueRecord, StreamingMultiprocessor
+from repro.core.sm import StreamingMultiprocessor
 from repro.core.warp import TimingWarp
-from repro.timing.divergence import _NEVER, Split
+from repro.timing.divergence import Split
 from repro.timing.fetch import IBufEntry
 from repro.timing.masks import popcount
 from repro.timing.units import ExecGroup
@@ -66,37 +66,44 @@ _UNIT_OF = {OpClass.MAD: 0, OpClass.CTRL: 0, OpClass.SFU: 1, OpClass.LSU: 2}
 
 
 class SchedulerBase:
-    """The ready set, its readiness predicate, and the pseudo-random
-    tie-break.
+    """The ready set and its readiness predicate.
 
     **What is probed when.**  The scheduler keeps, per warp, the
     verdict of the readiness predicate (:meth:`_ready_entry`) for its
     hot slot(s): a :data:`Candidate` in an age-ordered pool
     (``_pools``; ``TimingWarp.cand0``/``cand1`` point at it) or
-    nothing.  A verdict is re-derived — :meth:`_probe`, from
-    :meth:`_refresh` before each pick — only for warps on the pool's
-    ``woken`` list, which :meth:`TimingWarp.wake`/``wake_issue`` feed
-    from the wake sites: a divergence-model change (its ``on_change``
-    hook — every issue ends in one), a scoreboard release some verdict
-    was waiting for (``ScoreboardBase.awaited``), an
-    instruction-buffer fill, a CTA launch, a cascaded pick freezing a
-    split, and the timed wakes the predicate itself registers for
+    nothing.  A verdict is re-derived — by :meth:`_refresh`, before
+    each pick — only for warps on the pool's ``woken`` list, which
+    :meth:`TimingWarp.wake`/``wake_issue`` feed from the wake sites: a
+    divergence-model change (its ``on_change`` hook — every issue ends
+    in one), a scoreboard release some verdict was waiting for
+    (``ScoreboardBase.awaited``), an instruction-buffer fill, a CTA
+    launch, and the timed wakes the predicate itself registers for
     verdicts that expire with the clock alone (decode delay, branch
     redirect).  Between wakes a verdict — *yes* as much as *no* —
     cannot change, so a ready warp that loses arbitration costs
     nothing next cycle.
 
+    **What is not probed.**  Three verdicts are known without asking.
+    The candidate a pick issues, or freezes for the cascaded issue
+    stage, is *no* from there on: :meth:`tick` drops it on the spot.
+    A warp whose buffer ways are all empty matches no tag until a
+    fill, which wakes it: :meth:`TimingWarp.wake` leaves its issue
+    side alone.  A fill the scoreboard already refuses raises
+    ``awaited`` instead of waking: the release is the wake.
+
     **The settle-wake cap.**  The SBI heap changes state on its read
     path: a cold context leaving the sideband sorter re-orders the hot
     pair at ``model._settle_wake`` with no mutation in between.  Every
     verdict, yes or no, therefore also registers a timed wake at that
-    cycle, so the read-path settle runs on the cycle it first can.
+    cycle (for a warp left unprobed, the fetch engine's visit does),
+    so the read-path settle runs on the cycle it first can.
 
     **Picking.**  A pick walks a pool oldest-first and takes the first
     candidate whose op class has a free unit in the one
     :meth:`~repro.timing.units.Backend.free_classes` snapshot taken
-    for that pick; ``pick_group`` then runs once, for the winner, and
-    the group goes to :meth:`StreamingMultiprocessor.issue`.
+    for that pick; the snapshot names the group, which goes to
+    :meth:`StreamingMultiprocessor.issue` with the winner.
     """
 
     #: Age-ordered candidate pools; a warp belongs to ``wid % pools``.
@@ -105,7 +112,6 @@ class SchedulerBase:
     def __init__(self, sm: StreamingMultiprocessor) -> None:
         self.sm = sm
         self.config = sm.config
-        self._rand_state = sm.config.seed & 0x7FFFFFFF or 1
         self._pools: Tuple[List[Candidate], ...] = tuple(
             [] for _ in range(self.pools)
         )
@@ -122,10 +128,6 @@ class SchedulerBase:
 
     # -- helpers ---------------------------------------------------------
 
-    def _rand(self) -> int:
-        self._rand_state = (self._rand_state * 1103515245 + 12345) & 0x7FFFFFFF
-        return self._rand_state
-
     def _ready_entry(
         self, warp: TimingWarp, slot: int, split: Split, now: int
     ) -> Optional[IBufEntry]:
@@ -138,12 +140,13 @@ class SchedulerBase:
         settle wake: the earliest of those is registered as a timed
         wake (:meth:`TimingWarp.wake_at`).
         """
-        retry = _NEVER
+        retry = warp.model._settle_wake  # or what ends before it
         entry = None
         if split.parked or split.pending:
             pass  # suspended or frozen: wait for a model mutation
         elif split.redirect_ready_at > now:
-            retry = split.redirect_ready_at  # branch still resolving
+            if split.redirect_ready_at < retry:
+                retry = split.redirect_ready_at  # branch still resolving
         else:
             # Tag match over the warp-bound buffer ways (PC tags are
             # unique per buffer, so the first match is the only one;
@@ -154,7 +157,7 @@ class SchedulerBase:
                 if e is not None and e.pc == pc:
                     if e.ready_at <= now:
                         entry = e
-                    else:
+                    elif e.ready_at < retry:
                         retry = e.ready_at
                     break
         if entry is not None:
@@ -172,9 +175,6 @@ class SchedulerBase:
                 entry = None
             if entry is None:
                 scoreboard.awaited = True  # a release can turn this verdict
-        wake = warp.model._settle_wake
-        if wake < retry:
-            retry = wake
         if retry < warp.timer:
             warp.wake_at(retry)
         return entry
@@ -197,56 +197,39 @@ class SchedulerBase:
 
     # -- the ready set -----------------------------------------------------
 
-    def _probe(self, warp: TimingWarp, now: int) -> None:
-        """Re-derive and record one woken warp's slot-0 verdict."""
-        cand = None
-        if not warp.done:
-            model = warp.model
-            hot = model._hot_cache or model.hot_splits(now)
-            if hot:
-                split = hot[0]
-                entry = self._ready_entry(warp, 0, split, now)
-                if entry is not None:
-                    cand = warp.cand0
-                    if cand is None or cand[4] is not entry or cand[3] is not split:
-                        age = (entry.fetch_cycle, warp.wid)
-                        cand = (age, warp, 0, split, entry, self._unit_of[entry.pc])
-            else:
-                # Nothing hot yet: a cold context may be promoted.
-                warp.wake_at(model._settle_wake)
-        old = warp.cand0
-        if cand is not old:
-            pool = self._pools[warp.wid % self.pools]
-            if old is not None:
-                pool.remove(old)
-            if cand is not None:
-                insort(pool, cand)
-            warp.cand0 = cand
-        warp.issue_woken = False
-
     def _refresh(self, now: int, index: int = 0) -> None:
-        """Bring pool ``index`` of the ready set up to date: one
-        readiness pass over its warps woken since the last one (a pick
-        reads one pool; another pool's woken warps wait for its pick,
-        by when the fetch after an issue has usually landed too)."""
+        """Bring pool ``index`` of the ready set up to date: re-derive
+        and record the slot-0 verdict of each of its warps woken since
+        the last pass.  A candidate whose split and entry are the ones
+        on record stays where it is in the pool."""
         woken = self.woken[index]
-        probe = self._probe
-        for warp in woken:
-            probe(warp, now)
-        del woken[:]
-
-    def _pick_oldest(self, index: int, now: int) -> Optional[Candidate]:
-        """Oldest ready instruction in pool ``index`` whose execution
-        unit is free this cycle."""
-        if self.woken[index]:
-            self._refresh(now, index)
         pool = self._pools[index]
-        if pool:
-            free = self.sm.backend.free_classes(now)
-            for cand in pool:
-                if free[cand[5]]:
-                    return cand
-        return None
+        ready_entry = self._ready_entry
+        for warp in woken:
+            cand = None
+            if not warp.done:
+                model = warp.model
+                hot = model._hot_cache or model.hot_splits(now)
+                if hot:
+                    split = hot[0]
+                    entry = ready_entry(warp, 0, split, now)
+                    if entry is not None:
+                        cand = warp.cand0
+                        if cand is None or cand[4] is not entry or cand[3] is not split:
+                            age = (entry.fetch_cycle, warp.wid)
+                            cand = (age, warp, 0, split, entry, self._unit_of[entry.pc])
+                else:
+                    # Nothing hot yet: a cold context may be promoted.
+                    warp.wake_at(model._settle_wake)
+            old = warp.cand0
+            if cand is not old:
+                if old is not None:
+                    pool.remove(old)
+                if cand is not None:
+                    insort(pool, cand)
+                warp.cand0 = cand
+            warp.issue_woken = False
+        del woken[:]
 
 
 @SCHEDULERS.register("two_pool")
@@ -259,34 +242,31 @@ class BaselineScheduler(SchedulerBase):
     def tick(self, now: int) -> int:
         issued = 0
         sm = self.sm
-        for index in range(self.pools):
-            best = self._pick_oldest(index, now)
-            if best is None:
+        backend = sm.backend
+        for index, pool in enumerate(self._pools):
+            if self.woken[index]:
+                self._refresh(now, index)
+            if not pool:
                 continue
-            _, warp, slot, split, entry, _ = best
-            group = sm.backend.pick_group(
-                entry.instr.op_class, now, split.lane_mask, False
-            )
-            sm.issue(warp, slot, split, entry, now, ORIGIN_PRIMARY, group)
-            issued += 1
+            # Oldest ready instruction whose execution unit is free.
+            free = backend.free_classes(now)
+            for cand in pool:
+                group = free[cand[5]]
+                if group is not None:
+                    _, warp, slot, split, entry, _ = cand
+                    pool.remove(cand)  # consumed: no probe need say so
+                    warp.cand0 = None
+                    sm.issue(warp, slot, split, entry, now, ORIGIN_PRIMARY, group)
+                    issued += 1
+                    break
         return issued
 
 
 @SCHEDULERS.register("single_issue")
-class Warp64Scheduler(SchedulerBase):
+class Warp64Scheduler(BaselineScheduler):
     """Single pool, one issue per cycle (thread-frontier reference)."""
 
-    def tick(self, now: int) -> int:
-        best = self._pick_oldest(0, now)
-        if best is None:
-            return 0
-        _, warp, slot, split, entry, _ = best
-        sm = self.sm
-        group = sm.backend.pick_group(
-            entry.instr.op_class, now, split.lane_mask, False
-        )
-        sm.issue(warp, slot, split, entry, now, ORIGIN_PRIMARY, group)
-        return 1
+    pools = 1
 
 
 @SCHEDULERS.register("sbi_dual")
@@ -302,64 +282,93 @@ class SBIScheduler(SchedulerBase):
         super().__init__(sm)
         self._suspended = 0
 
-    def _probe(self, warp: TimingWarp, now: int) -> None:
-        """Re-derive and record both hot slots' verdicts."""
+    def _refresh(self, now: int, index: int = 0) -> None:
+        """Both hot slots' verdicts of every woken warp; an unchanged
+        candidate keeps its place in the pool, as in the base class."""
+        woken = self.woken[0]
         pool = self._pools[0]
-        if warp.cand0 is not None:
-            pool.remove(warp.cand0)
-        if warp.suspended:
-            self._suspended -= 1
-        elif warp.cand1 is not None:
-            pool.remove(warp.cand1)
-        cand0 = cand1 = None
-        suspended = False
-        if not warp.done:
-            model = warp.model
-            hot = model._hot_cache or model.hot_splits(now)
-            if hot:
-                split = hot[0]
-                entry = self._ready_entry(warp, 0, split, now)
-                if entry is not None:
-                    age = (entry.fetch_cycle, warp.wid)
-                    cand0 = (age, warp, 0, split, entry, self._unit_of[entry.pc])
-                    insort(pool, cand0)
-                if len(hot) > 1:
-                    split = hot[1]
-                    entry = self._ready_entry(warp, 1, split, now)
+        ready_entry = self._ready_entry
+        for warp in woken:
+            cand0 = cand1 = None
+            suspended = False
+            if not warp.done:
+                model = warp.model
+                hot = model._hot_cache or model.hot_splits(now)
+                if hot:
+                    split = hot[0]
+                    entry = ready_entry(warp, 0, split, now)
                     if entry is not None:
-                        age = (entry.fetch_cycle, warp.wid)
-                        cand1 = (age, warp, 1, split, entry, self._unit_of[entry.pc])
-                        suspended = self._sync_blocked(warp, split, entry.instr, now)
-                        if suspended:
-                            self._suspended += 1
-                        else:
-                            insort(pool, cand1)
-            else:
-                # Nothing hot yet: a cold context may be promoted.
-                warp.wake_at(model._settle_wake)
-        warp.cand0 = cand0
-        warp.cand1 = cand1
-        warp.suspended = suspended
-        warp.issue_woken = False
+                        cand0 = warp.cand0
+                        if cand0 is None or cand0[4] is not entry or cand0[3] is not split:
+                            age = (entry.fetch_cycle, warp.wid)
+                            cand0 = (age, warp, 0, split, entry, self._unit_of[entry.pc])
+                    if len(hot) > 1:
+                        split = hot[1]
+                        entry = ready_entry(warp, 1, split, now)
+                        if entry is not None:
+                            cand1 = warp.cand1
+                            if cand1 is None or cand1[4] is not entry or cand1[3] is not split:
+                                age = (entry.fetch_cycle, warp.wid)
+                                cand1 = (age, warp, 1, split, entry, self._unit_of[entry.pc])
+                            suspended = self._sync_blocked(warp, split, entry.instr, now)
+                else:
+                    # Nothing hot yet: a cold context may be promoted.
+                    warp.wake_at(model._settle_wake)
+            old = warp.cand0
+            if cand0 is not old:
+                if old is not None:
+                    pool.remove(old)
+                if cand0 is not None:
+                    insort(pool, cand0)
+                warp.cand0 = cand0
+            # Slot 1 is in the pool unless the barrier holds it.
+            old = warp.cand1
+            held = warp.suspended
+            if cand1 is not old or suspended != held:
+                if old is not None:
+                    if held:
+                        self._suspended -= 1
+                    else:
+                        pool.remove(old)
+                if cand1 is not None:
+                    if suspended:
+                        self._suspended += 1
+                    else:
+                        insort(pool, cand1)
+                warp.cand1 = cand1
+                warp.suspended = suspended
+            warp.issue_woken = False
+        del woken[:]
 
     def tick(self, now: int) -> int:
-        # Select the warp owning the oldest ready instruction in either slot.
         sm = self.sm
-        best = self._pick_oldest(0, now)
+        if self.woken[0]:
+            self._refresh(now)
         stats = sm.stats
         stats.sync_suspensions += self._suspended
-        if best is None:
+        pool = self._pools[0]
+        if not pool:
             return 0
-        warp = best[1]
-        pick_group = sm.backend.pick_group
+        # Select the warp owning the oldest ready instruction in either
+        # slot whose execution unit is free.
+        backend = sm.backend
+        free = backend.free_classes(now)
+        for cand in pool:
+            if free[cand[5]]:
+                break
+        else:
+            return 0
+        warp = cand[1]
         issued = 0
         diverged = False
         # Primary front-end: nothing moved since the readiness pass.
         cand = warp.cand0
         if cand is not None:
             split, entry = cand[3], cand[4]
-            group = pick_group(entry.instr.op_class, now, split.lane_mask, False)
+            group = free[cand[5]]
             if group is not None:
+                pool.remove(cand)  # consumed: no probe need say so
+                warp.cand0 = None
                 diverged = sm.issue(warp, 0, split, entry, now, ORIGIN_PRIMARY, group)
                 issued = 1
         # Secondary front-end: re-read the heap (the primary may have
@@ -373,7 +382,9 @@ class SBIScheduler(SchedulerBase):
                 if self._sync_blocked(warp, split, instr, now):
                     stats.sync_suspensions += 1
                 elif not (instr.is_branch and diverged):  # one divergence per cycle
-                    group = pick_group(instr.op_class, now, split.lane_mask, True)
+                    group = backend.pick_group(
+                        instr.op_class, now, split.lane_mask, True
+                    )
                     if group is not None:
                         sm.issue(warp, 1, split, entry, now, ORIGIN_SBI, group)
                         issued += 1
@@ -396,6 +407,9 @@ class CascadedScheduler(SchedulerBase):
         super().__init__(sm)
         self.pending: Optional[Tuple[TimingWarp, Split, IBufEntry]] = None
         self._uses_sbi = sm.config.uses_sbi
+        self._rand_state = sm.config.seed & 0x7FFFFFFF or 1  # the tie-break's LCG
+        # The stock key is ranked inline, an override per candidate.
+        self._stock_key = type(self)._secondary_key is CascadedScheduler._secondary_key
 
     # -- picks -----------------------------------------------------------
 
@@ -415,35 +429,44 @@ class CascadedScheduler(SchedulerBase):
     ) -> Tuple[int, ...]:
         """Ranking key of one SWI candidate (higher wins): best lane
         fit, pseudo-random among equals (paper section 4)."""
-        return (popcount(split.mask), -self._rand())
+        self._rand_state = (self._rand_state * 1103515245 + 12345) & 0x7FFFFFFF
+        return (popcount(split.mask), -self._rand_state)
 
     def _pick_secondary(
-        self, now: int, primary: Optional[IssueRecord]
+        self, now: int, primary: Optional[TimingWarp], unit: int, taken: int, diverged: bool
     ) -> Optional[SecondaryPick]:
-        pick_group = self.sm.backend.pick_group
-        stats = self.sm.stats
+        """This cycle's second instruction, beside the one the issue
+        stage issued (if any) from warp ``primary``, on unit class
+        ``unit`` and lanes ``taken``, diverging or not."""
+        backend = self.sm.backend
         # SBI+SWI: prefer the same warp's CPC2 split.
         if primary is not None and self._uses_sbi:
-            warp = primary.warp
-            hot = warp.model._hot_cache or warp.model.hot_splits(now)
+            hot = primary.model._hot_cache or primary.model.hot_splits(now)
             if len(hot) > 1:
                 split = hot[1]
-                entry = self._ready_entry(warp, 1, split, now)
+                entry = self._ready_entry(primary, 1, split, now)
                 if entry is not None:
                     instr = entry.instr
-                    if self._sync_blocked(warp, split, instr, now):
-                        stats.sync_suspensions += 1
-                    elif not (instr.is_branch and primary.diverged):
-                        group = pick_group(instr.op_class, now, split.lane_mask, True)
+                    if self._sync_blocked(primary, split, instr, now):
+                        self.sm.stats.sync_suspensions += 1
+                    elif not (instr.is_branch and diverged):
+                        group = backend.pick_group(
+                            instr.op_class, now, split.lane_mask, True
+                        )
                         if group is not None:
-                            return (ORIGIN_SBI, warp, 1, split, entry, group)
-        # SWI: best-fit search over the candidate window.
-        co_issue = primary is not None
-        skip = taken = window = None
+                            return (ORIGIN_SBI, primary, 1, split, entry, group)
+        pool = self._pools[0]
         if primary is not None:
-            stats.swi_lookups += 1
-            skip = primary.warp
-            taken = primary.lane_mask
+            self.sm.stats.swi_lookups += 1
+        if not pool:
+            return None
+        free = backend.free_classes(now)
+        if primary is None:
+            # Nothing issued this cycle: a unit to itself, or no issue.
+            eligible = [(cand[1].wid, cand) for cand in pool if free[cand[5]]]
+        else:
+            # SWI: best-fit search over the candidate window.
+            window = None
             ways = self.config.swi_ways
             if ways is not None:
                 # Set-associative lookup (paper section 4): a
@@ -452,49 +475,61 @@ class CascadedScheduler(SchedulerBase):
                 # instruction-buffer sets indexed by the primary warp
                 # id's low-order bits.  None = fully associative.
                 count = self.config.warp_count
-                window = {(skip.wid + 1 + i) % count for i in range(ways)}
-        pool = self._pools[0]
-        if not pool:
+                window = {(primary.wid + 1 + i) % count for i in range(ways)}
+            eligible = []
+            for cand in pool:
+                warp = cand[1]
+                if warp is primary or (window is not None and warp.wid not in window):
+                    continue
+                # No unit to itself: it can only share the one group
+                # holding an instruction this cycle — the primary's, so
+                # of its class — on disjoint lanes.
+                if not free[cand[5]] and (
+                    taken & cand[3].lane_mask or cand[5] != unit
+                ):
+                    continue
+                eligible.append((warp.wid, cand))
+        if not eligible:
             return None
-        free = self.sm.backend.free_classes(now)
-        eligible = []
-        for cand in pool:
-            warp = cand[1]
-            if warp is skip or (window is not None and warp.wid not in window):
-                continue
-            if not free[cand[5]]:
-                # No unit to itself: it can only share the group the
-                # primary took this cycle, on disjoint lanes.
-                if taken is None:
-                    continue
-                lanes = cand[3].lane_mask
-                if lanes & taken or pick_group(
-                    cand[4].instr.op_class, now, lanes, True
-                ) is None:
-                    continue
-            eligible.append((warp.wid, cand))
         # Ranked in warp-id order, the order the tie-break's
-        # pseudo-random draws are consumed in.
-        eligible.sort()
-        best = None
+        # pseudo-random draws are consumed in (one per candidate).
+        if len(eligible) > 1:
+            eligible.sort()
+        best = eligible[0][1]
         best_key = None
-        for _, cand in eligible:
-            key = self._secondary_key(cand[1], cand[3], cand[4])
-            if best_key is None or key > best_key:
-                best_key = key
-                best = cand
-        if best is None:
-            return None
+        if self._stock_key:
+            # :meth:`_secondary_key` and its draw, inline.
+            state = self._rand_state
+            for _, cand in eligible:
+                state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+                key = (cand[3].mask.bit_count(), -state)
+                if best_key is None or key > best_key:
+                    best_key = key
+                    best = cand
+            self._rand_state = state
+        else:
+            secondary_key = self._secondary_key
+            for _, cand in eligible:
+                key = secondary_key(cand[1], cand[3], cand[4])
+                if best_key is None or key > best_key:
+                    best_key = key
+                    best = cand
         split, entry = best[3], best[4]
-        group = pick_group(entry.instr.op_class, now, split.lane_mask, co_issue)
-        origin = ORIGIN_SWI if co_issue else ORIGIN_PRIMARY
+        # A group to itself before co-issue sharing, as ``pick_group``.
+        group = free[best[5]] or backend.pick_group(
+            entry.instr.op_class, now, split.lane_mask, True
+        )
+        origin = ORIGIN_SWI if primary is not None else ORIGIN_PRIMARY
         return (origin, best[1], 0, split, entry, group)
 
     # -- tick --------------------------------------------------------------
 
     def tick(self, now: int) -> int:
         issued = 0
-        primary: Optional[IssueRecord] = None
+        # The issue stage's warp, unit class, lanes, and divergence.
+        primary: Optional[TimingWarp] = None
+        unit = taken = 0
+        diverged = False
         sm = self.sm
 
         # Issue stage: the primary picked last cycle issues now.
@@ -513,13 +548,15 @@ class CascadedScheduler(SchedulerBase):
                 slot = warp.model.slot_of(split, now)
                 if not warp.scoreboard.can_issue(entry.instr, split.mask, slot):
                     return 0  # hazard materialised; hold in the issue stage
-                lanes = split.lane_mask
-                group = sm.backend.pick_group(entry.instr.op_class, now, lanes, False)
+                group = sm.backend.pick_group(
+                    entry.instr.op_class, now, split.lane_mask, False
+                )
                 if group is None:
                     return 0  # structural stall: group still busy
+                unit, taken = self._unit_of[entry.pc], split.lane_mask
                 diverged = sm.issue(warp, slot, split, entry, now, ORIGIN_PRIMARY, group)
                 self.pending = None
-                primary = IssueRecord(warp, lanes, diverged)
+                primary = warp
                 issued += 1
 
         # Primary pick for the next cycle and secondary pick for this one
@@ -530,7 +567,7 @@ class CascadedScheduler(SchedulerBase):
         if self.woken[0]:
             self._refresh(now)
         nxt = self._pick_primary(now)
-        secondary = self._pick_secondary(now, primary)
+        secondary = self._pick_secondary(now, primary, unit, taken, diverged)
         if secondary is not None and nxt is not None and secondary[4] is nxt[4]:
             sm.stats.scheduler_conflicts += 1
             nxt = None
@@ -538,19 +575,21 @@ class CascadedScheduler(SchedulerBase):
             # Freeze the picked split before the secondary issues: a merge
             # triggered by that issue must not absorb or grow it while its
             # instruction sits in the scheduler pipeline stage.  Frozen,
-            # it is no candidate either: its verdict must be re-derived.
+            # it is no candidate either: it leaves the pool here.
             nxt[3].pending = True
-            nxt[1].wake_issue()
+            self._pools[0].remove(nxt)
+            nxt[1].cand0 = None
+            self.pending = (nxt[1], nxt[3], nxt[4])
 
         if secondary is not None:
             origin, warp, slot, split, entry, group = secondary
+            if origin != ORIGIN_SBI:  # consumed: gone with its entry
+                self._pools[0].remove(warp.cand0)
+                warp.cand0 = None
             sm.issue(warp, slot, split, entry, now, origin, group)
             issued += 1
             if origin == ORIGIN_SWI:
                 sm.stats.swi_hits += 1
-
-        if nxt is not None:
-            self.pending = (nxt[1], nxt[3], nxt[4])
         return issued
 
 

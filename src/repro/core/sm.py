@@ -14,7 +14,6 @@ simulation speed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
@@ -39,7 +38,7 @@ from repro.timing.dram import DRAMChannel
 from repro.timing.fetch import FetchEngine, IBufEntry
 from repro.timing.lsu import LoadStoreUnit
 from repro.timing.masks import bools_to_mask, mask_to_bools, popcount
-from repro.timing.scoreboard import build_transition
+from repro.timing.scoreboard import Entry, build_transition
 from repro.timing.stats import Stats
 from repro.timing.units import Backend, ExecGroup
 from repro.timing.divergence import Split
@@ -53,16 +52,6 @@ class SimulationError(Exception):
 #: dispatches on it: everything but these three just advances the PC.
 _PLAIN, _BRANCH, _EXIT, _BARRIER = range(4)
 _CONTROL = {Op.BRA: _BRANCH, Op.EXIT: _EXIT, Op.BAR: _BARRIER}
-
-
-@dataclass(slots=True)
-class IssueRecord:
-    """What a multi-issue scheduler keeps of the instruction it issued
-    first this cycle, for the pick that shares the cycle with it."""
-
-    warp: TimingWarp
-    lane_mask: int
-    diverged: bool
 
 
 class StreamingMultiprocessor:
@@ -282,9 +271,10 @@ class StreamingMultiprocessor:
         ``slot`` is the context slot ``split`` stands in
         (:meth:`DivergenceModel.slot_of`, this cycle); instruction
         statics come from the per-PC ``_statics``.  The closing model
-        mutation wakes the warp (``on_change``), once, for the freed
-        way and the new entry too; the matrix scoreboard's slot masks
-        are recomputed only if it moved ``slot_version``.
+        mutation is the warp's one wake (``on_change``) — of its fetch
+        side alone if that left every buffer way empty; the matrix
+        scoreboard's slot masks are recomputed only if it moved
+        ``slot_version``.
 
         Returns whether the instruction was a branch that diverged.
         """
@@ -301,8 +291,10 @@ class StreamingMultiprocessor:
         matrix = warp.matrix_sb
         if matrix:
             # Only the matrix scoreboard reads context slots.
-            old_masks = self._slot_masks(warp, now)
-            slots_seen = model.slot_version
+            old_masks = warp.slot_masks
+            if warp.slots_seen != model.slot_version:
+                old_masks = self._slot_masks(warp, now)
+            slots_seen = model.slot_version  # after: an SBI read can settle
 
         outcome = self.executor.execute_masked(instr, warp.fwarp, mask)
         # No outcome: unpredicated, nothing to report but "done".
@@ -363,7 +355,11 @@ class StreamingMultiprocessor:
         else:
             wb = now + self._issue_to_wb + (waves - 1)
         if dst is not None:
-            sb_entry = warp.scoreboard.add(instr, mask, slot if slot < 2 else 2)
+            # ScoreboardBase.add, in this frame.
+            scoreboard = warp.scoreboard
+            sb_entry = Entry(dst, mask, slot if slot < 2 else 2)
+            scoreboard.entries.append(sb_entry)
+            scoreboard._dst_mask |= 1 << dst
             heappush(self._wb_heap, (wb, self._seq, warp, sb_entry))
             self._seq += 1
 
@@ -496,11 +492,12 @@ class StreamingMultiprocessor:
         for warp in self.live_warps():
             model = warp.model
             if warp.wake_version != model.version:
+                # Only cycles still ahead of the clock: most often none.
                 wakes = set()
                 for s in model.all_splits():
-                    if s.redirect_ready_at:
+                    if s.redirect_ready_at > now:
                         wakes.add(s.redirect_ready_at)
-                    if s.ready_at:
+                    if s.ready_at > now:
                         wakes.add(s.ready_at)
                 warp.wake_cache = sorted(wakes)
                 warp.wake_version = model.version

@@ -147,8 +147,16 @@ class TimingWarp:
 
     def wake(self) -> None:
         """What this warp can issue or fetch may have changed
-        (divergence-model change, issue, CTA launch, a due timer)."""
-        if not self.issue_woken:
+        (divergence-model change, issue, CTA launch, a due timer).
+
+        With every buffer way empty and no candidate on record (the
+        pick drops what it issues) a probe would find and change
+        nothing — the fill that provides a tag to match wakes the issue
+        side itself — so only the fetch side wakes.
+        """
+        if not self.issue_woken and (
+            any(self.ibuf) or self.cand0 is not None or self.cand1 is not None
+        ):
             self.issue_woken = True
             self._issue_wakes.append(self)
         if not self.fetch_woken:

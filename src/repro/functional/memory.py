@@ -126,13 +126,15 @@ class MemoryImage:
             # Before any lane is touched, and with zero lanes too.
             raise ValueError("unknown atomic op %r" % op)
         idx = self._word_indices(addrs)
-        old = np.empty(len(idx), dtype=np.float64)
         words = self.words
-        for k, i in enumerate(idx):
-            word = words[i]
-            old[k] = word
-            words[i] = combine(word, values[k])
-        return old
+        read = words.item
+        # Python floats (the same IEEE doubles), not numpy scalars.
+        old = []
+        for i, value in zip(idx.tolist(), np.asarray(values).tolist()):
+            word = read(i)
+            old.append(word)
+            words[i] = combine(word, value)
+        return np.array(old, dtype=np.float64)
 
 
 class SharedMemory(MemoryImage):

@@ -298,9 +298,19 @@ _WAKE_STATE = frozenset(
 )
 
 
+#: Who besides ``TimingWarp`` may write which wake state: a scheduler's
+#: readiness pass records the verdicts it derives (and lowers the woken
+#: flag of the warp it probed); its ``tick`` drops the candidate whose
+#: instruction it issues or freezes, a verdict known without a probe.
+_SCHEDULER_WRITERS = {
+    "_refresh": frozenset({"cand0", "cand1", "suspended", "issue_woken"}),
+    "tick": frozenset({"cand0"}),
+}
+
+
 class WakeSiteDisciplineRule(Rule):
-    """Warp wake state is written only by ``TimingWarp``'s own
-    wake/sleep helpers and the scheduler's verdict-recording site."""
+    """Warp wake state is written only by ``TimingWarp``'s helpers and
+    the schedulers' two recording sites (``_SCHEDULER_WRITERS``)."""
 
     id = "wake-site-discipline"
     category = "hot-path"
@@ -312,43 +322,48 @@ class WakeSiteDisciplineRule(Rule):
     )
     hint = (
         "call warp.wake() / wake_issue() / wake_at(cycle) / "
-        "fetch_sleep(retry) instead of assigning the field; only "
-        "TimingWarp's methods and a scheduler's _probe may write it"
+        "fetch_sleep(retry) instead of assigning the field; besides "
+        "TimingWarp only a scheduler's _refresh (verdicts) and tick "
+        "(the candidate it issues or freezes) may write it"
     )
     include = ("repro/core/*.py", "repro/timing/*.py")
 
     def check_file(
         self, path: str, tree: ast.AST, source: str
     ) -> Iterator[Violation]:
-        def walk(node: ast.AST, allowed: bool) -> Iterator[Violation]:
+        def walk(node: ast.AST, allowed: frozenset, owner: str) -> Iterator[Violation]:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
-                    yield from walk(child, child.name == "TimingWarp")
+                    fields = _WAKE_STATE if child.name == "TimingWarp" else frozenset()
+                    yield from walk(child, fields, child.name)
                     continue
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield from walk(child, allowed or child.name == "_probe")
+                    fields = allowed
+                    if "Scheduler" in owner:
+                        fields |= _SCHEDULER_WRITERS.get(child.name, frozenset())
+                    yield from walk(child, fields, owner)
                     continue
                 targets: Sequence[ast.AST] = ()
                 if isinstance(child, ast.Assign):
                     targets = child.targets
                 elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
                     targets = (child.target,)
-                if not allowed:
-                    for target in targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and target.attr in _WAKE_STATE
-                        ):
-                            yield self.violation(
-                                path,
-                                target,
-                                "wake state `.%s` assigned outside "
-                                "TimingWarp's wake/sleep helpers and the "
-                                "scheduler's _probe" % target.attr,
-                            )
-                yield from walk(child, allowed)
+                for target in targets:
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and target.attr in _WAKE_STATE
+                        and target.attr not in allowed
+                    ):
+                        yield self.violation(
+                            path,
+                            target,
+                            "wake state `.%s` assigned outside "
+                            "TimingWarp's wake/sleep helpers and the "
+                            "schedulers' _refresh / tick" % target.attr,
+                        )
+                yield from walk(child, allowed, owner)
 
-        yield from walk(tree, False)
+        yield from walk(tree, frozenset(), "")
 
 
 register_rule(HotPathSlotsRule())

@@ -32,7 +32,7 @@ _REGISTRY_NAMES = frozenset(
 
 #: Call sites where an event/origin/level name argument is expected.
 _VOCAB_CALLEES = frozenset(
-    {"record_issue", "MemEvent", "IssueRecord", "_record"}
+    {"record_issue", "MemEvent", "_record"}
 )
 
 #: Files that emit or dispatch on vocabulary names.

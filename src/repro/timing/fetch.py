@@ -54,6 +54,7 @@ class FetchEngine:
         "hot_capacity",
         "buffers",
         "woken",
+        "_uncontended",
         "_sorted",
         "_rr",
         "_latest_ready",
@@ -63,6 +64,8 @@ class FetchEngine:
         self.program = program.instructions
         self.fetch_width = fetch_width
         self.hot_capacity = hot_capacity
+        # How many woken warps a tick is certain to serve in full.
+        self._uncontended = max(1, fetch_width // hot_capacity)
         self.buffers: Dict[int, List[Optional[IBufEntry]]] = {}
         self._rr = 0
         # Decode-ready high-water mark: nothing in any buffer becomes
@@ -109,9 +112,17 @@ class FetchEngine:
         model's settle wake).  A warp the bandwidth limit cut short or
         never reached stays listed.
 
+        With no more warps woken than the bandwidth serves in full
+        (``fetch_width // hot_capacity``) order cannot matter (pools
+        are age-sorted, timer keys unique, no pseudo-random draw is
+        taken here): the list is visited unsorted.
+
         One pass per warp: each eligible hot split lacking a matching
         tag fetches into an empty way, else into a way whose tag
-        matches no hot PC.
+        matches no hot PC.  A fill wakes the warp's issue side unless
+        a probe is queued already or the scoreboard refuses the
+        instruction as things stand: only a release can turn that, so
+        the fill raises ``ScoreboardBase.awaited`` instead.
         """
         if not warps:
             return 0
@@ -120,12 +131,11 @@ class FetchEngine:
         self._rr = rr + 1
         if not woken:
             return 0
-        # Service order: warp ids ascending from the pointer's warp,
-        # wrapping.  The list is kept in warp-id order; wakes since
-        # the last tick were appended behind it.
         count = len(woken)
         at = 0
-        if count > 1:
+        if count > self._uncontended:
+            # Warp ids ascending from the pointer's warp, wrapping (the
+            # list is in warp-id order, new wakes appended behind it).
             if count != self._sorted:
                 woken.sort(key=_wid)
             at = bisect_left(woken, warps[rr % len(warps)].wid, key=_wid)
@@ -136,22 +146,19 @@ class FetchEngine:
         instrs = self.program
         # Warps left without a verdict (cut short, or never reached).
         left = None
-        visited = 0
-        for warp in order:
+        for visited, warp in enumerate(order):
             if fetched >= width:
                 # Bandwidth exhausted: the rest wait their turn.
                 left = order[visited:] if left is None else left + order[visited:]
                 break
-            visited += 1
             if warp.done:
                 warp.fetch_sleep(_NEVER)
                 continue
             model = warp.model
             hot = model._hot_cache or model.hot_splits(now)
-            if model.hot_capacity > cap:
+            if len(hot) > cap:
                 hot = hot[:cap]  # more runnable splits than buffer ways
             ways = warp.ibuf
-            hot_pcs = None
             retry = _NEVER
             for split in hot:
                 if fetched >= width:
@@ -166,28 +173,42 @@ class FetchEngine:
                         retry = gate
                     continue
                 pc = split.pc
-                # Victim: empty way, else a way matching no hot PC.
+                # Victim: an empty way, else one matching no hot PC (a
+                # single way: whatever it holds, if not this PC).
                 victim = None
-                for vi, entry in enumerate(ways):
-                    if entry is None:
-                        if victim is None:
-                            victim = vi
-                    elif entry.pc == pc:
-                        break  # tag matched: nothing to fetch
+                if cap == 1:
+                    entry = ways[0]
+                    if entry is None or entry.pc != pc:
+                        victim = 0
                 else:
-                    if victim is None:
-                        if hot_pcs is None:
-                            hot_pcs = [s.pc for s in hot]
-                        for vi, entry in enumerate(ways):
-                            if entry.pc not in hot_pcs:
+                    for vi, entry in enumerate(ways):
+                        if entry is None:
+                            if victim is None:
                                 victim = vi
-                                break
-                    if victim is not None:
-                        ways[victim] = IBufEntry(pc, instrs[pc], now, now + 1, victim)
-                        # A fill can make the slot issuable.
-                        if not warp.issue_woken:
+                        elif entry.pc == pc:
+                            victim = None
+                            break  # tag matched: nothing to fetch
+                    else:
+                        if victim is None:
+                            hot_pcs = [s.pc for s in hot]
+                            for vi, entry in enumerate(ways):
+                                if entry.pc not in hot_pcs:
+                                    victim = vi
+                                    break
+                if victim is not None:
+                    instr = instrs[pc]
+                    ways[victim] = IBufEntry(pc, instr, now, now + 1, victim)
+                    fetched += 1
+                    if not warp.issue_woken:
+                        # Issuable now, unless the scoreboard says no.
+                        board = warp.scoreboard
+                        slot = 0 if split is hot[0] else 1
+                        if board._dst_mask & instr.hazard_mask and not (
+                            board.can_issue(instr, split.mask, slot)
+                        ):
+                            board.awaited = True
+                        else:
                             warp.wake_issue()
-                        fetched += 1
             if retry is None:
                 left = [warp]
             else:

@@ -106,8 +106,17 @@ class FrontierModel(DivergenceModel):
         return True
 
     def advance(self, split: Split, now: int) -> None:
+        # _pc_moved() and _moved() in this frame: once per issue.
         split.pc += 1
-        self._pc_moved(split)
+        splits = self.splits
+        if splits[0] is split and splits[-1] is split:
+            self.version += 1
+            cb = self.on_change
+            if cb is not None:
+                cb()
+        else:
+            self._touch()
+            self._try_merge(split)
 
     def exit_threads(self, split: Split, mask: int, now: int) -> None:
         self._touch()

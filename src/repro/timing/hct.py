@@ -216,9 +216,14 @@ class SBIModel(DivergenceModel):
         return True
 
     def advance(self, split: Split, now: int) -> None:
-        self._moved()
+        # _moved() in this frame; one settled hot context: no sort.
+        self.version += 1
+        cb = self.on_change
+        if cb is not None:
+            cb()
         split.pc += 1
-        self._settle(now)
+        if self._dirty or self.cold or len(self.hot) != 1:
+            self._settle(now)
 
     def exit_threads(self, split: Split, mask: int, now: int) -> None:
         self._touch()

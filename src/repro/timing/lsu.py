@@ -33,6 +33,9 @@ from repro.timing.cache import L1Cache
 from repro.timing.dram import DRAMChannel
 from repro.timing.stats import Stats
 
+#: The bank-conflict memo is cleared past this many ≤ 512-byte keys.
+_MEMO_LIMIT = 1 << 10
+
 
 class LoadStoreUnit:
     """Transaction generation and timing for one memory instruction.
@@ -42,7 +45,7 @@ class LoadStoreUnit:
     :class:`repro.timing.l2.L2System` injected by the device layer.
     """
 
-    __slots__ = ("config", "cache", "dram", "stats", "_pending_fills")
+    __slots__ = ("config", "cache", "dram", "stats", "_pending_fills", "_conflict_memo")
 
     def __init__(self, config, cache: L1Cache, dram: DRAMChannel, stats: Stats) -> None:
         self.config = config
@@ -51,6 +54,9 @@ class LoadStoreUnit:
         self.stats = stats
         # MSHR merge table: block address -> fill-complete cycle.
         self._pending_fills: Dict[int, int] = {}
+        # (address bytes, serialize_all) -> bank-conflict transactions:
+        # shared addresses are CTA-relative, so the same vectors recur.
+        self._conflict_memo: Dict[Tuple[bytes, bool], int] = {}
 
     # ------------------------------------------------------------------
 
@@ -94,8 +100,15 @@ class LoadStoreUnit:
         return max(per_bank)
 
     def _shared(self, instr: Instruction, addrs: np.ndarray, now: int) -> Tuple[int, int]:
-        serialize_all = instr.op not in (Op.LD, Op.ST)
-        transactions = self._shared_conflicts(addrs, serialize_all)
+        # The conflict walk, memoised on the lanes' address bytes (and
+        # on ``serialize_all``: a load and an atomic share no answer).
+        key = (addrs.tobytes(), instr.op not in (Op.LD, Op.ST))
+        memo = self._conflict_memo
+        transactions = memo.get(key)
+        if transactions is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            transactions = memo[key] = self._shared_conflicts(addrs, key[1])
         self.stats.shared_transactions += transactions
         self.stats.memory_replays += transactions - 1
         wb = now + transactions - 1 + self.config.shared_latency

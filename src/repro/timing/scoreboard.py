@@ -63,9 +63,10 @@ class ScoreboardBase:
     with a single AND against the instruction's cached read/write mask
     instead of walking entries; a release rebuilds it from what is
     left.  ``awaited`` is raised by a readiness verdict that was *no*
-    on this scoreboard's account (hazard, or no room): only then can a
-    release change what the warp may issue, so only then does the SM
-    wake the warp for it (and lower the flag).
+    on this scoreboard's account (hazard, or no room; the scheduler's
+    probe, or the fetch engine's fill): only then can a release change
+    what the warp may issue, so only then does the SM wake the warp
+    for it (and lower the flag).
     """
 
     __slots__ = ("capacity", "entries", "awaited", "_dst_mask")

@@ -124,8 +124,17 @@ class StackModel(DivergenceModel):
         return True
 
     def advance(self, split: Split, now: int) -> None:
+        # _pc_moved() and _moved() in this frame: once per issue.
         split.pc += 1
-        self._pc_moved()
+        top = self.stack[-1]
+        if top.pc == top.rpc:
+            self._touch()
+            self._pop_reconverged()
+        else:
+            self.version += 1
+            cb = self.on_change
+            if cb is not None:
+                cb()
 
     def exit_threads(self, split: Split, mask: int, now: int) -> None:
         self._touch()

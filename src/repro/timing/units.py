@@ -132,40 +132,41 @@ class Backend:
         else:
             options = self._mad_route
         for group in options:
-            if group.cycle != now:
-                group.cycle = now
-                group.lane_mask = 0
-                group.issue_count = 0
-            if group.issue_count == 0 and group.free_at <= now:
+            # Accepting pushes ``free_at`` past the cycle: free by now
+            # means nothing taken this cycle, stale bookkeeping or not.
+            if group.free_at <= now:
                 return group
         if co_issue:
             for group in options:
-                # Rolled above; share with one accepted instruction on
-                # disjoint lanes (dual broadcast limit).
-                if 0 < group.issue_count < 2 and not (group.lane_mask & lane_mask):
+                holds_one = group.issue_count == 1 and group.cycle == now
+                if holds_one and not (group.lane_mask & lane_mask):
                     return group
         return None
 
-    def free_classes(self, by: int) -> Tuple[bool, bool, bool]:
-        """Per-cycle availability snapshot, one answer per op class.
-
-        ``(MAD/CTRL, SFU, LSU)``: does the class have a group whose
-        busy window ends by cycle ``by``?  With ``by = now`` that is
-        exactly "``pick_group(cls, now, *, co_issue=False)`` finds a
-        group" — an instruction accepted this cycle pushes ``free_at``
-        past ``now``, so no roll of the co-issue bookkeeping is needed
-        — which lets an arbiter decide unit availability once per pick
-        instead of once per ready warp; with ``by = now + 1`` it is the
+    def free_classes(
+        self, by: int
+    ) -> Tuple[Optional[ExecGroup], Optional[ExecGroup], Optional[ExecGroup]]:
+        """Per-cycle availability snapshot ``(MAD/CTRL, SFU, LSU)``:
+        the class's first group whose busy window ends by cycle ``by``,
+        or None.  With ``by = now`` that is what ``pick_group(cls, now,
+        *, co_issue=False)`` answers, so an arbiter decides unit
+        availability once per pick instead of once per ready warp and
+        hands the winner its group; with ``by = now + 1`` it is the
         cascaded primary's "plausibly free at the issue stage".
         """
-        mad = False
+        mad = None
         for group in self._mad_route:
             if group.free_at <= by:
-                mad = True
+                mad = group
                 break
-        return mad, self.sfu.free_at <= by, self.lsu.free_at <= by
+        sfu, lsu = self.sfu, self.lsu
+        return mad, sfu if sfu.free_at <= by else None, lsu if lsu.free_at <= by else None
 
     def next_free_cycle(self, now: int) -> Optional[int]:
         """Earliest future cycle any busy group frees (event skipping)."""
-        future = [g.free_at for g in self.groups if g.free_at > now]
-        return min(future) if future else None
+        best = None
+        for group in self.groups:
+            free_at = group.free_at
+            if free_at > now and (best is None or free_at < best):
+                best = free_at
+        return best

@@ -12,6 +12,20 @@ class Pipeline:
         warp.timer = now + 1  # wake-site-discipline (timer set around wake_at)
         warp.fetch_woken |= True  # wake-site-discipline (augmented write)
 
+    def tick(self, warp):
+        warp.cand0 = None  # wake-site-discipline (tick, but of no scheduler)
+
 
 def record(warp, cand):
-    warp.cand0 = cand  # wake-site-discipline (a verdict recorded outside _probe)
+    warp.cand0 = cand  # wake-site-discipline (a verdict recorded outside _refresh)
+
+
+class ToyScheduler:
+    __slots__ = ("woken",)
+
+    def _probe(self, warp, cand):
+        warp.cand1 = cand  # wake-site-discipline (the retired recording site)
+
+    def tick(self, warp):
+        warp.cand0 = None
+        warp.issue_woken = True  # wake-site-discipline (a pick may drop, not wake)

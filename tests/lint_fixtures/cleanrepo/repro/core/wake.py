@@ -21,9 +21,13 @@ class Pipeline:
         ready = warp.issue_woken  # reads are free
 
 
-class Scheduler:
-    __slots__ = ("woken",)
+class ToyScheduler:
+    __slots__ = ("woken", "pool")
 
-    def _probe(self, warp, cand):
+    def _refresh(self, warp, cand):
         warp.cand0 = cand  # the verdict-recording site
         warp.issue_woken = False
+
+    def tick(self, warp):
+        self.pool.remove(warp.cand0)
+        warp.cand0 = None  # issued: the entry is consumed, no probe needed

@@ -80,7 +80,9 @@ def test_alloc_in_plan_ignores_compile_time_allocation():
 
 def test_wake_site_discipline_flags_each_seeded_write():
     report = lint_one(BAD, "repro/core/wake.py", "wake-site-discipline")
-    assert [v.line for v in report.violations] == [8, 9, 12, 13, 17]
+    # Also: a `tick` outside any scheduler, the retired `_probe` site, and a
+    # scheduler `tick` that wakes instead of only dropping its candidate.
+    assert [v.line for v in report.violations] == [8, 9, 12, 13, 16, 20, 27, 31]
 
 
 def test_registry_discipline_allows_registry_module_itself(tmp_path):

@@ -79,6 +79,67 @@ class TestMemoryImage:
         assert sh.alloc(4) == 0
 
 
+def _atomic_scalar_walk(mem, addrs, values, op):
+    """``MemoryImage.atomic`` as it was before the walk over Python
+    floats: one numpy scalar per read, combine and write."""
+    combine = {"add": lambda a, b: a + b, "min": min, "max": max}[op]
+    idx = mem._word_indices(addrs)
+    old = np.empty(len(idx), dtype=np.float64)
+    for k, i in enumerate(idx):
+        word = mem.words[i]
+        old[k] = word
+        mem.words[i] = combine(word, values[k])
+    return old
+
+
+_ATOMIC_WORDS = 8
+_operand = st.one_of(
+    st.floats(allow_nan=False, width=64),
+    st.integers(-(1 << 31), 1 << 31).map(float),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, float("inf"), 0.1, 1 / 3]),
+)
+
+
+class TestAtomicWalkOracle:
+    """The list walk is the scalar walk, bit for bit: old values
+    returned, memory left behind, duplicates applied in lane order."""
+
+    @pytest.mark.parametrize("op", ["add", "min", "max"])
+    @given(
+        lanes=st.lists(
+            st.tuples(st.integers(0, _ATOMIC_WORDS - 1), _operand), max_size=64
+        ),
+        initial=st.lists(_operand, min_size=_ATOMIC_WORDS, max_size=_ATOMIC_WORDS),
+    )
+    @example(lanes=[(3, 1.0)] * 32, initial=[0.0] * _ATOMIC_WORDS)  # one hot word
+    @example(lanes=[(0, 0.1), (0, 0.2), (0, 0.3)], initial=[1e16] * _ATOMIC_WORDS)
+    @example(lanes=[(1, -0.0), (1, 0.0)], initial=[0.0] * _ATOMIC_WORDS)
+    @example(lanes=[], initial=[0.0] * _ATOMIC_WORDS)
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_as_the_scalar_walk(self, op, lanes, initial):
+        got_mem, want_mem = SharedMemory(64), SharedMemory(64)
+        for mem in (got_mem, want_mem):
+            mem.write_array(0, np.array(initial))
+        addrs = np.array([w * WORD_BYTES for w, _ in lanes], dtype=np.int64)
+        values = np.array([v for _, v in lanes], dtype=np.float64)
+        with np.errstate(all="ignore"):
+            got = got_mem.atomic(addrs, values, op)
+            want = _atomic_scalar_walk(want_mem, addrs, values, op)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_mem.words.tobytes() == want_mem.words.tobytes()
+
+    def test_broadcast_operand_and_interpreter_agree(self):
+        """The plans hand over a broadcast view when the operand is a
+        scalar: the walk must not need a writable or contiguous one."""
+        mem = MemoryImage(1 << 12)
+        a = mem.alloc_array(np.array([5.0, 7.0]))
+        values = np.broadcast_to(np.float64(2.0), (4,))
+        old = mem.atomic(np.array([a, a + 4, a, a]), values, "add")
+        assert list(old) == [5.0, 7.0, 7.0, 9.0]
+        assert list(mem.read_array(a, 2)) == [11.0, 9.0]
+
+
 class TestL1Cache:
     def make(self):
         return L1Cache(size=4 * 2 * 128, ways=2, block=128, latency=3)
@@ -288,3 +349,75 @@ class TestCoalescing:
         lsu, _ = _lsu()
         occ, _ = lsu.access(ATOM, _lanes(np.zeros(16)), now=0)
         assert occ == 16
+
+
+ATOMS = Instruction(Op.ATOM_ADD, srcs=(imm(0), imm(1)), space=MemSpace.SHARED)
+
+_shared_lanes = st.lists(
+    st.one_of(
+        st.integers(0, 255).map(lambda w: w * WORD_BYTES),  # any word
+        st.integers(0, 7).map(lambda w: w * 128),  # bank 0, distinct words
+        st.just(64),  # a broadcast word
+    ),
+    min_size=1,  # ``access`` answers an empty vector before any walk
+    max_size=64,
+)
+
+
+class TestBankConflictMemo:
+    """``LoadStoreUnit._shared`` answers from a memo keyed by the
+    active-lane address bytes; what it answers is the walk's."""
+
+    @given(lanes=_shared_lanes, atomic=st.booleans())
+    @example(lanes=[0] * 32, atomic=False)  # broadcast: one transaction
+    @example(lanes=[0] * 32, atomic=True)  # the same lanes, an atomic: 32
+    @example(lanes=[0, 128, 0, 128], atomic=False)  # duplicates in a bank
+    @example(lanes=[4], atomic=True)
+    @settings(max_examples=100, deadline=None)
+    def test_memo_answers_what_the_walk_answers(self, lanes, atomic):
+        lsu, _ = _lsu()
+        instr = ATOMS if atomic else LDS
+        addrs = np.array(lanes, dtype=np.int64)
+        want = lsu._shared_conflicts(addrs, atomic)  # the walk itself
+        assert lsu.access(instr, addrs, now=0)[0] == want  # a miss
+        assert lsu.access(instr, addrs.copy(), now=0)[0] == want  # a hit
+        assert lsu._shared_conflicts(addrs, atomic) == want  # it kept no state
+
+    def test_empty_access_never_reaches_the_memo(self):
+        lsu, stats = _lsu()
+        empty = np.array([], dtype=np.int64)
+        assert lsu.access(LDS, empty, now=3) == (1, 3 + lsu.config.l1_latency)
+        assert lsu._conflict_memo == {} and stats.shared_transactions == 0
+
+    def test_load_and_atomic_on_the_same_addresses_share_no_answer(self):
+        lsu, _ = _lsu()
+        same_word = _lanes(np.zeros(16))
+        assert lsu.access(LDS, same_word, now=0)[0] == 1  # broadcast
+        assert lsu.access(ATOMS, same_word, now=0)[0] == 16  # serialised
+        assert lsu.access(LDS, same_word, now=0)[0] == 1  # and back
+        assert len(lsu._conflict_memo) == 2
+
+    def test_a_hit_does_not_walk(self, monkeypatch):
+        lsu, stats = _lsu()
+        addrs = _lanes(np.arange(32) * 128)
+        assert lsu.access(LDS, addrs, now=0)[0] == 32
+        monkeypatch.setattr(
+            LoadStoreUnit, "_shared_conflicts", lambda *a: pytest.fail("walked on a hit")
+        )
+        assert lsu.access(LDS, addrs.copy(), now=0)[0] == 32
+        assert stats.shared_transactions == 64 and stats.memory_replays == 62
+
+    def test_memo_stays_bounded_and_per_unit(self):
+        from repro.timing import lsu as lsu_module
+
+        lsu, _ = _lsu()
+        other, _ = _lsu()
+        # A stream of data-dependent vectors, as histogram's atomics are.
+        for i in range(lsu_module._MEMO_LIMIT + 50):
+            addrs = np.array([(i % 256) * 4, (i // 256) * 4], dtype=np.int64)
+            want = lsu._shared_conflicts(addrs, True)
+            assert lsu.access(ATOMS, addrs, now=0)[0] == want
+            assert len(lsu._conflict_memo) <= lsu_module._MEMO_LIMIT
+        # Cleared past the limit, not disabled: it filled up again.
+        assert 0 < len(lsu._conflict_memo) <= 51
+        assert other._conflict_memo == {}

@@ -12,7 +12,9 @@ not as a golden diff three layers up.
 """
 
 import collections
+import contextlib
 import dataclasses
+import operator
 import sys
 from unittest import mock
 
@@ -98,8 +100,19 @@ def _oldest_with_free_unit(sm, expected, now, by):
     return None
 
 
+@contextlib.contextmanager
 def instrument(sm, counts):
-    """Check the ready set before every pick of ``sm``'s scheduler."""
+    """Check the ready set before every pick of ``sm``'s scheduler,
+    for as long as the context is open.
+
+    The cascaded schedulers pick through a hook (``_pick_primary``),
+    which is wrapped.  The others pick inside ``tick``, one pool after
+    the other, and issue what they picked on the spot — so the oracle
+    runs where ``tick`` starts and again where each issue returns
+    (which is where the next pool's pick starts), and holds every
+    issue against the choice the full scan made: a pick that should
+    have issued and did not, or issued something else, fails too.
+    """
     sched = sm.scheduler
     if isinstance(sched, CascadedScheduler):
         inner = sched._pick_primary
@@ -115,20 +128,59 @@ def instrument(sm, counts):
             return got
 
         sched._pick_primary = pick_primary
-    else:
-        inner = sched._pick_oldest
+        yield
+        return
 
-        def pick_oldest(index, now):
-            expected = check_ready_set(sm, now, index)
-            got = inner(index, now)
-            want = _oldest_with_free_unit(sm, expected, now, now)
-            assert (got is None) == (want is None), "cycle %d" % now
-            assert got is None or _same(got, want), "cycle %d" % now
+    dual = isinstance(sched, SBIScheduler)
+    inner_tick, inner_issue = sched.tick, StreamingMultiprocessor.issue
+    state = {"want": None, "pool": 0}
+
+    def next_pick(now):
+        """Run the oracle for the pools from ``state["pool"]`` on, up
+        to the first whose pick must issue."""
+        while state["want"] is None and state["pool"] < sched.pools:
+            expected = check_ready_set(sm, now, state["pool"])
+            state["want"] = _oldest_with_free_unit(sm, expected, now, now)
+            state["pool"] += 1
             counts["picks"] += 1
-            counts["chosen"] += got is not None
-            return got
 
-        sched._pick_oldest = pick_oldest
+    def tick(now):
+        state["want"], state["pool"] = None, 0
+        next_pick(now)
+        issued = inner_tick(now)
+        assert state["want"] is None, "cycle %d: %s was not picked" % (
+            now, _describe(state["want"])
+        )
+        return issued
+
+    def issue(self, warp, slot, split, entry, now, origin, group):
+        assert self is sm
+        want = state["want"]
+        if want is not None:
+            # The dual front-end picks a *warp* (the owner of the
+            # oldest pickable instruction, either slot) and issues its
+            # slot 0 first when that can go; the others issue the pick.
+            assert warp is want[1], "cycle %d: picked %r, not %s" % (
+                now, warp, _describe(want)
+            )
+            if not dual or want[2] == 0 == slot:
+                assert _same((None, warp, slot, split, entry), want), (
+                    "cycle %d: issued pc=%d, picked %s" % (now, entry.pc, _describe(want))
+                )
+            state["want"] = None
+            counts["chosen"] += 1
+        else:
+            # Nothing outstanding: only the dual front-end's second
+            # issue (same warp, other slot) comes unpicked.
+            assert dual and origin == "sbi", "cycle %d: unpicked issue" % now
+        diverged = inner_issue(self, warp, slot, split, entry, now, origin, group)
+        if not dual:
+            next_pick(now)
+        return diverged
+
+    sched.tick = tick
+    with mock.patch.object(StreamingMultiprocessor, "issue", issue):
+        yield
 
 
 class TestReadySetInvariant:
@@ -144,8 +196,8 @@ class TestReadySetInvariant:
         inst = get_workload(workload, "tiny")
         sm = StreamingMultiprocessor(inst.kernel, inst.memory, config)
         counts = {"picks": 0, "chosen": 0}
-        instrument(sm, counts)
-        stats = sm.run()
+        with instrument(sm, counts):
+            stats = sm.run()
         # The oracle only looked: the run is the uninstrumented run.
         assert stats == expected
         assert counts["chosen"] > 100 and counts["picks"] > counts["chosen"]
@@ -155,19 +207,27 @@ class TestReadySetInvariant:
         the ready set, which is what makes the test above a test."""
         inst = get_workload("transpose", "tiny")
         sm = StreamingMultiprocessor(inst.kernel, inst.memory, presets.baseline())
-        instrument(sm, {"picks": 0, "chosen": 0})
-        with mock.patch.object(TimingWarp, "wake_issue", lambda self: None):
-            with pytest.raises(AssertionError, match="ready set != full scan"):
-                sm.run()
+        with instrument(sm, {"picks": 0, "chosen": 0}):
+            with mock.patch.object(TimingWarp, "wake_issue", lambda self: None):
+                with pytest.raises(AssertionError, match="ready set != full scan"):
+                    sm.run()
 
 
-#: Calls per issued instruction on transpose@tiny, as measured on the
-#: tree that introduced the ready set; the guard allows +10 %.  The
-#: tree before it (full scan per scheduler per cycle) measured
-#: ``_ready_entry`` 6.3 / 8.3 / 11.6 / 11.6 and ``pick_group``
-#: 3.4 / 7.5 / 11.2 / 11.2 — each pin must stay below its parent.
-#: "unit queries" counts ``pick_group`` and ``free_classes`` together.
+#: Calls per issued instruction on transpose@tiny: ``(readiness probes,
+#: unit queries)``, re-pinned by PR 20 (no doomed probes; the unit
+#: snapshot names the winner's group); the guard allows +10 %.
+#: ``PARENT_WORK`` is what the tree before the ready set measured (a
+#: full scan per scheduler per cycle), ``PR15_WORK`` what the ready set
+#: itself read and PRs 15-19 were pinned at — a pin may fall, never
+#: rise.  "Unit queries" counts ``pick_group`` and ``free_classes``
+#: together.
 WORK_PINS = {
+    "baseline": (1.03, 1.04),
+    "sbi": (1.05, 1.04),
+    "swi": (1.07, 2.54),
+    "sbi_swi": (1.07, 2.54),
+}
+PR15_WORK = {
     "baseline": (2.50, 2.04),
     "sbi": (1.95, 2.04),
     "swi": (2.51, 3.03),
@@ -184,11 +244,18 @@ PARENT_WORK = {
 #: Interpreter call events (``sys.setprofile`` ``call`` + ``c_call``)
 #: per issued instruction over transpose, mandelbrot and matrixmul
 #: @tiny: what one issue costs the host in frames and C calls, the
-#: gauge that steered the one-frame issue path.  ``CALL_PINS`` are the
-#: counts of the tree that introduced the gauge (the guard allows
-#: +5 %), ``PARENT_CALLS`` what :func:`calls_per_issue` read on the
-#: tree before it — each pin must stay below its parent.
+#: gauge that steered the one-frame issue path.  ``CALL_PINS`` are
+#: this tree's counts (re-pinned by PR 20; the guard allows +5 %),
+#: ``PR17_CALLS`` the pins of the tree that introduced the gauge — a
+#: pin may fall, never rise — and ``PARENT_CALLS`` what
+#: :func:`calls_per_issue` read on the tree before that.
 CALL_PINS = {
+    "baseline": 48.8,
+    "sbi": 66.0,
+    "swi": 65.9,
+    "sbi_swi": 71.3,
+}
+PR17_CALLS = {
     "baseline": 56.0,
     "sbi": 73.1,
     "swi": 76.3,
@@ -203,9 +270,43 @@ PARENT_CALLS = {
 GAUGE_WORKLOADS = ("transpose", "mandelbrot", "matrixmul")
 
 
-def count_calls(kernel, memory, config):
+#: Bytecodes per issued instruction over the same three workloads:
+#: ``opcode`` events of ``sys.settrace`` with ``frame.f_trace_opcodes``
+#: set on every frame under ``simulate``, on the second of two
+#: identical runs.  Where the call gauge counts frames, this one
+#: counts what runs inside them — about 11 ns apiece on the reference
+#: host — and it repeats exactly, so a flat profile is a budget, not a
+#: reason to stop.  Bytecode is specific to the interpreter version:
+#: the pins are CPython 3.11's and are asserted there only.
+#: ``BYTECODE_PINS`` are this tree's counts (the guard allows +3 %);
+#: ``PARENT_BYTECODES`` is what ISSUE 20 recorded for the tree before
+#: it (cd31422; this file's gauge reads 1582.8 / 2005.9 / 2215.0 /
+#: 2332.2 there, ISSUE 20's harness a constant ~900 opcodes per mode
+#: more) — each pin must be at most 0.95 of its parent.
+BYTECODE_PINS = {
+    "baseline": 1337.8,
+    "sbi": 1777.1,
+    "swi": 1900.3,
+    "sbi_swi": 2025.5,
+}
+PARENT_BYTECODES = {
+    "baseline": 1583.1,
+    "sbi": 2006.5,
+    "swi": 2215.6,
+    "sbi_swi": 2332.8,
+}
+BYTECODE_VERSION = (3, 11)
+
+#: A code object's name in the per-function breakdown.
+_function_name = operator.attrgetter(
+    "co_qualname" if sys.version_info >= (3, 11) else "co_name"
+)
+
+
+def count_calls(kernel, memory, config, by_function=None):
     """``(stats, call events, Python calls by function name)`` of one
-    simulation."""
+    simulation; with ``by_function`` (a Counter) also its bytecodes,
+    added there by function."""
     by_name = collections.Counter()
     c_calls = [0]
 
@@ -215,11 +316,40 @@ def count_calls(kernel, memory, config):
         elif event == "c_call":
             c_calls[0] += 1
 
+    # One counting closure per code object, handed out as the frame's
+    # local trace function: an opcode event then costs one list
+    # increment, not a name lookup and a dict update.
+    tracers = {}
+
+    def trace(frame, event, arg):
+        if event != "call":
+            return None
+        code = frame.f_code
+        tracer = tracers.get(code)
+        if tracer is None:
+            count = [0]
+
+            def tracer(frame, event, arg):
+                if event == "opcode":
+                    count[0] += 1
+                return tracer
+
+            tracer.count = count
+            tracers[code] = tracer
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return tracer
+
     sys.setprofile(profile)
+    if by_function is not None:
+        sys.settrace(trace)
     try:
         stats = simulate(kernel, memory, config)
     finally:
+        sys.settrace(None)
         sys.setprofile(None)
+    for code, tracer in tracers.items():
+        by_function[_function_name(code)] += tracer.count[0]
     return stats, sum(by_name.values()) + c_calls[0], by_name
 
 
@@ -247,6 +377,24 @@ def calls_per_issue(mode):
     return calls / issues
 
 
+def bytecodes_per_issue(mode):
+    """``(bytecodes per issued instruction, the same by function)``,
+    summed over the gauge workloads; each is traced on the second of
+    two identical runs (the first, untraced, warms the module-level
+    mask memos)."""
+    config = presets.by_name(mode)
+    by_function = collections.Counter()
+    issues = 0
+    for name in GAUGE_WORKLOADS:
+        inst = get_workload(name, "tiny")
+        simulate(inst.kernel, inst.memory, config)
+        inst = get_workload(name, "tiny")
+        stats, _, _ = count_calls(inst.kernel, inst.memory, config, by_function)
+        issues += stats.instructions_issued
+    per_function = {name: n / issues for name, n in by_function.items()}
+    return sum(by_function.values()) / issues, per_function
+
+
 class TestWorkCount:
     @pytest.mark.parametrize("mode", sorted(WORK_PINS))
     def test_probes_and_unit_queries_per_issue(self, mode):
@@ -254,8 +402,8 @@ class TestWorkCount:
         cannot rot back into a scan without a timing gate noticing."""
         ready, unit = work_per_issue(mode)
         pin_ready, pin_unit = WORK_PINS[mode]
-        parent_ready, parent_unit = PARENT_WORK[mode]
-        assert pin_ready < parent_ready and pin_unit < parent_unit
+        for earlier in (PR15_WORK, PARENT_WORK):
+            assert pin_ready <= earlier[mode][0] and pin_unit <= earlier[mode][1]
         assert ready <= pin_ready * 1.10, (ready, pin_ready)
         assert unit <= pin_unit * 1.10, (unit, pin_unit)
 
@@ -263,25 +411,51 @@ class TestWorkCount:
     def test_calls_per_issue(self, mode):
         """Deterministic too: an issue's cost in interpreter calls
         cannot creep back up without a timing run to say so."""
-        pin, parent = CALL_PINS[mode], PARENT_CALLS[mode]
-        assert pin <= 0.85 * parent
+        pin = CALL_PINS[mode]
+        assert pin <= PR17_CALLS[mode] <= 0.85 * PARENT_CALLS[mode]
         calls = calls_per_issue(mode)
         assert calls <= pin * 1.05, (calls, pin)
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != BYTECODE_VERSION,
+        reason="bytecode is interpreter-specific: the pins are CPython %d.%d's"
+        % BYTECODE_VERSION,
+    )
+    @pytest.mark.parametrize("mode", sorted(BYTECODE_PINS))
+    def test_bytecodes_per_issue(self, mode):
+        """And what runs inside the frames: the flat profile as a
+        budget, one mode at a time."""
+        pin = BYTECODE_PINS[mode]
+        assert pin <= 0.95 * PARENT_BYTECODES[mode]
+        bytecodes, _ = bytecodes_per_issue(mode)
+        assert bytecodes <= pin * 1.03, (bytecodes, pin)
+
+    def test_bytecode_pins_meet_the_issue(self):
+        """ISSUE 20's gauge criterion: the four modes together at most
+        0.92 of the parent's 8 138."""
+        assert sum(BYTECODE_PINS.values()) <= 0.92 * sum(PARENT_BYTECODES.values())
 
     def test_work_per_issue_is_flat_in_live_warps(self):
         """transpose@bench under sbi_swi with 4 to 24 warps on the SM:
         "linear in live warps per cycle" was the defect the ready set
         removed, and per-issue work that grows with occupancy is how
-        it would come back."""
-        ready, calls = {}, {}
+        it would come back.  Bytecodes are counted at the two ends
+        (tracing every opcode of a bench cell takes seconds)."""
+        ready, calls, bytecodes = {}, {}, {}
         for warps in (4, 8, 16, 24):
             config = dataclasses.replace(presets.sbi_swi(), warp_count=warps)
             inst = get_workload("transpose", "bench")
-            stats, events, by_name = count_calls(inst.kernel, inst.memory, config)
+            by_function = collections.Counter() if warps in (4, 24) else None
+            stats, events, by_name = count_calls(
+                inst.kernel, inst.memory, config, by_function
+            )
             ready[warps] = by_name["_ready_entry"] / stats.instructions_issued
             calls[warps] = events / stats.instructions_issued
+            if by_function is not None:
+                bytecodes[warps] = sum(by_function.values()) / stats.instructions_issued
         assert ready[24] <= 1.3 * ready[4], ready
         assert calls[24] <= 1.3 * calls[4], calls
+        assert bytecodes[24] <= 1.3 * bytecodes[4], bytecodes
 
 
 class TestSlotView:
@@ -319,9 +493,25 @@ class TestSlotView:
 
 
 if __name__ == "__main__":
-    print("| mode | probes/issue | unit queries/issue | calls/issue | parent calls/issue |")
-    print("| --- | ---: | ---: | ---: | ---: |")
+    print("| mode | probes/issue | unit queries/issue | calls/issue | PR 17 calls/issue"
+          " | bytecodes/issue | parent bytecodes/issue |")
+    print("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
+    maps = {}
     for mode in sorted(WORK_PINS):
-        print("| %s | %.2f | %.2f | %.1f | %.1f |" % (
-            (mode,) + work_per_issue(mode) + (calls_per_issue(mode), PARENT_CALLS[mode])
+        bytecodes, maps[mode] = bytecodes_per_issue(mode)
+        print("| %s | %.2f | %.2f | %.1f | %.1f | %.1f | %.1f |" % (
+            (mode,) + work_per_issue(mode) + (
+                calls_per_issue(mode), PR17_CALLS[mode],
+                bytecodes, PARENT_BYTECODES[mode],
+            )
+        ))
+    modes = sorted(maps)
+    print("\nbytecodes per issue by function, CPython %d.%d (the 25 largest of %s):\n"
+          % (sys.version_info[:2] + (modes[-1],)))
+    print("| function | " + " | ".join(modes) + " |")
+    print("| --- |" + " ---: |" * len(modes))
+    largest = sorted(maps[modes[-1]], key=maps[modes[-1]].get, reverse=True)[:25]
+    for name in largest:
+        print("| `%s` | %s |" % (
+            name, " | ".join("%.1f" % maps[mode].get(name, 0.0) for mode in modes)
         ))

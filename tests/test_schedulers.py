@@ -164,3 +164,305 @@ class TestCombined:
         ):
             stats = _run(_balanced_ifelse(2), cfg)
             assert stats.ipc <= bound + 1e-9
+
+
+def _sm(kb, config, cta_size=256, grid_size=4):
+    from repro.core.sm import StreamingMultiprocessor
+
+    mem = MemoryImage()
+    out = mem.alloc(cta_size * grid_size * 4)
+    kernel = kb.build(cta_size=cta_size, grid_size=grid_size, params=(out,))
+    return StreamingMultiprocessor(kernel, mem, config)
+
+
+def _independent(count=8):
+    """Straight-line code with no register dependences."""
+    kb = KernelBuilder("indep")
+    regs = kb.regs(*["r%d" % i for i in range(count)])
+    for i, r in enumerate(regs):
+        kb.mov(r, float(i))
+    kb.exit_()
+    return kb
+
+
+class TestHooksStayHooks:
+    """The stock ranking and its pseudo-random draw run in the pick's
+    own frame; an override of either documented hook is still what
+    runs, and the stock path draws exactly what the hook would."""
+
+    def _with_scheduler(self, cls, monkeypatch, kb=None, policy="swi"):
+        """An SM of ``policy``'s machine, scheduled by ``cls``."""
+        from repro.core import schedulers
+
+        monkeypatch.setattr(schedulers, "make_scheduler", lambda config, sm: cls(sm))
+        sm = _sm(kb or _imbalanced(), presets.by_name(policy))
+        assert type(sm.scheduler) is cls
+        return sm
+
+    def test_stock_scheduler_never_calls_the_key_hook(self, monkeypatch):
+        from repro.core.schedulers import CascadedScheduler
+
+        monkeypatch.setattr(
+            CascadedScheduler, "_secondary_key", lambda *a: pytest.fail("the hook ran")
+        )
+        sm = _sm(_imbalanced(), presets.swi())
+        sm.scheduler._stock_key = True  # as it was before the patch above
+        assert sm.scheduler._stock_key
+        stats = sm.run()
+        assert stats.swi_hits > 0 and stats == _run(_imbalanced(), presets.swi())
+
+    def test_inline_ranking_draws_what_the_hook_draws(self, monkeypatch):
+        """Force the per-candidate hook path with an override that only
+        defers to the stock key: same draws, same order, same run."""
+        from repro.core.schedulers import CascadedScheduler
+
+        calls = []
+
+        class ThroughTheHook(CascadedScheduler):
+            def _secondary_key(self, warp, split, entry):
+                calls.append(warp.wid)
+                return super()._secondary_key(warp, split, entry)
+
+        for policy, kb in (("swi", _imbalanced()), ("sbi_swi", _balanced_ifelse())):
+            del calls[:]
+            sm = self._with_scheduler(ThroughTheHook, monkeypatch, kb, policy)
+            assert not sm.scheduler._stock_key
+            stats = sm.run()
+            assert len(calls) > 20
+            assert stats == _run(kb, presets.by_name(policy))
+
+    def test_overridden_key_is_what_ranks(self, monkeypatch):
+        from repro.core.schedulers import GreedyCascadedScheduler
+
+        seen = []
+
+        class Spy(GreedyCascadedScheduler):
+            def _secondary_key(self, warp, split, entry):
+                key = super()._secondary_key(warp, split, entry)
+                seen.append(key)
+                return key
+
+        sm = self._with_scheduler(Spy, monkeypatch, policy="swi_greedy")
+        stats = sm.run()
+        assert seen and all(len(key) == 3 for key in seen)  # the greedy key
+        assert stats == _run(_imbalanced(), presets.by_name("swi_greedy"))
+
+    def test_overridden_primary_pick_is_what_picks(self, monkeypatch):
+        from repro.core.schedulers import LooseRoundRobinScheduler
+
+        picks = []
+
+        class Spy(LooseRoundRobinScheduler):
+            def _pick_primary(self, now):
+                cand = super()._pick_primary(now)
+                picks.append(cand)
+                return cand
+
+        sm = self._with_scheduler(Spy, monkeypatch, policy="swi_rr")
+        stats = sm.run()
+        assert sum(cand is not None for cand in picks) > 100
+        assert stats == _run(_imbalanced(), presets.by_name("swi_rr"))
+
+    def test_the_example_scheduler_overrides_the_key(self):
+        import importlib
+        import sys
+
+        from repro.core.policy import POLICIES, SCHEDULERS
+
+        example = importlib.import_module("examples.custom_microarchitecture")
+        try:
+            sm = _sm(_imbalanced(), presets.by_name("swi_fresh"))
+            assert type(sm.scheduler) is example.FreshestFirstScheduler
+            assert not sm.scheduler._stock_key
+            assert sm.run().swi_hits > 0
+        finally:
+            SCHEDULERS.unregister("cascaded_freshest")
+            POLICIES.unregister("swi_fresh")
+            del sys.modules["examples.custom_microarchitecture"]
+
+
+class TestNoDoomedProbes:
+    """Which wakes queue a readiness probe, and which are known to be
+    doomed: an all-empty buffer, a candidate the pick consumed, a fill
+    the scoreboard already refuses."""
+
+    def _probes(self, sm, monkeypatch):
+        from repro.core.schedulers import SchedulerBase
+
+        probed = []
+        inner = SchedulerBase._ready_entry
+
+        def ready_entry(self, warp, slot, split, now):
+            entry = inner(self, warp, slot, split, now)
+            probed.append((now, warp.wid, slot, entry is not None))
+            return entry
+
+        monkeypatch.setattr(SchedulerBase, "_ready_entry", ready_entry)
+        return probed
+
+    def test_launch_and_issue_on_one_way_wake_fetch_only(self, monkeypatch):
+        sm = _sm(_independent(), presets.baseline(), cta_size=64, grid_size=1)
+        probed = self._probes(sm, monkeypatch)
+        sm._initial_launch()
+        # Launched with empty buffers: fetch has work, the pools do not.
+        assert not any(sm.scheduler.woken) and len(sm.fetch.woken) == 2
+        assert sm.step(0) and sm.stats.instructions_issued == 0 and not probed
+        # Cycle 1: the two filled warps are probed (yes) and issue; the
+        # issue empties their one way, so nothing queues them again
+        # before their next fill.
+        assert sm.scheduler.tick(1) == 2
+        assert [p[1:] for p in probed] == [(0, 0, True), (1, 0, True)]
+        issued = [sm.warp_slots[0], sm.warp_slots[1]]
+        assert all(w.cand0 is None and w.ibuf == [None] for w in issued)
+        assert not any(sm.scheduler.woken) and not any(sm.scheduler._pools)
+        assert all(w in sm.fetch.woken for w in issued)
+        # The fill is the wake: probed again next cycle, and ready.
+        sm.fetch.tick(1, sm.live_warps())
+        assert [w for pool in sm.scheduler.woken for w in pool] == issued
+        assert sm.scheduler.tick(2) == 2 and len(probed) == 4
+
+    def test_wake_with_a_candidate_on_record_still_probes(self):
+        """The fallback: a scheduler that did not drop what it issued
+        gets the ordinary wake, and the probe removes the candidate."""
+        sm = _sm(_independent(), presets.baseline())
+        sm._initial_launch()
+        sm.step(0)
+        sm.scheduler._refresh(1, 0)
+        warp = sm.warp_slots[0]
+        cand = warp.cand0
+        assert cand is not None and sm.scheduler._pools[0] == [cand]
+        group = sm.backend.pick_group(cand[4].instr.op_class, 1, cand[3].lane_mask, False)
+        sm.issue(warp, 0, cand[3], cand[4], 1, "primary", group)  # no drop
+        assert warp.ibuf == [None] and warp in sm.scheduler.woken[0]
+        sm.scheduler._refresh(1, 0)
+        assert warp.cand0 is None and sm.scheduler._pools[0] == []
+
+    def test_two_way_warp_is_ready_the_cycle_its_other_way_matches(self):
+        """SBI's buffers are PC-tagged: when CPC1 advances onto the PC
+        the other way already holds, the warp is a candidate again the
+        same cycle.  The empty-buffer shortcut must not swallow that."""
+        from repro.timing.fetch import IBufEntry
+
+        sm = _sm(_independent(), presets.sbi_swi())
+        sm._initial_launch()
+        sm.step(0)
+        sm.scheduler._refresh(1)
+        warp = sm.warp_slots[0]
+        cand = warp.cand0
+        split, entry = cand[3], cand[4]
+        assert entry.pc == 0 and len(warp.ibuf) == 2
+        program = sm.kernel.program.instructions
+        ahead = warp.ibuf[1] = IBufEntry(1, program[1], 0, 1, 1)
+        sm.scheduler._pools[0].remove(cand)
+        warp.cand0 = None  # as the pick that issues it does
+        group = sm.backend.pick_group(entry.instr.op_class, 1, split.lane_mask, False)
+        sm.issue(warp, 0, split, entry, 1, "primary", group)
+        assert warp.ibuf == [None, ahead] and warp in sm.scheduler.woken[0]
+        sm.scheduler._refresh(1)
+        assert warp.cand0 is not None and warp.cand0[4] is ahead
+        # ... whereas with both ways empty there is nothing to ask about.
+        other = sm.warp_slots[1]
+        cand = other.cand0
+        sm.scheduler._pools[0].remove(cand)
+        other.cand0 = None
+        group = sm.backend.pick_group(cand[4].instr.op_class, 2, cand[3].lane_mask, False)
+        sm.issue(other, 0, cand[3], cand[4], 2, "primary", group)
+        assert other.ibuf == [None, None] and other not in sm.scheduler.woken[0]
+
+    @pytest.mark.parametrize("mode", ["baseline", "sbi", "swi", "sbi_swi"])
+    def test_a_fill_the_scoreboard_refuses_waits_for_the_release(self, mode, monkeypatch):
+        """Every instruction of the dependent chain is probed once, on
+        the release it waited for — not once on its fill (no) and
+        again on the release (yes)."""
+        kb = KernelBuilder("chain")
+        (v,) = kb.regs("v")
+        kb.mov(v, 1.0)
+        for _ in range(8):
+            kb.mad(v, v, 3, 1)  # each reads the one before
+        kb.exit_()
+        config = presets.by_name(mode)
+        sm = _sm(kb, config, cta_size=config.warp_width, grid_size=1)  # one warp
+        probed = self._probes(sm, monkeypatch)
+        stats = sm.run()
+        assert stats.instructions_issued == 10
+        slot0 = [p for p in probed if p[2] == 0]
+        assert all(ready for _, _, _, ready in slot0), probed
+        assert len(slot0) == 10
+        # One in-flight write at a time, each release wakes its reader.
+        assert stats.cycles > 8 * config.issue_to_writeback
+
+
+class TestSecondaryPickOracle:
+    """The secondary pick against the walk it replaced: ``pick_group``
+    asked per busy-class candidate, a key call and a pseudo-random draw
+    per eligible one, in warp-id order."""
+
+    @staticmethod
+    def _pick_by_the_book(sched, now, primary, taken):
+        """The SWI half of the pre-PR-20 ``_pick_secondary``; leaves the
+        pseudo-random state where it found it."""
+        backend = sched.sm.backend
+        window = None
+        ways = sched.config.swi_ways
+        if primary is not None and ways is not None:
+            count = sched.config.warp_count
+            window = {(primary.wid + 1 + i) % count for i in range(ways)}
+        eligible = []
+        for cand in sched._pools[0]:
+            warp, lanes = cand[1], cand[3].lane_mask
+            if warp is primary or (window is not None and warp.wid not in window):
+                continue
+            op_class = cand[4].instr.op_class
+            if backend.pick_group(op_class, now, lanes, False) is None:
+                sched.busy_class_candidates += primary is not None
+                if primary is None or lanes & taken:
+                    continue
+                if backend.pick_group(op_class, now, lanes, True) is None:
+                    continue
+            eligible.append((warp.wid, cand))
+        state = sched._rand_state
+        best = best_key = None
+        for _, cand in sorted(eligible):
+            key = sched._secondary_key(cand[1], cand[3], cand[4])
+            if best_key is None or key > best_key:
+                best, best_key = cand, key
+        after, sched._rand_state = sched._rand_state, state
+        return best, after
+
+    @pytest.mark.parametrize("policy,overrides", [
+        ("swi", {}),
+        ("swi", {"swi_ways": 2}),
+        ("sbi_swi", {}),
+        ("swi_greedy", {}),
+    ])
+    def test_same_pick_same_draws(self, policy, overrides):
+        from repro.core.schedulers import CascadedScheduler
+        from repro.workloads import get_workload
+
+        checked = {"picks": 0, "busy": 0}
+        inner = CascadedScheduler._pick_secondary
+
+        def pick_secondary(sched, now, primary, unit, taken, diverged):
+            sched.busy_class_candidates = 0
+            want, state_after = self._pick_by_the_book(sched, now, primary, taken)
+            got = inner(sched, now, primary, unit, taken, diverged)
+            if got is not None and got[0] == "sbi":
+                return got  # the same warp's CPC2: no SWI search ran
+            assert (got is None) == (want is None), "cycle %d" % now
+            assert sched._rand_state == state_after, "cycle %d" % now
+            if got is not None:
+                assert got[1] is want[1] and got[4] is want[4], "cycle %d" % now
+                assert got[5] is not None
+                checked["picks"] += 1
+            checked["busy"] += sched.busy_class_candidates
+            return got
+
+        config = presets.from_policy(policy, **overrides)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CascadedScheduler, "_pick_secondary", pick_secondary)
+            for workload in ("eigenvalues", "matrixmul"):
+                inst = get_workload(workload, "tiny")
+                simulate(inst.kernel, inst.memory, config)
+        # Busy-class candidates beside a primary are where the class-and-
+        # lanes test stands in for ``pick_group``: they must have come up.
+        assert checked["picks"] > 300 and checked["busy"] > 300, checked

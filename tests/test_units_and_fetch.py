@@ -1,6 +1,8 @@
 """Execution groups (co-issue rules) and the tagged fetch pool."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa.instructions import Instruction, Op, OpClass, imm
 from repro.core import presets
@@ -101,6 +103,64 @@ class TestBackend:
         assert b.next_free_cycle(0) is None
         b.sfu.accept(0, full_mask(64))  # 8 waves on the 8-wide SFU
         assert b.next_free_cycle(0) == 8
+        b.lsu.accept(0, 1)
+        b.lsu.hold(5)
+        assert b.next_free_cycle(0) == 5 and b.next_free_cycle(5) == 8
+        assert b.next_free_cycle(8) is None
+
+
+#: One op class per ``free_classes`` index.
+CLASSES = (OpClass.MAD, OpClass.SFU, OpClass.LSU)
+
+
+class TestUnitSnapshot:
+    """``Backend.free_classes`` answers per class, once, what
+    ``pick_group`` answers per candidate — and names the group."""
+
+    @pytest.mark.parametrize("mode", ["baseline", "sbi"])
+    @given(
+        busy=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        first=st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(1, 2**32 - 1))),
+        lanes=st.integers(1, 2**32 - 1),
+        now=st.integers(0, 2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_snapshot_agrees_with_pick_group(self, mode, busy, first, lanes, now):
+        b = Backend(presets.by_name(mode))
+        for group, until in zip(b.groups, busy):
+            group.free_at = until  # still draining an earlier instruction
+        if first is not None:
+            # This cycle's first instruction, booked where pick_group says.
+            group = b.pick_group(CLASSES[first[0]], now, first[1], False)
+            if group is not None:
+                group.accept(now, first[1])
+        free = b.free_classes(now)
+        for unit, op_class in enumerate(CLASSES):
+            assert free[unit] is b.pick_group(op_class, now, lanes, False)
+            if free[unit] is not None:  # a group to itself before sharing
+                assert b.pick_group(op_class, now, lanes, True) is free[unit]
+        # CTRL rides the MAD groups.
+        assert free[0] is b.pick_group(OpClass.CTRL, now, lanes, False)
+
+    def test_by_next_cycle_is_the_plausibly_free_query(self):
+        b = Backend(presets.swi())
+        mad = b.pick_group(MAD, 0, full_mask(64), co_issue=False)
+        mad.accept(0, full_mask(64))
+        b.sfu.accept(0, 0x0F)  # one wave of the 8-wide SFU
+        assert b.free_classes(0) == (None, None, b.lsu)
+        assert b.free_classes(1) == (mad, b.sfu, b.lsu)
+
+    def test_stale_co_issue_bookkeeping_does_not_hide_a_free_group(self):
+        """``pick_group`` no longer rolls the per-cycle bookkeeping: a
+        group free by now took nothing this cycle, whatever it says."""
+        b = Backend(presets.swi())
+        mad = b.pick_group(MAD, 0, 0x0F, co_issue=False)
+        mad.accept(0, 0x0F)
+        mad.accept(0, 0xF0)
+        assert (mad.cycle, mad.issue_count) == (0, 2)
+        assert b.pick_group(MAD, 0, 0xF00, co_issue=True) is None
+        assert b.pick_group(MAD, 1, 0x0F, co_issue=True) is mad  # stale count of 2
+        assert mad.accept(1, 0x0F) == 1 and mad.issue_count == 1
 
 
 class TestFetchEngine:
@@ -183,3 +243,140 @@ class TestFetchEngine:
         split.redirect_ready_at = 100
         sm.fetch.tick(0, [warp])
         assert warp.ibuf == [None]
+
+
+class TestFetchServiceOrder:
+    """Who a contended fetch tick serves is architectural (the pointer
+    advances once per stepped cycle); who an uncontended one serves
+    first is not, and it no longer sorts to find out."""
+
+    def _setup(self, warps=8, mode="baseline"):
+        from repro.core.sm import StreamingMultiprocessor
+        from repro.functional.memory import MemoryImage
+        from repro.isa.builder import KernelBuilder
+
+        kb = KernelBuilder("f")
+        (v,) = kb.regs("v")
+        for _ in range(6):
+            kb.add(v, v, 1)
+        kb.exit_()
+        cfg = presets.by_name(mode)
+        kernel = kb.build(cta_size=cfg.warp_width, grid_size=warps)
+        sm = StreamingMultiprocessor(kernel, MemoryImage(), cfg)
+        sm._initial_launch()
+        return sm
+
+    @staticmethod
+    def _served(sm, cycle):
+        return sorted(
+            wid
+            for wid, ways in sm.fetch.buffers.items()
+            for e in ways
+            if e is not None and e.fetch_cycle == cycle
+        )
+
+    @staticmethod
+    def _rotation(woken_wids, pointer_wid, width):
+        """The service order as specified: warp ids ascending from the
+        pointer's warp, wrapping; the first ``width`` are served."""
+        order = sorted(w for w in woken_wids if w >= pointer_wid)
+        order += sorted(w for w in woken_wids if w < pointer_wid)
+        return sorted(order[:width])
+
+    def test_contended_ticks_serve_the_rotation(self):
+        sm = self._setup(warps=8)
+        live = sm.live_warps()
+        fetch = sm.fetch
+        fetch._rr = 5  # as after five stepped cycles
+        waiting = set(range(8))
+        served_in_order = []
+        for cycle in range(4):
+            pointer = live[fetch._rr % len(live)].wid
+            want = self._rotation(waiting, pointer, fetch.fetch_width)
+            assert fetch.tick(cycle, live) == 2
+            assert self._served(sm, cycle) == want
+            served_in_order.append(want)
+            waiting -= set(want)
+        assert served_in_order == [[5, 6], [0, 7], [1, 2], [3, 4]]
+        assert fetch.woken == []
+
+    def test_late_wakes_join_the_rotation_wherever_they_were_appended(self):
+        sm = self._setup(warps=8)
+        live = sm.live_warps()
+        fetch = sm.fetch
+        fetch._rr = 2
+        assert fetch.tick(0, live) == 2 and self._served(sm, 0) == [2, 3]
+        # Warp 3 consumes its entry and wakes again: appended behind
+        # the survivors [4..7, 0, 1], served when the pointer reaches it.
+        warp = live[3]
+        warp.ibuf[0] = None
+        warp.wake()
+        assert [w.wid for w in fetch.woken] == [4, 5, 6, 7, 0, 1, 3]
+        assert fetch.tick(1, live) == 2 and self._served(sm, 1) == [3, 4]
+        assert fetch.tick(2, live) == 2 and self._served(sm, 2) == [5, 6]
+        assert fetch.tick(3, live) == 2 and self._served(sm, 3) == [0, 7]
+
+    def test_no_more_woken_than_served_skips_the_sort(self, monkeypatch):
+        from repro.timing import fetch as fetch_module
+
+        sm = self._setup(warps=8)
+        live = sm.live_warps()
+        fetch = sm.fetch
+        for cycle in range(4):
+            fetch.tick(cycle, live)
+        assert fetch.woken == []
+        # Two wakes in descending order with the pointer between them:
+        # both are served this cycle whatever the order, so neither the
+        # sort nor the bisect runs.
+        monkeypatch.setattr(
+            fetch_module, "bisect_left", lambda *a, **k: pytest.fail("bisected")
+        )
+        for wid in (6, 1):
+            live[wid].ibuf[0] = None
+            live[wid].wake()
+        fetch._rr = 4
+        assert [w.wid for w in fetch.woken] == [6, 1]
+        assert fetch.tick(9, live) == 2 and self._served(sm, 9) == [1, 6]
+        assert fetch.woken == [] and fetch._rr == 5
+        # A third wake makes it a contest again: rotation from warp 5.
+        monkeypatch.undo()
+        for wid in (2, 7, 0):
+            live[wid].ibuf[0] = None
+            live[wid].wake()
+        assert fetch.tick(10, live) == 2 and self._served(sm, 10) == [0, 7]
+        assert [w.wid for w in fetch.woken] == [2]
+
+    def test_two_way_warps_contend_from_two_up(self):
+        """One SBI warp can take the whole bandwidth for its two hot
+        splits, so two woken warps already rotate."""
+        sm = self._setup(warps=4, mode="sbi")
+        assert sm.fetch._uncontended == 1
+        sm = self._setup(warps=4, mode="baseline")
+        assert sm.fetch._uncontended == 2
+
+    def test_a_fill_the_scoreboard_refuses_raises_awaited(self):
+        sm = self._setup(warps=2)
+        warp = sm.live_warps()[0]
+        other = sm.live_warps()[1]
+        add = sm.kernel.program.instructions[0]
+        in_flight = warp.scoreboard.add(add, warp.launch_mask, 0)  # writes v
+        assert sm.fetch.tick(0, sm.live_warps()) == 2
+        # ``add v, v, 1`` behind an in-flight write of v: no probe could
+        # say yes before the release, so none is queued.
+        assert warp.ibuf[0] is not None and warp.scoreboard.awaited
+        assert not warp.issue_woken and warp not in sm.scheduler.woken[0]
+        assert other.issue_woken and not other.scoreboard.awaited
+        # The release is the wake (SM.step's writeback loop).
+        import heapq
+
+        heapq.heappush(sm._wb_heap, (4, 0, warp, in_flight))
+        for cycle in range(1, 4):
+            sm.step(cycle)
+            assert warp.cand0 is None and not warp.issue_woken
+        issued = sm.stats.instructions_issued
+        sm.step(4)
+        assert sm.stats.instructions_issued == issued + 1
+        assert warp.model.hot_splits(4)[0].pc == 1
+        # ... and the next ``add v, v, 1``, filled the same cycle, waits
+        # for this one's write in turn.
+        assert warp.scoreboard.awaited and not warp.issue_woken
