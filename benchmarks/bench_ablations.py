@@ -1,88 +1,64 @@
 """Ablations of the paper's design choices (beyond its figures).
 
-Three knobs the paper fixes by design, swept here to show *why*:
+Three knobs the paper fixes by design, swept here to show *why*;
+``summary`` gives each variant's gmean IPC over its group's reference:
 
-* **Scoreboard precision** (section 3.4): warp-granular vs exact
-  per-mask vs the paper's dependency matrix, under SBI+SWI.  The
+* **Scoreboard precision** (section 3.4), under SBI+SWI: warp-granular
+  (``scoreboard_kind_warp_ratio``) and the paper's dependency matrix
+  (``scoreboard_kind_matrix_ratio``) over the exact per-mask one.  The
   matrix should recover most of the exact scoreboard's performance at
   warp-size-independent cost.
-* **CCT sideband-sorter delay** (section 3.4): how slow can the
-  asynchronous insertion sort be before the heap degrades?  The paper
-  argues even long delays are tolerable because the heap stays small.
-* **Fetch bandwidth**: the dual front-end's appetite for the two
+* **CCT sideband-sorter delay** (section 3.4), under SBI: how slow can
+  the asynchronous insertion sort be before the heap degrades?
+  ``cct_insert_delay_2_ratio``, ``cct_insert_delay_8_ratio`` and
+  ``cct_insert_delay_32_ratio`` over no delay; the paper argues even
+  long delays are tolerable because the heap stays small.
+* **Fetch bandwidth**, under SBI+SWI: the dual front-end's appetite,
+  ``fetch_width_1_ratio`` and ``fetch_width_4_ratio`` over the two
   fetch-decode units of Figure 1/3.
 """
 
 from __future__ import annotations
 
-import pytest
+from typing import Dict
 
-from repro.core import presets
-from repro.analysis import report as rpt
-from repro.api import Engine
-
-_ENGINE = Engine()
+from repro.api import ResultSet, SweepSpec
 
 WORKLOADS = ("mandelbrot", "eigenvalues", "tmd2")
 
-_RESULTS = {}
+#: title -> (preset, swept field, its values, the reference value)
+GROUPS = {
+    "scoreboard precision (SBI+SWI)": (
+        "sbi_swi", "scoreboard_kind", ("warp", "mask", "matrix"), "mask",
+    ),
+    "CCT sideband delay (SBI)": ("sbi", "cct_insert_delay", (0, 2, 8, 32), 0),
+    "fetch width (SBI+SWI)": ("sbi_swi", "fetch_width", (1, 2, 4), 2),
+}
 
 
-def _run(tag, workload, config, size):
-    stats = _ENGINE.run_cell(workload, size, config, cache=False)
-    _RESULTS.setdefault(tag, {})[workload] = stats
-    return stats
+def spec(size: str) -> SweepSpec:
+    configs = {}
+    for preset, field, values, _ in GROUPS.values():
+        group = SweepSpec.from_presets([preset], WORKLOADS, size)
+        configs.update(group.with_axes(**{field: values}).configs)
+    return SweepSpec(WORKLOADS, configs, size=size)
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("kind", ("warp", "mask", "matrix"))
-def test_ablate_scoreboard(benchmark, workload, kind, bench_size):
-    config = presets.sbi_swi(scoreboard_kind=kind)
-    stats = benchmark.pedantic(
-        _run, args=("scoreboard:" + kind, workload, config, bench_size),
-        rounds=1, iterations=1,
-    )
-    assert stats.cycles > 0
+def summary(rs: ResultSet) -> Dict[str, float]:
+    out = {}
+    for preset, field, values, reference in GROUPS.values():
+        name = "%s/%s=%%s" % (preset, field)
+        ratios = rs.geo_mean(base=name % reference, exclude=())
+        for value in values:
+            if value != reference:
+                out["%s_%s_ratio" % (field, value)] = ratios[name % value]
+    return out
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("delay", (0, 2, 8, 32))
-def test_ablate_cct_delay(benchmark, workload, delay, bench_size):
-    config = presets.sbi(cct_insert_delay=delay)
-    stats = benchmark.pedantic(
-        _run, args=("cct_delay:%d" % delay, workload, config, bench_size),
-        rounds=1, iterations=1,
-    )
-    assert stats.cycles > 0
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("width", (1, 2, 4))
-def test_ablate_fetch_width(benchmark, workload, width, bench_size):
-    config = presets.sbi_swi(fetch_width=width)
-    stats = benchmark.pedantic(
-        _run, args=("fetch:%d" % width, workload, config, bench_size),
-        rounds=1, iterations=1,
-    )
-    assert stats.cycles > 0
-
-
-def test_ablation_report(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    groups = {
-        "scoreboard precision (SBI+SWI)": ["scoreboard:warp", "scoreboard:mask", "scoreboard:matrix"],
-        "CCT sideband delay (SBI)": ["cct_delay:0", "cct_delay:2", "cct_delay:8", "cct_delay:32"],
-        "fetch width (SBI+SWI)": ["fetch:1", "fetch:2", "fetch:4"],
-    }
-    for title, tags in groups.items():
-        rows = []
-        for workload in WORKLOADS:
-            row = [workload]
-            for tag in tags:
-                stats = _RESULTS.get(tag, {}).get(workload)
-                row.append(stats.ipc if stats else None)
-            rows.append(row)
-        report.add(
-            "Ablation: %s (IPC)" % title,
-            rpt.format_table(["workload"] + [t.split(":")[1] for t in tags], rows),
-        )
+def test_ablations(rs, report, bench_size):
+    assert not rs.errors, rs.errors
+    ratios = summary(rs)
+    for title, (preset, field, values, _) in GROUPS.items():
+        group = rs.filter(config=["%s/%s=%s" % (preset, field, v) for v in values])
+        mine = {k: v for k, v in ratios.items() if k.startswith(field)}
+        report.add("Ablation: %s (IPC)" % title, group.to_text(mean=None), mine)

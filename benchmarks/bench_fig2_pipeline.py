@@ -22,34 +22,18 @@ TITLES = {
     "sbi_swi": "(e) SBI+SWI",
 }
 
-_TRACES = {}
+
+@pytest.fixture(scope="module")
+def traces():
+    return {mode: figure2_example(mode) for mode in MODES}
 
 
-def _run(mode):
-    stats, art = figure2_example(mode)
-    _TRACES[mode] = (stats, art)
-    return stats
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_fig2_mode(benchmark, mode):
-    stats = benchmark.pedantic(_run, args=(mode,), rounds=1, iterations=1)
-    assert stats.thread_instructions > 0
-
-
-def test_fig2_report(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for mode in MODES:
-        if mode not in _TRACES:
-            continue
-        stats, art = _TRACES[mode]
-        report.add(
-            "Figure 2 %s (cycles=%d)" % (TITLES[mode], stats.cycles), art
-        )
+def test_fig2(traces, report):
+    for mode, (stats, art) in traces.items():
+        report.add("Figure 2 %s (cycles=%d)" % (TITLES[mode], stats.cycles), art)
     # The dual front-end must actually co-issue on this example.
     for mode in ("sbi", "sbi_nc", "sbi_swi"):
-        if mode in _TRACES:
-            assert _TRACES[mode][0].issued_sbi_secondary > 0
-    # All modes execute the same number of thread instructions.
-    counts = {m: _TRACES[m][0].thread_instructions for m in _TRACES}
-    assert len(set(counts.values())) == 1, counts
+        assert traces[mode][0].issued_sbi_secondary > 0
+    # All modes execute the same, non-zero number of thread instructions.
+    counts = {mode: stats.thread_instructions for mode, (stats, _) in traces.items()}
+    assert len(set(counts.values())) == 1 and min(counts.values()) > 0, counts

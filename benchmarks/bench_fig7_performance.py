@@ -1,95 +1,63 @@
 """Figure 7 — IPC of Baseline / SBI / SWI / SBI+SWI / Warp64.
 
-Regenerates both panels of the paper's headline figure: thread
-instructions per cycle for every workload under the five
-configurations, plus the suite geometric means (TMD excluded from
-means, as in the paper).  Paper reference points: SBI+SWI +40%
-(irregular) / +23% (regular) over baseline; SBI alone +41%/+15%;
-SWI alone +33%/+25%; peak IPC 64 baseline vs 104 interweaving.
-
-Cells run through :class:`repro.api.Engine` (sharing its two-level
-result cache) and accumulate into a :class:`repro.api.ResultSet`,
-which the report serializes to ``benchmarks/results/figure7.json`` —
-reload it with ``ResultSet.from_json`` or merge grids from several
-sessions.
+Both panels of the paper's headline figure: thread instructions per
+cycle for every workload under the five configurations, and the suite
+geometric-mean gain over the baseline in percent (TMD excluded from
+means, as in the paper).  The paper's gains, by ``summary`` name:
+``sbi_swi_gain_regular_pct`` +23 and ``sbi_swi_gain_irregular_pct``
++40; ``sbi_gain_regular_pct`` +15 and ``sbi_gain_irregular_pct`` +41;
+``swi_gain_regular_pct`` +25 and ``swi_gain_irregular_pct`` +33
+(``warp64_gain_regular_pct`` / ``warp64_gain_irregular_pct`` are the
+64-wide thread-frontier reference), at a peak IPC of 64 (baseline,
+warp64) vs 104 (interweaving), which every cell is held to.  The grid
+is saved as ``benchmarks/results/figure7.json`` (``ResultSet.from_json``).
 """
 
 from __future__ import annotations
 
 import os
+from typing import Dict
 
-import pytest
-
-from repro.analysis import report as rpt
-from repro.api import Engine, Result, ResultSet, SweepSpec
+from repro.api import ResultSet, SweepSpec
 from repro.workloads import normalize_size
-from repro.workloads.suite import IRREGULAR, MEAN_EXCLUDED, REGULAR
+from repro.workloads.suite import IRREGULAR, REGULAR
 
-CONFIG_ORDER = ("baseline", "sbi", "swi", "sbi_swi", "warp64")
-
-_ENGINE = Engine()
-_CONFIGS = dict(SweepSpec.figure7().configs)
-_RS = ResultSet()
+PANELS = {"regular": ("7a", REGULAR), "irregular": ("7b", IRREGULAR)}
+RESULTS_JSON = os.path.join(os.path.dirname(__file__), "results", "figure7.json")
 
 
-def _run(workload: str, config_name: str, size: str):
-    stats = _ENGINE.run_cell(workload, size, _CONFIGS[config_name])
-    _RS.add(Result(workload, size, config_name, stats))
-    return stats
+def spec(size: str) -> SweepSpec:
+    return SweepSpec.figure7(size)
 
 
-@pytest.mark.parametrize("workload", REGULAR)
-@pytest.mark.parametrize("config_name", CONFIG_ORDER)
-def test_fig7_regular(benchmark, workload, config_name, bench_size):
-    stats = benchmark.pedantic(
-        _run, args=(workload, config_name, bench_size), rounds=1, iterations=1
-    )
-    assert stats.cycles > 0
-    assert stats.ipc <= stats.cycles and stats.ipc <= 104.0 + 1e-9
+def summary(rs: ResultSet) -> Dict[str, float]:
+    return {
+        "%s_gain_%s_pct" % (config, panel): 100 * (gain - 1)
+        for panel, (_, names) in PANELS.items()
+        for config, gain in rs.filter(workload=names).geo_mean(base="baseline").items()
+        if config != "baseline"
+    }
 
 
-@pytest.mark.parametrize("workload", IRREGULAR)
-@pytest.mark.parametrize("config_name", CONFIG_ORDER)
-def test_fig7_irregular(benchmark, workload, config_name, bench_size):
-    stats = benchmark.pedantic(
-        _run, args=(workload, config_name, bench_size), rounds=1, iterations=1
-    )
-    assert stats.cycles > 0
-    peak = 64.0 if config_name in ("baseline", "warp64") else 104.0
-    assert stats.ipc <= peak + 1e-9
-
-
-def test_fig7_report(benchmark, report, bench_size):
-    """Aggregate both panels and check the paper-shape invariants."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for panel, names in (("7a regular", REGULAR), ("7b irregular", IRREGULAR)):
-        panel_rs = _RS.filter(workload=names)
-        if not len(panel_rs):
-            continue
-        report.add("Figure %s: IPC" % panel, panel_rs.to_text())
+def test_fig7(rs, report, bench_size):
+    assert not rs.errors, rs.errors
+    configs = spec(bench_size).configs
+    for cell in rs:
+        assert cell.stats.cycles > 0, cell.key
+        assert cell.stats.ipc <= configs[cell.config].peak_ipc + 1e-9, cell.key
+    os.makedirs(os.path.dirname(RESULTS_JSON), exist_ok=True)
+    rs.to_json(RESULTS_JSON)
+    assert ResultSet.from_json(RESULTS_JSON) == rs
+    gains = summary(rs)
+    for panel, (figure, names) in PANELS.items():
+        panel_rs = rs.filter(workload=names)
+        report.add("Figure %s %s: IPC" % (figure, panel), panel_rs.to_text())
         report.add(
-            "Figure %s: speedup vs baseline" % panel,
-            rpt.speedup_table(
-                panel_rs.ipc_table(),
-                "baseline",
-                [c for c in panel_rs.configs if c != "baseline"],
-                panel_rs.workloads,
-                excluded=MEAN_EXCLUDED,
-            ),
+            "Figure %s %s: speedup vs baseline" % (figure, panel),
+            panel_rs.to_text(base="baseline"),
+            {k: v for k, v in gains.items() if k.endswith("_%s_pct" % panel)},
         )
-    if len(_RS):
-        path = os.path.join(os.path.dirname(__file__), "results", "figure7.json")
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        _RS.to_json(path)
-    # Shape checks (soft versions of the paper's headline claims).
-    # Tiny grids exist to exercise the machinery, not the claims:
-    # their divergence/occupancy profiles are not the paper's.
-    if normalize_size(bench_size) == "tiny":
-        return
-    for names in (REGULAR, IRREGULAR):
-        panel_rs = _RS.filter(workload=names)
-        means = panel_rs.geo_mean()
-        if "baseline" in means and "sbi_swi" in means:
-            assert (
-                means["sbi_swi"] > means["baseline"]
-            ), "SBI+SWI must beat the baseline on suite gmean"
+        # Tiny grids exercise the machinery, not the claims: their
+        # divergence/occupancy profiles are not the paper's.
+        if normalize_size(bench_size) != "tiny":
+            assert gains["sbi_swi_gain_%s_pct" % panel] > 0, "SBI+SWI must beat the baseline"

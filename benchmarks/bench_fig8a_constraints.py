@@ -1,82 +1,59 @@
 """Figure 8a — effect of SBI reconvergence constraints.
 
-The paper finds constraints have a negligible effect on SBI-alone
-performance (<0.1% mean) while cutting issued instructions (-1.3%
-regular / -5.5% irregular), and produce small swings for SBI+SWI
-(SortingNetworks +2.4%, BFS/Histogram slightly negative because they
-like running ahead).
+The paper finds constraints performance-neutral for SBI alone
+(``sbi_constraints_gain_pct`` < 0.1: suite gmean of constrained over
+unconstrained IPC) while cutting issued instructions
+(``sbi_issue_delta_regular_pct`` -1.3, ``sbi_issue_delta_irregular_pct``
+-5.5: mean change in issue count), with small swings for SBI+SWI
+(``sbi_swi_constraints_gain_pct``; SortingNetworks +2.4%, BFS/Histogram
+slightly negative because they like running ahead).
 """
 
 from __future__ import annotations
 
-import pytest
+from typing import Dict
 
-from repro.core import presets
-from repro.analysis import report as rpt
-from repro.api import Engine
-from repro.workloads.suite import IRREGULAR, MEAN_EXCLUDED, REGULAR
+from repro.api import ResultSet, SweepSpec
+from repro.workloads.suite import ALL_WORKLOADS, IRREGULAR, MEAN_EXCLUDED, REGULAR
 
-_ENGINE = Engine()
-_RESULTS = {}
+MODES = ("sbi", "sbi_swi")
 
 
-def _run(workload, mode, constrained, size):
-    if mode == "sbi":
-        cfg = presets.sbi(constraints=constrained)
-    else:
-        cfg = presets.sbi_swi(constraints=constrained)
-    stats = _ENGINE.run_cell(workload, size, cfg)
-    _RESULTS.setdefault((mode, workload), {})[constrained] = stats
-    return stats
+def spec(size: str) -> SweepSpec:
+    grid = SweepSpec.from_presets(MODES, sorted(ALL_WORKLOADS), size)
+    return grid.with_axes(sbi_constraints=[True, False])
 
 
-@pytest.mark.parametrize("workload", IRREGULAR + REGULAR)
-@pytest.mark.parametrize("mode", ("sbi", "sbi_swi"))
-@pytest.mark.parametrize("constrained", (True, False))
-def test_fig8a_cell(benchmark, workload, mode, constrained, bench_size):
-    stats = benchmark.pedantic(
-        _run, args=(workload, mode, constrained, bench_size), rounds=1, iterations=1
-    )
-    assert stats.cycles > 0
+def _pair(rs: ResultSet, mode: str):
+    """``mode``'s two columns, then the constrained and the other's name."""
+    on, off = ("%s/sbi_constraints=%s" % (mode, flag) for flag in (True, False))
+    return rs.filter(config=(on, off)), on, off
 
 
-def test_fig8a_report(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = []
-    issue_reduction = {"regular": [], "irregular": []}
-    speedups = {"sbi": [], "sbi_swi": []}
-    for (mode, workload), cells in sorted(_RESULTS.items()):
-        if True not in cells or False not in cells:
-            continue
-        with_c, without_c = cells[True], cells[False]
-        speed = with_c.ipc / without_c.ipc
-        dissue = (
-            (with_c.instructions_issued - without_c.instructions_issued)
-            / without_c.instructions_issued
-        )
-        rows.append([mode, workload, speed, "%+.2f%%" % (100 * dissue)])
-        if workload not in MEAN_EXCLUDED:
-            speedups[mode].append(speed)
-            if mode == "sbi":
-                cat = "regular" if workload in REGULAR else "irregular"
-                issue_reduction[cat].append(dissue)
-    body = rpt.format_table(
-        ["mode", "workload", "constrained/unconstrained", "issued delta"], rows
-    )
-    for mode, vals in speedups.items():
-        if vals:
-            body += "\n%s gmean speedup with constraints: %+.2f%%" % (
-                mode,
-                100 * (rpt.gmean(vals) - 1),
-            )
-    for cat, vals in issue_reduction.items():
-        if vals:
-            body += "\nSBI issue-count delta (%s): %+.2f%% (paper: %s)" % (
-                cat,
-                100 * sum(vals) / len(vals),
-                "-1.3%" if cat == "regular" else "-5.5%",
-            )
-    report.add("Figure 8a: SBI reconvergence constraints", body)
+def summary(rs: ResultSet) -> Dict[str, float]:
+    out = {}
+    for mode in MODES:
+        pair, on, off = _pair(rs, mode)
+        out["%s_constraints_gain_pct" % mode] = 100 * (pair.geo_mean(base=off)[on] - 1)
+    pair, on, off = _pair(rs, "sbi")
+    issued = pair.pivot(metric="instructions_issued")
+    for panel, names in (("regular", REGULAR), ("irregular", IRREGULAR)):
+        deltas = [
+            (row[on] - row[off]) / row[off]
+            for workload, row in issued.items()
+            if workload in names and workload not in MEAN_EXCLUDED
+        ]
+        out["sbi_issue_delta_%s_pct" % panel] = 100 * sum(deltas) / len(deltas)
+    return out
+
+
+def test_fig8a(rs, report, bench_size):
+    assert not rs.errors, rs.errors
+    tables = []
+    for mode, metric in (("sbi", "ipc"), ("sbi", "instructions_issued"), ("sbi_swi", "ipc")):
+        pair, _, off = _pair(rs, mode)
+        tables.append("%s, constrained over not:\n%s" % (metric, pair.to_text(metric, base=off)))
+    numbers = summary(rs)
+    report.add("Figure 8a: SBI reconvergence constraints", "\n\n".join(tables), numbers)
     # Paper shape: constraints are close to performance-neutral for SBI.
-    if speedups["sbi"]:
-        assert abs(rpt.gmean(speedups["sbi"]) - 1.0) < 0.05
+    assert abs(numbers["sbi_constraints_gain_pct"]) < 5.0

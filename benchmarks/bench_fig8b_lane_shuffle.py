@@ -1,66 +1,38 @@
 """Figure 8b — SWI lane-shuffling policies on irregular applications.
 
-Speedup of MirrorOdd / MirrorHalf / Xor / XorRev over the identity
-mapping under SWI.  Paper: XorRev is the most consistent, gmean +1.4%
+Suite-gmean IPC gain of each mapping over the identity mapping under
+SWI: ``mirror_odd_gain_pct``, ``mirror_half_gain_pct``, ``xor_gain_pct``
+and ``xor_rev_gain_pct``.  Paper: XorRev is the most consistent, +1.4%
 irregular (+0.3% regular), best case Needleman-Wunsch +7.7%, and the
 gains come at zero hardware cost.
 """
 
 from __future__ import annotations
 
-import pytest
+from typing import Dict
 
+from repro.api import ResultSet, SweepSpec
 from repro.core import presets
-from repro.analysis import report as rpt
-from repro.api import Engine
-from repro.workloads.suite import IRREGULAR, MEAN_EXCLUDED
+from repro.timing import lanes
+from repro.workloads.suite import IRREGULAR
 
-_ENGINE = Engine()
-
-POLICIES = ("identity", "mirror_odd", "mirror_half", "xor", "xor_rev")
-
-_RESULTS = {}
+BASE = "swi/lane_shuffle=identity"
 
 
-def _run(workload, policy, size):
-    stats = _ENGINE.run_cell(workload, size, presets.swi(lane_shuffle=policy))
-    _RESULTS.setdefault(workload, {})[policy] = stats
-    return stats
+def spec(size: str) -> SweepSpec:
+    grid = SweepSpec(IRREGULAR, {"swi": presets.swi()}, size=size)
+    return grid.with_axes(lane_shuffle=lanes.POLICIES)
 
 
-@pytest.mark.parametrize("workload", IRREGULAR)
-@pytest.mark.parametrize("policy", POLICIES)
-def test_fig8b_cell(benchmark, workload, policy, bench_size):
-    stats = benchmark.pedantic(
-        _run, args=(workload, policy, bench_size), rounds=1, iterations=1
-    )
-    assert stats.cycles > 0
+def summary(rs: ResultSet) -> Dict[str, float]:
+    return {
+        "%s_gain_pct" % config.split("=")[1]: 100 * (gain - 1)
+        for config, gain in rs.geo_mean(base=BASE).items()
+        if config != BASE
+    }
 
 
-def test_fig8b_report(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = []
-    per_policy = {p: [] for p in POLICIES[1:]}
-    for workload in IRREGULAR:
-        cells = _RESULTS.get(workload)
-        if not cells or "identity" not in cells:
-            continue
-        base = cells["identity"].ipc
-        row = [workload]
-        for policy in POLICIES[1:]:
-            if policy not in cells:
-                row.append(None)
-                continue
-            s = cells[policy].ipc / base
-            row.append(s)
-            if workload not in MEAN_EXCLUDED:
-                per_policy[policy].append(s)
-        rows.append(row)
-    mean_row = ["gmean"]
-    for policy in POLICIES[1:]:
-        mean_row.append(rpt.gmean(per_policy[policy]) if per_policy[policy] else None)
-    rows.append(mean_row)
-    report.add(
-        "Figure 8b: SWI lane shuffling (speedup vs identity)",
-        rpt.format_table(["workload"] + list(POLICIES[1:]), rows),
-    )
+def test_fig8b(rs, report, bench_size):
+    assert not rs.errors, rs.errors
+    title = "Figure 8b: SWI lane shuffling (speedup vs identity)"
+    report.add(title, rs.to_text(base=BASE), summary(rs))

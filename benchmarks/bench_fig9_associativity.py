@@ -1,71 +1,40 @@
 """Figure 9 — SWI lookup set-associativity on irregular applications.
 
-Slowdown of 11-way / 3-way / direct-mapped secondary-scheduler lookup
-relative to fully associative.  Paper: even direct-mapped keeps at
-least 85% of the fully-associative performance (96% regular), so the
-CAM can be replaced by a cheap set-associative search.
+Suite-gmean IPC of an 11-way / 3-way / direct-mapped secondary-scheduler
+lookup relative to fully associative: ``eleven_way_ratio``,
+``three_way_ratio``, ``direct_mapped_ratio``.  Paper: even
+direct-mapped keeps at least 85% of the fully-associative performance
+(96% regular), so the CAM can be replaced by a cheap set-associative
+search.
 """
 
 from __future__ import annotations
 
-import pytest
+from typing import Dict
 
+from repro.api import ResultSet, SweepSpec
 from repro.core import presets
-from repro.analysis import report as rpt
-from repro.api import Engine
-from repro.workloads.suite import IRREGULAR, MEAN_EXCLUDED
+from repro.workloads.suite import IRREGULAR
 
-_ENGINE = Engine()
-
-#: None = fully associative; the window sizes match the paper's sweep.
-WAYS = (None, 11, 3, 1)
-LABELS = {None: "full", 11: "11-way", 3: "3-way", 1: "direct"}
-
-_RESULTS = {}
+#: ``swi_ways`` of the paper's sweep, beside None = fully associative.
+WAYS = {11: "eleven_way", 3: "three_way", 1: "direct_mapped"}
+BASE = "swi/swi_ways=None"
 
 
-def _run(workload, ways, size):
-    stats = _ENGINE.run_cell(workload, size, presets.swi(ways=ways))
-    _RESULTS.setdefault(workload, {})[ways] = stats
-    return stats
+def spec(size: str) -> SweepSpec:
+    grid = SweepSpec(IRREGULAR, {"swi": presets.swi()}, size=size)
+    return grid.with_axes(swi_ways=[None, *WAYS])
 
 
-@pytest.mark.parametrize("workload", IRREGULAR)
-@pytest.mark.parametrize("ways", WAYS)
-def test_fig9_cell(benchmark, workload, ways, bench_size):
-    stats = benchmark.pedantic(
-        _run, args=(workload, ways, bench_size), rounds=1, iterations=1
-    )
-    assert stats.cycles > 0
+def summary(rs: ResultSet) -> Dict[str, float]:
+    kept = rs.geo_mean(base=BASE)
+    return {"%s_ratio" % label: kept["swi/swi_ways=%d" % ways] for ways, label in WAYS.items()}
 
 
-def test_fig9_report(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = []
-    per_ways = {w: [] for w in WAYS[1:]}
-    for workload in IRREGULAR:
-        cells = _RESULTS.get(workload)
-        if not cells or None not in cells:
-            continue
-        full = cells[None].ipc
-        row = [workload]
-        for ways in WAYS[1:]:
-            if ways not in cells:
-                row.append(None)
-                continue
-            ratio = cells[ways].ipc / full
-            row.append(ratio)
-            if workload not in MEAN_EXCLUDED:
-                per_ways[ways].append(ratio)
-        rows.append(row)
-    mean_row = ["gmean"]
-    for ways in WAYS[1:]:
-        mean_row.append(rpt.gmean(per_ways[ways]) if per_ways[ways] else None)
-    rows.append(mean_row)
-    report.add(
-        "Figure 9: SWI associativity (ratio vs fully associative)",
-        rpt.format_table(["workload"] + [LABELS[w] for w in WAYS[1:]], rows),
-    )
+def test_fig9(rs, report, bench_size):
+    assert not rs.errors, rs.errors
+    kept = summary(rs)
+    title = "Figure 9: SWI associativity (ratio vs fully associative)"
+    report.add(title, rs.to_text(base=BASE), kept)
     # Paper shape: direct-mapped keeps most of the benefit.
-    if per_ways[1]:
-        assert rpt.gmean(per_ways[1]) > 0.80
+    assert kept["direct_mapped_ratio"] > 0.80

@@ -1,60 +1,56 @@
 """Multi-SM scaling — device IPC under the shared L2/DRAM hierarchy.
 
-Not a paper figure: this sweeps the new device layer (GigaThread CTA
+Not a paper figure: this sweeps the device layer (GigaThread CTA
 dispatch, shared sectored L2, partitioned DRAM) over SM counts, with
 the paper's 10 B/cycle per-SM bandwidth share held constant.  Regular
 workloads should scale close to linearly until the grid runs out of
 CTAs; irregular ones saturate earlier on memory and divergence.
+``summary`` gives the gmean IPC of four SMs over one per mode
+(``baseline_scaling_ratio``, ``sbi_swi_scaling_ratio``) and the worst
+single row (``min_scaling_ratio``), which must stay above 0.95: adding
+SMs must not slow the device down.
 """
 
 from __future__ import annotations
 
-import pytest
+from typing import Dict
 
-from repro.analysis import report as rpt
-from repro.api import Engine
+from repro.api import ResultSet, SweepSpec
 from repro.core import presets
 
 WORKLOADS = ("matrixmul", "transpose", "bfs", "histogram")
 MODES = ("baseline", "sbi_swi")
 SM_COUNTS = (1, 2, 4)
 
-_ENGINE = Engine()
-_RESULTS = {}
+
+def spec(size: str) -> SweepSpec:
+    devices = {
+        "%s x%d" % (mode, n): presets.device(mode, sm_count=n)
+        for mode in MODES
+        for n in SM_COUNTS
+    }
+    return SweepSpec(WORKLOADS, devices, size=size)
 
 
-def _run(workload: str, mode: str, sm_count: int, size: str):
-    config = presets.device(mode, sm_count=sm_count)
-    stats = _ENGINE.run_cell(workload, size, config)
-    _RESULTS.setdefault(workload, {})[(mode, sm_count)] = stats
-    return stats
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("sm_count", SM_COUNTS)
-def test_multi_sm(benchmark, workload, mode, sm_count, bench_size):
-    stats = benchmark.pedantic(
-        _run, args=(workload, mode, sm_count, bench_size), rounds=1, iterations=1
-    )
-    assert stats.cycles > 0
-    # Device peak: per-SM issue bound times the SM count.
-    peak = (64.0 if mode == "baseline" else 104.0) * sm_count
-    assert stats.ipc <= peak + 1e-9
-
-
-def test_multi_sm_report(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    headers = ["workload", "mode"] + ["x%d" % n for n in SM_COUNTS] + ["scaling"]
+def summary(rs: ResultSet) -> Dict[str, float]:
+    out = {}
     rows = []
-    for workload in WORKLOADS:
-        for mode in MODES:
-            cells = _RESULTS.get(workload, {})
-            ipcs = [cells[(mode, n)].ipc for n in SM_COUNTS if (mode, n) in cells]
-            if len(ipcs) != len(SM_COUNTS):
-                continue
-            rows.append([workload, mode] + ipcs + [ipcs[-1] / ipcs[0]])
-    if rows:
-        report.add("Multi-SM scaling: device IPC", rpt.format_table(headers, rows))
-    for row in rows:
-        assert row[-1] >= 0.95, "adding SMs must not slow the device down"
+    for mode in MODES:
+        one, most = ("%s x%d" % (mode, n) for n in (SM_COUNTS[0], SM_COUNTS[-1]))
+        out["%s_scaling_ratio" % mode] = rs.geo_mean(base=one, exclude=())[most]
+        rows += [row[most] for row in rs.speedup_over(one).values()]
+    out["min_scaling_ratio"] = min(rows)
+    return out
+
+
+def test_multi_sm(rs, report, bench_size):
+    assert not rs.errors, rs.errors
+    devices = spec(bench_size).configs
+    for cell in rs:
+        device = devices[cell.config]
+        assert cell.stats.cycles > 0, cell.key
+        # Device peak: per-SM issue bound times the SM count.
+        assert cell.stats.ipc <= device.sm.peak_ipc * device.sm_count + 1e-9, cell.key
+    scaling = summary(rs)
+    report.add("Multi-SM scaling: device IPC", rs.to_text(mean=None), scaling)
+    assert scaling["min_scaling_ratio"] >= 0.95, "adding SMs must not slow the device down"

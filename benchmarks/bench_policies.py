@@ -1,54 +1,37 @@
-"""Registered-policy shoot-out: the paper machines vs the exploration
-policies shipped with the registry.
+"""Registered-policy shoot-out: SWI and its relatives in the registry.
 
-Sweeps every SWI-capable policy (``swi``, ``swi_greedy``, ``swi_rr``,
+Sweeps the SWI-capable policies (``swi``, ``swi_greedy``, ``swi_rr``,
 ``dwr``) plus the ``warp64`` reference over divergent workloads — the
-shapes where arbiter choice and warp resizing matter — and reports the
-IPC table Figure-7 style.  Third-party policies registered before the
-run would appear automatically: the sweep is driven off the registry,
-not a hard-coded list.
+shapes where arbiter choice and warp resizing matter.  ``summary``
+gives each one's gmean IPC gain over ``swi``, in percent:
+``swi_greedy_gain_pct`` and ``swi_rr_gain_pct`` (arbiter order),
+``warp64_gain_pct`` and ``dwr_gain_pct`` (Lashgar et al.: wide warps
+win on coalescing and lose on divergence; dynamic warp resizing should
+sit between).
 """
 
 from __future__ import annotations
 
-import pytest
+from typing import Dict
 
-from repro.analysis import report as rpt
-from repro.api import Engine
-from repro.core import presets
+from repro.api import ResultSet, SweepSpec
 
 POLICY_SET = ("warp64", "swi", "swi_greedy", "swi_rr", "dwr")
 WORKLOADS = ("mandelbrot", "eigenvalues", "bfs", "lud")
 
-_ENGINE = Engine()
-_RESULTS = {}
+
+def spec(size: str) -> SweepSpec:
+    return SweepSpec.from_presets(POLICY_SET, WORKLOADS, size)
 
 
-def _run(policy, workload, size):
-    stats = _ENGINE.run_cell(workload, size, presets.by_name(policy), cache=False)
-    _RESULTS.setdefault(policy, {})[workload] = stats
-    return stats
+def summary(rs: ResultSet) -> Dict[str, float]:
+    return {
+        "%s_gain_pct" % policy: 100 * (gain - 1)
+        for policy, gain in rs.geo_mean(base="swi").items()
+        if policy != "swi"
+    }
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("policy", POLICY_SET)
-def test_policy(benchmark, policy, workload, bench_size):
-    stats = benchmark.pedantic(
-        _run, args=(policy, workload, bench_size), rounds=1, iterations=1
-    )
-    assert stats.cycles > 0
-
-
-def test_policy_report(benchmark, report, bench_size):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = []
-    for workload in WORKLOADS:
-        row = [workload]
-        for policy in POLICY_SET:
-            stats = _RESULTS.get(policy, {}).get(workload)
-            row.append(stats.ipc if stats else None)
-        rows.append(row)
-    report.add(
-        "Registered policies (IPC @ %s)" % bench_size,
-        rpt.format_table(["workload"] + list(POLICY_SET), rows),
-    )
+def test_policies(rs, report, bench_size):
+    assert not rs.errors, rs.errors
+    report.add("Registered policies (IPC @ %s)" % bench_size, rs.to_text(), summary(rs))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import report as rpt
 from repro.timing import lanes
 
@@ -24,14 +22,10 @@ def _build_table():
     return rows
 
 
-def test_table1_permutations(benchmark):
-    rows = benchmark.pedantic(_build_table, rounds=1, iterations=1)
+def test_table1(report):
+    rows = _build_table()
     assert len(rows) == 5
-
-
-def test_table1_report(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    body = rpt.format_table(["name", "function", "warps checked"], _build_table())
+    body = rpt.format_table(["name", "function", "warps checked"], rows)
     for policy in lanes.POLICIES:
         body += "\n\n%s:\n%s" % (policy, lanes.diagram(policy, 4, 4))
     report.add("Table 1: lane shuffle functions", body)

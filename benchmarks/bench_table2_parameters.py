@@ -2,39 +2,27 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import presets
 from repro.analysis import report as rpt
 
-
-def _rows():
-    cfgs = {
-        "baseline": presets.baseline(),
-        "sbi": presets.sbi(),
-        "swi": presets.swi(),
-        "sbi_swi": presets.sbi_swi(),
-    }
-    rows = []
-    for name, c in cfgs.items():
-        rows.append(
-            [
-                name,
-                "%dx%d" % (c.warp_count, c.warp_width),
-                c.scheduler_latency,
-                c.delivery_latency,
-                c.exec_latency,
-                c.scoreboard_entries,
-                "%dK/%d-way/%dB/%dc" % (c.l1_size // 1024, c.l1_ways, c.l1_block, c.l1_latency),
-                "%.0f B/c, %d c" % (c.dram_bandwidth, c.dram_latency),
-                "%.0f" % c.peak_ipc,
-            ]
-        )
-    return rows
+#: Column header and how to read it off an ``SMConfig``.
+COLUMNS = (
+    ("warps x width", lambda c: "%dx%d" % (c.warp_count, c.warp_width)),
+    ("sched lat", lambda c: c.scheduler_latency),
+    ("delivery lat", lambda c: c.delivery_latency),
+    ("exec lat", lambda c: c.exec_latency),
+    ("scoreboard", lambda c: c.scoreboard_entries),
+    ("L1", lambda c: "%dK/%d-way/%dB/%dc" % (c.l1_size // 1024, c.l1_ways, c.l1_block, c.l1_latency)),
+    ("memory", lambda c: "%.0f B/c, %d c" % (c.dram_bandwidth, c.dram_latency)),
+    ("peak IPC", lambda c: "%.0f" % c.peak_ipc),
+)
 
 
-def test_table2_parameters(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
+def test_table2(report):
+    rows = [
+        [name] + [read(presets.by_name(name)) for _, read in COLUMNS]
+        for name in ("baseline", "sbi", "swi", "sbi_swi")
+    ]
     by_name = {r[0]: r for r in rows}
     # The Table 2 anchor values.
     assert by_name["baseline"][1] == "32x32"
@@ -42,24 +30,5 @@ def test_table2_parameters(benchmark):
     assert by_name["swi"][2] == 2  # scheduler latency
     assert by_name["baseline"][3] == 0 and by_name["sbi"][3] == 1
     assert by_name["baseline"][8] == "64" and by_name["sbi_swi"][8] == "104"
-
-
-def test_table2_report(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    report.add(
-        "Table 2: micro-architecture parameters",
-        rpt.format_table(
-            [
-                "config",
-                "warps x width",
-                "sched lat",
-                "delivery lat",
-                "exec lat",
-                "scoreboard",
-                "L1",
-                "memory",
-                "peak IPC",
-            ],
-            _rows(),
-        ),
-    )
+    headers = ["config"] + [header for header, _ in COLUMNS]
+    report.add("Table 2: micro-architecture parameters", rpt.format_table(headers, rows))

@@ -2,30 +2,21 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import report as rpt
 from repro.hwcost.storage import CONFIGS, STORAGE_PAPER, storage_table
 
 
-def test_table3_matches_paper(benchmark):
-    table = benchmark.pedantic(storage_table, rounds=1, iterations=1)
+def test_table3(report):
+    table = storage_table()
     for component, row in table.items():
         for config, comp in row.items():
             derived = comp.geometry().split(",")[0].replace(" ", "")
             paper = STORAGE_PAPER[component][config].split(",")[0].replace(" ", "")
             assert derived == paper, (component, config, derived, paper)
-
-
-def test_table3_report(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    table = storage_table()
-    rows = []
-    for component, row in table.items():
-        rows.append(
-            [component]
-            + [row[c].geometry() for c in CONFIGS]
-        )
+    rows = [
+        [component] + [row[c].geometry() for c in CONFIGS]
+        for component, row in table.items()
+    ]
     bit_rows = [
         ["total bits"]
         + [sum(table[comp][c].total_bits for comp in table) for c in CONFIGS]

@@ -5,62 +5,35 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import report as rpt
-from repro.hwcost.area import AREA_PAPER, OVERHEAD_PAPER, area_table, overhead_percent
-
-ROWS = (
-    "RF",
-    "Scoreboard",
-    "Scheduler",
-    "Warp pool/HCT",
-    "Stack/CCT",
-    "Insn. buffer",
-    "Total",
-    "Overhead",
-)
-CONFIGS = ("baseline", "sbi", "swi", "sbi_swi")
+from repro.hwcost.area import AREA_PAPER, CONFIGS, OVERHEAD_PAPER, area_table, overhead_percent
 
 
-def test_table4_close_to_paper(benchmark):
-    table = benchmark.pedantic(area_table, rounds=1, iterations=1)
-    for row_name in ROWS:
+def test_table4_close_to_paper():
+    table = area_table()
+    for row_name, paper_row in AREA_PAPER.items():
         for config in CONFIGS:
-            model = table[row_name].get(config)
-            paper = AREA_PAPER[row_name].get(config)
+            model, paper = table[row_name].get(config), paper_row.get(config)
             if model is None or paper is None:
                 assert model is None and paper is None
                 continue
             assert model == pytest.approx(paper, rel=0.05), (row_name, config)
 
 
-def test_table4_overheads(benchmark):
-    pct = benchmark.pedantic(
-        lambda: {c: overhead_percent(c) for c in ("sbi", "swi", "sbi_swi")},
-        rounds=1,
-        iterations=1,
-    )
+def test_table4_overheads():
     for config, paper in OVERHEAD_PAPER.items():
-        assert pct[config] == pytest.approx(paper, abs=0.25)
+        assert overhead_percent(config) == pytest.approx(paper, abs=0.25)
 
 
-def test_table4_report(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_table4_report(report):
     table = area_table()
     rows = []
-    for row_name in ROWS:
+    for row_name, paper_row in AREA_PAPER.items():
         cells = [row_name]
         for config in CONFIGS:
             model = table[row_name].get(config)
-            paper = AREA_PAPER[row_name].get(config)
-            if model is None:
-                cells.append("-")
-            else:
-                cells.append("%.1f (paper %.1f)" % (model, paper))
+            cells.append("-" if model is None else "%.1f (paper %.1f)" % (model, paper_row[config]))
         rows.append(cells)
     body = rpt.format_table(["component (x1000 um^2)"] + list(CONFIGS), rows)
-    for config in ("sbi", "swi", "sbi_swi"):
-        body += "\n%s SM overhead: %.2f%% (paper %.1f%%)" % (
-            config,
-            overhead_percent(config),
-            OVERHEAD_PAPER[config],
-        )
+    for config, paper in OVERHEAD_PAPER.items():
+        body += "\n%s SM overhead: %.2f%% (paper %.1f%%)" % (config, overhead_percent(config), paper)
     report.add("Table 4: area model", body)

@@ -4,14 +4,12 @@ deprecated ``repro.analysis.experiments`` shim has been removed).
 """
 
 from repro.analysis.pipeline_trace import trace_kernel, render_trace, figure2_example
-from repro.analysis.report import format_table, gmean, hmean, speedup_table
+from repro.analysis.report import format_table, gmean
 
 __all__ = [
     "figure2_example",
     "format_table",
     "gmean",
-    "hmean",
     "render_trace",
-    "speedup_table",
     "trace_kernel",
 ]

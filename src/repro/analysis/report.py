@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 
 def gmean(values: Iterable[float]) -> float:
@@ -19,19 +19,6 @@ def gmean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in vals):
         raise ValueError("gmean requires positive values")
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def hmean(values: Iterable[float]) -> float:
-    """Harmonic mean (rate-style aggregation, e.g. per-cell IPC).
-
-    Raises :class:`ValueError` for empty input, like :func:`gmean`.
-    """
-    vals = [v for v in values]
-    if not vals:
-        raise ValueError("hmean of an empty sequence is undefined")
-    if any(v <= 0 for v in vals):
-        raise ValueError("hmean requires positive values")
-    return len(vals) / sum(1.0 / v for v in vals)
 
 
 def format_table(
@@ -63,34 +50,3 @@ def _fmt(value: object) -> str:
     if isinstance(value, float):
         return "%.2f" % value
     return str(value)
-
-
-def speedup_table(
-    ipc: Dict[str, Dict[str, float]],
-    base: str,
-    configs: Sequence[str],
-    workloads: Sequence[str],
-    excluded: Sequence[str] = (),
-    title: str = "",
-) -> str:
-    """Per-workload speedups vs ``base`` plus the gmean row.
-
-    ``excluded`` workloads are shown but left out of the gmean (the
-    paper excludes TMD from its means).
-    """
-    rows: List[List[object]] = []
-    per_config: Dict[str, List[float]] = {c: [] for c in configs}
-    for name in workloads:
-        row: List[object] = [name]
-        for config in configs:
-            s = ipc[name][config] / ipc[name][base]
-            row.append(s)
-            if name not in excluded:
-                per_config[config].append(s)
-        rows.append(row)
-    mean_row: List[object] = ["gmean"]
-    for config in configs:
-        mean_row.append(gmean(per_config[config]) if per_config[config] else None)
-    rows.append(mean_row)
-    headers = ["workload"] + ["%s/%s" % (c, base) for c in configs]
-    return format_table(headers, rows, title)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.api.cache import AnyStats, stats_from_payload, stats_to_payload
-from repro.analysis.report import format_table, gmean, hmean
+from repro.analysis.report import format_table, gmean
 from repro.workloads import MEAN_EXCLUDED
 
 #: Schema version of the JSON serialization.
@@ -279,7 +279,16 @@ class ResultSet:
     # Suite statistics
     # ------------------------------------------------------------------
 
-    def _mean(self, fn, metric, exclude, base) -> Dict[str, float]:
+    def geo_mean(
+        self,
+        metric: Metric = "ipc",
+        exclude: Iterable[str] = MEAN_EXCLUDED,
+        base: Optional[str] = None,
+    ) -> Dict[str, float]:
+        """Per-config geometric mean over workloads (the paper's suite
+        statistic); ``base`` switches from raw values to speedups.
+        ``exclude`` defaults to the paper's TMD exclusion."""
+        exclude = tuple(exclude)
         table = (
             self.speedup_over(base, metric)
             if base is not None
@@ -294,32 +303,12 @@ class ResultSet:
         if table and not per_config:
             # Every workload present fell to ``exclude``; a silent {}
             # here reads downstream like "no configs", so fail loudly
-            # (gmean/hmean likewise raise on empty input).
+            # (gmean likewise raises on empty input).
             raise ValueError(
                 "no workloads left to aggregate: all of %s are excluded"
                 % sorted(table)
             )
-        return {c: fn(vals) for c, vals in per_config.items()}
-
-    def geo_mean(
-        self,
-        metric: Metric = "ipc",
-        exclude: Iterable[str] = MEAN_EXCLUDED,
-        base: Optional[str] = None,
-    ) -> Dict[str, float]:
-        """Per-config geometric mean over workloads (the paper's suite
-        statistic); ``base`` switches from raw values to speedups.
-        ``exclude`` defaults to the paper's TMD exclusion."""
-        return self._mean(gmean, metric, tuple(exclude), base)
-
-    def harmonic_mean(
-        self,
-        metric: Metric = "ipc",
-        exclude: Iterable[str] = MEAN_EXCLUDED,
-        base: Optional[str] = None,
-    ) -> Dict[str, float]:
-        """Per-config harmonic mean over workloads (rate-style metrics)."""
-        return self._mean(hmean, metric, tuple(exclude), base)
+        return {c: gmean(vals) for c, vals in per_config.items()}
 
     # ------------------------------------------------------------------
     # Serialization
@@ -417,39 +406,70 @@ class ResultSet:
         return text
 
     def _table_rows(
-        self, metric: Metric, mean: Optional[str]
-    ) -> Tuple[List[str], List[List[object]]]:
-        table = self.pivot("workload", "config", metric)
+        self, metric: Metric, mean: Optional[str], base: Optional[str]
+    ) -> Tuple[List[str], List[List[Union[str, float, None]]]]:
+        """Header and rows of the workload x config pivot (None = hole).
+
+        With ``base`` the cells are ratios to that config, rendered
+        here as signed percent over it (``+1.42%``; the base column is
+        dropped): the claims a ratio table sits under are fractions of
+        a percent, which two decimals of ``1.00`` hide.
+        """
+        if mean not in (None, "geo"):
+            raise ValueError("mean must be 'geo' or None, got %r" % (mean,))
         configs = self.configs
+        if base is None:
+            table = self.pivot("workload", "config", metric)
+        else:
+            table = self.speedup_over(base, metric)
+            configs = [c for c in configs if c != base]
+
+        def show(value: Optional[float]) -> Union[str, float, None]:
+            if value is None or base is None:
+                return value
+            return "%+.2f%%" % (100 * (value - 1))
+
         rows = [
-            [w] + [table[w].get(c) for c in configs] for w in self.workloads
+            [w] + [show(table[w].get(c)) for c in configs] for w in self.workloads
         ]
         if mean is not None:
-            fn = {"geo": self.geo_mean, "harmonic": self.harmonic_mean}[mean]
             try:
-                means = fn(metric)
+                means = self.geo_mean(metric, base=base)
             except ValueError:
                 # A view holding only MEAN_EXCLUDED workloads still
                 # renders; its mean row shows "-" for every config.
                 means = {}
-            rows.append(["%s_mean" % mean] + [means.get(c) for c in configs])
+            rows.append(["geo_mean"] + [show(means.get(c)) for c in configs])
         return ["workload"] + configs, rows
 
-    def to_markdown(self, metric: Metric = "ipc", mean: Optional[str] = "geo") -> str:
-        """A GitHub-flavoured markdown pivot table with a mean row."""
-        headers, rows = self._table_rows(metric, mean)
+    def to_markdown(
+        self,
+        metric: Metric = "ipc",
+        mean: Optional[str] = "geo",
+        base: Optional[str] = None,
+    ) -> str:
+        """A GitHub-flavoured markdown pivot table with a mean row
+        (speedups over ``base``, as signed percent, when given)."""
+        headers, rows = self._table_rows(metric, mean, base)
         out = ["| " + " | ".join(headers) + " |"]
         out.append("|" + "|".join(" --- " for _ in headers) + "|")
         for row in rows:
             cells = [row[0]] + [
-                "-" if v is None else "%.2f" % v for v in row[1:]
+                "-" if v is None else v if isinstance(v, str) else "%.2f" % v
+                for v in row[1:]
             ]
             out.append("| " + " | ".join(str(c) for c in cells) + " |")
         return "\n".join(out)
 
-    def to_text(self, metric: Metric = "ipc", mean: Optional[str] = "geo") -> str:
-        """Fixed-width table via :func:`repro.analysis.report.format_table`."""
-        headers, rows = self._table_rows(metric, mean)
+    def to_text(
+        self,
+        metric: Metric = "ipc",
+        mean: Optional[str] = "geo",
+        base: Optional[str] = None,
+    ) -> str:
+        """Fixed-width table via :func:`repro.analysis.report.format_table`
+        (speedups over ``base``, as signed percent, when given)."""
+        headers, rows = self._table_rows(metric, mean, base)
         return format_table(headers, rows)
 
     # ------------------------------------------------------------------
@@ -518,21 +538,6 @@ class ResultSet:
         if save is not None:
             ax.figure.savefig(save, bbox_inches="tight")
         return ax
-
-    # ------------------------------------------------------------------
-    # Legacy bridge
-    # ------------------------------------------------------------------
-
-    def nested(self) -> Dict[str, Dict[str, AnyStats]]:
-        """The legacy ``{workload: {config: stats}}`` shape (one size)."""
-        if len(self.sizes) > 1:
-            raise ValueError(
-                "results span sizes %s: filter(size=...) first" % (self.sizes,)
-            )
-        out: Dict[str, Dict[str, AnyStats]] = {}
-        for r in self._results:
-            out.setdefault(r.workload, {})[r.config] = r.stats
-        return out
 
     def __repr__(self) -> str:
         return "ResultSet(%d cells: %d workloads x %d configs%s)" % (

@@ -467,11 +467,6 @@ class SweepService:
             stats=entry.get("stats"),
         )
 
-    def reserved_digests(self) -> "frozenset[str]":
-        """Content addresses of in-flight cells (GC must not evict)."""
-        with self._lock:
-            return frozenset(self._inflight)
-
     def health(self) -> Dict[str, object]:
         info = self.store.info()
         alive = 0 if self._pool is None else sum(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.api.cache import (
     AnyConfig,
@@ -74,7 +74,6 @@ class GCResult:
     evicted: int
     evicted_bytes: int
     kept: int
-    reserved: int
     tombstones_swept: int
     dry_run: bool
 
@@ -210,18 +209,20 @@ class ResultStore:
         max_age: Optional[float] = None,
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        reserved: FrozenSet[str] = frozenset(),
         now: Optional[float] = None,
         dry_run: bool = False,
     ) -> GCResult:
         """Evict entries to fit the given budgets; returns what happened.
 
         Eviction order is oldest-mtime-first (the entries least likely
-        to be re-read).  ``reserved`` digests — cells an active daemon
-        has in flight — are never evicted regardless of budgets, so GC
-        can run beside a live daemon.  ``dry_run`` reports without
-        deleting.  Leftover tombstones from an interrupted previous
-        pass are always swept (even dry runs report them).
+        to be re-read).  Collecting beside a live daemon needs no
+        reservation: an eviction is a tombstone rename, so a reader
+        sees a whole entry or a miss, never a torn one; a job holds the
+        stats of its store hits from triage on; and an evicted cell
+        that is asked for again re-simulates to the same bytes.
+        ``dry_run`` reports without deleting.  Leftover tombstones from
+        an interrupted previous pass are always swept (even dry runs
+        report them).
         """
         if max_age is not None and max_age < 0:
             raise ValueError("max_age must be >= 0")
@@ -250,7 +251,6 @@ class ResultStore:
             newest = max((mtime for mtime, _, _ in entries), default=0.0)
             now = newest
         evict: Dict[str, int] = {}
-        reserved_hits = 0
         if max_age is not None:
             for mtime, size, digest in entries:
                 if now - mtime > max_age:
@@ -267,10 +267,6 @@ class ResultStore:
                     break
                 evict[digest] = size
                 total -= size
-        for digest in list(evict):
-            if digest in reserved:
-                del evict[digest]
-                reserved_hits += 1
         evicted = 0
         evicted_bytes = 0
         for digest, size in evict.items():
@@ -282,7 +278,6 @@ class ResultStore:
             evicted=evicted,
             evicted_bytes=evicted_bytes,
             kept=len(entries) - evicted,
-            reserved=reserved_hits,
             tombstones_swept=swept,
             dry_run=dry_run,
         )

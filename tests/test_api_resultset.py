@@ -105,10 +105,6 @@ class TestMeans:
         assert means["sbi_swi"] == pytest.approx(2.0)
         assert means["baseline"] == pytest.approx(1.0)
 
-    def test_harmonic_mean(self):
-        means = _rs().harmonic_mean()
-        assert means["baseline"] == pytest.approx(2 / (1 / 10.0 + 1 / 5.0))
-
     def test_custom_exclusion(self):
         means = _rs().geo_mean(exclude=("bfs", "lud"))
         assert means["baseline"] == pytest.approx(1.0)  # only tmd1 left
@@ -118,8 +114,6 @@ class TestMeans:
         # than return an empty mapping that reads like "no configs".
         with pytest.raises(ValueError, match="excluded"):
             _rs().geo_mean(exclude=("bfs", "lud", "tmd1"))
-        with pytest.raises(ValueError, match="excluded"):
-            _rs().harmonic_mean(exclude=("bfs", "lud", "tmd1"))
         # The MEAN_EXCLUDED default path hits the same guard when a
         # filtered view holds only excluded workloads.
         with pytest.raises(ValueError, match="excluded"):
@@ -193,6 +187,69 @@ class TestSerialization:
 
     def test_text_table(self):
         assert "workload" in _rs().to_text(mean=None)
+        with pytest.raises(ValueError, match="mean"):
+            _rs().to_text(mean="harmonic")
+
+    def test_tables_over_base_print_signed_percent(self):
+        # Fractions of a percent are what Figures 8a/8b/9 claim: a
+        # ratio table must resolve them, where "1.01 / 1.00" does not.
+        def at(ti):
+            return _stats(10000, ti)
+
+        rs = ResultSet(
+            [
+                Result("bfs", "tiny", "identity", at(10000)),
+                Result("bfs", "tiny", "xor_rev", at(10142)),
+                Result("lud", "tiny", "identity", at(20000)),
+                Result("lud", "tiny", "xor_rev", at(19940)),
+                Result("tmd1", "tiny", "identity", at(5000)),
+                Result("tmd1", "tiny", "xor_rev", at(10000)),
+            ]
+        )
+        assert rs.to_text(base="identity") == "\n".join(
+            [
+                "workload | xor_rev ",
+                "---------+---------",
+                "bfs      | +1.42%  ",
+                "lud      | -0.30%  ",
+                "tmd1     | +100.00%",
+                "geo_mean | +0.56%  ",
+            ]
+        )
+        assert rs.to_markdown(base="identity") == "\n".join(
+            [
+                "| workload | xor_rev |",
+                "| --- | --- |",
+                "| bfs | +1.42% |",
+                "| lud | -0.30% |",
+                "| tmd1 | +100.00% |",
+                "| geo_mean | +0.56% |",
+            ]
+        )
+        # Raw metrics print as they always did.
+        assert "bfs      | 1.00     | 1.01   " in rs.to_text().splitlines()
+        assert "| bfs | 1.00 | 1.01 |" in rs.to_markdown().splitlines()
+
+    def test_text_table_over_base_excludes_tmd_from_the_mean(self):
+        # The input the retired report-helper table was tested on: 2x
+        # on one kernel, 4x on a TMD kernel shown but left out of the mean.
+        rs = ResultSet(
+            [
+                Result("bfs", "tiny", "base", _stats(100, 1000)),
+                Result("bfs", "tiny", "new", _stats(100, 2000)),
+                Result("tmd1", "tiny", "base", _stats(100, 1000)),
+                Result("tmd1", "tiny", "new", _stats(100, 4000)),
+            ]
+        )
+        rows = {
+            line.split("|")[0].strip(): line.split("|")[1].strip()
+            for line in rs.to_text(base="base").splitlines()[2:]
+        }
+        assert rows == {
+            "bfs": "+100.00%", "tmd1": "+300.00%", "geo_mean": "+100.00%"
+        }
+        with pytest.raises(KeyError, match="nope"):
+            rs.to_text(base="nope")
 
 
 class TestMerge:
@@ -275,20 +332,6 @@ class TestMerge:
         merged = a.merge(b)
         assert [e.workload for e in merged.errors] == ["bfs", "lud"]
         assert len(a.errors) == 1 and len(b.errors) == 1
-
-
-class TestNested:
-    def test_legacy_shape(self):
-        nested = _rs().nested()
-        assert set(nested) == {"bfs", "lud", "tmd1"}
-        assert nested["bfs"]["sbi_swi"].ipc == 20.0
-
-    def test_nested_rejects_multi_size(self):
-        rs = _rs().merge(
-            ResultSet([Result("bfs", "bench", "baseline", _stats(10, 10))])
-        )
-        with pytest.raises(ValueError, match="size"):
-            rs.nested()
 
 
 class TestPlot:

@@ -108,37 +108,17 @@ class TestReportHelpers:
         with pytest.raises(ValueError):
             rpt.gmean([1.0, -1.0])
 
-    def test_hmean(self):
-        assert rpt.hmean([2.0, 6.0]) == pytest.approx(3.0)
-        with pytest.raises(ValueError):
-            rpt.hmean([1.0, -1.0])
-
     def test_empty_means_raise(self):
         # A workload set filtered to nothing must not come back as a
         # silent 0.0 that poisons speedup tables.
         with pytest.raises(ValueError, match="empty"):
             rpt.gmean([])
         with pytest.raises(ValueError, match="empty"):
-            rpt.hmean([])
-        with pytest.raises(ValueError, match="empty"):
             rpt.gmean(iter(()))
 
     def test_format_table(self):
         text = rpt.format_table(["a", "b"], [[1, 2.5], ["x", None]], title="T")
         assert "T" in text and "2.50" in text and "-" in text
-
-    def test_speedup_table_excludes(self):
-        ipc = {
-            "w1": {"base": 10.0, "new": 20.0},
-            "tmdx": {"base": 10.0, "new": 40.0},
-        }
-        text = rpt.speedup_table(
-            ipc, "base", ["new"], ["w1", "tmdx"], excluded=("tmdx",)
-        )
-        assert "2.00" in text  # w1 speedup
-        assert "gmean" in text
-        lines = [l for l in text.splitlines() if l.startswith("gmean")]
-        assert "2.00" in lines[0]  # tmdx's 4x not in the mean
 
 
 class TestPipelineTrace:

@@ -1,0 +1,113 @@
+"""The figure suite under ``benchmarks/`` is sweeps: spec, run, summary.
+
+Tier-1 cover for what ``pytest benchmarks`` regenerates.  Each
+``bench_*`` module with a ``spec`` is loaded by path (``benchmarks/``
+is no package) and held to the module contract — ``spec(size)``,
+``summary(rs)``, one test taking ``(rs, report, bench_size)`` — and to
+``tests/data/golden_figures.json``: every ``summary`` value @``tiny``,
+written on the parent tree (1da8746) by a scratch script that ran the
+parent's own ``bench_*.py`` under pytest and lifted the gmeans out of
+its thirteen report functions' locals (``sys.setprofile``), so a float
+in that file is one the hand-rolled folds computed.  A diff there means
+a fold, a spec or the simulator moved, not that the file needs
+regenerating.
+"""
+
+import functools
+import glob
+import importlib.util
+import json
+import os
+import re
+import types
+
+import pytest
+
+from repro.api import Engine
+from repro.timing.stats import Stats
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Figure module -> ``spec("tiny").total_cells``.
+CELLS = {
+    "bench_fig7_performance": 105,
+    "bench_fig8a_constraints": 84,
+    "bench_fig8b_lane_shuffle": 55,
+    "bench_fig9_associativity": 44,
+    "bench_ablations": 30,
+    "bench_multi_sm": 24,
+    "bench_policies": 20,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _load(name):
+    path = os.path.join(ROOT, "benchmarks", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+with open(os.path.join(ROOT, "tests", "data", "golden_figures.json")) as _f:
+    GOLDEN = json.load(_f)
+
+
+def test_every_bench_module_imports_and_the_sweeps_are_the_seven():
+    names = sorted(
+        os.path.basename(path)[:-3]
+        for path in glob.glob(os.path.join(ROOT, "benchmarks", "bench_*.py"))
+    )
+    sweeps = [name for name in names if hasattr(_load(name), "spec")]
+    assert sweeps == sorted(CELLS) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_spec_size_and_docstring_keys(name):
+    module = _load(name)
+    assert module.spec("tiny").total_cells == CELLS[name]
+    quoted = set(re.findall(r"``(\w+_(?:pct|ratio))``", module.__doc__))
+    assert quoted == set(GOLDEN[name]), "docstring and summary disagree"
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_summary_equals_the_parents_fold(name):
+    module = _load(name)
+    rs = Engine().run(module.spec("tiny"))
+    assert module.summary(rs) == GOLDEN[name]  # ==, not approx
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_failed_cell_fails_the_figure_by_name(name, monkeypatch):
+    """One cell raising under ``errors="collect"`` must fail the
+    figure's test with the cell in the message, not render a table
+    with a hole in it."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)  # stub stats stay here
+    module = _load(name)
+    spec = module.spec("tiny")
+    victim = spec.cells()[-1]
+
+    def build(workload, size):
+        return types.SimpleNamespace(kernel=workload, memory=None)
+
+    def simulate(kernel, memory, config):
+        if kernel == victim.workload and config == victim.config:
+            raise RuntimeError("injected")
+        return Stats(cycles=10, thread_instructions=100, instructions_issued=10)
+
+    engine = Engine(
+        errors="collect", memo={}, workload_factory=build,
+        simulate_fn=simulate, simulate_device_fn=simulate,
+    )
+    rs = engine.run(spec)
+    assert [(e.workload, e.config) for e in rs.errors] == [
+        (victim.workload, victim.config_name)
+    ]
+    (test,) = [
+        fn for attr, fn in vars(module).items() if attr.startswith("test_")
+    ]
+    sections = []
+    report = types.SimpleNamespace(add=lambda *args: sections.append(args))
+    with pytest.raises(AssertionError, match=re.escape(victim.config_name)):
+        test(rs, report, "tiny")
+    assert not sections

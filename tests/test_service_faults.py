@@ -413,13 +413,6 @@ class TestStoreGC:
         assert result.dry_run and result.evicted == 4
         assert len(store) == 4
 
-    def test_reserved_digests_never_evicted(self, tmp_path):
-        store, digests = self._fill(tmp_path)
-        result = store.gc(max_entries=0, reserved=frozenset(digests[:2]))
-        assert result.evicted == 2
-        assert result.reserved == 2
-        assert sorted(store.digests()) == sorted(digests[:2])
-
     def test_gc_budget_validation(self, tmp_path):
         store, _ = self._fill(tmp_path, n=1)
         for kwargs in ({"max_age": -1}, {"max_entries": -1}, {"max_bytes": -1}):
@@ -442,29 +435,32 @@ class TestStoreGC:
         assert store.delete(digests[0]) is True
         assert store.delete(digests[0]) is False
 
-    def test_gc_beside_active_daemon_spares_inflight_cells(self, tmp_path):
-        """The satellite invariant: GC never evicts what a daemon has
-        in flight, and the daemon's reserved set is exactly its
-        in-flight digests."""
+    def test_gc_beside_active_daemon_loses_nothing(self, tmp_path):
+        """Collecting beside a live daemon needs no reservation: a job
+        holds the stats of its store hits from triage on, and a queued
+        cell has no entry to evict — it is stored when it resolves."""
         service = _journalled_service(tmp_path)
-        _submit(service)  # workers=0: both cells stay queued/in flight
-        reserved = service.reserved_digests()
-        assert reserved == {
-            cell_hash(*CELL_A[:2], CELL_A[3]),
-            cell_hash(*CELL_B[:2], CELL_B[3]),
-        }
-        # Pre-publish one reserved cell (a worker that already stored
-        # it) plus an unrelated old entry; an aggressive concurrent GC
-        # must only evict the unrelated one.
-        store = service.store
-        store.store(CELL_A[0], CELL_A[1], CELL_A[3], Stats(cycles=7))
-        other = store.store(
-            "histogram", "other", presets.baseline(), Stats(cycles=1)
-        )
-        result = store.gc(max_entries=0, reserved=reserved)
-        assert result.reserved == 1
-        assert store.get_entry(other) is None
-        assert store.get_entry(cell_hash(*CELL_A[:2], CELL_A[3])) is not None
+        _submit(service)
+        service.process_queued()  # A and B are in the store now
+        digest_a = cell_hash(*CELL_A[:2], CELL_A[3])
+        with open(service.store.path_for(digest_a), "rb") as f:
+            bytes_a = f.read()
+        job_id = _submit(service, cells=(CELL_A, CELL_B, CELL_C))
+        assert service.counters["cells_store"] == 2  # C alone is queued
+        result = service.store.gc(max_entries=0)
+        assert result.evicted == 2 and len(service.store) == 0
+        service.process_queued()
+        job = service.get_job(job_id)
+        assert job.state == protocol.JOB_DONE
+        cells = job.result_message()["cells"]
+        assert [c["status"] for c in cells] == [protocol.STATUS_OK] * 3
+        assert all(c["stats"]["data"]["cycles"] == 7 for c in cells)
+        assert list(service.store.digests()) == [cell_hash(*CELL_C[:2], CELL_C[3])]
+        # An evicted cell asked for again re-simulates to the same bytes.
+        _submit(service, cells=(CELL_A,))
+        service.process_queued()
+        with open(service.store.path_for(digest_a), "rb") as f:
+            assert f.read() == bytes_a
         service.shutdown_gracefully()
 
 
