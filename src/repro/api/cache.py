@@ -67,7 +67,7 @@ CACHE_VERSION = 1
 #: Default in-process memo: (workload, size, config_key) -> stats.
 MEMO: Dict[Tuple, AnyStats] = {}
 
-_HEX = frozenset("0123456789abcdef")
+_HEX = "0123456789abcdef"
 
 
 class CacheSerializationError(ValueError):
@@ -260,7 +260,7 @@ def resolve_dir(disk_dir: Optional[str]) -> Optional[str]:
 
 def is_cell_digest(text: str) -> bool:
     """True for a full-length lowercase sha256 hex digest."""
-    return len(text) == 64 and all(c in _HEX for c in text)
+    return len(text) == 64 and not text.strip(_HEX)
 
 
 def digest_path(root: str, digest: str) -> str:

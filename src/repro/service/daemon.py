@@ -27,7 +27,8 @@ dispatcher threads, and ``/v1/health`` reports
     submit cells (a :data:`~repro.service.protocol.MSG_SUBMIT`
     envelope).  Each cell is triaged under one lock: served from the
     store, *coalesced* onto an identical in-flight cell (N concurrent
-    submissions of one cell hash cost one simulation), or queued.
+    submissions of one cell hash cost one simulation), or queued.  When
+    the store serves them all the ack carries the result ``cells``.
     Triage plans first and commits second
     (:meth:`SweepService._triage_locked`, then ``_commit_locked``):
     when the plan's new work would overflow the queue the daemon
@@ -62,6 +63,7 @@ assert on them.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import multiprocessing
 import os
@@ -72,7 +74,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from multiprocessing.process import BaseProcess
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.api.cache import AnyStats, is_cell_digest, stats_to_payload
 from repro.api.engine import Engine, _compute_cell, worker_pool
@@ -110,6 +112,12 @@ _HTTP_STATUS: Dict[str, int] = {
 #: ``Content-Length`` is a claim, not a licence to allocate.  (A cell
 #: is ~1.3 kB on the wire, so this is a sweep of ~50k cells.)
 MAX_REQUEST_BYTES = 64 * 1024 * 1024
+
+#: How many finished jobs the job table keeps, newest first, for late
+#: ``/result`` and ``/events`` readers; an older id answers
+#: ``unknown_job``, as every finished id does after a restart.  A job
+#: with work left is never dropped.
+FINISHED_JOBS_KEPT = 128
 
 #: Counter names reported by ``/v1/health`` (a closed set, so a typo'd
 #: bump is a KeyError in tests rather than a silently new counter).
@@ -171,6 +179,9 @@ class Job:
         self.total = len(submitted)
         self.cancelled = False
         self.stopped = False
+        #: The journal that holds this job's record, and so takes its
+        #: cell records: none for a job that is finished at its ack.
+        self.journal: Optional[JobJournal] = None
         self.cells: Dict[int, Dict[str, object]] = {}
         self.finished = threading.Event()
         self._events_lock = threading.Lock()
@@ -248,9 +259,9 @@ class SweepService:
     in the calling thread, with :meth:`process_queued`.
 
     ``journal`` (a :class:`~repro.service.journal.JobJournal`) makes
-    jobs durable: submissions are journalled *before* the ack leaves
-    (write-ahead) and every cell resolution is appended, so
-    :meth:`resume` can rebuild unfinished work after a crash.
+    jobs durable: a submission with work left is journalled *before*
+    the ack leaves (write-ahead) and every cell resolution is appended,
+    so :meth:`resume` can rebuild unfinished work after a crash.
     ``fault_plan`` threads the deterministic fault injector into the
     dispatchers — worker faults fire in this process, never in a worker
     process (the HTTP handler and store carry their own hooks).
@@ -294,6 +305,7 @@ class SweepService:
         self._queue: "queue.Queue[Optional[_Work]]" = queue.Queue()
         self._inflight: Dict[str, _Work] = {}
         self._jobs: Dict[str, Job] = {}
+        self._finished: Deque[str] = collections.deque()
         self._pending = 0
         self._next_job = 0
         self.counters: Dict[str, int] = {name: 0 for name in COUNTERS}
@@ -328,10 +340,8 @@ class SweepService:
             plan = self._triage_locked(cells, verify)
             # Store hits and coalesced cells are free; only cells this
             # submission would newly simulate count against the queue.
-            new_work = sum(
-                1 for _, source, _ in plan
-                if source == protocol.SOURCE_SIMULATED
-            )
+            sources = [source for _, source, _ in plan]
+            new_work = sources.count(protocol.SOURCE_SIMULATED)
             if self._pending + new_work > self.queue_limit:
                 raise ProtocolError(
                     protocol.ERR_QUEUE_FULL,
@@ -340,29 +350,37 @@ class SweepService:
                     % (self._pending, self.queue_limit, self.retry_after),
                     retry_after=self.retry_after,
                 )
+            # The store answers every cell: the job is finished before
+            # its ack, so there is nothing a journal could resume — it
+            # writes nothing, and the ack carries the result.
+            answered = sources.count(protocol.SOURCE_STORE) == len(plan)
             self._next_job += 1
             job = Job("j%06d" % self._next_job, cells, verify)
+            job.journal = journal = None if answered else self.journal
             self._jobs[job.id] = job
             self.counters["jobs_submitted"] += 1
             self.counters["cells_requested"] += len(cells)
             with contextlib.ExitStack() as durable:
-                if self.journal is not None:
+                if journal is not None:
                     # Write-ahead: the submission, and the cells the
                     # store resolves on the spot, are durable (one
                     # group commit) before the ack reaches the client
                     # or a worker can resolve anything — resolving
                     # needs this lock — so a crash at any later point
                     # leaves a resumable job.
-                    durable.enter_context(self.journal.group())
-                    self.journal.record_job(job.id, verify, cells)
+                    durable.enter_context(journal.group())
+                    journal.record_job(job.id, verify, cells)
                 triage = self._commit_locked(job, plan)
-            return protocol.envelope(
+            ack = protocol.envelope(
                 protocol.MSG_ACK,
                 job=job.id,
                 state=job.state,
                 total=job.total,
                 triage=triage,
             )
+            if answered:
+                ack["cells"] = job.result_message()["cells"]
+            return ack
 
     def _triage_locked(
         self, cells: Sequence[SubmittedCell], verify: bool
@@ -438,8 +456,8 @@ class SweepService:
             if not job.finished.is_set():
                 self.counters["jobs_cancelled"] += 1
                 job.cancelled = True
-                if self.journal is not None:
-                    self.journal.record_cancel(job.id)
+                if job.journal is not None:
+                    job.journal.record_cancel(job.id)
                 self._cancel_unresolved_locked(job)
         return job.status_message()
 
@@ -588,6 +606,7 @@ class SweepService:
                     self._next_job = max(self._next_job, int(suffix))
             for recorded in live:
                 job = Job(recorded.job_id, recorded.cells, recorded.verify)
+                job.journal = self.journal
                 job.cancelled = recorded.cancelled
                 self._jobs[job.id] = job
                 resumed += 1
@@ -721,8 +740,8 @@ class SweepService:
         if error is not None:
             cell["error"] = error
         job.cells[cell_id] = cell
-        if self.journal is not None:
-            self.journal.record_cell(job.id, cell_id, digest, status, error)
+        if job.journal is not None:
+            job.journal.record_cell(job.id, cell_id, digest, status, error)
         progress = dict(cell)
         progress.pop("stats", None)  # progress lines stay light
         job.publish(
@@ -739,6 +758,9 @@ class SweepService:
         if job.done >= job.total and not job.finished.is_set():
             job.finished.set()
             job.publish(job.status_message())
+            self._finished.append(job.id)
+            if len(self._finished) > FINISHED_JOBS_KEPT:
+                del self._jobs[self._finished.popleft()]
 
 
 # ----------------------------------------------------------------------

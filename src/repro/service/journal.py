@@ -1,12 +1,13 @@
 """Write-ahead job journal for the sweep daemon.
 
 The daemon's job table lives in memory; a crash loses every in-flight
-sweep.  The journal makes submissions durable: each accepted job is
-appended as one ndjson record *before* the client's ack is sent
-(write-ahead), and each resolved cell appends a completion record, so
-``repro serve --resume`` can rebuild the exact set of unfinished work
+sweep.  The journal makes submissions durable: each accepted job with
+work left is appended as one ndjson record *before* the client's ack is
+sent (write-ahead), and each resolved cell appends a completion record,
+so ``repro serve --resume`` can rebuild the exact set of unfinished work
 after a crash and serve already-published cells straight from the
-content-addressed store.
+content-addressed store.  A submission the store answers outright is
+finished at its ack — resume would drop it — so it is never written.
 
 Records are line-delimited JSON, one of::
 
@@ -32,7 +33,7 @@ Crash-safety properties:
 
 A job record's cells are the wire cells of a ``submit`` message
 (:func:`repro.service.protocol.cell_to_wire`, read back and
-hash-checked by ``cell_from_wire``) — config *payloads*, not pickled
+hash-checked by ``cells_from_wire``) — config *payloads*, not pickled
 objects: a journal written by one daemon version is replayable by the
 next, and an unregistered policy fails replay loudly.  Each record
 type is built by one function, which both the appends and
@@ -49,11 +50,12 @@ import tempfile
 import threading
 from typing import Dict, IO, Iterator, List, Optional, Tuple
 
+from repro.api.cache import config_to_payload, per_config
 from repro.service.protocol import (
     CELL_STATUSES,
     SubmittedCell,
-    cell_from_wire,
     cell_to_wire,
+    cells_from_wire,
 )
 
 #: Bump when the record schema changes.
@@ -96,12 +98,17 @@ def _record_line(record: Dict[str, object]) -> str:
 def _job_record(
     job_id: str, verify: bool, cells: List[SubmittedCell]
 ) -> Dict[str, object]:
+    # Decoded cells of one configuration share its object: one walk each.
+    payload_of = per_config(config_to_payload)
     return {
         "j": JOURNAL_VERSION,
         "type": REC_JOB,
         "job": job_id,
         "verify": bool(verify),
-        "cells": [cell_to_wire(cell) for cell in cells],
+        "cells": [
+            cell_to_wire(cell, payload_of(cell.config_name, cell.config))
+            for cell in cells
+        ],
     }
 
 
@@ -176,10 +183,10 @@ class JobJournal:
         """Group commit: records appended inside the block become
         durable together, with one flush and fsync when it exits (the
         caller must not acknowledge any of them before that).  A
-        submission answered from the store appends a job record and a
-        cell record per cell; synced one by one, a 40-cell sweep waits
-        on the disk 41 times and the daemon's answer time is whatever
-        the host's fsync latency happens to be."""
+        submission appends a job record and a cell record per store
+        hit; synced one by one, a 40-cell sweep with one cell to
+        simulate waits on the disk 40 times and the daemon's answer
+        time is whatever the host's fsync latency happens to be."""
         with self._lock:
             if self._grouped:
                 raise JournalError("journal groups do not nest")
@@ -235,16 +242,10 @@ class JobJournal:
         if not job_id:
             raise JournalError("job record without id")
         job = JournalJob(job_id, bool(record.get("verify", False)))
-        raw_cells = record.get("cells")
-        if not isinstance(raw_cells, list) or not raw_cells:
-            raise JournalError("job %s record has no cells" % job_id)
-        for index, raw in enumerate(raw_cells):
-            try:
-                job.cells.append(cell_from_wire(raw))
-            except ValueError as exc:
-                raise JournalError(
-                    "job %s cell %d %s" % (job_id, index, exc)
-                ) from exc
+        try:
+            job.cells = cells_from_wire(record.get("cells"))
+        except ValueError as exc:
+            raise JournalError("job %s %s" % (job_id, exc)) from exc
         return job
 
     @classmethod

@@ -24,8 +24,8 @@ and rejects mismatches, so schema skew between writer and reader is a
 loud failure instead of a silently wrong content address.  The writer
 of a ``submit`` walks each *configuration* once, for the payload its
 cells share, and takes the cells' addresses from its caller or from one
-digest per configuration; the reader derives every decoded cell's
-address from scratch.
+digest per configuration; the reader builds and hashes each distinct
+configuration once and derives every decoded cell's address from that.
 
 Stats travel one way, daemon to client, in ``result`` envelopes: no
 message uploads a result, so nothing reaches a served store over the
@@ -35,7 +35,8 @@ now and is refused as :data:`ERR_BAD_REQUEST`.)
 
 There is one cell: :class:`SubmittedCell`, written by
 :func:`cell_to_wire` and read back (and checked) by
-:func:`cell_from_wire`.  ``submit`` messages, the daemon's job table
+:func:`cell_from_wire`, a list of them by :func:`cells_from_wire`.
+``submit`` messages, the daemon's job table
 and the journal's job records (:mod:`repro.service.journal`) all hold
 that type in that JSON shape, so the three cannot drift.  The decoder
 raises a plain ``ValueError`` naming the reason; each caller adds where
@@ -51,7 +52,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.api.cache import (
     AnyConfig,
     cell_address,
-    cell_hash,
     config_from_payload,
     config_hash,
     config_to_payload,
@@ -66,7 +66,8 @@ PROTOCOL_VERSION = 1
 
 #: Client -> daemon: run these cells.
 MSG_SUBMIT: str = "submit"
-#: Daemon -> client: submission accepted (job id + per-cell triage).
+#: Daemon -> client: submission accepted (job id + per-cell triage; the
+#: result ``cells`` too when the store answered them all — one round trip).
 MSG_ACK: str = "ack"
 #: Daemon -> client: job state snapshot (also the stream heartbeat).
 MSG_STATUS: str = "status"
@@ -292,14 +293,21 @@ def cell_to_wire(
     }
 
 
-def cell_from_wire(raw: object) -> SubmittedCell:
+#: config_name -> (wire payload, config, :func:`config_hash`), per list.
+_ConfigTable = Dict[str, Tuple[Dict[str, object], AnyConfig, str]]
+
+
+def cell_from_wire(raw: object, configs: Optional[_ConfigTable] = None) -> SubmittedCell:
     """Decode and check one :func:`cell_to_wire` dict.
 
-    Every failure — missing fields, an unknown config payload, an
-    unregistered policy name, or a content-address mismatch between
-    the writer's ``hash`` and the one recomputed here — raises a plain
-    ``ValueError`` naming the reason: :func:`decode_submit` turns it
-    into :data:`ERR_BAD_REQUEST`, the journal into a ``JournalError``.
+    Every failure — missing fields, an ``id`` that is not a JSON
+    integer, an unknown config payload, an unregistered policy name, or
+    a content-address mismatch between the writer's ``hash`` and the one
+    recomputed here — raises a plain ``ValueError`` naming the reason.
+    Over ``configs``, :func:`cells_from_wire`'s table, a configuration
+    is built and hashed only when its name is new or its payload is not
+    ``==`` the one on record; every cell's address is derived, and
+    compared with its claim, regardless.
     """
     if not isinstance(raw, dict):
         raise ValueError("must be an object")
@@ -308,27 +316,54 @@ def cell_from_wire(raw: object) -> SubmittedCell:
         size = str(raw["size"])
         payload = raw["config"]
         claimed = str(raw["hash"])
-        cell_id = int(raw["id"])
+        cell_id = raw["id"]
         config_name = str(raw["config_name"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ValueError("is malformed: %r" % (exc,)) from exc
+    if type(cell_id) is not int:  # bool is an int: True is not cell 1
+        raise ValueError("is malformed: id %r is not an integer" % (cell_id,))
     if not isinstance(payload, dict):
         raise ValueError("config must be an object")
-    try:
-        config = config_from_payload(payload)
-    except ValueError as exc:
-        raise ValueError(
-            "config: %s (a policy a cell names must be registered where "
-            "the cell is decoded, e.g. repro serve --plugin)" % exc
-        ) from exc
-    digest = cell_hash(workload, size, config)
+    configs = {} if configs is None else configs
+    known = configs.get(config_name)
+    if known is None or known[0] != payload:
+        try:
+            config = config_from_payload(payload)
+        except ValueError as exc:
+            raise ValueError(
+                "config: %s (a policy a cell names must be registered where "
+                "the cell is decoded, e.g. repro serve --plugin)" % exc
+            ) from exc
+        known = configs[config_name] = (payload, config, config_hash(config))
+    digest = cell_address(workload, size, known[2])
     if digest != claimed:
         raise ValueError(
             "content address mismatch (claimed %s..., recomputed %s...): "
             "writer and reader disagree on the config schema or cache "
             "version — upgrade the older one" % (claimed[:12], digest[:12])
         )
-    return SubmittedCell(cell_id, workload, size, config_name, config, digest)
+    return SubmittedCell(cell_id, workload, size, config_name, known[1], digest)
+
+
+def cells_from_wire(raw_cells: object) -> List[SubmittedCell]:
+    """Decode the ``cells`` of a ``submit`` message or a journal job
+    record: :func:`cell_from_wire` over one config table, so a grid
+    costs one build and one hash per *distinct* configuration.  Ids must
+    not repeat — the job table is keyed by them, and a job with two
+    cells 0 never finishes.  A ``ValueError`` names the cell index."""
+    if not isinstance(raw_cells, list) or not raw_cells:
+        raise ValueError("has no cells")
+    configs: _ConfigTable = {}
+    cells: Dict[int, SubmittedCell] = {}
+    for index, raw in enumerate(raw_cells):
+        try:
+            cell = cell_from_wire(raw, configs)
+            if cell.id in cells:
+                raise ValueError("repeats id %d" % cell.id)
+        except ValueError as exc:
+            raise ValueError("cell %d %s" % (index, exc)) from exc
+        cells[cell.id] = cell
+    return list(cells.values())
 
 
 # ----------------------------------------------------------------------
@@ -366,17 +401,10 @@ def decode_submit(
     message: Dict[str, object],
 ) -> Tuple[List[SubmittedCell], bool]:
     """Validate a ``submit`` envelope into typed cells (see
-    :func:`cell_from_wire` for what is checked), every failure typed
+    :func:`cells_from_wire` for what is checked), every failure typed
     :data:`ERR_BAD_REQUEST`."""
-    raw_cells = message.get("cells")
-    if not isinstance(raw_cells, list) or not raw_cells:
-        raise ProtocolError(ERR_BAD_REQUEST, "submit has no cells")
-    cells = []
-    for index, raw in enumerate(raw_cells):
-        try:
-            cells.append(cell_from_wire(raw))
-        except ValueError as exc:
-            raise ProtocolError(
-                ERR_BAD_REQUEST, "submit cell %d %s" % (index, exc)
-            ) from exc
+    try:
+        cells = cells_from_wire(message.get("cells"))
+    except ValueError as exc:
+        raise ProtocolError(ERR_BAD_REQUEST, "submit %s" % exc) from exc
     return cells, bool(message.get("verify", False))

@@ -17,8 +17,10 @@ the riders ``source="coalesced"``, so a million identical figure-7
 requests cost one simulation.
 
 :func:`run_remote` is the engine backend runner: it submits the
-pending cells, follows the job's progress stream (falling back to
-status polling if the stream breaks) and yields each cell's outcome to
+pending cells, takes the results from the ack when the store answered
+them all — else follows the job's progress stream (falling back to
+status polling if the stream breaks) and fetches them — and yields each
+cell's outcome to
 :meth:`Engine.run <repro.api.engine.Engine.run>`, which applies the
 error policy and folds results into the engine's memo/disk cache.
 A cell's content address is derived once on this side — by
@@ -366,7 +368,10 @@ def run_remote(
             verify=verify,
             digests=digests,
         )
-        _follow_job(client, str(ack.get("job")), cell_results, ack.get("state"))
+        # A submission the store answered is finished at its ack, which
+        # then carries the cells: one round trip.
+        if not _take_cells(ack, cell_results):
+            _follow_job(client, str(ack.get("job")), cell_results, ack.get("state"))
     except RemoteError as exc:
         # Only transport-level exhaustion (code None) and a daemon
         # announcing shutdown justify degrading — typed errors like
@@ -422,12 +427,22 @@ def _follow_job(
                     break
         except RemoteError:
             pass  # heartbeat gap or transport hiccup: poll below instead
-    message = client.wait_result(job_id)
+    if not _take_cells(client.wait_result(job_id), cell_results):
+        raise RemoteError("malformed result for job %s" % job_id)
+
+
+def _take_cells(
+    message: Dict[str, object], cell_results: Dict[str, Dict[str, object]]
+) -> bool:
+    """File a message's per-cell results under their content addresses;
+    False when it carries no ``cells`` list (a ``result`` always does, an
+    ``ack`` only for a job that was finished when it was sent)."""
     cells = message.get("cells")
     if not isinstance(cells, list):
-        raise RemoteError("malformed result for job %s" % job_id)
+        return False
     for raw in cells:
         if isinstance(raw, dict) and isinstance(raw.get("hash"), str):
             digest = str(raw["hash"])
             if digest:
                 cell_results[digest] = raw
+    return True

@@ -38,6 +38,7 @@ from repro.api.cache import (
     config_hash,
     config_key,
     config_to_payload,
+    is_cell_digest,
 )
 from repro.core import presets
 from repro.core.gpu import simulate_device
@@ -246,6 +247,52 @@ class TestGoldenStore:
             result_cache.disk_store(store_dir, cell.workload, cell.size, cell.config, stats)
             with open(path) as f:
                 assert f.read() == before
+
+
+# ----------------------------------------------------------------------
+# What counts as a content address
+# ----------------------------------------------------------------------
+
+_LOWER_HEX = frozenset("0123456789abcdef")
+
+
+def _is_cell_digest_by_loop(text):
+    """The per-character test ``is_cell_digest`` was, kept as its reference."""
+    return len(text) == 64 and all(c in _LOWER_HEX for c in text)
+
+
+#: Near misses of a digest: lower- and upper-case hex, digits json's
+#: ``int()`` would take but sha256 never prints, a stray character.
+_digest_chars = st.sampled_from("0123456789abcdefABCDEFg \n\u0663\uff11\u00e9")
+_digestish = st.one_of(
+    st.text(_digest_chars, min_size=62, max_size=66),
+    st.text("0123456789abcdef", min_size=63, max_size=65),
+    st.tuples(
+        st.text("0123456789abcdef", min_size=64, max_size=64),
+        st.integers(0, 63),
+        _digest_chars,
+    ).map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:]),
+)
+
+
+class TestIsCellDigest:
+    @settings(max_examples=300, deadline=None)
+    @given(_digestish)
+    def test_agrees_with_the_per_character_loop(self, text):
+        assert is_cell_digest(text) == _is_cell_digest_by_loop(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("0123456789abcdef" * 4, True),
+        ("0123456789ABCDEF" * 4, False),
+        ("a" * 31 + "g" + "a" * 32, False),
+        ("a" * 63, False),
+        ("a" * 65, False),
+        ("\u0663" * 64, False),  # ARABIC-INDIC DIGIT THREE: a digit, not hex
+        ("", False),
+    ])
+    def test_the_shapes_by_name(self, text, expected):
+        assert is_cell_digest(text) is expected
+        assert _is_cell_digest_by_loop(text) is expected
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.core import presets
 from repro.service import protocol
 from repro.service.daemon import (
     COUNTERS,
+    FINISHED_JOBS_KEPT,
     MAX_REQUEST_BYTES,
     SweepService,
     make_server,
@@ -154,6 +155,62 @@ class TestProtocol:
         message = protocol.submit_message([CELL_A, other, CELL_A])
         cells, _ = protocol.decode_submit(message)
         assert [c.config.mode for c in cells] == ["baseline", "sbi", "baseline"]
+
+    @pytest.mark.parametrize("second_id, reason", [
+        (0, "submit cell 1 repeats id 0"),
+        (True, "submit cell 1 is malformed: id True is not an integer"),
+        (7.9, "submit cell 1 is malformed: id 7.9 is not an integer"),
+        ("1", "submit cell 1 is malformed: id '1' is not an integer"),
+    ])
+    def test_submit_ids_must_be_distinct_json_integers(self, second_id, reason):
+        message = protocol.submit_message([CELL_A, CELL_B])
+        message["cells"][1]["id"] = second_id
+        message = protocol.decode(protocol.encode(message))
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.decode_submit(message)
+        assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+        assert str(excinfo.value) == reason
+
+    def test_decoder_builds_each_distinct_config_once_and_checks_every_address(
+        self, monkeypatch
+    ):
+        rows = [CELL_A, ("bfs", "tiny") + CELL_A[2:], CELL_B, ("bfs", "tiny") + CELL_B[2:]]
+        message = protocol.decode(protocol.encode(protocol.submit_message(rows)))
+        built, hashed, addressed = [], [], []
+        for name, log in (
+            ("config_from_payload", built), ("config_hash", hashed),
+            ("cell_address", addressed),
+        ):
+            real = getattr(protocol, name)
+            monkeypatch.setattr(
+                protocol, name,
+                lambda *args, _real=real, _log=log: (_log.append(args), _real(*args))[1],
+            )
+        cells, _ = protocol.decode_submit(message)
+        assert len(built) == len(hashed) == 2 and len(addressed) == 4
+        assert cells[0].config is cells[1].config and cells[2].config is cells[3].config
+        assert [c.hash for c in cells] == [cell_hash(w, z, c) for w, z, _, c in rows]
+        # A forged address on the second cell of a shared config is
+        # still caught, by index.
+        message["cells"][1]["hash"] = message["cells"][0]["hash"]
+        with pytest.raises(ProtocolError, match="submit cell 1 content address mismatch"):
+            protocol.decode_submit(message)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_one_name_with_two_payloads_is_two_configs(self, order, monkeypatch):
+        # No false sharing: the table is checked by payload, not by name.
+        rows = [CELL_A, ("histogram", "tiny", "baseline", presets.sbi())]
+        rows = [rows[i] for i in order] * 2
+        message = protocol.decode(protocol.encode(protocol.submit_message(rows)))
+        built = []
+        real = protocol.config_from_payload
+        monkeypatch.setattr(
+            protocol, "config_from_payload", lambda p: (built.append(p), real(p))[1]
+        )
+        cells, _ = protocol.decode_submit(message)
+        assert len(built) == 4  # the name changes meaning at every cell
+        assert [c.config for c in cells] == [row[3] for row in rows]
+        assert [c.hash for c in cells] == [cell_hash(w, z, c) for w, z, _, c in rows]
 
     def test_submit_without_cells_rejected(self):
         with pytest.raises(ProtocolError, match="no cells"):
@@ -440,6 +497,57 @@ class TestSweepService:
         assert cell["source"] == protocol.SOURCE_STORE
         assert cell["stats"]["data"]["cycles"] == 7
         assert service._engine.calls == 0
+
+    def test_answered_submission_acks_with_its_cells(self, tmp_path):
+        service = _service(tmp_path)
+        first = service.submit(protocol.submit_message([CELL_A, CELL_B]))
+        assert "cells" not in first  # work left: the result comes later
+        service.process_queued()
+        ack = service.submit(protocol.submit_message([CELL_A, CELL_B]))
+        assert ack["state"] == protocol.JOB_DONE
+        job = service.get_job(ack["job"])
+        assert ack["cells"] == job.result_message()["cells"]
+        assert [c["source"] for c in ack["cells"]] == [protocol.SOURCE_STORE] * 2
+        # A client that ignores them still finds the job, and its event
+        # history replays to the terminal status.
+        events = job.subscribe()
+        replayed = [events.get_nowait() for _ in range(events.qsize())]
+        assert [e["type"] for e in replayed] == [
+            protocol.MSG_PROGRESS, protocol.MSG_PROGRESS, protocol.MSG_STATUS
+        ]
+        assert replayed[-1]["state"] == protocol.JOB_DONE
+        # One queued cell among the hits and the ack carries none.
+        other = ("bfs", "tiny") + CELL_A[2:]
+        assert "cells" not in service.submit(protocol.submit_message([CELL_A, other]))
+
+    def test_duplicate_cell_ids_are_refused_not_left_running(self, tmp_path):
+        service = _service(tmp_path)
+        service.submit(protocol.submit_message([CELL_A, CELL_B]))
+        service.process_queued()
+        message = protocol.submit_message([CELL_A, CELL_B])
+        message["cells"][1]["id"] = 0  # two answered cells 0: done 1 / total 2 forever
+        with pytest.raises(ProtocolError, match="cell 1 repeats id 0") as excinfo:
+            service.submit(message)
+        assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+        assert service.health()["jobs"] == 1 and service.counters["jobs_submitted"] == 1
+
+    def test_finished_jobs_are_kept_up_to_a_bound(self, tmp_path):
+        service = _service(tmp_path)
+        service.store.store(CELL_A[0], CELL_A[1], CELL_A[3], Stats(cycles=7))
+        # One job with a queued cell nobody simulates: work left throughout.
+        waiting = service.submit(protocol.submit_message([CELL_B]))["job"]
+        answered = [
+            service.submit(protocol.submit_message([CELL_A]))["job"]
+            for _ in range(FINISHED_JOBS_KEPT + 5)
+        ]
+        assert service.health()["jobs"] == FINISHED_JOBS_KEPT + 1
+        with pytest.raises(ProtocolError) as excinfo:
+            service.get_job(answered[0])
+        assert excinfo.value.code == protocol.ERR_UNKNOWN_JOB
+        newest = service.get_job(answered[-1])
+        assert newest.result_message()["cells"][0]["status"] == protocol.STATUS_OK
+        assert newest.subscribe().qsize() == 2  # progress + terminal status
+        assert not service.get_job(waiting).finished.is_set()
 
     def test_queue_full_back_pressure(self, tmp_path):
         service = _service(tmp_path, queue_limit=1, retry_after=2.5)
@@ -731,6 +839,86 @@ class TestHTTPRoundTrip:
         assert all(e.source == protocol.SOURCE_STORE for e in warm_events)
         assert server.service.counters["cells_simulated"] == 2  # unchanged
         assert server.service.counters["cells_store"] == 2
+
+    @staticmethod
+    def _count_requests(monkeypatch):
+        paths = []
+        real_open = RemoteClient._open
+
+        def counted(self, method, path, message=None):
+            paths.append((method, path))
+            return real_open(self, method, path, message)
+
+        monkeypatch.setattr(RemoteClient, "_open", counted)
+        return paths
+
+    def test_answered_sweep_is_one_request_and_any_ack_shape_gives_one_answer(
+        self, live_server, monkeypatch
+    ):
+        server, url = live_server
+        inline = Engine(backend="inline", cache_dir=None, memo={}).run(TINY)
+        Engine(server=url, cache_dir=None, memo={}).run(TINY)  # cold fill
+        paths = self._count_requests(monkeypatch)
+        warm = Engine(server=url, cache_dir=None, memo={}).run(TINY)
+        assert paths == [("POST", "/v1/jobs")]
+        assert warm.to_json() == inline.to_json()
+
+        # What a daemon from before the ack carried cells sends: the
+        # client follows and fetches, to the same bytes.
+        submit = server.service.submit
+
+        def old_daemon_submit(message):
+            ack = submit(message)
+            assert ack.pop("cells")
+            return ack
+
+        monkeypatch.setattr(server.service, "submit", old_daemon_submit)
+        del paths[:]
+        events = []
+        fetched = Engine(
+            server=url, cache_dir=None, memo={}, progress=events.append
+        ).run(TINY)
+        (post, path), (get, result_path) = paths
+        assert (post, path, get) == ("POST", "/v1/jobs", "GET")
+        assert result_path.endswith("/result")
+        assert fetched.to_json() == inline.to_json()
+        assert {e.source for e in events} == {protocol.SOURCE_STORE}
+
+    def test_answered_job_still_serves_result_and_events(self, live_server):
+        """A client that never looks at the ack's cells loses nothing."""
+        _, url = live_server
+        client = RemoteClient(url, retries=0)
+        cells = [CELL_A, CELL_B]
+        client.wait_result(str(client.submit(cells)["job"]), poll_interval=0.02)
+        ack = client.submit(cells)
+        assert ack["state"] == protocol.JOB_DONE and len(ack["cells"]) == 2
+        job_id = str(ack["job"])
+        assert client.result(job_id)["cells"] == ack["cells"]
+        events = list(client.events(job_id))
+        assert [e["type"] for e in events] == [
+            protocol.MSG_PROGRESS, protocol.MSG_PROGRESS, protocol.MSG_STATUS
+        ]
+        assert events[-1]["state"] == protocol.JOB_DONE
+
+    def test_two_clients_warm_and_cold_match_inline(self, live_server):
+        _, url = live_server
+        spec = SweepSpec.from_presets(
+            ["baseline", "warp64", "sbi"], workloads=["histogram", "bfs"], size="tiny"
+        )
+        inline = Engine(backend="inline", cache_dir=None, memo={}).run(spec).to_json()
+        for _ in ("cold", "warm"):
+            got = [None, None]
+
+            def one_client(index):
+                got[index] = Engine(server=url, cache_dir=None, memo={}).run(spec).to_json()
+
+            threads = [threading.Thread(target=one_client, args=(i,)) for i in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert got == [inline, inline]
 
     def test_results_fold_into_local_caches(self, live_server, tmp_path):
         _, url = live_server

@@ -517,21 +517,61 @@ class TestDaemonCrashRecovery:
         assert job.job_id == job_id
         assert len(job.cells) == 2 and not job.finished
 
-    def test_store_answered_submission_is_one_group_commit(
-        self, tmp_path, monkeypatch
-    ):
-        service = _journalled_service(tmp_path)
-        _submit(service)
-        service.process_queued()  # both cells are in the store now
+    @staticmethod
+    def _count_fsyncs(monkeypatch):
         syncs = []
         real_fsync = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: (syncs.append(fd), real_fsync(fd)))
-        job_id = _submit(service)
-        # Job record + two cell records, durable before the ack: one fsync.
-        assert len(syncs) == 1
+        return syncs
+
+    def test_store_answered_submission_touches_no_journal(
+        self, tmp_path, monkeypatch
+    ):
+        """A job the store answers is finished before its ack: there is
+        nothing to resume, so nothing is written.  Its id is still unique
+        for this daemon's lifetime, and ids restart from the journal's
+        highest after a restart, as before — ``rotate`` already forgot
+        finished ids."""
+        service = _journalled_service(tmp_path)
+        _submit(service)
+        service.process_queued()  # both cells are in the store now
+        size = os.path.getsize(service.journal.path)
+        syncs = self._count_fsyncs(monkeypatch)
+        ack = service.submit(protocol.submit_message([CELL_A, CELL_B]))
+        assert syncs == []
+        assert os.path.getsize(service.journal.path) == size
+        assert ack["job"] not in {job.job_id for job in service.journal.replay()}
         assert service.counters["cells_store"] == 2
+        assert ack["state"] == protocol.JOB_DONE
+        assert [(c["id"], c["source"]) for c in ack["cells"]] == [
+            (0, protocol.SOURCE_STORE), (1, protocol.SOURCE_STORE)
+        ]
+        assert ack["cells"] == service.get_job(ack["job"]).result_message()["cells"]
+
+    def test_partly_answered_submission_is_one_group_commit(
+        self, tmp_path, monkeypatch
+    ):
+        service = _journalled_service(tmp_path)
+        _submit(service, cells=(CELL_A,))
+        service.process_queued()  # A is in the store, C is not
+        syncs = self._count_fsyncs(monkeypatch)
+        ack = service.submit(protocol.submit_message([CELL_A, CELL_C]))
+        # Job record + the store hit's cell record, durable before the
+        # ack: one fsync.
+        assert len(syncs) == 1
+        assert "cells" not in ack and ack["state"] == protocol.JOB_RUNNING
+        assert ack["triage"] == {"store": 1, "coalesced": 0, "queued": 1}
         replayed = {job.job_id: job for job in service.journal.replay()}
-        assert replayed[job_id].finished
+        job = replayed[ack["job"]]
+        assert not job.finished
+        assert job.resolved == {0: (protocol.STATUS_OK, None)}
+        # The "process" dies here; a restart re-queues the one cell.
+        engine = _StubEngine()
+        resumed = _journalled_service(tmp_path, engine=engine)
+        assert resumed.resume() == 1
+        assert resumed.process_queued() == 1 and engine.calls == 1
+        assert resumed.get_job(ack["job"]).state == protocol.JOB_DONE
+        assert resumed.counters["cells_store"] == 1
 
     def test_worker_exception_fails_cell_and_is_journalled(self, tmp_path):
         plan = FaultPlan.parse("worker-exception:1")

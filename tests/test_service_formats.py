@@ -11,13 +11,14 @@ the message type is retired, and what is pinned is that a peer still
 sending it is refused.
 """
 
+import json
 import os
 
 import pytest
 
 from repro.core import presets
 from repro.service import protocol
-from repro.service.journal import JobJournal
+from repro.service.journal import JobJournal, JournalError
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_cell_codec.ndjson")
 
@@ -65,6 +66,17 @@ class TestGoldenFormats:
             (i,) + cell for i, cell in enumerate(CELLS)
         ]
 
+    def test_parent_written_submit_re_encodes_to_its_bytes(self):
+        """Decoded through the shared config table and written again,
+        cell by cell: the same line."""
+        submit = _golden()[0]
+        cells, verify = protocol.decode_submit(protocol.decode(submit))
+        again = protocol.submit_message(
+            [(c.workload, c.size, c.config_name, c.config) for c in cells],
+            verify, digests=[c.hash for c in cells],
+        )
+        assert protocol.encode(again) == submit
+
     def test_parent_written_publish_is_refused(self):
         publish = _golden()[1]
         assert b'"type": "publish"' in publish and b'"stats"' in publish
@@ -89,3 +101,22 @@ class TestGoldenFormats:
             journal.rotate([job])
         with open(path, "rb") as handle:
             assert handle.read() == golden_journal
+
+    @pytest.mark.parametrize("second_id, reason", [
+        (0, "job j000001 cell 1 repeats id 0"),
+        (True, "job j000001 cell 1 is malformed: id True is not an integer"),
+        (7.9, "job j000001 cell 1 is malformed: id 7.9 is not an integer"),
+    ])
+    def test_a_job_record_with_bad_cell_ids_fails_replay(
+        self, tmp_path, second_id, reason
+    ):
+        """Two cells 0 would replay as a job that can never finish, and
+        every ``--resume`` would resurrect it."""
+        path = str(tmp_path / "journal.ndjson")
+        record = json.loads(_golden()[2].splitlines()[0])
+        record["cells"][1]["id"] = second_id
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(JournalError) as excinfo:
+            JobJournal.replay_path(path)
+        assert str(excinfo.value) == reason
