@@ -11,7 +11,11 @@ example builds one from scratch:
   prefers the *freshest* fetched instruction — a deliberately
   contrarian policy to measure against the paper's best-fit arbiter;
 * a ``PolicySpec`` tying it to frontier reconvergence with the SWI
-  preset geometry, registered as mode ``swi_fresh``.
+  preset geometry, registered as mode ``swi_fresh``.  The spec names a
+  scheduler, a divergence model and a preset and declares nothing
+  else: the pipeline reads the issue width off the scheduler class
+  (inherited from ``CascadedScheduler`` here) and the fetch ways per
+  warp off the divergence model class.
 
 Once registered, the new mode is a first-class citizen: it sweeps
 next to the built-ins through :class:`repro.api.SweepSpec`, appears in
@@ -41,8 +45,6 @@ policy.register_policy(
         name="swi_fresh",
         scheduler="cascaded_freshest",
         divergence="frontier",
-        uses_swi=True,
-        unit_bound_peak=True,
         description="SWI variant: freshest-first secondary arbiter",
         preset=dict(
             warp_count=16,

@@ -140,7 +140,7 @@ def figure2_config(mode: str) -> SMConfig:
     if mode == "sbi":
         return presets.sbi(**widths)
     if mode == "sbi_nc":
-        return presets.sbi(constraints=False, **widths)
+        return presets.sbi(sbi_constraints=False, **widths)
     if mode == "swi":
         return presets.swi(lane_shuffle="identity", **widths)
     if mode == "sbi_swi":

@@ -31,6 +31,7 @@ simulate (the engine bypasses the result cache), and
 
 from __future__ import annotations
 
+import inspect
 from typing import Dict, Optional, Sequence
 
 from repro.core.policy.observers import Observer, OBSERVERS
@@ -62,11 +63,10 @@ def make_aggregators(
     out: Dict[str, Observer] = {}
     for name in names:
         cls = OBSERVERS.get(name)
-        if bins is not None:
-            try:
-                out[name] = cls(bins=bins)
-                continue
-            except TypeError:
-                pass
-        out[name] = cls()
+        # Ask, don't try: a TypeError raised *inside* a constructor
+        # that does take ``bins`` must not fall back to the default.
+        if bins is not None and "bins" in inspect.signature(cls).parameters:
+            out[name] = cls(bins=bins)
+        else:
+            out[name] = cls()
     return out

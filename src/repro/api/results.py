@@ -51,23 +51,6 @@ class CellError:
     error: str
 
 
-def _matplotlib():
-    """``matplotlib.pyplot``, or a clean error telling the caller what
-    to do instead — the package deliberately has no hard plotting
-    dependency (text renderers and JSON artifacts cover headless use)."""
-    import importlib
-
-    try:
-        return importlib.import_module("matplotlib.pyplot")
-    except ImportError as exc:
-        raise RuntimeError(
-            "ResultSet.plot() needs matplotlib, which is not installed "
-            "in this environment; install it (pip install matplotlib) or "
-            "use to_markdown()/to_csv()/`repro analyze --json` for "
-            "text and JSON artifacts instead"
-        ) from exc
-
-
 def _metric_fn(metric: Metric) -> Callable[[AnyStats], float]:
     if callable(metric):
         return metric
@@ -471,73 +454,6 @@ class ResultSet:
         (speedups over ``base``, as signed percent, when given)."""
         headers, rows = self._table_rows(metric, mean, base)
         return format_table(headers, rows)
-
-    # ------------------------------------------------------------------
-    # Plotting (optional matplotlib)
-    # ------------------------------------------------------------------
-
-    def plot(
-        self,
-        metric: Metric = "ipc",
-        kind: str = "bars",
-        base: Optional[str] = None,
-        save: Optional[str] = None,
-        ax: Optional[object] = None,
-    ) -> object:
-        """Render the set with matplotlib (an *optional* dependency).
-
-        ``kind="bars"`` draws grouped per-workload bars of ``metric``
-        for every config — the paper's figure-7 shape — plotting
-        speedups over ``base`` instead when ``base`` is given.
-        ``kind="scaling"`` draws one line per workload across the
-        config axis, which reads as a scaling curve when the configs
-        form an ordered sweep (e.g. ``--axis sm_count=1,2,4,8``).
-
-        Returns the matplotlib ``Axes`` (created unless ``ax`` is
-        passed); ``save`` additionally writes the figure to a file.
-        Raises :class:`RuntimeError` with a pointer to the text
-        renderers when matplotlib is not installed.
-        """
-        plt = _matplotlib()
-        if kind not in ("bars", "scaling"):
-            raise ValueError("kind must be 'bars' or 'scaling', got %r" % (kind,))
-        if base is not None:
-            table = self.speedup_over(base)
-            label = "speedup vs %s" % base
-        else:
-            table = self.pivot("workload", "config", metric)
-            label = metric if isinstance(metric, str) else "metric"
-        workloads, configs = self.workloads, self.configs
-        if ax is None:
-            _, ax = plt.subplots(
-                figsize=(max(6.0, 1.2 * len(workloads)), 4.0)
-            )
-        if kind == "bars":
-            width = 0.8 / max(1, len(configs))
-            for j, config in enumerate(configs):
-                offsets = [
-                    i + (j - (len(configs) - 1) / 2.0) * width
-                    for i in range(len(workloads))
-                ]
-                heights = [table[w].get(config, 0.0) for w in workloads]
-                ax.bar(offsets, heights, width=width, label=config)
-            ax.set_xticks(range(len(workloads)))
-            ax.set_xticklabels(workloads, rotation=45, ha="right")
-        else:
-            for workload in workloads:
-                ax.plot(
-                    range(len(configs)),
-                    [table[workload].get(c) for c in configs],
-                    marker="o",
-                    label=workload,
-                )
-            ax.set_xticks(range(len(configs)))
-            ax.set_xticklabels(configs, rotation=45, ha="right")
-        ax.set_ylabel(label)
-        ax.legend(fontsize=8)
-        if save is not None:
-            ax.figure.savefig(save, bbox_inches="tight")
-        return ax
 
     def __repr__(self) -> str:
         return "ResultSet(%d cells: %d workloads x %d configs%s)" % (

@@ -180,12 +180,9 @@ class SweepSpec:
         names: Sequence[str],
         workloads=None,
         size: Union[str, Sequence[str]] = "bench",
-        sm_overrides: Optional[dict] = None,
     ) -> "SweepSpec":
         """A spec over named presets (``baseline``, ``sbi``, ...)."""
-        configs = {
-            name: presets.by_name(name, **(sm_overrides or {})) for name in names
-        }
+        configs = {name: presets.by_name(name) for name in names}
         return cls(workloads=workloads, configs=configs, sizes=size)
 
     @classmethod

@@ -268,8 +268,20 @@ def _cmd_workloads(args) -> int:
     return 0
 
 
+def _policy_json(spec) -> dict:
+    """A spec's fields plus the capabilities read off its classes."""
+    import dataclasses
+
+    return dict(
+        dataclasses.asdict(spec),
+        issue_width=spec.issue_width,
+        hot_capacity=spec.hot_capacity,
+        uses_sbi=spec.uses_sbi,
+    )
+
+
 def _cmd_policies(args) -> int:
-    # Populate the scheduler registry so specs can be cross-checked.
+    # Populate the scheduler registry for the catalogue footer.
     import repro.core.schedulers  # noqa: F401
     from repro.core import presets
     from repro.core.policy import DIVERGENCE, OBSERVERS, POLICIES, SCHEDULERS
@@ -278,29 +290,15 @@ def _cmd_policies(args) -> int:
     if args.name:
         spec = POLICIES.get(args.name)
         if args.json:
-            import dataclasses
-
-            print(json.dumps(dataclasses.asdict(spec), indent=1, sort_keys=True))
+            print(json.dumps(_policy_json(spec), indent=1, sort_keys=True))
             return 0
         print(spec.describe())
-        for kind, name, registry in (
-            ("scheduler", spec.scheduler, SCHEDULERS),
-            ("divergence model", spec.divergence, DIVERGENCE),
-        ):
-            if name not in registry:
-                print(
-                    "warning: %s %r is not registered (import its module "
-                    "with --plugin)" % (kind, name),
-                    file=sys.stderr,
-                )
         print("preset    : %s" % presets.by_name(args.name).describe())
         return 0
     if args.json:
-        import dataclasses
-
         print(
             json.dumps(
-                [dataclasses.asdict(spec) for _, spec in POLICIES.items()],
+                [_policy_json(spec) for _, spec in POLICIES.items()],
                 indent=1,
                 sort_keys=True,
             )

@@ -6,8 +6,9 @@ The simulator's extension points are name -> object registries:
   ``SMConfig.mode`` string resolves to);
 * :data:`SCHEDULERS` — scheduler-policy classes (``factory(sm)``),
   populated by :mod:`repro.core.schedulers` and by plugins;
-* :data:`DIVERGENCE` — divergence-model factories
-  (``factory(config, launch_mask, lane_perm)``);
+* :data:`DIVERGENCE` — :class:`~repro.timing.divergence.DivergenceModel`
+  subclasses (built per warp by ``cls.for_config(config, launch_mask,
+  lane_perm)``);
 * :data:`OBSERVERS` — cycle-level :class:`Observer` classes.
 
 Defining a new microarchitecture needs no simulator edits::
@@ -22,15 +23,20 @@ Defining a new microarchitecture needs no simulator edits::
 
     policy.register_policy(policy.PolicySpec(
         name="my_swi", scheduler="my_arbiter", divergence="frontier",
-        uses_swi=True, unit_bound_peak=True,
         preset=dict(warp_count=16, warp_width=64, scheduler_latency=2,
                     delivery_latency=1, lane_shuffle="xor_rev"),
     ))
 
-after which ``"my_swi"`` works everywhere a mode name does:
-``presets.by_name``, ``SweepSpec`` configs, the ``policy`` sweep axis,
-and ``repro sweep --policy my_swi`` (load the defining module with
-``--plugin``).
+A policy is those three things and nothing else.  What the pipeline
+needs to know about the machine it reads off the two classes at
+launch: issue width (and with it ``peak_ipc`` and the cost model's
+front-end width) is the scheduler class's ``issue_width`` — ``MyArbiter``
+inherits the cascaded pair's 2 — and the fetch ways per warp, and
+whether a CPC2 is co-issued, are the divergence model's
+``hot_capacity``.  After the registration above ``"my_swi"`` works
+everywhere a mode name does: ``presets.by_name``, ``SweepSpec``
+configs, the ``policy`` sweep axis, and ``repro sweep --policy my_swi``
+(load the defining module with ``--plugin``).
 """
 
 from __future__ import annotations
@@ -57,8 +63,8 @@ from repro.core.policy.observers import (
 #: Built-in entries register from :mod:`repro.core.schedulers`.
 SCHEDULERS: Registry = Registry("scheduler")
 
-# Built-in specs and divergence factories (pure data; importing them
-# pulls no pipeline modules in).
+# Built-in specs and divergence models (importing them pulls no
+# pipeline modules in).
 from repro.core.policy.builtin import DIVERGENCE, POLICIES  # noqa: E402
 
 

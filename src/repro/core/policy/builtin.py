@@ -1,66 +1,37 @@
 """Built-in policies: the paper's five modes plus three exploration
-policies, and the divergence-model factories they reference.
+policies, and the divergence-model classes they reference.
 
 Scheduler classes register themselves in
 :data:`~repro.core.policy.SCHEDULERS` from
 :mod:`repro.core.schedulers` (imported when the first machine is
-built); this module only registers *data* (specs) and the lightweight
-divergence factories, so importing the policy registry never drags the
-pipeline in.
+built); this module only registers *data* (specs) and the divergence
+model classes, which import no pipeline module, so importing the
+policy registry never drags the pipeline in.
+
+A spec is a scheduler, a divergence model and a preset, nothing else:
+issue width and fetch ways are read off the two classes
+(:attr:`PolicySpec.issue_width`, :attr:`PolicySpec.hot_capacity`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
 from repro.core.policy.registry import Registry
 from repro.core.policy.spec import PolicySpec
-
-if TYPE_CHECKING:  # import cycle: config resolves modes through us
-    from repro.timing.config import SMConfig
-
 from repro.timing.dwr import DWRModel
 from repro.timing.frontier import FrontierModel
 from repro.timing.hct import SBIModel
 from repro.timing.stack import StackModel
 
-#: Divergence-model registry: name -> factory(config, launch_mask, perm).
+#: Divergence-model registry: name -> :class:`DivergenceModel` subclass
+#: (built per warp by its ``for_config(config, launch_mask, perm)``).
 DIVERGENCE: Registry = Registry("divergence model")
+DIVERGENCE.register("stack", StackModel)
+DIVERGENCE.register("frontier", FrontierModel)
+DIVERGENCE.register("sbi_heap", SBIModel)
+DIVERGENCE.register("dwr", DWRModel)
 
 #: Policy registry: mode name -> PolicySpec.
 POLICIES: Registry = Registry("policy")
-
-
-# ----------------------------------------------------------------------
-# Divergence models
-# ----------------------------------------------------------------------
-
-
-@DIVERGENCE.register("stack")
-def _stack(config: SMConfig, launch_mask: int, perm: Sequence[int]) -> StackModel:
-    return StackModel(launch_mask, perm)
-
-
-@DIVERGENCE.register("frontier")
-def _frontier(config: SMConfig, launch_mask: int, perm: Sequence[int]) -> FrontierModel:
-    return FrontierModel(launch_mask, perm)
-
-
-@DIVERGENCE.register("sbi_heap")
-def _sbi_heap(config: SMConfig, launch_mask: int, perm: Sequence[int]) -> SBIModel:
-    return SBIModel(
-        launch_mask,
-        perm,
-        cct_capacity=config.cct_capacity,
-        insert_delay=config.cct_insert_delay,
-    )
-
-
-@DIVERGENCE.register("dwr")
-def _dwr(config: SMConfig, launch_mask: int, perm: Sequence[int]) -> DWRModel:
-    # Fixed 32-wide sub-warps: half of the paper's 64-wide warp, the
-    # baseline machine's native width.
-    return DWRModel(launch_mask, perm, subwarp_width=32)
 
 
 # ----------------------------------------------------------------------
@@ -75,8 +46,6 @@ POLICIES.register(
         name="baseline",
         scheduler="two_pool",
         divergence="stack",
-        issue_width=2,
-        two_pools=True,
         description="Fermi-like: 32x32 warps, two pools, IPDOM stack",
         preset=dict(
             warp_count=32,
@@ -95,7 +64,6 @@ POLICIES.register(
         name="warp64",
         scheduler="single_issue",
         divergence="frontier",
-        issue_width=1,
         description="thread-frontier 64-wide reference point (Figure 7)",
         preset=dict(
             scheduler_latency=1,
@@ -113,9 +81,6 @@ POLICIES.register(
         name="sbi",
         scheduler="sbi_dual",
         divergence="sbi_heap",
-        hot_capacity=2,
-        uses_sbi=True,
-        unit_bound_peak=True,
         description="Simultaneous Branch Interweaving: dual front-end "
         "co-issues CPC1/CPC2 of one warp",
         preset=dict(
@@ -144,8 +109,6 @@ POLICIES.register(
         name="swi",
         scheduler="cascaded",
         divergence="frontier",
-        uses_swi=True,
-        unit_bound_peak=True,
         description="Simultaneous Warp Interweaving: cascaded scheduler "
         "fills free lanes from another warp (best-fit)",
         preset=dict(_SWI_PRESET),
@@ -158,10 +121,6 @@ POLICIES.register(
         name="sbi_swi",
         scheduler="cascaded",
         divergence="sbi_heap",
-        hot_capacity=2,
-        uses_sbi=True,
-        uses_swi=True,
-        unit_bound_peak=True,
         description="combined SBI + SWI (the paper's headline machine)",
         preset=dict(
             scheduler_latency=2,
@@ -186,8 +145,6 @@ POLICIES.register(
         name="swi_greedy",
         scheduler="cascaded_greedy",
         divergence="frontier",
-        uses_swi=True,
-        unit_bound_peak=True,
         description="SWI with a greedy-then-oldest secondary arbiter "
         "(max lane coverage, age tie-break, no randomness)",
         preset=dict(_SWI_PRESET),
@@ -200,8 +157,6 @@ POLICIES.register(
         name="swi_rr",
         scheduler="cascaded_rr",
         divergence="frontier",
-        uses_swi=True,
-        unit_bound_peak=True,
         description="SWI with a loose-round-robin primary warp arbiter "
         "(WaSP-style rotation instead of oldest-first)",
         preset=dict(_SWI_PRESET),
@@ -214,8 +169,6 @@ POLICIES.register(
         name="dwr",
         scheduler="cascaded",
         divergence="dwr",
-        uses_swi=True,
-        unit_bound_peak=True,
         description="dynamic warp resizing: divergent paths run as "
         "32-wide sub-warps, regrouped at reconvergence; free lanes "
         "filled SWI-style",

@@ -2,11 +2,15 @@
 
 A :class:`PolicySpec` is what an :class:`~repro.timing.config.SMConfig`
 ``mode`` string resolves to: it names the scheduler policy and the
-divergence model (both registry keys), carries the front-end shape the
-pipeline derives from the mode today (issue width, hot-split
-capacity, SBI/SWI capabilities), and optionally a ``preset`` mapping
-of configuration defaults so ``presets.by_name``/``SweepSpec`` can
-build a ready-to-run machine from just the name.
+divergence model (both registry keys) and optionally carries a
+``preset`` mapping of configuration defaults so ``presets.by_name`` /
+``SweepSpec`` can build a ready-to-run machine from just the name.
+
+What the pipeline needs to know about the pair — how many
+instructions the front end issues per cycle, how many warp-splits
+fetch/decode must serve — is not declared here: it is read off the
+two registered classes (:attr:`PolicySpec.issue_width`,
+:attr:`PolicySpec.hot_capacity`), so it cannot disagree with them.
 
 The spec is pure data — registering one never imports a simulator
 module — so third-party policies can be declared before (or without)
@@ -16,7 +20,7 @@ constructing any machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Mapping
 
 
 @dataclass(frozen=True)
@@ -26,27 +30,14 @@ class PolicySpec:
     ``scheduler`` and ``divergence`` are names in the
     :data:`~repro.core.policy.SCHEDULERS` and
     :data:`~repro.core.policy.DIVERGENCE` registries; they are resolved
-    when a machine is constructed, not at registration, so a spec can
-    reference a scheduler whose module has not been imported yet.
+    when a machine is constructed (or a capability below is read), not
+    at registration, so a spec can reference a scheduler whose module
+    has not been imported yet.
     """
 
     name: str
     scheduler: str
     divergence: str
-
-    #: Instructions the front end may issue per cycle (1 or 2).
-    issue_width: int = 2
-    #: Runnable warp-splits exposed to fetch/decode (2 for SBI's
-    #: dual front-end, 1 otherwise).
-    hot_capacity: int = 1
-
-    #: Capability flags the pipeline and schedulers key off.
-    uses_sbi: bool = False
-    uses_swi: bool = False
-    two_pools: bool = False
-    #: Peak IPC is bounded by the execution units (SBI/SWI fill idle
-    #: lanes) rather than by issue slots alone (baseline/warp64).
-    unit_bound_peak: bool = False
 
     description: str = ""
     #: SMConfig field defaults applied by ``presets.by_name(name)``.
@@ -55,10 +46,6 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError("PolicySpec.name must be a non-empty string")
-        if self.issue_width not in (1, 2):
-            raise ValueError("issue_width must be 1 or 2")
-        if self.hot_capacity not in (1, 2):
-            raise ValueError("hot_capacity must be 1 or 2")
         # Freeze the preset mapping into a plain dict copy so a caller
         # mutating their dict later cannot skew registered defaults —
         # and fail on typo'd keys *now*, not at the first by_name().
@@ -77,26 +64,35 @@ class PolicySpec:
             )
         object.__setattr__(self, "preset", preset)
 
+    # -- capabilities, read off the registered classes ------------------
+
+    @property
+    def issue_width(self) -> int:
+        """Instructions the scheduler class may issue per cycle."""
+        import repro.core.schedulers  # noqa: F401  (registers the built-ins)
+        from repro.core.policy import SCHEDULERS
+
+        return SCHEDULERS.get(self.scheduler).issue_width
+
+    @property
+    def hot_capacity(self) -> int:
+        """Runnable warp-splits the divergence model exposes to
+        fetch/decode (2 for the HCT's CPC1/CPC2 pair, else 1)."""
+        from repro.core.policy import DIVERGENCE
+
+        return DIVERGENCE.get(self.divergence).hot_capacity
+
+    @property
+    def uses_sbi(self) -> bool:
+        """A second hot split is what the dual front-end co-issues."""
+        return self.hot_capacity > 1
+
     def describe(self) -> str:
-        caps = [
-            flag
-            for flag, on in (
-                ("sbi", self.uses_sbi),
-                ("swi", self.uses_swi),
-                ("two-pools", self.two_pools),
-            )
-            if on
-        ]
-        return "%s: scheduler=%s divergence=%s issue=%d hot=%d%s%s" % (
+        return "%s: scheduler=%s divergence=%s issue=%d hot=%d%s" % (
             self.name,
             self.scheduler,
             self.divergence,
             self.issue_width,
             self.hot_capacity,
-            " [%s]" % ",".join(caps) if caps else "",
             " — %s" % self.description if self.description else "",
         )
-
-    def preset_dict(self) -> Dict[str, Any]:
-        """A fresh copy of the preset defaults."""
-        return dict(self.preset)

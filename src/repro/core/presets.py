@@ -15,79 +15,52 @@ Reconvergence        stack      HCT/CCT  frontier HCT/CCT
 warps and a single conventional scheduler.
 
 Every preset is a :class:`~repro.core.policy.PolicySpec` in
-:data:`repro.core.policy.POLICIES` carrying these defaults; the
-functions below are thin conveniences over :func:`from_policy`, which
-works for *any* registered policy — including third-party ones — so
-``by_name`` needs no edits when a new microarchitecture is registered.
+:data:`repro.core.policy.POLICIES` carrying these defaults;
+:func:`by_name` builds any registered policy's machine — including
+third-party ones — and takes overrides by ``SMConfig`` field name, the
+one spelling.  The five functions below it name the paper's modes.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.core.policy import POLICIES
 from repro.timing.config import GPUConfig, SMConfig
 
 
-def from_policy(name: str, **overrides) -> SMConfig:
+def by_name(name: str, **overrides) -> SMConfig:
     """An :class:`SMConfig` for any registered policy: the spec's
     preset defaults, with ``overrides`` applied on top."""
     spec = POLICIES.get(name)
-    cfg = spec.preset_dict()
-    cfg.update(overrides)
-    return SMConfig(mode=spec.name, **cfg)
+    return SMConfig(mode=spec.name, **{**spec.preset, **overrides})
 
 
 def baseline(**overrides) -> SMConfig:
     """Fermi-like baseline: 32 x 32 warps, two pools, IPDOM stack."""
-    return from_policy("baseline", **overrides)
+    return by_name("baseline", **overrides)
 
 
 def warp64(**overrides) -> SMConfig:
     """Thread-frontier 64-wide reference point (Figure 7)."""
-    return from_policy("warp64", **overrides)
+    return by_name("warp64", **overrides)
 
 
-def sbi(constraints: bool = True, **overrides) -> SMConfig:
+def sbi(**overrides) -> SMConfig:
     """Simultaneous Branch Interweaving."""
-    return from_policy("sbi", sbi_constraints=constraints, **overrides)
+    return by_name("sbi", **overrides)
 
 
-def swi(
-    lane_shuffle: str = "xor_rev", ways: Optional[int] = None, **overrides
-) -> SMConfig:
-    """Simultaneous Warp Interweaving (``ways=None`` = fully assoc.)."""
-    return from_policy("swi", lane_shuffle=lane_shuffle, swi_ways=ways, **overrides)
+def swi(**overrides) -> SMConfig:
+    """Simultaneous Warp Interweaving."""
+    return by_name("swi", **overrides)
 
 
-def sbi_swi(
-    constraints: bool = True,
-    lane_shuffle: str = "xor_rev",
-    ways: Optional[int] = None,
-    **overrides,
-) -> SMConfig:
+def sbi_swi(**overrides) -> SMConfig:
     """Combined SBI + SWI (the paper's headline configuration)."""
-    return from_policy(
-        "sbi_swi",
-        sbi_constraints=constraints,
-        lane_shuffle=lane_shuffle,
-        swi_ways=ways,
-        **overrides,
-    )
+    return by_name("sbi_swi", **overrides)
 
 
 #: Figure 7 configuration set, in presentation order.
 FIGURE7_CONFIGS = ("baseline", "sbi", "swi", "sbi_swi", "warp64")
-
-#: Convenience wrappers keeping their historical keyword aliases
-#: (``constraints``/``ways``); other names go straight to from_policy.
-_ALIASED = {
-    "baseline": baseline,
-    "warp64": warp64,
-    "sbi": sbi,
-    "swi": swi,
-    "sbi_swi": sbi_swi,
-}
 
 
 def device(
@@ -95,7 +68,6 @@ def device(
     sm_count: int = 4,
     l2_size: int = 2 * 1024 * 1024,
     dram_partitions: int = 4,
-    sm_overrides: Optional[dict] = None,
     **gpu_overrides,
 ) -> GPUConfig:
     """Device-scale preset: N copies of a named SM preset behind a
@@ -103,22 +75,14 @@ def device(
 
     ``l2_size=0`` drops the L2 and gives each SM a private channel
     with its ``1/sm_count`` bandwidth share (the paper's per-SM
-    memory model, scaled out).
+    memory model, scaled out).  ``sm=`` (any ``GPUConfig`` field is an
+    override) puts another SM configuration behind the same hierarchy.
     """
-    sm = by_name(name, **(sm_overrides or {}))
     cfg = dict(
-        sm=sm,
+        sm=by_name(name),
         sm_count=sm_count,
         l2_size=l2_size,
         dram_partitions=dram_partitions,
     )
     cfg.update(gpu_overrides)
     return GPUConfig(**cfg)
-
-
-def by_name(name: str, **overrides) -> SMConfig:
-    """Resolve any registered policy name to a preset configuration."""
-    factory = _ALIASED.get(name)
-    if factory is not None:
-        return factory(**overrides)
-    return from_policy(name, **overrides)

@@ -108,6 +108,10 @@ class SchedulerBase:
 
     #: Age-ordered candidate pools; a warp belongs to ``wid % pools``.
     pools = 1
+    #: Instructions the policy may issue per cycle: what
+    #: ``SMConfig.issue_width`` / ``peak_ipc`` and the cost model's
+    #: front-end width read (through ``PolicySpec.issue_width``).
+    issue_width = 2
 
     def __init__(self, sm: StreamingMultiprocessor) -> None:
         self.sm = sm
@@ -267,6 +271,7 @@ class Warp64Scheduler(BaselineScheduler):
     """Single pool, one issue per cycle (thread-frontier reference)."""
 
     pools = 1
+    issue_width = 1
 
 
 @SCHEDULERS.register("sbi_dual")

@@ -300,8 +300,8 @@ class StreamingMultiprocessor:
         # No outcome: unpredicated, nothing to report but "done".
         active_mask = mask if outcome is None else outcome.active_mask
         active_bits = active_mask.bit_count()
-        # Stats.record_issue, inlined: this runs once per issued
-        # instruction and the call overhead is measurable.
+        # Issue accounting, in this frame: it runs once per issued
+        # instruction and a call's overhead is measurable.
         stats = self.stats
         stats.instructions_issued += 1
         stats.thread_instructions += active_bits

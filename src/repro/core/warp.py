@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.functional.executor import FunctionalWarp
 from repro.functional.memory import SharedMemory
-from repro.core.policy import DIVERGENCE
+from repro.core.policy import DIVERGENCE, POLICIES
 from repro.timing import lanes
 from repro.timing.divergence import _NEVER, DivergenceModel
 from repro.timing.masks import bools_to_mask
@@ -17,9 +17,9 @@ from repro.timing.scoreboard import ScoreboardBase, make_scoreboard
 
 
 def make_divergence_model(config, launch_mask: int, perm: Sequence[int]) -> DivergenceModel:
-    """Instantiate the divergence model named by ``config.policy``."""
-    factory = DIVERGENCE.get(config.policy.divergence)
-    return factory(config, launch_mask, perm)
+    """Instantiate the divergence model of ``config``'s policy."""
+    model = DIVERGENCE.get(POLICIES.get(config.mode).divergence)
+    return model.for_config(config, launch_mask, perm)
 
 
 class TimingWarp:

@@ -4,9 +4,9 @@ The cost model (:mod:`repro.hwcost.area`, Table 4) prices a policy's
 front end by its modeled issue width: one decoupled scheduler slot for
 the baseline, two for the SBI dual-issue machines.  A simulation that
 *observes* more issues in a single SM-cycle than that width has issued
-through hardware the cost model never paid for — either the policy's
-``issue_width`` is declared wrong or the scheduler has a bug.  Either
-way the run's performance numbers are not comparable to the paper's,
+through hardware the cost model never paid for: the width is the
+scheduler class's own ``issue_width``, so the scheduler has a bug.
+The run's performance numbers are then not comparable to the paper's,
 so :func:`validate_peak_issue` fails loudly instead of letting the
 mismatch ride into a results table.
 

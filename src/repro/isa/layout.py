@@ -8,8 +8,9 @@ The paper relies on two compiler-side guarantees (sections 3.1 and 3.3):
    but one (TMD1).  :func:`reorder_frontier` enforces the order
    (topological order of forward edges, stable w.r.t. source order) and
    :func:`validate_frontier_layout` reports violations.
-   :func:`permute_blocks` deliberately produces a *bad* layout, used to
-   reproduce the TMD1 data point.
+   :func:`permute_blocks` deliberately produces a *bad* layout (the
+   tests' way to one; the TMD1 data point itself is written out of
+   order in :mod:`repro.workloads.tmd` and built ``layout="as_is"``).
 
 2. Each reconvergence point carries a synchronization marker whose
    payload is ``PCdiv``, the last instruction of the immediate
@@ -176,7 +177,7 @@ def reorder_frontier(program: Program) -> Program:
 
 
 def permute_blocks(program: Program, order: Sequence[int]) -> Program:
-    """Apply an explicit block permutation (used to build TMD1's bad layout)."""
+    """Apply an explicit block permutation (how tests build a bad layout)."""
     cfg = ControlFlowGraph(program)
     return _rebuild(program, cfg, order)
 

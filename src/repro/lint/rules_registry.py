@@ -31,9 +31,7 @@ _REGISTRY_NAMES = frozenset(
 )
 
 #: Call sites where an event/origin/level name argument is expected.
-_VOCAB_CALLEES = frozenset(
-    {"record_issue", "MemEvent", "_record"}
-)
+_VOCAB_CALLEES = frozenset({"issue", "IssueEvent", "MemEvent", "_record"})
 
 #: Files that emit or dispatch on vocabulary names.
 _VOCAB_FILES: Tuple[str, ...] = (
@@ -41,7 +39,6 @@ _VOCAB_FILES: Tuple[str, ...] = (
     "repro/core/gpu.py",
     "repro/core/schedulers.py",
     "repro/core/policy/observers.py",
-    "repro/timing/stats.py",
     "repro/analytics/*.py",
 )
 

@@ -106,6 +106,11 @@ CRASH_KINDS: Tuple[str, ...] = (
     FAULT_CRASH_AFTER_PUBLISH,
 )
 
+#: What :meth:`FaultPlan.from_seed` draws: this many faults, each
+#: triggered on the 1st..``SEEDED_HORIZON``-th matching operation.
+SEEDED_FAULTS = 3
+SEEDED_HORIZON = 6
+
 
 class FaultPlanError(ValueError):
     """A fault-plan spec string could not be parsed."""
@@ -242,28 +247,21 @@ class FaultPlan:
     def from_seed(
         cls,
         seed: int,
-        faults: int = 3,
-        kinds: Optional[Sequence[str]] = None,
-        horizon: int = 6,
-        delay: float = 0.05,
         on_crash: Optional[Callable[[str], None]] = None,
     ) -> "FaultPlan":
         """A pseudo-random but fully reproducible plan.
 
-        Draws ``faults`` (kind, trigger) pairs from ``random.Random
-        (seed)`` with triggers in ``1..horizon`` — the same seed always
-        yields the same plan, so a chaos run that found a bug is a
-        one-line repro.
+        Draws :data:`SEEDED_FAULTS` (kind, trigger) pairs from
+        ``random.Random(seed)``, any kind, triggers in
+        ``1..SEEDED_HORIZON`` — the same seed always yields the same
+        plan, so a chaos run that found a bug is a one-line repro.
         """
-        if faults < 1:
-            raise FaultPlanError("faults must be >= 1")
-        pool = tuple(kinds) if kinds is not None else FAULT_KINDS
         rng = random.Random(seed)
         specs = [
-            FaultSpec(rng.choice(pool), nth=rng.randint(1, max(1, horizon)))
-            for _ in range(faults)
+            FaultSpec(rng.choice(FAULT_KINDS), nth=rng.randint(1, SEEDED_HORIZON))
+            for _ in range(SEEDED_FAULTS)
         ]
-        return cls(specs, delay=delay, on_crash=on_crash)
+        return cls(specs, on_crash=on_crash)
 
     # -- runtime -------------------------------------------------------
 

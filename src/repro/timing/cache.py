@@ -1,8 +1,10 @@
 """L1 data cache model — 48 KB, 6-way, 128 B blocks, LRU (Table 2).
 
 Write-through, no write-allocate (Fermi-style for global stores): loads
-allocate on miss, stores only update a present line and always spend
-DRAM store bandwidth.  Each line records the cycle its fill completes,
+allocate on miss; a store never consults this cache — the load/store
+unit posts its segments to DRAM and that is all, so it allocates no
+line and moves no LRU position, and since lines hold no data a present
+line needs no update.  Each line records the cycle its fill completes,
 so a hit under a pending fill waits for the data rather than the tag.
 """
 
@@ -63,10 +65,6 @@ class L1Cache:
         self.hits += 1
         self._touch(entry)
         return entry[1]
-
-    def contains(self, block_addr: int) -> bool:
-        """Tag probe without statistics (store write-through check)."""
-        return block_addr in self._set_of(block_addr)
 
     def fill(self, block_addr: int, ready_at: int) -> None:
         """Allocate a line whose data arrives at ``ready_at`` (LRU victim).

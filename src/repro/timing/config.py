@@ -35,29 +35,66 @@ VALID_SCOREBOARDS = ("warp", "mask", "matrix")
 VALID_SHUFFLES = ("identity", "mirror_odd", "mirror_half", "xor", "xor_rev")
 
 
-def _as_float(name: str, value: object) -> float:
+def _positive_float(name: str, value: object) -> float:
     """``value`` as the ``float`` the field declares: ``10 == 10.0``, so
     the memo key cannot tell the spellings apart, but their JSON — and
     with it the content address — differs.  One machine, one address."""
-    if not isinstance(value, Real):
-        raise ValueError("%s must be a number, got %r" % (name, value))
+    if not isinstance(value, Real) or not value > 0:
+        raise ValueError("%s must be a positive number, got %r" % (name, value))
     return float(value)
 
 
-class _PolicyCacheBase:
-    """Carries the one non-field slot of :class:`SMConfig`.
+def _at_least(config: object, minima) -> None:
+    """Every ``(field, lower bound)`` row of ``minima`` holds for
+    ``config``, or a ``ValueError`` names the field and its value: a
+    bound missed here is a cached nonsense result or a mid-run crash."""
+    for name, bound in minima:
+        value = getattr(config, name)
+        if not value >= bound:
+            raise ValueError("%s must be >= %d, got %r" % (name, bound, value))
 
-    ``@dataclass(slots=True)`` builds ``__slots__`` from the fields
-    alone; the resolved-policy cache is deliberately *not* a field (it
-    must stay out of asdict/config_key/pickle payloads), so its slot
-    comes from this base.
-    """
 
-    __slots__ = ("_policy",)
+#: Lower bounds of :class:`SMConfig`'s integer fields: sizes, widths
+#: and counts the pipeline divides by or iterates over are positive,
+#: latencies and the CCT knobs non-negative.
+_SM_MINIMA = (
+    ("warp_count", 1),
+    ("scheduler_latency", 0),
+    ("delivery_latency", 0),
+    ("fetch_width", 1),
+    ("scoreboard_entries", 1),
+    ("exec_latency", 0),
+    ("mad_lanes", 1),
+    ("sfu_width", 1),
+    ("lsu_width", 1),
+    ("cct_capacity", 0),
+    ("cct_insert_delay", 0),
+    ("l1_size", 1),
+    ("l1_ways", 1),
+    ("l1_block", 1),
+    ("l1_latency", 0),
+    ("shared_latency", 0),
+    ("shared_banks", 1),
+    ("dram_latency", 0),
+    ("store_segment", 1),
+    ("cta_launch_latency", 0),
+    ("max_cycles", 1),
+)
+
+#: Likewise for :class:`GPUConfig`.
+_GPU_MINIMA = (
+    ("sm_count", 1),
+    ("l2_size", 0),
+    ("l2_ways", 1),
+    ("l2_block", 1),
+    ("l2_sector", 1),
+    ("l2_latency", 0),
+    ("dram_partitions", 1),
+)
 
 
 @dataclass(slots=True)
-class SMConfig(_PolicyCacheBase):
+class SMConfig:
     """All timing parameters of one streaming multiprocessor.
 
     ``mode`` accepts a registered policy name or a
@@ -114,18 +151,19 @@ class SMConfig(_PolicyCacheBase):
 
     def validate(self) -> None:
         # Resolve (and normalise) the policy through the registry; an
-        # unknown name raises with the registered list.  The spec is
-        # cached on the instance — it is not a dataclass field, so
-        # asdict/config_key/pickle payloads are exactly as before.
+        # unknown name raises with the registered list.
         from repro.core.policy import coerce_policy
 
-        spec = coerce_policy(self.mode)
-        self.mode = spec.name
-        self._policy = spec
+        self.mode = coerce_policy(self.mode).name
         if self.sbi_constraints not in (0, 1):  # and ``1 == True`` likewise
-            raise ValueError("sbi_constraints must be True or False")
+            raise ValueError(
+                "sbi_constraints must be True or False, got %r" % (self.sbi_constraints,)
+            )
         self.sbi_constraints = bool(self.sbi_constraints)
-        self.dram_bandwidth = _as_float("dram_bandwidth", self.dram_bandwidth)
+        self.dram_bandwidth = _positive_float("dram_bandwidth", self.dram_bandwidth)
+        _at_least(self, _SM_MINIMA)
+        if self.swi_ways is not None:  # None = fully associative
+            _at_least(self, (("swi_ways", 1),))
         if self.scoreboard_kind not in VALID_SCOREBOARDS:
             raise ValueError("scoreboard_kind must be one of %s" % (VALID_SCOREBOARDS,))
         if self.lane_shuffle not in VALID_SHUFFLES:
@@ -134,8 +172,6 @@ class SMConfig(_PolicyCacheBase):
             raise ValueError("warp_width must be a power of two in [4, 64]")
         if self.mad_lanes % self.warp_width:
             raise ValueError("mad_lanes must be a multiple of warp_width")
-        if self.swi_ways is not None and self.swi_ways < 1:
-            raise ValueError("swi_ways must be >= 1 (or None for full)")
 
     # ------------------------------------------------------------------
     # Derived properties
@@ -144,19 +180,15 @@ class SMConfig(_PolicyCacheBase):
     @property
     def policy(self) -> "PolicySpec":
         """The registered :class:`~repro.core.policy.PolicySpec` of
-        :attr:`mode` (re-resolved if ``mode`` was mutated in place)."""
-        spec = getattr(self, "_policy", None)
-        if spec is None or spec.name != self.mode:
-            from repro.core.policy import POLICIES
+        :attr:`mode`."""
+        from repro.core.policy import POLICIES
 
-            spec = POLICIES.get(self.mode)
-            self._policy = spec
-        return spec
+        return POLICIES.get(self.mode)
 
     @property
     def mad_group_count(self) -> int:
         """MAD groups are warp-wide; Fermi-like 2x32 or one 64-wide."""
-        return max(1, self.mad_lanes // self.warp_width)
+        return self.mad_lanes // self.warp_width
 
     @property
     def branch_latency(self) -> int:
@@ -173,19 +205,15 @@ class SMConfig(_PolicyCacheBase):
         return self.policy.uses_sbi
 
     @property
-    def uses_swi(self) -> bool:
-        return self.policy.uses_swi
-
-    @property
     def issue_width(self) -> int:
         return self.policy.issue_width
 
     @property
     def peak_ipc(self) -> float:
-        """Thread-instruction retire bound (64 baseline, 104 SBI/SWI)."""
+        """Thread-instruction retire bound (64 baseline, 104 SBI/SWI):
+        every issue slot a full warp, or every unit lane busy at once,
+        whichever is fewer."""
         issue_bound = self.issue_width * self.warp_width
-        if not self.policy.unit_bound_peak:
-            return float(issue_bound)
         unit_bound = self.mad_lanes + self.sfu_width + self.lsu_width
         return float(min(issue_bound, unit_bound))
 
@@ -258,19 +286,12 @@ class GPUConfig:
     def validate(self) -> None:
         if not isinstance(self.sm, SMConfig):
             raise ValueError("sm must be an SMConfig")
-        if self.sm_count < 1:
-            raise ValueError("sm_count must be >= 1")
-        if self.dram_partitions < 1:
-            raise ValueError("dram_partitions must be >= 1")
+        _at_least(self, _GPU_MINIMA)
+        if self.dram_latency is not None:  # None = the SM's
+            _at_least(self, (("dram_latency", 0),))
         if self.dram_bandwidth is not None:
-            self.dram_bandwidth = _as_float("dram_bandwidth", self.dram_bandwidth)
-            if self.dram_bandwidth <= 0:
-                raise ValueError("dram_bandwidth must be positive")
-        if self.l2_size < 0:
-            raise ValueError("l2_size must be >= 0")
+            self.dram_bandwidth = _positive_float("dram_bandwidth", self.dram_bandwidth)
         if self.l2_size:
-            if self.l2_ways < 1 or self.l2_block < 1 or self.l2_sector < 1:
-                raise ValueError("l2_ways, l2_block and l2_sector must be >= 1")
             if self.l2_block % self.l2_sector:
                 raise ValueError("l2_block must be a multiple of l2_sector")
             if self.l2_block % self.sm.l1_block:

@@ -96,7 +96,18 @@ class DivergenceModel:
 
     #: Number of simultaneously runnable splits the model exposes
     #: (class-level: a property of the model kind, never per instance).
+    #: The pipeline reads it at launch: it is the fetch engine's buffer
+    #: ways per warp, and a second one is what SBI co-issues.
     hot_capacity = 1
+
+    @classmethod
+    def for_config(
+        cls, config, launch_mask: int, lane_perm: Sequence[int]
+    ) -> "DivergenceModel":
+        """The model of one warp launched under ``config`` — how the
+        classes in :data:`repro.core.policy.DIVERGENCE` are built.
+        Models with configuration knobs override it."""
+        return cls(launch_mask, lane_perm)
 
     def __init__(self, launch_mask: int, lane_perm: Sequence[int]) -> None:
         self.launch_mask = launch_mask

@@ -9,7 +9,7 @@ re-gang them once control reconverges.
 :class:`DWRModel` grafts that idea onto thread-frontier scheduling: a
 64-wide warp executes as one full-width split while converged; a
 divergent branch additionally slices each outcome split along fixed
-``subwarp_width`` (default 32) lane windows, so each sub-warp chases
+``subwarp_width`` (32) lane windows, so each sub-warp chases
 its own control path independently — a narrow sub-warp occupies only
 its half of the execution group, which an SWI-style cascaded scheduler
 can fill from another warp.  Merging is restricted to splits of the
@@ -29,15 +29,14 @@ from repro.timing.divergence import Split
 class DWRModel(FrontierModel):
     """Frontier reconvergence with sub-warp slicing under divergence."""
 
-    __slots__ = ("subwarp_width", "resize_downs", "resize_ups")
+    __slots__ = ("resize_downs", "resize_ups")
 
-    def __init__(
-        self, launch_mask: int, lane_perm: Sequence[int], subwarp_width: int = 32
-    ) -> None:
-        if subwarp_width < 1:
-            raise ValueError("subwarp_width must be >= 1")
+    #: Fixed sub-warp width: half of the paper's 64-wide warp, the
+    #: baseline machine's native width.
+    subwarp_width = 32
+
+    def __init__(self, launch_mask: int, lane_perm: Sequence[int]) -> None:
         super().__init__(launch_mask, lane_perm)
-        self.subwarp_width = subwarp_width
         #: Sub-warp splits created (resize-down events).
         self.resize_downs = 0
         #: Cross-window merges performed at reconvergence (resize-ups).

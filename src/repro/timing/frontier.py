@@ -20,8 +20,6 @@ class FrontierModel(DivergenceModel):
 
     __slots__ = ("splits", "parked")
 
-    hot_capacity = 1
-
     def __init__(self, launch_mask: int, lane_perm: Sequence[int]) -> None:
         super().__init__(launch_mask, lane_perm)
         self.splits: List[Split] = [Split(0, launch_mask, lane_perm)]

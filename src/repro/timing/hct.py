@@ -48,6 +48,10 @@ class SBIModel(DivergenceModel):
 
     hot_capacity = 2
 
+    @classmethod
+    def for_config(cls, config, launch_mask: int, lane_perm: Sequence[int]) -> "SBIModel":
+        return cls(launch_mask, lane_perm, config.cct_capacity, config.cct_insert_delay)
+
     def __init__(
         self,
         launch_mask: int,

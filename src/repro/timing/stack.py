@@ -24,8 +24,6 @@ class StackModel(DivergenceModel):
 
     __slots__ = ("stack",)
 
-    hot_capacity = 1
-
     def __init__(self, launch_mask: int, lane_perm: Sequence[int]) -> None:
         super().__init__(launch_mask, lane_perm)
         self.stack: List[Split] = [Split(0, launch_mask, lane_perm, rpc=None)]

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List
 
-from repro.core.policy.events import ORIGIN_PRIMARY, ORIGIN_SBI, ORIGIN_SWI
-
 
 @dataclass(slots=True)
 class Stats:
@@ -78,19 +76,6 @@ class Stats:
         if not self.instructions_issued:
             return 0.0
         return self.thread_instructions / self.instructions_issued
-
-    def record_issue(self, op_class: str, active: int, origin: str) -> None:
-        self.instructions_issued += 1
-        self.thread_instructions += active
-        self.per_op_class[op_class] = self.per_op_class.get(op_class, 0) + active
-        if origin == ORIGIN_PRIMARY:
-            self.issued_primary += 1
-        elif origin == ORIGIN_SBI:
-            self.issued_sbi_secondary += 1
-        elif origin == ORIGIN_SWI:
-            self.issued_swi_secondary += 1
-        else:
-            raise ValueError("unknown issue origin %r" % origin)
 
     def merge(self, other: "Stats") -> None:
         """Accumulate another SM's counters into this one.

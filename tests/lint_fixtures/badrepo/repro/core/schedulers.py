@@ -3,9 +3,9 @@
 from repro.core.policy import POLICIES
 
 
-def record(origin, stats):
+def fill(origin, sm, warp, split, entry, now, group):
     if origin == "sbi":  # observer-vocabulary (bare literal compare)
-        stats.record_issue("mad", 32, "swi")  # observer-vocabulary (arg)
+        sm.issue(warp, 1, split, entry, now, "swi", group)  # observer-vocabulary (arg)
 
 
 def install(spec):

@@ -1,5 +1,6 @@
 """Clean counterpart of the analytics vocabulary fixture (never imported)."""
 
+from repro.core.policy import IssueEvent
 from repro.core.policy.events import ORIGIN_SBI, ORIGIN_SWI
 
 
@@ -8,5 +9,8 @@ class Aggregator:
         if event.origin == ORIGIN_SBI:  # constant from the vocabulary module
             self.sbi += 1
 
-    def on_mem(self, event, stats):
-        stats.record_issue("mad", 32, ORIGIN_SWI)
+    def as_swi(self, event):
+        return IssueEvent(
+            event.cycle, event.sm_id, event.wid, event.pc, ORIGIN_SWI,
+            event.mask, event.group, event.active,
+        )

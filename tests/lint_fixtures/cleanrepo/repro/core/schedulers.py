@@ -4,9 +4,9 @@ from repro.core.policy import POLICIES
 from repro.core.policy.events import ORIGIN_SBI, ORIGIN_SWI
 
 
-def record(origin, stats):
+def fill(origin, sm, warp, split, entry, now, group):
     if origin == ORIGIN_SBI:  # constant from the vocabulary module
-        stats.record_issue("mad", 32, ORIGIN_SWI)
+        sm.issue(warp, 1, split, entry, now, ORIGIN_SWI, group)
 
 
 def install(spec):

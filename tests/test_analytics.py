@@ -202,6 +202,25 @@ class TestMakeAggregators:
         with pytest.raises(ValueError, match="registered names"):
             make_aggregators(["nope"])
 
+    def test_a_type_error_inside_a_binned_constructor_is_not_swallowed(self):
+        """Whether an observer takes ``bins`` is read off its signature:
+        catching the call's ``TypeError`` instead built this one bare,
+        at the default capacity, without a word."""
+
+        @OBSERVERS.register("scratch_binned")
+        class Binned(TimelineAggregator):
+            def __init__(self, bins=4):
+                if bins == 8:
+                    raise TypeError("raised by the constructor's own body")
+                super().__init__(bins)
+
+        try:
+            assert make_aggregators(["scratch_binned"])["scratch_binned"].series.bin_count == 4
+            with pytest.raises(TypeError, match="own body"):
+                make_aggregators(["scratch_binned"], bins=8)
+        finally:
+            OBSERVERS.unregister("scratch_binned")
+
 
 class TestEngineWiring:
     SPEC = SweepSpec(workloads=["bfs"], configs=["baseline", "sbi_swi"], sizes=["tiny"])

@@ -332,32 +332,3 @@ class TestMerge:
         merged = a.merge(b)
         assert [e.workload for e in merged.errors] == ["bfs", "lud"]
         assert len(a.errors) == 1 and len(b.errors) == 1
-
-
-class TestPlot:
-    """matplotlib is optional: gate cleanly, draw when available."""
-
-    def _have_matplotlib(self):
-        try:
-            import matplotlib  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    def test_plot_or_clean_gate(self, tmp_path):
-        rs = _rs()
-        if not self._have_matplotlib():
-            with pytest.raises(RuntimeError, match="matplotlib"):
-                rs.plot()
-            return
-        out = tmp_path / "bars.png"
-        ax = rs.plot(save=str(out))
-        assert out.exists() and ax is not None
-        curve = rs.plot(kind="scaling", base="baseline")
-        assert curve is not None
-
-    def test_gate_message_points_at_text_renderers(self):
-        if self._have_matplotlib():
-            pytest.skip("matplotlib installed: gate unreachable")
-        with pytest.raises(RuntimeError, match="to_markdown"):
-            _rs().plot(kind="scaling")

@@ -20,6 +20,7 @@ that nothing stored or sent changes.  Held here:
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -46,6 +47,8 @@ from repro.core.policy import POLICIES
 from repro.core.simulator import simulate
 from repro.service.store import ResultStore
 from repro.timing.config import (
+    _GPU_MINIMA,
+    _SM_MINIMA,
     VALID_SCOREBOARDS,
     VALID_SHUFFLES,
     GPUConfig,
@@ -169,6 +172,16 @@ PRESET_DIGESTS = {
 }
 DEVICE_CELL = "48aa1317aaaa42ffe9398f3e89aba706f03b0ad5234a28a87ad35cd3178d195e"
 
+#: Every bounded field on its lower bound (``mad_lanes`` on the lowest
+#: multiple of the warp width), and the digests a46657d — the tree
+#: before the bounds were checked — gave these two machines.
+SM_AT_BOUNDS = dict(_SM_MINIMA, mad_lanes=32, swi_ways=1)
+GPU_AT_BOUNDS = dict(_GPU_MINIMA, dram_latency=0)
+AT_BOUNDS_DIGESTS = (
+    "81f5263bde7e1e156b39f6d6408d20f07618ea92a65c7a09503193b707e0a146",
+    "2b2fd32894adfb22cfde04603616fe76c5f1728cd01b5ac38782dd3f6ad343f9",
+)
+
 
 class TestPinnedAddresses:
     def test_figure7_presets(self):
@@ -182,6 +195,11 @@ class TestPinnedAddresses:
         assert result_cache.cell_address(
             "transpose", "full", config_hash(config)
         ) == DEVICE_CELL
+
+    def test_every_lower_bound_is_in_range(self):
+        sm = SMConfig(**SM_AT_BOUNDS)
+        device = GPUConfig(sm=sm, **GPU_AT_BOUNDS)
+        assert (config_hash(sm), config_hash(device)) == AT_BOUNDS_DIGESTS
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +418,53 @@ class TestOneMachineOneAddress:
             (GPUConfig, "dram_bandwidth", "fast"),
             (SMConfig, "sbi_constraints", "yes"),
             (SMConfig, "sbi_constraints", 2),
+            # What a46657d let through to a cached result ...
+            (SMConfig, "mad_lanes", 0),  # ran on 32 lanes
+            (SMConfig, "exec_latency", -1),  # histogram@tiny: 984 cycles, not 1 212
+            (SMConfig, "dram_latency", -400),  # 499 cycles
+            (SMConfig, "l1_latency", -5),
+            (SMConfig, "cct_capacity", -1),
+            (SMConfig, "store_segment", 0),
+            (SMConfig, "dram_bandwidth", 0),
+            (SMConfig, "dram_bandwidth", float("nan")),
+            (GPUConfig, "dram_latency", -1),
+            (GPUConfig, "l2_latency", -30),
+            # ... or to a crash mid-run.
+            (SMConfig, "lsu_width", 0),  # range() arg 3 must not be zero
+            (SMConfig, "sfu_width", 0),  # likewise, on the first SFU op
+            (SMConfig, "shared_banks", 0),  # ZeroDivisionError
+            (SMConfig, "l1_ways", 0),  # ZeroDivisionError
+            (SMConfig, "fetch_width", 0),  # "deadlock at cycle 0"
+            (SMConfig, "scoreboard_entries", 0),  # "deadlock at cycle 4"
+            (SMConfig, "warp_count", 0),
+            (SMConfig, "swi_ways", 0),
         ],
     )
     def test_a_bad_value_is_a_value_error_naming_the_field(self, cls, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match="%s .*%r" % (field, value)):
             cls(**{field: value})
+
+    def test_one_below_any_bound_is_refused(self):
+        for cls, minima in ((SMConfig, _SM_MINIMA), (GPUConfig, _GPU_MINIMA)):
+            for field, bound in minima:
+                with pytest.raises(ValueError, match="%s .*%d" % (field, bound - 1)):
+                    cls(**{field: bound - 1})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_in_range_values_validate_and_keep_their_bytes(self, data):
+        """``validate`` only refuses: a value on or above its bound is
+        stored as given and hashes as it did before the bounds were
+        checked — the canonical payload with these values in place."""
+        drawn = {
+            field: data.draw(st.integers(bound, bound + 64), label=field)
+            for field, bound in _SM_MINIMA
+            if field != "mad_lanes"  # also a multiple of the warp width
+        }
+        config = SMConfig(**drawn)
+        fields = config_fields(config)
+        assert {field: fields[field] for field in drawn} == drawn
+        assert all(type(fields[field]) is int for field in drawn)
+        expected = dict(config_fields(SMConfig()), **drawn)
+        blob = json.dumps({"type": "SMConfig", "fields": expected}, sort_keys=True)
+        assert config_hash(config) == hashlib.sha256(blob.encode()).hexdigest()

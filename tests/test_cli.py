@@ -242,12 +242,13 @@ class TestPolicies:
             "from repro.core.policy import PolicySpec, register_policy\n"
             "register_policy(PolicySpec(\n"
             "    name='plugtest', scheduler='single_issue',\n"
-            "    divergence='frontier', issue_width=1,\n"
+            "    divergence='frontier',\n"
             "    preset=dict(warp_count=16, warp_width=64)))\n"
         )
         env = {"PYTHONPATH": str(tmp_path) + os.pathsep + SRC}
         proc = run_cli("policies", "--plugin", "cli_test_plugin", env_extra=env)
-        assert "plugtest" in proc.stdout
+        (line,) = [l for l in proc.stdout.splitlines() if l.startswith("plugtest ")]
+        assert " issue=1 " in line  # read off Warp64Scheduler, not declared
 
     def test_sweep_policy_axis(self):
         proc = run_cli(

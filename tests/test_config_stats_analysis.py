@@ -5,8 +5,34 @@ import pytest
 from repro.analysis import report as rpt
 from repro.analysis.pipeline_trace import figure2_example, render_trace
 from repro.core import presets
+from repro.core.simulator import simulate
+from repro.core.sm import StreamingMultiprocessor
+from repro.functional.memory import MemoryImage
+from repro.isa.builder import KernelBuilder
 from repro.timing.config import SMConfig
 from repro.timing.stats import Stats
+
+
+def _one_warp(threads, diverge=False):
+    """(kernel, memory) of a one-CTA store kernel: ``mov, mul, st,
+    exit``, behind an odd/even if/else when ``diverge``."""
+    kb = KernelBuilder("onewarp")
+    t, a, p = kb.regs("t", "a", "p")
+    kb.mov(t, kb.tid)
+    if diverge:
+        kb.and_(p, t, 1)
+        kb.bra("odd", cond=p)
+        kb.add(t, t, 10)
+        kb.bra("join")
+        kb.label("odd")
+        kb.add(t, t, 20)
+        kb.label("join")
+    kb.mul(a, kb.tid, 4)
+    kb.st(kb.param(0), t, index=a)
+    kb.exit_()
+    memory = MemoryImage()
+    out = memory.alloc(threads * 4)
+    return kb.build(cta_size=threads, grid_size=1, params=(out,)), memory
 
 
 class TestPresets:
@@ -32,7 +58,7 @@ class TestPresets:
 
     def test_sbi_swi_combination(self):
         c = presets.sbi_swi()
-        assert c.uses_sbi and c.uses_swi
+        assert c.uses_sbi
         assert c.mad_group_count == 1
 
     def test_baseline_two_mad_groups(self):
@@ -44,7 +70,7 @@ class TestPresets:
         assert c.dram_bandwidth == 10.0 and c.dram_latency == 330
 
     def test_by_name_and_overrides(self):
-        c = presets.by_name("swi", ways=3)
+        c = presets.by_name("swi", swi_ways=3)
         assert c.swi_ways == 3
         with pytest.raises(ValueError):
             presets.by_name("nope")
@@ -80,24 +106,43 @@ class TestStats:
         assert Stats().l1_hit_rate == 0.0
         assert Stats().avg_active_threads == 0.0
 
-    def test_record_issue_origins(self):
-        s = Stats()
-        s.record_issue("mad", 32, "primary")
-        s.record_issue("lsu", 16, "sbi")
-        s.record_issue("sfu", 8, "swi")
-        assert s.instructions_issued == 3
-        assert s.thread_instructions == 56
-        assert (s.issued_primary, s.issued_sbi_secondary, s.issued_swi_secondary) == (1, 1, 1)
-        assert s.per_op_class == {"mad": 32, "lsu": 16, "sfu": 8}
+    def test_issue_origins(self):
+        """Issue accounting on the path production runs (``SM.issue``):
+        one partial warp, so every count is known in closed form."""
+        stats = simulate(*_one_warp(threads=24), presets.baseline())
+        assert stats.instructions_issued == 4
+        assert stats.thread_instructions == 4 * 24
+        assert (
+            stats.issued_primary,
+            stats.issued_sbi_secondary,
+            stats.issued_swi_secondary,
+        ) == (4, 0, 0)
+        assert stats.per_op_class == {"mad": 48, "lsu": 24, "ctrl": 24}
+        # One diverged 64-wide warp on SBI: its CPC2 co-issues, and
+        # every issue is booked under exactly one origin.
+        stats = simulate(*_one_warp(threads=64, diverge=True), presets.sbi())
+        assert stats.issued_sbi_secondary > 0 and stats.issued_swi_secondary == 0
+        assert (
+            stats.issued_primary + stats.issued_sbi_secondary
+            == stats.instructions_issued
+        )
+        assert sum(stats.per_op_class.values()) == stats.thread_instructions
 
     def test_bad_origin(self):
-        with pytest.raises(ValueError):
-            Stats().record_issue("mad", 1, "bogus")
+        class Mislabelled(StreamingMultiprocessor):
+            __slots__ = ()
+
+            def issue(self, warp, slot, split, entry, now, origin, group):
+                return super().issue(warp, slot, split, entry, now, "bogus", group)
+
+        with pytest.raises(ValueError, match="bogus"):
+            Mislabelled(*_one_warp(threads=24), presets.baseline()).run()
 
     def test_summary_renders(self):
         s = Stats()
         s.cycles = 100
-        s.record_issue("mad", 32, "primary")
+        s.instructions_issued = 1
+        s.thread_instructions = 32
         text = s.summary()
         assert "IPC" in text and "cycles" in text
 

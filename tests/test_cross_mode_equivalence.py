@@ -114,9 +114,9 @@ CONFIGS = {
     "baseline": lambda: _small(presets.baseline()),
     "warp64": lambda: _small(presets.warp64()),
     "sbi": lambda: _small(presets.sbi()),
-    "sbi_nc": lambda: _small(presets.sbi(constraints=False)),
+    "sbi_nc": lambda: _small(presets.sbi(sbi_constraints=False)),
     "swi": lambda: _small(presets.swi()),
-    "swi_dm": lambda: _small(presets.swi(ways=1, lane_shuffle="xor")),
+    "swi_dm": lambda: _small(presets.swi(swi_ways=1, lane_shuffle="xor")),
     "sbi_swi": lambda: _small(presets.sbi_swi()),
 }
 

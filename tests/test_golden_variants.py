@@ -54,7 +54,7 @@ def golden_variants_text():
         for tag, (policy, overrides) in VARIANTS.items():
             inst = get_workload(workload, "tiny")
             stats = simulate(
-                inst.kernel, inst.memory, presets.from_policy(policy, **overrides)
+                inst.kernel, inst.memory, presets.by_name(policy, **overrides)
             )
             cells["%s/%s" % (workload, tag)] = stats.to_dict()
     return json.dumps(cells, indent=1, sort_keys=True) + "\n"

@@ -307,7 +307,7 @@ class TestFinishedRunsFreeTheirMemory:
             with pytest.raises(SimulationError):
                 simulate_device(
                     inst.kernel, inst.memory,
-                    presets.device("baseline", sm_count=2, sm_overrides=dict(max_cycles=5)),
+                    presets.device("baseline", sm_count=2, sm=presets.baseline(max_cycles=5)),
                 )
             del inst
             assert alive() is None

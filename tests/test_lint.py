@@ -78,6 +78,15 @@ def test_alloc_in_plan_ignores_compile_time_allocation():
     assert report.violations[0].line == 11
 
 
+def test_observer_vocabulary_reads_what_the_live_emit_sites_are_handed():
+    # The bare compare, then the origin a scheduler hands ``sm.issue``
+    # / an aggregator hands ``IssueEvent`` — the calls production makes.
+    report = lint_one(BAD, "repro/core/schedulers.py", "observer-vocabulary")
+    assert [v.line for v in report.violations] == [7, 8]
+    report = lint_one(BAD, "repro/analytics/aggregator.py", "observer-vocabulary")
+    assert [v.line for v in report.violations] == [8, 13]
+
+
 def test_wake_site_discipline_flags_each_seeded_write():
     report = lint_one(BAD, "repro/core/wake.py", "wake-site-discipline")
     # Also: a `tick` outside any scheduler, the retired `_probe` site, and a

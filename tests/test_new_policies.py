@@ -76,7 +76,7 @@ class TestDWRModel:
     FULL = (1 << 64) - 1
 
     def _model(self):
-        return DWRModel(self.FULL, list(range(self.WIDTH)), subwarp_width=32)
+        return DWRModel(self.FULL, list(range(self.WIDTH)))
 
     def test_subdivides_on_divergence(self):
         model = self._model()

@@ -132,7 +132,7 @@ class TestModeResolution:
         for mode in presets.FIGURE7_CONFIGS:
             spec = POLICIES.get(mode)
             by_string = presets.by_name(mode)
-            by_spec = presets.from_policy(mode).replace(mode=spec)
+            by_spec = presets.by_name(mode).replace(mode=spec)
             assert by_spec.mode == mode  # normalised back to the string
             assert by_spec == by_string
             assert config_key(by_spec) == config_key(by_string)
@@ -145,7 +145,6 @@ class TestModeResolution:
             name="scratch_mode",
             scheduler="single_issue",
             divergence="frontier",
-            issue_width=1,
         )
         scratch_names.append((POLICIES, "scratch_mode"))
         cfg = SMConfig(mode=spec, warp_count=16, warp_width=64)
@@ -155,7 +154,7 @@ class TestModeResolution:
 
     def test_conflicting_spec_name_rejected(self):
         clash = PolicySpec(name="baseline", scheduler="single_issue",
-                           divergence="frontier", issue_width=1)
+                           divergence="frontier")
         with pytest.raises(DuplicateNameError, match="different spec"):
             coerce_policy(clash)
 
@@ -169,7 +168,6 @@ class TestModeResolution:
                 name="scratch_typo",
                 scheduler="single_issue",
                 divergence="frontier",
-                issue_width=1,
                 preset=dict(warp_cnt=16),
             )
         with pytest.raises(ValueError, match="implied by the spec name"):
@@ -177,9 +175,66 @@ class TestModeResolution:
                 name="scratch_mode_key",
                 scheduler="single_issue",
                 divergence="frontier",
-                issue_width=1,
                 preset=dict(mode="baseline"),
             )
+
+
+class TestCapabilitiesComeFromTheClasses:
+    """A policy is a scheduler, a divergence model and a preset: what
+    the pipeline needs to know about the pair it reads off the two
+    registered classes, so no spec can declare it wrong."""
+
+    def test_spec_fields(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(PolicySpec)] == [
+            "name", "scheduler", "divergence", "description", "preset",
+        ]
+
+    @pytest.mark.parametrize("name", POLICIES.names())
+    def test_three_fields_rebuild_the_builtin_machine(self, name, scratch_names):
+        """At a46657d only ``baseline`` passed.  ``sbi_swi`` is README's
+        ``divergence=... # or "sbi_heap"`` followed to the letter: the
+        flagless spec got one fetch way, no CPC2 attempt (mandelbrot
+        1 074 cycles for the built-in's 1 072, bfs 9 219 for 9 214) and
+        a peak IPC of 128 for 104."""
+        from repro.core.sm import StreamingMultiprocessor
+
+        builtin = POLICIES.get(name)
+        rebuilt = register_policy(
+            PolicySpec(
+                name="scratch_" + name,
+                scheduler=builtin.scheduler,
+                divergence=builtin.divergence,
+                preset=builtin.preset,
+            )
+        )
+        scratch_names.append((POLICIES, rebuilt.name))
+        ours, theirs = presets.by_name(rebuilt.name), presets.by_name(name)
+        for read in ("issue_width", "peak_ipc", "uses_sbi"):
+            assert getattr(ours, read) == getattr(theirs, read), read
+        for workload in ("mandelbrot", "bfs", "tmd2"):
+            a, b = get_workload(workload, "tiny"), get_workload(workload, "tiny")
+            sm_a = StreamingMultiprocessor(a.kernel, a.memory, ours)
+            sm_b = StreamingMultiprocessor(b.kernel, b.memory, theirs)
+            assert sm_a.fetch.hot_capacity == sm_b.fetch.hot_capacity
+            assert sm_a.run().to_dict() == sm_b.run().to_dict(), workload
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["issue_width", "hot_capacity", "uses_sbi", "uses_swi", "two_pools",
+         "unit_bound_peak"],
+    )
+    def test_a_declared_capability_is_a_type_error(self, flag):
+        with pytest.raises(TypeError, match=flag):
+            PolicySpec(name="scratch_flag", scheduler="cascaded",
+                       divergence="frontier", **{flag: 1})
+
+    def test_every_divergence_entry_is_a_model_class(self):
+        from repro.timing.divergence import DivergenceModel
+
+        for name, model in DIVERGENCE.items():
+            assert issubclass(model, DivergenceModel), name
 
 
 class TestCustomPolicyEndToEnd:
@@ -201,8 +256,6 @@ class TestCustomPolicyEndToEnd:
                 name="scratch_swi",
                 scheduler="scratch_narrowest",
                 divergence="frontier",
-                uses_swi=True,
-                unit_bound_peak=True,
                 preset=dict(
                     warp_count=16, warp_width=64, scheduler_latency=2,
                     delivery_latency=1, lane_shuffle="xor_rev",
@@ -211,6 +264,8 @@ class TestCustomPolicyEndToEnd:
         )
         scratch_names.append((POLICIES, "scratch_swi"))
         config = presets.by_name("scratch_swi")
+        # Inherited from CascadedScheduler, not declared on the spec.
+        assert (config.issue_width, config.peak_ipc) == (2, 104.0)
 
         # Imbalanced per-thread trip counts: the SWI-favourite shape
         # (same kernel as test_schedulers uses for lane filling).
@@ -245,7 +300,6 @@ class TestCustomPolicyEndToEnd:
                 name="scratch_w64",
                 scheduler="single_issue",
                 divergence="frontier",
-                issue_width=1,
                 preset=dict(warp_count=16, warp_width=64),
             )
         )

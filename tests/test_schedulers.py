@@ -127,7 +127,7 @@ class TestSWI:
 
     def test_direct_mapped_not_faster_than_full(self):
         full = _run(_imbalanced(), presets.swi())
-        direct = _run(_imbalanced(), presets.swi(ways=1))
+        direct = _run(_imbalanced(), presets.swi(swi_ways=1))
         assert direct.swi_hits <= full.swi_hits
 
     def test_swi_beats_warp64_on_imbalance(self):
@@ -457,7 +457,7 @@ class TestSecondaryPickOracle:
             checked["busy"] += sched.busy_class_candidates
             return got
 
-        config = presets.from_policy(policy, **overrides)
+        config = presets.by_name(policy, **overrides)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CascadedScheduler, "_pick_secondary", pick_secondary)
             for workload in ("eigenvalues", "matrixmul"):

@@ -254,7 +254,6 @@ class TestSameBytes:
                 name="scratch_served_w64",
                 scheduler="single_issue",
                 divergence="frontier",
-                issue_width=1,
                 preset=dict(warp_count=16, warp_width=64),
             )
         )
