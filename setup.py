@@ -18,12 +18,8 @@ setup(
     ),
     packages=find_packages("src"),
     package_dir={"": "src"},
-    package_data={
-        # PEP 561: the package ships inline type annotations.
-        "repro": ["py.typed"],
-        # Committed config-schema fingerprint read by `repro lint`.
-        "repro.lint": ["data/*.json"],
-    },
+    # PEP 561: the package ships inline type annotations.
+    package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
     entry_points={"console_scripts": ["repro=repro.cli:main"]},

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.policy import OBSERVERS, Observer
-from repro.core.sm import StreamingMultiprocessor
+from repro.core.simulator import simulate
 from repro.functional.memory import MemoryImage
 from repro.isa.builder import Kernel, KernelBuilder
 from repro.timing.config import SMConfig
@@ -44,8 +44,7 @@ def trace_kernel(
 ) -> Tuple[Stats, List[IssueEvent]]:
     """Run a kernel and capture every instruction issue."""
     trace = IssueTrace()
-    sm = StreamingMultiprocessor(kernel, memory, config, observers=[trace])
-    stats = sm.run()
+    stats = simulate(kernel, memory, config, observers=[trace])
     return stats, trace.events
 
 

@@ -192,6 +192,14 @@ def _enter_worker(plugins: Tuple[str, ...]) -> None:
     _worker_init(plugins)
 
 
+def _check_jobs(jobs: Optional[int]) -> None:
+    if jobs is not None and (type(jobs) is not int or jobs < 1):
+        raise ValueError(
+            "jobs must be None (one worker per core) or an integer >= 1, "
+            "got %r" % (jobs,)
+        )
+
+
 def worker_pool(
     jobs: Optional[int], plugins: Tuple[str, ...] = ()
 ) -> ProcessPoolExecutor:
@@ -200,11 +208,7 @@ def worker_pool(
     daemon alike.  ``jobs`` is taken as given: None is one worker per
     core, ``n >= 1`` is n.  Workers follow their parent down within
     about :data:`PARENT_POLL_S` however it dies."""
-    if jobs is not None and (type(jobs) is not int or jobs < 1):
-        raise ValueError(
-            "jobs must be None (one worker per core) or an integer >= 1, "
-            "got %r" % (jobs,)
-        )
+    _check_jobs(jobs)
     return ProcessPoolExecutor(
         max_workers=jobs, initializer=_enter_worker, initargs=(plugins,)
     )
@@ -237,6 +241,7 @@ class Engine:
         simulate_fn=None,
         simulate_device_fn=None,
     ):
+        _check_jobs(jobs)
         if backend is None:
             if server is not None:
                 backend = "remote"
@@ -483,8 +488,6 @@ class Engine:
                 yield key, cell, exc, False, None
                 continue
             if observers:
-                for obs in observers.values():
-                    obs.finalize(stats)
                 self.observations[
                     (cell.workload, cell.size, cell.config_name)
                 ] = observers

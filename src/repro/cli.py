@@ -17,6 +17,7 @@ Subcommands::
     repro serve     [--host H] [--port P] [--store DIR] [--workers N]
                     [--queue-limit N] [--journal PATH] [--resume]
                     [--fault-plan SPEC | --fault-seed N]
+    repro lint      [PATH ...] [--rule ID] [--json] [--list-rules]
 
 Tables go to stdout; a one-line cell accounting (``# N cells: M
 simulated, K cached``) goes to stderr so scripted runs can assert a
@@ -151,8 +152,18 @@ def _observer_text(observer) -> str:
     return render() if callable(render) else repr(observer)
 
 
+def _check_output_dirs(*outputs) -> None:
+    """Refuse a ``(flag, path)`` whose directory is missing — before
+    the first cell runs, not after the last one."""
+    for flag, path in outputs:
+        directory = os.path.dirname(path or "") or "."
+        if not os.path.isdir(directory):
+            raise ValueError("%s %s: no such directory %r" % (flag, path, directory))
+
+
 def _run_spec(spec: SweepSpec, args) -> int:
     _validate_metric(spec, args.metric)
+    _check_output_dirs(("--save", args.save), ("--output", args.output))
     counts = {"simulated": 0, "cached": 0, "failed": 0}
     # Remote-cell provenance: "store" hits and "coalesced" rides are
     # cached, "fallback" cells were simulated inline by a degraded
@@ -354,6 +365,9 @@ def _cmd_analyze(args) -> int:
     names = [n.strip() for n in args.observers.split(",") if n.strip()]
     if not names:
         raise ValueError("--observers needs at least one observer name")
+    if args.sm_count < 1:
+        raise ValueError("--sm-count must be >= 1, got %d" % args.sm_count)
+    _check_output_dirs(("--json", args.json))
     if args.sm_count > 1:
         config = presets.device(args.config, sm_count=args.sm_count)
     else:
@@ -420,7 +434,14 @@ def _cmd_analyze(args) -> int:
 def _cmd_merge(args) -> int:
     merged = ResultSet()
     for path in args.inputs:
-        rs = ResultSet.from_json(path)
+        try:
+            rs = ResultSet.from_json(path)
+        except KeyError as exc:
+            raise ValueError(
+                "%s: no field %s (not a `repro sweep --save` artifact)" % (path, exc)
+            ) from None
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
         merged = merged.merge(rs, on_conflict=args.on_conflict)
     print(
         "# merged %d files -> %d cells%s"
@@ -542,8 +563,6 @@ def _cmd_serve(args) -> int:
         store_dir=args.store,
         workers=args.workers,
         queue_limit=args.queue_limit,
-        retry_after=args.retry_after,
-        heartbeat=args.heartbeat,
         journal_path=args.journal,
         resume=args.resume,
         fault_plan=fault_plan,
@@ -579,14 +598,22 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.lint import LintError
-    from repro.lint.runner import run_from_args
+    # Imported here: the rule modules (and the service constants the
+    # vocabulary rules read) load for `repro lint` only.
+    from repro.lint import runner
 
-    try:
-        return run_from_args(args)
-    except LintError as exc:
-        print("lint error: %s" % exc, file=sys.stderr)
-        return 2
+    if args.list_rules:
+        print(runner.list_rules())
+        return 0
+    report = runner.run_lint(
+        args.paths or runner.default_paths(),
+        rule_ids=frozenset(args.rule) if args.rule else None,
+    )
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
+    else:
+        print(report.format())
+    return 0 if report.ok else 1
 
 
 # ----------------------------------------------------------------------
@@ -859,18 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max queued simulations before 429 back-pressure",
     )
     p.add_argument(
-        "--retry-after",
-        type=float,
-        default=1.0,
-        help="Retry-After seconds sent with 429 responses",
-    )
-    p.add_argument(
-        "--heartbeat",
-        type=float,
-        default=5.0,
-        help="progress-stream heartbeat interval in seconds",
-    )
-    p.add_argument(
         "--journal",
         default=None,
         metavar="PATH",
@@ -902,9 +917,25 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="determinism & invariant static analysis over the source tree",
     )
-    from repro.lint.runner import add_arguments as _add_lint_arguments
-
-    _add_lint_arguments(p)
+    p.add_argument(
+        "paths",
+        nargs="*",
+        help="files or directories to lint (default: the installed "
+        "repro package)",
+    )
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+    p.add_argument(
+        "--rule",
+        action="append",
+        default=None,
+        metavar="ID",
+        help="run only this rule (repeatable)",
+    )
+    p.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="describe every rule and exit",
+    )
     p.set_defaults(fn=_cmd_lint)
     return parser
 
@@ -915,15 +946,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, RemoteError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # stdout closed early (`repro ... | head`); not an error, but
         # Python prints a traceback at shutdown unless the fd is
         # parked on devnull first.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except (ValueError, KeyError, RemoteError, OSError) as exc:
+        # OSError: a missing file, a port that is taken or out of range
+        # — the operating system's refusals are usage errors too.
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -229,7 +229,8 @@ def simulate_device(
     ``memory`` is mutated, exactly as with :func:`simulate`; with the
     default ``GPUConfig()`` (one SM, no L2) the run is cycle-identical
     to ``simulate(kernel, memory, config.sm)``.  ``observers`` attaches
-    cycle-level listeners to every SM (and to the shared L2).
+    cycle-level listeners to every SM (and to the shared L2), finalized
+    with the device stats before the run returns.
     ``engine`` accepts only ``"reference"`` (see :func:`check_engine`)
     and is checked before the device is built.
     """
@@ -238,10 +239,13 @@ def simulate_device(
         config = GPUConfig()
     device = GPUDevice(kernel, memory, config, observers=observers)
     try:
-        return device.run()
+        stats = device.run()
     finally:
         for sm in device.sms:  # break the cycles, as ``simulate`` does
             del sm.scheduler
+    for observer in device.observers:
+        observer.finalize(stats)
+    return stats
 
 
 __all__ = ["CTADispatcher", "GPUDevice", "simulate_device"]

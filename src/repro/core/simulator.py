@@ -32,7 +32,8 @@ def simulate(
     :meth:`MemoryImage.read_array`.  The functional outcome is
     identical for every configuration; only the timing differs.
     ``observers`` attaches cycle-level listeners
-    (:class:`repro.core.policy.Observer`), which never affect timing.
+    (:class:`repro.core.policy.Observer`), which never affect timing
+    and are finalized with the run's stats before it returns.
     ``compiled=False`` selects the reference interpreter instead of
     the compiled instruction plans — same stats, slower; it exists for
     differential testing.  ``engine`` accepts only ``"reference"``
@@ -45,11 +46,14 @@ def simulate(
         kernel, memory, config, observers=observers, compiled=compiled
     )
     try:
-        return sm.run()
+        stats = sm.run()
     finally:
         # SM <-> scheduler is a reference cycle: unbroken, ``memory``
         # waits for a GC pass instead of going with its last reference.
         del sm.scheduler
+    for observer in sm.observers:
+        observer.finalize(stats)
+    return stats
 
 
 __all__ = ["simulate", "simulate_device", "SimulationError"]

@@ -1,11 +1,10 @@
 """Core of the lint pass: rules, violations, suppression.
 
-A :class:`Rule` inspects one parsed file (:meth:`Rule.check_file`)
-and/or the whole project once (:meth:`Rule.check_project`) and yields
-:class:`Violation` records.  Rules register themselves in :data:`RULES`
-— the same write-once :class:`~repro.core.policy.registry.Registry`
-machinery the simulator's policies use — so third-party checks plug in
-without touching the runner.
+A :class:`Rule` inspects one parsed file (:meth:`Rule.check_file`) and
+yields :class:`Violation` records: what it reports is a function of the
+source it was handed and nothing else.  Each rule module lists its
+instances in a module-level ``RULES``; :mod:`repro.lint.runner`
+concatenates them.
 
 Suppression is inline and always per rule: ``# repro-lint:
 disable=<id>[,<id>...]`` (or ``disable=all``) on the flagged line or
@@ -22,14 +21,12 @@ from dataclasses import asdict, dataclass, field
 from fnmatch import fnmatch
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.policy.registry import Registry
-
 #: ``# repro-lint: disable=slots,wall-clock`` (whitespace-tolerant).
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
 
-class LintError(Exception):
-    """The lint pass itself failed (bad path, unparseable config...)."""
+class LintError(ValueError):
+    """The lint pass itself failed (bad path, unknown rule id...)."""
 
 
 @dataclass(frozen=True)
@@ -59,25 +56,14 @@ class Violation:
         return asdict(self)
 
 
-@dataclass
-class RuleContext:
-    """Project-wide facts shared by every rule invocation."""
-
-    #: Paths the runner is checking (as given, normalised separators).
-    paths: List[str] = field(default_factory=list)
-    #: ``--update-fingerprint`` reruns write the fingerprint instead of
-    #: comparing it (rules other than the fingerprint rule ignore this).
-    update_fingerprint: bool = False
-
-
 class Rule:
     """Base class for one lint rule.
 
     Subclasses set :attr:`id` (kebab-case slug, the suppression key),
     :attr:`category`, :attr:`description` and :attr:`hint`, and
-    override :meth:`check_file` and/or :meth:`check_project`.  File
-    scope is declared with :attr:`include`/:attr:`exclude` glob
-    patterns matched against ``/``-normalised paths.
+    override :meth:`check_file`.  File scope is declared with
+    :attr:`include`/:attr:`exclude` glob patterns matched against
+    ``/``-normalised paths.
     """
 
     id: str = ""
@@ -99,19 +85,11 @@ class Rule:
             return False
         return not any(_match(norm, pat) for pat in self.exclude)
 
-    # -- hooks ----------------------------------------------------------
-
     def check_file(
         self, path: str, tree: ast.AST, source: str
     ) -> Iterator[Violation]:
         """Yield findings for one parsed file."""
         return iter(())
-
-    def check_project(self, ctx: RuleContext) -> Iterator[Violation]:
-        """Yield findings computed once per run (schema checks...)."""
-        return iter(())
-
-    # -- helpers --------------------------------------------------------
 
     def violation(
         self,
@@ -143,22 +121,6 @@ def _match(path: str, pattern: str) -> bool:
     return any(
         fnmatch("/".join(parts[i:]), pattern) for i in range(1, len(parts))
     )
-
-
-#: The rule registry: id -> Rule instance.
-RULES: Registry = Registry("lint rule")
-
-
-def register_rule(rule: Rule) -> Rule:
-    """Register a rule instance under its :attr:`Rule.id`."""
-    if not rule.id:
-        raise LintError("rule %r has no id" % type(rule).__name__)
-    RULES.register(rule.id, rule)
-    return rule
-
-
-def all_rules() -> List[Rule]:
-    return [rule for _, rule in RULES.items()]
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +167,8 @@ class LintReport:
     violations: List[Violation] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
+    #: Every rule the runner knows (described in the JSON report).
+    rules: Sequence[Rule] = ()
 
     @property
     def ok(self) -> bool:
@@ -227,7 +191,7 @@ class LintReport:
                     "category": rule.category,
                     "description": rule.description,
                 }
-                for rule in all_rules()
+                for rule in self.rules
             },
             "violations": [v.to_dict() for v in self.violations],
         }

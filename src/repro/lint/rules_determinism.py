@@ -8,16 +8,10 @@ of processes, any ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.lint.config import CACHE_KEY_FILES, SIMULATION_FILES
-from repro.lint.framework import (
-    Rule,
-    Violation,
-    call_name,
-    dotted_name,
-    register_rule,
-)
+from repro.lint.framework import Rule, Violation, call_name
 
 #: Any file under the package itself (src layout or installed).
 REPRO_ALL: Tuple[str, ...] = (
@@ -317,8 +311,10 @@ class FloatDictKeyRule(Rule):
                         )
 
 
-register_rule(UnseededRandomRule())
-register_rule(WallClockRule())
-register_rule(SetIterationRule())
-register_rule(IdKeyedRule())
-register_rule(FloatDictKeyRule())
+RULES = [
+    UnseededRandomRule(),
+    WallClockRule(),
+    SetIterationRule(),
+    IdKeyedRule(),
+    FloatDictKeyRule(),
+]

@@ -2,15 +2,14 @@
 
 The cycle-loop engine issues millions of instructions per run; the
 rules here keep its per-cycle objects slotted (no per-instance
-``__dict__``), its compiled-plan closures allocation-light, slotted
-classes honest about their attribute sets, and every warp wake going
-through one door.
+``__dict__``), its compiled-plan closures allocation-light, and every
+warp wake going through one door.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Iterator, List, Sequence
 
 from repro.lint.config import HOT_PATH_FILES
 from repro.lint.framework import (
@@ -21,7 +20,6 @@ from repro.lint.framework import (
     dotted_name,
     enclosing_functions,
     is_dataclass_decorated,
-    register_rule,
 )
 
 #: Base classes whose subclasses are exempt from the slots requirement
@@ -186,100 +184,6 @@ class AllocInPlanRule(Rule):
                 )
 
 
-class SlottedAttrCreationRule(Rule):
-    """No attribute creation outside ``__slots__`` on slotted classes.
-
-    Same-file analysis: for every class with a literal ``__slots__``,
-    any ``self.<name> = ...`` where ``<name>`` is neither a slot (of
-    the class or a same-file base) nor a class-level attribute would
-    raise ``AttributeError`` at runtime — flag it at diff time.
-    """
-
-    id = "slotted-attr-creation"
-    category = "hot-path"
-    description = (
-        "assigning an attribute that is not in __slots__ (or a base's) "
-        "raises AttributeError at runtime; slots declarations and "
-        "attribute writes must stay in sync"
-    )
-    hint = "add the attribute name to __slots__"
-    include = HOT_PATH_FILES + ("repro/functional/*.py", "repro/core/*.py")
-
-    def check_file(
-        self, path: str, tree: ast.AST, source: str
-    ) -> Iterator[Violation]:
-        classes: Dict[str, ast.ClassDef] = {
-            node.name: node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-        }
-
-        def allowed_names(cls: ast.ClassDef, seen: Set[str]) -> Optional[Set[str]]:
-            """Slot + class-attr names, or None when layout is opaque."""
-            if cls.name in seen:
-                return set()
-            seen.add(cls.name)
-            slots = class_slots(cls)
-            if slots is None or (slots == [] and not _slots_literal(cls)):
-                return None
-            names: Set[str] = set(slots)
-            for stmt in cls.body:
-                if isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            names.add(target.id)
-                elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    names.add(stmt.target.id)
-            for base in cls.bases:
-                base_name = dotted_name(base)
-                short = base_name.split(".")[-1] if base_name else ""
-                if short in classes:
-                    inherited = allowed_names(classes[short], seen)
-                    if inherited is None:
-                        return None  # opaque base: give up on the chain
-                    names |= inherited
-                elif short not in ("object",):
-                    return None  # unknown base may carry __dict__/slots
-            return names
-
-        def _slots_literal(cls: ast.ClassDef) -> bool:
-            return class_slots(cls) is not None
-
-        for cls in classes.values():
-            is_dc, dc_slots = is_dataclass_decorated(cls)
-            if is_dc:
-                continue  # field set is the dataclass's business
-            names = allowed_names(cls, set())
-            if names is None:
-                continue
-            for node in ast.walk(cls):
-                if isinstance(node, ast.ClassDef) and node is not cls:
-                    continue
-                targets: Sequence[ast.AST] = ()
-                if isinstance(node, ast.Assign):
-                    targets = node.targets
-                elif isinstance(node, ast.AnnAssign):
-                    targets = (node.target,)
-                elif isinstance(node, ast.AugAssign):
-                    targets = ()  # augmented writes need the attr to exist
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and target.attr not in names
-                    ):
-                        yield self.violation(
-                            path,
-                            target,
-                            "self.%s assigned on slotted class %r but "
-                            "missing from its __slots__"
-                            % (target.attr, cls.name),
-                        )
-
-
 #: A ``TimingWarp``'s wake state: the ready set's and the fetch
 #: engine's per-warp verdicts, plus the per-slot stall memos they
 #: replaced (a write to one of those is a hand-kept memo coming back).
@@ -366,8 +270,9 @@ class WakeSiteDisciplineRule(Rule):
         yield from walk(tree, frozenset(), "")
 
 
-register_rule(HotPathSlotsRule())
-register_rule(ErrstateInPlanRule())
-register_rule(AllocInPlanRule())
-register_rule(SlottedAttrCreationRule())
-register_rule(WakeSiteDisciplineRule())
+RULES = [
+    HotPathSlotsRule(),
+    ErrstateInPlanRule(),
+    AllocInPlanRule(),
+    WakeSiteDisciplineRule(),
+]

@@ -15,20 +15,12 @@ import ast
 from typing import FrozenSet, Iterator, Tuple
 
 from repro.core.policy.events import VOCABULARY
-from repro.lint.framework import (
-    Rule,
-    Violation,
-    call_name,
-    dotted_name,
-    register_rule,
-)
+from repro.lint.framework import Rule, Violation, call_name, dotted_name
 from repro.service.faults import FAULT_KINDS, SITES
 from repro.service.protocol import VOCABULARY as PROTOCOL_VOCABULARY
 
 #: Registry singletons writes must go through the Registry API.
-_REGISTRY_NAMES = frozenset(
-    {"SCHEDULERS", "DIVERGENCE", "POLICIES", "OBSERVERS", "RULES"}
-)
+_REGISTRY_NAMES = frozenset({"SCHEDULERS", "DIVERGENCE", "POLICIES", "OBSERVERS"})
 
 #: Call sites where an event/origin/level name argument is expected.
 _VOCAB_CALLEES = frozenset({"issue", "IssueEvent", "MemEvent", "_record"})
@@ -212,7 +204,9 @@ class RegistryDisciplineRule(Rule):
                         )
 
 
-register_rule(ObserverVocabularyRule())
-register_rule(ProtocolVocabularyRule())
-register_rule(FaultVocabularyRule())
-register_rule(RegistryDisciplineRule())
+RULES = [
+    ObserverVocabularyRule(),
+    ProtocolVocabularyRule(),
+    FaultVocabularyRule(),
+    RegistryDisciplineRule(),
+]

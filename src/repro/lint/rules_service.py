@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List
 
-from repro.lint.framework import Rule, Violation, register_rule
+from repro.lint.framework import Rule, Violation
 
 #: Files under service discipline (the whole service package).
 _SERVICE_FILES = ("repro/service/*.py",)
@@ -98,4 +98,4 @@ class ServiceRetryBoundedRule(Rule):
                     return
 
 
-register_rule(ServiceRetryBoundedRule())
+RULES = [ServiceRetryBoundedRule()]

@@ -1,27 +1,38 @@
-"""File collection, rule execution and the ``repro lint`` entry point.
+"""File collection and rule execution behind ``repro lint``.
 
-Exit codes: 0 — clean, 1 — violations found, 2 — the lint pass itself
-failed (unreadable path, broken rule, ...).  Files that do not parse
-are reported as ``syntax-error`` findings rather than aborting the run.
+Exit codes of the command: 0 — clean, 1 — violations found, 2 — the
+lint pass itself failed (unreadable path, unknown rule id, ...).  Files
+that do not parse are reported as ``syntax-error`` findings rather than
+aborting the run.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
 import os
-import sys
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import FrozenSet, List, Optional, Sequence
 
+from repro.lint import (
+    rules_determinism,
+    rules_hotpath,
+    rules_registry,
+    rules_service,
+)
 from repro.lint.framework import (
     LintError,
     LintReport,
-    RuleContext,
+    Rule,
     Violation,
-    all_rules,
     is_suppressed,
     suppressed_lines,
+)
+
+#: Every rule ``repro lint`` runs.
+RULES: List[Rule] = (
+    rules_determinism.RULES
+    + rules_hotpath.RULES
+    + rules_registry.RULES
+    + rules_service.RULES
 )
 
 _SKIP_DIRS = frozenset({"__pycache__", "build", "dist", ".git", ".pytest_cache"})
@@ -50,20 +61,23 @@ def collect_files(paths: Sequence[str]) -> List[str]:
 
 
 def run_lint(
-    paths: Sequence[str],
-    update_fingerprint: bool = False,
-    rule_ids: Optional[FrozenSet[str]] = None,
+    paths: Sequence[str], rule_ids: Optional[FrozenSet[str]] = None
 ) -> LintReport:
-    """Run every registered rule over ``paths`` and build a report.
+    """Run every rule over the ``.py`` files under ``paths``.
 
-    ``rule_ids`` restricts the pass to a subset (``--rule``); project
-    rules run once regardless of how many files matched.
+    ``rule_ids`` restricts the pass to a subset (``--rule``).  The
+    report is a function of those files' source and nothing else.
     """
+    if rule_ids is not None:
+        unknown = sorted(rule_ids - {r.id for r in RULES})
+        if unknown:
+            raise LintError(
+                "unknown rule id(s) %s; see --list-rules"
+                % ", ".join(repr(u) for u in unknown)
+            )
     files = collect_files(paths)
-    rules = [
-        r for r in all_rules() if rule_ids is None or r.id in rule_ids
-    ]
-    report = LintReport(files_checked=len(files))
+    rules = [r for r in RULES if rule_ids is None or r.id in rule_ids]
+    report = LintReport(files_checked=len(files), rules=RULES)
     for path in files:
         norm = path.replace("\\", "/")
         try:
@@ -93,13 +107,6 @@ def run_lint(
                     report.suppressed += 1
                 else:
                     report.violations.append(violation)
-    ctx = RuleContext(
-        paths=[p.replace("\\", "/") for p in files],
-        update_fingerprint=update_fingerprint,
-    )
-    for rule in rules:
-        # Project findings have no source line to carry a suppression.
-        report.violations.extend(rule.check_project(ctx))
     report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return report
 
@@ -111,93 +118,9 @@ def default_paths() -> List[str]:
 
 def list_rules() -> str:
     lines = []
-    for rule in sorted(all_rules(), key=lambda r: (r.category, r.id)):
+    for rule in sorted(RULES, key=lambda r: (r.category, r.id)):
         lines.append("%-24s [%s]" % (rule.id, rule.category))
         lines.append("    %s" % rule.description)
         if rule.hint:
             lines.append("    fix: %s" % rule.hint)
     return "\n".join(lines)
-
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """Shared between the standalone entry point and ``repro lint``."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the installed "
-        "repro package)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="machine-readable report"
-    )
-    parser.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="ID",
-        help="run only this rule (repeatable)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="describe every registered rule and exit",
-    )
-    parser.add_argument(
-        "--update-fingerprint",
-        action="store_true",
-        help="regenerate the committed config-schema fingerprint "
-        "(commit the result together with a CACHE_VERSION bump)",
-    )
-
-
-def run_from_args(args: argparse.Namespace) -> int:
-    if args.list_rules:
-        print(list_rules())
-        return 0
-    paths = args.paths or default_paths()
-    rule_ids = frozenset(args.rule) if args.rule else None
-    if rule_ids is not None:
-        known = {r.id for r in all_rules()}
-        unknown = sorted(rule_ids - known)
-        if unknown:
-            raise LintError(
-                "unknown rule id(s) %s; see --list-rules"
-                % ", ".join(repr(u) for u in unknown)
-            )
-    report = run_lint(
-        paths,
-        update_fingerprint=args.update_fingerprint,
-        rule_ids=rule_ids,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
-    else:
-        print(report.format())
-        if args.update_fingerprint:
-            print("config fingerprint updated")
-    return 0 if report.ok else 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="determinism & invariant static analysis for the "
-        "repro simulator",
-    )
-    add_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        return run_from_args(args)
-    except LintError as exc:
-        print("lint error: %s" % exc, file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # stdout closed early (`repro-lint --list-rules | head`); not
-        # an error, but Python would print a traceback at shutdown
-        # unless the fd is parked on devnull first.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

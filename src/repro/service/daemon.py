@@ -1021,4 +1021,10 @@ def make_server(
     )
     if resume:
         service.resume()
-    return ServiceServer((host, port), service, heartbeat=heartbeat)
+    try:
+        return ServiceServer((host, port), service, heartbeat=heartbeat)
+    except (OSError, OverflowError) as exc:
+        # The bind failed (port taken or out of range): the workers are
+        # already forked and the journal open — release both.
+        service.shutdown_gracefully()
+        raise OSError("cannot listen on %s:%s: %s" % (host, port, exc)) from exc

@@ -11,13 +11,3 @@ class PerCycleThing:  # hot-path-slots (no __slots__)
 @dataclass
 class PerCycleRecord:  # hot-path-slots (dataclass without slots=True)
     cycle: int = 0
-
-
-class SlottedThing:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def poke(self):
-        self.extra = 1  # slotted-attr-creation ('extra' not in __slots__)

@@ -4,7 +4,7 @@ import json
 
 
 def config_hash(payload):
-    return json.dumps(payload, sort_keys=True)  # strict: no fallback
+    return json.dumps(payload, sort_keys=True)
 
 
 LATENCY_SCALE = {"1.5": "slow", "2.0": "slower"}  # string keys

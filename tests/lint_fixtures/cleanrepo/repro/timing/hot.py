@@ -19,14 +19,5 @@ class SlottedSub(PerCycleThing):
     __slots__ = ()  # subclass of a slotted base stays slotted
 
 
-class WithClassAttr:
-    __slots__ = ("value",)
-
-    kind = "static"  # class attr, never instance-assigned: fine
-
-    def __init__(self, value):
-        self.value = value
-
-
 class CustomError(ValueError):
     """Exceptions are exempt from the slots requirement."""

@@ -32,8 +32,6 @@ def _run(workload="bfs", size="tiny", mode="sbi_swi", names=("timeline",), bins=
     inst = get_workload(workload, size)
     stats = simulate(inst.kernel, inst.memory, presets.by_name(mode),
                      observers=list(aggs.values()))
-    for agg in aggs.values():
-        agg.finalize(stats)
     return aggs, stats
 
 
@@ -220,6 +218,52 @@ class TestMakeAggregators:
                 make_aggregators(["scratch_binned"], bins=8)
         finally:
             OBSERVERS.unregister("scratch_binned")
+
+
+class TestARunFinalizesItsObservers:
+    """``simulate`` / ``simulate_device`` close their observers: what
+    they hand back is what a bare run loop plus a finalize by hand
+    gives, and what ``Engine(observers=...)`` records."""
+
+    NAMES = ("timeline", "heatmap", "origins")
+
+    @staticmethod
+    def _snapshots(aggs):
+        return {name: agg.snapshot() for name, agg in aggs.items()}
+
+    @pytest.mark.parametrize("sm_count", [1, 2])
+    def test_entry_points_agree_with_a_bare_run_finalized_by_hand(self, sm_count):
+        from repro.core.gpu import GPUDevice
+        from repro.core.sm import StreamingMultiprocessor
+
+        if sm_count == 1:
+            config, run, bare = presets.sbi_swi(), simulate, StreamingMultiprocessor
+        else:
+            config = presets.device("sbi_swi", sm_count=sm_count)
+            run, bare = simulate_device, GPUDevice
+
+        by_hand = make_aggregators(self.NAMES)
+        inst = get_workload("histogram", "tiny")
+        machine = bare(inst.kernel, inst.memory, config, observers=by_hand.values())
+        stats = machine.run()
+        unfinalized = self._snapshots(by_hand)
+        for agg in by_hand.values():
+            agg.finalize(stats)
+        expected = self._snapshots(by_hand)
+        assert expected != unfinalized  # the last bins were still open
+
+        aggs = make_aggregators(self.NAMES)
+        inst = get_workload("histogram", "tiny")
+        stats = run(inst.kernel, inst.memory, config, observers=aggs.values())
+        assert self._snapshots(aggs) == expected
+        for agg in aggs.values():
+            agg.finalize(stats)  # a caller that still does: nothing moves
+        assert self._snapshots(aggs) == expected
+
+        engine = Engine(memo={}, observers=list(self.NAMES))
+        engine.run(SweepSpec(["histogram"], {"c": config}, size="tiny"))
+        (recorded,) = engine.observations.values()
+        assert self._snapshots(recorded) == expected
 
 
 class TestEngineWiring:

@@ -16,7 +16,17 @@ that nothing stored or sent changes.  Held here:
   (``tests/data/golden_store``), which this one must answer from disk
   and verify clean;
 * one machine, one address — the memo key and the content address
-  agree on which configs are the same machine.
+  agree on which configs are the same machine;
+* what an entry holds — the result fields, pinned with the
+  ``CACHE_VERSION`` they were written under.
+
+Two different things move here, and only one needs a version bump.  A
+new config field or a changed default moves every address (every field
+enters every key): the digest pins and the golden store fail with
+:data:`ADDRESS_MOVED`, old entries can no longer be hit, re-pin.  A new
+result field or changed simulator semantics moves no address: old
+entries still answer, wrongly — that is what ``CACHE_VERSION`` is for,
+and :data:`RESULT_SCHEMA` is its pin.
 """
 
 import dataclasses
@@ -54,9 +64,16 @@ from repro.timing.config import (
     GPUConfig,
     SMConfig,
 )
+from repro.timing.stats import DeviceStats, Stats
 from repro.workloads import get_workload
 
 GOLDEN_STORE = os.path.join(os.path.dirname(__file__), "data", "golden_store")
+
+#: The hint every failed address pin and golden-store lookup carries.
+ADDRESS_MOVED = (
+    "the config schema or a default moved every address: re-pin, no "
+    "version bump needed — old entries can no longer be hit"
+)
 
 
 # ----------------------------------------------------------------------
@@ -187,11 +204,11 @@ class TestPinnedAddresses:
     def test_figure7_presets(self):
         assert tuple(PRESET_DIGESTS) == presets.FIGURE7_CONFIGS
         for name, digest in PRESET_DIGESTS.items():
-            assert config_hash(presets.by_name(name)) == digest, name
+            assert config_hash(presets.by_name(name)) == digest, (name, ADDRESS_MOVED)
 
     def test_a_device_cell(self):
         config = presets.device("sbi_swi", sm_count=16)
-        assert cell_hash("transpose", "full", config) == DEVICE_CELL
+        assert cell_hash("transpose", "full", config) == DEVICE_CELL, ADDRESS_MOVED
         assert result_cache.cell_address(
             "transpose", "full", config_hash(config)
         ) == DEVICE_CELL
@@ -199,7 +216,7 @@ class TestPinnedAddresses:
     def test_every_lower_bound_is_in_range(self):
         sm = SMConfig(**SM_AT_BOUNDS)
         device = GPUConfig(sm=sm, **GPU_AT_BOUNDS)
-        assert (config_hash(sm), config_hash(device)) == AT_BOUNDS_DIGESTS
+        assert (config_hash(sm), config_hash(device)) == AT_BOUNDS_DIGESTS, ADDRESS_MOVED
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +225,7 @@ class TestPinnedAddresses:
 
 
 def _raise(*args, **kwargs):
-    raise AssertionError("a stored cell was simulated")
+    raise AssertionError("a stored cell was simulated: " + ADDRESS_MOVED)
 
 
 class TestGoldenStore:
@@ -249,7 +266,7 @@ class TestGoldenStore:
 
     def test_the_store_verifies_clean(self, store_dir):
         report = ResultStore(store_dir).verify()
-        assert report.examined == 3 and not report.problems
+        assert report.examined == 3 and not report.problems, ADDRESS_MOVED
 
     def test_rewriting_an_entry_reproduces_its_bytes(self, store_dir):
         """The writer's half: same path, same bytes as the parent's."""
@@ -258,6 +275,7 @@ class TestGoldenStore:
             path = result_cache.digest_path(
                 store_dir, cell_hash(cell.workload, cell.size, cell.config)
             )
+            assert os.path.exists(path), ADDRESS_MOVED
             with open(path) as f:
                 before = f.read()
             stats = result_cache.disk_load(store_dir, cell.workload, cell.size, cell.config)
@@ -265,6 +283,44 @@ class TestGoldenStore:
             result_cache.disk_store(store_dir, cell.workload, cell.size, cell.config, stats)
             with open(path) as f:
                 assert f.read() == before
+
+
+# ----------------------------------------------------------------------
+# What an entry holds, and the version it was written under
+# ----------------------------------------------------------------------
+
+#: (``CACHE_VERSION``, ``Stats`` fields, ``DeviceStats`` fields).
+RESULT_SCHEMA = (
+    1,
+    (
+        "cycles", "busy_cycles", "instructions_issued", "thread_instructions",
+        "issued_primary", "issued_sbi_secondary", "issued_swi_secondary",
+        "per_op_class", "branches", "divergent_branches", "merges",
+        "max_live_splits", "sync_suspensions", "swi_lookups", "swi_hits",
+        "scheduler_conflicts", "l1_accesses", "l1_hits", "l1_misses",
+        "dram_bytes", "global_transactions", "shared_transactions",
+        "memory_replays", "ctas_launched", "warps_retired",
+    ),
+    (
+        "cycles", "sm_stats", "l2_accesses", "l2_hits", "l2_misses",
+        "l2_sector_fills", "dram_bytes",
+    ),
+)
+
+
+def test_result_fields_are_pinned_with_cache_version():
+    """No address moves when a result field does: the golden store
+    above keeps answering every cell from disk, the new counter a
+    silent 0.  Only ``CACHE_VERSION`` retires those entries."""
+    live = (
+        result_cache.CACHE_VERSION,
+        tuple(f.name for f in dataclasses.fields(Stats)),
+        tuple(f.name for f in dataclasses.fields(DeviceStats)),
+    )
+    assert live == RESULT_SCHEMA, (
+        "an entry written before this change decodes with the new counter "
+        "defaulted — bump `CACHE_VERSION` with this pin"
+    )
 
 
 # ----------------------------------------------------------------------

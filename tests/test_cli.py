@@ -337,6 +337,51 @@ class TestMerge:
         assert proc.returncode == 0
 
 
+class TestOsRefusalsAndIgnoredValues:
+    """What the operating system refuses, and values that used to be
+    accepted and ignored: exit 2, one ``error:`` line naming the
+    culprit, no traceback — and before the work, not after it."""
+
+    ONE_CELL = ("--workloads", "histogram", "--configs", "baseline", "--size", "tiny")
+    #: (argv, what the error line must name); ``{tmp}`` is a scratch
+    #: directory, ``{port}`` a port another socket is bound to.
+    CASES = [
+        (("serve", "--store", "{tmp}/s", "--port", "99999"), ":99999"),
+        (("serve", "--store", "{tmp}/s", "--port", "{port}"), ":{port}"),
+        (("merge", "{tmp}/absent.json"), "{tmp}/absent.json"),
+        (("sweep", *ONE_CELL, "--save", "{tmp}/no/o.json"), "--save {tmp}/no/o.json"),
+        (("sweep", *ONE_CELL, "--output", "{tmp}/no/o.txt"), "--output {tmp}/no/o.txt"),
+        (("merge", "{tmp}/fieldless.json"), "{tmp}/fieldless.json: no field 'size'"),
+        (("merge", "{tmp}/prose.json"), "{tmp}/prose.json: Expecting value"),
+        (("analyze", "--workload", "bfs", "--sm-count", "0"), "--sm-count must be >= 1, got 0"),
+        (("analyze", "--workload", "bfs", "--sm-count", "-2"), "--sm-count must be >= 1, got -2"),
+        (("analyze", "--workload", "bfs", "--json", "{tmp}/no/a.json"), "--json {tmp}/no/a.json"),
+        (("sweep", *ONE_CELL, "--jobs", "0"), "jobs must be None (one worker per core) or an integer >= 1, got 0"),
+        (("sweep", *ONE_CELL, "--jobs", "-3"), "jobs must be None (one worker per core) or an integer >= 1, got -3"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, names", CASES, ids=[" ".join(argv[-3:]) for argv, _ in CASES]
+    )
+    def test_exit_2_one_error_line_no_traceback(self, tmp_path, argv, names):
+        import socket
+
+        (tmp_path / "fieldless.json").write_text(
+            '{"version": 1, "results": [{"workload": "w", "config": "c", "stats": {}}]}'
+        )
+        (tmp_path / "prose.json").write_text("not json\n")
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            fill = dict(tmp=str(tmp_path), port=taken.getsockname()[1])
+            proc = run_cli(*(arg.format(**fill) for arg in argv), check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and names.format(**fill) in errors[0], proc.stderr
+        assert "cells:" not in proc.stderr  # nothing was simulated first
+        assert proc.stdout == ""
+
+
 class TestCache:
     def test_info_and_clear(self, tmp_path):
         cache = {"REPRO_CACHE_DIR": str(tmp_path)}
@@ -430,6 +475,35 @@ class TestAnalyze:
             assert validate_peak_issue(device, origins)
         finally:
             sys.path.remove(SRC)
+
+    def test_json_artifact_is_what_simulate_hands_back(self, tmp_path):
+        """A run finalizes its observers: plain ``simulate`` with the
+        three aggregators attached snapshots what ``analyze`` writes."""
+        path = str(tmp_path / "analyze.json")
+        run_cli("analyze", "--workload", "histogram", "--json", path)
+        with open(path) as f:
+            artifact = json.load(f)
+        sys.path.insert(0, SRC)
+        try:
+            from repro.analytics import (
+                HeatmapAggregator,
+                OriginAggregator,
+                TimelineAggregator,
+            )
+            from repro.core import presets
+            from repro.core.simulator import simulate
+            from repro.workloads import get_workload
+
+            aggs = [TimelineAggregator(), HeatmapAggregator(), OriginAggregator()]
+            inst = get_workload("histogram", "tiny")
+            simulate(inst.kernel, inst.memory, presets.sbi_swi(), observers=aggs)
+        finally:
+            sys.path.remove(SRC)
+        snapshots = dict(zip(("timeline", "heatmap", "origins"), aggs))
+        assert artifact["observers"] == {
+            name: json.loads(json.dumps(agg.snapshot()))
+            for name, agg in snapshots.items()
+        }
 
     def test_unknown_observer_fails_helpfully(self):
         proc = run_cli(

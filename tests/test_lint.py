@@ -9,13 +9,15 @@ suffix matching in :func:`repro.lint.framework._match`.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import repro
-from repro.lint import fingerprint
-from repro.lint.framework import LintReport, Violation, all_rules
-from repro.lint.runner import collect_files, main, run_lint
+from repro.cli import main
+from repro.lint.framework import LintReport, Violation
+from repro.lint.runner import RULES, collect_files, run_lint
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BAD = os.path.join(HERE, "lint_fixtures", "badrepo")
@@ -37,10 +39,8 @@ FILE_RULE_CASES = [
     ("wall-clock", "repro/core/determinism.py"),
     ("set-iteration", "repro/core/determinism.py"),
     ("id-keyed-dict", "repro/core/determinism.py"),
-    ("repr-key", "repro/api/cache.py"),
     ("float-dict-key", "repro/api/cache.py"),
     ("hot-path-slots", "repro/timing/hot.py"),
-    ("slotted-attr-creation", "repro/timing/hot.py"),
     ("wake-site-discipline", "repro/core/wake.py"),
     ("errstate-in-plan", "repro/functional/compiled.py"),
     ("alloc-in-plan", "repro/functional/compiled.py"),
@@ -118,80 +118,42 @@ def test_inline_suppression_same_line_line_above_and_all():
 
 
 # ----------------------------------------------------------------------
-# Project rules: cache-key-fields and config-fingerprint
+# A report is a function of the files it was given
 # ----------------------------------------------------------------------
 
 
-def test_cache_key_fields_clean_on_live_configs():
-    report = run_lint([], rule_ids=frozenset({"cache-key-fields"}))
-    assert report.ok, report.format()
+def test_report_depends_on_the_given_files_alone(monkeypatch):
+    # The deleted cache-key rules imported the installed package and
+    # reported on its live SMConfig whatever path they were handed.
+    import dataclasses
+
+    import repro.timing.config as config
+
+    @dataclasses.dataclass
+    class Grown(config.SMConfig):
+        subwarp_width: int = 8
+
+    before = run_lint([CLEAN]).to_dict()
+    monkeypatch.setattr(config, "SMConfig", Grown)
+    after = run_lint([CLEAN])
+    assert after.violations == []
+    assert after.files_checked == len(collect_files([CLEAN])) > 0
+    assert after.to_dict() == before
 
 
-def test_cache_key_fields_detects_key_blind_to_mutation(monkeypatch):
-    import repro.api.cache as cache
-
-    monkeypatch.setattr(cache, "config_hash", lambda cfg: "constant")
-    report = run_lint([], rule_ids=frozenset({"cache-key-fields"}))
-    assert not report.ok
-    assert any("does not flow into the cache key" in v.message for v in report.violations)
-
-
-def test_config_fingerprint_committed_and_current():
-    report = run_lint([], rule_ids=frozenset({"config-fingerprint"}))
-    assert report.ok, report.format()
-
-
-def test_config_fingerprint_missing(monkeypatch):
-    monkeypatch.setattr(fingerprint, "load_committed", lambda path=None: None)
-    report = run_lint([], rule_ids=frozenset({"config-fingerprint"}))
-    assert not report.ok
-    assert "no committed config fingerprint" in report.violations[0].message
-
-
-def test_config_fingerprint_drift_without_version_bump(monkeypatch):
-    committed = fingerprint.load_committed()
-    assert committed is not None
-    tampered = dict(committed)
-    tampered["digest"] = "0" * 64
-    monkeypatch.setattr(fingerprint, "load_committed", lambda path=None: tampered)
-    report = run_lint([], rule_ids=frozenset({"config-fingerprint"}))
-    assert not report.ok
-    assert "CACHE_VERSION is still" in report.violations[0].message
-
-
-def test_config_fingerprint_stale_version(monkeypatch):
-    committed = fingerprint.load_committed()
-    tampered = dict(committed)
-    tampered["digest"] = "0" * 64
-    tampered["cache_version"] = -1
-    monkeypatch.setattr(fingerprint, "load_committed", lambda path=None: tampered)
-    report = run_lint([], rule_ids=frozenset({"config-fingerprint"}))
-    assert not report.ok
-    assert "stale" in report.violations[0].message
-
-
-def test_update_fingerprint_regenerates(monkeypatch):
-    written = []
-    monkeypatch.setattr(
-        fingerprint, "write_committed", lambda path=fingerprint.DATA_FILE: written.append(path) or {}
+def test_building_the_parser_loads_no_rule_module():
+    # `repro sweep` must not pay for lint: the rule modules (and the
+    # service constants the vocabulary rules read) load in `repro lint`.
+    code = (
+        "import sys, repro.cli; repro.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m.startswith("
+        "('repro.lint.r', 'repro.service'))))"
     )
-    report = run_lint(
-        [], update_fingerprint=True, rule_ids=frozenset({"config-fingerprint"})
-    )
-    assert report.ok
-    assert written == [fingerprint.DATA_FILE]
-
-
-def test_write_committed_round_trips(tmp_path):
-    target = str(tmp_path / "fp.json")
-    payload = fingerprint.write_committed(target)
-    loaded = fingerprint.load_committed(target)
-    assert loaded == payload
-    assert loaded["digest"] == fingerprint.digest(loaded)
-    # ... and the checked-in fingerprint matches the live schema.
-    committed = fingerprint.load_committed()
-    assert committed["digest"] == payload["digest"]
-    assert committed["cache_version"] == payload["cache_version"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # ----------------------------------------------------------------------
@@ -241,9 +203,23 @@ def test_report_format_mentions_counts():
 
 
 def test_every_rule_has_metadata():
-    rules = all_rules()
-    assert len(rules) >= 14
-    for rule in rules:
+    assert sorted(rule.id for rule in RULES) == [
+        "alloc-in-plan",
+        "errstate-in-plan",
+        "fault-vocabulary",
+        "float-dict-key",
+        "hot-path-slots",
+        "id-keyed-dict",
+        "observer-vocabulary",
+        "protocol-vocabulary",
+        "registry-discipline",
+        "service-retry-bounded",
+        "set-iteration",
+        "unseeded-random",
+        "wake-site-discipline",
+        "wall-clock",
+    ]
+    for rule in RULES:
         assert rule.id and rule.category and rule.description
         assert rule.hint, "rule %s has no fix-it hint" % rule.id
 
@@ -251,35 +227,26 @@ def test_every_rule_has_metadata():
 def test_cli_exit_codes(tmp_path, capsys):
     clean = os.path.join(CLEAN, "repro", "core", "determinism.py")
     bad = os.path.join(BAD, "repro", "core", "determinism.py")
-    assert main([clean, "--rule", "wall-clock"]) == 0
-    assert main([bad, "--rule", "wall-clock"]) == 1
-    assert main([bad, "--rule", "no-such-rule"]) == 2
+    assert main(["lint", clean, "--rule", "wall-clock"]) == 0
+    assert main(["lint", bad, "--rule", "wall-clock"]) == 1
+    assert main(["lint", bad, "--rule", "no-such-rule"]) == 2
     err = capsys.readouterr().err
     assert "unknown rule id" in err
 
 
 def test_cli_json_output(capsys):
     bad = os.path.join(BAD, "repro", "core", "determinism.py")
-    assert main([bad, "--rule", "wall-clock", "--json"]) == 1
+    assert main(["lint", bad, "--rule", "wall-clock", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is False
     assert data["counts"]["wall-clock"] >= 1
 
 
 def test_cli_list_rules(capsys):
-    assert main(["--list-rules"]) == 0
+    assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in all_rules():
+    for rule in RULES:
         assert rule.id in out
-
-
-def test_repro_cli_exposes_lint(capsys):
-    from repro.cli import main as repro_main
-
-    clean = os.path.join(CLEAN, "repro", "core", "determinism.py")
-    assert repro_main(["lint", clean, "--rule", "wall-clock"]) == 0
-    assert repro_main(["lint", clean, "--rule", "bogus"]) == 2
-    capsys.readouterr()
 
 
 def test_installed_package_is_lint_clean():

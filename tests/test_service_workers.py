@@ -487,6 +487,34 @@ class TestNoOrphans:
         assert len(ResultStore(store_dir)) <= 1
         _resume_finishes(store_dir, job_id, 2)
 
+    def test_a_failed_bind_leaves_no_worker_and_a_closed_journal(
+        self, tmp_path, monkeypatch
+    ):
+        """The workers are forked and the journal opened before the
+        socket binds; a taken port must not leave either behind."""
+        closed = []
+        close = JobJournal.close
+        monkeypatch.setattr(
+            JobJournal, "close", lambda self: closed.append(self.path) or close(self)
+        )
+        server, _ = _serve(tmp_path / "first", workers=0)
+        try:
+            before = set(multiprocessing.active_children())
+            port = server.server_address[1]
+            store_dir = str(tmp_path / "store")
+            with pytest.raises(OSError, match="cannot listen on 127.0.0.1:%d" % port):
+                make_server(store_dir=store_dir, workers=2, port=port)
+            assert closed == [resolve_journal_path(None, store_dir)]
+            deadline = time.monotonic() + 10.0
+            while (
+                set(multiprocessing.active_children()) != before
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+            assert set(multiprocessing.active_children()) == before
+        finally:
+            _stop(server)
+
 
 class TestDrain:
     def test_sigint_to_the_process_group_drains_every_queued_cell(self, tmp_path):
