@@ -27,7 +27,6 @@ is a thin veneer over these same objects.
 from repro.api.cache import (
     CACHE_DIR_ENV,
     CACHE_VERSION,
-    CacheInfo,
     CacheSerializationError,
     config_hash,
     config_key,
@@ -42,7 +41,6 @@ __all__ = [
     "CACHE_VERSION",
     "Cell",
     "CellError",
-    "CacheInfo",
     "CacheSerializationError",
     "Engine",
     "Progress",

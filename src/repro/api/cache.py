@@ -391,75 +391,12 @@ def walk_entries(root: str) -> Iterator[Tuple[Optional[str], str]]:
                 yield None, os.path.join(shard_dir, name)
 
 
-def disk_usage(root: str) -> Tuple[int, int]:
-    """(entry count, total bytes) of the entries under ``root``."""
-    entries = 0
-    total = 0
-    for digest, path in walk_entries(root):
-        if digest is None:
-            continue
-        try:
-            total += os.path.getsize(path)
-        except OSError:
-            continue
-        entries += 1
-    return entries, total
-
-
 # ----------------------------------------------------------------------
 # Maintenance
 # ----------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class CacheInfo:
-    """One snapshot of both cache levels (``repro cache info``)."""
-
-    memo_entries: int
-    disk_dir: Optional[str]
-    disk_entries: int
-    disk_bytes: int
-
-    def describe_disk(self) -> str:
-        """The disk level alone — all ``repro cache info`` prints: the
-        memo of a process that only asks is empty by construction."""
-        if self.disk_dir is None:
-            return "on-disk    : disabled (set %s or pass --dir)" % CACHE_DIR_ENV
-        return "on-disk    : %s — %d entries, %.1f KiB" % (
-            self.disk_dir, self.disk_entries, self.disk_bytes / 1024.0
-        )
-
-    def describe(self) -> str:
-        return "in-process : %d entries\n%s" % (self.memo_entries, self.describe_disk())
-
-
-def info(disk_dir: Optional[str] = None, memo: Optional[Dict] = None) -> CacheInfo:
-    """Entry counts and on-disk footprint of both cache levels."""
-    memo = MEMO if memo is None else memo
-    disk_dir = resolve_dir(disk_dir)
-    entries, total = (0, 0) if disk_dir is None else disk_usage(disk_dir)
-    return CacheInfo(len(memo), disk_dir, entries, total)
-
-
-def clear(disk_dir: Optional[str] = None, memo: Optional[Dict] = None) -> int:
-    """Drop the in-process memo; with ``disk_dir``, purge disk entries too.
-
-    Unlike lookups, ``disk_dir`` is *not* defaulted from
-    ``$REPRO_CACHE_DIR`` — deleting files stays opt-in and explicit.
-    Only entries are removed (the directory itself, its shards, and
-    anything else in it, is left alone).
-    Returns the number of disk entries removed.
-    """
-    memo = MEMO if memo is None else memo
-    memo.clear()
-    removed = 0
-    if disk_dir is not None:
-        for digest, path in walk_entries(disk_dir):
-            if digest is None:
-                continue
-            try:
-                os.remove(path)
-            except OSError:
-                continue
-            removed += 1
-    return removed
+def clear() -> None:
+    """Drop the in-process memo.  The disk level is a result store:
+    ``repro store gc --max-entries 0`` empties it crash-safely."""
+    MEMO.clear()

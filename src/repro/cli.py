@@ -11,12 +11,11 @@ Subcommands::
     repro analyze   --workload bfs --config sbi_swi [--sm-count 4]
                     [--observers timeline,heatmap,origins] [--json OUT.json]
     repro merge     A.json B.json ... [--save OUT.json] [--on-conflict keep]
-    repro cache     info|clear [--dir DIR]
     repro store     info|gc|verify [--dir DIR] [--max-age S]
                     [--max-entries N] [--max-bytes N] [--dry-run]
     repro serve     [--host H] [--port P] [--store DIR] [--workers N]
                     [--queue-limit N] [--journal PATH] [--resume]
-                    [--fault-plan SPEC | --fault-seed N]
+                    [--fault-plan SPEC]
     repro lint      [PATH ...] [--rule ID] [--json] [--list-rules]
 
 Tables go to stdout; a one-line cell accounting (``# N cells: M
@@ -24,9 +23,13 @@ simulated, K cached``) goes to stderr so scripted runs can assert a
 warm cache performed no simulation.  ``--cache-dir`` (or the
 ``REPRO_CACHE_DIR`` environment variable) enables the on-disk result
 cache shared with the Python API — the same directory format as
-``repro serve --store``, so ``repro store verify|gc --dir`` work on it.  ``--plugin MOD`` imports a module
-first, so third-party policies registered at import time are available
-to ``policies``, ``--configs`` and ``--policy``.
+``repro serve --store``, maintained by one subcommand, ``repro store
+info|verify|gc`` (``gc --max-entries 0`` empties it).  Every command
+that takes a directory resolves it the same way: its flag, else
+``$REPRO_CACHE_DIR``, else ``.repro_store`` for the store commands
+(the sweep commands then run without a disk cache).  ``--plugin MOD``
+imports a module first, so third-party policies registered at import
+time are available to ``policies``, ``--configs`` and ``--policy``.
 
 ``repro serve`` starts the sweep daemon (:mod:`repro.service`); sweep
 commands run against it with ``--server URL``, which switches the
@@ -43,7 +46,6 @@ import sys
 from typing import List, Optional
 
 from repro.api import Engine, ResultSet, SweepSpec
-from repro.api import cache as result_cache
 from repro.workloads import SIZE_ALIASES, SIZES, list_workloads
 
 FORMATS = ("table", "markdown", "json", "csv")
@@ -464,22 +466,6 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-def _cmd_cache(args) -> int:
-    if args.action == "info":
-        print(result_cache.info(disk_dir=args.dir).describe_disk())
-        return 0
-    # Unlike the Python API (where disk purge never defaults from the
-    # environment), the CLI's explicit `clear` acts on the configured
-    # cache: --dir if given, else $REPRO_CACHE_DIR.
-    disk_dir = result_cache.resolve_dir(args.dir)
-    removed = result_cache.clear(disk_dir=disk_dir)
-    if disk_dir is None:
-        print("cleared in-process cache (no disk cache configured)")
-    else:
-        print("cleared in-process cache and %d entries under %s" % (removed, disk_dir))
-    return 0
-
-
 def _cmd_store(args) -> int:
     import time
 
@@ -537,11 +523,8 @@ def _cmd_serve(args) -> int:
     # it would ack every job and never run one.
     for flag, value in (("--workers", args.workers), ("--queue-limit", args.queue_limit)):
         if value < 1:
-            print("repro serve: %s must be >= 1, got %d" % (flag, value), file=sys.stderr)
-            return 2
+            raise ValueError("%s must be >= 1, got %d" % (flag, value))
     _load_plugins(args)
-    if args.fault_plan and args.fault_seed is not None:
-        raise ValueError("--fault-plan and --fault-seed are mutually exclusive")
 
     def _injected_crash(kind: str) -> None:
         # A crash-* fault means the daemon process dies right here, the
@@ -555,8 +538,6 @@ def _cmd_serve(args) -> int:
     fault_plan = None
     if args.fault_plan:
         fault_plan = FaultPlan.parse(args.fault_plan, on_crash=_injected_crash)
-    elif args.fault_seed is not None:
-        fault_plan = FaultPlan.from_seed(args.fault_seed, on_crash=_injected_crash)
     server = make_server(
         host=args.host,
         port=args.port,
@@ -809,24 +790,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="write the table to a file")
     p.set_defaults(fn=_cmd_merge)
 
-    p = sub.add_parser("cache", help="inspect or purge the result caches")
-    p.add_argument("action", choices=("info", "clear"))
-    p.add_argument(
-        "--dir",
-        default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR)",
-    )
-    p.set_defaults(fn=_cmd_cache)
-
     p = sub.add_parser(
         "store",
-        help="inspect, verify, or garbage-collect the shared result store",
+        help="inspect, verify, or garbage-collect a result store "
+        "(the disk cache is one; gc --max-entries 0 empties it)",
     )
     p.add_argument("action", choices=("info", "gc", "verify"))
     p.add_argument(
         "--dir",
         default=None,
-        help="store root (default: $REPRO_STORE_DIR or .repro_store)",
+        help="store root (default: $REPRO_CACHE_DIR or .repro_store)",
     )
     p.add_argument(
         "--max-age",
@@ -869,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="content-addressed result store root "
-        "(default: $REPRO_STORE_DIR or .repro_store)",
+        "(default: $REPRO_CACHE_DIR or .repro_store)",
     )
     p.add_argument(
         "--workers",
@@ -902,13 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="inject faults: comma-separated KIND[@OP][:NTH][xCOUNT] "
         "specs (e.g. 'drop-connection@jobs:2,crash-after-publish:3')",
-    )
-    p.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="inject a deterministic seed-derived fault plan",
     )
     _add_plugin_option(p)
     p.set_defaults(fn=_cmd_serve)

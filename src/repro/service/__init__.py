@@ -5,8 +5,8 @@ fleet-scale serving stack:
 
 :mod:`repro.service.protocol`
     the line-delimited JSON job protocol — schema-versioned envelopes,
-    a closed vocabulary of message types and error codes, and the
-    submit/status/result/cancel message builders;
+    a closed vocabulary of message types and error codes, and the one
+    cell codec behind ``submit`` messages and journal records;
 :mod:`repro.service.store`
     the daemon's view of the content-addressed result store — the
     same directory format, writer and reader as the disk level of
@@ -20,15 +20,15 @@ fleet-scale serving stack:
     clients just submit), per-job progress
     streaming, cached-cell lookup, 429 back-pressure, a write-ahead
     job journal with ``--resume`` crash recovery, and graceful
-    SIGTERM/SIGINT shutdown; its workers are the only writer the
-    store has over the network;
+    SIGTERM/SIGINT shutdown — five routes in all; its workers are the
+    only writer the store has over the network;
 :mod:`repro.service.journal`
     the ndjson write-ahead journal the daemon's crash recovery
     replays;
 :mod:`repro.service.faults`
     deterministic fault injection (``repro serve --fault-plan``) —
-    a closed vocabulary of failure kinds scheduled by occurrence
-    count, so every distributed failure mode is a reproducible test;
+    seven failure kinds scheduled by occurrence count, so every
+    distributed failure mode is a reproducible test;
 :mod:`repro.service.remote`
     the ``Engine(backend="remote", server=...)`` client backend with
     bounded retry/backoff, per-request timeouts, honored

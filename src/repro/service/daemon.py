@@ -33,21 +33,25 @@ dispatcher threads, and ``/v1/health`` reports
     (:meth:`SweepService._triage_locked`, then ``_commit_locked``):
     when the plan's new work would overflow the queue the daemon
     answers **429** with a ``Retry-After`` header, nothing enqueued,
-    instead of buffering unboundedly.  ``--resume`` sends the cells a
-    journal left unresolved through the same two steps.
-``GET /v1/jobs/<id>``             job status snapshot.
-``GET /v1/jobs/<id>/result``      per-cell results (202 while running).
+    instead of buffering unboundedly — and a typed 400, not a 429, when
+    the new work alone is more than the queue holds, since no wait
+    would make room for it.  ``--resume`` sends the cells a journal
+    left unresolved through the same two steps.
+``GET /v1/jobs/<id>/result``      per-cell results; while the job runs,
+                                  202 with its status snapshot.
 ``GET /v1/jobs/<id>/events``      line-delimited progress stream fed by
                                   per-cell completions, with heartbeat
                                   status lines during long gaps.
-``POST /v1/jobs/<id>/cancel``     abandon not-yet-simulated cells (they
-                                  resolve ``cancelled``, content address
-                                  kept).
 ``GET /v1/cells/<hash>``          cached-cell lookup by content address.
 ``GET /v1/health``                accounting counters + store info.
 
-Those seven are the whole API (:data:`ServiceHandler.ROUTES`); anything
-else is a typed 400.  None of them accepts a result: the dispatchers
+Those five are the whole API (:data:`ServiceHandler.ROUTES`); anything
+else is a typed 400 — the ``POST /v1/cells`` upload, and the
+``GET /v1/jobs/<id>`` status and ``POST /v1/jobs/<id>/cancel`` routes
+an older client may still call, included.  A job runs until every cell
+resolves, or until the daemon stops with it unfinished.
+
+None of the routes accepts a result: the dispatchers
 below are the only writer the store has over the network, so every entry a
 client is served from it was simulated here (or put in the directory
 by whoever owns the filesystem, e.g. an ``Engine`` using it as its
@@ -123,14 +127,12 @@ FINISHED_JOBS_KEPT = 128
 #: bump is a KeyError in tests rather than a silently new counter).
 COUNTERS: Tuple[str, ...] = (
     "jobs_submitted",
-    "jobs_cancelled",
     "jobs_resumed",
     "cells_requested",
     "cells_simulated",
     "cells_store",
     "cells_coalesced",
     "cells_failed",
-    "cells_skipped",
 )
 
 
@@ -169,15 +171,11 @@ class Job:
     terminal status), not by run length.
     """
 
-    def __init__(
-        self, job_id: str, submitted: List[SubmittedCell], verify: bool
-    ) -> None:
+    def __init__(self, job_id: str, total: int, verify: bool) -> None:
         self.id = job_id
-        #: The cells as submitted; ``cells`` below holds their outcomes.
-        self.submitted = submitted
         self.verify = verify
-        self.total = len(submitted)
-        self.cancelled = False
+        #: How many cells were submitted; ``cells`` holds their outcomes.
+        self.total = total
         self.stopped = False
         #: The journal that holds this job's record, and so takes its
         #: cell records: none for a job that is finished at its ack.
@@ -217,8 +215,6 @@ class Job:
 
     @property
     def state(self) -> str:
-        if self.cancelled:
-            return protocol.JOB_CANCELLED
         if self.done >= self.total:
             return protocol.JOB_DONE
         if self.stopped:
@@ -327,7 +323,9 @@ class SweepService:
         ERR_QUEUE_FULL`, with ``retry_after``) when accepting the
         submission's new cells would overflow the simulation queue —
         nothing is enqueued in that case, so a retried submission
-        starts clean.
+        starts clean — and :data:`~repro.service.protocol.
+        ERR_BAD_REQUEST` when its new cells alone outnumber
+        ``queue_limit``, which no retry can fix.
         """
         cells, verify = protocol.decode_submit(message)
         with self._lock:
@@ -342,6 +340,14 @@ class SweepService:
             # submission would newly simulate count against the queue.
             sources = [source for _, source, _ in plan]
             new_work = sources.count(protocol.SOURCE_SIMULATED)
+            if new_work > self.queue_limit:
+                raise ProtocolError(
+                    protocol.ERR_BAD_REQUEST,
+                    "submission needs %d new simulations, more than the "
+                    "queue limit of %d even when idle: split the sweep or "
+                    "raise repro serve --queue-limit"
+                    % (new_work, self.queue_limit),
+                )
             if self._pending + new_work > self.queue_limit:
                 raise ProtocolError(
                     protocol.ERR_QUEUE_FULL,
@@ -355,7 +361,7 @@ class SweepService:
             # writes nothing, and the ack carries the result.
             answered = sources.count(protocol.SOURCE_STORE) == len(plan)
             self._next_job += 1
-            job = Job("j%06d" % self._next_job, cells, verify)
+            job = Job("j%06d" % self._next_job, len(cells), verify)
             job.journal = journal = None if answered else self.journal
             self._jobs[job.id] = job
             self.counters["jobs_submitted"] += 1
@@ -443,30 +449,6 @@ class SweepService:
                 protocol.ERR_UNKNOWN_JOB, "no such job %r" % (job_id,)
             )
         return job
-
-    def cancel(self, job_id: str) -> Dict[str, object]:
-        """Mark a job cancelled; unresolved cells resolve as cancelled.
-
-        Cells whose simulation is shared with a live job still run (and
-        land in the store); only work waited on exclusively by
-        cancelled jobs is skipped when a worker pops it.
-        """
-        job = self.get_job(job_id)
-        with self._lock:
-            if not job.finished.is_set():
-                self.counters["jobs_cancelled"] += 1
-                job.cancelled = True
-                if job.journal is not None:
-                    job.journal.record_cancel(job.id)
-                self._cancel_unresolved_locked(job)
-        return job.status_message()
-
-    def _cancel_unresolved_locked(self, job: Job) -> None:
-        for cell in job.submitted:
-            if cell.id not in job.cells:
-                self._resolve_locked(
-                    job, cell.id, cell.hash, protocol.STATUS_CANCELLED, None
-                )
 
     def lookup_cell(self, digest: str) -> Dict[str, object]:
         """The store entry for one content address, as an envelope."""
@@ -605,9 +587,8 @@ class SweepService:
                 if suffix.isdigit():
                     self._next_job = max(self._next_job, int(suffix))
             for recorded in live:
-                job = Job(recorded.job_id, recorded.cells, recorded.verify)
+                job = Job(recorded.job_id, len(recorded.cells), recorded.verify)
                 job.journal = self.journal
-                job.cancelled = recorded.cancelled
                 self._jobs[job.id] = job
                 resumed += 1
                 self.counters["jobs_resumed"] += 1
@@ -625,30 +606,10 @@ class SweepService:
                         self._resolve_locked(
                             job, cell.id, cell.hash, status, None, error=error
                         )
-                plan = self._triage_locked(unresolved, job.verify)
-                if job.cancelled:
-                    # The cancel record landed before every resolution
-                    # did: finish the cancellation, keeping only what
-                    # the store already answers.
-                    plan = [
-                        step for step in plan
-                        if step[1] == protocol.SOURCE_STORE
-                    ]
-                self._commit_locked(job, plan)
-                if job.cancelled:
-                    self._cancel_unresolved_locked(job)
+                self._commit_locked(job, self._triage_locked(unresolved, job.verify))
         return resumed
 
     def _process(self, work: _Work) -> None:
-        with self._lock:
-            live = [job for job, _, _ in work.waiters if not job.cancelled]
-            if not live:
-                # Every waiter was cancelled before a worker got here:
-                # their cells already resolved as cancelled, so just
-                # retire the work item.
-                self.counters["cells_skipped"] += 1
-                self._retire_locked(work)
-                return
         cell = work.cell
         plan = self.fault_plan
         kind = plan.fire(SITE_WORKER, cell.workload) if plan is not None else None
@@ -677,13 +638,13 @@ class SweepService:
                 status = protocol.STATUS_FAILED
                 self.counters["cells_failed"] += 1
             for job, cell_id, source in work.waiters:
-                if cell_id in job.cells:
-                    continue  # resolved by cancellation meanwhile
                 self._resolve_locked(
                     job, cell_id, cell.hash, status, source,
                     stats=stats_payload, error=error,
                 )
-            self._retire_locked(work)
+            self._pending -= 1
+            if not work.verify and self._inflight.get(cell.hash) is work:
+                del self._inflight[cell.hash]
 
     def _simulate(self, work: _Work) -> AnyStats:
         """The one step that touches no daemon state: on a worker
@@ -711,12 +672,6 @@ class SweepService:
                 "it was not simulated — resubmit it"
                 % (cell.workload, cell.size, cell.config_name, cell.hash[:12])
             ) from exc
-
-    def _retire_locked(self, work: _Work) -> None:
-        self._pending -= 1
-        digest = work.cell.hash
-        if not work.verify and self._inflight.get(digest) is work:
-            del self._inflight[digest]
 
     def _resolve_locked(
         self,
@@ -753,8 +708,6 @@ class SweepService:
                 cell=progress,
             )
         )
-        # A cancelled job finishes here too: cancel resolves every cell
-        # it had left, so the terminal status follows the last of them.
         if job.done >= job.total and not job.finished.is_set():
             job.finished.set()
             job.publish(job.status_message())
@@ -912,19 +865,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
             200, self.server.service.submit(self._read_message())
         )
 
-    def _job_status(self, job_id: str) -> None:
-        job = self.server.service.get_job(job_id)
-        self._send_envelope(200, job.status_message())
-
     def _job_result(self, job_id: str) -> None:
         job = self.server.service.get_job(job_id)
         if job.finished.is_set():
             self._send_envelope(200, job.result_message())
         else:
             self._send_envelope(202, job.status_message())
-
-    def _job_cancel(self, job_id: str) -> None:
-        self._send_envelope(200, self.server.service.cancel(job_id))
 
     def _job_events(self, job_id: str) -> None:
         """Line-delimited progress until the job reaches a terminal
@@ -973,10 +919,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         ("GET", "/v1/health"): (_health, "health"),
         ("GET", "/v1/cells/*"): (_cell, "cells"),
         ("POST", "/v1/jobs"): (_submit, "jobs"),
-        ("GET", "/v1/jobs/*"): (_job_status, "jobs"),
         ("GET", "/v1/jobs/*/result"): (_job_result, "result"),
         ("GET", "/v1/jobs/*/events"): (_job_events, "events"),
-        ("POST", "/v1/jobs/*/cancel"): (_job_cancel, "cancel"),
     }
 
 

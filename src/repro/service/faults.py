@@ -15,7 +15,8 @@ Injection sites (the daemon calls :meth:`FaultPlan.fire` at each):
 
 ``http``
     once per request in the HTTP handler; the *operation label* is the
-    route head (``jobs``, ``cells``, ``events``, ``health``);
+    one its route carries (``health``, ``cells``, ``jobs``, ``result``,
+    ``events``);
 ``worker``
     once per popped work item in the simulation worker; the label is
     the workload name;
@@ -31,10 +32,9 @@ Plans come from a spec string (``repro serve --fault-plan``)::
     worker-exception:2         # fail the second simulated cell
     crash-after-publish:3      # die after the 3rd cell is published
 
-or from a seed (:meth:`FaultPlan.from_seed`), which draws kinds and
-trigger points from a seeded :class:`random.Random` — different seeds
-explore different failure interleavings, the same seed replays one
-exactly.
+Every kind fires in a test of the recovery path it exists for, and a
+plan names its faults: a chaos run that found a bug is repeated by
+passing the same spec again.
 
 Crash kinds invoke the plan's ``on_crash`` hook when present (``repro
 serve`` passes ``os._exit`` so the process dies like a real crash,
@@ -46,7 +46,6 @@ cannot accidentally swallow a simulated machine death.
 
 from __future__ import annotations
 
-import random
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -105,11 +104,6 @@ CRASH_KINDS: Tuple[str, ...] = (
     FAULT_CRASH_BEFORE_PUBLISH,
     FAULT_CRASH_AFTER_PUBLISH,
 )
-
-#: What :meth:`FaultPlan.from_seed` draws: this many faults, each
-#: triggered on the 1st..``SEEDED_HORIZON``-th matching operation.
-SEEDED_FAULTS = 3
-SEEDED_HORIZON = 6
 
 
 class FaultPlanError(ValueError):
@@ -242,26 +236,6 @@ class FaultPlan:
         if not specs:
             raise FaultPlanError("fault plan %r names no faults" % text)
         return cls(specs, delay=delay, on_crash=on_crash)
-
-    @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        on_crash: Optional[Callable[[str], None]] = None,
-    ) -> "FaultPlan":
-        """A pseudo-random but fully reproducible plan.
-
-        Draws :data:`SEEDED_FAULTS` (kind, trigger) pairs from
-        ``random.Random(seed)``, any kind, triggers in
-        ``1..SEEDED_HORIZON`` — the same seed always yields the same
-        plan, so a chaos run that found a bug is a one-line repro.
-        """
-        rng = random.Random(seed)
-        specs = [
-            FaultSpec(rng.choice(FAULT_KINDS), nth=rng.randint(1, SEEDED_HORIZON))
-            for _ in range(SEEDED_FAULTS)
-        ]
-        return cls(specs, on_crash=on_crash)
 
     # -- runtime -------------------------------------------------------
 

@@ -15,8 +15,11 @@ Records are line-delimited JSON, one of::
      "cells": [{"id": 0, "workload": ..., "size": ...,
                 "config_name": ..., "config": {...}, "hash": ...}, ...]}
     {"j": 1, "type": "cell", "job": "j000001", "id": 0,
-     "hash": ..., "status": "ok"}            # or failed/cancelled + error
-    {"j": 1, "type": "cancel", "job": "j000001"}
+     "hash": ..., "status": "ok"}            # or failed + error
+
+Any other record type fails replay — among them the ``cancel`` record
+a daemon that still cancelled jobs wrote; such a journal is resumed by
+that daemon, or moved aside.
 
 Crash-safety properties:
 
@@ -64,9 +67,8 @@ JOURNAL_VERSION = 1
 #: Record types (closed set).
 REC_JOB: str = "job"
 REC_CELL: str = "cell"
-REC_CANCEL: str = "cancel"
 
-RECORD_TYPES: Tuple[str, ...] = (REC_JOB, REC_CELL, REC_CANCEL)
+RECORD_TYPES: Tuple[str, ...] = (REC_JOB, REC_CELL)
 
 
 class JournalError(ValueError):
@@ -76,7 +78,7 @@ class JournalError(ValueError):
 class JournalJob:
     """A replayed job: its cells plus every recorded resolution."""
 
-    __slots__ = ("job_id", "verify", "cells", "resolved", "cancelled")
+    __slots__ = ("job_id", "verify", "cells", "resolved")
 
     def __init__(self, job_id: str, verify: bool) -> None:
         self.job_id = job_id
@@ -84,7 +86,6 @@ class JournalJob:
         self.cells: List[SubmittedCell] = []
         #: cell id -> (status, error text or None)
         self.resolved: Dict[int, Tuple[str, Optional[str]]] = {}
-        self.cancelled = False
 
     @property
     def finished(self) -> bool:
@@ -130,10 +131,6 @@ def _cell_record(
     return record
 
 
-def _cancel_record(job_id: str) -> Dict[str, object]:
-    return {"j": JOURNAL_VERSION, "type": REC_CANCEL, "job": job_id}
-
-
 def _job_records(job: JournalJob) -> Iterator[Dict[str, object]]:
     """Everything the journal holds about one replayed job, in the
     order a rotated file carries it."""
@@ -142,8 +139,6 @@ def _job_records(job: JournalJob) -> Iterator[Dict[str, object]]:
         if cell.id in job.resolved:
             status, error = job.resolved[cell.id]
             yield _cell_record(job.job_id, cell.id, cell.hash, status, error)
-    if job.cancelled:
-        yield _cancel_record(job.job_id)
 
 
 class JobJournal:
@@ -216,9 +211,6 @@ class JobJournal:
     ) -> None:
         """Record one cell's terminal resolution."""
         self._append(_cell_record(job_id, cell_id, digest, status, error))
-
-    def record_cancel(self, job_id: str) -> None:
-        self._append(_cancel_record(job_id))
 
     # -- replay --------------------------------------------------------
 
@@ -300,11 +292,6 @@ class JobJournal:
                         status,
                         str(error) if error is not None else None,
                     )
-                elif rec_type == REC_CANCEL:
-                    job_id = str(record.get("job", ""))
-                    target = jobs.get(job_id)
-                    if target is not None:
-                        target.cancelled = True
                 else:
                     raise JournalError(
                         "journal %s has unknown record type %r"

@@ -31,7 +31,9 @@ Stats travel one way, daemon to client, in ``result`` envelopes: no
 message uploads a result, so nothing reaches a served store over the
 network except what the daemon's own workers simulated.  (The
 ``publish`` upload older clients may still send is an unknown type
-now and is refused as :data:`ERR_BAD_REQUEST`.)
+now and is refused as :data:`ERR_BAD_REQUEST`; so is an older client's
+``cancel``, whose route is gone with it — a job runs to ``done``, or
+to ``stopped`` when the daemon shuts down first.)
 
 There is one cell: :class:`SubmittedCell`, written by
 :func:`cell_to_wire` and read back (and checked) by
@@ -75,8 +77,6 @@ MSG_STATUS: str = "status"
 MSG_PROGRESS: str = "progress"
 #: Daemon -> client: the completed job's per-cell results.
 MSG_RESULT: str = "result"
-#: Client -> daemon: abandon a job's not-yet-simulated cells.
-MSG_CANCEL: str = "cancel"
 #: Either direction: a typed failure (``code`` from ERROR_CODES).
 MSG_ERROR: str = "error"
 
@@ -87,7 +87,6 @@ MESSAGE_TYPES: Tuple[str, ...] = (
     MSG_STATUS,
     MSG_PROGRESS,
     MSG_RESULT,
-    MSG_CANCEL,
     MSG_ERROR,
 )
 
@@ -135,15 +134,13 @@ CELL_SOURCES: Tuple[str, ...] = (
 #: Per-cell terminal states inside ack/progress/result messages.
 STATUS_OK: str = "ok"
 STATUS_FAILED: str = "failed"
-STATUS_CANCELLED: str = "cancelled"
 
-CELL_STATUSES: Tuple[str, ...] = (STATUS_OK, STATUS_FAILED, STATUS_CANCELLED)
+CELL_STATUSES: Tuple[str, ...] = (STATUS_OK, STATUS_FAILED)
 
 #: Job lifecycle states carried by ``status`` envelopes.
 JOB_QUEUED: str = "queued"
 JOB_RUNNING: str = "running"
 JOB_DONE: str = "done"
-JOB_CANCELLED: str = "job_cancelled"
 #: The daemon shut down gracefully with this job unfinished; the job
 #: is journalled and resumes under ``repro serve --resume``.
 JOB_STOPPED: str = "stopped"
@@ -152,14 +149,13 @@ JOB_STATES: Tuple[str, ...] = (
     JOB_QUEUED,
     JOB_RUNNING,
     JOB_DONE,
-    JOB_CANCELLED,
     JOB_STOPPED,
 )
 
 #: States a job never leaves: a stream or poll that sees one is over.
 #: ``stopped`` counts — the daemon shut down with the job unfinished,
 #: and its partial result is all it will ever serve.
-TERMINAL_JOB_STATES: Tuple[str, ...] = (JOB_DONE, JOB_CANCELLED, JOB_STOPPED)
+TERMINAL_JOB_STATES: Tuple[str, ...] = (JOB_DONE, JOB_STOPPED)
 
 #: The full closed vocabulary, for validation and for the lint rule.
 VOCABULARY: FrozenSet[str] = frozenset(

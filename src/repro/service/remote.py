@@ -19,7 +19,7 @@ requests cost one simulation.
 :func:`run_remote` is the engine backend runner: it submits the
 pending cells, takes the results from the ack when the store answered
 them all — else follows the job's progress stream (falling back to
-status polling if the stream breaks) and fetches them — and yields each
+polling ``/result`` if the stream breaks) and fetches them — and yields each
 cell's outcome to
 :meth:`Engine.run <repro.api.engine.Engine.run>`, which applies the
 error policy and folds results into the engine's memo/disk cache.
@@ -236,17 +236,11 @@ class RemoteClient:
             "POST", "/v1/jobs", protocol.submit_message(cells, verify, digests)
         )
 
-    def status(self, job_id: str) -> Dict[str, object]:
-        return self._request("GET", "/v1/jobs/%s" % job_id)
-
     def result(self, job_id: str) -> Dict[str, object]:
         """The job's result envelope (a status envelope while running)."""
         return self._request(
             "GET", "/v1/jobs/%s/result" % job_id, ok_statuses=(200, 202)
         )
-
-    def cancel(self, job_id: str) -> Dict[str, object]:
-        return self._request("POST", "/v1/jobs/%s/cancel" % job_id, message=protocol.envelope(protocol.MSG_CANCEL, job=job_id))
 
     def cell(self, digest: str) -> Dict[str, object]:
         """Cached-cell lookup by content address."""
@@ -325,8 +319,6 @@ def _daemon_outcome(
     if status == protocol.STATUS_FAILED:
         text = str(message.get("error", "remote cell failed"))
         return RemoteError(text), False, None
-    if status == protocol.STATUS_CANCELLED:
-        return RemoteError("cell was cancelled on the daemon"), False, None
     payload = message.get("stats")
     if not isinstance(payload, dict):
         text = "daemon result for cell %s has no stats payload" % digest[:12]
@@ -351,8 +343,7 @@ def run_remote(
     instead of failing: cells the daemon never resolved (retries
     exhausted, daemon shut down mid-job) or failed (worker faults) go
     through the engine's inline runner after the daemon's own answers,
-    attributed ``source="fallback"``.  A cell cancelled on the daemon
-    stays cancelled.
+    attributed ``source="fallback"``.
     """
     client = engine.remote_client
     fallback = engine.fallback == "inline"

@@ -3,8 +3,9 @@
 The store *is* the on-disk level of the two-level cache: the layout
 (``<root>/ab/abcdef...0123.json``), the entry schema, the strict atomic
 writer, the version-checking reader and the directory walk all live in
-:mod:`repro.api.cache`, and ``REPRO_CACHE_DIR`` and ``REPRO_STORE_DIR``
-may name the same directory.  Because identical hashes imply identical
+:mod:`repro.api.cache`, and so does the one way a directory is chosen:
+``--dir`` / ``--store``, else ``$REPRO_CACHE_DIR``, else
+:data:`DEFAULT_STORE_DIR`.  Because identical hashes imply identical
 content, two stores merge by copying files — no conflict resolution
 needed (contrast ``repro merge``, which merges *ResultSet artifacts*
 and must compare stats).  Any number of daemon worker threads and
@@ -34,27 +35,22 @@ from repro.api.cache import (
     config_from_payload,
     digest_path,
     disk_store,
-    disk_usage,
     entry_stats,
     is_cell_digest,
     read_entry,
+    resolve_dir,
     stats_from_payload,
     walk_entries,
 )
 from repro.service.faults import FAULT_TORN_STORE_WRITE, FaultPlan, SITE_STORE
 
-#: Environment variable naming the daemon's default store root.
-STORE_DIR_ENV = "REPRO_STORE_DIR"
-
-#: Fallback store root when neither --store nor the env var is set.
+#: The store root when neither a flag nor ``$REPRO_CACHE_DIR`` names one.
 DEFAULT_STORE_DIR = ".repro_store"
 
 
 def resolve_store_dir(root: Optional[str]) -> str:
-    """Explicit root, else ``$REPRO_STORE_DIR``, else the default."""
-    if root:
-        return root
-    return os.environ.get(STORE_DIR_ENV) or DEFAULT_STORE_DIR
+    """Explicit root, else ``$REPRO_CACHE_DIR``, else the default."""
+    return resolve_dir(root) or DEFAULT_STORE_DIR
 
 
 @dataclass(frozen=True)
@@ -176,8 +172,15 @@ class ResultStore:
         return sum(1 for _ in self.digests())
 
     def info(self) -> StoreInfo:
-        entries, total = disk_usage(self.root)
-        return StoreInfo(self.root, entries, total)
+        sizes = []
+        for digest, path in walk_entries(self.root):
+            if digest is None:
+                continue  # a tombstone
+            try:
+                sizes.append(os.path.getsize(path))
+            except OSError:
+                continue  # evicted under us
+        return StoreInfo(self.root, len(sizes), sum(sizes))
 
     # ------------------------------------------------------------------
     # Deletion / GC

@@ -13,6 +13,7 @@ from repro.api import (
 )
 from repro.api import cache as result_cache
 from repro.core import presets
+from repro.service.store import ResultStore
 from repro.timing.stats import Stats
 
 SMALL = SweepSpec.from_presets(
@@ -112,7 +113,7 @@ class TestBackendParity:
     def test_process_folds_into_memo_and_disk(self, tmp_path):
         cache_dir = str(tmp_path)
         Engine(jobs=2, cache_dir=cache_dir).run(SMALL)
-        assert result_cache.info(disk_dir=cache_dir).disk_entries == 4
+        assert len(ResultStore(cache_dir)) == 4
         key = result_cache.cell_key("histogram", "tiny", presets.baseline())
         assert key in result_cache.MEMO
         # A fresh engine run is now pure cache hits.
@@ -252,6 +253,8 @@ class TestStrictDiskSerialization:
 
 class TestCacheMaintenance:
     def test_info_and_clear(self, tmp_path):
+        """The disk level is a result store: its info and its clear
+        (``gc`` to zero entries) are the store's."""
         cache_dir = str(tmp_path)
         Engine(cache_dir=cache_dir).run(SMALL)
         # A foreign file must survive cache maintenance — here an
@@ -259,22 +262,20 @@ class TestCacheMaintenance:
         foreign = os.path.join(cache_dir, "histogram-tiny-0123456789abcdef0123.json")
         with open(foreign, "w") as f:
             f.write("keep me")
-        info = result_cache.info(disk_dir=cache_dir)
-        assert info.memo_entries == 4
-        assert info.disk_entries == 4
-        assert info.disk_bytes > 0
-        assert "4 entries" in info.describe()
-        removed = result_cache.clear(disk_dir=cache_dir)
-        assert removed == 4
-        assert result_cache.info(disk_dir=cache_dir).disk_entries == 0
-        assert result_cache.info(disk_dir=cache_dir).memo_entries == 0
+        store = ResultStore(cache_dir)
+        info = store.info()
+        assert (info.root, info.entries) == (cache_dir, 4) and info.total_bytes > 0
+        assert store.gc(max_entries=0).evicted == 4
+        assert store.info().entries == 0
         assert os.path.exists(foreign)
 
     def test_clear_without_dir_leaves_disk(self, tmp_path):
         cache_dir = str(tmp_path)
         Engine(cache_dir=cache_dir).run(SMALL)
+        assert len(result_cache.MEMO) == 4
         result_cache.clear()
-        assert result_cache.info(disk_dir=cache_dir).disk_entries == 4
+        assert result_cache.MEMO == {}
+        assert len(ResultStore(cache_dir)) == 4
 
     def test_corrupt_entry_falls_back_to_simulation(self, tmp_path):
         cache_dir = str(tmp_path)

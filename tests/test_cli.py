@@ -11,7 +11,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 
 
-def run_cli(*args, env_extra=None, check=True):
+def run_cli(*args, env_extra=None, check=True, cwd=REPO):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -23,7 +23,7 @@ def run_cli(*args, env_extra=None, check=True):
         capture_output=True,
         text=True,
         env=env,
-        cwd=REPO,
+        cwd=cwd,
     )
     if check and proc.returncode != 0:
         raise AssertionError(
@@ -383,17 +383,20 @@ class TestOsRefusalsAndIgnoredValues:
 
 
 class TestCache:
+    """The disk cache is a result store: ``repro store`` maintains it,
+    and without ``--dir`` it is ``$REPRO_CACHE_DIR`` the store reads."""
+
     def test_info_and_clear(self, tmp_path):
         cache = {"REPRO_CACHE_DIR": str(tmp_path)}
         run_cli(
             "sweep", "--workloads", "histogram", "--configs", "baseline",
             "--size", "smoke", env_extra=cache,
         )
-        info = run_cli("cache", "info", env_extra=cache).stdout
-        assert "1 entries" in info
-        cleared = run_cli("cache", "clear", env_extra=cache).stdout
-        assert "1 entries" in cleared
-        info = run_cli("cache", "info", env_extra=cache).stdout
+        info = run_cli("store", "info", env_extra=cache).stdout
+        assert info.startswith("store %s: 1 entries" % tmp_path)
+        cleared = run_cli("store", "gc", "--max-entries", "0", env_extra=cache).stdout
+        assert "evicted 1 of 1 entries" in cleared
+        info = run_cli("store", "info", env_extra=cache).stdout
         assert "0 entries" in info
 
     def test_info_counts_only_what_is_on_disk(self, tmp_path):
@@ -404,20 +407,32 @@ class TestCache:
             "sweep", "--workloads", "histogram", "--configs", "baseline",
             "--size", "smoke", env_extra=cache,
         )
-        info = run_cli("cache", "info", env_extra=cache).stdout
-        assert "— 1 entries" in info
+        info = run_cli("store", "info", env_extra=cache).stdout
+        assert ": 1 entries" in info
         assert "0 entries" not in info
 
-    def test_info_without_dir(self):
-        out = run_cli("cache", "info").stdout
-        assert "disabled" in out
-
-    @pytest.mark.parametrize("command", ["cache", "store"])
-    def test_info_on_a_missing_dir_creates_nothing(self, tmp_path, command):
-        typo = tmp_path / "typo"
-        out = run_cli(command, "info", "--dir", str(typo)).stdout
-        assert "0 entries" in out
+    def test_info_without_dir(self, tmp_path):
+        """Nothing set: the default root is reported, not created."""
+        out = run_cli("store", "info", cwd=str(tmp_path)).stdout
+        assert out == "store .repro_store: 0 entries, 0 bytes\n"
         assert os.listdir(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("named_by", ["cache", "store"])
+    def test_info_on_a_missing_dir_creates_nothing(self, tmp_path, named_by):
+        """A mistyped directory is reported empty, not created — named
+        by the cache's ``$REPRO_CACHE_DIR`` or by the store's ``--dir``."""
+        typo = str(tmp_path / "typo")
+        if named_by == "cache":
+            out = run_cli("store", "info", env_extra={"REPRO_CACHE_DIR": typo}).stdout
+        else:
+            out = run_cli("store", "info", "--dir", typo).stdout
+        assert out.startswith("store %s: 0 entries" % typo)
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_cache_subcommand_is_gone(self):
+        proc = run_cli("cache", "info", check=False)
+        assert proc.returncode == 2
+        assert "invalid choice: 'cache'" in proc.stderr
 
     def test_store_verify_accepts_the_cache_dir(self, tmp_path):
         run_cli(

@@ -116,6 +116,27 @@ class TestPeakIssueValidation:
         with pytest.raises(PeakIssueViolation, match="front-end width of 1"):
             validate_peak_issue(config, self._snapshot({"0": 1, "1": 2}))
 
+    def test_names_the_worst_offender_not_the_first_in_string_order(self):
+        from repro.core import presets
+        from repro.hwcost import PeakIssueViolation, validate_peak_issue
+
+        config = presets.by_name("warp64")  # single-issue front end
+        with pytest.raises(PeakIssueViolation, match="SM 2 issued 3 instructions"):
+            validate_peak_issue(config, self._snapshot({"2": 3, "10": 2}))
+
+    def test_a_tie_names_one_sm_whatever_the_snapshot_order(self):
+        from repro.core import presets
+        from repro.hwcost import PeakIssueViolation, validate_peak_issue
+
+        config = presets.by_name("warp64")  # single-issue front end
+        messages = set()
+        for peaks in ({"3": 2, "10": 2}, {"10": 2, "3": 2}):
+            with pytest.raises(PeakIssueViolation) as excinfo:
+                validate_peak_issue(config, self._snapshot(peaks))
+            messages.add(str(excinfo.value))
+        (message,) = messages
+        assert message.startswith("SM 10 issued 2 instructions")  # first sorted id
+
     def test_device_config_checks_its_sm_policy(self):
         from repro.core import presets
         from repro.hwcost import PeakIssueViolation, front_end_width, validate_peak_issue

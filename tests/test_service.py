@@ -26,6 +26,7 @@ from repro.service.daemon import (
     COUNTERS,
     FINISHED_JOBS_KEPT,
     MAX_REQUEST_BYTES,
+    ServiceHandler,
     SweepService,
     make_server,
 )
@@ -393,10 +394,12 @@ class TestResultStore:
         assert not is_cell_digest("g" * 64)
 
     def test_resolve_store_dir_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        # The variable older trees read for the store is not read.
+        monkeypatch.setenv("REPRO_STORE_DIR", "/retired")
         assert resolve_store_dir("explicit") == "explicit"
         assert resolve_store_dir(None) == ".repro_store"
-        monkeypatch.setenv("REPRO_STORE_DIR", "/from/env")
+        monkeypatch.setenv("REPRO_CACHE_DIR", "/from/env")
         assert resolve_store_dir(None) == "/from/env"
         assert resolve_store_dir("explicit") == "explicit"
 
@@ -551,61 +554,65 @@ class TestSweepService:
 
     def test_queue_full_back_pressure(self, tmp_path):
         service = _service(tmp_path, queue_limit=1, retry_after=2.5)
+        service.submit(protocol.submit_message([CELL_A]))  # the queue is full
         with pytest.raises(ProtocolError) as excinfo:
-            service.submit(protocol.submit_message([CELL_A, CELL_B]))
+            service.submit(protocol.submit_message([CELL_B]))
         assert excinfo.value.code == protocol.ERR_QUEUE_FULL
         assert excinfo.value.retry_after == 2.5
-        # Nothing was enqueued: a retried submission starts clean.
-        assert service.counters["jobs_submitted"] == 0
-        assert service.process_queued() == 0
-        ack = service.submit(protocol.submit_message([CELL_A]))
+        assert "1 pending, limit 1" in str(excinfo.value)
+        # Nothing was enqueued: once the queue drains, the same
+        # submission starts clean.
+        assert service.counters["jobs_submitted"] == 1
+        assert service.process_queued() == 1
+        ack = service.submit(protocol.submit_message([CELL_B]))
         assert ack["triage"]["queued"] == 1
 
-    def test_cancel_skips_queued_work(self, tmp_path):
-        service = _service(tmp_path)
-        ack = service.submit(protocol.submit_message([CELL_A]))
-        status = service.cancel(ack["job"])
-        assert status["state"] == protocol.JOB_CANCELLED
-        assert service.process_queued() == 1  # popped, but skipped
-        assert service._engine.calls == 0
-        assert service.counters["cells_skipped"] == 1
-        (cell,) = service.get_job(ack["job"]).result_message()["cells"]
-        assert cell["status"] == protocol.STATUS_CANCELLED
+    def test_submission_larger_than_the_queue_is_refused_not_deferred(
+        self, tmp_path
+    ):
+        """An idle daemon cannot make room for more new cells than its
+        queue holds: that is a bad request to split, not a 429 to
+        retry forever."""
+        service = _service(tmp_path, queue_limit=1)
+        with pytest.raises(ProtocolError) as excinfo:
+            service.submit(protocol.submit_message([CELL_A, CELL_B]))
+        assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+        assert excinfo.value.retry_after is None
+        message = str(excinfo.value)
+        assert "needs 2 new simulations" in message and "queue limit of 1" in message
+        assert "split the sweep" in message and "--queue-limit" in message
+        assert service.counters == {name: 0 for name in COUNTERS}
+        assert service.process_queued() == 0
+        # Store hits and coalesced cells are free: only new work counts.
+        service.store.store(CELL_B[0], CELL_B[1], CELL_B[3], Stats(cycles=7))
+        ack = service.submit(protocol.submit_message([CELL_A, CELL_B, CELL_A]))
+        assert ack["triage"] == {"store": 1, "coalesced": 1, "queued": 1}
 
-    def test_cancelled_cells_keep_their_content_address(self, tmp_path):
-        service = _service(tmp_path)
+    def test_a_submission_that_fills_an_idle_queue_exactly_is_accepted(
+        self, tmp_path
+    ):
+        service = _service(tmp_path, queue_limit=2)
         ack = service.submit(protocol.submit_message([CELL_A, CELL_B]))
-        events = service.get_job(ack["job"]).subscribe()
-        service.cancel(ack["job"])
-        job = service.get_job(ack["job"])
-        assert job.finished.is_set()
-        cells = job.result_message()["cells"]
-        assert [c["status"] for c in cells] == [protocol.STATUS_CANCELLED] * 2
-        assert [c["hash"] for c in cells] == [
-            cell_hash(CELL_A[0], CELL_A[1], CELL_A[3]),
-            cell_hash(CELL_B[0], CELL_B[1], CELL_B[3]),
-        ]
-        # The terminal status follows the last cell, so a stream that
-        # stops at it has seen every cancellation.
-        history = []
-        while not events.empty():
-            history.append(events.get_nowait())
-        assert [e["type"] for e in history] == [
-            protocol.MSG_PROGRESS,
-            protocol.MSG_PROGRESS,
-            protocol.MSG_STATUS,
-        ]
-        assert history[-1]["state"] == protocol.JOB_CANCELLED
+        assert ack["triage"]["queued"] == 2
+        # The queue is full now: one more new cell is a 429 to retry,
+        # not an oversized submission.
+        other = ("bfs", "tiny") + CELL_A[2:]
+        with pytest.raises(ProtocolError) as excinfo:
+            service.submit(protocol.submit_message([other]))
+        assert excinfo.value.code == protocol.ERR_QUEUE_FULL
+        assert service.process_queued() == 2
+        assert service.get_job(ack["job"]).state == protocol.JOB_DONE
 
-    def test_shared_cell_still_runs_for_live_job(self, tmp_path):
-        service = _service(tmp_path)
-        ack1 = service.submit(protocol.submit_message([CELL_A]))
-        ack2 = service.submit(protocol.submit_message([CELL_A]))
-        service.cancel(ack1["job"])
-        service.process_queued()
-        assert service._engine.calls == 1  # job 2 still wanted it
-        (cell,) = service.get_job(ack2["job"]).result_message()["cells"]
-        assert cell["status"] == protocol.STATUS_OK
+    def test_the_api_is_five_routes_and_seven_counters(self, tmp_path):
+        assert sorted(ServiceHandler.ROUTES) == [
+            ("GET", "/v1/cells/*"),
+            ("GET", "/v1/health"),
+            ("GET", "/v1/jobs/*/events"),
+            ("GET", "/v1/jobs/*/result"),
+            ("POST", "/v1/jobs"),
+        ]
+        assert len(COUNTERS) == 7
+        assert list(_service(tmp_path).health()["counters"]) == list(COUNTERS)
 
     def test_failed_cell_reported_with_error(self, tmp_path):
         service = _service(tmp_path, engine=_StubEngine(fail=True))
@@ -991,27 +998,66 @@ class TestHTTPRoundTrip:
         client = RemoteClient(
             url, retries=1, backoff=0.01, sleep=delays.append
         )
+        client.submit([CELL_A])  # the one queue slot, never drained
         with pytest.raises(RemoteError, match="busy"):
-            client.submit([CELL_A, CELL_B])  # 2 distinct > queue_limit=1
+            client.submit([CELL_B])
         assert delays == [1.5]  # the daemon's Retry-After, not backoff
+
+    def test_oversized_submission_fails_at_once(self, queued_server, monkeypatch):
+        server, url = queued_server
+        delays = []
+        requests = self._count_requests(monkeypatch)
+        client = RemoteClient(url, retries=3, sleep=delays.append)
+        with pytest.raises(RemoteError) as excinfo:
+            client.submit([CELL_A, CELL_B])  # 2 new cells > queue_limit=1
+        assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+        assert "queue limit of 1" in str(excinfo.value)
+        assert requests == [("POST", "/v1/jobs")] and delays == []
+        assert server.service.counters["cells_requested"] == 0
+
+    def test_oversized_sweep_is_one_cli_error_line(
+        self, queued_server, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        server, url = queued_server
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        code = main([
+            "sweep", "--workloads", "histogram", "--configs", "baseline,warp64",
+            "--size", "tiny", "--server", url,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        header, line = captured.err.splitlines()
+        assert header == "sweep: 1 workloads x 1 sizes x 2 configs = 2 cells"
+        assert line.startswith("error: ") and "queue limit of 1" in line
+        assert "attempt" not in line  # refused, not retried
+        assert server.service.counters["cells_requested"] == 0
 
     def test_typed_errors_do_not_retry(self, queued_server):
         _, url = queued_server
         delays = []
         client = RemoteClient(url, retries=3, sleep=delays.append)
         with pytest.raises(RemoteError) as excinfo:
-            client.status("j999999")
+            client.result("j999999")
         assert excinfo.value.code == protocol.ERR_UNKNOWN_JOB
         with pytest.raises(RemoteError) as excinfo:
             client.cell("0" * 64)
         assert excinfo.value.code == protocol.ERR_UNKNOWN_CELL
-        with pytest.raises(RemoteError) as excinfo:
-            client._request("GET", "/nope")
-        assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+        cancel = {"job": "j000001", "type": "cancel", "v": protocol.PROTOCOL_VERSION}
+        for method, path, message in (
+            ("GET", "/nope", None),
+            # What a client from before the routes went still sends.
+            ("GET", "/v1/jobs/j000001", None),
+            ("POST", "/v1/jobs/j000001/cancel", cancel),
+        ):
+            with pytest.raises(RemoteError, match="unknown endpoint") as excinfo:
+                client._request(method, path, message)
+            assert excinfo.value.code == protocol.ERR_BAD_REQUEST
         assert delays == []  # 4xx re-runs would fail identically
 
     def test_events_stream_heartbeats_then_terminal(self, queued_server):
-        _, url = queued_server
+        server, url = queued_server
         client = RemoteClient(url, retries=0)
         ack = client.submit([CELL_A])
         job_id = str(ack["job"])
@@ -1019,13 +1065,14 @@ class TestHTTPRoundTrip:
         first = next(stream)  # heartbeat: nothing is processing
         assert first["type"] == protocol.MSG_STATUS
         assert first["state"] == protocol.JOB_QUEUED
-        client.cancel(job_id)
+        assert client.result(job_id) == first  # 202: the same snapshot
+        server.service.process_queued()
         seen = [first] + list(stream)
         assert seen[-1]["type"] == protocol.MSG_STATUS
-        assert seen[-1]["state"] == protocol.JOB_CANCELLED
+        assert seen[-1]["state"] == protocol.JOB_DONE
         assert any(
             e["type"] == protocol.MSG_PROGRESS
-            and e["cell"]["status"] == protocol.STATUS_CANCELLED
+            and e["cell"]["status"] == protocol.STATUS_OK
             for e in seen
         )
 
@@ -1060,46 +1107,6 @@ class TestHTTPRoundTrip:
                 and e["cell"]["status"] == protocol.STATUS_OK
                 for e in streams[tag]
             )
-
-    def test_cancelled_job_reports_cancelled_and_is_not_resimulated(
-        self, queued_server
-    ):
-        server, url = queued_server
-        hook_calls = []
-
-        def hook(*args, **kwargs):
-            hook_calls.append(args)
-            raise AssertionError("a cancelled cell must not simulate")
-
-        engine = Engine(
-            server=url,
-            cache_dir=None,
-            memo={},
-            fallback="inline",
-            workload_factory=hook,
-            simulate_fn=hook,
-            simulate_device_fn=hook,
-        )
-        spec = SweepSpec.from_presets(
-            ["baseline"], workloads=["histogram"], size="tiny"
-        )
-        finished = []
-        sweep = threading.Thread(
-            target=lambda: finished.append(engine.run(spec, errors="collect"))
-        )
-        sweep.start()
-        deadline = time.monotonic() + 5.0
-        while server.service.counters["jobs_submitted"] < 1:
-            assert time.monotonic() < deadline, "sweep never submitted"
-            time.sleep(0.01)
-        server.service.cancel("j000001")
-        sweep.join(timeout=5.0)
-        assert not sweep.is_alive()
-        (rs,) = finished
-        assert len(rs) == 0
-        (error,) = rs.errors
-        assert "cancelled on the daemon" in error.error
-        assert hook_calls == []
 
     @pytest.mark.parametrize(
         "declared,needle",

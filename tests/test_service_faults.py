@@ -177,17 +177,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="fault site"):
             FaultPlan.parse("worker-exception").fire("disk", "x")
 
-    def test_from_seed_is_reproducible(self):
-        assert (
-            FaultPlan.from_seed(7).describe() == FaultPlan.from_seed(7).describe()
-        )
-        plans = {FaultPlan.from_seed(seed).describe() for seed in range(8)}
-        assert len(plans) > 1  # seeds actually explore the space
-        for plan in (FaultPlan.from_seed(seed) for seed in range(8)):
-            for spec in plan.specs:
-                assert spec.kind in FAULT_KINDS
-                assert 1 <= spec.nth <= 6
-
     def test_crash_without_hook_raises_daemon_crash(self):
         plan = FaultPlan.parse("crash-before-publish")
         with pytest.raises(DaemonCrash) as excinfo:
@@ -227,14 +216,13 @@ class TestJournal:
             journal.record_job("j000001", False, cells)
             journal.record_cell("j000001", 0, cells[0].hash, protocol.STATUS_OK)
             journal.record_job("j000002", True, cells[:1])
-            journal.record_cancel("j000002")
         jobs = JobJournal.replay_path(path)
         assert [job.job_id for job in jobs] == ["j000001", "j000002"]
         first, second = jobs
-        assert not first.verify and not first.finished and not first.cancelled
+        assert not first.verify and not first.finished
         assert first.resolved == {0: (protocol.STATUS_OK, None)}
         assert first.cells[1].config == CELL_B[3]  # decoded, not pickled
-        assert second.verify and second.cancelled
+        assert second.verify and second.resolved == {}
 
     def test_failed_cell_keeps_its_error(self, tmp_path):
         path = str(tmp_path / "j.ndjson")
@@ -264,7 +252,7 @@ class TestJournal:
     def test_version_mismatch_fails_loudly(self, tmp_path):
         path = str(tmp_path / "j.ndjson")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"j": 99, "type": "cancel", "job": "j1"}\n')
+            handle.write('{"j": 99, "type": "cell", "job": "j1"}\n')
         with pytest.raises(JournalError, match="version"):
             JobJournal.replay_path(path)
 
@@ -331,7 +319,7 @@ class TestJournal:
         assert (tmp_path / "grouped.ndjson").read_bytes() == (
             tmp_path / "single.ndjson"
         ).read_bytes()
-        grouped.record_cancel("j1")  # outside a group: synced on its own again
+        grouped.record_cell("j1", 0, cells[0].hash, protocol.STATUS_OK)  # synced alone
         assert len(syncs) == 2
         one_by_one.close()
         grouped.close()
@@ -348,16 +336,17 @@ class TestJournal:
                 raise RuntimeError("mid-submit")
         (job,) = JobJournal.replay_path(path)
         assert job.job_id == "j1" and not job.finished
-        journal.record_cancel("j1")  # the group is over: appends sync again
+        cell = _journal_cells()[0]
+        journal.record_cell("j1", 0, cell.hash, protocol.STATUS_OK)  # synced alone
         (job,) = JobJournal.replay_path(path)
-        assert job.cancelled
+        assert job.resolved == {0: (protocol.STATUS_OK, None)}
         journal.close()
 
     def test_closed_journal_refuses_appends(self, tmp_path):
         journal = JobJournal(str(tmp_path / "j.ndjson"))
         journal.close()
         with pytest.raises(JournalError, match="closed"):
-            journal.record_cancel("j1")
+            journal.record_cell("j1", 0, "", protocol.STATUS_OK)
 
     def test_resolve_journal_path(self, tmp_path):
         root = str(tmp_path / "store")
@@ -686,37 +675,21 @@ class TestDaemonCrashRecovery:
         ]
         assert counters["cells_simulated"] == 2  # the in-flight cell + the new one
 
-    def test_finished_and_cancelled_jobs_compact_away_on_resume(self, tmp_path):
-        service = _journalled_service(tmp_path)
+    def test_finished_jobs_compact_away_on_resume(self, tmp_path):
+        # One job done, one finished by its failed cell: neither resumes.
+        plan = FaultPlan.parse("worker-exception:2")
+        service = _journalled_service(tmp_path, fault_plan=plan)
         done_id = _submit(service, cells=(CELL_B,))
         service.process_queued()
-        cancelled_id = _submit(service, cells=(CELL_A,))
-        service.cancel(cancelled_id)  # resolves its cells: finished
+        failed_id = _submit(service, cells=(CELL_A,))
+        service.process_queued()
+        assert service.counters["cells_failed"] == 1
         resumed = _journalled_service(tmp_path, engine=_StubEngine())
         assert resumed.resume() == 0
-        for job_id in (done_id, cancelled_id):
+        for job_id in (done_id, failed_id):
             with pytest.raises(ProtocolError):
                 resumed.get_job(job_id)
         assert resumed.journal.replay() == []  # journal fully compacted
-
-    def test_resume_completes_an_interrupted_cancellation(self, tmp_path):
-        # The cancel record landed but the daemon died before writing
-        # the per-cell resolutions: resume finishes the cancellation
-        # instead of re-simulating cancelled work.
-        store_root = str(tmp_path / "store")
-        ResultStore(store_root)
-        with JobJournal(resolve_journal_path(None, store_root)) as journal:
-            journal.record_job("j000005", False, _journal_cells())
-            journal.record_cancel("j000005")
-        resumed = _journalled_service(tmp_path, engine=_StubEngine())
-        assert resumed.resume() == 1
-        job = resumed.get_job("j000005")
-        assert job.state == protocol.JOB_CANCELLED
-        assert all(
-            c["status"] == protocol.STATUS_CANCELLED
-            for c in job.cells.values()
-        )
-        assert resumed.counters["cells_simulated"] == 0
 
     def test_resume_job_ids_never_collide_with_new_submissions(self, tmp_path):
         service = _journalled_service(tmp_path)
@@ -781,7 +754,7 @@ class TestGracefulShutdown:
         service.shutdown_gracefully()
         service.shutdown_gracefully()  # no double sentinel, no raise
         with pytest.raises(JournalError, match="closed"):
-            service.journal.record_cancel("j1")
+            service.journal.record_cell("j1", 0, "", protocol.STATUS_OK)
 
     def test_stopped_job_resumes_after_restart(self, tmp_path):
         service = _journalled_service(tmp_path)
@@ -958,14 +931,13 @@ class TestSingleWriter:
 
     def test_every_store_entry_is_simulated_here_or_seeded(self, tmp_path):
         # One entry put in the directory from outside, then a mixed
-        # submit / cancel / crash / resume sequence.
+        # submit / coalesce / crash / resume sequence.
         seeded = ResultStore(str(tmp_path / "store"))
         seeded.store(*CELL_C[:2], CELL_C[3], Stats(cycles=7))
         plan = FaultPlan.parse("crash-before-publish:2")
         crashed = _journalled_service(tmp_path, fault_plan=plan)
         _submit(crashed, cells=(CELL_A, CELL_B, CELL_C))
-        doomed = _submit(crashed, cells=(CELL_A,))  # coalesces, then cancelled
-        crashed.cancel(doomed)
+        _submit(crashed, cells=(CELL_A,))  # coalesces: finishes when A lands
         with pytest.raises(DaemonCrash):
             crashed.process_queued()  # A lands, the daemon dies on B
         simulated = crashed.health()["counters"]["cells_simulated"]
@@ -1123,15 +1095,6 @@ class TestCLI:
         assert "1 bad" in captured.out
         assert "torn" in captured.err
 
-    def test_serve_rejects_plan_and_seed_together(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["serve", "--fault-plan", "drop-connection", "--fault-seed", "1"]
-        )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
     def test_bad_fault_plan_is_a_clean_cli_error(self, capsys):
         from repro.cli import main
 
@@ -1149,7 +1112,7 @@ class TestCLI:
         store = tmp_path / "store"
         assert main(["serve", "--port", "0", "--store", str(store), flag, value]) == 2
         err = capsys.readouterr().err
-        assert err == "repro serve: %s must be >= 1, got %s\n" % (flag, value)
+        assert err == "error: %s must be >= 1, got %s\n" % (flag, value)
         assert not store.exists()  # refused before anything was built
 
     def test_fallback_accounting_line(self, tmp_path, capsys):

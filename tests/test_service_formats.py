@@ -1,14 +1,15 @@
 """The bytes the sweep service writes are pinned, not just round-tripped.
 
-``tests/data/golden_cell_codec.ndjson`` was written by the PR 12 tree
+``tests/data/golden_cell_codec.ndjson`` was written by an older tree
 (before the cell codec was unified): line 1 is an encoded ``submit``
-envelope and everything from line 3 on a journal file, both from
-exactly the calls in :func:`golden_lines`.  A codec change that moves
-one byte on the wire or in the journal — or that stops replaying what
-an older daemon wrote — fails here.  Line 2 is the ``publish`` envelope
-(two results uploaded to the store) that tree's degraded client sent;
-the message type is retired, and what is pinned is that a peer still
-sending it is refused.
+envelope and lines 3–5 a journal file, both from exactly the calls in
+:func:`golden_lines`.  A codec change that moves one byte on the wire
+or in the journal — or that stops replaying what an older daemon
+wrote — fails here.  Two lines are records of what is retired, and
+what is pinned is that they are refused: line 2 is the ``publish``
+envelope (two results uploaded to the store) that tree's degraded
+client sent, line 6 the journal's ``cancel`` record of a job that
+tree's daemon cancelled.
 """
 
 import json
@@ -41,21 +42,22 @@ def golden_lines(journal_path):
             "j000001", 1, cells[1].hash, protocol.STATUS_FAILED,
             error="RuntimeError: boom",
         )
-        journal.record_cancel("j000001")
     with open(journal_path, "rb") as handle:
         return protocol.encode(message), handle.read()
 
 
 def _golden():
-    """(submit line, retired publish line, journal bytes) as committed."""
+    """(submit line, retired publish line, journal bytes, retired cancel
+    record) as committed."""
     with open(GOLDEN, "rb") as handle:
         lines = handle.readlines()
-    return lines[0], lines[1], b"".join(lines[2:])
+    assert len(lines) == 6
+    return lines[0], lines[1], b"".join(lines[2:5]), lines[5]
 
 
 class TestGoldenFormats:
     def test_fresh_lines_match_the_parent_written_fixture(self, tmp_path):
-        submit, _, journal = _golden()
+        submit, _, journal, _ = _golden()
         assert golden_lines(str(tmp_path / "j.ndjson")) == (submit, journal)
 
     def test_parent_written_messages_decode(self):
@@ -90,7 +92,7 @@ class TestGoldenFormats:
         with open(path, "wb") as handle:
             handle.write(golden_journal)
         (job,) = JobJournal.replay_path(path)
-        assert job.job_id == "j000001" and job.verify and job.cancelled
+        assert job.job_id == "j000001" and job.verify
         assert [c.config for c in job.cells] == [cell[3] for cell in CELLS]
         assert job.resolved == {
             0: (protocol.STATUS_OK, None),
@@ -101,6 +103,17 @@ class TestGoldenFormats:
             journal.rotate([job])
         with open(path, "rb") as handle:
             assert handle.read() == golden_journal
+
+    def test_parent_written_cancel_record_fails_replay(self, tmp_path):
+        """A journal an older daemon left with a cancelled job in it is
+        refused whole, naming the record, not resumed without it."""
+        path = str(tmp_path / "journal.ndjson")
+        _, _, journal, cancel = _golden()
+        assert b'"type": "cancel"' in cancel
+        with open(path, "wb") as handle:
+            handle.write(journal + cancel)
+        with pytest.raises(JournalError, match="unknown record type 'cancel'"):
+            JobJournal.replay_path(path)
 
     @pytest.mark.parametrize("second_id, reason", [
         (0, "job j000001 cell 1 repeats id 0"),

@@ -393,7 +393,7 @@ class _Served:
 
     def __init__(self, store_dir, *flags):
         env = dict(os.environ, PYTHONPATH=SRC)
-        env.pop("REPRO_STORE_DIR", None)
+        env.pop("REPRO_CACHE_DIR", None)
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-W", "error::DeprecationWarning",
