@@ -47,7 +47,7 @@ def deadlock_report(header: str, sms, now: int) -> str:
     """Per-SM warp states, each with its next wake, one SM per block."""
     lines: List[str] = [header]
     for sm in sms:
-        # Also refreshes every live warp's ``wake_cache``, read below.
+        # Also refreshes the ``wake_cache`` (read below) of warps with one.
         next_event = sm.next_event_cycle(now)
         for warp in sm.live_warps():
             splits = ", ".join(repr(s) for s in warp.model.all_splits())

@@ -40,6 +40,7 @@ selectable by mode string everywhere.
 from __future__ import annotations
 
 from bisect import insort
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from repro.isa.instructions import Instruction, OpClass
@@ -52,17 +53,20 @@ from repro.timing.fetch import IBufEntry
 from repro.timing.masks import popcount
 from repro.timing.units import ExecGroup
 
-#: Candidate tuple: (age key, warp, slot, split, entry, unit) — ``unit``
-#: indexes :meth:`~repro.timing.units.Backend.free_classes`.  Age keys
-#: ``(fetch_cycle, wid)`` are unique per slot, so sorting candidates
-#: never compares past ``slot``.
-Candidate = Tuple[Tuple[int, int], TimingWarp, int, Split, IBufEntry, int]
+#: Candidate tuple: (fetch cycle, wid, slot, warp, split, entry, unit)
+#: — ``unit`` indexes :meth:`~repro.timing.units.Backend.free_classes`.
+#: The leading ``(fetch_cycle, wid, slot)`` is the age order, unique per
+#: candidate, so sorting never compares past ``slot``.
+Candidate = Tuple[int, int, int, TimingWarp, Split, IBufEntry, int]
 
 #: What a cascaded secondary pick hands the issue stage.
 SecondaryPick = Tuple[str, TimingWarp, int, Split, IBufEntry, ExecGroup]
 
 #: ``free_classes`` index of an op class (CTRL rides the MAD groups).
 _UNIT_OF = {OpClass.MAD: 0, OpClass.CTRL: 0, OpClass.SFU: 1, OpClass.LSU: 2}
+
+#: Warp-id order of candidates.
+_by_wid = itemgetter(1)
 
 
 class SchedulerBase:
@@ -76,21 +80,23 @@ class SchedulerBase:
     each pick — only for warps on the pool's ``woken`` list, which
     :meth:`TimingWarp.wake`/``wake_issue`` feed from the wake sites: a
     divergence-model change (its ``on_change`` hook — every issue ends
-    in one), a scoreboard release some verdict was waiting for
-    (``ScoreboardBase.awaited``), an instruction-buffer fill, a CTA
-    launch, and the timed wakes the predicate itself registers for
-    verdicts that expire with the clock alone (decode delay, branch
-    redirect).  Between wakes a verdict — *yes* as much as *no* —
-    cannot change, so a ready warp that loses arbitration costs
-    nothing next cycle.
+    in one), a release of a refusal the scoreboard could not keep, a
+    slot-1 fill, a CTA launch, and the timed wakes the predicate
+    itself registers for verdicts that expire with the clock alone
+    (decode delay, branch redirect).  Between wakes a verdict — *yes*
+    as much as *no* — cannot change, so a ready warp that loses
+    arbitration costs nothing next cycle.
 
-    **What is not probed.**  Three verdicts are known without asking.
-    The candidate a pick issues, or freezes for the cascaded issue
-    stage, is *no* from there on: :meth:`tick` drops it on the spot.
-    A warp whose buffer ways are all empty matches no tag until a
-    fill, which wakes it: :meth:`TimingWarp.wake` leaves its issue
-    side alone.  A fill the scoreboard already refuses raises
-    ``awaited`` instead of waking: the release is the wake.
+    **What is not probed.**  The candidate a pick issues, or freezes
+    for the cascaded issue stage, is *no* from there on: :meth:`tick`
+    drops it.  A warp whose buffer ways are all empty matches no tag
+    until a fill: :meth:`TimingWarp.wake` leaves its issue side alone.
+    A slot-0 fill is the verdict (see ``FetchEngine.tick``): a *no*
+    the scoreboard keeps (``refused``), the release re-checking it
+    alone while the model is as it was, or a *yes* from the next cycle
+    (:meth:`TimingWarp.ready`), as is such a release's.  SBI's slot-1
+    verdict survives its primary's issue unless the hot pair moved:
+    only the scoreboard entry that issue added is re-checked.
 
     **The settle-wake cap.**  The SBI heap changes state on its read
     path: a cold context leaving the sideband sorter re-orders the hot
@@ -112,6 +118,8 @@ class SchedulerBase:
     #: ``SMConfig.issue_width`` / ``peak_ipc`` and the cost model's
     #: front-end width read (through ``PolicySpec.issue_width``).
     issue_width = 2
+    #: Whether the readiness pass records slot-1 verdicts too.
+    _slot1 = False
 
     def __init__(self, sm: StreamingMultiprocessor) -> None:
         self.sm = sm
@@ -126,6 +134,8 @@ class SchedulerBase:
         )
         #: Per PC, a candidate's ``unit`` (resolved at launch).
         self._unit_of = [_UNIT_OF[i.op_class] for i in sm.kernel.program]
+        #: Slot-1 candidates the barrier holds out of the pool.
+        self._suspended = 0
 
     def tick(self, now: int) -> int:
         raise NotImplementedError
@@ -159,10 +169,10 @@ class SchedulerBase:
             pc = split.pc
             for e in warp.ibuf:
                 if e is not None and e.pc == pc:
-                    if e.ready_at <= now:
+                    if e.fetch_cycle < now:
                         entry = e
-                    elif e.ready_at < retry:
-                        retry = e.ready_at
+                    elif e.fetch_cycle + 1 < retry:
+                        retry = e.fetch_cycle + 1
                     break
         if entry is not None:
             # Scoreboard check with the register-mask prefilter inlined:
@@ -170,15 +180,12 @@ class SchedulerBase:
             # read/write set in the common case.
             scoreboard = warp.scoreboard
             instr = entry.instr
-            if scoreboard._dst_mask & instr.hazard_mask:
-                if not scoreboard.can_issue(
-                    instr, split.mask, slot if slot < 2 else 2
-                ):
+            if scoreboard._dst_mask & instr.hazard_mask or (
+                instr.dst is not None and len(scoreboard.entries) >= scoreboard.capacity
+            ):
+                if not scoreboard.can_issue(instr, split.mask, slot):
+                    scoreboard.refused(slot, split, entry, warp.model.version)
                     entry = None
-            elif instr.dst is not None and len(scoreboard.entries) >= scoreboard.capacity:
-                entry = None
-            if entry is None:
-                scoreboard.awaited = True  # a release can turn this verdict
         if retry < warp.timer:
             warp.wake_at(retry)
         return entry
@@ -203,12 +210,14 @@ class SchedulerBase:
 
     def _refresh(self, now: int, index: int = 0) -> None:
         """Bring pool ``index`` of the ready set up to date: re-derive
-        and record the slot-0 verdict of each of its warps woken since
-        the last pass.  A candidate whose split and entry are the ones
-        on record stays where it is in the pool."""
+        and record the verdicts of its warps woken since the last pass —
+        slot 0's, and with ``_slot1`` slot 1's, pickable unless the
+        selective synchronization barrier holds it (``suspended``).  A
+        candidate whose split and entry are on record keeps its place."""
         woken = self.woken[index]
         pool = self._pools[index]
         ready_entry = self._ready_entry
+        slot1 = self._slot1
         for warp in woken:
             cand = None
             if not warp.done:
@@ -219,9 +228,9 @@ class SchedulerBase:
                     entry = ready_entry(warp, 0, split, now)
                     if entry is not None:
                         cand = warp.cand0
-                        if cand is None or cand[4] is not entry or cand[3] is not split:
-                            age = (entry.fetch_cycle, warp.wid)
-                            cand = (age, warp, 0, split, entry, self._unit_of[entry.pc])
+                        if cand is None or cand[5] is not entry or cand[4] is not split:
+                            cand = (entry.fetch_cycle, warp.wid, 0, warp, split, entry,
+                                    self._unit_of[entry.pc])
                 else:
                     # Nothing hot yet: a cold context may be promoted.
                     warp.wake_at(model._settle_wake)
@@ -232,6 +241,33 @@ class SchedulerBase:
                 if cand is not None:
                     insort(pool, cand)
                 warp.cand0 = cand
+            if slot1:
+                cand = None
+                suspended = False
+                if not warp.done and len(hot) > 1:
+                    split = hot[1]
+                    entry = ready_entry(warp, 1, split, now)
+                    if entry is not None:
+                        cand = warp.cand1
+                        if cand is None or cand[5] is not entry or cand[4] is not split:
+                            cand = (entry.fetch_cycle, warp.wid, 1, warp, split, entry,
+                                    self._unit_of[entry.pc])
+                        suspended = self._sync_blocked(warp, split, entry.instr, now)
+                old = warp.cand1
+                held = warp.suspended
+                if cand is not old or suspended != held:
+                    if old is not None:
+                        if held:
+                            self._suspended -= 1
+                        else:
+                            pool.remove(old)
+                    if cand is not None:
+                        if suspended:
+                            self._suspended += 1
+                        else:
+                            insort(pool, cand)
+                    warp.cand1 = cand
+                    warp.suspended = suspended
             warp.issue_woken = False
         del woken[:]
 
@@ -255,9 +291,9 @@ class BaselineScheduler(SchedulerBase):
             # Oldest ready instruction whose execution unit is free.
             free = backend.free_classes(now)
             for cand in pool:
-                group = free[cand[5]]
+                group = free[cand[6]]
                 if group is not None:
-                    _, warp, slot, split, entry, _ = cand
+                    slot, warp, split, entry = cand[2:6]
                     pool.remove(cand)  # consumed: no probe need say so
                     warp.cand0 = None
                     sm.issue(warp, slot, split, entry, now, ORIGIN_PRIMARY, group)
@@ -283,74 +319,15 @@ class SBIScheduler(SchedulerBase):
     counted in ``_suspended`` instead.
     """
 
-    def __init__(self, sm: StreamingMultiprocessor) -> None:
-        super().__init__(sm)
-        self._suspended = 0
-
-    def _refresh(self, now: int, index: int = 0) -> None:
-        """Both hot slots' verdicts of every woken warp; an unchanged
-        candidate keeps its place in the pool, as in the base class."""
-        woken = self.woken[0]
-        pool = self._pools[0]
-        ready_entry = self._ready_entry
-        for warp in woken:
-            cand0 = cand1 = None
-            suspended = False
-            if not warp.done:
-                model = warp.model
-                hot = model._hot_cache or model.hot_splits(now)
-                if hot:
-                    split = hot[0]
-                    entry = ready_entry(warp, 0, split, now)
-                    if entry is not None:
-                        cand0 = warp.cand0
-                        if cand0 is None or cand0[4] is not entry or cand0[3] is not split:
-                            age = (entry.fetch_cycle, warp.wid)
-                            cand0 = (age, warp, 0, split, entry, self._unit_of[entry.pc])
-                    if len(hot) > 1:
-                        split = hot[1]
-                        entry = ready_entry(warp, 1, split, now)
-                        if entry is not None:
-                            cand1 = warp.cand1
-                            if cand1 is None or cand1[4] is not entry or cand1[3] is not split:
-                                age = (entry.fetch_cycle, warp.wid)
-                                cand1 = (age, warp, 1, split, entry, self._unit_of[entry.pc])
-                            suspended = self._sync_blocked(warp, split, entry.instr, now)
-                else:
-                    # Nothing hot yet: a cold context may be promoted.
-                    warp.wake_at(model._settle_wake)
-            old = warp.cand0
-            if cand0 is not old:
-                if old is not None:
-                    pool.remove(old)
-                if cand0 is not None:
-                    insort(pool, cand0)
-                warp.cand0 = cand0
-            # Slot 1 is in the pool unless the barrier holds it.
-            old = warp.cand1
-            held = warp.suspended
-            if cand1 is not old or suspended != held:
-                if old is not None:
-                    if held:
-                        self._suspended -= 1
-                    else:
-                        pool.remove(old)
-                if cand1 is not None:
-                    if suspended:
-                        self._suspended += 1
-                    else:
-                        insort(pool, cand1)
-                warp.cand1 = cand1
-                warp.suspended = suspended
-            warp.issue_woken = False
-        del woken[:]
+    _slot1 = True
 
     def tick(self, now: int) -> int:
         sm = self.sm
         if self.woken[0]:
             self._refresh(now)
         stats = sm.stats
-        stats.sync_suspensions += self._suspended
+        if self._suspended:
+            stats.sync_suspensions += self._suspended
         pool = self._pools[0]
         if not pool:
             return 0
@@ -359,40 +336,56 @@ class SBIScheduler(SchedulerBase):
         backend = sm.backend
         free = backend.free_classes(now)
         for cand in pool:
-            if free[cand[5]]:
+            if free[cand[6]]:
                 break
         else:
             return 0
-        warp = cand[1]
+        warp = cand[3]
+        model = warp.model
+        seen = model.slot_version
         issued = 0
         diverged = False
         # Primary front-end: nothing moved since the readiness pass.
         cand = warp.cand0
         if cand is not None:
-            split, entry = cand[3], cand[4]
-            group = free[cand[5]]
+            split, entry = cand[4], cand[5]
+            group = free[cand[6]]
             if group is not None:
                 pool.remove(cand)  # consumed: no probe need say so
                 warp.cand0 = None
                 diverged = sm.issue(warp, 0, split, entry, now, ORIGIN_PRIMARY, group)
                 issued = 1
-        # Secondary front-end: re-read the heap (the primary may have
-        # diverged or merged) and issue CPC2 when legal.
-        hot = warp.model._hot_cache or warp.model.hot_splits(now)
-        if len(hot) > 1:
+        # Secondary front-end: CPC2 when legal.  The pass's slot-1
+        # verdict stands with the hot pair as it was but for the entry
+        # the primary may have added; else (it diverged, merged or
+        # re-ordered the pair) re-derive.
+        if model.slot_version == seen:
+            cand = warp.cand1
+            if cand is None:
+                return issued
+            added = issued and entry.instr.dst is not None
+            split, entry = cand[4], cand[5]
+            instr = entry.instr
+            scoreboard = warp.scoreboard
+            if added and not scoreboard.can_issue(instr, split.mask, 1):
+                scoreboard.refused(1, split, entry, model.version)
+                return issued
+        else:
+            hot = model._hot_cache or model.hot_splits(now)
+            if len(hot) < 2:
+                return issued
             split = hot[1]
             entry = self._ready_entry(warp, 1, split, now)
-            if entry is not None:
-                instr = entry.instr
-                if self._sync_blocked(warp, split, instr, now):
-                    stats.sync_suspensions += 1
-                elif not (instr.is_branch and diverged):  # one divergence per cycle
-                    group = backend.pick_group(
-                        instr.op_class, now, split.lane_mask, True
-                    )
-                    if group is not None:
-                        sm.issue(warp, 1, split, entry, now, ORIGIN_SBI, group)
-                        issued += 1
+            if entry is None:
+                return issued
+            instr = entry.instr
+        if self._sync_blocked(warp, split, instr, now):
+            stats.sync_suspensions += 1
+        elif not (instr.is_branch and diverged):  # one divergence per cycle
+            group = backend.pick_group(instr.op_class, now, split.lane_mask, True)
+            if group is not None:
+                sm.issue(warp, 1, split, entry, now, ORIGIN_SBI, group)
+                issued += 1
         return issued
 
 
@@ -405,16 +398,18 @@ class CascadedScheduler(SchedulerBase):
     ranks same-cycle lane-filling candidates (best-fit with a
     pseudo-random tie-break here, maximising is better).  Both pickers
     read the one readiness pass :meth:`tick` runs after its issue
-    stage (``self._pools[0]``, oldest first).
+    stage (``self._pools[0]``, oldest first), both in :meth:`_pick`.
     """
 
     def __init__(self, sm: StreamingMultiprocessor) -> None:
         super().__init__(sm)
-        self.pending: Optional[Tuple[TimingWarp, Split, IBufEntry]] = None
+        self.pending: Optional[Candidate] = None  # last cycle's primary, frozen
         self._uses_sbi = sm.config.uses_sbi
         self._rand_state = sm.config.seed & 0x7FFFFFFF or 1  # the tie-break's LCG
-        # The stock key is ranked inline, an override per candidate.
-        self._stock_key = type(self)._secondary_key is CascadedScheduler._secondary_key
+        # The stock hooks run inline, an override is called.
+        cls = type(self)
+        self._stock_key = cls._secondary_key is CascadedScheduler._secondary_key
+        self._stock_primary = cls._pick_primary is CascadedScheduler._pick_primary
 
     # -- picks -----------------------------------------------------------
 
@@ -425,7 +420,7 @@ class CascadedScheduler(SchedulerBase):
         if pool:
             free = self.sm.backend.free_classes(now + 1)
             for cand in pool:
-                if free[cand[5]]:
+                if free[cand[6]]:
                     return cand
         return None
 
@@ -437,41 +432,70 @@ class CascadedScheduler(SchedulerBase):
         self._rand_state = (self._rand_state * 1103515245 + 12345) & 0x7FFFFFFF
         return (popcount(split.mask), -self._rand_state)
 
-    def _pick_secondary(
+    def _pick(
         self, now: int, primary: Optional[TimingWarp], unit: int, taken: int, diverged: bool
-    ) -> Optional[SecondaryPick]:
-        """This cycle's second instruction, beside the one the issue
-        stage issued (if any) from warp ``primary``, on unit class
-        ``unit`` and lanes ``taken``, diverging or not."""
+    ) -> Tuple[Optional[Candidate], Optional[SecondaryPick]]:
+        """Next cycle's primary and this cycle's second instruction,
+        beside the one the issue stage issued (if any) from warp
+        ``primary``, on unit class ``unit`` (-1 with no issue) and lanes
+        ``taken``, diverging or not.
+
+        One ``free_classes(now)`` snapshot serves both: the stock primary
+        is the oldest candidate if its unit is free now, else the first
+        whose unit is plausibly free next cycle; the pool walk yields the
+        eligible secondaries.  An overridden :meth:`_pick_primary` is
+        called first, as the hook it is."""
+        stock = self._stock_primary
+        nxt = None if stock else self._pick_primary(now)
         backend = self.sm.backend
-        # SBI+SWI: prefer the same warp's CPC2 split.
-        if primary is not None and self._uses_sbi:
-            hot = primary.model._hot_cache or primary.model.hot_splits(now)
-            if len(hot) > 1:
-                split = hot[1]
-                entry = self._ready_entry(primary, 1, split, now)
-                if entry is not None:
-                    instr = entry.instr
-                    if self._sync_blocked(primary, split, instr, now):
-                        self.sm.stats.sync_suspensions += 1
-                    elif not (instr.is_branch and diverged):
-                        group = backend.pick_group(
-                            instr.op_class, now, split.lane_mask, True
-                        )
-                        if group is not None:
-                            return (ORIGIN_SBI, primary, 1, split, entry, group)
-        pool = self._pools[0]
+        secondary = None
         if primary is not None:
-            self.sm.stats.swi_lookups += 1
-        if not pool:
-            return None
+            # SBI+SWI: prefer the same warp's CPC2 split.
+            if self._uses_sbi:
+                hot = primary.model._hot_cache or primary.model.hot_splits(now)
+                if len(hot) > 1:
+                    split = hot[1]
+                    entry = self._ready_entry(primary, 1, split, now)
+                    if entry is not None:
+                        instr = entry.instr
+                        if self._sync_blocked(primary, split, instr, now):
+                            self.sm.stats.sync_suspensions += 1
+                        elif not (instr.is_branch and diverged):
+                            group = backend.pick_group(
+                                instr.op_class, now, split.lane_mask, True
+                            )
+                            if group is not None:
+                                secondary = (ORIGIN_SBI, primary, 1, split, entry, group)
+            if secondary is None:
+                self.sm.stats.swi_lookups += 1
+        pool = self._pools[0]
+        if secondary is not None or not pool:
+            return (self._pick_primary(now) if stock else nxt), secondary
         free = backend.free_classes(now)
+        if stock:
+            # The oldest candidate whose unit is plausibly free at the
+            # issue stage: the first, if its unit is free already.
+            nxt = pool[0]
+            if not free[nxt[6]]:
+                soon = backend.free_classes(now + 1)
+                for nxt in pool:
+                    if soon[nxt[6]]:
+                        break
+                else:
+                    nxt = None
         if primary is None:
             # Nothing issued this cycle: a unit to itself, or no issue.
-            eligible = [(cand[1].wid, cand) for cand in pool if free[cand[5]]]
+            eligible = [cand for cand in pool if free[cand[6]]]
         else:
-            # SWI: best-fit search over the candidate window.
-            window = None
+            # No unit to itself: it can only share the one group holding
+            # an instruction this cycle — the primary's, so of its class
+            # — on disjoint lanes.
+            mine = primary.cand0
+            eligible = [
+                cand for cand in pool if cand is not mine and (
+                    free[cand[6]] or cand[6] == unit and not taken & cand[4].lane_mask
+                )
+            ]
             ways = self.config.swi_ways
             if ways is not None:
                 # Set-associative lookup (paper section 4): a
@@ -481,51 +505,39 @@ class CascadedScheduler(SchedulerBase):
                 # id's low-order bits.  None = fully associative.
                 count = self.config.warp_count
                 window = {(primary.wid + 1 + i) % count for i in range(ways)}
-            eligible = []
-            for cand in pool:
-                warp = cand[1]
-                if warp is primary or (window is not None and warp.wid not in window):
-                    continue
-                # No unit to itself: it can only share the one group
-                # holding an instruction this cycle — the primary's, so
-                # of its class — on disjoint lanes.
-                if not free[cand[5]] and (
-                    taken & cand[3].lane_mask or cand[5] != unit
-                ):
-                    continue
-                eligible.append((warp.wid, cand))
+                eligible = [cand for cand in eligible if cand[1] in window]
         if not eligible:
-            return None
+            return nxt, None
         # Ranked in warp-id order, the order the tie-break's
         # pseudo-random draws are consumed in (one per candidate).
         if len(eligible) > 1:
-            eligible.sort()
-        best = eligible[0][1]
+            eligible.sort(key=_by_wid)
+        best = eligible[0]
         best_key = None
         if self._stock_key:
             # :meth:`_secondary_key` and its draw, inline.
             state = self._rand_state
-            for _, cand in eligible:
+            for cand in eligible:
                 state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-                key = (cand[3].mask.bit_count(), -state)
+                key = (cand[4].mask.bit_count(), -state)
                 if best_key is None or key > best_key:
                     best_key = key
                     best = cand
             self._rand_state = state
         else:
             secondary_key = self._secondary_key
-            for _, cand in eligible:
-                key = secondary_key(cand[1], cand[3], cand[4])
+            for cand in eligible:
+                key = secondary_key(cand[3], cand[4], cand[5])
                 if best_key is None or key > best_key:
                     best_key = key
                     best = cand
-        split, entry = best[3], best[4]
+        split, entry = best[4], best[5]
         # A group to itself before co-issue sharing, as ``pick_group``.
-        group = free[best[5]] or backend.pick_group(
+        group = free[best[6]] or backend.pick_group(
             entry.instr.op_class, now, split.lane_mask, True
         )
         origin = ORIGIN_SWI if primary is not None else ORIGIN_PRIMARY
-        return (origin, best[1], 0, split, entry, group)
+        return nxt, (origin, best[3], 0, split, entry, group)
 
     # -- tick --------------------------------------------------------------
 
@@ -533,13 +545,13 @@ class CascadedScheduler(SchedulerBase):
         issued = 0
         # The issue stage's warp, unit class, lanes, and divergence.
         primary: Optional[TimingWarp] = None
-        unit = taken = 0
+        unit, taken = -1, 0
         diverged = False
         sm = self.sm
 
         # Issue stage: the primary picked last cycle issues now.
         if self.pending is not None:
-            warp, split, entry = self.pending
+            _, _, _, warp, split, entry, _ = self.pending
             if warp.done or split.mask == 0 or split.pc != entry.pc:
                 # The split died (merge/exit) or was redirected: void pick.
                 split.pending = False
@@ -550,8 +562,14 @@ class CascadedScheduler(SchedulerBase):
             else:
                 # The context slot the split stands in by now (it was
                 # CPC1 when picked): the scoreboard's view of it.
-                slot = warp.model.slot_of(split, now)
-                if not warp.scoreboard.can_issue(entry.instr, split.mask, slot):
+                model = warp.model
+                hot = model._hot_cache or model.hot_splits(now)
+                slot = 0 if hot and hot[0] is split else 1 if len(hot) > 1 and hot[1] is split else 2
+                instr = entry.instr
+                scoreboard = warp.scoreboard
+                if (scoreboard._dst_mask & instr.hazard_mask or (
+                    instr.dst is not None and len(scoreboard.entries) >= scoreboard.capacity
+                )) and not scoreboard.can_issue(instr, split.mask, slot):
                     return 0  # hazard materialised; hold in the issue stage
                 group = sm.backend.pick_group(
                     entry.instr.op_class, now, split.lane_mask, False
@@ -571,9 +589,8 @@ class CascadedScheduler(SchedulerBase):
         # posteriori and the primary's copy is discarded (paper section 4).
         if self.woken[0]:
             self._refresh(now)
-        nxt = self._pick_primary(now)
-        secondary = self._pick_secondary(now, primary, unit, taken, diverged)
-        if secondary is not None and nxt is not None and secondary[4] is nxt[4]:
+        nxt, secondary = self._pick(now, primary, unit, taken, diverged)
+        if secondary is not None and nxt is not None and secondary[4] is nxt[5]:
             sm.stats.scheduler_conflicts += 1
             nxt = None
         if nxt is not None:
@@ -581,10 +598,10 @@ class CascadedScheduler(SchedulerBase):
             # triggered by that issue must not absorb or grow it while its
             # instruction sits in the scheduler pipeline stage.  Frozen,
             # it is no candidate either: it leaves the pool here.
-            nxt[3].pending = True
+            nxt[4].pending = True
             self._pools[0].remove(nxt)
-            nxt[1].cand0 = None
-            self.pending = (nxt[1], nxt[3], nxt[4])
+            nxt[3].cand0 = None
+            self.pending = nxt
 
         if secondary is not None:
             origin, warp, slot, split, entry, group = secondary
@@ -633,13 +650,13 @@ class LooseRoundRobinScheduler(CascadedScheduler):
         best = None
         best_turn = count
         for cand in self._pools[0]:
-            if free[cand[5]]:
-                turn = (cand[1].wid - first) % count
+            if free[cand[6]]:
+                turn = (cand[1] - first) % count
                 if turn < best_turn:
                     best_turn = turn
                     best = cand
         if best is not None:
-            self._last_wid = best[1].wid
+            self._last_wid = best[1]
         return best
 
 

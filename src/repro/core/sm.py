@@ -38,7 +38,7 @@ from repro.timing.dram import DRAMChannel
 from repro.timing.fetch import FetchEngine, IBufEntry
 from repro.timing.lsu import LoadStoreUnit
 from repro.timing.masks import bools_to_mask, mask_to_bools, popcount
-from repro.timing.scoreboard import Entry, build_transition
+from repro.timing.scoreboard import _UNIT_ROWS, Entry, build_transition
 from repro.timing.stats import Stats
 from repro.timing.units import Backend, ExecGroup
 from repro.timing.divergence import Split
@@ -87,6 +87,7 @@ class StreamingMultiprocessor:
         "_wb_heap",
         "_seq",
         "_timers",
+        "_gated",
         "_live_cache",
         "_statics",
         "_issue_to_wb",
@@ -143,6 +144,8 @@ class StreamingMultiprocessor:
         self._seq = 0
         #: Timed wakes registered by :meth:`TimingWarp.wake_at`.
         self._timers: List[Tuple[int, int, int, TimingWarp]] = []
+        #: Warps whose last branch's split wakes may lie ahead.
+        self._gated: List[TimingWarp] = []
         self._live_cache: Optional[List[TimingWarp]] = None
         # Resolved once per launch rather than once per issue: what
         # :meth:`issue` reads of every PC's instruction — (is memory,
@@ -186,6 +189,8 @@ class StreamingMultiprocessor:
                 self.scheduler.woken[slot % self.scheduler.pools],
                 self.fetch.woken,
                 self._timers,
+                self.scheduler._pools[slot % self.scheduler.pools],
+                self.scheduler._unit_of,
             )
             self.warp_slots[slot] = warp
             warps.append(warp)
@@ -268,8 +273,8 @@ class StreamingMultiprocessor:
         the scoreboard entry and its writeback, free the buffer way,
         apply the control effect to the divergence model.
 
-        ``slot`` is the context slot ``split`` stands in
-        (:meth:`DivergenceModel.slot_of`, this cycle); instruction
+        ``slot`` is the context slot ``split`` stands in this cycle (0
+        CPC1, 1 CPC2, 2 the rest of the heap); instruction
         statics come from the per-PC ``_statics``.  The closing model
         mutation is the warp's one wake (``on_change``) — of its fetch
         side alone if that left every buffer way empty; the matrix
@@ -357,15 +362,18 @@ class StreamingMultiprocessor:
         if dst is not None:
             # ScoreboardBase.add, in this frame.
             scoreboard = warp.scoreboard
-            sb_entry = Entry(dst, mask, slot if slot < 2 else 2)
+            sb_entry = Entry.__new__(Entry)  # Entry(dst, mask, slot), without a frame
+            sb_entry.dst = dst
+            sb_entry.mask = mask
+            sb_entry.row = _UNIT_ROWS[slot]
             scoreboard.entries.append(sb_entry)
             scoreboard._dst_mask |= 1 << dst
             heappush(self._wb_heap, (wb, self._seq, warp, sb_entry))
             self._seq += 1
 
         ways = warp.ibuf
-        if ways[entry.index] is entry:
-            ways[entry.index] = None
+        if entry in ways:  # not evicted since the pick
+            ways[ways.index(entry)] = None
         split.pending = False
 
         # Architectural control effects.  Each ends in a model
@@ -378,6 +386,8 @@ class StreamingMultiprocessor:
             stats.branches += 1
             taken = bools_to_mask(np.asarray(outcome.taken) & outcome.active)
             split.redirect_ready_at = now + self._branch_latency
+            if warp not in self._gated:
+                self._gated.append(warp)
             diverged = model.branch(split, taken, instr.target, instr.reconv_pc, now)
             if diverged:
                 stats.divergent_branches += 1
@@ -468,7 +478,8 @@ class StreamingMultiprocessor:
         served from a per-warp sorted cache keyed on the divergence
         model's mutation counter, so idle scans stop re-walking every
         live split: only warps whose model changed since the last scan
-        rebuild their wake list.
+        rebuild their wake list.  Only a branch issue sets a split wake,
+        so only warps that issued one since their wakes ran out are asked.
         """
         best: Optional[int] = None
         if self._wb_heap:
@@ -480,16 +491,16 @@ class StreamingMultiprocessor:
         nxt = self.backend.next_free_cycle(now)
         if nxt is not None and (best is None or nxt < best):
             best = nxt
-        nxt = self.fetch.next_ready_after(now)
-        if nxt is not None and (best is None or nxt < best):
-            best = nxt
         if self.pending_launches:
             c = self.pending_launches[0][0]
             if c <= now:
                 c = min((p for p, _ in self.pending_launches if p > now), default=None)
             if c is not None and (best is None or c < best):
                 best = c
-        for warp in self.live_warps():
+        gated, self._gated = self._gated, []
+        for warp in gated:
+            if warp.done:
+                continue
             model = warp.model
             if warp.wake_version != model.version:
                 # Only cycles still ahead of the clock: most often none.
@@ -503,6 +514,7 @@ class StreamingMultiprocessor:
                 warp.wake_version = model.version
             cache = warp.wake_cache
             if cache and cache[-1] > now:
+                self._gated.append(warp)
                 c = cache[bisect_right(cache, now)]
                 if best is None or c < best:
                     best = c
@@ -551,9 +563,22 @@ class StreamingMultiprocessor:
             _, _, warp, sb_entry = heappop(heap)
             scoreboard = warp.scoreboard
             scoreboard.release(sb_entry)
-            if scoreboard.awaited:
+            refused = scoreboard.awaited
+            if refused:
+                # A verdict waited on the scoreboard: with the model as
+                # the refusal left it, no settle due, re-check it alone.
                 scoreboard.awaited = False
-                warp.wake_issue()
+                if not isinstance(refused, tuple) or warp.issue_woken:
+                    warp.wake_issue()
+                else:
+                    split, entry, version = refused
+                    model = warp.model
+                    if model.version != version or model._settle_wake <= now:
+                        warp.wake_issue()
+                    elif scoreboard.can_issue(entry.instr, split.mask, 0):
+                        warp.ready(split, entry)
+                    else:
+                        scoreboard.awaited = refused
         timers = self._timers
         while timers and timers[0][0] <= now:
             heappop(timers)[3].timer_due()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from heapq import heappush
 from typing import List, Optional, Sequence, Tuple
 
@@ -11,7 +12,8 @@ from repro.functional.executor import FunctionalWarp
 from repro.functional.memory import SharedMemory
 from repro.core.policy import DIVERGENCE, POLICIES
 from repro.timing import lanes
-from repro.timing.divergence import _NEVER, DivergenceModel
+from repro.timing.divergence import _NEVER, DivergenceModel, Split
+from repro.timing.fetch import IBufEntry
 from repro.timing.masks import bools_to_mask
 from repro.timing.scoreboard import ScoreboardBase, make_scoreboard
 
@@ -48,6 +50,8 @@ class TimingWarp:
         "suspended",
         "_issue_wakes",
         "_fetch_wakes",
+        "_pool",
+        "_units",
         "_timers",
         "matrix_sb",
     )
@@ -134,14 +138,19 @@ class TimingWarp:
         issue_wakes: List["TimingWarp"],
         fetch_wakes: List["TimingWarp"],
         timers: List[Tuple[int, int, int, "TimingWarp"]],
+        pool: List[Tuple],
+        units: Sequence[int],
     ) -> None:
         """Bind the warp to its SM at CTA launch: the fetch engine's
         buffer ways, the scheduler's and the fetch engine's woken
-        lists, the SM's timed-wake heap.  The launch itself is a wake."""
+        lists, the SM's timed-wake heap, the scheduler's pool and unit
+        table.  The launch itself is a wake."""
         self.ibuf = ibuf
         self._issue_wakes = issue_wakes
         self._fetch_wakes = fetch_wakes
         self._timers = timers
+        self._pool = pool
+        self._units = units
         self.model.on_change = self.wake
         self.wake()
 
@@ -151,8 +160,8 @@ class TimingWarp:
 
         With every buffer way empty and no candidate on record (the
         pick drops what it issues) a probe would find and change
-        nothing — the fill that provides a tag to match wakes the issue
-        side itself — so only the fetch side wakes.
+        nothing — the fill that provides a tag to match is the verdict
+        (:meth:`ready`) — so only the fetch side wakes.
         """
         if not self.issue_woken and (
             any(self.ibuf) or self.cand0 is not None or self.cand1 is not None
@@ -170,6 +179,18 @@ class TimingWarp:
             self.issue_woken = True
             self._issue_wakes.append(self)
 
+    def ready(self, split: Split, entry: IBufEntry) -> None:
+        """Slot 0 can issue ``entry`` (from the cycle after its fetch):
+        a verdict known without a probe — a fill or a release the
+        scoreboard accepts — joins the ready set as ``_refresh`` would
+        record it, with the settle-wake timer a probe would register."""
+        cand = (entry.fetch_cycle, self.wid, 0, self, split, entry, self._units[entry.pc])
+        insort(self._pool, cand)
+        self.cand0 = cand
+        settle = self.model._settle_wake
+        if settle < self.timer:
+            self.wake_at(settle)
+
     def wake_at(self, cycle: int) -> None:
         """Timed wake: the SM calls :meth:`timer_due` at ``cycle``
         unless an earlier timer is already outstanding (its firing
@@ -184,13 +205,6 @@ class TimingWarp:
         """The SM popped this warp's timed wake."""
         self.timer = _NEVER
         self.wake()
-
-    def fetch_sleep(self, retry: int) -> None:
-        """Fetch verdict: nothing to fetch before ``retry`` short of a
-        :meth:`wake`."""
-        self.fetch_woken = False
-        if retry < self.timer:
-            self.wake_at(retry)
 
     def __repr__(self) -> str:
         return "TimingWarp(wid=%d, cta=%d%s)" % (

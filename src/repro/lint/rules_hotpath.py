@@ -205,16 +205,18 @@ _WAKE_STATE = frozenset(
 #: Who besides ``TimingWarp`` may write which wake state: a scheduler's
 #: readiness pass records the verdicts it derives (and lowers the woken
 #: flag of the warp it probed); its ``tick`` drops the candidate whose
-#: instruction it issues or freezes, a verdict known without a probe.
+#: instruction it issues or freezes, a verdict known without a probe;
+#: the fetch engine's ``tick`` lowers the flag of a warp it gave one.
 _SCHEDULER_WRITERS = {
     "_refresh": frozenset({"cand0", "cand1", "suspended", "issue_woken"}),
     "tick": frozenset({"cand0"}),
 }
+_FETCH_WRITERS = {"tick": frozenset({"fetch_woken"})}
 
 
 class WakeSiteDisciplineRule(Rule):
     """Warp wake state is written only by ``TimingWarp``'s helpers and
-    the schedulers' two recording sites (``_SCHEDULER_WRITERS``)."""
+    the schedulers' and the fetch engine's recording sites."""
 
     id = "wake-site-discipline"
     category = "hot-path"
@@ -225,10 +227,10 @@ class WakeSiteDisciplineRule(Rule):
         "anywhere else is a wake site the helpers do not know about"
     )
     hint = (
-        "call warp.wake() / wake_issue() / wake_at(cycle) / "
-        "fetch_sleep(retry) instead of assigning the field; besides "
-        "TimingWarp only a scheduler's _refresh (verdicts) and tick "
-        "(the candidate it issues or freezes) may write it"
+        "call warp.wake() / wake_issue() / wake_at(cycle) instead of "
+        "assigning the field; besides TimingWarp only a scheduler's "
+        "_refresh (verdicts) and tick (the candidate it issues or "
+        "freezes) and FetchEngine.tick (its fetch verdict) may write it"
     )
     include = ("repro/core/*.py", "repro/timing/*.py")
 
@@ -245,6 +247,8 @@ class WakeSiteDisciplineRule(Rule):
                     fields = allowed
                     if "Scheduler" in owner:
                         fields |= _SCHEDULER_WRITERS.get(child.name, frozenset())
+                    elif owner == "FetchEngine":
+                        fields |= _FETCH_WRITERS.get(child.name, frozenset())
                     yield from walk(child, fields, owner)
                     continue
                 targets: Sequence[ast.AST] = ()

@@ -46,12 +46,19 @@ def _positive_float(name: str, value: object) -> float:
 
 def _at_least(config: object, minima) -> None:
     """Every ``(field, lower bound)`` row of ``minima`` holds for
-    ``config``, or a ``ValueError`` names the field and its value: a
-    bound missed here is a cached nonsense result or a mid-run crash."""
+    ``config`` — an ``int``, never a ``bool`` nor ``32.0`` (which keys
+    like ``32`` but hashes otherwise: one machine, two addresses), no
+    smaller than the bound (``None``: any) — or a ``ValueError`` names
+    the field and its value: a bound missed here is a cached nonsense
+    result or a mid-run crash."""
     for name, bound in minima:
         value = getattr(config, name)
-        if not value >= bound:
-            raise ValueError("%s must be >= %d, got %r" % (name, bound, value))
+        if value.__class__ is bool or not isinstance(value, int) or (
+            bound is not None and value < bound
+        ):
+            raise ValueError("%s must be an integer%s, got %r" % (
+                name, "" if bound is None else " >= %d" % bound, value
+            ))
 
 
 #: Lower bounds of :class:`SMConfig`'s integer fields: sizes, widths
@@ -161,7 +168,7 @@ class SMConfig:
             )
         self.sbi_constraints = bool(self.sbi_constraints)
         self.dram_bandwidth = _positive_float("dram_bandwidth", self.dram_bandwidth)
-        _at_least(self, _SM_MINIMA)
+        _at_least(self, _SM_MINIMA + (("seed", None),))
         if self.swi_ways is not None:  # None = fully associative
             _at_least(self, (("swi_ways", 1),))
         if self.scoreboard_kind not in VALID_SCOREBOARDS:

@@ -169,16 +169,6 @@ class DivergenceModel:
     def all_splits(self) -> Iterable[Split]:
         raise NotImplementedError
 
-    def slot_of(self, split: Split, now: int) -> int:
-        """Context slot of ``split``: 0 (primary), 1 (secondary), 2 (rest)."""
-        hot = self.hot_splits(now)
-        if hot:
-            if hot[0] is split:
-                return 0
-            if len(hot) > 1 and hot[1] is split:
-                return 1
-        return 2
-
     def slot_masks(self, now: int) -> Tuple[int, int, int]:
         """Thread masks of the three context slots (matrix scoreboard)."""
         m0 = m1 = 0

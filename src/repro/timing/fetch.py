@@ -10,33 +10,32 @@ a real per-warp instruction buffer indexed by warp id.
 
 The fetch engine refills up to ``fetch_width`` unmatched entries per
 cycle (the baseline's two fetch-decode units, Figure 1), round-robin
-over warps.  A fetched instruction decodes in one cycle
-(``ready_at = fetch + 1``).  Branch redirects gate fetch through
+over warps.  A fetched instruction decodes in one cycle: it can issue
+from ``fetch_cycle + 1``.  Branch redirects gate fetch through
 ``Split.redirect_ready_at``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.isa.instructions import Instruction
-from repro.timing.divergence import _NEVER
 
 _wid = attrgetter("wid")
 
 
-@dataclass(slots=True)
 class IBufEntry:
-    """One decoded instruction waiting in a warp's buffer pool."""
+    """One instruction waiting in a warp's buffer pool, fetched at
+    ``fetch_cycle`` and decoded (issuable) from the cycle after."""
 
-    pc: int
-    instr: Instruction
-    fetch_cycle: int
-    ready_at: int
-    index: int  # position in the warp's buffer pool
+    __slots__ = ("pc", "instr", "fetch_cycle")
+
+    def __init__(self, pc: int, instr: Instruction, fetch_cycle: int) -> None:
+        self.pc = pc
+        self.instr = instr
+        self.fetch_cycle = fetch_cycle
 
 
 class FetchEngine:
@@ -57,7 +56,6 @@ class FetchEngine:
         "_uncontended",
         "_sorted",
         "_rr",
-        "_latest_ready",
     )
 
     def __init__(self, program, fetch_width: int, hot_capacity: int) -> None:
@@ -68,9 +66,6 @@ class FetchEngine:
         self._uncontended = max(1, fetch_width // hot_capacity)
         self.buffers: Dict[int, List[Optional[IBufEntry]]] = {}
         self._rr = 0
-        # Decode-ready high-water mark: nothing in any buffer becomes
-        # ready after this cycle, so idle scans can bail immediately.
-        self._latest_ready = -1
         #: Warps whose fetch verdict must be (re)derived: appended by
         #: :meth:`TimingWarp.wake`, pruned by :meth:`tick`.
         self.woken: List = []
@@ -119,10 +114,11 @@ class FetchEngine:
 
         One pass per warp: each eligible hot split lacking a matching
         tag fetches into an empty way, else into a way whose tag
-        matches no hot PC.  A fill wakes the warp's issue side unless
-        a probe is queued already or the scoreboard refuses the
-        instruction as things stand: only a release can turn that, so
-        the fill raises ``ScoreboardBase.awaited`` instead.
+        matches no hot PC.  Unless a probe is queued already, a fill is
+        its split's readiness verdict: *no* while the scoreboard refuses
+        it (kept for the release, ``ScoreboardBase.refused``), else *yes*
+        from the next cycle — recorded for slot 0
+        (:meth:`TimingWarp.ready`), a wake of the issue side for slot 1.
         """
         if not warps:
             return 0
@@ -144,27 +140,21 @@ class FetchEngine:
         cap = self.hot_capacity
         width = self.fetch_width
         instrs = self.program
-        # Warps left without a verdict (cut short, or never reached).
-        left = None
-        for visited, warp in enumerate(order):
+        left = ()  # warps left without a verdict (cut short, or never reached)
+        for warp in order:
             if fetched >= width:
-                # Bandwidth exhausted: the rest wait their turn.
-                left = order[visited:] if left is None else left + order[visited:]
+                left = order[order.index(warp):]  # the rest wait their turn
                 break
             if warp.done:
-                warp.fetch_sleep(_NEVER)
+                warp.fetch_woken = False
                 continue
             model = warp.model
             hot = model._hot_cache or model.hot_splits(now)
-            if len(hot) > cap:
-                hot = hot[:cap]  # more runnable splits than buffer ways
             ways = warp.ibuf
-            retry = _NEVER
+            retry = model._settle_wake  # or a gate that opens before it
             for split in hot:
                 if fetched >= width:
-                    # Out of bandwidth mid-warp: no verdict, stay listed.
-                    retry = None
-                    break
+                    break  # out of bandwidth mid-warp: no verdict
                 if split.parked or split.pending:
                     continue
                 gate = split.redirect_ready_at
@@ -175,62 +165,60 @@ class FetchEngine:
                 pc = split.pc
                 # Victim: an empty way, else one matching no hot PC (a
                 # single way: whatever it holds, if not this PC).
-                victim = None
                 if cap == 1:
                     entry = ways[0]
-                    if entry is None or entry.pc != pc:
-                        victim = 0
+                    if entry is not None and entry.pc == pc:
+                        continue  # tag matched: nothing to fetch
+                    victim = 0
                 else:
+                    victim = None
                     for vi, entry in enumerate(ways):
                         if entry is None:
                             if victim is None:
                                 victim = vi
                         elif entry.pc == pc:
-                            victim = None
-                            break  # tag matched: nothing to fetch
+                            victim = -1  # tag matched: nothing to fetch
+                            break
+                    if victim is None:
+                        hot_pcs = [s.pc for s in hot]
+                        for vi, entry in enumerate(ways):
+                            if entry.pc not in hot_pcs:
+                                victim = vi
+                                break
+                    if victim is None or victim < 0:
+                        continue
+                instr = instrs[pc]
+                entry = IBufEntry.__new__(IBufEntry)  # __init__'s work, without its frame
+                entry.pc = pc
+                entry.instr = instr
+                entry.fetch_cycle = now
+                ways[victim] = entry
+                fetched += 1
+                if not warp.issue_woken:
+                    # Issuable next cycle, unless the scoreboard says no;
+                    # a slot-0 yes joins the ready set as is.
+                    board = warp.scoreboard
+                    if board._dst_mask & instr.hazard_mask and not (
+                        board.can_issue(instr, split.mask, 0 if split is hot[0] else 1)
+                    ):
+                        board.refused(0 if split is hot[0] else 1, split, entry, model.version)
+                    elif split is hot[0] and (
+                        instr.dst is None or len(board.entries) < board.capacity
+                    ):
+                        warp.ready(split, entry)
                     else:
-                        if victim is None:
-                            hot_pcs = [s.pc for s in hot]
-                            for vi, entry in enumerate(ways):
-                                if entry.pc not in hot_pcs:
-                                    victim = vi
-                                    break
-                if victim is not None:
-                    instr = instrs[pc]
-                    ways[victim] = IBufEntry(pc, instr, now, now + 1, victim)
-                    fetched += 1
-                    if not warp.issue_woken:
-                        # Issuable now, unless the scoreboard says no.
-                        board = warp.scoreboard
-                        slot = 0 if split is hot[0] else 1
-                        if board._dst_mask & instr.hazard_mask and not (
-                            board.can_issue(instr, split.mask, slot)
-                        ):
-                            board.awaited = True
-                        else:
-                            warp.wake_issue()
-            if retry is None:
-                left = [warp]
+                        warp.wake_issue()
             else:
                 # Every hot split was looked at: whatever is still
                 # unmatched waits for a gate or for a wake.
-                wake = model._settle_wake
-                warp.fetch_sleep(retry if retry < wake else wake)
+                warp.fetch_woken = False
+                if retry < warp.timer:
+                    warp.wake_at(retry)
+                continue
+            left = order[order.index(warp):]
+            break
         # Survivors are in service order: a rotation of warp-id order
         # (to be re-sorted) unless the pointer stood at the front.
-        woken[:] = left or ()
+        woken[:] = left
         self._sorted = -1 if at else len(woken)
-        if fetched and now + 1 > self._latest_ready:
-            self._latest_ready = now + 1
         return fetched
-
-    def next_ready_after(self, now: int) -> Optional[int]:
-        """Earliest future decode-ready time (event skipping).
-
-        O(1): every entry decodes one cycle after its fetch and fetch
-        cycles never exceed the driver's (non-decreasing) ``now``, so
-        the only possible *future* ready time is the high-water mark —
-        held exactly when the latest fetch happened this cycle.
-        """
-        latest = self._latest_ready
-        return latest if latest > now else None

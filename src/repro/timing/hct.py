@@ -220,13 +220,14 @@ class SBIModel(DivergenceModel):
         return True
 
     def advance(self, split: Split, now: int) -> None:
-        # _moved() in this frame; one settled hot context: no sort.
+        # _moved() in this frame; nothing cold, hot pair in PC order: no settle.
         self.version += 1
         cb = self.on_change
         if cb is not None:
             cb()
         split.pc += 1
-        if self._dirty or self.cold or len(self.hot) != 1:
+        hot = self.hot
+        if self._dirty or self.cold or hot[0] is not hot[-1] and hot[0].pc >= hot[-1].pc:
             self._settle(now)
 
     def exit_threads(self, split: Split, mask: int, now: int) -> None:

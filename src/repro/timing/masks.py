@@ -114,8 +114,10 @@ def permute_mask(mask: int, perm: Sequence[int]) -> int:
     if mask == (1 << len(perm)) - 1:
         return mask  # a full warp fills every lane under any shuffle
     out = 0
-    for i in bits(mask):
-        out |= 1 << perm[i]
+    while mask:  # :func:`bits`, without a generator frame per bit
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

@@ -25,9 +25,11 @@ threads* execute both instructions.  Two implementations:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.isa.instructions import Instruction
+from repro.timing.divergence import Split
+from repro.timing.fetch import IBufEntry
 
 #: Number of context slots tracked by the matrix scoreboard:
 #: primary (CPC1), secondary (CPC2), and I3 = everything else.
@@ -45,13 +47,12 @@ _UNIT_ROWS = tuple(
 class Entry:
     """One in-flight instruction's scoreboard record."""
 
-    __slots__ = ("dst", "mask", "row", "released")
+    __slots__ = ("dst", "mask", "row")
 
     def __init__(self, dst: int, mask: int, slot: int) -> None:
         self.dst = dst
         self.mask = mask
         self.row = _UNIT_ROWS[slot]
-        self.released = False
 
 
 class ScoreboardBase:
@@ -65,8 +66,9 @@ class ScoreboardBase:
     left.  ``awaited`` is raised by a readiness verdict that was *no*
     on this scoreboard's account (hazard, or no room; the scheduler's
     probe, or the fetch engine's fill): only then can a release change
-    what the warp may issue, so only then does the SM wake the warp
-    for it (and lower the flag).
+    what the warp may issue, so only then does the SM act on it (and
+    lower the flag); a slot-0 refusal is kept (:meth:`refused`) for a
+    release to re-check alone.
     """
 
     __slots__ = ("capacity", "entries", "awaited", "_dst_mask")
@@ -76,7 +78,7 @@ class ScoreboardBase:
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.entries: List[Entry] = []
-        self.awaited = False
+        self.awaited: Union[bool, Tuple[Split, IBufEntry, int]] = False
         self._dst_mask = 0
 
     # -- dependency query ---------------------------------------------
@@ -101,6 +103,14 @@ class ScoreboardBase:
                     return False
         return True
 
+    def refused(self, slot: int, split: Split, entry: IBufEntry, version: int) -> None:
+        """A verdict said *no* on this scoreboard's account: a lone slot-0
+        refusal is kept as ``(split, entry, model version)``, else ``True``."""
+        if slot or self.awaited is True:
+            self.awaited = True
+        else:
+            self.awaited = (split, entry, version)
+
     # -- lifecycle ------------------------------------------------------
 
     def add(self, instr: Instruction, mask: int, slot: int) -> Optional[Entry]:
@@ -113,9 +123,8 @@ class ScoreboardBase:
         return entry
 
     def release(self, entry: Entry) -> None:
-        if not entry.released:
-            entry.released = True
-            entries = self.entries
+        entries = self.entries
+        if entry in entries:  # a second release is a no-op
             entries.remove(entry)
             dst_mask = 0
             for left in entries:
@@ -137,8 +146,11 @@ class WarpScoreboard(ScoreboardBase):
 
     kind = "warp"
 
-    def _conflicts(self, entry: Entry, mask: int, slot: int) -> bool:
-        return True
+    def can_issue(self, instr: Instruction, mask: int, slot: int) -> bool:
+        # Every register match conflicts: the prefilter is the answer.
+        if instr.dst is not None and len(self.entries) >= self.capacity:
+            return False
+        return not self._dst_mask & instr.hazard_mask
 
 
 class MaskScoreboard(ScoreboardBase):
@@ -185,6 +197,5 @@ def build_transition(
     old_masks: Sequence[int], new_masks: Sequence[int]
 ) -> Transition:
     """``D(t, t+1)``: ``T[i][j]`` = some thread moved slot i -> slot j."""
-    return tuple(
-        tuple((old & new) != 0 for new in new_masks) for old in old_masks
-    )
+    n0, n1, n2 = new_masks
+    return tuple((old & n0 != 0, old & n1 != 0, old & n2 != 0) for old in old_masks)

@@ -29,3 +29,11 @@ class ToyScheduler:
     def tick(self, warp):
         warp.cand0 = None
         warp.issue_woken = True  # wake-site-discipline (a pick may drop, not wake)
+
+
+class FetchEngine:
+    __slots__ = ("woken",)
+
+    def tick(self, warp):
+        warp.fetch_woken = False
+        warp.issue_woken = True  # wake-site-discipline (a fill hands a verdict over, not a wake)

@@ -31,3 +31,10 @@ class ToyScheduler:
     def tick(self, warp):
         self.pool.remove(warp.cand0)
         warp.cand0 = None  # issued: the entry is consumed, no probe needed
+
+
+class FetchEngine:
+    __slots__ = ("woken",)
+
+    def tick(self, warp):
+        warp.fetch_woken = False  # the visit's own verdict

@@ -33,6 +33,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -148,7 +149,10 @@ class TestWalkIsAsdict:
             ]
 
     def test_non_json_native_fields_still_fail_the_hash(self):
-        config = SMConfig(warp_count=np.int64(16))
+        with pytest.raises(ValueError, match="warp_count must be an integer"):
+            SMConfig(warp_count=np.int64(16))  # refused where it is built
+        config = SMConfig()
+        config.warp_count = np.int64(16)  # ... and past validation:
         assert config_key(config) == config_key(SMConfig(warp_count=16))
         with pytest.raises(TypeError, match="int64"):
             config_hash(config)
@@ -498,6 +502,29 @@ class TestOneMachineOneAddress:
     )
     def test_a_bad_value_is_a_value_error_naming_the_field(self, cls, field, value):
         with pytest.raises(ValueError, match="%s .*%r" % (field, value)):
+            cls(**{field: value})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_an_integer_field_takes_an_int_and_nothing_else(self, data):
+        """Every bounded field of either config, ``seed`` and a set
+        ``swi_ways`` / device ``dram_latency``: a float (integral ones
+        too: ``32.0`` keys like ``32`` but hashes otherwise), a bool or
+        a string is a ``ValueError`` naming the field and the value."""
+        cls, field = data.draw(st.sampled_from(
+            [(SMConfig, f) for f, _ in _SM_MINIMA + (("seed", 0), ("swi_ways", 1))]
+            + [(GPUConfig, f) for f, _ in _GPU_MINIMA + (("dram_latency", 0),)]
+        ), label="field")
+        value = data.draw(st.one_of(
+            st.integers(0, 64).map(float),
+            st.floats(allow_nan=False),
+            st.booleans(),
+            st.text(max_size=3),
+            st.sampled_from(["8", "32", b"1"]),
+        ), label="value")
+        with pytest.raises(ValueError, match=r"^%s must be an integer.*, got %s$" % (
+            field, re.escape(repr(value))
+        )):
             cls(**{field: value})
 
     def test_one_below_any_bound_is_refused(self):

@@ -89,9 +89,10 @@ def test_observer_vocabulary_reads_what_the_live_emit_sites_are_handed():
 
 def test_wake_site_discipline_flags_each_seeded_write():
     report = lint_one(BAD, "repro/core/wake.py", "wake-site-discipline")
-    # Also: a `tick` outside any scheduler, the retired `_probe` site, and a
-    # scheduler `tick` that wakes instead of only dropping its candidate.
-    assert [v.line for v in report.violations] == [8, 9, 12, 13, 16, 20, 27, 31]
+    # Also: a `tick` outside any scheduler, the retired `_probe` site, a
+    # scheduler `tick` that wakes instead of only dropping its candidate,
+    # and a fetch engine's `tick` that wakes as well as lowering its flag.
+    assert [v.line for v in report.violations] == [8, 9, 12, 13, 16, 20, 27, 31, 39]
 
 
 def test_registry_discipline_allows_registry_module_itself(tmp_path):

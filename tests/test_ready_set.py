@@ -21,15 +21,17 @@ from unittest import mock
 import pytest
 
 from repro.core import presets
+from repro.core.gpu import simulate_device
 from repro.core.schedulers import CascadedScheduler, SBIScheduler
 from repro.core.simulator import simulate
 from repro.core.sm import StreamingMultiprocessor
 from repro.core.warp import TimingWarp
+from repro.timing.config import GPUConfig
 from repro.workloads import get_workload
 
 
 def _describe(cand):
-    _, warp, slot, split, entry, _ = cand
+    slot, warp, split, entry = cand[2:6]
     return "warp %d slot %d %r pc=%d fetched@%d" % (
         warp.wid, slot, split, entry.pc, entry.fetch_cycle
     )
@@ -53,17 +55,17 @@ def full_scan(sm, now):
                 entry = sched._ready_entry(warp, slot, split, now)
                 if entry is None:
                     continue
-                cand = ((entry.fetch_cycle, warp.wid), warp, slot, split, entry, None)
+                cand = (entry.fetch_cycle, warp.wid, slot, warp, split, entry, None)
                 if slot == 1 and sched._sync_blocked(warp, split, entry.instr, now):
                     suspended.append(cand)
                 else:
                     pickable.append(cand)
-    pickable.sort(key=lambda c: (c[0], c[2]))
+    pickable.sort(key=lambda c: c[:3])
     return pickable, suspended
 
 
 def _same(cand, oracle):
-    return all(cand[i] is oracle[i] for i in (1, 3, 4)) and cand[2] == oracle[2]
+    return all(cand[i] is oracle[i] for i in (3, 4, 5)) and cand[2] == oracle[2]
 
 
 def check_ready_set(sm, now, index=0):
@@ -72,7 +74,7 @@ def check_ready_set(sm, now, index=0):
     sched = sm.scheduler
     sched._refresh(now, index)
     pickable, suspended = full_scan(sm, now)
-    expected = [c for c in pickable if c[1].wid % sched.pools == index]
+    expected = [c for c in pickable if c[1] % sched.pools == index]
     pool = sched._pools[index]
     got = [_describe(c) for c in pool]
     want = [_describe(c) for c in expected]
@@ -86,7 +88,7 @@ def check_ready_set(sm, now, index=0):
 def _oldest_with_free_unit(sm, expected, now, by):
     """The full-scan choice: oldest candidate whose unit is free."""
     for cand in expected:
-        split, entry = cand[3], cand[4]
+        split, entry = cand[4], cand[5]
         if by == now:
             free = sm.backend.pick_group(
                 entry.instr.op_class, now, split.lane_mask, False
@@ -105,9 +107,10 @@ def instrument(sm, counts):
     """Check the ready set before every pick of ``sm``'s scheduler,
     for as long as the context is open.
 
-    The cascaded schedulers pick through a hook (``_pick_primary``),
-    which is wrapped.  The others pick inside ``tick``, one pool after
-    the other, and issue what they picked on the spot — so the oracle
+    The cascaded schedulers pick through ``_pick`` (both picks from
+    one snapshot), which is wrapped; the stock primary it returns is
+    held against the full scan's.  The others pick inside ``tick``, one
+    pool after the other, and issue what they picked on the spot — so the oracle
     runs where ``tick`` starts and again where each issue returns
     (which is where the next pool's pick starts), and holds every
     issue against the choice the full scan made: a pick that should
@@ -115,19 +118,19 @@ def instrument(sm, counts):
     """
     sched = sm.scheduler
     if isinstance(sched, CascadedScheduler):
-        inner = sched._pick_primary
+        inner = sched._pick
 
-        def pick_primary(now):
+        def pick(now, *args):
             expected = check_ready_set(sm, now)
-            got = inner(now)
+            got, secondary = inner(now, *args)
             want = _oldest_with_free_unit(sm, expected, now, now + 1)
             assert (got is None) == (want is None), "cycle %d" % now
             assert got is None or _same(got, want), "cycle %d" % now
             counts["picks"] += 1
             counts["chosen"] += got is not None
-            return got
+            return got, secondary
 
-        sched._pick_primary = pick_primary
+        sched._pick = pick
         yield
         return
 
@@ -160,11 +163,11 @@ def instrument(sm, counts):
             # The dual front-end picks a *warp* (the owner of the
             # oldest pickable instruction, either slot) and issues its
             # slot 0 first when that can go; the others issue the pick.
-            assert warp is want[1], "cycle %d: picked %r, not %s" % (
+            assert warp is want[3], "cycle %d: picked %r, not %s" % (
                 now, warp, _describe(want)
             )
             if not dual or want[2] == 0 == slot:
-                assert _same((None, warp, slot, split, entry), want), (
+                assert _same((None, None, slot, warp, split, entry), want), (
                     "cycle %d: issued pc=%d, picked %s" % (now, entry.pc, _describe(want))
                 )
             state["want"] = None
@@ -189,8 +192,8 @@ class TestReadySetInvariant:
         ("bfs", "sbi"),
         ("transpose", "baseline"),
     ])
-    def test_ready_set_equals_full_scan_before_every_pick(self, workload, mode):
-        config = presets.by_name(mode)
+    def test_ready_set_equals_full_scan_before_every_pick(self, workload, mode, **overrides):
+        config = presets.by_name(mode, **overrides)
         inst = get_workload(workload, "tiny")
         expected = simulate(inst.kernel, inst.memory, config)
         inst = get_workload(workload, "tiny")
@@ -202,32 +205,57 @@ class TestReadySetInvariant:
         assert stats == expected
         assert counts["chosen"] > 100 and counts["picks"] > counts["chosen"]
 
-    def test_oracle_catches_a_missed_wake(self):
-        """Drop the scoreboard-release wake site: the run must fail on
-        the ready set, which is what makes the test above a test."""
-        inst = get_workload("transpose", "tiny")
-        sm = StreamingMultiprocessor(inst.kernel, inst.memory, presets.baseline())
+    def test_a_full_scoreboard_refuses_what_a_fill_would_hand_over(self):
+        """Two scoreboard entries: fills and releases meet a full
+        scoreboard with no register hazard, a *no* they must not record
+        as a candidate."""
+        self.test_ready_set_equals_full_scan_before_every_pick(
+            "bfs", "sbi_swi", scoreboard_entries=2
+        )
+
+    def _fails_without(self, workload, mode, door):
+        inst = get_workload(workload, "tiny")
+        sm = StreamingMultiprocessor(inst.kernel, inst.memory, presets.by_name(mode))
         with instrument(sm, {"picks": 0, "chosen": 0}):
-            with mock.patch.object(TimingWarp, "wake_issue", lambda self: None):
-                with pytest.raises(AssertionError, match="ready set != full scan"):
+            with mock.patch.object(TimingWarp, door, lambda self, *args: None):
+                with pytest.raises(AssertionError, match=r"^cycle \d+"):
                     sm.run()
+
+    def test_oracle_catches_a_missed_wake(self):
+        """Drop the door a fill's or a release's *yes* comes through
+        (``TimingWarp.ready``): the run must fail on the ready set,
+        which is what makes the test above a test."""
+        self._fails_without("transpose", "baseline", "ready")
+
+    def test_oracle_catches_a_missed_issue_wake(self):
+        """Likewise the issue-side wake of a refusal kept as ``True``
+        or of a slot-1 fill (``wake_issue``)."""
+        self._fails_without("bfs", "sbi", "wake_issue")
 
 
 #: Calls per issued instruction on transpose@tiny: ``(readiness probes,
-#: unit queries)``, re-pinned by PR 20 (no doomed probes; the unit
-#: snapshot names the winner's group); the guard allows +10 %.
+#: unit queries)``, re-pinned when fills and releases began handing
+#: their *yes* over without a probe (none is left on transpose) and the
+#: cascaded pick took one snapshot; the guard allows +10 %.
 #: ``PARENT_WORK`` is what the tree before the ready set measured (a
-#: full scan per scheduler per cycle), ``PR15_WORK`` what the ready set
-#: itself read and PRs 15-19 were pinned at — a pin may fall, never
+#: full scan per scheduler per cycle), ``READY_SET_WORK`` what the ready
+#: set itself read and ``NO_DOOMED_WORK`` the pins of the tree that
+#: stopped doomed probes (1da8746..d38cec1) — a pin may fall, never
 #: rise.  "Unit queries" counts ``pick_group`` and ``free_classes``
 #: together.
 WORK_PINS = {
+    "baseline": (0.0, 1.04),
+    "sbi": (0.0, 1.04),
+    "swi": (0.0, 2.37),
+    "sbi_swi": (0.0, 2.37),
+}
+NO_DOOMED_WORK = {
     "baseline": (1.03, 1.04),
     "sbi": (1.05, 1.04),
     "swi": (1.07, 2.54),
     "sbi_swi": (1.07, 2.54),
 }
-PR15_WORK = {
+READY_SET_WORK = {
     "baseline": (2.50, 2.04),
     "sbi": (1.95, 2.04),
     "swi": (2.51, 3.03),
@@ -245,17 +273,24 @@ PARENT_WORK = {
 #: per issued instruction over transpose, mandelbrot and matrixmul
 #: @tiny: what one issue costs the host in frames and C calls, the
 #: gauge that steered the one-frame issue path.  ``CALL_PINS`` are
-#: this tree's counts (re-pinned by PR 20; the guard allows +5 %),
-#: ``PR17_CALLS`` the pins of the tree that introduced the gauge — a
-#: pin may fall, never rise — and ``PARENT_CALLS`` what
-#: :func:`calls_per_issue` read on the tree before that.
+#: this tree's counts (the guard allows +5 %), ``NO_DOOMED_CALLS`` the
+#: pins they replace and ``FIRST_CALLS`` those of the tree that
+#: introduced the gauge — a pin may fall, never rise — and
+#: ``PARENT_CALLS`` what :func:`calls_per_issue` read on the tree
+#: before that.
 CALL_PINS = {
+    "baseline": 45.0,
+    "sbi": 56.8,
+    "swi": 57.5,
+    "sbi_swi": 61.4,
+}
+NO_DOOMED_CALLS = {
     "baseline": 48.8,
     "sbi": 66.0,
     "swi": 65.9,
     "sbi_swi": 71.3,
 }
-PR17_CALLS = {
+FIRST_CALLS = {
     "baseline": 56.0,
     "sbi": 73.1,
     "swi": 76.3,
@@ -268,6 +303,8 @@ PARENT_CALLS = {
     "sbi_swi": 137.5,
 }
 GAUGE_WORKLOADS = ("transpose", "mandelbrot", "matrixmul")
+#: The gauge's device row (see :func:`bytecodes_per_issue`).
+DEVICE = "device"
 
 
 #: Bytecodes per issued instruction over the same three workloads:
@@ -278,22 +315,24 @@ GAUGE_WORKLOADS = ("transpose", "mandelbrot", "matrixmul")
 #: host — and it repeats exactly, so a flat profile is a budget, not a
 #: reason to stop.  Bytecode is specific to the interpreter version:
 #: the pins are CPython 3.11's and are asserted there only.
-#: ``BYTECODE_PINS`` are this tree's counts (the guard allows +3 %);
-#: ``PARENT_BYTECODES`` is what ISSUE 20 recorded for the tree before
-#: it (cd31422; this file's gauge reads 1582.8 / 2005.9 / 2215.0 /
-#: 2332.2 there, ISSUE 20's harness a constant ~900 opcodes per mode
-#: more) — each pin must be at most 0.95 of its parent.
+#: ``BYTECODE_PINS`` are this tree's counts (the guard allows +3 %),
+#: ``DEVICE`` included; ``PARENT_BYTECODES`` is what this gauge read on
+#: the tree before fills and releases handed their verdicts over
+#: (d38cec1) — each mode's pin at most 0.94 of it, the four together
+#: at most 0.90.
 BYTECODE_PINS = {
-    "baseline": 1337.8,
-    "sbi": 1777.1,
-    "swi": 1900.3,
-    "sbi_swi": 2025.5,
+    "baseline": 1117.9,
+    "sbi": 1504.7,
+    "swi": 1607.8,
+    "sbi_swi": 1754.8,
+    DEVICE: 1837.3,
 }
 PARENT_BYTECODES = {
-    "baseline": 1583.1,
-    "sbi": 2006.5,
-    "swi": 2215.6,
-    "sbi_swi": 2332.8,
+    "baseline": 1337.8,
+    "sbi": 1777.1,
+    "swi": 1900.6,
+    "sbi_swi": 2025.8,
+    DEVICE: 2140.5,
 }
 BYTECODE_VERSION = (3, 11)
 
@@ -340,11 +379,12 @@ def count_calls(kernel, memory, config, by_function=None):
         frame.f_trace_lines = False
         return tracer
 
+    run = simulate_device if isinstance(config, GPUConfig) else simulate
     sys.setprofile(profile)
     if by_function is not None:
         sys.settrace(trace)
     try:
-        stats = simulate(kernel, memory, config)
+        stats = run(kernel, memory, config)
     finally:
         sys.settrace(None)
         sys.setprofile(None)
@@ -379,15 +419,19 @@ def calls_per_issue(mode):
 
 def bytecodes_per_issue(mode):
     """``(bytecodes per issued instruction, the same by function)``,
-    summed over the gauge workloads; each is traced on the second of
-    two identical runs (the first, untraced, warms the module-level
-    mask memos)."""
-    config = presets.by_name(mode)
+    summed over the gauge workloads (``DEVICE``: transpose on four
+    ``sbi_swi`` SMs behind the shared L2, ``GPUDevice.run`` counted);
+    each is traced on the second of two identical runs (the first,
+    untraced, warms the module-level mask memos)."""
+    if mode == DEVICE:
+        config, workloads = presets.device("sbi_swi", sm_count=4), ("transpose",)
+    else:
+        config, workloads = presets.by_name(mode), GAUGE_WORKLOADS
     by_function = collections.Counter()
     issues = 0
-    for name in GAUGE_WORKLOADS:
+    for name in workloads:
         inst = get_workload(name, "tiny")
-        simulate(inst.kernel, inst.memory, config)
+        count_calls(inst.kernel, inst.memory, config)
         inst = get_workload(name, "tiny")
         stats, _, _ = count_calls(inst.kernel, inst.memory, config, by_function)
         issues += stats.instructions_issued
@@ -402,7 +446,7 @@ class TestWorkCount:
         cannot rot back into a scan without a timing gate noticing."""
         ready, unit = work_per_issue(mode)
         pin_ready, pin_unit = WORK_PINS[mode]
-        for earlier in (PR15_WORK, PARENT_WORK):
+        for earlier in (NO_DOOMED_WORK, READY_SET_WORK, PARENT_WORK):
             assert pin_ready <= earlier[mode][0] and pin_unit <= earlier[mode][1]
         assert ready <= pin_ready * 1.10, (ready, pin_ready)
         assert unit <= pin_unit * 1.10, (unit, pin_unit)
@@ -412,7 +456,7 @@ class TestWorkCount:
         """Deterministic too: an issue's cost in interpreter calls
         cannot creep back up without a timing run to say so."""
         pin = CALL_PINS[mode]
-        assert pin <= PR17_CALLS[mode] <= 0.85 * PARENT_CALLS[mode]
+        assert pin <= NO_DOOMED_CALLS[mode] <= FIRST_CALLS[mode] <= 0.85 * PARENT_CALLS[mode]
         calls = calls_per_issue(mode)
         assert calls <= pin * 1.05, (calls, pin)
 
@@ -424,16 +468,19 @@ class TestWorkCount:
     @pytest.mark.parametrize("mode", sorted(BYTECODE_PINS))
     def test_bytecodes_per_issue(self, mode):
         """And what runs inside the frames: the flat profile as a
-        budget, one mode at a time."""
+        budget, one mode (or the device row) at a time."""
         pin = BYTECODE_PINS[mode]
-        assert pin <= 0.95 * PARENT_BYTECODES[mode]
+        assert pin <= 0.94 * PARENT_BYTECODES[mode]
         bytecodes, _ = bytecodes_per_issue(mode)
         assert bytecodes <= pin * 1.03, (bytecodes, pin)
 
     def test_bytecode_pins_meet_the_issue(self):
-        """ISSUE 20's gauge criterion: the four modes together at most
-        0.92 of the parent's 8 138."""
-        assert sum(BYTECODE_PINS.values()) <= 0.92 * sum(PARENT_BYTECODES.values())
+        """The gauge criterion: the four modes together at most 0.90 of
+        the parent's 7 041."""
+        modes = [mode for mode in BYTECODE_PINS if mode != DEVICE]
+        assert sum(BYTECODE_PINS[m] for m in modes) <= 0.90 * sum(
+            PARENT_BYTECODES[m] for m in modes
+        )
 
     def test_work_per_issue_is_flat_in_live_warps(self):
         """transpose@bench under sbi_swi with 4 to 24 warps on the SM:
@@ -478,7 +525,9 @@ class TestSlotView:
 
         def issue(self, warp, slot, split, entry, now, origin, group):
             model = warp.model
-            assert slot == model.slot_of(split, now), "cycle %d" % now
+            hot = model.hot_splits(now)
+            expected = next((i for i, s in enumerate(hot[:2]) if s is split), 2)
+            assert slot == expected, "cycle %d" % now
             checked["slots"].add(slot)
             if warp.slots_seen == model.slot_version:
                 assert warp.slot_masks == model.slot_masks(now), "cycle %d" % now
@@ -493,7 +542,7 @@ class TestSlotView:
 
 
 if __name__ == "__main__":
-    print("| mode | probes/issue | unit queries/issue | calls/issue | PR 17 calls/issue"
+    print("| mode | probes/issue | unit queries/issue | calls/issue | first calls/issue"
           " | bytecodes/issue | parent bytecodes/issue |")
     print("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
     maps = {}
@@ -501,10 +550,14 @@ if __name__ == "__main__":
         bytecodes, maps[mode] = bytecodes_per_issue(mode)
         print("| %s | %.2f | %.2f | %.1f | %.1f | %.1f | %.1f |" % (
             (mode,) + work_per_issue(mode) + (
-                calls_per_issue(mode), PR17_CALLS[mode],
+                calls_per_issue(mode), FIRST_CALLS[mode],
                 bytecodes, PARENT_BYTECODES[mode],
             )
         ))
+    bytecodes, _ = bytecodes_per_issue(DEVICE)
+    print("| %s: transpose, 4 x sbi_swi SMs | | | | | %.1f | %.1f |" % (
+        DEVICE, bytecodes, PARENT_BYTECODES[DEVICE]
+    ))
     modes = sorted(maps)
     print("\nbytecodes per issue by function, CPython %d.%d (the 25 largest of %s):\n"
           % (sys.version_info[:2] + (modes[-1],)))

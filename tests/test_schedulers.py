@@ -282,9 +282,10 @@ class TestHooksStayHooks:
 
 
 class TestNoDoomedProbes:
-    """Which wakes queue a readiness probe, and which are known to be
-    doomed: an all-empty buffer, a candidate the pick consumed, a fill
-    the scoreboard already refuses."""
+    """Which wakes queue a readiness probe, and which verdicts are
+    known without one: an all-empty buffer, a candidate the pick
+    consumed, a fill the scoreboard refuses (the release re-checks the
+    scoreboard alone) or accepts (the fill is the candidate)."""
 
     def _probes(self, sm, monkeypatch):
         from repro.core.schedulers import SchedulerBase
@@ -306,20 +307,21 @@ class TestNoDoomedProbes:
         sm._initial_launch()
         # Launched with empty buffers: fetch has work, the pools do not.
         assert not any(sm.scheduler.woken) and len(sm.fetch.woken) == 2
-        assert sm.step(0) and sm.stats.instructions_issued == 0 and not probed
-        # Cycle 1: the two filled warps are probed (yes) and issue; the
-        # issue empties their one way, so nothing queues them again
-        # before their next fill.
-        assert sm.scheduler.tick(1) == 2
-        assert [p[1:] for p in probed] == [(0, 0, True), (1, 0, True)]
+        assert sm.step(0) and sm.stats.instructions_issued == 0
+        # The fills are the verdicts: candidates (ready from cycle 1)
+        # without a probe or a wake.
         issued = [sm.warp_slots[0], sm.warp_slots[1]]
+        assert [c[3] for pool in sm.scheduler._pools for c in pool] == issued
+        assert not any(sm.scheduler.woken) and not probed
+        # Cycle 1: both issue; the issue empties their one way, so
+        # nothing queues them again before their next fill.
+        assert sm.scheduler.tick(1) == 2
         assert all(w.cand0 is None and w.ibuf == [None] for w in issued)
         assert not any(sm.scheduler.woken) and not any(sm.scheduler._pools)
         assert all(w in sm.fetch.woken for w in issued)
-        # The fill is the wake: probed again next cycle, and ready.
         sm.fetch.tick(1, sm.live_warps())
-        assert [w for pool in sm.scheduler.woken for w in pool] == issued
-        assert sm.scheduler.tick(2) == 2 and len(probed) == 4
+        assert [c[3] for pool in sm.scheduler._pools for c in pool] == issued
+        assert sm.scheduler.tick(2) == 2 and not probed
 
     def test_wake_with_a_candidate_on_record_still_probes(self):
         """The fallback: a scheduler that did not drop what it issued
@@ -331,8 +333,8 @@ class TestNoDoomedProbes:
         warp = sm.warp_slots[0]
         cand = warp.cand0
         assert cand is not None and sm.scheduler._pools[0] == [cand]
-        group = sm.backend.pick_group(cand[4].instr.op_class, 1, cand[3].lane_mask, False)
-        sm.issue(warp, 0, cand[3], cand[4], 1, "primary", group)  # no drop
+        group = sm.backend.pick_group(cand[5].instr.op_class, 1, cand[4].lane_mask, False)
+        sm.issue(warp, 0, cand[4], cand[5], 1, "primary", group)  # no drop
         assert warp.ibuf == [None] and warp in sm.scheduler.woken[0]
         sm.scheduler._refresh(1, 0)
         assert warp.cand0 is None and sm.scheduler._pools[0] == []
@@ -349,31 +351,35 @@ class TestNoDoomedProbes:
         sm.scheduler._refresh(1)
         warp = sm.warp_slots[0]
         cand = warp.cand0
-        split, entry = cand[3], cand[4]
+        split, entry = cand[4], cand[5]
         assert entry.pc == 0 and len(warp.ibuf) == 2
         program = sm.kernel.program.instructions
-        ahead = warp.ibuf[1] = IBufEntry(1, program[1], 0, 1, 1)
+        ahead = warp.ibuf[1] = IBufEntry(1, program[1], 0)
         sm.scheduler._pools[0].remove(cand)
         warp.cand0 = None  # as the pick that issues it does
         group = sm.backend.pick_group(entry.instr.op_class, 1, split.lane_mask, False)
         sm.issue(warp, 0, split, entry, 1, "primary", group)
         assert warp.ibuf == [None, ahead] and warp in sm.scheduler.woken[0]
         sm.scheduler._refresh(1)
-        assert warp.cand0 is not None and warp.cand0[4] is ahead
+        assert warp.cand0 is not None and warp.cand0[5] is ahead
         # ... whereas with both ways empty there is nothing to ask about.
         other = sm.warp_slots[1]
         cand = other.cand0
         sm.scheduler._pools[0].remove(cand)
         other.cand0 = None
-        group = sm.backend.pick_group(cand[4].instr.op_class, 2, cand[3].lane_mask, False)
-        sm.issue(other, 0, cand[3], cand[4], 2, "primary", group)
+        group = sm.backend.pick_group(cand[5].instr.op_class, 2, cand[4].lane_mask, False)
+        sm.issue(other, 0, cand[4], cand[5], 2, "primary", group)
         assert other.ibuf == [None, None] and other not in sm.scheduler.woken[0]
 
     @pytest.mark.parametrize("mode", ["baseline", "sbi", "swi", "sbi_swi"])
     def test_a_fill_the_scoreboard_refuses_waits_for_the_release(self, mode, monkeypatch):
-        """Every instruction of the dependent chain is probed once, on
-        the release it waited for — not once on its fill (no) and
-        again on the release (yes)."""
+        """No instruction of the dependent chain is probed: each fill is
+        refused (the refusal is kept), the release it waited for
+        re-checks the scoreboard alone and records the candidate — not
+        a probe on the fill (no) and another on the release (yes)."""
+        from repro.core.warp import TimingWarp
+        from repro.timing.scoreboard import ScoreboardBase
+
         kb = KernelBuilder("chain")
         (v,) = kb.regs("v")
         kb.mov(v, 1.0)
@@ -383,51 +389,94 @@ class TestNoDoomedProbes:
         config = presets.by_name(mode)
         sm = _sm(kb, config, cta_size=config.warp_width, grid_size=1)  # one warp
         probed = self._probes(sm, monkeypatch)
+        recorded, refused = [], []
+        ready, refuse = TimingWarp.ready, ScoreboardBase.refused
+
+        def spy_ready(warp, split, entry):
+            recorded.append(entry.pc)
+            ready(warp, split, entry)
+
+        def spy_refused(board, slot, split, entry, version):
+            refused.append((slot, entry.pc))
+            refuse(board, slot, split, entry, version)
+
+        monkeypatch.setattr(TimingWarp, "ready", spy_ready)
+        monkeypatch.setattr(ScoreboardBase, "refused", spy_refused)
         stats = sm.run()
         assert stats.instructions_issued == 10
-        slot0 = [p for p in probed if p[2] == 0]
-        assert all(ready for _, _, _, ready in slot0), probed
-        assert len(slot0) == 10
+        assert not probed
+        assert refused == [(0, pc) for pc in range(1, 9)]  # each mad, on its fill
+        assert recorded == list(range(10))  # its release, else its fill
         # One in-flight write at a time, each release wakes its reader.
         assert stats.cycles > 8 * config.issue_to_writeback
 
 
-class TestSecondaryPickOracle:
-    """The secondary pick against the walk it replaced: ``pick_group``
+def two_walk_pick(sched, now, primary, unit, taken, diverged, counts):
+    """The cascaded pick as two walks, the way the tree before the
+    one-walk ``CascadedScheduler._pick`` made it: the stock
+    ``_pick_primary`` (its own ``free_classes(now + 1)`` snapshot and
+    walk), then ``_pick_secondary`` (the same warp's CPC2 probed anew,
+    else its own ``free_classes(now)`` snapshot and walk, ``pick_group``
     asked per busy-class candidate, a key call and a pseudo-random draw
-    per eligible one, in warp-id order."""
+    per eligible one in warp-id order).
 
-    @staticmethod
-    def _pick_by_the_book(sched, now, primary, taken):
-        """The SWI half of the pre-PR-20 ``_pick_secondary``; leaves the
-        pseudo-random state where it found it."""
-        backend = sched.sm.backend
-        window = None
-        ways = sched.config.swi_ways
-        if primary is not None and ways is not None:
-            count = sched.config.warp_count
-            window = {(primary.wid + 1 + i) % count for i in range(ways)}
-        eligible = []
-        for cand in sched._pools[0]:
-            warp, lanes = cand[1], cand[3].lane_mask
-            if warp is primary or (window is not None and warp.wid not in window):
+    Returns ``(next primary, secondary, SWI lookups, sync
+    suspensions)``; the draws are left in ``sched._rand_state``."""
+    backend = sched.sm.backend
+    pool = sched._pools[0]
+    nxt = None
+    if pool:
+        soon = backend.free_classes(now + 1)
+        nxt = next((cand for cand in pool if soon[cand[6]]), None)
+    suspensions = 0
+    if primary is not None and sched._uses_sbi:
+        hot = primary.model.hot_splits(now)
+        if len(hot) > 1:
+            split = hot[1]
+            entry = sched._ready_entry(primary, 1, split, now)
+            if entry is not None:
+                instr = entry.instr
+                if sched._sync_blocked(primary, split, instr, now):
+                    suspensions = 1
+                elif not (instr.is_branch and diverged):
+                    group = backend.pick_group(instr.op_class, now, split.lane_mask, True)
+                    if group is not None:
+                        return nxt, ("sbi", primary, 1, split, entry, group), 0, 0
+    lookups = int(primary is not None)
+    window = None
+    if primary is not None and sched.config.swi_ways is not None:
+        count = sched.config.warp_count
+        window = {(primary.wid + 1 + i) % count for i in range(sched.config.swi_ways)}
+    eligible = []
+    for cand in pool:
+        warp, lanes, op_class = cand[3], cand[4].lane_mask, cand[5].instr.op_class
+        if warp is primary or (window is not None and warp.wid not in window):
+            continue
+        if backend.pick_group(op_class, now, lanes, False) is None:
+            counts["busy"] += primary is not None
+            if primary is None or lanes & taken:
                 continue
-            op_class = cand[4].instr.op_class
-            if backend.pick_group(op_class, now, lanes, False) is None:
-                sched.busy_class_candidates += primary is not None
-                if primary is None or lanes & taken:
-                    continue
-                if backend.pick_group(op_class, now, lanes, True) is None:
-                    continue
-            eligible.append((warp.wid, cand))
-        state = sched._rand_state
-        best = best_key = None
-        for _, cand in sorted(eligible):
-            key = sched._secondary_key(cand[1], cand[3], cand[4])
-            if best_key is None or key > best_key:
-                best, best_key = cand, key
-        after, sched._rand_state = sched._rand_state, state
-        return best, after
+            if backend.pick_group(op_class, now, lanes, True) is None:
+                continue
+        eligible.append((warp.wid, cand))
+    if not eligible:
+        return nxt, None, lookups, suspensions
+    best = best_key = None
+    for _, cand in sorted(eligible):
+        key = sched._secondary_key(cand[3], cand[4], cand[5])
+        if best_key is None or key > best_key:
+            best, best_key = cand, key
+    split, entry = best[4], best[5]
+    group = backend.pick_group(entry.instr.op_class, now, split.lane_mask, True)
+    origin = "swi" if primary is not None else "primary"
+    return nxt, (origin, best[3], 0, split, entry, group), lookups, suspensions
+
+
+class TestSecondaryPickOracle:
+    """The one-walk cascaded pick against :func:`two_walk_pick`, run
+    before every pick of whole simulations: the same next primary, the
+    same secondary (origin, warp, slot, split, entry, group), the same
+    pseudo-random draws and the same lookup and suspension counts."""
 
     @pytest.mark.parametrize("policy,overrides", [
         ("swi", {}),
@@ -436,33 +485,51 @@ class TestSecondaryPickOracle:
         ("swi_greedy", {}),
     ])
     def test_same_pick_same_draws(self, policy, overrides):
-        from repro.core.schedulers import CascadedScheduler
+        from unittest import mock
+
+        from repro.core.sm import StreamingMultiprocessor
+        from repro.core.warp import TimingWarp
         from repro.workloads import get_workload
 
-        checked = {"picks": 0, "busy": 0}
-        inner = CascadedScheduler._pick_secondary
-
-        def pick_secondary(sched, now, primary, unit, taken, diverged):
-            sched.busy_class_candidates = 0
-            want, state_after = self._pick_by_the_book(sched, now, primary, taken)
-            got = inner(sched, now, primary, unit, taken, diverged)
-            if got is not None and got[0] == "sbi":
-                return got  # the same warp's CPC2: no SWI search ran
-            assert (got is None) == (want is None), "cycle %d" % now
-            assert sched._rand_state == state_after, "cycle %d" % now
-            if got is not None:
-                assert got[1] is want[1] and got[4] is want[4], "cycle %d" % now
-                assert got[5] is not None
-                checked["picks"] += 1
-            checked["busy"] += sched.busy_class_candidates
-            return got
-
+        counts = {"picks": 0, "busy": 0, "sbi": 0}
         config = presets.by_name(policy, **overrides)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CascadedScheduler, "_pick_secondary", pick_secondary)
-            for workload in ("eigenvalues", "matrixmul"):
-                inst = get_workload(workload, "tiny")
-                simulate(inst.kernel, inst.memory, config)
+        for workload in ("eigenvalues", "matrixmul"):
+            inst = get_workload(workload, "tiny")
+            expected = simulate(inst.kernel, inst.memory, config)
+            inst = get_workload(workload, "tiny")
+            sm = StreamingMultiprocessor(inst.kernel, inst.memory, config)
+            sched, stats = sm.scheduler, sm.stats
+            inner = sched._pick
+
+            def pick(now, primary, unit, taken, diverged):
+                # The oracle only looks: no timed wake, no kept refusal,
+                # no draw survives it.
+                state = sched._rand_state
+                board = primary.scoreboard if primary is not None else None
+                awaited = board.awaited if board is not None else None
+                with mock.patch.object(TimingWarp, "wake_at", lambda self, cycle: None):
+                    want = two_walk_pick(sched, now, primary, unit, taken, diverged, counts)
+                drawn, sched._rand_state = sched._rand_state, state
+                if board is not None:
+                    board.awaited = awaited
+                before = stats.swi_lookups, stats.sync_suspensions
+                got = inner(now, primary, unit, taken, diverged)
+                assert got[0] is want[0], "cycle %d: next primary" % now
+                assert (got[1] is None) == (want[1] is None), "cycle %d" % now
+                if got[1] is not None:
+                    assert got[1][0] == want[1][0] and got[1][2] == want[1][2]
+                    assert all(got[1][i] is want[1][i] for i in (1, 3, 4, 5)), now
+                    counts["picks"] += 1
+                    counts["sbi"] += got[1][0] == "sbi"
+                assert sched._rand_state == drawn, "cycle %d" % now
+                assert (stats.swi_lookups - before[0], stats.sync_suspensions - before[1]) == (
+                    want[2], want[3]
+                ), "cycle %d" % now
+                return got
+
+            sched._pick = pick
+            assert sm.run() == expected
         # Busy-class candidates beside a primary are where the class-and-
         # lanes test stands in for ``pick_group``: they must have come up.
-        assert checked["picks"] > 300 and checked["busy"] > 300, checked
+        assert counts["picks"] > 300 and counts["busy"] > 300, counts
+        assert counts["sbi"] > 0 or policy != "sbi_swi", counts

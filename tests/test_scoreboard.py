@@ -181,3 +181,47 @@ class TestConservativeProperty:
         matrix_dep = not mat.can_issue(mov(2, 1), query_mask, query_slot)
         if exact_dep and query_mask:
             assert matrix_dep, "matrix scoreboard missed a true dependency"
+
+
+class TestMatrixReadPathGap:
+    """ROADMAP item 3's known gap: a settle on the SBI read path (a cold
+    context leaving the sideband sorter, promoted into the hot pair by
+    whoever reads it first) moves threads between context slots with no
+    ``on_transition`` — the SM feeds the matrix scoreboard only the moves
+    its own issue and barrier release make.  The next issue of the warp
+    then takes the settled masks as its "before", and the move is lost.
+
+    The golden figures suite runs such cycles: ``bench_ablations``'s
+    ``sbi/cct_insert_delay=8`` cell on eigenvalues @tiny has four.  The
+    fix moves goldens; until it lands this stays a strict xfail."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: "
+                       "read-path settles are not fed to the matrix scoreboard")
+    def test_the_scoreboard_hears_of_every_slot_move(self):
+        from unittest import mock
+
+        from repro.core import presets
+        from repro.core.simulator import simulate
+        from repro.core.sm import StreamingMultiprocessor
+        from repro.workloads import get_workload
+
+        unheard = []
+        inner = StreamingMultiprocessor.issue
+
+        def issue(self, warp, slot, split, entry, now, origin, group):
+            # ``slot_masks`` is what the rows refer to, valid while
+            # ``slots_seen`` is the model's ``slot_version``: a move the
+            # SM did not make leaves them stale, with entries riding on them.
+            model = warp.model
+            if warp.scoreboard.entries and warp.slots_seen != model.slot_version:
+                now_masks = model.slot_masks(now)
+                if now_masks != warp.slot_masks:
+                    unheard.append((now, warp.wid, warp.slot_masks, now_masks))
+            return inner(self, warp, slot, split, entry, now, origin, group)
+
+        config = presets.sbi(cct_insert_delay=8)
+        assert config.scoreboard_kind == "matrix"
+        inst = get_workload("eigenvalues", "tiny")
+        with mock.patch.object(StreamingMultiprocessor, "issue", issue):
+            simulate(inst.kernel, inst.memory, config)
+        assert not unheard, "(cycle, warp, rows' masks, model's masks): %s" % unheard[:2]

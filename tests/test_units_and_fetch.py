@@ -362,10 +362,15 @@ class TestFetchServiceOrder:
         in_flight = warp.scoreboard.add(add, warp.launch_mask, 0)  # writes v
         assert sm.fetch.tick(0, sm.live_warps()) == 2
         # ``add v, v, 1`` behind an in-flight write of v: no probe could
-        # say yes before the release, so none is queued.
+        # say yes before the release, so none is queued; the refusal is
+        # kept for the release to re-check.  The other warp's fill is a
+        # yes the fetch engine hands the ready set without a probe.
         assert warp.ibuf[0] is not None and warp.scoreboard.awaited
+        split, entry, _ = warp.scoreboard.awaited
+        assert entry is warp.ibuf[0] and split is warp.model.hot_splits(0)[0]
         assert not warp.issue_woken and warp not in sm.scheduler.woken[0]
-        assert other.issue_woken and not other.scoreboard.awaited
+        assert other.cand0 is not None and other.cand0[5] is other.ibuf[0]
+        assert not other.issue_woken and not other.scoreboard.awaited
         # The release is the wake (SM.step's writeback loop).
         import heapq
 
