@@ -49,6 +49,7 @@ import hashlib
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
 
 from repro.timing.config import GPUConfig, SMConfig
@@ -172,14 +173,12 @@ def cell_key(workload: str, size: str, config: AnyConfig) -> Tuple:
 
 
 def cell_address(workload: str, size: str, config_digest: str) -> str:
-    """Content address of the cell whose :func:`config_hash` is given."""
-    payload = {
-        "version": CACHE_VERSION,
-        "workload": workload,
-        "size": size,
-        "config": config_digest,
-    }
-    blob = json.dumps(payload, sort_keys=True)
+    """Content address of the cell whose :func:`config_hash` is given:
+    the sha256 of the bytes ``json.dumps(payload, sort_keys=True)``
+    writes for ``{config, size, version, workload}``, formatted here."""
+    blob = '{"config": %s, "size": %s, "version": %d, "workload": %s}' % (
+        _quote(config_digest), _quote(size), CACHE_VERSION, _quote(workload)
+    )
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -296,13 +295,15 @@ def entry_text(workload: str, size: str, config: AnyConfig, stats: AnyStats) -> 
 def read_entry(path: str) -> Dict[str, object]:
     """The entry at ``path``; ``ValueError`` says why there is none.
 
-    Missing, torn and alien files and entries from another
+    Missing, torn, non-UTF-8 and alien files and entries from another
     ``CACHE_VERSION`` all fail here, so lookups treat them as misses
-    and ``repro store verify`` reports the reason.
+    and ``repro store verify`` reports the reason.  The file is read as
+    bytes and decoded as strict UTF-8 (a ``UnicodeDecodeError`` is a
+    ``ValueError``), without a text-mode reader.
     """
     try:
-        with open(path, encoding="utf-8") as f:
-            entry = json.load(f)
+        with open(path, "rb") as f:
+            entry = json.loads(f.read().decode("utf-8"))
     except (OSError, ValueError) as exc:
         raise ValueError("unreadable or torn JSON") from exc
     if not isinstance(entry, dict):

@@ -369,16 +369,21 @@ class Engine:
         disk_dir = self._disk_dir(cache=True)
         addressed = bool(disk_dir) or self.backend == "remote"
 
-        # Unique work items: aliased configs share one simulation.
-        keys: List[Tuple] = []  # cell_key of cells[i]
-        unique: Dict[Tuple, Cell] = {}
+        # Unique work items: aliased configs share one simulation.  A
+        # preset's key is a ~30-pair tuple that rehashes on every dict
+        # probe, so past this loop a cell goes by its slot number.
+        slots: List[int] = []  # slot of cells[i]
+        unique: Dict[Tuple, int] = {}  # cell_key -> slot
+        firsts: List[Tuple[Tuple, Cell]] = []  # (cell_key, first cell) per slot
         for cell in cells:
             key = (cell.workload, cell.size, key_of(cell.config_name, cell.config))
-            keys.append(key)
-            unique.setdefault(key, cell)
+            slot = unique.setdefault(key, len(firsts))
+            if slot == len(firsts):
+                firsts.append((key, cell))
+            slots.append(slot)
 
-        outcome: Dict[Tuple, object] = {}  # key -> AnyStats | CellError
-        total = len(unique)
+        outcome: List[object] = [None] * len(firsts)  # AnyStats | CellError
+        total = len(firsts)
         done = 0
 
         def emit(
@@ -401,7 +406,7 @@ class Engine:
         # no event stream for the aggregators to see.
         reuse = not (verify or self.observer_names)
         pending: List[Pending] = []
-        for key, cell in unique.items():
+        for slot, (key, cell) in enumerate(firsts):
             stats = self.memo.get(key) if reuse else None
             digest = None
             if stats is None and addressed:
@@ -415,7 +420,7 @@ class Engine:
                     if stats is not None:
                         self.memo[key] = stats
             if stats is not None:
-                outcome[key] = stats
+                outcome[slot] = stats
                 emit(cell, cached=True)
             else:
                 pending.append((key, cell, digest))
@@ -431,11 +436,12 @@ class Engine:
             # fail-fast raise — is what lets the pool drop queued cells.
             with closing(runner(pending, verify)) as outcomes:
                 for key, cell, got, cached, source in outcomes:
+                    slot = unique[key]
                     if isinstance(got, Exception):
                         if errors == "raise":
                             raise got
                         text = str(got)
-                        outcome[key] = CellError(
+                        outcome[slot] = CellError(
                             cell.workload, cell.size, cell.config_name, text
                         )
                         emit(cell, cached=False, error=text)
@@ -446,13 +452,13 @@ class Engine:
                             store_dir, cell.workload, cell.size, cell.config, got,
                             address[key],
                         )
-                    outcome[key] = got
+                    outcome[slot] = got
                     emit(cell, cached, source=source)
 
         results: List[Result] = []
         cell_errors: List[CellError] = []
-        for key, cell in zip(keys, cells):
-            got = outcome.get(key)
+        for slot, cell in zip(slots, cells):
+            got = outcome[slot]
             if got is None:
                 continue  # unresolved under fail-fast abort
             if isinstance(got, CellError):

@@ -15,9 +15,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.api.cache import AnyStats, stats_from_payload, stats_to_payload
+from repro.api.cache import (
+    AnyStats, atomic_write_text, stats_from_payload, stats_to_payload,
+)
 from repro.analysis.report import format_table, gmean
 from repro.workloads import MEAN_EXCLUDED
 
@@ -49,6 +51,33 @@ class CellError:
     size: str
     config: str
     error: str
+
+
+def _records(data: Dict[str, Any], name: str, last: str) -> Iterator[List[Any]]:
+    """``[where, workload, size, config, <last>]`` of each record in
+    ``data[name]``; a ``ValueError`` names a malformed one."""
+    records = data.get(name, [])
+    if not isinstance(records, list):
+        raise ValueError("%s is not a list" % name)
+    for i, record in enumerate(records):
+        where = "%s[%d]" % (name, i)
+        if not isinstance(record, dict):
+            raise ValueError("%s is not an object" % where)
+        for field in ("workload", "size", "config", last):
+            if field not in record:
+                raise ValueError("no field %r in %s" % (field, where))
+            if field != "stats" and not isinstance(record[field], str):
+                raise ValueError("%s.%s is not a string" % (where, field))
+        yield [where, record["workload"], record["size"], record["config"], record[last]]
+
+
+def _result(where: str, workload: str, size: str, config: str, payload: Any) -> Result:
+    try:
+        stats = stats_from_payload(payload)
+        stats.to_dict()  # what decodes must serialise back
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("undecodable stats in %s: %r" % (where, exc)) from None
+    return Result(workload, size, config, stats)
 
 
 def _metric_fn(metric: Metric) -> Callable[[AnyStats], float]:
@@ -321,34 +350,33 @@ class ResultSet:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "ResultSet":
+    def from_dict(cls, data: object) -> "ResultSet":
+        """Rebuild :meth:`to_dict` output; any other JSON value is a
+        ``ValueError`` naming what is wrong with it."""
+        if not isinstance(data, dict):
+            raise ValueError("not a ResultSet: the top level is not an object")
         if data.get("version") != RESULTSET_VERSION:
             raise ValueError(
                 "unsupported ResultSet payload version %r" % (data.get("version"),)
             )
         return cls(
-            results=(
-                Result(
-                    workload=r["workload"],
-                    size=r["size"],
-                    config=r["config"],
-                    stats=stats_from_payload(r["stats"]),
-                )
-                for r in data.get("results", ())
-            ),
-            errors=(CellError(**e) for e in data.get("errors", ())),
+            results=(_result(*r) for r in _records(data, "results", "stats")),
+            errors=(CellError(*e[1:]) for e in _records(data, "errors", "error")),
         )
 
-    def to_json(self, path: Optional[str] = None, indent: int = 1) -> str:
-        text = json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self, path: Optional[str] = None) -> str:
+        """One line of JSON (``python -m json.tool`` pretty-prints it);
+        ``path`` is replaced atomically, so an interrupted write leaves
+        the old file."""
+        text = json.dumps(self.to_dict(), sort_keys=True)
         if path is not None:
-            with open(path, "w") as f:
-                f.write(text + "\n")
+            atomic_write_text(path, text + "\n")
         return text
 
     @classmethod
     def from_json(cls, source: str) -> "ResultSet":
-        """Load from a JSON string or a path to a JSON file."""
+        """Load from a JSON string or a path to a JSON file (either
+        layout: one line, or the indented one older trees wrote)."""
         if source.lstrip().startswith("{"):
             return cls.from_dict(json.loads(source))
         with open(source) as f:

@@ -438,10 +438,6 @@ def _cmd_merge(args) -> int:
     for path in args.inputs:
         try:
             rs = ResultSet.from_json(path)
-        except KeyError as exc:
-            raise ValueError(
-                "%s: no field %s (not a `repro sweep --save` artifact)" % (path, exc)
-            ) from None
         except ValueError as exc:
             raise ValueError("%s: %s" % (path, exc)) from None
         merged = merged.merge(rs, on_conflict=args.on_conflict)

@@ -5,6 +5,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import CellError, Result, ResultSet
 from repro.timing.stats import DeviceStats, Stats
@@ -160,6 +162,44 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version"):
             ResultSet.from_dict({"version": 99, "results": []})
 
+    def test_to_json_is_one_line_and_takes_no_indent(self):
+        rs = _rs()
+        text = rs.to_json()
+        assert "\n" not in text
+        assert text == json.dumps(rs.to_dict(), sort_keys=True)
+        with pytest.raises(TypeError):
+            rs.to_json(indent=1)
+
+    def test_the_indented_layout_older_trees_wrote_still_loads(self, tmp_path):
+        dstats = DeviceStats(cycles=100, sm_stats=[_stats(90, 500)], dram_bytes=0.1)
+        rs = _rs().merge(
+            ResultSet(
+                [Result("bfs", "tiny", "dev", dstats)],
+                errors=[CellError("lud", "tiny", "dev", "boom")],
+            )
+        )
+        old = json.dumps(rs.to_dict(), indent=1, sort_keys=True)
+        assert ResultSet.from_json(old) == ResultSet.from_json(rs.to_json()) == rs
+        path = tmp_path / "old.json"
+        path.write_text(old + "\n")
+        loaded = ResultSet.from_json(str(path))
+        assert loaded == rs and loaded.errors == rs.errors
+        # Only the whitespace moved: the content reads back the same.
+        assert json.loads(old) == json.loads(rs.to_json())
+
+    def test_an_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "rs.json"
+        path.write_text("old bytes\n")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            _rs().to_json(str(path))
+        assert path.read_text() == "old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rs.json"]  # no *.tmp
+
     def test_csv(self):
         rows = list(csv.DictReader(io.StringIO(_rs().to_csv())))
         assert len(rows) == 6
@@ -250,6 +290,108 @@ class TestSerialization:
         }
         with pytest.raises(KeyError, match="nope"):
             rs.to_text(base="nope")
+
+
+#: Any JSON value (NaN aside: it is not equal to itself).
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _shape():
+    """A saved ResultSet's dict: both stats kinds, an error, and one
+    cell twice (a duplicate must agree with its first copy)."""
+    dstats = DeviceStats(cycles=9, sm_stats=[_stats(9, 40)], dram_bytes=0.5)
+    data = ResultSet(
+        [
+            Result("bfs", "tiny", "baseline", _stats(10, 10)),
+            Result("bfs", "tiny", "dev", dstats),
+        ],
+        errors=[CellError("lud", "tiny", "baseline", "boom")],
+    ).to_dict()
+    data["results"].append(json.loads(json.dumps(data["results"][0])))
+    return data
+
+
+def _paths(value, path=()):
+    yield path
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _damaged(draw):
+    """``_shape()`` with one subtree replaced by any JSON value, or
+    (inside an object) deleted."""
+    data = _shape()
+    path = draw(st.sampled_from(list(_paths(data))))
+    if not path:
+        return draw(_json)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_json)
+    return data
+
+
+class TestFromDictRefusals:
+    """``from_dict`` returns a ResultSet that saves and reloads, or
+    raises a ``ValueError`` — never another exception."""
+
+    @staticmethod
+    def _returns_or_refuses(data):
+        try:
+            rs = ResultSet.from_dict(data)
+        except ValueError:
+            return
+        again = ResultSet.from_json(rs.to_json())
+        assert again == rs and again.errors == rs.errors
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json)
+    def test_any_json_value(self, data):
+        self._returns_or_refuses(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_damaged())
+    def test_a_saved_resultset_with_one_part_damaged(self, data):
+        self._returns_or_refuses(data)
+
+    @pytest.mark.parametrize("data, names", [
+        ([1, 2], "top level is not an object"),
+        ({"version": 1, "results": [1]}, "results[0] is not an object"),
+        ({"version": 1, "errors": [1]}, "errors[0] is not an object"),
+        ({"version": 1, "results": {}}, "results is not a list"),
+        ({"version": 1, "errors": [{"workload": "w", "size": "s", "config": "c"}]},
+         "no field 'error' in errors[0]"),
+        ({"version": 1, "results": [
+            {"workload": "w", "size": "s", "config": ["c"], "stats": {}}
+        ]}, "results[0].config is not a string"),
+        ({"version": 1, "results": [
+            {"workload": "w", "size": "s", "config": "c", "stats": {"kind": "sm"}}
+        ]}, "undecodable stats in results[0]"),
+        ({"version": 1, "results": [{"workload": "w", "size": "s", "config": "c",
+          "stats": {"kind": "sm", "data": {"per_op_class": 5}}}]},
+         "undecodable stats in results[0]"),
+    ])
+    def test_the_error_names_what_is_wrong(self, data, names):
+        with pytest.raises(ValueError) as excinfo:
+            ResultSet.from_dict(data)
+        assert names in str(excinfo.value)
+        self._returns_or_refuses(data)
+
+    def test_the_undamaged_shape_loads(self):
+        rs = ResultSet.from_dict(_shape())
+        assert len(rs) == 2 and len(rs.errors) == 1
 
 
 class TestMerge:

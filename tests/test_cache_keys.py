@@ -203,6 +203,11 @@ AT_BOUNDS_DIGESTS = (
     "2b2fd32894adfb22cfde04603616fe76c5f1728cd01b5ac38782dd3f6ad343f9",
 )
 
+#: Workload / size names json has to escape, and names it does not.
+_names = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f \ud800\U0001f600'))
+)
+
 
 class TestPinnedAddresses:
     def test_figure7_presets(self):
@@ -221,6 +226,23 @@ class TestPinnedAddresses:
         sm = SMConfig(**SM_AT_BOUNDS)
         device = GPUConfig(sm=sm, **GPU_AT_BOUNDS)
         assert (config_hash(sm), config_hash(device)) == AT_BOUNDS_DIGESTS, ADDRESS_MOVED
+
+    @settings(max_examples=300, deadline=None)
+    @given(_names, _names, st.one_of(_names, st.text("0123456789abcdef", min_size=64, max_size=64)))
+    def test_the_formatted_address_is_the_dumped_one(self, workload, size, digest):
+        """``cell_address`` formats the bytes ``json.dumps`` wrote for
+        it before: quotes, backslashes, control and non-ASCII
+        characters (lone surrogates included) escape the same way."""
+        payload = {
+            "version": result_cache.CACHE_VERSION,
+            "workload": workload,
+            "size": size,
+            "config": digest,
+        }
+        blob = json.dumps(payload, sort_keys=True)
+        assert result_cache.cell_address(workload, size, digest) == (
+            hashlib.sha256(blob.encode()).hexdigest()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +309,31 @@ class TestGoldenStore:
             result_cache.disk_store(store_dir, cell.workload, cell.size, cell.config, stats)
             with open(path) as f:
                 assert f.read() == before
+
+
+class TestEntryReader:
+    """``read_entry`` reads bytes and decodes strict UTF-8, as the
+    text-mode reader it replaced did: an entry in any other encoding
+    is a miss for a lookup and a problem for ``verify``."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text.replace('"histogram"', '"histogräm"').encode("latin-1"),
+        lambda text: text.encode("utf-16"),
+        lambda text: text.encode("utf-8-sig"),
+    ], ids=["latin-1", "utf-16", "utf-8-bom"])
+    def test_a_non_utf8_entry_is_a_miss_and_a_problem(self, tmp_path, damage):
+        root, config = str(tmp_path), presets.baseline()
+        stats = Stats(cycles=7, per_op_class={"alu": 1})
+        digest = result_cache.disk_store(root, "histogram", "tiny", config, stats)
+        path = result_cache.digest_path(root, digest)
+        assert result_cache.disk_load(root, "histogram", "tiny", config) == stats
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        with open(path, "wb") as f:
+            f.write(damage(text))
+        assert result_cache.disk_load(root, "histogram", "tiny", config) is None
+        (problem,) = ResultStore(root).verify().problems
+        assert problem.digest == digest and problem.reason == "unreadable or torn JSON"
 
 
 # ----------------------------------------------------------------------

@@ -315,6 +315,24 @@ class TestMerge:
         proc = run_cli("merge", a, b, "--save", out, "--format", "markdown")
         assert "| histogram |" in proc.stdout
 
+    def test_merge_reads_the_indented_layout_beside_the_one_line_one(self, tmp_path):
+        from repro.api import ResultSet
+
+        new = self._save(tmp_path, "new.json", "histogram")
+        old = self._save(tmp_path, "old.json", "sortingnetworks")
+        with open(new) as f:
+            assert len(f.read().splitlines()) == 1  # --save writes one line
+        with open(old) as f:
+            payload = json.load(f)
+        with open(old, "w") as f:  # what the tree before one-line saves wrote
+            f.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        out = str(tmp_path / "merged.json")
+        proc = run_cli("merge", old, new, "--save", out)
+        assert "# merged 2 files -> 2 cells" in proc.stderr
+        merged = ResultSet.from_json(out)
+        assert merged.workloads == ["sortingnetworks", "histogram"]
+        assert merged == ResultSet.from_json(old).merge(ResultSet.from_json(new))
+
     def test_merge_idempotent_on_duplicates(self, tmp_path):
         a = self._save(tmp_path, "a.json", "histogram")
         proc = run_cli("merge", a, a)
@@ -353,6 +371,9 @@ class TestOsRefusalsAndIgnoredValues:
         (("sweep", *ONE_CELL, "--output", "{tmp}/no/o.txt"), "--output {tmp}/no/o.txt"),
         (("merge", "{tmp}/fieldless.json"), "{tmp}/fieldless.json: no field 'size'"),
         (("merge", "{tmp}/prose.json"), "{tmp}/prose.json: Expecting value"),
+        (("merge", "{tmp}/list.json"), "{tmp}/list.json: not a ResultSet"),
+        (("merge", "{tmp}/int_result.json"), "{tmp}/int_result.json: results[0] is not an object"),
+        (("merge", "{tmp}/int_error.json"), "{tmp}/int_error.json: errors[0] is not an object"),
         (("analyze", "--workload", "bfs", "--sm-count", "0"), "--sm-count must be >= 1, got 0"),
         (("analyze", "--workload", "bfs", "--sm-count", "-2"), "--sm-count must be >= 1, got -2"),
         (("analyze", "--workload", "bfs", "--json", "{tmp}/no/a.json"), "--json {tmp}/no/a.json"),
@@ -370,6 +391,9 @@ class TestOsRefusalsAndIgnoredValues:
             '{"version": 1, "results": [{"workload": "w", "config": "c", "stats": {}}]}'
         )
         (tmp_path / "prose.json").write_text("not json\n")
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "int_result.json").write_text('{"version": 1, "results": [1]}')
+        (tmp_path / "int_error.json").write_text('{"version": 1, "errors": [1]}')
         with socket.socket() as taken:
             taken.bind(("127.0.0.1", 0))
             fill = dict(tmp=str(tmp_path), port=taken.getsockname()[1])

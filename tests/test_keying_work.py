@@ -14,11 +14,18 @@ the number of configurations and do not move with the number of
 kernels, and ``dataclasses.asdict`` — the deep-copying walk this
 replaced — is never called on a config or a ``Stats``.
 
-``python tests/test_keying_work.py`` prints the table.
+The JSON work of the same warm pair is pinned beside it: the
+pure-Python encoder (``json.dumps`` under ``indent``) is never
+entered, no ``json.dumps`` runs per disk-loaded cell, and each such
+cell opens one file, in binary.
+
+``python tests/test_keying_work.py`` prints the tables.
 """
 
+import builtins
 import contextlib
 import dataclasses
+import json
 import threading
 from unittest import mock
 
@@ -106,25 +113,99 @@ class Walks:
             yield self
 
 
+class JsonWork:
+    """Counts this thread's entries into the pure-Python JSON encoder
+    (``json.encoder._make_iterencode``: what ``json.dumps`` falls back
+    to under ``indent``), its ``json.dumps`` calls and the mode of each
+    file it opens."""
+
+    def __init__(self) -> None:
+        self.encoder = 0
+        self.dumps = 0
+        self.opens: list = []
+
+    @contextlib.contextmanager
+    def counting(self):
+        thread = threading.get_ident()
+        make, dumps, open_ = json.encoder._make_iterencode, json.dumps, builtins.open
+
+        def ours() -> bool:
+            return threading.get_ident() == thread
+
+        def counted_make(*args, **kwargs):
+            self.encoder += ours()
+            return make(*args, **kwargs)
+
+        def counted_dumps(*args, **kwargs):
+            self.dumps += ours()
+            return dumps(*args, **kwargs)
+
+        def counted_open(file, mode="r", *args, **kwargs):
+            if ours():
+                self.opens.append(mode)
+            return open_(file, mode, *args, **kwargs)
+
+        with mock.patch.object(json.encoder, "_make_iterencode", counted_make), \
+                mock.patch.object(json, "dumps", counted_dumps), \
+                mock.patch.object(builtins, "open", counted_open):
+            yield self
+
+
 def warm_pair(kernels: int, cache_dir: str):
     """(walks of the disk-answered run, walks of the memo-answered run,
-    ``Stats.to_dict`` calls of serialising the result) for a
+    ``Stats.to_dict`` calls of serialising the result, and the
+    :class:`JsonWork` of the two runs and the ``to_json``) for a
     ``kernels`` x 3 grid against a pre-filled disk level."""
     spec = grid(kernels)
     for cell in spec.cells():
         result_cache.disk_store(cache_dir, cell.workload, cell.size, cell.config, STATS)
     engine = Engine(backend="inline", cache_dir=cache_dir, memo={}, **NO_SIMULATION)
+    json_work = (JsonWork(), JsonWork(), JsonWork())
     with Walks().counting() as walks:
         events = []
-        disk_results = engine.run(spec, progress=events.append)
+        with json_work[0].counting():
+            disk_results = engine.run(spec, progress=events.append)
         disk = walks.take()
-        memo_results = engine.run(spec, progress=events.append)
+        with json_work[1].counting():
+            memo_results = engine.run(spec, progress=events.append)
         memo = walks.take()
-        memo_results.to_json()
+        with json_work[2].counting():
+            memo_results.to_json()
         assert walks.take() == 0
     assert len(events) == 2 * spec.total_cells and all(e.cached for e in events)
     assert len(disk_results) == len(memo_results) == spec.total_cells
-    return disk, memo, walks.to_dict
+    return disk, memo, walks.to_dict, json_work
+
+
+class CountedName(str):
+    """A workload name counting the hashes of every key that holds it
+    (a tuple does not cache its hash: each dict probe rehashes it)."""
+
+    hashes = 0
+
+    def __hash__(self) -> int:
+        CountedName.hashes += 1
+        return str.__hash__(self)
+
+
+def key_hashes_per_cell(kernels: int, cache_dir: str):
+    """Hashes of a cell's keys per cell, over a disk-answered run and a
+    memo-answered one of a ``kernels`` x 3 grid: the memo key's, and
+    the ``(workload, size, config)`` key the ResultSet files it under."""
+    spec = SweepSpec(
+        workloads=[CountedName(w) for w in ALL_WORKLOADS[:kernels]],
+        configs=CONFIGS,
+        size="tiny",
+    )
+    for cell in spec.cells():
+        result_cache.disk_store(cache_dir, cell.workload, cell.size, cell.config, STATS)
+    engine = Engine(backend="inline", cache_dir=cache_dir, memo={}, **NO_SIMULATION)
+    counts = []
+    for _ in range(2):
+        CountedName.hashes = 0
+        engine.run(spec)
+        counts.append(CountedName.hashes / spec.total_cells)
+    return tuple(counts)
 
 
 def remote_client_walks(kernels: int, store_dir: str) -> int:
@@ -171,16 +252,38 @@ def compute_cell_miss_walks(cache_dir: str) -> int:
 PARENT_PAIR_PER_CELL = 5  # disk run: 2 cell_key + 1 cell_hash; memo run: 2 cell_key
 PARENT_REMOTE_PER_CELL = 5  # 2 cell_key, 2 cell_hash, 1 config_to_payload
 PARENT_MISS = 4  # cell_key, 2 cell_hash, config_to_payload
+# Key hashes per cell before a swept cell went by its slot number
+# (0dd7ecc): the outcome table's store and lookup came on top.
+PARENT_KEY_HASHES = (7, 6)
 
 
 class TestKeyingWork:
     @pytest.mark.parametrize("kernels", [2, 8])
     def test_warm_runs_walk_each_config_not_each_cell(self, kernels, tmp_path):
         configs = len(CONFIGS)
-        disk, memo, to_dict = warm_pair(kernels, str(tmp_path))
+        disk, memo, to_dict, _ = warm_pair(kernels, str(tmp_path))
         assert disk <= 2 * configs  # one memo key, one digest
         assert memo <= 2 * configs
         assert to_dict == kernels * configs  # once per serialised cell
+
+    @pytest.mark.parametrize("kernels", [2, 8])
+    def test_the_warm_path_keeps_off_the_pure_python_encoder(self, kernels, tmp_path):
+        """Counts, not times: the C encoder serialises the result, no
+        ``json.dumps`` runs per disk-loaded cell (a content address is
+        a format string) and each such cell is one binary read."""
+        cells = kernels * len(CONFIGS)
+        disk, memo, save = warm_pair(kernels, str(tmp_path))[3]
+        assert (disk.encoder, memo.encoder, save.encoder) == (0, 0, 0)
+        assert disk.dumps == len(CONFIGS)  # one config_hash per config
+        assert (memo.dumps, save.dumps) == (0, 1)
+        assert disk.opens == ["rb"] * cells
+        assert memo.opens == save.opens == []
+
+    def test_a_cell_key_is_hashed_once_per_probe_it_needs(self, tmp_path):
+        # Disk pass: the dedupe, the memo probe, the memo fill; memo
+        # pass: the first two.  Each pass adds the ResultSet's lookup
+        # and insert of the short (workload, size, config) key.
+        assert key_hashes_per_cell(4, str(tmp_path)) == (3 + 2, 2 + 2)
 
     def test_walks_do_not_grow_with_kernels(self, tmp_path):
         few = warm_pair(2, str(tmp_path / "few"))[:2]
@@ -202,9 +305,10 @@ def main() -> None:
 
     print("| path | kernels x configs | walks before (asdict) | walks |")
     print("| --- | ---: | ---: | ---: |")
+    json_rows = []
     for kernels in (2, 8, 21):
         with tempfile.TemporaryDirectory() as tmp:
-            disk, memo, to_dict = warm_pair(kernels, tmp)
+            disk, memo, to_dict, json_work = warm_pair(kernels, tmp)
         cells = kernels * len(CONFIGS)
         print("| Engine.run, disk level then memo | %d x %d | %d | %d + %d |" % (
             kernels, len(CONFIGS), PARENT_PAIR_PER_CELL * cells, disk, memo
@@ -212,6 +316,7 @@ def main() -> None:
         print("| ResultSet.to_json (Stats walks) | %d x %d | %d | %d |" % (
             kernels, len(CONFIGS), cells, to_dict
         ))
+        json_rows.append((kernels, json_work))
     for kernels in (2, 8):
         with tempfile.TemporaryDirectory() as tmp:
             walks = remote_client_walks(kernels, tmp)
@@ -222,6 +327,21 @@ def main() -> None:
         print("| _compute_cell, miss with a disk level | 1 x 1 | %d | %d |" % (
             PARENT_MISS, compute_cell_miss_walks(tmp)
         ))
+    with tempfile.TemporaryDirectory() as tmp:
+        print("| key hashes per cell, disk run + memo run | 4 x %d | %d + %d | %g + %g |" % (
+            (len(CONFIGS),) + PARENT_KEY_HASHES + key_hashes_per_cell(4, tmp)
+        ))
+    print()
+    print("| kernels x configs | pass | pure-Python encoder entries | json.dumps | opens |")
+    print("| ---: | --- | ---: | ---: | --- |")
+    for kernels, json_work in json_rows:
+        for name, work in zip(("disk", "memo", "to_json"), json_work):
+            modes = ", ".join(
+                "%d %r" % (work.opens.count(m), m) for m in sorted(set(work.opens))
+            )
+            print("| %d x %d | %s | %d | %d | %s |" % (
+                kernels, len(CONFIGS), name, work.encoder, work.dumps, modes or "0"
+            ))
 
 
 if __name__ == "__main__":
