@@ -16,7 +16,7 @@ never collide.  Every key derives from one *canonical form*,
 :func:`config_fields`: the dict ``dataclasses.asdict`` builds (equal
 values, key order and JSON bytes — by test, ``tests/test_cache_keys.py``)
 without its deep copy.  A sweep is few configurations x many workloads,
-so :func:`per_config` lets one call (``Engine.run``, ``submit_message``)
+so :func:`per_config` lets one call (``Engine.run``, ``submit_line``)
 walk each configuration once and key every cell off that; a cell's
 content address is :func:`cell_address` over workload, size and config
 digest.
@@ -158,13 +158,19 @@ def config_from_payload(payload: Dict) -> AnyConfig:
     )
 
 
-def config_hash(config: AnyConfig) -> str:
-    """Stable hex digest of the complete configuration."""
+def config_text(config: AnyConfig) -> str:
+    """The canonical JSON text of a configuration: what
+    :func:`config_hash` hashes, and the bytes a ``submit`` message or a
+    journal job record carries for it."""
     # No default= fallback: a non-JSON-native field must fail loudly
     # here rather than be repr'd (repr can embed object addresses,
     # which would derive a different key on every run).
-    blob = json.dumps(config_to_payload(config), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return json.dumps(config_to_payload(config), sort_keys=True)
+
+
+def config_hash(config: AnyConfig) -> str:
+    """Stable hex digest of the complete configuration."""
+    return hashlib.sha256(config_text(config).encode()).hexdigest()
 
 
 def cell_key(workload: str, size: str, config: AnyConfig) -> Tuple:

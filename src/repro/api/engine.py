@@ -35,6 +35,7 @@ callback for every cell as it resolves (with a ``cached`` flag)::
 from __future__ import annotations
 
 import importlib
+import math
 import os
 import signal
 import threading
@@ -200,6 +201,25 @@ def _check_jobs(jobs: Optional[int]) -> None:
         )
 
 
+def _check_timeout(timeout: object, name: str = "timeout") -> None:
+    # A bool is an int, and urllib meets inf, nan or <= 0 only at the
+    # first request — as an OverflowError, or after every retry.
+    if (
+        not isinstance(timeout, (int, float))
+        or isinstance(timeout, bool)
+        or not math.isfinite(timeout)
+        or timeout <= 0
+    ):
+        raise ValueError(
+            "%s must be a finite number of seconds > 0, got %r" % (name, timeout)
+        )
+
+
+def _check_retries(retries: object, name: str = "retries") -> None:
+    if type(retries) is not int or retries < 0:  # True is not 1 retry
+        raise ValueError("%s must be an integer >= 0, got %r" % (name, retries))
+
+
 def worker_pool(
     jobs: Optional[int], plugins: Tuple[str, ...] = ()
 ) -> ProcessPoolExecutor:
@@ -242,6 +262,8 @@ class Engine:
         simulate_device_fn=None,
     ):
         _check_jobs(jobs)
+        _check_timeout(timeout)
+        _check_retries(retries)
         if backend is None:
             if server is not None:
                 backend = "remote"

@@ -164,8 +164,13 @@ def _check_output_dirs(*outputs) -> None:
 
 
 def _run_spec(spec: SweepSpec, args) -> int:
+    from repro.api.engine import _check_retries, _check_timeout
+
     _validate_metric(spec, args.metric)
     _check_output_dirs(("--save", args.save), ("--output", args.output))
+    # The Engine refuses them too, but by its keyword names.
+    _check_timeout(args.timeout, "--timeout")
+    _check_retries(args.retries, "--retries")
     counts = {"simulated": 0, "cached": 0, "failed": 0}
     # Remote-cell provenance: "store" hits and "coalesced" rides are
     # cached, "fallback" cells were simulated inline by a degraded

@@ -114,7 +114,7 @@ _HTTP_STATUS: Dict[str, int] = {
 
 #: The largest request body the daemon will read: a peer's
 #: ``Content-Length`` is a claim, not a licence to allocate.  (A cell
-#: is ~1.3 kB on the wire, so this is a sweep of ~50k cells.)
+#: is ≈ 0.78 kB on the wire, so this is a sweep of ≈ 86k cells.)
 MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
 #: How many finished jobs the job table keeps, newest first, for late

@@ -34,9 +34,9 @@ Crash-safety properties:
   finished jobs) by writing a temp file and ``os.replace``-ing it over
   the live one, the same atomic-rename discipline as the result store.
 
-A job record's cells are the wire cells of a ``submit`` message
-(:func:`repro.service.protocol.cell_to_wire`, read back and
-hash-checked by ``cells_from_wire``) — config *payloads*, not pickled
+A job record's cells are the wire cells of a ``submit`` message, from
+the same writer (:func:`repro.service.protocol.cells_to_wire`, read back
+and hash-checked by ``cells_from_wire``) — config *payloads*, not pickled
 objects: a journal written by one daemon version is replayable by the
 next, and an unregistered policy fails replay loudly.  Each record
 type is built by one function, which both the appends and
@@ -51,14 +51,14 @@ import json
 import os
 import tempfile
 import threading
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, IO, Iterator, List, Optional, Tuple
 
-from repro.api.cache import config_to_payload, per_config
 from repro.service.protocol import (
     CELL_STATUSES,
     SubmittedCell,
-    cell_to_wire,
     cells_from_wire,
+    cells_to_wire,
 )
 
 #: Bump when the record schema changes.
@@ -92,30 +92,19 @@ class JournalJob:
         return len(self.resolved) == len(self.cells)
 
 
-def _record_line(record: Dict[str, object]) -> str:
-    return json.dumps(record, sort_keys=True) + "\n"
-
-
-def _job_record(
-    job_id: str, verify: bool, cells: List[SubmittedCell]
-) -> Dict[str, object]:
-    # Decoded cells of one configuration share its object: one walk each.
-    payload_of = per_config(config_to_payload)
-    return {
-        "j": JOURNAL_VERSION,
-        "type": REC_JOB,
-        "job": job_id,
-        "verify": bool(verify),
-        "cells": [
-            cell_to_wire(cell, payload_of(cell.config_name, cell.config))
-            for cell in cells
-        ],
-    }
+def _job_record(job_id: str, verify: bool, cells: List[SubmittedCell]) -> str:
+    # The cells are a submit message's bytes: one writer for both, and
+    # decoded cells of one configuration share its object, so one
+    # encoding each.
+    return '{"cells": %s, "j": %d, "job": %s, "type": %s, "verify": %s}\n' % (
+        cells_to_wire(cells), JOURNAL_VERSION, _quote(job_id), _quote(REC_JOB),
+        "true" if verify else "false",
+    )
 
 
 def _cell_record(
     job_id: str, cell_id: int, digest: str, status: str, error: Optional[str]
-) -> Dict[str, object]:
+) -> str:
     if status not in CELL_STATUSES:
         raise JournalError("unknown cell status %r" % (status,))
     record: Dict[str, object] = {
@@ -128,10 +117,10 @@ def _cell_record(
     }
     if error is not None:
         record["error"] = error
-    return record
+    return json.dumps(record, sort_keys=True) + "\n"
 
 
-def _job_records(job: JournalJob) -> Iterator[Dict[str, object]]:
+def _job_records(job: JournalJob) -> Iterator[str]:
     """Everything the journal holds about one replayed job, in the
     order a rotated file carries it."""
     yield _job_record(job.job_id, job.verify, job.cells)
@@ -160,11 +149,11 @@ class JobJournal:
 
     # -- appends -------------------------------------------------------
 
-    def _append(self, record: Dict[str, object]) -> None:
+    def _append(self, line: str) -> None:
         with self._lock:
             if self._handle is None:
                 raise JournalError("journal %s is closed" % self.path)
-            self._handle.write(_record_line(record))
+            self._handle.write(line)
             if not self._grouped:
                 self._sync()
 
@@ -320,8 +309,8 @@ class JobJournal:
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as tmp:
                     for job in live_jobs:
-                        for record in _job_records(job):
-                            tmp.write(_record_line(record))
+                        for line in _job_records(job):
+                            tmp.write(line)
                     tmp.flush()
                     os.fsync(tmp.fileno())
             except BaseException:

@@ -17,15 +17,16 @@ Typed failures travel as ``error`` envelopes with a ``code`` from
 :data:`ERROR_CODES`; :class:`ProtocolError` is their in-process form
 and maps 1:1 onto HTTP statuses in the daemon.
 
-Configs cross the wire in the canonical payload shape of
-:func:`repro.api.cache.config_to_payload`, and every cell carries its
-``cell_hash`` — the reader recomputes the hash from the decoded config
-and rejects mismatches, so schema skew between writer and reader is a
-loud failure instead of a silently wrong content address.  The writer
-of a ``submit`` walks each *configuration* once, for the payload its
-cells share, and takes the cells' addresses from its caller or from one
-digest per configuration; the reader builds and hashes each distinct
-configuration once and derives every decoded cell's address from that.
+Configs cross the wire as their canonical text,
+:func:`repro.api.cache.config_text` — the bytes ``config_hash`` hashes —
+and every cell carries its ``cell_hash``: the reader recomputes the hash
+from the decoded config and rejects mismatches, so schema skew between
+writer and reader is a loud failure instead of a silently wrong content
+address.  The writer of a ``submit`` (:func:`submit_line`) encodes each
+*configuration* once and splices every cell around that text, taking
+the cells' addresses from its caller or from one digest per
+configuration; the reader builds and hashes each distinct configuration
+once and derives every decoded cell's address from that.
 
 Stats travel one way, daemon to client, in ``result`` envelopes: no
 message uploads a result, so nothing reaches a served store over the
@@ -35,12 +36,14 @@ now and is refused as :data:`ERR_BAD_REQUEST`; so is an older client's
 ``cancel``, whose route is gone with it — a job runs to ``done``, or
 to ``stopped`` when the daemon shuts down first.)
 
-There is one cell: :class:`SubmittedCell`, written by
-:func:`cell_to_wire` and read back (and checked) by
-:func:`cell_from_wire`, a list of them by :func:`cells_from_wire`.
-``submit`` messages, the daemon's job table
-and the journal's job records (:mod:`repro.service.journal`) all hold
-that type in that JSON shape, so the three cannot drift.  The decoder
+There is one cell: :class:`SubmittedCell`, a list of them written by
+:func:`cells_to_wire` and read back (and checked) by
+:func:`cells_from_wire`, one cell at a time by :func:`cell_from_wire`.
+``submit`` messages, the daemon's job table and the journal's job
+records (:mod:`repro.service.journal`) all hold that type, and the
+message and the record carry it in bytes from that one writer, so the
+three cannot drift (:func:`submit_message` is the message decoded from
+its line).  The decoder
 raises a plain ``ValueError`` naming the reason; each caller adds where
 the cell came from (:data:`ERR_BAD_REQUEST` for a message, a
 ``JournalError`` for a journal).
@@ -49,14 +52,15 @@ the cell came from (:data:`ERR_BAD_REQUEST` for a message, a
 from __future__ import annotations
 
 import json
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.cache import (
     AnyConfig,
     cell_address,
     config_from_payload,
     config_hash,
-    config_to_payload,
+    config_text,
     per_config,
 )
 
@@ -272,21 +276,30 @@ class SubmittedCell:
         self.hash = digest
 
 
-def cell_to_wire(
-    cell: SubmittedCell, payload: Optional[Dict[str, object]] = None
-) -> Dict[str, object]:
-    """The JSON form of one cell, in ``submit`` messages and journal
-    job records alike: what it is, what it is called, and the content
-    address the reader cross-checks.  ``payload`` is its config's
-    :func:`config_to_payload` where the caller shares one between cells."""
-    return {
-        "workload": cell.workload,
-        "size": cell.size,
-        "config": config_to_payload(cell.config) if payload is None else payload,
-        "hash": cell.hash,
-        "id": cell.id,
-        "config_name": cell.config_name,
-    }
+#: One cell as ``json.dumps(..., sort_keys=True)`` writes its fields:
+#: the configuration's :func:`config_text`, then its name, its content
+#: address (the reader cross-checks it), its id, its size and its
+#: workload.
+_CELL_JSON = (
+    '{"config": %s, "config_name": %s, "hash": %s, "id": %d, "size": %s, '
+    '"workload": %s}'
+)
+
+
+def cells_to_wire(cells: Iterable[SubmittedCell]) -> str:
+    """The JSON list of ``cells``, in ``submit`` messages and journal
+    job records alike, each configuration encoded once — the bytes
+    ``json.dumps(..., sort_keys=True)`` writes for the cells' fields,
+    with every string escaped by the encoder's own
+    ``encode_basestring_ascii``."""
+    text_of = per_config(config_text)
+    return "[%s]" % ", ".join(
+        _CELL_JSON % (
+            text_of(cell.config_name, cell.config), _quote(cell.config_name),
+            _quote(cell.hash), cell.id, _quote(cell.size), _quote(cell.workload),
+        )
+        for cell in cells
+    )
 
 
 #: config_name -> (wire payload, config, :func:`config_hash`), per list.
@@ -294,28 +307,35 @@ _ConfigTable = Dict[str, Tuple[Dict[str, object], AnyConfig, str]]
 
 
 def cell_from_wire(raw: object, configs: Optional[_ConfigTable] = None) -> SubmittedCell:
-    """Decode and check one :func:`cell_to_wire` dict.
+    """Decode and check one cell of a :func:`cells_to_wire` list.
 
-    Every failure — missing fields, an ``id`` that is not a JSON
-    integer, an unknown config payload, an unregistered policy name, or
-    a content-address mismatch between the writer's ``hash`` and the one
-    recomputed here — raises a plain ``ValueError`` naming the reason.
-    Over ``configs``, :func:`cells_from_wire`'s table, a configuration
-    is built and hashed only when its name is new or its payload is not
-    ``==`` the one on record; every cell's address is derived, and
-    compared with its claim, regardless.
+    Every failure — missing fields, a ``workload``, ``size``, ``hash``
+    or ``config_name`` that is not a string, an ``id`` that is not a
+    JSON integer, an unknown config payload, an unregistered policy
+    name, or a content-address mismatch between the writer's ``hash``
+    and the one recomputed here — raises a plain ``ValueError`` naming
+    the field or the reason.  Over ``configs``, :func:`cells_from_wire`'s
+    table, a configuration is built and hashed only when its name is
+    new or its payload is not ``==`` the one on record; every cell's
+    address is derived, and compared with its claim, regardless.
     """
     if not isinstance(raw, dict):
         raise ValueError("must be an object")
     try:
-        workload = str(raw["workload"])
-        size = str(raw["size"])
+        workload = raw["workload"]
+        size = raw["size"]
         payload = raw["config"]
-        claimed = str(raw["hash"])
+        claimed = raw["hash"]
         cell_id = raw["id"]
-        config_name = str(raw["config_name"])
+        config_name = raw["config_name"]
     except KeyError as exc:
         raise ValueError("is malformed: %r" % (exc,)) from exc
+    for field, value in (
+        ("workload", workload), ("size", size), ("hash", claimed),
+        ("config_name", config_name),
+    ):
+        if not isinstance(value, str):
+            raise ValueError("is malformed: %s %r is not a string" % (field, value))
     if type(cell_id) is not int:  # bool is an int: True is not cell 1
         raise ValueError("is malformed: id %r is not an integer" % (cell_id,))
     if not isinstance(payload, dict):
@@ -334,7 +354,7 @@ def cell_from_wire(raw: object, configs: Optional[_ConfigTable] = None) -> Submi
     digest = cell_address(workload, size, known[2])
     if digest != claimed:
         raise ValueError(
-            "content address mismatch (claimed %s..., recomputed %s...): "
+            "content address mismatch (hash %s..., recomputed %s...): "
             "writer and reader disagree on the config schema or cache "
             "version — upgrade the older one" % (claimed[:12], digest[:12])
         )
@@ -367,30 +387,42 @@ def cells_from_wire(raw_cells: object) -> List[SubmittedCell]:
 # ----------------------------------------------------------------------
 
 
+def submit_line(
+    cells: Sequence[Tuple[str, str, str, AnyConfig]],
+    verify: bool = False,
+    digests: Optional[Sequence[str]] = None,
+) -> bytes:
+    """The wire line of a ``submit`` envelope for (workload, size,
+    config_name, config) cells — the bytes :func:`encode` writes for
+    :func:`submit_message`, with no whole-message ``json.dumps``.  Cell
+    ids are the sequence indices; every cell carries its content address
+    so the peer can cross-check schema agreement: ``digests``, in order,
+    where the caller holds them already, else derived here from one
+    digest per configuration."""
+    if digests is None:
+        digest_of = per_config(config_hash)
+        digests = [cell_address(w, z, digest_of(name, config)) for w, z, name, config in cells]
+    submitted = [
+        SubmittedCell(idx, workload, size, config_name, config, digest)
+        for idx, ((workload, size, config_name, config), digest) in enumerate(
+            zip(cells, digests, strict=True)
+        )
+    ]
+    line = '{"cells": %s, "type": %s, "v": %d, "verify": %s}\n' % (
+        cells_to_wire(submitted), _quote(MSG_SUBMIT), PROTOCOL_VERSION,
+        "true" if verify else "false",
+    )
+    return line.encode("utf-8")
+
+
 def submit_message(
     cells: Sequence[Tuple[str, str, str, AnyConfig]],
     verify: bool = False,
     digests: Optional[Sequence[str]] = None,
 ) -> Dict[str, object]:
-    """A ``submit`` envelope for (workload, size, config_name, config)
-    cells.  Cell ids are the sequence indices; every cell carries its
-    content address so the peer can cross-check schema agreement:
-    ``digests``, in order, where the caller holds them already, else
-    derived here from one digest per configuration."""
-    payload_of = per_config(config_to_payload)
-    if digests is None:
-        digest_of = per_config(config_hash)
-        digests = [cell_address(w, z, digest_of(name, config)) for w, z, name, config in cells]
-    encoded = [
-        cell_to_wire(
-            SubmittedCell(idx, workload, size, config_name, config, digest),
-            payload_of(config_name, config),
-        )
-        for idx, ((workload, size, config_name, config), digest) in enumerate(
-            zip(cells, digests, strict=True)
-        )
-    ]
-    return envelope(MSG_SUBMIT, cells=encoded, verify=bool(verify))
+    """The ``submit`` envelope :func:`submit_line` writes, as a dict."""
+    message: Dict[str, object] = json.loads(submit_line(cells, verify, digests))
+    return message
 
 
 def decode_submit(

@@ -59,6 +59,7 @@ from typing import (
 )
 
 from repro.api.cache import AnyConfig, AnyStats, stats_from_payload
+from repro.api.engine import _check_retries, _check_timeout
 from repro.service import protocol
 from repro.service.protocol import ProtocolError
 
@@ -92,8 +93,8 @@ class RemoteClient:
         backoff: float = 0.25,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
+        _check_timeout(timeout)
+        _check_retries(retries)
         if not server.startswith(("http://", "https://")):
             raise ValueError(
                 "server must be an http(s) URL, got %r" % (server,)
@@ -109,15 +110,11 @@ class RemoteClient:
     # ------------------------------------------------------------------
 
     def _open(
-        self,
-        method: str,
-        path: str,
-        message: Optional[Dict[str, object]] = None,
+        self, method: str, path: str, body: Optional[bytes] = None
     ) -> http.client.HTTPResponse:
-        data = protocol.encode(message) if message is not None else None
         request = urllib.request.Request(
             self.server + path,
-            data=data,
+            data=body,
             method=method,
             headers={"Content-Type": "application/json"},
         )
@@ -129,10 +126,11 @@ class RemoteClient:
         self,
         method: str,
         path: str,
-        message: Optional[Dict[str, object]] = None,
+        body: Optional[bytes] = None,
         ok_statuses: Sequence[int] = (200,),
     ) -> Dict[str, object]:
-        """One endpoint round-trip with retry/backoff/back-pressure.
+        """One endpoint round-trip with retry/backoff/back-pressure;
+        ``body`` is an encoded wire line.
 
         Typed daemon errors other than 429/503 do not retry — the
         request would fail identically again; transport failures,
@@ -148,7 +146,7 @@ class RemoteClient:
                 self._sleep(delay)
             delay = min(self.backoff * (2.0 ** attempt), 10.0)
             try:
-                response = self._open(method, path, message)
+                response = self._open(method, path, body)
             except urllib.error.HTTPError as exc:
                 envelope = self._error_envelope(exc)
                 code = str(envelope.get("code", protocol.ERR_INTERNAL))
@@ -187,7 +185,7 @@ class RemoteClient:
                             "%s %s: unexpected HTTP %d"
                             % (method, path, response.status)
                         )
-                    body = response.read()
+                    answer = response.read()
             except (OSError, http.client.HTTPException) as exc:
                 # A truncated body (IncompleteRead: the daemon died —
                 # or a fault plan cut the response in half) retries
@@ -195,7 +193,7 @@ class RemoteClient:
                 last = "%s: %s" % (type(exc).__name__, exc)
                 continue
             try:
-                return protocol.decode(body)
+                return protocol.decode(answer)
             except ProtocolError as exc:
                 raise RemoteError(
                     "%s %s: bad response: %s" % (method, path, exc),
@@ -233,7 +231,7 @@ class RemoteClient:
         digests: Optional[Sequence[str]] = None,
     ) -> Dict[str, object]:
         return self._request(
-            "POST", "/v1/jobs", protocol.submit_message(cells, verify, digests)
+            "POST", "/v1/jobs", protocol.submit_line(cells, verify, digests)
         )
 
     def result(self, job_id: str) -> Dict[str, object]:

@@ -12,7 +12,9 @@ and must compare stats).  Any number of daemon worker threads and
 external processes can share one root safely.
 
 :class:`ResultStore` adds what only the service needs: lookups by
-digest, the ``torn-store-write`` fault hook, and maintenance.
+digest — answered from memory while one ``os.stat`` says the file is
+the one read (:meth:`ResultStore.get_entry`) — the ``torn-store-write``
+fault hook, and maintenance.
 Deletion (:meth:`ResultStore.gc`) is crash-safe against concurrent
 readers: an entry is first renamed to a ``.tomb`` file (atomic —
 readers hitting the tombstone see a miss, never a torn read) and only
@@ -25,6 +27,8 @@ schema skew before they serve wrong results.
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -47,6 +51,12 @@ from repro.service.faults import FAULT_TORN_STORE_WRITE, FaultPlan, SITE_STORE
 #: The store root when neither a flag nor ``$REPRO_CACHE_DIR`` names one.
 DEFAULT_STORE_DIR = ".repro_store"
 
+#: How many decoded entries :meth:`ResultStore.get_entry` keeps.  An SM
+#: cell's entry is 1.5 kB on disk and ≈ 7.6 kB decoded, a 4-SM device
+#: cell's 3.9 kB and ≈ 12 kB (``sys.getsizeof`` summed over the
+#: objects), so the memo holds ≈ 8–12 MB at the cap: three figure-7
+#: grids at every size (3 x 315 cells).
+ENTRY_MEMO_ENTRIES = 1024
 
 def resolve_store_dir(root: Optional[str]) -> str:
     """Explicit root, else ``$REPRO_CACHE_DIR``, else the default."""
@@ -108,6 +118,12 @@ class ResultStore:
     def __init__(self, root: str, fault_plan: Optional[FaultPlan] = None) -> None:
         self.root = root
         self.fault_plan = fault_plan
+        #: digest -> (the file's (inode, mtime in ns, size) when read,
+        #: its entry), least recently answered first; see :meth:`get_entry`.
+        self._answered: "OrderedDict[str, Tuple[Tuple[int, int, int], Dict[str, object]]]" = (
+            OrderedDict()
+        )
+        self._answered_lock = threading.Lock()
 
     def path_for(self, digest: str) -> str:
         # Digests reach the store from the wire; never join an
@@ -124,13 +140,41 @@ class ResultStore:
         """The full JSON entry for a digest, or None.
 
         Torn/alien files and entries from another ``CACHE_VERSION``
-        read as misses.
+        read as misses.  An entry answered before is answered again
+        from memory while one ``os.stat`` of its file still reads the
+        stamp it was read under — (inode, mtime in ns, size) — so a gc
+        tombstone rename, a torn rewrite or any ``os.replace`` makes it
+        a miss or a fresh read, never a stale answer.  A miss costs one
+        failed ``stat``.  Up to :data:`ENTRY_MEMO_ENTRIES` are kept,
+        least recently answered out first.  The entry returned is
+        shared with later callers: read it, never change it.
         """
         path = self.path_for(digest)
         try:
-            return read_entry(path)
-        except ValueError:
+            st = os.stat(path)
+        except OSError:
             return None
+        stamp = (st.st_ino, st.st_mtime_ns, st.st_size)
+        with self._answered_lock:
+            kept = self._answered.get(digest)
+            if kept is not None and kept[0] == stamp:
+                self._answered.move_to_end(digest)
+                return kept[1]
+        # Stamped before the read: a file replaced in between is read
+        # new and kept under the old stamp, which its next stat misses.
+        try:
+            entry = read_entry(path)
+        except ValueError:
+            entry = None
+        with self._answered_lock:
+            if entry is None:
+                self._answered.pop(digest, None)
+            else:
+                self._answered[digest] = (stamp, entry)
+                self._answered.move_to_end(digest)
+                if len(self._answered) > ENTRY_MEMO_ENTRIES:
+                    self._answered.popitem(last=False)
+        return entry
 
     def load_stats(self, digest: str) -> Optional[AnyStats]:
         """The decoded stats for a digest, or None."""

@@ -379,6 +379,18 @@ class TestOsRefusalsAndIgnoredValues:
         (("analyze", "--workload", "bfs", "--json", "{tmp}/no/a.json"), "--json {tmp}/no/a.json"),
         (("sweep", *ONE_CELL, "--jobs", "0"), "jobs must be None (one worker per core) or an integer >= 1, got 0"),
         (("sweep", *ONE_CELL, "--jobs", "-3"), "jobs must be None (one worker per core) or an integer >= 1, got -3"),
+        # urllib meets these at the first request: an OverflowError
+        # traceback, messages that name no flag, four doomed attempts.
+        (("sweep", *ONE_CELL, "--server", "http://127.0.0.1:9", "--timeout", "inf"),
+         "--timeout must be a finite number of seconds > 0, got inf"),
+        (("sweep", *ONE_CELL, "--server", "http://127.0.0.1:9", "--timeout", "nan"),
+         "--timeout must be a finite number of seconds > 0, got nan"),
+        (("sweep", *ONE_CELL, "--server", "http://127.0.0.1:9", "--timeout", "-1"),
+         "--timeout must be a finite number of seconds > 0, got -1.0"),
+        (("sweep", *ONE_CELL, "--server", "http://127.0.0.1:9", "--timeout", "0"),
+         "--timeout must be a finite number of seconds > 0, got 0.0"),
+        (("sweep", *ONE_CELL, "--server", "http://127.0.0.1:9", "--retries", "-1"),
+         "--retries must be an integer >= 0, got -1"),
     ]
 
     @pytest.mark.parametrize(

@@ -14,12 +14,17 @@ builds, hashes and walks each *distinct* configuration once, writes
 nothing, and the client makes one request — and none of it moves when
 the number of kernels doubles.  A submission with work left is still
 journalled, job record and store hits in one group commit, before its
-ack.
+ack.  The tree before the entry memo and the one-writer submit (fb2bca0)
+also opened and parsed every answered cell's entry again on every
+re-ask, and the client re-encoded every cell's configuration inside one
+whole-message ``json.dumps``: now a re-asked hit is one ``os.stat``, and
+a client submit encodes each configuration once.
 
 ``python tests/test_daemon_work.py`` prints the table.
 """
 
 import contextlib
+import json
 import os
 import threading
 from unittest import mock
@@ -32,6 +37,7 @@ from repro.core import presets
 from repro.service import protocol
 from repro.service.daemon import SweepService, make_server
 from repro.service.journal import JobJournal, resolve_journal_path
+from repro.service import store as store_module
 from repro.service.remote import RemoteClient
 from repro.service.store import ResultStore
 from repro.timing.stats import Stats
@@ -120,6 +126,69 @@ def submit_counts(kernels: int, root: str, every: int = 1) -> dict:
     return counts
 
 
+def resubmit_counts(kernels: int, root: str) -> dict:
+    """Entry files opened and parsed, and ``os.stat`` calls, while a
+    daemon answers a ``kernels`` x 3 grid it has answered before."""
+    spec = grid(kernels)
+    store = ResultStore(os.path.join(root, "store"))
+    fill(store.root, spec)
+    service = SweepService(store, workers=0)
+    message = protocol.submit_message(
+        [(c.workload, c.size, c.config_name, c.config) for c in spec.cells()]
+    )
+    counts = {"opened": 0, "stats": 0}
+    read, stat = store_module.read_entry, os.stat
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    try:
+        service.submit(message)
+        with mock.patch.object(store_module, "read_entry", counted("opened", read)), \
+                mock.patch.object(os, "stat", counted("stats", stat)):
+            ack = service.submit(message)
+        assert ack["triage"]["store"] == spec.total_cells
+    finally:
+        service.shutdown_gracefully()
+    return counts
+
+
+def client_submit_dumps(kernels: int, root: str) -> dict:
+    """``json.dumps`` calls one ``RemoteClient.submit`` of a ``kernels``
+    x 3 grid makes on the client's thread, with the addresses given (as
+    ``Engine.run`` gives them): of whole messages, and of configurations."""
+    spec = grid(kernels)
+    rows = [(c.workload, c.size, c.config_name, c.config) for c in spec.cells()]
+    digests = [result_cache.cell_hash(w, z, c) for w, z, _, c in rows]
+    server = make_server(store_dir=os.path.join(root, "store"), workers=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client_thread = threading.get_ident()
+    counts = {"messages": 0, "configs": 0}
+    real = json.dumps
+
+    def counted(obj, *args, **kwargs):
+        if threading.get_ident() == client_thread and isinstance(obj, dict):
+            counts["messages"] += "cells" in obj
+            counts["configs"] += set(obj) == {"type", "fields"}
+        return real(obj, *args, **kwargs)
+
+    try:
+        client = RemoteClient("http://%s:%d" % server.server_address[:2])
+        with mock.patch.object(json, "dumps", counted):
+            ack = client.submit(rows, digests=digests)
+        assert ack["total"] == spec.total_cells
+    finally:
+        server.shutdown()
+        server.service.shutdown_gracefully()
+        server.server_close()
+        thread.join(timeout=10)
+    return counts
+
+
 def requests_per_run(kernels: int, root: str) -> int:
     """HTTP requests one ``Engine(server=...).run`` of a ``kernels`` x 3
     grid makes against a daemon whose store holds every cell."""
@@ -160,6 +229,13 @@ PARENT_WALKS_PER_CELL = 2
 PARENT_FSYNCS = 1
 PARENT_REQUESTS = 2
 PARENT_JOURNAL_BYTES_8X5 = 37153  # the benchmark's served_sweep shape
+# fb2bca0, per answered re-submission: every entry opened and parsed
+# again (and no stat); per client submit, one whole-message json.dumps
+# that re-encodes each cell's configuration payload.
+PARENT_OPENS_PER_CELL = 1
+PARENT_STATS = 0
+PARENT_MESSAGE_DUMPS = 1
+PARENT_CONFIG_DUMPS = 0
 
 
 class TestDaemonWork:
@@ -189,6 +265,17 @@ class TestDaemonWork:
         assert requests_per_run(2, str(tmp_path / "few")) == 1
         assert requests_per_run(8, str(tmp_path / "many")) == 1
 
+    @pytest.mark.parametrize("kernels", [2, 8])
+    def test_a_re_asked_hit_is_a_stat_not_a_parse(self, kernels, tmp_path):
+        cells = kernels * len(CONFIGS)
+        assert resubmit_counts(kernels, str(tmp_path)) == {"opened": 0, "stats": cells}
+
+    @pytest.mark.parametrize("kernels", [2, 8])
+    def test_a_client_submit_encodes_each_configuration_once(self, kernels, tmp_path):
+        assert client_submit_dumps(kernels, str(tmp_path)) == {
+            "messages": 0, "configs": len(CONFIGS),
+        }
+
 
 def main() -> None:
     import tempfile
@@ -200,6 +287,8 @@ def main() -> None:
             answered = submit_counts(kernels, os.path.join(tmp, "a"))
             partial = submit_counts(kernels, os.path.join(tmp, "p"), every=2)
             requests = requests_per_run(kernels, os.path.join(tmp, "r"))
+            again = resubmit_counts(kernels, os.path.join(tmp, "g"))
+            dumps = client_submit_dumps(kernels, os.path.join(tmp, "d"))
         shape = "%d x %d" % (kernels, len(CONFIGS))
         cells = kernels * len(CONFIGS)
         for label, key, before in (
@@ -220,6 +309,18 @@ def main() -> None:
         ))
         print("| half queued: os.fsync before the ack | %s | %d | %d |" % (
             shape, PARENT_FSYNCS, partial["fsyncs"]
+        ))
+        print("| re-asked: entry files opened and parsed | %s | %d (fb2bca0) | %d |" % (
+            shape, PARENT_OPENS_PER_CELL * cells, again["opened"]
+        ))
+        print("| re-asked: os.stat | %s | %d (fb2bca0) | %d |" % (
+            shape, PARENT_STATS, again["stats"]
+        ))
+        print("| client submit: whole-message json.dumps | %s | %d (fb2bca0) | %d |" % (
+            shape, PARENT_MESSAGE_DUMPS, dumps["messages"]
+        ))
+        print("| client submit: configuration json.dumps | %s | %d (fb2bca0) | %d |" % (
+            shape, PARENT_CONFIG_DUMPS, dumps["configs"]
         ))
 
 

@@ -130,12 +130,18 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="content address mismatch"):
             protocol.decode_submit(message)
 
-    def test_submit_shares_one_payload_per_config_and_takes_addresses(self):
+    def test_submit_shares_one_payload_per_config_and_takes_addresses(self, monkeypatch):
         cells = [CELL_A, ("bfs", "tiny") + CELL_A[2:], CELL_B]
+        encoded = []
+        real = protocol.config_text
+        monkeypatch.setattr(
+            protocol, "config_text", lambda c: (encoded.append(c), real(c))[1]
+        )
         derived = protocol.submit_message(cells)
+        assert encoded == [CELL_A[3], CELL_B[3]]  # one text per configuration
         a, a2, b = derived["cells"]
-        assert a["config"] is a2["config"] and a["config"] is not b["config"]
-        assert a["config"] == config_to_payload(CELL_A[3])
+        assert a["config"] == a2["config"] == config_to_payload(CELL_A[3])
+        assert b["config"] == config_to_payload(CELL_B[3])
         assert [c["hash"] for c in derived["cells"]] == [
             cell_hash(w, z, config) for w, z, _, config in cells
         ]
@@ -321,6 +327,43 @@ class TestAtomicWrites:
 # ----------------------------------------------------------------------
 # Store
 # ----------------------------------------------------------------------
+
+
+class TestRequestPolicy:
+    """``timeout`` and ``retries`` are refused where they are given, not
+    at the first request."""
+
+    URL = "http://127.0.0.1:9"
+    BAD_TIMEOUTS = [float("inf"), float("nan"), -1, 0, 0.0, True, "30", None]
+    BAD_RETRIES = [True, 1.5, -1, "3", None]
+
+    @pytest.mark.parametrize("timeout", BAD_TIMEOUTS)
+    def test_a_timeout_must_be_finite_and_positive(self, timeout):
+        reason = "timeout must be a finite number of seconds > 0, got %r" % (timeout,)
+        for make in (
+            lambda: Engine(server=self.URL, timeout=timeout),
+            lambda: Engine(timeout=timeout),
+            lambda: RemoteClient(self.URL, timeout=timeout),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                make()
+            assert str(excinfo.value) == reason
+
+    @pytest.mark.parametrize("retries", BAD_RETRIES)
+    def test_retries_must_be_a_non_negative_int(self, retries):
+        reason = "retries must be an integer >= 0, got %r" % (retries,)
+        for make in (
+            lambda: Engine(server=self.URL, retries=retries),
+            lambda: RemoteClient(self.URL, retries=retries),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                make()
+            assert str(excinfo.value) == reason
+
+    def test_good_values_are_kept(self):
+        client = Engine(server=self.URL, timeout=2, retries=0).remote_client
+        assert (client.timeout, client.retries) == (2, 0)
+        assert RemoteClient(self.URL, timeout=0.5, retries=5).timeout == 0.5
 
 
 class TestResultStore:
@@ -1052,7 +1095,7 @@ class TestHTTPRoundTrip:
             ("POST", "/v1/jobs/j000001/cancel", cancel),
         ):
             with pytest.raises(RemoteError, match="unknown endpoint") as excinfo:
-                client._request(method, path, message)
+                client._request(method, path, message and protocol.encode(message))
             assert excinfo.value.code == protocol.ERR_BAD_REQUEST
         assert delays == []  # 4xx re-runs would fail identically
 

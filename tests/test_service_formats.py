@@ -16,8 +16,12 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api.cache import cell_address, cell_hash, config_from_payload, config_hash, config_to_payload
 from repro.core import presets
+from repro.service import journal as journal_module
 from repro.service import protocol
 from repro.service.journal import JobJournal, JournalError
 
@@ -133,3 +137,130 @@ class TestGoldenFormats:
         with pytest.raises(JournalError) as excinfo:
             JobJournal.replay_path(path)
         assert str(excinfo.value) == reason
+
+
+# ----------------------------------------------------------------------
+# The writer: one config text per configuration, spliced, same bytes
+# ----------------------------------------------------------------------
+
+#: Names a writer must escape exactly as ``json.dumps`` does.
+AWKWARD = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800", "\udfff", "\U0001f600"]
+NAMES = st.text(alphabet=st.one_of(st.characters(), st.sampled_from(AWKWARD)), max_size=8)
+CONFIGS = st.sampled_from([
+    presets.baseline(), presets.sbi_swi(), presets.warp64(),
+    presets.device("baseline", sm_count=2), presets.device("sbi_swi", sm_count=4),
+])
+ROWS = st.lists(st.tuples(NAMES, NAMES, NAMES, CONFIGS), min_size=0, max_size=6)
+DIGESTS = st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)
+
+
+def dict_cells(rows, digests):
+    """The cells as the tree before the writer built them: a dict per
+    cell around the configuration's payload."""
+    if digests is None:
+        digests = [cell_hash(w, z, c) for w, z, _, c in rows]
+    return [
+        {"workload": w, "size": z, "config": config_to_payload(c),
+         "hash": d, "id": i, "config_name": n}
+        for i, ((w, z, n, c), d) in enumerate(zip(rows, digests))
+    ]
+
+
+class TestOneWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=ROWS, verify=st.booleans(), given_digests=st.booleans(), data=st.data())
+    def test_submit_line_is_the_dict_writers_bytes(self, rows, verify, given_digests, data):
+        digests = None
+        if given_digests:
+            digests = data.draw(st.lists(DIGESTS, min_size=len(rows), max_size=len(rows)))
+        reference = (json.dumps(
+            protocol.envelope(protocol.MSG_SUBMIT, cells=dict_cells(rows, digests), verify=verify),
+            sort_keys=True,
+        ) + "\n").encode("utf-8")
+        line = protocol.submit_line(rows, verify, digests)
+        assert line == reference
+        assert protocol.encode(protocol.submit_message(rows, verify, digests)) == line
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=ROWS.filter(bool), job_id=NAMES, verify=st.booleans())
+    def test_a_journal_job_record_is_the_dict_writers_bytes(self, rows, job_id, verify):
+        cells = [
+            protocol.SubmittedCell(i, w, z, n, c, cell_hash(w, z, c))
+            for i, (w, z, n, c) in enumerate(rows)
+        ]
+        record = {
+            "j": journal_module.JOURNAL_VERSION, "type": journal_module.REC_JOB,
+            "job": job_id, "verify": verify, "cells": dict_cells(rows, None),
+        }
+        assert journal_module._job_record(job_id, verify, cells) == (
+            json.dumps(record, sort_keys=True) + "\n"
+        )
+
+    def test_a_journalled_job_is_its_submit_lines_cells(self, tmp_path):
+        line = protocol.submit_line(CELLS, verify=True)
+        cells, _ = protocol.decode_submit(protocol.decode(line))
+        path = str(tmp_path / "j.ndjson")
+        with JobJournal(path) as journal:
+            journal.record_job("j000001", True, cells)
+        with open(path, "rb") as handle:
+            record = handle.read()
+        assert record.rsplit(b', "j": ', 1)[0] == line.rsplit(b', "type": ', 1)[0]
+
+
+# ----------------------------------------------------------------------
+# The reader refuses a field of the wrong JSON type by name
+# ----------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+FIELDS = ("workload", "size", "config", "hash", "id", "config_name")
+
+
+class TestCellFields:
+    @settings(max_examples=400, deadline=None)
+    @given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
+    def test_any_json_value_in_any_field_decodes_or_names_the_field(self, field, value):
+        raw = protocol.submit_message([SM_CELL])["cells"][0]
+        raw[field] = value
+        # Where the value is well-formed, give the cell its true address:
+        # then it must decode.
+        workload, size, config = raw["workload"], raw["size"], SM_CELL[3]
+        if field == "config" and isinstance(value, dict):
+            try:
+                config = config_from_payload(value)
+            except (ValueError, TypeError):
+                pass
+        if field != "hash" and all(isinstance(x, str) for x in (workload, size)):
+            raw["hash"] = cell_address(workload, size, config_hash(config))
+        try:
+            cell = protocol.cell_from_wire(raw)
+        except ValueError as exc:
+            assert field in str(exc)
+        else:
+            assert field == "config" or getattr(cell, field) == value
+
+    @pytest.mark.parametrize("field, value", [
+        ("workload", 5), ("size", None), ("hash", 7), ("config_name", {"a": 1}),
+    ])
+    def test_a_non_string_is_refused_on_the_wire_and_in_the_journal(
+        self, tmp_path, field, value
+    ):
+        message = protocol.submit_message([SM_CELL, GPU_CELL])
+        message["cells"][1][field] = value
+        reason = "cell 1 is malformed: %s %r is not a string" % (field, value)
+        with pytest.raises(protocol.ProtocolError) as excinfo:
+            protocol.decode_submit(protocol.decode(protocol.encode(message)))
+        assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+        assert str(excinfo.value) == "submit " + reason
+        path = str(tmp_path / "journal.ndjson")
+        record = json.loads(_golden()[2].splitlines()[0])
+        record["cells"][1][field] = value
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(JournalError) as excinfo:
+            JobJournal.replay_path(path)
+        assert str(excinfo.value) == "job j000001 " + reason
