@@ -17,9 +17,10 @@ never collide.  Every key derives from one *canonical form*,
 values, key order and JSON bytes — by test, ``tests/test_cache_keys.py``)
 without its deep copy.  A sweep is few configurations x many workloads,
 so :func:`per_config` lets one call (``Engine.run``, ``submit_line``)
-walk each configuration once and key every cell off that; a cell's
-content address is :func:`cell_address` over workload, size and config
-digest.
+walk each configuration once and key every cell off that —
+:class:`ConfigKeys` holds the memo key, the canonical text and its
+digest from that one walk; a cell's content address is
+:func:`cell_address` over workload, size and config digest.
 
 The disk level is the content-addressed result store: one JSON entry
 per cell, named by the full :func:`cell_hash` and sharded by its first
@@ -118,7 +119,11 @@ def _freeze(value: object) -> object:
 
 def config_key(config: AnyConfig) -> Tuple:
     """Hashable key covering every field of ``config``."""
-    return (type(config).__name__,) + _freeze(config_fields(config))
+    return _key(type(config).__name__, config_fields(config))
+
+
+def _key(kind: str, fields: Dict[str, object]) -> Tuple:
+    return (kind,) + _freeze(fields)
 
 
 def config_to_payload(config: AnyConfig) -> Dict:
@@ -162,15 +167,48 @@ def config_text(config: AnyConfig) -> str:
     """The canonical JSON text of a configuration: what
     :func:`config_hash` hashes, and the bytes a ``submit`` message or a
     journal job record carries for it."""
+    return _payload_text(type(config).__name__, config_fields(config))
+
+
+def _payload_text(kind: str, fields: Dict[str, object]) -> str:
     # No default= fallback: a non-JSON-native field must fail loudly
     # here rather than be repr'd (repr can embed object addresses,
     # which would derive a different key on every run).
-    return json.dumps(config_to_payload(config), sort_keys=True)
+    return json.dumps({"type": kind, "fields": fields}, sort_keys=True)
+
+
+def text_hash(text: str) -> str:
+    """The digest of a :func:`config_text`: ``config_hash`` of its config."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def config_hash(config: AnyConfig) -> str:
     """Stable hex digest of the complete configuration."""
-    return hashlib.sha256(config_text(config).encode()).hexdigest()
+    return text_hash(config_text(config))
+
+
+class ConfigKeys:
+    """Every key of one configuration from one canonical walk: its
+    :func:`config_key` at once, and its :func:`config_text` and
+    :func:`config_hash` from one ``json.dumps`` when first asked for
+    (a run with neither a disk level nor a daemon never asks, and must
+    not need its configs JSON-native).  Make one per call, through
+    :func:`per_config`."""
+
+    __slots__ = ("key", "_kind", "_fields", "_address")
+
+    def __init__(self, config: AnyConfig) -> None:
+        self._kind = type(config).__name__
+        self._fields = config_fields(config)
+        self.key = _key(self._kind, self._fields)
+        self._address: Optional[Tuple[str, str]] = None
+
+    def address(self) -> Tuple[str, str]:
+        """``(config_text, config_hash)``."""
+        if self._address is None:
+            text = _payload_text(self._kind, self._fields)
+            self._address = (text, text_hash(text))
+        return self._address
 
 
 def cell_key(workload: str, size: str, config: AnyConfig) -> Tuple:

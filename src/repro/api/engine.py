@@ -40,6 +40,7 @@ import os
 import signal
 import threading
 import time
+import urllib.parse
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
 from dataclasses import dataclass
@@ -89,10 +90,11 @@ class Progress:
 
 ProgressFn = Callable[[Progress], None]
 
-#: One cell a runner must resolve: ``(key, cell, content address)``, the
-#: address None in a run with neither a disk level nor a daemon (such a
-#: run must not need its configs JSON-native).
-Pending = Tuple[Tuple, Cell, Optional[str]]
+#: One cell a runner must resolve: ``(key, cell, content address, its
+#: config's canonical text)``, address and text None in a run with
+#: neither a disk level nor a daemon (such a run must not need its
+#: configs JSON-native).
+Pending = Tuple[Tuple, Cell, Optional[str], Optional[str]]
 
 #: What a backend runner yields per pending cell: ``(key, cell, stats
 #: or the exception that failed it, cached, source)``.
@@ -202,8 +204,8 @@ def _check_jobs(jobs: Optional[int]) -> None:
 
 
 def _check_timeout(timeout: object, name: str = "timeout") -> None:
-    # A bool is an int, and urllib meets inf, nan or <= 0 only at the
-    # first request — as an OverflowError, or after every retry.
+    # A bool is an int, and the transport meets inf, nan or <= 0 only at
+    # the first request — as an OverflowError, or after every retry.
     if (
         not isinstance(timeout, (int, float))
         or isinstance(timeout, bool)
@@ -218,6 +220,39 @@ def _check_timeout(timeout: object, name: str = "timeout") -> None:
 def _check_retries(retries: object, name: str = "retries") -> None:
     if type(retries) is not int or retries < 0:  # True is not 1 retry
         raise ValueError("%s must be an integer >= 0, got %r" % (name, retries))
+
+
+def _check_server(server: object) -> urllib.parse.SplitResult:
+    """The parts of a daemon URL: an http(s) scheme, a host, a port in
+    1..65535 when one is given and an optional path prefix — no query,
+    fragment or user name.  Anything else is a ``ValueError`` naming the
+    URL and the bad part, before any request: a malformed URL is a typo
+    to fix, not a dead daemon to retry or fall back from."""
+    if not isinstance(server, str):
+        raise ValueError("server must be an http(s) URL, got %r" % (server,))
+    parts = urllib.parse.urlsplit(server)
+    if parts.scheme not in ("http", "https"):
+        bad = "must be an http(s) URL"
+    elif "?" in server:
+        bad = "has a query (%r); a daemon URL is a host, a port and a path" % (
+            "?" + parts.query,
+        )
+    elif "#" in server:
+        bad = "has a fragment (%r)" % ("#" + parts.fragment,)
+    elif "@" in parts.netloc:
+        bad = "has a user name; a daemon URL takes none"
+    elif not parts.hostname:
+        bad = "has no host"
+    else:
+        try:
+            port = parts.port
+        except ValueError as exc:  # not a number, or over 65535
+            bad = "has a bad port: %s" % exc
+        else:
+            if port is None or 1 <= port <= 65535:
+                return parts
+            bad = "has a bad port: %d is not in 1..65535" % port
+    raise ValueError("server %r %s" % (server, bad))
 
 
 def worker_pool(
@@ -264,6 +299,8 @@ class Engine:
         _check_jobs(jobs)
         _check_timeout(timeout)
         _check_retries(retries)
+        if server is not None:
+            _check_server(server)
         if backend is None:
             if server is not None:
                 backend = "remote"
@@ -278,8 +315,6 @@ class Engine:
             )
         if backend == "remote" and server is None:
             raise ValueError("backend 'remote' requires server=<daemon URL>")
-        if server is not None and not server.startswith(("http://", "https://")):
-            raise ValueError("server must be an http(s) URL, got %r" % (server,))
         if errors not in ERROR_POLICIES:
             raise ValueError("errors must be one of %s" % (ERROR_POLICIES,))
         if fallback not in (None, "inline"):
@@ -383,13 +418,12 @@ class Engine:
             raise ValueError("errors must be one of %s" % (ERROR_POLICIES,))
 
         cells = spec.cells()
-        # A grid is few configs x many workloads: walk each config once
-        # for its memo key, once more for its digest where a disk level
-        # or a daemon is asked, and key every cell off those.
-        key_of = result_cache.per_config(result_cache.config_key)
-        digest_of = result_cache.per_config(result_cache.config_hash)
         disk_dir = self._disk_dir(cache=True)
         addressed = bool(disk_dir) or self.backend == "remote"
+        # A grid is few configs x many workloads: walk each config once
+        # for its memo key and — where a disk level or a daemon is asked
+        # — its canonical text and digest, and key every cell off those.
+        keys_of = result_cache.per_config(result_cache.ConfigKeys)
 
         # Unique work items: aliased configs share one simulation.  A
         # preset's key is a ~30-pair tuple that rehashes on every dict
@@ -398,7 +432,7 @@ class Engine:
         unique: Dict[Tuple, int] = {}  # cell_key -> slot
         firsts: List[Tuple[Tuple, Cell]] = []  # (cell_key, first cell) per slot
         for cell in cells:
-            key = (cell.workload, cell.size, key_of(cell.config_name, cell.config))
+            key = (cell.workload, cell.size, keys_of(cell.config_name, cell.config).key)
             slot = unique.setdefault(key, len(firsts))
             if slot == len(firsts):
                 firsts.append((key, cell))
@@ -430,11 +464,11 @@ class Engine:
         pending: List[Pending] = []
         for slot, (key, cell) in enumerate(firsts):
             stats = self.memo.get(key) if reuse else None
-            digest = None
+            digest: Optional[str] = None
+            text: Optional[str] = None
             if stats is None and addressed:
-                digest = result_cache.cell_address(
-                    cell.workload, cell.size, digest_of(cell.config_name, cell.config)
-                )
+                text, config_digest = keys_of(cell.config_name, cell.config).address()
+                digest = result_cache.cell_address(cell.workload, cell.size, config_digest)
                 if reuse and disk_dir:
                     stats = result_cache.disk_load(
                         disk_dir, cell.workload, cell.size, cell.config, digest
@@ -445,7 +479,7 @@ class Engine:
                 outcome[slot] = stats
                 emit(cell, cached=True)
             else:
-                pending.append((key, cell, digest))
+                pending.append((key, cell, digest, text))
 
         if pending:
             runner = getattr(self, "_run_%s" % self.backend)
@@ -453,7 +487,7 @@ class Engine:
             # keeps whatever already finished); every other backend's
             # results land on disk here.
             store_dir = None if self.backend == "process" else disk_dir
-            address = {key: digest for key, _, digest in pending}
+            address = {key: digest for key, _, digest, _ in pending}
             # Closing the runner on the way out — normally or through a
             # fail-fast raise — is what lets the pool drop queued cells.
             with closing(runner(pending, verify)) as outcomes:
@@ -494,12 +528,12 @@ class Engine:
     # -- backends ------------------------------------------------------
     #
     # A runner resolves the cells the caches could not: for each
-    # ``(key, cell, content address)`` pending it yields one ``(key,
-    # cell, stats or exception, cached, source)`` and leaves the error
-    # policy, the caches and progress to :meth:`run`.
+    # ``(key, cell, content address, config text)`` pending it yields
+    # one ``(key, cell, stats or exception, cached, source)`` and leaves
+    # the error policy, the caches and progress to :meth:`run`.
 
     def _run_inline(self, pending, verify) -> Iterator[CellOutcome]:
-        for key, cell, _ in pending:
+        for key, cell, _, _ in pending:
             observers: Dict[str, Observer] = {}
             if self.observer_names:
                 from repro.analytics import make_aggregators
@@ -534,7 +568,7 @@ class Engine:
                     {},
                     disk_dir,
                 ): (key, cell)
-                for key, cell, _ in pending
+                for key, cell, _, _ in pending
             }
             # Consume in completion order so progress never stalls
             # behind a slow early cell.

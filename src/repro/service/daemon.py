@@ -28,7 +28,9 @@ dispatcher threads, and ``/v1/health`` reports
     envelope).  Each cell is triaged under one lock: served from the
     store, *coalesced* onto an identical in-flight cell (N concurrent
     submissions of one cell hash cost one simulation), or queued.  When
-    the store serves them all the ack carries the result ``cells``.
+    the store serves them all the ack carries the result ``cells``,
+    spliced from the stats texts the store keeps, and the job's event
+    history is derived only when someone reads it.
     Triage plans first and commits second
     (:meth:`SweepService._triage_locked`, then ``_commit_locked``):
     when the plan's new work would overflow the queue the daemon
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import json
 import multiprocessing
 import os
 import queue
@@ -78,7 +81,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from multiprocessing.process import BaseProcess
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, cast
 
 from repro.api.cache import AnyStats, is_cell_digest, stats_to_payload
 from repro.api.engine import Engine, _compute_cell, worker_pool
@@ -98,7 +101,7 @@ from repro.service.faults import (
 )
 from repro.service.journal import JobJournal, resolve_journal_path
 from repro.service.protocol import ProtocolError, SubmittedCell
-from repro.service.store import ResultStore, resolve_store_dir
+from repro.service.store import KeptEntry, ResultStore, resolve_store_dir
 from repro.workloads import normalize_size
 
 #: Protocol error code -> HTTP status.
@@ -154,8 +157,8 @@ class _Work:
 
 
 #: One step of a triage plan: (cell, where its result comes from — a
-#: ``SOURCE_*`` — and the stored stats payload for store hits).
-_Step = Tuple[SubmittedCell, str, Optional[object]]
+#: ``SOURCE_*`` — and the kept store entry for store hits).
+_Step = Tuple[SubmittedCell, str, Optional[KeptEntry]]
 
 
 class Job:
@@ -169,6 +172,11 @@ class Job:
     replays the whole history, terminal status included.  The history
     is bounded by the job itself (one progress line per cell plus one
     terminal status), not by run length.
+
+    A job the store answered in full is finished at its ack, before
+    anyone can subscribe: it publishes nothing, and :meth:`subscribe`
+    derives its history from its cells the first time it is asked for —
+    the same envelopes, in the same order, a published history holds.
     """
 
     def __init__(self, job_id: str, total: int, verify: bool) -> None:
@@ -180,6 +188,9 @@ class Job:
         #: The journal that holds this job's record, and so takes its
         #: cell records: none for a job that is finished at its ack.
         self.journal: Optional[JobJournal] = None
+        #: Finished at its ack (the store answered every cell): its
+        #: events are derived on demand, never published.
+        self.answered = False
         self.cells: Dict[int, Dict[str, object]] = {}
         self.finished = threading.Event()
         self._events_lock = threading.Lock()
@@ -197,6 +208,15 @@ class Job:
         """A fresh event queue, pre-loaded with the full history."""
         subscription: "queue.Queue[Dict[str, object]]" = queue.Queue()
         with self._events_lock:
+            # An answered job's cells are complete here: the service
+            # hands a job out only under the lock its submit committed
+            # it under.
+            if self.answered and not self._history:
+                self._history = [
+                    self.progress_message(cell, done)
+                    for done, cell in enumerate(self.cells.values(), 1)
+                ]
+                self._history.append(self.status_message())
             for event in self._history:
                 subscription.put(event)
             self._subscribers.append(subscription)
@@ -230,6 +250,19 @@ class Job:
             state=self.state,
             done=self.done,
             total=self.total,
+        )
+
+    def progress_message(self, cell: Dict[str, object], done: int) -> Dict[str, object]:
+        """The progress line of ``cell``, the ``done``-th to resolve:
+        the cell without its stats (progress lines stay light)."""
+        progress = dict(cell)
+        progress.pop("stats", None)
+        return protocol.envelope(
+            protocol.MSG_PROGRESS,
+            job=self.id,
+            done=done,
+            total=self.total,
+            cell=progress,
         )
 
     def result_message(self) -> Dict[str, object]:
@@ -317,7 +350,13 @@ class SweepService:
     # ------------------------------------------------------------------
 
     def submit(self, message: Dict[str, object]) -> Dict[str, object]:
-        """Triage a ``submit`` envelope; returns the ``ack`` envelope.
+        """Triage a ``submit`` envelope; returns the ``ack`` envelope —
+        :meth:`submit_line`'s line, decoded."""
+        ack: Dict[str, object] = json.loads(self.submit_line(message))
+        return ack
+
+    def submit_line(self, message: Dict[str, object]) -> bytes:
+        """Triage a ``submit`` envelope; returns the ``ack``'s wire line.
 
         Raises :class:`ProtocolError` (:data:`~repro.service.protocol.
         ERR_QUEUE_FULL`, with ``retry_after``) when accepting the
@@ -325,7 +364,10 @@ class SweepService:
         nothing is enqueued in that case, so a retried submission
         starts clean — and :data:`~repro.service.protocol.
         ERR_BAD_REQUEST` when its new cells alone outnumber
-        ``queue_limit``, which no retry can fix.
+        ``queue_limit``, which no retry can fix.  The ack of a
+        submission the store answered in full is spliced from the stats
+        texts the store keeps (:func:`~repro.service.protocol.
+        answered_ack_line`): no stats payload is encoded again.
         """
         cells, verify = protocol.decode_submit(message)
         with self._lock:
@@ -362,6 +404,7 @@ class SweepService:
             answered = sources.count(protocol.SOURCE_STORE) == len(plan)
             self._next_job += 1
             job = Job("j%06d" % self._next_job, len(cells), verify)
+            job.answered = answered
             job.journal = journal = None if answered else self.journal
             self._jobs[job.id] = job
             self.counters["jobs_submitted"] += 1
@@ -377,16 +420,26 @@ class SweepService:
                     durable.enter_context(journal.group())
                     journal.record_job(job.id, verify, cells)
                 triage = self._commit_locked(job, plan)
-            ack = protocol.envelope(
-                protocol.MSG_ACK,
-                job=job.id,
-                state=job.state,
-                total=job.total,
-                triage=triage,
-            )
-            if answered:
-                ack["cells"] = job.result_message()["cells"]
-            return ack
+            if not answered:
+                return protocol.encode(
+                    protocol.envelope(
+                        protocol.MSG_ACK,
+                        job=job.id,
+                        state=job.state,
+                        total=job.total,
+                        triage=triage,
+                    )
+                )
+        # The job is finished and nothing changes it again: the ack is
+        # the result cells in id order (ids are distinct), each the stats
+        # text its entry was kept with, joined outside the lock.
+        return protocol.answered_ack_line(
+            job.id,
+            sorted(
+                (cell.id, cell.hash, cast(KeptEntry, kept).stats_text)
+                for cell, _, kept in plan
+            ),
+        )
 
     def _triage_locked(
         self, cells: Sequence[SubmittedCell], verify: bool
@@ -399,9 +452,9 @@ class SweepService:
         plan: List[_Step] = []
         planned: Set[str] = set()
         for cell in cells:
-            entry = None if verify else self.store.get_entry(cell.hash)
-            if entry is not None:
-                plan.append((cell, protocol.SOURCE_STORE, entry.get("stats")))
+            kept = None if verify else self.store.get_kept(cell.hash)
+            if kept is not None:
+                plan.append((cell, protocol.SOURCE_STORE, kept))
             elif not verify and (
                 cell.hash in self._inflight or cell.hash in planned
             ):
@@ -415,13 +468,13 @@ class SweepService:
         """Carry out a :meth:`_triage_locked` plan for ``job``; returns
         the ack's per-disposition counts."""
         triage = {"store": 0, "coalesced": 0, "queued": 0}
-        for cell, source, stats in plan:
+        for cell, source, kept in plan:
             if source == protocol.SOURCE_STORE:
                 self.counters["cells_store"] += 1
                 triage["store"] += 1
                 self._resolve_locked(
                     job, cell.id, cell.hash, protocol.STATUS_OK, source,
-                    stats=stats,
+                    stats=cast(KeptEntry, kept).entry.get("stats"),
                 )
             elif source == protocol.SOURCE_COALESCED:
                 self.counters["cells_coalesced"] += 1
@@ -697,20 +750,12 @@ class SweepService:
         job.cells[cell_id] = cell
         if job.journal is not None:
             job.journal.record_cell(job.id, cell_id, digest, status, error)
-        progress = dict(cell)
-        progress.pop("stats", None)  # progress lines stay light
-        job.publish(
-            protocol.envelope(
-                protocol.MSG_PROGRESS,
-                job=job.id,
-                done=job.done,
-                total=job.total,
-                cell=progress,
-            )
-        )
+        if not job.answered:
+            job.publish(job.progress_message(cell, job.done))
         if job.done >= job.total and not job.finished.is_set():
             job.finished.set()
-            job.publish(job.status_message())
+            if not job.answered:
+                job.publish(job.status_message())
             self._finished.append(job.id)
             if len(self._finished) > FINISHED_JOBS_KEPT:
                 del self._jobs[self._finished.popleft()]
@@ -744,7 +789,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     # One connection per request (HTTP/1.0): the progress stream is
     # delimited by connection close, so no chunked framing is needed
-    # and urllib clients read lines as they are flushed.
+    # and clients read lines as they are flushed.
     protocol_version = "HTTP/1.0"
 
     def log_message(self, format: str, *args: object) -> None:
@@ -761,7 +806,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
         message: Dict[str, object],
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = protocol.encode(message)
+        self._send_line(status, protocol.encode(message), extra_headers)
+
+    def _send_line(
+        self,
+        status: int,
+        body: bytes,
+        extra_headers: Optional[Dict[str, str]] = None,
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -861,9 +913,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send_envelope(200, self.server.service.lookup_cell(digest))
 
     def _submit(self) -> None:
-        self._send_envelope(
-            200, self.server.service.submit(self._read_message())
-        )
+        self._send_line(200, self.server.service.submit_line(self._read_message()))
 
     def _job_result(self, job_id: str) -> None:
         job = self.server.service.get_job(job_id)

@@ -24,9 +24,13 @@ from the decoded config and rejects mismatches, so schema skew between
 writer and reader is a loud failure instead of a silently wrong content
 address.  The writer of a ``submit`` (:func:`submit_line`) encodes each
 *configuration* once and splices every cell around that text, taking
-the cells' addresses from its caller or from one digest per
-configuration; the reader builds and hashes each distinct configuration
-once and derives every decoded cell's address from that.
+the cells' addresses and texts from its caller or from one walk and one
+digest per configuration; the reader builds and hashes each distinct
+configuration once and derives every decoded cell's address from that.
+The ``ack`` of a job the store answered in full is spliced the same
+way (:func:`answered_ack_line`), around the stats texts the daemon's
+store keeps beside its entries; every other message is :func:`encode`
+of its envelope.
 
 Stats travel one way, daemon to client, in ``result`` envelopes: no
 message uploads a result, so nothing reaches a served store over the
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.api.cache import (
     AnyConfig,
@@ -62,6 +66,7 @@ from repro.api.cache import (
     config_hash,
     config_text,
     per_config,
+    text_hash,
 )
 
 #: Bump when the envelope schema changes; mismatched peers get a typed
@@ -286,19 +291,24 @@ _CELL_JSON = (
 )
 
 
-def cells_to_wire(cells: Iterable[SubmittedCell]) -> str:
+def cells_to_wire(
+    cells: Sequence[SubmittedCell], texts: Optional[Sequence[str]] = None
+) -> str:
     """The JSON list of ``cells``, in ``submit`` messages and journal
     job records alike, each configuration encoded once — the bytes
     ``json.dumps(..., sort_keys=True)`` writes for the cells' fields,
     with every string escaped by the encoder's own
-    ``encode_basestring_ascii``."""
-    text_of = per_config(config_text)
+    ``encode_basestring_ascii``.  ``texts``, in order, are the cells'
+    :func:`config_text` where the caller holds them already."""
+    if texts is None:
+        text_of = per_config(config_text)
+        texts = [text_of(cell.config_name, cell.config) for cell in cells]
     return "[%s]" % ", ".join(
         _CELL_JSON % (
-            text_of(cell.config_name, cell.config), _quote(cell.config_name),
-            _quote(cell.hash), cell.id, _quote(cell.size), _quote(cell.workload),
+            text, _quote(cell.config_name), _quote(cell.hash), cell.id,
+            _quote(cell.size), _quote(cell.workload),
         )
-        for cell in cells
+        for cell, text in zip(cells, texts, strict=True)
     )
 
 
@@ -391,17 +401,27 @@ def submit_line(
     cells: Sequence[Tuple[str, str, str, AnyConfig]],
     verify: bool = False,
     digests: Optional[Sequence[str]] = None,
+    texts: Optional[Sequence[str]] = None,
 ) -> bytes:
     """The wire line of a ``submit`` envelope for (workload, size,
     config_name, config) cells — the bytes :func:`encode` writes for
     :func:`submit_message`, with no whole-message ``json.dumps``.  Cell
     ids are the sequence indices; every cell carries its content address
-    so the peer can cross-check schema agreement: ``digests``, in order,
-    where the caller holds them already, else derived here from one
-    digest per configuration."""
+    so the peer can cross-check schema agreement.  ``digests`` (the
+    cells' addresses) and ``texts`` (their configurations'
+    :func:`config_text`), in order, are taken where the caller holds
+    them already — ``Engine.run`` derives both from one walk per
+    configuration — else derived here from one walk and one digest per
+    configuration."""
+    if texts is None:
+        text_of = per_config(config_text)
+        texts = [text_of(name, config) for _, _, name, config in cells]
     if digests is None:
-        digest_of = per_config(config_hash)
-        digests = [cell_address(w, z, digest_of(name, config)) for w, z, name, config in cells]
+        hashes = {text: text_hash(text) for text in dict.fromkeys(texts)}
+        digests = [
+            cell_address(workload, size, hashes[text])
+            for (workload, size, _, _), text in zip(cells, texts, strict=True)
+        ]
     submitted = [
         SubmittedCell(idx, workload, size, config_name, config, digest)
         for idx, ((workload, size, config_name, config), digest) in enumerate(
@@ -409,7 +429,7 @@ def submit_line(
         )
     ]
     line = '{"cells": %s, "type": %s, "v": %d, "verify": %s}\n' % (
-        cells_to_wire(submitted), _quote(MSG_SUBMIT), PROTOCOL_VERSION,
+        cells_to_wire(submitted, texts), _quote(MSG_SUBMIT), PROTOCOL_VERSION,
         "true" if verify else "false",
     )
     return line.encode("utf-8")
@@ -436,3 +456,41 @@ def decode_submit(
     except ValueError as exc:
         raise ProtocolError(ERR_BAD_REQUEST, "submit %s" % exc) from exc
     return cells, bool(message.get("verify", False))
+
+
+# ----------------------------------------------------------------------
+# Acks
+# ----------------------------------------------------------------------
+
+#: One store-answered cell of an ``ack`` as ``json.dumps(...,
+#: sort_keys=True)`` writes it, its ``"stats": <text>`` field (if any)
+#: spliced in after ``source``.
+_ANSWERED_CELL_JSON = '{"hash": %s, "id": %d, "source": %s%s, "status": %s}'
+
+
+def answered_ack_line(
+    job_id: str, cells: Sequence[Tuple[int, str, Optional[str]]]
+) -> bytes:
+    """The wire line of the ``ack`` of a job the store answered in full,
+    for its ``(id, content address, stats text)`` cells in id order —
+    the bytes :func:`encode` writes for that envelope (state ``done``,
+    every cell a ``store`` hit, the result ``cells`` carried), with no
+    whole-message ``json.dumps``.  A stats text is the entry's stats as
+    ``json.dumps(..., sort_keys=True)`` writes them, which is what they
+    are inside any ``sort_keys`` message; None leaves the field out."""
+    store, ok = _quote(SOURCE_STORE), _quote(STATUS_OK)
+    line = (
+        '{"cells": [%s], "job": %s, "state": %s, "total": %d, "triage": '
+        '{"coalesced": 0, "queued": 0, "store": %d}, "type": %s, "v": %d}\n'
+    ) % (
+        ", ".join(
+            _ANSWERED_CELL_JSON % (
+                _quote(digest), cell_id, store,
+                "" if text is None else ', "stats": ' + text, ok,
+            )
+            for cell_id, digest, text in cells
+        ),
+        _quote(job_id), _quote(JOB_DONE), len(cells), len(cells),
+        _quote(MSG_ACK), PROTOCOL_VERSION,
+    )
+    return line.encode("utf-8")

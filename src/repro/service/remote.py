@@ -1,6 +1,7 @@
 """The ``Engine(backend="remote")`` client side of the sweep service.
 
-:class:`RemoteClient` wraps the daemon's HTTP endpoints with
+:class:`RemoteClient` wraps the daemon's HTTP endpoints, over
+``http.client`` directly, with
 
 * **per-request timeouts** (connect and read share one socket timeout);
 * **bounded retry with deterministic exponential backoff** for network
@@ -24,9 +25,10 @@ cell's outcome to
 :meth:`Engine.run <repro.api.engine.Engine.run>`, which applies the
 error policy and folds results into the engine's memo/disk cache.
 A cell's content address is derived once on this side — by
-``Engine.run``, which hands it down with the cell — and serves the
-submission and the match of the daemon's answers; the daemon derives
-it again per decoded cell, as the schema cross-check.
+``Engine.run``, which hands it down with the cell and its
+configuration's canonical text, all from one walk per configuration —
+and serves the submission and the match of the daemon's answers; the
+daemon derives it again per decoded cell, as the schema cross-check.
 
 **Degraded mode** (``Engine(server=..., fallback="inline")``, off by
 default): when a request's retries exhaust against a dead daemon, the
@@ -43,9 +45,9 @@ daemon next simulates the cell (a later submit, or ``--resume``).
 from __future__ import annotations
 
 import http.client
+import io
 import time
 import urllib.error
-import urllib.request
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -59,7 +61,7 @@ from typing import (
 )
 
 from repro.api.cache import AnyConfig, AnyStats, stats_from_payload
-from repro.api.engine import _check_retries, _check_timeout
+from repro.api.engine import _check_retries, _check_server, _check_timeout
 from repro.service import protocol
 from repro.service.protocol import ProtocolError
 
@@ -83,7 +85,12 @@ class RemoteError(RuntimeError):
 
 
 class RemoteClient:
-    """HTTP client for one sweep daemon."""
+    """HTTP client for one sweep daemon at ``server``: an ``http://`` or
+    ``https://`` URL (https verifies the daemon's certificate against
+    the default trust store), with an optional path prefix the routes
+    go under.  Each request is one ``http.client`` connection — the
+    daemon closes it after the response — and a status outside 2xx is
+    raised as ``urllib.error.HTTPError``, as ``urllib`` raised it."""
 
     def __init__(
         self,
@@ -95,11 +102,16 @@ class RemoteClient:
     ) -> None:
         _check_timeout(timeout)
         _check_retries(retries)
-        if not server.startswith(("http://", "https://")):
-            raise ValueError(
-                "server must be an http(s) URL, got %r" % (server,)
-            )
+        parts = _check_server(server)
         self.server = server.rstrip("/")
+        self._connection = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._host = cast(str, parts.hostname)  # _check_server: never empty
+        self._port = parts.port
+        self._prefix = parts.path.rstrip("/")
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -112,15 +124,26 @@ class RemoteClient:
     def _open(
         self, method: str, path: str, body: Optional[bytes] = None
     ) -> http.client.HTTPResponse:
-        request = urllib.request.Request(
-            self.server + path,
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json"},
+        """The response to one request, its body unread; any status
+        outside 2xx is an ``HTTPError`` carrying the body read."""
+        connection = self._connection(self._host, self._port, timeout=self.timeout)
+        try:
+            connection.request(
+                method, self._prefix + path, body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+        except BaseException:
+            connection.close()
+            raise
+        if 200 <= response.status < 300:
+            return response
+        with response:
+            answer = response.read()
+        raise urllib.error.HTTPError(
+            self.server + path, response.status, response.reason,
+            response.headers, io.BytesIO(answer),
         )
-        response = urllib.request.urlopen(request, timeout=self.timeout)
-        assert isinstance(response, http.client.HTTPResponse)
-        return response
 
     def _request(
         self,
@@ -230,9 +253,10 @@ class RemoteClient:
         verify: bool = False,
         digests: Optional[Sequence[str]] = None,
     ) -> Dict[str, object]:
-        return self._request(
-            "POST", "/v1/jobs", protocol.submit_line(cells, verify, digests)
-        )
+        return self._submit_line(protocol.submit_line(cells, verify, digests))
+
+    def _submit_line(self, line: bytes) -> Dict[str, object]:
+        return self._request("POST", "/v1/jobs", line)
 
     def result(self, job_id: str) -> Dict[str, object]:
         """The job's result envelope (a status envelope while running)."""
@@ -346,16 +370,20 @@ def run_remote(
     client = engine.remote_client
     fallback = engine.fallback == "inline"
     cell_results: Dict[str, Dict[str, object]] = {}
-    # Engine.run addresses every cell of a remote run, once.
-    digests = [cast(str, digest) for _, _, digest in pending]
+    # Engine.run addresses every cell of a remote run, and hands down
+    # its configuration's text, from one walk per configuration.
+    digests = [cast(str, digest) for _, _, digest, _ in pending]
     try:
-        ack = client.submit(
-            [
-                (cell.workload, cell.size, cell.config_name, cell.config)
-                for _, cell, _ in pending
-            ],
-            verify=verify,
-            digests=digests,
+        ack = client._submit_line(
+            protocol.submit_line(
+                [
+                    (cell.workload, cell.size, cell.config_name, cell.config)
+                    for _, cell, _, _ in pending
+                ],
+                verify,
+                digests,
+                [cast(str, text) for _, _, _, text in pending],
+            )
         )
         # A submission the store answered is finished at its ack, which
         # then carries the cells: one round trip.
@@ -373,7 +401,7 @@ def run_remote(
             raise
 
     leftovers: List["Pending"] = []
-    for (key, cell, _), digest in zip(pending, digests):
+    for (key, cell, _, text), digest in zip(pending, digests):
         message = cell_results.get(digest)
         if fallback and (
             message is None
@@ -383,7 +411,7 @@ def run_remote(
             # under fallback: an injected worker fault must not fail
             # the sweep, and a genuinely broken cell fails identically
             # here.
-            leftovers.append((key, cell, digest))
+            leftovers.append((key, cell, digest, text))
         else:
             yield (key, cell) + _daemon_outcome(digest, message)
     for key, cell, got, cached, _ in engine._run_inline(leftovers, verify):

@@ -12,8 +12,9 @@ and must compare stats).  Any number of daemon worker threads and
 external processes can share one root safely.
 
 :class:`ResultStore` adds what only the service needs: lookups by
-digest — answered from memory while one ``os.stat`` says the file is
-the one read (:meth:`ResultStore.get_entry`) — the ``torn-store-write``
+digest — answered from memory, with the text of the entry's stats a
+daemon splices into its answers, while one ``os.stat`` says the file is
+the one read (:meth:`ResultStore.get_kept`) — the ``torn-store-write``
 fault hook, and maintenance.
 Deletion (:meth:`ResultStore.gc`) is crash-safe against concurrent
 readers: an entry is first renamed to a ``.tomb`` file (atomic —
@@ -26,11 +27,12 @@ schema skew before they serve wrong results.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.api.cache import (
     AnyConfig,
@@ -51,16 +53,27 @@ from repro.service.faults import FAULT_TORN_STORE_WRITE, FaultPlan, SITE_STORE
 #: The store root when neither a flag nor ``$REPRO_CACHE_DIR`` names one.
 DEFAULT_STORE_DIR = ".repro_store"
 
-#: How many decoded entries :meth:`ResultStore.get_entry` keeps.  An SM
-#: cell's entry is 1.5 kB on disk and ≈ 7.6 kB decoded, a 4-SM device
-#: cell's 3.9 kB and ≈ 12 kB (``sys.getsizeof`` summed over the
-#: objects), so the memo holds ≈ 8–12 MB at the cap: three figure-7
-#: grids at every size (3 x 315 cells).
+#: How many decoded entries :meth:`ResultStore.get_kept` keeps.  An SM
+#: cell's entry is 1.5 kB on disk and ≈ 7.6 kB decoded plus 0.65 kB of
+#: stats text, a 4-SM device cell's 3.9 kB and ≈ 12 kB plus 2.3 kB
+#: (``sys.getsizeof`` summed over the objects), so the memo holds
+#: ≈ 8.5–15 MB at the cap: three figure-7 grids at every size (3 x 315
+#: cells).
 ENTRY_MEMO_ENTRIES = 1024
 
 def resolve_store_dir(root: Optional[str]) -> str:
     """Explicit root, else ``$REPRO_CACHE_DIR``, else the default."""
     return resolve_dir(root) or DEFAULT_STORE_DIR
+
+
+class KeptEntry(NamedTuple):
+    """A store entry as :meth:`ResultStore.get_kept` answers it."""
+
+    entry: Dict[str, object]
+    #: ``json.dumps(entry["stats"], sort_keys=True)`` — the bytes any
+    #: ``sort_keys`` message carrying the stats writes for them — or
+    #: None when the entry has no stats.
+    stats_text: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -119,8 +132,9 @@ class ResultStore:
         self.root = root
         self.fault_plan = fault_plan
         #: digest -> (the file's (inode, mtime in ns, size) when read,
-        #: its entry), least recently answered first; see :meth:`get_entry`.
-        self._answered: "OrderedDict[str, Tuple[Tuple[int, int, int], Dict[str, object]]]" = (
+        #: its entry and stats text), least recently answered first; see
+        #: :meth:`get_kept`.
+        self._answered: "OrderedDict[str, Tuple[Tuple[int, int, int], KeptEntry]]" = (
             OrderedDict()
         )
         self._answered_lock = threading.Lock()
@@ -136,18 +150,21 @@ class ResultStore:
     # Reads
     # ------------------------------------------------------------------
 
-    def get_entry(self, digest: str) -> Optional[Dict[str, object]]:
-        """The full JSON entry for a digest, or None.
+    def get_kept(self, digest: str) -> Optional[KeptEntry]:
+        """The full JSON entry for a digest with the text of its stats,
+        or None.
 
         Torn/alien files and entries from another ``CACHE_VERSION``
         read as misses.  An entry answered before is answered again
         from memory while one ``os.stat`` of its file still reads the
         stamp it was read under — (inode, mtime in ns, size) — so a gc
         tombstone rename, a torn rewrite or any ``os.replace`` makes it
-        a miss or a fresh read, never a stale answer.  A miss costs one
-        failed ``stat``.  Up to :data:`ENTRY_MEMO_ENTRIES` are kept,
-        least recently answered out first.  The entry returned is
-        shared with later callers: read it, never change it.
+        a miss or a fresh read, never a stale answer.  The stats text is
+        kept with its entry under that one stamp, so no caller pairs an
+        entry with another file's text.  A miss costs one failed
+        ``stat``.  Up to :data:`ENTRY_MEMO_ENTRIES` are kept, least
+        recently answered out first.  What is returned is shared with
+        later callers: read it, never change it.
         """
         path = self.path_for(digest)
         try:
@@ -156,25 +173,35 @@ class ResultStore:
             return None
         stamp = (st.st_ino, st.st_mtime_ns, st.st_size)
         with self._answered_lock:
-            kept = self._answered.get(digest)
-            if kept is not None and kept[0] == stamp:
+            answered = self._answered.get(digest)
+            if answered is not None and answered[0] == stamp:
                 self._answered.move_to_end(digest)
-                return kept[1]
+                return answered[1]
         # Stamped before the read: a file replaced in between is read
         # new and kept under the old stamp, which its next stat misses.
+        kept: Optional[KeptEntry]
         try:
             entry = read_entry(path)
         except ValueError:
-            entry = None
+            kept = None
+        else:
+            stats = entry.get("stats")
+            text = None if stats is None else json.dumps(stats, sort_keys=True)
+            kept = KeptEntry(entry, text)
         with self._answered_lock:
-            if entry is None:
+            if kept is None:
                 self._answered.pop(digest, None)
             else:
-                self._answered[digest] = (stamp, entry)
+                self._answered[digest] = (stamp, kept)
                 self._answered.move_to_end(digest)
                 if len(self._answered) > ENTRY_MEMO_ENTRIES:
                     self._answered.popitem(last=False)
-        return entry
+        return kept
+
+    def get_entry(self, digest: str) -> Optional[Dict[str, object]]:
+        """The full JSON entry for a digest, or None (:meth:`get_kept`)."""
+        kept = self.get_kept(digest)
+        return None if kept is None else kept.entry
 
     def load_stats(self, digest: str) -> Optional[AnyStats]:
         """The decoded stats for a digest, or None."""

@@ -379,7 +379,7 @@ class TestOsRefusalsAndIgnoredValues:
         (("analyze", "--workload", "bfs", "--json", "{tmp}/no/a.json"), "--json {tmp}/no/a.json"),
         (("sweep", *ONE_CELL, "--jobs", "0"), "jobs must be None (one worker per core) or an integer >= 1, got 0"),
         (("sweep", *ONE_CELL, "--jobs", "-3"), "jobs must be None (one worker per core) or an integer >= 1, got -3"),
-        # urllib meets these at the first request: an OverflowError
+        # The transport meets these at the first request: an OverflowError
         # traceback, messages that name no flag, four doomed attempts.
         (("sweep", *ONE_CELL, "--server", "http://127.0.0.1:9", "--timeout", "inf"),
          "--timeout must be a finite number of seconds > 0, got inf"),
@@ -391,6 +391,12 @@ class TestOsRefusalsAndIgnoredValues:
          "--timeout must be a finite number of seconds > 0, got 0.0"),
         (("sweep", *ONE_CELL, "--server", "http://127.0.0.1:9", "--retries", "-1"),
          "--retries must be an integer >= 0, got -1"),
+        # A malformed --server is a typo, not a dead daemon: refused
+        # before any request, and never run locally under --fallback.
+        (("sweep", *ONE_CELL, "--server", "http://127.0.0.1:notaport", "--fallback", "inline"),
+         "server 'http://127.0.0.1:notaport' has a bad port"),
+        (("sweep", *ONE_CELL, "--server", "http://127.0.0.1:8421?x=1", "--fallback", "inline"),
+         "server 'http://127.0.0.1:8421?x=1' has a query"),
     ]
 
     @pytest.mark.parametrize(

@@ -18,7 +18,12 @@ ack.  The tree before the entry memo and the one-writer submit (fb2bca0)
 also opened and parsed every answered cell's entry again on every
 re-ask, and the client re-encoded every cell's configuration inside one
 whole-message ``json.dumps``: now a re-asked hit is one ``os.stat``, and
-a client submit encodes each configuration once.
+a client submit encodes each configuration once.  The tree before the
+spliced ack (9c94718) still encoded every answered cell's stats payload
+again inside the ack's whole-message ``json.dumps``, and built a
+progress envelope per cell for a history nobody had subscribed to: now
+the ack is joined from the stats texts the store keeps beside its
+entries, and the history is built when ``/events`` is first read.
 
 ``python tests/test_daemon_work.py`` prints the table.
 """
@@ -189,6 +194,63 @@ def client_submit_dumps(kernels: int, root: str) -> dict:
     return counts
 
 
+def stats_payloads(obj) -> int:
+    """Stats payloads (``{"kind": ..., "data": ...}``) inside ``obj``."""
+    if isinstance(obj, dict):
+        return (set(obj) == {"kind", "data"}) + sum(map(stats_payloads, obj.values()))
+    if isinstance(obj, list):
+        return sum(map(stats_payloads, obj))
+    return 0
+
+
+def answered_resubmit_work(kernels: int, root: str) -> dict:
+    """What a daemon does for a ``kernels`` x 3 grid it has answered
+    before, over HTTP: stats payloads it hands ``json.dumps``, and the
+    progress envelopes it builds up to the ack and then while a client
+    reads the job's ``/events``."""
+    spec = grid(kernels)
+    store_dir = os.path.join(root, "store")
+    fill(store_dir, spec)
+    rows = [(c.workload, c.size, c.config_name, c.config) for c in spec.cells()]
+    server = make_server(store_dir=store_dir, workers=0, heartbeat=0.05)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    counts = {"stats_dumped": 0, "progress": 0}
+    dumps, envelope = json.dumps, protocol.envelope
+
+    def counted_dumps(obj, *args, **kwargs):
+        counts["stats_dumped"] += stats_payloads(obj)
+        return dumps(obj, *args, **kwargs)
+
+    def counted_envelope(msg_type, **body):
+        counts["progress"] += msg_type == protocol.MSG_PROGRESS
+        return envelope(msg_type, **body)
+
+    try:
+        client = RemoteClient("http://%s:%d" % server.server_address[:2])
+        client.submit(rows)  # the first ask reads every entry
+        with mock.patch.object(json, "dumps", counted_dumps), \
+                mock.patch.object(protocol, "envelope", counted_envelope):
+            ack = client.submit(rows)
+            at_ack = dict(counts)
+            events = list(client.events(str(ack["job"])))
+    finally:
+        server.shutdown()
+        server.service.shutdown_gracefully()
+        server.server_close()
+        thread.join(timeout=10)
+    assert ack["state"] == protocol.JOB_DONE and len(ack["cells"]) == spec.total_cells
+    assert [e.get("done") for e in events] == list(range(1, spec.total_cells + 1)) + [
+        spec.total_cells
+    ]
+    assert events[-1]["state"] == protocol.JOB_DONE
+    return {
+        "stats_dumped": at_ack["stats_dumped"],
+        "progress_at_ack": at_ack["progress"],
+        "progress_with_events": counts["progress"],
+    }
+
+
 def requests_per_run(kernels: int, root: str) -> int:
     """HTTP requests one ``Engine(server=...).run`` of a ``kernels`` x 3
     grid makes against a daemon whose store holds every cell."""
@@ -236,6 +298,11 @@ PARENT_OPENS_PER_CELL = 1
 PARENT_STATS = 0
 PARENT_MESSAGE_DUMPS = 1
 PARENT_CONFIG_DUMPS = 0
+# 9c94718, per answered re-submission: the whole-ack json.dumps encoded
+# every cell's stats payload again, and every cell published a progress
+# envelope into a history nobody had asked for.
+PARENT_STATS_DUMPED_PER_CELL = 1
+PARENT_PROGRESS_AT_ACK_PER_CELL = 1
 
 
 class TestDaemonWork:
@@ -271,6 +338,18 @@ class TestDaemonWork:
         assert resubmit_counts(kernels, str(tmp_path)) == {"opened": 0, "stats": cells}
 
     @pytest.mark.parametrize("kernels", [2, 8])
+    def test_an_answered_ack_is_spliced_and_its_history_derived_on_demand(
+        self, kernels, tmp_path
+    ):
+        """No stats payload is encoded again for the ack, and the job's
+        progress envelopes are built only when its ``/events`` is read:
+        one per cell, then the terminal status."""
+        cells = kernels * len(CONFIGS)
+        assert answered_resubmit_work(kernels, str(tmp_path)) == {
+            "stats_dumped": 0, "progress_at_ack": 0, "progress_with_events": cells,
+        }
+
+    @pytest.mark.parametrize("kernels", [2, 8])
     def test_a_client_submit_encodes_each_configuration_once(self, kernels, tmp_path):
         assert client_submit_dumps(kernels, str(tmp_path)) == {
             "messages": 0, "configs": len(CONFIGS),
@@ -289,6 +368,7 @@ def main() -> None:
             requests = requests_per_run(kernels, os.path.join(tmp, "r"))
             again = resubmit_counts(kernels, os.path.join(tmp, "g"))
             dumps = client_submit_dumps(kernels, os.path.join(tmp, "d"))
+            spliced = answered_resubmit_work(kernels, os.path.join(tmp, "s"))
         shape = "%d x %d" % (kernels, len(CONFIGS))
         cells = kernels * len(CONFIGS)
         for label, key, before in (
@@ -321,6 +401,15 @@ def main() -> None:
         ))
         print("| client submit: configuration json.dumps | %s | %d (fb2bca0) | %d |" % (
             shape, PARENT_CONFIG_DUMPS, dumps["configs"]
+        ))
+        print("| re-asked: stats payloads json.dumps'd for the ack | %s | %d (9c94718) | %d |" % (
+            shape, PARENT_STATS_DUMPED_PER_CELL * cells, spliced["stats_dumped"]
+        ))
+        print("| re-asked: progress envelopes by the ack | %s | %d (9c94718) | %d |" % (
+            shape, PARENT_PROGRESS_AT_ACK_PER_CELL * cells, spliced["progress_at_ack"]
+        ))
+        print("| re-asked: progress envelopes once /events is read | %s | %d (9c94718) | %d |" % (
+            shape, PARENT_PROGRESS_AT_ACK_PER_CELL * cells, spliced["progress_with_events"]
         ))
 
 

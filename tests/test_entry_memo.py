@@ -1,7 +1,8 @@
 """The daemon's store hits come from memory while the file is unchanged.
 
-:meth:`ResultStore.get_entry` keeps the entries it has answered and
-answers them again after one ``os.stat`` that reads the stamp —
+:meth:`ResultStore.get_kept` keeps the entries it has answered, each
+with the text of its stats, and answers them again after one
+``os.stat`` that reads the stamp —
 (inode, mtime in ns, size) — it read them under.  These tests hold it to
 what a daemon's store can suffer beside it: a ``repro store gc``, a torn
 write, an entry of another ``CACHE_VERSION`` put in place, lookups on
@@ -125,6 +126,72 @@ class TestStatRule:
         assert len(store._answered) == 3
 
 
+def text_of(entry):
+    return json.dumps(entry["stats"], sort_keys=True)
+
+
+class TestKeptText:
+    """The stats text a daemon splices into its answers is kept with its
+    entry, under the entry's stamp: it goes when the file goes."""
+
+    def test_the_text_is_its_entrys_stats_and_kept_with_it(self, tmp_path, reads):
+        store, digest = stored(tmp_path)
+        kept = store.get_kept(digest)
+        assert kept.entry == result_cache.read_entry(store.path_for(digest))
+        assert kept.stats_text == text_of(kept.entry)
+        assert store.get_kept(digest) is kept
+        assert store.get_entry(digest) is kept.entry
+        assert len(reads) == 1
+
+    def test_an_entry_without_stats_has_no_text(self, tmp_path):
+        store, digest = stored(tmp_path)
+        path = store.path_for(digest)
+        entry = result_cache.read_entry(path)
+        del entry["stats"]
+        result_cache.atomic_write_text(path, json.dumps(entry))
+        assert store.get_kept(digest) == (entry, None)
+
+    def test_the_text_is_sorted_whatever_order_the_file_holds(self, tmp_path):
+        """The text is what a ``sort_keys`` message writes for the stats,
+        even from an entry written with its keys in another order."""
+        store, digest = stored(tmp_path)
+        path = store.path_for(digest)
+        entry = result_cache.read_entry(path)
+        stats = entry["stats"]
+        entry["stats"] = {"kind": stats["kind"], "data": dict(reversed(stats["data"].items()))}
+        result_cache.atomic_write_text(path, json.dumps(entry))
+        text = store.get_kept(digest).stats_text
+        assert text == text_of(entry) != json.dumps(entry["stats"])
+
+    @pytest.mark.parametrize("event", ["gc", "torn", "replace", "version"])
+    def test_a_kept_text_never_outlives_its_file(self, tmp_path, event):
+        store, digest = stored(tmp_path)
+        path = store.path_for(digest)
+        assert store.get_kept(digest).stats_text == text_of(
+            result_cache.read_entry(path)
+        )
+        if event == "gc":
+            assert store.gc(max_entries=0).evicted == 1
+        elif event == "torn":
+            os.truncate(path, os.path.getsize(path) // 2)
+        elif event == "replace":  # the same cell, other stats, put in place
+            other = result_cache.entry_text(*CELL, Stats(cycles=10, per_op_class={"alu": 1}))
+            result_cache.atomic_write_text(path, other)
+        else:
+            with open(path, "rb") as handle:
+                text = handle.read().decode()
+            version = '"version": %d' % result_cache.CACHE_VERSION
+            result_cache.atomic_write_text(
+                path, text.replace(version, '"version": %d' % (result_cache.CACHE_VERSION + 1))
+            )
+        kept = store.get_kept(digest)
+        if event == "replace":
+            assert kept.entry["stats"]["data"]["cycles"] == 10
+            assert kept.stats_text == text_of(result_cache.read_entry(path))
+        else:
+            assert kept is None
+
+
 class TestDaemonUse:
     def test_lookups_beside_a_filling_triage_raise_nothing(self, tmp_path):
         """HTTP threads look cells up without the service lock while
@@ -152,6 +219,9 @@ class TestDaemonUse:
                     else:
                         if answer["hash"] != digest or "stats" not in answer:
                             failures.append(answer)
+                    kept = service.store.get_kept(digest)
+                    if kept is not None and kept.stats_text != text_of(kept.entry):
+                        failures.append(kept)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -197,8 +267,9 @@ class TestDaemonUse:
                 service_ack = server.service.submit(protocol.submit_message(rows))
                 server.service.lookup_cell(str(service_ack["cells"][0]["hash"]))
             assert dict(server.service.store._answered) == kept
-            for digest, (_, entry) in kept.items():
+            for digest, (_, (entry, text)) in kept.items():
                 assert entry == result_cache.read_entry(result_cache.digest_path(root, digest))
+                assert text == json.dumps(entry["stats"], sort_keys=True)
         finally:
             server.shutdown()
             server.service.shutdown_gracefully()

@@ -17,7 +17,13 @@ replaced — is never called on a config or a ``Stats``.
 The JSON work of the same warm pair is pinned beside it: the
 pure-Python encoder (``json.dumps`` under ``indent``) is never
 entered, no ``json.dumps`` runs per disk-loaded cell, and each such
-cell opens one file, in binary.
+cell opens one file, in binary.  One walk per configuration and call
+yields all three keys (:class:`repro.api.cache.ConfigKeys`): the memo
+key at once, the canonical text and its digest from one ``json.dumps``
+when first asked for, and the client half of a remote run hands that
+text down to the wire instead of encoding it again (9c94718 walked
+three times and encoded twice per configuration there, over
+``urllib``; now ``http.client`` carries the request).
 
 ``python tests/test_keying_work.py`` prints the tables.
 """
@@ -27,6 +33,7 @@ import contextlib
 import dataclasses
 import json
 import threading
+import urllib.request
 from unittest import mock
 
 import pytest
@@ -208,9 +215,10 @@ def key_hashes_per_cell(kernels: int, cache_dir: str):
     return tuple(counts)
 
 
-def remote_client_walks(kernels: int, store_dir: str) -> int:
-    """Client-side walks of one remote run of a ``kernels`` x 3 grid
-    against an in-process daemon whose store holds every cell."""
+def remote_client_work(kernels: int, store_dir: str):
+    """Client-side walks, ``json.dumps`` calls and ``urllib.request.urlopen``
+    calls of one remote run of a ``kernels`` x 3 grid against an
+    in-process daemon whose store holds every cell."""
     spec = grid(kernels)
     for cell in spec.cells():
         result_cache.disk_store(store_dir, cell.workload, cell.size, cell.config, STATS)
@@ -220,7 +228,15 @@ def remote_client_walks(kernels: int, store_dir: str) -> int:
     try:
         url = "http://%s:%d" % server.server_address[:2]
         engine = Engine(server=url, cache_dir=None, memo={}, **NO_SIMULATION)
-        with Walks().counting() as walks:
+        urlopens = []
+        real_urlopen = urllib.request.urlopen
+
+        def counted_urlopen(*args, **kwargs):
+            urlopens.append(args)
+            return real_urlopen(*args, **kwargs)
+
+        with Walks().counting() as walks, JsonWork().counting() as json_work, \
+                mock.patch.object(urllib.request, "urlopen", counted_urlopen):
             events = []
             results = engine.run(spec, progress=events.append)
         assert len(results) == spec.total_cells
@@ -231,7 +247,7 @@ def remote_client_walks(kernels: int, store_dir: str) -> int:
         server.service.shutdown_gracefully()
         server.server_close()
         thread.join(timeout=10)
-    return walks.count
+    return walks.count, json_work.dumps, len(urlopens)
 
 
 def compute_cell_miss_walks(cache_dir: str) -> int:
@@ -251,6 +267,14 @@ def compute_cell_miss_walks(cache_dir: str) -> int:
 # cell: every key was an ``asdict`` of the cell's config.
 PARENT_PAIR_PER_CELL = 5  # disk run: 2 cell_key + 1 cell_hash; memo run: 2 cell_key
 PARENT_REMOTE_PER_CELL = 5  # 2 cell_key, 2 cell_hash, 1 config_to_payload
+# Per configuration before one walk yielded every key (9c94718): the
+# memo key, the digest and the wire text walked apart (3), and the text
+# encoded twice (2 json.dumps); the disk pass walked twice; one urllib
+# request per answered remote run.
+PARENT_REMOTE_PER_CONFIG = 3
+PARENT_REMOTE_DUMPS_PER_CONFIG = 2
+PARENT_DISK_PER_CONFIG = 2
+PARENT_URLOPENS = 1
 PARENT_MISS = 4  # cell_key, 2 cell_hash, config_to_payload
 # Key hashes per cell before a swept cell went by its slot number
 # (0dd7ecc): the outcome table's store and lookup came on top.
@@ -262,8 +286,8 @@ class TestKeyingWork:
     def test_warm_runs_walk_each_config_not_each_cell(self, kernels, tmp_path):
         configs = len(CONFIGS)
         disk, memo, to_dict, _ = warm_pair(kernels, str(tmp_path))
-        assert disk <= 2 * configs  # one memo key, one digest
-        assert memo <= 2 * configs
+        assert disk == configs  # the memo key, text and digest: one walk
+        assert memo == configs
         assert to_dict == kernels * configs  # once per serialised cell
 
     @pytest.mark.parametrize("kernels", [2, 8])
@@ -291,10 +315,12 @@ class TestKeyingWork:
         assert few == many
         assert sum(many) < PARENT_PAIR_PER_CELL * 2 * len(CONFIGS)
 
-    def test_remote_client_walks_each_config_not_each_cell(self, tmp_path):
-        few = remote_client_walks(2, str(tmp_path / "few"))
-        many = remote_client_walks(8, str(tmp_path / "many"))
-        assert few == many <= 3 * len(CONFIGS)  # key, digest, wire payload
+    def test_remote_client_walks_and_encodes_each_config_once(self, tmp_path):
+        """The memo key, the address and the wire text come from one walk
+        and one ``json.dumps`` per configuration, over ``http.client``."""
+        few = remote_client_work(2, str(tmp_path / "few"))
+        many = remote_client_work(8, str(tmp_path / "many"))
+        assert few == many == (len(CONFIGS), len(CONFIGS), 0)
 
     def test_compute_cell_derives_one_address_for_load_and_store(self, tmp_path):
         assert compute_cell_miss_walks(str(tmp_path)) <= 3  # key, address, entry
@@ -310,18 +336,22 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             disk, memo, to_dict, json_work = warm_pair(kernels, tmp)
         cells = kernels * len(CONFIGS)
-        print("| Engine.run, disk level then memo | %d x %d | %d | %d + %d |" % (
-            kernels, len(CONFIGS), PARENT_PAIR_PER_CELL * cells, disk, memo
+        print("| Engine.run, disk level then memo | %d x %d | %d (%d + %d at 9c94718) | %d + %d |" % (
+            kernels, len(CONFIGS), PARENT_PAIR_PER_CELL * cells,
+            PARENT_DISK_PER_CONFIG * len(CONFIGS), len(CONFIGS), disk, memo,
         ))
         print("| ResultSet.to_json (Stats walks) | %d x %d | %d | %d |" % (
             kernels, len(CONFIGS), cells, to_dict
         ))
         json_rows.append((kernels, json_work))
+    remote_rows = []
     for kernels in (2, 8):
         with tempfile.TemporaryDirectory() as tmp:
-            walks = remote_client_walks(kernels, tmp)
-        print("| remote run, client half, full store | %d x %d | %d | %d |" % (
-            kernels, len(CONFIGS), PARENT_REMOTE_PER_CELL * kernels * len(CONFIGS), walks
+            walks, dumps, urlopens = remote_client_work(kernels, tmp)
+        remote_rows.append((kernels, dumps, urlopens))
+        print("| remote run, client half, full store | %d x %d | %d (%d at 9c94718) | %d |" % (
+            kernels, len(CONFIGS), PARENT_REMOTE_PER_CELL * kernels * len(CONFIGS),
+            PARENT_REMOTE_PER_CONFIG * len(CONFIGS), walks,
         ))
     with tempfile.TemporaryDirectory() as tmp:
         print("| _compute_cell, miss with a disk level | 1 x 1 | %d | %d |" % (
@@ -342,6 +372,16 @@ def main() -> None:
             print("| %d x %d | %s | %d | %d | %s |" % (
                 kernels, len(CONFIGS), name, work.encoder, work.dumps, modes or "0"
             ))
+    print()
+    print("| remote run, client half | kernels x configs | before (9c94718) | now |")
+    print("| --- | ---: | ---: | ---: |")
+    for kernels, dumps, urlopens in remote_rows:
+        print("| json.dumps | %d x %d | %d | %d |" % (
+            kernels, len(CONFIGS), PARENT_REMOTE_DUMPS_PER_CONFIG * len(CONFIGS), dumps
+        ))
+        print("| urllib.request.urlopen | %d x %d | %d | %d |" % (
+            kernels, len(CONFIGS), PARENT_URLOPENS, urlopens
+        ))
 
 
 if __name__ == "__main__":

@@ -795,6 +795,78 @@ class TestRemoteClient:
         _follow_job(_BrokenStream(), "j000001", collected)
         assert list(collected) == ["cd" * 32]
 
+    @staticmethod
+    def _recording(monkeypatch, kind):
+        """Replace ``http.client.<kind>`` with a connection that records
+        what it was built with and asked for, then fails the request."""
+        made = []
+
+        class Recorder:
+            def __init__(self, host, port, **kwargs):
+                self.call = {"host": host, "port": port, **kwargs}
+                made.append(self.call)
+
+            def request(self, method, url, body=None, headers=None):
+                self.call.update(method=method, url=url, body=body)
+                raise ConnectionRefusedError("recorded")
+
+            def close(self):
+                self.call["closed"] = True
+
+        monkeypatch.setattr(http.client, kind, Recorder)
+        return made
+
+    @pytest.mark.parametrize("url, kind, host, port, path", [
+        ("https://sweeps.example:8443", "HTTPSConnection", "sweeps.example", 8443, "/v1/health"),
+        ("https://sweeps.example/lab/", "HTTPSConnection", "sweeps.example", None, "/lab/v1/health"),
+        ("http://[::1]:8421/a/b", "HTTPConnection", "::1", 8421, "/a/b/v1/health"),
+        ("http://127.0.0.1:8421/", "HTTPConnection", "127.0.0.1", 8421, "/v1/health"),
+    ])
+    def test_the_transport_is_http_client_and_keeps_the_path_prefix(
+        self, monkeypatch, url, kind, host, port, path
+    ):
+        """https builds an ``HTTPSConnection`` with the default (verifying)
+        context, as ``urllib`` did; a path prefix goes before every route."""
+        made = self._recording(monkeypatch, kind)
+        with pytest.raises(RemoteError, match="after 1 attempt .*recorded"):
+            RemoteClient(url, timeout=2.5, retries=0).health()
+        assert made == [{
+            "host": host, "port": port, "timeout": 2.5, "method": "GET",
+            "url": path, "body": None, "closed": True,
+        }]
+
+    #: (URL, the bad part its error names): each once accepted and then
+    #: retried as "no response ... after N attempts".
+    BAD_URLS = [
+        ("http://", "has no host"),
+        ("http://:8421", "has no host"),
+        ("http://127.0.0.1:0", "has a bad port: 0 is not in 1..65535"),
+        ("http://127.0.0.1:70000", "has a bad port"),
+        ("http://127.0.0.1:notaport", "has a bad port"),
+        ("http://127.0.0.1:8421?job=1", "has a query ('?job=1')"),
+        ("http://127.0.0.1:8421/?", "has a query ('?')"),
+        ("http://127.0.0.1:8421#top", "has a fragment ('#top')"),
+        ("http://me@127.0.0.1:8421", "has a user name"),
+        ("ftp://127.0.0.1:8421", "must be an http(s) URL"),
+        ("localhost:8421", "must be an http(s) URL"),
+    ]
+
+    @pytest.mark.parametrize("url, bad", BAD_URLS)
+    def test_a_malformed_url_is_refused_before_any_request(self, monkeypatch, url, bad):
+        connected = []
+        monkeypatch.setattr(
+            socket, "create_connection", lambda *args, **kwargs: connected.append(args)
+        )
+        for build in (RemoteClient, lambda u: Engine(server=u, fallback="inline")):
+            with pytest.raises(ValueError) as excinfo:
+                build(url)
+            assert str(excinfo.value).startswith("server %r %s" % (url, bad))
+        assert connected == []
+
+    def test_a_url_that_is_not_text_is_refused(self):
+        with pytest.raises(ValueError, match="http"):
+            RemoteClient(b"http://127.0.0.1:8421")
+
 
 class TestBackendRegistry:
     def test_error_message_lists_every_backend(self):
@@ -863,6 +935,84 @@ def queued_server(tmp_path):
         server.server_close()
 
 
+class TestAnsweredJobBytes:
+    """An answered job's ack is spliced from the stats texts the store
+    keeps, and its ``/events`` history is derived when first asked for:
+    the bodies are still the bytes the tree that built and published
+    them (9c94718) served — captured from it, as (length, sha256)."""
+
+    SM = Stats(
+        cycles=2**40 + 3, thread_instructions=4, instructions_issued=3,
+        dram_bytes=1234.5, per_op_class={"alu": 3, "ld.global": 2**53 + 1},
+    )
+    ROWS = [
+        ("histogram", "tiny", "baseline", presets.baseline()),
+        ("bfs", "tiny", "dev2", presets.device("baseline", sm_count=2)),
+        ("transpose", "tiny", "baseline", presets.baseline()),
+    ]
+    PARENT = {
+        "ack j000001": (2953, "b285287271959caa58d9d078ddf79e897e6693b2df00d9c052cf503c4772e6bd"),
+        "result j000001": (2891, "2d3ce872845e34619d416e630f997b2ff73f54751e9c6566ac7d16700feea7e1"),
+        "events j000001": (685, "2506fb70b9a653feabefdcc1e7e724101d9cf39c582f0a5584100a0de528bdf7"),
+        "ack j000002": (2953, "b6b44aac097b01337776af0804c27b0c81995a8bdc97ddf4c6002b31d9571a63"),
+        "result j000002": (2891, "37397ba470092933128d16545313e2aa8734e3f81e0fd562651e7235332f6770"),
+        "events j000002": (685, "144649c782f62d36d2867f3dcf9b27d4d47e8bc7c17490d0fc867e49ef5aa2d3"),
+    }
+
+    def test_ack_result_and_events_are_the_parents_bytes(self, tmp_path):
+        import hashlib
+
+        from repro.timing.stats import DeviceStats
+
+        device = DeviceStats(
+            cycles=77, dram_bytes=0.1, l2_accesses=5, sm_stats=[self.SM, Stats(cycles=1)]
+        )
+        root = str(tmp_path / "store")
+        for (workload, size, _, config), stats in zip(self.ROWS, (self.SM, device, self.SM)):
+            result_cache.disk_store(root, workload, size, config, stats)
+        server = make_server(store_dir=root, workers=0, heartbeat=0.05)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+
+        def body(method, path, payload=None):
+            conn = http.client.HTTPConnection(host, port, timeout=5.0)
+            try:
+                conn.request(method, path, body=payload)
+                response = conn.getresponse()
+                assert response.status == 200
+                return response.read()
+            finally:
+                conn.close()
+
+        got = {}
+        try:
+            line = protocol.submit_line(self.ROWS)
+            for job in ("j000001", "j000002"):  # a first ask and a re-ask
+                got["ack " + job] = body("POST", "/v1/jobs", line)
+                got["result " + job] = body("GET", "/v1/jobs/%s/result" % job)
+                got["events " + job] = body("GET", "/v1/jobs/%s/events" % job)
+                # One writer: the spliced ack is encode() of the dict form.
+                cells = server.service.get_job(job).result_message()["cells"]
+                assert got["ack " + job] == protocol.encode(protocol.envelope(
+                    protocol.MSG_ACK, job=job, state=protocol.JOB_DONE, total=3,
+                    triage={"store": 3, "coalesced": 0, "queued": 0}, cells=cells,
+                ))
+        finally:
+            server.shutdown()
+            server.service.shutdown_gracefully()
+            server.server_close()
+            thread.join(timeout=10)
+        assert {
+            name: (len(data), hashlib.sha256(data).hexdigest()) for name, data in got.items()
+        } == self.PARENT
+        events = [json.loads(line) for line in got["events j000002"].splitlines()]
+        assert [(e["type"], e.get("done")) for e in events] == [
+            (protocol.MSG_PROGRESS, 1), (protocol.MSG_PROGRESS, 2),
+            (protocol.MSG_PROGRESS, 3), (protocol.MSG_STATUS, 3),
+        ]
+
+
 class TestHTTPRoundTrip:
     def test_remote_matches_inline_and_warm_pass_is_free(self, live_server):
         server, url = live_server
@@ -915,14 +1065,14 @@ class TestHTTPRoundTrip:
 
         # What a daemon from before the ack carried cells sends: the
         # client follows and fetches, to the same bytes.
-        submit = server.service.submit
+        submit_line = server.service.submit_line
 
-        def old_daemon_submit(message):
-            ack = submit(message)
+        def old_daemon_submit_line(message):
+            ack = json.loads(submit_line(message))
             assert ack.pop("cells")
-            return ack
+            return protocol.encode(ack)
 
-        monkeypatch.setattr(server.service, "submit", old_daemon_submit)
+        monkeypatch.setattr(server.service, "submit_line", old_daemon_submit_line)
         del paths[:]
         events = []
         fetched = Engine(

@@ -19,11 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.cache import cell_address, cell_hash, config_from_payload, config_hash, config_to_payload
+from repro.api.cache import (
+    cell_address, cell_hash, config_from_payload, config_hash, config_to_payload,
+    stats_to_payload,
+)
 from repro.core import presets
 from repro.service import journal as journal_module
 from repro.service import protocol
 from repro.service.journal import JobJournal, JournalError
+from repro.timing.stats import DeviceStats, Stats
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_cell_codec.ndjson")
 
@@ -205,6 +209,61 @@ class TestOneWriter:
         with open(path, "rb") as handle:
             record = handle.read()
         assert record.rsplit(b', "j": ', 1)[0] == line.rsplit(b', "type": ', 1)[0]
+
+
+# ----------------------------------------------------------------------
+# The answered ack: stats texts spliced, the dict writer's bytes
+# ----------------------------------------------------------------------
+
+COUNTS = st.one_of(st.integers(min_value=0, max_value=2**64), st.integers())
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sm_stats(draw):
+    return Stats(
+        cycles=draw(COUNTS), thread_instructions=draw(COUNTS),
+        instructions_issued=draw(COUNTS), dram_bytes=draw(FLOATS),
+        per_op_class=draw(st.dictionaries(NAMES, COUNTS, max_size=4)),
+    )
+
+
+STATS_PAYLOADS = st.one_of(
+    sm_stats(),
+    st.builds(
+        DeviceStats, cycles=COUNTS, dram_bytes=FLOATS, l2_accesses=COUNTS,
+        sm_stats=st.lists(sm_stats(), max_size=3),
+    ),
+).map(stats_to_payload)
+ANSWERED_CELLS = st.lists(
+    st.tuples(st.integers(), DIGESTS | NAMES, st.none() | STATS_PAYLOADS),
+    min_size=1, max_size=5, unique_by=lambda cell: cell[0],
+)
+
+
+class TestAnsweredAck:
+    @settings(max_examples=200, deadline=None)
+    @given(job_id=NAMES, cells=ANSWERED_CELLS)
+    def test_the_spliced_ack_is_the_dict_writers_bytes(self, job_id, cells):
+        """Whatever the stats hold — SM or device, huge counters, floats,
+        any op classes — and whatever the ids, addresses and job id."""
+        cells = sorted(cells, key=lambda cell: cell[0])
+        as_dicts = []
+        for cell_id, digest, stats in cells:
+            cell = {"id": cell_id, "hash": digest, "status": protocol.STATUS_OK,
+                    "source": protocol.SOURCE_STORE}
+            if stats is not None:
+                cell["stats"] = stats
+            as_dicts.append(cell)
+        reference = protocol.encode(protocol.envelope(
+            protocol.MSG_ACK, job=job_id, state=protocol.JOB_DONE, total=len(cells),
+            triage={"store": len(cells), "coalesced": 0, "queued": 0}, cells=as_dicts,
+        ))
+        texts = [
+            (cell_id, digest, None if stats is None else json.dumps(stats, sort_keys=True))
+            for cell_id, digest, stats in cells
+        ]
+        assert protocol.answered_ack_line(job_id, texts) == reference
 
 
 # ----------------------------------------------------------------------
