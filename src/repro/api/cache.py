@@ -71,6 +71,9 @@ MEMO: Dict[Tuple, AnyStats] = {}
 
 _HEX = "0123456789abcdef"
 
+#: Bytes asked of each ``os.read`` of an entry (:func:`read_entry`).
+READ_SIZE = 1 << 16
+
 
 class CacheSerializationError(ValueError):
     """A stats object produced a field json cannot encode strictly."""
@@ -307,8 +310,12 @@ def is_cell_digest(text: str) -> bool:
 
 
 def digest_path(root: str, digest: str) -> str:
-    """Where the entry for ``digest`` (a :func:`cell_hash`) lives."""
-    return os.path.join(root, digest[:2], digest + ".json")
+    """Where the entry for ``digest`` (a :func:`cell_hash`) lives: the
+    string ``os.path.join(root, digest[:2], digest + ".json")`` yields,
+    from one format string."""
+    root = os.fspath(root)
+    sep = "" if not root or root.endswith("/") else "/"
+    return "%s%s%s/%s.json" % (root, sep, digest[:2], digest)
 
 
 def entry_text(workload: str, size: str, config: AnyConfig, stats: AnyStats) -> str:
@@ -339,17 +346,28 @@ def entry_text(workload: str, size: str, config: AnyConfig, stats: AnyStats) -> 
 def read_entry(path: str) -> Dict[str, object]:
     """The entry at ``path``; ``ValueError`` says why there is none.
 
-    Missing, torn, non-UTF-8 and alien files and entries from another
-    ``CACHE_VERSION`` all fail here, so lookups treat them as misses
-    and ``repro store verify`` reports the reason.  The file is read as
-    bytes and decoded as strict UTF-8 (a ``UnicodeDecodeError`` is a
-    ``ValueError``), without a text-mode reader.
+    Missing, unreadable, torn, non-UTF-8, over-deep and alien files and
+    entries from another ``CACHE_VERSION`` all fail here, so lookups
+    treat them as misses and ``repro store verify`` reports the reason.
+    A hit is one ``os.open``, ``os.read`` until end of file, one
+    ``os.close``, a strict UTF-8 decode (a ``UnicodeDecodeError`` is a
+    ``ValueError``) and one ``json.loads``.  A regular file reads short
+    only at its end, so an entry (~1.5 KB) is one read, and a larger
+    one is read on until a read returns less than :data:`READ_SIZE`.
     """
     try:
-        with open(path, "rb") as f:
-            entry = json.loads(f.read().decode("utf-8"))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = [os.read(fd, READ_SIZE)]
+            while len(chunks[-1]) == READ_SIZE:
+                chunks.append(os.read(fd, READ_SIZE))
+        finally:
+            os.close(fd)
+        entry = json.loads(b"".join(chunks).decode("utf-8"))
     except (OSError, ValueError) as exc:
         raise ValueError("unreadable or torn JSON") from exc
+    except RecursionError as exc:
+        raise ValueError("unreadable or torn JSON: nested too deeply") from exc
     if not isinstance(entry, dict):
         raise ValueError("entry is not a JSON object")
     if entry.get("version") != CACHE_VERSION:

@@ -377,10 +377,15 @@ class ResultSet:
     def from_json(cls, source: str) -> "ResultSet":
         """Load from a JSON string or a path to a JSON file (either
         layout: one line, or the indented one older trees wrote)."""
-        if source.lstrip().startswith("{"):
-            return cls.from_dict(json.loads(source))
-        with open(source) as f:
-            return cls.from_dict(json.load(f))
+        try:
+            if source.lstrip().startswith("{"):
+                data = json.loads(source)
+            else:
+                with open(source) as f:
+                    data = json.load(f)
+        except RecursionError as exc:
+            raise ValueError("ResultSet JSON is nested too deeply") from exc
+        return cls.from_dict(data)
 
     def to_csv(
         self,

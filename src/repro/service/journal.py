@@ -204,7 +204,7 @@ class JobJournal:
     # -- replay --------------------------------------------------------
 
     @staticmethod
-    def _parse(line: str) -> Optional[Dict[str, object]]:
+    def _parse(path: str, line: str) -> Optional[Dict[str, object]]:
         """One record, or None for blank/torn lines."""
         text = line.strip()
         if not text:
@@ -213,9 +213,23 @@ class JobJournal:
             record = json.loads(text)
         except ValueError:
             return None
+        except RecursionError as exc:
+            raise JournalError("journal %s has a record nested too deeply" % path) from exc
         if not isinstance(record, dict):
             return None
         return record
+
+    @classmethod
+    def _records(cls, path: str) -> Iterator[Dict[str, object]]:
+        """The records of the journal at ``path``, in order."""
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                for line in handle:
+                    record = cls._parse(path, line)
+                    if record is not None:
+                        yield record
+            except UnicodeDecodeError as exc:
+                raise JournalError("journal %s is not UTF-8" % path) from exc
 
     @classmethod
     def _decode_job(cls, record: Dict[str, object]) -> JournalJob:
@@ -235,57 +249,54 @@ class JobJournal:
 
         Torn or blank lines are dropped (only the final line can be
         torn under the flush-per-append discipline); structurally
-        invalid complete records raise :class:`JournalError` — a
+        invalid complete records, bytes that are not UTF-8 and a record
+        nested too deeply to decode raise :class:`JournalError` — a
         corrupt journal must fail resume loudly, not resume a subset.
         """
         jobs: Dict[str, JournalJob] = {}
         order: List[str] = []
         if not os.path.exists(path):
             return []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                record = cls._parse(line)
-                if record is None:
+        for record in cls._records(path):
+            if record.get("j") != JOURNAL_VERSION:
+                raise JournalError(
+                    "journal %s has version %r, this daemon speaks %d"
+                    % (path, record.get("j"), JOURNAL_VERSION)
+                )
+            rec_type = record.get("type")
+            if rec_type == REC_JOB:
+                job = cls._decode_job(record)
+                if job.job_id not in jobs:
+                    order.append(job.job_id)
+                jobs[job.job_id] = job
+            elif rec_type == REC_CELL:
+                job_id = str(record.get("job", ""))
+                target = jobs.get(job_id)
+                if target is None:
                     continue
-                if record.get("j") != JOURNAL_VERSION:
+                try:
+                    cell_id = int(record["id"])  # type: ignore[arg-type]
+                    status = str(record["status"])
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise JournalError(
-                        "journal %s has version %r, this daemon speaks %d"
-                        % (path, record.get("j"), JOURNAL_VERSION)
-                    )
-                rec_type = record.get("type")
-                if rec_type == REC_JOB:
-                    job = cls._decode_job(record)
-                    if job.job_id not in jobs:
-                        order.append(job.job_id)
-                    jobs[job.job_id] = job
-                elif rec_type == REC_CELL:
-                    job_id = str(record.get("job", ""))
-                    target = jobs.get(job_id)
-                    if target is None:
-                        continue
-                    try:
-                        cell_id = int(record["id"])  # type: ignore[arg-type]
-                        status = str(record["status"])
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise JournalError(
-                            "malformed cell record for job %s: %s"
-                            % (job_id, exc)
-                        ) from exc
-                    if status not in CELL_STATUSES:
-                        raise JournalError(
-                            "job %s cell %d has unknown status %r"
-                            % (job_id, cell_id, status)
-                        )
-                    error = record.get("error")
-                    target.resolved[cell_id] = (
-                        status,
-                        str(error) if error is not None else None,
-                    )
-                else:
+                        "malformed cell record for job %s: %s"
+                        % (job_id, exc)
+                    ) from exc
+                if status not in CELL_STATUSES:
                     raise JournalError(
-                        "journal %s has unknown record type %r"
-                        % (path, rec_type)
+                        "job %s cell %d has unknown status %r"
+                        % (job_id, cell_id, status)
                     )
+                error = record.get("error")
+                target.resolved[cell_id] = (
+                    status,
+                    str(error) if error is not None else None,
+                )
+            else:
+                raise JournalError(
+                    "journal %s has unknown record type %r"
+                    % (path, rec_type)
+                )
         return [jobs[job_id] for job_id in order]
 
     def replay(self) -> List[JournalJob]:

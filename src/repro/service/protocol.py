@@ -219,8 +219,8 @@ def decode(line: "bytes | str") -> Dict[str, object]:
     """Parse and validate one wire line into an envelope dict.
 
     Raises :class:`ProtocolError` with :data:`ERR_BAD_REQUEST` on
-    malformed JSON or a type outside the vocabulary, and
-    :data:`ERR_VERSION` on a schema-version mismatch.
+    malformed, non-UTF-8 or over-deep JSON or a type outside the
+    vocabulary, and :data:`ERR_VERSION` on a schema-version mismatch.
     """
     if isinstance(line, bytes):
         try:
@@ -233,6 +233,8 @@ def decode(line: "bytes | str") -> Dict[str, object]:
         raise ProtocolError(
             ERR_BAD_REQUEST, "message is not valid JSON: %s" % exc
         ) from exc
+    except RecursionError as exc:
+        raise ProtocolError(ERR_BAD_REQUEST, "message is nested too deeply") from exc
     if not isinstance(message, dict):
         raise ProtocolError(ERR_BAD_REQUEST, "message must be a JSON object")
     version = message.get("v")

@@ -17,7 +17,8 @@ replaced — is never called on a config or a ``Stats``.
 The JSON work of the same warm pair is pinned beside it: the
 pure-Python encoder (``json.dumps`` under ``indent``) is never
 entered, no ``json.dumps`` runs per disk-loaded cell, and each such
-cell opens one file, in binary.  One walk per configuration and call
+cell is one ``os.open`` — no buffered ``open`` at all (b6afe37 made
+one ``open(path, 'rb')`` per cell).  One walk per configuration and call
 yields all three keys (:class:`repro.api.cache.ConfigKeys`): the memo
 key at once, the canonical text and its digest from one ``json.dumps``
 when first asked for, and the client half of a remote run hands that
@@ -32,6 +33,7 @@ import builtins
 import contextlib
 import dataclasses
 import json
+import os
 import threading
 import urllib.request
 from unittest import mock
@@ -123,18 +125,20 @@ class Walks:
 class JsonWork:
     """Counts this thread's entries into the pure-Python JSON encoder
     (``json.encoder._make_iterencode``: what ``json.dumps`` falls back
-    to under ``indent``), its ``json.dumps`` calls and the mode of each
-    file it opens."""
+    to under ``indent``), its ``json.dumps`` calls, the mode of each
+    file it opens with ``open`` and its ``os.open`` calls."""
 
     def __init__(self) -> None:
         self.encoder = 0
         self.dumps = 0
         self.opens: list = []
+        self.os_opens = 0
 
     @contextlib.contextmanager
     def counting(self):
         thread = threading.get_ident()
         make, dumps, open_ = json.encoder._make_iterencode, json.dumps, builtins.open
+        os_open = os.open
 
         def ours() -> bool:
             return threading.get_ident() == thread
@@ -152,9 +156,14 @@ class JsonWork:
                 self.opens.append(mode)
             return open_(file, mode, *args, **kwargs)
 
+        def counted_os_open(*args, **kwargs):
+            self.os_opens += ours()
+            return os_open(*args, **kwargs)
+
         with mock.patch.object(json.encoder, "_make_iterencode", counted_make), \
                 mock.patch.object(json, "dumps", counted_dumps), \
-                mock.patch.object(builtins, "open", counted_open):
+                mock.patch.object(builtins, "open", counted_open), \
+                mock.patch.object(os, "open", counted_os_open):
             yield self
 
 
@@ -294,14 +303,15 @@ class TestKeyingWork:
     def test_the_warm_path_keeps_off_the_pure_python_encoder(self, kernels, tmp_path):
         """Counts, not times: the C encoder serialises the result, no
         ``json.dumps`` runs per disk-loaded cell (a content address is
-        a format string) and each such cell is one binary read."""
+        a format string) and each such cell is one ``os.open``, with no
+        buffered file object."""
         cells = kernels * len(CONFIGS)
         disk, memo, save = warm_pair(kernels, str(tmp_path))[3]
         assert (disk.encoder, memo.encoder, save.encoder) == (0, 0, 0)
         assert disk.dumps == len(CONFIGS)  # one config_hash per config
         assert (memo.dumps, save.dumps) == (0, 1)
-        assert disk.opens == ["rb"] * cells
-        assert memo.opens == save.opens == []
+        assert (disk.os_opens, disk.opens) == (cells, [])
+        assert (memo.os_opens, memo.opens) == (save.os_opens, save.opens) == (0, [])
 
     def test_a_cell_key_is_hashed_once_per_probe_it_needs(self, tmp_path):
         # Disk pass: the dedupe, the memo probe, the memo fill; memo
@@ -362,15 +372,18 @@ def main() -> None:
             (len(CONFIGS),) + PARENT_KEY_HASHES + key_hashes_per_cell(4, tmp)
         ))
     print()
-    print("| kernels x configs | pass | pure-Python encoder entries | json.dumps | opens |")
-    print("| ---: | --- | ---: | ---: | --- |")
+    print("| kernels x configs | pass | pure-Python encoder entries | json.dumps "
+          "| open (b6afe37) | open | os.open |")
+    print("| ---: | --- | ---: | ---: | --- | --- | ---: |")
     for kernels, json_work in json_rows:
+        cells = kernels * len(CONFIGS)
         for name, work in zip(("disk", "memo", "to_json"), json_work):
             modes = ", ".join(
                 "%d %r" % (work.opens.count(m), m) for m in sorted(set(work.opens))
             )
-            print("| %d x %d | %s | %d | %d | %s |" % (
-                kernels, len(CONFIGS), name, work.encoder, work.dumps, modes or "0"
+            print("| %d x %d | %s | %d | %d | %s | %s | %d |" % (
+                kernels, len(CONFIGS), name, work.encoder, work.dumps,
+                "%d 'rb'" % cells if name == "disk" else "0", modes or "0", work.os_opens,
             ))
     print()
     print("| remote run, client half | kernels x configs | before (9c94718) | now |")
