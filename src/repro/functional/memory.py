@@ -6,10 +6,22 @@ match the coalescing rules of the timing model (128-byte transaction
 blocks).  Word values are stored as ``float64`` — exact for the 32-bit
 integer and float ranges the workloads use, and uniform with the
 register file representation.
+
+An image's words live on a private anonymous mapping: pages read as
+zero until written, only written pages are resident, and the whole
+mapping goes back to the OS when the image is dropped.  ``np.zeros``
+would not do: once the first large array is freed, glibc's dynamic
+mmap threshold rises past an image's size, and every later image is
+carved from the C heap, zeroed in full and kept resident after it is
+freed.  The mapping
+is ``MAP_PRIVATE`` because Python's anonymous default is
+``MAP_SHARED``, under which a forked process's writes would reach its
+parent's image.
 """
 
 from __future__ import annotations
 
+import mmap
 import operator
 
 import numpy as np
@@ -34,10 +46,22 @@ class MemoryImage:
     """
 
     def __init__(self, size_bytes: int = 1 << 22) -> None:
-        if size_bytes % WORD_BYTES:
-            raise ValueError("size must be a multiple of %d" % WORD_BYTES)
+        if (
+            not isinstance(size_bytes, int)
+            or isinstance(size_bytes, bool)
+            or size_bytes < 0
+            or size_bytes % WORD_BYTES
+        ):
+            raise ValueError(
+                "image size must be an int >= 0 and a multiple of %d, got %r"
+                % (WORD_BYTES, size_bytes)
+            )
         self.size_bytes = size_bytes
-        self.words = np.zeros(size_bytes // WORD_BYTES, dtype=np.float64)
+        count = size_bytes // WORD_BYTES
+        # One float64 per word; the kernel refuses a zero-length
+        # mapping, so a zero-word image maps one byte it never views.
+        pages = mmap.mmap(-1, max(count * 8, 1), flags=mmap.MAP_PRIVATE)
+        self.words = np.frombuffer(pages, dtype=np.float64, count=count)
         self._next_free = 128
 
     # ------------------------------------------------------------------

@@ -59,6 +59,15 @@ class Kernel:
     shared_bytes: int = 0
     nregs: int = 32
 
+    def __post_init__(self) -> None:
+        for name, least in (("cta_size", 1), ("grid_size", 0), ("shared_bytes", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(
+                    "kernel %s: %s must be an int >= %d, got %r"
+                    % (self.name, name, least, value)
+                )
+
     @property
     def total_threads(self) -> int:
         return self.cta_size * self.grid_size

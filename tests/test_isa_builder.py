@@ -1,6 +1,10 @@
 """KernelBuilder DSL: registers, labels, emission, build pipeline."""
 
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.isa.builder import Kernel, KernelBuilder
 from repro.isa.instructions import CmpOp, MemSpace, Op
@@ -127,6 +131,39 @@ class TestBuild:
         other = kernel.with_params(9.0, 10.0)
         assert other.params == (9.0, 10.0)
         assert other.program is kernel.program
+
+    @given(
+        field=st.sampled_from(["cta_size", "grid_size", "shared_bytes"]),
+        value=st.one_of(
+            st.integers(max_value=-1),
+            st.floats(allow_nan=False),
+            st.booleans(),
+            st.text(max_size=3),
+            st.none(),
+        ),
+    )
+    def test_launch_geometry_is_checked_where_a_kernel_is_made(self, field, value):
+        kb = KernelBuilder("k")
+        kb.exit_()
+        geometry = {"cta_size": 32, "grid_size": 1, "shared_bytes": 0, field: value}
+        message = "%s must be an int >= %d, got %r" % (
+            field, 1 if field == "cta_size" else 0, value
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kb.build(**geometry)
+        kernel = kb.build(cta_size=32)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Kernel(**{**vars(kernel), field: value})
+
+    @pytest.mark.parametrize("field, least", [("cta_size", 1), ("grid_size", 0), ("shared_bytes", 0)])
+    def test_launch_geometry_takes_its_least_value(self, field, least):
+        kb = KernelBuilder("k")
+        kb.exit_()
+        geometry = {"cta_size": 32, "grid_size": 1, "shared_bytes": 0, field: least}
+        kernel = kb.build(**geometry).with_params(1.0)
+        assert getattr(kernel, field) == least
+        with pytest.raises(ValueError, match="kernel k: %s must be" % field):
+            kb.build(**{**geometry, field: least - 1})
 
     def test_nregs_tracks_usage(self):
         kb = KernelBuilder("k", nregs=4)

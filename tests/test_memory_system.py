@@ -1,5 +1,7 @@
 """L1 cache, DRAM channel and LSU coalescing/replay."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -77,6 +79,29 @@ class TestMemoryImage:
     def test_shared_starts_at_zero(self):
         sh = SharedMemory(64)
         assert sh.alloc(4) == 0
+
+    @pytest.mark.parametrize(
+        "size", ["8", -4, 4.0, True, 6, None, np.int64(8)], ids=repr
+    )
+    def test_size_must_be_a_non_negative_int_multiple_of_a_word(self, size):
+        with pytest.raises(ValueError, match="got %s$" % re.escape(repr(size))):
+            MemoryImage(size)
+
+    def test_zero_size_image_refuses_every_access(self):
+        mem = MemoryImage(0)
+        assert mem.size_bytes == 0 and mem.words.size == 0
+        with pytest.raises(MemoryAccessError):
+            mem.read_array(0, 1)
+        with pytest.raises(MemoryAccessError):
+            mem.load(np.array([0]))
+        with pytest.raises(MemoryAccessError):
+            mem.store(np.array([0]), np.array([1.0]))
+        with pytest.raises(MemoryAccessError):
+            mem.atomic(np.array([0]), np.array([1.0]), "add")
+
+    @pytest.mark.parametrize("size, rounded", [(-8, 4), (0, 4), (1, 4), (4, 4), (5, 8)])
+    def test_shared_rounds_small_sizes_up_to_a_word(self, size, rounded):
+        assert SharedMemory(size).size_bytes == rounded
 
 
 def _atomic_scalar_walk(mem, addrs, values, op):
