@@ -148,8 +148,15 @@ class KernelBuilder:
     @staticmethod
     def _src(value: SrcLike) -> Operand:
         if isinstance(value, Operand):
+            if isinstance(value.value, tuple):  # %param<i>
+                index = value.value[1]
+                if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+                    raise AssemblyError(
+                        "launch parameter index must be an int >= 0, got %r" % (index,)
+                    )
             return value
-        if isinstance(value, (int, float)):
+        # bool is an int: True would assemble as the immediate 1.
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             return imm(value)
         raise AssemblyError("bad source operand %r" % (value,))
 
@@ -164,6 +171,13 @@ class KernelBuilder:
     # ------------------------------------------------------------------
 
     def _emit(self, instr: Instruction) -> Instruction:
+        written: Tuple[int, ...] = () if instr.dst is None else (instr.dst,)
+        for index in instr.source_registers() + written:
+            if index >= self.nregs:
+                raise AssemblyError(
+                    "%r in kernel %s uses r%d, past its %d registers"
+                    % (instr, self.name, index, self.nregs)
+                )
         self._instrs.append(instr)
         return instr
 
@@ -251,6 +265,8 @@ class KernelBuilder:
 
     def setp(self, dst, cmp: CmpOp, a, b, **kw) -> Instruction:
         """Set predicate register: ``dst = 1 if (a cmp b) else 0``."""
+        if not isinstance(cmp, CmpOp):
+            raise AssemblyError("setp comparison must be a CmpOp, got %r" % (cmp,))
         instr = self._alu(Op.SETP, dst, a, b, **kw)
         instr.cmp = cmp
         return instr

@@ -27,10 +27,10 @@ dispatcher threads, and ``/v1/health`` reports
     submit cells (a :data:`~repro.service.protocol.MSG_SUBMIT`
     envelope).  Each cell is triaged under one lock: served from the
     store, *coalesced* onto an identical in-flight cell (N concurrent
-    submissions of one cell hash cost one simulation), or queued.  When
-    the store serves them all the ack carries the result ``cells``,
-    spliced from the stats texts the store keeps, and the job's event
-    history is derived only when someone reads it.
+    submissions of one cell hash cost one simulation), or queued.  The
+    ack is written by :func:`~repro.service.protocol.ack_line`; when
+    the store serves every cell it carries the result ``cells``,
+    spliced from the stats texts the store keeps.
     Triage plans first and commits second
     (:meth:`SweepService._triage_locked`, then ``_commit_locked``):
     when the plan's new work would overflow the queue the daemon
@@ -41,8 +41,10 @@ dispatcher threads, and ``/v1/health`` reports
     left unresolved through the same two steps.
 ``GET /v1/jobs/<id>/result``      per-cell results; while the job runs,
                                   202 with its status snapshot.
-``GET /v1/jobs/<id>/events``      line-delimited progress stream fed by
-                                  per-cell completions, with heartbeat
+``GET /v1/jobs/<id>/events``      line-delimited progress stream: the
+                                  job's resolved cells, in resolution
+                                  order, are its one event history
+                                  (:meth:`Job.stream`), with heartbeat
                                   status lines during long gaps.
 ``GET /v1/cells/<hash>``          cached-cell lookup by content address.
 ``GET /v1/health``                accounting counters + store info.
@@ -71,7 +73,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import json
+import itertools
 import multiprocessing
 import os
 import queue
@@ -81,7 +83,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from multiprocessing.process import BaseProcess
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, cast
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, cast
 
 from repro.api.cache import AnyStats, is_cell_digest, stats_to_payload
 from repro.api.engine import Engine, _compute_cell, worker_pool
@@ -162,24 +164,21 @@ _Step = Tuple[SubmittedCell, str, Optional[KeptEntry]]
 
 
 class Job:
-    """One submission: per-cell outcomes plus a progress event log.
+    """One submission: per-cell outcomes, which are its event history.
 
-    Progress events are *published* to an append-only history and
-    fanned out to per-stream subscriber queues — never consumed
-    destructively from a shared queue.  A client that disconnects
-    mid-stream therefore cannot swallow the final status line for
-    anyone else, and a subscriber attaching after the job finished
-    replays the whole history, terminal status included.  The history
-    is bounded by the job itself (one progress line per cell plus one
-    terminal status), not by run length.
-
-    A job the store answered in full is finished at its ack, before
-    anyone can subscribe: it publishes nothing, and :meth:`subscribe`
-    derives its history from its cells the first time it is asked for —
-    the same envelopes, in the same order, a published history holds.
+    A job's progress events are not stored anywhere: ``cells`` holds
+    the outcomes in the order they resolved, and each :meth:`stream`
+    derives the progress line of every cell past its own cursor from
+    them, then the terminal status.  Every stream is therefore
+    independent — a client that disconnects mid-stream consumes nothing
+    anyone else will read — and one that starts after the job finished
+    replays the whole history, terminal status included, whether the
+    job finished at its ack or long after it.  Writers change a job
+    under the service lock and notify :attr:`changed`, a condition on
+    that same lock.
     """
 
-    def __init__(self, job_id: str, total: int, verify: bool) -> None:
+    def __init__(self, job_id: str, total: int, verify: bool, lock: threading.Lock) -> None:
         self.id = job_id
         self.verify = verify
         #: How many cells were submitted; ``cells`` holds their outcomes.
@@ -188,46 +187,33 @@ class Job:
         #: The journal that holds this job's record, and so takes its
         #: cell records: none for a job that is finished at its ack.
         self.journal: Optional[JobJournal] = None
-        #: Finished at its ack (the store answered every cell): its
-        #: events are derived on demand, never published.
-        self.answered = False
+        #: Outcomes by cell id, in resolution order.
         self.cells: Dict[int, Dict[str, object]] = {}
         self.finished = threading.Event()
-        self._events_lock = threading.Lock()
-        self._history: List[Dict[str, object]] = []
-        self._subscribers: List["queue.Queue[Dict[str, object]]"] = []
+        #: Notified, under the service lock, when a cell resolves or the
+        #: job finishes.
+        self.changed = threading.Condition(lock)
 
-    def publish(self, event: Dict[str, object]) -> None:
-        """Append one event and fan it out to every live subscriber."""
-        with self._events_lock:
-            self._history.append(event)
-            for subscriber in self._subscribers:
-                subscriber.put(event)
-
-    def subscribe(self) -> "queue.Queue[Dict[str, object]]":
-        """A fresh event queue, pre-loaded with the full history."""
-        subscription: "queue.Queue[Dict[str, object]]" = queue.Queue()
-        with self._events_lock:
-            # An answered job's cells are complete here: the service
-            # hands a job out only under the lock its submit committed
-            # it under.
-            if self.answered and not self._history:
-                self._history = [
-                    self.progress_message(cell, done)
-                    for done, cell in enumerate(self.cells.values(), 1)
-                ]
-                self._history.append(self.status_message())
-            for event in self._history:
-                subscription.put(event)
-            self._subscribers.append(subscription)
-        return subscription
-
-    def unsubscribe(self, subscription: "queue.Queue[Dict[str, object]]") -> None:
-        with self._events_lock:
-            try:
-                self._subscribers.remove(subscription)
-            except ValueError:
-                pass  # already detached
+    def stream(self, heartbeat: float) -> Iterator[bytes]:
+        """The job's event lines: the progress line of every resolved
+        cell, a status line after each ``heartbeat`` seconds in which
+        nothing resolved, and last the terminal status.  Each line is
+        encoded outside the lock."""
+        sent = 0
+        while True:
+            with self.changed:
+                if sent == len(self.cells) and not self.finished.is_set():
+                    self.changed.wait(heartbeat)
+                new = list(itertools.islice(self.cells.values(), sent, None))
+                over = self.finished.is_set()
+                status = self.status_message() if over or not new else None
+            for cell in new:
+                sent += 1
+                yield protocol.encode(self.progress_message(cell, sent))
+            if status is not None:
+                yield protocol.encode(status)
+                if over:
+                    return
 
     @property
     def done(self) -> int:
@@ -349,12 +335,6 @@ class SweepService:
     # Submission triage
     # ------------------------------------------------------------------
 
-    def submit(self, message: Dict[str, object]) -> Dict[str, object]:
-        """Triage a ``submit`` envelope; returns the ``ack`` envelope —
-        :meth:`submit_line`'s line, decoded."""
-        ack: Dict[str, object] = json.loads(self.submit_line(message))
-        return ack
-
     def submit_line(self, message: Dict[str, object]) -> bytes:
         """Triage a ``submit`` envelope; returns the ``ack``'s wire line.
 
@@ -365,9 +345,10 @@ class SweepService:
         starts clean — and :data:`~repro.service.protocol.
         ERR_BAD_REQUEST` when its new cells alone outnumber
         ``queue_limit``, which no retry can fix.  The ack of a
-        submission the store answered in full is spliced from the stats
-        texts the store keeps (:func:`~repro.service.protocol.
-        answered_ack_line`): no stats payload is encoded again.
+        submission the store answered in full carries the result cells,
+        spliced from the stats texts the store keeps
+        (:func:`~repro.service.protocol.ack_line`): no stats payload is
+        encoded again.
         """
         cells, verify = protocol.decode_submit(message)
         with self._lock:
@@ -403,9 +384,10 @@ class SweepService:
             # writes nothing, and the ack carries the result.
             answered = sources.count(protocol.SOURCE_STORE) == len(plan)
             self._next_job += 1
-            job = Job("j%06d" % self._next_job, len(cells), verify)
-            job.answered = answered
+            job = Job("j%06d" % self._next_job, len(cells), verify, self._lock)
             job.journal = journal = None if answered else self.journal
+            # No reader can hold this job until the lock is released:
+            # everything below changes it without notifying anyone.
             self._jobs[job.id] = job
             self.counters["jobs_submitted"] += 1
             self.counters["cells_requested"] += len(cells)
@@ -420,26 +402,15 @@ class SweepService:
                     durable.enter_context(journal.group())
                     journal.record_job(job.id, verify, cells)
                 triage = self._commit_locked(job, plan)
-            if not answered:
-                return protocol.encode(
-                    protocol.envelope(
-                        protocol.MSG_ACK,
-                        job=job.id,
-                        state=job.state,
-                        total=job.total,
-                        triage=triage,
-                    )
-                )
-        # The job is finished and nothing changes it again: the ack is
-        # the result cells in id order (ids are distinct), each the stats
-        # text its entry was kept with, joined outside the lock.
-        return protocol.answered_ack_line(
-            job.id,
-            sorted(
-                (cell.id, cell.hash, cast(KeptEntry, kept).stats_text)
-                for cell, _, kept in plan
-            ),
-        )
+            state = job.state
+        # An answered job is finished and nothing changes it again: its
+        # result cells, in id order (ids are distinct), are each the
+        # stats text its entry was kept with, joined outside the lock.
+        results = sorted(
+            (cell.id, cell.hash, cast(KeptEntry, kept).stats_text)
+            for cell, _, kept in plan
+        ) if answered else None
+        return protocol.ack_line(job.id, state, job.total, triage, results)
 
     def _triage_locked(
         self, cells: Sequence[SubmittedCell], verify: bool
@@ -604,12 +575,11 @@ class SweepService:
             drained = not any(thread.is_alive() for thread in self._threads)
             pool.shutdown(wait=drained, cancel_futures=True)
         with self._lock:
-            jobs = list(self._jobs.values())
-        for job in jobs:
-            if not job.finished.is_set():
-                job.stopped = True
-                job.finished.set()
-                job.publish(job.status_message())
+            for job in self._jobs.values():
+                if not job.finished.is_set():
+                    job.stopped = True
+                    job.finished.set()
+                    job.changed.notify_all()
         if self.journal is not None:
             self.journal.close()
 
@@ -640,7 +610,8 @@ class SweepService:
                 if suffix.isdigit():
                     self._next_job = max(self._next_job, int(suffix))
             for recorded in live:
-                job = Job(recorded.job_id, len(recorded.cells), recorded.verify)
+                # No reader can hold this job yet (see submit_line).
+                job = Job(recorded.job_id, len(recorded.cells), recorded.verify, self._lock)
                 job.journal = self.journal
                 self._jobs[job.id] = job
                 resumed += 1
@@ -695,6 +666,7 @@ class SweepService:
                     job, cell_id, cell.hash, status, source,
                     stats=stats_payload, error=error,
                 )
+                job.changed.notify_all()
             self._pending -= 1
             if not work.verify and self._inflight.get(cell.hash) is work:
                 del self._inflight[cell.hash]
@@ -750,12 +722,8 @@ class SweepService:
         job.cells[cell_id] = cell
         if job.journal is not None:
             job.journal.record_cell(job.id, cell_id, digest, status, error)
-        if not job.answered:
-            job.publish(job.progress_message(cell, job.done))
         if job.done >= job.total and not job.finished.is_set():
             job.finished.set()
-            if not job.answered:
-                job.publish(job.status_message())
             self._finished.append(job.id)
             if len(self._finished) > FINISHED_JOBS_KEPT:
                 del self._jobs[self._finished.popleft()]
@@ -924,41 +892,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _job_events(self, job_id: str) -> None:
         """Line-delimited progress until the job reaches a terminal
-        state; heartbeat status lines cover long simulation gaps so
-        client read timeouts don't sever an idle stream.
-
-        Each stream consumes its own :meth:`Job.subscribe` queue, so
-        concurrent streams all see every event and a client that
-        disconnects while the job finishes (the old shared-queue race)
-        cannot swallow the terminal status line for anyone else.
-        """
+        state (:meth:`Job.stream`); heartbeat status lines cover long
+        simulation gaps so client read timeouts don't sever an idle
+        stream."""
         job = self.server.service.get_job(job_id)
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
-        subscription = job.subscribe()
-        try:
-            # The heartbeat loop is bounded by the job's terminal
-            # status line, not an attempt count.
-            # repro-lint: disable=service-retry-bounded
-            while True:
-                try:
-                    event = subscription.get(timeout=self.server.heartbeat)
-                except queue.Empty:
-                    # Idle heartbeat; the terminal status always
-                    # arrives through the subscription itself.
-                    self.wfile.write(protocol.encode(job.status_message()))
-                    self.wfile.flush()
-                    continue
-                self.wfile.write(protocol.encode(event))
-                self.wfile.flush()
-                if (
-                    event.get("type") == protocol.MSG_STATUS
-                    and event.get("state") in protocol.TERMINAL_JOB_STATES
-                ):
-                    return
-        finally:
-            job.unsubscribe(subscription)
+        for line in job.stream(self.server.heartbeat):
+            self.wfile.write(line)
+            self.wfile.flush()
 
     #: The whole HTTP API: (verb, path with ``*`` for the variable
     #: segment) -> (handler, the label a fault plan targets as ``@OP``).

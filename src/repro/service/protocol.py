@@ -27,10 +27,9 @@ address.  The writer of a ``submit`` (:func:`submit_line`) encodes each
 the cells' addresses and texts from its caller or from one walk and one
 digest per configuration; the reader builds and hashes each distinct
 configuration once and derives every decoded cell's address from that.
-The ``ack`` of a job the store answered in full is spliced the same
-way (:func:`answered_ack_line`), around the stats texts the daemon's
-store keeps beside its entries; every other message is :func:`encode`
-of its envelope.
+Every ``ack`` is spliced the same way (:func:`ack_line`), an answered
+job's around the stats texts the daemon's store keeps beside its
+entries; every other message is :func:`encode` of its envelope.
 
 Stats travel one way, daemon to client, in ``result`` envelopes: no
 message uploads a result, so nothing reaches a served store over the
@@ -470,29 +469,37 @@ def decode_submit(
 _ANSWERED_CELL_JSON = '{"hash": %s, "id": %d, "source": %s%s, "status": %s}'
 
 
-def answered_ack_line(
-    job_id: str, cells: Sequence[Tuple[int, str, Optional[str]]]
+def ack_line(
+    job_id: str,
+    state: str,
+    total: int,
+    triage: Dict[str, int],
+    cells: Optional[Sequence[Tuple[int, str, Optional[str]]]] = None,
 ) -> bytes:
-    """The wire line of the ``ack`` of a job the store answered in full,
-    for its ``(id, content address, stats text)`` cells in id order —
-    the bytes :func:`encode` writes for that envelope (state ``done``,
-    every cell a ``store`` hit, the result ``cells`` carried), with no
-    whole-message ``json.dumps``.  A stats text is the entry's stats as
-    ``json.dumps(..., sort_keys=True)`` writes them, which is what they
-    are inside any ``sort_keys`` message; None leaves the field out."""
-    store, ok = _quote(SOURCE_STORE), _quote(STATUS_OK)
-    line = (
-        '{"cells": [%s], "job": %s, "state": %s, "total": %d, "triage": '
-        '{"coalesced": 0, "queued": 0, "store": %d}, "type": %s, "v": %d}\n'
-    ) % (
-        ", ".join(
+    """The wire line of an ``ack`` — the bytes :func:`encode` writes for
+    that envelope, with no whole-message ``json.dumps``.  ``triage``
+    holds the ``store`` / ``coalesced`` / ``queued`` counts.  ``cells``,
+    for a job the store answered in full, are its ``(id, content
+    address, stats text)`` result cells in id order, every one a
+    ``store`` hit; a stats text is the entry's stats as ``json.dumps(...,
+    sort_keys=True)`` writes them, which is what they are inside any
+    ``sort_keys`` message, and None leaves the field out.  Without
+    ``cells`` the ack carries none."""
+    head = ""
+    if cells is not None:
+        store, ok = _quote(SOURCE_STORE), _quote(STATUS_OK)
+        head = '"cells": [%s], ' % ", ".join(
             _ANSWERED_CELL_JSON % (
                 _quote(digest), cell_id, store,
                 "" if text is None else ', "stats": ' + text, ok,
             )
             for cell_id, digest, text in cells
-        ),
-        _quote(job_id), _quote(JOB_DONE), len(cells), len(cells),
-        _quote(MSG_ACK), PROTOCOL_VERSION,
+        )
+    line = (
+        '{%s"job": %s, "state": %s, "total": %d, "triage": {"coalesced": %d, '
+        '"queued": %d, "store": %d}, "type": %s, "v": %d}\n'
+    ) % (
+        head, _quote(job_id), _quote(state), total, triage["coalesced"],
+        triage["queued"], triage["store"], _quote(MSG_ACK), PROTOCOL_VERSION,
     )
     return line.encode("utf-8")

@@ -45,9 +45,7 @@ daemon next simulates the cell (a later submit, or ``--resume``).
 from __future__ import annotations
 
 import http.client
-import io
 import time
-import urllib.error
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -89,8 +87,8 @@ class RemoteClient:
     ``https://`` URL (https verifies the daemon's certificate against
     the default trust store), with an optional path prefix the routes
     go under.  Each request is one ``http.client`` connection — the
-    daemon closes it after the response — and a status outside 2xx is
-    raised as ``urllib.error.HTTPError``, as ``urllib`` raised it."""
+    daemon closes it after the response — whose status the caller
+    branches on."""
 
     def __init__(
         self,
@@ -124,26 +122,18 @@ class RemoteClient:
     def _open(
         self, method: str, path: str, body: Optional[bytes] = None
     ) -> http.client.HTTPResponse:
-        """The response to one request, its body unread; any status
-        outside 2xx is an ``HTTPError`` carrying the body read."""
+        """The response to one request, whatever its status, its body
+        unread."""
         connection = self._connection(self._host, self._port, timeout=self.timeout)
         try:
             connection.request(
                 method, self._prefix + path, body=body,
                 headers={"Content-Type": "application/json"},
             )
-            response = connection.getresponse()
+            return connection.getresponse()
         except BaseException:
             connection.close()
             raise
-        if 200 <= response.status < 300:
-            return response
-        with response:
-            answer = response.read()
-        raise urllib.error.HTTPError(
-            self.server + path, response.status, response.reason,
-            response.headers, io.BytesIO(answer),
-        )
 
     def _request(
         self,
@@ -170,58 +160,49 @@ class RemoteClient:
             delay = min(self.backoff * (2.0 ** attempt), 10.0)
             try:
                 response = self._open(method, path, body)
-            except urllib.error.HTTPError as exc:
-                envelope = self._error_envelope(exc)
-                code = str(envelope.get("code", protocol.ERR_INTERNAL))
-                text = str(envelope.get("message", exc))
-                if exc.code in (429, 503):
-                    retry_after = envelope.get("retry_after")
-                    # bool is an int subclass: True would silently
-                    # become a 1.0s delay.  Reject bools and negative
-                    # values, and never honor a delay beyond the 10.0s
-                    # backoff ceiling a daemon could otherwise impose.
-                    if (
-                        isinstance(retry_after, (int, float))
-                        and not isinstance(retry_after, bool)
-                        and retry_after >= 0
-                    ):
-                        delay = min(float(retry_after), 10.0)
-                    last = "daemon %s (%d): %s" % (
-                        "shutting down" if exc.code == 503 else "busy",
-                        exc.code,
-                        text,
-                    )
-                    continue
-                raise RemoteError(
-                    "%s %s: %s" % (method, path, text), code=code
-                ) from exc
-            except (OSError, http.client.HTTPException) as exc:
-                # URLError (connection refused, DNS), socket timeouts
-                # and protocol-level failures (dropped connections,
-                # truncated responses) all retry.
-                last = "%s: %s" % (type(exc).__name__, exc)
-                continue
-            try:
                 with response:
-                    if response.status not in ok_statuses:
-                        raise RemoteError(
-                            "%s %s: unexpected HTTP %d"
-                            % (method, path, response.status)
-                        )
                     answer = response.read()
             except (OSError, http.client.HTTPException) as exc:
-                # A truncated body (IncompleteRead: the daemon died —
-                # or a fault plan cut the response in half) retries
-                # like any other transport failure.
+                # Connection refused, DNS, socket timeouts, dropped
+                # connections and truncated bodies (IncompleteRead: the
+                # daemon died — or a fault plan cut the response in
+                # half) all retry.
                 last = "%s: %s" % (type(exc).__name__, exc)
                 continue
-            try:
-                return protocol.decode(answer)
-            except ProtocolError as exc:
+            status = response.status
+            if status in ok_statuses:
+                try:
+                    return protocol.decode(answer)
+                except ProtocolError as exc:
+                    raise RemoteError(
+                        "%s %s: bad response: %s" % (method, path, exc),
+                        code=exc.code,
+                    ) from exc
+            if 200 <= status < 300:
                 raise RemoteError(
-                    "%s %s: bad response: %s" % (method, path, exc),
-                    code=exc.code,
-                ) from exc
+                    "%s %s: unexpected HTTP %d" % (method, path, status)
+                )
+            envelope = _error_envelope(response, answer)
+            text = str(envelope["message"])
+            if status in (429, 503):
+                retry_after = envelope.get("retry_after")
+                # bool is an int subclass: True would silently become a
+                # 1.0s delay.  Reject bools and negative values, and
+                # never honor a delay beyond the 10.0s backoff ceiling a
+                # daemon could otherwise impose.
+                if (
+                    isinstance(retry_after, (int, float))
+                    and not isinstance(retry_after, bool)
+                    and retry_after >= 0
+                ):
+                    delay = min(float(retry_after), 10.0)
+                last = "daemon %s (%d): %s" % (
+                    "shutting down" if status == 503 else "busy", status, text,
+                )
+                continue
+            raise RemoteError(
+                "%s %s: %s" % (method, path, text), code=str(envelope["code"])
+            )
         raise RemoteError(
             "no response from %s%s after %d attempt%s — last error: %s"
             % (
@@ -232,13 +213,6 @@ class RemoteClient:
                 last,
             )
         )
-
-    @staticmethod
-    def _error_envelope(exc: urllib.error.HTTPError) -> Dict[str, object]:
-        try:
-            return protocol.decode(exc.read())
-        except (ProtocolError, OSError):
-            return {"code": protocol.ERR_INTERNAL, "message": str(exc)}
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -276,13 +250,13 @@ class RemoteClient:
         """
         try:
             response = self._open("GET", "/v1/jobs/%s/events" % job_id)
-        except urllib.error.HTTPError as exc:
-            envelope = self._error_envelope(exc)
-            raise RemoteError(
-                "events stream for %s: %s"
-                % (job_id, envelope.get("message", exc)),
-                code=str(envelope.get("code", protocol.ERR_INTERNAL)),
-            ) from exc
+            if not 200 <= response.status < 300:
+                with response:
+                    refusal = _error_envelope(response, response.read())
+                raise RemoteError(
+                    "events stream for %s: %s" % (job_id, refusal["message"]),
+                    code=str(refusal["code"]),
+                )
         except (OSError, http.client.HTTPException) as exc:
             raise RemoteError(
                 "events stream for %s: %s: %s"
@@ -322,6 +296,23 @@ class RemoteClient:
             ):
                 return message
             self._sleep(poll_interval)
+
+
+def _error_envelope(
+    response: http.client.HTTPResponse, answer: bytes
+) -> Dict[str, object]:
+    """The typed error envelope a non-2xx ``response`` carried as its
+    body ``answer``; its ``code`` and ``message``, where it has none or
+    is not an envelope, an internal error naming the HTTP status."""
+    refusal: Dict[str, object] = {
+        "code": protocol.ERR_INTERNAL,
+        "message": "HTTP Error %d: %s" % (response.status, response.reason),
+    }
+    try:
+        refusal.update(protocol.decode(answer))
+    except ProtocolError:
+        pass  # not an envelope: the status is all there is to say
+    return refusal
 
 
 # ----------------------------------------------------------------------

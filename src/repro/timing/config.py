@@ -24,6 +24,7 @@ the registry and new policies key cleanly by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import TYPE_CHECKING, Optional
@@ -38,9 +39,14 @@ VALID_SHUFFLES = ("identity", "mirror_odd", "mirror_half", "xor", "xor_rev")
 def _positive_float(name: str, value: object) -> float:
     """``value`` as the ``float`` the field declares: ``10 == 10.0``, so
     the memo key cannot tell the spellings apart, but their JSON — and
-    with it the content address — differs.  One machine, one address."""
-    if not isinstance(value, Real) or not value > 0:
-        raise ValueError("%s must be a positive number, got %r" % (name, value))
+    with it the content address — differs.  One machine, one address.
+    A bool is not a number here, and neither is an infinite one."""
+    if (
+        value.__class__ is bool
+        or not isinstance(value, Real)
+        or not 0 < value < math.inf
+    ):
+        raise ValueError("%s must be a positive finite number, got %r" % (name, value))
     return float(value)
 
 
@@ -179,6 +185,11 @@ class SMConfig:
             raise ValueError("warp_width must be a power of two in [4, 64]")
         if self.mad_lanes % self.warp_width:
             raise ValueError("mad_lanes must be a multiple of warp_width")
+        if self.l1_size % (self.l1_ways * self.l1_block):
+            raise ValueError(
+                "l1_size must be sets * l1_ways * l1_block, got l1_size=%r with "
+                "l1_ways=%r, l1_block=%r" % (self.l1_size, self.l1_ways, self.l1_block)
+            )
 
     # ------------------------------------------------------------------
     # Derived properties

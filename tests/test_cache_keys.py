@@ -534,6 +534,10 @@ class TestOneMachineOneAddress:
             (SMConfig, "store_segment", 0),
             (SMConfig, "dram_bandwidth", 0),
             (SMConfig, "dram_bandwidth", float("nan")),
+            (SMConfig, "dram_bandwidth", float("inf")),  # every transfer took 0 cycles
+            (SMConfig, "dram_bandwidth", True),  # ran as 1.0 byte/cycle
+            (GPUConfig, "dram_bandwidth", float("inf")),
+            (GPUConfig, "dram_bandwidth", True),
             (GPUConfig, "dram_latency", -1),
             (GPUConfig, "l2_latency", -30),
             # ... or to a crash mid-run.
@@ -545,6 +549,9 @@ class TestOneMachineOneAddress:
             (SMConfig, "scoreboard_entries", 0),  # "deadlock at cycle 4"
             (SMConfig, "warp_count", 0),
             (SMConfig, "swi_ways", 0),
+            # ... or to a crash only once an SM was built, in a pool
+            # worker or the daemon with the sweep under way.
+            (SMConfig, "l1_size", 1000),  # "cache size must be sets * ways * block"
         ],
     )
     def test_a_bad_value_is_a_value_error_naming_the_field(self, cls, field, value):
@@ -589,8 +596,11 @@ class TestOneMachineOneAddress:
         drawn = {
             field: data.draw(st.integers(bound, bound + 64), label=field)
             for field, bound in _SM_MINIMA
-            if field != "mad_lanes"  # also a multiple of the warp width
+            # Also a multiple of the warp width, and of l1_ways * l1_block.
+            if field not in ("mad_lanes", "l1_size")
         }
+        sets = data.draw(st.integers(1, 64), label="l1 sets")
+        drawn["l1_size"] = sets * drawn["l1_ways"] * drawn["l1_block"]
         config = SMConfig(**drawn)
         fields = config_fields(config)
         assert {field: fields[field] for field in drawn} == drawn

@@ -23,7 +23,9 @@ spliced ack (9c94718) still encoded every answered cell's stats payload
 again inside the ack's whole-message ``json.dumps``, and built a
 progress envelope per cell for a history nobody had subscribed to: now
 the ack is joined from the stats texts the store keeps beside its
-entries, and the history is built when ``/events`` is first read.
+entries.  That tree published a progress envelope per resolved cell of
+a job with work left, too; now every job's history is its resolved
+cells, and a progress envelope is built only when ``/events`` is read.
 
 ``python tests/test_daemon_work.py`` prints the table.
 """
@@ -47,6 +49,8 @@ from repro.service.remote import RemoteClient
 from repro.service.store import ResultStore
 from repro.timing.stats import Stats
 from repro.workloads import ALL_WORKLOADS
+
+from service_helpers import submit
 
 #: Three machines, one of them a device (a nested walk is one walk).
 CONFIGS = {
@@ -115,7 +119,7 @@ def submit_counts(kernels: int, root: str, every: int = 1) -> dict:
     )))
     try:
         with counting() as counts:
-            ack = service.submit(message)
+            ack = submit(service, message)
         counts["journal_bytes"] = os.path.getsize(journal.path)
         hits = len(range(0, spec.total_cells, every))
         assert ack["triage"]["store"] == hits
@@ -151,10 +155,10 @@ def resubmit_counts(kernels: int, root: str) -> dict:
         return call
 
     try:
-        service.submit(message)
+        submit(service, message)
         with mock.patch.object(store_module, "read_entry", counted("opened", read)), \
                 mock.patch.object(os, "stat", counted("stats", stat)):
-            ack = service.submit(message)
+            ack = submit(service, message)
         assert ack["triage"]["store"] == spec.total_cells
     finally:
         service.shutdown_gracefully()
@@ -251,6 +255,48 @@ def answered_resubmit_work(kernels: int, root: str) -> dict:
     }
 
 
+class _CannedEngine:
+    """Answers every cell with :data:`STATS`, simulating nothing."""
+
+    def run_cell(self, *args, **kwargs):
+        return STATS
+
+
+def queued_job_work(kernels: int, root: str) -> dict:
+    """Progress envelopes a daemon builds for a ``kernels`` x 3 grid
+    whose store holds every other cell: up to the moment the last cell
+    resolves, and then while the job's events are read."""
+    spec = grid(kernels)
+    store = ResultStore(os.path.join(root, "store"))
+    fill(store.root, spec, every=2)
+    service = SweepService(store, workers=0, engine=_CannedEngine())
+    message = protocol.submit_message(
+        [(c.workload, c.size, c.config_name, c.config) for c in spec.cells()]
+    )
+    counts = {"progress": 0}
+    envelope = protocol.envelope
+
+    def counted_envelope(msg_type, **body):
+        counts["progress"] += msg_type == protocol.MSG_PROGRESS
+        return envelope(msg_type, **body)
+
+    try:
+        with mock.patch.object(protocol, "envelope", counted_envelope):
+            ack = submit(service, message)
+            assert ack["triage"]["queued"] > 0
+            service.process_queued()
+            job = service.get_job(str(ack["job"]))
+            assert job.state == protocol.JOB_DONE
+            at_done = counts["progress"]
+            events = [json.loads(line) for line in job.stream(heartbeat=0)]
+    finally:
+        service.shutdown_gracefully()
+    assert [e.get("done") for e in events] == list(range(1, spec.total_cells + 1)) + [
+        spec.total_cells
+    ]
+    return {"progress_at_done": at_done, "progress_with_events": counts["progress"]}
+
+
 def requests_per_run(kernels: int, root: str) -> int:
     """HTTP requests one ``Engine(server=...).run`` of a ``kernels`` x 3
     grid makes against a daemon whose store holds every cell."""
@@ -303,6 +349,9 @@ PARENT_CONFIG_DUMPS = 0
 # envelope into a history nobody had asked for.
 PARENT_STATS_DUMPED_PER_CELL = 1
 PARENT_PROGRESS_AT_ACK_PER_CELL = 1
+# 2f75cc5, per job with work left: every resolved cell published a
+# progress envelope, read or not.
+PARENT_PROGRESS_AT_DONE_PER_CELL = 1
 
 
 class TestDaemonWork:
@@ -350,6 +399,15 @@ class TestDaemonWork:
         }
 
     @pytest.mark.parametrize("kernels", [2, 8])
+    def test_a_job_with_work_left_builds_its_history_on_demand(self, kernels, tmp_path):
+        """Resolving a cell records it and nothing more: the job's
+        progress envelopes are built when its ``/events`` is read."""
+        cells = kernels * len(CONFIGS)
+        assert queued_job_work(kernels, str(tmp_path)) == {
+            "progress_at_done": 0, "progress_with_events": cells,
+        }
+
+    @pytest.mark.parametrize("kernels", [2, 8])
     def test_a_client_submit_encodes_each_configuration_once(self, kernels, tmp_path):
         assert client_submit_dumps(kernels, str(tmp_path)) == {
             "messages": 0, "configs": len(CONFIGS),
@@ -369,6 +427,7 @@ def main() -> None:
             again = resubmit_counts(kernels, os.path.join(tmp, "g"))
             dumps = client_submit_dumps(kernels, os.path.join(tmp, "d"))
             spliced = answered_resubmit_work(kernels, os.path.join(tmp, "s"))
+            queued = queued_job_work(kernels, os.path.join(tmp, "q"))
         shape = "%d x %d" % (kernels, len(CONFIGS))
         cells = kernels * len(CONFIGS)
         for label, key, before in (
@@ -410,6 +469,12 @@ def main() -> None:
         ))
         print("| re-asked: progress envelopes once /events is read | %s | %d (9c94718) | %d |" % (
             shape, PARENT_PROGRESS_AT_ACK_PER_CELL * cells, spliced["progress_with_events"]
+        ))
+        print("| half queued: progress envelopes by the last resolution | %s | %d (2f75cc5) | %d |" % (
+            shape, PARENT_PROGRESS_AT_DONE_PER_CELL * cells, queued["progress_at_done"]
+        ))
+        print("| half queued: progress envelopes once /events is read | %s | %d (2f75cc5) | %d |" % (
+            shape, PARENT_PROGRESS_AT_DONE_PER_CELL * cells, queued["progress_with_events"]
         ))
 
 

@@ -29,6 +29,8 @@ from repro.service.remote import RemoteClient
 from repro.service.store import ResultStore
 from repro.timing.stats import Stats
 
+from service_helpers import submit
+
 CELL = ("histogram", "tiny", presets.baseline())
 STATS = Stats(cycles=9, thread_instructions=4, instructions_issued=3)
 
@@ -230,7 +232,7 @@ class TestDaemonUse:
             for thread in threads:
                 thread.start()
             for _ in range(3):
-                ack = service.submit(protocol.submit_message(rows))
+                ack = submit(service, protocol.submit_message(rows))
                 assert service.get_job(str(ack["job"])).finished.wait(timeout=60)
                 service.store.gc(max_entries=1)
         finally:
@@ -264,7 +266,7 @@ class TestDaemonUse:
                 assert client.result(job)["cells"] == ack["cells"]
                 for cell in ack["cells"]:
                     client.cell(cell["hash"])
-                service_ack = server.service.submit(protocol.submit_message(rows))
+                service_ack = submit(server.service, protocol.submit_message(rows))
                 server.service.lookup_cell(str(service_ack["cells"][0]["hash"]))
             assert dict(server.service.store._answered) == kept
             for digest, (_, (entry, text)) in kept.items():

@@ -39,6 +39,8 @@ from repro.service.remote import RemoteClient, RemoteError
 from repro.service.store import ResultStore
 from repro.timing.stats import Stats
 
+from service_helpers import submit
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CELL = ("histogram", "tiny", presets.baseline())
@@ -247,7 +249,7 @@ class TestNestedEntry:
         put(path, BOMB)
         engine = _StubEngine()
         service = SweepService(store, workers=0, engine=engine)
-        ack = service.submit(protocol.submit_message([ROW]))
+        ack = submit(service, protocol.submit_message([ROW]))
         assert ack["triage"] == {"store": 0, "coalesced": 0, "queued": 1}
         assert service.process_queued() == 1 and engine.calls == 1
         assert store.verify().ok

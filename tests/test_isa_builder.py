@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.isa.builder import Kernel, KernelBuilder
-from repro.isa.instructions import CmpOp, MemSpace, Op
+from repro.isa.instructions import CmpOp, MemSpace, Op, reg
 from repro.isa.program import AssemblyError
 
 
@@ -170,3 +170,62 @@ class TestBuild:
         kb.regs("a", "b", "c")
         kb.exit_()
         assert kb.build(cta_size=32).nregs == 4
+
+
+class TestMalformedOperands:
+    """Each malformed operand is refused as the instruction is emitted,
+    naming the culprit, instead of building and then misbehaving at
+    the first issue."""
+
+    @given(index=st.one_of(st.integers(max_value=-1), st.booleans(), st.floats(), st.text(max_size=2)))
+    def test_a_launch_parameter_index_is_an_int_from_zero(self, index):
+        # param(-1) used to read the last launch parameter.
+        kb = KernelBuilder("k")
+        (x,) = kb.regs("x")
+        with pytest.raises(AssemblyError, match=re.escape("got %r" % (index,))):
+            kb.ld(x, kb.param(index))
+        with pytest.raises(AssemblyError, match="launch parameter index"):
+            kb.st(kb.param(index), x)
+
+    @given(nregs=st.integers(min_value=1, max_value=64), extra=st.integers(min_value=0, max_value=200))
+    def test_a_register_past_nregs_is_refused(self, nregs, extra):
+        # reg(40) in a 4-register kernel used to die with a bare
+        # IndexError at its first issue.
+        kb = KernelBuilder("k", nregs=nregs)
+        (a,) = kb.regs("a")
+        far = reg(nregs + extra)
+        culprit = "uses r%d, past its %d registers" % (nregs + extra, nregs)
+        for emit in (
+            lambda: kb.mov(far, 1),
+            lambda: kb.add(a, a, far),
+            lambda: kb.mov(a, 1, pred=far),
+            lambda: kb.ld(a, kb.param(0), index=far),
+            lambda: kb.bra("l", cond=far),
+        ):
+            with pytest.raises(AssemblyError, match=re.escape(culprit)):
+                emit()
+        assert kb.used_registers == 1
+        kb.mov(reg(nregs - 1), 1)  # the last register is fine
+
+    @given(cmp=st.one_of(st.sampled_from([c.value for c in CmpOp]), st.none(), st.integers()))
+    def test_a_setp_comparison_is_a_cmp_op(self, cmp):
+        # setp(p, "lt", a, b) used to build and fail at its first issue.
+        kb = KernelBuilder("k")
+        p, a = kb.regs("p", "a")
+        with pytest.raises(AssemblyError, match=re.escape("got %r" % (cmp,))):
+            kb.setp(p, cmp, a, 1)
+        assert kb.setp(p, CmpOp.LT, a, 1).cmp is CmpOp.LT
+
+    @given(flag=st.booleans(), where=st.integers(min_value=0, max_value=2))
+    def test_a_bool_is_not_an_immediate(self, flag, where):
+        # kb.add(a, a, True) used to assemble as ``add r0, r0, True``.
+        kb = KernelBuilder("k")
+        (a,) = kb.regs("a")
+        emit = (
+            lambda: kb.add(a, a, flag),
+            lambda: kb.mov(a, flag),
+            lambda: kb.st(kb.param(0), flag),
+        )[where]
+        with pytest.raises(AssemblyError, match="bad source operand %r" % flag):
+            emit()
+        assert kb.add(a, a, 1).srcs[1].value == 1

@@ -3,8 +3,8 @@
 import http.client
 import json
 import os
-import queue
 import socket
+import sys
 import threading
 import time
 
@@ -35,6 +35,8 @@ from repro.service.remote import RemoteClient, RemoteError, _follow_job
 from repro.service.store import ResultStore, resolve_store_dir
 from repro.timing.config import GPUConfig
 from repro.timing.stats import Stats
+
+from service_helpers import submit
 
 TINY = SweepSpec.from_presets(
     ["baseline", "warp64"], workloads=["histogram"], size="tiny"
@@ -460,7 +462,7 @@ class TestCacheDirIsAStore:
         assert store.verify().ok
         assert len(store) == len(self.CELLS)
         service = SweepService(store, workers=0, engine=_StubEngine(fail=True))
-        ack = service.submit(protocol.submit_message(self.CELLS))
+        ack = submit(service, protocol.submit_message(self.CELLS))
         assert ack["triage"] == {
             "store": len(self.CELLS), "coalesced": 0, "queued": 0,
         }
@@ -469,7 +471,7 @@ class TestCacheDirIsAStore:
     def test_engine_is_warm_from_a_daemon_filled_store(self, tmp_path):
         root = str(tmp_path / "store")
         service = SweepService(ResultStore(root), workers=0)
-        service.submit(protocol.submit_message(self.CELLS))
+        submit(service, protocol.submit_message(self.CELLS))
         assert service.process_queued() == len(self.CELLS)
 
         def must_not_run(*args, **kwargs):
@@ -510,8 +512,8 @@ class TestSweepService:
         service = _service(tmp_path)
         # Two concurrent identical submissions (plus an in-message
         # duplicate): exactly one simulation, per the daemon counters.
-        ack1 = service.submit(protocol.submit_message([CELL_A, CELL_A]))
-        ack2 = service.submit(protocol.submit_message([CELL_A]))
+        ack1 = submit(service, protocol.submit_message([CELL_A, CELL_A]))
+        ack2 = submit(service, protocol.submit_message([CELL_A]))
         assert ack1["triage"] == {"store": 0, "coalesced": 1, "queued": 1}
         assert ack2["triage"] == {"store": 0, "coalesced": 1, "queued": 0}
         assert service.process_queued() == 1
@@ -535,7 +537,7 @@ class TestSweepService:
             CELL_A[0], CELL_A[1], CELL_A[3],
             Stats(cycles=7, thread_instructions=3, instructions_issued=2),
         )
-        ack = service.submit(protocol.submit_message([CELL_A]))
+        ack = submit(service, protocol.submit_message([CELL_A]))
         assert ack["triage"] == {"store": 1, "coalesced": 0, "queued": 0}
         job = service.get_job(ack["job"])
         assert job.finished.is_set()
@@ -546,34 +548,33 @@ class TestSweepService:
 
     def test_answered_submission_acks_with_its_cells(self, tmp_path):
         service = _service(tmp_path)
-        first = service.submit(protocol.submit_message([CELL_A, CELL_B]))
+        first = submit(service, protocol.submit_message([CELL_A, CELL_B]))
         assert "cells" not in first  # work left: the result comes later
         service.process_queued()
-        ack = service.submit(protocol.submit_message([CELL_A, CELL_B]))
+        ack = submit(service, protocol.submit_message([CELL_A, CELL_B]))
         assert ack["state"] == protocol.JOB_DONE
         job = service.get_job(ack["job"])
         assert ack["cells"] == job.result_message()["cells"]
         assert [c["source"] for c in ack["cells"]] == [protocol.SOURCE_STORE] * 2
         # A client that ignores them still finds the job, and its event
         # history replays to the terminal status.
-        events = job.subscribe()
-        replayed = [events.get_nowait() for _ in range(events.qsize())]
+        replayed = [json.loads(line) for line in job.stream(heartbeat=0)]
         assert [e["type"] for e in replayed] == [
             protocol.MSG_PROGRESS, protocol.MSG_PROGRESS, protocol.MSG_STATUS
         ]
         assert replayed[-1]["state"] == protocol.JOB_DONE
         # One queued cell among the hits and the ack carries none.
         other = ("bfs", "tiny") + CELL_A[2:]
-        assert "cells" not in service.submit(protocol.submit_message([CELL_A, other]))
+        assert "cells" not in submit(service, protocol.submit_message([CELL_A, other]))
 
     def test_duplicate_cell_ids_are_refused_not_left_running(self, tmp_path):
         service = _service(tmp_path)
-        service.submit(protocol.submit_message([CELL_A, CELL_B]))
+        submit(service, protocol.submit_message([CELL_A, CELL_B]))
         service.process_queued()
         message = protocol.submit_message([CELL_A, CELL_B])
         message["cells"][1]["id"] = 0  # two answered cells 0: done 1 / total 2 forever
         with pytest.raises(ProtocolError, match="cell 1 repeats id 0") as excinfo:
-            service.submit(message)
+            submit(service, message)
         assert excinfo.value.code == protocol.ERR_BAD_REQUEST
         assert service.health()["jobs"] == 1 and service.counters["jobs_submitted"] == 1
 
@@ -581,9 +582,9 @@ class TestSweepService:
         service = _service(tmp_path)
         service.store.store(CELL_A[0], CELL_A[1], CELL_A[3], Stats(cycles=7))
         # One job with a queued cell nobody simulates: work left throughout.
-        waiting = service.submit(protocol.submit_message([CELL_B]))["job"]
+        waiting = submit(service, protocol.submit_message([CELL_B]))["job"]
         answered = [
-            service.submit(protocol.submit_message([CELL_A]))["job"]
+            submit(service, protocol.submit_message([CELL_A]))["job"]
             for _ in range(FINISHED_JOBS_KEPT + 5)
         ]
         assert service.health()["jobs"] == FINISHED_JOBS_KEPT + 1
@@ -592,14 +593,14 @@ class TestSweepService:
         assert excinfo.value.code == protocol.ERR_UNKNOWN_JOB
         newest = service.get_job(answered[-1])
         assert newest.result_message()["cells"][0]["status"] == protocol.STATUS_OK
-        assert newest.subscribe().qsize() == 2  # progress + terminal status
+        assert len(list(newest.stream(heartbeat=0))) == 2  # progress + terminal status
         assert not service.get_job(waiting).finished.is_set()
 
     def test_queue_full_back_pressure(self, tmp_path):
         service = _service(tmp_path, queue_limit=1, retry_after=2.5)
-        service.submit(protocol.submit_message([CELL_A]))  # the queue is full
+        submit(service, protocol.submit_message([CELL_A]))  # the queue is full
         with pytest.raises(ProtocolError) as excinfo:
-            service.submit(protocol.submit_message([CELL_B]))
+            submit(service, protocol.submit_message([CELL_B]))
         assert excinfo.value.code == protocol.ERR_QUEUE_FULL
         assert excinfo.value.retry_after == 2.5
         assert "1 pending, limit 1" in str(excinfo.value)
@@ -607,7 +608,7 @@ class TestSweepService:
         # submission starts clean.
         assert service.counters["jobs_submitted"] == 1
         assert service.process_queued() == 1
-        ack = service.submit(protocol.submit_message([CELL_B]))
+        ack = submit(service, protocol.submit_message([CELL_B]))
         assert ack["triage"]["queued"] == 1
 
     def test_submission_larger_than_the_queue_is_refused_not_deferred(
@@ -618,7 +619,7 @@ class TestSweepService:
         retry forever."""
         service = _service(tmp_path, queue_limit=1)
         with pytest.raises(ProtocolError) as excinfo:
-            service.submit(protocol.submit_message([CELL_A, CELL_B]))
+            submit(service, protocol.submit_message([CELL_A, CELL_B]))
         assert excinfo.value.code == protocol.ERR_BAD_REQUEST
         assert excinfo.value.retry_after is None
         message = str(excinfo.value)
@@ -628,20 +629,20 @@ class TestSweepService:
         assert service.process_queued() == 0
         # Store hits and coalesced cells are free: only new work counts.
         service.store.store(CELL_B[0], CELL_B[1], CELL_B[3], Stats(cycles=7))
-        ack = service.submit(protocol.submit_message([CELL_A, CELL_B, CELL_A]))
+        ack = submit(service, protocol.submit_message([CELL_A, CELL_B, CELL_A]))
         assert ack["triage"] == {"store": 1, "coalesced": 1, "queued": 1}
 
     def test_a_submission_that_fills_an_idle_queue_exactly_is_accepted(
         self, tmp_path
     ):
         service = _service(tmp_path, queue_limit=2)
-        ack = service.submit(protocol.submit_message([CELL_A, CELL_B]))
+        ack = submit(service, protocol.submit_message([CELL_A, CELL_B]))
         assert ack["triage"]["queued"] == 2
         # The queue is full now: one more new cell is a 429 to retry,
         # not an oversized submission.
         other = ("bfs", "tiny") + CELL_A[2:]
         with pytest.raises(ProtocolError) as excinfo:
-            service.submit(protocol.submit_message([other]))
+            submit(service, protocol.submit_message([other]))
         assert excinfo.value.code == protocol.ERR_QUEUE_FULL
         assert service.process_queued() == 2
         assert service.get_job(ack["job"]).state == protocol.JOB_DONE
@@ -659,7 +660,7 @@ class TestSweepService:
 
     def test_failed_cell_reported_with_error(self, tmp_path):
         service = _service(tmp_path, engine=_StubEngine(fail=True))
-        ack = service.submit(protocol.submit_message([CELL_A]))
+        ack = submit(service, protocol.submit_message([CELL_A]))
         service.process_queued()
         assert service.counters["cells_failed"] == 1
         assert service.counters["cells_simulated"] == 0
@@ -672,8 +673,8 @@ class TestSweepService:
 
     def test_verify_cells_never_coalesce_or_store_serve(self, tmp_path):
         service = _service(tmp_path)
-        ack1 = service.submit(protocol.submit_message([CELL_A], verify=True))
-        ack2 = service.submit(protocol.submit_message([CELL_A], verify=True))
+        ack1 = submit(service, protocol.submit_message([CELL_A], verify=True))
+        ack2 = submit(service, protocol.submit_message([CELL_A], verify=True))
         assert ack1["triage"]["queued"] == 1
         assert ack2["triage"]["queued"] == 1
         service.process_queued()
@@ -686,7 +687,7 @@ class TestSweepService:
             with pytest.raises(ProtocolError) as excinfo:
                 service.lookup_cell(missing)
             assert excinfo.value.code == protocol.ERR_UNKNOWN_CELL
-        service.submit(protocol.submit_message([CELL_A]))
+        submit(service, protocol.submit_message([CELL_A]))
         service.process_queued()
         message = service.lookup_cell(digest)
         assert message["hash"] == digest
@@ -698,46 +699,115 @@ class TestSweepService:
             _service(tmp_path).get_job("j999999")
         assert excinfo.value.code == protocol.ERR_UNKNOWN_JOB
 
-    def test_event_subscriptions_are_independent_and_replayed(self, tmp_path):
-        # The lost-final-status race: one consumer popping the shared
+    def test_event_streams_are_independent_and_replayed(self, tmp_path):
+        # The lost-final-status race: one consumer popping a shared
         # event queue used to swallow events (terminal status included)
-        # for every other stream.  Subscriptions are now independent,
-        # and a late subscriber gets the full history back.
+        # for every other stream.  Each stream now keeps its own cursor
+        # over the job's cells, and a late one gets the full history.
         service = _service(tmp_path)
-        ack = service.submit(protocol.submit_message([CELL_A]))
+        ack = submit(service, protocol.submit_message([CELL_A, CELL_B]))
         job = service.get_job(ack["job"])
-        sub_a = job.subscribe()
+        first, second = job.stream(heartbeat=0), job.stream(heartbeat=0)
+        assert json.loads(next(first))["state"] == protocol.JOB_QUEUED  # idle
         service.process_queued()
-        # sub_a received everything but its client "disconnected"
-        # without consuming; dropping it must not lose anything.
-        job.unsubscribe(sub_a)
-        sub_b = job.subscribe()  # attaches after the job finished
-        events = []
-        while True:
-            events.append(sub_b.get_nowait())
-            if events[-1]["type"] == protocol.MSG_STATUS:
-                break
-        assert events[0]["type"] == protocol.MSG_PROGRESS
+        assert json.loads(next(first))["done"] == 1
+        # ``first``'s client "disconnects" mid-stream: nothing it read
+        # or left unread is lost to anyone else.
+        first.close()
+        events = [json.loads(line) for line in second]
+        late = [json.loads(line) for line in job.stream(heartbeat=0)]
+        assert events == late  # attached after the job finished
+        assert [e["type"] for e in events] == [
+            protocol.MSG_PROGRESS, protocol.MSG_PROGRESS, protocol.MSG_STATUS
+        ]
         assert events[0]["cell"]["status"] == protocol.STATUS_OK
         assert events[-1]["state"] == protocol.JOB_DONE
-        # The history is bounded by the job, not by consumers.
-        with pytest.raises(queue.Empty):
-            sub_b.get_nowait()
 
     def test_finish_within_heartbeat_of_disconnect_keeps_status(self, tmp_path):
-        # A subscriber vanishing right before the job finishes (the
+        # A stream vanishing right before the job finishes (the
         # disconnect-within-a-heartbeat window) leaves the terminal
         # status intact for a stream that attaches afterwards.
         service = _service(tmp_path)
-        ack = service.submit(protocol.submit_message([CELL_A]))
+        ack = submit(service, protocol.submit_message([CELL_A]))
         job = service.get_job(ack["job"])
-        doomed = job.subscribe()
-        job.unsubscribe(doomed)
+        doomed = job.stream(heartbeat=0)
+        next(doomed)  # a heartbeat
+        doomed.close()
         service.process_queued()
-        survivor = job.subscribe()
-        seen = [survivor.get_nowait() for _ in range(2)]
+        seen = [json.loads(line) for line in job.stream(heartbeat=0)]
+        assert len(seen) == 2
         assert seen[-1]["type"] == protocol.MSG_STATUS
         assert seen[-1]["state"] == protocol.JOB_DONE
+
+    def test_progress_ordinals_follow_resolution_not_cell_ids(self, tmp_path):
+        # Cell 1 is a store hit, resolved at the ack; cell 0 simulates
+        # after it.  ``done`` counts resolutions: 1 for cell 1, 2 for 0.
+        service = _service(tmp_path)
+        service.store.store(CELL_B[0], CELL_B[1], CELL_B[3], Stats(cycles=7))
+        ack = submit(service, protocol.submit_message([CELL_A, CELL_B]))
+        job = service.get_job(ack["job"])
+        service.process_queued()
+        events = [json.loads(line) for line in job.stream(heartbeat=0)]
+        assert [(e["done"], e["cell"]["id"]) for e in events[:-1]] == [(1, 1), (2, 0)]
+        assert [e["cell"]["source"] for e in events[:-1]] == [
+            protocol.SOURCE_STORE, protocol.SOURCE_SIMULATED
+        ]
+        assert "stats" not in events[0]["cell"]  # progress lines stay light
+        assert events[-1] == job.status_message()
+
+    def test_concurrent_streams_each_see_every_cell_once(self, tmp_path):
+        """Stress: four dispatcher threads (more than the cores) resolve
+        cells while four readers stream the job, with a short switch
+        interval.  A doubled or skipped cursor step shows as a missing,
+        repeated or out-of-order ``done``; the heartbeat outlasts the
+        join, so a lost notification shows as a reader still waiting."""
+        cells = 40
+        rows = [
+            ("histogram", "tiny", "b%d" % i, presets.baseline().replace(seed=i))
+            for i in range(cells)
+        ]
+        gate = threading.Event()
+
+        class _Gated(_StubEngine):
+            def run_cell(self, *args, **kwargs):
+                gate.wait(timeout=30)  # until every reader is streaming
+                return super().run_cell(*args, **kwargs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        service = _service(tmp_path, workers=4, engine=_Gated())
+        try:
+            ack = submit(service, protocol.submit_message(rows))
+            job = service.get_job(ack["job"])
+            seen = [[] for _ in range(4)]
+            readers = [
+                threading.Thread(
+                    target=lambda out: out.extend(
+                        map(json.loads, job.stream(heartbeat=60))
+                    ),
+                    args=(out,),
+                    daemon=True,
+                )
+                for out in seen
+            ]
+            for reader in readers:
+                reader.start()
+            time.sleep(0.05)
+            gate.set()
+            deadline = time.monotonic() + 10
+            for reader in readers:
+                reader.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(reader.is_alive() for reader in readers)
+        finally:
+            sys.setswitchinterval(interval)
+            service.shutdown_gracefully()
+        for events in seen:
+            progress = [e for e in events if e["type"] == protocol.MSG_PROGRESS]
+            assert [e["done"] for e in progress] == list(range(1, cells + 1))
+            assert sorted(e["cell"]["id"] for e in progress) == list(range(cells))
+            assert events[-1] == job.status_message()
+            assert events[-1]["state"] == protocol.JOB_DONE
+            assert len(events) == cells + 1
 
     def test_health_reports_the_closed_counter_set(self, tmp_path):
         message = _service(tmp_path).health()

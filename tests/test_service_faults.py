@@ -7,6 +7,7 @@ crashes before/after publish, a daemon refusing work mid-shutdown —
 the results a client ends up with are byte-identical to an inline run.
 """
 
+import io
 import json
 import os
 import threading
@@ -49,6 +50,8 @@ from repro.service.protocol import ProtocolError, SubmittedCell
 from repro.service.remote import RemoteClient, RemoteError
 from repro.service.store import ResultStore
 from repro.timing.stats import Stats
+
+from service_helpers import submit
 
 TINY = SweepSpec.from_presets(
     ["baseline", "warp64"], workloads=["histogram"], size="tiny"
@@ -97,7 +100,7 @@ def _journalled_service(tmp_path, fault_plan=None, engine=None):
 
 
 def _submit(service, cells=(CELL_A, CELL_B), verify=False):
-    ack = service.submit(protocol.submit_message(list(cells), verify=verify))
+    ack = submit(service, protocol.submit_message(list(cells), verify=verify))
     return str(ack["job"])
 
 
@@ -526,7 +529,7 @@ class TestDaemonCrashRecovery:
         service.process_queued()  # both cells are in the store now
         size = os.path.getsize(service.journal.path)
         syncs = self._count_fsyncs(monkeypatch)
-        ack = service.submit(protocol.submit_message([CELL_A, CELL_B]))
+        ack = submit(service, protocol.submit_message([CELL_A, CELL_B]))
         assert syncs == []
         assert os.path.getsize(service.journal.path) == size
         assert ack["job"] not in {job.job_id for job in service.journal.replay()}
@@ -544,7 +547,7 @@ class TestDaemonCrashRecovery:
         _submit(service, cells=(CELL_A,))
         service.process_queued()  # A is in the store, C is not
         syncs = self._count_fsyncs(monkeypatch)
-        ack = service.submit(protocol.submit_message([CELL_A, CELL_C]))
+        ack = submit(service, protocol.submit_message([CELL_A, CELL_C]))
         # Job record + the store hit's cell record, durable before the
         # ack: one fsync.
         assert len(syncs) == 1
@@ -653,8 +656,8 @@ class TestDaemonCrashRecovery:
 
         submitted = _journalled_service(tmp_path / "submit")
         submitted.store.store(stored[0], stored[1], stored[3], stats)
-        submitted.submit(first)
-        ack = submitted.submit(second)
+        submit(submitted, first)
+        ack = submit(submitted, second)
         assert ack["job"] == "j000002"
         assert ack["triage"] == {"store": 1, "coalesced": 1, "queued": 1}
 
@@ -731,18 +734,24 @@ class TestGracefulShutdown:
     def test_refuses_new_work_and_stamps_stopped_status(self, tmp_path):
         service = _journalled_service(tmp_path)
         job_id = _submit(service)  # workers=0: never finishes
-        events = service.get_job(job_id).subscribe()
-        service.shutdown_gracefully()
         job = service.get_job(job_id)
+        events = []
+        # The heartbeat outlasts the join: only shutdown's notification
+        # can end the stream in time.
+        follower = threading.Thread(
+            target=lambda: events.extend(map(json.loads, job.stream(heartbeat=60))),
+            daemon=True,
+        )
+        follower.start()
+        time.sleep(0.15)  # the stream is open and waiting
+        service.shutdown_gracefully()
+        follower.join(timeout=5.0)
+        assert not follower.is_alive()
         assert job.state == protocol.JOB_STOPPED
         assert job.finished.is_set()
-        # The open progress stream got a final terminal status line.
-        last = None
-        while not events.empty():
-            last = events.get_nowait()
-        assert last is not None
-        assert last["type"] == protocol.MSG_STATUS
-        assert last["state"] == protocol.JOB_STOPPED
+        # The open progress stream ended on a final terminal status line.
+        assert events == [job.status_message()]
+        assert events[-1]["state"] == protocol.JOB_STOPPED
         # And new submissions are turned away, with retry guidance.
         with pytest.raises(ProtocolError) as excinfo:
             _submit(service)
@@ -1005,8 +1014,8 @@ class TestHTTPGracefulShutdown:
 
 class TestRetryAfterBounds:
     def _client_with_429(self, retry_after):
-        import io
-        import urllib.error
+        class _Busy(io.BytesIO):
+            status, reason = 429, "Too Many Requests"
 
         delays = []
         client = RemoteClient(
@@ -1022,12 +1031,7 @@ class TestRetryAfterBounds:
             }
         )
 
-        def _always_429(method, path, message=None):
-            raise urllib.error.HTTPError(
-                "http://127.0.0.1:9" + path, 429, "busy", {}, io.BytesIO(body)
-            )
-
-        client._open = _always_429
+        client._open = lambda method, path, message=None: _Busy(body)
         return client, delays
 
     @pytest.mark.parametrize(
@@ -1053,6 +1057,81 @@ class TestRetryAfterBounds:
             with pytest.raises(RemoteError, match="after 2 attempts"):
                 client.health()
         assert delays == [0.5, 0.5]
+
+
+class _Reply(io.BytesIO):
+    """A canned ``http.client`` response."""
+
+    def __init__(self, status, reason, body):
+        super().__init__(body)
+        self.status, self.reason, self.headers = status, reason, {}
+
+
+def _client_answering(status, reason, body, retries=0):
+    """A client whose every request gets the same canned response."""
+
+    class _Connection:
+        def __init__(self, host, port, timeout):
+            pass
+
+        def request(self, method, path, body=None, headers=None):
+            pass
+
+        def getresponse(self):
+            return _Reply(status, reason, body)
+
+        def close(self):
+            pass
+
+    client = RemoteClient("http://127.0.0.1:9", retries=retries, sleep=lambda _: None)
+    client._connection = _Connection
+    return client
+
+
+class TestClientBranchesOnStatus:
+    """What a refusal turns into, by status and body, for a request and
+    for an events stream."""
+
+    def test_a_typed_refusal_carries_its_code_and_message(self):
+        body = ProtocolError(protocol.ERR_UNKNOWN_JOB, "no such job 'j9'").to_envelope()
+        client = _client_answering(404, "Not Found", protocol.encode(body))
+        with pytest.raises(RemoteError) as excinfo:
+            client.result("j9")
+        assert str(excinfo.value) == "GET /v1/jobs/j9/result: no such job 'j9'"
+        assert excinfo.value.code == protocol.ERR_UNKNOWN_JOB
+        with pytest.raises(RemoteError) as excinfo:
+            list(client.events("j9"))
+        assert str(excinfo.value) == "events stream for j9: no such job 'j9'"
+        assert excinfo.value.code == protocol.ERR_UNKNOWN_JOB
+
+    def test_a_body_that_is_no_envelope_is_an_internal_error_naming_the_status(self):
+        client = _client_answering(502, "Bad Gateway", b"<html>proxy</html>")
+        with pytest.raises(RemoteError) as excinfo:
+            client.health()
+        assert str(excinfo.value) == "GET /v1/health: HTTP Error 502: Bad Gateway"
+        assert excinfo.value.code == protocol.ERR_INTERNAL
+        with pytest.raises(RemoteError) as excinfo:
+            list(client.events("j9"))
+        assert str(excinfo.value) == "events stream for j9: HTTP Error 502: Bad Gateway"
+        assert excinfo.value.code == protocol.ERR_INTERNAL
+
+    def test_a_503_retries_then_names_the_shutdown(self):
+        body = ProtocolError(
+            protocol.ERR_SHUTTING_DOWN, "daemon is shutting down", retry_after=0.5
+        ).to_envelope()
+        client = _client_answering(503, "Service Unavailable", protocol.encode(body), 1)
+        with pytest.raises(RemoteError) as excinfo:
+            client.health()
+        assert str(excinfo.value).endswith(
+            "after 2 attempts — last error: daemon shutting down (503): "
+            "daemon is shutting down"
+        )
+        assert excinfo.value.code is None
+
+    def test_an_unlisted_2xx_is_refused_at_once(self):
+        client = _client_answering(202, "Accepted", b"{}", retries=3)
+        with pytest.raises(RemoteError, match=r"^GET /v1/health: unexpected HTTP 202$"):
+            client.health()
 
 
 # ----------------------------------------------------------------------

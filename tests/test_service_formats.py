@@ -212,7 +212,7 @@ class TestOneWriter:
 
 
 # ----------------------------------------------------------------------
-# The answered ack: stats texts spliced, the dict writer's bytes
+# The ack: one writer, stats texts spliced, the dict writer's bytes
 # ----------------------------------------------------------------------
 
 COUNTS = st.one_of(st.integers(min_value=0, max_value=2**64), st.integers())
@@ -241,10 +241,13 @@ ANSWERED_CELLS = st.lists(
 )
 
 
-class TestAnsweredAck:
+TRIAGE_COUNTS = st.integers(min_value=0, max_value=2**31)
+
+
+class TestAck:
     @settings(max_examples=200, deadline=None)
     @given(job_id=NAMES, cells=ANSWERED_CELLS)
-    def test_the_spliced_ack_is_the_dict_writers_bytes(self, job_id, cells):
+    def test_an_answered_ack_is_the_dict_writers_bytes(self, job_id, cells):
         """Whatever the stats hold — SM or device, huge counters, floats,
         any op classes — and whatever the ids, addresses and job id."""
         cells = sorted(cells, key=lambda cell: cell[0])
@@ -263,7 +266,27 @@ class TestAnsweredAck:
             (cell_id, digest, None if stats is None else json.dumps(stats, sort_keys=True))
             for cell_id, digest, stats in cells
         ]
-        assert protocol.answered_ack_line(job_id, texts) == reference
+        triage = {"store": len(cells), "coalesced": 0, "queued": 0}
+        line = protocol.ack_line(job_id, protocol.JOB_DONE, len(cells), triage, texts)
+        assert line == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        job_id=NAMES,
+        state=st.sampled_from([protocol.JOB_QUEUED, protocol.JOB_RUNNING]),
+        total=TRIAGE_COUNTS,
+        triage=st.fixed_dictionaries(
+            {"store": TRIAGE_COUNTS, "coalesced": TRIAGE_COUNTS, "queued": TRIAGE_COUNTS}
+        ),
+    )
+    def test_an_ack_with_work_left_is_the_dict_writers_bytes(
+        self, job_id, state, total, triage
+    ):
+        """No ``cells``: the job's result comes later."""
+        reference = protocol.encode(protocol.envelope(
+            protocol.MSG_ACK, job=job_id, state=state, total=total, triage=triage,
+        ))
+        assert protocol.ack_line(job_id, state, total, triage) == reference
 
 
 # ----------------------------------------------------------------------

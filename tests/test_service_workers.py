@@ -29,6 +29,8 @@ from repro.service.remote import RemoteClient
 from repro.service.store import ResultStore
 from repro.workloads import histogram
 
+from service_helpers import submit
+
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="fork + /proc"
 )
@@ -160,10 +162,10 @@ class TestWhereCellsRun:
         by_hand = SweepService(ResultStore(str(tmp_path / "b")), workers=0)
         assert set(multiprocessing.active_children()) == children  # no fork
         try:
-            ack = stub.submit(protocol.submit_message([CELL_A]))
+            ack = submit(stub, protocol.submit_message([CELL_A]))
             assert stub.get_job(str(ack["job"])).finished.wait(timeout=30)
             assert _PidEngine.pids == [os.getpid()]
-            by_hand.submit(protocol.submit_message([CELL_A]))
+            submit(by_hand, protocol.submit_message([CELL_A]))
             assert by_hand.process_queued() == 1
             assert by_hand.counters["cells_simulated"] == 1
             assert stub.health()["workers"] == {"configured": 2, "alive": 0}
@@ -191,7 +193,7 @@ def _store_files(root):
 
 def _fill(service, cells, verify=False):
     """Submit ``cells``, get them simulated, return the result envelope."""
-    ack = service.submit(protocol.submit_message(list(cells), verify=verify))
+    ack = submit(service, protocol.submit_message(list(cells), verify=verify))
     if not service.health()["workers"]["configured"]:
         service.process_queued()
     job = service.get_job(str(ack["job"]))
