@@ -44,6 +44,22 @@ def spec(size: str) -> SweepSpec:
     return SweepSpec(WORKLOADS, configs, size=size)
 
 
+#: The paper's value per ``summary`` name (``fidelity.py``): none, the
+#: paper fixes these knobs.
+PAPER = {
+    name: dict(paper=None)
+    for name in (
+        "scoreboard_kind_warp_ratio",
+        "scoreboard_kind_matrix_ratio",
+        "cct_insert_delay_2_ratio",
+        "cct_insert_delay_8_ratio",
+        "cct_insert_delay_32_ratio",
+        "fetch_width_1_ratio",
+        "fetch_width_4_ratio",
+    )
+}
+
+
 def summary(rs: ResultSet) -> Dict[str, float]:
     out = {}
     for preset, field, values, reference in GROUPS.values():

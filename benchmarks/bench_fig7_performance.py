@@ -30,6 +30,39 @@ def spec(size: str) -> SweepSpec:
     return SweepSpec.figure7(size)
 
 
+#: Why the SBI+SWI, SBI and SWI gains miss (``tiny`` grids are 1-4
+#: CTAs, where the gains are not the paper's shape at all).
+_SBI_SWI = (
+    "cause open: sweep the Table 2 knobs (dram_latency, warp_count, "
+    "scoreboard_entries, cct_capacity, fetch_width) on sbi_swi at full; "
+    "ROADMAP item 5 (a), SBI+SWI dropping SBI's co-issue at low occupancy, "
+    "is the first suspect"
+)
+_SBI = (
+    "cause open: the same Table 2 knob sweep on sbi at full; SBI gains only "
+    "where both sides of a branch are ready, so warp_count and dram_latency "
+    "come first"
+)
+_SWI = (
+    "cause open: the same Table 2 knob sweep on swi at full; ROADMAP item "
+    "5 (e), the SWI delivery stage on every dependent link, is the first suspect"
+)
+
+#: The paper's value per ``summary`` name, the band a measurement
+#: matches in, and why a row outside it misses (``fidelity.py``):
+#: Figure 7's gains read to +-5 points.
+PAPER = {
+    "sbi_swi_gain_regular_pct": dict(paper=23.0, band=(18.0, 28.0), because=_SBI_SWI),
+    "sbi_swi_gain_irregular_pct": dict(paper=40.0, band=(35.0, 45.0), because=_SBI_SWI),
+    "sbi_gain_regular_pct": dict(paper=15.0, band=(10.0, 20.0), because=_SBI),
+    "sbi_gain_irregular_pct": dict(paper=41.0, band=(36.0, 46.0), because=_SBI),
+    "swi_gain_regular_pct": dict(paper=25.0, band=(20.0, 30.0), because=_SWI),
+    "swi_gain_irregular_pct": dict(paper=33.0, band=(28.0, 38.0), because=_SWI),
+    "warp64_gain_regular_pct": dict(paper=None),
+    "warp64_gain_irregular_pct": dict(paper=None),
+}
+
+
 def summary(rs: ResultSet) -> Dict[str, float]:
     return {
         "%s_gain_%s_pct" % (config, panel): 100 * (gain - 1)

@@ -30,6 +30,30 @@ def _pair(rs: ResultSet, mode: str):
     return rs.filter(config=(on, off)), on, off
 
 
+#: The paper's value per ``summary`` name, the band a measurement
+#: matches in, and why a row outside it misses (``fidelity.py``).
+PAPER = {
+    "sbi_constraints_gain_pct": dict(
+        paper=0.0, band=(-0.1, 0.1),
+        because="cause open: constraints on and off per kernel at full (the "
+        "paper's per-kernel bars), to find the kernels that gain from waiting "
+        "at reconvergence",
+    ),
+    "sbi_issue_delta_regular_pct": dict(
+        paper=-1.3, band=(-2.3, -0.3),
+        because="cause open: issue counts with constraints on and off per "
+        "regular kernel at full; the regular kernels here diverge less than "
+        "the paper's",
+    ),
+    "sbi_issue_delta_irregular_pct": dict(
+        paper=-5.5, band=(-7.5, -3.5),
+        because="cause open: the same per-kernel issue-count sweep over the "
+        "irregular kernels at full",
+    ),
+    "sbi_swi_constraints_gain_pct": dict(paper=None),
+}
+
+
 def summary(rs: ResultSet) -> Dict[str, float]:
     out = {}
     for mode in MODES:

@@ -24,6 +24,21 @@ def spec(size: str) -> SweepSpec:
     return grid.with_axes(lane_shuffle=lanes.POLICIES)
 
 
+#: The paper's value per ``summary`` name, the band a measurement
+#: matches in, and why a row outside it misses (``fidelity.py``).
+PAPER = {
+    "xor_rev_gain_pct": dict(
+        paper=1.4, band=(0.4, 2.4),
+        because="cause open: the lane-shuffle sweep per irregular kernel at "
+        "full, against the paper's best case (Needleman-Wunsch +7.7); at tiny "
+        "too few warps are resident for a mapping to matter",
+    ),
+    "mirror_odd_gain_pct": dict(paper=None),
+    "mirror_half_gain_pct": dict(paper=None),
+    "xor_gain_pct": dict(paper=None),
+}
+
+
 def summary(rs: ResultSet) -> Dict[str, float]:
     return {
         "%s_gain_pct" % config.split("=")[1]: 100 * (gain - 1)

@@ -26,6 +26,16 @@ def spec(size: str) -> SweepSpec:
     return grid.with_axes(swi_ways=[None, *WAYS])
 
 
+#: The paper's value per ``summary`` name, the band a measurement
+#: matches in, and why a row outside it misses (``fidelity.py``):
+#: direct-mapped keeps "at least 85 %".
+PAPER = {
+    "direct_mapped_ratio": dict(paper=0.85, band=(0.85, 1.0)),
+    "three_way_ratio": dict(paper=None),
+    "eleven_way_ratio": dict(paper=None),
+}
+
+
 def summary(rs: ResultSet) -> Dict[str, float]:
     kept = rs.geo_mean(base=BASE)
     return {"%s_ratio" % label: kept["swi/swi_ways=%d" % ways] for ways, label in WAYS.items()}

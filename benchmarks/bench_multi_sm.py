@@ -32,6 +32,14 @@ def spec(size: str) -> SweepSpec:
     return SweepSpec(WORKLOADS, devices, size=size)
 
 
+#: The paper's value per ``summary`` name (``fidelity.py``): none, the
+#: paper models one SM.
+PAPER = {
+    name: dict(paper=None)
+    for name in ("baseline_scaling_ratio", "sbi_swi_scaling_ratio", "min_scaling_ratio")
+}
+
+
 def summary(rs: ResultSet) -> Dict[str, float]:
     out = {}
     rows = []

@@ -24,6 +24,14 @@ def spec(size: str) -> SweepSpec:
     return SweepSpec.from_presets(POLICY_SET, WORKLOADS, size)
 
 
+#: The paper's value per ``summary`` name (``fidelity.py``): none, these
+#: policies are not the paper's.
+PAPER = {
+    name: dict(paper=None)
+    for name in ("swi_greedy_gain_pct", "swi_rr_gain_pct", "warp64_gain_pct", "dwr_gain_pct")
+}
+
+
 def summary(rs: ResultSet) -> Dict[str, float]:
     return {
         "%s_gain_pct" % policy: 100 * (gain - 1)

@@ -1,0 +1,162 @@
+"""The fidelity scorecard: every figure's ``summary`` against the paper.
+
+    PYTHONPATH=src python benchmarks/fidelity.py --size bench [--jobs N]
+
+runs each sweep-shaped ``benchmarks/bench_*.py`` module's ``spec(size)``
+through ``Engine(jobs=N)`` and merges column ``size`` into
+``FIDELITY.json`` (``--out`` writes elsewhere): one row per ``summary``
+name, plus one ``peak_ipc_<config>`` row per Figure 7 configuration
+(``SMConfig.peak_ipc``; the paper's 64 and 104).  A module's ``PAPER``
+table gives, per summary name, the paper's value (None where the paper
+gives none), a tolerance band and, for a row outside its band, a
+``because``.  A row's status, per size:
+
+``match``       the measurement is inside the band;
+``shape-only``  outside, but on the paper's side of 0 for a gain
+                (``*_pct``) or of 1 for a ratio (``*_ratio``);
+``deviates``    otherwise;
+``unscored``    the paper gives no value.
+
+A row that is ``shape-only`` or ``deviates`` at any size must carry a
+``because``; the script names every one that does not and writes
+nothing.  It lives beside the modules, not in ``repro``, because
+``summary()`` is not in the installed package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import importlib.util
+import json
+import os
+import sys
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.api import Engine
+from repro.core import presets
+from repro.workloads import normalize_size
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DEFAULT_OUT = os.path.join(os.path.dirname(HERE), "FIDELITY.json")
+
+#: The paper's peak thread IPC per Figure 7 configuration: 64 for the
+#: 32-wide baseline and the 64-wide reference, 104 with interweaving.
+PEAK_IPC = {"baseline": 64.0, "sbi": 104.0, "swi": 104.0, "sbi_swi": 104.0, "warp64": 64.0}
+
+STATUSES = ("match", "shape-only", "deviates", "unscored")
+
+
+def load(path: str):
+    """A ``bench_*.py`` module, loaded by path (``benchmarks/`` is no
+    package)."""
+    name = os.path.basename(path)[:-3]
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sweep_modules() -> Iterator:
+    """Every sweep-shaped figure module (one with a ``spec``), by name."""
+    for path in sorted(glob.glob(os.path.join(HERE, "bench_*.py"))):
+        module = load(path)
+        if hasattr(module, "spec"):
+            yield module
+
+
+def status(
+    name: str, measured: float, paper: Optional[float], band: Optional[Sequence[float]]
+) -> str:
+    """The scorecard rule (the module docstring's table)."""
+    if paper is None:
+        return "unscored"
+    low, high = band
+    if low <= measured <= high:
+        return "match"
+    pivot = 0.0 if name.endswith("_pct") else 1.0 if name.endswith("_ratio") else None
+    if pivot is not None and (measured - pivot) * (paper - pivot) > 0:
+        return "shape-only"
+    return "deviates"
+
+
+def measure(size: str, jobs: Optional[int]) -> Iterator[Tuple[str, str, float, Dict]]:
+    """``(name, figure, value, paper entry)`` for every row at ``size``."""
+    engine = Engine(jobs=jobs)
+    for module in sweep_modules():
+        # tests/test_figures.py holds PAPER's keys to the summary's.
+        for name, value in module.summary(engine.run(module.spec(size))).items():
+            yield name, module.__name__, value, module.PAPER[name]
+    for config, paper in PEAK_IPC.items():
+        yield (
+            "peak_ipc_%s" % config, "SMConfig.peak_ipc",
+            presets.by_name(config).peak_ipc, dict(paper=paper, band=(paper, paper)),
+        )
+
+
+def merge(rows: Dict[str, Dict], size: str, measured) -> Dict[str, Dict]:
+    """``rows`` with column ``size`` replaced by ``measured``; rows no
+    summary names any more are dropped, other sizes' columns kept."""
+    merged = {}
+    for name, figure, value, entry in measured:
+        old = rows.get(name, {})
+        paper, band = entry.get("paper"), entry.get("band")
+        row = dict(
+            figure=figure,
+            paper=paper,
+            band=None if band is None else list(band),
+            measured=dict(old.get("measured", {}), **{size: round(value, 4)}),
+        )
+        row["status"] = {
+            at: status(name, got, paper, band) for at, got in row["measured"].items()
+        }
+        if entry.get("because"):
+            row["because"] = entry["because"]
+        merged[name] = row
+    return merged
+
+
+def unexplained(rows: Dict[str, Dict]) -> List[str]:
+    """Rows outside their band at some size with no ``because``."""
+    return sorted(
+        name for name, row in rows.items()
+        if "because" not in row
+        and set(row["status"].values()) & {"shape-only", "deviates"}
+    )
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--size", required=True, help="workload size to measure")
+    parser.add_argument("--jobs", type=int, default=None, help="worker processes")
+    parser.add_argument("--out", default=DEFAULT_OUT, help="scorecard to merge into")
+    args = parser.parse_args(argv)
+    size = normalize_size(args.size)
+    rows: Dict[str, Dict] = {}
+    if os.path.exists(args.out):
+        with open(args.out) as handle:
+            rows = json.load(handle)["rows"]
+    merged = merge(rows, size, measure(size, args.jobs))
+    missing = unexplained(merged)
+    if missing:
+        print(
+            "error: outside the band with no because: %s" % ", ".join(missing),
+            file=sys.stderr,
+        )
+        return 1
+    with open(args.out, "w") as handle:
+        json.dump({"rows": merged}, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    counts = [sum(r["status"][size] == s for r in merged.values()) for s in STATUSES]
+    print(
+        "%d rows @%s -> %s (%s)" % (
+            len(merged), size, args.out,
+            ", ".join("%d %s" % pair for pair in zip(counts, STATUSES)),
+        ),
+        file=sys.stderr,
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

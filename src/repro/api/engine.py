@@ -11,8 +11,7 @@ cells to a pluggable execution backend:
     fan uncached cells out over worker processes (:func:`worker_pool`,
     the constructor the ``repro serve`` daemon builds its workers with
     too; simulations are single-threaded and independent, so grids
-    parallelise embarrassingly; every worker honours the same disk
-    cache);
+    parallelise embarrassingly; workers only simulate);
 ``remote``
     submit uncached cells to a ``repro serve`` daemon
     (:mod:`repro.service`) and fold its results into the local caches
@@ -24,8 +23,8 @@ or the exception that failed it.  :meth:`Engine.run` is the one place
 that applies the error policy — fail-fast (``errors="raise"``) or
 collect-and-continue (``errors="collect"``, failed cells end up in
 ``ResultSet.errors`` carrying ``str()`` of what fail-fast would have
-raised) — folds results into the caches, and fires the progress
-callback for every cell as it resolves (with a ``cached`` flag)::
+raised) — folds results into both cache levels for every backend, and
+fires the progress callback for every cell as it resolves::
 
     engine = Engine(jobs=4, cache_dir=".repro_cache")
     rs = engine.run(SweepSpec.figure7(size="smoke"))
@@ -34,6 +33,7 @@ callback for every cell as it resolves (with a ``cached`` flag)::
 
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 import os
@@ -106,57 +106,31 @@ def _build_and_simulate(
     size: str,
     config: AnyConfig,
     verify: bool,
+    observers: Tuple[str, ...] = (),
+    bins: Optional[int] = None,
     build=get_workload,
     sim=simulate,
     sim_device=simulate_device,
-    observers=(),
-) -> AnyStats:
-    """Build one cell's workload, simulate it, and under ``verify``
-    check its outputs against the numpy reference."""
+) -> Tuple[AnyStats, Dict[str, Observer]]:
+    """The one function every backend runs a cell in (module-level, so
+    it pickles; it opens no cache): build the workload and the named
+    ``observers``, simulate with them attached, check the outputs under
+    ``verify``, and return the stats with the observers by name."""
+    attached: Dict[str, Observer] = {}
+    if observers:
+        # Importing the package registers the built-in aggregators.
+        from repro.analytics import make_aggregators
+
+        attached = make_aggregators(observers, bins=bins)
     inst = build(workload, size)
     # Only pass the keyword when observers are attached so injected
     # simulate_fn doubles that ignore it keep working unchanged.
-    kwargs = {"observers": list(observers)} if observers else {}
+    kwargs = {"observers": list(attached.values())} if attached else {}
     run = sim_device if isinstance(config, GPUConfig) else sim
     stats = run(inst.kernel, inst.memory, config, **kwargs)
     if verify and inst.numpy_check is not None:
         inst.numpy_check(inst.memory)
-    return stats
-
-
-def _compute_cell(
-    workload: str,
-    size: str,
-    config: AnyConfig,
-    verify: bool,
-    memo: Dict,
-    disk_dir: Optional[str],
-    **hooks,
-) -> AnyStats:
-    """One cell through ``memo`` and the disk level at ``disk_dir``.
-
-    ``verify=True`` always simulates (the functional outputs must
-    exist to be checked against the numpy reference) but still stores
-    the result.  :meth:`Engine.run_cell` and the process pool's
-    workers are both this function (module-level, so it pickles):
-    workers re-check the disk level — a sibling may have stored the
-    cell meanwhile — and store their own results, with a memo nobody
-    reads again, since the parent folds the returned stats into its own.
-    """
-    key = result_cache.cell_key(workload, size, config)
-    if not verify and key in memo:
-        return memo[key]
-    digest = result_cache.cell_hash(workload, size, config) if disk_dir else None
-    if disk_dir and not verify:
-        stats = result_cache.disk_load(disk_dir, workload, size, config, digest)
-        if stats is not None:
-            memo[key] = stats
-            return stats
-    stats = _build_and_simulate(workload, size, config, verify, **hooks)
-    memo[key] = stats
-    if disk_dir:
-        result_cache.disk_store(disk_dir, workload, size, config, stats, digest)
-    return stats
+    return stats, attached
 
 
 #: Seconds between a pool worker's checks that its parent is alive.
@@ -258,9 +232,9 @@ def _check_server(server: object) -> urllib.parse.SplitResult:
 def worker_pool(
     jobs: Optional[int], plugins: Tuple[str, ...] = ()
 ) -> ProcessPoolExecutor:
-    """The processes that run :func:`_compute_cell` outside the calling
-    process — for the ``process`` backend and for the ``repro serve``
-    daemon alike.  ``jobs`` is taken as given: None is one worker per
+    """The processes that run :func:`_build_and_simulate` outside the
+    calling process — for the ``process`` backend and for the ``repro
+    serve`` daemon alike.  ``jobs`` is taken as given: None is one worker per
     core, ``n >= 1`` is n.  Workers follow their parent down within
     about :data:`PARENT_POLL_S` however it dies."""
     _check_jobs(jobs)
@@ -304,8 +278,6 @@ class Engine:
         if backend is None:
             if server is not None:
                 backend = "remote"
-            elif observers:
-                backend = "inline"
             else:
                 backend = "process" if jobs is not None and jobs > 1 else "inline"
         if backend not in BACKENDS:
@@ -327,10 +299,10 @@ class Engine:
                 "path's degraded mode), got backend=%r" % backend
             )
         if observers:
-            if backend != "inline":
+            if backend == "remote":
                 raise ValueError(
-                    "observers require the inline backend (observed cells "
-                    "must simulate in this process), got backend=%r" % backend
+                    "observers run inline or on the process backend, not on "
+                    "the remote backend: a repro serve daemon returns stats only"
                 )
             # Importing the package registers the built-in aggregators.
             from repro.analytics import make_aggregators
@@ -372,9 +344,6 @@ class Engine:
     # Single cells
     # ------------------------------------------------------------------
 
-    def _disk_dir(self, cache: bool) -> Optional[str]:
-        return result_cache.resolve_dir(self.cache_dir) if cache else None
-
     def run_cell(
         self,
         workload: str,
@@ -389,10 +358,22 @@ class Engine:
         exist to be checked against the numpy reference) but still
         stores the result when ``cache`` is on.
         """
-        return _compute_cell(
-            workload, normalize_size(size), config, verify,
-            self.memo if cache else {}, self._disk_dir(cache), **self._hooks,
-        )
+        size = normalize_size(size)
+        memo = self.memo if cache else {}
+        key = result_cache.cell_key(workload, size, config)
+        if not verify and key in memo:
+            return memo[key]
+        disk_dir = result_cache.resolve_dir(self.cache_dir) if cache else None
+        digest = result_cache.cell_hash(workload, size, config) if disk_dir else None
+        stats: Optional[AnyStats] = None
+        if disk_dir and not verify:
+            stats = result_cache.disk_load(disk_dir, workload, size, config, digest)
+        if stats is None:
+            stats = _build_and_simulate(workload, size, config, verify, **self._hooks)[0]
+            if disk_dir:
+                result_cache.disk_store(disk_dir, workload, size, config, stats, digest)
+        memo[key] = stats
+        return stats
 
     # ------------------------------------------------------------------
     # Sweeps
@@ -418,7 +399,7 @@ class Engine:
             raise ValueError("errors must be one of %s" % (ERROR_POLICIES,))
 
         cells = spec.cells()
-        disk_dir = self._disk_dir(cache=True)
+        disk_dir = result_cache.resolve_dir(self.cache_dir)
         addressed = bool(disk_dir) or self.backend == "remote"
         # A grid is few configs x many workloads: walk each config once
         # for its memo key and — where a disk level or a daemon is asked
@@ -483,10 +464,6 @@ class Engine:
 
         if pending:
             runner = getattr(self, "_run_%s" % self.backend)
-            # Pool workers persist their own cells (a fail-fast abort
-            # keeps whatever already finished); every other backend's
-            # results land on disk here.
-            store_dir = None if self.backend == "process" else disk_dir
             address = {key: digest for key, _, digest, _ in pending}
             # Closing the runner on the way out — normally or through a
             # fail-fast raise — is what lets the pool drop queued cells.
@@ -503,9 +480,9 @@ class Engine:
                         emit(cell, cached=False, error=text)
                         continue
                     self.memo[key] = got
-                    if store_dir:
+                    if disk_dir:
                         result_cache.disk_store(
-                            store_dir, cell.workload, cell.size, cell.config, got,
+                            disk_dir, cell.workload, cell.size, cell.config, got,
                             address[key],
                         )
                     outcome[slot] = got
@@ -532,41 +509,35 @@ class Engine:
     # one ``(key, cell, stats or exception, cached, source)`` and leaves
     # the error policy, the caches and progress to :meth:`run`.
 
+    def _resolved(
+        self,
+        key: Tuple,
+        cell: Cell,
+        ran: Callable[[], Tuple[AnyStats, Dict[str, Observer]]],
+    ) -> CellOutcome:
+        """One simulated cell's outcome: what ``ran()`` returns or
+        raises.  Its observers, if any, are kept in :attr:`observations`."""
+        try:
+            stats, observers = ran()
+        except Exception as exc:
+            return key, cell, exc, False, None
+        if observers:
+            self.observations[(cell.workload, cell.size, cell.config_name)] = observers
+        return key, cell, stats, False, None
+
     def _run_inline(self, pending, verify) -> Iterator[CellOutcome]:
         for key, cell, _, _ in pending:
-            observers: Dict[str, Observer] = {}
-            if self.observer_names:
-                from repro.analytics import make_aggregators
-
-                observers = make_aggregators(
-                    self.observer_names, bins=self.observer_bins
-                )
-            try:
-                stats = _build_and_simulate(
-                    cell.workload, cell.size, cell.config, verify,
-                    observers=observers.values(), **self._hooks,
-                )
-            except Exception as exc:
-                yield key, cell, exc, False, None
-                continue
-            if observers:
-                self.observations[
-                    (cell.workload, cell.size, cell.config_name)
-                ] = observers
-            yield key, cell, stats, False, None
+            yield self._resolved(key, cell, functools.partial(
+                _build_and_simulate, cell.workload, cell.size, cell.config, verify,
+                self.observer_names, self.observer_bins, **self._hooks,
+            ))
 
     def _run_process(self, pending, verify) -> Iterator[CellOutcome]:
-        disk_dir = self._disk_dir(cache=True)
         with worker_pool(self.jobs, self.plugins) as pool:
             futures = {
                 pool.submit(
-                    _compute_cell,
-                    cell.workload,
-                    cell.size,
-                    cell.config,
-                    verify,
-                    {},
-                    disk_dir,
+                    _build_and_simulate, cell.workload, cell.size, cell.config,
+                    verify, self.observer_names, self.observer_bins,
                 ): (key, cell)
                 for key, cell, _, _ in pending
             }
@@ -574,16 +545,10 @@ class Engine:
             # behind a slow early cell.
             try:
                 for future in as_completed(futures):
-                    key, cell = futures[future]
-                    try:
-                        got = future.result()
-                    except Exception as exc:
-                        got = exc
-                    yield key, cell, got, False, None
+                    yield self._resolved(*futures[future], future.result)
             except BaseException:
                 # Fail fast (the consumer closed us): drop every queued
-                # cell; only cells already running finish (and still
-                # land in the disk cache).
+                # cell; the running ones finish unrecorded.
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
 

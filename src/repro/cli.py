@@ -299,7 +299,8 @@ def _policy_json(spec) -> dict:
 
 
 def _cmd_policies(args) -> int:
-    # Populate the scheduler registry for the catalogue footer.
+    # Populate the scheduler and observer registries for the footer.
+    import repro.analytics  # noqa: F401
     import repro.core.schedulers  # noqa: F401
     from repro.core import presets
     from repro.core.policy import DIVERGENCE, OBSERVERS, POLICIES, SCHEDULERS
@@ -647,8 +648,9 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         action="append",
         metavar="NAME",
         help="attach a registered observer to every cell (repeatable; "
-        "forces the inline backend and bypasses the result cache — "
-        "see repro policies for names, e.g. timeline, heatmap, origins)",
+        "runs inline or with --jobs N, not with --server, and bypasses "
+        "cache reads — see repro policies for names, e.g. timeline, "
+        "heatmap, origins)",
     )
     p.add_argument(
         "--server",
@@ -868,7 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--resume",
         action="store_true",
-        help="replay the journal on startup and requeue unfinished jobs",
+        help="requeue the journal's unfinished jobs on startup (without it "
+        "they stay journalled, and new job ids continue past theirs)",
     )
     p.add_argument(
         "--fault-plan",

@@ -8,8 +8,8 @@ decode, triage and answer.  *Dispatcher threads* (``--workers N`` of
 them) drain the queue and own everything that touches daemon state:
 the worker fault site, the store write, the journal append, waiter
 resolution and the counters.  Each hands the one pure step — simulating
-the cell, :func:`repro.api.engine._compute_cell` with no cache
-directory — to one of N *worker processes*
+the cell in :func:`repro.api.engine._build_and_simulate`, the function
+every backend runs a cell in — to one of N *worker processes*
 (:func:`repro.api.engine.worker_pool`, the ``process`` backend's
 constructor) and blocks off the GIL for the answer, so N workers are N
 cores and requests never wait on a simulation for the interpreter.
@@ -86,7 +86,7 @@ from multiprocessing.process import BaseProcess
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, cast
 
 from repro.api.cache import AnyStats, is_cell_digest, stats_to_payload
-from repro.api.engine import Engine, _compute_cell, worker_pool
+from repro.api.engine import Engine, _build_and_simulate, worker_pool
 from repro.service import protocol
 from repro.service.faults import (
     FAULT_CRASH_AFTER_PUBLISH,
@@ -101,10 +101,9 @@ from repro.service.faults import (
     FaultInjected,
     FaultPlan,
 )
-from repro.service.journal import JobJournal, resolve_journal_path
+from repro.service.journal import JobJournal, JournalJob, resolve_journal_path
 from repro.service.protocol import ProtocolError, SubmittedCell
 from repro.service.store import KeptEntry, ResultStore, resolve_store_dir
-from repro.workloads import normalize_size
 
 #: Protocol error code -> HTTP status.
 _HTTP_STATUS: Dict[str, int] = {
@@ -276,7 +275,9 @@ class SweepService:
     ``journal`` (a :class:`~repro.service.journal.JobJournal`) makes
     jobs durable: a submission with work left is journalled *before*
     the ack leaves (write-ahead) and every cell resolution is appended,
-    so :meth:`resume` can rebuild unfinished work after a crash.
+    so :meth:`resume` can rebuild unfinished work after a crash.  The
+    service compacts it to its unfinished jobs on opening it, resumed or
+    not, and numbers new jobs past every id it held.
     ``fault_plan`` threads the deterministic fault injector into the
     dispatchers — worker faults fire in this process, never in a worker
     process (the HTTP handler and store carry their own hooks).
@@ -296,6 +297,11 @@ class SweepService:
             raise ValueError("queue_limit must be >= 1")
         self.store = store
         self.journal = journal
+        self._next_job = 0
+        #: The journal's unfinished jobs, which only :meth:`resume` requeues.
+        self._unfinished: List[JournalJob] = []
+        if journal is not None:  # before the fork: a bad journal leaves no worker
+            self._open_journal(journal)
         self.fault_plan = fault_plan
         self.queue_limit = queue_limit
         self.retry_after = retry_after
@@ -322,7 +328,6 @@ class SweepService:
         self._jobs: Dict[str, Job] = {}
         self._finished: Deque[str] = collections.deque()
         self._pending = 0
-        self._next_job = 0
         self.counters: Dict[str, int] = {name: 0 for name in COUNTERS}
         self._threads: List[threading.Thread] = []
         self._stopping = False
@@ -583,8 +588,20 @@ class SweepService:
         if self.journal is not None:
             self.journal.close()
 
+    def _open_journal(self, journal: JobJournal) -> None:
+        """Compact ``journal`` to its unfinished jobs and number new
+        jobs past every id it held, whether or not they are resumed: a
+        reused id would shadow the journalled job on the next replay."""
+        replayed = journal.replay()
+        self._unfinished = [job for job in replayed if not job.finished]
+        journal.rotate(self._unfinished)
+        for recorded in replayed:
+            suffix = recorded.job_id.lstrip("j")
+            if suffix.isdigit():
+                self._next_job = max(self._next_job, int(suffix))
+
     def resume(self) -> int:
-        """Rebuild unfinished journalled jobs; returns how many.
+        """Requeue the journal's unfinished jobs; returns how many.
 
         For every journal job that never reached a terminal state:
         cells the journal records as resolved are restored as recorded
@@ -593,22 +610,15 @@ class SweepService:
         unresolved cells are re-triaged exactly like a fresh
         submission (store hit, coalesce, or queue).  Job ids are
         preserved, so a client polling a pre-crash job id finds its
-        job again.  Afterwards the journal is compacted to just the
-        live jobs.
+        job again.  The journal was compacted to these jobs when this
+        service opened it, so the resolutions re-recorded below land
+        after a clean rotation.
         """
         if self.journal is None:
             raise ValueError("cannot resume without a journal")
-        replayed = self.journal.replay()
-        live = [job for job in replayed if not job.finished]
-        # Compact first: finished jobs leave the journal, and the
-        # resolutions re-recorded below land after a clean rotation.
-        self.journal.rotate(live)
+        live, self._unfinished = self._unfinished, []
         resumed = 0
         with self._lock:
-            for recorded in replayed:
-                suffix = recorded.job_id.lstrip("j")
-                if suffix.isdigit():
-                    self._next_job = max(self._next_job, int(suffix))
             for recorded in live:
                 # No reader can hold this job yet (see submit_line).
                 job = Job(recorded.job_id, len(recorded.cells), recorded.verify, self._lock)
@@ -679,8 +689,7 @@ class SweepService:
         if pool is not None:
             try:
                 future = pool.submit(
-                    _compute_cell, cell.workload, normalize_size(cell.size),
-                    cell.config, work.verify, {}, None,
+                    _build_and_simulate, cell.workload, cell.size, cell.config, work.verify
                 )
             except BrokenProcessPool:
                 self._pool = pool = None  # a sibling's cell found out first
@@ -689,7 +698,7 @@ class SweepService:
                 cell.workload, cell.size, cell.config, verify=work.verify, cache=False
             )
         try:
-            return future.result()
+            return future.result()[0]
         except BrokenProcessPool as exc:
             self._pool = None
             raise WorkerProcessDied(

@@ -249,12 +249,12 @@ class JobJournal:
 
         Torn or blank lines are dropped (only the final line can be
         torn under the flush-per-append discipline); structurally
-        invalid complete records, bytes that are not UTF-8 and a record
-        nested too deeply to decode raise :class:`JournalError` — a
-        corrupt journal must fail resume loudly, not resume a subset.
+        invalid complete records, a job id recorded twice, bytes that
+        are not UTF-8 and a record nested too deeply to decode raise
+        :class:`JournalError` — a corrupt journal must fail loudly, not
+        resume a subset.
         """
         jobs: Dict[str, JournalJob] = {}
-        order: List[str] = []
         if not os.path.exists(path):
             return []
         for record in cls._records(path):
@@ -266,8 +266,10 @@ class JobJournal:
             rec_type = record.get("type")
             if rec_type == REC_JOB:
                 job = cls._decode_job(record)
-                if job.job_id not in jobs:
-                    order.append(job.job_id)
+                if job.job_id in jobs:
+                    raise JournalError(
+                        "journal %s repeats job id %s" % (path, job.job_id)
+                    )
                 jobs[job.job_id] = job
             elif rec_type == REC_CELL:
                 job_id = str(record.get("job", ""))
@@ -297,7 +299,7 @@ class JobJournal:
                     "journal %s has unknown record type %r"
                     % (path, rec_type)
                 )
-        return [jobs[job_id] for job_id in order]
+        return list(jobs.values())
 
     def replay(self) -> List[JournalJob]:
         return self.replay_path(self.path)

@@ -296,14 +296,51 @@ class TestEngineWiring:
         assert events and all(not e.cached for e in events)
         assert len(engine.observations) == 2
 
-    def test_observers_require_inline_backend(self):
-        with pytest.raises(ValueError, match="inline"):
-            Engine(backend="process", observers=["origins"])
-
     def test_unknown_observer_rejected_eagerly(self):
         with pytest.raises(ValueError, match="observer"):
             Engine(observers=["nope"])
 
-    def test_observers_default_to_inline_even_with_jobs(self):
-        engine = Engine(jobs=4, observers=["origins"])
-        assert engine.backend == "inline"
+    def test_the_remote_backend_refuses_observers_by_name(self):
+        with pytest.raises(ValueError, match="remote backend"):
+            Engine(server="http://127.0.0.1:8421", observers=["origins"])
+
+
+class TestObservedProcessBackend:
+    """Observed cells run in the one cell function on pool workers too,
+    and come back with snapshots equal to the inline run's."""
+
+    NAMES = ["timeline", "heatmap", "origins"]
+    SPEC = SweepSpec(
+        workloads=["bfs", "histogram"],
+        configs={
+            "sbi_swi": presets.sbi_swi(),
+            "dev2": presets.device("sbi_swi", sm_count=2),
+        },
+        sizes=["tiny"],
+    )
+
+    @staticmethod
+    def _snapshots(engine):
+        return {
+            cell: {name: ob.snapshot() for name, ob in obs.items()}
+            for cell, obs in engine.observations.items()
+        }
+
+    def test_jobs_pick_the_process_backend_with_observers(self):
+        assert Engine(jobs=4, observers=["origins"]).backend == "process"
+
+    def test_process_snapshots_equal_inline_and_bypass_cache_reads(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        Engine(cache_dir=cache, memo={}).run(self.SPEC)  # warm both levels
+        inline = Engine(cache_dir=cache, memo={}, observers=self.NAMES)
+        inline_rs = inline.run(self.SPEC)
+        events = []
+        fanned = Engine(
+            jobs=2, cache_dir=cache, memo={}, observers=self.NAMES,
+            progress=events.append,
+        )
+        assert fanned.backend == "process"
+        assert fanned.run(self.SPEC) == inline_rs
+        assert len(events) == 4 and not any(e.cached for e in events)
+        assert len(fanned.observations) == 4
+        assert self._snapshots(fanned) == self._snapshots(inline)

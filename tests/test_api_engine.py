@@ -1,5 +1,6 @@
 """Engine execution: backends, caching, error policies."""
 
+import hashlib
 import os
 
 import pytest
@@ -120,6 +121,30 @@ class TestBackendParity:
         events = []
         Engine(jobs=2, cache_dir=cache_dir, progress=events.append).run(SMALL)
         assert all(e.cached for e in events)
+
+
+def _file_digests(root):
+    """``{relative path: sha256}`` of every file under ``root``."""
+    found = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as handle:
+                found[os.path.relpath(path, root)] = hashlib.sha256(
+                    handle.read()
+                ).hexdigest()
+    return found
+
+
+class TestOneCacheWriter:
+    def test_process_sweep_leaves_the_inline_sweeps_files(self, tmp_path):
+        """The parent writes the disk level for every backend, so the
+        same sweep leaves the same files, byte for byte."""
+        Engine(cache_dir=str(tmp_path / "inline"), memo={}).run(SMALL)
+        Engine(jobs=2, cache_dir=str(tmp_path / "process"), memo={}).run(SMALL)
+        inline = _file_digests(str(tmp_path / "inline"))
+        assert len(inline) == 4
+        assert _file_digests(str(tmp_path / "process")) == inline
 
 
 class TestPoolSize:

@@ -219,6 +219,14 @@ class TestPolicies:
             assert name in proc.stdout
         assert "cascaded" in proc.stderr  # scheduler catalogue footer
 
+    def test_footer_names_every_observer(self):
+        footer = run_cli("policies").stderr
+        (line,) = [l for l in footer.splitlines() if l.startswith("observers")]
+        names = line.split(":", 1)[1].split(", ")
+        assert sorted(n.strip() for n in names) == [
+            "counter", "heatmap", "issue_trace", "origins", "timeline",
+        ]
+
     def test_json_listing(self):
         specs = json.loads(run_cli("policies", "--json").stdout)
         byname = {s["name"]: s for s in specs}

@@ -111,3 +111,72 @@ def test_failed_cell_fails_the_figure_by_name(name, monkeypatch):
     with pytest.raises(AssertionError, match=re.escape(victim.config_name)):
         test(rs, report, "tiny")
     assert not sections
+
+
+# ----------------------------------------------------------------------
+# The fidelity scorecard (``benchmarks/fidelity.py``), read without
+# simulating: the committed ``FIDELITY.json`` against the PAPER tables.
+# ----------------------------------------------------------------------
+
+with open(os.path.join(ROOT, "FIDELITY.json")) as _f:
+    FIDELITY = json.load(_f)["rows"]
+
+PEAK_ROWS = {
+    "peak_ipc_%s" % config for config in ("baseline", "sbi", "swi", "sbi_swi", "warp64")
+}
+
+
+def _rule(name, measured, paper, band):
+    """The scorecard's status rule, restated."""
+    if paper is None:
+        return "unscored"
+    if band[0] <= measured <= band[1]:
+        return "match"
+    pivot = {"pct": 0.0, "ratio": 1.0}.get(name.rsplit("_", 1)[-1])
+    if pivot is not None and (measured - pivot) * (paper - pivot) > 0:
+        return "shape-only"
+    return "deviates"
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_paper_table_keys_are_the_summary_keys(name):
+    assert set(_load(name).PAPER) == set(GOLDEN[name])
+
+
+def test_fidelity_rows_are_the_summary_names_and_peak_ipc():
+    names = {key for summary in GOLDEN.values() for key in summary}
+    assert set(FIDELITY) == names | PEAK_ROWS
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_fidelity_rows_carry_the_paper_table(name):
+    """Editing a PAPER table means regenerating the scorecard."""
+    for key, entry in _load(name).PAPER.items():
+        row = FIDELITY[key]
+        assert row["figure"] == name
+        assert row["paper"] == entry.get("paper")
+        assert row["band"] == (None if "band" not in entry else list(entry["band"]))
+        assert row.get("because") == entry.get("because")
+
+
+def test_fidelity_columns():
+    """``bench`` for every row, ``full`` for Figure 7's."""
+    for key, row in FIDELITY.items():
+        assert "bench" in row["measured"], key
+        if row["figure"] == "bench_fig7_performance":
+            assert "full" in row["measured"], key
+
+
+def test_every_recorded_status_is_the_rules():
+    for key, row in FIDELITY.items():
+        assert set(row["status"]) == set(row["measured"]), key
+        for size, measured in row["measured"].items():
+            assert row["status"][size] == _rule(key, measured, row["paper"], row["band"]), (
+                key, size,
+            )
+
+
+def test_every_row_off_its_band_says_why():
+    for key, row in FIDELITY.items():
+        if set(row["status"].values()) & {"shape-only", "deviates"}:
+            assert row.get("because"), key

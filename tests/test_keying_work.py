@@ -42,7 +42,6 @@ import pytest
 
 from repro.api import Engine, SweepSpec
 from repro.api import cache as result_cache
-from repro.api import engine as engine_module
 from repro.core import presets
 from repro.service import protocol
 from repro.service.daemon import make_server
@@ -260,14 +259,15 @@ def remote_client_work(kernels: int, store_dir: str):
 
 
 def compute_cell_miss_walks(cache_dir: str) -> int:
-    """Walks of one ``_compute_cell`` (``Engine.run_cell``, a pool
-    worker) that misses both levels, simulates and stores."""
+    """Walks of one ``Engine.run_cell`` that misses both levels,
+    simulates and stores."""
+    engine = Engine(
+        cache_dir=cache_dir, memo={},
+        workload_factory=lambda workload, size: mock.Mock(numpy_check=None),
+        simulate_device_fn=lambda kernel, memory, config: DeviceStats(cycles=7),
+    )
     with Walks().counting() as walks:
-        engine_module._compute_cell(
-            "histogram", "tiny", CONFIGS["dev"], False, {}, cache_dir,
-            build=lambda workload, size: mock.Mock(numpy_check=None),
-            sim_device=lambda kernel, memory, config: DeviceStats(cycles=7),
-        )
+        engine.run_cell("histogram", "tiny", CONFIGS["dev"])
     assert result_cache.disk_load(cache_dir, "histogram", "tiny", CONFIGS["dev"]).cycles == 7
     return walks.count
 
@@ -364,7 +364,7 @@ def main() -> None:
             PARENT_REMOTE_PER_CONFIG * len(CONFIGS), walks,
         ))
     with tempfile.TemporaryDirectory() as tmp:
-        print("| _compute_cell, miss with a disk level | 1 x 1 | %d | %d |" % (
+        print("| Engine.run_cell, miss with a disk level | 1 x 1 | %d | %d |" % (
             PARENT_MISS, compute_cell_miss_walks(tmp)
         ))
     with tempfile.TemporaryDirectory() as tmp:

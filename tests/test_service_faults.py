@@ -703,6 +703,35 @@ class TestDaemonCrashRecovery:
         assert new_id != old_id
         assert int(new_id.lstrip("j")) > int(old_id.lstrip("j"))
 
+    def test_a_restart_without_resume_keeps_the_unfinished_job(self, tmp_path):
+        """A acks a job and stops; B, started without ``--resume``,
+        numbers its own job past it and finishes that; C, with
+        ``--resume``, still resumes A's job."""
+        a = _journalled_service(tmp_path)
+        a_id = _submit(a, cells=(CELL_A,))
+        a.shutdown_gracefully()
+        b = _journalled_service(tmp_path)
+        # B compacted the journal to A's unfinished job on opening it.
+        assert [job.job_id for job in b.journal.replay()] == [a_id]
+        b_id = _submit(b, cells=(CELL_B,))
+        assert b.process_queued() == 1
+        assert b_id != a_id and b.get_job(b_id).state == protocol.JOB_DONE
+        b.shutdown_gracefully()
+        c = _journalled_service(tmp_path)
+        assert [job.job_id for job in c.journal.replay()] == [a_id]  # B's is gone
+        assert c.resume() == 1
+        assert c.process_queued() == 1
+        assert c.get_job(a_id).state == protocol.JOB_DONE
+        c.shutdown_gracefully()
+
+    def test_replay_refuses_a_repeated_job_id(self, tmp_path):
+        path = str(tmp_path / "journal.ndjson")
+        with JobJournal(path) as journal:
+            journal.record_job("j000001", False, _journal_cells())
+            journal.record_job("j000001", False, _journal_cells())
+        with pytest.raises(JournalError, match="repeats job id j000001"):
+            JobJournal.replay_path(path)
+
     def test_resume_without_journal_is_an_error(self, tmp_path):
         service = SweepService(
             ResultStore(str(tmp_path / "store")), workers=0, engine=_StubEngine()

@@ -19,9 +19,11 @@ import pytest
 
 from repro.api import Engine, SweepSpec
 from repro.api import cache as result_cache
+from repro.api.engine import worker_pool
 from repro.core import presets
 from repro.core.policy import POLICIES, PolicySpec, register_policy
 from repro.service import protocol
+from repro.service import store as store_module
 from repro.service.daemon import SweepService, make_server
 from repro.service.faults import FaultPlan
 from repro.service.journal import JobJournal, resolve_journal_path
@@ -94,6 +96,30 @@ def _in_build(monkeypatch, hook):
     monkeypatch.setattr(histogram, "build", build)
 
 
+def _cache_files_in_parent_only(monkeypatch):
+    """Make every cache or store file read or write outside this process
+    raise.  Patched before any pool exists, so forked workers carry it."""
+    parent = os.getpid()
+    patched = (
+        (result_cache, ("read_entry", "disk_load", "disk_store", "atomic_write_text")),
+        (store_module, ("read_entry", "disk_store")),
+    )
+    for module, names in patched:
+        for name in names:
+            real = getattr(module, name)
+
+            def guarded(*args, _real=real, _name=name, **kwargs):
+                if os.getpid() != parent:
+                    raise AssertionError("a pool worker called %s" % _name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, guarded)
+
+
+def _load_cell_a(cache_dir):
+    return result_cache.disk_load(cache_dir, CELL_A[0], CELL_A[1], CELL_A[3])
+
+
 # ----------------------------------------------------------------------
 # (i) Where cells run
 # ----------------------------------------------------------------------
@@ -122,6 +148,27 @@ class TestWhereCellsRun:
         seen = set(pids)
         assert len(seen) == 2 and 0 not in seen
         assert os.getpid() not in seen
+
+    def test_no_pool_worker_reads_or_writes_a_cache_or_store_file(
+        self, tmp_path, monkeypatch
+    ):
+        _cache_files_in_parent_only(monkeypatch)
+        cache = str(tmp_path / "cache")
+        with worker_pool(1) as pool:  # the guard holds in a worker
+            with pytest.raises(AssertionError, match="disk_load"):
+                pool.submit(_load_cell_a, cache).result()
+        # A process-backend sweep and the daemon's pool only simulate:
+        # the parent (the daemon) does every read and write.
+        assert len(Engine(jobs=2, cache_dir=cache, memo={}).run(TINY)) == 2
+        assert len(ResultStore(cache)) == 2
+        service = SweepService(ResultStore(str(tmp_path / "store")), workers=2)
+        try:
+            result = _fill(service, QUICK_CELLS)
+            assert {cell["status"] for cell in result["cells"]} == {protocol.STATUS_OK}
+            assert service.counters["cells_simulated"] == len(QUICK_CELLS)
+        finally:
+            service.shutdown_gracefully()
+        assert len(ResultStore(str(tmp_path / "store"))) == len(QUICK_CELLS)
 
     def test_forks_happen_before_the_first_thread_and_never_again(
         self, tmp_path, monkeypatch
