@@ -5,8 +5,14 @@
 runs each sweep-shaped ``benchmarks/bench_*.py`` module's ``spec(size)``
 through ``Engine(jobs=N)`` and merges column ``size`` into
 ``FIDELITY.json`` (``--out`` writes elsewhere): one row per ``summary``
-name, plus one ``peak_ipc_<config>`` row per Figure 7 configuration
-(``SMConfig.peak_ipc``; the paper's 64 and 104).  A module's ``PAPER``
+name, plus the rows that need no simulation (:func:`static_rows`): one
+``peak_ipc_<config>`` row per Figure 7 configuration
+(``SMConfig.peak_ipc``; the paper's 64 and 104), one
+``area_overhead_pct_<config>`` row per interweaving configuration
+(Table 4's SM overhead, within the 0.25 points
+``bench_table4_area.py`` allows) and one ``storage_bits_<config>`` row
+per Table 3 column (every component's banks x rows x bits, summed,
+against the paper's geometries multiplied out).  A module's ``PAPER``
 table gives, per summary name, the paper's value (None where the paper
 gives none), a tolerance band and, for a row outside its band, a
 ``because``.  A row's status, per size:
@@ -30,11 +36,14 @@ import glob
 import importlib.util
 import json
 import os
+import re
 import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api import Engine
 from repro.core import presets
+from repro.hwcost.area import OVERHEAD_PAPER, overhead_percent
+from repro.hwcost.storage import CONFIGS, STORAGE_PAPER, components
 from repro.workloads import normalize_size
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -43,6 +52,10 @@ DEFAULT_OUT = os.path.join(os.path.dirname(HERE), "FIDELITY.json")
 #: The paper's peak thread IPC per Figure 7 configuration: 64 for the
 #: 32-wide baseline and the 64-wide reference, 104 with interweaving.
 PEAK_IPC = {"baseline": 64.0, "sbi": 104.0, "swi": 104.0, "sbi_swi": 104.0, "warp64": 64.0}
+
+#: Table 4's SM overheads are given to one decimal; the area model is
+#: held to them within this many percentage points.
+AREA_TOLERANCE = 0.25
 
 STATUSES = ("match", "shape-only", "deviates", "unscored")
 
@@ -80,6 +93,38 @@ def status(
     return "deviates"
 
 
+def paper_bits(geometry: str) -> int:
+    """A Table 3 geometry (``"2x 24x 48-bit, banked"``) multiplied out."""
+    shape = geometry.split(",")[0]
+    bits = int(re.search(r"(\d+)-bit", shape).group(1))
+    for factor in re.findall(r"(\d+)x", shape):
+        bits *= int(factor)
+    return bits
+
+
+def static_rows() -> Iterator[Tuple[str, str, float, Dict]]:
+    """``(name, figure, value, paper entry)`` for the rows that need no
+    simulation: the same at every size."""
+    for config, paper in PEAK_IPC.items():
+        yield (
+            "peak_ipc_%s" % config, "SMConfig.peak_ipc",
+            presets.by_name(config).peak_ipc, dict(paper=paper, band=(paper, paper)),
+        )
+    for config, paper in OVERHEAD_PAPER.items():
+        band = (paper - AREA_TOLERANCE, paper + AREA_TOLERANCE)
+        yield (
+            "area_overhead_pct_%s" % config, "hwcost.area.overhead_percent",
+            overhead_percent(config), dict(paper=paper, band=band),
+        )
+    for config in CONFIGS:
+        paper = sum(paper_bits(row[config]) for row in STORAGE_PAPER.values())
+        yield (
+            "storage_bits_%s" % config, "hwcost.storage.total_bits",
+            sum(comp.total_bits for comp in components(config)),
+            dict(paper=paper, band=(paper, paper)),
+        )
+
+
 def measure(size: str, jobs: Optional[int]) -> Iterator[Tuple[str, str, float, Dict]]:
     """``(name, figure, value, paper entry)`` for every row at ``size``."""
     engine = Engine(jobs=jobs)
@@ -87,11 +132,7 @@ def measure(size: str, jobs: Optional[int]) -> Iterator[Tuple[str, str, float, D
         # tests/test_figures.py holds PAPER's keys to the summary's.
         for name, value in module.summary(engine.run(module.spec(size))).items():
             yield name, module.__name__, value, module.PAPER[name]
-    for config, paper in PEAK_IPC.items():
-        yield (
-            "peak_ipc_%s" % config, "SMConfig.peak_ipc",
-            presets.by_name(config).peak_ipc, dict(paper=paper, band=(paper, paper)),
-        )
+    yield from static_rows()
 
 
 def merge(rows: Dict[str, Dict], size: str, measured) -> Dict[str, Dict]:

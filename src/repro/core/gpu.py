@@ -1,4 +1,4 @@
-"""Whole-device model: many SMs behind a shared memory hierarchy.
+"""Whole-device model and the one run loop: SMs behind a shared memory.
 
 A :class:`GPUDevice` shards one kernel grid across ``sm_count``
 :class:`~repro.core.sm.StreamingMultiprocessor` instances.  CTAs are
@@ -12,16 +12,20 @@ set-associative, partitioned across DRAM channels) or, with the L2
 disabled, in private per-SM channels carrying a ``1/sm_count`` share
 of the device bandwidth.
 
-The SMs are driven in lock-step: each global cycle every unfinished
-SM takes one :meth:`~repro.core.sm.StreamingMultiprocessor.step`, and
-idle stretches skip to the earliest event over the whole device.
-Stepping order is fixed (SM 0 first), so runs are deterministic, and
-a ``GPUConfig(sm_count=1)`` device executes the exact event sequence
-of the single-SM :func:`~repro.core.simulator.simulate` path.
+:meth:`GPUDevice.run` is the simulator's only cycle loop: the
+single-SM :func:`~repro.core.simulator.simulate` is a one-SM device.
+Each global cycle every awake SM takes one
+:meth:`~repro.core.sm.StreamingMultiprocessor.step`, and idle
+stretches skip to the earliest event over the whole device.  Stepping
+order is fixed (SM 0 first), so runs are deterministic.  A run that
+wedges (no scheduled event while warps are live) or overruns
+``max_cycles`` raises :class:`~repro.core.sm.SimulationError` with
+the message :func:`deadlock_report` / :func:`overrun_report` build.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import List, Optional
 
 import numpy as np
@@ -30,12 +34,14 @@ from repro.functional.memory import MemoryImage
 from repro.isa.builder import Kernel
 from repro.core.policy import MemEvent
 from repro.core.policy.events import LEVEL_L2
-from repro.core.report import deadlock_report, overrun_report
 from repro.core.sm import SimulationError, StreamingMultiprocessor
 from repro.timing.config import GPUConfig
 from repro.timing.dram import DRAMChannel
 from repro.timing.l2 import L2System
 from repro.timing.stats import DeviceStats
+
+#: The wake of an SM that has finished or has no scheduled event.
+_NEVER = sys.maxsize
 
 
 class CTADispatcher:
@@ -67,8 +73,69 @@ class CTADispatcher:
         return self.grid_size - self.next_cta
 
 
+def overrun_report(kernel_name: str, limit: int, now: int, stats_like, sm_count: int = 1) -> str:
+    """Cycle-limit message: progress counters plus a correct IPC.
+
+    ``stats_like`` needs ``instructions_issued`` and
+    ``thread_instructions`` (a :class:`~repro.timing.stats.Stats` or a
+    device total); ``sm_count`` > 1 appends the device suffix.
+    """
+    cycles = max(now, 1)
+    msg = (
+        "kernel %s exceeded the %d-cycle limit at cycle %d: "
+        "%d instructions issued, %d thread instructions so far "
+        "(IPC %.2f, issue IPC %.3f)"
+        % (
+            kernel_name,
+            limit,
+            now,
+            stats_like.instructions_issued,
+            stats_like.thread_instructions,
+            stats_like.thread_instructions / cycles,
+            stats_like.instructions_issued / cycles,
+        )
+    )
+    if sm_count > 1:
+        msg = "%s (%d SMs)" % (msg, sm_count)
+    return msg
+
+
+def deadlock_report(header: str, sms, now: int) -> str:
+    """Per-SM warp states, each with its next wake, one SM per block.
+
+    When a run wedges the first question is "what was the engine
+    waiting for": each live warp's splits and next split wake, and
+    each SM's :meth:`~repro.core.sm.StreamingMultiprocessor.next_event_cycle`.
+    """
+    lines: List[str] = [header]
+    for sm in sms:
+        # Also refreshes the ``wake_cache`` (read below) of warps with one.
+        next_event = sm.next_event_cycle(now)
+        for warp in sm.live_warps():
+            splits = ", ".join(repr(s) for s in warp.model.all_splits())
+            lines.append(
+                "  warp %d (cta %d): %s; scoreboard=%d; next wake %s"
+                % (
+                    warp.wid,
+                    warp.cta_id,
+                    splits,
+                    len(warp.scoreboard),
+                    next((c for c in warp.wake_cache if c > now), "none"),
+                )
+            )
+        lines.append(
+            "  next event (SM %d): %s"
+            % (sm.sm_id, "none" if next_event is None else next_event)
+        )
+    return "\n".join(lines)
+
+
 class GPUDevice:
-    """Cycle-level model of one GPU running one kernel launch."""
+    """Cycle-level model of one GPU running one kernel launch.
+
+    ``compiled`` is handed to every SM's executor (see
+    :func:`~repro.core.simulator.simulate`).
+    """
 
     def __init__(
         self,
@@ -76,6 +143,8 @@ class GPUDevice:
         memory: MemoryImage,
         config: GPUConfig,
         observers=None,
+        *,
+        compiled: bool = True,
     ) -> None:
         self.kernel = kernel
         self.memory = memory
@@ -100,6 +169,7 @@ class GPUDevice:
                     memory_sink=sink,
                     sm_id=i,
                     observers=self.observers,
+                    compiled=compiled,
                 )
             )
 
@@ -115,76 +185,78 @@ class GPUDevice:
                     launched = True
 
     def _deadlock_report(self, now: int) -> str:
-        header = "device deadlock at cycle %d (%d SMs)" % (now, len(self.sms))
-        return deadlock_report(
-            header, [sm for sm in self.sms if not sm.finished], now
+        stuck = [sm for sm in self.sms if not sm.finished]
+        header = "deadlock at cycle %d in kernel %s (SM%s %s)" % (
+            now,
+            self.kernel.name,
+            "s" if len(stuck) > 1 else "",
+            ", ".join(str(sm.sm_id) for sm in stuck),
         )
+        return deadlock_report(header, stuck, now)
 
     def run(self) -> DeviceStats:
         """Simulate to completion and return aggregated statistics.
 
-        One lock-step cycle loop: each device cycle steps every SM that
-        is awake, in SM-index order; when no SM made progress the clock
-        jumps to the earliest per-SM wake, skipping the idle span.
+        Each device cycle steps every SM whose ``wake`` has come, in
+        SM-index order.  A step that issued or fetched wakes its SM the
+        next cycle; one that did neither cannot do anything before the
+        SM's :meth:`~repro.core.sm.StreamingMultiprocessor.next_event_cycle`
+        (no cross-SM coupling creates work without a local event), so
+        the SM sleeps until then.  The clock moves to the soonest wake,
+        skipping idle spans; a finished SM never wakes, and the run
+        ends when the last one finishes.
         """
         self._initial_launch()
         sms = self.sms
-        observers = self.observers
-        l2 = self.l2
+        # The device reports L2 misses only to observers.
+        l2 = self.l2 if self.observers else None
+        l2_misses_seen = 0
+        never = _NEVER
         now = 0
         max_cycles = self.config.sm.max_cycles
-        done = [False] * len(sms)
-        # Per-SM wake times: an SM whose step made no progress cannot
-        # do anything before its own next scheduled event (the same
-        # assumption the single-SM loop's event skip rests on — no
-        # cross-SM coupling creates work without a local event), so it
-        # sleeps instead of burning a no-op step every device cycle.
-        # None = no scheduled events at all.
-        wake: List[Optional[int]] = [0] * len(sms)
-        l2_misses_seen = 0
+        live = len(sms)
         # One errstate for the whole run: compiled plans deliberately
         # skip the per-issue ``np.errstate`` the interpreter pays.
         with np.errstate(all="ignore"):
-            while now < max_cycles:
-                progressed = False
-                for i, sm in enumerate(sms):
-                    if done[i] or wake[i] is None or wake[i] > now:
+            while True:
+                soonest = never
+                for sm in sms:
+                    at = sm.wake
+                    if at > now:
+                        if at < soonest:
+                            soonest = at
                         continue
                     if sm.step(now):
-                        progressed = True
-                        wake[i] = now + 1
+                        # Every wake lies ahead: none before next cycle.
+                        sm.wake = soonest = now + 1
                     else:
-                        wake[i] = sm.next_event_cycle(now)
-                    if observers and l2 is not None:
-                        new_misses = l2.misses - l2_misses_seen
-                        if new_misses:
-                            l2_misses_seen = l2.misses
-                            event = MemEvent(now, sm.sm_id, LEVEL_L2, new_misses)
-                            for observer in observers:
-                                observer.on_l2_miss(event)
+                        # A next event lies ahead, so it is never 0.
+                        sm.wake = at = sm.next_event_cycle(now) or never
+                        if at < soonest:
+                            soonest = at
+                    if l2 is not None and l2.misses != l2_misses_seen:
+                        event = MemEvent(now, sm.sm_id, LEVEL_L2, l2.misses - l2_misses_seen)
+                        l2_misses_seen = l2.misses
+                        for observer in self.observers:
+                            observer.on_l2_miss(event)
                     # ``finished`` needs an empty live list, and a
-                    # retire drops the cached one (as in SM.run).
+                    # retire drops the cached one.
                     if not sm._live_cache and sm.finished:
-                        done[i] = True
                         sm.stats.cycles = now + 1
-                if all(done):
-                    return self._collect(now + 1)
-                if progressed:
-                    now += 1
-                else:
-                    candidates = [
-                        wake[i]
-                        for i in range(len(sms))
-                        if not done[i] and wake[i] is not None and wake[i] > now
-                    ]
-                    if not candidates:
-                        raise SimulationError(self._deadlock_report(now))
-                    now = min(candidates)
-        totals = DeviceStats(cycles=now, sm_stats=[sm.stats for sm in sms])
+                        live -= 1
+                        if not live:
+                            return self._collect(now + 1)
+                        sm.wake = never
+                        # SMs still due this cycle fold in when stepped.
+                        soonest = min(other.wake for other in sms if other.wake > now)
+                if soonest >= max_cycles:
+                    break
+                now = soonest
+        if soonest == never:
+            raise SimulationError(self._deadlock_report(now))
+        totals = DeviceStats(cycles=soonest, sm_stats=[sm.stats for sm in sms])
         raise SimulationError(
-            overrun_report(
-                self.kernel.name, max_cycles, now, totals, sm_count=len(sms)
-            )
+            overrun_report(self.kernel.name, max_cycles, soonest, totals, len(sms))
         )
 
     def _collect(self, device_cycles: int) -> DeviceStats:

@@ -2,7 +2,7 @@
 
 An :class:`Observer` attaches to a simulation
 (``simulate(..., observers=[...])`` or
-``StreamingMultiprocessor(..., observers=[...])``) and receives typed
+``simulate_device(..., observers=[...])``) and receives typed
 events as the machine runs:
 
 * :class:`IssueEvent` — every instruction issue (cycle, warp, PC,

@@ -3,7 +3,8 @@
 ``simulate`` runs one kernel on a single SM (the paper's evaluation
 setup); ``simulate_device`` — re-exported from
 :mod:`repro.core.gpu` — runs it on a whole multi-SM device with a
-shared memory hierarchy.
+shared memory hierarchy.  Both go through the one run loop,
+:meth:`repro.core.gpu.GPUDevice.run`: a single SM is a one-SM device.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from typing import Optional
 
 from repro.functional.memory import MemoryImage
 from repro.isa.builder import Kernel
-from repro.core.gpu import check_engine, simulate_device
-from repro.core.sm import SimulationError, StreamingMultiprocessor
-from repro.timing.config import SMConfig
+from repro.core.gpu import GPUDevice, check_engine, simulate_device
+from repro.core.sm import SimulationError
+from repro.timing.config import GPUConfig, SMConfig
 from repro.timing.stats import Stats
 
 
@@ -27,6 +28,10 @@ def simulate(
     engine: str = "reference",
 ) -> Stats:
     """Run ``kernel`` on one SM and return its :class:`Stats`.
+
+    The SM is a one-SM :class:`~repro.core.gpu.GPUDevice` (no L2, the
+    SM's own DRAM share), run by :meth:`~repro.core.gpu.GPUDevice.run`;
+    the result is that SM's stats.
 
     ``memory`` is mutated — read results back with
     :meth:`MemoryImage.read_array`.  The functional outcome is
@@ -42,16 +47,18 @@ def simulate(
     check_engine(engine)
     if config is None:
         config = SMConfig()
-    sm = StreamingMultiprocessor(
-        kernel, memory, config, observers=observers, compiled=compiled
+    device = GPUDevice(
+        kernel, memory, GPUConfig(sm=config), observers, compiled=compiled
     )
+    (sm,) = device.sms
     try:
-        stats = sm.run()
+        device.run()
     finally:
         # SM <-> scheduler is a reference cycle: unbroken, ``memory``
         # waits for a GC pass instead of going with its last reference.
         del sm.scheduler
-    for observer in sm.observers:
+    stats = sm.stats
+    for observer in device.observers:
         observer.finalize(stats)
     return stats
 

@@ -1,14 +1,17 @@
 """The SM pipeline: ties front end, back end and memory together.
 
-One :class:`StreamingMultiprocessor` simulates a kernel launch on a
-single SM (the paper evaluates one SM with a 10 GB/s memory share).
-CTAs are dispatched onto warp slots as earlier CTAs retire; each cycle
-the mode-specific scheduler issues up to two instructions, the fetch
+One :class:`StreamingMultiprocessor` models one SM of a kernel launch
+(the paper evaluates one SM with a 10 GB/s memory share).  CTAs are
+dispatched onto warp slots as earlier CTAs retire; each cycle the
+mode-specific scheduler issues up to two instructions, the fetch
 engine refills up to two instruction buffers, and timed events
 (writebacks, DRAM fills, branch redirects, CCT insertions) release
-stalled resources.  Cycles where nothing can happen are skipped to the
-next event, which changes no architectural behaviour — only wall-clock
-simulation speed.
+stalled resources.  The SM has no run loop of its own: a
+:class:`~repro.core.gpu.GPUDevice` (one SM for
+:func:`~repro.core.simulator.simulate`) drives it through
+:meth:`~StreamingMultiprocessor.step` and jumps over the cycles where
+nothing can happen, up to
+:meth:`~StreamingMultiprocessor.next_event_cycle`.
 """
 
 from __future__ import annotations
@@ -30,11 +33,9 @@ from repro.core.policy.events import (
     ORIGIN_SBI,
     ORIGIN_SWI,
 )
-from repro.core.report import deadlock_report, overrun_report
 from repro.core.warp import TimingWarp
 from repro.timing.cache import L1Cache
 from repro.timing.config import SMConfig
-from repro.timing.dram import DRAMChannel
 from repro.timing.fetch import FetchEngine, IBufEntry
 from repro.timing.lsu import LoadStoreUnit
 from repro.timing.masks import bools_to_mask, mask_to_bools, popcount
@@ -57,12 +58,9 @@ _CONTROL = {Op.BRA: _BRANCH, Op.EXIT: _EXIT, Op.BAR: _BARRIER}
 class StreamingMultiprocessor:
     """Cycle-level model of one SM running one kernel launch.
 
-    By default the SM is a self-contained single-SM simulation: it
-    owns a private DRAM channel and pulls CTAs from a private
-    sequential dispatcher over the whole grid.  A
-    :class:`repro.core.gpu.GPUDevice` instead injects the shared
-    memory sink (L2 system or per-SM bandwidth slice) and the shared
-    GigaThread dispatcher, and drives many SMs in lock-step through
+    Built by a :class:`repro.core.gpu.GPUDevice`, which hands it the
+    device's memory sink (L2 system or per-SM DRAM channel) and its
+    GigaThread dispatcher, and drives its SMs in lock-step through
     :meth:`step` / :meth:`next_event_cycle`.
     """
 
@@ -71,6 +69,7 @@ class StreamingMultiprocessor:
         "memory",
         "config",
         "sm_id",
+        "wake",
         "stats",
         "executor",
         "backend",
@@ -101,8 +100,8 @@ class StreamingMultiprocessor:
         memory: MemoryImage,
         config: SMConfig,
         *,
-        dispatcher=None,
-        memory_sink=None,
+        dispatcher,
+        memory_sink,
         sm_id: int = 0,
         observers=None,
         compiled: bool = True,
@@ -113,6 +112,8 @@ class StreamingMultiprocessor:
         self.memory = memory
         self.config = config
         self.sm_id = sm_id
+        #: The device cycle at which the run loop next steps this SM.
+        self.wake = 0
         self.stats = Stats()
         # ``compiled`` selects the specialised execution path (identical
         # architectural behaviour; see repro.functional.compiled).  It is
@@ -120,8 +121,6 @@ class StreamingMultiprocessor:
         self.executor = Executor(kernel, memory, compiled=compiled)
         self.backend = Backend(config)
         self.cache = L1Cache(config.l1_size, config.l1_ways, config.l1_block, config.l1_latency)
-        if memory_sink is None:
-            memory_sink = DRAMChannel(config.dram_bandwidth, config.dram_latency)
         self.dram = memory_sink
         self.lsu_logic = LoadStoreUnit(config, self.cache, self.dram, self.stats)
         self.fetch = FetchEngine(
@@ -131,11 +130,6 @@ class StreamingMultiprocessor:
         #: Attached cycle-level observers (see :mod:`repro.core.policy`).
         #: Event construction is skipped entirely when the list is empty.
         self.observers = list(observers or ())
-
-        if dispatcher is None:
-            from repro.core.gpu import CTADispatcher  # cycle-free import
-
-            dispatcher = CTADispatcher(kernel.grid_size)
         self.dispatcher = dispatcher
         self.warp_slots: List[Optional[TimingWarp]] = [None] * config.warp_count
         self.cta_warps: Dict[int, List[TimingWarp]] = {}
@@ -210,10 +204,6 @@ class StreamingMultiprocessor:
             return False
         self._launch_cta(cta, tuple(free[: self.warps_per_cta]), now)
         return True
-
-    def _initial_launch(self) -> None:
-        while self.try_launch_cta(0):
-            pass
 
     def _launch_pending(self, now: int) -> None:
         while self.pending_launches and self.pending_launches[0][0] <= now:
@@ -470,9 +460,8 @@ class StreamingMultiprocessor:
     def next_event_cycle(self, now: int) -> Optional[int]:
         """Earliest future cycle at which anything can happen here.
 
-        ``None`` means this SM has no scheduled events — a deadlock in
-        a standalone run, and for a device either a finished SM or one
-        stuck until the whole device deadlocks.
+        ``None`` means this SM has no scheduled events: it has finished,
+        or it is stuck until the whole device deadlocks.
 
         Split wake-ups (branch redirects, CCT sideband insertions) are
         served from a per-warp sorted cache keyed on the divergence
@@ -520,16 +509,8 @@ class StreamingMultiprocessor:
                     best = c
         return best
 
-    def _deadlock_report(self, now: int) -> str:
-        header = "deadlock at cycle %d in kernel %s (SM %d)" % (
-            now,
-            self.kernel.name,
-            self.sm_id,
-        )
-        return deadlock_report(header, [self], now)
-
     # ------------------------------------------------------------------
-    # Main loop
+    # Stepping
     # ------------------------------------------------------------------
 
     @property
@@ -545,11 +526,11 @@ class StreamingMultiprocessor:
 
         After a ``False`` step nothing can happen here before
         :meth:`next_event_cycle`, so the driver may jump its clock
-        there (both run loops do).
+        there (:meth:`repro.core.gpu.GPUDevice.run` does).
 
         Drivers stepping the SM directly should enter
         ``np.errstate(all="ignore")`` around their loop (as
-        :meth:`run` and :class:`~repro.core.gpu.GPUDevice` do):
+        :meth:`~repro.core.gpu.GPUDevice.run` does):
         compiled plans skip the per-issue errstate the interpreter
         pays, so garbage-lane arithmetic may otherwise emit numpy
         RuntimeWarnings — results are unaffected either way.
@@ -591,34 +572,3 @@ class StreamingMultiprocessor:
             self.stats.busy_cycles += 1
             return True
         return fetched > 0
-
-    def run(self) -> Stats:
-        """Simulate to completion.
-
-        One cycle loop: every cycle takes a :meth:`step`; a step that
-        neither issued nor fetched jumps the clock to
-        :meth:`next_event_cycle`, skipping the idle span.
-        """
-        self._initial_launch()
-        now = 0
-        max_cycles = self.config.max_cycles
-        # One errstate for the whole run: compiled plans deliberately
-        # skip the per-issue ``np.errstate`` the interpreter pays.
-        with np.errstate(all="ignore"):
-            while now < max_cycles:
-                progressed = self.step(now)
-                # ``finished`` needs an empty live list, and a retire
-                # drops the cached one: skip the property otherwise.
-                if not self._live_cache and self.finished:
-                    self.stats.cycles = now + 1
-                    return self.stats
-                if progressed:
-                    now += 1
-                else:
-                    nxt = self.next_event_cycle(now)
-                    if nxt is None:
-                        raise SimulationError(self._deadlock_report(now))
-                    now = nxt
-        raise SimulationError(
-            overrun_report(self.kernel.name, max_cycles, now, self.stats)
-        )

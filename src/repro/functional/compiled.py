@@ -189,7 +189,7 @@ def compile_instruction(
 
     # Arithmetic / logic / transcendental.  ``np.errstate`` is *not*
     # entered per issue (it costs more than the compute for warp-sized
-    # arrays); the SM run loops enter it once instead.
+    # arrays); the run loop, ``GPUDevice.run``, enters it once instead.
     compute = _COMPUTE_FUNCS.get(op)
     if op is Op.SETP:
         cmp_fn = _CMP_FUNCS.get(instr.cmp)

@@ -152,10 +152,10 @@ class Executor:
     ) -> ExecOutcome:
         """Apply ``instr`` for the threads in ``mask`` (bool[width]).
 
-        Compiled plans are errstate-free (the SM run loops enter one
-        ``np.errstate`` for a whole simulation), so this generic entry
-        wraps the call to keep direct use warning-silent like the
-        interpreter.
+        Compiled plans are errstate-free (the run loop,
+        ``GPUDevice.run``, enters one ``np.errstate`` for a whole
+        simulation), so this generic entry wraps the call to keep
+        direct use warning-silent like the interpreter.
         """
         plans = self._plans
         if plans is not None:

@@ -121,10 +121,10 @@ class ErrstateInPlanRule(Rule):
     category = "hot-path"
     description = (
         "np.errstate entered inside a compiled plan costs more than "
-        "the warp-sized compute it guards; the SM run loops enter it "
+        "the warp-sized compute it guards; the run loop enters it "
         "once around the whole simulation"
     )
-    hint = "hoist the errstate context to the run loop in core/sm.py"
+    hint = "hoist the errstate context to the run loop in core/gpu.py"
     include = ("repro/functional/compiled.py",)
 
     def check_file(

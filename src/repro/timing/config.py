@@ -272,8 +272,8 @@ class GPUConfig:
 
     ``l2_size == 0`` disables the shared L2: each SM then owns a
     private DRAM channel carrying its ``1/sm_count`` share of the
-    device bandwidth — with ``sm_count=1`` that is byte-for-byte the
-    single-SM model of :func:`repro.core.simulator.simulate`.  With an
+    device bandwidth — ``GPUConfig(sm=config)`` is the one-SM device
+    that :func:`repro.core.simulator.simulate` runs ``config`` on.  With an
     L2, every SM's L1 misses and write-through traffic meet in a
     sectored, set-associative cache that is partitioned by address
     across ``dram_partitions`` independent DRAM channels.
@@ -319,7 +319,7 @@ class GPUConfig:
             slice_size = self.l2_size // self.dram_partitions
             if slice_size % (self.l2_ways * self.l2_block):
                 raise ValueError(
-                    "per-partition L2 slice must be sets * ways * block"
+                    "l2_size per partition must be sets * l2_ways * l2_block"
                 )
 
     # ------------------------------------------------------------------

@@ -234,18 +234,21 @@ class TestARunFinalizesItsObservers:
     @pytest.mark.parametrize("sm_count", [1, 2])
     def test_entry_points_agree_with_a_bare_run_finalized_by_hand(self, sm_count):
         from repro.core.gpu import GPUDevice
-        from repro.core.sm import StreamingMultiprocessor
+        from repro.timing.config import GPUConfig
 
         if sm_count == 1:
-            config, run, bare = presets.sbi_swi(), simulate, StreamingMultiprocessor
+            config, run = presets.sbi_swi(), simulate
+            device_config = GPUConfig(sm=config)
         else:
-            config = presets.device("sbi_swi", sm_count=sm_count)
-            run, bare = simulate_device, GPUDevice
+            config = device_config = presets.device("sbi_swi", sm_count=sm_count)
+            run = simulate_device
 
         by_hand = make_aggregators(self.NAMES)
         inst = get_workload("histogram", "tiny")
-        machine = bare(inst.kernel, inst.memory, config, observers=by_hand.values())
-        stats = machine.run()
+        device = GPUDevice(inst.kernel, inst.memory, device_config, observers=by_hand.values())
+        stats = device.run()
+        if sm_count == 1:  # what ``simulate`` returns: the SM's stats
+            (stats,) = stats.sm_stats
         unfinalized = self._snapshots(by_hand)
         for agg in by_hand.values():
             agg.finalize(stats)

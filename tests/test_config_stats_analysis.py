@@ -1,5 +1,7 @@
 """Presets (Table 2), Stats accounting, and the analysis helpers."""
 
+from unittest import mock
+
 import pytest
 
 from repro.analysis import report as rpt
@@ -129,14 +131,14 @@ class TestStats:
         assert sum(stats.per_op_class.values()) == stats.thread_instructions
 
     def test_bad_origin(self):
-        class Mislabelled(StreamingMultiprocessor):
-            __slots__ = ()
+        inner = StreamingMultiprocessor.issue
 
-            def issue(self, warp, slot, split, entry, now, origin, group):
-                return super().issue(warp, slot, split, entry, now, "bogus", group)
+        def mislabelled(self, warp, slot, split, entry, now, origin, group):
+            return inner(self, warp, slot, split, entry, now, "bogus", group)
 
-        with pytest.raises(ValueError, match="bogus"):
-            Mislabelled(*_one_warp(threads=24), presets.baseline()).run()
+        with mock.patch.object(StreamingMultiprocessor, "issue", mislabelled):
+            with pytest.raises(ValueError, match="bogus"):
+                simulate(*_one_warp(threads=24), presets.baseline())
 
     def test_summary_renders(self):
         s = Stats()

@@ -124,6 +124,13 @@ with open(os.path.join(ROOT, "FIDELITY.json")) as _f:
 PEAK_ROWS = {
     "peak_ipc_%s" % config for config in ("baseline", "sbi", "swi", "sbi_swi", "warp64")
 }
+#: Tables 4 and 3: the rows ``fidelity.static_rows`` adds, as
+#: ``PEAK_ROWS`` does, without simulating.
+AREA_ROWS = {"area_overhead_pct_%s" % config for config in ("sbi", "swi", "sbi_swi")}
+STORAGE_ROWS = {
+    "storage_bits_%s" % config for config in ("baseline", "sbi", "swi", "sbi_swi")
+}
+STATIC_ROWS = PEAK_ROWS | AREA_ROWS | STORAGE_ROWS
 
 
 def _rule(name, measured, paper, band):
@@ -145,7 +152,7 @@ def test_paper_table_keys_are_the_summary_keys(name):
 
 def test_fidelity_rows_are_the_summary_names_and_peak_ipc():
     names = {key for summary in GOLDEN.values() for key in summary}
-    assert set(FIDELITY) == names | PEAK_ROWS
+    assert set(FIDELITY) == names | STATIC_ROWS
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
@@ -160,11 +167,42 @@ def test_fidelity_rows_carry_the_paper_table(name):
 
 
 def test_fidelity_columns():
-    """``bench`` for every row, ``full`` for Figure 7's."""
+    """``bench`` for every row, ``full`` for Figure 7's and for the
+    rows that need no simulation."""
     for key, row in FIDELITY.items():
         assert "bench" in row["measured"], key
-        if row["figure"] == "bench_fig7_performance":
+        if row["figure"] == "bench_fig7_performance" or key in STATIC_ROWS:
             assert "full" in row["measured"], key
+
+
+def test_fidelity_static_rows_are_the_models_against_tables_3_and_4():
+    """Every column of a static row is what the model gives now, held
+    to the paper entry ``fidelity.static_rows`` builds; the paper side
+    is restated here: Table 4's overheads, and Table 3 multiplied out
+    (per component, banks x rows x bits)."""
+    rows = list(_load("fidelity").static_rows())
+    assert {name for name, _, _, _ in rows} == STATIC_ROWS
+    for name, figure, value, entry in rows:
+        row = FIDELITY[name]
+        assert row["figure"] == figure, name
+        assert row["paper"] == entry["paper"], name
+        assert row["band"] == list(entry["band"]), name
+        assert set(row["measured"].values()) == {round(value, 4)}, name
+    assert {c: FIDELITY["area_overhead_pct_" + c]["paper"] for c in ("sbi", "swi", "sbi_swi")} == {
+        "sbi": 3.0, "swi": 2.9, "sbi_swi": 3.7,
+    }
+    for config in ("sbi", "swi", "sbi_swi"):
+        row = FIDELITY["area_overhead_pct_" + config]
+        assert row["band"] == pytest.approx([row["paper"] - 0.25, row["paper"] + 0.25])
+    table3 = {
+        "baseline": 2 * 24 * 48 + 2 * 24 * 64 + 144 * 256 + 48 * 64,
+        "sbi": 24 * 144 + 24 * 201 + 128 * 104 + 48 * 64,
+        "swi": 2 * 24 * 48 + 24 * 104 + 128 * 104 + 24 * 64,
+        "sbi_swi": 24 * 288 + 24 * 201 + 128 * 104 + 48 * 64,
+    }
+    for config, bits in table3.items():
+        row = FIDELITY["storage_bits_" + config]
+        assert (row["paper"], row["band"]) == (bits, [bits, bits]), config
 
 
 def test_every_recorded_status_is_the_rules():

@@ -3,10 +3,13 @@
 import gc
 import json
 import os
+import re
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import presets
 from repro.core.gpu import CTADispatcher, GPUDevice, simulate_device
@@ -258,6 +261,32 @@ class TestGPUConfig:
             GPUConfig(l2_size=1 << 20, l2_block=96)  # not multiple of sector
         with pytest.raises(ValueError):
             GPUConfig(l2_size=1 << 20, dram_partitions=3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fixed_dictionaries(dict(
+        sm_count=st.integers(1, 3),
+        l2_size=st.sampled_from([0, 0, 4096, 8192, 12288, 16384]),
+        l2_ways=st.integers(1, 4),
+        l2_block=st.sampled_from([64, 128, 256]),
+        l2_sector=st.sampled_from([16, 32, 48, 128]),
+        l2_latency=st.integers(0, 40),
+        dram_partitions=st.integers(1, 4),
+        dram_bandwidth=st.one_of(st.none(), st.floats(0.5, 64.0)),
+        dram_latency=st.one_of(st.none(), st.integers(0, 400)),
+    )))
+    def test_an_accepted_config_runs_and_a_refusal_names_its_field(self, fields):
+        """Every device ``GPUConfig`` accepts runs a small grid to
+        completion with the right output; every one it refuses is a
+        ``ValueError`` whose message starts with the field at fault."""
+        try:
+            config = GPUConfig(sm=presets.baseline(), **fields)
+        except ValueError as err:
+            assert re.match(r"(%s) " % "|".join(fields), str(err)), err
+            return
+        kernel, mem, ay, expected = _saxpy_instance(grid_size=4, cta_size=32)
+        stats = simulate_device(kernel, mem, config)
+        assert sum(sm.ctas_launched for sm in stats.sm_stats) == 4
+        np.testing.assert_array_equal(mem.read_array(ay, expected.size), expected)
 
     def test_replace_revalidates(self):
         cfg = GPUConfig()

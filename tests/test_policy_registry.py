@@ -30,7 +30,7 @@ from repro.core.policy import (
     register_policy,
 )
 from repro.core.simulator import simulate
-from repro.timing.config import SMConfig
+from repro.timing.config import GPUConfig, SMConfig
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_smoke.json")
@@ -87,7 +87,7 @@ class TestRegistry:
 class TestModeResolution:
     def test_modes_resolve_to_original_classes(self):
         from repro.core import schedulers as sched
-        from repro.core.sm import StreamingMultiprocessor
+        from repro.core.gpu import GPUDevice
 
         expected = {
             "baseline": sched.BaselineScheduler,
@@ -101,10 +101,10 @@ class TestModeResolution:
         }
         for mode, klass in expected.items():
             inst = get_workload("histogram", "tiny")
-            sm = StreamingMultiprocessor(
-                inst.kernel, inst.memory, presets.by_name(mode)
+            device = GPUDevice(
+                inst.kernel, inst.memory, GPUConfig(sm=presets.by_name(mode))
             )
-            assert type(sm.scheduler) is klass
+            assert type(device.sms[0].scheduler) is klass
 
     def test_divergence_models_resolve(self):
         from repro.core.warp import make_divergence_model
@@ -198,7 +198,7 @@ class TestCapabilitiesComeFromTheClasses:
         flagless spec got one fetch way, no CPC2 attempt (mandelbrot
         1 074 cycles for the built-in's 1 072, bfs 9 219 for 9 214) and
         a peak IPC of 128 for 104."""
-        from repro.core.sm import StreamingMultiprocessor
+        from repro.core.gpu import GPUDevice
 
         builtin = POLICIES.get(name)
         rebuilt = register_policy(
@@ -215,10 +215,10 @@ class TestCapabilitiesComeFromTheClasses:
             assert getattr(ours, read) == getattr(theirs, read), read
         for workload in ("mandelbrot", "bfs", "tmd2"):
             a, b = get_workload(workload, "tiny"), get_workload(workload, "tiny")
-            sm_a = StreamingMultiprocessor(a.kernel, a.memory, ours)
-            sm_b = StreamingMultiprocessor(b.kernel, b.memory, theirs)
-            assert sm_a.fetch.hot_capacity == sm_b.fetch.hot_capacity
-            assert sm_a.run().to_dict() == sm_b.run().to_dict(), workload
+            dev_a = GPUDevice(a.kernel, a.memory, GPUConfig(sm=ours))
+            dev_b = GPUDevice(b.kernel, b.memory, GPUConfig(sm=theirs))
+            assert dev_a.sms[0].fetch.hot_capacity == dev_b.sms[0].fetch.hot_capacity
+            assert dev_a.run().sm_stats[0].to_dict() == dev_b.run().sm_stats[0].to_dict(), workload
 
     @pytest.mark.parametrize(
         "flag",
@@ -239,8 +239,8 @@ class TestCapabilitiesComeFromTheClasses:
 
 class TestCustomPolicyEndToEnd:
     def test_custom_scheduler_policy_runs(self, scratch_names):
+        from repro.core.gpu import GPUDevice
         from repro.core.schedulers import CascadedScheduler
-        from repro.core.sm import StreamingMultiprocessor
         from repro.functional.memory import MemoryImage
         from repro.isa.builder import KernelBuilder
         from repro.isa.instructions import CmpOp
@@ -286,9 +286,9 @@ class TestCustomPolicyEndToEnd:
         mem = MemoryImage()
         out = mem.alloc(1024 * 4)
         kernel = kb.build(cta_size=256, grid_size=4, params=(out,))
-        sm = StreamingMultiprocessor(kernel, mem, config)
-        assert type(sm.scheduler) is NarrowestFirst
-        stats = sm.run()
+        device = GPUDevice(kernel, mem, GPUConfig(sm=config))
+        assert type(device.sms[0].scheduler) is NarrowestFirst
+        stats = device.run().sm_stats[0]
         assert stats.ipc > 0
         assert stats.issued_swi_secondary > 0
 

@@ -21,13 +21,20 @@ from unittest import mock
 import pytest
 
 from repro.core import presets
-from repro.core.gpu import simulate_device
+from repro.core.gpu import GPUDevice, simulate_device
 from repro.core.schedulers import CascadedScheduler, SBIScheduler
 from repro.core.simulator import simulate
 from repro.core.sm import StreamingMultiprocessor
 from repro.core.warp import TimingWarp
 from repro.timing.config import GPUConfig
 from repro.workloads import get_workload
+
+
+def one_sm(inst, config):
+    """``(device, sm)``: ``inst`` on a one-SM device, the shape
+    :func:`simulate` runs, with its SM in hand to instrument."""
+    device = GPUDevice(inst.kernel, inst.memory, GPUConfig(sm=config))
+    return device, device.sms[0]
 
 
 def _describe(cand):
@@ -197,10 +204,10 @@ class TestReadySetInvariant:
         inst = get_workload(workload, "tiny")
         expected = simulate(inst.kernel, inst.memory, config)
         inst = get_workload(workload, "tiny")
-        sm = StreamingMultiprocessor(inst.kernel, inst.memory, config)
+        device, sm = one_sm(inst, config)
         counts = {"picks": 0, "chosen": 0}
         with instrument(sm, counts):
-            stats = sm.run()
+            stats = device.run().sm_stats[0]
         # The oracle only looked: the run is the uninstrumented run.
         assert stats == expected
         assert counts["chosen"] > 100 and counts["picks"] > counts["chosen"]
@@ -215,11 +222,11 @@ class TestReadySetInvariant:
 
     def _fails_without(self, workload, mode, door):
         inst = get_workload(workload, "tiny")
-        sm = StreamingMultiprocessor(inst.kernel, inst.memory, presets.by_name(mode))
+        device, sm = one_sm(inst, presets.by_name(mode))
         with instrument(sm, {"picks": 0, "chosen": 0}):
             with mock.patch.object(TimingWarp, door, lambda self, *args: None):
                 with pytest.raises(AssertionError, match=r"^cycle \d+"):
-                    sm.run()
+                    device.run()
 
     def test_oracle_catches_a_missed_wake(self):
         """Drop the door a fill's or a release's *yes* comes through
@@ -519,7 +526,7 @@ class TestSlotView:
         inst = get_workload(workload, "tiny")
         expected = simulate(inst.kernel, inst.memory, config)
         inst = get_workload(workload, "tiny")
-        sm = StreamingMultiprocessor(inst.kernel, inst.memory, config)
+        device, _ = one_sm(inst, config)
         inner = StreamingMultiprocessor.issue
         checked = {"slots": set(), "cached": 0}
 
@@ -535,7 +542,7 @@ class TestSlotView:
             return inner(self, warp, slot, split, entry, now, origin, group)
 
         with mock.patch.object(StreamingMultiprocessor, "issue", issue):
-            stats = sm.run()
+            stats = device.run().sm_stats[0]
         # The checks only looked: the run is the unchecked run.
         assert stats == expected
         assert checked["slots"] >= {0, 1} and checked["cached"] > 100

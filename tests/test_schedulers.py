@@ -167,12 +167,16 @@ class TestCombined:
 
 
 def _sm(kb, config, cta_size=256, grid_size=4):
-    from repro.core.sm import StreamingMultiprocessor
+    """``(device, sm)``: the kernel on a one-SM device, the shape
+    ``simulate`` runs."""
+    from repro.core.gpu import GPUDevice
+    from repro.timing.config import GPUConfig
 
     mem = MemoryImage()
     out = mem.alloc(cta_size * grid_size * 4)
     kernel = kb.build(cta_size=cta_size, grid_size=grid_size, params=(out,))
-    return StreamingMultiprocessor(kernel, mem, config)
+    device = GPUDevice(kernel, mem, GPUConfig(sm=config))
+    return device, device.sms[0]
 
 
 def _independent(count=8):
@@ -191,13 +195,13 @@ class TestHooksStayHooks:
     runs, and the stock path draws exactly what the hook would."""
 
     def _with_scheduler(self, cls, monkeypatch, kb=None, policy="swi"):
-        """An SM of ``policy``'s machine, scheduled by ``cls``."""
+        """``(device, sm)``: an SM of ``policy``'s machine, scheduled by ``cls``."""
         from repro.core import schedulers
 
         monkeypatch.setattr(schedulers, "make_scheduler", lambda config, sm: cls(sm))
-        sm = _sm(kb or _imbalanced(), presets.by_name(policy))
+        device, sm = _sm(kb or _imbalanced(), presets.by_name(policy))
         assert type(sm.scheduler) is cls
-        return sm
+        return device, sm
 
     def test_stock_scheduler_never_calls_the_key_hook(self, monkeypatch):
         from repro.core.schedulers import CascadedScheduler
@@ -205,10 +209,10 @@ class TestHooksStayHooks:
         monkeypatch.setattr(
             CascadedScheduler, "_secondary_key", lambda *a: pytest.fail("the hook ran")
         )
-        sm = _sm(_imbalanced(), presets.swi())
+        device, sm = _sm(_imbalanced(), presets.swi())
         sm.scheduler._stock_key = True  # as it was before the patch above
         assert sm.scheduler._stock_key
-        stats = sm.run()
+        stats = device.run().sm_stats[0]
         assert stats.swi_hits > 0 and stats == _run(_imbalanced(), presets.swi())
 
     def test_inline_ranking_draws_what_the_hook_draws(self, monkeypatch):
@@ -225,9 +229,9 @@ class TestHooksStayHooks:
 
         for policy, kb in (("swi", _imbalanced()), ("sbi_swi", _balanced_ifelse())):
             del calls[:]
-            sm = self._with_scheduler(ThroughTheHook, monkeypatch, kb, policy)
+            device, sm = self._with_scheduler(ThroughTheHook, monkeypatch, kb, policy)
             assert not sm.scheduler._stock_key
-            stats = sm.run()
+            stats = device.run().sm_stats[0]
             assert len(calls) > 20
             assert stats == _run(kb, presets.by_name(policy))
 
@@ -242,8 +246,8 @@ class TestHooksStayHooks:
                 seen.append(key)
                 return key
 
-        sm = self._with_scheduler(Spy, monkeypatch, policy="swi_greedy")
-        stats = sm.run()
+        device, sm = self._with_scheduler(Spy, monkeypatch, policy="swi_greedy")
+        stats = device.run().sm_stats[0]
         assert seen and all(len(key) == 3 for key in seen)  # the greedy key
         assert stats == _run(_imbalanced(), presets.by_name("swi_greedy"))
 
@@ -258,8 +262,8 @@ class TestHooksStayHooks:
                 picks.append(cand)
                 return cand
 
-        sm = self._with_scheduler(Spy, monkeypatch, policy="swi_rr")
-        stats = sm.run()
+        device, sm = self._with_scheduler(Spy, monkeypatch, policy="swi_rr")
+        stats = device.run().sm_stats[0]
         assert sum(cand is not None for cand in picks) > 100
         assert stats == _run(_imbalanced(), presets.by_name("swi_rr"))
 
@@ -271,10 +275,10 @@ class TestHooksStayHooks:
 
         example = importlib.import_module("examples.custom_microarchitecture")
         try:
-            sm = _sm(_imbalanced(), presets.by_name("swi_fresh"))
+            device, sm = _sm(_imbalanced(), presets.by_name("swi_fresh"))
             assert type(sm.scheduler) is example.FreshestFirstScheduler
             assert not sm.scheduler._stock_key
-            assert sm.run().swi_hits > 0
+            assert device.run().sm_stats[0].swi_hits > 0
         finally:
             SCHEDULERS.unregister("cascaded_freshest")
             POLICIES.unregister("swi_fresh")
@@ -302,9 +306,9 @@ class TestNoDoomedProbes:
         return probed
 
     def test_launch_and_issue_on_one_way_wake_fetch_only(self, monkeypatch):
-        sm = _sm(_independent(), presets.baseline(), cta_size=64, grid_size=1)
+        device, sm = _sm(_independent(), presets.baseline(), cta_size=64, grid_size=1)
         probed = self._probes(sm, monkeypatch)
-        sm._initial_launch()
+        device._initial_launch()
         # Launched with empty buffers: fetch has work, the pools do not.
         assert not any(sm.scheduler.woken) and len(sm.fetch.woken) == 2
         assert sm.step(0) and sm.stats.instructions_issued == 0
@@ -326,8 +330,8 @@ class TestNoDoomedProbes:
     def test_wake_with_a_candidate_on_record_still_probes(self):
         """The fallback: a scheduler that did not drop what it issued
         gets the ordinary wake, and the probe removes the candidate."""
-        sm = _sm(_independent(), presets.baseline())
-        sm._initial_launch()
+        device, sm = _sm(_independent(), presets.baseline())
+        device._initial_launch()
         sm.step(0)
         sm.scheduler._refresh(1, 0)
         warp = sm.warp_slots[0]
@@ -345,8 +349,8 @@ class TestNoDoomedProbes:
         same cycle.  The empty-buffer shortcut must not swallow that."""
         from repro.timing.fetch import IBufEntry
 
-        sm = _sm(_independent(), presets.sbi_swi())
-        sm._initial_launch()
+        device, sm = _sm(_independent(), presets.sbi_swi())
+        device._initial_launch()
         sm.step(0)
         sm.scheduler._refresh(1)
         warp = sm.warp_slots[0]
@@ -387,7 +391,7 @@ class TestNoDoomedProbes:
             kb.mad(v, v, 3, 1)  # each reads the one before
         kb.exit_()
         config = presets.by_name(mode)
-        sm = _sm(kb, config, cta_size=config.warp_width, grid_size=1)  # one warp
+        device, sm = _sm(kb, config, cta_size=config.warp_width, grid_size=1)  # one warp
         probed = self._probes(sm, monkeypatch)
         recorded, refused = [], []
         ready, refuse = TimingWarp.ready, ScoreboardBase.refused
@@ -402,7 +406,7 @@ class TestNoDoomedProbes:
 
         monkeypatch.setattr(TimingWarp, "ready", spy_ready)
         monkeypatch.setattr(ScoreboardBase, "refused", spy_refused)
-        stats = sm.run()
+        stats = device.run().sm_stats[0]
         assert stats.instructions_issued == 10
         assert not probed
         assert refused == [(0, pc) for pc in range(1, 9)]  # each mad, on its fill
@@ -487,8 +491,9 @@ class TestSecondaryPickOracle:
     def test_same_pick_same_draws(self, policy, overrides):
         from unittest import mock
 
-        from repro.core.sm import StreamingMultiprocessor
+        from repro.core.gpu import GPUDevice
         from repro.core.warp import TimingWarp
+        from repro.timing.config import GPUConfig
         from repro.workloads import get_workload
 
         counts = {"picks": 0, "busy": 0, "sbi": 0}
@@ -497,7 +502,8 @@ class TestSecondaryPickOracle:
             inst = get_workload(workload, "tiny")
             expected = simulate(inst.kernel, inst.memory, config)
             inst = get_workload(workload, "tiny")
-            sm = StreamingMultiprocessor(inst.kernel, inst.memory, config)
+            device = GPUDevice(inst.kernel, inst.memory, GPUConfig(sm=config))
+            (sm,) = device.sms
             sched, stats = sm.scheduler, sm.stats
             inner = sched._pick
 
@@ -528,7 +534,7 @@ class TestSecondaryPickOracle:
                 return got
 
             sched._pick = pick
-            assert sm.run() == expected
+            assert device.run().sm_stats[0] == expected
         # Busy-class candidates beside a primary are where the class-and-
         # lanes test stands in for ``pick_group``: they must have come up.
         assert counts["picks"] > 300 and counts["busy"] > 300, counts

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from repro.core import presets
-from repro.core.report import deadlock_report, overrun_report
-from repro.core.sm import SimulationError, StreamingMultiprocessor
-from repro.core.simulator import simulate
+from repro.core.gpu import GPUDevice, deadlock_report, overrun_report
+from repro.core.sm import SimulationError
+from repro.core.simulator import simulate, simulate_device
 from repro.functional.memory import MemoryImage
 from repro.isa.builder import KernelBuilder
 from repro.isa.instructions import CmpOp, MemSpace
+from repro.timing.config import GPUConfig
 
 
 def _barrier_kernel():
@@ -58,7 +59,7 @@ def _divergent_barrier_kernel():
 ALL_MODES = ("baseline", "warp64", "sbi", "swi", "sbi_swi")
 
 
-def _stranded_barrier_kernel(cta_size=32):
+def _stranded_barrier_kernel(cta_size=32, grid_size=1):
     """A barrier on one side of an unreconverged divergence (UB)."""
     kb = KernelBuilder("dead")
     t, p = kb.regs("t", "p")
@@ -69,7 +70,16 @@ def _stranded_barrier_kernel(cta_size=32):
     kb.label("wait")
     kb.bar()
     kb.exit_()
-    return kb.build(cta_size=cta_size, grid_size=1, layout="as_is")
+    return kb.build(cta_size=cta_size, grid_size=grid_size, layout="as_is")
+
+
+def _launched_sm(kernel, memory, config):
+    """The one SM of a one-SM device, its CTAs launched, to be stepped
+    by hand."""
+    device = GPUDevice(kernel, memory, GPUConfig(sm=config))
+    device._initial_launch()
+    (sm,) = device.sms
+    return sm
 
 
 class TestBarriers:
@@ -241,8 +251,7 @@ class TestTimeoutAndEvents:
 
         # Mid-run (not wedged) the same report names real cycles: right
         # after the divergent branch issues, its redirect is pending.
-        sm = StreamingMultiprocessor(kernel, MemoryImage(), presets.baseline())
-        sm._initial_launch()
+        sm = _launched_sm(kernel, MemoryImage(), presets.baseline())
         now = 0
         while not sm.stats.divergent_branches:
             now = now + 1 if sm.step(now) else sm.next_event_cycle(now)
@@ -256,6 +265,21 @@ class TestTimeoutAndEvents:
         assert report.splitlines()[-1] == "  next event (SM 0): %d" % min(
             wakes + [sm.next_event_cycle(now)]
         )
+
+    @pytest.mark.parametrize("grid_size,stuck", [(1, "SM 0"), (2, "SMs 0, 1")])
+    def test_device_deadlock_names_its_kernel_and_stuck_sms(self, grid_size, stuck):
+        """A deadlock reads the same on any device: the cycle, the
+        kernel, the SMs that are stuck (an SM with no CTA finishes and
+        is not listed), then each stuck SM's block."""
+        kernel = _stranded_barrier_kernel(grid_size=grid_size)
+        config = presets.device("baseline", sm_count=2, l2_size=0)
+        with pytest.raises(SimulationError) as excinfo:
+            simulate_device(kernel, MemoryImage(), config)
+        lines = str(excinfo.value).splitlines()
+        assert lines[0].startswith("deadlock at cycle")
+        assert lines[0].endswith("in kernel dead (%s)" % stuck)
+        blocks = [l for l in lines if l.startswith("  next event (SM ")]
+        assert blocks == ["  next event (SM %d): none" % i for i in range(grid_size)]
 
     def test_unknown_engine_rejected(self):
         """``engine`` survives only as the benchmark probe's call shape:
@@ -287,8 +311,7 @@ class TestNextEventCycle:
         inst = get_workload(workload, "tiny")
         expected = simulate(inst.kernel, inst.memory, config)
         inst = get_workload(workload, "tiny")
-        sm = StreamingMultiprocessor(inst.kernel, inst.memory, config)
-        sm._initial_launch()
+        sm = _launched_sm(inst.kernel, inst.memory, config)
         now = jumps = 0
         with np.errstate(all="ignore"):
             while now < config.max_cycles:

@@ -1,12 +1,12 @@
 """Which cycles are stepped is architectural: replay them.
 
-``SM.run`` and ``GPUDevice.run`` skip idle spans: a step that neither
-issued nor fetched jumps the clock to ``next_event_cycle``.  That reads
-like a host-side shortcut, but ``FetchEngine._rr`` — the fetch
-round-robin pointer — advances once per *stepped* cycle, dead steps
-included, so the set of cycles at which
-``StreamingMultiprocessor.step`` runs decides which warp the next
-contended fetch serves first, and through it every later cycle.
+``GPUDevice.run``, the one run loop (``simulate`` is a one-SM device),
+skips idle spans: a step that neither issued nor fetched jumps the
+clock to ``next_event_cycle``.  That reads like a host-side shortcut,
+but ``FetchEngine._rr`` — the fetch round-robin pointer — advances
+once per *stepped* cycle, dead steps included, so the set of cycles at
+which ``StreamingMultiprocessor.step`` runs decides which warp the
+next contended fetch serves first, and through it every later cycle.
 
 The experiment that showed it (PR 20, on cd31422): answering
 ``next_event_cycle`` from the timer heap alone — stepping *fewer* dead

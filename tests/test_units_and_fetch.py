@@ -10,6 +10,17 @@ from repro.timing.masks import full_mask
 from repro.timing.units import Backend, ExecGroup
 
 
+def launched_sm(kernel, memory, config):
+    """The one SM of a one-SM device, its CTAs launched, to be stepped
+    by hand."""
+    from repro.core.gpu import GPUDevice
+    from repro.timing.config import GPUConfig
+
+    device = GPUDevice(kernel, memory, GPUConfig(sm=config))
+    device._initial_launch()
+    return device.sms[0]
+
+
 SFU, MAD = OpClass.SFU, OpClass.MAD
 
 
@@ -165,8 +176,6 @@ class TestUnitSnapshot:
 
 class TestFetchEngine:
     def _setup(self, mode="baseline"):
-        import numpy as np
-        from repro.core.sm import StreamingMultiprocessor
         from repro.functional.memory import MemoryImage
         from repro.isa.builder import KernelBuilder
 
@@ -181,9 +190,7 @@ class TestFetchEngine:
         out = mem.alloc(4096)
         cfg = presets.by_name(mode)
         kernel = kb.build(cta_size=cfg.warp_width, grid_size=4, params=(out,))
-        sm = StreamingMultiprocessor(kernel, mem, cfg)
-        sm._initial_launch()
-        return sm
+        return launched_sm(kernel, mem, cfg)
 
     def test_fetch_bandwidth_limit(self):
         sm = self._setup()
@@ -251,7 +258,6 @@ class TestFetchServiceOrder:
     first is not, and it no longer sorts to find out."""
 
     def _setup(self, warps=8, mode="baseline"):
-        from repro.core.sm import StreamingMultiprocessor
         from repro.functional.memory import MemoryImage
         from repro.isa.builder import KernelBuilder
 
@@ -262,9 +268,7 @@ class TestFetchServiceOrder:
         kb.exit_()
         cfg = presets.by_name(mode)
         kernel = kb.build(cta_size=cfg.warp_width, grid_size=warps)
-        sm = StreamingMultiprocessor(kernel, MemoryImage(), cfg)
-        sm._initial_launch()
-        return sm
+        return launched_sm(kernel, MemoryImage(), cfg)
 
     @staticmethod
     def _served(sm, cycle):
