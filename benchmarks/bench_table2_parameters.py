@@ -5,6 +5,30 @@ from __future__ import annotations
 from repro.core import presets
 from repro.analysis import report as rpt
 
+CONFIGS = ("baseline", "sbi", "swi", "sbi_swi")
+
+#: The paper's Table 2, restated by hand: ``SMConfig`` field ->
+#: configuration -> value.  Every configuration keeps 6 scoreboard
+#: entries per warp; SBI's are rows of the dependency matrix (Table 3
+#: gives each configuration's scoreboard as 6 entries per warp).
+PAPER = {
+    "warp_count": {"baseline": 32, "sbi": 16, "swi": 16, "sbi_swi": 16},
+    "warp_width": {"baseline": 32, "sbi": 64, "swi": 64, "sbi_swi": 64},
+    "scheduler_latency": {"baseline": 1, "sbi": 1, "swi": 2, "sbi_swi": 2},
+    "delivery_latency": {"baseline": 0, "sbi": 1, "swi": 1, "sbi_swi": 1},
+    "exec_latency": {"baseline": 8, "sbi": 8, "swi": 8, "sbi_swi": 8},
+    "scoreboard_entries": {"baseline": 6, "sbi": 6, "swi": 6, "sbi_swi": 6},
+    # The memory system is the same in every configuration: a 48 KB,
+    # 6-way L1 of 128 B blocks at 3 cycles, and 10 GB/s of DRAM at
+    # 330 ns, both at 1 GHz.
+    "l1_size": dict.fromkeys(CONFIGS, 48 * 1024),
+    "l1_ways": dict.fromkeys(CONFIGS, 6),
+    "l1_block": dict.fromkeys(CONFIGS, 128),
+    "l1_latency": dict.fromkeys(CONFIGS, 3),
+    "dram_bandwidth": dict.fromkeys(CONFIGS, 10.0),
+    "dram_latency": dict.fromkeys(CONFIGS, 330),
+}
+
 #: Column header and how to read it off an ``SMConfig``.
 COLUMNS = (
     ("warps x width", lambda c: "%dx%d" % (c.warp_count, c.warp_width)),
@@ -19,16 +43,13 @@ COLUMNS = (
 
 
 def test_table2(report):
+    for field, paper in PAPER.items():
+        assert {c: getattr(presets.by_name(c), field) for c in CONFIGS} == paper, field
     rows = [
         [name] + [read(presets.by_name(name)) for _, read in COLUMNS]
-        for name in ("baseline", "sbi", "swi", "sbi_swi")
+        for name in CONFIGS
     ]
     by_name = {r[0]: r for r in rows}
-    # The Table 2 anchor values.
-    assert by_name["baseline"][1] == "32x32"
-    assert by_name["sbi"][1] == "16x64"
-    assert by_name["swi"][2] == 2  # scheduler latency
-    assert by_name["baseline"][3] == 0 and by_name["sbi"][3] == 1
     assert by_name["baseline"][8] == "64" and by_name["sbi_swi"][8] == "104"
     headers = ["config"] + [header for header, _ in COLUMNS]
     report.add("Table 2: micro-architecture parameters", rpt.format_table(headers, rows))

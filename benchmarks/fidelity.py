@@ -10,10 +10,13 @@ name, plus the rows that need no simulation (:func:`static_rows`): one
 (``SMConfig.peak_ipc``; the paper's 64 and 104), one
 ``area_overhead_pct_<config>`` row per interweaving configuration
 (Table 4's SM overhead, within the 0.25 points
-``bench_table4_area.py`` allows) and one ``storage_bits_<config>`` row
+``bench_table4_area.py`` allows), one ``storage_bits_<config>`` row
 per Table 3 column (every component's banks x rows x bits, summed,
-against the paper's geometries multiplied out).  A module's ``PAPER``
-table gives, per summary name, the paper's value (None where the paper
+against the paper's geometries multiplied out) and one
+``table2_<field>_<config>`` row per Table 2 parameter and configuration
+(the preset's ``SMConfig`` field, held exactly to the value
+``bench_table2_parameters.py``'s ``PAPER`` restates).  A sweep module's
+``PAPER`` table gives, per summary name, the paper's value (None where the paper
 gives none), a tolerance band and, for a row outside its band, a
 ``because``.  A row's status, per size:
 
@@ -123,6 +126,12 @@ def static_rows() -> Iterator[Tuple[str, str, float, Dict]]:
             sum(comp.total_bits for comp in components(config)),
             dict(paper=paper, band=(paper, paper)),
         )
+    for field, row in load(os.path.join(HERE, "bench_table2_parameters.py")).PAPER.items():
+        for config, paper in row.items():
+            yield (
+                "table2_%s_%s" % (field, config), "presets.by_name",
+                getattr(presets.by_name(config), field), dict(paper=paper, band=(paper, paper)),
+            )
 
 
 def measure(size: str, jobs: Optional[int]) -> Iterator[Tuple[str, str, float, Dict]]:

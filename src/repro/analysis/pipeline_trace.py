@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.policy import OBSERVERS, Observer
+from repro.core.policy.observers import IssueRecord, IssueTrace
 from repro.core.simulator import simulate
 from repro.functional.memory import MemoryImage
 from repro.isa.builder import Kernel, KernelBuilder
@@ -21,27 +21,10 @@ from repro.timing.config import SMConfig
 from repro.timing.masks import mask_str
 from repro.timing.stats import Stats
 
-#: One trace record: (cycle, warp id, pc, origin, mask, group name).
-IssueEvent = Tuple[int, int, int, str, int, str]
-
-
-@OBSERVERS.register("issue_trace")
-class IssueTrace(Observer):
-    """Records every issue as a legacy trace tuple — the first in-tree
-    consumer of the cycle-level observer hooks."""
-
-    def __init__(self) -> None:
-        self.events: List[IssueEvent] = []
-
-    def on_issue(self, event) -> None:
-        self.events.append(
-            (event.cycle, event.wid, event.pc, event.origin, event.mask, event.group)
-        )
-
 
 def trace_kernel(
     kernel: Kernel, memory: MemoryImage, config: SMConfig
-) -> Tuple[Stats, List[IssueEvent]]:
+) -> Tuple[Stats, List[IssueRecord]]:
     """Run a kernel and capture every instruction issue."""
     trace = IssueTrace()
     stats = simulate(kernel, memory, config, observers=[trace])
@@ -49,7 +32,7 @@ def trace_kernel(
 
 
 def render_trace(
-    events: List[IssueEvent],
+    events: List[IssueRecord],
     warp_width: int,
     max_cycles: Optional[int] = None,
     label: str = "",
@@ -61,7 +44,7 @@ def render_trace(
     end = max(e[0] for e in events)
     if max_cycles is not None:
         end = min(end, start + max_cycles - 1)
-    by_cycle: Dict[int, List[IssueEvent]] = {}
+    by_cycle: Dict[int, List[IssueRecord]] = {}
     for e in events:
         if e[0] <= end:
             by_cycle.setdefault(e[0], []).append(e)

@@ -20,11 +20,12 @@ cells to a pluggable execution backend:
 
 A backend only resolves cells: its runner yields, per cell, the stats
 or the exception that failed it.  :meth:`Engine.run` is the one place
-that applies the error policy — fail-fast (``errors="raise"``) or
-collect-and-continue (``errors="collect"``, failed cells end up in
-``ResultSet.errors`` carrying ``str()`` of what fail-fast would have
-raised) — folds results into both cache levels for every backend, and
-fires the progress callback for every cell as it resolves::
+that reads or writes either cache level, the one that applies the error
+policy — fail-fast (``errors="raise"``) or collect-and-continue
+(``errors="collect"``, failed cells end up in ``ResultSet.errors``
+carrying ``str()`` of what fail-fast would have raised) — and the one
+that fires the progress callback for every cell as it resolves; one
+cell is a one-cell :class:`SweepSpec`::
 
     engine = Engine(jobs=4, cache_dir=".repro_cache")
     rs = engine.run(SweepSpec.figure7(size="smoke"))
@@ -54,7 +55,7 @@ from repro.core.gpu import simulate_device
 from repro.core.policy.observers import Observer
 from repro.core.simulator import simulate
 from repro.timing.config import GPUConfig
-from repro.workloads import get_workload, normalize_size
+from repro.workloads import get_workload
 
 #: Error policies of :meth:`Engine.run`.
 ERROR_POLICIES = ("raise", "collect")
@@ -339,45 +340,6 @@ class Engine:
         #: attached.  Observed cells always simulate (cache reads are
         #: bypassed), so each entry saw the complete event stream.
         self.observations: Dict[Tuple[str, str, str], Dict[str, Observer]] = {}
-
-    # ------------------------------------------------------------------
-    # Single cells
-    # ------------------------------------------------------------------
-
-    def run_cell(
-        self,
-        workload: str,
-        size: str,
-        config: AnyConfig,
-        verify: bool = False,
-        cache: bool = True,
-    ) -> AnyStats:
-        """One (workload, size, config) cell through the caches.
-
-        ``verify=True`` always simulates (the functional outputs must
-        exist to be checked against the numpy reference) but still
-        stores the result when ``cache`` is on.
-        """
-        size = normalize_size(size)
-        memo = self.memo if cache else {}
-        key = result_cache.cell_key(workload, size, config)
-        if not verify and key in memo:
-            return memo[key]
-        disk_dir = result_cache.resolve_dir(self.cache_dir) if cache else None
-        digest = result_cache.cell_hash(workload, size, config) if disk_dir else None
-        stats: Optional[AnyStats] = None
-        if disk_dir and not verify:
-            stats = result_cache.disk_load(disk_dir, workload, size, config, digest)
-        if stats is None:
-            stats = _build_and_simulate(workload, size, config, verify, **self._hooks)[0]
-            if disk_dir:
-                result_cache.disk_store(disk_dir, workload, size, config, stats, digest)
-        memo[key] = stats
-        return stats
-
-    # ------------------------------------------------------------------
-    # Sweeps
-    # ------------------------------------------------------------------
 
     def run(
         self,

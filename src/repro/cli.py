@@ -148,10 +148,11 @@ def _validate_metric(spec: SweepSpec, metric: str) -> None:
             )
 
 
-def _observer_text(observer) -> str:
-    """An observer's rendered table, or its repr when it has none."""
+def _observer_text(name: str, observer) -> str:
+    """An observer's rendered table, or a line naming the observer when
+    it renders none (no repr: its object address differs per run)."""
     render = getattr(observer, "render", None)
-    return render() if callable(render) else repr(observer)
+    return render() if callable(render) else "(%s renders no table)" % name
 
 
 def _check_output_dirs(*outputs) -> None:
@@ -250,7 +251,7 @@ def _run_spec(spec: SweepSpec, args) -> int:
             for name, ob in obs.items():
                 print(
                     "\n== %s/%s @%s : %s ==\n%s"
-                    % (workload, config_name, size, name, _observer_text(ob))
+                    % (workload, config_name, size, name, _observer_text(name, ob))
                 )
     for err in rs.errors:
         print(
@@ -400,7 +401,7 @@ def _cmd_analyze(args) -> int:
         file=sys.stderr,
     )
     for name, aggregator in aggregators.items():
-        print("\n== %s ==\n%s" % (name, _observer_text(aggregator)))
+        print("\n== %s ==\n%s" % (name, _observer_text(name, aggregator)))
 
     if args.json:
         artifact = {

@@ -14,10 +14,12 @@ events as the machine runs:
 Observers are pure listeners: the pipeline never reads anything back
 from them, so attaching one cannot change timing or results.  The SM
 skips event construction entirely when no observer is attached, so the
-hooks are free in ordinary runs.  The first in-tree consumer is
-:class:`repro.analysis.pipeline_trace.IssueTrace` (the Figure 2
-machinery); :class:`EventCounter` below is a minimal reference
-implementation.
+hooks are free in ordinary runs.  The two observers registered here
+keep every event they see, so they live beside the hooks, not in
+:mod:`repro.analytics` (whose aggregators hold bounded state):
+:class:`IssueTrace` records each issue (the Figure 2 machinery of
+:mod:`repro.analysis.pipeline_trace`) and :class:`EventCounter` is a
+minimal reference implementation.
 """
 
 from __future__ import annotations
@@ -142,3 +144,20 @@ class EventCounter(Observer):
     def on_l2_miss(self, event: MemEvent) -> None:
         self.counts[KIND_L2_MISS] = self.counts.get(KIND_L2_MISS, 0) + event.count
         self.sequence.append((KIND_L2_MISS, event.cycle))
+
+
+#: One trace record: (cycle, warp id, pc, origin, mask, group name).
+IssueRecord = Tuple[int, int, int, str, int, str]
+
+
+@OBSERVERS.register("issue_trace")
+class IssueTrace(Observer):
+    """Records every issue as a trace tuple."""
+
+    def __init__(self) -> None:
+        self.events: List[IssueRecord] = []
+
+    def on_issue(self, event: IssueEvent) -> None:
+        self.events.append(
+            (event.cycle, event.wid, event.pc, event.origin, event.mask, event.group)
+        )

@@ -19,9 +19,11 @@ opens neither.  The processes are forked in
 and never again; they exit with the pool at shutdown and, should the
 daemon die without one (``kill -9``, an injected crash), on their own
 within about a second.  If a worker dies, the cells then on the pool
-fail with :class:`WorkerProcessDied`, later cells simulate in the
-dispatcher threads, and ``/v1/health`` reports
-``workers: {configured: N, alive: 0}``.
+fail with :class:`WorkerProcessDied`, the dispatcher threads call the
+same function themselves for later cells, and ``/v1/health`` reports
+``workers: {configured: N, alive: 0}``.  The daemon builds no
+:class:`~repro.api.engine.Engine`: its store is the only cache it
+reads or writes.
 
 ``POST /v1/jobs``
     submit cells (a :data:`~repro.service.protocol.MSG_SUBMIT`
@@ -86,7 +88,7 @@ from multiprocessing.process import BaseProcess
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, cast
 
 from repro.api.cache import AnyStats, is_cell_digest, stats_to_payload
-from repro.api.engine import Engine, _build_and_simulate, worker_pool
+from repro.api.engine import _build_and_simulate, worker_pool
 from repro.service import protocol
 from repro.service.faults import (
     FAULT_CRASH_AFTER_PUBLISH,
@@ -265,12 +267,15 @@ class SweepService:
     ``workers=N`` is N simulations in flight: N dispatcher threads,
     each handing its cell to one of N worker processes forked here,
     before any thread of the service exists (the module docstring says
-    what runs where).  An injected ``engine`` computes in the dispatcher
-    threads through ``engine.run_cell`` instead, with no processes —
-    the path a service whose worker died degrades to.  ``workers=0``
-    leaves the queue unserviced so tests (and the coalescing CI check)
-    can stage concurrent submissions and then drain deterministically,
-    in the calling thread, with :meth:`process_queued`.
+    what runs where).  With no worker to hand a cell to (``workers=0``,
+    a worker died, or ``engine`` injected) the dispatcher computes it
+    itself, in ``engine``: by default
+    :func:`~repro.api.engine._build_and_simulate`, the function the
+    workers run; tests inject a fake with its signature, and then no
+    worker is forked.  ``workers=0`` also leaves the queue unserviced
+    so tests (and the coalescing CI check) can stage concurrent
+    submissions and then drain deterministically, in the calling
+    thread, with :meth:`process_queued`.
 
     ``journal`` (a :class:`~repro.service.journal.JobJournal`) makes
     jobs durable: a submission with work left is journalled *before*
@@ -289,7 +294,7 @@ class SweepService:
         workers: int = 2,
         queue_limit: int = 256,
         retry_after: float = 1.0,
-        engine: Optional[Engine] = None,
+        engine: Optional[Callable[..., Tuple[AnyStats, object]]] = None,
         journal: Optional[JobJournal] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
@@ -309,19 +314,17 @@ class SweepService:
         #: process (injected engine, ``workers=0``, or a worker died).
         self._pool: Optional[ProcessPoolExecutor] = None
         self._workers: List[BaseProcess] = []
-        if engine is None:
-            engine = Engine(backend="inline", cache_dir=None, memo={})
-            if workers > 0:
-                others = set(multiprocessing.active_children())
-                self._pool = worker_pool(workers)
-                # The first task forks every worker; wait for it here,
-                # while this service has no thread to fork under.
-                self._pool.submit(os.getpid).result()
-                self._workers = [
-                    child for child in multiprocessing.active_children()
-                    if child not in others
-                ]
-        self._engine = engine
+        if engine is None and workers > 0:
+            others = set(multiprocessing.active_children())
+            self._pool = worker_pool(workers)
+            # The first task forks every worker; wait for it here,
+            # while this service has no thread to fork under.
+            self._pool.submit(os.getpid).result()
+            self._workers = [
+                child for child in multiprocessing.active_children()
+                if child not in others
+            ]
+        self._engine = engine or _build_and_simulate
         self._lock = threading.Lock()
         self._queue: "queue.Queue[Optional[_Work]]" = queue.Queue()
         self._inflight: Dict[str, _Work] = {}
@@ -694,9 +697,7 @@ class SweepService:
             except BrokenProcessPool:
                 self._pool = pool = None  # a sibling's cell found out first
         if pool is None:
-            return self._engine.run_cell(
-                cell.workload, cell.size, cell.config, verify=work.verify, cache=False
-            )
+            return self._engine(cell.workload, cell.size, cell.config, work.verify)[0]
         try:
             return future.result()[0]
         except BrokenProcessPool as exc:
@@ -939,7 +940,6 @@ def make_server(
     queue_limit: int = 256,
     retry_after: float = 1.0,
     heartbeat: float = 5.0,
-    engine: Optional[Engine] = None,
     journal_path: Optional[str] = None,
     resume: bool = False,
     fault_plan: Optional[FaultPlan] = None,
@@ -961,7 +961,6 @@ def make_server(
         workers=workers,
         queue_limit=queue_limit,
         retry_after=retry_after,
-        engine=engine,
         journal=journal,
         fault_plan=fault_plan,
     )

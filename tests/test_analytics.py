@@ -1,5 +1,9 @@
 """Streaming analytics: aggregators, bounded memory, engine wiring."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analytics import (
@@ -18,6 +22,8 @@ from repro.core.policy.observers import IssueEvent, MemEvent, RetireEvent
 from repro.core.simulator import simulate
 from repro.timing.stats import Stats
 from repro.workloads import get_workload
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _issue(cycle, sm_id=0, wid=0, origin=ORIGIN_PRIMARY, active=32):
@@ -199,6 +205,27 @@ class TestMakeAggregators:
     def test_unknown_name_lists_registry(self):
         with pytest.raises(ValueError, match="registered names"):
             make_aggregators(["nope"])
+
+    def test_every_listed_observer_builds_with_only_analytics_imported(self):
+        """A fresh interpreter that imports ``repro.analytics`` alone
+        builds every observer ``repro policies`` lists: none of them
+        is registered by importing ``repro.analysis``."""
+        script = (
+            "import sys\n"
+            "from repro.analytics import make_aggregators\n"
+            "names = ['counter', 'heatmap', 'issue_trace', 'origins', 'timeline']\n"
+            "built = make_aggregators(names)\n"
+            "assert 'repro.analysis' not in sys.modules\n"
+            "print(' '.join(sorted(built)))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["counter", "heatmap", "issue_trace", "origins", "timeline"]
 
     def test_a_type_error_inside_a_binned_constructor_is_not_swallowed(self):
         """Whether an observer takes ``bins`` is read off its signature:

@@ -30,24 +30,27 @@ def fresh_memo():
     result_cache.clear()
 
 
+def one_cell(engine, workload, size, config, verify=False):
+    """The stats of one (workload, size, config) cell: a one-cell sweep."""
+    spec = SweepSpec(workloads=[workload], configs={"cell": config}, size=size)
+    (result,) = engine.run(spec, verify=verify)
+    return result.stats
+
+
 class TestRunCell:
+    """Running one cell: a one-cell sweep through ``Engine.run``."""
+
     def test_memoised(self):
         engine = Engine()
-        a = engine.run_cell("histogram", "tiny", presets.baseline())
-        b = engine.run_cell("histogram", "tiny", presets.baseline())
+        a = one_cell(engine, "histogram", "tiny", presets.baseline())
+        b = one_cell(engine, "histogram", "tiny", presets.baseline())
         assert a is b
 
     def test_smoke_alias_shares_cache_with_tiny(self):
         engine = Engine()
-        a = engine.run_cell("histogram", "tiny", presets.baseline())
-        b = engine.run_cell("histogram", "smoke", presets.baseline())
+        a = one_cell(engine, "histogram", "tiny", presets.baseline())
+        b = one_cell(engine, "histogram", "smoke", presets.baseline())
         assert a is b
-
-    def test_cache_false(self):
-        engine = Engine()
-        a = engine.run_cell("histogram", "tiny", presets.baseline(), cache=False)
-        b = engine.run_cell("histogram", "tiny", presets.baseline(), cache=False)
-        assert a is not b and a.cycles == b.cycles
 
     def test_verify_simulates_and_checks(self):
         calls = []
@@ -61,8 +64,8 @@ class TestRunCell:
             return inst
 
         engine = Engine(workload_factory=factory)
-        engine.run_cell("histogram", "tiny", presets.baseline())
-        engine.run_cell("histogram", "tiny", presets.baseline(), verify=True)
+        one_cell(engine, "histogram", "tiny", presets.baseline())
+        one_cell(engine, "histogram", "tiny", presets.baseline(), verify=True)
         assert calls == ["histogram"]
 
 
@@ -272,7 +275,7 @@ class TestStrictDiskSerialization:
             simulate_fn=lambda kernel, memory, config: bad,
         )
         with pytest.raises(CacheSerializationError, match="histogram"):
-            engine.run_cell("histogram", "tiny", presets.baseline())
+            one_cell(engine, "histogram", "tiny", presets.baseline())
         assert os.listdir(str(tmp_path)) == []  # nothing half-written
 
 
@@ -304,20 +307,17 @@ class TestCacheMaintenance:
 
     def test_corrupt_entry_falls_back_to_simulation(self, tmp_path):
         cache_dir = str(tmp_path)
-        engine = Engine(cache_dir=cache_dir)
-        engine.run_cell("histogram", "tiny", presets.baseline())
+        one_cell(Engine(cache_dir=cache_dir), "histogram", "tiny", presets.baseline())
         digest = result_cache.cell_hash("histogram", "tiny", presets.baseline())
         with open(result_cache.digest_path(cache_dir, digest), "w") as f:
             f.write("{not json")
         result_cache.clear()
-        stats = Engine(cache_dir=cache_dir).run_cell(
-            "histogram", "tiny", presets.baseline()
-        )
+        stats = one_cell(Engine(cache_dir=cache_dir), "histogram", "tiny", presets.baseline())
         assert stats.cycles > 0
 
     def test_env_var_names_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(result_cache.CACHE_DIR_ENV, str(tmp_path))
-        Engine().run_cell("histogram", "tiny", presets.baseline())
+        one_cell(Engine(), "histogram", "tiny", presets.baseline())
         assert os.listdir(str(tmp_path))
 
 

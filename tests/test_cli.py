@@ -591,3 +591,17 @@ class TestAnalyze:
         assert "# 1 cells: 1 simulated, 0 cached" in observed.stderr
         assert "== histogram/sbi_swi @tiny : origins ==" in observed.stdout  # smoke->tiny alias
         assert "issue origins" in observed.stdout
+
+    def test_observers_without_a_table_print_the_same_every_run(self):
+        """``issue_trace`` and ``counter`` render no table: their
+        sections name them, with no object address, so an inline run
+        and a two-worker run print the same bytes."""
+        args = (
+            "sweep", "--workloads", "histogram", "--configs", "baseline,sbi_swi",
+            "--size", "tiny", "--observer", "issue_trace", "--observer", "counter",
+        )
+        inline = run_cli(*args, "--jobs", "1").stdout
+        pooled = run_cli(*args, "--jobs", "2").stdout
+        assert inline == pooled
+        assert inline.count("(issue_trace renders no table)") == 2
+        assert inline.count("(counter renders no table)") == 2

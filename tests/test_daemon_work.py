@@ -258,8 +258,8 @@ def answered_resubmit_work(kernels: int, root: str) -> dict:
 class _CannedEngine:
     """Answers every cell with :data:`STATS`, simulating nothing."""
 
-    def run_cell(self, *args, **kwargs):
-        return STATS
+    def __call__(self, *args, **kwargs):
+        return STATS, {}
 
 
 def queued_job_work(kernels: int, root: str) -> dict:

@@ -218,9 +218,9 @@ class _StubEngine:
     def __init__(self):
         self.calls = 0
 
-    def run_cell(self, workload, size, config, verify=False, cache=True):
+    def __call__(self, workload, size, config, verify, observers=(), bins=None):
         self.calls += 1
-        return STATS
+        return STATS, {}
 
 
 class TestNestedEntry:

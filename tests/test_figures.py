@@ -130,7 +130,26 @@ AREA_ROWS = {"area_overhead_pct_%s" % config for config in ("sbi", "swi", "sbi_s
 STORAGE_ROWS = {
     "storage_bits_%s" % config for config in ("baseline", "sbi", "swi", "sbi_swi")
 }
-STATIC_ROWS = PEAK_ROWS | AREA_ROWS | STORAGE_ROWS
+#: Table 2, restated: per configuration, warp count and width, the
+#: scheduler, delivery and execution latencies, scoreboard entries, L1
+#: size / ways / block / latency, DRAM bandwidth and latency.
+TABLE2_FIELDS = (
+    "warp_count", "warp_width", "scheduler_latency", "delivery_latency",
+    "exec_latency", "scoreboard_entries", "l1_size", "l1_ways", "l1_block",
+    "l1_latency", "dram_bandwidth", "dram_latency",
+)
+TABLE2 = {
+    "baseline": (32, 32, 1, 0, 8, 6, 48 * 1024, 6, 128, 3, 10.0, 330),
+    "sbi": (16, 64, 1, 1, 8, 6, 48 * 1024, 6, 128, 3, 10.0, 330),
+    "swi": (16, 64, 2, 1, 8, 6, 48 * 1024, 6, 128, 3, 10.0, 330),
+    "sbi_swi": (16, 64, 2, 1, 8, 6, 48 * 1024, 6, 128, 3, 10.0, 330),
+}
+TABLE2_ROWS = {
+    "table2_%s_%s" % (field, config): value
+    for config, values in TABLE2.items()
+    for field, value in zip(TABLE2_FIELDS, values)
+}
+STATIC_ROWS = PEAK_ROWS | AREA_ROWS | STORAGE_ROWS | set(TABLE2_ROWS)
 
 
 def _rule(name, measured, paper, band):
@@ -203,6 +222,17 @@ def test_fidelity_static_rows_are_the_models_against_tables_3_and_4():
     for config, bits in table3.items():
         row = FIDELITY["storage_bits_" + config]
         assert (row["paper"], row["band"]) == (bits, [bits, bits]), config
+
+
+def test_fidelity_table2_rows_hold_each_preset_to_the_paper_exactly():
+    """The Table 2 rows of ``fidelity.static_rows``: the paper side
+    restated above, an exact band, and every preset inside it."""
+    for name, value in TABLE2_ROWS.items():
+        row = FIDELITY[name]
+        assert (row["figure"], row["paper"], row["band"]) == (
+            "presets.by_name", value, [value, value]
+        ), name
+        assert set(row["status"].values()) == {"match"}, name
 
 
 def test_every_recorded_status_is_the_rules():

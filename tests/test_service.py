@@ -19,7 +19,7 @@ from repro.api.cache import (
     config_to_payload,
     is_cell_digest,
 )
-from repro.api.engine import BACKENDS
+from repro.api.engine import BACKENDS, _build_and_simulate
 from repro.core import presets
 from repro.service import protocol
 from repro.service.daemon import (
@@ -55,17 +55,18 @@ def fresh_memo():
 
 
 class _StubEngine:
-    """Counts run_cell calls; optionally fails every cell."""
+    """A cell function with ``_build_and_simulate``'s signature: counts
+    calls; optionally fails every cell."""
 
     def __init__(self, fail=False):
         self.calls = 0
         self.fail = fail
 
-    def run_cell(self, workload, size, config, verify=False, cache=True):
+    def __call__(self, workload, size, config, verify, observers=(), bins=None):
         self.calls += 1
         if self.fail:
             raise RuntimeError("boom")
-        return Stats(cycles=7, thread_instructions=3, instructions_issued=2)
+        return Stats(cycles=7, thread_instructions=3, instructions_issued=2), {}
 
 
 def _service(tmp_path, **kwargs):
@@ -493,7 +494,7 @@ class TestCacheDirIsAStore:
         "config", [presets.baseline(), presets.device("baseline", sm_count=2)]
     )
     def test_both_writers_produce_identical_files(self, tmp_path, config):
-        stats = Engine(cache_dir=None, memo={}).run_cell("histogram", "tiny", config)
+        stats = _build_and_simulate("histogram", "tiny", config, False)[0]
         a, b = tmp_path / "a", tmp_path / "b"
         digest = result_cache.disk_store(str(a), "histogram", "tiny", config, stats)
         assert ResultStore(str(b)).store("histogram", "tiny", config, stats) == digest
@@ -769,9 +770,9 @@ class TestSweepService:
         gate = threading.Event()
 
         class _Gated(_StubEngine):
-            def run_cell(self, *args, **kwargs):
+            def __call__(self, *args, **kwargs):
                 gate.wait(timeout=30)  # until every reader is streaming
-                return super().run_cell(*args, **kwargs)
+                return super().__call__(*args, **kwargs)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

@@ -73,17 +73,18 @@ def fresh_memo():
 
 
 class _StubEngine:
-    """Counts run_cell calls; optionally fails every cell."""
+    """A cell function with ``_build_and_simulate``'s signature: counts
+    calls; optionally fails every cell."""
 
     def __init__(self, fail=False):
         self.calls = 0
         self.fail = fail
 
-    def run_cell(self, workload, size, config, verify=False, cache=True):
+    def __call__(self, workload, size, config, verify, observers=(), bins=None):
         self.calls += 1
         if self.fail:
             raise RuntimeError("boom")
-        return Stats(cycles=7, thread_instructions=3, instructions_issued=2)
+        return Stats(cycles=7, thread_instructions=3, instructions_issued=2), {}
 
 
 def _journalled_service(tmp_path, fault_plan=None, engine=None):

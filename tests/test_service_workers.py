@@ -19,7 +19,7 @@ import pytest
 
 from repro.api import Engine, SweepSpec
 from repro.api import cache as result_cache
-from repro.api.engine import worker_pool
+from repro.api.engine import _build_and_simulate, worker_pool
 from repro.core import presets
 from repro.core.policy import POLICIES, PolicySpec, register_policy
 from repro.service import protocol
@@ -196,11 +196,9 @@ class TestWhereCellsRun:
         class _PidEngine:
             pids = []
 
-            def run_cell(self, workload, size, config, verify=False, cache=True):
+            def __call__(self, *args, **kwargs):
                 self.pids.append(os.getpid())
-                return Engine(backend="inline", cache_dir=None, memo={}).run_cell(
-                    workload, size, config, verify=verify, cache=False
-                )
+                return _build_and_simulate(*args, **kwargs)
 
         children = set(multiprocessing.active_children())
         stub = SweepService(
@@ -309,9 +307,7 @@ class TestSameBytes:
         try:
             config = presets.by_name("scratch_served_w64")
             cell = ("histogram", "tiny", "scratch_served_w64", config)
-            inline = Engine(backend="inline", cache_dir=None, memo={}).run_cell(
-                "histogram", "tiny", config, cache=False
-            )
+            inline = _build_and_simulate("histogram", "tiny", config, False)[0]
             service = SweepService(ResultStore(str(tmp_path / "store")), workers=2)
             try:
                 (got,) = _fill(service, [cell])["cells"]
