@@ -30,6 +30,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.functional.executor import Executor
 from repro.functional.memory import MemoryImage
 from repro.isa.builder import Kernel
 from repro.core.policy import MemEvent
@@ -133,8 +134,12 @@ def deadlock_report(header: str, sms, now: int) -> str:
 class GPUDevice:
     """Cycle-level model of one GPU running one kernel launch.
 
-    ``compiled`` is handed to every SM's executor (see
-    :func:`~repro.core.simulator.simulate`).
+    Every SM runs the same kernel on the same memory image, so the
+    device builds one :class:`~repro.functional.executor.Executor` for
+    the launch and hands it to every SM: each instruction's plan is
+    compiled once per launch, not once per SM.  ``compiled`` selects
+    its execution path (see :func:`~repro.core.simulator.simulate`).
+    :meth:`release` tears a finished or failed run down.
     """
 
     def __init__(
@@ -154,6 +159,10 @@ class GPUDevice:
         #: Cycle-level observers: shared with every SM (issue/retire/
         #: split/L1 events); the device itself reports L2 misses.
         self.observers = list(observers or ())
+        # ``compiled`` is deliberately not a config field: cache keys
+        # must not change with it (identical architectural behaviour;
+        # see repro.functional.compiled).
+        self.executor = Executor(kernel, memory, compiled=compiled)
         self.sms: List[StreamingMultiprocessor] = []
         for i in range(config.sm_count):
             if self.l2 is not None:
@@ -167,9 +176,9 @@ class GPUDevice:
                     config.sm,
                     dispatcher=self.dispatcher,
                     memory_sink=sink,
+                    executor=self.executor,
                     sm_id=i,
                     observers=self.observers,
-                    compiled=compiled,
                 )
             )
 
@@ -259,6 +268,20 @@ class GPUDevice:
             overrun_report(self.kernel.name, max_cycles, soonest, totals, len(sms))
         )
 
+    def release(self) -> None:
+        """Break the reference cycles a run leaves, finished or failed:
+        detach every warp still resident (a finished run's retired
+        CTAs detached theirs, :meth:`TimingWarp.detach
+        <repro.core.warp.TimingWarp.detach>`) and part each SM from
+        its scheduler.  Then the run's SMs, warps and memory image go
+        by refcount with their last reference, not at the next full
+        collection.  The device cannot run again."""
+        for sm in self.sms:
+            for warp in sm.warp_slots:
+                if warp is not None:
+                    warp.detach()
+            del sm.scheduler
+
     def _collect(self, device_cycles: int) -> DeviceStats:
         stats = DeviceStats(
             cycles=device_cycles,
@@ -313,8 +336,7 @@ def simulate_device(
     try:
         stats = device.run()
     finally:
-        for sm in device.sms:  # break the cycles, as ``simulate`` does
-            del sm.scheduler
+        device.release()
     for observer in device.observers:
         observer.finalize(stats)
     return stats

@@ -54,9 +54,7 @@ def simulate(
     try:
         device.run()
     finally:
-        # SM <-> scheduler is a reference cycle: unbroken, ``memory``
-        # waits for a GC pass instead of going with its last reference.
-        del sm.scheduler
+        device.release()
     stats = sm.stats
     for observer in device.observers:
         observer.finalize(stats)

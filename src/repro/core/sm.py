@@ -12,6 +12,14 @@ stalled resources.  The SM has no run loop of its own: a
 :meth:`~StreamingMultiprocessor.step` and jumps over the cycles where
 nothing can happen, up to
 :meth:`~StreamingMultiprocessor.next_event_cycle`.
+
+The device also owns what the SMs share: the executor (one set of
+compiled plans per launch) and the run's teardown
+(:meth:`~repro.core.gpu.GPUDevice.release`).  A CTA lives from its
+launch to the retire of its last warp, which detaches all of its warps
+(:meth:`~repro.core.warp.TimingWarp.detach`): no reference cycle holds
+a retired CTA's register files and shared memory until the next
+garbage collection.
 """
 
 from __future__ import annotations
@@ -59,9 +67,9 @@ class StreamingMultiprocessor:
     """Cycle-level model of one SM running one kernel launch.
 
     Built by a :class:`repro.core.gpu.GPUDevice`, which hands it the
-    device's memory sink (L2 system or per-SM DRAM channel) and its
-    GigaThread dispatcher, and drives its SMs in lock-step through
-    :meth:`step` / :meth:`next_event_cycle`.
+    device's memory sink (L2 system or per-SM DRAM channel), its
+    GigaThread dispatcher and its executor, and drives its SMs in
+    lock-step through :meth:`step` / :meth:`next_event_cycle`.
     """
 
     __slots__ = (
@@ -102,9 +110,9 @@ class StreamingMultiprocessor:
         *,
         dispatcher,
         memory_sink,
+        executor: Executor,
         sm_id: int = 0,
         observers=None,
-        compiled: bool = True,
     ) -> None:
         from repro.core.schedulers import make_scheduler  # cycle-free import
 
@@ -115,10 +123,9 @@ class StreamingMultiprocessor:
         #: The device cycle at which the run loop next steps this SM.
         self.wake = 0
         self.stats = Stats()
-        # ``compiled`` selects the specialised execution path (identical
-        # architectural behaviour; see repro.functional.compiled).  It is
-        # deliberately not an SMConfig field: cache keys must not change.
-        self.executor = Executor(kernel, memory, compiled=compiled)
+        # The device's one executor: every SM runs the same kernel on
+        # the same memory image.
+        self.executor = executor
         self.backend = Backend(config)
         self.cache = L1Cache(config.l1_size, config.l1_ways, config.l1_block, config.l1_latency)
         self.dram = memory_sink
@@ -215,6 +222,12 @@ class StreamingMultiprocessor:
                 self._launch_cta(cta, slots, now)
 
     def _retire_warp(self, warp: TimingWarp, now: int) -> None:
+        """``warp`` ran its last thread out.  When it is the last of its
+        CTA, the CTA's slots free up (a launch into them is scheduled
+        if the grid has CTAs left) and every warp of it is detached
+        (:meth:`TimingWarp.detach`): the CTA's warps, register files
+        and shared memory go by refcount as soon as the SM's queues
+        let go of them."""
         warp.done = True
         self.stats.warps_retired += 1
         self.stats.merges += warp.model.merge_count
@@ -226,8 +239,9 @@ class StreamingMultiprocessor:
         cta_warps = self.cta_warps[warp.cta_id]
         if all(w.done for w in cta_warps):
             slots = tuple(w.wid for w in cta_warps)
-            for slot in slots:
-                self.warp_slots[slot] = None
+            for w in cta_warps:
+                self.warp_slots[w.wid] = None
+                w.detach()
             del self.cta_warps[warp.cta_id]
             if self.dispatcher.has_pending():
                 heappush(

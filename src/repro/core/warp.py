@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import insort
-from heapq import heappush
+from heapq import heapify, heappush
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +54,7 @@ class TimingWarp:
         "_units",
         "_timers",
         "matrix_sb",
+        "__weakref__",  # so a test can watch a retired warp go
     )
 
     def __init__(
@@ -126,9 +127,6 @@ class TimingWarp:
         self.cand0: Optional[Tuple] = None
         self.cand1: Optional[Tuple] = None
         self.suspended = False
-        self._issue_wakes: List["TimingWarp"] = []
-        self._fetch_wakes: List["TimingWarp"] = []
-        self._timers: List[Tuple[int, int, int, "TimingWarp"]] = []
 
     # -- wake / sleep helpers ---------------------------------------------
 
@@ -144,7 +142,8 @@ class TimingWarp:
         """Bind the warp to its SM at CTA launch: the fetch engine's
         buffer ways, the scheduler's and the fetch engine's woken
         lists, the SM's timed-wake heap, the scheduler's pool and unit
-        table.  The launch itself is a wake."""
+        table, and the model's change hook (:meth:`wake`).  The launch
+        itself is a wake.  :meth:`detach` undoes all of it."""
         self.ibuf = ibuf
         self._issue_wakes = issue_wakes
         self._fetch_wakes = fetch_wakes
@@ -153,6 +152,41 @@ class TimingWarp:
         self._units = units
         self.model.on_change = self.wake
         self.wake()
+
+    def detach(self) -> None:
+        """Undo :meth:`attach` when the warp's CTA frees its slots
+        (:meth:`StreamingMultiprocessor._retire_warp
+        <repro.core.sm.StreamingMultiprocessor._retire_warp>`) or its
+        run ends (:meth:`GPUDevice.release
+        <repro.core.gpu.GPUDevice.release>`).
+
+        Each edge :meth:`attach` made closes a reference cycle: the
+        model's ``on_change`` is this warp's bound :meth:`wake`, a
+        candidate tuple holds the warp, and so may the lists and the
+        heap the warp appends itself to.  Detached, the warp (with its
+        register file, model, scoreboard and the CTA's shared memory)
+        goes by refcount once the SM lets go of it, not at the next
+        full collection.  The candidates on record leave the pool with
+        it, and a timed wake still on the heap or a verdict waiting on
+        the scoreboard is dropped: nothing wakes a detached warp.
+        """
+        self.model.on_change = None
+        pool = self._pool
+        if self.cand0 is not None:
+            pool.remove(self.cand0)
+        if self.cand1 is not None and not self.suspended:
+            pool.remove(self.cand1)
+        self.cand0 = self.cand1 = None
+        self.suspended = False
+        timers = self._timers
+        kept = [timer for timer in timers if timer[3] is not self]
+        if len(kept) != len(timers):
+            timers[:] = kept
+            heapify(timers)
+        self.timer = _NEVER
+        self.scoreboard.awaited = False
+        self.ibuf = ()
+        del self._issue_wakes, self._fetch_wakes, self._timers, self._pool, self._units
 
     def wake(self) -> None:
         """What this warp can issue or fetch may have changed

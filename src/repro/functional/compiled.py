@@ -225,7 +225,9 @@ def compile_instruction(
 
     def plan(fw, active):
         if active is full_arr:
-            copyto(fw.rows[dst], values(fw))
+            # A slice assignment, not ``copyto``: that would run numpy's
+            # Python-level array-function dispatcher once per issue.
+            fw.rows[dst][...] = values(fw)
         else:
             # Same elementwise writes as the interpreter's
             # broadcast-then-scatter, in one numpy call.

@@ -87,6 +87,7 @@ class FunctionalWarp:
         "lanes_f64",
         "ctaid_f64",
         "warpid_f64",
+        "__weakref__",  # so a test can watch a retired warp go
     )
 
     def __init__(

@@ -13,9 +13,18 @@ from hypothesis import strategies as st
 
 from repro.core import presets
 from repro.core.gpu import CTADispatcher, GPUDevice, simulate_device
+from repro.core.policy.observers import IssueTrace
 from repro.core.simulator import SimulationError, simulate
+from repro.core.sm import StreamingMultiprocessor
+from repro.core.warp import TimingWarp
+from repro.functional import compiled as compiled_plans
+from repro.functional.executor import FunctionalWarp
+from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import KernelBuilder
+from repro.isa.instructions import MemSpace
 from repro.timing.config import GPUConfig, SMConfig
+from repro.timing.divergence import DivergenceModel
+from repro.timing.scoreboard import ScoreboardBase
 from repro.workloads import ALL_WORKLOADS, get_workload
 from repro.workloads.common import emit_byte_index, emit_global_tid
 
@@ -298,6 +307,43 @@ class TestGPUConfig:
         assert "L2" in presets.device().describe()
 
 
+def _many_ctas_instance(grid_size=12, cta_size=256):
+    """A divergent two-sided branch, a shared-memory exchange across a
+    barrier and a global store, over more CTAs than one SM holds (4 of
+    256 threads): later CTAs launch into the slots earlier ones free."""
+    kb = KernelBuilder("many_ctas")
+    t, p, v, a, w = kb.regs("t", "p", "v", "a", "w")
+    kb.mov(t, kb.tid)
+    kb.mul(a, t, 4)
+    kb.mov(v, 1.0)
+    kb.and_(p, t, 1)
+    kb.bra("odd", cond=p)
+    for _ in range(4):
+        kb.mad(v, v, 3, 1)
+    kb.bra("join")
+    kb.label("odd")
+    for _ in range(4):
+        kb.mad(v, v, 5, 2)
+    kb.label("join")
+    kb.st(0, v, index=a, space=MemSpace.SHARED)
+    kb.bar()
+    kb.ld(w, 0, index=a, space=MemSpace.SHARED)
+    kb.mad(t, kb.ctaid, kb.ntid, t)
+    kb.mul(a, t, 4)
+    kb.st(kb.param(0), w, index=a)
+    kb.exit_()
+    mem = MemoryImage(1 << 16)
+    out = mem.alloc(grid_size * cta_size * 4)
+    kernel = kb.build(
+        cta_size=cta_size, grid_size=grid_size, shared_bytes=cta_size * 4, params=(out,)
+    )
+    return kernel, mem
+
+
+#: The per-warp objects a CTA launch builds, and what each warp owns.
+_WARP_STATE = (TimingWarp, FunctionalWarp, SharedMemory, DivergenceModel, ScoreboardBase)
+
+
 class TestFinishedRunsFreeTheirMemory:
     """``SM <-> scheduler`` is a reference cycle; ``simulate`` and
     ``simulate_device`` break it on the way out, so a finished cell's
@@ -342,3 +388,113 @@ class TestFinishedRunsFreeTheirMemory:
             assert alive() is None
         finally:
             gc.enable()
+
+    @staticmethod
+    def _watch_launches(monkeypatch):
+        """Weak references to every warp, register file and CTA shared
+        memory the runs launch."""
+        refs = []
+        launch = StreamingMultiprocessor._launch_cta
+
+        def watched(sm, cta, slots, now):
+            launch(sm, cta, slots, now)
+            for warp in sm.cta_warps[cta]:
+                refs.extend(weakref.ref(o) for o in (warp, warp.fwarp, warp.fwarp.shared))
+
+        monkeypatch.setattr(StreamingMultiprocessor, "_launch_cta", watched)
+        return refs
+
+    @staticmethod
+    def _left_to_the_collector():
+        """What a full collection finds unreachable, by type name, of
+        the warp-state types."""
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            found = sorted(
+                type(o).__name__ for o in gc.garbage if isinstance(o, _WARP_STATE)
+            )
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
+            gc.collect()
+        return found
+
+    @pytest.mark.parametrize("sm_count", [1, 2])
+    @pytest.mark.parametrize("mode", presets.FIGURE7_CONFIGS + ("dwr",))
+    def test_retirement_frees_the_cta(self, monkeypatch, mode, sm_count):
+        """No warp is a reference cycle: a retired CTA's warps, register
+        files and shared memory go by refcount, so with the collector
+        off every one of them is gone when the run returns, and a full
+        collection afterwards finds nothing of them (nor a divergence
+        model or a scoreboard, every kind of which the modes cover)."""
+        refs = self._watch_launches(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            kernel, mem = _many_ctas_instance()
+            if sm_count == 1:
+                per_sm = [simulate(kernel, mem, presets.by_name(mode))]
+            else:
+                stats = simulate_device(kernel, mem, presets.device(mode, sm_count=2))
+                per_sm = stats.sm_stats
+            assert sum(s.ctas_launched for s in per_sm) == kernel.grid_size == 12
+            assert len(refs) == 3 * sum(s.warps_retired for s in per_sm)
+            assert [r for r in refs if r() is not None] == []
+            assert self._left_to_the_collector() == []
+        finally:
+            gc.enable()
+
+    def test_a_failed_run_leaves_no_warp_either(self, monkeypatch):
+        """Warps still resident when a run overruns are detached on the
+        way out, by ``simulate`` and ``simulate_device`` alike."""
+        refs = self._watch_launches(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            for mode in presets.FIGURE7_CONFIGS + ("dwr",):
+                kernel, mem = _many_ctas_instance()
+                with pytest.raises(SimulationError):
+                    simulate(kernel, mem, presets.by_name(mode, max_cycles=5))
+                kernel, mem = _many_ctas_instance()
+                with pytest.raises(SimulationError):
+                    simulate_device(
+                        kernel, mem,
+                        presets.device(mode, sm_count=2, sm=presets.by_name(mode, max_cycles=5)),
+                    )
+            assert refs
+            assert [r for r in refs if r() is not None] == []
+            assert self._left_to_the_collector() == []
+        finally:
+            gc.enable()
+
+
+class TestOneExecutorPerDevice:
+    """Every SM of a launch runs the same kernel on the same memory
+    image: the device builds one executor and compiles each
+    instruction once, however many SMs issue it."""
+
+    def test_every_sm_shares_the_device_executor(self):
+        inst = get_workload("transpose", "tiny")
+        device = GPUDevice(inst.kernel, inst.memory, presets.device("sbi_swi", sm_count=2))
+        assert device.sms[0].executor is device.sms[1].executor is device.executor
+        assert device.executor.compiled
+
+    @pytest.mark.parametrize("mode", ["baseline", "sbi_swi"])
+    def test_each_issued_pc_is_compiled_once_per_launch(self, monkeypatch, mode):
+        compiles = []
+        compile_guarded = compiled_plans.compile_guarded
+
+        def counted(instr, kernel, memory, width):
+            compiles.append(instr.pc)
+            return compile_guarded(instr, kernel, memory, width)
+
+        monkeypatch.setattr(compiled_plans, "compile_guarded", counted)
+        inst = get_workload("transpose", "tiny")
+        trace = IssueTrace()
+        stats = simulate_device(
+            inst.kernel, inst.memory, presets.device(mode, sm_count=2), observers=[trace]
+        )
+        # Both SMs ran CTAs, so both issued the kernel's instructions.
+        assert all(s.ctas_launched for s in stats.sm_stats)
+        assert sorted(compiles) == sorted({pc for _, _, pc, _, _, _ in trace.events})
