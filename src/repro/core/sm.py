@@ -46,7 +46,7 @@ from repro.timing.cache import L1Cache
 from repro.timing.config import SMConfig
 from repro.timing.fetch import FetchEngine, IBufEntry
 from repro.timing.lsu import LoadStoreUnit
-from repro.timing.masks import bools_to_mask, mask_to_bools, popcount
+from repro.timing.masks import bools_to_mask, full_mask, mask_to_bools
 from repro.timing.scoreboard import _UNIT_ROWS, Entry, build_transition
 from repro.timing.stats import Stats
 from repro.timing.units import Backend, ExecGroup
@@ -100,6 +100,7 @@ class StreamingMultiprocessor:
         "_issue_to_wb",
         "_delivery_latency",
         "_branch_latency",
+        "_full_bools",
     )
 
     def __init__(
@@ -159,6 +160,9 @@ class StreamingMultiprocessor:
         self._issue_to_wb = config.issue_to_writeback
         self._delivery_latency = config.delivery_latency
         self._branch_latency = config.branch_latency
+        #: The interned all-active bool row: a branch under it needs no
+        #: ``taken & active``.
+        self._full_bools = mask_to_bools(full_mask(config.warp_width), config.warp_width)
 
         if kernel.cta_size > config.total_threads:
             raise SimulationError(
@@ -388,7 +392,10 @@ class StreamingMultiprocessor:
         elif control == _BRANCH:
             assert outcome is not None  # a branch plan always reports
             stats.branches += 1
-            taken = bools_to_mask(np.asarray(outcome.taken) & outcome.active)
+            taken = outcome.taken
+            if outcome.active is not self._full_bools:
+                taken = taken & outcome.active
+            taken = bools_to_mask(taken)
             split.redirect_ready_at = now + self._branch_latency
             if warp not in self._gated:
                 self._gated.append(warp)
@@ -437,25 +444,19 @@ class StreamingMultiprocessor:
     # ------------------------------------------------------------------
 
     def _check_barrier(self, cta_id: int, now: int) -> None:
+        """Release the CTA's barrier once every live thread of it is
+        parked there.  O(warps): each model keeps its parked-thread
+        count, and its live threads are ``launch_mask & ~exited_mask``
+        (a retired warp's are 0)."""
         warps = self.cta_warps.get(cta_id)
         if not warps:
             return
-        # Fast out: with no thread parked anywhere in the CTA (every
-        # EXIT of a barrier-free kernel lands here), the release
-        # condition below cannot hold unless the CTA is already empty
-        # — and then there is nothing to unpark either.
-        if not any(w.model.parked_threads for w in warps if not w.done):
-            return
         live = parked = 0
         for warp in warps:
-            if warp.done:
-                continue
-            for s in warp.model.all_splits():
-                threads = popcount(s.mask)
-                live += threads
-                if s.parked:
-                    parked += threads
-        if live == 0 or parked < live:
+            model = warp.model
+            parked += model.parked_threads
+            live += (model.launch_mask & ~model.exited_mask).bit_count()
+        if not parked or parked < live:
             return
         for warp in warps:
             if warp.done:

@@ -7,16 +7,31 @@ Kernels execute the same few static instructions millions of times, so
 all of that work can be done once per instruction at kernel load:
 
 * operand access is pre-resolved into a getter closure (register row,
-  pre-built immediate/param scalar, cached special-register vector);
+  pre-built constant row, per-warp special-register row);
 * the op's compute function, comparison operator, memory space and
   atomic kind are bound directly;
 * the predicate guard is compiled in only when the instruction is
   predicated.
 
 Every closure reproduces the reference interpreter's numpy expressions
-verbatim (same dtypes, same operation order), so the two paths produce
-bit-identical architectural state — pinned by the differential test
-over all 21 workloads and the golden smoke matrix.
+(same dtypes, same operation order, the same IEEE operation on every
+lane), so the two paths produce bit-identical architectural state —
+pinned by the differential test over all 21 workloads and the golden
+smoke matrix.
+
+**Every operand is a warp-width array.**  An immediate, a kernel
+parameter, ``ntid``/``nctaid`` and a memory offset become read-only
+``float64`` rows built once at compile time (``ctaid``/``warpid`` are
+rows of the :class:`~repro.functional.executor.FunctionalWarp`), and
+branch conditions, guards and ``SEL`` compare against one zero row.
+A ufunc given a numpy or Python scalar pays for converting and
+promoting it on every call: at 64 lanes, array ⊕ ``np.float64``
+costs 1.6 times array ⊕ array, and ``row != 0`` 1.8 times
+``row != zeros`` (numpy 2.4; README's performance section has the
+figures).  The rows are read-only, so no plan can write a
+constant another plan reads, and they are never shared by value: an
+immediate ``-0.0`` gets its own row (``-0.0 == 0.0`` as a dict key,
+not as an operand of ``1 / x``).
 
 The only deliberate shortcut is the *full-warp fast path*: when the
 effective mask is the interned all-active array (identity comparison
@@ -28,7 +43,8 @@ assign exactly the same elements.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,12 +65,10 @@ from repro.timing.masks import bools_to_indices, full_mask, mask_to_bools
 # imports this module).
 
 
-def _as_int(values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64).astype(np.int64)
-
-
 def _int_binop(op) -> Callable:
-    return lambda a, b: op(_as_int(a), _as_int(b)).astype(np.float64)
+    """``op`` on the int64 values of two rows, back to float64 (``op``
+    is an :mod:`operator` function: no Python frame of its own)."""
+    return lambda a, b: op(a.astype(np.int64), b.astype(np.int64)).astype(np.float64)
 
 
 _CMP_FUNCS = {
@@ -66,7 +80,8 @@ _CMP_FUNCS = {
     CmpOp.NE: np.not_equal,
 }
 
-#: op -> f(*src_values), mirroring ``Executor._compute`` case by case.
+#: op -> f(*src_values), mirroring ``Executor._compute`` case by case
+#: (the ops with a constant of their own are in :func:`_compute_for`).
 _COMPUTE_FUNCS = {
     Op.MOV: lambda a: a,
     Op.ADD: operator.add,
@@ -75,22 +90,19 @@ _COMPUTE_FUNCS = {
     Op.MAD: lambda a, b, c: a * b + c,
     Op.MIN: np.minimum,
     Op.MAX: np.maximum,
-    Op.AND: _int_binop(lambda a, b: a & b),
-    Op.OR: _int_binop(lambda a, b: a | b),
-    Op.XOR: _int_binop(lambda a, b: a ^ b),
-    Op.NOT: lambda a: (~_as_int(a)).astype(np.float64),
-    Op.SHL: _int_binop(lambda a, b: a << b),
-    Op.SHR: _int_binop(lambda a, b: a >> b),
+    Op.AND: _int_binop(operator.and_),
+    Op.OR: _int_binop(operator.or_),
+    Op.XOR: _int_binop(operator.xor),
+    Op.NOT: lambda a: (~a.astype(np.int64)).astype(np.float64),
+    Op.SHL: _int_binop(operator.lshift),
+    Op.SHR: _int_binop(operator.rshift),
     Op.ABS: np.abs,
     Op.NEG: operator.neg,
     Op.FLOOR: np.floor,
     Op.I2F: lambda a: a,
     Op.F2I: np.trunc,
-    Op.SEL: lambda c, a, b: np.where(np.asarray(c) != 0, a, b),
-    Op.RCP: lambda a: 1.0 / a,
     Op.DIV: operator.truediv,
     Op.SQRT: np.sqrt,
-    Op.RSQRT: lambda a: 1.0 / np.sqrt(a),
     Op.SIN: np.sin,
     Op.COS: np.cos,
     Op.EX2: np.exp2,
@@ -100,8 +112,29 @@ _COMPUTE_FUNCS = {
 _ATOM_OPS = {Op.ATOM_ADD: "add", Op.ATOM_MIN: "min", Op.ATOM_MAX: "max"}
 
 
-def _src_getter(operand: Operand, kernel: Kernel) -> Callable:
-    """Pre-resolved operand access: ``getter(fwarp) -> value``."""
+def const_row(value, width: int) -> np.ndarray:
+    """A read-only ``float64`` row holding ``value`` in every lane,
+    converted as the interpreter converts it (``np.float64(value)``)."""
+    row = np.full(width, np.float64(value), dtype=np.float64)
+    row.setflags(write=False)
+    return row
+
+
+@lru_cache(maxsize=None)
+def zero_row(width: int) -> np.ndarray:
+    """The one zero row per warp width: what branch conditions, guards
+    and ``SEL`` compare against."""
+    return const_row(0.0, width)
+
+
+def _constant(value, width: int) -> Callable:
+    row = const_row(value, width)
+    return lambda fw: row
+
+
+def _src_getter(operand: Operand, kernel: Kernel, width: int) -> Callable:
+    """Pre-resolved operand access: ``getter(fwarp) -> row``, always a
+    read-only ``float64`` array of ``width`` lanes."""
     from repro.functional.executor import ExecutionError
 
     kind = operand.kind
@@ -109,8 +142,7 @@ def _src_getter(operand: Operand, kernel: Kernel) -> Callable:
         index = operand.value
         return lambda fw: fw.rows[index]
     if kind is OperandKind.IMM:
-        const = np.float64(operand.value)
-        return lambda fw: const
+        return _constant(operand.value, width)
     name = operand.value
     if isinstance(name, tuple):  # ("param", i)
         index = name[1]
@@ -119,23 +151,43 @@ def _src_getter(operand: Operand, kernel: Kernel) -> Callable:
                 "kernel %s launched with %d params, wants param%d"
                 % (kernel.name, len(kernel.params), index)
             )
-        const = np.float64(kernel.params[index])
-        return lambda fw: const
+        return _constant(kernel.params[index], width)
     if name == "tid":
         return lambda fw: fw.tids_f64
     if name == "ctaid":
         return lambda fw: fw.ctaid_f64
     if name == "ntid":
-        const = np.float64(kernel.cta_size)
-        return lambda fw: const
+        return _constant(kernel.cta_size, width)
     if name == "nctaid":
-        const = np.float64(kernel.grid_size)
-        return lambda fw: const
+        return _constant(kernel.grid_size, width)
     if name == "laneid":
         return lambda fw: fw.lanes_f64
     if name == "warpid":
         return lambda fw: fw.warpid_f64
     raise ExecutionError("unknown special %r" % (name,))
+
+
+def _compute_for(instr: Instruction, width: int) -> Optional[Callable]:
+    """``instr``'s compute function; those with a constant of their own
+    (``SEL``'s zero, ``RCP``/``RSQRT``'s one) close over its row."""
+    from repro.functional.executor import ExecutionError
+
+    op = instr.op
+    if op is Op.SETP:
+        cmp_fn = _CMP_FUNCS.get(instr.cmp)
+        if cmp_fn is None:
+            raise ExecutionError("unknown comparison %r" % instr.cmp)
+        return lambda a, b: cmp_fn(a, b).astype(np.float64)
+    if op is Op.SEL:
+        zeros = zero_row(width)
+        return lambda c, a, b: np.where(c != zeros, a, b)
+    if op is Op.RCP:
+        ones = const_row(1.0, width)
+        return lambda a: ones / a
+    if op is Op.RSQRT:
+        ones = const_row(1.0, width)
+        return lambda a: ones / np.sqrt(a)
+    return _COMPUTE_FUNCS.get(op)
 
 
 def compile_instruction(
@@ -156,27 +208,14 @@ def compile_instruction(
 
     if op is Op.BRA:
         if instr.srcs:
-            get_cond = _src_getter(instr.srcs[0], kernel)
-            negate = instr.pred_neg
-            if instr.srcs[0].kind is OperandKind.REG:
-                # Register condition: already full-width, and the !=
-                # comparison allocates a fresh array — no broadcast,
-                # no defensive copy.
-                def plan(fw, active):
-                    taken = get_cond(fw) != 0
-                    if negate:
-                        taken = ~taken
-                    return ExecOutcome(active=active, taken=taken)
-
-                return plan
-
-            def plan(fw, active):
-                taken = np.broadcast_to(get_cond(fw), (width,)) != 0
-                if negate:
-                    taken = ~taken
-                return ExecOutcome(active=active, taken=np.array(taken))
-
-            return plan
+            get_cond = _src_getter(instr.srcs[0], kernel, width)
+            # ``== 0`` is exactly ``~(!= 0)``, NaN lanes included: one
+            # comparison either way, against the zero row.
+            compare = np.equal if instr.pred_neg else np.not_equal
+            zeros = zero_row(width)
+            return lambda fw, active: ExecOutcome(
+                active=active, taken=compare(get_cond(fw), zeros)
+            )
         ones = np.ones(width, dtype=bool)
         ones.setflags(write=False)
         return lambda fw, active: ExecOutcome(active=active, taken=ones)
@@ -190,15 +229,10 @@ def compile_instruction(
     # Arithmetic / logic / transcendental.  ``np.errstate`` is *not*
     # entered per issue (it costs more than the compute for warp-sized
     # arrays); the run loop, ``GPUDevice.run``, enters it once instead.
-    compute = _COMPUTE_FUNCS.get(op)
-    if op is Op.SETP:
-        cmp_fn = _CMP_FUNCS.get(instr.cmp)
-        if cmp_fn is None:
-            raise ExecutionError("unknown comparison %r" % instr.cmp)
-        compute = lambda a, b: np.asarray(cmp_fn(a, b), dtype=np.float64)
+    compute = _compute_for(instr, width)
     if compute is None:
         raise ExecutionError("unhandled op %r" % op)
-    getters = tuple(_src_getter(s, kernel) for s in instr.srcs)
+    getters = tuple(_src_getter(s, kernel, width) for s in instr.srcs)
     dst = instr.dst
 
     # Arity-specialised source evaluation (the list-comprehension splat
@@ -225,13 +259,13 @@ def compile_instruction(
 
     def plan(fw, active):
         if active is full_arr:
-            # A slice assignment, not ``copyto``: that would run numpy's
+            # A row assignment, not ``copyto``: that would run numpy's
             # Python-level array-function dispatcher once per issue.
-            fw.rows[dst][...] = values(fw)
+            fw.regs[dst] = values(fw)
         else:
             # Same elementwise writes as the interpreter's
             # broadcast-then-scatter, in one numpy call.
-            copyto(fw.rows[dst], values(fw), where=active)
+            copyto(fw.regs[dst], values(fw), where=active)
 
     return plan
 
@@ -244,27 +278,28 @@ def _compile_memory(
     op = instr.op
     space = instr.space
     shared = space is MemSpace.SHARED
-    get_base = _src_getter(instr.srcs[0], kernel)
+    get_base = _src_getter(instr.srcs[0], kernel, width)
     n_addr_srcs = len(instr.srcs) - (1 if instr.writes_memory else 0)
     get_index = (
-        _src_getter(instr.srcs[1], kernel) if n_addr_srcs >= 2 else None
+        _src_getter(instr.srcs[1], kernel, width) if n_addr_srcs >= 2 else None
     )
-    offset = instr.offset
     dst = instr.dst
 
-    def addresses(fw) -> np.ndarray:
-        # Scalar/vector shapes resolve by numpy broadcasting in the
-        # same IEEE order as the interpreter's broadcast-then-add; the
-        # final astype always copies, so no defensive copy up front.
-        addr = get_base(fw)
-        if get_index is not None:
-            addr = addr + get_index(fw)
-        if offset:
-            addr = addr + offset
-        addr = np.asarray(addr, dtype=np.float64)
-        if addr.ndim == 0:
-            addr = np.broadcast_to(addr, (width,))
-        return addr.astype(np.int64)
+    # (base + index) + offset, the interpreter's order, on float64 rows
+    # (the offset too); the final astype always copies, so no
+    # defensive copy up front.
+    if instr.offset:
+        offset = const_row(instr.offset, width)
+        if get_index is None:
+            addresses = lambda fw: (get_base(fw) + offset).astype(np.int64)
+        else:
+            addresses = lambda fw: (
+                get_base(fw) + get_index(fw) + offset
+            ).astype(np.int64)
+    elif get_index is None:
+        addresses = lambda fw: get_base(fw).astype(np.int64)
+    else:
+        addresses = lambda fw: (get_base(fw) + get_index(fw)).astype(np.int64)
 
     if op is Op.LD:
         if dst is None:
@@ -274,7 +309,7 @@ def _compile_memory(
             lanes = addrs = addresses(fw)
             mem = fw.shared if shared else memory
             if active is full_arr:
-                fw.rows[dst][:] = mem.load(addrs)
+                fw.regs[dst] = mem.load(addrs)
             else:
                 # Index-array gather/scatter touches the same elements
                 # as the interpreter's boolean indexing, in the same
@@ -282,20 +317,14 @@ def _compile_memory(
                 idx = bools_to_indices(active)
                 lanes = addrs[idx]
                 if idx.size:
-                    fw.rows[dst][idx] = mem.load(lanes)
+                    fw.regs[dst][idx] = mem.load(lanes)
             return ExecOutcome(
                 active=active, addresses=addrs, space=space, lane_addresses=lanes
             )
 
         return plan
 
-    get_value = _src_getter(instr.srcs[-1], kernel)
-
-    def store_values(fw) -> np.ndarray:
-        values = np.asarray(get_value(fw), dtype=np.float64)
-        if values.ndim == 0:
-            return np.broadcast_to(values, (width,))
-        return values
+    store_values = _src_getter(instr.srcs[-1], kernel, width)
 
     if op is Op.ST:
 
@@ -323,14 +352,14 @@ def _compile_memory(
         if active is full_arr:
             old = mem.atomic(addrs, store_values(fw), atom_op)
             if dst is not None:
-                fw.rows[dst][:] = old
+                fw.regs[dst] = old
         else:
             idx = bools_to_indices(active)
             lanes = addrs[idx]
             if idx.size:
                 old = mem.atomic(lanes, store_values(fw)[idx], atom_op)
                 if dst is not None:
-                    fw.rows[dst][idx] = old
+                    fw.regs[dst][idx] = old
         return ExecOutcome(
             active=active, addresses=addrs, space=space, lane_addresses=lanes
         )
@@ -350,13 +379,12 @@ def compile_guarded(
     pred = instr.pred
     if pred is None:
         return body
-    negate = instr.pred_neg
+    # ``== 0`` is exactly ``~(!= 0)``: one comparison, on the zero row.
+    compare = np.equal if instr.pred_neg else np.not_equal
+    zeros = zero_row(width)
 
     def guarded(fw, mask):
-        taken = fw.rows[pred] != 0
-        if negate:
-            taken = ~taken
-        active = mask & taken
+        active = mask & compare(fw.rows[pred], zeros)
         outcome = body(fw, active)
         return ExecOutcome(active=active) if outcome is None else outcome
 

@@ -102,9 +102,10 @@ class FunctionalWarp:
         self.warp_id = warp_id
         self.width = width
         self.regs = np.zeros((nregs, width), dtype=np.float64)
-        #: A persistent view per register row (``regs[i]`` builds one
-        #: per use), for the compiled plans.
-        self.rows = list(self.regs)
+        #: A persistent read-only view per register row (``regs[i]``
+        #: builds one per use): what the compiled plans' operands read.
+        #: Plans write through ``regs[dst]``, which costs the same.
+        self.rows = [_frozen(row) for row in self.regs]
         self.tids_in_cta = np.asarray(tids_in_cta, dtype=np.int64)
         self.cta_index = cta_index
         self.shared = shared
@@ -112,13 +113,17 @@ class FunctionalWarp:
         if len(self.tids_in_cta) != width:
             raise ExecutionError("tids array must have warp width entries")
         # Special-register vectors are launch constants: computed once
-        # and frozen for the compiled operand getters.
-        self.tids_f64 = self.tids_in_cta.astype(np.float64)
-        self.tids_f64.setflags(write=False)
-        self.lanes_f64 = (self.tids_in_cta % width).astype(np.float64)
-        self.lanes_f64.setflags(write=False)
-        self.ctaid_f64 = np.float64(cta_index)
-        self.warpid_f64 = np.float64(warp_id)
+        # and frozen for the compiled operand getters, whose operands
+        # are all warp-width rows (see repro.functional.compiled).
+        self.tids_f64 = _frozen(self.tids_in_cta.astype(np.float64))
+        self.lanes_f64 = _frozen((self.tids_in_cta % width).astype(np.float64))
+        self.ctaid_f64 = _frozen(np.full(width, np.float64(cta_index)))
+        self.warpid_f64 = _frozen(np.full(width, np.float64(warp_id)))
+
+
+def _frozen(row: np.ndarray) -> np.ndarray:
+    row.setflags(write=False)
+    return row
 
 
 class Executor:

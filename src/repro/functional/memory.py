@@ -29,6 +29,12 @@ import numpy as np
 #: Bytes per memory word (all loads/stores are one word).
 WORD_BYTES = 4
 
+#: ``WORD_BYTES`` as a 0-d ``int64`` array: a ufunc given a Python int
+#: converts and promotes it on every call (at 64 lanes ``// 4`` then
+#: takes 1.6 times as long).
+_WORD_DIVISOR = np.array(WORD_BYTES, dtype=np.int64)
+_WORD_DIVISOR.setflags(write=False)
+
 
 class MemoryAccessError(Exception):
     """Out-of-range or misaligned access."""
@@ -111,9 +117,11 @@ class MemoryImage:
         aligned and in range.  One OR-fold decides both in the common
         case: a set low bit is a misaligned lane, and a fold in ``[0,
         size_bytes)`` bounds every lane (a negative lane makes it
-        negative; it is never below the largest).  A fold outside
-        proves nothing (``0x1000 | 0x0FFC`` exceeds both), so only
-        then does the exact min/max test run, raising as it always did.
+        negative; it is never below the largest).  A fold past the end
+        proves nothing (``0x1000 | 0x0FFC`` exceeds both), so only then
+        is the largest lane read — a CTA's shared memory of 1 088 bytes
+        folds to 2 044 on transpose — and only a refusal reads the
+        smallest too, for its message.
         """
         if addrs.size == 0:
             return addrs.astype(np.int64)
@@ -121,14 +129,14 @@ class MemoryImage:
         if fold & (WORD_BYTES - 1):
             raise MemoryAccessError("misaligned vector access")
         if not 0 <= fold < self.size_bytes:
-            lo = int(addrs.min())
-            hi = int(addrs.max())
-            if lo < 0 or hi >= self.size_bytes:
+            if fold < 0 or int(addrs.max()) >= self.size_bytes:
+                lo = int(addrs.min())
+                hi = int(addrs.max())
                 raise MemoryAccessError(
                     "vector access out of range (min=%d max=%d size=%d)"
                     % (lo, hi, self.size_bytes)
                 )
-        return (addrs // WORD_BYTES).astype(np.int64, copy=False)
+        return addrs // _WORD_DIVISOR
 
     def load(self, addrs: np.ndarray) -> np.ndarray:
         """Gather one word per byte address."""

@@ -22,7 +22,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.isa import layout as layout_pass
 from repro.isa.instructions import (
@@ -93,6 +93,9 @@ class KernelBuilder:
         self.nregs = nregs
         self._instrs: List[Instruction] = []
         self._labels: Dict[str, int] = {}
+        #: Every label a ``bra`` names (building resolves the program's
+        #: targets to indices in place, so they are kept here).
+        self._targets: Set[str] = set()
         self._reg_names: Dict[str, int] = {}
         self._next_reg = 0
         self._label_counter = 0
@@ -402,9 +405,11 @@ class KernelBuilder:
         srcs: Tuple[Operand, ...] = ()
         if cond is not None:
             srcs = (self._src(cond),)
-        return self._emit(
+        instr = self._emit(
             Instruction(Op.BRA, srcs=srcs, target=target, pred_neg=neg)
         )
+        self._targets.add(target)
+        return instr
 
     def bar(self) -> Instruction:
         """CTA-wide synchronization barrier (``__syncthreads``)."""
@@ -429,7 +434,16 @@ class KernelBuilder:
         shared_bytes: int = 0,
         layout: str = "frontier",
     ) -> Kernel:
-        """Assemble, run layout passes, and wrap into a :class:`Kernel`."""
+        """Assemble, run layout passes, and wrap into a :class:`Kernel`.
+
+        A label that no branch targets is refused by name: it is a
+        typo'd or dropped branch more often than a comment."""
+        unused = [name for name in self._labels if name not in self._targets]
+        if unused:
+            raise AssemblyError(
+                "label%s %s defined but never branched to"
+                % ("s" if len(unused) > 1 else "", ", ".join(map(repr, unused)))
+            )
         program = Program(list(self._instrs), dict(self._labels))
         program = layout_pass.finalize(program, layout=layout)
         return Kernel(

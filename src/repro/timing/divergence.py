@@ -23,6 +23,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.timing.lanes import identity
 from repro.timing.masks import permute_mask, popcount
 
 #: "No scheduled wake" sentinel: the models' settle wake, and the
@@ -49,13 +50,19 @@ class Split:
     )
 
     def __init__(
-        self, pc: int, mask: int, perm: Sequence[int], rpc: Optional[int] = None
+        self,
+        pc: int,
+        mask: int,
+        perm: Optional[Sequence[int]],
+        rpc: Optional[int] = None,
     ) -> None:
         self.pc = pc
         self.mask = mask
         #: ``mask`` in physical-lane space (after the warp's shuffle),
-        #: kept in step by :meth:`set_mask`.
-        self.lane_mask = permute_mask(mask, perm)
+        #: kept in step by :meth:`set_mask`.  ``perm`` is None for the
+        #: identity shuffle (see :attr:`DivergenceModel.lane_perm`):
+        #: then the two are one mask.
+        self.lane_mask = mask if perm is None else permute_mask(mask, perm)
         self.rpc = rpc  # reconvergence PC (stack model only)
         self.parked = False
         self.pending = False  # picked by a cascaded scheduler, not yet issued
@@ -65,7 +72,8 @@ class Split:
 
     def set_mask(self, mask: int) -> None:
         self.mask = mask
-        self.lane_mask = permute_mask(mask, self._perm)
+        perm = self._perm
+        self.lane_mask = mask if perm is None else permute_mask(mask, perm)
 
     @property
     def active_threads(self) -> int:
@@ -111,7 +119,13 @@ class DivergenceModel:
 
     def __init__(self, launch_mask: int, lane_perm: Sequence[int]) -> None:
         self.launch_mask = launch_mask
-        self.lane_perm = lane_perm
+        #: The warp's thread -> lane permutation, bound once per warp
+        #: for the splits it makes: None when it is the identity (the
+        #: ``identity`` shuffle, so ``baseline``, ``sbi``, ``warp64``),
+        #: whose splits then skip :func:`permute_mask` altogether.
+        self.lane_perm: Optional[Sequence[int]] = (
+            None if tuple(lane_perm) == identity(len(lane_perm)) else lane_perm
+        )
         self.merge_count = 0
         self.exited_mask = 0
         #: Mutation counter: bumped by every state change so readers

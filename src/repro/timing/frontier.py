@@ -22,7 +22,7 @@ class FrontierModel(DivergenceModel):
 
     def __init__(self, launch_mask: int, lane_perm: Sequence[int]) -> None:
         super().__init__(launch_mask, lane_perm)
-        self.splits: List[Split] = [Split(0, launch_mask, lane_perm)]
+        self.splits: List[Split] = [Split(0, launch_mask, self.lane_perm)]
         self.parked: List[Split] = []
 
     # -- views -----------------------------------------------------------

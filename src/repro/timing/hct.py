@@ -60,7 +60,7 @@ class SBIModel(DivergenceModel):
         insert_delay: int = 2,
     ) -> None:
         super().__init__(launch_mask, lane_perm)
-        self.hot: List[Split] = [Split(0, launch_mask, lane_perm)]
+        self.hot: List[Split] = [Split(0, launch_mask, self.lane_perm)]
         self.cold: List[Split] = []
         self.parked: List[Split] = []
         self.cct_capacity = cct_capacity

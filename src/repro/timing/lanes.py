@@ -53,6 +53,12 @@ def lane_of(policy: str, tid: int, wid: int, warp_width: int, warp_count: int) -
     raise ValueError("unknown lane shuffle policy %r" % policy)
 
 
+@lru_cache(maxsize=None)
+def identity(warp_width: int) -> Tuple[int, ...]:
+    """The identity permutation of one warp width."""
+    return tuple(range(warp_width))
+
+
 @lru_cache(maxsize=1024)
 def permutation(policy: str, wid: int, warp_width: int, warp_count: int) -> Tuple[int, ...]:
     """Thread->lane permutation for one warp (validated bijection).

@@ -26,7 +26,7 @@ class StackModel(DivergenceModel):
 
     def __init__(self, launch_mask: int, lane_perm: Sequence[int]) -> None:
         super().__init__(launch_mask, lane_perm)
-        self.stack: List[Split] = [Split(0, launch_mask, lane_perm, rpc=None)]
+        self.stack: List[Split] = [Split(0, launch_mask, self.lane_perm, rpc=None)]
 
     # -- views -----------------------------------------------------------
 

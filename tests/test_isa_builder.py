@@ -61,6 +61,39 @@ class TestLabels:
         with pytest.raises(AssemblyError, match="duplicate"):
             kb.label("x")
 
+    def test_a_label_no_branch_targets_is_refused_by_name(self):
+        kb = KernelBuilder("k")
+        kb.label("top")
+        kb.nop()
+        kb.label("orphan")
+        kb.bra("top")
+        kb.exit_()
+        with pytest.raises(AssemblyError, match="label 'orphan' defined but never"):
+            kb.build(cta_size=32)
+
+    def test_every_unused_label_is_named(self):
+        kb = KernelBuilder("k")
+        kb.label("a")
+        kb.nop()
+        kb.label("b")
+        kb.exit_()
+        with pytest.raises(AssemblyError, match="labels 'a', 'b' defined"):
+            kb.build(cta_size=32)
+
+    def test_a_builder_builds_twice(self):
+        """Building resolves branch targets in place; a second build of
+        the same builder still sees its labels used."""
+        kb = KernelBuilder("k")
+        r = kb.reg("r")
+        kb.label("loop")
+        kb.add(r, r, 1)
+        kb.setp(r, CmpOp.LT, r, 3)
+        kb.bra("loop", cond=r)
+        kb.exit_()
+        first = kb.build(cta_size=32)
+        second = kb.build(cta_size=32)
+        assert len(first.program) == len(second.program)
+
 
 class TestEmission:
     def test_setp_records_comparison(self):
