@@ -57,15 +57,10 @@ class DRAMChannel:
         """Write-through traffic for a set of touched store segments.
 
         On a flat channel one aggregate transfer costs exactly the
-        same bandwidth as per-segment transfers, so collapse them (one
-        :meth:`post_write`, in this frame); an address-partitioned sink
-        routes each segment instead.
+        same bandwidth as per-segment transfers, so collapse them; an
+        address-partitioned sink overrides this to route each segment.
         """
-        nbytes = len(segments) * seg_bytes
-        start = max(float(now), self._free_at)
-        self._free_at = start + nbytes / self.bandwidth
-        self.bytes_transferred += nbytes
-        self.requests += 1
+        self.post_write(len(segments) * seg_bytes, now)
 
     @property
     def busy_until(self) -> float:

@@ -178,38 +178,13 @@ class L2Partition:
         self.sector_fills = 0
 
     def read(self, addr: int, nbytes: int, now: int) -> int:
-        """Serve one read; returns the cycle data reaches the L1.
-
-        The tag probe runs in this frame: :meth:`L2Cache.line_of`,
-        :meth:`~L2Cache.sectors_of` and :meth:`~L2Cache.probe`, with
-        the same LRU touch."""
+        """Serve one read; returns the cycle data reaches the L1."""
         self.accesses += 1
         cache = self.cache
-        block = cache.block
-        sector = cache.sector
-        line = addr // block * block
-        offset = addr - line
-        first = offset // sector
-        last = (offset + max(nbytes, 1) - 1) // sector
-        sectors = range(first, min(last, cache.sectors_per_line - 1) + 1)
-        entry = cache._sets[(line // block // cache.interleave) % cache.n_sets].get(line)
-        if entry is None:
-            ready = now
-            missing = list(sectors)
-        else:
-            cache._use_counter += 1
-            entry[0] = cache._use_counter
-            present = entry[1]
-            ready = 0
-            missing = []
-            for s in sectors:
-                if s in present:
-                    if present[s] > ready:
-                        ready = present[s]
-                else:
-                    missing.append(s)
-            if ready < now:
-                ready = now
+        line = cache.line_of(addr)
+        sectors = cache.sectors_of(addr, nbytes)
+        present_ready, missing = cache.probe(line, sectors)
+        ready = now if present_ready is None else max(now, present_ready)
         if not missing:
             self.hits += 1
             return ready + self.latency
@@ -224,7 +199,7 @@ class L2Partition:
                     del self._pending[(line, s)]  # fill landed: retire MSHR
                 to_fetch.append(s)
         if to_fetch:
-            fill = self.dram.request(len(to_fetch) * sector, now)
+            fill = self.dram.request(len(to_fetch) * cache.sector, now)
             self.sector_fills += len(to_fetch)
             for s in to_fetch:
                 self._pending[(line, s)] = fill
@@ -250,7 +225,7 @@ class L2System:
     hierarchy.  All SMs of a device hold the same ``L2System``.
     """
 
-    __slots__ = ("block", "partitions", "_count")
+    __slots__ = ("block", "partitions")
 
     def __init__(self, config) -> None:
         if not config.uses_l2:
@@ -268,35 +243,21 @@ class L2System:
             )
             for _ in range(config.dram_partitions)
         ]
-        self._count = len(self.partitions)
 
     def partition_of(self, addr: int) -> L2Partition:
-        return self.partitions[(addr // self.block) % self._count]
+        return self.partitions[(addr // self.block) % len(self.partitions)]
 
     def request(self, nbytes: int, now: int, addr: int = 0) -> int:
-        # partition_of, in this frame: once per L1 miss.
-        part = self.partitions[(addr // self.block) % self._count]
-        return part.read(addr, nbytes, now)
+        return self.partition_of(addr).read(addr, nbytes, now)
 
     def post_write(self, nbytes: int, now: int, addr: int = 0) -> int:
         return self.partition_of(addr).write(addr, nbytes, now)
 
     def post_write_segments(self, segments, seg_bytes: int, now: int) -> None:
-        """Route each touched store segment (an int id) to its
-        partition's channel, all in this one loop: each channel does
-        :meth:`DRAMChannel.post_write`'s float operations in its
-        order."""
-        partitions = self.partitions
-        block = self.block
-        count = self._count
-        start_at = float(now)
+        """Route each touched store segment to its partition's channel."""
         for seg in segments:
-            addr = seg * seg_bytes
-            dram = partitions[(addr // block) % count].dram
-            start = max(start_at, dram._free_at)
-            dram._free_at = start + seg_bytes / dram.bandwidth
-            dram.bytes_transferred += seg_bytes
-            dram.requests += 1
+            addr = int(seg) * seg_bytes
+            self.post_write(seg_bytes, now, addr)
 
     # ------------------------------------------------------------------
     # Aggregate statistics

@@ -140,32 +140,20 @@ class LoadStoreUnit:
 
     def _fetch_blocks(self, blocks: List[int], now: int) -> int:
         """Read ``blocks`` through L1/MSHR/DRAM, one per cycle from
-        ``now``; returns the cycle the last one's data is ready.
-
-        The L1 probe (:meth:`L1Cache.lookup`) runs in this frame: block
-        ``b``'s set is ``b % n_sets``, since its address is
-        ``b * l1_block``."""
+        ``now``; returns the cycle the last one's data is ready."""
         stats = self.stats
         cache = self.cache
-        sets = cache._sets
-        n_sets = cache.n_sets
         block_bytes = self.config.l1_block
         hit_latency = self.config.l1_latency
         pending_fills = self._pending_fills
         ready_by = at = now
         for block in blocks:
             block_addr = block * block_bytes
-            entry = sets[block % n_sets].get(block_addr)
-            if entry is not None:
-                cache.hits += 1
-                cache._use_counter += 1
-                entry[0] = cache._use_counter
+            ready = cache.lookup(block_addr)
+            if ready is not None:
                 stats.l1_hits += 1
-                ready = entry[1]
-                if ready < at + hit_latency:
-                    ready = at + hit_latency
+                ready = max(ready, at + hit_latency)
             else:
-                cache.misses += 1
                 stats.l1_misses += 1
                 ready = pending_fills.get(block)
                 if ready is None or ready <= at:
@@ -174,27 +162,27 @@ class LoadStoreUnit:
                     stats.dram_bytes += block_bytes
                     pending_fills[block] = ready
                     cache.fill(block_addr, ready)
-            if ready > ready_by:
-                ready_by = ready
+            ready_by = max(ready_by, ready)
             at += 1
         stats.l1_accesses += at - now
         return ready_by
 
-    def _global(self, instr: Instruction, addrs: np.ndarray, now: int) -> Tuple[int, int]:
+    def _post_segments(self, segments: List[int], at: int) -> None:
+        """Write-through traffic for the touched store segments."""
         seg_bytes = self.config.store_segment
-        stats = self.stats
+        self.dram.post_write_segments(segments, seg_bytes, at)
+        self.stats.dram_bytes += len(segments) * seg_bytes
+
+    def _global(self, instr: Instruction, addrs: np.ndarray, now: int) -> Tuple[int, int]:
+        seg_bytes, block_bytes = self.config.store_segment, self.config.l1_block
         if instr.op is Op.ST:
             # One transaction per L1 block touched, carrying that
             # block's segments: runs of the sorted segment ids that
-            # share a block id, each posted as write-through traffic.
-            block_bytes = self.config.l1_block
-            post = self.dram.post_write_segments
+            # share a block id.
             segments = self._units_of(addrs, self._segment_divisor)
             occupancy = 0
             for _, run in groupby(segments, lambda seg: seg * seg_bytes // block_bytes):
-                run = list(run)
-                post(run, seg_bytes, now + occupancy)
-                stats.dram_bytes += len(run) * seg_bytes
+                self._post_segments(list(run), now + occupancy)
                 occupancy += 1
             wb = now + occupancy
         else:
@@ -205,10 +193,8 @@ class LoadStoreUnit:
                 # Atomics: each block fetched once, then one thread
                 # per cycle, the write-through traffic up front.
                 occupancy = int(addrs.size)
-                segments = self._units_of(addrs, self._segment_divisor)
-                self.dram.post_write_segments(segments, seg_bytes, now)
-                stats.dram_bytes += len(segments) * seg_bytes
+                self._post_segments(self._units_of(addrs, self._segment_divisor), now)
                 wb = max(wb, now + occupancy - 1) + 1
-        stats.global_transactions += occupancy
-        stats.memory_replays += occupancy - 1
+        self.stats.global_transactions += occupancy
+        self.stats.memory_replays += occupancy - 1
         return occupancy, wb
