@@ -137,8 +137,8 @@ class GPUDevice:
     Every SM runs the same kernel on the same memory image, so the
     device builds one :class:`~repro.functional.executor.Executor` for
     the launch and hands it to every SM: each instruction's plan is
-    compiled once per launch, not once per SM.  ``compiled`` selects
-    its execution path (see :func:`~repro.core.simulator.simulate`).
+    made once per launch, not once per SM.  ``compiled`` selects the
+    plan maker (see :func:`~repro.core.simulator.simulate`).
     :meth:`release` tears a finished or failed run down.
     """
 

@@ -39,8 +39,9 @@ def simulate(
     ``observers`` attaches cycle-level listeners
     (:class:`repro.core.policy.Observer`), which never affect timing
     and are finalized with the run's stats before it returns.
-    ``compiled=False`` selects the reference interpreter instead of
-    the compiled instruction plans — same stats, slower; it exists for
+    Every issued instruction runs a plan; ``compiled=False`` makes
+    each plan the reference interpreter bound to its instruction
+    instead of a compiled closure — same stats, slower; it exists for
     differential testing.  ``engine`` accepts only ``"reference"``
     (see :func:`repro.core.gpu.check_engine`).
     """

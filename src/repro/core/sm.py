@@ -309,7 +309,7 @@ class StreamingMultiprocessor:
                 old_masks = self._slot_masks(warp, now)
             slots_seen = model.slot_version  # after: an SBI read can settle
 
-        outcome = self.executor.execute_masked(instr, warp.fwarp, mask)
+        outcome = self.executor.execute(instr, warp.fwarp, mask)
         # No outcome: unpredicated, nothing to report but "done".
         active_mask = mask if outcome is None else outcome.active_mask
         active_bits = active_mask.bit_count()

@@ -74,7 +74,6 @@ class TimingWarp:
             config.lane_shuffle, wid, width, config.warp_count
         )
         tids_in_cta = np.asarray(tids_in_cta, dtype=np.int64)
-        launch_bools = tids_in_cta < kernel.cta_size
         self.fwarp = FunctionalWarp(
             warp_id=wid,
             width=width,
@@ -85,8 +84,7 @@ class TimingWarp:
             cta_index=cta_id,
             shared=shared,
         )
-        self.fwarp.launch_mask = launch_bools
-        self.launch_mask = bools_to_mask(launch_bools)
+        self.launch_mask = bools_to_mask(tids_in_cta < kernel.cta_size)
         self.model = make_divergence_model(config, self.launch_mask, self.lane_perm)
         self.scoreboard: ScoreboardBase = make_scoreboard(
             config.scoreboard_kind, config.scoreboard_entries

@@ -5,9 +5,12 @@ numpy register files, a flat global-memory image, per-CTA shared
 memory, and a reference interpreter (:func:`repro.functional.interp.run_kernel`)
 that executes kernels to completion with thread-frontier scheduling,
 independently of the timing pipeline.  The timing model and the
-reference interpreter share :class:`repro.functional.executor.Executor`,
-so any timing-model scheduling decision that violated SIMT semantics
-would show up as a divergence from the reference.
+reference interpreter share :class:`repro.functional.executor.Executor`
+and its one entry, ``Executor.execute(instr, warp, mask)`` on an int
+bit-mask, so any timing-model scheduling decision that violated SIMT
+semantics would show up as a divergence from the reference.  Every
+instruction runs a plan: compiled (the default) or the interpreter
+bound to it (``compiled=False``), bit-identical either way.
 """
 
 from repro.functional.memory import MemoryImage, SharedMemory

@@ -1,6 +1,6 @@
 """Compiled instruction plans: per-instruction specialised closures.
 
-The reference :class:`~repro.functional.executor.Executor` resolves
+The reference interpreter (``Executor(..., compiled=False)``) resolves
 operands and dispatches on the opcode *per issue* — a string/kind
 switch through ``_value`` and a ~30-branch if-chain in ``_compute``.
 Kernels execute the same few static instructions millions of times, so
@@ -17,7 +17,8 @@ Every closure reproduces the reference interpreter's numpy expressions
 (same dtypes, same operation order, the same IEEE operation on every
 lane), so the two paths produce bit-identical architectural state —
 pinned by the differential test over all 21 workloads and the golden
-smoke matrix.
+smoke matrix, and opcode by opcode by ``tests/test_functional_executor.py``,
+which runs every assertion on both plan makers.
 
 **Every operand is a warp-width array.**  An immediate, a kernel
 parameter, ``ntid``/``nctaid`` and a memory offset become read-only
@@ -43,6 +44,7 @@ assign exactly the same elements.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -60,9 +62,30 @@ from repro.isa.instructions import (
 )
 from repro.timing.masks import bools_to_indices, full_mask, mask_to_bools
 
-# ``ExecutionError``/``ExecOutcome`` live in executor.py; imported
-# lazily inside functions to avoid a circular import (executor.py
-# imports this module).
+
+class ExecutionError(Exception):
+    """Raised on semantic errors (bad operand counts, unknown ops...)."""
+
+
+@dataclass(slots=True)
+class ExecOutcome:
+    """Result of executing one instruction under a mask.
+
+    ``active`` is the effective mask (issue mask AND predicate); for
+    branches ``taken`` holds the per-thread outcome over the full warp
+    (only meaningful where ``active``); memory operations expose
+    ``lane_addresses`` — the active lanes' byte addresses in ascending
+    lane order, the vector the access itself gathered and the one the
+    timing model coalesces.  ``active_mask`` is the bit-mask form of
+    ``active``, filled by :meth:`Executor.execute
+    <repro.functional.executor.Executor.execute>` so the timing model
+    never converts a bool array back to an integer on the hot path.
+    """
+
+    active: np.ndarray
+    taken: Optional[np.ndarray] = None
+    lane_addresses: Optional[np.ndarray] = None
+    active_mask: Optional[int] = None
 
 
 def _int_binop(op) -> Callable:
@@ -135,8 +158,6 @@ def _constant(value, width: int) -> Callable:
 def _src_getter(operand: Operand, kernel: Kernel, width: int) -> Callable:
     """Pre-resolved operand access: ``getter(fwarp) -> row``, always a
     read-only ``float64`` array of ``width`` lanes."""
-    from repro.functional.executor import ExecutionError
-
     kind = operand.kind
     if kind is OperandKind.REG:
         index = operand.value
@@ -170,8 +191,6 @@ def _src_getter(operand: Operand, kernel: Kernel, width: int) -> Callable:
 def _compute_for(instr: Instruction, width: int) -> Optional[Callable]:
     """``instr``'s compute function; those with a constant of their own
     (``SEL``'s zero, ``RCP``/``RSQRT``'s one) close over its row."""
-    from repro.functional.executor import ExecutionError
-
     op = instr.op
     if op is Op.SETP:
         cmp_fn = _CMP_FUNCS.get(instr.cmp)
@@ -199,10 +218,8 @@ def compile_instruction(
     predicate guard (when present) is compiled into the returned plan
     by :func:`compile_guarded`.  A plan returns an ``ExecOutcome``
     when it has something to report (a branch its ``taken`` vector, a
-    memory access its addresses), else ``None``.
+    memory access its lane addresses), else ``None``.
     """
-    from repro.functional.executor import ExecOutcome, ExecutionError
-
     op = instr.op
     full_arr = mask_to_bools(full_mask(width), width)
 
@@ -273,11 +290,8 @@ def compile_instruction(
 def _compile_memory(
     instr: Instruction, kernel: Kernel, memory: MemoryImage, width: int, full_arr
 ) -> Callable:
-    from repro.functional.executor import ExecOutcome, ExecutionError
-
     op = instr.op
-    space = instr.space
-    shared = space is MemSpace.SHARED
+    shared = instr.space is MemSpace.SHARED
     get_base = _src_getter(instr.srcs[0], kernel, width)
     n_addr_srcs = len(instr.srcs) - (1 if instr.writes_memory else 0)
     get_index = (
@@ -318,9 +332,7 @@ def _compile_memory(
                 lanes = addrs[idx]
                 if idx.size:
                     fw.regs[dst][idx] = mem.load(lanes)
-            return ExecOutcome(
-                active=active, addresses=addrs, space=space, lane_addresses=lanes
-            )
+            return ExecOutcome(active=active, lane_addresses=lanes)
 
         return plan
 
@@ -338,9 +350,7 @@ def _compile_memory(
                 lanes = addrs[idx]
                 if idx.size:
                     mem.store(lanes, store_values(fw)[idx])
-            return ExecOutcome(
-                active=active, addresses=addrs, space=space, lane_addresses=lanes
-            )
+            return ExecOutcome(active=active, lane_addresses=lanes)
 
         return plan
 
@@ -360,9 +370,7 @@ def _compile_memory(
                 old = mem.atomic(lanes, store_values(fw)[idx], atom_op)
                 if dst is not None:
                     fw.regs[dst][idx] = old
-        return ExecOutcome(
-            active=active, addresses=addrs, space=space, lane_addresses=lanes
-        )
+        return ExecOutcome(active=active, lane_addresses=lanes)
 
     return plan
 
@@ -373,8 +381,6 @@ def compile_guarded(
     """Full plan including the predicate guard:
     ``plan(fwarp, mask_bools)`` as above; behind a guard it always
     reports, since the effective mask is news to the caller."""
-    from repro.functional.executor import ExecOutcome
-
     body = compile_instruction(instr, kernel, memory, width)
     pred = instr.pred
     if pred is None:

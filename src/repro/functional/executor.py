@@ -9,23 +9,26 @@ Registers are ``float64[nregs, warp_width]``.  Integer semantics
 (logic, shifts, addressing) round-trip through ``int64`` which is exact
 for ``|x| < 2**53``.
 
-Two execution paths produce bit-identical state:
+Every instruction runs a *plan*, ``plan(fwarp, mask_bools)``, made by
+one of two plan makers that produce bit-identical state:
 
-* the **compiled** path (default) specialises each program instruction
-  into a closure at first issue (:mod:`repro.functional.compiled`) —
-  operands pre-resolved, compute function bound directly;
-* the **reference interpreter** (``Executor(..., compiled=False)``)
-  dispatches per issue, kept as the executable specification and used
-  by the differential tests.
+* :func:`repro.functional.compiled.compile_guarded` (the default)
+  specialises the instruction into a closure — operands pre-resolved,
+  compute function bound directly;
+* under ``Executor(..., compiled=False)`` the plan is the reference
+  interpreter bound to the instruction: it dispatches per issue, kept
+  as the executable specification and used by the differential tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.functional import compiled as compiled_plans
+from repro.functional.compiled import ExecOutcome, ExecutionError
 from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import Kernel
 from repro.isa.instructions import (
@@ -38,37 +41,7 @@ from repro.isa.instructions import (
 )
 from repro.timing.masks import bools_to_mask, mask_to_bools
 
-
-class ExecutionError(Exception):
-    """Raised on semantic errors (bad operand counts, unknown ops...)."""
-
-
-@dataclass(slots=True)
-class ExecOutcome:
-    """Result of executing one instruction under a mask.
-
-    ``active`` is the effective mask (issue mask AND predicate); for
-    branches ``taken`` holds the per-thread outcome over the full warp
-    (only meaningful where ``active``); memory operations expose their
-    byte ``addresses`` (full-warp array, meaningful where ``active``),
-    the address ``space``, and ``lane_addresses`` — the active lanes'
-    addresses in ascending lane order, the vector the access itself
-    gathered and the one the timing model coalesces.
-    ``active_mask`` is the bit-mask form of ``active``, filled by
-    :meth:`Executor.execute_masked` so the timing model never converts
-    a bool array back to an integer on the hot path.
-    """
-
-    active: np.ndarray
-    taken: Optional[np.ndarray] = None
-    addresses: Optional[np.ndarray] = None
-    space: Optional[MemSpace] = None
-    lane_addresses: Optional[np.ndarray] = None
-    active_mask: Optional[int] = None
-
-    @property
-    def is_memory(self) -> bool:
-        return self.addresses is not None
+__all__ = ["ExecOutcome", "ExecutionError", "Executor", "FunctionalWarp"]
 
 
 class FunctionalWarp:
@@ -82,7 +55,6 @@ class FunctionalWarp:
         "tids_in_cta",
         "cta_index",
         "shared",
-        "launch_mask",
         "tids_f64",
         "lanes_f64",
         "ctaid_f64",
@@ -109,7 +81,6 @@ class FunctionalWarp:
         self.tids_in_cta = np.asarray(tids_in_cta, dtype=np.int64)
         self.cta_index = cta_index
         self.shared = shared
-        self.launch_mask = np.ones(width, dtype=bool)
         if len(self.tids_in_cta) != width:
             raise ExecutionError("tids array must have warp width entries")
         # Special-register vectors are launch constants: computed once
@@ -129,12 +100,12 @@ def _frozen(row: np.ndarray) -> np.ndarray:
 class Executor:
     """Executes instructions for warps of one kernel launch.
 
-    ``compiled=True`` (the default) lazily specialises each program
-    instruction into a closure on first issue; ``compiled=False``
-    selects the reference interpreter.  Both paths produce identical
-    architectural state — instructions outside the kernel program
-    (``pc`` unset, or a foreign instruction object) always take the
-    interpreter.
+    ``compiled=True`` (the default) compiles each instruction's plan;
+    ``compiled=False`` binds the reference interpreter instead.  A
+    program instruction's plan is made on its first issue and kept per
+    (warp width, PC); an instruction outside the program (``pc``
+    unset, or a foreign instruction object) gets a plan made for that
+    call.
     """
 
     def __init__(
@@ -145,89 +116,76 @@ class Executor:
         self.compiled = compiled
         self._instrs = kernel.program.instructions
         self._count = len(self._instrs)
-        self._plans = [None] * self._count if compiled else None
-        self._plan_width: Optional[int] = None
+        #: width -> (plans by PC, int mask -> bool expansion memo); the
+        #: pair in use is also bound below, so an issue at the width of
+        #: the last one pays a single compare.
+        self._by_width: dict = {}
+        self._width: Optional[int] = None
+        self._plans: list = []
         self._bools_memo: dict = {}
 
-    # ------------------------------------------------------------------
-    # Entry points
-    # ------------------------------------------------------------------
-
     def execute(
-        self, instr: Instruction, warp: FunctionalWarp, mask: np.ndarray
-    ) -> ExecOutcome:
-        """Apply ``instr`` for the threads in ``mask`` (bool[width]).
-
-        Compiled plans are errstate-free (the run loop,
-        ``GPUDevice.run``, enters one ``np.errstate`` for a whole
-        simulation), so this generic entry wraps the call to keep
-        direct use warning-silent like the interpreter.
-        """
-        plans = self._plans
-        if plans is not None:
-            pc = instr.pc
-            if 0 <= pc < self._count and self._instrs[pc] is instr:
-                if warp.width != self._plan_width:
-                    if self._plan_width is not None:
-                        return self._execute_interp(instr, warp, mask)
-                    self._plan_width = warp.width
-                with np.errstate(all="ignore"):
-                    outcome = self._plan(pc, warp.width)(warp, mask)
-                # A plan with nothing to report but "done" says None.
-                return ExecOutcome(active=mask) if outcome is None else outcome
-        return self._execute_interp(instr, warp, mask)
-
-    def _plan(self, pc: int, width: int):
-        """Program instruction ``pc``'s plan, compiled on first use."""
-        plan = self._plans[pc]
-        if plan is None:
-            from repro.functional.compiled import compile_guarded
-
-            plan = self._plans[pc] = compile_guarded(
-                self._instrs[pc], self.kernel, self.memory, width
-            )
-        return plan
-
-    def execute_masked(
         self, instr: Instruction, warp: FunctionalWarp, mask: int
     ) -> Optional[ExecOutcome]:
-        """:meth:`execute` for a bit-mask, with ``active_mask`` filled
-        — or ``None`` when there is nothing to report: an unpredicated
+        """Apply ``instr`` for the threads in the bit-mask ``mask``.
+
+        Returns an :class:`ExecOutcome` with ``active_mask`` filled, or
+        ``None`` when there is nothing to report: an unpredicated
         non-branch, non-memory instruction ran for exactly ``mask``.
 
         The timing model's hot path: the bool expansion is interned,
-        for unpredicated instructions (the common case) the active
-        bit-mask is the issue mask itself — no reverse conversion —
-        and the compiled-plan dispatch of :meth:`execute` is inlined
-        (one call frame per issue is measurable).
+        and for unpredicated instructions (the common case) the active
+        bit-mask is the issue mask itself — no reverse conversion.
+        Plans are errstate-free: the caller enters one
+        ``np.errstate(all="ignore")`` around its loop
+        (``GPUDevice.run`` and ``run_kernel`` do).
         """
         width = warp.width
-        plans = self._plans
-        if plans is not None and width == self._plan_width:
-            # Int-keyed bool-expansion memo: same results as the shared
-            # (mask, width) intern, but an int key hashes to itself —
-            # faster on a lookup that runs once per issued instruction.
-            memo = self._bools_memo
-            bools = memo.get(mask)
-            if bools is None:
-                if len(memo) >= 1 << 14:
-                    memo.clear()
-                bools = memo[mask] = mask_to_bools(mask, width)
-            pc = instr.pc
-            if 0 <= pc < self._count and self._instrs[pc] is instr:
-                plan = plans[pc] or self._plan(pc, width)
-                outcome = plan(warp, bools)
-                if outcome is None:
-                    return None
-            else:
-                outcome = self._execute_interp(instr, warp, bools)
+        if width != self._width:
+            self._use_width(width)
+        # Int-keyed bool-expansion memo: same results as the shared
+        # (mask, width) intern, but an int key hashes to itself —
+        # faster on a lookup that runs once per issued instruction.
+        memo = self._bools_memo
+        bools = memo.get(mask)
+        if bools is None:
+            if len(memo) >= 1 << 14:
+                memo.clear()
+            bools = memo[mask] = mask_to_bools(mask, width)
+        pc = instr.pc
+        if 0 <= pc < self._count and self._instrs[pc] is instr:
+            plan = self._plans[pc] or self._plan(pc, width)
         else:
-            outcome = self.execute(instr, warp, mask_to_bools(mask, width))
+            plan = self._make_plan(instr, width)
+        outcome = plan(warp, bools)
+        if outcome is None:
+            return None
         if instr.pred is None:
             outcome.active_mask = mask
         else:
             outcome.active_mask = bools_to_mask(outcome.active)
         return outcome
+
+    def _use_width(self, width: int) -> None:
+        self._plans, self._bools_memo = self._by_width.setdefault(
+            width, ([None] * self._count, {})
+        )
+        self._width = width
+
+    def _plan(self, pc: int, width: int):
+        """Program instruction ``pc``'s plan at ``width`` (the current
+        width), made on first use."""
+        plan = self._plans[pc] = self._make_plan(self._instrs[pc], width)
+        return plan
+
+    def _make_plan(self, instr: Instruction, width: int):
+        """``instr``'s plan for warps of ``width``, from this executor's
+        plan maker."""
+        if self.compiled:
+            return compiled_plans.compile_guarded(
+                instr, self.kernel, self.memory, width
+            )
+        return partial(self._execute_interp, instr)
 
     # ------------------------------------------------------------------
     # Operand evaluation
@@ -446,7 +404,4 @@ class Executor:
                 old = mem.atomic(lane_addrs, values[active], atom_op)
                 if instr.dst is not None:
                     warp.regs[instr.dst][active] = old
-        return ExecOutcome(
-            active=active, addresses=addrs, space=instr.space,
-            lane_addresses=lane_addrs,
-        )
+        return ExecOutcome(active=active, lane_addresses=lane_addrs)

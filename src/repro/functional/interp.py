@@ -19,6 +19,7 @@ from repro.functional.executor import Executor, FunctionalWarp
 from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import Kernel
 from repro.isa.instructions import Op
+from repro.timing.masks import bools_to_mask, full_mask
 
 
 class InterpreterError(Exception):
@@ -45,15 +46,17 @@ class InterpResult:
 class _Split:
     __slots__ = ("warp", "pc", "mask", "parked")
 
-    def __init__(self, warp: FunctionalWarp, pc: int, mask: np.ndarray) -> None:
+    def __init__(self, warp: FunctionalWarp, pc: int, mask: int) -> None:
         self.warp = warp
         self.pc = pc
         self.mask = mask
         self.parked = False
 
 
-def _make_warps(kernel: Kernel, cta: int, warp_width: int, shared: SharedMemory):
-    warps = []
+def _launch_splits(kernel: Kernel, cta: int, warp_width: int, shared: SharedMemory):
+    """One split per warp of CTA ``cta``, at PC 0 with its launch mask
+    (a partial last warp launches its low lanes only)."""
+    splits = []
     n_warps = (kernel.cta_size + warp_width - 1) // warp_width
     for w in range(n_warps):
         lo = w * warp_width
@@ -66,10 +69,9 @@ def _make_warps(kernel: Kernel, cta: int, warp_width: int, shared: SharedMemory)
             cta_index=cta,
             shared=shared,
         )
-        launch = tids < kernel.cta_size
-        warp.launch_mask = launch
-        warps.append(warp)
-    return warps
+        launched = min(warp_width, kernel.cta_size - lo)
+        splits.append(_Split(warp, 0, full_mask(launched)))
+    return splits
 
 
 def run_kernel(
@@ -81,13 +83,13 @@ def run_kernel(
     """Run all CTAs of ``kernel`` to completion; mutates ``memory``."""
     executor = Executor(kernel, memory)
     result = InterpResult()
-    for cta in range(kernel.grid_size):
-        shared = SharedMemory(max(kernel.shared_bytes, 4))
-        warps = _make_warps(kernel, cta, warp_width, shared)
-        splits: List[_Split] = [
-            _Split(w, 0, w.launch_mask.copy()) for w in warps if w.launch_mask.any()
-        ]
-        _run_cta(kernel, executor, splits, result, max_steps)
+    # One errstate for the whole launch, as ``GPUDevice.run`` enters:
+    # compiled plans skip the per-issue one the interpreter pays.
+    with np.errstate(all="ignore"):
+        for cta in range(kernel.grid_size):
+            shared = SharedMemory(max(kernel.shared_bytes, 4))
+            splits = _launch_splits(kernel, cta, warp_width, shared)
+            _run_cta(kernel, executor, splits, result, max_steps)
     return result
 
 
@@ -122,13 +124,15 @@ def _run_cta(kernel, executor, splits, result, max_steps) -> None:
         split = min(runnable, key=lambda s: s.pc)
         instr = program[split.pc]
         outcome = executor.execute(instr, split.warp, split.mask)
-        result.record(instr, int(outcome.active.sum()))
+        active = split.mask if outcome is None else outcome.active_mask
+        result.record(instr, active.bit_count())
         op = instr.op
         if op is Op.BRA:
             result.branches += 1
-            taken = outcome.taken & split.mask
+            assert outcome is not None  # a branch plan always reports
+            taken = bools_to_mask(outcome.taken) & split.mask
             fallthrough = split.mask & ~taken
-            if taken.any() and fallthrough.any():
+            if taken and fallthrough:
                 result.divergent_branches += 1
                 split.mask = taken
                 split.pc = instr.target
@@ -136,7 +140,7 @@ def _run_cta(kernel, executor, splits, result, max_steps) -> None:
                 splits.append(sibling)
                 _merge(splits, sibling)
                 _merge(splits, split)
-            elif taken.any():
+            elif taken:
                 split.pc = instr.target
                 _merge(splits, split)
             else:

@@ -24,8 +24,6 @@ class L1Cache:
         "n_sets",
         "_sets",
         "_use_counter",
-        "hits",
-        "misses",
     )
 
     def __init__(self, size: int, ways: int, block: int, latency: int) -> None:
@@ -39,8 +37,6 @@ class L1Cache:
         # Per set: {block_addr: (last_use, ready_at)}
         self._sets: List[Dict[int, List[int]]] = [dict() for _ in range(self.n_sets)]
         self._use_counter = 0
-        self.hits = 0
-        self.misses = 0
 
     def _set_of(self, block_addr: int) -> Dict[int, List[int]]:
         index = (block_addr // self.block) % self.n_sets
@@ -55,14 +51,13 @@ class L1Cache:
     def lookup(self, block_addr: int) -> Optional[int]:
         """Probe; returns the line's data-ready cycle on hit, else None.
 
-        Counts hit/miss statistics; does not allocate.
+        Does not allocate, and counts nothing: the load/store unit books
+        hits and misses in its ``Stats``.
         """
         lines = self._set_of(block_addr)
         entry = lines.get(block_addr)
         if entry is None:
-            self.misses += 1
             return None
-        self.hits += 1
         self._touch(entry)
         return entry[1]
 
@@ -86,7 +81,3 @@ class L1Cache:
     def invalidate_all(self) -> None:
         for s in self._sets:
             s.clear()
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses

@@ -19,7 +19,6 @@ class DRAMChannel:
         "latency",
         "_free_at",
         "bytes_transferred",
-        "requests",
     )
 
     def __init__(self, bandwidth: float, latency: int) -> None:
@@ -29,7 +28,6 @@ class DRAMChannel:
         self.latency = latency
         self._free_at = 0.0
         self.bytes_transferred = 0.0
-        self.requests = 0
 
     def request(self, nbytes: int, now: int, addr: int = 0) -> int:
         """Schedule a transfer; returns the data-arrival cycle.
@@ -40,7 +38,6 @@ class DRAMChannel:
         start = max(float(now), self._free_at)
         self._free_at = start + nbytes / self.bandwidth
         self.bytes_transferred += nbytes
-        self.requests += 1
         return int(self._free_at + self.latency) + 1
 
     def post_write(self, nbytes: int, now: int, addr: int = 0) -> int:
@@ -50,7 +47,6 @@ class DRAMChannel:
         start = max(float(now), self._free_at)
         self._free_at = start + nbytes / self.bandwidth
         self.bytes_transferred += nbytes
-        self.requests += 1
         return int(self._free_at) + 1
 
     def post_write_segments(self, segments, seg_bytes: int, now: int) -> None:

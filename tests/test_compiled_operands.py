@@ -25,7 +25,7 @@ from repro.functional.executor import Executor, FunctionalWarp
 from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import KernelBuilder
 from repro.isa.instructions import reg
-from repro.timing.masks import full_mask, mask_to_bools
+from repro.timing.masks import full_mask
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 WIDTHS = (32, 64)
@@ -122,8 +122,8 @@ def test_negative_zero_keeps_its_own_row():
     assert np.signbit(compiled._src_getter(neg, kernel, 32)(warp)).all()
     assert not np.signbit(compiled._src_getter(pos, kernel, 32)(warp)).any()
     executor = Executor(kernel, MemoryImage())
-    full = mask_to_bools(full_mask(32), 32)
-    for instr in kernel.program.instructions:
-        executor.execute(instr, warp, full)
+    with np.errstate(all="ignore"):
+        for instr in kernel.program.instructions:
+            executor.execute(instr, warp, full_mask(32))
     assert (warp.regs[kernel.program.instructions[2].dst] == -np.inf).all()
     assert (warp.regs[kernel.program.instructions[3].dst] == np.inf).all()

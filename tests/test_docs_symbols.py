@@ -3,8 +3,9 @@
 Every backticked ``repro.a.b…`` dotted path in ``README.md`` and
 ``CONTRIBUTING.md`` must resolve by import + ``getattr``, and so must
 every backticked ``ClassName.attr`` whose class is exported by
-``repro.core``, ``repro.api`` or ``repro.service`` — deleting a name
-the docs still quote fails here instead of shipping a stale sentence.
+``repro.core``, ``repro.api``, ``repro.service`` or ``repro.functional``
+— deleting a name the docs still quote fails here instead of shipping
+a stale sentence.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS = ("README.md", "CONTRIBUTING.md")
-EXPORTING_PACKAGES = ("repro.core", "repro.api", "repro.service")
+EXPORTING_PACKAGES = ("repro.core", "repro.api", "repro.service", "repro.functional")
 
 _FENCE = re.compile(r"^```.*?^```", re.S | re.M)
 _SPAN = re.compile(r"`([^`\n]+)`")
@@ -109,3 +110,9 @@ def test_guard_catches_a_deleted_name():
     assert _resolve_attrs(classes["GPUDevice"], ["run"]) is None
     assert _resolve_attrs(classes["GPUDevice"], ["sms"]) is None  # set in __init__
     assert _resolve_attrs(classes["GPUDevice"], ["_run_event_loop"])
+    assert _resolve_attrs(classes["Executor"], ["execute"]) is None
+    assert _resolve_attrs(classes["Executor"], ["execute_masked"])
+    assert _resolve_attrs(classes["ExecOutcome"], ["lane_addresses"]) is None
+    assert _resolve_attrs(classes["ExecOutcome"], ["addresses"])
+    assert _resolve_attrs(classes["FunctionalWarp"], ["regs"]) is None
+    assert _resolve_attrs(classes["FunctionalWarp"], ["launch_mask"])

@@ -1,23 +1,31 @@
-"""Semantics of every opcode in the vectorised executor."""
+"""Semantics of every opcode in the vectorised executor.
+
+Every assertion runs on both plan makers: a compiled plan
+(``compiled=True``) and the reference interpreter bound to the
+instruction (``compiled=False``).  The instructions here are outside
+the kernel's program, so each one gets a plan made for its call.
+"""
 
 import numpy as np
 import pytest
 
-from repro.functional.executor import Executor, FunctionalWarp
+from repro.functional.executor import ExecutionError, Executor, FunctionalWarp
 from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import Kernel, KernelBuilder
 from repro.isa.instructions import CmpOp, Instruction, MemSpace, Op, imm, reg, special
 from repro.isa.program import Program
+from repro.timing.masks import full_mask
 
 W = 8
+FULL = full_mask(W)
 
 
-@pytest.fixture
-def env():
+@pytest.fixture(params=[True, False], ids=["compiled", "interp"])
+def env(request):
     memory = MemoryImage(1 << 16)
     prog = Program([Instruction(Op.EXIT)])
     kernel = Kernel("t", prog, cta_size=W, grid_size=1, params=(2.0, 3.0), nregs=8)
-    executor = Executor(kernel, memory)
+    executor = Executor(kernel, memory, compiled=request.param)
     warp = FunctionalWarp(
         warp_id=1,
         width=W,
@@ -26,8 +34,7 @@ def env():
         cta_index=0,
         shared=SharedMemory(256),
     )
-    mask = np.ones(W, dtype=bool)
-    return executor, warp, mask, memory
+    return executor, warp, FULL, memory
 
 
 def run_op(env, op, *srcs, dst=0, cmp=None, **kw):
@@ -70,8 +77,17 @@ class TestArithmetic:
         assert np.array_equal(run_op(env, Op.AND, reg(1), imm(1)), np.arange(W) & 1)
         assert np.array_equal(run_op(env, Op.OR, reg(1), imm(4)), np.arange(W) | 4)
         assert np.array_equal(run_op(env, Op.XOR, reg(1), imm(3)), np.arange(W) ^ 3)
+        assert np.array_equal(run_op(env, Op.NOT, reg(1)), ~np.arange(W))
         assert np.array_equal(run_op(env, Op.SHL, reg(1), imm(2)), np.arange(W) << 2)
         assert np.array_equal(run_op(env, Op.SHR, reg(1), imm(1)), np.arange(W) >> 1)
+
+    def test_conversions(self, env):
+        _, warp, _, _ = env
+        values = np.array([-2.5, -1.5, -0.5, 0.0, 0.5, 1.5, 2.5, 7.0])
+        warp.regs[1] = values
+        # F2I truncates towards zero; I2F passes the value through.
+        assert np.array_equal(run_op(env, Op.F2I, reg(1)), np.trunc(values))
+        assert np.array_equal(run_op(env, Op.I2F, reg(1)), values)
 
     def test_sel(self, env):
         _, warp, _, _ = env
@@ -117,7 +133,6 @@ class TestSFU:
 
 class TestSpecials:
     def test_tid_and_params(self, env):
-        executor, warp, mask, _ = env
         out = run_op(env, Op.MOV, special("tid"))
         assert np.array_equal(out, np.arange(W))
         assert np.all(run_op(env, Op.MOV, special("param", 0)) == 2.0)
@@ -129,9 +144,20 @@ class TestSpecials:
         assert np.all(run_op(env, Op.MOV, special("nctaid")) == 1)
         assert np.all(run_op(env, Op.MOV, special("warpid")) == 1)
 
-    def test_missing_param_raises(self, env):
-        from repro.functional.executor import ExecutionError
+    def test_laneid_wraps_at_the_warp_width(self, env):
+        executor, _, mask, _ = env
+        warp = FunctionalWarp(
+            warp_id=1,
+            width=W,
+            nregs=8,
+            tids_in_cta=np.arange(W, 2 * W),  # the CTA's second warp
+            cta_index=0,
+            shared=SharedMemory(256),
+        )
+        executor.execute(Instruction(Op.MOV, dst=0, srcs=(special("laneid"),)), warp, mask)
+        assert np.array_equal(warp.regs[0], np.arange(W))
 
+    def test_missing_param_raises(self, env):
         with pytest.raises(ExecutionError):
             run_op(env, Op.MOV, special("param", 7))
 
@@ -139,10 +165,8 @@ class TestSpecials:
 class TestMasking:
     def test_partial_mask_writes(self, env):
         executor, warp, _, _ = env
-        mask = np.zeros(W, dtype=bool)
-        mask[::2] = True
         instr = Instruction(Op.MOV, dst=0, srcs=(imm(9),))
-        executor.execute(instr, warp, mask)
+        executor.execute(instr, warp, 0b01010101)
         assert np.all(warp.regs[0][::2] == 9)
         assert np.all(warp.regs[0][1::2] == 0)
 
@@ -152,6 +176,7 @@ class TestMasking:
         instr = Instruction(Op.MOV, dst=0, srcs=(imm(5),), pred=3)
         out = executor.execute(instr, warp, mask)
         assert np.array_equal(out.active, np.arange(W) < 4)
+        assert out.active_mask == 0b00001111
         assert np.all(warp.regs[0][:4] == 5) and np.all(warp.regs[0][4:] == 0)
 
     def test_negated_predication(self, env):
@@ -160,6 +185,7 @@ class TestMasking:
         instr = Instruction(Op.MOV, dst=0, srcs=(imm(5),), pred=3, pred_neg=True)
         out = executor.execute(instr, warp, mask)
         assert np.array_equal(out.active, np.arange(W) >= 4)
+        assert out.active_mask == 0b11110000
 
 
 class TestBranchesAndMemory:
@@ -169,6 +195,7 @@ class TestBranchesAndMemory:
         instr = Instruction(Op.BRA, srcs=(reg(2),), target=0)
         out = executor.execute(instr, warp, mask)
         assert np.array_equal(out.taken, np.arange(W) % 2 == 1)
+        assert out.active_mask == mask
 
     def test_unconditional_branch_all_taken(self, env):
         executor, warp, mask, _ = env
@@ -189,8 +216,18 @@ class TestBranchesAndMemory:
             Op.LD, dst=3, srcs=(imm(base), reg(1)), space=MemSpace.GLOBAL
         )
         out = executor.execute(ld, warp, mask)
-        assert out.is_memory and out.space is MemSpace.GLOBAL
+        assert np.array_equal(out.lane_addresses, base + np.arange(W) * 4)
         assert np.array_equal(warp.regs[3], np.arange(W) + 100.0)
+
+    def test_partial_mask_reports_active_lane_addresses(self, env):
+        executor, warp, _, memory = env
+        base = memory.alloc(W * 4)
+        warp.regs[1] = np.arange(W) * 4.0
+        ld = Instruction(
+            Op.LD, dst=3, srcs=(imm(base), reg(1)), space=MemSpace.GLOBAL
+        )
+        out = executor.execute(ld, warp, 0b10100100)
+        assert np.array_equal(out.lane_addresses, base + np.array([2, 5, 7]) * 4)
 
     def test_static_offset_addressing(self, env):
         executor, warp, mask, memory = env
@@ -221,3 +258,78 @@ class TestBranchesAndMemory:
         # All 8 threads hit the same word: serialised old values 0..7.
         assert np.array_equal(np.sort(warp.regs[4]), np.arange(W))
         assert memory.read_array(base, 1)[0] == W
+
+    @pytest.mark.parametrize("op,fold", [(Op.ATOM_MIN, min), (Op.ATOM_MAX, max)])
+    def test_atomic_min_max_serialise_in_lane_order(self, env, op, fold):
+        executor, warp, mask, memory = env
+        base = memory.alloc(4)
+        memory.write_array(base, np.array([4.0]))
+        values = np.array([6.0, 3.0, 5.0, 1.0, 9.0, 2.0, 8.0, 0.5])
+        warp.regs[2] = values
+        atom = Instruction(op, dst=4, srcs=(imm(base), reg(2)), space=MemSpace.GLOBAL)
+        executor.execute(atom, warp, mask)
+        old = [4.0]
+        for value in values[:-1]:
+            old.append(fold(old[-1], value))
+        assert np.array_equal(warp.regs[4], old)
+        assert memory.read_array(base, 1)[0] == fold(old[-1], values[-1])
+
+
+def _kernel_and_memory():
+    """A program of every plan shape: ALU with constants and specials,
+    predicated, a branch, a store, a load and an atomic."""
+    kb = KernelBuilder("both_widths")
+    v, p, a, c = kb.regs("v", "p", "a", "c")
+    kb.add(v, kb.tid, 7)
+    kb.setp(p, CmpOp.LT, kb.laneid, 9)
+    kb.mul(v, v, 3, pred=p)
+    kb.mad(a, kb.tid, 4, kb.param(0))
+    kb.st(a, v)
+    kb.ld(c, a)
+    kb.atom_add(c, kb.param(1), v)
+    kb.bra("done", cond=p)
+    kb.label("done")
+    kb.exit_()
+    memory = MemoryImage()
+    out, total = memory.alloc(4 * 64), memory.alloc(4)
+    return kb.build(cta_size=64, grid_size=1, params=(out, total)), memory
+
+
+def _run_two_widths(compiled):
+    """One executor, a 32-wide and a 64-wide warp of the same kernel,
+    then an instruction outside the program."""
+    kernel, memory = _kernel_and_memory()
+    executor = Executor(kernel, memory, compiled=compiled)
+    warps = [
+        FunctionalWarp(
+            warp_id=0,
+            width=width,
+            nregs=kernel.nregs,
+            tids_in_cta=np.arange(width),
+            cta_index=0,
+            shared=SharedMemory(64),
+        )
+        for width in (32, 64)
+    ]
+    with np.errstate(all="ignore"):
+        for warp in warps:
+            for mask in (full_mask(warp.width), 0x0F0F0F0F, 0x1):
+                for instr in kernel.program.instructions:
+                    executor.execute(instr, warp, mask)
+        foreign = Instruction(Op.MAD, dst=0, srcs=(special("laneid"), imm(2), reg(1)))
+        for warp in warps:
+            executor.execute(foreign, warp, 0x5)
+    return [warp.regs.copy() for warp in warps], memory.words.copy()
+
+
+def test_compiled_mode_never_reaches_the_interpreter(monkeypatch):
+    regs_ref, mem_ref = _run_two_widths(compiled=False)
+
+    def interpreted(*args):
+        raise AssertionError("a compiled executor reached the interpreter")
+
+    monkeypatch.setattr(Executor, "_execute_interp", interpreted)
+    regs_fast, mem_fast = _run_two_widths(compiled=True)
+    for fast, ref in zip(regs_fast, regs_ref):
+        assert np.array_equal(fast, ref)
+    assert np.array_equal(mem_fast, mem_ref)
