@@ -4,10 +4,10 @@ Subcommands::
 
     repro workloads [--category regular|irregular] [--json]
     repro policies  [NAME] [--json]
-    repro figure7   [--size bench] [--jobs N] [--format markdown|json|table]
-    repro sweep     --workloads bfs,matrixmul --configs baseline,sbi_swi
+    repro sweep     [--workloads bfs,matrixmul] [--configs baseline,sbi_swi]
                     [--policy swi_greedy,dwr] [--axis sm_count=1,2,4,8] ...
-                    [--size tiny] [--jobs N]
+                    [--size tiny] [--jobs N] [--format markdown|json|table]
+    repro figure7   (another name for sweep)
     repro analyze   --workload bfs --config sbi_swi [--sm-count 4]
                     [--observers timeline,heatmap,origins] [--json OUT.json]
     repro merge     A.json B.json ... [--save OUT.json] [--on-conflict keep]
@@ -17,6 +17,10 @@ Subcommands::
                     [--queue-limit N] [--journal PATH] [--resume]
                     [--fault-plan SPEC]
     repro lint      [PATH ...] [--rule ID] [--json] [--list-rules]
+
+``sweep``'s defaults are the paper's Figure 7 grid (every workload x
+``baseline,sbi,swi,sbi_swi,warp64`` @ ``bench``), so ``repro figure7``
+is the same subcommand under the figure's name.
 
 Tables go to stdout; a one-line cell accounting (``# N cells: M
 simulated, K cached``) goes to stderr so scripted runs can assert a
@@ -340,14 +344,6 @@ def _cmd_policies(args) -> int:
         file=sys.stderr,
     )
     return 0
-
-
-def _cmd_figure7(args) -> int:
-    _load_plugins(args)
-    spec = SweepSpec.figure7(size=args.size)
-    if args.workloads:
-        spec = spec.with_workloads(args.workloads.split(","))
-    return _run_spec(spec, args)
 
 
 def _cmd_sweep(args) -> int:
@@ -701,15 +697,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plugin_option(p)
     p.set_defaults(fn=_cmd_policies)
 
-    p = sub.add_parser("figure7", help="the paper's headline IPC grid")
-    p.add_argument("--size", default="bench", help="workload size (e.g. smoke, bench)")
-    p.add_argument(
-        "--workloads", default=None, help="comma list restricting the grid (default all)"
+    p = sub.add_parser(
+        "sweep",
+        aliases=["figure7"],
+        help="run a workloads x configs grid (default: the paper's Figure 7 "
+        "grid; figure7 is another name for it)",
     )
-    _add_run_options(p)
-    p.set_defaults(fn=_cmd_figure7)
-
-    p = sub.add_parser("sweep", help="run an arbitrary workloads x configs grid")
     p.add_argument(
         "--workloads",
         default="all",

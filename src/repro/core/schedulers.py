@@ -43,7 +43,7 @@ from bisect import insort
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
-from repro.isa.instructions import Instruction, OpClass
+from repro.isa.instructions import Instruction
 from repro.core.policy import SCHEDULERS
 from repro.core.policy.events import ORIGIN_PRIMARY, ORIGIN_SBI, ORIGIN_SWI
 from repro.core.sm import StreamingMultiprocessor
@@ -51,19 +51,18 @@ from repro.core.warp import TimingWarp
 from repro.timing.divergence import Split
 from repro.timing.fetch import IBufEntry
 from repro.timing.masks import popcount
-from repro.timing.units import ExecGroup
+from repro.timing.units import UNIT_OF, ExecGroup
 
 #: Candidate tuple: (fetch cycle, wid, slot, warp, split, entry, unit)
-#: — ``unit`` indexes :meth:`~repro.timing.units.Backend.free_classes`.
+#: — ``unit`` is the instruction's route (:data:`~repro.timing.units.UNIT_OF`):
+#: it indexes :meth:`~repro.timing.units.Backend.free_classes` and is
+#: what :meth:`~repro.timing.units.Backend.pick_group` takes.
 #: The leading ``(fetch_cycle, wid, slot)`` is the age order, unique per
 #: candidate, so sorting never compares past ``slot``.
 Candidate = Tuple[int, int, int, TimingWarp, Split, IBufEntry, int]
 
 #: What a cascaded secondary pick hands the issue stage.
 SecondaryPick = Tuple[str, TimingWarp, int, Split, IBufEntry, ExecGroup]
-
-#: ``free_classes`` index of an op class (CTRL rides the MAD groups).
-_UNIT_OF = {OpClass.MAD: 0, OpClass.CTRL: 0, OpClass.SFU: 1, OpClass.LSU: 2}
 
 #: Warp-id order of candidates.
 _by_wid = itemgetter(1)
@@ -133,7 +132,7 @@ class SchedulerBase:
             [] for _ in range(self.pools)
         )
         #: Per PC, a candidate's ``unit`` (resolved at launch).
-        self._unit_of = [_UNIT_OF[i.op_class] for i in sm.kernel.program]
+        self._unit_of = [UNIT_OF[i.op_class] for i in sm.kernel.program]
         #: Slot-1 candidates the barrier holds out of the pool.
         self._suspended = 0
 
@@ -382,7 +381,7 @@ class SBIScheduler(SchedulerBase):
         if self._sync_blocked(warp, split, instr, now):
             stats.sync_suspensions += 1
         elif not (instr.is_branch and diverged):  # one divergence per cycle
-            group = backend.pick_group(instr.op_class, now, split.lane_mask, True)
+            group = backend.pick_group(self._unit_of[entry.pc], now, split.lane_mask, True)
             if group is not None:
                 sm.issue(warp, 1, split, entry, now, ORIGIN_SBI, group)
                 issued += 1
@@ -462,7 +461,7 @@ class CascadedScheduler(SchedulerBase):
                             self.sm.stats.sync_suspensions += 1
                         elif not (instr.is_branch and diverged):
                             group = backend.pick_group(
-                                instr.op_class, now, split.lane_mask, True
+                                self._unit_of[entry.pc], now, split.lane_mask, True
                             )
                             if group is not None:
                                 secondary = (ORIGIN_SBI, primary, 1, split, entry, group)
@@ -533,9 +532,7 @@ class CascadedScheduler(SchedulerBase):
                     best = cand
         split, entry = best[4], best[5]
         # A group to itself before co-issue sharing, as ``pick_group``.
-        group = free[best[6]] or backend.pick_group(
-            entry.instr.op_class, now, split.lane_mask, True
-        )
+        group = free[best[6]] or backend.pick_group(best[6], now, split.lane_mask, True)
         origin = ORIGIN_SWI if primary is not None else ORIGIN_PRIMARY
         return nxt, (origin, best[3], 0, split, entry, group)
 
@@ -551,7 +548,7 @@ class CascadedScheduler(SchedulerBase):
 
         # Issue stage: the primary picked last cycle issues now.
         if self.pending is not None:
-            _, _, _, warp, split, entry, _ = self.pending
+            _, _, _, warp, split, entry, route = self.pending
             if warp.done or split.mask == 0 or split.pc != entry.pc:
                 # The split died (merge/exit) or was redirected: void pick.
                 split.pending = False
@@ -571,12 +568,10 @@ class CascadedScheduler(SchedulerBase):
                     instr.dst is not None and len(scoreboard.entries) >= scoreboard.capacity
                 )) and not scoreboard.can_issue(instr, split.mask, slot):
                     return 0  # hazard materialised; hold in the issue stage
-                group = sm.backend.pick_group(
-                    entry.instr.op_class, now, split.lane_mask, False
-                )
+                group = sm.backend.pick_group(route, now, split.lane_mask, False)
                 if group is None:
                     return 0  # structural stall: group still busy
-                unit, taken = self._unit_of[entry.pc], split.lane_mask
+                unit, taken = route, split.lane_mask
                 diverged = sm.issue(warp, slot, split, entry, now, ORIGIN_PRIMARY, group)
                 self.pending = None
                 primary = warp

@@ -47,7 +47,7 @@ from repro.timing.config import SMConfig
 from repro.timing.fetch import FetchEngine, IBufEntry
 from repro.timing.lsu import LoadStoreUnit
 from repro.timing.masks import bools_to_mask, full_mask, mask_to_bools
-from repro.timing.scoreboard import _UNIT_ROWS, Entry, build_transition
+from repro.timing.scoreboard import build_transition
 from repro.timing.stats import Stats
 from repro.timing.units import Backend, ExecGroup
 from repro.timing.divergence import Split
@@ -190,7 +190,6 @@ class StreamingMultiprocessor:
             tids = np.arange(i * width, (i + 1) * width, dtype=np.int64)
             warp = TimingWarp(slot, cta, self.config, self.kernel, tids, shared)
             warp.attach(
-                self.fetch.ways_for(slot),
                 self.scheduler.woken[slot % self.scheduler.pools],
                 self.fetch.woken,
                 self._timers,
@@ -235,7 +234,6 @@ class StreamingMultiprocessor:
         warp.done = True
         self.stats.warps_retired += 1
         self.stats.merges += warp.model.merge_count
-        self.fetch.flush_warp(warp.wid)
         if self.observers:
             event = RetireEvent(now, self.sm_id, warp.wid, warp.cta_id)
             for observer in self.observers:
@@ -368,14 +366,7 @@ class StreamingMultiprocessor:
         else:
             wb = now + self._issue_to_wb + (waves - 1)
         if dst is not None:
-            # ScoreboardBase.add, in this frame.
-            scoreboard = warp.scoreboard
-            sb_entry = Entry.__new__(Entry)  # Entry(dst, mask, slot), without a frame
-            sb_entry.dst = dst
-            sb_entry.mask = mask
-            sb_entry.row = _UNIT_ROWS[slot]
-            scoreboard.entries.append(sb_entry)
-            scoreboard._dst_mask |= 1 << dst
+            sb_entry = warp.scoreboard.add(instr, mask, slot)
             heappush(self._wb_heap, (wb, self._seq, warp, sb_entry))
             self._seq += 1
 
@@ -446,8 +437,7 @@ class StreamingMultiprocessor:
     def _check_barrier(self, cta_id: int, now: int) -> None:
         """Release the CTA's barrier once every live thread of it is
         parked there.  O(warps): each model keeps its parked-thread
-        count, and its live threads are ``launch_mask & ~exited_mask``
-        (a retired warp's are 0)."""
+        count (a retired warp's live threads are 0)."""
         warps = self.cta_warps.get(cta_id)
         if not warps:
             return
@@ -455,6 +445,7 @@ class StreamingMultiprocessor:
         for warp in warps:
             model = warp.model
             parked += model.parked_threads
+            # model.live_mask(), inline: one call fewer per warp.
             live += (model.launch_mask & ~model.exited_mask).bit_count()
         if not parked or parked < live:
             return

@@ -25,7 +25,8 @@ def make_divergence_model(config, launch_mask: int, perm: Sequence[int]) -> Dive
 
 
 class TimingWarp:
-    """One resident warp: divergence model, scoreboard, register file."""
+    """One resident warp: divergence model, scoreboard, register file,
+    instruction-buffer ways."""
 
     __slots__ = (
         "wid",
@@ -33,7 +34,6 @@ class TimingWarp:
         "config",
         "lane_perm",
         "fwarp",
-        "launch_mask",
         "model",
         "scoreboard",
         "done",
@@ -84,8 +84,8 @@ class TimingWarp:
             cta_index=cta_id,
             shared=shared,
         )
-        self.launch_mask = bools_to_mask(tids_in_cta < kernel.cta_size)
-        self.model = make_divergence_model(config, self.launch_mask, self.lane_perm)
+        launch_mask = bools_to_mask(tids_in_cta < kernel.cta_size)
+        self.model = make_divergence_model(config, launch_mask, self.lane_perm)
         self.scoreboard: ScoreboardBase = make_scoreboard(
             config.scoreboard_kind, config.scoreboard_entries
         )
@@ -103,9 +103,10 @@ class TimingWarp:
         # StreamingMultiprocessor.next_event_cycle).
         self.wake_cache: Sequence[int] = ()
         self.wake_version = -1
-        # The warp's instruction-buffer ways, shared with (and owned
-        # by) the SM's FetchEngine; bound by :meth:`attach`.
-        self.ibuf: Sequence = ()
+        # The warp's instruction-buffer ways, one per hot context (see
+        # FetchEngine); a warp launched into a retired one's slot starts
+        # with empty ones of its own.
+        self.ibuf: List[Optional[IBufEntry]] = [None] * self.model.hot_capacity
         # Wake state.  The scheduler and the fetch engine each keep a
         # verdict per warp (its ready-set candidates; whether fetch has
         # anything to do) and re-derive it only for warps on their
@@ -130,19 +131,17 @@ class TimingWarp:
 
     def attach(
         self,
-        ibuf: Sequence,
         issue_wakes: List["TimingWarp"],
         fetch_wakes: List["TimingWarp"],
         timers: List[Tuple[int, int, int, "TimingWarp"]],
         pool: List[Tuple],
         units: Sequence[int],
     ) -> None:
-        """Bind the warp to its SM at CTA launch: the fetch engine's
-        buffer ways, the scheduler's and the fetch engine's woken
-        lists, the SM's timed-wake heap, the scheduler's pool and unit
-        table, and the model's change hook (:meth:`wake`).  The launch
-        itself is a wake.  :meth:`detach` undoes all of it."""
-        self.ibuf = ibuf
+        """Bind the warp to its SM at CTA launch: the scheduler's and
+        the fetch engine's woken lists, the SM's timed-wake heap, the
+        scheduler's pool and unit table, and the model's change hook
+        (:meth:`wake`).  The launch itself is a wake.  :meth:`detach`
+        undoes all of it."""
         self._issue_wakes = issue_wakes
         self._fetch_wakes = fetch_wakes
         self._timers = timers
@@ -183,7 +182,6 @@ class TimingWarp:
             heapify(timers)
         self.timer = _NEVER
         self.scoreboard.awaited = False
-        self.ibuf = ()
         del self._issue_wakes, self._fetch_wakes, self._timers, self._pool, self._units
 
     def wake(self) -> None:

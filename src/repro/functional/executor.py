@@ -39,7 +39,7 @@ from repro.isa.instructions import (
     Operand,
     OperandKind,
 )
-from repro.timing.masks import bools_to_mask, mask_to_bools
+from repro.timing.masks import bools_table, bools_to_mask, mask_to_bools
 
 __all__ = ["ExecOutcome", "ExecutionError", "Executor", "FunctionalWarp"]
 
@@ -116,13 +116,14 @@ class Executor:
         self.compiled = compiled
         self._instrs = kernel.program.instructions
         self._count = len(self._instrs)
-        #: width -> (plans by PC, int mask -> bool expansion memo); the
-        #: pair in use is also bound below, so an issue at the width of
-        #: the last one pays a single compare.
+        #: width -> plans by PC.  The plans in use are also bound below,
+        #: with the width's interned bool rows
+        #: (:func:`~repro.timing.masks.bools_table`), so an issue at the
+        #: width of the last one pays a single compare.
         self._by_width: dict = {}
         self._width: Optional[int] = None
         self._plans: list = []
-        self._bools_memo: dict = {}
+        self._bools: dict = {}
 
     def execute(
         self, instr: Instruction, warp: FunctionalWarp, mask: int
@@ -133,9 +134,11 @@ class Executor:
         ``None`` when there is nothing to report: an unpredicated
         non-branch, non-memory instruction ran for exactly ``mask``.
 
-        The timing model's hot path: the bool expansion is interned,
-        and for unpredicated instructions (the common case) the active
-        bit-mask is the issue mask itself — no reverse conversion.
+        The timing model's hot path: the bool expansion is interned
+        (one ``mask -> row`` table per width,
+        :func:`~repro.timing.masks.bools_table`), and for unpredicated
+        instructions (the common case) the active bit-mask is the issue
+        mask itself — no reverse conversion.
         Plans are errstate-free: the caller enters one
         ``np.errstate(all="ignore")`` around its loop
         (``GPUDevice.run`` and ``run_kernel`` do).
@@ -143,15 +146,9 @@ class Executor:
         width = warp.width
         if width != self._width:
             self._use_width(width)
-        # Int-keyed bool-expansion memo: same results as the shared
-        # (mask, width) intern, but an int key hashes to itself —
-        # faster on a lookup that runs once per issued instruction.
-        memo = self._bools_memo
-        bools = memo.get(mask)
+        bools = self._bools.get(mask)
         if bools is None:
-            if len(memo) >= 1 << 14:
-                memo.clear()
-            bools = memo[mask] = mask_to_bools(mask, width)
+            bools = mask_to_bools(mask, width)
         pc = instr.pc
         if 0 <= pc < self._count and self._instrs[pc] is instr:
             plan = self._plans[pc] or self._plan(pc, width)
@@ -167,9 +164,8 @@ class Executor:
         return outcome
 
     def _use_width(self, width: int) -> None:
-        self._plans, self._bools_memo = self._by_width.setdefault(
-            width, ([None] * self._count, {})
-        )
+        self._plans = self._by_width.setdefault(width, [None] * self._count)
+        self._bools = bools_table(width)
         self._width = width
 
     def _plan(self, pc: int, width: int):

@@ -15,7 +15,10 @@ models of the reproduction manage splits differently:
 
 All models speak the same interface so the SM pipeline and schedulers
 are mode-agnostic; the matrix scoreboard observes slot transitions
-through :meth:`DivergenceModel.slot_masks`.
+through :meth:`DivergenceModel.slot_masks`.  A warp's live threads are
+known here once, for every model: the launch mask minus the exited
+threads (:meth:`DivergenceModel.live_mask`); that the splits partition
+them is the models' invariant (:meth:`DivergenceModel.check_invariants`).
 """
 
 from __future__ import annotations
@@ -104,8 +107,8 @@ class DivergenceModel:
 
     #: Number of simultaneously runnable splits the model exposes
     #: (class-level: a property of the model kind, never per instance).
-    #: The pipeline reads it at launch: it is the fetch engine's buffer
-    #: ways per warp, and a second one is what SBI co-issues.
+    #: The pipeline reads it at launch: it is each warp's buffer ways
+    #: (``TimingWarp.ibuf``), and a second one is what SBI co-issues.
     hot_capacity = 1
 
     @classmethod
@@ -194,14 +197,15 @@ class DivergenceModel:
         return m0, m1, self.live_mask() & ~(m0 | m1)
 
     def live_mask(self) -> int:
-        mask = 0
-        for s in self.all_splits():
-            mask |= s.mask
-        return mask
+        """The warp's live threads: launched and not exited.  The
+        splits partition them (:meth:`check_invariants`), so no split
+        walk is needed."""
+        return self.launch_mask & ~self.exited_mask
 
     @property
     def done(self) -> bool:
-        return not any(True for _ in self.all_splits())
+        """No live thread (so, by the invariant, no split) is left."""
+        return not self.launch_mask & ~self.exited_mask
 
     # -- mutation --------------------------------------------------------
 
@@ -239,7 +243,8 @@ class DivergenceModel:
     # -- invariants (used by tests) --------------------------------------
 
     def check_invariants(self) -> None:
-        """Masks are pairwise disjoint and partition the live threads."""
+        """Masks are pairwise disjoint and partition the live threads:
+        the split walk :meth:`live_mask` and :attr:`done` rely on."""
         seen = 0
         for s in self.all_splits():
             if s.mask == 0:

@@ -1,12 +1,13 @@
 """Instruction buffers and the fetch/decode engine.
 
-Each warp owns a small pool of instruction-buffer entries (one per hot
-context: one in the baseline, two for SBI's dual front-end).  Entries
-are *tagged by PC*, not bound to a context slot: when the HCT sorter
-swaps the primary and secondary contexts (their PCs cross, which
-happens constantly around loop back edges), the buffered instructions
-remain valid for whichever slot the split now occupies — exactly like
-a real per-warp instruction buffer indexed by warp id.
+Each warp owns a small pool of instruction-buffer entries, its
+``TimingWarp.ibuf`` ways (one per hot context: one in the baseline,
+two for SBI's dual front-end).  Entries are *tagged by PC*, not bound
+to a context slot: when the HCT sorter swaps the primary and secondary
+contexts (their PCs cross, which happens constantly around loop back
+edges), the buffered instructions remain valid for whichever slot the
+split now occupies — exactly like a real per-warp instruction buffer
+indexed by warp id.
 
 The fetch engine refills up to ``fetch_width`` unmatched entries per
 cycle (the baseline's two fetch-decode units, Figure 1), round-robin
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.isa.instructions import Instruction
 
@@ -41,17 +42,15 @@ class IBufEntry:
 class FetchEngine:
     """Shared fetch/decode bandwidth across all warps.
 
-    Buffers are per-warp lists indexed by way (``buffers[wid][way]``);
-    each is bound onto its :class:`TimingWarp` as ``ibuf``, where the
-    scheduler's readiness predicate matches tags and the SM's issue
-    clears the way it consumed.
+    It fills the ways each warp owns (``TimingWarp.ibuf``, one list
+    per warp, indexed by way); the scheduler's readiness predicate
+    matches their tags and the SM's issue clears the way it consumed.
     """
 
     __slots__ = (
         "program",
         "fetch_width",
         "hot_capacity",
-        "buffers",
         "woken",
         "_uncontended",
         "_sorted",
@@ -64,7 +63,6 @@ class FetchEngine:
         self.hot_capacity = hot_capacity
         # How many woken warps a tick is certain to serve in full.
         self._uncontended = max(1, fetch_width // hot_capacity)
-        self.buffers: Dict[int, List[Optional[IBufEntry]]] = {}
         self._rr = 0
         #: Warps whose fetch verdict must be (re)derived: appended by
         #: :meth:`TimingWarp.wake`, pruned by :meth:`tick`.
@@ -72,22 +70,6 @@ class FetchEngine:
         # Length of ``woken`` when :meth:`tick` last left it in warp-id
         # order (wakes only append, so a longer list needs a sort).
         self._sorted = 0
-
-    # ------------------------------------------------------------------
-
-    def ways_for(self, wid: int) -> List[Optional[IBufEntry]]:
-        """The warp's buffer ways (created on first use); the SM binds
-        this list onto the TimingWarp so hot paths skip the dict."""
-        ways = self.buffers.get(wid)
-        if ways is None:
-            ways = self.buffers[wid] = [None] * self.hot_capacity
-        return ways
-
-    def flush_warp(self, wid: int) -> None:
-        ways = self.buffers.get(wid)
-        if ways is not None:
-            for i in range(self.hot_capacity):
-                ways[i] = None
 
     # ------------------------------------------------------------------
 

@@ -41,11 +41,6 @@ class FrontierModel(DivergenceModel):
         yield from self.splits
         yield from self.parked
 
-    def live_mask(self) -> int:
-        # Splits partition the live threads (check_invariants), so the
-        # union is just launch minus exited — no split walk needed.
-        return self.launch_mask & ~self.exited_mask
-
     # -- helpers -----------------------------------------------------------
 
     def _pc_moved(self, split: Split) -> None:

@@ -91,11 +91,6 @@ class SBIModel(DivergenceModel):
         yield from self.cold
         yield from self.parked
 
-    def live_mask(self) -> int:
-        # Contexts partition the live threads (check_invariants), so
-        # the union is launch minus exited — no context walk needed.
-        return self.launch_mask & ~self.exited_mask
-
     # -- HCT/CCT mechanics --------------------------------------------------
 
     def _settle(self, now: int) -> None:

@@ -9,7 +9,7 @@ single machine word.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -35,30 +35,44 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-#: Interned ``(mask, width) -> bool[width]`` expansions.  The arrays
-#: are shared across every call site, so they are marked read-only;
-#: identity of the full-warp array doubles as an "all active" test in
-#: the compiled executor.
-_BOOLS_MEMO: Dict[Tuple[int, int], np.ndarray] = {}
+#: Interned ``mask -> bool[width]`` expansions, one table per warp
+#: width (:func:`bools_table`).  The arrays are shared across every
+#: call site, so they are marked read-only; identity of the full-warp
+#: array doubles as an "all active" test in the compiled executor.
+_BOOLS_TABLES: Dict[int, Dict[int, np.ndarray]] = {}
+
+
+def bools_table(width: int) -> Dict[int, np.ndarray]:
+    """The interned ``mask -> bool[width]`` rows of one warp width.
+
+    A hot path binds it once and looks a mask up with one int-keyed
+    ``get`` (an int hashes to itself); a miss goes through
+    :func:`mask_to_bools`, the table's one writer.  The table is only
+    ever cleared in place, so a bound reference stays the table.
+    """
+    table = _BOOLS_TABLES.get(width)
+    if table is None:
+        table = _BOOLS_TABLES[width] = {}
+    return table
 
 
 def mask_to_bools(mask: int, width: int) -> np.ndarray:
     """Expand to a ``bool[width]`` numpy array (thread order).
 
-    Results are interned per ``(mask, width)`` and read-only: the hot
+    Results are interned in :func:`bools_table` and read-only: the hot
     path converts the same few masks over and over, so the expansion
     loop runs once per distinct mask instead of once per issue.
     """
-    key = (mask, width)
-    out = _BOOLS_MEMO.get(key)
+    table = bools_table(width)
+    out = table.get(mask)
     if out is None:
-        if len(_BOOLS_MEMO) >= _MEMO_LIMIT:
-            _BOOLS_MEMO.clear()
+        if len(table) >= _MEMO_LIMIT:
+            table.clear()
         out = np.zeros(width, dtype=bool)
         for i in bits(mask):
             out[i] = True
         out.setflags(write=False)
-        _BOOLS_MEMO[key] = out
+        table[mask] = out
     return out
 
 
@@ -154,11 +168,3 @@ def mask_str(mask: int, width: int) -> str:
     """Visual mask, thread 0 leftmost: ``'X..X'``."""
     return "".join("X" if mask & (1 << i) else "." for i in range(width))
 
-
-def split_masks_disjoint(masks: List[int]) -> bool:
-    seen = 0
-    for m in masks:
-        if seen & m:
-            return False
-        seen |= m
-    return True

@@ -45,25 +45,23 @@ _UNIT_ROWS = tuple(
 
 
 class Entry:
-    """One in-flight instruction's scoreboard record."""
+    """One in-flight instruction's scoreboard record: its destination
+    register, thread mask and context row.  Made by
+    :meth:`ScoreboardBase.add` alone."""
 
     __slots__ = ("dst", "mask", "row")
-
-    def __init__(self, dst: int, mask: int, slot: int) -> None:
-        self.dst = dst
-        self.mask = mask
-        self.row = _UNIT_ROWS[slot]
 
 
 class ScoreboardBase:
     """Per-warp dependency tracking with bounded entries.
 
     ``entries`` holds one :class:`Entry` per in-flight destination
-    register, at most ``capacity``.  ``_dst_mask`` mirrors their
-    registers as a bit-mask, so the common can-issue query resolves
-    with a single AND against the instruction's cached read/write mask
-    instead of walking entries; a release rebuilds it from what is
-    left.  ``awaited`` is raised by a readiness verdict that was *no*
+    register, at most ``capacity``; :meth:`add` (the SM's issue) is
+    its one writer and :meth:`release` (the writeback) its one remover.
+    ``_dst_mask`` mirrors their registers as a bit-mask, so the common
+    can-issue query resolves with a single AND against the
+    instruction's cached read/write mask instead of walking entries; a
+    release rebuilds it from what is left.  ``awaited`` is raised by a readiness verdict that was *no*
     on this scoreboard's account (hazard, or no room; the scheduler's
     probe, or the fetch engine's fill): only then can a release change
     what the warp may issue, so only then does the SM act on it (and
@@ -114,10 +112,16 @@ class ScoreboardBase:
     # -- lifecycle ------------------------------------------------------
 
     def add(self, instr: Instruction, mask: int, slot: int) -> Optional[Entry]:
+        """Record ``instr`` in flight for threads ``mask`` from context
+        ``slot``; returns the entry its writeback releases (None for an
+        instruction without a destination)."""
         dst = instr.dst
         if dst is None:
             return None
-        entry = Entry(dst, mask, slot)
+        entry = Entry.__new__(Entry)  # once per issue: no __init__ frame
+        entry.dst = dst
+        entry.mask = mask
+        entry.row = _UNIT_ROWS[slot]
         self.entries.append(entry)
         self._dst_mask |= 1 << dst
         return entry

@@ -44,14 +44,6 @@ class StackModel(DivergenceModel):
     def all_splits(self) -> Iterable[Split]:
         return iter(self.stack)
 
-    def live_mask(self) -> int:
-        # Stack entries are nested: the bottom placeholder holds the
-        # union of everything above it, so the union is the widest one.
-        mask = 0
-        for s in self.stack:
-            mask |= s.mask
-        return mask
-
     # -- helpers ----------------------------------------------------------
 
     def _pc_moved(self) -> None:
@@ -75,8 +67,12 @@ class StackModel(DivergenceModel):
                 break
 
     def check_invariants(self) -> None:
-        """The live mask is the launch mask minus exited threads."""
-        live = self.live_mask()
+        """The stack's entries cover the launch mask minus exited
+        threads.  They are nested, not disjoint: the bottom placeholder
+        holds the union of everything above it."""
+        live = 0
+        for s in self.stack:
+            live |= s.mask
         expected = self.launch_mask & ~self.exited_mask
         if live != expected:
             raise AssertionError("live %#x != expected %#x" % (live, expected))

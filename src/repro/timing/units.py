@@ -13,6 +13,11 @@ disjoint — per-lane multiplexers pick instruction I1 or I2 from the
 dual broadcast network.  The occupancy is then computed on the union
 mask.  The LSU is transaction-serial, so co-issued memory instructions
 add their transaction counts instead.
+
+Issue routing is one table: :data:`UNIT_OF` maps an op class to its
+*route*, the index of its group list in :attr:`Backend.routes` and of
+its slot in :meth:`Backend.free_classes`.  Schedulers resolve it once
+per PC and pass it to :meth:`Backend.pick_group`.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from typing import List, Optional, Tuple
 
 from repro.isa.instructions import OpClass
 from repro.timing.masks import wave_count
+
+#: Route of an op class: MAD/CTRL (CTRL rides the MAD groups), SFU, LSU.
+UNIT_OF = {OpClass.MAD: 0, OpClass.CTRL: 0, OpClass.SFU: 1, OpClass.LSU: 2}
 
 
 @dataclass(slots=True)
@@ -71,17 +79,10 @@ class ExecGroup:
 
 
 class Backend:
-    """The SM's set of execution groups, with issue routing."""
+    """The SM's set of execution groups, with issue routing: ``routes``
+    holds each route's groups (see :data:`UNIT_OF`)."""
 
-    __slots__ = (
-        "config",
-        "groups",
-        "lsu",
-        "sfu",
-        "_mad_route",
-        "_sfu_route",
-        "_lsu_route",
-    )
+    __slots__ = ("config", "groups", "lsu", "sfu", "routes")
 
     def __init__(self, config) -> None:
         self.config = config
@@ -98,25 +99,17 @@ class Backend:
         )
         self.lsu = self.groups[-1]
         self.sfu = self.groups[-2]
-        # Issue routing is static: resolve it once (CTRL rides MAD).
-        # Identity-chained rather than dict-keyed: enum hashing showed
-        # up in profiles at two lookups per issue.
-        self._mad_route = [g for g in self.groups if g.kind is OpClass.MAD]
-        self._sfu_route = [self.sfu]
-        self._lsu_route = [self.lsu]
-
-    def candidates(self, op_class: OpClass) -> List[ExecGroup]:
-        """Groups an op class can issue to (CTRL rides the MAD groups)."""
-        if op_class is OpClass.SFU:
-            return self._sfu_route
-        if op_class is OpClass.LSU:
-            return self._lsu_route
-        return self._mad_route
+        self.routes: Tuple[List[ExecGroup], ...] = (
+            [g for g in self.groups if g.kind is OpClass.MAD],
+            [self.sfu],
+            [self.lsu],
+        )
 
     def pick_group(
-        self, op_class: OpClass, now: int, lane_mask: int, co_issue: bool
+        self, unit: int, now: int, lane_mask: int, co_issue: bool
     ) -> Optional[ExecGroup]:
-        """First group that can accept the instruction this cycle.
+        """First group of route ``unit`` (:data:`UNIT_OF`) that can
+        accept the instruction this cycle.
 
         Prefers a completely free group before co-issue sharing, which
         both maximises throughput and keeps baseline (no co-issue)
@@ -125,12 +118,7 @@ class Backend:
         lane masks are disjoint (dual broadcast limit: two
         instructions per group per cycle).
         """
-        if op_class is OpClass.SFU:
-            options = self._sfu_route
-        elif op_class is OpClass.LSU:
-            options = self._lsu_route
-        else:
-            options = self._mad_route
+        options = self.routes[unit]
         for group in options:
             # Accepting pushes ``free_at`` past the cycle: free by now
             # means nothing taken this cycle, stale bookkeeping or not.
@@ -146,16 +134,16 @@ class Backend:
     def free_classes(
         self, by: int
     ) -> Tuple[Optional[ExecGroup], Optional[ExecGroup], Optional[ExecGroup]]:
-        """Per-cycle availability snapshot ``(MAD/CTRL, SFU, LSU)``:
-        the class's first group whose busy window ends by cycle ``by``,
-        or None.  With ``by = now`` that is what ``pick_group(cls, now,
-        *, co_issue=False)`` answers, so an arbiter decides unit
-        availability once per pick instead of once per ready warp and
-        hands the winner its group; with ``by = now + 1`` it is the
+        """Per-cycle availability snapshot, indexed by route
+        (``MAD/CTRL, SFU, LSU``): the route's first group whose busy
+        window ends by cycle ``by``, or None.  With ``by = now`` that is
+        what ``pick_group(unit, now, *, co_issue=False)`` answers, so an
+        arbiter decides unit availability once per pick instead of once
+        per ready warp and hands the winner its group; with ``by = now + 1`` it is the
         cascaded primary's "plausibly free at the issue stage".
         """
         mad = None
-        for group in self._mad_route:
+        for group in self.routes[0]:
             if group.free_at <= by:
                 mad = group
                 break

@@ -211,6 +211,18 @@ class TestFigure7:
         assert any(line.startswith("| histogram |") for line in lines)
         assert "# 10 cells: 10 simulated, 0 cached" in proc.stderr
 
+    def test_figure7_is_sweep_under_another_name(self):
+        """``figure7`` is an alias of ``sweep``, whose defaults are the
+        Figure 7 grid: both print the same table."""
+        grid = ("--size", "smoke", "--workloads", "histogram", "--format", "markdown")
+        figure7 = run_cli("figure7", *grid)
+        sweep = run_cli("sweep", *grid)
+        assert figure7.stdout == sweep.stdout
+        assert figure7.stdout.splitlines()[0] == (
+            "| workload | baseline | sbi | swi | sbi_swi | warp64 |"
+        )
+        assert "# 5 cells: 5 simulated, 0 cached" in figure7.stderr
+
 
 class TestPolicies:
     def test_plain_listing(self):

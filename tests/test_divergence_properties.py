@@ -6,6 +6,9 @@ every step (paper-critical — SBI's co-issue legality depends on them):
 
 * live splits are pairwise disjoint;
 * the union of live masks equals launch minus exited threads.
+
+So ``live_mask()`` and ``done``, which read launch minus exited without
+walking a split, must agree with the walk after every mutation.
 """
 
 import pytest
@@ -29,6 +32,17 @@ def _models():
         "sbi": lambda: SBIModel(FULL, PERM, insert_delay=1),
         "sbi_slow_sideband": lambda: SBIModel(FULL, PERM, insert_delay=7),
     }
+
+
+def _assert_live_view(model):
+    """``live_mask()`` is the union of the splits, and ``done`` means
+    no split is left."""
+    splits = list(model.all_splits())
+    union = 0
+    for split in splits:
+        union |= split.mask
+    assert model.live_mask() == union
+    assert model.done == (not splits)
 
 
 @st.composite
@@ -80,7 +94,9 @@ class TestInvariantStorm:
                 model.park(split, now)
                 model.unpark_all(now)
             model.check_invariants()
+            _assert_live_view(model)
         model.check_invariants()
+        _assert_live_view(model)
 
     @pytest.mark.parametrize("name", sorted(_models()))
     @given(ops=op_sequences())

@@ -25,12 +25,19 @@ class TestMasks:
     def test_roundtrip_property(self, m):
         assert masks.bools_to_mask(masks.mask_to_bools(m, 16)) == m
 
+    def test_bools_table_is_the_intern_and_clears_in_place(self, monkeypatch):
+        """The executor binds a width's table once: ``mask_to_bools``
+        fills that table, and its cap clears it without replacing it."""
+        monkeypatch.setattr(masks, "_MEMO_LIMIT", 4)
+        table = masks.bools_table(7)
+        table.clear()
+        rows = [masks.mask_to_bools(m, 7) for m in range(4)]
+        assert all(table[m] is rows[m] for m in range(4))
+        masks.mask_to_bools(4, 7)  # past the cap
+        assert masks.bools_table(7) is table and list(table) == [4]
+
     def test_mask_str(self):
         assert masks.mask_str(0b0101, 4) == "X.X."
-
-    def test_disjoint(self):
-        assert masks.split_masks_disjoint([0b01, 0b10])
-        assert not masks.split_masks_disjoint([0b01, 0b11])
 
     def test_permute_mask(self):
         perm = (1, 0, 3, 2)

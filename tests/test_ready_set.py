@@ -27,6 +27,7 @@ from repro.core.simulator import simulate
 from repro.core.sm import StreamingMultiprocessor
 from repro.core.warp import TimingWarp
 from repro.timing.config import GPUConfig
+from repro.timing.units import UNIT_OF
 from repro.workloads import get_workload
 
 
@@ -98,11 +99,11 @@ def _oldest_with_free_unit(sm, expected, now, by):
         split, entry = cand[4], cand[5]
         if by == now:
             free = sm.backend.pick_group(
-                entry.instr.op_class, now, split.lane_mask, False
+                UNIT_OF[entry.instr.op_class], now, split.lane_mask, False
             ) is not None
         else:  # the cascaded primary's "plausibly free at the issue stage"
             free = any(
-                g.free_at <= by for g in sm.backend.candidates(entry.instr.op_class)
+                g.free_at <= by for g in sm.backend.routes[UNIT_OF[entry.instr.op_class]]
             )
         if free:
             return cand

@@ -9,6 +9,7 @@ from repro.core.simulator import simulate
 from repro.functional.memory import MemoryImage
 from repro.isa.builder import KernelBuilder
 from repro.isa.instructions import CmpOp
+from repro.timing.units import UNIT_OF
 
 
 def _balanced_ifelse(work=6):
@@ -337,7 +338,7 @@ class TestNoDoomedProbes:
         warp = sm.warp_slots[0]
         cand = warp.cand0
         assert cand is not None and sm.scheduler._pools[0] == [cand]
-        group = sm.backend.pick_group(cand[5].instr.op_class, 1, cand[4].lane_mask, False)
+        group = sm.backend.pick_group(UNIT_OF[cand[5].instr.op_class], 1, cand[4].lane_mask, False)
         sm.issue(warp, 0, cand[4], cand[5], 1, "primary", group)  # no drop
         assert warp.ibuf == [None] and warp in sm.scheduler.woken[0]
         sm.scheduler._refresh(1, 0)
@@ -361,7 +362,7 @@ class TestNoDoomedProbes:
         ahead = warp.ibuf[1] = IBufEntry(1, program[1], 0)
         sm.scheduler._pools[0].remove(cand)
         warp.cand0 = None  # as the pick that issues it does
-        group = sm.backend.pick_group(entry.instr.op_class, 1, split.lane_mask, False)
+        group = sm.backend.pick_group(UNIT_OF[entry.instr.op_class], 1, split.lane_mask, False)
         sm.issue(warp, 0, split, entry, 1, "primary", group)
         assert warp.ibuf == [None, ahead] and warp in sm.scheduler.woken[0]
         sm.scheduler._refresh(1)
@@ -371,7 +372,7 @@ class TestNoDoomedProbes:
         cand = other.cand0
         sm.scheduler._pools[0].remove(cand)
         other.cand0 = None
-        group = sm.backend.pick_group(cand[5].instr.op_class, 2, cand[4].lane_mask, False)
+        group = sm.backend.pick_group(UNIT_OF[cand[5].instr.op_class], 2, cand[4].lane_mask, False)
         sm.issue(other, 0, cand[4], cand[5], 2, "primary", group)
         assert other.ibuf == [None, None] and other not in sm.scheduler.woken[0]
 
@@ -443,7 +444,7 @@ def two_walk_pick(sched, now, primary, unit, taken, diverged, counts):
                 if sched._sync_blocked(primary, split, instr, now):
                     suspensions = 1
                 elif not (instr.is_branch and diverged):
-                    group = backend.pick_group(instr.op_class, now, split.lane_mask, True)
+                    group = backend.pick_group(UNIT_OF[instr.op_class], now, split.lane_mask, True)
                     if group is not None:
                         return nxt, ("sbi", primary, 1, split, entry, group), 0, 0
     lookups = int(primary is not None)
@@ -456,11 +457,11 @@ def two_walk_pick(sched, now, primary, unit, taken, diverged, counts):
         warp, lanes, op_class = cand[3], cand[4].lane_mask, cand[5].instr.op_class
         if warp is primary or (window is not None and warp.wid not in window):
             continue
-        if backend.pick_group(op_class, now, lanes, False) is None:
+        if backend.pick_group(UNIT_OF[op_class], now, lanes, False) is None:
             counts["busy"] += primary is not None
             if primary is None or lanes & taken:
                 continue
-            if backend.pick_group(op_class, now, lanes, True) is None:
+            if backend.pick_group(UNIT_OF[op_class], now, lanes, True) is None:
                 continue
         eligible.append((warp.wid, cand))
     if not eligible:
@@ -471,7 +472,7 @@ def two_walk_pick(sched, now, primary, unit, taken, diverged, counts):
         if best_key is None or key > best_key:
             best, best_key = cand, key
     split, entry = best[4], best[5]
-    group = backend.pick_group(entry.instr.op_class, now, split.lane_mask, True)
+    group = backend.pick_group(UNIT_OF[entry.instr.op_class], now, split.lane_mask, True)
     origin = "swi" if primary is not None else "primary"
     return nxt, (origin, best[3], 0, split, entry, group), lookups, suspensions
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.isa.instructions import Instruction, Op, OpClass, imm
 from repro.core import presets
 from repro.timing.masks import full_mask
-from repro.timing.units import Backend, ExecGroup
+from repro.timing.units import UNIT_OF, Backend, ExecGroup
 
 
 def launched_sm(kernel, memory, config):
@@ -36,23 +36,23 @@ class TestExecGroup:
         b = self.make()
         waves = b.sfu.accept(0, full_mask(64))
         assert waves == 8
-        assert b.pick_group(SFU, 1, full_mask(64), co_issue=False) is None
-        assert b.pick_group(SFU, 8, full_mask(64), co_issue=False) is b.sfu
+        assert b.pick_group(UNIT_OF[SFU], 1, full_mask(64), co_issue=False) is None
+        assert b.pick_group(UNIT_OF[SFU], 8, full_mask(64), co_issue=False) is b.sfu
 
     def test_co_issue_disjoint(self):
         b = self.make()
-        g = b.pick_group(MAD, 0, 0x0F, co_issue=False)
+        g = b.pick_group(UNIT_OF[MAD], 0, 0x0F, co_issue=False)
         g.accept(0, 0x0F)
-        assert b.pick_group(MAD, 0, 0xF0, co_issue=True) is g
-        assert b.pick_group(MAD, 0, 0x0C, co_issue=True) is None
-        assert b.pick_group(MAD, 0, 0xF0, co_issue=False) is None
+        assert b.pick_group(UNIT_OF[MAD], 0, 0xF0, co_issue=True) is g
+        assert b.pick_group(UNIT_OF[MAD], 0, 0x0C, co_issue=True) is None
+        assert b.pick_group(UNIT_OF[MAD], 0, 0xF0, co_issue=False) is None
 
     def test_at_most_two_per_cycle(self):
         b = self.make()
-        g = b.pick_group(MAD, 0, 0x0F, co_issue=False)
+        g = b.pick_group(UNIT_OF[MAD], 0, 0x0F, co_issue=False)
         g.accept(0, 0x0F)
         g.accept(0, 0xF0)
-        assert b.pick_group(MAD, 0, 0xF00, co_issue=True) is None
+        assert b.pick_group(UNIT_OF[MAD], 0, 0xF00, co_issue=True) is None
         with pytest.raises(RuntimeError):
             g.accept(0, 0xF00)
 
@@ -70,9 +70,9 @@ class TestExecGroup:
 
     def test_new_cycle_resets_co_issue_state(self):
         b = self.make()
-        g = b.pick_group(MAD, 0, 0x0F, co_issue=False)
+        g = b.pick_group(UNIT_OF[MAD], 0, 0x0F, co_issue=False)
         g.accept(0, 0x0F)
-        assert b.pick_group(MAD, 1, 0x0F, co_issue=False) is g
+        assert b.pick_group(UNIT_OF[MAD], 1, 0x0F, co_issue=False) is g
 
     def test_hold_extends(self):
         g = self.make().lsu
@@ -94,20 +94,20 @@ class TestBackend:
 
     def test_ctrl_rides_mad(self):
         b = Backend(presets.baseline())
-        assert all(g.kind is OpClass.MAD for g in b.candidates(OpClass.CTRL))
+        assert all(g.kind is OpClass.MAD for g in b.routes[UNIT_OF[OpClass.CTRL]])
 
     def test_pick_prefers_free_group(self):
         b = Backend(presets.baseline())
-        g1 = b.pick_group(OpClass.MAD, 0, full_mask(32), co_issue=False)
+        g1 = b.pick_group(UNIT_OF[OpClass.MAD], 0, full_mask(32), co_issue=False)
         g1.accept(0, full_mask(32))
-        g2 = b.pick_group(OpClass.MAD, 0, full_mask(32), co_issue=False)
+        g2 = b.pick_group(UNIT_OF[OpClass.MAD], 0, full_mask(32), co_issue=False)
         assert g2 is not None and g2 is not g1
 
     def test_pick_none_when_saturated(self):
         b = Backend(presets.sbi())
-        mad = b.pick_group(OpClass.MAD, 0, full_mask(64), co_issue=False)
+        mad = b.pick_group(UNIT_OF[OpClass.MAD], 0, full_mask(64), co_issue=False)
         mad.accept(0, full_mask(64))
-        assert b.pick_group(OpClass.MAD, 0, full_mask(64), co_issue=True) is None
+        assert b.pick_group(UNIT_OF[OpClass.MAD], 0, full_mask(64), co_issue=True) is None
 
     def test_next_free_cycle(self):
         b = Backend(presets.sbi())
@@ -120,7 +120,7 @@ class TestBackend:
         assert b.next_free_cycle(8) is None
 
 
-#: One op class per ``free_classes`` index.
+#: One op class per route (``free_classes`` index).
 CLASSES = (OpClass.MAD, OpClass.SFU, OpClass.LSU)
 
 
@@ -142,20 +142,20 @@ class TestUnitSnapshot:
             group.free_at = until  # still draining an earlier instruction
         if first is not None:
             # This cycle's first instruction, booked where pick_group says.
-            group = b.pick_group(CLASSES[first[0]], now, first[1], False)
+            group = b.pick_group(UNIT_OF[CLASSES[first[0]]], now, first[1], False)
             if group is not None:
                 group.accept(now, first[1])
         free = b.free_classes(now)
         for unit, op_class in enumerate(CLASSES):
-            assert free[unit] is b.pick_group(op_class, now, lanes, False)
+            assert free[unit] is b.pick_group(UNIT_OF[op_class], now, lanes, False)
             if free[unit] is not None:  # a group to itself before sharing
-                assert b.pick_group(op_class, now, lanes, True) is free[unit]
+                assert b.pick_group(UNIT_OF[op_class], now, lanes, True) is free[unit]
         # CTRL rides the MAD groups.
-        assert free[0] is b.pick_group(OpClass.CTRL, now, lanes, False)
+        assert free[0] is b.pick_group(UNIT_OF[OpClass.CTRL], now, lanes, False)
 
     def test_by_next_cycle_is_the_plausibly_free_query(self):
         b = Backend(presets.swi())
-        mad = b.pick_group(MAD, 0, full_mask(64), co_issue=False)
+        mad = b.pick_group(UNIT_OF[MAD], 0, full_mask(64), co_issue=False)
         mad.accept(0, full_mask(64))
         b.sfu.accept(0, 0x0F)  # one wave of the 8-wide SFU
         assert b.free_classes(0) == (None, None, b.lsu)
@@ -165,12 +165,12 @@ class TestUnitSnapshot:
         """``pick_group`` no longer rolls the per-cycle bookkeeping: a
         group free by now took nothing this cycle, whatever it says."""
         b = Backend(presets.swi())
-        mad = b.pick_group(MAD, 0, 0x0F, co_issue=False)
+        mad = b.pick_group(UNIT_OF[MAD], 0, 0x0F, co_issue=False)
         mad.accept(0, 0x0F)
         mad.accept(0, 0xF0)
         assert (mad.cycle, mad.issue_count) == (0, 2)
-        assert b.pick_group(MAD, 0, 0xF00, co_issue=True) is None
-        assert b.pick_group(MAD, 1, 0x0F, co_issue=True) is mad  # stale count of 2
+        assert b.pick_group(UNIT_OF[MAD], 0, 0xF00, co_issue=True) is None
+        assert b.pick_group(UNIT_OF[MAD], 1, 0x0F, co_issue=True) is mad  # stale count of 2
         assert mad.accept(1, 0x0F) == 1 and mad.issue_count == 1
 
 
@@ -218,7 +218,7 @@ class TestFetchEngine:
         warp = sm.live_warps()[0]
         split = warp.model.hot_splits(0)[0]
         entry = self._entry_for(sm, warp, split, 1)
-        group = sm.backend.pick_group(entry.instr.op_class, 1, split.lane_mask, False)
+        group = sm.backend.pick_group(UNIT_OF[entry.instr.op_class], 1, split.lane_mask, False)
         sm.issue(warp, 0, split, entry, 1, "primary", group)
         assert warp.ibuf == [None]
         assert split.pc == 1 and self._entry_for(sm, warp, split, 1) is None
@@ -238,7 +238,7 @@ class TestFetchEngine:
             sm.fetch.tick(cycle, live)
         served = {
             wid
-            for wid, ways in sm.fetch.buffers.items()
+            for wid, ways in ((w.wid, w.ibuf) for w in live)
             if any(e is not None for e in ways)
         }
         assert len(served) == len(live)
@@ -274,7 +274,7 @@ class TestFetchServiceOrder:
     def _served(sm, cycle):
         return sorted(
             wid
-            for wid, ways in sm.fetch.buffers.items()
+            for wid, ways in ((w.wid, w.ibuf) for w in sm.live_warps())
             for e in ways
             if e is not None and e.fetch_cycle == cycle
         )
@@ -363,7 +363,7 @@ class TestFetchServiceOrder:
         warp = sm.live_warps()[0]
         other = sm.live_warps()[1]
         add = sm.kernel.program.instructions[0]
-        in_flight = warp.scoreboard.add(add, warp.launch_mask, 0)  # writes v
+        in_flight = warp.scoreboard.add(add, warp.model.launch_mask, 0)  # writes v
         assert sm.fetch.tick(0, sm.live_warps()) == 2
         # ``add v, v, 1`` behind an in-flight write of v: no probe could
         # say yes before the release, so none is queued; the refusal is
@@ -389,3 +389,48 @@ class TestFetchServiceOrder:
         # ... and the next ``add v, v, 1``, filled the same cycle, waits
         # for this one's write in turn.
         assert warp.scoreboard.awaited and not warp.issue_woken
+
+
+class TestBufferWays:
+    """Each warp owns its instruction-buffer ways (``TimingWarp.ibuf``):
+    one per hot context, a list of its own, and a CTA launched into the
+    slots of a retired one starts from new, empty ways."""
+
+    @pytest.mark.parametrize("mode", ["baseline", "sbi"])
+    def test_ways_are_per_warp_and_new_at_every_launch(self, mode, monkeypatch):
+        from repro.core.gpu import GPUDevice
+        from repro.core.sm import StreamingMultiprocessor
+        from repro.functional.memory import MemoryImage
+        from repro.isa.builder import KernelBuilder
+        from repro.timing.config import GPUConfig
+
+        kb = KernelBuilder("ways")
+        (v,) = kb.regs("v")
+        for _ in range(4):
+            kb.add(v, v, 1)
+        kb.exit_()
+        cfg = presets.by_name(mode, warp_count=4)
+        # Two warps per CTA, two CTAs resident, six in the grid: four
+        # launches reuse the slots of a retired CTA.
+        kernel = kb.build(cta_size=2 * cfg.warp_width, grid_size=6)
+        launches = []
+        seen = []  # every ways list handed out so far
+        launch = StreamingMultiprocessor._launch_cta
+
+        def checked_launch(sm, cta, slots, now):
+            launch(sm, cta, slots, now)
+            new = [sm.warp_slots[slot] for slot in slots]
+            for warp in new:
+                assert warp.ibuf == [None] * warp.model.hot_capacity
+                assert all(warp.ibuf is not ways for ways in seen)
+                seen.append(warp.ibuf)
+            resident = [w for w in sm.warp_slots if w is not None]
+            assert len({id(w.ibuf) for w in resident}) == len(resident)
+            launches.append(slots)
+
+        monkeypatch.setattr(StreamingMultiprocessor, "_launch_cta", checked_launch)
+        device = GPUDevice(kernel, MemoryImage(), GPUConfig(sm=cfg))
+        device.run()
+        assert len(launches) == 6
+        assert len(set(launches)) == 2  # the later CTAs reused the slots
+        assert len(seen) == 12
