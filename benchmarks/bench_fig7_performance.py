@@ -34,8 +34,8 @@ def spec(size: str) -> SweepSpec:
 #: CTAs, where the gains are not the paper's shape at all).
 _SBI_SWI = (
     "cause open: sweep the Table 2 knobs (dram_latency, warp_count, "
-    "scoreboard_entries, cct_capacity, fetch_width) on sbi_swi at full; "
-    "ROADMAP item 5 (a), SBI+SWI dropping SBI's co-issue at low occupancy, "
+    "scoreboard_entries, fetch_width) on sbi_swi at full; "
+    "ROADMAP item 3 (a), SBI+SWI dropping SBI's co-issue at low occupancy, "
     "is the first suspect"
 )
 _SBI = (

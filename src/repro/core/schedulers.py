@@ -205,6 +205,23 @@ class SchedulerBase:
             return False
         return instr.sync_pcdiv < hot[0].pc < split.pc
 
+    def _cpc2_group(
+        self, warp: TimingWarp, split: Split, entry: IBufEntry, now: int, diverged: bool
+    ) -> Optional[ExecGroup]:
+        """The CPC2 co-issue rule: the group ``warp``'s ready secondary
+        split issues ``entry`` on beside its CPC1 this cycle, or None.
+        It is held by the selective synchronization barrier (counted in
+        ``sync_suspensions``), by a branch when CPC1 diverged (one
+        divergence per cycle), or for want of a group that is free or
+        lane-disjoint beside CPC1."""
+        instr = entry.instr
+        if self._sync_blocked(warp, split, instr, now):
+            self.sm.stats.sync_suspensions += 1
+            return None
+        if instr.is_branch and diverged:
+            return None
+        return self.sm.backend.pick_group(self._unit_of[entry.pc], now, split.lane_mask, True)
+
     # -- the ready set -----------------------------------------------------
 
     def _refresh(self, now: int, index: int = 0) -> None:
@@ -324,16 +341,14 @@ class SBIScheduler(SchedulerBase):
         sm = self.sm
         if self.woken[0]:
             self._refresh(now)
-        stats = sm.stats
         if self._suspended:
-            stats.sync_suspensions += self._suspended
+            sm.stats.sync_suspensions += self._suspended
         pool = self._pools[0]
         if not pool:
             return 0
         # Select the warp owning the oldest ready instruction in either
         # slot whose execution unit is free.
-        backend = sm.backend
-        free = backend.free_classes(now)
+        free = sm.backend.free_classes(now)
         for cand in pool:
             if free[cand[6]]:
                 break
@@ -364,9 +379,8 @@ class SBIScheduler(SchedulerBase):
                 return issued
             added = issued and entry.instr.dst is not None
             split, entry = cand[4], cand[5]
-            instr = entry.instr
             scoreboard = warp.scoreboard
-            if added and not scoreboard.can_issue(instr, split.mask, 1):
+            if added and not scoreboard.can_issue(entry.instr, split.mask, 1):
                 scoreboard.refused(1, split, entry, model.version)
                 return issued
         else:
@@ -377,14 +391,10 @@ class SBIScheduler(SchedulerBase):
             entry = self._ready_entry(warp, 1, split, now)
             if entry is None:
                 return issued
-            instr = entry.instr
-        if self._sync_blocked(warp, split, instr, now):
-            stats.sync_suspensions += 1
-        elif not (instr.is_branch and diverged):  # one divergence per cycle
-            group = backend.pick_group(self._unit_of[entry.pc], now, split.lane_mask, True)
-            if group is not None:
-                sm.issue(warp, 1, split, entry, now, ORIGIN_SBI, group)
-                issued += 1
+        group = self._cpc2_group(warp, split, entry, now, diverged)
+        if group is not None:
+            sm.issue(warp, 1, split, entry, now, ORIGIN_SBI, group)
+            issued += 1
         return issued
 
 
@@ -456,15 +466,9 @@ class CascadedScheduler(SchedulerBase):
                     split = hot[1]
                     entry = self._ready_entry(primary, 1, split, now)
                     if entry is not None:
-                        instr = entry.instr
-                        if self._sync_blocked(primary, split, instr, now):
-                            self.sm.stats.sync_suspensions += 1
-                        elif not (instr.is_branch and diverged):
-                            group = backend.pick_group(
-                                self._unit_of[entry.pc], now, split.lane_mask, True
-                            )
-                            if group is not None:
-                                secondary = (ORIGIN_SBI, primary, 1, split, entry, group)
+                        group = self._cpc2_group(primary, split, entry, now, diverged)
+                        if group is not None:
+                            secondary = (ORIGIN_SBI, primary, 1, split, entry, group)
             if secondary is None:
                 self.sm.stats.swi_lookups += 1
         pool = self._pools[0]

@@ -134,7 +134,7 @@ class SMConfig:
 
     # SBI options.
     sbi_constraints: bool = True
-    cct_capacity: int = 8        # cold contexts per warp
+    cct_capacity: int = 8        # cold contexts per warp; no statistic reads it
     cct_insert_delay: int = 2    # sideband-sorter cycles per insertion
 
     # SWI options.

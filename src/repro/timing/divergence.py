@@ -1,18 +1,21 @@
 """Warp-split representation and the divergence-model interface.
 
 A *warp-split* is a (PC, activity-mask) pair: a maximal group of
-threads of one warp executing in lockstep.  The three reconvergence
-models of the reproduction manage splits differently:
+threads of one warp executing in lockstep.  The reconvergence models
+of the reproduction order and place splits differently:
 
 * :class:`repro.timing.stack.StackModel` — baseline IPDOM stack, one
   runnable split (the top of stack).
 * :class:`repro.timing.frontier.FrontierModel` — thread-frontier
   scheduling: the minimum-PC split is runnable (Warp64 reference and
-  the SWI configuration).
+  the SWI configuration); :class:`repro.timing.dwr.DWRModel` slices it
+  into sub-warps under divergence.
 * :class:`repro.timing.hct.SBIModel` — the paper's HCT/CCT heap with
   *two* runnable splits (``CPC1``/``CPC2``) for simultaneous branch
   interweaving.
 
+The base class owns the split life cycle (split-off, merge, exit, barrier
+park and release); each model owns only its ordering and placement.
 All models speak the same interface so the SM pipeline and schedulers
 are mode-agnostic; the matrix scoreboard observes slot transitions
 through :meth:`DivergenceModel.slot_masks`.  A warp's live threads are
@@ -90,7 +93,7 @@ class Split:
 
 
 class DivergenceModel:
-    """Common interface of the three reconvergence models."""
+    """Common interface and split life cycle of the models."""
 
     __slots__ = (
         "launch_mask",
@@ -230,15 +233,54 @@ class DivergenceModel:
 
     def exit_threads(self, split: Split, mask: int, now: int) -> None:
         """Retire ``mask`` threads (EXIT instruction)."""
-        raise NotImplementedError
+        self._touch()
+        self.exited_mask |= mask
+        split.set_mask(split.mask & ~mask)
 
     def park(self, split: Split, now: int) -> None:
         """Suspend at a CTA barrier."""
-        raise NotImplementedError
+        self._touch()
+        split.parked = True
+        self.parked_threads += split.mask.bit_count()
 
     def unpark_all(self, now: int) -> None:
         """Barrier release: every parked split resumes at PC + 1."""
         raise NotImplementedError
+
+    # -- the split life cycle ----------------------------------------------
+
+    def _split_off(self, split: Split, taken_mask: int, target_pc: int) -> Optional[Split]:
+        """Apply a branch outcome to ``split``.  Uniform: move its PC,
+        return None.  Divergent: ``split`` keeps the taken threads at
+        ``target_pc``; the fall-through sibling at PC + 1, behind the
+        same redirect gate, is returned for the model to place."""
+        ft_mask = split.mask & ~taken_mask
+        taken_mask &= split.mask
+        if not ft_mask or not taken_mask:
+            split.pc = target_pc if taken_mask else split.pc + 1
+            return None
+        self._touch()
+        sibling = Split(split.pc + 1, ft_mask, self.lane_perm)
+        sibling.redirect_ready_at = split.redirect_ready_at
+        split.set_mask(taken_mask)
+        split.pc = target_pc
+        return sibling
+
+    def _fold(self, into: Split, split: Split) -> None:
+        """Merge ``split`` into same-PC ``into`` behind the later gate;
+        ``split`` is left dead (any stale scheduler pick is void)."""
+        into.set_mask(into.mask | split.mask)
+        into.redirect_ready_at = max(into.redirect_ready_at, split.redirect_ready_at)
+        split.set_mask(0)
+        self.merge_count += 1
+
+    def _release(self, parked: Iterable[Split]) -> None:
+        """Barrier release bookkeeping: ``parked`` resume at PC + 1."""
+        self._touch()
+        for split in parked:
+            split.parked = False
+            split.pc += 1
+        self.parked_threads = 0
 
     # -- invariants (used by tests) --------------------------------------
 

@@ -100,13 +100,8 @@ class DWRModel(FrontierModel):
                 continue
             if not same_window:
                 self.resize_ups += 1
-            other.set_mask(other.mask | split.mask)
-            other.redirect_ready_at = max(
-                other.redirect_ready_at, split.redirect_ready_at
-            )
+            self._fold(other, split)
             self.splits.remove(split)
-            split.set_mask(0)  # dead: any stale scheduler pick is void
-            self.merge_count += 1
             return
 
     def branch(

@@ -61,13 +61,8 @@ class FrontierModel(DivergenceModel):
             if other is split or other.pending:
                 continue
             if other.pc == split.pc:
-                other.set_mask(other.mask | split.mask)
-                other.redirect_ready_at = max(
-                    other.redirect_ready_at, split.redirect_ready_at
-                )
+                self._fold(other, split)
                 self.splits.remove(split)
-                split.set_mask(0)  # dead: any stale scheduler pick is void
-                self.merge_count += 1
                 return
 
     # -- mutation ----------------------------------------------------------
@@ -80,18 +75,10 @@ class FrontierModel(DivergenceModel):
         reconv_pc: Optional[int],
         now: int,
     ) -> bool:
-        ft_mask = split.mask & ~taken_mask
-        taken_mask &= split.mask
-        if not ft_mask or not taken_mask:
-            split.pc = target_pc if taken_mask else split.pc + 1
+        sibling = self._split_off(split, taken_mask, target_pc)
+        if sibling is None:
             self._pc_moved(split)
             return False
-        self._touch()
-        fall_through_pc = split.pc + 1
-        split.set_mask(taken_mask)
-        split.pc = target_pc
-        sibling = Split(fall_through_pc, ft_mask, self.lane_perm)
-        sibling.redirect_ready_at = split.redirect_ready_at
         self.splits.append(sibling)
         self._try_merge(sibling)
         if split in self.splits:
@@ -112,27 +99,20 @@ class FrontierModel(DivergenceModel):
             self._try_merge(split)
 
     def exit_threads(self, split: Split, mask: int, now: int) -> None:
-        self._touch()
-        self.exited_mask |= mask
-        split.set_mask(split.mask & ~mask)
+        super().exit_threads(split, mask, now)
         if not split.mask:
             self.splits.remove(split)
 
     def park(self, split: Split, now: int) -> None:
-        self._touch()
-        split.parked = True
-        self.parked_threads += split.mask.bit_count()
+        super().park(split, now)
         self.splits.remove(split)
         self.parked.append(split)
 
     def unpark_all(self, now: int) -> None:
-        self._touch()
-        for split in self.parked:
-            split.parked = False
-            split.pc += 1
-            self.splits.append(split)
-        self.parked.clear()
-        self.parked_threads = 0
+        parked = self.parked
+        self._release(parked)
+        self.splits += parked
+        parked.clear()
         for split in list(self.splits):
             if split in self.splits:
                 self._try_merge(split)

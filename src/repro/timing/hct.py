@@ -19,6 +19,9 @@ Hardware behaviours modelled:
   selective synchronization barrier releases a suspended secondary
   (paper §3.3: "no additional hardware is needed").
 
+The CCT's capacity is not modelled: the cold list grows as it must,
+and ``SMConfig.cct_capacity`` moves no statistic.
+
 The selective-synchronization *check* itself lives in the scheduler
 (it is an issue-eligibility rule); this module only provides the
 context structure.
@@ -38,11 +41,8 @@ class SBIModel(DivergenceModel):
         "hot",
         "cold",
         "parked",
-        "cct_capacity",
         "insert_delay",
         "sideband_busy_until",
-        "cct_overflows",
-        "cct_high_water",
         "_dirty",
     )
 
@@ -50,24 +50,17 @@ class SBIModel(DivergenceModel):
 
     @classmethod
     def for_config(cls, config, launch_mask: int, lane_perm: Sequence[int]) -> "SBIModel":
-        return cls(launch_mask, lane_perm, config.cct_capacity, config.cct_insert_delay)
+        return cls(launch_mask, lane_perm, config.cct_insert_delay)
 
     def __init__(
-        self,
-        launch_mask: int,
-        lane_perm: Sequence[int],
-        cct_capacity: int = 8,
-        insert_delay: int = 2,
+        self, launch_mask: int, lane_perm: Sequence[int], insert_delay: int = 2
     ) -> None:
         super().__init__(launch_mask, lane_perm)
         self.hot: List[Split] = [Split(0, launch_mask, self.lane_perm)]
         self.cold: List[Split] = []
         self.parked: List[Split] = []
-        self.cct_capacity = cct_capacity
         self.insert_delay = insert_delay
         self.sideband_busy_until = 0
-        self.cct_overflows = 0
-        self.cct_high_water = 0
         # Settle gating: ``_dirty`` is raised by every mutation and
         # ``_settle_wake`` is the earliest cycle a sideband insertion
         # joins the sorted order — between those events a settle is a
@@ -135,19 +128,11 @@ class SBIModel(DivergenceModel):
                 and not last.pending
                 and not s.pending
             ):
-                last.set_mask(last.mask | s.mask)
-                last.redirect_ready_at = max(
-                    last.redirect_ready_at, s.redirect_ready_at
-                )
-                s.set_mask(0)  # dead: any stale scheduler pick is void
-                self.merge_count += 1
+                self._fold(last, s)
             else:
                 merged.append(s)
         self.hot = merged[:2]
         self.cold = merged[2:] + settled_cold
-        self.cct_high_water = max(self.cct_high_water, len(self.cold))
-        if len(self.cold) > self.cct_capacity:
-            self.cct_overflows += 1
         if self.merge_count != merges_before or self.hot != old_hot:
             # State changes happen on the read path too: a merge, or a
             # cold context waking through the sideband sorter and
@@ -198,19 +183,11 @@ class SBIModel(DivergenceModel):
         reconv_pc: Optional[int],
         now: int,
     ) -> bool:
-        ft_mask = split.mask & ~taken_mask
-        taken_mask &= split.mask
-        if not ft_mask or not taken_mask:
+        sibling = self._split_off(split, taken_mask, target_pc)
+        if sibling is None:
             self._moved()
-            split.pc = target_pc if taken_mask else split.pc + 1
             self._settle(now)
             return False
-        self._touch()
-        fall_through_pc = split.pc + 1
-        split.set_mask(taken_mask)
-        split.pc = target_pc
-        sibling = Split(fall_through_pc, ft_mask, self.lane_perm)
-        sibling.redirect_ready_at = split.redirect_ready_at
         self._place(sibling, now)
         return True
 
@@ -226,9 +203,7 @@ class SBIModel(DivergenceModel):
             self._settle(now)
 
     def exit_threads(self, split: Split, mask: int, now: int) -> None:
-        self._touch()
-        self.exited_mask |= mask
-        split.set_mask(split.mask & ~mask)
+        super().exit_threads(split, mask, now)
         if not split.mask:
             if split in self.hot:
                 self.hot.remove(split)
@@ -237,19 +212,14 @@ class SBIModel(DivergenceModel):
         self._settle(now)
 
     def park(self, split: Split, now: int) -> None:
-        self._touch()
-        split.parked = True
-        self.parked_threads += split.mask.bit_count()
+        super().park(split, now)
         self.hot.remove(split)
         self.parked.append(split)
         self._settle(now)
 
     def unpark_all(self, now: int) -> None:
-        self._touch()
-        for split in self.parked:
-            split.parked = False
-            split.pc += 1
-            self.cold.append(split)  # rejoin through the heap
-        self.parked.clear()
-        self.parked_threads = 0
+        parked = self.parked
+        self._release(parked)
+        self.cold += parked  # rejoin through the heap
+        parked.clear()
         self._settle(now)

@@ -87,31 +87,23 @@ class StackModel(DivergenceModel):
         reconv_pc: Optional[int],
         now: int,
     ) -> bool:
-        """Branch the top of stack; pushes IPDOM placeholder on divergence."""
-        if split is not self.stack[-1]:
+        """Branch the top of stack.  On divergence the top becomes an
+        IPDOM placeholder holding both outcomes' threads, under the
+        fall-through context, under ``split`` itself as the taken one."""
+        stack = self.stack
+        if split is not stack[-1]:
             raise AssertionError("stack model can only branch the top of stack")
-        ft_mask = split.mask & ~taken_mask
-        taken_mask &= split.mask
-        if not ft_mask or not taken_mask:
-            split.pc = target_pc if taken_mask else split.pc + 1
+        ft = self._split_off(split, taken_mask, target_pc)
+        if ft is None:
             self._pc_moved()
             return False
-        self._touch()
-        # Divergent: replace top by placeholder + two outcome contexts.
-        outer_rpc = split.rpc
-        self.stack.pop()
-        perm = self.lane_perm
+        stack.pop()
         if reconv_pc is not None:
-            self.stack.append(Split(reconv_pc, split.mask, perm, rpc=outer_rpc))
-            child_rpc: Optional[int] = reconv_pc
-        else:
-            child_rpc = outer_rpc
-        ft = Split(split.pc + 1, ft_mask, perm, rpc=child_rpc)
-        taken = Split(target_pc, taken_mask, perm, rpc=child_rpc)
-        ft.redirect_ready_at = split.redirect_ready_at
-        taken.redirect_ready_at = split.redirect_ready_at
-        self.stack.append(ft)
-        self.stack.append(taken)
+            stack.append(Split(reconv_pc, split.mask | ft.mask, self.lane_perm, rpc=split.rpc))
+            split.rpc = reconv_pc
+        ft.rpc = split.rpc
+        stack.append(ft)
+        stack.append(split)
         # An empty taken path (if-without-else jumping straight to the
         # reconvergence point) merges immediately.
         self._pop_reconverged()
@@ -131,23 +123,12 @@ class StackModel(DivergenceModel):
                 cb()
 
     def exit_threads(self, split: Split, mask: int, now: int) -> None:
-        self._touch()
-        self.exited_mask |= mask
-        for entry in list(self.stack):
+        super().exit_threads(split, mask, now)
+        for entry in self.stack:
             entry.set_mask(entry.mask & ~mask)
         self.stack = [e for e in self.stack if e.mask]
         self._pop_reconverged()
 
-    def park(self, split: Split, now: int) -> None:
-        self._touch()
-        split.parked = True
-        self.parked_threads += split.mask.bit_count()
-
     def unpark_all(self, now: int) -> None:
-        self._touch()
-        for entry in self.stack:
-            if entry.parked:
-                entry.parked = False
-                entry.pc += 1
-        self.parked_threads = 0
+        self._release([e for e in self.stack if e.parked])
         self._pop_reconverged()

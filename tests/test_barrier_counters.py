@@ -64,19 +64,25 @@ def check_counters(model):
 @pytest.fixture
 def checked(monkeypatch):
     """Wrap each model mutation with :func:`check_counters`; returns
-    the count of checks by mutation name."""
+    the count of checks by mutation name.  A mutation is wrapped where
+    a registered model resolves it, inherited or not — the shared
+    bookkeeping lives in the base class, and the stack's ``park`` is
+    the base's — so each check runs after the whole mutation, never
+    between the base's part and the model's."""
     counts = dict.fromkeys(MUTATIONS, 0)
     for name in DIVERGENCE.names():
         cls = DIVERGENCE.get(name)
         for mutation in MUTATIONS:
-            if mutation not in vars(cls):
-                continue  # inherited: wrapped where it is defined
+            original = getattr(cls, mutation)
+            if getattr(original, "checked", False):
+                continue  # a registered parent's, wrapped already
 
-            def wrapped(self, *args, _original=vars(cls)[mutation], _name=mutation):
+            def wrapped(self, *args, _original=original, _name=mutation):
                 _original(self, *args)
                 counts[_name] += 1
                 check_counters(self)
 
+            wrapped.checked = True
             monkeypatch.setattr(cls, mutation, wrapped)
     return counts
 

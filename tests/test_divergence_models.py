@@ -1,8 +1,10 @@
-"""Stack, frontier and HCT/CCT divergence models."""
+"""Stack, frontier, DWR and HCT/CCT divergence models, and the split
+life cycle they share (``DivergenceModel``)."""
 
 import pytest
 
 from repro.timing.divergence import Split
+from repro.timing.dwr import DWRModel
 from repro.timing.frontier import FrontierModel
 from repro.timing.hct import SBIModel
 from repro.timing.stack import StackModel
@@ -264,12 +266,112 @@ class TestSBIHeap:
         assert len(m.hot_splits(1)) == 2
         m.check_invariants()
 
-    def test_high_water_tracked(self):
-        m = SBIModel(FULL, PERM, insert_delay=0, cct_capacity=1)
+
+# ----------------------------------------------------------------------
+# The split life cycle: one home in the base class
+# ----------------------------------------------------------------------
+
+KINDS = {
+    "stack": StackModel,
+    "frontier": FrontierModel,
+    "dwr": DWRModel,
+    "sbi": SBIModel,
+}
+
+
+class TestSplitOff:
+    """``DivergenceModel._split_off``: a branch's outcome on one split,
+    before the model places anything."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("taken,pc", [(FULL, 5), (0, 1)], ids=["taken", "not_taken"])
+    def test_a_uniform_branch_moves_the_pc(self, kind, taken, pc):
+        model = KINDS[kind](FULL, PERM)
+        split = model.hot_splits(0)[0]
+        split.redirect_ready_at = 7
+        assert model._split_off(split, taken, 5) is None
+        assert (split.pc, split.mask, split.redirect_ready_at) == (pc, FULL, 7)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_a_divergent_branch_returns_the_fall_through_sibling(self, kind):
+        model = KINDS[kind](FULL, tuple(reversed(PERM)))  # lane = 7 - thread
+        split = model.hot_splits(0)[0]
+        split.redirect_ready_at = 7
+        slots = model.slot_version
+        sibling = model._split_off(split, 0b1111 | ~FULL, 5)
+        assert (sibling.pc, sibling.mask, sibling.redirect_ready_at) == (1, 0b11110000, 7)
+        assert (split.pc, split.mask, split.redirect_ready_at) == (5, 0b1111, 7)
+        assert (sibling.lane_mask, split.lane_mask) == (0b1111, 0b11110000)
+        assert model.slot_version == slots + 1  # touched: the views are stale
+        assert all(s is not sibling for s in model.all_splits())  # not placed yet
+
+    def test_the_stack_keeps_the_branched_split_as_its_taken_context(self):
+        m = StackModel(FULL, PERM)
         split = m.hot_splits(0)[0]
-        m.branch(split, 0b1, 10, reconv_pc=None, now=0)
-        s = m.hot_splits(0)[0]
-        m.branch(s, 0b10, 11, reconv_pc=None, now=0)
-        s = m.hot_splits(0)[0]
-        m.branch(s, 0b100, 12, reconv_pc=None, now=0)
-        assert m.cct_high_water >= 1
+        assert m.branch(split, 0b1111, 5, reconv_pc=9, now=0)
+        placeholder, ft, taken = m.stack
+        assert taken is split and m.hot_splits(0) == [split]
+        assert (split.pc, split.mask, split.rpc) == (5, 0b1111, 9)
+        assert (ft.pc, ft.mask, ft.rpc) == (1, 0b11110000, 9)
+        assert (placeholder.pc, placeholder.mask, placeholder.rpc) == (9, FULL, None)
+        # Nested: the inner placeholder waits with the outer rpc.
+        assert m.branch(split, 0b11, 6, reconv_pc=8, now=0)
+        inner, inner_ft, inner_taken = m.stack[2:]
+        assert inner_taken is split
+        assert (inner.pc, inner.mask, inner.rpc) == (8, 0b1111, 9)
+        assert (inner_ft.pc, inner_ft.mask, inner_ft.rpc) == (6, 0b1100, 8)
+        m.check_invariants()
+
+    def test_the_stack_without_a_reconvergence_point_pushes_no_placeholder(self):
+        m = StackModel(FULL, PERM)
+        split = m.hot_splits(0)[0]
+        assert m.branch(split, 0b1111, 5, reconv_pc=None, now=0)
+        ft, taken = m.stack
+        assert taken is split and ft.rpc is None and split.rpc is None
+
+
+class TestFold:
+    """``DivergenceModel._fold``: a merge keeps the later redirect
+    gate, leaves the absorbed split empty and counts once."""
+
+    @pytest.mark.parametrize("kind", ["frontier", "dwr", "sbi"])
+    @pytest.mark.parametrize("gates", [(3, 9), (9, 3)], ids=["later_absorbed", "later_kept"])
+    def test_a_fold(self, kind, gates):
+        model = KINDS[kind](FULL, PERM)
+        into, split = Split(4, 0b0011, None), Split(4, 0b1100, None)
+        into.redirect_ready_at, split.redirect_ready_at = gates
+        model._fold(into, split)
+        assert (into.mask, into.lane_mask, into.redirect_ready_at) == (0b1111, 0b1111, 9)
+        assert (split.mask, split.lane_mask) == (0, 0)
+        assert model.merge_count == 1
+
+    @pytest.mark.parametrize("kind", ["frontier", "dwr", "sbi"])
+    def test_meeting_splits_fold_through_it(self, kind):
+        model = KINDS[kind](FULL, PERM)
+        split = model.hot_splits(0)[0]
+        split.redirect_ready_at = 3
+        model.branch(split, 0b1111, 2, reconv_pc=None, now=0)
+        lagging = model.hot_splits(0)[0]
+        lagging.redirect_ready_at = 6
+        model.advance(lagging, 0)
+        (survivor,) = model.all_splits()
+        dead = split if survivor is lagging else lagging
+        assert (survivor.mask, survivor.redirect_ready_at) == (FULL, 6)
+        assert dead.mask == 0 and model.merge_count == 1
+
+
+class TestBarrierBookkeeping:
+    """``park`` and ``_release`` in the base: every model counts the
+    parked threads and resumes them at PC + 1."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_park_counts_and_release_resumes(self, kind):
+        model = KINDS[kind](FULL, PERM)
+        split = model.hot_splits(0)[0]
+        model.exit_threads(split, 0b1, 0)
+        model.park(split, 0)
+        assert split.parked and model.parked_threads == 7
+        model.unpark_all(1)
+        assert not split.parked and model.parked_threads == 0
+        assert [(s.pc, s.mask) for s in model.hot_splits(1)] == [(1, 0b11111110)]
+        model.check_invariants()

@@ -211,9 +211,6 @@ class UnabridgedSettleModel(SBIModel):
                 merged.append(s)
         self.hot = merged[:2]
         self.cold = merged[2:] + settled_cold
-        self.cct_high_water = max(self.cct_high_water, len(self.cold))
-        if len(self.cold) > self.cct_capacity:
-            self.cct_overflows += 1
         if self.merge_count != merges_before or self.hot != old_hot:
             self.version += 1
             self.slot_version += 1
@@ -244,8 +241,6 @@ def _observable(model, changes):
         version=model.version,
         slot_version=model.slot_version,
         merge_count=model.merge_count,
-        cct_overflows=model.cct_overflows,
-        cct_high_water=model.cct_high_water,
         settle_wake=model._settle_wake,
         exited=model.exited_mask,
         parked_threads=model.parked_threads,
@@ -277,13 +272,13 @@ class TestSettleFastOut:
     read-path clock advances included — and they must agree on every
     observable after every step."""
 
-    @pytest.mark.parametrize("insert_delay,cct_capacity", [(0, 8), (2, 1), (7, 8)])
+    @pytest.mark.parametrize("insert_delay", [0, 2, 7])
     @given(ops=settle_storms())
     @settings(max_examples=80, deadline=None)
-    def test_agrees_with_the_unabridged_settle(self, insert_delay, cct_capacity, ops):
+    def test_agrees_with_the_unabridged_settle(self, insert_delay, ops):
         models, counters = [], []
         for cls in (SBIModel, UnabridgedSettleModel):
-            model = cls(FULL, PERM, cct_capacity=cct_capacity, insert_delay=insert_delay)
+            model = cls(FULL, PERM, insert_delay=insert_delay)
             changes = [0]
             model.on_change = lambda changes=changes: changes.__setitem__(0, changes[0] + 1)
             models.append(model)
