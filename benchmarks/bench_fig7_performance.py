@@ -45,7 +45,7 @@ _SBI = (
 )
 _SWI = (
     "cause open: the same Table 2 knob sweep on swi at full; ROADMAP item "
-    "5 (e), the SWI delivery stage on every dependent link, is the first suspect"
+    "3 (e), the SWI delivery stage on every dependent link, is the first suspect"
 )
 
 #: The paper's value per ``summary`` name, the band a measurement

@@ -49,7 +49,6 @@ import functools
 import hashlib
 import json
 import os
-import tempfile
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
 
@@ -281,6 +280,8 @@ def atomic_write_text(path: str, text: str) -> None:
     temporary file.  A crash mid-write leaves only a ``*.tmp`` orphan
     that no loader ever matches.
     """
+    import tempfile
+
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(
         dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"

@@ -38,14 +38,11 @@ import functools
 import importlib
 import math
 import os
-import signal
 import threading
 import time
-import urllib.parse
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.api import cache as result_cache
 from repro.api.cache import AnyConfig, AnyStats
@@ -56,6 +53,10 @@ from repro.core.policy.observers import Observer
 from repro.core.simulator import simulate
 from repro.timing.config import GPUConfig
 from repro.workloads import get_workload
+
+if TYPE_CHECKING:  # imported where used: an inline sweep never runs them
+    import urllib.parse
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Error policies of :meth:`Engine.run`.
 ERROR_POLICIES = ("raise", "collect")
@@ -163,6 +164,8 @@ def _enter_worker(plugins: Tuple[str, ...]) -> None:
     """Pool initializer: ignore SIGINT, so a terminal's Ctrl-C reaches
     the parent alone and the parent decides what its workers finish;
     start the parent-death watch; import the plugins."""
+    import signal
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(
         target=_exit_with_parent, args=(os.getppid(),), daemon=True
@@ -203,6 +206,8 @@ def _check_server(server: object) -> urllib.parse.SplitResult:
     fragment or user name.  Anything else is a ``ValueError`` naming the
     URL and the bad part, before any request: a malformed URL is a typo
     to fix, not a dead daemon to retry or fall back from."""
+    import urllib.parse
+
     if not isinstance(server, str):
         raise ValueError("server must be an http(s) URL, got %r" % (server,))
     parts = urllib.parse.urlsplit(server)
@@ -238,6 +243,8 @@ def worker_pool(
     serve`` daemon alike.  ``jobs`` is taken as given: None is one worker per
     core, ``n >= 1`` is n.  Workers follow their parent down within
     about :data:`PARENT_POLL_S` however it dies."""
+    from concurrent.futures import ProcessPoolExecutor
+
     _check_jobs(jobs)
     return ProcessPoolExecutor(
         max_workers=jobs, initializer=_enter_worker, initargs=(plugins,)
@@ -495,6 +502,8 @@ class Engine:
             ))
 
     def _run_process(self, pending, verify) -> Iterator[CellOutcome]:
+        from concurrent.futures import as_completed
+
         with worker_pool(self.jobs, self.plugins) as pool:
             futures = {
                 pool.submit(

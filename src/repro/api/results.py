@@ -11,7 +11,6 @@ into tables, aggregated with the paper's suite statistics, serialized
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass
@@ -397,6 +396,8 @@ class ResultSet:
         ``extra_metrics`` appends further stats-attribute columns
         (e.g. ``["l1_hit_rate"]``) after the standard ones.
         """
+        import csv
+
         headline = ["cycles", "instructions_issued", "thread_instructions", "ipc"]
         extras = [m for m in extra_metrics if m not in headline]
         buf = io.StringIO()

@@ -49,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 import threading
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, IO, Iterator, List, Optional, Tuple
@@ -314,6 +313,8 @@ class JobJournal:
         journal — a crash at any point leaves either the old complete
         journal or the new complete one, never a mix.
         """
+        import tempfile
+
         with self._lock:
             directory = os.path.dirname(self.path) or "."
             fd, tmp_path = tempfile.mkstemp(

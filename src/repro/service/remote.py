@@ -44,7 +44,6 @@ daemon next simulates the cell (a later submit, or ``--resume``).
 
 from __future__ import annotations
 
-import http.client
 import time
 from typing import (
     TYPE_CHECKING,
@@ -64,6 +63,8 @@ from repro.service import protocol
 from repro.service.protocol import ProtocolError
 
 if TYPE_CHECKING:  # circular at runtime: engine dispatches into here
+    import http.client  # imported by the client itself, not by the package
+
     from repro.api.engine import CellOutcome, Engine, Pending
 
 #: One submittable cell: (workload, size, config_name, config).
@@ -98,6 +99,8 @@ class RemoteClient:
         backoff: float = 0.25,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        import http.client
+
         _check_timeout(timeout)
         _check_retries(retries)
         parts = _check_server(server)
@@ -151,6 +154,8 @@ class RemoteClient:
         ``retries`` times, sleeping the deterministic backoff (or the
         server-provided ``Retry-After``) between attempts.
         """
+        import http.client
+
         attempts = self.retries + 1
         delay = 0.0
         last = "no attempt made"
@@ -248,6 +253,8 @@ class RemoteClient:
         Transport errors surface as :class:`RemoteError`; callers that
         can fall back (``run_remote``) catch it and poll instead.
         """
+        import http.client
+
         try:
             response = self._open("GET", "/v1/jobs/%s/events" % job_id)
             if not 200 <= response.status < 300:

@@ -156,16 +156,17 @@ class TestPoolSize:
 
     @pytest.fixture()
     def asked(self, monkeypatch):
-        from repro.api import engine as engine_module
+        # worker_pool imports the pool class when it builds one.
+        import concurrent.futures
 
         asked = []
 
-        class _Recorded(engine_module.ProcessPoolExecutor):
+        class _Recorded(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 asked.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", _Recorded)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _Recorded)
         return asked
 
     @pytest.mark.parametrize("jobs", [1, None])

@@ -142,7 +142,7 @@ def test_barrier_counters_match_the_splits(policy, kernel, checked):
     built, memory = _build(kernel)
     config = presets.by_name(policy)
     if kernel == "barrier_both_sides" and policy == "baseline":
-        # The closed-form suite's strict xfail (ROADMAP item 5 (f)):
+        # The closed-form suite's strict xfail (ROADMAP item 3 (f)):
         # the stack model deadlocks on this barrier; the counters
         # hold up to the deadlock.
         with pytest.raises(SimulationError):

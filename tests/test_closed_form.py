@@ -30,7 +30,7 @@ of the paper's Figure 2:
   thread retires once and memory is what the functional interpreter
   writes.  Exact.
 
-A disagreement is a strict xfail that names its ROADMAP item 5 defect.
+A disagreement is a strict xfail that names its ROADMAP item 3 defect.
 """
 
 import math
@@ -136,17 +136,17 @@ def test_a_dependent_chain_pays_issue_to_writeback_per_link(policy, n):
 SIDE = 32
 
 SBI_SWI_DROPS_COISSUE = (
-    "ROADMAP item 5 (a): the cascaded secondary slot never takes the "
+    "ROADMAP item 3 (a): the cascaded secondary slot never takes the "
     "same warp's other split, so SBI+SWI runs the two sides one after "
     "the other at low occupancy (593 cycles against sbi's 321)"
 )
 DWR_DROPS_COISSUE = (
-    "ROADMAP item 5 (a): DWR's four sub-warp splits (two windows x two "
+    "ROADMAP item 3 (a): DWR's four sub-warp splits (two windows x two "
     "sides) never co-issue on the cascaded scheduler, so the branch "
     "costs about four sides (1 177 cycles), not the SIMT sum"
 )
 SWI_PAYS_DELIVERY = (
-    "ROADMAP item 5 (e): SWI pays Table 2's delivery_latency of 1 on "
+    "ROADMAP item 3 (e): SWI pays Table 2's delivery_latency of 1 on "
     "every dependent link (issue_to_writeback 9 against warp64's 8) "
     "and nothing hides it at one warp: 600 cycles against 533"
 )
@@ -348,7 +348,7 @@ BAR_CTA = 64
 BAR_GRID = 2
 
 STACK_BARRIER_DEADLOCK = (
-    "ROADMAP item 5 (f): the stack model runs only its top entry, so "
+    "ROADMAP item 3 (f): the stack model runs only its top entry, so "
     "the side parked at the barrier blocks the other side, which never "
     "reaches it (deadlock at cycle 53)"
 )
