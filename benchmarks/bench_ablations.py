@@ -6,8 +6,10 @@ Three knobs the paper fixes by design, swept here to show *why*;
 * **Scoreboard precision** (section 3.4), under SBI+SWI: warp-granular
   (``scoreboard_kind_warp_ratio``) and the paper's dependency matrix
   (``scoreboard_kind_matrix_ratio``) over the exact per-mask one.  The
-  matrix should recover most of the exact scoreboard's performance at
-  warp-size-independent cost.
+  paper's matrix trades precision for warp-size-independent cost, but
+  here it gives the exact scoreboard's ``Stats`` on every measured cell
+  (the ratio reads 1.0): this row shows no cost of Figure 6's
+  conservatism, and its ``because`` says why not yet.
 * **CCT sideband-sorter delay** (section 3.4), under SBI: how slow can
   the asynchronous insertion sort be before the heap degrades?
   ``cct_insert_delay_2_ratio``, ``cct_insert_delay_8_ratio`` and
@@ -50,7 +52,6 @@ PAPER = {
     name: dict(paper=None)
     for name in (
         "scoreboard_kind_warp_ratio",
-        "scoreboard_kind_matrix_ratio",
         "cct_insert_delay_2_ratio",
         "cct_insert_delay_8_ratio",
         "cct_insert_delay_32_ratio",
@@ -58,6 +59,14 @@ PAPER = {
         "fetch_width_4_ratio",
     )
 }
+PAPER["scoreboard_kind_matrix_ratio"] = dict(
+    paper=None,
+    because="cause open: mask and matrix give identical Stats on every measured "
+    "cell (a survey of 13 tiny workloads under sbi and sbi_swi, and this row at "
+    "bench and full), so it shows no cost of Figure 6's conservatism; ROADMAP "
+    "item 3 (c), the read-path promotion never fed to on_transition, is the "
+    "first suspect",
+)
 
 
 def summary(rs: ResultSet) -> Dict[str, float]:

@@ -128,7 +128,7 @@ class StreamingMultiprocessor:
         # the same memory image.
         self.executor = executor
         self.backend = Backend(config)
-        self.cache = L1Cache(config.l1_size, config.l1_ways, config.l1_block, config.l1_latency)
+        self.cache = L1Cache(config.l1_size, config.l1_ways, config.l1_block)
         self.dram = memory_sink
         self.lsu_logic = LoadStoreUnit(config, self.cache, self.dram, self.stats)
         self.fetch = FetchEngine(

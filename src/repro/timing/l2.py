@@ -11,66 +11,38 @@ fill bandwidth.  Like the L1 it is write-through/no-write-allocate and
 therefore always clean — evictions are silent and no inclusion
 traffic back to the L1s is modelled.
 
-Timing mirrors :class:`repro.timing.cache.L1Cache`: each sector
-records the cycle its fill completes, so a hit under an in-flight fill
-waits for the data rather than the tag, and per-sector MSHRs merge
-concurrent misses from different SMs into one DRAM transfer.
+Tags obey the L1's LRU rule (:class:`repro.timing.cache.SetAssocCache`)
+and timing mirrors the L1's: each sector records the cycle its fill
+completes, so a hit under an in-flight fill waits for the data rather
+than the tag, and the slice's own per-sector MSHRs merge concurrent
+misses from different SMs into one DRAM transfer.  :class:`L2System`
+is the two-method memory sink (``request``, ``post_write_segments``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.timing.cache import SetAssocCache
 from repro.timing.dram import DRAMChannel
 
 
-class L2Cache:
-    """One partition's sectored set-associative tag/sector store.
-
-    ``interleave`` is the device's partition count: a slice only ever
-    sees line indices congruent to its partition id, so the partition
-    bits must be stripped before set selection or only
-    ``n_sets / interleave`` sets would ever be used.
+class L2Cache(SetAssocCache):
+    """One partition's sectored tag/sector store: each line's payload
+    is ``{sector_index: ready_at}``.  ``interleave`` is the device's
+    partition count (see :class:`~repro.timing.cache.SetAssocCache`).
     """
 
-    __slots__ = (
-        "size",
-        "ways",
-        "block",
-        "sector",
-        "interleave",
-        "sectors_per_line",
-        "n_sets",
-        "_sets",
-        "_use_counter",
-        "evictions",
-    )
+    __slots__ = ("sector", "sectors_per_line")
 
     def __init__(
         self, size: int, ways: int, block: int, sector: int, interleave: int = 1
     ) -> None:
         if block % sector:
             raise ValueError("block must be a multiple of sector")
-        if size % (ways * block):
-            raise ValueError("cache size must be sets * ways * block")
-        if interleave < 1:
-            raise ValueError("interleave must be >= 1")
-        self.size = size
-        self.ways = ways
-        self.block = block
+        super().__init__(size, ways, block, interleave)
         self.sector = sector
-        self.interleave = interleave
         self.sectors_per_line = block // sector
-        self.n_sets = size // (ways * block)
-        # Per set: {line_addr: [last_use, {sector_index: ready_at}]}
-        self._sets: List[Dict[int, list]] = [dict() for _ in range(self.n_sets)]
-        self._use_counter = 0
-        self.evictions = 0
-
-    # ------------------------------------------------------------------
-
-    def _set_of(self, line_addr: int) -> Dict[int, list]:
-        return self._sets[(line_addr // self.block // self.interleave) % self.n_sets]
 
     def line_of(self, addr: int) -> int:
         return addr // self.block * self.block
@@ -82,12 +54,6 @@ class L2Cache:
         last = (offset + max(nbytes, 1) - 1) // self.sector
         return range(first, min(last, self.sectors_per_line - 1) + 1)
 
-    def _touch(self, entry: list) -> None:
-        self._use_counter += 1
-        entry[0] = self._use_counter
-
-    # ------------------------------------------------------------------
-
     def probe(self, line_addr: int, sectors: range) -> Tuple[Optional[int], List[int]]:
         """Look up ``sectors`` of one line.
 
@@ -95,11 +61,9 @@ class L2Cache:
         over the present sectors (None when the line itself is absent)
         and the list of absent sector indices.  Touches LRU state.
         """
-        lines = self._set_of(line_addr)
-        entry = lines.get(line_addr)
+        entry = self._find(line_addr)
         if entry is None:
             return None, list(sectors)
-        self._touch(entry)
         present = entry[1]
         ready = 0
         missing: List[int] = []
@@ -117,34 +81,17 @@ class L2Cache:
         a present sector keep the earliest ready time, as a second fill
         can only be a merge of the same DRAM transfer.
         """
-        lines = self._set_of(line_addr)
-        entry = lines.get(line_addr)
-        if entry is None:
-            if len(lines) >= self.ways:
-                victim = min(lines, key=lambda b: lines[b][0])
-                del lines[victim]
-                self.evictions += 1
-            self._use_counter += 1
-            entry = lines[line_addr] = [self._use_counter, {}]
-        else:
-            self._touch(entry)
-        present = entry[1]
+        present = self._claim(line_addr, {})[1]
         for s in sectors:
             if s in present:
                 present[s] = min(present[s], ready_at)
             else:
                 present[s] = ready_at
 
-    def contains(self, line_addr: int) -> bool:
-        return line_addr in self._set_of(line_addr)
-
-    def invalidate_all(self) -> None:
-        for s in self._sets:
-            s.clear()
-
 
 class L2Partition:
-    """One L2 slice plus its private DRAM channel and sector MSHRs."""
+    """One L2 slice plus its private DRAM channel and the L2's own
+    MSHR table, keyed by (line, sector)."""
 
     __slots__ = (
         "cache",
@@ -207,10 +154,6 @@ class L2Partition:
             ready = max(ready, fill)
         return ready + self.latency
 
-    def write(self, addr: int, nbytes: int, now: int) -> int:
-        """Write-through: spend DRAM bandwidth, never allocate."""
-        return self.dram.post_write(nbytes, now, addr)
-
     @property
     def dram_bytes(self) -> float:
         return self.dram.bytes_transferred
@@ -219,10 +162,10 @@ class L2Partition:
 class L2System:
     """The shared memory side of a :class:`repro.core.gpu.GPUDevice`.
 
-    Implements the same ``request``/``post_write`` interface as
-    :class:`~repro.timing.dram.DRAMChannel`, so an SM's load-store unit
-    is agnostic to whether it talks to a private channel or the shared
-    hierarchy.  All SMs of a device hold the same ``L2System``.
+    The same two-method sink as :class:`~repro.timing.dram.DRAMChannel`
+    (``request`` and ``post_write_segments``), so an SM's load-store
+    unit is agnostic to whether it talks to a private channel or the
+    shared hierarchy.  All SMs of a device hold the same ``L2System``.
     """
 
     __slots__ = ("block", "partitions")
@@ -250,14 +193,11 @@ class L2System:
     def request(self, nbytes: int, now: int, addr: int = 0) -> int:
         return self.partition_of(addr).read(addr, nbytes, now)
 
-    def post_write(self, nbytes: int, now: int, addr: int = 0) -> int:
-        return self.partition_of(addr).write(addr, nbytes, now)
-
     def post_write_segments(self, segments, seg_bytes: int, now: int) -> None:
-        """Route each touched store segment to its partition's channel."""
+        """Write-through: route each touched store segment straight to
+        its partition's channel (no slice allocates on a write)."""
         for seg in segments:
-            addr = int(seg) * seg_bytes
-            self.post_write(seg_bytes, now, addr)
+            self.partition_of(int(seg) * seg_bytes).dram.post_write(seg_bytes, now)
 
     # ------------------------------------------------------------------
     # Aggregate statistics

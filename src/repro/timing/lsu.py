@@ -40,9 +40,12 @@ _MEMO_LIMIT = 1 << 10
 class LoadStoreUnit:
     """Transaction generation and timing for one memory instruction.
 
-    ``dram`` is anything with the channel interface — a private
-    :class:`DRAMChannel` (the paper's single-SM model) or a shared
-    :class:`repro.timing.l2.L2System` injected by the device layer.
+    ``dram`` is the SM's memory sink, a private :class:`DRAMChannel`
+    (the paper's single-SM model) or a shared
+    :class:`repro.timing.l2.L2System` injected by the device layer; the
+    unit makes two calls on it, ``request(nbytes, now, addr)`` for a
+    block read and ``post_write_segments(segments, seg_bytes, now)``
+    for write-through traffic.
     """
 
     __slots__ = (
@@ -65,7 +68,7 @@ class LoadStoreUnit:
         # converts and promotes it on every call (see _units_of).
         self._segment_divisor = np.array(config.store_segment, dtype=np.int64)
         self._block_divisor = np.array(config.l1_block, dtype=np.int64)
-        # MSHR merge table: block address -> fill-complete cycle.
+        # The L1's MSHR merge table: block -> fill-complete cycle.
         self._pending_fills: Dict[int, int] = {}
         # (address bytes, serialize_all) -> bank-conflict transactions:
         # shared addresses are CTA-relative, so the same vectors recur.

@@ -1,4 +1,5 @@
-"""Shared L2: sectored lines, LRU eviction, partitioning, MSHRs."""
+"""Shared L2: sectored lines, partitioning, MSHRs (the LRU rule is
+held at both levels in ``test_memory_system.TestLRURule``)."""
 
 import pytest
 
@@ -50,37 +51,12 @@ class TestL2Cache:
         ready, missing = c.probe(0, range(4))
         assert ready == 10 and missing == [1, 2, 3]
 
-    def test_refill_keeps_earliest_ready(self):
-        c = make_cache()
-        c.fill(0, [0], ready_at=20)
-        c.fill(0, [0], ready_at=10)
-        ready, _ = c.probe(0, range(1))
-        assert ready == 10
-
-    def test_lru_eviction(self):
-        c = make_cache(sets=4, ways=2)
-        stride = 4 * 128  # set stride
-        c.fill(0, [0], 0)
-        c.fill(stride, [0], 0)  # same set, second way
-        c.probe(0, range(1))  # touch line 0 so `stride` is LRU
-        c.fill(2 * stride, [0], 0)  # evicts `stride`
-        assert c.contains(0)
-        assert not c.contains(stride)
-        assert c.contains(2 * stride)
-        assert c.evictions == 1
-
     def test_eviction_drops_all_sectors(self):
         c = make_cache(sets=1, ways=1)
         c.fill(0, [0, 1, 2, 3], 0)
         c.fill(128, [0], 0)  # same (only) set: evicts line 0 entirely
         ready, missing = c.probe(0, range(4))
         assert ready is None and missing == [0, 1, 2, 3]
-
-    def test_invalidate_all(self):
-        c = make_cache()
-        c.fill(0, [0], 0)
-        c.invalidate_all()
-        assert not c.contains(0)
 
     def test_interleaved_slice_uses_all_sets(self):
         """A partition only sees every Nth line; set indexing must
@@ -98,7 +74,6 @@ class TestL2Partition:
     def test_hit_latency(self):
         p = make_partition(latency=10)
         p.read(0, 128, now=0)  # miss, fills all 4 sectors
-        fill = p.dram.busy_until  # 128B at 16 B/c
         hit = p.read(0, 128, now=1000)
         assert hit == 1000 + 10
         assert p.hits == 1 and p.misses == 1 and p.accesses == 2
@@ -118,12 +93,6 @@ class TestL2Partition:
         second = p.read(0, 128, now=1)  # fill in flight: no new traffic
         assert p.dram.bytes_transferred == 128
         assert second <= first + 1
-
-    def test_write_through_consumes_bandwidth(self):
-        p = make_partition(bandwidth=16.0)
-        p.write(0, 64, now=0)
-        assert p.dram.bytes_transferred == 64
-        assert p.cache.contains(0) is False  # no write-allocate
 
 
 class TestL2System:
@@ -162,11 +131,18 @@ class TestL2System:
             sys.request(128, now=0, addr=line * 128)
         assert sum(p.cache.evictions for p in sys.partitions) == 0
 
+    def test_write_through_consumes_bandwidth(self):
+        sys = L2System(self._config(partitions=1))
+        sys.post_write_segments([0, 1], 32, now=0)
+        p = sys.partitions[0]
+        assert p.dram.bytes_transferred == 64
+        assert p.cache.contains(0) is False  # no write-allocate
+
     def test_aggregate_counters(self):
         sys = L2System(self._config(partitions=2))
         sys.request(128, now=0, addr=0)
         sys.request(128, now=10_000, addr=0)
-        sys.post_write(32, now=0, addr=128)
+        sys.post_write_segments([128 // 32], 32, now=0)
         assert sys.accesses == 2 and sys.hits == 1 and sys.misses == 1
         assert sys.sector_fills == 4
         assert sys.dram_bytes == 128 + 32

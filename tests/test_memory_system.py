@@ -14,9 +14,10 @@ from repro.functional.memory import (
     SharedMemory,
 )
 from repro.isa.instructions import Instruction, MemSpace, Op, imm, reg
-from repro.timing.cache import L1Cache
+from repro.timing.cache import L1Cache, SetAssocCache
 from repro.timing.config import SMConfig
 from repro.timing.dram import DRAMChannel
+from repro.timing.l2 import L2Cache
 from repro.timing.lsu import LoadStoreUnit
 from repro.timing.stats import Stats
 
@@ -165,41 +166,89 @@ class TestAtomicWalkOracle:
         assert list(mem.read_array(a, 2)) == [11.0, 9.0]
 
 
-class TestL1Cache:
-    def make(self):
-        return L1Cache(size=4 * 2 * 128, ways=2, block=128, latency=3)
+#: Each level's tag store behind one face: ``(make(sets, ways),
+#: fill(cache, addr, ready_at), ready(cache, addr))``, where ``ready``
+#: is a hit's data-ready cycle (touching LRU state) or None on a miss.
+LEVELS = {
+    "L1": (
+        lambda sets, ways: L1Cache(size=sets * ways * 128, ways=ways, block=128),
+        lambda c, addr, ready_at: c.fill(addr, ready_at),
+        lambda c, addr: c.lookup(addr),
+    ),
+    "L2": (
+        lambda sets, ways: L2Cache(size=sets * ways * 128, ways=ways, block=128, sector=32),
+        lambda c, addr, ready_at: c.fill(addr, [0], ready_at),
+        lambda c, addr: c.probe(addr, range(1))[0],
+    ),
+}
 
-    def test_miss_then_hit(self):
-        c = self.make()
-        assert c.lookup(0) is None
-        c.fill(0, ready_at=10)
-        assert c.lookup(0) == 10
 
-    def test_lru_eviction(self):
-        c = self.make()  # 4 sets x 2 ways
-        s = 4 * 128  # set stride
-        c.fill(0, 0)
-        c.fill(s, 0)  # same set, second way
-        c.lookup(0)  # touch 0 so s is LRU
-        c.fill(2 * s, 0)  # evicts s
-        assert c.lookup(0) is not None
-        assert c.lookup(s) is None
+class TestLRURule:
+    """The one LRU rule of :class:`SetAssocCache`, held at both levels."""
 
-    def test_fill_idempotent_keeps_earliest(self):
-        c = self.make()
-        c.fill(0, 20)
-        c.fill(0, 10)
-        assert c.lookup(0) == 10
+    SETS, WAYS = 4, 2
+    STRIDE = 4 * 128  # addresses one set apart
 
-    def test_invalidate(self):
-        c = self.make()
-        c.fill(0, 0)
-        c.invalidate_all()
-        assert c.lookup(0) is None
+    @pytest.fixture(params=sorted(LEVELS))
+    def level(self, request):
+        make, fill, ready = LEVELS[request.param]
+        return make(self.SETS, self.WAYS), fill, ready
+
+    def test_miss_then_hit(self, level):
+        c, fill, ready = level
+        assert ready(c, 0) is None
+        fill(c, 0, 10)
+        assert ready(c, 0) == 10
+
+    def test_victim_is_the_least_recently_used_way(self, level):
+        c, fill, _ = level
+        s = self.STRIDE
+        fill(c, 0, 0)
+        fill(c, s, 0)  # same set, second way
+        fill(c, 2 * s, 0)  # evicts 0, the older fill
+        assert not c.contains(0)
+        assert c.contains(s) and c.contains(2 * s)
+
+    def test_a_hit_refreshes_recency(self, level):
+        c, fill, ready = level
+        s = self.STRIDE
+        fill(c, 0, 0)
+        fill(c, s, 0)
+        ready(c, 0)  # touch 0 so s is LRU
+        fill(c, 2 * s, 0)  # evicts s
+        assert c.contains(0) and c.contains(2 * s)
+        assert not c.contains(s)
+
+    def test_a_refill_keeps_the_earlier_ready_cycle(self, level):
+        c, fill, ready = level
+        fill(c, 0, 20)
+        fill(c, 0, 10)
+        assert ready(c, 0) == 10
+        fill(c, 0, 30)
+        assert ready(c, 0) == 10
+
+    def test_a_full_set_counts_one_eviction(self, level):
+        c, fill, _ = level
+        s = self.STRIDE
+        for way in range(self.WAYS):
+            fill(c, way * s, 0)
+        fill(c, 0, 0)  # a refill allocates nothing
+        assert c.evictions == 0
+        fill(c, self.WAYS * s, 0)
+        assert c.evictions == 1
+
+    @pytest.mark.parametrize("interleave", [1, 2, 3, 4])
+    def test_one_division_picks_the_old_set(self, interleave):
+        c = SetAssocCache(size=8 * 2 * 128, ways=2, block=128, interleave=interleave)
+        for addr in range(0, 64 * 128 * interleave, 32):
+            old = (addr // c.block // interleave) % c.n_sets
+            assert c._set_of(addr) is c._sets[old], addr
 
     def test_bad_geometry(self):
         with pytest.raises(ValueError):
-            L1Cache(size=1000, ways=3, block=128, latency=3)
+            L1Cache(size=1000, ways=3, block=128)
+        with pytest.raises(ValueError):
+            SetAssocCache(size=1024, ways=2, block=128, interleave=0)
 
 
 class TestDRAM:
@@ -213,6 +262,11 @@ class TestDRAM:
         first = d.request(128, now=0)
         second = d.request(128, now=0)
         assert second - first == 128 // 16
+
+    def test_reads_and_writes_share_the_slot(self):
+        d = DRAMChannel(bandwidth=16.0, latency=100)
+        assert d.post_write(128, now=0) == 128 // 16 + 1
+        assert d.request(128, now=0) == 100 + 2 * 128 // 16 + 1
 
     def test_write_traffic_counted(self):
         d = DRAMChannel(bandwidth=10.0, latency=330)
@@ -298,7 +352,7 @@ class TestWordIndicesOracle:
 def _lsu(config=None):
     config = config or SMConfig()
     stats = Stats()
-    cache = L1Cache(config.l1_size, config.l1_ways, config.l1_block, config.l1_latency)
+    cache = L1Cache(config.l1_size, config.l1_ways, config.l1_block)
     dram = DRAMChannel(config.dram_bandwidth, config.dram_latency)
     return LoadStoreUnit(config, cache, dram, stats), stats
 

@@ -15,6 +15,7 @@ import collections
 import contextlib
 import dataclasses
 import operator
+import os
 import sys
 from unittest import mock
 
@@ -350,10 +351,10 @@ _function_name = operator.attrgetter(
 )
 
 
-def count_calls(kernel, memory, config, by_function=None):
+def count_calls(kernel, memory, config, by_code=None):
     """``(stats, call events, Python calls by function name)`` of one
-    simulation; with ``by_function`` (a Counter) also its bytecodes,
-    added there by function."""
+    simulation; with ``by_code`` (a Counter) also its bytecodes, added
+    there by code object."""
     by_name = collections.Counter()
     c_calls = [0]
 
@@ -389,7 +390,7 @@ def count_calls(kernel, memory, config, by_function=None):
 
     run = simulate_device if isinstance(config, GPUConfig) else simulate
     sys.setprofile(profile)
-    if by_function is not None:
+    if by_code is not None:
         sys.settrace(trace)
     try:
         stats = run(kernel, memory, config)
@@ -397,7 +398,7 @@ def count_calls(kernel, memory, config, by_function=None):
         sys.settrace(None)
         sys.setprofile(None)
     for code, tracer in tracers.items():
-        by_function[_function_name(code)] += tracer.count[0]
+        by_code[code] += tracer.count[0]
     return stats, sum(by_name.values()) + c_calls[0], by_name
 
 
@@ -425,26 +426,52 @@ def calls_per_issue(mode):
     return calls / issues
 
 
-def bytecodes_per_issue(mode):
-    """``(bytecodes per issued instruction, the same by function)``,
-    summed over the gauge workloads (``DEVICE``: transpose on four
-    ``sbi_swi`` SMs behind the shared L2, ``GPUDevice.run`` counted);
-    each is traced on the second of two identical runs (the first,
-    untraced, warms the module-level mask memos)."""
+def traced_run(mode):
+    """``(issues, memory issues, bytecodes by code object)`` over the
+    gauge workloads (``DEVICE``: transpose on four ``sbi_swi`` SMs
+    behind the shared L2, ``GPUDevice.run`` counted); each is traced on
+    the second of two identical runs (the first, untraced, warms the
+    module-level mask memos).  A memory issue is one call of
+    ``LoadStoreUnit.access``."""
     if mode == DEVICE:
         config, workloads = presets.device("sbi_swi", sm_count=4), ("transpose",)
     else:
         config, workloads = presets.by_name(mode), GAUGE_WORKLOADS
-    by_function = collections.Counter()
-    issues = 0
+    by_code = collections.Counter()
+    issues = memory_issues = 0
     for name in workloads:
         inst = get_workload(name, "tiny")
         count_calls(inst.kernel, inst.memory, config)
         inst = get_workload(name, "tiny")
-        stats, _, _ = count_calls(inst.kernel, inst.memory, config, by_function)
+        stats, _, by_name = count_calls(inst.kernel, inst.memory, config, by_code)
         issues += stats.instructions_issued
-    per_function = {name: n / issues for name, n in by_function.items()}
-    return sum(by_function.values()) / issues, per_function
+        memory_issues += by_name["access"]
+    return issues, memory_issues, by_code
+
+
+def bytecodes_per_issue(mode, traced=None):
+    """``(bytecodes per issued instruction, the same by function)``
+    of ``traced``, else of a fresh :func:`traced_run`."""
+    issues, _, by_code = traced or traced_run(mode)
+    per_function = collections.Counter()
+    for code, n in by_code.items():
+        per_function[_function_name(code)] += n / issues
+    return sum(by_code.values()) / issues, dict(per_function)
+
+
+#: The memory side: the LSU, the tag stores, the L2 and DRAM.
+MEMORY_FILES = tuple(
+    os.path.join("repro", "timing", name) for name in ("lsu.py", "cache.py", "l2.py", "dram.py")
+)
+
+
+def memory_bytecodes_per_issue(traced):
+    """Bytecodes run in :data:`MEMORY_FILES` per memory issue, of a
+    :func:`traced_run`: the memory layer's work, apart from the
+    engine's."""
+    _, memory_issues, by_code = traced
+    spent = sum(n for code, n in by_code.items() if code.co_filename.endswith(MEMORY_FILES))
+    return spent / memory_issues
 
 
 class TestWorkCount:
@@ -500,14 +527,14 @@ class TestWorkCount:
         for warps in (4, 8, 16, 24):
             config = dataclasses.replace(presets.sbi_swi(), warp_count=warps)
             inst = get_workload("transpose", "bench")
-            by_function = collections.Counter() if warps in (4, 24) else None
+            by_code = collections.Counter() if warps in (4, 24) else None
             stats, events, by_name = count_calls(
-                inst.kernel, inst.memory, config, by_function
+                inst.kernel, inst.memory, config, by_code
             )
             ready[warps] = by_name["_ready_entry"] / stats.instructions_issued
             calls[warps] = events / stats.instructions_issued
-            if by_function is not None:
-                bytecodes[warps] = sum(by_function.values()) / stats.instructions_issued
+            if by_code is not None:
+                bytecodes[warps] = sum(by_code.values()) / stats.instructions_issued
         assert ready[24] <= 1.3 * ready[4], ready
         assert calls[24] <= 1.3 * calls[4], calls
         assert bytecodes[24] <= 1.3 * bytecodes[4], bytecodes
@@ -553,19 +580,27 @@ if __name__ == "__main__":
     print("| mode | probes/issue | unit queries/issue | calls/issue | first calls/issue"
           " | bytecodes/issue | parent bytecodes/issue |")
     print("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
-    maps = {}
+    maps, memory = {}, {}
     for mode in sorted(WORK_PINS):
-        bytecodes, maps[mode] = bytecodes_per_issue(mode)
+        traced = traced_run(mode)
+        memory[mode] = memory_bytecodes_per_issue(traced)
+        bytecodes, maps[mode] = bytecodes_per_issue(mode, traced)
         print("| %s | %.2f | %.2f | %.1f | %.1f | %.1f | %.1f |" % (
             (mode,) + work_per_issue(mode) + (
                 calls_per_issue(mode), FIRST_CALLS[mode],
                 bytecodes, PARENT_BYTECODES[mode],
             )
         ))
-    bytecodes, _ = bytecodes_per_issue(DEVICE)
+    traced = traced_run(DEVICE)
+    bytecodes, _ = bytecodes_per_issue(DEVICE, traced)
+    memory[DEVICE] = memory_bytecodes_per_issue(traced)
     print("| %s: transpose, 4 x sbi_swi SMs | | | | | %.1f | %.1f |" % (
         DEVICE, bytecodes, PARENT_BYTECODES[DEVICE]
     ))
+    print("\n| memory side | " + " | ".join(memory) + " |")
+    print("| --- |" + " ---: |" * len(memory))
+    print("| bytecodes in `repro/timing/{lsu,cache,l2,dram}.py` per memory issue | "
+          + " | ".join("%.1f" % memory[mode] for mode in memory) + " |")
     modes = sorted(maps)
     print("\nbytecodes per issue by function, CPython %d.%d (the 25 largest of %s):\n"
           % (sys.version_info[:2] + (modes[-1],)))
