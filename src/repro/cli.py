@@ -578,8 +578,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    # Imported here: the rule modules (and the service constants the
-    # vocabulary rules read) load for `repro lint` only.
+    # Imported here: the rule modules load for `repro lint` only.
     from repro.lint import runner
 
     if args.list_rules:

@@ -5,9 +5,9 @@ memory-event levels, and the event *kind* tags observers may use to
 label unified streams — is defined here and nowhere else.  Emit sites
 (:mod:`repro.core.sm`, :mod:`repro.core.gpu`, the schedulers) and
 consumers must reference these constants rather than re-typing the
-literals; ``repro lint``'s ``observer-vocabulary`` rule enforces this,
-so a typo'd event name is a diff-time error instead of a silently
-uncounted event.
+literals; the SM's issue accounting and the ``origins`` aggregator
+refuse an issue origin outside :data:`ISSUE_ORIGINS`, so a typo'd
+origin is a loud error instead of a silently uncounted event.
 
 This module is a pure leaf: it imports nothing, so any layer
 (including :mod:`repro.timing`) may import it without cycles.

@@ -1,26 +1,15 @@
-"""repro.lint — determinism & invariant static analysis (``repro lint``).
+"""repro.lint — invariant static analysis (``repro lint``).
 
 An AST-based lint pass over the source files it is given (a rule is
-``check_file(path, tree, source)``; nothing is imported and run).  The
-golden byte-identical matrix and the perf gates rest on invariants
-that are invisible to ordinary tests until a flake shows them; the
-rules here promote them to diff-time errors:
+``check_file(path, tree, source)``; nothing is imported and run).  A
+rule stays only while it flags a defect no tier-1 test catches
+(CONTRIBUTING.md's rule table names the mutation for each):
 
-* **determinism** — no unseeded randomness, no wall-clock reads in
-  simulation code, no iteration over sets, no ``id()``-keyed dicts,
-  no float dict keys in cache-key code;
 * **hot-path** — ``__slots__`` on engine-core classes, no
-  ``np.errstate`` or allocation-heavy numpy calls inside compiled-plan
-  closures, warp wake state written only through ``TimingWarp``'s
-  wake/sleep helpers;
-* **registry** — observer event names come from the closed vocabulary
-  (:mod:`repro.core.policy.events`), service message types and fault
-  kinds come from theirs, and registries are only written through the
-  :class:`~repro.core.policy.Registry` API;
-* **robustness** — service retry loops are bounded (no ``while True``
-  with an exception-handler ``continue``) and no handler is a bare
-  ``except:`` that would swallow an injected
-  :class:`~repro.service.faults.DaemonCrash`.
+  allocation-heavy numpy calls inside compiled-plan closures, warp
+  wake state written only through ``TimingWarp``'s wake/sleep helpers;
+* **registry** — registries are only written through the
+  :class:`~repro.core.policy.Registry` API.
 
 Suppress a finding with an inline ``# repro-lint: disable=<rule-id>``
 comment on (or immediately above) the offending line.

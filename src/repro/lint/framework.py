@@ -19,9 +19,9 @@ import ast
 import re
 from dataclasses import asdict, dataclass, field
 from fnmatch import fnmatch
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-#: ``# repro-lint: disable=slots,wall-clock`` (whitespace-tolerant).
+#: ``# repro-lint: disable=hot-path-slots,alloc-in-plan`` (whitespace-tolerant).
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
 
@@ -235,68 +235,3 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 
 def call_name(node: ast.Call) -> Optional[str]:
     return dotted_name(node.func)
-
-
-def string_value(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def enclosing_functions(
-    tree: ast.AST,
-) -> Dict[ast.AST, Tuple[ast.AST, ...]]:
-    """Map every node to the stack of function defs enclosing it."""
-    out: Dict[ast.AST, Tuple[ast.AST, ...]] = {}
-
-    def walk(node: ast.AST, stack: Tuple[ast.AST, ...]) -> None:
-        for child in ast.iter_child_nodes(node):
-            out[child] = stack
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                walk(child, stack + (child,))
-            else:
-                walk(child, stack)
-
-    walk(tree, ())
-    return out
-
-
-def class_slots(cls: ast.ClassDef) -> Optional[Sequence[str]]:
-    """Names in a class's ``__slots__`` literal, or None when absent.
-
-    Only direct tuple/list-of-strings assignments are understood —
-    anything fancier returns an empty sequence (present but opaque).
-    """
-    for stmt in cls.body:
-        targets: Iterable[ast.AST] = ()
-        value: Optional[ast.AST] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "__slots__":
-                if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-                    names = []
-                    for elt in value.elts:
-                        text = string_value(elt)
-                        if text is not None:
-                            names.append(text)
-                    return names
-                return []
-    return None
-
-
-def is_dataclass_decorated(cls: ast.ClassDef) -> Tuple[bool, bool]:
-    """(is a dataclass, declared with slots=True)."""
-    for deco in cls.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = dotted_name(target)
-        if name in ("dataclass", "dataclasses.dataclass"):
-            slots = False
-            if isinstance(deco, ast.Call):
-                for kw in deco.keywords:
-                    if kw.arg == "slots" and isinstance(kw.value, ast.Constant):
-                        slots = bool(kw.value.value)
-            return True, slots
-    return False, False

@@ -9,18 +9,9 @@ warp wake going through one door.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.lint.config import HOT_PATH_FILES
-from repro.lint.framework import (
-    Rule,
-    Violation,
-    call_name,
-    class_slots,
-    dotted_name,
-    enclosing_functions,
-    is_dataclass_decorated,
-)
+from repro.lint.framework import Rule, Violation, call_name, dotted_name
 
 #: Base classes whose subclasses are exempt from the slots requirement
 #: (exceptions carry tracebacks, not per-cycle state; the typing/enum
@@ -68,6 +59,49 @@ def _is_exempt(cls: ast.ClassDef) -> bool:
     return False
 
 
+def _declares_slots(cls: ast.ClassDef) -> bool:
+    """Whether the class body assigns ``__slots__``."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.Assign):
+            targets: Sequence[ast.AST] = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = (stmt.target,)
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+            return True
+    return False
+
+
+def _dataclass_slots(cls: ast.ClassDef) -> Optional[bool]:
+    """None for a plain class; for a dataclass, whether it is declared
+    with ``slots=True``."""
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if dotted_name(target) in ("dataclass", "dataclasses.dataclass"):
+            return isinstance(deco, ast.Call) and any(
+                kw.arg == "slots"
+                and isinstance(kw.value, ast.Constant)
+                and bool(kw.value.value)
+                for kw in deco.keywords
+            )
+    return None
+
+
+def _function_depths(tree: ast.AST) -> Dict[ast.AST, int]:
+    """Map every node to the number of function defs enclosing it."""
+    out: Dict[ast.AST, int] = {}
+
+    def walk(node: ast.AST, depth: int) -> None:
+        for child in ast.iter_child_nodes(node):
+            out[child] = depth
+            nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            walk(child, depth + nested)
+
+    walk(tree, 0)
+    return out
+
+
 class HotPathSlotsRule(Rule):
     """Engine-core classes must declare ``__slots__``."""
 
@@ -84,7 +118,7 @@ class HotPathSlotsRule(Rule):
         "@dataclass(slots=True); subclasses of slotted bases need "
         "__slots__ = ()"
     )
-    include = HOT_PATH_FILES
+    include = ("repro/core/sm.py", "repro/core/warp.py", "repro/timing/*.py")
 
     def check_file(
         self, path: str, tree: ast.AST, source: str
@@ -94,8 +128,8 @@ class HotPathSlotsRule(Rule):
                 continue
             if _is_exempt(node):
                 continue
-            is_dc, dc_slots = is_dataclass_decorated(node)
-            if is_dc:
+            dc_slots = _dataclass_slots(node)
+            if dc_slots is not None:
                 if not dc_slots:
                     yield self.violation(
                         path,
@@ -105,41 +139,12 @@ class HotPathSlotsRule(Rule):
                         hint="declare it @dataclass(slots=True)",
                     )
                 continue
-            if class_slots(node) is None:
+            if not _declares_slots(node):
                 yield self.violation(
                     path,
                     node,
                     "class %r has no __slots__ in a hot-path file"
                     % node.name,
-                )
-
-
-class ErrstateInPlanRule(Rule):
-    """No ``np.errstate`` inside compiled-plan closures."""
-
-    id = "errstate-in-plan"
-    category = "hot-path"
-    description = (
-        "np.errstate entered inside a compiled plan costs more than "
-        "the warp-sized compute it guards; the run loop enters it "
-        "once around the whole simulation"
-    )
-    hint = "hoist the errstate context to the run loop in core/gpu.py"
-    include = ("repro/functional/compiled.py",)
-
-    def check_file(
-        self, path: str, tree: ast.AST, source: str
-    ) -> Iterator[Violation]:
-        enclosing = enclosing_functions(tree)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = call_name(node)
-            if name in ("np.errstate", "numpy.errstate") and len(
-                enclosing.get(node, ())
-            ) >= 2:
-                yield self.violation(
-                    path, node, "np.errstate entered inside a plan closure"
                 )
 
 
@@ -162,7 +167,7 @@ class AllocInPlanRule(Rule):
     def check_file(
         self, path: str, tree: ast.AST, source: str
     ) -> Iterator[Violation]:
-        enclosing = enclosing_functions(tree)
+        depths = _function_depths(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -174,7 +179,7 @@ class AllocInPlanRule(Rule):
                 len(parts) == 2
                 and parts[0] in ("np", "numpy")
                 and parts[1] in _NP_ALLOCATORS
-                and len(enclosing.get(node, ())) >= 2
+                and depths.get(node, 0) >= 2
             ):
                 yield self.violation(
                     path,
@@ -276,7 +281,6 @@ class WakeSiteDisciplineRule(Rule):
 
 RULES = [
     HotPathSlotsRule(),
-    ErrstateInPlanRule(),
     AllocInPlanRule(),
     WakeSiteDisciplineRule(),
 ]

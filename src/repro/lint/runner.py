@@ -12,12 +12,7 @@ import ast
 import os
 from typing import FrozenSet, List, Optional, Sequence
 
-from repro.lint import (
-    rules_determinism,
-    rules_hotpath,
-    rules_registry,
-    rules_service,
-)
+from repro.lint import rules_hotpath, rules_registry
 from repro.lint.framework import (
     LintError,
     LintReport,
@@ -28,12 +23,7 @@ from repro.lint.framework import (
 )
 
 #: Every rule ``repro lint`` runs.
-RULES: List[Rule] = (
-    rules_determinism.RULES
-    + rules_hotpath.RULES
-    + rules_registry.RULES
-    + rules_service.RULES
-)
+RULES: List[Rule] = rules_hotpath.RULES + rules_registry.RULES
 
 _SKIP_DIRS = frozenset({"__pycache__", "build", "dist", ".git", ".pytest_cache"})
 

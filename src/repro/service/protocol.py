@@ -5,9 +5,9 @@ carrying a schema version and a ``type`` drawn from a closed
 vocabulary, exactly like the observer-event vocabulary in
 :mod:`repro.core.policy.events`: emit sites and dispatchers must use
 the ``MSG_*`` / ``ERR_*`` / ``SOURCE_*`` / ``STATUS_*`` constants
-defined here and nowhere else (``repro lint``'s ``protocol-vocabulary``
-rule enforces it), so a typo'd message type is a diff-time error rather
-than a silently dropped request.
+defined here and nowhere else (:func:`envelope` and :func:`decode`
+refuse a type outside ``MESSAGE_TYPES``), so a typo'd message type is
+a loud error rather than a silently dropped request.
 
 The envelope::
 

@@ -94,7 +94,7 @@ def bools_to_indices(active: np.ndarray) -> np.ndarray:
     # Identity-keyed on purpose: only read-only *interned* arrays are
     # stored, the hit path re-checks `is`, and the memo never leaves
     # this process — addresses cannot reach any simulated state.
-    key = id(active)  # repro-lint: disable=id-keyed-dict
+    key = id(active)
     hit = _INDICES_MEMO.get(key)
     if hit is not None and hit[0] is active:
         return hit[1]

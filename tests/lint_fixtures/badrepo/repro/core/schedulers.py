@@ -1,11 +1,6 @@
-"""Seeded violations for the registry rules (never imported)."""
+"""Seeded violations for registry-discipline (never imported)."""
 
 from repro.core.policy import POLICIES
-
-
-def fill(origin, sm, warp, split, entry, now, group):
-    if origin == "sbi":  # observer-vocabulary (bare literal compare)
-        sm.issue(warp, 1, split, entry, now, "swi", group)  # observer-vocabulary (arg)
 
 
 def install(spec):

@@ -1,18 +1,17 @@
 """Inline-suppression fixture: all findings here are excused."""
 
-import time
+from repro.core.policy import POLICIES
 
 
-def now():
-    return time.time()  # repro-lint: disable=wall-clock
+def peek():
+    return POLICIES._entries  # repro-lint: disable=registry-discipline
 
 
-def later():
-    # repro-lint: disable=wall-clock
-    return time.time()
+def peek_above():
+    # repro-lint: disable=registry-discipline
+    return POLICIES._entries
 
 
-def remember(obj, table):
+def install(spec):
     # repro-lint: disable=all
-    table[id(obj)] = obj
-    return table
+    POLICIES["mine"] = spec

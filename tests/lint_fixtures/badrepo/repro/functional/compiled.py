@@ -1,4 +1,4 @@
-"""Seeded violations for the compiled-plan rules (never imported)."""
+"""Seeded violation for alloc-in-plan (never imported)."""
 
 import numpy as np
 
@@ -7,8 +7,7 @@ def compile_op(width):
     scratch = np.zeros(width)  # depth 1: compile-time, fine
 
     def plan(fw, active):
-        with np.errstate(all="ignore"):  # errstate-in-plan
-            tmp = np.zeros(width)  # alloc-in-plan
+        tmp = np.zeros(width)  # alloc-in-plan
         return tmp + scratch
 
     return plan

@@ -1,4 +1,4 @@
-"""Clean counterparts of the compiled-plan fixtures (never imported)."""
+"""Clean counterpart of the alloc-in-plan fixture (never imported)."""
 
 import numpy as np
 
@@ -8,6 +8,6 @@ def compile_op(width):
     scratch.setflags(write=False)
 
     def plan(fw, active):
-        return fw + scratch  # run loop owns the errstate context
+        return fw + scratch
 
     return plan

@@ -9,6 +9,7 @@ suffix matching in :func:`repro.lint.framework._match`.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from repro.lint.framework import LintReport, Violation
 from repro.lint.runner import RULES, collect_files, run_lint
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 BAD = os.path.join(HERE, "lint_fixtures", "badrepo")
 CLEAN = os.path.join(HERE, "lint_fixtures", "cleanrepo")
 
@@ -35,22 +37,16 @@ def lint_one(root, rel, rule_id):
 # ----------------------------------------------------------------------
 
 FILE_RULE_CASES = [
-    ("unseeded-random", "repro/core/determinism.py"),
-    ("wall-clock", "repro/core/determinism.py"),
-    ("set-iteration", "repro/core/determinism.py"),
-    ("id-keyed-dict", "repro/core/determinism.py"),
-    ("float-dict-key", "repro/api/cache.py"),
     ("hot-path-slots", "repro/timing/hot.py"),
     ("wake-site-discipline", "repro/core/wake.py"),
-    ("errstate-in-plan", "repro/functional/compiled.py"),
     ("alloc-in-plan", "repro/functional/compiled.py"),
-    ("observer-vocabulary", "repro/core/schedulers.py"),
-    ("observer-vocabulary", "repro/analytics/aggregator.py"),
-    ("protocol-vocabulary", "repro/service/daemon.py"),
-    ("fault-vocabulary", "repro/service/daemon.py"),
-    ("service-retry-bounded", "repro/service/retry.py"),
     ("registry-discipline", "repro/core/schedulers.py"),
 ]
+
+
+def test_every_rule_has_a_fixture():
+    # A rule lands with its seeded and its clean fixture, or not at all.
+    assert {rule for rule, _ in FILE_RULE_CASES} == {rule.id for rule in RULES}
 
 
 @pytest.mark.parametrize("rule_id,rel", FILE_RULE_CASES)
@@ -75,16 +71,7 @@ def test_alloc_in_plan_ignores_compile_time_allocation():
     # only the allocation inside the nested plan closure is.
     report = lint_one(BAD, "repro/functional/compiled.py", "alloc-in-plan")
     assert len(report.violations) == 1
-    assert report.violations[0].line == 11
-
-
-def test_observer_vocabulary_reads_what_the_live_emit_sites_are_handed():
-    # The bare compare, then the origin a scheduler hands ``sm.issue``
-    # / an aggregator hands ``IssueEvent`` — the calls production makes.
-    report = lint_one(BAD, "repro/core/schedulers.py", "observer-vocabulary")
-    assert [v.line for v in report.violations] == [7, 8]
-    report = lint_one(BAD, "repro/analytics/aggregator.py", "observer-vocabulary")
-    assert [v.line for v in report.violations] == [8, 13]
+    assert report.violations[0].line == 10
 
 
 def test_wake_site_discipline_flags_each_seeded_write():
@@ -110,12 +97,9 @@ def test_registry_discipline_allows_registry_module_itself(tmp_path):
 
 
 def test_inline_suppression_same_line_line_above_and_all():
-    report = lint_one(BAD, "repro/core/suppressed.py", "wall-clock")
+    report = lint_one(BAD, "repro/core/suppressed.py", "registry-discipline")
     assert report.violations == []
-    assert report.suppressed == 2  # same-line + line-above forms
-    report = lint_one(BAD, "repro/core/suppressed.py", "id-keyed-dict")
-    assert report.violations == []
-    assert report.suppressed == 1  # disable=all on the line above
+    assert report.suppressed == 3  # same-line, line-above and disable=all
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +149,7 @@ def test_building_the_parser_loads_no_rule_module():
 def test_syntax_error_reported_not_fatal(tmp_path):
     broken = tmp_path / "broken.py"
     broken.write_text("def broken(:\n")
-    report = run_lint([str(broken)], rule_ids=frozenset({"wall-clock"}))
+    report = run_lint([str(broken)], rule_ids=frozenset({"hot-path-slots"}))
     assert [v.rule for v in report.violations] == ["syntax-error"]
 
 
@@ -179,12 +163,12 @@ def test_collect_files_sorted_and_deduped(tmp_path):
 
 
 def test_report_to_dict_shape():
-    report = lint_one(BAD, "repro/core/determinism.py", "wall-clock")
+    report = lint_one(BAD, "repro/timing/hot.py", "hot-path-slots")
     data = report.to_dict()
     assert data["ok"] is False
     assert data["files_checked"] == 1
-    assert data["counts"].get("wall-clock", 0) >= 1
-    assert "wall-clock" in data["rules"]
+    assert data["counts"].get("hot-path-slots", 0) >= 1
+    assert "hot-path-slots" in data["rules"]
     v = data["violations"][0]
     assert set(v) == {"rule", "path", "line", "col", "message", "hint"}
     json.dumps(data)  # machine-readable means JSON-serialisable
@@ -193,12 +177,12 @@ def test_report_to_dict_shape():
 def test_report_format_mentions_counts():
     report = LintReport(
         violations=[
-            Violation(rule="wall-clock", path="x.py", line=3, col=1, message="m", hint="h")
+            Violation(rule="hot-path-slots", path="x.py", line=3, col=1, message="m", hint="h")
         ],
         files_checked=1,
     )
     text = report.format()
-    assert "x.py:3:1: [wall-clock] m" in text
+    assert "x.py:3:1: [hot-path-slots] m" in text
     assert "hint: h" in text
     assert "1 file checked: 1 violation (0 suppressed)" in text
 
@@ -206,41 +190,57 @@ def test_report_format_mentions_counts():
 def test_every_rule_has_metadata():
     assert sorted(rule.id for rule in RULES) == [
         "alloc-in-plan",
-        "errstate-in-plan",
-        "fault-vocabulary",
-        "float-dict-key",
         "hot-path-slots",
-        "id-keyed-dict",
-        "observer-vocabulary",
-        "protocol-vocabulary",
         "registry-discipline",
-        "service-retry-bounded",
-        "set-iteration",
-        "unseeded-random",
         "wake-site-discipline",
-        "wall-clock",
     ]
     for rule in RULES:
         assert rule.id and rule.category and rule.description
         assert rule.hint, "rule %s has no fix-it hint" % rule.id
 
 
+def _doc_section(name, heading):
+    """The text of ``heading``'s section of ``name``, fenced code cut."""
+    with open(os.path.join(ROOT, name), encoding="utf-8") as f:
+        text = f.read()
+    start = text.index("\n%s\n" % heading)
+    end = text.find("\n## ", start + 1)
+    section = text[start:end if end != -1 else None]
+    return re.sub(r"^```.*?^```", "", section, flags=re.S | re.M)
+
+
+def _rule_ids(text):
+    spans = re.findall(r"`([^`\n]+)`", text)
+    return {span for span in spans if re.fullmatch(r"[a-z]+(?:-[a-z]+)+", span)}
+
+
+def test_docs_name_exactly_the_live_rules():
+    # README names the rules once and links CONTRIBUTING's table, which
+    # has one row per rule: a deleted rule or a missing one fails here.
+    live = {rule.id for rule in RULES}
+    assert _rule_ids(_doc_section("README.md", "## Static analysis")) == live
+    section = _doc_section("CONTRIBUTING.md", "## When `repro lint` fires on your change")
+    rows = re.findall(r"^\| (`[^`\n]+`) \|", section, flags=re.M)
+    assert len(rows) == len(live)
+    assert _rule_ids(" ".join(rows)) == live
+
+
 def test_cli_exit_codes(tmp_path, capsys):
-    clean = os.path.join(CLEAN, "repro", "core", "determinism.py")
-    bad = os.path.join(BAD, "repro", "core", "determinism.py")
-    assert main(["lint", clean, "--rule", "wall-clock"]) == 0
-    assert main(["lint", bad, "--rule", "wall-clock"]) == 1
+    clean = os.path.join(CLEAN, "repro", "timing", "hot.py")
+    bad = os.path.join(BAD, "repro", "timing", "hot.py")
+    assert main(["lint", clean, "--rule", "hot-path-slots"]) == 0
+    assert main(["lint", bad, "--rule", "hot-path-slots"]) == 1
     assert main(["lint", bad, "--rule", "no-such-rule"]) == 2
     err = capsys.readouterr().err
     assert "unknown rule id" in err
 
 
 def test_cli_json_output(capsys):
-    bad = os.path.join(BAD, "repro", "core", "determinism.py")
-    assert main(["lint", bad, "--rule", "wall-clock", "--json"]) == 1
+    bad = os.path.join(BAD, "repro", "timing", "hot.py")
+    assert main(["lint", bad, "--rule", "hot-path-slots", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is False
-    assert data["counts"]["wall-clock"] >= 1
+    assert data["counts"]["hot-path-slots"] >= 1
 
 
 def test_cli_list_rules(capsys):
