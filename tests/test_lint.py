@@ -4,7 +4,10 @@ Each rule gets one positive assertion (the seeded violation in
 ``tests/lint_fixtures/badrepo`` is flagged) and one negative (the clean
 counterpart in ``tests/lint_fixtures/cleanrepo`` passes).  The fixture
 trees mirror the package layout so path-scoped rules apply via the
-suffix matching in :func:`repro.lint.framework._match`.
+suffix matching in :func:`repro.lint.framework._match`.  Per-site
+tables then pin each kind of site a rule flags or lets pass (and each
+scope edge), one small source per case, so a branch of a rule cannot
+go dead without a named case failing.
 """
 
 import json
@@ -12,12 +15,13 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 import repro
 from repro.cli import main
-from repro.lint.framework import LintReport, Violation
+from repro.lint.framework import LintError, LintReport, Violation
 from repro.lint.runner import RULES, collect_files, run_lint
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -92,6 +96,181 @@ def test_registry_discipline_allows_registry_module_itself(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Each kind of site a rule flags or lets pass, one source per case
+# ----------------------------------------------------------------------
+
+
+def lint_source(tmp_path, rel, source, rule_id):
+    """Lines ``rule_id`` flags in ``source`` written at ``rel``."""
+    path = tmp_path.joinpath(*rel.split("/"))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(textwrap.dedent(source))
+    report = run_lint([str(path)], rule_ids=frozenset({rule_id}))
+    return [v.line for v in report.violations]
+
+
+HOT_PATH_SLOTS_SITES = {
+    "plain-class": ("repro/core/sm.py", "class A:\n    pass\n", [1]),
+    "slots-tuple": ("repro/core/sm.py", "class A:\n    __slots__ = ('x',)\n", []),
+    "annotated-slots": ("repro/timing/l2.py", "class A:\n    __slots__: tuple = ()\n", []),
+    "dataclass-without-slots": (
+        "repro/timing/lsu.py",
+        """\
+        import dataclasses
+
+
+        @dataclasses.dataclass(frozen=True)
+        class A:
+            x: int = 0
+        """,
+        [5],
+    ),
+    "dataclass-slots-false": (
+        "repro/timing/lsu.py",
+        "@dataclass(slots=False)\nclass A:\n    x: int = 0\n",
+        [2],
+    ),
+    "dataclass-slots-true": (
+        "repro/timing/lsu.py",
+        "@dataclass(slots=True)\nclass A:\n    x: int = 0\n",
+        [],
+    ),
+    "exception-subclass": ("repro/core/sm.py", "class Stall(RuntimeError):\n    pass\n", []),
+    "error-suffix-base": ("repro/core/sm.py", "class Bad(errors.SimError):\n    pass\n", []),
+    "enum-subclass": ("repro/core/warp.py", "class Kind(enum.IntEnum):\n    A = 1\n", []),
+    "nested-class": (
+        "repro/core/warp.py",
+        "class A:\n    __slots__ = ()\n\n    class B:\n        pass\n",
+        [4],
+    ),
+    "outside-the-engine-core": ("repro/core/schedulers.py", "class A:\n    pass\n", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOT_PATH_SLOTS_SITES))
+def test_hot_path_slots_site(tmp_path, case):
+    rel, source, lines = HOT_PATH_SLOTS_SITES[case]
+    assert lint_source(tmp_path, rel, source, "hot-path-slots") == lines
+
+
+ALLOC_IN_PLAN_SITES = {
+    "module-level": ("repro/functional/compiled.py", "BUF = np.zeros(4)\n", []),
+    "plan-closure": (
+        "repro/functional/compiled.py",
+        """\
+        def compile_op(width):
+            def plan(fw):
+                return np.empty(width)
+            return plan
+        """,
+        [3],
+    ),
+    "numpy-spelled-out": (
+        "repro/functional/compiled.py",
+        """\
+        def compile_op(width):
+            def plan(fw):
+                return numpy.full(width, 1)
+            return plan
+        """,
+        [3],
+    ),
+    "lambda-plan": (
+        "repro/functional/compiled.py",
+        "def compile_op(width):\n    return lambda fw: np.arange(width)\n",
+        [2],
+    ),
+    "in-place-call": (
+        "repro/functional/compiled.py",
+        """\
+        def compile_op(width):
+            out = np.zeros(width)
+            def plan(fw):
+                return np.add(fw, 1, out=out)
+            return plan
+        """,
+        [],
+    ),
+    "outside-compiled": (
+        "repro/functional/ops.py",
+        """\
+        def compile_op(width):
+            def plan(fw):
+                return np.zeros(width)
+            return plan
+        """,
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALLOC_IN_PLAN_SITES))
+def test_alloc_in_plan_site(tmp_path, case):
+    rel, source, lines = ALLOC_IN_PLAN_SITES[case]
+    assert lint_source(tmp_path, rel, source, "alloc-in-plan") == lines
+
+
+WAKE_SITE_SITES = {
+    "timing-warp-helpers": (
+        "repro/core/warp.py",
+        """\
+        class TimingWarp:
+            def wake_at(self, cycle):
+                self.timer = cycle
+                self.issue_woken = self.fetch_woken = True
+        """,
+        [],
+    ),
+    "class-nested-in-timing-warp": (
+        "repro/core/warp.py",
+        """\
+        class TimingWarp:
+            class Probe:
+                def poke(self, warp):
+                    warp.timer = 0
+        """,
+        [4],
+    ),
+    "scheduler-refresh-verdicts": (
+        "repro/core/schedulers.py",
+        """\
+        class GTOScheduler:
+            def _refresh(self, warp):
+                warp.cand0 = warp.cand1 = None
+                warp.suspended = False
+                warp.issue_woken = False
+                warp.timer = 0
+        """,
+        [6],
+    ),
+    "annotated-write": ("repro/timing/lsu.py", "def fill(warp):\n    warp.timer: int = 0\n", [2]),
+    "other-field": ("repro/timing/lsu.py", "def fill(warp):\n    warp.pc = 0\n", []),
+    "outside-core-and-timing": ("repro/api/engine.py", "def fill(warp):\n    warp.timer = 0\n", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WAKE_SITE_SITES))
+def test_wake_site_discipline_site(tmp_path, case):
+    rel, source, lines = WAKE_SITE_SITES[case]
+    assert lint_source(tmp_path, rel, source, "wake-site-discipline") == lines
+
+
+REGISTRY_SITES = {
+    "delete": "del POLICIES['x']\n",
+    "augmented-write": "SCHEDULERS['x'] += 1\n",
+    "dotted-singleton": "policy.OBSERVERS['x'] = o\n",
+    "read": "spec = DIVERGENCE['stack']\n",
+    "other-dict": "table['x'] = 1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGISTRY_SITES))
+def test_registry_discipline_site(tmp_path, case):
+    lines = lint_source(tmp_path, "repro/plugin.py", REGISTRY_SITES[case], "registry-discipline")
+    assert lines == ([] if case in ("read", "other-dict") else [1])
+
+
+# ----------------------------------------------------------------------
 # Suppression
 # ----------------------------------------------------------------------
 
@@ -100,6 +279,31 @@ def test_inline_suppression_same_line_line_above_and_all():
     report = lint_one(BAD, "repro/core/suppressed.py", "registry-discipline")
     assert report.violations == []
     assert report.suppressed == 3  # same-line, line-above and disable=all
+
+
+SUPPRESSION_CASES = {
+    "other-rule": ("x = POLICIES._entries  # repro-lint: disable=hot-path-slots\n", [1], 0),
+    "id-list": (
+        "x = POLICIES._entries  # repro-lint: disable=hot-path-slots, registry-discipline\n",
+        [],
+        1,
+    ),
+    "two-lines-above": (
+        "# repro-lint: disable=registry-discipline\n\nx = POLICIES._entries\n",
+        [3],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUPPRESSION_CASES))
+def test_suppression_names_the_rule_and_covers_one_line_below(tmp_path, case):
+    source, lines, suppressed = SUPPRESSION_CASES[case]
+    path = tmp_path / "plugin.py"
+    path.write_text(source)
+    report = run_lint([str(path)], rule_ids=frozenset({"registry-discipline"}))
+    assert [v.line for v in report.violations] == lines
+    assert report.suppressed == suppressed
 
 
 # ----------------------------------------------------------------------
@@ -160,6 +364,31 @@ def test_collect_files_sorted_and_deduped(tmp_path):
     (tmp_path / "__pycache__" / "a.py").write_text("")
     files = collect_files([str(tmp_path), str(tmp_path / "a.py")])
     assert files == [str(tmp_path / "a.py"), str(tmp_path / "b.py")]
+
+
+def test_collect_files_refuses_a_missing_path(tmp_path, capsys):
+    missing = str(tmp_path / "gone")
+    with pytest.raises(LintError, match="no such file or directory"):
+        collect_files([missing])
+    assert main(["lint", missing]) == 2
+    assert "no such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path,applies",
+    [
+        ("src/repro/core/sm.py", True),
+        ("/site-packages/repro/timing/dram.py", True),
+        ("src\\repro\\timing\\dram.py", True),
+        ("src/repro/core/schedulers.py", False),
+        ("src/repro/timing/sub/dram.py", True),
+    ],
+)
+def test_scope_matches_any_suffix_of_the_path(path, applies):
+    # `repro/timing/*.py` reaches a nested file too: fnmatch's `*`
+    # crosses `/`, so the scope is a suffix glob, not a directory list.
+    rule = next(r for r in RULES if r.id == "hot-path-slots")
+    assert rule.applies_to(path) is applies
 
 
 def test_report_to_dict_shape():
