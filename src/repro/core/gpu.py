@@ -30,7 +30,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.functional.executor import Executor
+from repro.functional.executor import Executor, LaunchRows
 from repro.functional.memory import MemoryImage
 from repro.isa.builder import Kernel
 from repro.core.policy import MemEvent
@@ -135,10 +135,12 @@ class GPUDevice:
     """Cycle-level model of one GPU running one kernel launch.
 
     Every SM runs the same kernel on the same memory image, so the
-    device builds one :class:`~repro.functional.executor.Executor` for
-    the launch and hands it to every SM: each instruction's plan is
-    made once per launch, not once per SM.  ``compiled`` selects the
-    plan maker (see :func:`~repro.core.simulator.simulate`).
+    device builds one :class:`~repro.functional.executor.Executor` and
+    one :class:`~repro.functional.executor.LaunchRows` for the launch
+    and hands them to every SM: each instruction's plan and each
+    thread-identity row is made once per launch, not once per SM.
+    ``compiled`` selects the plan maker (see
+    :func:`~repro.core.simulator.simulate`).
     :meth:`release` tears a finished or failed run down.
     """
 
@@ -163,6 +165,7 @@ class GPUDevice:
         # must not change with it (identical architectural behaviour;
         # see repro.functional.compiled).
         self.executor = Executor(kernel, memory, compiled=compiled)
+        launch_rows = LaunchRows(kernel, config.sm.warp_width)
         self.sms: List[StreamingMultiprocessor] = []
         for i in range(config.sm_count):
             if self.l2 is not None:
@@ -177,6 +180,7 @@ class GPUDevice:
                     dispatcher=self.dispatcher,
                     memory_sink=sink,
                     executor=self.executor,
+                    launch_rows=launch_rows,
                     sm_id=i,
                     observers=self.observers,
                 )

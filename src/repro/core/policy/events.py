@@ -15,7 +15,7 @@ This module is a pure leaf: it imports nothing, so any layer
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 # -- issue origins (IssueEvent.origin, Stats issue-slot counters) ------
 
@@ -55,6 +55,3 @@ EVENT_KINDS: Tuple[str, ...] = (
     KIND_L1_MISS,
     KIND_L2_MISS,
 )
-
-#: The full vocabulary, for validation and for the lint rule.
-VOCABULARY: FrozenSet[str] = frozenset(ISSUE_ORIGINS + MEM_LEVELS + EVENT_KINDS)

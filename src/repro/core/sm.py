@@ -14,7 +14,9 @@ nothing can happen, up to
 :meth:`~StreamingMultiprocessor.next_event_cycle`.
 
 The device also owns what the SMs share: the executor (one set of
-compiled plans per launch) and the run's teardown
+compiled plans per launch), the launch rows (each warp's thread
+identity, built once per launch:
+:class:`~repro.functional.executor.LaunchRows`) and the run's teardown
 (:meth:`~repro.core.gpu.GPUDevice.release`).  A CTA lives from its
 launch to the retire of its last warp, which detaches all of its warps
 (:meth:`~repro.core.warp.TimingWarp.detach`): no reference cycle holds
@@ -28,9 +30,7 @@ from bisect import bisect_right
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.functional.executor import Executor
+from repro.functional.executor import Executor, LaunchRows
 from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import Kernel
 from repro.isa.instructions import Op
@@ -68,8 +68,8 @@ class StreamingMultiprocessor:
 
     Built by a :class:`repro.core.gpu.GPUDevice`, which hands it the
     device's memory sink (L2 system or per-SM DRAM channel), its
-    GigaThread dispatcher and its executor, and drives its SMs in
-    lock-step through :meth:`step` / :meth:`next_event_cycle`.
+    GigaThread dispatcher, its executor and its launch rows, and drives
+    its SMs in lock-step through :meth:`step` / :meth:`next_event_cycle`.
     """
 
     __slots__ = (
@@ -80,6 +80,7 @@ class StreamingMultiprocessor:
         "wake",
         "stats",
         "executor",
+        "launch_rows",
         "backend",
         "cache",
         "dram",
@@ -112,6 +113,7 @@ class StreamingMultiprocessor:
         dispatcher,
         memory_sink,
         executor: Executor,
+        launch_rows: LaunchRows,
         sm_id: int = 0,
         observers=None,
     ) -> None:
@@ -124,9 +126,10 @@ class StreamingMultiprocessor:
         #: The device cycle at which the run loop next steps this SM.
         self.wake = 0
         self.stats = Stats()
-        # The device's one executor: every SM runs the same kernel on
-        # the same memory image.
+        # The device's one executor and launch rows: every SM runs the
+        # same kernel on the same memory image.
         self.executor = executor
+        self.launch_rows = launch_rows
         self.backend = Backend(config)
         self.cache = L1Cache(config.l1_size, config.l1_ways, config.l1_block)
         self.dram = memory_sink
@@ -185,10 +188,8 @@ class StreamingMultiprocessor:
     def _launch_cta(self, cta: int, slots: Tuple[int, ...], now: int) -> None:
         shared = SharedMemory(max(self.kernel.shared_bytes, 4))
         warps = []
-        width = self.config.warp_width
         for i, slot in enumerate(slots):
-            tids = np.arange(i * width, (i + 1) * width, dtype=np.int64)
-            warp = TimingWarp(slot, cta, self.config, self.kernel, tids, shared)
+            warp = TimingWarp(slot, cta, self.config, self.launch_rows, i, shared)
             warp.attach(
                 self.scheduler.woken[slot % self.scheduler.pools],
                 self.fetch.woken,

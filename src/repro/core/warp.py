@@ -6,15 +6,12 @@ from bisect import insort
 from heapq import heapify, heappush
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.functional.executor import FunctionalWarp
+from repro.functional.executor import FunctionalWarp, LaunchRows
 from repro.functional.memory import SharedMemory
 from repro.core.policy import DIVERGENCE, POLICIES
 from repro.timing import lanes
 from repro.timing.divergence import _NEVER, DivergenceModel, Split
 from repro.timing.fetch import IBufEntry
-from repro.timing.masks import bools_to_mask
 from repro.timing.scoreboard import ScoreboardBase, make_scoreboard
 
 
@@ -62,29 +59,22 @@ class TimingWarp:
         wid: int,
         cta_id: int,
         config,
-        kernel,
-        tids_in_cta: np.ndarray,
+        launch: LaunchRows,
+        index: int,
         shared: SharedMemory,
     ) -> None:
+        """Warp ``index`` of CTA ``cta_id`` in slot ``wid``; its thread
+        identity comes from the launch's shared ``launch`` rows."""
         self.wid = wid
         self.cta_id = cta_id
         self.config = config
-        width = config.warp_width
         self.lane_perm = lanes.permutation(
-            config.lane_shuffle, wid, width, config.warp_count
+            config.lane_shuffle, wid, config.warp_width, config.warp_count
         )
-        tids_in_cta = np.asarray(tids_in_cta, dtype=np.int64)
-        self.fwarp = FunctionalWarp(
-            warp_id=wid,
-            width=width,
-            nregs=kernel.nregs,
-            # Clamp out-of-range tids (partial warps); those threads are
-            # masked out of the launch mask and never execute.
-            tids_in_cta=np.minimum(tids_in_cta, kernel.cta_size - 1),
-            cta_index=cta_id,
-            shared=shared,
-        )
-        launch_mask = bools_to_mask(tids_in_cta < kernel.cta_size)
+        self.fwarp = FunctionalWarp(launch, wid, index, cta_id, shared)
+        # A partial warp's threads past the CTA are masked out of the
+        # launch mask and never execute.
+        launch_mask = launch.threads(index)[3]
         self.model = make_divergence_model(config, launch_mask, self.lane_perm)
         self.scoreboard: ScoreboardBase = make_scoreboard(
             config.scoreboard_kind, config.scoreboard_entries

@@ -23,7 +23,7 @@ one of two plan makers that produce bit-identical state:
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,11 +41,74 @@ from repro.isa.instructions import (
 )
 from repro.timing.masks import bools_table, bools_to_mask, mask_to_bools
 
-__all__ = ["ExecOutcome", "ExecutionError", "Executor", "FunctionalWarp"]
+__all__ = ["ExecOutcome", "ExecutionError", "Executor", "FunctionalWarp", "LaunchRows"]
+
+#: A warp's thread identity: ``(tids_in_cta, tids_f64, lanes_f64,
+#: launch_mask)``.
+ThreadRows = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
+class LaunchRows:
+    """The read-only launch constants of one kernel launch at one warp
+    width, each built on first use and shared by every warp that reads
+    it.
+
+    A warp's thread identity depends only on its index in its CTA: its
+    tids (clamped to the CTA, so a partial warp's missing threads read
+    the last one's), their ``float64`` row, its lane row and its launch
+    mask.  Its ``%warpid`` row depends only on its warp id (an SM slot),
+    its ``%ctaid`` row only on its CTA, whose warps launch one after
+    another: the last CTA's row is the only one kept.  The launch owns
+    its ``LaunchRows`` (a :class:`~repro.core.gpu.GPUDevice` hands one
+    to its SMs, :func:`~repro.functional.interp.run_kernel` builds its
+    own) and nothing process-wide keeps a row, so the rows go with the
+    launch.
+    """
+
+    __slots__ = ("width", "cta_size", "nregs", "_threads", "_warpids", "_ctaids")
+
+    def __init__(self, kernel: Kernel, width: int) -> None:
+        self.width = width
+        self.cta_size = kernel.cta_size
+        self.nregs = kernel.nregs
+        self._threads: Dict[int, ThreadRows] = {}
+        self._warpids: Dict[int, np.ndarray] = {}
+        self._ctaids: Dict[int, np.ndarray] = {}
+
+    def threads(self, index: int) -> ThreadRows:
+        """The thread identity of warp ``index`` of any CTA."""
+        rows = self._threads.get(index)
+        if rows is None:
+            width = self.width
+            tids = np.arange(index * width, (index + 1) * width, dtype=np.int64)
+            launch_mask = bools_to_mask(tids < self.cta_size)
+            tids = _frozen(np.minimum(tids, self.cta_size - 1))
+            rows = self._threads[index] = (
+                tids,
+                _frozen(tids.astype(np.float64)),
+                _frozen((tids % width).astype(np.float64)),
+                launch_mask,
+            )
+        return rows
+
+    def warpid(self, warp_id: int) -> np.ndarray:
+        row = self._warpids.get(warp_id)
+        if row is None:
+            row = self._warpids[warp_id] = _frozen(np.full(self.width, np.float64(warp_id)))
+        return row
+
+    def ctaid(self, cta: int) -> np.ndarray:
+        row = self._ctaids.get(cta)
+        if row is None:
+            row = _frozen(np.full(self.width, np.float64(cta)))
+            self._ctaids = {cta: row}  # the last CTA's only
+        return row
 
 
 class FunctionalWarp:
-    """Architectural state of one warp (registers + thread identity)."""
+    """Architectural state of one warp: its own register file, and its
+    thread identity as rows shared from its launch's
+    :class:`LaunchRows`."""
 
     __slots__ = (
         "warp_id",
@@ -64,32 +127,28 @@ class FunctionalWarp:
 
     def __init__(
         self,
+        launch: LaunchRows,
         warp_id: int,
-        width: int,
-        nregs: int,
-        tids_in_cta: np.ndarray,
+        index: int,
         cta_index: int,
         shared: SharedMemory,
     ) -> None:
+        """Warp ``index`` of CTA ``cta_index``, in warp slot ``warp_id``."""
         self.warp_id = warp_id
-        self.width = width
-        self.regs = np.zeros((nregs, width), dtype=np.float64)
+        self.width = width = launch.width
+        self.regs = np.zeros((launch.nregs, width), dtype=np.float64)
         #: A persistent read-only view per register row (``regs[i]``
         #: builds one per use): what the compiled plans' operands read.
         #: Plans write through ``regs[dst]``, which costs the same.
         self.rows = [_frozen(row) for row in self.regs]
-        self.tids_in_cta = np.asarray(tids_in_cta, dtype=np.int64)
         self.cta_index = cta_index
         self.shared = shared
-        if len(self.tids_in_cta) != width:
-            raise ExecutionError("tids array must have warp width entries")
-        # Special-register vectors are launch constants: computed once
-        # and frozen for the compiled operand getters, whose operands
-        # are all warp-width rows (see repro.functional.compiled).
-        self.tids_f64 = _frozen(self.tids_in_cta.astype(np.float64))
-        self.lanes_f64 = _frozen((self.tids_in_cta % width).astype(np.float64))
-        self.ctaid_f64 = _frozen(np.full(width, np.float64(cta_index)))
-        self.warpid_f64 = _frozen(np.full(width, np.float64(warp_id)))
+        # Special-register vectors are launch constants, frozen for the
+        # compiled operand getters, whose operands are all warp-width
+        # rows (see repro.functional.compiled).
+        self.tids_in_cta, self.tids_f64, self.lanes_f64, _ = launch.threads(index)
+        self.ctaid_f64 = launch.ctaid(cta_index)
+        self.warpid_f64 = launch.warpid(warp_id)
 
 
 def _frozen(row: np.ndarray) -> np.ndarray:

@@ -15,11 +15,11 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.functional.executor import Executor, FunctionalWarp
+from repro.functional.executor import Executor, FunctionalWarp, LaunchRows
 from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import Kernel
 from repro.isa.instructions import Op
-from repro.timing.masks import bools_to_mask, full_mask
+from repro.timing.masks import bools_to_mask
 
 
 class InterpreterError(Exception):
@@ -53,25 +53,15 @@ class _Split:
         self.parked = False
 
 
-def _launch_splits(kernel: Kernel, cta: int, warp_width: int, shared: SharedMemory):
+def _launch_splits(launch: LaunchRows, cta: int, shared: SharedMemory):
     """One split per warp of CTA ``cta``, at PC 0 with its launch mask
-    (a partial last warp launches its low lanes only)."""
-    splits = []
-    n_warps = (kernel.cta_size + warp_width - 1) // warp_width
-    for w in range(n_warps):
-        lo = w * warp_width
-        tids = np.arange(lo, lo + warp_width, dtype=np.int64)
-        warp = FunctionalWarp(
-            warp_id=cta * n_warps + w,
-            width=warp_width,
-            nregs=kernel.nregs,
-            tids_in_cta=np.minimum(tids, kernel.cta_size - 1),
-            cta_index=cta,
-            shared=shared,
-        )
-        launched = min(warp_width, kernel.cta_size - lo)
-        splits.append(_Split(warp, 0, full_mask(launched)))
-    return splits
+    (a partial last warp launches its low lanes only).  One CTA runs at
+    a time, so a warp's index in its CTA is its slot: its ``%warpid``."""
+    n_warps = (launch.cta_size + launch.width - 1) // launch.width
+    return [
+        _Split(FunctionalWarp(launch, w, w, cta, shared), 0, launch.threads(w)[3])
+        for w in range(n_warps)
+    ]
 
 
 def run_kernel(
@@ -82,13 +72,14 @@ def run_kernel(
 ) -> InterpResult:
     """Run all CTAs of ``kernel`` to completion; mutates ``memory``."""
     executor = Executor(kernel, memory)
+    launch = LaunchRows(kernel, warp_width)
     result = InterpResult()
     # One errstate for the whole launch, as ``GPUDevice.run`` enters:
     # compiled plans skip the per-issue one the interpreter pays.
     with np.errstate(all="ignore"):
         for cta in range(kernel.grid_size):
             shared = SharedMemory(max(kernel.shared_bytes, 4))
-            splits = _launch_splits(kernel, cta, warp_width, shared)
+            splits = _launch_splits(launch, cta, shared)
             _run_cta(kernel, executor, splits, result, max_steps)
     return result
 

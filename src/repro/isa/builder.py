@@ -48,7 +48,10 @@ class Kernel:
 
     ``params`` are scalar launch arguments (base addresses, sizes...)
     read through ``%param<i>`` specials.  ``shared_bytes`` is the
-    per-CTA shared-memory allocation.
+    per-CTA shared-memory allocation.  ``nregs`` is each warp's
+    register-file size (:meth:`KernelBuilder.build` sets it to the
+    program's :attr:`~repro.isa.program.Program.register_count`); a
+    program that names a register past it is refused.
     """
 
     name: str
@@ -60,13 +63,22 @@ class Kernel:
     nregs: int = 32
 
     def __post_init__(self) -> None:
-        for name, least in (("cta_size", 1), ("grid_size", 0), ("shared_bytes", 0)):
+        for name, least in (
+            ("cta_size", 1), ("grid_size", 0), ("shared_bytes", 0), ("nregs", 0)
+        ):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < least:
                 raise ValueError(
                     "kernel %s: %s must be an int >= %d, got %r"
                     % (self.name, name, least, value)
                 )
+        for instr in self.program:
+            for index in instr.registers():
+                if index >= self.nregs:
+                    raise ValueError(
+                        "kernel %s: %r names r%d, past its %d registers"
+                        % (self.name, instr, index, self.nregs)
+                    )
 
     @property
     def total_threads(self) -> int:
@@ -174,8 +186,7 @@ class KernelBuilder:
     # ------------------------------------------------------------------
 
     def _emit(self, instr: Instruction) -> Instruction:
-        written: Tuple[int, ...] = () if instr.dst is None else (instr.dst,)
-        for index in instr.source_registers() + written:
+        for index in instr.registers():
             if index >= self.nregs:
                 raise AssemblyError(
                     "%r in kernel %s uses r%d, past its %d registers"
@@ -434,7 +445,10 @@ class KernelBuilder:
         shared_bytes: int = 0,
         layout: str = "frontier",
     ) -> Kernel:
-        """Assemble, run layout passes, and wrap into a :class:`Kernel`.
+        """Assemble, run layout passes, and wrap into a :class:`Kernel`
+        whose register file is what the program names
+        (:attr:`~repro.isa.program.Program.register_count`), not the
+        builder's ``nregs`` limit.
 
         A label that no branch targets is refused by name: it is a
         typo'd or dropped branch more often than a comment."""
@@ -453,5 +467,5 @@ class KernelBuilder:
             grid_size=grid_size,
             params=tuple(float(p) for p in params),
             shared_bytes=shared_bytes,
-            nregs=max(self.nregs, self._next_reg),
+            nregs=program.register_count,
         )

@@ -265,6 +265,13 @@ class Instruction:
             regs.append(self.pred)
         return tuple(regs)
 
+    def registers(self) -> Tuple[int, ...]:
+        """Register indices named by this instruction: read, predicated
+        on or written."""
+        if self.dst is None:
+            return self.source_registers()
+        return self.source_registers() + (self.dst,)
+
     @cached_property
     def hazard_regs(self) -> Tuple[int, ...]:
         """Cached :meth:`source_registers` for the scoreboard."""

@@ -66,6 +66,15 @@ class Program:
                 "program must end with exit or an unconditional branch, got %r" % last
             )
 
+    @property
+    def register_count(self) -> int:
+        """The register file the program needs: one more than the
+        highest register index any instruction names (0 if none)."""
+        return 1 + max(
+            (index for instr in self.instructions for index in instr.registers()),
+            default=-1,
+        )
+
     def __len__(self) -> int:
         return len(self.instructions)
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.cache import (
     AnyConfig,
@@ -164,11 +164,6 @@ JOB_STATES: Tuple[str, ...] = (
 #: ``stopped`` counts — the daemon shut down with the job unfinished,
 #: and its partial result is all it will ever serve.
 TERMINAL_JOB_STATES: Tuple[str, ...] = (JOB_DONE, JOB_STOPPED)
-
-#: The full closed vocabulary, for validation and for the lint rule.
-VOCABULARY: FrozenSet[str] = frozenset(
-    MESSAGE_TYPES + ERROR_CODES + CELL_SOURCES + CELL_STATUSES + JOB_STATES
-)
 
 
 class ProtocolError(Exception):

@@ -158,11 +158,15 @@ class RemoteClient:
 
         attempts = self.retries + 1
         delay = 0.0
+        # ``backoff * 2 ** attempt``, capped at 10 s before it doubles:
+        # the power itself overflows a float at attempt 1 024.
+        backoff = min(self.backoff, 10.0)
         last = "no attempt made"
-        for attempt in range(attempts):
+        for _ in range(attempts):
             if delay > 0.0:
                 self._sleep(delay)
-            delay = min(self.backoff * (2.0 ** attempt), 10.0)
+            delay = backoff
+            backoff = min(2.0 * backoff, 10.0)
             try:
                 response = self._open(method, path, body)
                 with response:

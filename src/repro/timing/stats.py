@@ -105,7 +105,12 @@ class Stats:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Stats":
-        return cls(**data)
+        stats = cls(**data)
+        # A list of pairs would pass through ``to_dict``'s ``dict()``
+        # and save as an object that no longer equals what was loaded.
+        if not isinstance(stats.per_op_class, dict):
+            raise TypeError("per_op_class is not an object: %r" % (stats.per_op_class,))
+        return stats
 
     def summary(self) -> str:
         lines = [

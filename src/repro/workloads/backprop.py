@@ -39,7 +39,7 @@ def build(size: str = "bench") -> common.Instance:
     a_x = memory.alloc_array(inputs)
     a_out = memory.alloc(n * 4)
 
-    kb = KernelBuilder("backprop", nregs=20)
+    kb = KernelBuilder("backprop")
     j, e, pr, acc, addr, v, x = kb.regs("j", "e", "pr", "acc", "addr", "v", "x")
     common.emit_global_tid(kb, j)
     # First IN threads stage the activations into shared memory.

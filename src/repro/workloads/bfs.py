@@ -71,7 +71,7 @@ def build(size: str = "bench") -> common.Instance:
     a_cur = memory.alloc_array(cur)
     a_next = memory.alloc_array(np.zeros(n))
 
-    kb = KernelBuilder("bfs", nregs=26)
+    kb = KernelBuilder("bfs")
     node, addr, lvl, pr, inf = kb.regs("node", "addr", "lvl", "pr", "inf")
     e, eend, v, d, tmp, one = kb.regs("e", "eend", "v", "d", "tmp", "one")
     common.emit_global_tid(kb, node)

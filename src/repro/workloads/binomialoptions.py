@@ -40,7 +40,7 @@ def build(size: str = "bench") -> common.Instance:
     a_x = memory.alloc_array(strike)
     a_out = memory.alloc(n * 4)
 
-    kb = KernelBuilder("binomialoptions", nregs=20)
+    kb = KernelBuilder("binomialoptions")
     i, addr, s, x, t, pr = kb.regs("i", "addr", "s", "x", "t", "pr")
     u, d, pu, val, hold, tmp = kb.regs("u", "d", "pu", "val", "hold", "tmp")
     common.emit_global_tid(kb, i)

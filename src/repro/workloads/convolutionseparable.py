@@ -46,7 +46,7 @@ def build(size: str = "bench") -> common.Instance:
     a_in = memory.alloc_array(img)
     a_out = memory.alloc(n * 4)
 
-    kb = KernelBuilder("convolutionseparable", nregs=22)
+    kb = KernelBuilder("convolutionseparable")
     i, addr, sh, acc, v, pr, idx, ps = kb.regs(
         "i", "addr", "sh", "acc", "v", "pr", "idx", "ps"
     )

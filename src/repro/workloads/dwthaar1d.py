@@ -37,7 +37,7 @@ def build(size: str = "bench") -> common.Instance:
     memory = MemoryImage()
     a_io = memory.alloc_array(data)
 
-    kb = KernelBuilder("dwthaar1d", nregs=20)
+    kb = KernelBuilder("dwthaar1d")
     nreg, lvl, pr, act, addr, a, b, tmp, base = kb.regs(
         "n", "lvl", "pr", "act", "addr", "a", "b", "tmp", "base"
     )

@@ -44,7 +44,7 @@ def build(size: str = "bench") -> common.Instance:
     a_e = memory.alloc_array(off)
     a_out = memory.alloc(2 * n * 4)
 
-    kb = KernelBuilder("eigenvalues", nregs=26)
+    kb = KernelBuilder("eigenvalues")
     i, addr, pr, it = kb.regs("i", "addr", "pr", "it")
     lo, hi, mid, q, count, want, k, dv, ev = kb.regs(
         "lo", "hi", "mid", "q", "count", "want", "k", "dv", "ev"

@@ -34,7 +34,7 @@ def build(size: str = "bench") -> common.Instance:
     memory = MemoryImage()
     a_io = memory.alloc_array(data)
 
-    kb = KernelBuilder("fastwalshtransform", nregs=20)
+    kb = KernelBuilder("fastwalshtransform")
     stride, pos, pr, addr, a, b, base, tmp = kb.regs(
         "stride", "pos", "pr", "addr", "a", "b", "base", "tmp"
     )

@@ -49,7 +49,7 @@ def build(size: str = "bench") -> common.Instance:
     a_data = memory.alloc_array(packed)
     a_hist = memory.alloc_array(np.zeros(BINS))
 
-    kb = KernelBuilder("histogram", nregs=20)
+    kb = KernelBuilder("histogram")
     i, k, pr, addr, w, b, v = kb.regs("i", "k", "pr", "addr", "w", "b", "v")
     # Zero the shared histogram (first BINS threads).
     kb.setp(pr, CmpOp.LT, kb.tid, BINS)

@@ -42,7 +42,7 @@ def build(size: str = "bench") -> common.Instance:
     a_temp = memory.alloc_array(temp)
     a_power = memory.alloc_array(power)
 
-    kb = KernelBuilder("hotspot", nregs=24)
+    kb = KernelBuilder("hotspot")
     r, c, it, pr, edge, addr, base = kb.regs("r", "c", "it", "pr", "edge", "addr", "base")
     t, pw, acc, nb, idx, tmp = kb.regs("t", "pw", "acc", "nb", "idx", "tmp")
     kb.shr(r, kb.tid, 4)

@@ -38,7 +38,7 @@ def build(size: str = "bench") -> common.Instance:
     memory = MemoryImage()
     a_m = memory.alloc_array(mats.ravel())
 
-    kb = KernelBuilder("lud", nregs=24)
+    kb = KernelBuilder("lud")
     r, c, k, pr, pc, addr, base = kb.regs("r", "c", "k", "pr", "pc", "addr", "base")
     piv, lv, uv, v = kb.regs("piv", "lv", "uv", "v")
     kb.shr(r, kb.tid, 4)

@@ -39,7 +39,7 @@ def build(size: str = "bench") -> common.Instance:
     memory = MemoryImage()
     a_out = memory.alloc(pixels * 4)
 
-    kb = KernelBuilder("mandelbrot", nregs=26)
+    kb = KernelBuilder("mandelbrot")
     px, py, blk, pr, addr = kb.regs("px", "py", "blk", "pr", "addr")
     cr, ci, zr, zi, zr2, zi2, it, tmp = kb.regs(
         "cr", "ci", "zr", "zi", "zr2", "zi2", "it", "tmp"

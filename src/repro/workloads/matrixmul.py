@@ -37,7 +37,7 @@ def build(size: str = "bench") -> common.Instance:
     a_b = memory.alloc_array(b.ravel())
     a_c = memory.alloc(dim * dim * 4)
 
-    kb = KernelBuilder("matrixmul", nregs=24)
+    kb = KernelBuilder("matrixmul")
     r, c, trow, tcol, row, col = kb.regs("r", "c", "trow", "tcol", "row", "col")
     kt, p, acc, addr, va, vb, tmp = kb.regs("kt", "p", "acc", "addr", "va", "vb", "tmp")
     sh_a, sh_b = 0, TILE * TILE * 4  # shared layout: A tile then B tile

@@ -36,7 +36,7 @@ def build(size: str = "bench") -> common.Instance:
     memory = MemoryImage()
     a_out = memory.alloc(n * 4)
 
-    kb = KernelBuilder("montecarlo", nregs=20)
+    kb = KernelBuilder("montecarlo")
     i, addr, state, k, pr = kb.regs("i", "addr", "state", "k", "pr")
     z, u, pay, acc, tmp = kb.regs("z", "u", "pay", "acc", "tmp")
     common.emit_global_tid(kb, i)

@@ -42,7 +42,7 @@ def build(size: str = "bench") -> common.Instance:
     a_scores = memory.alloc_array(scores.ravel())
     a_out = memory.alloc(CELLS * ctas * 4)
 
-    kb = KernelBuilder("needleman_wunsch", nregs=28)
+    kb = KernelBuilder("needleman_wunsch")
     r, d, pr, act, addr, base, tmp = kb.regs("r", "d", "pr", "act", "addr", "base", "tmp")
     cc, up, left, diag, sc, best = kb.regs("cc", "up", "left", "diag", "sc", "best")
     kb.add(r, kb.tid, 1)  # thread t owns matrix row t+1

@@ -37,7 +37,7 @@ def build(size: str = "bench") -> common.Instance:
     a_io = memory.alloc_array(data)
     a_val = memory.alloc_array(vals)
 
-    kb = KernelBuilder("sortingnetworks", nregs=24)
+    kb = KernelBuilder("sortingnetworks")
     base, addr, tmp, a, b, pos, pr = kb.regs("base", "addr", "tmp", "a", "b", "pos", "pr")
     sz, stride, ddd, gt, va, vb = kb.regs("sz", "stride", "ddd", "gt", "va", "vb")
     VOFF = N * 4  # shared-memory offset of the value plane

@@ -44,7 +44,7 @@ def build(size: str = "bench") -> common.Instance:
     sh_img = 0
     sh_c = CELLS * 4  # coefficient plane
 
-    kb = KernelBuilder("srad", nregs=28)
+    kb = KernelBuilder("srad")
     r, c, it, pr, addr, base, tmp = kb.regs("r", "c", "it", "pr", "addr", "base", "tmp")
     v, dn, ds, de, dw, g2, l_, q, cf, nb = kb.regs(
         "v", "dn", "ds", "de", "dw", "g2", "l", "q", "cf", "nb"

@@ -36,7 +36,7 @@ def build(size: str = "bench") -> common.Instance:
     a_in = memory.alloc_array(field)
     a_out = memory.alloc(n * 4)
 
-    kb = KernelBuilder("3dfd", nregs=20)
+    kb = KernelBuilder("3dfd")
     i, z, pr, acc, idx, addr, v, tmp = kb.regs(
         "i", "z", "pr", "acc", "idx", "addr", "v", "tmp"
     )

@@ -136,7 +136,7 @@ def build(size: str = "bench", variant: str = "tmd2") -> common.Instance:
     a_buckets = memory.alloc_array(np.zeros(64))
     a_hits = memory.alloc(n * 4)
 
-    kb = KernelBuilder(variant, nregs=20)
+    kb = KernelBuilder(variant)
     prologue, loop_head, low, high, record, next_block, done = _emit_main(kb, candidates)
     if variant == "tmd2":
         # Thread-frontier-compatible order.

@@ -38,7 +38,7 @@ def build(size: str = "bench") -> common.Instance:
     a_in = memory.alloc_array(src.ravel())
     a_out = memory.alloc(dim * dim * 4)
 
-    kb = KernelBuilder("transpose", nregs=20)
+    kb = KernelBuilder("transpose")
     r, c, trow, tcol, it, pr = kb.regs("r", "c", "trow", "tcol", "it", "pr")
     addr, v, sh = kb.regs("addr", "v", "sh")
     kb.shr(r, kb.tid, 4)

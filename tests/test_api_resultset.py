@@ -382,6 +382,10 @@ class TestFromDictRefusals:
         ({"version": 1, "results": [{"workload": "w", "size": "s", "config": "c",
           "stats": {"kind": "sm", "data": {"per_op_class": 5}}}]},
          "undecodable stats in results[0]"),
+        # Pairs used to load, then save as an object unequal to them.
+        ({"version": 1, "results": [{"workload": "w", "size": "s", "config": "c",
+          "stats": {"kind": "device", "data": {"sm_stats": [{"per_op_class": [["mad", 1]]}]}}}]},
+         "undecodable stats in results[0]: TypeError(\"per_op_class is not an object"),
     ])
     def test_the_error_names_what_is_wrong(self, data, names):
         with pytest.raises(ValueError) as excinfo:

@@ -69,7 +69,7 @@ class TestExecutorUnitDifferential:
     mishandle)."""
 
     def _run(self, compiled):
-        from repro.functional.executor import Executor, FunctionalWarp
+        from repro.functional.executor import Executor, FunctionalWarp, LaunchRows
         from repro.functional.memory import MemoryImage, SharedMemory
         from repro.isa.builder import KernelBuilder
         from repro.isa.instructions import CmpOp
@@ -88,14 +88,7 @@ class TestExecutorUnitDifferential:
         out = mem.alloc(4096)
         kernel = kb.build(cta_size=32, grid_size=1, params=(out,))
         ex = Executor(kernel, mem, compiled=compiled)
-        warp = FunctionalWarp(
-            warp_id=0,
-            width=32,
-            nregs=kernel.nregs,
-            tids_in_cta=np.arange(32),
-            cta_index=0,
-            shared=SharedMemory(64),
-        )
+        warp = FunctionalWarp(LaunchRows(kernel, 32), 0, 0, 0, SharedMemory(64))
         masks = [full_mask(32), 0x0F0F0F0F, 0x1]
         for instr in kernel.program.instructions:
             for mask in masks:

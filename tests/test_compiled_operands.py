@@ -21,7 +21,7 @@ import pytest
 from repro.core import presets
 from repro.core.simulator import simulate
 from repro.functional import compiled
-from repro.functional.executor import Executor, FunctionalWarp
+from repro.functional.executor import Executor, FunctionalWarp, LaunchRows
 from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import KernelBuilder
 from repro.isa.instructions import reg
@@ -33,12 +33,7 @@ WIDTHS = (32, 64)
 
 def _warp(kernel, width, cta=3, wid=5):
     return FunctionalWarp(
-        warp_id=wid,
-        width=width,
-        nregs=kernel.nregs,
-        tids_in_cta=np.arange(width),
-        cta_index=cta,
-        shared=SharedMemory(max(kernel.shared_bytes, 4)),
+        LaunchRows(kernel, width), wid, 0, cta, SharedMemory(max(kernel.shared_bytes, 4))
     )
 
 

@@ -9,7 +9,7 @@ the kernel's program, so each one gets a plan made for its call.
 import numpy as np
 import pytest
 
-from repro.functional.executor import ExecutionError, Executor, FunctionalWarp
+from repro.functional.executor import ExecutionError, Executor, FunctionalWarp, LaunchRows
 from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import Kernel, KernelBuilder
 from repro.isa.instructions import CmpOp, Instruction, MemSpace, Op, imm, reg, special
@@ -26,14 +26,7 @@ def env(request):
     prog = Program([Instruction(Op.EXIT)])
     kernel = Kernel("t", prog, cta_size=W, grid_size=1, params=(2.0, 3.0), nregs=8)
     executor = Executor(kernel, memory, compiled=request.param)
-    warp = FunctionalWarp(
-        warp_id=1,
-        width=W,
-        nregs=8,
-        tids_in_cta=np.arange(W),
-        cta_index=0,
-        shared=SharedMemory(256),
-    )
+    warp = FunctionalWarp(LaunchRows(kernel, W), 1, 0, 0, SharedMemory(256))
     return executor, warp, FULL, memory
 
 
@@ -146,14 +139,9 @@ class TestSpecials:
 
     def test_laneid_wraps_at_the_warp_width(self, env):
         executor, _, mask, _ = env
-        warp = FunctionalWarp(
-            warp_id=1,
-            width=W,
-            nregs=8,
-            tids_in_cta=np.arange(W, 2 * W),  # the CTA's second warp
-            cta_index=0,
-            shared=SharedMemory(256),
-        )
+        kernel = Kernel("t", Program([Instruction(Op.EXIT)]), cta_size=2 * W, grid_size=1, nregs=8)
+        # The CTA's second warp: tids W .. 2W - 1.
+        warp = FunctionalWarp(LaunchRows(kernel, W), 1, 1, 0, SharedMemory(256))
         executor.execute(Instruction(Op.MOV, dst=0, srcs=(special("laneid"),)), warp, mask)
         assert np.array_equal(warp.regs[0], np.arange(W))
 
@@ -301,14 +289,7 @@ def _run_two_widths(compiled):
     kernel, memory = _kernel_and_memory()
     executor = Executor(kernel, memory, compiled=compiled)
     warps = [
-        FunctionalWarp(
-            warp_id=0,
-            width=width,
-            nregs=kernel.nregs,
-            tids_in_cta=np.arange(width),
-            cta_index=0,
-            shared=SharedMemory(64),
-        )
+        FunctionalWarp(LaunchRows(kernel, width), 0, 0, 0, SharedMemory(64))
         for width in (32, 64)
     ]
     with np.errstate(all="ignore"):

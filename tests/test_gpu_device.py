@@ -18,10 +18,10 @@ from repro.core.simulator import SimulationError, simulate
 from repro.core.sm import StreamingMultiprocessor
 from repro.core.warp import TimingWarp
 from repro.functional import compiled as compiled_plans
-from repro.functional.executor import FunctionalWarp
+from repro.functional.executor import FunctionalWarp, LaunchRows
 from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import KernelBuilder
-from repro.isa.instructions import MemSpace
+from repro.isa.instructions import MemSpace, OperandKind
 from repro.timing.config import GPUConfig, SMConfig
 from repro.timing.divergence import DivergenceModel
 from repro.timing.scoreboard import ScoreboardBase
@@ -340,8 +340,14 @@ def _many_ctas_instance(grid_size=12, cta_size=256):
     return kernel, mem
 
 
-#: The per-warp objects a CTA launch builds, and what each warp owns.
-_WARP_STATE = (TimingWarp, FunctionalWarp, SharedMemory, DivergenceModel, ScoreboardBase)
+#: The per-warp objects a CTA launch builds, what each warp owns, and
+#: the launch's shared rows.
+_WARP_STATE = (
+    TimingWarp, FunctionalWarp, SharedMemory, DivergenceModel, ScoreboardBase, LaunchRows
+)
+#: A warp's launch constants, read-only rows shared with other warps:
+#: the three tid rows by index in the CTA, the CTA's row, the slot's row.
+_LAUNCH_ROWS = ("tids_in_cta", "tids_f64", "lanes_f64", "ctaid_f64", "warpid_f64")
 
 
 class TestFinishedRunsFreeTheirMemory:
@@ -392,14 +398,17 @@ class TestFinishedRunsFreeTheirMemory:
     @staticmethod
     def _watch_launches(monkeypatch):
         """Weak references to every warp, register file and CTA shared
-        memory the runs launch."""
+        memory the runs launch, and to the launch rows each warp reads
+        (:data:`_LAUNCH_ROWS`)."""
         refs = []
         launch = StreamingMultiprocessor._launch_cta
 
         def watched(sm, cta, slots, now):
             launch(sm, cta, slots, now)
             for warp in sm.cta_warps[cta]:
-                refs.extend(weakref.ref(o) for o in (warp, warp.fwarp, warp.fwarp.shared))
+                fwarp = warp.fwarp
+                refs.extend(weakref.ref(o) for o in (warp, fwarp, fwarp.shared))
+                refs.extend(weakref.ref(getattr(fwarp, name)) for name in _LAUNCH_ROWS)
 
         monkeypatch.setattr(StreamingMultiprocessor, "_launch_cta", watched)
         return refs
@@ -427,7 +436,9 @@ class TestFinishedRunsFreeTheirMemory:
         files and shared memory go by refcount, so with the collector
         off every one of them is gone when the run returns, and a full
         collection afterwards finds nothing of them (nor a divergence
-        model or a scoreboard, every kind of which the modes cover)."""
+        model or a scoreboard, every kind of which the modes cover).
+        Once ``release()`` has returned, nothing keeps the launch's
+        rows alive either."""
         refs = self._watch_launches(monkeypatch)
         gc.collect()
         gc.disable()
@@ -439,7 +450,7 @@ class TestFinishedRunsFreeTheirMemory:
                 stats = simulate_device(kernel, mem, presets.device(mode, sm_count=2))
                 per_sm = stats.sm_stats
             assert sum(s.ctas_launched for s in per_sm) == kernel.grid_size == 12
-            assert len(refs) == 3 * sum(s.warps_retired for s in per_sm)
+            assert len(refs) == (3 + len(_LAUNCH_ROWS)) * sum(s.warps_retired for s in per_sm)
             assert [r for r in refs if r() is not None] == []
             assert self._left_to_the_collector() == []
         finally:
@@ -467,6 +478,83 @@ class TestFinishedRunsFreeTheirMemory:
             assert self._left_to_the_collector() == []
         finally:
             gc.enable()
+
+
+def _named_registers(kernel):
+    """Every register index the kernel's program reads, predicates on
+    or writes."""
+    named = set()
+    for instr in kernel.program:
+        named.update(s.value for s in instr.srcs if s.kind is OperandKind.REG)
+        named.update(r for r in (instr.pred, instr.dst) if r is not None)
+    return named
+
+
+class TestAResidentWarpHoldsOnlyItsOwnState:
+    """A warp's register file is what its program names, and its thread
+    identity is a set of rows the launch builds once and shares."""
+
+    @pytest.mark.parametrize("workload", ALL_WORKLOADS)
+    def test_the_register_file_is_what_the_program_names(self, workload):
+        kernel = get_workload(workload, "tiny").kernel
+        assert kernel.nregs == 1 + max(_named_registers(kernel))
+
+    def test_the_workloads_name_231_registers(self):
+        # They declared 484 by hand; the file is sized by what they name.
+        assert sum(get_workload(w, "tiny").kernel.nregs for w in ALL_WORKLOADS) == 231
+
+    @staticmethod
+    def _launched(monkeypatch, mode):
+        """Every warp a 2-SM run of ``_many_ctas_instance`` launches
+        (12 CTAs, more than the two SMs hold at once), with its SM."""
+        launched = []
+        launch = StreamingMultiprocessor._launch_cta
+
+        def watched(sm, cta, slots, now):
+            launch(sm, cta, slots, now)
+            for warp in sm.cta_warps[cta]:
+                assert warp.fwarp.regs.shape == (sm.kernel.nregs, sm.config.warp_width)
+                launched.append((sm.sm_id, warp))
+
+        monkeypatch.setattr(StreamingMultiprocessor, "_launch_cta", watched)
+        kernel, mem = _many_ctas_instance()
+        simulate_device(kernel, mem, presets.device(mode, sm_count=2))
+        return kernel, launched
+
+    @pytest.mark.parametrize("mode", ["baseline", "sbi_swi"])
+    def test_every_resident_warp_has_exactly_the_kernels_registers(self, monkeypatch, mode):
+        kernel, launched = self._launched(monkeypatch, mode)
+        assert kernel.nregs == 5
+        assert {sm_id for sm_id, _ in launched} == {0, 1}
+        width = presets.by_name(mode).warp_width
+        assert len(launched) == kernel.grid_size * kernel.cta_size // width
+        for _, warp in launched:
+            assert len(warp.fwarp.rows) == kernel.nregs
+            assert all(row.base is warp.fwarp.regs for row in warp.fwarp.rows)
+
+    @pytest.mark.parametrize("mode", ["baseline", "sbi_swi"])
+    def test_launch_constants_are_shared_read_only_rows(self, monkeypatch, mode):
+        _, launched = self._launched(monkeypatch, mode)
+        keys = {
+            "tids_in_cta": lambda w: int(w.fwarp.tids_in_cta[0]),  # index in the CTA
+            "tids_f64": lambda w: int(w.fwarp.tids_in_cta[0]),
+            "lanes_f64": lambda w: int(w.fwarp.tids_in_cta[0]),
+            "ctaid_f64": lambda w: w.cta_id,
+            "warpid_f64": lambda w: w.wid,
+        }
+        assert set(keys) == set(_LAUNCH_ROWS)
+        for name, key in keys.items():
+            by_key = {}
+            for _, warp in launched:
+                row = getattr(warp.fwarp, name)
+                assert not row.flags.writeable, name
+                # One row per key, and a distinct one for each key.
+                assert by_key.setdefault(key(warp), row) is row, (name, warp)
+            assert len({id(row) for row in by_key.values()}) == len(by_key) > 1, name
+        # Both SMs' warps of one slot read the one row; a register
+        # file is its warp's alone.
+        assert {sm_id for sm_id, w in launched if w.wid == 0} == {0, 1}
+        assert len({id(w.fwarp.regs) for _, w in launched}) == len(launched)
 
 
 class TestOneExecutorPerDevice:

@@ -199,10 +199,32 @@ class TestBuild:
             kb.build(**{**geometry, field: least - 1})
 
     def test_nregs_tracks_usage(self):
-        kb = KernelBuilder("k", nregs=4)
-        kb.regs("a", "b", "c")
+        # The register file is what the program names: not the
+        # builder's limit, nor what it allocated (c is never named).
+        kb = KernelBuilder("k", nregs=8)
+        a, b, c = kb.regs("a", "b", "c")
+        kb.mov(a, 1)
+        kb.mov(a, 2, pred=b)
         kb.exit_()
-        assert kb.build(cta_size=32).nregs == 4
+        assert kb.used_registers == 3
+        assert kb.build(cta_size=32).nregs == 2
+        bare = KernelBuilder("k")
+        bare.exit_()
+        assert bare.build(cta_size=32).nregs == 0
+
+    def test_a_kernel_refuses_a_register_outside_its_file(self):
+        # Kernel(..., nregs=8) over a program that writes r9 used to die
+        # at its first issue with a bare IndexError.
+        kb = KernelBuilder("k")
+        kb.mov(reg(9), 1)
+        kb.exit_()
+        kernel = kb.build(cta_size=32)
+        assert kernel.nregs == 10
+        culprit = "kernel k: %r names r9, past its 8 registers" % kernel.program[0]
+        with pytest.raises(ValueError, match=re.escape(culprit)):
+            Kernel("k", kernel.program, cta_size=32, grid_size=1, nregs=8)
+        with pytest.raises(ValueError, match="nregs must be an int >= 0"):
+            Kernel("k", kernel.program, cta_size=32, grid_size=1, nregs=-1)
 
 
 class TestMalformedOperands:

@@ -474,6 +474,53 @@ def memory_bytecodes_per_issue(traced):
     return spent / memory_issues
 
 
+#: Bytes a resident warp owns alone, on the tree before register files
+#: were sized by the program and launch constants shared across the
+#: launch (a327fa2): see :func:`owned_bytes_per_warp`.
+PARENT_OWNED_BYTES = {
+    "baseline": 10200.0,
+    "sbi": 17026.7,
+    "swi": 17026.7,
+    "sbi_swi": 17026.7,
+    DEVICE: 15976.0,
+}
+
+
+def _warp_arrays(fwarp):
+    """Every array a functional warp refers to: its register file and
+    row views, then its launch constants."""
+    return [
+        fwarp.regs, *fwarp.rows, fwarp.tids_in_cta, fwarp.tids_f64,
+        fwarp.lanes_f64, fwarp.ctaid_f64, fwarp.warpid_f64,
+    ]
+
+
+def owned_bytes_per_warp(mode):
+    """Mean bytes each resident warp owns alone right after the gauge
+    workloads' initial launch (``DEVICE``: transpose on four ``sbi_swi``
+    SMs): ``sys.getsizeof`` of its row-view list and of every array it
+    refers to that no other resident warp does (a view's size leaves
+    out the data it looks at)."""
+    if mode == DEVICE:
+        config, workloads = presets.device("sbi_swi", sm_count=4), ("transpose",)
+    else:
+        config, workloads = GPUConfig(sm=presets.by_name(mode)), GAUGE_WORKLOADS
+    owned = warps = 0
+    for name in workloads:
+        inst = get_workload(name, "tiny")
+        device = GPUDevice(inst.kernel, inst.memory, config)
+        device._initial_launch()
+        resident = [w.fwarp for sm in device.sms for w in sm.warp_slots if w is not None]
+        holders = collections.Counter(id(a) for fw in resident for a in _warp_arrays(fw))
+        for fwarp in resident:
+            owned += sys.getsizeof(fwarp.rows) + sum(
+                sys.getsizeof(a) for a in _warp_arrays(fwarp) if holders[id(a)] == 1
+            )
+        warps += len(resident)
+        device.release()
+    return owned / warps
+
+
 class TestWorkCount:
     @pytest.mark.parametrize("mode", sorted(WORK_PINS))
     def test_probes_and_unit_queries_per_issue(self, mode):
@@ -578,24 +625,26 @@ class TestSlotView:
 
 if __name__ == "__main__":
     print("| mode | probes/issue | unit queries/issue | calls/issue | first calls/issue"
-          " | bytecodes/issue | parent bytecodes/issue |")
-    print("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
+          " | bytecodes/issue | parent bytecodes/issue | bytes owned/warp, parent → now |")
+    print("| --- | ---: | ---: | ---: | ---: | ---: | ---: | ---: |")
     maps, memory = {}, {}
     for mode in sorted(WORK_PINS):
         traced = traced_run(mode)
         memory[mode] = memory_bytecodes_per_issue(traced)
         bytecodes, maps[mode] = bytecodes_per_issue(mode, traced)
-        print("| %s | %.2f | %.2f | %.1f | %.1f | %.1f | %.1f |" % (
+        print("| %s | %.2f | %.2f | %.1f | %.1f | %.1f | %.1f | %.0f → %.0f |" % (
             (mode,) + work_per_issue(mode) + (
                 calls_per_issue(mode), FIRST_CALLS[mode],
                 bytecodes, PARENT_BYTECODES[mode],
+                PARENT_OWNED_BYTES[mode], owned_bytes_per_warp(mode),
             )
         ))
     traced = traced_run(DEVICE)
     bytecodes, _ = bytecodes_per_issue(DEVICE, traced)
     memory[DEVICE] = memory_bytecodes_per_issue(traced)
-    print("| %s: transpose, 4 x sbi_swi SMs | | | | | %.1f | %.1f |" % (
-        DEVICE, bytecodes, PARENT_BYTECODES[DEVICE]
+    print("| %s: transpose, 4 x sbi_swi SMs | | | | | %.1f | %.1f | %.0f → %.0f |" % (
+        DEVICE, bytecodes, PARENT_BYTECODES[DEVICE],
+        PARENT_OWNED_BYTES[DEVICE], owned_bytes_per_warp(DEVICE),
     ))
     print("\n| memory side | " + " | ".join(memory) + " |")
     print("| --- |" + " ---: |" * len(memory))

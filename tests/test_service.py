@@ -226,19 +226,6 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="no cells"):
             protocol.decode_submit(protocol.envelope(protocol.MSG_SUBMIT))
 
-    def test_vocabulary_is_closed_and_disjointly_spelled(self):
-        # The lint rule keys on spelling; a new constant colliding with
-        # an existing one would make violations ambiguous.
-        groups = (
-            protocol.MESSAGE_TYPES,
-            protocol.ERROR_CODES,
-            protocol.CELL_SOURCES,
-            protocol.CELL_STATUSES,
-            protocol.JOB_STATES,
-        )
-        total = sum(len(g) for g in groups)
-        assert len(protocol.VOCABULARY) == total
-
 
 class TestConfigPayloads:
     def test_sm_config_round_trip(self):
@@ -822,6 +809,32 @@ class TestSweepService:
 # ----------------------------------------------------------------------
 
 
+def _closed_port():
+    """A local port that nothing listens on."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
+def _bounded(call, limit):
+    """``call``, failing the test once it runs more than ``limit``
+    times: a retry loop that stops ending fails by name instead of
+    hanging the suite (which has no per-test timeout)."""
+    count = [0]
+
+    def bounded(*args, **kwargs):
+        count[0] += 1
+        if count[0] > limit:
+            raise AssertionError(
+                "called %d times, past the %d a bounded retry loop makes" % (count[0], limit)
+            )
+        return call(*args, **kwargs)
+
+    return bounded
+
+
 class TestRemoteClient:
     def test_rejects_bad_server_and_retries(self):
         with pytest.raises(ValueError, match="http"):
@@ -830,22 +843,31 @@ class TestRemoteClient:
             RemoteClient("http://x", retries=-1)
 
     def test_deterministic_backoff_on_dead_server(self):
-        # Grab a port that nothing listens on.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
         delays = []
         client = RemoteClient(
-            "http://127.0.0.1:%d" % port,
+            "http://127.0.0.1:%d" % _closed_port(),
             timeout=1.0,
             retries=2,
             backoff=0.25,
-            sleep=delays.append,
+            sleep=_bounded(delays.append, 2 + 1),
         )
         with pytest.raises(RemoteError, match="after 3 attempts"):
             client.health()
         assert delays == [0.25, 0.5]  # backoff * 2**attempt, no jitter
+
+    def test_a_long_retry_run_ends_in_a_remote_error(self):
+        # backoff * 2.0 ** attempt used to raise OverflowError at
+        # attempt 1 024, before its 10 s cap applied.
+        delays = []
+        client = RemoteClient(
+            "http://127.0.0.1:%d" % _closed_port(),
+            retries=1100,
+            sleep=_bounded(delays.append, 1100 + 1),
+        )
+        with pytest.raises(RemoteError, match="after 1101 attempts"):
+            client.health()
+        assert len(delays) == 1100
+        assert delays[:3] == [0.25, 0.5, 1.0] and set(delays[6:]) == {10.0}
 
     def test_follow_job_falls_back_to_polling(self):
         result = protocol.envelope(
@@ -867,15 +889,18 @@ class TestRemoteClient:
         assert list(collected) == ["cd" * 32]
 
     @staticmethod
-    def _recording(monkeypatch, kind):
+    def _recording(monkeypatch, kind, retries):
         """Replace ``http.client.<kind>`` with a connection that records
-        what it was built with and asked for, then fails the request."""
+        what it was built with and asked for, then fails the request;
+        one built past a ``retries`` client's last attempt fails the
+        test."""
         made = []
+        record = _bounded(made.append, retries + 1)
 
         class Recorder:
             def __init__(self, host, port, **kwargs):
                 self.call = {"host": host, "port": port, **kwargs}
-                made.append(self.call)
+                record(self.call)
 
             def request(self, method, url, body=None, headers=None):
                 self.call.update(method=method, url=url, body=body)
@@ -898,7 +923,7 @@ class TestRemoteClient:
     ):
         """https builds an ``HTTPSConnection`` with the default (verifying)
         context, as ``urllib`` did; a path prefix goes before every route."""
-        made = self._recording(monkeypatch, kind)
+        made = self._recording(monkeypatch, kind, retries=0)
         with pytest.raises(RemoteError, match="after 1 attempt .*recorded"):
             RemoteClient(url, timeout=2.5, retries=0).health()
         assert made == [{
