@@ -16,7 +16,6 @@ Subcommands::
     repro serve     [--host H] [--port P] [--store DIR] [--workers N]
                     [--queue-limit N] [--journal PATH] [--resume]
                     [--fault-plan SPEC]
-    repro lint      [PATH ...] [--rule ID] [--json] [--list-rules]
 
 ``sweep``'s defaults are the paper's Figure 7 grid (every workload x
 ``baseline,sbi,swi,sbi_swi,warp64`` @ ``bench``), so ``repro figure7``
@@ -577,24 +576,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    # Imported here: the rule modules load for `repro lint` only.
-    from repro.lint import runner
-
-    if args.list_rules:
-        print(runner.list_rules())
-        return 0
-    report = runner.run_lint(
-        args.paths or runner.default_paths(),
-        rule_ids=frozenset(args.rule) if args.rule else None,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
-    else:
-        print(report.format())
-    return 0 if report.ok else 1
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -876,30 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plugin_option(p)
     p.set_defaults(fn=_cmd_serve)
 
-    p = sub.add_parser(
-        "lint",
-        help="determinism & invariant static analysis over the source tree",
-    )
-    p.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the installed "
-        "repro package)",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="ID",
-        help="run only this rule (repeatable)",
-    )
-    p.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="describe every rule and exit",
-    )
-    p.set_defaults(fn=_cmd_lint)
     return parser
 
 

@@ -73,13 +73,31 @@ def register_policy(spec: PolicySpec, replace: bool = False) -> PolicySpec:
     return POLICIES.register(spec.name, spec, replace=replace)
 
 
+def _buildable(spec: PolicySpec) -> PolicySpec:
+    """``spec``, if the scheduler and the divergence model it names are
+    registered; else :class:`PolicyLookupError` naming the policy, the
+    field and the registered names."""
+    if spec.scheduler not in SCHEDULERS or spec.divergence not in DIVERGENCE:
+        import repro.core.schedulers  # noqa: F401  (registers the built-ins)
+
+        for field, registry in (("scheduler", SCHEDULERS), ("divergence", DIVERGENCE)):
+            name = getattr(spec, field)
+            if name not in registry:
+                raise PolicyLookupError(
+                    "policy %r: %s=%r is not a registered %s; registered names are %s"
+                    % (spec.name, field, name, registry.kind, ", ".join(registry.names()))
+                )
+    return spec
+
+
 def coerce_policy(mode: Union[str, PolicySpec]) -> PolicySpec:
     """Resolve a config ``mode`` (name or spec) to a registered spec.
 
     Passing an unregistered :class:`PolicySpec` registers it on the
     spot, so ``SMConfig(mode=my_spec)`` just works; passing a spec
     whose name is already registered *differently* is an error (two
-    machines must never share a cache key).
+    machines must never share a cache key), and so is a spec naming a
+    scheduler or divergence model that is not registered.
     """
     if isinstance(mode, PolicySpec):
         if mode.name in POLICIES:
@@ -90,10 +108,10 @@ def coerce_policy(mode: Union[str, PolicySpec]) -> PolicySpec:
                     "rename yours or register_policy(spec, replace=True) "
                     "first" % mode.name
                 )
-            return existing
-        return register_policy(mode)
+            return _buildable(existing)
+        return register_policy(_buildable(mode))
     if isinstance(mode, str):
-        return POLICIES.get(mode)
+        return _buildable(POLICIES.get(mode))
     raise TypeError(
         "mode must be a policy name or a PolicySpec, got %r" % (mode,)
     )

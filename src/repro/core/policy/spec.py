@@ -29,10 +29,10 @@ class PolicySpec:
 
     ``scheduler`` and ``divergence`` are names in the
     :data:`~repro.core.policy.SCHEDULERS` and
-    :data:`~repro.core.policy.DIVERGENCE` registries; they are resolved
-    when a machine is constructed (or a capability below is read), not
-    at registration, so a spec can reference a scheduler whose module
-    has not been imported yet.
+    :data:`~repro.core.policy.DIVERGENCE` registries; they are checked
+    when a configuration names the spec (or a capability below is
+    read), not at registration, so a spec can reference a scheduler
+    whose module has not been imported yet.
     """
 
     name: str

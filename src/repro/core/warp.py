@@ -103,8 +103,8 @@ class TimingWarp:
         # woken list.  Every event that could change a verdict goes
         # through :meth:`wake` / :meth:`wake_issue`, and verdicts that
         # expire with time alone (decode, branch redirect, the SBI
-        # settle wake) through :meth:`wake_at`; nothing else may write
-        # these fields (reprolint ``wake-site-discipline``).
+        # settle wake) through :meth:`wake_at`; nothing else writes these
+        # fields but the schedulers and the fetch engine, recording verdicts.
         self.issue_woken = False
         self.fetch_woken = False
         #: Earliest outstanding timed wake (``_NEVER`` = none).

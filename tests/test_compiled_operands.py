@@ -11,9 +11,16 @@ that contract over every instruction of the suite:
   width, at widths 32 and 64;
 * no plan writes a constant row: running every workload leaves each
   row the compiler built bit-for-bit as it was built;
+* no plan allocates: on those same runs numpy's array constructors
+  refuse a plan closure as their caller, since a plan runs on every
+  issue and what it needs is built once, by the function compiling it;
 * rows are never shared by value: an immediate ``-0.0`` keeps its sign
   (``-0.0 == 0.0`` as a dict key, but ``1 / -0.0`` is ``-inf``).
 """
+
+import inspect
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -79,9 +86,67 @@ def test_special_registers_are_the_warps_rows(width):
         assert (row == expected).all()
 
 
+#: numpy's constructors that allocate a fresh array on every call, each
+#: with the arguments of one such call.
+ALLOCATORS = {
+    "zeros": (4,), "ones": (4,), "empty": (4,), "full": (4, 1.0), "arange": (4,),
+    "eye": (4,), "linspace": (0.0, 1.0, 4), "tile": ([1.0], 4),
+}
+
+
+def numpy_refusing_plan_allocation(allowed):
+    """A stand-in for :mod:`repro.functional.compiled`'s ``np`` whose
+    :data:`ALLOCATORS` raise when called from a plan closure, i.e. from
+    any function of that module but a module-level one (the compile
+    time); each allowed call's caller goes on ``allowed``."""
+    compile_time = {
+        inspect.unwrap(f).__code__
+        for f in vars(compiled).values()
+        if inspect.isfunction(inspect.unwrap(f)) and f.__module__ == compiled.__name__
+    }
+    guarded = types.ModuleType(np.__name__)
+    guarded.__dict__.update(vars(np))
+
+    def refusing(name):
+        allocate = getattr(np, name)
+
+        def call(*args, **kwargs):
+            caller = sys._getframe(1).f_code
+            if caller.co_filename == compiled.__file__ and caller not in compile_time:
+                raise AssertionError(
+                    "np.%s allocates in the compiled plan %s, once per issue"
+                    % (name, caller.co_name)
+                )
+            allowed.append(caller.co_name)
+            return allocate(*args, **kwargs)
+
+        return call
+
+    for name in ALLOCATORS:
+        setattr(guarded, name, refusing(name))
+    return guarded
+
+
+@pytest.mark.parametrize("name,args", sorted(ALLOCATORS.items()))
+def test_the_stand_in_refuses_an_allocation_in_a_plan(name, args):
+    """What makes the test below a test: a closure of
+    ``repro.functional.compiled`` calling an allocator raises; the same
+    call from elsewhere allocates."""
+    guarded = numpy_refusing_plan_allocation([])
+    source = "def compile_it():\n    def plan():\n        return np.%s(*args)\n    return plan\n"
+    namespace = {"np": guarded, "args": args}
+    exec(compile(source % name, compiled.__file__, "exec"), namespace)
+    plan = namespace["compile_it"]()
+    with pytest.raises(AssertionError, match=r"np\.%s allocates in the compiled plan plan" % name):
+        plan()
+    assert getattr(guarded, name)(*args).size
+
+
 @pytest.mark.parametrize("policy", ["baseline", "warp64"])
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
 def test_no_plan_writes_a_constant_row(workload, policy, monkeypatch):
+    allocated = []
+    monkeypatch.setattr(compiled, "np", numpy_refusing_plan_allocation(allocated))
     built = []
     const_row = compiled.const_row
 
@@ -97,7 +162,7 @@ def test_no_plan_writes_a_constant_row(workload, policy, monkeypatch):
         simulate(inst.kernel, inst.memory, presets.by_name(policy))
     finally:
         compiled.zero_row.cache_clear()
-    assert built
+    assert built and "const_row" in allocated  # the stand-in saw the compiler
     for row, before in built:
         assert not row.flags.writeable
         assert row.tobytes() == before

@@ -105,7 +105,6 @@ def test_guard_catches_a_deleted_name():
     """The names this repo has already shipped stale must not resolve."""
     assert _resolve_dotted("repro.core.sm.StreamingMultiprocessor.step") is None
     assert _resolve_dotted("repro.core.sm.StreamingMultiprocessor._heap_next_event")
-    assert _resolve_dotted("repro.lint.framework.path_suppressed")
     classes = _exported_classes()
     assert _resolve_attrs(classes["GPUDevice"], ["run"]) is None
     assert _resolve_attrs(classes["GPUDevice"], ["sms"]) is None  # set in __init__

@@ -8,13 +8,16 @@ identically, over all 21 workloads at smoke size
 before the policy registry existed).
 """
 
+import functools
 import hashlib
 import json
 import os
 
 import pytest
 
-from repro.api.cache import cell_hash, config_key
+import repro.core.schedulers  # noqa: F401  (registers the built-in schedulers)
+from repro.api import SweepSpec
+from repro.api.cache import cell_hash, config_from_payload, config_key
 from repro.core import presets
 from repro.core.policy import (
     DIVERGENCE,
@@ -36,6 +39,20 @@ from repro.workloads import ALL_WORKLOADS, get_workload
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_smoke.json")
 
 
+#: Everything that builds a config from a policy: ``SMConfig`` itself
+#: (handed the spec), and by the spec's registered name the SM and
+#: device presets, a sweep and the daemon's decoder.
+CONFIG_BUILDERS = {
+    "SMConfig": lambda spec: SMConfig(mode=spec),
+    "presets": lambda spec: presets.by_name(spec.name),
+    "device_preset": lambda spec: presets.device(spec.name),
+    "SweepSpec": lambda spec: SweepSpec(workloads=["bfs"], configs=[spec.name], sizes="tiny"),
+    "daemon_decoder": lambda spec: config_from_payload(
+        {"type": "SMConfig", "fields": {"mode": spec.name}}
+    ),
+}
+
+
 @pytest.fixture
 def scratch_names():
     """Unregister any names a test registered, even on failure."""
@@ -54,6 +71,33 @@ class TestRegistry:
         assert reg.get("a") == 1
         reg.register("a", 2, replace=True)
         assert reg.get("a") == 2
+
+    @pytest.mark.parametrize("form", ["call", "decorator"])
+    @pytest.mark.parametrize(
+        "registry", [POLICIES, SCHEDULERS, DIVERGENCE, OBSERVERS], ids=lambda r: r.kind
+    )
+    def test_a_taken_name_refuses_a_different_object(self, registry, form):
+        """Each registry is write-once: a second object under a taken
+        name, registered either way, raises and leaves the first in
+        place."""
+        name, taken = next(registry.items())
+        register = (
+            functools.partial(registry.register, name) if form == "call"
+            else registry.register(name)
+        )
+        with pytest.raises(DuplicateNameError, match="already registered"):
+            register(object())
+        assert registry.get(name) is taken
+
+    def test_register_policy_refuses_a_taken_name(self):
+        taken = POLICIES.get("baseline")
+        other = PolicySpec(name="baseline", scheduler="single_issue", divergence="frontier")
+        try:
+            with pytest.raises(DuplicateNameError, match="already registered"):
+                register_policy(other)
+        finally:
+            if POLICIES.get("baseline") is not taken:  # leave no poisoned registry
+                POLICIES.register("baseline", taken, replace=True)
 
     def test_same_object_reregistration_is_noop(self):
         reg = Registry("thing")
@@ -157,6 +201,27 @@ class TestModeResolution:
                            divergence="frontier")
         with pytest.raises(DuplicateNameError, match="different spec"):
             coerce_policy(clash)
+
+    @pytest.mark.parametrize("field", ["scheduler", "divergence"])
+    @pytest.mark.parametrize("via", sorted(CONFIG_BUILDERS))
+    def test_a_config_refuses_an_unregistered_part(self, via, field, scratch_names):
+        """Refused where the config is built, not per cell at
+        simulation after it got a peak IPC and a cache key.  A spec
+        handed to ``SMConfig`` is checked before it is registered; the
+        other builders take the name of a registered one."""
+        parts = {"scheduler": "cascaded", "divergence": "frontier", field: "nosuch"}
+        spec = PolicySpec(name="scratch_nosuch", **parts)
+        if via != "SMConfig":
+            register_policy(spec)
+            scratch_names.append((POLICIES, spec.name))
+        with pytest.raises(PolicyLookupError) as refusal:
+            CONFIG_BUILDERS[via](spec)
+        message = str(refusal.value)
+        assert "'scratch_nosuch'" in message and "%s='nosuch'" % field in message
+        registry = SCHEDULERS if field == "scheduler" else DIVERGENCE
+        assert all(name in message for name in registry.names())
+        if via == "SMConfig":
+            assert spec.name not in POLICIES
 
     def test_unknown_mode_string_raises_with_catalogue(self):
         with pytest.raises(PolicyLookupError, match="baseline"):

@@ -8,7 +8,9 @@ on is "every event that can change a verdict goes through
 the scan the ready set replaced — every live warp, every hot slot,
 the readiness predicate — run before every pick of whole simulations:
 a missed wake or sleep site fails on the warp and slot it concerns,
-not as a golden diff three layers up.
+not as a golden diff three layers up.  A wake that bypasses a warp's
+woken flags fails there too: no scheduler or fetch-engine woken list
+may hold a warp twice when it is read.
 """
 
 import collections
@@ -28,6 +30,7 @@ from repro.core.simulator import simulate
 from repro.core.sm import StreamingMultiprocessor
 from repro.core.warp import TimingWarp
 from repro.timing.config import GPUConfig
+from repro.timing.fetch import FetchEngine
 from repro.timing.units import UNIT_OF
 from repro.workloads import get_workload
 
@@ -111,10 +114,41 @@ def _oldest_with_free_unit(sm, expected, now, by):
     return None
 
 
+def check_woken_once(woken, now):
+    """A woken list holds each warp once: a second entry means a wake
+    went round the warp's woken flag, and the warp is probed twice."""
+    seen = set()
+    for warp in woken:
+        assert id(warp) not in seen, "cycle %d: warp %d woken twice" % (now, warp.wid)
+        seen.add(id(warp))
+
+
+@contextlib.contextmanager
+def check_woken_lists(sm):
+    """Check every woken list of ``sm`` where it is read: the
+    scheduler's in ``_refresh``, the fetch engine's in ``tick``."""
+    sched = sm.scheduler
+    refresh, fetch_tick = sched._refresh, FetchEngine.tick
+
+    def checked_refresh(now, index=0):
+        check_woken_once(sched.woken[index], now)
+        refresh(now, index)
+
+    def checked_tick(self, now, warps):
+        if self is sm.fetch:
+            check_woken_once(self.woken, now)
+        return fetch_tick(self, now, warps)
+
+    sched._refresh = checked_refresh
+    with mock.patch.object(FetchEngine, "tick", checked_tick):
+        yield
+
+
 @contextlib.contextmanager
 def instrument(sm, counts):
     """Check the ready set before every pick of ``sm``'s scheduler,
-    for as long as the context is open.
+    and every woken list of ``sm`` where it is read
+    (:func:`check_woken_lists`), for as long as the context is open.
 
     The cascaded schedulers pick through ``_pick`` (both picks from
     one snapshot), which is wrapped; the stock primary it returns is
@@ -140,7 +174,8 @@ def instrument(sm, counts):
             return got, secondary
 
         sched._pick = pick
-        yield
+        with check_woken_lists(sm):
+            yield
         return
 
     dual = isinstance(sched, SBIScheduler)
@@ -191,7 +226,7 @@ def instrument(sm, counts):
         return diverged
 
     sched.tick = tick
-    with mock.patch.object(StreamingMultiprocessor, "issue", issue):
+    with mock.patch.object(StreamingMultiprocessor, "issue", issue), check_woken_lists(sm):
         yield
 
 
@@ -200,6 +235,17 @@ class TestReadySetInvariant:
         ("mandelbrot", "sbi_swi"),
         ("bfs", "sbi"),
         ("transpose", "baseline"),
+        # Writebacks here often release a warp already on the woken
+        # list: where a wake that skips the flag would queue it twice.
+        ("tmd1", "sbi"),
+        ("eigenvalues", "sbi"),
+        ("tmd1", "sbi_swi"),
+        # The other oldest-first schedulers and divergence models
+        # (``swi_rr``'s primary pick rotates instead).
+        ("bfs", "swi"),
+        ("mandelbrot", "warp64"),
+        ("bfs", "swi_greedy"),
+        ("bfs", "dwr"),
     ])
     def test_ready_set_equals_full_scan_before_every_pick(self, workload, mode, **overrides):
         config = presets.by_name(mode, **overrides)
@@ -222,13 +268,16 @@ class TestReadySetInvariant:
             "bfs", "sbi_swi", scoreboard_entries=2
         )
 
-    def _fails_without(self, workload, mode, door):
+    def _fails_with(self, workload, mode, door, replacement, match=r"^cycle \d+"):
         inst = get_workload(workload, "tiny")
         device, sm = one_sm(inst, presets.by_name(mode))
         with instrument(sm, {"picks": 0, "chosen": 0}):
-            with mock.patch.object(TimingWarp, door, lambda self, *args: None):
-                with pytest.raises(AssertionError, match=r"^cycle \d+"):
+            with mock.patch.object(TimingWarp, door, replacement):
+                with pytest.raises(AssertionError, match=match):
                     device.run()
+
+    def _fails_without(self, workload, mode, door):
+        self._fails_with(workload, mode, door, lambda self, *args: None)
 
     def test_oracle_catches_a_missed_wake(self):
         """Drop the door a fill's or a release's *yes* comes through
@@ -240,6 +289,19 @@ class TestReadySetInvariant:
         """Likewise the issue-side wake of a refusal kept as ``True``
         or of a slot-1 fill (``wake_issue``)."""
         self._fails_without("bfs", "sbi", "wake_issue")
+
+    @pytest.mark.parametrize("door,woken", [("wake_issue", "_issue_wakes"), ("wake", "_fetch_wakes")])
+    def test_oracle_catches_a_double_wake(self, door, woken):
+        """A door that appends the warp again, whatever its woken flag
+        says: the run must fail on the woken list it doubled (the
+        scheduler's, the fetch engine's), before any probe runs twice."""
+        inner = getattr(TimingWarp, door)
+
+        def twice(self):
+            inner(self)
+            getattr(self, woken).append(self)
+
+        self._fails_with("bfs", "sbi", door, twice, match=r"^cycle \d+: warp \d+ woken twice")
 
 
 #: Calls per issued instruction on transpose@tiny: ``(readiness probes,
@@ -459,6 +521,18 @@ def bytecodes_per_issue(mode, traced=None):
     return sum(by_code.values()) / issues, dict(per_function)
 
 
+def bytecodes_per_module(traced):
+    """Bytecodes per issued instruction by module of a
+    :func:`traced_run`: its path under ``repro/``, or ``other`` for
+    code outside the package."""
+    issues, _, by_code = traced
+    per_module = collections.Counter()
+    for code, n in by_code.items():
+        _, inside, module = code.co_filename.replace(os.sep, "/").rpartition("/repro/")
+        per_module[module if inside else "other"] += n / issues
+    return per_module
+
+
 #: The memory side: the LSU, the tag stores, the L2 and DRAM.
 MEMORY_FILES = tuple(
     os.path.join("repro", "timing", name) for name in ("lsu.py", "cache.py", "l2.py", "dram.py")
@@ -627,10 +701,11 @@ if __name__ == "__main__":
     print("| mode | probes/issue | unit queries/issue | calls/issue | first calls/issue"
           " | bytecodes/issue | parent bytecodes/issue | bytes owned/warp, parent → now |")
     print("| --- | ---: | ---: | ---: | ---: | ---: | ---: | ---: |")
-    maps, memory = {}, {}
+    maps, memory, modules = {}, {}, {}
     for mode in sorted(WORK_PINS):
         traced = traced_run(mode)
         memory[mode] = memory_bytecodes_per_issue(traced)
+        modules[mode] = bytecodes_per_module(traced)
         bytecodes, maps[mode] = bytecodes_per_issue(mode, traced)
         print("| %s | %.2f | %.2f | %.1f | %.1f | %.1f | %.1f | %.0f → %.0f |" % (
             (mode,) + work_per_issue(mode) + (
@@ -642,6 +717,7 @@ if __name__ == "__main__":
     traced = traced_run(DEVICE)
     bytecodes, _ = bytecodes_per_issue(DEVICE, traced)
     memory[DEVICE] = memory_bytecodes_per_issue(traced)
+    modules[DEVICE] = bytecodes_per_module(traced)
     print("| %s: transpose, 4 x sbi_swi SMs | | | | | %.1f | %.1f | %.0f → %.0f |" % (
         DEVICE, bytecodes, PARENT_BYTECODES[DEVICE],
         PARENT_OWNED_BYTES[DEVICE], owned_bytes_per_warp(DEVICE),
@@ -650,6 +726,14 @@ if __name__ == "__main__":
     print("| --- |" + " ---: |" * len(memory))
     print("| bytecodes in `repro/timing/{lsu,cache,l2,dram}.py` per memory issue | "
           + " | ".join("%.1f" % memory[mode] for mode in memory) + " |")
+    print("\nbytecodes per issue by engine module, CPython %d.%d:\n" % sys.version_info[:2])
+    print("| module | " + " | ".join(modules) + " |")
+    print("| --- |" + " ---: |" * len(modules))
+    for name in sorted(modules["sbi_swi"], key=modules["sbi_swi"].get, reverse=True):
+        print("| `%s` | %s |" % (
+            name, " | ".join("%.1f" % modules[mode].get(name, 0.0) for mode in modules)
+        ))
+    print("| total | %s |" % " | ".join("%.1f" % sum(modules[mode].values()) for mode in modules))
     modes = sorted(maps)
     print("\nbytecodes per issue by function, CPython %d.%d (the 25 largest of %s):\n"
           % (sys.version_info[:2] + (modes[-1],)))

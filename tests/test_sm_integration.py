@@ -1,8 +1,15 @@
 """SM pipeline integration: barriers, CTA dispatch, event skipping,
 memory-system interaction, and the paper's structural properties."""
 
+import enum
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
+
+import repro.timing
 
 from repro.core import presets
 from repro.core.gpu import GPUDevice, deadlock_report, overrun_report
@@ -370,3 +377,31 @@ class TestMemorySystemIntegration:
         stats = simulate(kernel, mem, presets.baseline())
         assert stats.dram_bytes >= n * 4  # fills + write-through
         np.testing.assert_array_equal(mem.read_array(dst, n), np.arange(n))
+
+
+#: The engine core: the SM, its warps and every timing module.  Their
+#: objects are built per warp, split, fetch or event.
+HOT_PATH_MODULES = ["repro.core.sm", "repro.core.warp"] + sorted(
+    "repro.timing." + m.name for m in pkgutil.iter_modules(repro.timing.__path__)
+)
+
+#: Every class those modules define, exceptions and enums aside: they
+#: carry no per-cycle state.
+HOT_PATH_CLASSES = [
+    cls
+    for module in map(importlib.import_module, HOT_PATH_MODULES)
+    for cls in vars(module).values()
+    if inspect.isclass(cls)
+    and cls.__module__ == module.__name__
+    and not issubclass(cls, (BaseException, enum.Enum))
+]
+
+
+@pytest.mark.parametrize(
+    "cls", HOT_PATH_CLASSES, ids=lambda cls: "%s.%s" % (cls.__module__, cls.__qualname__)
+)
+def test_engine_classes_carry_no_instance_dict(cls):
+    """Slotted (``__slots__`` or ``@dataclass(slots=True)``): a
+    per-instance ``__dict__`` costs memory per object and puts
+    attribute access on the slow path."""
+    assert cls.__dictoffset__ == 0, "%s has an instance __dict__" % cls.__qualname__

@@ -15,7 +15,7 @@ error lines against ``tools/mypy_baseline.txt``:
   the baseline in the same change that fixed them.
 
 When mypy is not installed (the development container does not bake it
-in) the check exits 0 with a notice: the CI static-analysis job
+in) the check exits 0 with a notice: the CI mypy-baseline job
 installs mypy and is the enforcing environment.
 """
 
