@@ -42,7 +42,7 @@ import threading
 import time
 from contextlib import closing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.api import cache as result_cache
 from repro.api.cache import AnyConfig, AnyStats
@@ -51,6 +51,7 @@ from repro.api.spec import Cell, SweepSpec
 from repro.core.gpu import simulate_device
 from repro.core.policy.observers import Observer
 from repro.core.simulator import simulate
+from repro.functional.compiled import compile_program
 from repro.timing.config import GPUConfig
 from repro.workloads import get_workload
 
@@ -133,6 +134,28 @@ def _build_and_simulate(
     if verify and inst.numpy_check is not None:
         inst.numpy_check(inst.memory)
     return stats, attached
+
+
+def _warm(pending: List[Pending]) -> None:
+    """Build the pending cells' workloads and compile their programs at
+    each cell's warp width in this process, where both are kept
+    (:func:`~repro.workloads.get_workload`,
+    :meth:`~repro.isa.program.Program.plan_table`): workers forked
+    afterwards start with them instead of each doing it again.  A
+    workload that fails to build is left for its cells to fail on in a
+    worker, as they would have."""
+    widths: Dict[Tuple[str, str], Set[int]] = {}
+    for _, cell, _, _ in pending:
+        config = cell.config
+        sm = config.sm if isinstance(config, GPUConfig) else config
+        widths.setdefault((cell.workload, cell.size), set()).add(sm.warp_width)
+    for (workload, size), in_use in widths.items():
+        try:
+            program = get_workload(workload, size).kernel.program
+        except Exception:  # noqa: BLE001 — the cells' own error, raised in a worker
+            continue
+        for width in sorted(in_use):
+            compile_program(program, width)
 
 
 #: Seconds between a pool worker's checks that its parent is alive.
@@ -502,8 +525,11 @@ class Engine:
             ))
 
     def _run_process(self, pending, verify) -> Iterator[CellOutcome]:
+        import multiprocessing
         from concurrent.futures import as_completed
 
+        if multiprocessing.get_start_method() == "fork":
+            _warm(pending)  # the workers fork with it
         with worker_pool(self.jobs, self.plugins) as pool:
             futures = {
                 pool.submit(

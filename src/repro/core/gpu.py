@@ -136,9 +136,11 @@ class GPUDevice:
 
     Every SM runs the same kernel on the same memory image, so the
     device builds one :class:`~repro.functional.executor.Executor` and
-    one :class:`~repro.functional.executor.LaunchRows` for the launch
-    and hands them to every SM: each instruction's plan and each
-    thread-identity row is made once per launch, not once per SM.
+    one :class:`~repro.functional.executor.LaunchRows` (the image and
+    the launch constants) for the launch and hands them to every SM:
+    each thread-identity row is made once per launch, not once per SM,
+    and each instruction's plan once per program and warp width in the
+    process (:meth:`~repro.isa.program.Program.plan_table`).
     ``compiled`` selects the plan maker (see
     :func:`~repro.core.simulator.simulate`).
     :meth:`release` tears a finished or failed run down.
@@ -164,8 +166,8 @@ class GPUDevice:
         # ``compiled`` is deliberately not a config field: cache keys
         # must not change with it (identical architectural behaviour;
         # see repro.functional.compiled).
-        self.executor = Executor(kernel, memory, compiled=compiled)
-        launch_rows = LaunchRows(kernel, config.sm.warp_width)
+        self.executor = Executor(kernel, compiled=compiled)
+        launch_rows = LaunchRows(kernel, config.sm.warp_width, memory)
         self.sms: List[StreamingMultiprocessor] = []
         for i in range(config.sm_count):
             if self.l2 is not None:

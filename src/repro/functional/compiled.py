@@ -20,19 +20,31 @@ pinned by the differential test over all 21 workloads and the golden
 smoke matrix, and opcode by opcode by ``tests/test_functional_executor.py``,
 which runs every assertion on both plan makers.
 
-**Every operand is a warp-width array.**  An immediate, a kernel
-parameter, ``ntid``/``nctaid`` and a memory offset become read-only
-``float64`` rows built once at compile time (``ctaid``/``warpid`` are
-rows of the :class:`~repro.functional.executor.FunctionalWarp`), and
-branch conditions, guards and ``SEL`` compare against one zero row.
+**A plan is a function of its instruction and the warp width
+alone.**  What a launch fixes — the global image, ``%param<i>``,
+``%ntid`` and ``%nctaid`` — it reads through the warp (rows of the
+launch's :class:`~repro.functional.executor.LaunchRows`), so one plan
+serves every launch of its program: the program keeps its plans
+(:meth:`~repro.isa.program.Program.plan_table`), and a kernel is
+compiled once per process and width, not once per run.
+
+**Every operand is a warp-width array.**  An immediate and a memory
+offset become read-only ``float64`` rows built once at compile time;
+a kernel parameter, ``ntid``/``nctaid``, ``ctaid`` and ``warpid`` are
+read-only rows of the
+:class:`~repro.functional.executor.FunctionalWarp`, and branch
+conditions, guards and ``SEL`` compare against one zero row.
 A ufunc given a numpy or Python scalar pays for converting and
 promoting it on every call: at 64 lanes, array ⊕ ``np.float64``
 costs 1.6 times array ⊕ array, and ``row != 0`` 1.8 times
 ``row != zeros`` (numpy 2.4; README's performance section has the
 figures).  The rows are read-only, so no plan can write a
-constant another plan reads, and they are never shared by value: an
-immediate ``-0.0`` gets its own row (``-0.0 == 0.0`` as a dict key,
-not as an operand of ``1 / x``).
+constant another plan reads, and an immediate's row is shared by every
+operand of the same ``float64`` bits — never by value: ``-0.0`` gets
+its own row (``-0.0 == 0.0`` as a dict key, not as an operand of
+``1 / x``).  Operand getters that depend on nothing but a register or
+parameter index are shared too: plans outlive runs, so what they
+repeat is kept once.
 
 The only deliberate shortcut is the *full-warp fast path*: when the
 effective mask is the interned all-active array (identity comparison
@@ -50,8 +62,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.functional.memory import MemoryImage
-from repro.isa.builder import Kernel
 from repro.isa.instructions import (
     CmpOp,
     Instruction,
@@ -60,6 +70,7 @@ from repro.isa.instructions import (
     Operand,
     OperandKind,
 )
+from repro.isa.program import Program
 from repro.timing.masks import bools_to_indices, full_mask, mask_to_bools
 
 
@@ -151,41 +162,56 @@ def zero_row(width: int) -> np.ndarray:
 
 
 def _constant(value, width: int) -> Callable:
-    row = const_row(value, width)
+    """The getter of ``value``'s row, shared by every operand of the
+    same ``float64`` bits: ``-0.0`` and ``0.0`` get a row each."""
+    return _constant_of(np.float64(value).tobytes(), width)
+
+
+@lru_cache(maxsize=None)
+def _constant_of(bits: bytes, width: int) -> Callable:
+    row = const_row(np.frombuffer(bits)[0], width)
     return lambda fw: row
 
 
-def _src_getter(operand: Operand, kernel: Kernel, width: int) -> Callable:
+#: Each special register's getter: a row of the warp or of its launch.
+_SPECIALS = {
+    "tid": lambda fw: fw.tids_f64,
+    "ctaid": lambda fw: fw.ctaid_f64,
+    "ntid": lambda fw: fw.ntid_f64,
+    "nctaid": lambda fw: fw.nctaid_f64,
+    "laneid": lambda fw: fw.lanes_f64,
+    "warpid": lambda fw: fw.warpid_f64,
+}
+
+
+@lru_cache(maxsize=None)
+def _register(index: int) -> Callable:
+    """Register ``index``'s getter, one per process: plans outlive
+    their runs, so the getters they repeat are kept once."""
+    return lambda fw: fw.rows[index]
+
+
+@lru_cache(maxsize=None)
+def _param(index: int) -> Callable:
+    """``%param<index>``'s getter (in range: checked by ``Kernel``)."""
+    return lambda fw: fw.params[index]
+
+
+def _src_getter(operand: Operand, width: int) -> Callable:
     """Pre-resolved operand access: ``getter(fwarp) -> row``, always a
     read-only ``float64`` array of ``width`` lanes."""
     kind = operand.kind
     if kind is OperandKind.REG:
-        index = operand.value
-        return lambda fw: fw.rows[index]
+        return _register(operand.value)
     if kind is OperandKind.IMM:
         return _constant(operand.value, width)
     name = operand.value
     if isinstance(name, tuple):  # ("param", i)
-        index = name[1]
-        if index >= len(kernel.params):
-            raise ExecutionError(
-                "kernel %s launched with %d params, wants param%d"
-                % (kernel.name, len(kernel.params), index)
-            )
-        return _constant(kernel.params[index], width)
-    if name == "tid":
-        return lambda fw: fw.tids_f64
-    if name == "ctaid":
-        return lambda fw: fw.ctaid_f64
-    if name == "ntid":
-        return _constant(kernel.cta_size, width)
-    if name == "nctaid":
-        return _constant(kernel.grid_size, width)
-    if name == "laneid":
-        return lambda fw: fw.lanes_f64
-    if name == "warpid":
-        return lambda fw: fw.warpid_f64
-    raise ExecutionError("unknown special %r" % (name,))
+        return _param(name[1])
+    getter = _SPECIALS.get(name)
+    if getter is None:
+        raise ExecutionError("unknown special %r" % (name,))
+    return getter
 
 
 def _compute_for(instr: Instruction, width: int) -> Optional[Callable]:
@@ -209,9 +235,7 @@ def _compute_for(instr: Instruction, width: int) -> Optional[Callable]:
     return _COMPUTE_FUNCS.get(op)
 
 
-def compile_instruction(
-    instr: Instruction, kernel: Kernel, memory: MemoryImage, width: int
-) -> Callable:
+def compile_instruction(instr: Instruction, width: int) -> Callable:
     """Specialise ``instr`` into ``plan(fwarp, active_bools)``.
 
     ``active_bools`` is the already-predicated execution mask; the
@@ -225,7 +249,7 @@ def compile_instruction(
 
     if op is Op.BRA:
         if instr.srcs:
-            get_cond = _src_getter(instr.srcs[0], kernel, width)
+            get_cond = _src_getter(instr.srcs[0], width)
             # ``== 0`` is exactly ``~(!= 0)``, NaN lanes included: one
             # comparison either way, against the zero row.
             compare = np.equal if instr.pred_neg else np.not_equal
@@ -241,7 +265,7 @@ def compile_instruction(
         return lambda fw, active: None
 
     if instr.is_memory:
-        return _compile_memory(instr, kernel, memory, width, full_arr)
+        return _compile_memory(instr, width, full_arr)
 
     # Arithmetic / logic / transcendental.  ``np.errstate`` is *not*
     # entered per issue (it costs more than the compute for warp-sized
@@ -249,7 +273,7 @@ def compile_instruction(
     compute = _compute_for(instr, width)
     if compute is None:
         raise ExecutionError("unhandled op %r" % op)
-    getters = tuple(_src_getter(s, kernel, width) for s in instr.srcs)
+    getters = tuple(_src_getter(s, width) for s in instr.srcs)
     dst = instr.dst
 
     # Arity-specialised source evaluation (the list-comprehension splat
@@ -287,15 +311,13 @@ def compile_instruction(
     return plan
 
 
-def _compile_memory(
-    instr: Instruction, kernel: Kernel, memory: MemoryImage, width: int, full_arr
-) -> Callable:
+def _compile_memory(instr: Instruction, width: int, full_arr) -> Callable:
     op = instr.op
     shared = instr.space is MemSpace.SHARED
-    get_base = _src_getter(instr.srcs[0], kernel, width)
+    get_base = _src_getter(instr.srcs[0], width)
     n_addr_srcs = len(instr.srcs) - (1 if instr.writes_memory else 0)
     get_index = (
-        _src_getter(instr.srcs[1], kernel, width) if n_addr_srcs >= 2 else None
+        _src_getter(instr.srcs[1], width) if n_addr_srcs >= 2 else None
     )
     dst = instr.dst
 
@@ -321,7 +343,7 @@ def _compile_memory(
 
         def plan(fw, active):
             lanes = addrs = addresses(fw)
-            mem = fw.shared if shared else memory
+            mem = fw.shared if shared else fw.memory
             if active is full_arr:
                 fw.regs[dst] = mem.load(addrs)
             else:
@@ -336,13 +358,13 @@ def _compile_memory(
 
         return plan
 
-    store_values = _src_getter(instr.srcs[-1], kernel, width)
+    store_values = _src_getter(instr.srcs[-1], width)
 
     if op is Op.ST:
 
         def plan(fw, active):
             lanes = addrs = addresses(fw)
-            mem = fw.shared if shared else memory
+            mem = fw.shared if shared else fw.memory
             if active is full_arr:
                 mem.store(addrs, store_values(fw))
             else:
@@ -358,7 +380,7 @@ def _compile_memory(
 
     def plan(fw, active):
         lanes = addrs = addresses(fw)
-        mem = fw.shared if shared else memory
+        mem = fw.shared if shared else fw.memory
         if active is full_arr:
             old = mem.atomic(addrs, store_values(fw), atom_op)
             if dst is not None:
@@ -375,13 +397,11 @@ def _compile_memory(
     return plan
 
 
-def compile_guarded(
-    instr: Instruction, kernel: Kernel, memory: MemoryImage, width: int
-) -> Callable:
+def compile_guarded(instr: Instruction, width: int) -> Callable:
     """Full plan including the predicate guard:
     ``plan(fwarp, mask_bools)`` as above; behind a guard it always
     reports, since the effective mask is news to the caller."""
-    body = compile_instruction(instr, kernel, memory, width)
+    body = compile_instruction(instr, width)
     pred = instr.pred
     if pred is None:
         return body
@@ -395,3 +415,18 @@ def compile_guarded(
         return ExecOutcome(active=active) if outcome is None else outcome
 
     return guarded
+
+
+def compile_program(program: Program, width: int) -> None:
+    """Fill ``program``'s plans at ``width`` ahead of their first issue
+    (:meth:`~repro.isa.program.Program.plan_table`): what a process
+    does before it forks workers that will run the program.  An
+    instruction that does not compile keeps its empty slot, so it
+    raises where it would have: at its first issue."""
+    table = program.plan_table(width)
+    for pc, instr in enumerate(program.instructions):
+        if table[pc] is None:
+            try:
+                table[pc] = compile_guarded(instr, width)
+            except ExecutionError:
+                continue

@@ -49,9 +49,15 @@ ThreadRows = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 class LaunchRows:
-    """The read-only launch constants of one kernel launch at one warp
-    width, each built on first use and shared by every warp that reads
-    it.
+    """The launch constants of one kernel launch at one warp width:
+    its global image and read-only rows, shared by every warp that
+    reads them.
+
+    ``params`` (one row per ``%param<i>``), ``ntid`` and ``nctaid`` are
+    built with the launch; compiled plans read them, and ``memory``,
+    through the warp, which is what lets one plan serve every launch of
+    its program (:mod:`repro.functional.compiled`).  The thread rows
+    are built on first use.
 
     A warp's thread identity depends only on its index in its CTA: its
     tids (clamped to the CTA, so a partial warp's missing threads read
@@ -65,12 +71,20 @@ class LaunchRows:
     launch.
     """
 
-    __slots__ = ("width", "cta_size", "nregs", "_threads", "_warpids", "_ctaids")
+    __slots__ = (
+        "width", "cta_size", "nregs", "memory", "params", "ntid", "nctaid",
+        "_threads", "_warpids", "_ctaids",
+    )
 
-    def __init__(self, kernel: Kernel, width: int) -> None:
+    def __init__(self, kernel: Kernel, width: int, memory: MemoryImage) -> None:
         self.width = width
         self.cta_size = kernel.cta_size
         self.nregs = kernel.nregs
+        self.memory = memory
+        const_row = compiled_plans.const_row
+        self.params = tuple(const_row(value, width) for value in kernel.params)
+        self.ntid = const_row(kernel.cta_size, width)
+        self.nctaid = const_row(kernel.grid_size, width)
         self._threads: Dict[int, ThreadRows] = {}
         self._warpids: Dict[int, np.ndarray] = {}
         self._ctaids: Dict[int, np.ndarray] = {}
@@ -107,8 +121,8 @@ class LaunchRows:
 
 class FunctionalWarp:
     """Architectural state of one warp: its own register file, and its
-    thread identity as rows shared from its launch's
-    :class:`LaunchRows`."""
+    thread identity and launch constants (the global image included)
+    shared from its launch's :class:`LaunchRows`."""
 
     __slots__ = (
         "warp_id",
@@ -118,10 +132,14 @@ class FunctionalWarp:
         "tids_in_cta",
         "cta_index",
         "shared",
+        "memory",
+        "params",
         "tids_f64",
         "lanes_f64",
         "ctaid_f64",
         "warpid_f64",
+        "ntid_f64",
+        "nctaid_f64",
         "__weakref__",  # so a test can watch a retired warp go
     )
 
@@ -143,12 +161,16 @@ class FunctionalWarp:
         self.rows = [_frozen(row) for row in self.regs]
         self.cta_index = cta_index
         self.shared = shared
+        self.memory = launch.memory
         # Special-register vectors are launch constants, frozen for the
         # compiled operand getters, whose operands are all warp-width
         # rows (see repro.functional.compiled).
         self.tids_in_cta, self.tids_f64, self.lanes_f64, _ = launch.threads(index)
         self.ctaid_f64 = launch.ctaid(cta_index)
         self.warpid_f64 = launch.warpid(warp_id)
+        self.params = launch.params
+        self.ntid_f64 = launch.ntid
+        self.nctaid_f64 = launch.nctaid
 
 
 def _frozen(row: np.ndarray) -> np.ndarray:
@@ -157,26 +179,26 @@ def _frozen(row: np.ndarray) -> np.ndarray:
 
 
 class Executor:
-    """Executes instructions for warps of one kernel launch.
+    """Executes instructions for warps of one kernel launch; each warp
+    brings its launch's global image and constants.
 
     ``compiled=True`` (the default) compiles each instruction's plan;
     ``compiled=False`` binds the reference interpreter instead.  A
     program instruction's plan is made on its first issue and kept per
-    (warp width, PC); an instruction outside the program (``pc``
-    unset, or a foreign instruction object) gets a plan made for that
-    call.
+    (warp width, PC): a compiled one in the program's plan table
+    (:meth:`~repro.isa.program.Program.plan_table`), shared by every
+    launch of the program in the process, an interpreter one by this
+    executor.  An instruction outside the program (``pc`` unset, or a
+    foreign instruction object) gets a plan made for that call.
     """
 
-    def __init__(
-        self, kernel: Kernel, memory: MemoryImage, compiled: bool = True
-    ) -> None:
+    def __init__(self, kernel: Kernel, compiled: bool = True) -> None:
         self.kernel = kernel
-        self.memory = memory
         self.compiled = compiled
         self._instrs = kernel.program.instructions
         self._count = len(self._instrs)
-        #: width -> plans by PC.  The plans in use are also bound below,
-        #: with the width's interned bool rows
+        #: width -> interpreter plans by PC.  The plans in use are also
+        #: bound below, with the width's interned bool rows
         #: (:func:`~repro.timing.masks.bools_table`), so an issue at the
         #: width of the last one pays a single compare.
         self._by_width: dict = {}
@@ -223,7 +245,10 @@ class Executor:
         return outcome
 
     def _use_width(self, width: int) -> None:
-        self._plans = self._by_width.setdefault(width, [None] * self._count)
+        if self.compiled:
+            self._plans = self.kernel.program.plan_table(width)
+        else:
+            self._plans = self._by_width.setdefault(width, [None] * self._count)
         self._bools = bools_table(width)
         self._width = width
 
@@ -237,9 +262,7 @@ class Executor:
         """``instr``'s plan for warps of ``width``, from this executor's
         plan maker."""
         if self.compiled:
-            return compiled_plans.compile_guarded(
-                instr, self.kernel, self.memory, width
-            )
+            return compiled_plans.compile_guarded(instr, width)
         return partial(self._execute_interp, instr)
 
     # ------------------------------------------------------------------
@@ -253,14 +276,8 @@ class Executor:
         if kind is OperandKind.IMM:
             return np.float64(operand.value)
         name = operand.value
-        if isinstance(name, tuple):  # ("param", i)
-            index = name[1]
-            if index >= len(self.kernel.params):
-                raise ExecutionError(
-                    "kernel %s launched with %d params, wants param%d"
-                    % (self.kernel.name, len(self.kernel.params), index)
-                )
-            return np.float64(self.kernel.params[index])
+        if isinstance(name, tuple):  # ("param", i): in range, checked by Kernel
+            return np.float64(self.kernel.params[name[1]])
         if name == "tid":
             return warp.tids_in_cta.astype(np.float64)
         if name == "ctaid":
@@ -425,10 +442,11 @@ class Executor:
             addr = addr + instr.offset
         return self._as_int(addr)
 
-    def _space_of(self, instr: Instruction, warp: FunctionalWarp) -> MemoryImage:
+    @staticmethod
+    def _space_of(instr: Instruction, warp: FunctionalWarp) -> MemoryImage:
         if instr.space is MemSpace.SHARED:
             return warp.shared
-        return self.memory
+        return warp.memory
 
     def _memory(
         self, instr: Instruction, warp: FunctionalWarp, active: np.ndarray

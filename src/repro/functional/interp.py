@@ -71,8 +71,8 @@ def run_kernel(
     max_steps: int = 20_000_000,
 ) -> InterpResult:
     """Run all CTAs of ``kernel`` to completion; mutates ``memory``."""
-    executor = Executor(kernel, memory)
-    launch = LaunchRows(kernel, warp_width)
+    executor = Executor(kernel)
+    launch = LaunchRows(kernel, warp_width, memory)
     result = InterpResult()
     # One errstate for the whole launch, as ``GPUDevice.run`` enters:
     # compiled plans skip the per-issue one the interpreter pays.

@@ -21,6 +21,7 @@ parent's image.
 
 from __future__ import annotations
 
+import itertools
 import mmap
 import operator
 
@@ -167,6 +168,43 @@ class MemoryImage:
             old.append(word)
             words[i] = combine(word, value)
         return np.array(old, dtype=np.float64)
+
+
+#: Words per page of an image's mapping.
+_PAGE_WORDS = mmap.PAGESIZE // 8
+
+
+class ImageWords:
+    """The written words of a :class:`MemoryImage`, to fill new images
+    from: its allocations, and each run of pages holding a set bit
+    (``-0.0`` included) as a copy.  A filled image maps only the pages
+    the original wrote, and the runs hold only those."""
+
+    __slots__ = ("size_bytes", "next_free", "runs")
+
+    def __init__(self, image: MemoryImage) -> None:
+        self.size_bytes = image.size_bytes
+        self.next_free = image._next_free
+        used = -(-image._next_free // WORD_BYTES)  # words up to the last allocation
+        bits = image.words[:used].view(np.uint64)
+        runs = []
+        pages = range(0, used, _PAGE_WORDS)
+        for written, run in itertools.groupby(
+            pages, key=lambda start: bool(bits[start : start + _PAGE_WORDS].any())
+        ):
+            if written:
+                starts = list(run)
+                stop = min(starts[-1] + _PAGE_WORDS, used)
+                runs.append((starts[0], image.words[starts[0] : stop].copy()))
+        self.runs = tuple(runs)
+
+    def image(self) -> MemoryImage:
+        """A new image holding these words."""
+        image = MemoryImage(self.size_bytes)
+        for start, words in self.runs:
+            image.words[start : start + len(words)] = words
+        image._next_free = self.next_free
+        return image
 
 
 class SharedMemory(MemoryImage):

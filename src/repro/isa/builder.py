@@ -42,16 +42,18 @@ from repro.isa.program import AssemblyError, Program
 SrcLike = Union[Operand, int, float]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Kernel:
     """A launchable kernel: program + geometry + launch parameters.
 
     ``params`` are scalar launch arguments (base addresses, sizes...)
-    read through ``%param<i>`` specials.  ``shared_bytes`` is the
-    per-CTA shared-memory allocation.  ``nregs`` is each warp's
-    register-file size (:meth:`KernelBuilder.build` sets it to the
-    program's :attr:`~repro.isa.program.Program.register_count`); a
-    program that names a register past it is refused.
+    read through ``%param<i>`` specials; a program that names a
+    parameter past them is refused.  ``shared_bytes`` is the per-CTA
+    shared-memory allocation.  ``nregs`` is each warp's register-file
+    size (:meth:`KernelBuilder.build` sets it to the program's
+    :attr:`~repro.isa.program.Program.register_count`); a program that
+    names a register past it is refused.  A kernel is immutable: one
+    built workload's kernel is shared by every run of it in a process.
     """
 
     name: str
@@ -78,6 +80,13 @@ class Kernel:
                     raise ValueError(
                         "kernel %s: %r names r%d, past its %d registers"
                         % (self.name, instr, index, self.nregs)
+                    )
+            for src in instr.srcs:
+                param = src.value if src.kind is OperandKind.SPECIAL else None
+                if isinstance(param, tuple) and param[1] >= len(self.params):
+                    raise ValueError(
+                        "kernel %s: %r names %%param%d, past its %d params"
+                        % (self.name, instr, param[1], len(self.params))
                     )
 
     @property

@@ -9,7 +9,7 @@ performs resolution, validation and pretty-printing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.isa.instructions import Instruction, Op
 
@@ -37,6 +37,12 @@ class Program:
     ) -> None:
         self.instructions: List[Instruction] = list(instructions)
         self.labels: Dict[str, int] = dict(labels or {})
+        #: Compiled plans by warp width, one slot per PC, filled on
+        #: first use by :mod:`repro.functional`: a plan is a function of
+        #: its instruction and the width alone, so every launch, SM and
+        #: :meth:`~repro.isa.builder.Kernel.with_params` copy of the
+        #: program shares it, and it goes with the program.
+        self.plans: Dict[int, List[Optional[Callable[..., Any]]]] = {}
         self._resolve()
         self._validate()
 
@@ -74,6 +80,13 @@ class Program:
             (index for instr in self.instructions for index in instr.registers()),
             default=-1,
         )
+
+    def plan_table(self, width: int) -> List[Optional[Callable[..., Any]]]:
+        """The plan slots of warp width ``width`` (see :attr:`plans`)."""
+        table = self.plans.get(width)
+        if table is None:
+            table = self.plans.setdefault(width, [None for _ in self.instructions])
+        return table
 
     def __len__(self) -> int:
         return len(self.instructions)

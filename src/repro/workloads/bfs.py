@@ -143,5 +143,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("dist", a_dist, n)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

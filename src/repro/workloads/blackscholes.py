@@ -128,5 +128,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("call", a_call, n), ("put", a_put, n)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

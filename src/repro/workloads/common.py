@@ -23,12 +23,16 @@ SIZE_ALIASES = {"smoke": "tiny"}
 
 @dataclass
 class Instance:
-    """One built workload: kernel + initialised memory + outputs.
+    """One built workload at one ``size``: kernel + initialised memory
+    + outputs.
 
     ``outputs`` lists (label, byte address, word count) regions whose
     final contents define functional correctness.  ``numpy_check``,
     when present, validates those regions against an independent numpy
-    model of the algorithm (raises AssertionError on mismatch).
+    model of the algorithm (raises AssertionError on mismatch).  The
+    memory is the instance's own; the kernel, outputs and check are
+    shared by every instance :func:`repro.workloads.get_workload`
+    hands out for the workload and size.
     """
 
     name: str
@@ -36,13 +40,13 @@ class Instance:
     memory: MemoryImage
     outputs: List[Tuple[str, int, int]]
     numpy_check: Optional[Callable[[MemoryImage], None]] = None
-    rebuild: Optional[Callable[[], "Instance"]] = None
+    size: str = "bench"
 
     def fresh(self) -> "Instance":
         """A new instance with untouched memory (runs mutate memory)."""
-        if self.rebuild is None:
-            raise RuntimeError("workload %s has no rebuild closure" % self.name)
-        return self.rebuild()
+        from repro.workloads.suite import get_workload
+
+        return get_workload(self.name, self.size)
 
     def reference_outputs(self) -> Dict[str, np.ndarray]:
         """Final output regions per the reference interpreter."""

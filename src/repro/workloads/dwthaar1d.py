@@ -108,5 +108,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("io", a_io, total)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

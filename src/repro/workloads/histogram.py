@@ -98,5 +98,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("hist", a_hist, BINS)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

@@ -127,5 +127,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("temp", a_temp, total)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

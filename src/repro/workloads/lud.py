@@ -119,5 +119,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("lu", a_m, total)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

@@ -116,5 +116,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("iters", a_out, pixels)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

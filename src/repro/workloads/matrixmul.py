@@ -101,5 +101,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("c", a_c, dim * dim)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

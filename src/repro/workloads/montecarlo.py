@@ -88,5 +88,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("out", a_out, n)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

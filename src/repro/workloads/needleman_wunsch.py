@@ -141,5 +141,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("matrix", a_out, CELLS * ctas)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

@@ -130,5 +130,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("io", a_io, total), ("vals", a_val, total)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

@@ -185,5 +185,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("img", a_img, total)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

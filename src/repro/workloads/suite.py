@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.functional.memory import ImageWords, MemoryImage
+from repro.isa.builder import Kernel
 from repro.workloads.common import SIZE_ALIASES, SIZES, Instance, normalize_size
 
 #: Regular applications (Figure 7a), paper order.
@@ -86,11 +88,34 @@ def list_workloads(category: Optional[str] = None) -> List[WorkloadInfo]:
     return infos
 
 
-def get_workload(name: str, size: str = "bench") -> Instance:
-    """Build a fresh instance of one workload.
+@dataclass(frozen=True)
+class _Built:
+    """One workload built at one size by ``build``: what its instances
+    share, and the words their images start from."""
 
-    ``size`` accepts aliases (``smoke`` -> ``tiny``); unknown names
-    and sizes raise errors that list every valid choice.
+    build: Callable[..., Instance]
+    name: str
+    kernel: Kernel
+    outputs: List[Tuple[str, int, int]]
+    numpy_check: Optional[Callable[[MemoryImage], None]]
+    words: ImageWords
+
+
+#: (workload, canonical size) -> its build: :func:`get_workload` builds
+#: each once per process, and again only if its module's ``build`` is
+#: replaced (as a test replaces it to run a hook inside every build).
+_BUILT: Dict[Tuple[str, str], _Built] = {}
+
+
+def get_workload(name: str, size: str = "bench") -> Instance:
+    """A fresh instance of one workload: its own memory image, filled
+    with the workload's inputs.
+
+    The workload is built on the first call for its (name, size) in a
+    process; every call shares that build's kernel (and so its
+    compiled plans), outputs and check, and fills a new image from its
+    inputs' words.  ``size`` accepts aliases (``smoke`` -> ``tiny``);
+    unknown names and sizes raise errors that list every valid choice.
     """
     if name not in _MODULE_OF:
         raise KeyError(
@@ -101,10 +126,18 @@ def get_workload(name: str, size: str = "bench") -> Instance:
         size = normalize_size(size)
     except ValueError as exc:
         raise ValueError("workload %r: %s" % (name, exc)) from None
-    module = importlib.import_module("repro.workloads." + _MODULE_OF[name])
-    if name in ("tmd1", "tmd2"):
-        return module.build(size, variant=name)
-    return module.build(size)
+    build = importlib.import_module("repro.workloads." + _MODULE_OF[name]).build
+    built = _BUILT.get((name, size))
+    if built is None or built.build is not build:
+        inst = build(size, variant=name) if name in ("tmd1", "tmd2") else build(size)
+        built = _BUILT[(name, size)] = _Built(
+            build, inst.name, inst.kernel, inst.outputs, inst.numpy_check,
+            ImageWords(inst.memory),
+        )
+        memory = inst.memory  # the build's own image is the first instance's
+    else:
+        memory = built.words.image()
+    return Instance(built.name, built.kernel, memory, built.outputs, built.numpy_check, size)
 
 
 def category_of(name: str) -> str:

@@ -208,5 +208,5 @@ def build(size: str = "bench", variant: str = "tmd2") -> common.Instance:
         memory=memory,
         outputs=[("buckets", a_buckets, 64), ("hits", a_hits, n)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size, variant),
+        size=size,
     )

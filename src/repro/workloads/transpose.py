@@ -93,5 +93,5 @@ def build(size: str = "bench") -> common.Instance:
         memory=memory,
         outputs=[("out", a_out, dim * dim)],
         numpy_check=numpy_check,
-        rebuild=lambda: build(size),
+        size=size,
     )

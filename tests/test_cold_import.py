@@ -65,6 +65,22 @@ def test_the_cold_import_adds_none_of_the_deferred_stacks():
     assert _fresh(script) == ["-"]
 
 
+def test_the_cold_import_builds_no_workload():
+    """Workloads are built on first use, one module each: the import
+    builds none, loads no kernel's module and no ``numpy.random`` (what
+    their inputs are drawn with), so ``setup_s`` pays for none."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        + COLD_IMPORT
+        + "from repro.workloads import suite\n"
+        "added = set(sys.modules) - before\n"
+        "kernels = {info.module for info in suite.list_workloads()} & added\n"
+        "print(len(suite._BUILT), 'numpy.random' in added, ' '.join(sorted(kernels)) or '-')\n"
+    )
+    assert _fresh(script) == ["0", "False", "-"]
+
+
 @pytest.mark.parametrize(
     "module, path",
     [

@@ -87,8 +87,8 @@ class TestExecutorUnitDifferential:
         mem = MemoryImage()
         out = mem.alloc(4096)
         kernel = kb.build(cta_size=32, grid_size=1, params=(out,))
-        ex = Executor(kernel, mem, compiled=compiled)
-        warp = FunctionalWarp(LaunchRows(kernel, 32), 0, 0, 0, SharedMemory(64))
+        ex = Executor(kernel, compiled=compiled)
+        warp = FunctionalWarp(LaunchRows(kernel, 32, mem), 0, 0, 0, SharedMemory(64))
         masks = [full_mask(32), 0x0F0F0F0F, 0x1]
         for instr in kernel.program.instructions:
             for mask in masks:

@@ -1,8 +1,10 @@
 """Every operand a compiled plan reads is a read-only warp-width row.
 
-:mod:`repro.functional.compiled` builds each constant operand (an
-immediate, a kernel parameter, ``ntid``/``nctaid``, a memory offset)
-into a ``float64`` row once, at compile time, because a ufunc given a
+:mod:`repro.functional.compiled` builds each constant operand of an
+instruction (an immediate, a memory offset) into a ``float64`` row once,
+at compile time, and a launch builds its own (a kernel parameter,
+``ntid``/``nctaid``) once, in its
+:class:`~repro.functional.executor.LaunchRows`, because a ufunc given a
 scalar pays to convert it on every call.  These tests hold the shape of
 that contract over every instruction of the suite:
 
@@ -40,7 +42,8 @@ WIDTHS = (32, 64)
 
 def _warp(kernel, width, cta=3, wid=5):
     return FunctionalWarp(
-        LaunchRows(kernel, width), wid, 0, cta, SharedMemory(max(kernel.shared_bytes, 4))
+        LaunchRows(kernel, width, MemoryImage()), wid, 0, cta,
+        SharedMemory(max(kernel.shared_bytes, 4)),
     )
 
 
@@ -60,12 +63,12 @@ def test_every_operand_and_guard_is_a_read_only_row(workload, width):
     kernel = inst.kernel
     warp = _warp(kernel, width)
     for instr in kernel.program:
-        compiled.compile_guarded(instr, kernel, inst.memory, width)
+        compiled.compile_guarded(instr, width)
         operands = list(instr.srcs)
         if instr.pred is not None:
             operands.append(reg(instr.pred))  # the guard's register read
         for operand in operands:
-            value = compiled._src_getter(operand, kernel, width)(warp)
+            value = compiled._src_getter(operand, width)(warp)
             assert _is_read_only_row(value, width), (instr, operand, value)
 
 
@@ -81,7 +84,7 @@ def test_special_registers_are_the_warps_rows(width):
         ("ctaid", 3.0), ("warpid", 5.0), ("ntid", width), ("nctaid", 7.0)
     ):
         operand = getattr(kb, name)
-        row = compiled._src_getter(operand, kernel, width)(warp)
+        row = compiled._src_getter(operand, width)(warp)
         assert _is_read_only_row(row, width)
         assert (row == expected).all()
 
@@ -157,11 +160,16 @@ def test_no_plan_writes_a_constant_row(workload, policy, monkeypatch):
 
     monkeypatch.setattr(compiled, "const_row", recording)
     compiled.zero_row.cache_clear()  # rebuilt through the recorder
+    compiled._constant_of.cache_clear()
     try:
         inst = get_workload(workload, "smoke")
+        # Plans are kept by the program, which outlives a run: forget
+        # them, so every one is compiled here, under the stand-ins.
+        inst.kernel.program.plans.clear()
         simulate(inst.kernel, inst.memory, presets.by_name(policy))
     finally:
         compiled.zero_row.cache_clear()
+        compiled._constant_of.cache_clear()
     assert built and "const_row" in allocated  # the stand-in saw the compiler
     for row, before in built:
         assert not row.flags.writeable
@@ -179,9 +187,9 @@ def test_negative_zero_keeps_its_own_row():
     kernel = kb.build(cta_size=32)
     neg, pos = (instr.srcs[0] for instr in kernel.program.instructions[:2])
     warp = _warp(kernel, 32)
-    assert np.signbit(compiled._src_getter(neg, kernel, 32)(warp)).all()
-    assert not np.signbit(compiled._src_getter(pos, kernel, 32)(warp)).any()
-    executor = Executor(kernel, MemoryImage())
+    assert np.signbit(compiled._src_getter(neg, 32)(warp)).all()
+    assert not np.signbit(compiled._src_getter(pos, 32)(warp)).any()
+    executor = Executor(kernel)
     with np.errstate(all="ignore"):
         for instr in kernel.program.instructions:
             executor.execute(instr, warp, full_mask(32))

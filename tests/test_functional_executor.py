@@ -6,10 +6,12 @@ instruction (``compiled=False``).  The instructions here are outside
 the kernel's program, so each one gets a plan made for its call.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.functional.executor import ExecutionError, Executor, FunctionalWarp, LaunchRows
+from repro.functional.executor import Executor, FunctionalWarp, LaunchRows
 from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import Kernel, KernelBuilder
 from repro.isa.instructions import CmpOp, Instruction, MemSpace, Op, imm, reg, special
@@ -25,8 +27,8 @@ def env(request):
     memory = MemoryImage(1 << 16)
     prog = Program([Instruction(Op.EXIT)])
     kernel = Kernel("t", prog, cta_size=W, grid_size=1, params=(2.0, 3.0), nregs=8)
-    executor = Executor(kernel, memory, compiled=request.param)
-    warp = FunctionalWarp(LaunchRows(kernel, W), 1, 0, 0, SharedMemory(256))
+    executor = Executor(kernel, compiled=request.param)
+    warp = FunctionalWarp(LaunchRows(kernel, W, memory), 1, 0, 0, SharedMemory(256))
     return executor, warp, FULL, memory
 
 
@@ -141,13 +143,19 @@ class TestSpecials:
         executor, _, mask, _ = env
         kernel = Kernel("t", Program([Instruction(Op.EXIT)]), cta_size=2 * W, grid_size=1, nregs=8)
         # The CTA's second warp: tids W .. 2W - 1.
-        warp = FunctionalWarp(LaunchRows(kernel, W), 1, 1, 0, SharedMemory(256))
+        warp = FunctionalWarp(LaunchRows(kernel, W, MemoryImage()), 1, 1, 0, SharedMemory(256))
         executor.execute(Instruction(Op.MOV, dst=0, srcs=(special("laneid"),)), warp, mask)
         assert np.array_equal(warp.regs[0], np.arange(W))
 
     def test_missing_param_raises(self, env):
-        with pytest.raises(ExecutionError):
-            run_op(env, Op.MOV, special("param", 7))
+        # Refused where the kernel is made, not at the first issue: a
+        # plan reads its launch's parameters, whatever their number.
+        kernel = env[0].kernel
+        program = Program(
+            [Instruction(Op.MOV, dst=0, srcs=(special("param", 7),)), Instruction(Op.EXIT)]
+        )
+        with pytest.raises(ValueError, match=r"%param7, past its 2 params"):
+            dataclasses.replace(kernel, program=program)
 
 
 class TestMasking:
@@ -287,9 +295,9 @@ def _run_two_widths(compiled):
     """One executor, a 32-wide and a 64-wide warp of the same kernel,
     then an instruction outside the program."""
     kernel, memory = _kernel_and_memory()
-    executor = Executor(kernel, memory, compiled=compiled)
+    executor = Executor(kernel, compiled=compiled)
     warps = [
-        FunctionalWarp(LaunchRows(kernel, width), 0, 0, 0, SharedMemory(64))
+        FunctionalWarp(LaunchRows(kernel, width, memory), 0, 0, 0, SharedMemory(64))
         for width in (32, 64)
     ]
     with np.errstate(all="ignore"):

@@ -40,7 +40,7 @@ def _saxpy_kernel(grid_size=8, cta_size=128):
     kb.mad(y, x, 2, y)
     kb.st(kb.param(1), y, index=b)
     kb.exit_()
-    return kb.build(cta_size=cta_size, grid_size=grid_size)
+    return kb.build(cta_size=cta_size, grid_size=grid_size, params=(0.0, 0.0))
 
 
 def _saxpy_instance(grid_size=8, cta_size=128):
@@ -559,8 +559,9 @@ class TestAResidentWarpHoldsOnlyItsOwnState:
 
 class TestOneExecutorPerDevice:
     """Every SM of a launch runs the same kernel on the same memory
-    image: the device builds one executor and compiles each
-    instruction once, however many SMs issue it."""
+    image: the device builds one executor, and each instruction is
+    compiled once per program and warp width in the process, however
+    many SMs and launches issue it."""
 
     def test_every_sm_shares_the_device_executor(self):
         inst = get_workload("transpose", "tiny")
@@ -569,20 +570,30 @@ class TestOneExecutorPerDevice:
         assert device.executor.compiled
 
     @pytest.mark.parametrize("mode", ["baseline", "sbi_swi"])
-    def test_each_issued_pc_is_compiled_once_per_launch(self, monkeypatch, mode):
+    def test_each_issued_pc_is_compiled_once_per_program_and_width(self, monkeypatch, mode):
         compiles = []
         compile_guarded = compiled_plans.compile_guarded
 
-        def counted(instr, kernel, memory, width):
-            compiles.append(instr.pc)
-            return compile_guarded(instr, kernel, memory, width)
+        def counted(instr, width):
+            compiles.append((instr.pc, width))
+            return compile_guarded(instr, width)
 
         monkeypatch.setattr(compiled_plans, "compile_guarded", counted)
         inst = get_workload("transpose", "tiny")
+        inst.kernel.program.plans.clear()  # compiled by an earlier test
+        config = presets.device(mode, sm_count=2)
         trace = IssueTrace()
-        stats = simulate_device(
-            inst.kernel, inst.memory, presets.device(mode, sm_count=2), observers=[trace]
-        )
+        stats = simulate_device(inst.kernel, inst.memory, config, observers=[trace])
         # Both SMs ran CTAs, so both issued the kernel's instructions.
         assert all(s.ctas_launched for s in stats.sm_stats)
-        assert sorted(compiles) == sorted({pc for _, _, pc, _, _, _ in trace.events})
+        width = config.sm.warp_width
+        issued = sorted({pc for _, _, pc, _, _, _ in trace.events})
+        assert sorted(compiles) == [(pc, width) for pc in issued]
+        # Later launches of the program compile nothing: a new instance
+        # of the workload, and a copy of its kernel under other params.
+        again = inst.fresh()
+        assert again.kernel.program is inst.kernel.program
+        simulate_device(again.kernel, again.memory, config)
+        copy = get_workload("transpose", "tiny")
+        simulate_device(copy.kernel.with_params(*copy.kernel.params), copy.memory, config)
+        assert len(compiles) == len(issued)

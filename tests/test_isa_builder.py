@@ -226,6 +226,22 @@ class TestBuild:
         with pytest.raises(ValueError, match="nregs must be an int >= 0"):
             Kernel("k", kernel.program, cta_size=32, grid_size=1, nregs=-1)
 
+    def test_a_kernel_refuses_a_param_outside_its_params(self):
+        # A program reading %param2 of a two-parameter launch used to die
+        # at that PC's first issue; a compiled plan no longer sees the
+        # parameters, only the launch does.
+        kb = KernelBuilder("k")
+        (x,) = kb.regs("x")
+        kb.mov(x, kb.param(2))
+        kb.exit_()
+        kernel = kb.build(cta_size=32, params=(1.0, 2.0, 3.0))
+        culprit = "kernel k: %r names %%param2, past its 2 params" % kernel.program[0]
+        with pytest.raises(ValueError, match=re.escape(culprit)):
+            kernel.with_params(1.0, 2.0)
+        with pytest.raises(ValueError, match=re.escape("past its 0 params")):
+            kb.build(cta_size=32)
+        assert kernel.with_params(4.0, 5.0, 6.0).params == (4.0, 5.0, 6.0)
+
 
 class TestMalformedOperands:
     """Each malformed operand is refused as the instruction is emitted,

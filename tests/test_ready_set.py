@@ -15,6 +15,7 @@ may hold a warp twice when it is read.
 
 import collections
 import contextlib
+import copy
 import dataclasses
 import operator
 import os
@@ -114,6 +115,17 @@ def _oldest_with_free_unit(sm, expected, now, by):
     return None
 
 
+def _hook_primary(sched, expected, now):
+    """What an overridden ``_pick_primary`` picks over ``expected``,
+    the full scan's candidates: run on a copy of the scheduler, so the
+    state a pick keeps (``swi_rr``'s ``_last_wid``) does not move."""
+    clone = copy.copy(sched)
+    clone._pools = (
+        [cand[:6] + (sched._unit_of[cand[5].pc],) for cand in expected],
+    ) + sched._pools[1:]
+    return type(sched)._pick_primary(clone, now)
+
+
 def check_woken_once(woken, now):
     """A woken list holds each warp once: a second entry means a wake
     went round the warp's woken flag, and the warp is probed twice."""
@@ -151,9 +163,12 @@ def instrument(sm, counts):
     (:func:`check_woken_lists`), for as long as the context is open.
 
     The cascaded schedulers pick through ``_pick`` (both picks from
-    one snapshot), which is wrapped; the stock primary it returns is
-    held against the full scan's.  The others pick inside ``tick``, one
-    pool after the other, and issue what they picked on the spot — so the oracle
+    one snapshot), which is wrapped; the primary it returns is held
+    against the full scan's: its oldest candidate with a free unit for
+    the stock pick, what the scheduler's own ``_pick_primary`` makes of
+    the full scan's candidates for an overridden one.  The others pick
+    inside ``tick``, one pool after the other, and issue what they
+    picked on the spot — so the oracle
     runs where ``tick`` starts and again where each issue returns
     (which is where the next pool's pick starts), and holds every
     issue against the choice the full scan made: a pick that should
@@ -165,8 +180,11 @@ def instrument(sm, counts):
 
         def pick(now, *args):
             expected = check_ready_set(sm, now)
+            if sched._stock_primary:
+                want = _oldest_with_free_unit(sm, expected, now, now + 1)
+            else:
+                want = _hook_primary(sched, expected, now)
             got, secondary = inner(now, *args)
-            want = _oldest_with_free_unit(sm, expected, now, now + 1)
             assert (got is None) == (want is None), "cycle %d" % now
             assert got is None or _same(got, want), "cycle %d" % now
             counts["picks"] += 1
@@ -240,11 +258,11 @@ class TestReadySetInvariant:
         ("tmd1", "sbi"),
         ("eigenvalues", "sbi"),
         ("tmd1", "sbi_swi"),
-        # The other oldest-first schedulers and divergence models
-        # (``swi_rr``'s primary pick rotates instead).
+        # The other schedulers and divergence models.
         ("bfs", "swi"),
         ("mandelbrot", "warp64"),
         ("bfs", "swi_greedy"),
+        ("bfs", "swi_rr"),
         ("bfs", "dwr"),
     ])
     def test_ready_set_equals_full_scan_before_every_pick(self, workload, mode, **overrides):
