@@ -33,10 +33,25 @@ def spec(size: str) -> SweepSpec:
 
 
 #: The paper's value per ``summary`` name (``fidelity.py``): none, the
-#: paper models one SM.
+#: paper models one SM.  At bench three of the four grids are 4 CTAs,
+#: which one SM holds at once, so four SMs cannot give 4x there.
 PAPER = {
-    name: dict(paper=None)
-    for name in ("baseline_scaling_ratio", "sbi_swi_scaling_ratio", "min_scaling_ratio")
+    "baseline_scaling_ratio": dict(
+        paper=None,
+        because="four SMs give 2.20x / 3.34x one SM (bench / full) under the "
+        "baseline: the device layer scales while the grid has CTAs to spread",
+    ),
+    "sbi_swi_scaling_ratio": dict(
+        paper=None,
+        because="four SMs give 2.18x / 3.27x one SM (bench / full) under "
+        "SBI+SWI, within 0.08 of the baseline's scaling",
+    ),
+    "min_scaling_ratio": dict(
+        paper=None,
+        because="the worst kernel's four-SM speed-up is 1.20x / 2.18x (bench "
+        "/ full); test_multi_sm holds it at 0.95 or more: adding SMs never "
+        "slows the device",
+    ),
 }
 
 

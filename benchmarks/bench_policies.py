@@ -25,10 +25,29 @@ def spec(size: str) -> SweepSpec:
 
 
 #: The paper's value per ``summary`` name (``fidelity.py``): none, these
-#: policies are not the paper's.
+#: policies are not the paper's; each ``because`` says what the row
+#: shows (values at bench / full).
 PAPER = {
-    name: dict(paper=None)
-    for name in ("swi_greedy_gain_pct", "swi_rr_gain_pct", "warp64_gain_pct", "dwr_gain_pct")
+    "swi_greedy_gain_pct": dict(
+        paper=None,
+        because="-2.29 % / -1.75 %: the greedy max-coverage secondary arbiter "
+        "loses to swi's on these kernels",
+    ),
+    "swi_rr_gain_pct": dict(
+        paper=None,
+        because="+0.01 % / +0.14 %: the loose-round-robin primary arbiter shows "
+        "nothing yet; WaSP-style ordering (ROADMAP, parked) is why it stays",
+    ),
+    "warp64_gain_pct": dict(
+        paper=None,
+        because="-13.22 % / -13.81 %: on these divergent kernels 64-wide warps "
+        "without interweaving lose to SWI, Lashgar's divergence cost",
+    ),
+    "dwr_gain_pct": dict(
+        paper=None,
+        because="-27.53 % / -27.61 %: DWR sits below warp64, not between "
+        "warp64 and swi as this module expects; ROADMAP item 12 attributes it",
+    ),
 }
 
 

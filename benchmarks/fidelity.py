@@ -5,19 +5,20 @@
 runs each sweep-shaped ``benchmarks/bench_*.py`` module's ``spec(size)``
 through ``Engine(jobs=N)`` and merges column ``size`` into
 ``FIDELITY.json`` (``--out`` writes elsewhere): one row per ``summary``
-name, plus the rows that need no simulation (:func:`static_rows`): one
-``peak_ipc_<config>`` row per Figure 7 configuration
-(``SMConfig.peak_ipc``; the paper's 64 and 104), one
+name, plus the closed-form rows of :func:`static_rows`: one
 ``area_overhead_pct_<config>`` row per interweaving configuration
 (Table 4's SM overhead, within the 0.25 points
-``bench_table4_area.py`` allows), one ``storage_bits_<config>`` row
+``bench_table4_area.py`` allows) and one ``storage_bits_<config>`` row
 per Table 3 column (every component's banks x rows x bits, summed,
-against the paper's geometries multiplied out) and one
-``table2_<field>_<config>`` row per Table 2 parameter and configuration
-(the preset's ``SMConfig`` field, held exactly to the value
-``bench_table2_parameters.py``'s ``PAPER`` restates).  A sweep module's
-``PAPER`` table gives, per summary name, the paper's value (None where the paper
-gives none), a tolerance band and, for a row outside its band, a
+against the paper's geometries multiplied out).  A row's kind is read
+off its ``figure``: ``simulated`` for a sweep module's ``summary``,
+``analytic`` for an ``hwcost`` closed form (:func:`kind`).  Table 2 and
+the peak IPC have no rows: ``bench_table2_parameters.py``'s ``PAPER``
+holds every preset to them exactly, and ``tests/test_figures.py`` does
+so at tier 1.
+
+A sweep module's ``PAPER`` table gives, per summary name, the paper's
+value (None where the paper gives none), a tolerance band and a
 ``because``.  A row's status, per size:
 
 ``match``       the measurement is inside the band;
@@ -26,10 +27,12 @@ gives none), a tolerance band and, for a row outside its band, a
 ``deviates``    otherwise;
 ``unscored``    the paper gives no value.
 
-A row that is ``shape-only`` or ``deviates`` at any size must carry a
-``because``; the script names every one that does not and writes
-nothing.  It lives beside the modules, not in ``repro``, because
-``summary()`` is not in the installed package.
+A row that is ``shape-only``, ``deviates`` or ``unscored`` at any size
+must carry a ``because`` (why it misses, or what its number shows); the
+script names every one that does not and writes nothing.  It prints
+the counts per kind, simulated first (:func:`headline`).  It lives
+beside the modules, not in ``repro``, because ``summary()`` is not in
+the installed package.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api import Engine
-from repro.core import presets
 from repro.hwcost.area import OVERHEAD_PAPER, overhead_percent
 from repro.hwcost.storage import CONFIGS, STORAGE_PAPER, components
 from repro.workloads import normalize_size
@@ -52,15 +54,12 @@ from repro.workloads import normalize_size
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_OUT = os.path.join(os.path.dirname(HERE), "FIDELITY.json")
 
-#: The paper's peak thread IPC per Figure 7 configuration: 64 for the
-#: 32-wide baseline and the 64-wide reference, 104 with interweaving.
-PEAK_IPC = {"baseline": 64.0, "sbi": 104.0, "swi": 104.0, "sbi_swi": 104.0, "warp64": 64.0}
-
 #: Table 4's SM overheads are given to one decimal; the area model is
 #: held to them within this many percentage points.
 AREA_TOLERANCE = 0.25
 
 STATUSES = ("match", "shape-only", "deviates", "unscored")
+KINDS = ("simulated", "analytic")
 
 
 def load(path: str):
@@ -106,13 +105,8 @@ def paper_bits(geometry: str) -> int:
 
 
 def static_rows() -> Iterator[Tuple[str, str, float, Dict]]:
-    """``(name, figure, value, paper entry)`` for the rows that need no
-    simulation: the same at every size."""
-    for config, paper in PEAK_IPC.items():
-        yield (
-            "peak_ipc_%s" % config, "SMConfig.peak_ipc",
-            presets.by_name(config).peak_ipc, dict(paper=paper, band=(paper, paper)),
-        )
+    """``(name, figure, value, paper entry)`` for the ``hwcost`` closed
+    forms: the same at every size."""
     for config, paper in OVERHEAD_PAPER.items():
         band = (paper - AREA_TOLERANCE, paper + AREA_TOLERANCE)
         yield (
@@ -126,12 +120,6 @@ def static_rows() -> Iterator[Tuple[str, str, float, Dict]]:
             sum(comp.total_bits for comp in components(config)),
             dict(paper=paper, band=(paper, paper)),
         )
-    for field, row in load(os.path.join(HERE, "bench_table2_parameters.py")).PAPER.items():
-        for config, paper in row.items():
-            yield (
-                "table2_%s_%s" % (field, config), "presets.by_name",
-                getattr(presets.by_name(config), field), dict(paper=paper, band=(paper, paper)),
-            )
 
 
 def measure(size: str, jobs: Optional[int]) -> Iterator[Tuple[str, str, float, Dict]]:
@@ -166,13 +154,31 @@ def merge(rows: Dict[str, Dict], size: str, measured) -> Dict[str, Dict]:
     return merged
 
 
+def kind(row: Dict) -> str:
+    """``analytic`` for an ``hwcost`` closed form, else ``simulated``
+    (a sweep module's ``summary``), read off the row's ``figure``."""
+    return "analytic" if row["figure"].startswith("hwcost.") else "simulated"
+
+
 def unexplained(rows: Dict[str, Dict]) -> List[str]:
-    """Rows outside their band at some size with no ``because``."""
+    """Rows not a ``match`` at some size with no ``because``."""
     return sorted(
         name for name, row in rows.items()
-        if "because" not in row
-        and set(row["status"].values()) & {"shape-only", "deviates"}
+        if "because" not in row and set(row["status"].values()) - {"match"}
     )
+
+
+def headline(rows: Dict[str, Dict], size: str) -> str:
+    """The statuses at ``size`` counted per kind, simulated first:
+    ``simulated: 1 of 33 match, 9 shape-only, ...; analytic: ...``."""
+    parts = []
+    for which in KINDS:
+        statuses = [r["status"][size] for r in rows.values() if kind(r) == which]
+        counts = ["%d %s" % (statuses.count(s), s) for s in STATUSES[1:] if s in statuses]
+        parts.append(", ".join(
+            ["%s: %d of %d match" % (which, statuses.count("match"), len(statuses))] + counts
+        ))
+    return "; ".join(parts)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -190,21 +196,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     missing = unexplained(merged)
     if missing:
         print(
-            "error: outside the band with no because: %s" % ", ".join(missing),
+            "error: not a match and no because: %s" % ", ".join(missing),
             file=sys.stderr,
         )
         return 1
     with open(args.out, "w") as handle:
         json.dump({"rows": merged}, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    counts = [sum(r["status"][size] == s for r in merged.values()) for s in STATUSES]
-    print(
-        "%d rows @%s -> %s (%s)" % (
-            len(merged), size, args.out,
-            ", ".join("%d %s" % pair for pair in zip(counts, STATUSES)),
-        ),
-        file=sys.stderr,
-    )
+    print("%d rows @%s -> %s" % (len(merged), size, args.out), file=sys.stderr)
+    print(headline(merged, size))
     return 0
 
 

@@ -38,23 +38,15 @@ def _one_warp(threads, diverge=False):
 
 
 class TestPresets:
-    def test_table2_baseline(self):
-        c = presets.baseline()
-        assert (c.warp_count, c.warp_width) == (32, 32)
-        assert c.scheduler_latency == 1 and c.delivery_latency == 0
-        assert c.scoreboard_kind == "warp"
-        assert c.peak_ipc == 64.0
+    """Table 2 and the peak IPC are held by ``tests/test_figures.py``;
+    these are the presets' fields beside them."""
 
-    def test_table2_sbi(self):
-        c = presets.sbi()
-        assert (c.warp_count, c.warp_width) == (16, 64)
-        assert c.scheduler_latency == 1 and c.delivery_latency == 1
-        assert c.scoreboard_kind == "matrix"
-        assert c.peak_ipc == 104.0
+    def test_scoreboard_kinds(self):
+        assert presets.baseline().scoreboard_kind == "warp"
+        assert presets.sbi().scoreboard_kind == "matrix"
 
-    def test_table2_swi(self):
+    def test_swi_lane_shuffle_and_lookup(self):
         c = presets.swi()
-        assert c.scheduler_latency == 2
         assert c.lane_shuffle == "xor_rev"
         assert c.swi_ways is None
 
@@ -65,11 +57,6 @@ class TestPresets:
 
     def test_baseline_two_mad_groups(self):
         assert presets.baseline().mad_group_count == 2
-
-    def test_shared_memory_parameters(self):
-        c = presets.baseline()
-        assert c.l1_size == 48 * 1024 and c.l1_ways == 6 and c.l1_block == 128
-        assert c.dram_bandwidth == 10.0 and c.dram_latency == 330
 
     def test_by_name_and_overrides(self):
         c = presets.by_name("swi", swi_ways=3)

@@ -24,6 +24,7 @@ import types
 import pytest
 
 from repro.api import Engine
+from repro.core import presets
 from repro.timing.stats import Stats
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -121,35 +122,13 @@ def test_failed_cell_fails_the_figure_by_name(name, monkeypatch):
 with open(os.path.join(ROOT, "FIDELITY.json")) as _f:
     FIDELITY = json.load(_f)["rows"]
 
-PEAK_ROWS = {
-    "peak_ipc_%s" % config for config in ("baseline", "sbi", "swi", "sbi_swi", "warp64")
-}
-#: Tables 4 and 3: the rows ``fidelity.static_rows`` adds, as
-#: ``PEAK_ROWS`` does, without simulating.
+#: Tables 4 and 3: the closed-form rows ``fidelity.static_rows`` adds
+#: without simulating.
 AREA_ROWS = {"area_overhead_pct_%s" % config for config in ("sbi", "swi", "sbi_swi")}
 STORAGE_ROWS = {
     "storage_bits_%s" % config for config in ("baseline", "sbi", "swi", "sbi_swi")
 }
-#: Table 2, restated: per configuration, warp count and width, the
-#: scheduler, delivery and execution latencies, scoreboard entries, L1
-#: size / ways / block / latency, DRAM bandwidth and latency.
-TABLE2_FIELDS = (
-    "warp_count", "warp_width", "scheduler_latency", "delivery_latency",
-    "exec_latency", "scoreboard_entries", "l1_size", "l1_ways", "l1_block",
-    "l1_latency", "dram_bandwidth", "dram_latency",
-)
-TABLE2 = {
-    "baseline": (32, 32, 1, 0, 8, 6, 48 * 1024, 6, 128, 3, 10.0, 330),
-    "sbi": (16, 64, 1, 1, 8, 6, 48 * 1024, 6, 128, 3, 10.0, 330),
-    "swi": (16, 64, 2, 1, 8, 6, 48 * 1024, 6, 128, 3, 10.0, 330),
-    "sbi_swi": (16, 64, 2, 1, 8, 6, 48 * 1024, 6, 128, 3, 10.0, 330),
-}
-TABLE2_ROWS = {
-    "table2_%s_%s" % (field, config): value
-    for config, values in TABLE2.items()
-    for field, value in zip(TABLE2_FIELDS, values)
-}
-STATIC_ROWS = PEAK_ROWS | AREA_ROWS | STORAGE_ROWS | set(TABLE2_ROWS)
+STATIC_ROWS = AREA_ROWS | STORAGE_ROWS
 
 
 def _rule(name, measured, paper, band):
@@ -169,9 +148,24 @@ def test_paper_table_keys_are_the_summary_keys(name):
     assert set(_load(name).PAPER) == set(GOLDEN[name])
 
 
-def test_fidelity_rows_are_the_summary_names_and_peak_ipc():
+def test_fidelity_rows_are_the_summary_names_and_the_closed_forms():
     names = {key for summary in GOLDEN.values() for key in summary}
     assert set(FIDELITY) == names | STATIC_ROWS
+
+
+def test_each_rows_kind_is_its_producers_and_every_miss_says_why():
+    """``fidelity.kind`` reads a summary row as ``simulated`` and a
+    closed form as ``analytic``.  A row off its band says why it misses
+    and an unscored one what it shows; ``fidelity.unexplained`` refuses
+    either without its ``because``."""
+    fidelity = _load("fidelity")
+    simulated = {key for summary in GOLDEN.values() for key in summary}
+    for key, row in FIDELITY.items():
+        assert fidelity.kind(row) == ("simulated" if key in simulated else "analytic"), key
+        if set(row["status"].values()) != {"match"}:
+            assert row.get("because"), key
+            bare = {field: value for field, value in row.items() if field != "because"}
+            assert fidelity.unexplained({key: bare}) == [key]
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
@@ -187,7 +181,7 @@ def test_fidelity_rows_carry_the_paper_table(name):
 
 def test_fidelity_columns():
     """``bench`` for every row, ``full`` for Figure 7's and for the
-    rows that need no simulation."""
+    closed forms."""
     for key, row in FIDELITY.items():
         assert "bench" in row["measured"], key
         if row["figure"] == "bench_fig7_performance" or key in STATIC_ROWS:
@@ -224,15 +218,15 @@ def test_fidelity_static_rows_are_the_models_against_tables_3_and_4():
         assert (row["paper"], row["band"]) == (bits, [bits, bits]), config
 
 
-def test_fidelity_table2_rows_hold_each_preset_to_the_paper_exactly():
-    """The Table 2 rows of ``fidelity.static_rows``: the paper side
-    restated above, an exact band, and every preset inside it."""
-    for name, value in TABLE2_ROWS.items():
-        row = FIDELITY[name]
-        assert (row["figure"], row["paper"], row["band"]) == (
-            "presets.by_name", value, [value, value]
-        ), name
-        assert set(row["status"].values()) == {"match"}, name
+TABLE2 = _load("bench_table2_parameters").PAPER
+
+
+@pytest.mark.parametrize("field", sorted(TABLE2))
+def test_every_preset_holds_table2_and_the_peak_ipc_exactly(field):
+    """``bench_table2_parameters.PAPER`` is the one copy of Table 2 and
+    of the paper's peak IPC: field -> configuration -> value."""
+    paper = TABLE2[field]
+    assert {config: getattr(presets.by_name(config), field) for config in paper} == paper
 
 
 def test_every_recorded_status_is_the_rules():
@@ -243,8 +237,3 @@ def test_every_recorded_status_is_the_rules():
                 key, size,
             )
 
-
-def test_every_row_off_its_band_says_why():
-    for key, row in FIDELITY.items():
-        if set(row["status"].values()) & {"shape-only", "deviates"}:
-            assert row.get("because"), key

@@ -330,7 +330,7 @@ class TestCustomPolicyEndToEnd:
         scratch_names.append((POLICIES, "scratch_swi"))
         config = presets.by_name("scratch_swi")
         # Inherited from CascadedScheduler, not declared on the spec.
-        assert (config.issue_width, config.peak_ipc) == (2, 104.0)
+        assert (config.issue_width, config.peak_ipc) == (2, presets.swi().peak_ipc)
 
         # Imbalanced per-thread trip counts: the SWI-favourite shape
         # (same kernel as test_schedulers uses for lane filling).

@@ -158,13 +158,9 @@ class TestCombined:
         assert combo.ipc > base.ipc
 
     def test_peak_ipc_bound(self):
-        for cfg, bound in (
-            (presets.baseline(), 64.0),
-            (presets.warp64(), 64.0),
-            (presets.sbi_swi(), 104.0),
-        ):
+        for cfg in (presets.baseline(), presets.warp64(), presets.sbi_swi()):
             stats = _run(_balanced_ifelse(2), cfg)
-            assert stats.ipc <= bound + 1e-9
+            assert stats.ipc <= cfg.peak_ipc + 1e-9
 
 
 def _sm(kb, config, cta_size=256, grid_size=4):

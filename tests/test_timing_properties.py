@@ -38,13 +38,10 @@ def _run(config, n=1024):
 
 
 class TestBounds:
-    @pytest.mark.parametrize(
-        "name,peak",
-        [("baseline", 64), ("warp64", 64), ("sbi", 104), ("swi", 104), ("sbi_swi", 104)],
-    )
-    def test_ipc_within_peak(self, name, peak):
-        stats = _run(presets.by_name(name))
-        assert 0 < stats.ipc <= peak
+    @pytest.mark.parametrize("name", ["baseline", "warp64", "sbi", "swi", "sbi_swi"])
+    def test_ipc_within_peak(self, name):
+        config = presets.by_name(name)
+        assert 0 < _run(config).ipc <= config.peak_ipc
 
     def test_issue_rate_within_width(self):
         for name in ("baseline", "sbi", "swi", "sbi_swi"):

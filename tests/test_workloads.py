@@ -85,17 +85,19 @@ def test_reference_interpreter_matches_numpy(name):
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_baseline_timing_matches_numpy(name):
     inst = get_workload(name, "tiny")
-    stats = simulate(inst.kernel, inst.memory, presets.baseline())
+    config = presets.baseline()
+    stats = simulate(inst.kernel, inst.memory, config)
     inst.numpy_check(inst.memory)
-    assert 0 < stats.ipc <= 64.0
+    assert 0 < stats.ipc <= config.peak_ipc
 
 
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_sbi_swi_timing_matches_numpy(name):
     inst = get_workload(name, "tiny")
-    stats = simulate(inst.kernel, inst.memory, presets.sbi_swi())
+    config = presets.sbi_swi()
+    stats = simulate(inst.kernel, inst.memory, config)
     inst.numpy_check(inst.memory)
-    assert 0 < stats.ipc <= 104.0
+    assert 0 < stats.ipc <= config.peak_ipc
 
 
 @pytest.mark.parametrize("name", ["mandelbrot", "bfs", "tmd2", "matrixmul"])
