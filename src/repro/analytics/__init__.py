@@ -5,15 +5,15 @@ Online aggregators built on the cycle-level observer hooks
 event stream as the machine runs, holds a *fixed* amount of state
 (bins and SMs, never cycles or raw events), and produces two outputs:
 
-* :meth:`snapshot` — a JSON-ready dict (the ``repro analyze --json``
-  artifact; schemas documented in README "Observability");
+* :meth:`snapshot` — a JSON-ready dict (what ``repro sweep
+  --observations`` writes per cell; schemas documented in README
+  "Observability");
 * :meth:`render` — a human-readable text table.
 
 Importing this package registers the in-tree aggregators in the
 observer registry, so the names work everywhere observers do::
 
-    repro analyze --workload bfs --config sbi_swi
-    repro sweep ... --observer timeline
+    repro sweep ... --observer timeline --observations obs.json
     Engine(observers=["origins"]).run(spec)
 
 ===========  ========================================  ==============
@@ -26,13 +26,14 @@ name         what it aggregates                        state
 
 Aggregators see every event exactly once: observed cells always
 simulate (the engine bypasses the result cache), and
-``finalize(stats)`` closes the last open interval after the run.
+``finalize(stats)`` closes the last open interval after the run.  A
+sweep cell with ``origins`` attached is also held to its policy's modeled
+front-end width (:func:`repro.hwcost.validate_peak_issue`).
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.core.policy.observers import Observer, OBSERVERS
 
@@ -51,22 +52,7 @@ __all__ = [
 ]
 
 
-def make_aggregators(
-    names: Sequence[str], bins: Optional[int] = None
-) -> Dict[str, Observer]:
-    """Instantiate registered observers by name.
-
-    ``bins`` overrides the bin capacity of aggregators that take one;
-    observers without a ``bins`` parameter (e.g. ``counter``,
-    ``origins``) are constructed bare.
-    """
-    out: Dict[str, Observer] = {}
-    for name in names:
-        cls = OBSERVERS.get(name)
-        # Ask, don't try: a TypeError raised *inside* a constructor
-        # that does take ``bins`` must not fall back to the default.
-        if bins is not None and "bins" in inspect.signature(cls).parameters:
-            out[name] = cls(bins=bins)
-        else:
-            out[name] = cls()
-    return out
+def make_aggregators(names: Sequence[str]) -> Dict[str, Observer]:
+    """Instantiate registered observers by name, each at its own
+    defaults (the binned aggregators keep :data:`DEFAULT_BINS`)."""
+    return {name: OBSERVERS.get(name)() for name in names}

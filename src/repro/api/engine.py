@@ -110,7 +110,6 @@ def _build_and_simulate(
     config: AnyConfig,
     verify: bool,
     observers: Tuple[str, ...] = (),
-    bins: Optional[int] = None,
     build=get_workload,
     sim=simulate,
     sim_device=simulate_device,
@@ -118,13 +117,19 @@ def _build_and_simulate(
     """The one function every backend runs a cell in (module-level, so
     it pickles; it opens no cache): build the workload and the named
     ``observers``, simulate with them attached, check the outputs under
-    ``verify``, and return the stats with the observers by name."""
+    ``verify``, and return the stats with the observers by name.
+
+    An attached ``origins`` aggregator is held to the policy's modeled
+    front-end width (:func:`repro.hwcost.validate_peak_issue`): a cell
+    that issued through hardware the cost model never priced fails
+    with :class:`~repro.hwcost.PeakIssueViolation`."""
     attached: Dict[str, Observer] = {}
     if observers:
         # Importing the package registers the built-in aggregators.
-        from repro.analytics import make_aggregators
+        from repro.analytics import OriginAggregator, make_aggregators
+        from repro.hwcost import validate_peak_issue
 
-        attached = make_aggregators(observers, bins=bins)
+        attached = make_aggregators(observers)
     inst = build(workload, size)
     # Only pass the keyword when observers are attached so injected
     # simulate_fn doubles that ignore it keep working unchanged.
@@ -133,6 +138,9 @@ def _build_and_simulate(
     stats = run(inst.kernel, inst.memory, config, **kwargs)
     if verify and inst.numpy_check is not None:
         inst.numpy_check(inst.memory)
+    for observer in attached.values():
+        if isinstance(observer, OriginAggregator):
+            validate_peak_issue(config, observer.snapshot())
     return stats, attached
 
 
@@ -362,14 +370,15 @@ class Engine:
             sim_device=simulate_device_fn or simulate_device,
         )
         self.observer_names: Tuple[str, ...] = tuple(observers or ())
-        #: Bin capacity for the aggregators that take one (None: each
-        #: aggregator's own default); ``repro analyze --bins`` sets it.
-        self.observer_bins: Optional[int] = None
         #: ``(workload, size, config_name) -> {observer name: instance}``
-        #: for every cell the last sweep simulated with observers
-        #: attached.  Observed cells always simulate (cache reads are
-        #: bypassed), so each entry saw the complete event stream.
+        #: for every result cell of the last :meth:`run`, in spec order
+        #: (empty without observers).  Observed cells always simulate
+        #: (cache reads are bypassed), so each entry saw the complete
+        #: event stream; aliased configs share one simulation, and with
+        #: it one set of observers.
         self.observations: Dict[Tuple[str, str, str], Dict[str, Observer]] = {}
+        #: The running sweep's observers by cell key (:meth:`_resolved`).
+        self._observed: Dict[Tuple, Dict[str, Observer]] = {}
 
     def run(
         self,
@@ -389,6 +398,8 @@ class Engine:
         errors = self.errors if errors is None else errors
         if errors not in ERROR_POLICIES:
             raise ValueError("errors must be one of %s" % (ERROR_POLICIES,))
+        self.observations = {}
+        self._observed = {}
 
         cells = spec.cells()
         disk_dir = result_cache.resolve_dir(self.cache_dir)
@@ -492,6 +503,12 @@ class Engine:
                 )
             else:
                 results.append(Result(cell.workload, cell.size, cell.config_name, got))
+        # One simulation's observers go under every name that shares it.
+        if self._observed:
+            for slot, cell in zip(slots, cells):
+                observers = self._observed.get(firsts[slot][0])
+                if observers:
+                    self.observations[cell.workload, cell.size, cell.config_name] = observers
         return ResultSet(results, errors=cell_errors)
 
     # -- backends ------------------------------------------------------
@@ -508,20 +525,21 @@ class Engine:
         ran: Callable[[], Tuple[AnyStats, Dict[str, Observer]]],
     ) -> CellOutcome:
         """One simulated cell's outcome: what ``ran()`` returns or
-        raises.  Its observers, if any, are kept in :attr:`observations`."""
+        raises.  Its observers, if any, are kept for :meth:`run` to file
+        in :attr:`observations`."""
         try:
             stats, observers = ran()
         except Exception as exc:
             return key, cell, exc, False, None
         if observers:
-            self.observations[(cell.workload, cell.size, cell.config_name)] = observers
+            self._observed[key] = observers
         return key, cell, stats, False, None
 
     def _run_inline(self, pending, verify) -> Iterator[CellOutcome]:
         for key, cell, _, _ in pending:
             yield self._resolved(key, cell, functools.partial(
                 _build_and_simulate, cell.workload, cell.size, cell.config, verify,
-                self.observer_names, self.observer_bins, **self._hooks,
+                self.observer_names, **self._hooks,
             ))
 
     def _run_process(self, pending, verify) -> Iterator[CellOutcome]:
@@ -534,7 +552,7 @@ class Engine:
             futures = {
                 pool.submit(
                     _build_and_simulate, cell.workload, cell.size, cell.config,
-                    verify, self.observer_names, self.observer_bins,
+                    verify, self.observer_names,
                 ): (key, cell)
                 for key, cell, _, _ in pending
             }

@@ -7,9 +7,8 @@ Subcommands::
     repro sweep     [--workloads bfs,matrixmul] [--configs baseline,sbi_swi]
                     [--policy swi_greedy,dwr] [--axis sm_count=1,2,4,8] ...
                     [--size tiny] [--jobs N] [--format markdown|json|table]
+                    [--observer timeline] [--observations OUT.json]
     repro figure7   (another name for sweep)
-    repro analyze   --workload bfs --config sbi_swi [--sm-count 4]
-                    [--observers timeline,heatmap,origins] [--json OUT.json]
     repro merge     A.json B.json ... [--save OUT.json] [--on-conflict keep]
     repro store     info|gc|verify [--dir DIR] [--max-age S]
                     [--max-entries N] [--max-bytes N] [--dry-run]
@@ -33,6 +32,12 @@ that takes a directory resolves it the same way: its flag, else
 (the sweep commands then run without a disk cache).  ``--plugin MOD``
 imports a module first, so third-party policies registered at import
 time are available to ``policies``, ``--configs`` and ``--policy``.
+
+``--observer NAME`` attaches a registered observer to every cell
+(observed cells simulate, bypassing cache reads), prints its table
+after the results, and holds an attached ``origins`` to the policy's
+modeled front-end width; ``--observations PATH`` writes every observed
+cell's snapshots as one JSON artifact, in spec order.
 
 ``repro serve`` starts the sweep daemon (:mod:`repro.service`); sweep
 commands run against it with ``--server URL``, which switches the
@@ -167,11 +172,45 @@ def _check_output_dirs(*outputs) -> None:
             raise ValueError("%s %s: no such directory %r" % (flag, path, directory))
 
 
+def _write_observations(path: str, rs: ResultSet, observations) -> None:
+    """One JSON artifact holding, per observed cell in spec order, what
+    the cell ran on, its cycles and IPC, and each observer's
+    ``snapshot()`` (observers without one are left out)."""
+    cells = []
+    for result in rs:
+        observers = observations[result.key]
+        cells.append(
+            {
+                "workload": result.workload,
+                "size": result.size,
+                "config": result.config,
+                "sm_count": getattr(result.stats, "sm_count", 1),
+                "cycles": result.stats.cycles,
+                "ipc": result.stats.ipc,
+                "observers": {
+                    name: ob.snapshot()
+                    for name, ob in observers.items()
+                    if hasattr(ob, "snapshot")
+                },
+            }
+        )
+    with open(path, "w") as f:
+        json.dump({"version": 2, "cells": cells}, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print("saved observations to %s" % path, file=sys.stderr)
+
+
 def _run_spec(spec: SweepSpec, args) -> int:
     from repro.api.engine import _check_retries, _check_timeout
 
     _validate_metric(spec, args.metric)
-    _check_output_dirs(("--save", args.save), ("--output", args.output))
+    if args.observations and not args.observer:
+        raise ValueError("--observations needs at least one --observer")
+    _check_output_dirs(
+        ("--save", args.save),
+        ("--output", args.output),
+        ("--observations", args.observations),
+    )
     # The Engine refuses them too, but by its keyword names.
     _check_timeout(args.timeout, "--timeout")
     _check_retries(args.retries, "--retries")
@@ -223,6 +262,8 @@ def _run_spec(spec: SweepSpec, args) -> int:
     if args.save:
         rs.to_json(args.save)
         print("saved ResultSet to %s" % args.save, file=sys.stderr)
+    if args.observations:
+        _write_observations(args.observations, rs, engine.observations)
     # Provenance detail appends after the stable prefix, so scripted
     # greps of the historical line keep matching.
     detail = ""
@@ -250,7 +291,7 @@ def _run_spec(spec: SweepSpec, args) -> int:
         raise ValueError("metric %r: %s" % (args.metric, exc)) from exc
     _emit(text, args.output)
     if args.observer:
-        for (workload, size, config_name), obs in sorted(engine.observations.items()):
+        for (workload, size, config_name), obs in engine.observations.items():
             for name, ob in obs.items():
                 print(
                     "\n== %s/%s @%s : %s ==\n%s"
@@ -360,79 +401,6 @@ def _cmd_sweep(args) -> int:
         spec = spec.with_axes(**axes)
     print("sweep: %s" % spec.describe(), file=sys.stderr)
     return _run_spec(spec, args)
-
-
-def _cmd_analyze(args) -> int:
-    from repro.core import presets
-
-    _load_plugins(args)
-    names = [n.strip() for n in args.observers.split(",") if n.strip()]
-    if not names:
-        raise ValueError("--observers needs at least one observer name")
-    if args.sm_count < 1:
-        raise ValueError("--sm-count must be >= 1, got %d" % args.sm_count)
-    _check_output_dirs(("--json", args.json))
-    if args.sm_count > 1:
-        config = presets.device(args.config, sm_count=args.sm_count)
-    else:
-        config = presets.by_name(args.config)
-    spec = SweepSpec(
-        workloads=[args.workload], configs={args.config: config}, sizes=[args.size]
-    )
-    if spec.total_cells != 1:
-        raise ValueError(
-            "--workload takes one workload, not the group %r" % args.workload
-        )
-    (size,) = spec.sizes
-    engine = Engine(observers=names)
-    engine.observer_bins = args.bins
-    (result,) = engine.run(spec)
-    stats = result.stats
-    (aggregators,) = engine.observations.values()
-
-    print(
-        "analyze: %s/%s @%s — %d cycles, %.2f ipc"
-        % (args.workload, args.config, size, stats.cycles, stats.ipc),
-        file=sys.stderr,
-    )
-    for name, aggregator in aggregators.items():
-        print("\n== %s ==\n%s" % (name, _observer_text(name, aggregator)))
-
-    if args.json:
-        artifact = {
-            "version": 1,
-            "workload": args.workload,
-            "size": size,
-            "config": args.config,
-            "sm_count": args.sm_count,
-            "cycles": stats.cycles,
-            "ipc": stats.ipc,
-            "observers": {
-                name: aggregators[name].snapshot()
-                for name in names
-                if hasattr(aggregators[name], "snapshot")
-            },
-        }
-        with open(args.json, "w") as f:
-            json.dump(artifact, f, indent=1, sort_keys=True)
-            f.write("\n")
-        print("wrote %s" % args.json, file=sys.stderr)
-
-    # Observed peak issue rate must stay within the policy's modeled
-    # front-end width (repro.hwcost.validate) — fail loudly otherwise.
-    origins = next(
-        (a for a in aggregators.values() if hasattr(a, "peak_per_cycle")), None
-    )
-    if origins is not None:
-        from repro.hwcost import front_end_width, validate_peak_issue
-
-        validate_peak_issue(config, origins.snapshot())
-        print(
-            "peak-issue check: ok (observed <= modeled width %d)"
-            % front_end_width(config),
-            file=sys.stderr,
-        )
-    return 0
 
 
 def _cmd_merge(args) -> int:
@@ -627,7 +595,14 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         help="attach a registered observer to every cell (repeatable; "
         "runs inline or with --jobs N, not with --server, and bypasses "
         "cache reads — see repro policies for names, e.g. timeline, "
-        "heatmap, origins)",
+        "heatmap, origins; origins also checks the peak issue rate "
+        "against the policy's modeled front-end width)",
+    )
+    p.add_argument(
+        "--observations",
+        default=None,
+        metavar="PATH",
+        help="write every observed cell's snapshots as one JSON artifact",
     )
     p.add_argument(
         "--server",
@@ -710,41 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_run_options(p)
     p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser(
-        "analyze",
-        help="stream one cell through the analytics aggregators "
-        "(timeline, heatmap, origins)",
-    )
-    p.add_argument("--workload", required=True, help="workload name")
-    p.add_argument("--config", default="sbi_swi", help="policy preset name")
-    p.add_argument("--size", default="tiny", help="workload size")
-    p.add_argument(
-        "--sm-count",
-        type=int,
-        default=1,
-        help="simulate a device with N SMs (default 1: single-SM run)",
-    )
-    p.add_argument(
-        "--observers",
-        default="timeline,heatmap,origins",
-        metavar="N1,N2,...",
-        help="comma list of registered observers to attach",
-    )
-    p.add_argument(
-        "--bins",
-        type=int,
-        default=None,
-        help="bin capacity for the binned aggregators (default 64)",
-    )
-    p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write every aggregator snapshot as one JSON artifact",
-    )
-    _add_plugin_option(p)
-    p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser(
         "merge", help="combine ResultSet JSON artifacts (repro sweep --save)"

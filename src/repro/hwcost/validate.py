@@ -12,8 +12,11 @@ mismatch ride into a results table.
 
 The observable comes from the ``origins`` aggregator
 (:class:`repro.analytics.origins.OriginAggregator`), whose snapshot
-carries ``peak_issues_per_cycle`` per SM; ``repro analyze`` runs this
-check automatically whenever that aggregator is attached.
+carries ``peak_issues_per_cycle`` per SM.  Every cell a sweep runs with
+that aggregator attached (``repro sweep --observer origins``, inline or
+on ``--jobs N`` workers) runs this check in
+:func:`repro.api.engine._build_and_simulate`, and a violation fails the
+cell like any other error.
 """
 
 from __future__ import annotations

@@ -298,8 +298,11 @@ class ResultStore:
         an interrupted previous pass are always swept (even dry runs
         report them).
         """
-        if max_age is not None and max_age < 0:
-            raise ValueError("max_age must be >= 0")
+        # NaN compares false with everything: it would evict nothing.
+        if max_age is not None and not max_age >= 0:
+            raise ValueError(
+                "max_age must be >= 0 (inf keeps every entry), got %r" % max_age
+            )
         if max_entries is not None and max_entries < 0:
             raise ValueError("max_entries must be >= 0")
         if max_bytes is not None and max_bytes < 0:

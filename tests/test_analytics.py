@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.analytics import (
+    DEFAULT_BINS,
     BinnedSeries,
     HeatmapAggregator,
     OriginAggregator,
@@ -33,12 +34,10 @@ def _issue(cycle, sm_id=0, wid=0, origin=ORIGIN_PRIMARY, active=32):
     )
 
 
-def _run(workload="bfs", size="tiny", mode="sbi_swi", names=("timeline",), bins=16):
-    aggs = make_aggregators(list(names), bins=bins)
+def _run(agg, workload="bfs", size="tiny", mode="sbi_swi"):
     inst = get_workload(workload, size)
-    stats = simulate(inst.kernel, inst.memory, presets.by_name(mode),
-                     observers=list(aggs.values()))
-    return aggs, stats
+    stats = simulate(inst.kernel, inst.memory, presets.by_name(mode), observers=[agg])
+    return agg, stats
 
 
 class TestBinnedSeries:
@@ -78,8 +77,8 @@ class TestTimeline:
         assert "origins" in OBSERVERS
 
     def test_matches_stats_accounting(self):
-        aggs, stats = _run(names=("timeline",))
-        snap = aggs["timeline"].snapshot()
+        agg, stats = _run(TimelineAggregator(bins=16))
+        snap = agg.snapshot()
         assert snap["kind"] == "timeline"
         assert snap["total_cycles"] == stats.cycles
         assert sum(snap["series"]["issues"]) == stats.instructions_issued
@@ -92,8 +91,8 @@ class TestTimeline:
             assert active >= 0 and stalled >= 0
 
     def test_render_mentions_bins(self):
-        aggs, _ = _run(names=("timeline",), bins=8)
-        text = aggs["timeline"].render()
+        agg, _ = _run(TimelineAggregator(bins=8))
+        text = agg.render()
         assert "timeline" in text and "stalled" in text
 
     def test_state_size_independent_of_cycle_count(self):
@@ -142,13 +141,10 @@ class TestTimeline:
 
 class TestHeatmap:
     def test_multi_sm_grid(self):
-        aggs = make_aggregators(["heatmap"], bins=8)
+        agg = HeatmapAggregator(bins=8)
         inst = get_workload("transpose", "tiny")
         config = presets.device("sbi_swi", sm_count=4)
-        stats = simulate_device(
-            inst.kernel, inst.memory, config, observers=list(aggs.values())
-        )
-        agg = aggs["heatmap"]
+        stats = simulate_device(inst.kernel, inst.memory, config, observers=[agg])
         agg.finalize(stats)
         snap = agg.snapshot()
         assert snap["sms"] == [0, 1, 2, 3]
@@ -160,14 +156,13 @@ class TestHeatmap:
         assert "sm3" in agg.render()
 
     def test_single_sm_run_renders(self):
-        aggs, _ = _run(names=("heatmap",), bins=8)
-        assert "sm0" in aggs["heatmap"].render()
+        agg, _ = _run(HeatmapAggregator(bins=8))
+        assert "sm0" in agg.render()
 
 
 class TestOrigins:
     def test_matches_stats_origin_counters(self):
-        aggs, stats = _run(names=("origins",))
-        agg = aggs["origins"]
+        agg, stats = _run(OriginAggregator())
         assert agg.issues[ORIGIN_PRIMARY] == stats.issued_primary
         issued = dict(agg.issues)
         assert sum(issued.values()) == stats.instructions_issued
@@ -176,9 +171,9 @@ class TestOrigins:
         assert snap["per_sm"]["0"] == issued
 
     def test_peak_bounded_by_issue_width(self):
-        aggs, _ = _run(mode="sbi_swi", names=("origins",))
+        agg, _ = _run(OriginAggregator(), mode="sbi_swi")
         config = presets.by_name("sbi_swi")
-        peaks = aggs["origins"].peak_per_cycle
+        peaks = agg.peak_per_cycle
         assert peaks and max(peaks.values()) <= config.issue_width
 
     def test_rejects_unknown_origin(self):
@@ -196,9 +191,10 @@ class TestOrigins:
 
 
 class TestMakeAggregators:
-    def test_bins_override_and_binless_observers(self):
-        aggs = make_aggregators(["timeline", "origins", "counter"], bins=8)
-        assert aggs["timeline"].series.bin_count == 8
+    def test_every_observer_builds_at_its_defaults(self):
+        aggs = make_aggregators(["timeline", "heatmap", "origins", "counter"])
+        assert aggs["timeline"].series.bin_count == DEFAULT_BINS
+        assert aggs["heatmap"].series.bin_count == DEFAULT_BINS
         assert isinstance(aggs["origins"], OriginAggregator)
         assert type(aggs["counter"]).__name__ == "EventCounter"
 
@@ -226,25 +222,6 @@ class TestMakeAggregators:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["counter", "heatmap", "issue_trace", "origins", "timeline"]
-
-    def test_a_type_error_inside_a_binned_constructor_is_not_swallowed(self):
-        """Whether an observer takes ``bins`` is read off its signature:
-        catching the call's ``TypeError`` instead built this one bare,
-        at the default capacity, without a word."""
-
-        @OBSERVERS.register("scratch_binned")
-        class Binned(TimelineAggregator):
-            def __init__(self, bins=4):
-                if bins == 8:
-                    raise TypeError("raised by the constructor's own body")
-                super().__init__(bins)
-
-        try:
-            assert make_aggregators(["scratch_binned"])["scratch_binned"].series.bin_count == 4
-            with pytest.raises(TypeError, match="own body"):
-                make_aggregators(["scratch_binned"], bins=8)
-        finally:
-            OBSERVERS.unregister("scratch_binned")
 
 
 class TestARunFinalizesItsObservers:
@@ -326,6 +303,23 @@ class TestEngineWiring:
         assert events and all(not e.cached for e in events)
         assert len(engine.observations) == 2
 
+    def test_observations_hold_the_last_run_alone(self):
+        engine = Engine(memo={}, observers=["origins"])
+        engine.run(self.SPEC)
+        engine.run(SweepSpec(["histogram"], ["baseline"], sizes=["tiny"]))
+        assert list(engine.observations) == [("histogram", "tiny", "baseline")]
+
+    def test_aliased_names_share_one_simulation_and_its_observers(self):
+        events = []
+        engine = Engine(memo={}, observers=["origins"], progress=events.append)
+        rs = engine.run(
+            SweepSpec(["bfs"], {"a": presets.sbi(), "b": presets.sbi()}, sizes=["tiny"])
+        )
+        assert len(rs) == 2 and len(events) == 1  # one simulation
+        assert list(engine.observations) == [("bfs", "tiny", "a"), ("bfs", "tiny", "b")]
+        a, b = engine.observations.values()
+        assert a is b
+
     def test_unknown_observer_rejected_eagerly(self):
         with pytest.raises(ValueError, match="observer"):
             Engine(observers=["nope"])
@@ -374,3 +368,70 @@ class TestObservedProcessBackend:
         assert len(events) == 4 and not any(e.cached for e in events)
         assert len(fanned.observations) == 4
         assert self._snapshots(fanned) == self._snapshots(inline)
+
+
+#: A plugin policy whose scheduler issues past the front-end width it
+#: declares: the baseline's two pools each issue every cycle, behind a
+#: one-slot front end.
+OVER_ISSUE_PLUGIN = """
+from repro.core.policy import POLICIES, SCHEDULERS, PolicySpec, register_policy
+from repro.core.schedulers import BaselineScheduler
+
+
+@SCHEDULERS.register("over_issue")
+class OverIssue(BaselineScheduler):
+    issue_width = 1
+
+
+register_policy(PolicySpec(
+    name="over_issue", scheduler="over_issue", divergence="stack",
+    preset=POLICIES.get("baseline").preset,
+))
+"""
+
+
+class TestPeakIssueCheckOnEveryObservedCell:
+    """An attached ``origins`` holds each cell to its policy's modeled
+    front-end width in the one cell function, inline and in pool
+    workers; a violation fails the cell like any other error."""
+
+    @pytest.fixture
+    def over_issue(self, tmp_path, monkeypatch):
+        import importlib
+
+        from repro.core.policy import POLICIES, SCHEDULERS
+
+        (tmp_path / "over_issue_plugin.py").write_text(OVER_ISSUE_PLUGIN)
+        monkeypatch.syspath_prepend(str(tmp_path))
+        importlib.import_module("over_issue_plugin")
+        try:
+            yield SweepSpec(["histogram", "bfs"], ["over_issue"], sizes=["tiny"])
+        finally:
+            POLICIES.unregister("over_issue")
+            SCHEDULERS.unregister("over_issue")
+            sys.modules.pop("over_issue_plugin", None)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_over_issuing_policy_fails_an_observed_sweep(self, over_issue, jobs):
+        from repro.hwcost import PeakIssueViolation
+
+        engine = Engine(
+            jobs=jobs, memo={}, plugins=["over_issue_plugin"], observers=["origins"]
+        )
+        with pytest.raises(PeakIssueViolation, match="front-end width of 1"):
+            engine.run(over_issue)
+        collected = Engine(
+            jobs=jobs, memo={}, plugins=["over_issue_plugin"],
+            observers=["timeline", "origins"], errors="collect",
+        ).run(over_issue)
+        assert len(collected) == 0 and len(collected.errors) == 2
+        assert all("issued 2 instructions in one cycle" in e.error for e in collected.errors)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_same_sweep_without_origins_succeeds(self, over_issue, jobs):
+        engine = Engine(
+            jobs=jobs, memo={}, plugins=["over_issue_plugin"], observers=["timeline"]
+        )
+        rs = engine.run(over_issue)
+        assert len(rs) == 2 and not rs.errors
+        assert len(engine.observations) == 2

@@ -394,9 +394,15 @@ class TestOsRefusalsAndIgnoredValues:
         (("merge", "{tmp}/list.json"), "{tmp}/list.json: not a ResultSet"),
         (("merge", "{tmp}/int_result.json"), "{tmp}/int_result.json: results[0] is not an object"),
         (("merge", "{tmp}/int_error.json"), "{tmp}/int_error.json: errors[0] is not an object"),
-        (("analyze", "--workload", "bfs", "--sm-count", "0"), "--sm-count must be >= 1, got 0"),
-        (("analyze", "--workload", "bfs", "--sm-count", "-2"), "--sm-count must be >= 1, got -2"),
-        (("analyze", "--workload", "bfs", "--json", "{tmp}/no/a.json"), "--json {tmp}/no/a.json"),
+        (("sweep", *ONE_CELL, "--axis", "sm_count=0"), "sm_count must be an integer >= 1, got 0"),
+        (("sweep", *ONE_CELL, "--axis", "sm_count=-2"), "sm_count must be an integer >= 1, got -2"),
+        (("sweep", *ONE_CELL, "--observer", "origins", "--observations", "{tmp}/no/a.json"),
+         "--observations {tmp}/no/a.json"),
+        (("sweep", *ONE_CELL, "--observations", "{tmp}/a.json"),
+         "--observations needs at least one --observer"),
+        (("sweep", *ONE_CELL, "--observer", "nope"), "unknown observer 'nope': registered names"),
+        # Every comparison with NaN is false, so it evicted nothing.
+        (("store", "gc", "--max-age", "nan"), "max_age must be >= 0 (inf keeps every entry), got nan"),
         (("sweep", *ONE_CELL, "--jobs", "0"), "jobs must be None (one worker per core) or an integer >= 1, got 0"),
         (("sweep", *ONE_CELL, "--jobs", "-3"), "jobs must be None (one worker per core) or an integer >= 1, got -3"),
         # The transport meets these at the first request: an OverflowError
@@ -505,61 +511,67 @@ class TestCache:
         assert "verified 2 entries: 0 bad" in out
 
 
-class TestAnalyze:
+class TestObservedSweep:
+    """``repro sweep --observer`` is the one observed-run path:
+    ``--observations`` writes every observed cell's snapshots as one
+    artifact, and an attached ``origins`` runs the peak-issue check."""
+
+    THREE = ("--observer", "timeline", "--observer", "heatmap", "--observer", "origins")
+
     def test_smoke_renders_all_aggregators(self):
         proc = run_cli(
-            "analyze",
-            "--workload", "histogram",
-            "--size", "smoke",
-            "--config", "sbi_swi",
-            "--bins", "8",
+            "sweep", "--workloads", "histogram", "--configs", "sbi_swi",
+            "--size", "smoke", *self.THREE,
         )
-        for header in ("== timeline ==", "== heatmap ==", "== origins =="):
-            assert header in proc.stdout
-        assert "peak-issue check: ok" in proc.stderr
+        for name in ("timeline", "heatmap", "origins"):
+            assert "== histogram/sbi_swi @tiny : %s ==" % name in proc.stdout
 
-    def test_json_artifact_round_trips_schema(self, tmp_path):
-        path = str(tmp_path / "analyze.json")
+    def test_observations_artifact_round_trips_schema(self, tmp_path):
+        path = str(tmp_path / "observations.json")
         run_cli(
-            "analyze",
-            "--workload", "transpose",
-            "--size", "tiny",
-            "--config", "sbi_swi",
-            "--sm-count", "4",
-            "--bins", "8",
-            "--json", path,
+            "sweep", "--workloads", "transpose", "--configs", "sbi_swi",
+            "--size", "tiny", "--axis", "sm_count=1,4", "--axis", "l2_size=2097152",
+            "--axis", "dram_partitions=4", *self.THREE, "--observations", path,
         )
         with open(path) as f:
             artifact = json.load(f)
-        assert artifact["version"] == 1
-        assert artifact["workload"] == "transpose"
-        assert artifact["sm_count"] == 4
-        assert set(artifact["observers"]) == {"timeline", "heatmap", "origins"}
-        timeline = artifact["observers"]["timeline"]
-        assert timeline["kind"] == "timeline"
-        assert len(timeline["series"]["issues"]) == timeline["bins"]
-        heatmap = artifact["observers"]["heatmap"]
-        assert heatmap["sms"] == [0, 1, 2, 3]
-        assert len(heatmap["ipc"]) == len(heatmap["sms"])
+        assert artifact["version"] == 2
+        cells = artifact["cells"]
+        assert [(c["workload"], c["size"], c["sm_count"]) for c in cells] == [
+            ("transpose", "tiny", 1), ("transpose", "tiny", 4),
+        ]
+        for cell in cells:
+            assert cell["config"].startswith("sbi_swi/sm_count=%d/" % cell["sm_count"])
+            assert cell["cycles"] > 0 and cell["ipc"] > 0
+            assert set(cell["observers"]) == {"timeline", "heatmap", "origins"}
+            timeline = cell["observers"]["timeline"]
+            assert timeline["kind"] == "timeline"
+            assert len(timeline["series"]["issues"]) == timeline["bins"]
+            heatmap = cell["observers"]["heatmap"]
+            assert len(heatmap["sms"]) == cell["sm_count"]
+            assert len(heatmap["ipc"]) == len(heatmap["sms"])
+        assert cells[1]["observers"]["heatmap"]["sms"] == [0, 1, 2, 3]
         # The artifact feeds back into the hwcost validation unchanged.
         sys.path.insert(0, SRC)
         try:
             from repro.core import presets
             from repro.hwcost import validate_peak_issue
 
-            origins = artifact["observers"]["origins"]
             device = presets.device("sbi_swi", sm_count=4)
-            assert validate_peak_issue(device, origins)
+            assert validate_peak_issue(device, cells[1]["observers"]["origins"])
         finally:
             sys.path.remove(SRC)
 
-    def test_json_artifact_is_what_simulate_hands_back(self, tmp_path):
+    def test_observations_are_what_simulate_hands_back(self, tmp_path):
         """A run finalizes its observers: plain ``simulate`` with the
-        three aggregators attached snapshots what ``analyze`` writes."""
-        path = str(tmp_path / "analyze.json")
-        run_cli("analyze", "--workload", "histogram", "--json", path)
+        three aggregators attached snapshots what the sweep writes."""
+        path = str(tmp_path / "observations.json")
+        run_cli(
+            "sweep", "--workloads", "histogram", "--configs", "sbi_swi",
+            "--size", "tiny", *self.THREE, "--observations", path,
+        )
         with open(path) as f:
-            artifact = json.load(f)
+            (cell,) = json.load(f)["cells"]
         sys.path.insert(0, SRC)
         try:
             from repro.analytics import (
@@ -573,21 +585,40 @@ class TestAnalyze:
 
             aggs = [TimelineAggregator(), HeatmapAggregator(), OriginAggregator()]
             inst = get_workload("histogram", "tiny")
-            simulate(inst.kernel, inst.memory, presets.sbi_swi(), observers=aggs)
+            stats = simulate(inst.kernel, inst.memory, presets.sbi_swi(), observers=aggs)
         finally:
             sys.path.remove(SRC)
+        assert (cell["sm_count"], cell["cycles"], cell["ipc"]) == (1, stats.cycles, stats.ipc)
         snapshots = dict(zip(("timeline", "heatmap", "origins"), aggs))
-        assert artifact["observers"] == {
+        assert cell["observers"] == {
             name: json.loads(json.dumps(agg.snapshot()))
             for name, agg in snapshots.items()
         }
 
-    def test_unknown_observer_fails_helpfully(self):
-        proc = run_cli(
-            "analyze", "--workload", "bfs", "--observers", "nope", check=False
+    def test_one_and_two_jobs_write_the_same_bytes_for_every_cell(self, tmp_path):
+        """Spec order, not completion order; aliased configs (two names,
+        one simulation) each get their entry."""
+        args = (
+            "sweep", "--workloads", "bfs,histogram", "--configs", "baseline,sbi_swi",
+            "--policy", "baseline,sbi_swi", "--size", "tiny",
+            "--observer", "origins", "--observer", "issue_trace",
         )
-        assert proc.returncode == 2
-        assert "registered names" in proc.stderr
+        runs = {}
+        for jobs in ("1", "2"):
+            path = str(tmp_path / ("jobs%s.json" % jobs))
+            proc = run_cli(*args, "--jobs", jobs, "--observations", path)
+            with open(path, "rb") as f:
+                runs[jobs] = (f.read(), proc.stdout)
+        assert runs["1"] == runs["2"]
+        cells = json.loads(runs["1"][0])["cells"]
+        names = ["%s/policy=%s" % (c, p) for c in ("baseline", "sbi_swi")
+                 for p in ("baseline", "sbi_swi")]
+        assert [(c["workload"], c["config"]) for c in cells] == [
+            (w, n) for w in ("bfs", "histogram") for n in names
+        ]
+        # issue_trace has no snapshot: its entry is left out.
+        assert all(set(c["observers"]) == {"origins"} for c in cells)
+        assert runs["1"][1].count("== bfs/baseline/policy=sbi_swi @tiny : origins ==") == 1
 
     def test_sweep_observer_renders_and_simulates(self, tmp_path):
         cache = {"REPRO_CACHE_DIR": str(tmp_path)}

@@ -218,7 +218,7 @@ class _StubEngine:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, workload, size, config, verify, observers=(), bins=None):
+    def __call__(self, workload, size, config, verify, observers=()):
         self.calls += 1
         return STATS, {}
 

@@ -62,7 +62,7 @@ class _StubEngine:
         self.calls = 0
         self.fail = fail
 
-    def __call__(self, workload, size, config, verify, observers=(), bins=None):
+    def __call__(self, workload, size, config, verify, observers=()):
         self.calls += 1
         if self.fail:
             raise RuntimeError("boom")

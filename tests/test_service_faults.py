@@ -80,7 +80,7 @@ class _StubEngine:
         self.calls = 0
         self.fail = fail
 
-    def __call__(self, workload, size, config, verify, observers=(), bins=None):
+    def __call__(self, workload, size, config, verify, observers=()):
         self.calls += 1
         if self.fail:
             raise RuntimeError("boom")
@@ -411,6 +411,15 @@ class TestStoreGC:
         for kwargs in ({"max_age": -1}, {"max_entries": -1}, {"max_bytes": -1}):
             with pytest.raises(ValueError):
                 store.gc(**kwargs)
+
+    def test_a_nan_max_age_is_refused_and_inf_keeps_everything(self, tmp_path):
+        # Every comparison with NaN is false: ``max_age < 0`` let it
+        # through, and then no entry was ever old enough to evict.
+        store, _ = self._fill(tmp_path, n=2)
+        with pytest.raises(ValueError, match="max_age must be >= 0 .*got nan"):
+            store.gc(max_age=float("nan"))
+        result = store.gc(max_age=float("inf"), now=1e12)
+        assert (result.evicted, result.kept) == (0, 2)
 
     def test_tombstone_reads_as_miss_and_is_swept(self, tmp_path):
         store, digests = self._fill(tmp_path, n=2)
