@@ -46,7 +46,7 @@ from repro.timing.cache import L1Cache
 from repro.timing.config import SMConfig
 from repro.timing.fetch import FetchEngine, IBufEntry
 from repro.timing.lsu import LoadStoreUnit
-from repro.timing.masks import bools_to_mask, full_mask, mask_to_bools
+from repro.timing.masks import bools_to_mask
 from repro.timing.scoreboard import build_transition
 from repro.timing.stats import Stats
 from repro.timing.units import Backend, ExecGroup
@@ -101,7 +101,6 @@ class StreamingMultiprocessor:
         "_issue_to_wb",
         "_delivery_latency",
         "_branch_latency",
-        "_full_bools",
     )
 
     def __init__(
@@ -163,9 +162,6 @@ class StreamingMultiprocessor:
         self._issue_to_wb = config.issue_to_writeback
         self._delivery_latency = config.delivery_latency
         self._branch_latency = config.branch_latency
-        #: The interned all-active bool row: a branch under it needs no
-        #: ``taken & active``.
-        self._full_bools = mask_to_bools(full_mask(config.warp_width), config.warp_width)
 
         if kernel.cta_size > config.total_threads:
             raise SimulationError(
@@ -384,10 +380,7 @@ class StreamingMultiprocessor:
         elif control == _BRANCH:
             assert outcome is not None  # a branch plan always reports
             stats.branches += 1
-            taken = outcome.taken
-            if outcome.active is not self._full_bools:
-                taken = taken & outcome.active
-            taken = bools_to_mask(taken)
+            taken = bools_to_mask(outcome.taken) & active_mask
             split.redirect_ready_at = now + self._branch_latency
             if warp not in self._gated:
                 self._gated.append(warp)

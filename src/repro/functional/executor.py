@@ -9,12 +9,13 @@ Registers are ``float64[nregs, warp_width]``.  Integer semantics
 (logic, shifts, addressing) round-trip through ``int64`` which is exact
 for ``|x| < 2**53``.
 
-Every instruction runs a *plan*, ``plan(fwarp, mask_bools)``, made by
-one of two plan makers that produce bit-identical state:
+Every instruction runs a *plan*, ``plan(fwarp, mask)`` on the int
+issue mask, made by one of two plan makers that produce bit-identical
+state:
 
-* :func:`repro.functional.compiled.compile_guarded` (the default)
-  specialises the instruction into a closure — operands pre-resolved,
-  compute function bound directly;
+* :func:`repro.functional.compiled.compile_plan` (the default) generates
+  it from the instruction's shape: one frame, operands, compute,
+  predicate guard and outcome inline;
 * under ``Executor(..., compiled=False)`` the plan is the reference
   interpreter bound to the instruction: it dispatches per issue, kept
   as the executable specification and used by the differential tests.
@@ -39,7 +40,7 @@ from repro.isa.instructions import (
     Operand,
     OperandKind,
 )
-from repro.timing.masks import bools_table, bools_to_mask, mask_to_bools
+from repro.timing.masks import bools_to_mask, mask_to_bools
 
 __all__ = ["ExecOutcome", "ExecutionError", "Executor", "FunctionalWarp", "LaunchRows"]
 
@@ -196,15 +197,12 @@ class Executor:
         self.kernel = kernel
         self.compiled = compiled
         self._instrs = kernel.program.instructions
-        self._count = len(self._instrs)
-        #: width -> interpreter plans by PC.  The plans in use are also
-        #: bound below, with the width's interned bool rows
-        #: (:func:`~repro.timing.masks.bools_table`), so an issue at the
-        #: width of the last one pays a single compare.
+        #: width -> interpreter plans by PC.  The plans of the width of
+        #: the last issue are also bound below, so an issue at that
+        #: width pays a single compare.
         self._by_width: dict = {}
         self._width: Optional[int] = None
         self._plans: list = []
-        self._bools: dict = {}
 
     def execute(
         self, instr: Instruction, warp: FunctionalWarp, mask: int
@@ -215,41 +213,33 @@ class Executor:
         ``None`` when there is nothing to report: an unpredicated
         non-branch, non-memory instruction ran for exactly ``mask``.
 
-        The timing model's hot path: the bool expansion is interned
-        (one ``mask -> row`` table per width,
-        :func:`~repro.timing.masks.bools_table`), and for unpredicated
-        instructions (the common case) the active bit-mask is the issue
-        mask itself — no reverse conversion.
-        Plans are errstate-free: the caller enters one
-        ``np.errstate(all="ignore")`` around its loop
+        The timing model's hot path: a lookup of the instruction's plan
+        and a call, which takes the int mask as it is (the plan fills
+        the outcome's ``active_mask``).  Plans are errstate-free: the
+        caller enters one ``np.errstate(all="ignore")`` around its loop
         (``GPUDevice.run`` and ``run_kernel`` do).
         """
         width = warp.width
         if width != self._width:
             self._use_width(width)
-        bools = self._bools.get(mask)
-        if bools is None:
-            bools = mask_to_bools(mask, width)
         pc = instr.pc
-        if 0 <= pc < self._count and self._instrs[pc] is instr:
+        try:
+            # Identity decides: an instruction outside the program (``pc``
+            # unset, or another program's) is not the one at its index.
+            ours = self._instrs[pc] is instr
+        except IndexError:
+            ours = False
+        if ours:
             plan = self._plans[pc] or self._plan(pc, width)
         else:
             plan = self._make_plan(instr, width)
-        outcome = plan(warp, bools)
-        if outcome is None:
-            return None
-        if instr.pred is None:
-            outcome.active_mask = mask
-        else:
-            outcome.active_mask = bools_to_mask(outcome.active)
-        return outcome
+        return plan(warp, mask)
 
     def _use_width(self, width: int) -> None:
         if self.compiled:
             self._plans = self.kernel.program.plan_table(width)
         else:
-            self._plans = self._by_width.setdefault(width, [None] * self._count)
-        self._bools = bools_table(width)
+            self._plans = self._by_width.setdefault(width, [None] * len(self._instrs))
         self._width = width
 
     def _plan(self, pc: int, width: int):
@@ -262,8 +252,16 @@ class Executor:
         """``instr``'s plan for warps of ``width``, from this executor's
         plan maker."""
         if self.compiled:
-            return compiled_plans.compile_guarded(instr, width)
-        return partial(self._execute_interp, instr)
+            return compiled_plans.compile_plan(instr, width)
+        interpret = partial(self._execute_interp, instr)
+        predicated = instr.pred is not None
+
+        def plan(warp: FunctionalWarp, mask: int) -> ExecOutcome:
+            outcome = interpret(warp, mask_to_bools(mask, width))
+            outcome.active_mask = bools_to_mask(outcome.active) if predicated else mask
+            return outcome
+
+        return plan
 
     # ------------------------------------------------------------------
     # Operand evaluation

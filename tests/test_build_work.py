@@ -1,5 +1,5 @@
-"""A deterministic gauge of build work: workload builds and plan
-compiles per sweep.
+"""A deterministic gauge of build work: workload builds, plan compiles
+and plan shapes generated per sweep.
 
 The evaluation's grids run every kernel under several machines (Figure
 7: five), so what a cell costs before it simulates is how often its
@@ -12,8 +12,11 @@ the build's words, a compiled plan depends on its instruction and warp
 width alone and is kept by the program
 (:meth:`repro.isa.program.Program.plan_table`), and the ``process``
 backend builds and compiles its pending cells in the parent before its
-pool forks.  The counts here repeat exactly, so they are pinned without
-a timing run, in the mould of ``tests/test_keying_work.py``.
+pool forks.  A plan is generated from its instruction's shape
+(:mod:`repro.functional.compiled`): one factory per distinct shape in
+the process, so a sweep's shapes are far fewer than its compiles.  The
+counts here repeat exactly, so they are pinned without a timing run,
+in the mould of ``tests/test_keying_work.py``.
 
 ``python tests/test_build_work.py`` prints the table.
 """
@@ -42,27 +45,37 @@ POOL_KERNELS = ("histogram", "transpose", "bfs", "mandelbrot")
 PARENT_INLINE = (105, 5435)
 PARENT_POOL_WORKERS = (20, 660)
 
+#: Plan shapes an inline ``figure7(size="tiny")`` sweep generates from
+#: a cold process, at its two warp widths.
+SHAPES_INLINE = 69
+
 
 class Work:
-    """Counts workload builds and plan compiles while :meth:`counting`
-    is open, from a cold start (no workload built in the process):
-    this process's by (workload, size) and by (instruction, warp
-    width), and the total of any worker process it forks."""
+    """Counts workload builds, plan compiles and plan shapes while
+    :meth:`counting` is open, from a cold start (no workload built and
+    no shape generated in the process): this process's by (workload,
+    size), by (instruction, warp width) and by shape, and the total of
+    any worker process it forks."""
 
     def __init__(self) -> None:
         self.pid = os.getpid()
         self.builds: collections.Counter = collections.Counter()
         self.compiles: collections.Counter = collections.Counter()
+        self.shapes: collections.Counter = collections.Counter()
         self._instrs: list = []  # keeps the ids in ``compiles`` unique
         # Created before any fork, so a forked worker adds to them.
         self.worker_builds = multiprocessing.Value("i", 0)
         self.worker_compiles = multiprocessing.Value("i", 0)
+        self.worker_shapes = multiprocessing.Value("i", 0)
 
     def take(self):
-        """``(builds, compiles)`` here since the last take."""
-        counts = (sum(self.builds.values()), sum(self.compiles.values()))
+        """``(builds, compiles, shapes)`` here since the last take."""
+        counts = (
+            sum(self.builds.values()), sum(self.compiles.values()), sum(self.shapes.values())
+        )
         self.builds.clear()
         self.compiles.clear()
+        self.shapes.clear()
         return counts
 
     def _count(self, here, key, shared) -> None:
@@ -74,7 +87,10 @@ class Work:
 
     @contextlib.contextmanager
     def counting(self):
-        patches = [mock.patch.object(suite, "_BUILT", {})]
+        patches = [
+            mock.patch.object(suite, "_BUILT", {}),
+            mock.patch.object(compiled_plans, "_FACTORIES", {}),
+        ]
         for module_name in {info.module for info in suite.list_workloads()}:
             module = importlib.import_module(module_name)
 
@@ -83,14 +99,18 @@ class Work:
                 return _build(size, *args, **kwargs)
 
             patches.append(mock.patch.object(module, "build", counted_build))
-        compile_guarded = compiled_plans.compile_guarded
+        compile_plan = compiled_plans.compile_plan
 
         def counted_compile(instr, *args):
             self._instrs.append(instr)
             self._count(self.compiles, (id(instr), args[-1]), self.worker_compiles)
-            return compile_guarded(instr, *args)
+            shapes = len(compiled_plans._FACTORIES)
+            plan = compile_plan(instr, *args)
+            if len(compiled_plans._FACTORIES) > shapes:
+                self._count(self.shapes, shapes, self.worker_shapes)
+            return plan
 
-        patches.append(mock.patch.object(compiled_plans, "compile_guarded", counted_compile))
+        patches.append(mock.patch.object(compiled_plans, "compile_plan", counted_compile))
         with contextlib.ExitStack() as stack:
             for patch in patches:
                 stack.enter_context(patch)
@@ -112,8 +132,9 @@ class Work:
 
 def inline_sweeps():
     """``(cells, builds by (workload, size), widths by program, any
-    recompile, (builds, compiles) of a second sweep)`` of two inline
-    ``figure7(size="tiny")`` sweeps in one cold process."""
+    recompile, (builds, compiles, shapes) of the first sweep, the same
+    of a second)`` of two inline ``figure7(size="tiny")`` sweeps in one
+    cold process."""
     spec = SweepSpec.figure7(size="tiny")
     with Work().counting() as work:
         Engine(backend="inline", memo={}).run(spec)
@@ -126,15 +147,16 @@ def inline_sweeps():
 
 
 def pool_sweep():
-    """``(cells, (builds, compiles) in the parent, the same in its
-    workers)`` of a cold ``jobs=2`` sweep of :data:`POOL_KERNELS`
+    """``(cells, (builds, compiles, shapes) in the parent, the same in
+    its workers)`` of a cold ``jobs=2`` sweep of :data:`POOL_KERNELS`
     under every Figure 7 machine."""
     spec = SweepSpec.from_presets(presets.FIGURE7_CONFIGS, POOL_KERNELS, "tiny")
     with Work().counting() as work:
         results = Engine(backend="process", jobs=2, memo={}).run(spec)
         assert len(results) == len(spec.cells()) and not results.errors
         parent = work.take()
-    return len(spec.cells()), parent, (work.worker_builds.value, work.worker_compiles.value)
+    workers = (work.worker_builds.value, work.worker_compiles.value, work.worker_shapes.value)
+    return len(spec.cells()), parent, workers
 
 
 @pytest.fixture(scope="module")
@@ -144,13 +166,13 @@ def inline():
 
 class TestBuildWork:
     def test_an_inline_sweep_builds_each_workload_once(self, inline):
-        cells, builds, _, _, (total, _), _ = inline
+        cells, builds, _, _, (total, _, _), _ = inline
         assert set(builds.values()) == {1}
         assert total == len(builds) == cells // len(presets.FIGURE7_CONFIGS) == 21
         assert total < PARENT_INLINE[0] == cells
 
     def test_it_compiles_each_program_once_per_width_in_use(self, inline):
-        _, builds, widths, recompiled, (_, compiles), _ = inline
+        _, builds, widths, recompiled, (_, compiles, _), _ = inline
         in_use = {presets.by_name(name).warp_width for name in presets.FIGURE7_CONFIGS}
         assert in_use == {32, 64}
         assert len(widths) == len(builds)
@@ -158,34 +180,39 @@ class TestBuildWork:
         assert not recompiled
         assert compiles < 0.5 * PARENT_INLINE[1]
 
+    def test_it_generates_each_shape_once(self, inline):
+        _, _, _, _, (_, compiles, shapes), _ = inline
+        assert shapes == SHAPES_INLINE < 0.05 * compiles
+
     def test_a_second_sweep_builds_and_compiles_nothing(self, inline):
-        assert inline[-1] == (0, 0)
+        assert inline[-1] == (0, 0, 0)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="workers start with the parent's builds only when forked",
     )
     def test_pool_workers_build_and_compile_nothing_the_parent_warmed(self):
-        cells, (builds, compiles), workers = pool_sweep()
-        assert builds == len(POOL_KERNELS) and compiles > 0
-        assert workers == (0, 0)
+        cells, (builds, compiles, shapes), workers = pool_sweep()
+        assert builds == len(POOL_KERNELS) and compiles > shapes > 0
+        assert workers == (0, 0, 0)
         assert PARENT_POOL_WORKERS[0] == cells
 
 
 def main() -> None:
     cells, _, _, _, first, second = inline_sweeps()
-    print("| sweep | cells | builds (b02a578) | builds | plan compiles (b02a578) | plan compiles |")
-    print("| --- | ---: | ---: | ---: | ---: | ---: |")
-    for name, (builds, compiles) in (("first", first), ("second", second)):
-        print("| figure7 tiny, inline, %s in the process | %d | %d | %d | %d | %d |" % (
-            (name, cells) + PARENT_INLINE + (builds, compiles)
+    print("| sweep | cells | builds (b02a578) | builds | plan compiles (b02a578)"
+          " | plan compiles | plan shapes |")
+    print("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
+    for name, (builds, compiles, shapes) in (("first", first), ("second", second)):
+        print("| figure7 tiny, inline, %s in the process | %d | %d | %d | %d | %d | %d |" % (
+            (name, cells) + PARENT_INLINE + (builds, compiles, shapes)
         ))
     if multiprocessing.get_start_method() == "fork":
         cells, parent, workers = pool_sweep()
-        print("| %d kernels x 5 machines, jobs=2: parent | %d | 0 | %d | 0 | %d |" % (
-            len(POOL_KERNELS), cells, parent[0], parent[1]
+        print("| %d kernels x 5 machines, jobs=2: parent | %d | 0 | %d | 0 | %d | %d |" % (
+            (len(POOL_KERNELS), cells, parent[0], parent[1], parent[2])
         ))
-        print("| %d kernels x 5 machines, jobs=2: workers | %d | %d | %d | %d | %d |" % (
+        print("| %d kernels x 5 machines, jobs=2: workers | %d | %d | %d | %d | %d | %d |" % (
             (len(POOL_KERNELS), cells) + PARENT_POOL_WORKERS + workers
         ))
 

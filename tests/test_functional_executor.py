@@ -2,8 +2,10 @@
 
 Every assertion runs on both plan makers: a compiled plan
 (``compiled=True``) and the reference interpreter bound to the
-instruction (``compiled=False``).  The instructions here are outside
-the kernel's program, so each one gets a plan made for its call.
+instruction (``compiled=False``); ``TestGeneratedPlansMatchTheInterpreter``
+runs both on one instruction and compares them.  The instructions here
+are outside the kernel's program, so each one gets a plan made for its
+call.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ from repro.functional.memory import MemoryImage, SharedMemory
 from repro.isa.builder import Kernel, KernelBuilder
 from repro.isa.instructions import CmpOp, Instruction, MemSpace, Op, imm, reg, special
 from repro.isa.program import Program
-from repro.timing.masks import full_mask
+from repro.timing.masks import bools_table, full_mask, mask_to_bools
 
 W = 8
 FULL = full_mask(W)
@@ -322,3 +324,134 @@ def test_compiled_mode_never_reaches_the_interpreter(monkeypatch):
     for fast, ref in zip(regs_fast, regs_ref):
         assert np.array_equal(fast, ref)
     assert np.array_equal(mem_fast, mem_ref)
+
+
+class TestGeneratedPlansMatchTheInterpreter:
+    """A generated plan against the interpreter on the edges the
+    generator adds: the ``mask == full`` fast path, a partial mask whose
+    bool row is not interned yet, a guard yielding an all-true row that
+    is not the interned one, an immediate ``-0.0``, every special
+    register and a ``%param<i>``, loads, stores and atomics through
+    both spaces, at widths 32 and 64.  Registers, both memories and the
+    outcome's ``active``, ``active_mask``, ``taken`` and
+    ``lane_addresses`` must be equal."""
+
+    @staticmethod
+    def _state(width):
+        """A warp of a fresh launch, its global image and its shared
+        memory, all filled the same way every time: warp 1 of CTA 2
+        (tids ``width .. 2 width - 1``) in warp slot 3."""
+        memory = MemoryImage(1 << 16)
+        base = memory.alloc(8 * width)
+        memory.write_array(base, np.arange(2 * width) * 0.5 - 3.0)
+        kernel = Kernel(
+            "edges", Program([Instruction(Op.EXIT)]), cta_size=2 * width, grid_size=4,
+            params=(base, 7.5), nregs=8,
+        )
+        shared = SharedMemory(8 * width)
+        shared.write_array(0, np.arange(2 * width) * -0.25 + 1.0)
+        warp = FunctionalWarp(LaunchRows(kernel, width, memory), 3, 1, 2, shared)
+        lanes = np.arange(width)
+        warp.regs[1] = lanes * 4.0  # byte offsets
+        warp.regs[2] = np.where(lanes % 3 == 0, -0.0, lanes * 1.25 - 9.0)
+        warp.regs[3] = (lanes % 5 < 2).astype(float)  # a partial guard
+        warp.regs[4] = lanes + 1.0  # a guard true on every lane
+        warp.regs[6] = (lanes % 4) * 4.0  # lanes colliding on four words
+        return kernel, warp, memory, shared
+
+    @staticmethod
+    def _instructions():
+        g, s = MemSpace.GLOBAL, MemSpace.SHARED
+        yield Instruction(Op.ADD, dst=0, srcs=(reg(2), imm(1.5)))
+        yield Instruction(Op.MAD, dst=0, srcs=(special("tid"), imm(4), special("param", 0)))
+        yield Instruction(Op.SEL, dst=0, srcs=(reg(3), reg(2), imm(-0.0)))
+        yield Instruction(Op.MOV, dst=0, srcs=(imm(-0.0),))
+        yield Instruction(Op.RCP, dst=0, srcs=(imm(-0.0),))
+        yield Instruction(Op.SETP, dst=0, srcs=(reg(2), imm(3)), cmp=CmpOp.LT)
+        for name in ("tid", "ctaid", "ntid", "nctaid", "laneid", "warpid"):
+            yield Instruction(Op.MOV, dst=0, srcs=(special(name),))
+        yield Instruction(Op.ADD, dst=0, srcs=(special("param", 1), reg(2)))
+        yield Instruction(Op.MUL, dst=0, srcs=(reg(2), imm(3)), pred=3)
+        yield Instruction(Op.MUL, dst=0, srcs=(reg(2), imm(3)), pred=3, pred_neg=True)
+        yield Instruction(Op.MUL, dst=0, srcs=(reg(2), imm(3)), pred=4)
+        yield Instruction(Op.BRA, srcs=(reg(3),), target=0)
+        yield Instruction(Op.BRA, srcs=(reg(3),), target=0, pred_neg=True)
+        yield Instruction(Op.BRA, target=0)
+        yield Instruction(Op.BRA, target=0, pred=4)
+        yield Instruction(Op.NOP, pred=3)
+        yield Instruction(Op.EXIT)
+        for space, base in ((g, special("param", 0)), (s, imm(0))):
+            yield Instruction(Op.ST, srcs=(base, reg(1), reg(2)), offset=4, space=space)
+            yield Instruction(Op.ST, srcs=(base, reg(1), imm(-0.0)), space=space, pred=3)
+            yield Instruction(Op.LD, dst=0, srcs=(base, reg(1)), space=space)
+            yield Instruction(Op.LD, dst=0, srcs=(base, reg(1)), offset=8, space=space, pred=4)
+            yield Instruction(Op.ATOM_ADD, dst=5, srcs=(base, reg(6), reg(2)), space=space)
+            yield Instruction(Op.ATOM_MIN, srcs=(base, reg(2)), space=space)
+            yield Instruction(Op.ATOM_MAX, dst=5, srcs=(base, reg(2)), space=space, pred=3)
+
+    def _run(self, compiled, instr, mask, width):
+        kernel, warp, memory, shared = self._state(width)
+        executor = Executor(kernel, compiled=compiled)
+        with np.errstate(all="ignore"):
+            outcome = executor.execute(instr, warp, mask)
+        if outcome is None:  # an unpredicated instruction ran for exactly ``mask``
+            report = (mask_to_bools(mask, width).tolist(), mask, None, None)
+        else:
+            report = (
+                outcome.active.tolist(),
+                outcome.active_mask,
+                None if outcome.taken is None else outcome.taken.tolist(),
+                None if outcome.lane_addresses is None else outcome.lane_addresses.tolist(),
+            )
+        state = (warp.regs.tobytes(), memory.words.tobytes(), shared.words.tobytes())
+        return outcome, report, state
+
+    def _check(self, instr, mask, width):
+        fast, fast_report, fast_state = self._run(True, instr, mask, width)
+        _, ref_report, ref_state = self._run(False, instr, mask, width)
+        assert fast_report == ref_report, instr
+        assert fast_state == ref_state, instr  # bytes: -0.0 and NaN compare exactly
+        reports = instr.pred is not None or instr.is_memory or instr.op is Op.BRA
+        assert (fast is not None) == reports, instr
+        return fast
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_the_full_warp_fast_path(self, width):
+        full_row = mask_to_bools(full_mask(width), width)
+        for instr in self._instructions():
+            fast = self._check(instr, full_mask(width), width)
+            if fast is not None and instr.pred is None:
+                assert fast.active is full_row, instr  # no bool row built
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_a_partial_mask_not_yet_interned(self, width):
+        table = bools_table(width)
+        for pattern in (0b1011_0010, 0b0100_0001):
+            mask = int(("{:08b}".format(pattern)) * (width // 8), 2)
+            for instr in self._instructions():
+                table.pop(mask, None)
+                self._check(instr, mask, width)
+                assert mask in table  # the plan's miss interned it
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_an_all_true_guard_is_not_the_interned_row(self, width):
+        full = full_mask(width)
+        instr = Instruction(Op.MUL, dst=0, srcs=(reg(2), imm(3)), pred=4)
+        fast = self._check(instr, full, width)
+        assert fast.active.all() and fast.active_mask == full
+        assert fast.active is not mask_to_bools(full, width)
+
+
+@pytest.mark.parametrize("pc", [-1, 0, 5, -9])
+def test_an_instruction_outside_the_program_gets_its_own_plan(env, pc):
+    """Whatever its ``pc`` says — unset, the index of one of the
+    program's instructions, or past either end — an instruction that is
+    not the program's runs its own plan and leaves the program's
+    alone."""
+    executor, warp, mask, _ = env
+    instr = Instruction(Op.MOV, dst=0, srcs=(imm(4),), pc=pc)
+    executor.execute(instr, warp, mask)
+    assert np.all(warp.regs[0] == 4)
+    warp.regs[0] = 0.0
+    executor.execute(executor.kernel.program.instructions[0], warp, mask)  # the exit
+    assert np.all(warp.regs[0] == 0)

@@ -572,13 +572,13 @@ class TestOneExecutorPerDevice:
     @pytest.mark.parametrize("mode", ["baseline", "sbi_swi"])
     def test_each_issued_pc_is_compiled_once_per_program_and_width(self, monkeypatch, mode):
         compiles = []
-        compile_guarded = compiled_plans.compile_guarded
+        compile_plan = compiled_plans.compile_plan
 
         def counted(instr, width):
             compiles.append((instr.pc, width))
-            return compile_guarded(instr, width)
+            return compile_plan(instr, width)
 
-        monkeypatch.setattr(compiled_plans, "compile_guarded", counted)
+        monkeypatch.setattr(compiled_plans, "compile_plan", counted)
         inst = get_workload("transpose", "tiny")
         inst.kernel.program.plans.clear()  # compiled by an earlier test
         config = presets.device(mode, sm_count=2)

@@ -368,10 +368,10 @@ PARENT_WORK = {
 #: ``PARENT_CALLS`` what :func:`calls_per_issue` read on the tree
 #: before that.
 CALL_PINS = {
-    "baseline": 43.1,
-    "sbi": 55.1,
-    "swi": 56.8,
-    "sbi_swi": 60.7,
+    "baseline": 36.9,
+    "sbi": 47.1,
+    "swi": 48.6,
+    "sbi_swi": 52.3,
 }
 NO_DOOMED_CALLS = {
     "baseline": 48.8,
@@ -410,11 +410,11 @@ DEVICE = "device"
 #: (d38cec1) — each mode's pin at most 0.94 of it, the four together
 #: at most 0.90.
 BYTECODE_PINS = {
-    "baseline": 1115.8,
-    "sbi": 1504.7,
-    "swi": 1607.8,
-    "sbi_swi": 1754.8,
-    DEVICE: 1762.9,
+    "baseline": 1042.6,
+    "sbi": 1399.3,
+    "swi": 1517.3,
+    "sbi_swi": 1661.4,
+    DEVICE: 1686.6,
 }
 PARENT_BYTECODES = {
     "baseline": 1337.8,
